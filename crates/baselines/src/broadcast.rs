@@ -8,8 +8,8 @@
 //! — the parasite messages daMulticast eliminates.
 
 use crate::common::{gossip_targets, DeliveryLog, InterestMap};
+use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, ProcessId, WireSize};
 use da_membership::{static_init::static_topic_tables, FanoutRule};
-use da_simnet::{derive_seed, rng_from_seed, Ctx, ProcessId, Protocol, WireSize};
 use damulticast::{DaError, Event, EventId};
 
 /// Wire message of the broadcast baseline: just the event.
@@ -63,40 +63,40 @@ impl BroadcastProcess {
         self.table.len()
     }
 
-    fn relay(&mut self, event: &Event, ctx: &mut Ctx<'_, BcMsg>) {
+    fn relay<X: Exec<Msg = BcMsg>>(&mut self, event: &Event, ctx: &mut X) {
         let targets = gossip_targets(&self.table, self.fanout, ctx.rng());
         for t in targets {
-            ctx.counters().bump("bc.sent");
+            ctx.bump("bc.sent");
             ctx.send(t, BcMsg(event.clone()));
         }
     }
 }
 
-impl Protocol for BroadcastProcess {
+impl ExecProtocol for BroadcastProcess {
     type Msg = BcMsg;
 
-    fn on_message(&mut self, _from: ProcessId, msg: BcMsg, ctx: &mut Ctx<'_, BcMsg>) {
+    fn on_message<X: Exec<Msg = BcMsg>>(&mut self, _from: ProcessId, msg: BcMsg, ctx: &mut X) {
         let interested = self.interests.wants(self.me, msg.0.topic());
         if self.log.on_receive(&msg.0, interested) {
             if interested {
-                ctx.counters().bump("bc.delivered");
+                ctx.bump("bc.delivered");
             } else {
-                ctx.counters().bump("bc.parasite");
+                ctx.bump("bc.parasite");
             }
             // Broadcast relies on *everyone* relaying, parasites included.
             let event = msg.0;
             self.relay(&event, ctx);
         } else {
-            ctx.counters().bump("bc.duplicate");
+            ctx.bump("bc.duplicate");
         }
     }
 
-    fn on_round(&mut self, _round: u64, ctx: &mut Ctx<'_, BcMsg>) {
+    fn on_round<X: Exec<Msg = BcMsg>>(&mut self, _round: u64, ctx: &mut X) {
         let pending = std::mem::take(&mut self.pending);
         for event in pending {
             let interested = self.interests.wants(self.me, event.topic());
             if self.log.on_receive(&event, interested) && interested {
-                ctx.counters().bump("bc.delivered");
+                ctx.bump("bc.delivered");
             }
             self.relay(&event, ctx);
         }

@@ -1,7 +1,7 @@
 //! Machinery shared by the three baseline algorithms: interest
 //! assignment, delivery/parasite bookkeeping, and gossip target sampling.
 
-use da_simnet::ProcessId;
+use da_core::ProcessId;
 use da_topics::{TopicHierarchy, TopicId};
 use damulticast::{Event, EventId};
 use rand::seq::SliceRandom;
@@ -159,7 +159,7 @@ pub fn gossip_targets<R: Rng>(pool: &[ProcessId], k: usize, rng: &mut R) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::rng_from_seed;
+    use da_core::rng_from_seed;
 
     #[test]
     fn linear_interest_assignment() {

@@ -11,9 +11,9 @@
 //! broadcast — every process receives every event: parasites galore.
 
 use crate::common::{gossip_targets, DeliveryLog, InterestMap};
+use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, ProcessId, WireSize};
 use da_membership::hierarchical::{static_hierarchical_tables, HierarchicalLayout};
 use da_membership::FanoutRule;
-use da_simnet::{derive_seed, rng_from_seed, Ctx, ProcessId, Protocol, WireSize};
 use damulticast::{DaError, Event, EventId};
 
 /// Wire message of the hierarchical baseline: just the event.
@@ -69,42 +69,42 @@ impl HierarchicalProcess {
         self.intra.len() + self.inter.len()
     }
 
-    fn relay(&mut self, event: &Event, ctx: &mut Ctx<'_, HcMsg>) {
+    fn relay<X: Exec<Msg = HcMsg>>(&mut self, event: &Event, ctx: &mut X) {
         for t in gossip_targets(&self.intra, self.fanout_intra, ctx.rng()) {
-            ctx.counters().bump("hc.sent_intra");
+            ctx.bump("hc.sent_intra");
             ctx.send(t, HcMsg(event.clone()));
         }
         for t in gossip_targets(&self.inter, self.fanout_inter, ctx.rng()) {
-            ctx.counters().bump("hc.sent_inter");
+            ctx.bump("hc.sent_inter");
             ctx.send(t, HcMsg(event.clone()));
         }
     }
 }
 
-impl Protocol for HierarchicalProcess {
+impl ExecProtocol for HierarchicalProcess {
     type Msg = HcMsg;
 
-    fn on_message(&mut self, _from: ProcessId, msg: HcMsg, ctx: &mut Ctx<'_, HcMsg>) {
+    fn on_message<X: Exec<Msg = HcMsg>>(&mut self, _from: ProcessId, msg: HcMsg, ctx: &mut X) {
         let interested = self.interests.wants(self.me, msg.0.topic());
         if self.log.on_receive(&msg.0, interested) {
             if interested {
-                ctx.counters().bump("hc.delivered");
+                ctx.bump("hc.delivered");
             } else {
-                ctx.counters().bump("hc.parasite");
+                ctx.bump("hc.parasite");
             }
             let event = msg.0;
             self.relay(&event, ctx);
         } else {
-            ctx.counters().bump("hc.duplicate");
+            ctx.bump("hc.duplicate");
         }
     }
 
-    fn on_round(&mut self, _round: u64, ctx: &mut Ctx<'_, HcMsg>) {
+    fn on_round<X: Exec<Msg = HcMsg>>(&mut self, _round: u64, ctx: &mut X) {
         let pending = std::mem::take(&mut self.pending);
         for event in pending {
             let interested = self.interests.wants(self.me, event.topic());
             if self.log.on_receive(&event, interested) && interested {
-                ctx.counters().bump("hc.delivered");
+                ctx.bump("hc.delivered");
             }
             self.relay(&event, ctx);
         }

@@ -15,7 +15,8 @@
 //!   interest-oblivious two-level layout of \[10\]; bounded memory, but
 //!   parasites return.
 //!
-//! All three implement [`da_simnet::Protocol`], reuse
+//! All three implement [`da_core::ExecProtocol`] — so, like daMulticast
+//! itself, they run on the simulator and on the live runtime — reuse
 //! [`damulticast::Event`], and count their traffic under `bc.*`, `mc.*`
 //! and `hc.*` metric labels, so the harness can put the four algorithms in
 //! one table (the paper's Sec. VI-E.1–3).
@@ -24,7 +25,8 @@
 //! use da_baselines::common::InterestMap;
 //! use da_baselines::broadcast::build_broadcast_network;
 //! use da_membership::FanoutRule;
-//! use da_simnet::{Engine, SimConfig, ProcessId};
+//! use da_core::ProcessId;
+//! use da_simnet::{Engine, SimConfig};
 //!
 //! # fn main() -> Result<(), damulticast::DaError> {
 //! let interests = InterestMap::linear(&[2, 3, 10]);

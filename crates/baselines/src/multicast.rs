@@ -11,8 +11,8 @@
 //! daMulticast's two-table design eliminates.
 
 use crate::common::{gossip_targets, DeliveryLog, InterestMap};
+use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, ProcessId, WireSize};
 use da_membership::{static_init::static_topic_tables, FanoutRule};
-use da_simnet::{derive_seed, rng_from_seed, Ctx, ProcessId, Protocol, WireSize};
 use da_topics::TopicId;
 use damulticast::{DaError, Event, EventId};
 use std::collections::HashMap;
@@ -81,13 +81,13 @@ impl MulticastProcess {
         self.tables.values().map(|(t, _)| t.len()).sum()
     }
 
-    fn relay(&mut self, event: &Event, group: TopicId, ctx: &mut Ctx<'_, McMsg>) {
+    fn relay<X: Exec<Msg = McMsg>>(&mut self, event: &Event, group: TopicId, ctx: &mut X) {
         let Some((table, fanout)) = self.tables.get(&group) else {
             return;
         };
         let targets = gossip_targets(table, *fanout, ctx.rng());
         for t in targets {
-            ctx.counters().bump("mc.sent");
+            ctx.bump("mc.sent");
             ctx.send(
                 t,
                 McMsg {
@@ -99,32 +99,32 @@ impl MulticastProcess {
     }
 }
 
-impl Protocol for MulticastProcess {
+impl ExecProtocol for MulticastProcess {
     type Msg = McMsg;
 
-    fn on_message(&mut self, _from: ProcessId, msg: McMsg, ctx: &mut Ctx<'_, McMsg>) {
+    fn on_message<X: Exec<Msg = McMsg>>(&mut self, _from: ProcessId, msg: McMsg, ctx: &mut X) {
         // Group membership == interest, so every receipt is wanted.
         let interested = self.interests.wants(self.me, msg.event.topic());
         if self.log.on_receive(&msg.event, interested) {
             if interested {
-                ctx.counters().bump("mc.delivered");
+                ctx.bump("mc.delivered");
             } else {
                 // Unreachable in a correct build; kept for the comparison
                 // harness's invariant check.
-                ctx.counters().bump("mc.parasite");
+                ctx.bump("mc.parasite");
             }
             let event = msg.event;
             self.relay(&event, msg.group, ctx);
         } else {
-            ctx.counters().bump("mc.duplicate");
+            ctx.bump("mc.duplicate");
         }
     }
 
-    fn on_round(&mut self, _round: u64, ctx: &mut Ctx<'_, McMsg>) {
+    fn on_round<X: Exec<Msg = McMsg>>(&mut self, _round: u64, ctx: &mut X) {
         let pending = std::mem::take(&mut self.pending);
         for event in pending {
             if self.log.on_receive(&event, true) {
-                ctx.counters().bump("mc.delivered");
+                ctx.bump("mc.delivered");
             }
             // Publish in the event's own topic group only (Fig. 1,
             // pattern 1).

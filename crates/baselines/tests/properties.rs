@@ -4,8 +4,9 @@
 use da_baselines::{
     build_broadcast_network, build_hierarchical_network, build_multicast_network, InterestMap,
 };
+use da_core::ProcessId;
 use da_membership::FanoutRule;
-use da_simnet::{Engine, ProcessId, SimConfig};
+use da_simnet::{Engine, SimConfig};
 use proptest::prelude::*;
 
 fn arb_sizes() -> impl Strategy<Value = Vec<usize>> {

@@ -16,13 +16,12 @@
 //!   scheduler + transport + protocol hot path the perf work targets.
 //!   The simulator row is the single-threaded reference on the
 //!   identical workload; `live_burst16_w{1,2,4,8}` sweeps the pool
-//!   width so scaling regressions show up in the committed baseline,
-//!   not just absolute times (the headline `live_burst16` row runs at
+//!   width so scaling regressions show up as rows, not just absolute
+//!   times (the headline `live_burst16` row runs at
 //!   4 workers), and `live_burst16_best` re-emits the fastest sweep
-//!   point as an alias row (`scripts/bench_gate.sh` also derives
-//!   parallel efficiency from the sweep). `live_churn16` / `sim_churn16` repeat the burst with
-//!   the shared churn failure plan active, so the lifecycle scan and
-//!   the crashed-inbox drain stay visible in the committed baseline.
+//!   point as an alias row. `live_churn16` / `sim_churn16` repeat the
+//!   burst with the shared churn failure plan active, so the lifecycle
+//!   scan and the crashed-inbox drain stay visible.
 //!   `trace_overhead_off` / `trace_overhead_full` rerun the headline
 //!   burst with the flight recorder disabled vs capturing every
 //!   envelope verdict, so the recorder's zero-cost-when-off claim and
@@ -32,17 +31,17 @@
 //!   into one pooled batch per destination worker per tick (the
 //!   lock-free data plane's hot path, buffer recycling included).
 //!
-//! `DA_BENCH_JSON=BENCH_runtime.json cargo bench -p da-bench --bench
-//! runtime_throughput -- --quick` emits the machine-readable baseline
-//! CI tracks from PR 2 onward (`scripts/bench_gate.sh` diffs a fresh
-//! run against the committed file).
+//! `DA_BENCH_JSON=<file> cargo bench -p da-bench --bench
+//! runtime_throughput -- --quick` emits the rows as JSON. The gated
+//! system benchmark is the standalone `benchmark/` package.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use da_bench::bench_sizes;
 use da_core::channel::{ChannelConfig, Latency};
 use da_core::failure::FailureModel;
+use da_core::ProcessId;
 use da_runtime::{lane_matrix, Envelope, FaultyRouter, Runtime, RuntimeConfig, TraceConfig};
-use da_simnet::{Engine, ProcessId, SimConfig};
+use da_simnet::{Engine, SimConfig};
 use damulticast::{metro_population, DaProcess, MetroProcess, ParamMap, StaticNetwork};
 use std::hint::black_box;
 

@@ -3,8 +3,8 @@
 //! — the per-message hot paths behind every figure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use da_core::{rng_from_seed, ProcessId};
 use da_membership::{FlatMembership, MembershipParams, PartialView};
-use da_simnet::{rng_from_seed, ProcessId};
 use da_topics::TopicHierarchy;
 use damulticast::{plan_dissemination, SuperEntry, SuperTable, TopicParams};
 use std::hint::black_box;

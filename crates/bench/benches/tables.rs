@@ -7,10 +7,11 @@ use da_baselines::{
     build_broadcast_network, build_hierarchical_network, build_multicast_network, InterestMap,
 };
 use da_bench::{bench_scenario, bench_sizes};
+use da_core::ProcessId;
 use da_harness::experiments::tables::run_tuning_table;
 use da_harness::scenario::{run_scenario, FailureKind};
 use da_membership::FanoutRule;
-use da_simnet::{Engine, ProcessId, SimConfig};
+use da_simnet::{Engine, SimConfig};
 use std::hint::black_box;
 
 fn table_rows(c: &mut Criterion) {

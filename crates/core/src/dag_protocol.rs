@@ -20,14 +20,13 @@
 //! per-edge cost matching the single-inheritance analysis).
 
 use crate::event::{Event, EventId};
-use crate::exec::{Exec, ExecProtocol};
 use crate::message::DaMsg;
 use crate::multi_super::{plan_multi_dissemination, MultiSuperTables};
 use crate::params::TopicParams;
 use crate::tables::SuperEntry;
 use crate::DaError;
+use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, ProcessId};
 use da_membership::static_init::static_topic_tables;
-use da_simnet::{derive_seed, rng_from_seed, Ctx, ProcessId, Protocol};
 use da_topics::dag::TopicDag;
 use da_topics::TopicId;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -38,7 +37,8 @@ use std::sync::Arc;
 /// ```
 /// use da_topics::dag::TopicDag;
 /// use damulticast::{DagNetwork, TopicParams};
-/// use da_simnet::{Engine, ProcessId, SimConfig};
+/// use da_core::ProcessId;
+/// use da_simnet::{Engine, SimConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut dag = TopicDag::new();
@@ -243,19 +243,6 @@ impl ExecProtocol for DagProcess {
             }
             self.disseminate(&event, ctx);
         }
-    }
-}
-
-/// Simulator adapter: pure delegation into the [`ExecProtocol`] impl.
-impl Protocol for DagProcess {
-    type Msg = DaMsg;
-
-    fn on_message(&mut self, from: ProcessId, msg: DaMsg, ctx: &mut Ctx<'_, DaMsg>) {
-        ExecProtocol::on_message(self, from, msg, ctx);
-    }
-
-    fn on_round(&mut self, round: u64, ctx: &mut Ctx<'_, DaMsg>) {
-        ExecProtocol::on_round(self, round, ctx);
     }
 }
 

@@ -21,7 +21,7 @@
 
 use crate::params::TopicParams;
 use crate::tables::{SuperEntry, SuperTable};
-use da_simnet::ProcessId;
+use da_core::ProcessId;
 use rand::Rng;
 
 /// The outcome of one dissemination decision.
@@ -94,7 +94,7 @@ fn sample_distinct<R: Rng>(pool: &[ProcessId], k: usize, rng: &mut R) -> Vec<Pro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::rng_from_seed;
+    use da_core::rng_from_seed;
     use da_topics::TopicId;
 
     fn stable_with(n: u32) -> SuperTable {

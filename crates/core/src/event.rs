@@ -1,5 +1,5 @@
 use bytes::Bytes;
-use da_simnet::{ProcessId, WireSize};
+use da_core::{ProcessId, WireSize};
 use da_topics::TopicId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -33,7 +33,7 @@ impl WireSize for EventId {
 ///
 /// ```
 /// use damulticast::Event;
-/// use da_simnet::ProcessId;
+/// use da_core::ProcessId;
 /// use da_topics::TopicId;
 ///
 /// let e = Event::new(ProcessId(3), 0, TopicId::ROOT, "breaking news");

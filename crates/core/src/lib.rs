@@ -26,7 +26,8 @@
 //!
 //! ```
 //! use damulticast::{ParamMap, StaticNetwork};
-//! use da_simnet::{Engine, SimConfig, ProcessId};
+//! use da_core::ProcessId;
+//! use da_simnet::{Engine, SimConfig};
 //!
 //! # fn main() -> Result<(), damulticast::DaError> {
 //! let net = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 42)?;
@@ -61,12 +62,12 @@
 //!
 //! ## Substrates
 //!
-//! The protocol is written once against the [`Exec`] execution-context
-//! trait ([`ExecProtocol`]) and runs unchanged on two substrates: the
-//! deterministic round simulator (`da-simnet`, used for the paper's
-//! figures) and the multi-threaded live runtime (`da-runtime`, used to
-//! serve real traffic). The `da_simnet::Protocol` impls here are one-line
-//! delegations into the substrate-generic logic.
+//! The protocol is written once against `da_core`'s [`Exec`]
+//! execution-context trait ([`ExecProtocol`]) and runs unchanged on two
+//! substrates: the deterministic round simulator (`da-simnet`, used for
+//! the paper's figures) and the multi-threaded live runtime
+//! (`da-runtime`, used to serve real traffic). This crate depends on
+//! neither — only its tests do.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,7 +77,6 @@ mod dag_protocol;
 mod dissemination;
 mod error;
 mod event;
-mod exec;
 mod maintenance;
 mod message;
 mod metro;
@@ -87,11 +87,12 @@ mod protocol;
 mod tables;
 
 pub use bootstrap::{BootstrapAction, BootstrapTask};
+// The contract every protocol type here implements.
+pub use da_core::{Exec, ExecProtocol};
 pub use dag_protocol::{DagNetwork, DagProcess};
 pub use dissemination::{plan_dissemination, DisseminationPlan};
 pub use error::DaError;
 pub use event::{Event, EventId};
-pub use exec::{Exec, ExecProtocol};
 pub use maintenance::{MaintenanceAction, MaintenanceTask};
 pub use message::DaMsg;
 pub use metro::{metro_population, MetroMsg, MetroProcess, MAX_HEADLINES};

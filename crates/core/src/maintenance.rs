@@ -7,7 +7,7 @@
 //! lines 18–21). When the table is empty the bootstrap restarts
 //! (lines 12–14).
 
-use da_simnet::ProcessId;
+use da_core::ProcessId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 

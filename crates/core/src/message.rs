@@ -2,9 +2,8 @@
 
 use crate::event::Event;
 use crate::tables::SuperEntry;
+use da_core::{McHash, ProcessId, WireSize};
 use da_membership::MembershipMsg;
-use da_simnet::mc::McHash;
-use da_simnet::{ProcessId, WireSize};
 use da_topics::TopicId;
 use std::hash::Hasher;
 
@@ -188,7 +187,7 @@ impl McHash for DaMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::ProcessId;
+    use da_core::ProcessId;
 
     #[test]
     fn wire_sizes_positive_and_scale() {

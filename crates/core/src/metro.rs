@@ -14,13 +14,11 @@
 //! suppression is one bit per headline.
 //!
 //! Like every protocol in this crate it is written once against
-//! [`Exec`](crate::Exec) and runs unchanged on the simulator and the
+//! [`Exec`] and runs unchanged on the simulator and the
 //! live runtime — the `sim_metropolis` / `live_metropolis` bench rows
 //! drive the identical workload through both substrates.
 
-use crate::exec::{Exec, ExecProtocol};
-use da_simnet::mc::McHash;
-use da_simnet::{Ctx, ProcessId, Protocol, WireSize};
+use da_core::{Exec, ExecProtocol, McHash, ProcessId, WireSize};
 use std::hash::Hasher;
 
 /// Headline ids are bits in a [`MetroProcess`]'s 64-bit seen mask.
@@ -168,23 +166,6 @@ impl ExecProtocol for MetroProcess {
         self.delivered += 1;
         ctx.bump("metro.first_delivery");
         self.forward(msg, ctx);
-    }
-}
-
-/// Simulator adapter: pure delegation, as for the other protocols.
-impl Protocol for MetroProcess {
-    type Msg = MetroMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, MetroMsg>) {
-        ExecProtocol::on_start(self, ctx);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: MetroMsg, ctx: &mut Ctx<'_, MetroMsg>) {
-        ExecProtocol::on_message(self, from, msg, ctx);
-    }
-
-    fn on_round(&mut self, round: u64, ctx: &mut Ctx<'_, MetroMsg>) {
-        ExecProtocol::on_round(self, round, ctx);
     }
 }
 

@@ -12,7 +12,7 @@
 use crate::dissemination::DisseminationPlan;
 use crate::params::TopicParams;
 use crate::tables::{SuperEntry, SuperTable};
-use da_simnet::ProcessId;
+use da_core::ProcessId;
 use da_topics::dag::TopicDag;
 use da_topics::TopicId;
 use rand::Rng;
@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 ///
 /// ```
 /// use damulticast::{MultiSuperTables, SuperEntry};
-/// use da_simnet::{rng_from_seed, ProcessId};
+/// use da_core::{rng_from_seed, ProcessId};
 /// use da_topics::dag::TopicDag;
 ///
 /// # fn main() -> Result<(), da_topics::TopicError> {
@@ -156,7 +156,7 @@ pub fn plan_multi_dissemination<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::rng_from_seed;
+    use da_core::rng_from_seed;
 
     fn diamond() -> (TopicDag, TopicId, TopicId, TopicId) {
         // root ← sport, root ← swiss, {sport, swiss} ← ski

@@ -15,9 +15,10 @@ use crate::error::DaError;
 use crate::params::ParamMap;
 use crate::protocol::DaProcess;
 use crate::tables::SuperEntry;
+use da_core::{derive_seed, rng_from_seed, ProcessId};
 use da_membership::static_init::{static_super_tables, static_topic_tables};
 use da_membership::MembershipParams;
-use da_simnet::{derive_seed, rng_from_seed, Overlay, ProcessId};
+use da_membership::Overlay;
 use da_topics::{TopicHierarchy, TopicId};
 use rand::seq::SliceRandom;
 use std::collections::HashMap;
@@ -33,11 +34,12 @@ pub struct GroupSpec {
 }
 
 /// A fully-specified static population, ready to run under a
-/// [`da_simnet::Engine`].
+/// `da_simnet::Engine`.
 ///
 /// ```
 /// use damulticast::{ParamMap, StaticNetwork, TopicParams};
-/// use da_simnet::{Engine, SimConfig, ProcessId};
+/// use da_core::ProcessId;
+/// use da_simnet::{Engine, SimConfig};
 ///
 /// // The paper's topology: S_T0 = 10, S_T1 = 100, S_T2 = 1000.
 /// let net = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 42)
@@ -204,7 +206,7 @@ impl StaticNetwork {
     }
 
     /// Consumes the network, yielding the processes for
-    /// [`da_simnet::Engine::new`].
+    /// `da_simnet::Engine::new`.
     #[must_use]
     pub fn into_processes(self) -> Vec<DaProcess> {
         self.processes
@@ -319,7 +321,7 @@ impl DynamicNetwork {
     }
 
     /// Consumes the network, yielding the processes for
-    /// [`da_simnet::Engine::new`].
+    /// `da_simnet::Engine::new`.
     #[must_use]
     pub fn into_processes(self) -> Vec<DaProcess> {
         self.processes

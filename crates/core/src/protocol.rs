@@ -1,6 +1,6 @@
 //! The daMulticast process — the protocol state machine of Figs. 4–7.
 //!
-//! A [`DaProcess`] implements [`da_simnet::Protocol`] and combines
+//! A [`DaProcess`] implements [`ExecProtocol`] and combines
 //!
 //! * the **topic table** — a [`FlatMembership`] partial view of the
 //!   process' own group (the underlying membership algorithm of the
@@ -28,14 +28,13 @@
 use crate::bootstrap::{BootstrapAction, BootstrapTask};
 use crate::dissemination::plan_dissemination;
 use crate::event::{Event, EventId};
-use crate::exec::{Exec, ExecProtocol};
 use crate::maintenance::{MaintenanceAction, MaintenanceTask};
 use crate::message::DaMsg;
 use crate::params::TopicParams;
 use crate::tables::{SuperEntry, SuperTable};
+use da_core::{Exec, ExecProtocol, FxHasher, McHash, ProcessId};
+use da_membership::Overlay;
 use da_membership::{FlatMembership, MembershipParams};
-use da_simnet::mc::McHash;
-use da_simnet::{Ctx, FxHasher, Overlay, ProcessId, Protocol};
 use da_topics::{TopicHierarchy, TopicId};
 use std::collections::HashSet;
 use std::hash::Hasher;
@@ -79,7 +78,7 @@ impl Labels {
 /// ```
 /// use damulticast::{DaProcess, TopicParams};
 /// use da_membership::MembershipParams;
-/// use da_simnet::ProcessId;
+/// use da_core::ProcessId;
 /// use da_topics::TopicHierarchy;
 /// use std::sync::Arc;
 ///
@@ -184,7 +183,7 @@ impl DaProcess {
             gossip_period: 0,
             eviction_age: u64::MAX,
         };
-        let mut seed_rng = da_simnet::rng_for_process(0xDA, me);
+        let mut seed_rng = da_core::rng_for_process(0xDA, me);
         let membership = FlatMembership::with_static_view(me, mparams, &topic_table, &mut seed_rng);
         let mut stable = SuperTable::new(me, params.z.max(super_entries.len()));
         for entry in super_entries {
@@ -726,29 +725,6 @@ impl ExecProtocol for DaProcess {
                 self.flood_request(req_id, topics, ctx);
             }
         }
-    }
-}
-
-/// Simulator adapter: the whole protocol lives in the substrate-generic
-/// [`ExecProtocol`] impl above; running under `da_simnet::Engine` is pure
-/// delegation through the `Ctx` execution context.
-impl Protocol for DaProcess {
-    type Msg = DaMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, DaMsg>) {
-        ExecProtocol::on_start(self, ctx);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: DaMsg, ctx: &mut Ctx<'_, DaMsg>) {
-        ExecProtocol::on_message(self, from, msg, ctx);
-    }
-
-    fn on_round(&mut self, round: u64, ctx: &mut Ctx<'_, DaMsg>) {
-        ExecProtocol::on_round(self, round, ctx);
-    }
-
-    fn on_recover(&mut self, ctx: &mut Ctx<'_, DaMsg>) {
-        ExecProtocol::on_recover(self, ctx);
     }
 }
 

@@ -7,7 +7,7 @@
 //! contact is interested in, so maintenance can tell whether the link can
 //! still be tightened toward the direct supertopic.
 
-use da_simnet::ProcessId;
+use da_core::ProcessId;
 use da_topics::TopicId;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -30,7 +30,7 @@ pub struct SuperEntry {
 ///
 /// ```
 /// use damulticast::{SuperEntry, SuperTable};
-/// use da_simnet::{rng_from_seed, ProcessId};
+/// use da_core::{rng_from_seed, ProcessId};
 /// use da_topics::TopicId;
 ///
 /// let mut table = SuperTable::new(ProcessId(0), 2);
@@ -199,7 +199,7 @@ impl SuperTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::rng_from_seed;
+    use da_core::rng_from_seed;
 
     fn entry(pid: u32, topic: usize) -> SuperEntry {
         SuperEntry {

@@ -2,7 +2,7 @@
 //! statistics, supertable laws, bootstrap narrowing, and maintenance
 //! phases, over arbitrary inputs.
 
-use da_simnet::{rng_from_seed, ProcessId};
+use da_core::{rng_from_seed, ProcessId};
 use da_topics::{TopicHierarchy, TopicId};
 use damulticast::{
     plan_dissemination, BootstrapAction, BootstrapTask, MaintenanceAction, MaintenanceTask,

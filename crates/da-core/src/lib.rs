@@ -1,7 +1,10 @@
 //! # da-core — substrate-neutral foundations
 //!
-//! The pieces of the daMulticast reproduction that belong to *neither*
-//! substrate: the unreliable-channel fault model (Sec. III-A of the
+//! Everything a protocol and a substrate have to agree on, and nothing
+//! of either: the [`exec`] contract ([`Exec`] — what a substrate offers a
+//! process; [`ExecProtocol`] — what a process offers a substrate), the
+//! [`wire`] size accounting and [`metrics`] registry both sides report
+//! into, the unreliable-channel fault model (Sec. III-A of the
 //! paper), the [`topology`] layer that generalises it (named nodes,
 //! per-link channel overrides, scripted partitions — see
 //! [`topology::NetworkModel`]), the process failure models (Sec. VII),
@@ -23,27 +26,30 @@
 //!   ([`failure::FailurePlan::churn_flips`]), so neither draws nor
 //!   fates depend on how processes are striped across worker threads.
 //!
-//! `da_simnet` re-exports [`channel::ChannelConfig`], [`channel::Latency`],
-//! [`failure::FailureModel`], [`failure::FailurePlan`],
-//! [`process::ProcessId`], [`seed::derive_seed`] and the rest of this
-//! crate's surface under their pre-existing paths, so simulator-facing
-//! code is unaffected by the extraction.
+//! Protocol crates (`da_membership`, `damulticast`, `da_baselines`)
+//! depend on this crate only — never on a substrate — and the substrates
+//! never on a protocol crate; they meet in the harness and the tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod channel;
+pub mod exec;
 pub mod failure;
 pub mod fault;
+pub mod metrics;
 pub mod process;
 pub mod seed;
 pub mod store;
 pub mod topology;
 pub mod trace;
+pub mod wire;
 
 pub use channel::{ChannelConfig, ChannelFate, EdgeRngs, Latency};
+pub use exec::{Exec, ExecProtocol, McHash};
 pub use failure::{ChurnRates, FailureModel, FailurePlan, Fate};
 pub use fault::FaultConfig;
+pub use metrics::{CounterId, Counters, FxBuildHasher, FxHasher, Histogram, TraceLog};
 pub use process::{ProcessId, ProcessIndexError, ProcessStatus};
 pub use seed::{derive_seed, rng_for_process, rng_from_seed};
 pub use store::ProcessStore;
@@ -55,3 +61,4 @@ pub use trace::{
     canonicalize, first_divergence, TraceCategory, TraceConfig, TraceDivergence, TraceEvent,
     TraceMode, TraceRecorder, TraceVerdict,
 };
+pub use wire::WireSize;

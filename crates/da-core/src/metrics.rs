@@ -16,7 +16,7 @@
 //! the flight recorder's output — causal events, per-verdict counts,
 //! named histograms — with JSONL and Chrome-tracing exporters.
 
-use da_core::trace::{canonicalize, TraceEvent, TraceVerdict};
+use crate::trace::{canonicalize, TraceEvent, TraceVerdict};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -72,7 +72,7 @@ pub struct CounterId(u32);
 /// A registry of named monotonic counters.
 ///
 /// ```
-/// use da_simnet::Counters;
+/// use da_core::Counters;
 /// let mut c = Counters::new();
 /// let id = c.register("intra.t2");
 /// c.add(id, 3);
@@ -234,7 +234,7 @@ const HISTOGRAM_BUCKETS: usize = 65;
 /// can keep one histogram per worker and fold them at shutdown.
 ///
 /// ```
-/// use da_simnet::Histogram;
+/// use da_core::Histogram;
 /// let mut h = Histogram::new();
 /// for v in [0, 1, 1, 3, 8] {
 ///     h.record(v);
@@ -444,14 +444,14 @@ impl TraceLog {
     /// JSONL export of the capture-order event stream.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        da_core::trace::events_to_jsonl(&self.events)
+        crate::trace::events_to_jsonl(&self.events)
     }
 
     /// Chrome-tracing (`chrome://tracing` / Perfetto) export of the
     /// capture-order event stream.
     #[must_use]
     pub fn to_chrome_trace(&self) -> String {
-        da_core::trace::events_to_chrome_trace(&self.events)
+        crate::trace::events_to_chrome_trace(&self.events)
     }
 
     /// Writes the JSONL export to `path`.
@@ -644,7 +644,7 @@ mod tests {
 
     #[test]
     fn trace_log_counts_and_histograms_roundtrip() {
-        use da_core::ProcessId;
+        use crate::ProcessId;
         let mut log = TraceLog::new();
         log.events.push(TraceEvent {
             tick: 1,
@@ -670,7 +670,7 @@ mod tests {
 
     #[test]
     fn trace_log_canonical_events_sorts_a_copy() {
-        use da_core::ProcessId;
+        use crate::ProcessId;
         let ev = |tick, from: u32| TraceEvent {
             tick,
             from: ProcessId(from),

@@ -1,9 +1,5 @@
 //! Process identity and liveness — the vocabulary both substrates (and
 //! the failure model below them) share.
-//!
-//! Moved here from `da_simnet` so that [`crate::failure`] can script
-//! fates without depending on a substrate; `da_simnet` re-exports both
-//! types under their original paths.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -46,6 +46,7 @@ pub fn rng_for_process(master: u64, pid: crate::process::ProcessId) -> SmallRng 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::ProcessId;
     use rand::Rng;
 
     #[test]
@@ -69,5 +70,29 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
         }
+    }
+
+    #[test]
+    fn process_rngs_are_reproducible() {
+        let mut r1 = rng_for_process(99, ProcessId(5));
+        let mut r2 = rng_for_process(99, ProcessId(5));
+        for _ in 0..16 {
+            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn process_rngs_differ_between_processes() {
+        let mut r1 = rng_for_process(99, ProcessId(0));
+        let mut r2 = rng_for_process(99, ProcessId(1));
+        let a: Vec<u64> = (0..8).map(|_| r1.gen()).collect();
+        let b: Vec<u64> = (0..8).map(|_| r2.gen()).collect();
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn engine_stream_zero_not_reused() {
+        // Process 0 uses stream 1, never colliding with engine stream 0.
+        assert_ne!(derive_seed(7, 0), derive_seed(7, 1));
     }
 }

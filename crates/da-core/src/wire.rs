@@ -1,14 +1,11 @@
 //! Wire-size accounting.
 //!
-//! The engine charges every sent message its encoded size so experiments
-//! can report bandwidth, not just message counts. Protocol message types
-//! implement [`WireSize`]; the helpers here give consistent sizes for the
-//! primitives that appear in gossip messages, and [`encode_frame`] produces
-//! an actual byte framing (length-prefixed tag + payload words) for tests
-//! that want byte-accurate accounting.
+//! Both substrates charge every sent message its encoded size so
+//! experiments can report bandwidth, not just message counts. Protocol
+//! message types implement [`WireSize`]; the impls here give consistent
+//! sizes for the primitives that appear in gossip messages.
 
-use crate::ProcessId;
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::process::ProcessId;
 
 /// Types that know their encoded size on the wire, in bytes.
 ///
@@ -16,7 +13,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 /// they are used for bandwidth accounting, not actual serialization.
 ///
 /// ```
-/// use da_simnet::WireSize;
+/// use da_core::WireSize;
 /// struct Ping;
 /// impl WireSize for Ping {
 ///     fn wire_size(&self) -> usize { 1 }
@@ -77,23 +74,6 @@ impl WireSize for () {
     }
 }
 
-/// Encodes a tagged frame: 1-byte tag, 4-byte payload length, then the
-/// 32-bit words of the payload. Used by byte-accurate tests to check that
-/// [`WireSize`] implementations match a real encoding.
-#[must_use]
-pub fn encode_frame(tag: u8, words: &[u32]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(5 + words.len() * 4);
-    buf.put_u8(tag);
-    buf.put_u32(u32::try_from(words.len() * 4).expect("frame too large"));
-    for w in words {
-        buf.put_u32(*w);
-    }
-    buf.freeze()
-}
-
-/// The framing overhead added by [`encode_frame`] (tag + length prefix).
-pub const FRAME_OVERHEAD: usize = 5;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,20 +94,5 @@ mod tests {
         assert_eq!(Some(3u32).wire_size(), 5);
         assert_eq!(None::<u32>.wire_size(), 1);
         assert_eq!((ProcessId(0), 1u64).wire_size(), 12);
-    }
-
-    #[test]
-    fn frame_encoding_matches_length() {
-        let frame = encode_frame(9, &[1, 2, 3]);
-        assert_eq!(frame.len(), FRAME_OVERHEAD + 12);
-        assert_eq!(frame[0], 9);
-        // Payload length is big-endian 12.
-        assert_eq!(&frame[1..5], &[0, 0, 0, 12]);
-    }
-
-    #[test]
-    fn empty_frame() {
-        let frame = encode_frame(0, &[]);
-        assert_eq!(frame.len(), FRAME_OVERHEAD);
     }
 }

@@ -18,6 +18,7 @@
 //! stdout (for CI artifacts) instead of the Markdown renderings; the
 //! per-row 3σ verdicts move to stderr so stdout stays pure JSON.
 
+use da_core::{ChannelConfig, FailureModel, FaultConfig, Latency};
 use da_harness::experiments::live::{
     churn_sweep_crash_rates, partition_sweep_heal_ticks, ratios_agree_within_3_sigma,
     reliability_sweep_probabilities, run_churn_sweep, run_live_vs_sim, run_partition_sweep,
@@ -27,7 +28,6 @@ use da_harness::experiments::trace::run_trace_diff;
 use da_harness::experiments::Effort;
 use da_harness::report::{KeyedTable, SeriesTable};
 use da_harness::results_dir;
-use da_simnet::{ChannelConfig, FailureModel, FaultConfig, Latency};
 use damulticast::ParamMap;
 
 fn check_rows(table: &SeriesTable, label: &str, json: bool, disagreements: &mut u32) {

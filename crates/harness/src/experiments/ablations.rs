@@ -7,8 +7,9 @@
 use crate::report::{KeyedTable, SeriesTable};
 use crate::runner::{run_trials, sweep};
 use crate::scenario::{run_scenario, ScenarioConfig};
+use da_core::{FailureModel, Fate, ProcessId};
 use da_membership::FanoutRule;
-use da_simnet::{Engine, FailureModel, Fate, ProcessId, SimConfig};
+use da_simnet::{Engine, SimConfig};
 use damulticast::{DynamicNetwork, ParamMap, TopicParams};
 
 /// Sweeps the link-election weight `g`: inter-group traffic rises linearly

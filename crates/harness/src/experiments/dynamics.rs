@@ -11,7 +11,8 @@
 
 use crate::report::SeriesTable;
 use crate::runner::sweep;
-use da_simnet::{ChannelConfig, Engine, FailureModel, ProcessId, SimConfig};
+use da_core::{ChannelConfig, FailureModel, ProcessId};
+use da_simnet::{Engine, SimConfig};
 use damulticast::{DynamicNetwork, ParamMap, StaticNetwork, TopicParams};
 
 /// Rounds until 50% / 95% / 100% of the leaf group has delivered one leaf

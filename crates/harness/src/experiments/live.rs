@@ -31,11 +31,12 @@
 
 use crate::report::{KeyedTable, SeriesTable};
 use crate::stats::Summary;
-use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{
-    derive_seed, Engine, FailureModel, FaultConfig, NodeId, Partition, PartitionSchedule,
-    ProcessId, SimConfig, Topology,
+use da_core::{
+    derive_seed, FailureModel, FaultConfig, NodeId, Partition, PartitionSchedule, ProcessId,
+    Topology,
 };
+use da_runtime::{Runtime, RuntimeConfig};
+use da_simnet::{Engine, SimConfig};
 use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork};
 
 /// Maximum virtual-time budget per trial (rounds or ticks).
@@ -523,7 +524,7 @@ pub fn ratios_agree_within_3_sigma(sim: &Summary, live: &Summary, floor: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::{ChannelConfig, Latency};
+    use da_core::{ChannelConfig, Latency};
     use damulticast::TopicParams;
 
     /// Pinned-high knobs (as in the e2e suites) so the assertions are

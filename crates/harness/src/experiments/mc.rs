@@ -36,8 +36,9 @@
 
 use crate::report::KeyedTable;
 use crate::stats::Summary;
+use da_core::ProcessId;
 use da_simnet::mc::{Counterexample, Explorer, Invariant, McConfig, McReport};
-use da_simnet::{Engine, ProcessId, SimConfig};
+use da_simnet::{Engine, SimConfig};
 use damulticast::{DaProcess, EventId, Mutation, ParamMap, StaticNetwork};
 
 /// Seed of the scenario builders (tables are static; the seed only
@@ -353,8 +354,8 @@ pub fn run_mc_suite(max_states_5proc: usize) -> KeyedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use da_core::{FailureModel, FaultConfig};
     use da_simnet::mc::OrderingMode;
-    use da_simnet::{FailureModel, FaultConfig};
 
     /// The ISSUE's acceptance scenario: 3-process dissemination, all
     /// interleavings × per-envelope drop choices × one crash point,

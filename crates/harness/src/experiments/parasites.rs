@@ -13,8 +13,9 @@ use crate::scenario::{run_scenario, FailureKind, ScenarioConfig};
 use da_baselines::{
     build_broadcast_network, build_hierarchical_network, build_multicast_network, InterestMap,
 };
+use da_core::ProcessId;
 use da_membership::FanoutRule;
-use da_simnet::{Engine, ProcessId, SimConfig};
+use da_simnet::{Engine, SimConfig};
 
 /// Runs the four algorithms with one root-topic publication each and
 /// tabulates deliveries, parasites, and event traffic.

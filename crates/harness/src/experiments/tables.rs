@@ -10,8 +10,9 @@ use da_analysis::{complexity, memory, tuning};
 use da_baselines::{
     build_broadcast_network, build_hierarchical_network, build_multicast_network, InterestMap,
 };
+use da_core::{FailureModel, ProcessId};
 use da_membership::FanoutRule;
-use da_simnet::{Engine, ProcessId, SimConfig};
+use da_simnet::{Engine, SimConfig};
 
 /// Levels of the comparison topology, bottom-up, as analysis inputs.
 fn analysis_chain(group_sizes: &[usize], c: f64) -> Vec<complexity::GroupLevel> {
@@ -297,11 +298,11 @@ pub fn run_reliability_table(
         // Baselines: publish at the first alive leaf; measure the fraction
         // of alive interested processes that delivered.
         let baseline = |which: &str, s: u64| -> f64 {
-            let sim = SimConfig::default().with_seed(s).with_failures(
-                da_simnet::FailureModel::Stillborn {
+            let sim = SimConfig::default()
+                .with_seed(s)
+                .with_failures(FailureModel::Stillborn {
                     alive_fraction: alive,
-                },
-            );
+                });
             macro_rules! run_with {
                 ($procs:expr, $delivered:expr) => {{
                     let mut engine = Engine::new(sim, $procs);

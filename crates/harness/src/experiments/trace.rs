@@ -4,7 +4,7 @@
 //! Both substrates record the same compact `TraceEvent` stream (one
 //! event per send / delivery / drop / lifecycle transition, mirroring
 //! the envelope-ledger counters). After [canonical
-//! ordering](da_simnet::canonicalize) — which erases the live runtime's
+//! ordering](da_core::canonicalize) — which erases the live runtime's
 //! legitimate within-tick interleaving — a same-seed pair over
 //! *deterministic* faults (reliable channels with a fixed latency;
 //! scripted or churn process failures, whose draws are `(pid, tick)`
@@ -22,12 +22,12 @@
 
 use crate::report::KeyedTable;
 use crate::stats::Summary;
-use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{
-    first_divergence, Ctx, Engine, FaultConfig, ProcessId, Protocol, SimConfig, TraceConfig,
-    TraceDivergence, TraceEvent, TraceLog, TraceVerdict, WireSize,
+use da_core::{
+    first_divergence, Exec, ExecProtocol, FaultConfig, ProcessId, TraceConfig, TraceDivergence,
+    TraceEvent, TraceLog, TraceVerdict, WireSize,
 };
-use damulticast::{Exec, ExecProtocol};
+use da_runtime::{Runtime, RuntimeConfig};
+use da_simnet::{Engine, SimConfig};
 
 /// Rounds during which the probe keeps sending; the run's horizon leaves
 /// enough tail for every in-flight envelope to land (no
@@ -87,18 +87,6 @@ impl ExecProtocol for TraceProbe {
             let next = ProcessId((ctx.me().0 + 1) % self.population);
             ctx.send(next, ProbeToken);
         }
-    }
-}
-
-impl Protocol for TraceProbe {
-    type Msg = ProbeToken;
-
-    fn on_message(&mut self, from: ProcessId, msg: ProbeToken, ctx: &mut Ctx<'_, ProbeToken>) {
-        ExecProtocol::on_message(self, from, msg, ctx);
-    }
-
-    fn on_round(&mut self, round: u64, ctx: &mut Ctx<'_, ProbeToken>) {
-        ExecProtocol::on_round(self, round, ctx);
     }
 }
 
@@ -281,7 +269,7 @@ fn push_diff_row(table: &mut KeyedTable, key: &str, diff: &TraceDiff) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::{ChannelConfig, FailureModel, Fate, Latency};
+    use da_core::{ChannelConfig, FailureModel, Fate, Latency};
 
     fn deterministic_faults() -> FaultConfig {
         FaultConfig::new().with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)))

@@ -6,7 +6,7 @@
 //! itself stays single-threaded and deterministic per seed.
 
 use crate::stats::Summary;
-use da_simnet::derive_seed;
+use da_core::derive_seed;
 
 /// Runs `trials` independent executions of `run` (seeded deterministically
 /// from `base_seed`) and summarises each returned metric across trials.

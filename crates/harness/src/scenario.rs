@@ -6,8 +6,9 @@
 //! fractions extracted from the metrics registry.
 
 use crate::stats::Summary;
+use da_core::{ChannelConfig, FailureModel, ProcessId};
 use da_membership::FanoutRule;
-use da_simnet::{ChannelConfig, Engine, FailureModel, ProcessId, SimConfig};
+use da_simnet::{Engine, SimConfig};
 use da_topics::TopicId;
 use damulticast::{ParamMap, StaticNetwork, TopicParams};
 use serde::{Deserialize, Serialize};

@@ -1,6 +1,6 @@
 //! Dynamic flat membership (the paper's reference \[10\]).
 //!
-//! `FlatMembership` is a *component*, not a full [`da_simnet::Protocol`]:
+//! `FlatMembership` is a *component*, not a full [`da_core::ExecProtocol`]:
 //! it returns the messages it wants to send and the embedding protocol
 //! routes them. This lets daMulticast piggyback its supertopic-table
 //! entries on membership traffic, exactly as the paper prescribes
@@ -9,7 +9,7 @@
 //! membership algorithm").
 
 use crate::{kmg_view_size, MembershipMsg, PartialView};
-use da_simnet::ProcessId;
+use da_core::ProcessId;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -57,7 +57,7 @@ impl MembershipParams {
 ///
 /// ```
 /// use da_membership::{FlatMembership, MembershipParams};
-/// use da_simnet::{rng_from_seed, ProcessId};
+/// use da_core::{rng_from_seed, ProcessId};
 ///
 /// let params = MembershipParams::paper_default(100);
 /// let mut m = FlatMembership::new(ProcessId(0), params);
@@ -207,7 +207,7 @@ impl FlatMembership {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::rng_from_seed;
+    use da_core::rng_from_seed;
 
     fn params() -> MembershipParams {
         MembershipParams {

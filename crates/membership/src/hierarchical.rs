@@ -8,7 +8,7 @@
 //! `ln(N) + c2`.
 
 use crate::{kmg_view_size, MembershipError};
-use da_simnet::ProcessId;
+use da_core::ProcessId;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -149,7 +149,7 @@ pub fn static_hierarchical_tables<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::rng_from_seed;
+    use da_core::rng_from_seed;
     use std::collections::HashSet;
 
     #[test]

@@ -6,7 +6,9 @@
 //! of the paper). Each process keeps a **partial view** of its group of
 //! size `(b + 1)·ln(S)` and gossips membership digests to keep it fresh.
 //!
-//! This crate implements that substrate three ways:
+//! This crate implements that substrate three ways, plus the
+//! interest-oblivious [`Overlay`] — the paper's weakly-consistent
+//! `neighborhood(p)` the bootstrap floods through:
 //!
 //! * [`PartialView`] — the bounded, self-excluding, duplicate-free view
 //!   data structure everything else shares.
@@ -38,6 +40,7 @@ mod fanout;
 mod flat;
 pub mod hierarchical;
 mod message;
+mod overlay;
 pub mod static_init;
 mod view;
 
@@ -45,4 +48,5 @@ pub use error::MembershipError;
 pub use fanout::{kmg_view_size, FanoutRule};
 pub use flat::{FlatMembership, MembershipParams};
 pub use message::MembershipMsg;
+pub use overlay::Overlay;
 pub use view::PartialView;

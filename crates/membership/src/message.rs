@@ -1,4 +1,4 @@
-use da_simnet::{ProcessId, WireSize};
+use da_core::{ProcessId, WireSize};
 use serde::{Deserialize, Serialize};
 
 /// Messages of the flat gossip membership protocol.

@@ -7,7 +7,9 @@
 //! static random overlay graph over the whole population, independent of
 //! topic interests.
 
-use crate::{derive_seed, rng_from_seed, ProcessId, SimError};
+use crate::MembershipError;
+use da_core::seed::{derive_seed, rng_from_seed};
+use da_core::ProcessId;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -19,7 +21,8 @@ use serde::{Deserialize, Serialize};
 /// chords until every process has at least `degree` neighbours.
 ///
 /// ```
-/// use da_simnet::{Overlay, ProcessId};
+/// use da_core::ProcessId;
+/// use da_membership::Overlay;
 /// let overlay = Overlay::random(10, 4, 42).unwrap();
 /// assert!(overlay.neighbors(ProcessId(0)).len() >= 4);
 /// ```
@@ -35,12 +38,10 @@ impl Overlay {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when `population == 0`.
-    pub fn random(population: usize, degree: usize, seed: u64) -> Result<Self, SimError> {
+    /// Returns [`MembershipError::EmptyGroup`] when `population == 0`.
+    pub fn random(population: usize, degree: usize, seed: u64) -> Result<Self, MembershipError> {
         if population == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "overlay population must be positive".to_owned(),
-            });
+            return Err(MembershipError::EmptyGroup { context: "overlay" });
         }
         let mut rng = rng_from_seed(derive_seed(seed, 0x0E41));
         let degree = degree.min(population.saturating_sub(1));
@@ -87,12 +88,10 @@ impl Overlay {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when `population == 0`.
-    pub fn complete(population: usize) -> Result<Self, SimError> {
+    /// Returns [`MembershipError::EmptyGroup`] when `population == 0`.
+    pub fn complete(population: usize) -> Result<Self, MembershipError> {
         if population == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "overlay population must be positive".to_owned(),
-            });
+            return Err(MembershipError::EmptyGroup { context: "overlay" });
         }
         let neighbors = (0..population)
             .map(|i| {
@@ -146,8 +145,9 @@ mod tests {
 
     #[test]
     fn zero_population_rejected() {
-        assert!(Overlay::random(0, 3, 1).is_err());
-        assert!(Overlay::complete(0).is_err());
+        let empty = MembershipError::EmptyGroup { context: "overlay" };
+        assert_eq!(Overlay::random(0, 3, 1).unwrap_err(), empty);
+        assert_eq!(Overlay::complete(0).unwrap_err(), empty);
     }
 
     #[test]
@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn sampling_bounds() {
         let o = Overlay::complete(10).unwrap();
-        let mut rng = crate::rng_from_seed(1);
+        let mut rng = rng_from_seed(1);
         let s = o.sample_neighbors(ProcessId(0), 3, &mut rng);
         assert_eq!(s.len(), 3);
         let all = o.sample_neighbors(ProcessId(0), 100, &mut rng);

@@ -9,7 +9,7 @@
 //! supertopic table of size `z` pointing into the supergroup.
 
 use crate::{kmg_view_size, MembershipError};
-use da_simnet::ProcessId;
+use da_core::ProcessId;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::HashMap;
@@ -103,7 +103,7 @@ pub fn assign_group_members(group_sizes: &[usize]) -> Vec<Vec<ProcessId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::rng_from_seed;
+    use da_core::rng_from_seed;
     use std::collections::HashSet;
 
     fn members(n: u32) -> Vec<ProcessId> {

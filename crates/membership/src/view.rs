@@ -1,4 +1,4 @@
-use da_simnet::ProcessId;
+use da_core::ProcessId;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use da_membership::PartialView;
-/// use da_simnet::{rng_from_seed, ProcessId};
+/// use da_core::{rng_from_seed, ProcessId};
 ///
 /// let mut view = PartialView::new(ProcessId(0), 2);
 /// let mut rng = rng_from_seed(1);
@@ -147,7 +147,7 @@ impl PartialView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::rng_from_seed;
+    use da_core::rng_from_seed;
 
     #[test]
     fn rejects_self_and_duplicates() {

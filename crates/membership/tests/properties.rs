@@ -1,11 +1,12 @@
 //! Property tests on the membership substrate: partial-view invariants
-//! under arbitrary operation sequences, static-table laws, and gossip
-//! convergence.
+//! under arbitrary operation sequences, static-table laws, gossip
+//! convergence, and overlay structure.
 
+use da_core::seed::rng_from_seed;
+use da_core::ProcessId;
 use da_membership::{
-    kmg_view_size, static_init, FanoutRule, FlatMembership, MembershipParams, PartialView,
+    kmg_view_size, static_init, FanoutRule, FlatMembership, MembershipParams, Overlay, PartialView,
 };
-use da_simnet::{rng_from_seed, ProcessId};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -166,6 +167,35 @@ proptest! {
         // Dense 0..total.
         for i in 0..total {
             prop_assert!(unique.contains(&ProcessId::from_index(i)));
+        }
+    }
+
+    /// Overlay structure: symmetric, self-loop free, connected, minimum
+    /// degree honoured (capped by the population).
+    #[test]
+    fn overlay_structural_laws(
+        population in 1usize..80,
+        degree in 0usize..12,
+        seed in 0u64..10_000,
+    ) {
+        let o = Overlay::random(population, degree, seed).unwrap();
+        prop_assert_eq!(o.population(), population);
+        let want = degree.min(population.saturating_sub(1));
+        let mut visited = std::collections::HashSet::new();
+        let mut queue = std::collections::VecDeque::from([ProcessId(0)]);
+        visited.insert(ProcessId(0));
+        while let Some(p) = queue.pop_front() {
+            for &q in o.neighbors(p) {
+                prop_assert_ne!(q, p, "self loop");
+                prop_assert!(o.neighbors(q).contains(&p), "asymmetric edge");
+                if visited.insert(q) {
+                    queue.push_back(q);
+                }
+            }
+        }
+        prop_assert_eq!(visited.len(), population, "disconnected overlay");
+        for i in 0..population {
+            prop_assert!(o.neighbors(ProcessId::from_index(i)).len() >= want);
         }
     }
 }

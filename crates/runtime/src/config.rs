@@ -43,16 +43,8 @@ pub struct RuntimeConfig {
     /// channel, per-link topology overrides, partition schedule) and by
     /// the per-worker [`crate::LifecycleController`] (`faults.failure`).
     /// The default is the absence of faults — perfect channels, no
-    /// topology, no partitions, no crashes — the PR 2 behaviour.
+    /// topology, no partitions, no crashes.
     pub faults: FaultConfig,
-    /// Floor override for the per-lane capacity of the SPSC data
-    /// plane. `None` (the default) sizes every (producer, consumer)
-    /// lane at `effective_lag() + 2` batches — the proven bound the
-    /// watermark gate never exceeds, so the default never blocks.
-    /// `Some(n)` raises the capacity to at least `n` (it can only
-    /// deepen the lanes; the computed bound is always kept, since
-    /// shallower lanes would stall producers inside a tick).
-    pub mailbox_capacity: Option<usize>,
     /// Watchdog: how long the coordinator waits for a worker to ack a
     /// tick before declaring the pool wedged (panicking with
     /// a diagnostic rather than hanging CI forever).
@@ -83,7 +75,6 @@ impl Default for RuntimeConfig {
             workers: 0,
             seed: 0,
             faults: FaultConfig::default(),
-            mailbox_capacity: None,
             tick_timeout_ms: 60_000,
             max_lag: 1,
             trace: TraceConfig::off(),
@@ -92,8 +83,8 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Auto-sized worker pool, seed 0, perfect channels, unbounded
-    /// inboxes.
+    /// Auto-sized worker pool, seed 0, perfect channels, no failures,
+    /// tracing off.
     #[must_use]
     pub fn new() -> Self {
         RuntimeConfig::default()
@@ -174,14 +165,6 @@ impl RuntimeConfig {
     #[must_use]
     pub fn with_failures(mut self, failure: FailureModel) -> Self {
         self.faults.failure = failure;
-        self
-    }
-
-    /// Raises every data-plane lane to at least `capacity` queued
-    /// batches (see [`RuntimeConfig::mailbox_capacity`]).
-    #[must_use]
-    pub fn with_mailbox_capacity(mut self, capacity: usize) -> Self {
-        self.mailbox_capacity = Some(capacity);
         self
     }
 
@@ -296,7 +279,6 @@ mod tests {
             .with_workers(3)
             .with_seed(9)
             .with_channel(ChannelConfig::paper_default())
-            .with_mailbox_capacity(128)
             .with_tick_timeout_ms(5)
             .with_max_lag(4)
             .with_trace(TraceConfig::full())
@@ -306,7 +288,6 @@ mod tests {
         assert_eq!(c.workers, 3);
         assert_eq!(c.seed, 9);
         assert_eq!(c.channel(), ChannelConfig::paper_default());
-        assert_eq!(c.mailbox_capacity, Some(128));
         assert_eq!(c.tick_timeout(), Duration::from_millis(5));
         assert_eq!(c.max_lag, 4);
         assert_eq!(c.trace, TraceConfig::full());

@@ -3,8 +3,9 @@
 //! The paper evaluates daMulticast under a synchronous round simulator
 //! (Sec. VII-A); this crate runs the *same protocol code* on real
 //! threads with real message passing. Every process that implements
-//! `damulticast::ExecProtocol` — [`damulticast::DaProcess`] included,
-//! unchanged — runs as an actor on a worker pool:
+//! `da_core`'s [`ExecProtocol`] — `damulticast::DaProcess` and the three
+//! baselines included, unchanged — runs as an actor on a worker pool
+//! (this crate depends on no protocol crate):
 //!
 //! * **transport** — a lock-free data plane over a lane matrix
 //!   ([`lane_matrix`]): one bounded SPSC ring (`crossbeam::queue`) per
@@ -17,17 +18,17 @@
 //!   ticks allocate nothing on the data plane. Control messages stay
 //!   on mpsc channels;
 //! * **network faults** — the [`FaultyRouter`] applies the same
-//!   substrate-neutral [`NetworkModel`] the simulator uses
-//!   (`da_core::topology`, configured via the unified
+//!   substrate-neutral [`NetworkModel`](da_core::NetworkModel) the
+//!   simulator uses (`da_core::topology`, configured via the unified
 //!   [`RuntimeConfig::with_channel`] / [`RuntimeConfig::with_topology`] /
 //!   [`RuntimeConfig::with_partitions`] builders on the shared
 //!   [`FaultConfig`]): Bernoulli loss and sampled latencies drawn from
 //!   deterministic per-edge RNG streams on each link's channel, with
 //!   delayed envelopes parked on a per-worker delay wheel until their
-//!   due tick. Sends crossing an active [`PartitionSchedule`] cut are
-//!   dropped at send time (`rt.dropped_partitioned`) — a pure decision
-//!   consuming zero randomness, so both substrates sever the same
-//!   sends;
+//!   due tick. Sends crossing an active
+//!   [`PartitionSchedule`](da_core::PartitionSchedule) cut are dropped
+//!   at send time (`rt.dropped_partitioned`) — a pure decision consuming
+//!   zero randomness, so both substrates sever the same sends;
 //! * **bounded-lag tick scheduler** — gossip rounds become *ticks*, but
 //!   there is no global barrier: each worker advances its own clock,
 //!   gated only by per-edge atomic publish watermarks
@@ -55,8 +56,8 @@
 //! * **sharded metrics** — each worker counts into a registry it owns
 //!   outright (plain array increments, id-keyed on the transport hot
 //!   path) and publishes per-tick snapshots into [`ShardedCounters`];
-//!   snapshots merge on demand into the same `da_simnet::Counters`
-//!   registry the harness already reads;
+//!   snapshots merge on demand into the same [`Counters`] registry the
+//!   simulator fills;
 //! * **flight recorder** — with [`RuntimeConfig::with_trace`] enabled,
 //!   every send, delivery, drop, and lifecycle transition is appended
 //!   (unsynchronised) to the worker's own `da_core::trace` recorder and
@@ -113,15 +114,12 @@ mod transport;
 mod wheel;
 
 pub use config::RuntimeConfig;
-pub use da_core::fault::FaultConfig;
-pub use da_core::topology::{
-    NetFate, NetworkModel, NodeId, Partition, PartitionSchedule, Topology,
+// The `da_core` names this crate's own public signatures mention;
+// everything else is imported from `da_core` directly.
+pub use da_core::{
+    Counters, ExecProtocol, FaultConfig, Histogram, ProcessId, ProcessStatus, TraceConfig,
+    TraceLog, WireSize,
 };
-pub use da_core::trace::{
-    canonicalize, first_divergence, TraceCategory, TraceConfig, TraceDivergence, TraceEvent,
-    TraceMode, TraceRecorder, TraceVerdict,
-};
-pub use da_simnet::{Histogram, TraceLog};
 pub use lifecycle::{LifecycleController, LifecycleTransitions};
 pub use metrics::{ShardOutOfRange, ShardedCounters, TraceSink};
 pub use runtime::{Runtime, Shutdown, TickReport};

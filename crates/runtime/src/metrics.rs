@@ -31,7 +31,7 @@
 //! diagnostics matter most.
 
 use da_core::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
-use da_simnet::{Counters, Histogram, TraceLog};
+use da_core::{Counters, Histogram, TraceLog};
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -66,7 +66,7 @@ impl std::error::Error for ShardOutOfRange {}
 ///
 /// ```
 /// use da_runtime::ShardedCounters;
-/// use da_simnet::Counters;
+/// use da_core::Counters;
 ///
 /// let sharded = ShardedCounters::new(2);
 /// let mut local = Counters::new(); // worker 0's owned registry

@@ -44,8 +44,9 @@ use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use da_core::process::ProcessIndexError;
 use da_core::store::ProcessStore;
 use da_core::trace::{TraceEvent, TraceVerdict};
-use da_simnet::{CounterId, Counters, ProcessId, ProcessStatus, TraceLog, WireSize};
-use damulticast::{Exec, ExecProtocol};
+use da_core::{
+    CounterId, Counters, Exec, ExecProtocol, ProcessId, ProcessStatus, TraceLog, WireSize,
+};
 use rand::rngs::SmallRng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -903,13 +904,9 @@ where
         // tick `p` requires the consumer to have published `p + 1 -
         // lag`, so `p - c <= lag`; one batch per producer tick on a
         // lane), so `lag + 2` never blocks in steady state.
-        // `mailbox_capacity` acts as a floor override for callers who
-        // want deeper lanes (it can only raise the bound — shrinking
-        // below `lag + 2` would deadlock the gate).
         let lane_capacity = usize::try_from(config.effective_lag())
             .unwrap_or(usize::MAX)
-            .saturating_add(2)
-            .max(config.mailbox_capacity.unwrap_or(0));
+            .saturating_add(2);
         let (hubs, inbox_rxs) = lane_matrix::<P::Msg>(workers, lane_capacity);
         let counters = Arc::new(ShardedCounters::new(workers));
         let trace_sink = config
@@ -1837,22 +1834,6 @@ mod tests {
         }
         fn on_recover<X: Exec<Msg = Nix>>(&mut self, _ctx: &mut X) {
             self.recoveries += 1;
-        }
-    }
-
-    impl da_simnet::Protocol for LifeProbe {
-        type Msg = Nix;
-        fn on_start(&mut self, ctx: &mut da_simnet::Ctx<'_, Nix>) {
-            ExecProtocol::on_start(self, ctx);
-        }
-        fn on_message(&mut self, f: ProcessId, m: Nix, c: &mut da_simnet::Ctx<'_, Nix>) {
-            ExecProtocol::on_message(self, f, m, c);
-        }
-        fn on_round(&mut self, round: u64, ctx: &mut da_simnet::Ctx<'_, Nix>) {
-            ExecProtocol::on_round(self, round, ctx);
-        }
-        fn on_recover(&mut self, ctx: &mut da_simnet::Ctx<'_, Nix>) {
-            ExecProtocol::on_recover(self, ctx);
         }
     }
 

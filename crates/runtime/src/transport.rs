@@ -53,7 +53,7 @@
 use crossbeam::queue::{self, PushError};
 use da_core::channel::{ChannelConfig, EdgeRngs};
 use da_core::topology::{NetFate, NetworkModel};
-use da_simnet::{FxBuildHasher, ProcessId};
+use da_core::{FxBuildHasher, ProcessId};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -250,7 +250,7 @@ impl<M> BatchPool<M> {
 ///
 /// ```
 /// use da_runtime::{lane_matrix, Envelope};
-/// use da_simnet::ProcessId;
+/// use da_core::ProcessId;
 ///
 /// let (mut hubs, mut inboxes) = lane_matrix(2, 8);
 /// assert_eq!(hubs[0].worker_of(ProcessId(5)), 1, "pid mod workers");
@@ -546,7 +546,7 @@ pub struct FlushReport {
 /// ```
 /// use da_core::channel::ChannelConfig;
 /// use da_runtime::{lane_matrix, FaultyRouter, SendFate};
-/// use da_simnet::ProcessId;
+/// use da_core::ProcessId;
 ///
 /// let (mut hubs, mut inboxes) = lane_matrix(1, 8);
 /// let mut faulty = FaultyRouter::new(hubs.remove(0), ChannelConfig::reliable(), 7);

@@ -181,7 +181,7 @@ impl<M> DelayWheel<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_simnet::ProcessId;
+    use da_core::ProcessId;
 
     fn env(due_tick: u64, msg: u8) -> Envelope<u8> {
         Envelope {

@@ -14,22 +14,28 @@
 //!   envelopes exactly once instead of leaking them.
 
 use da_core::channel::ChannelConfig;
+use da_core::ProcessId;
 use da_runtime::{lane_matrix, Envelope, FaultyRouter};
-use da_simnet::ProcessId;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::Arc;
 
 /// Forwards to the system allocator, counting every allocation (and
 /// every growth-reallocation, via the default `realloc` calling back
-/// into `alloc`).
+/// into `alloc`) made by the calling thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread, so the test harness's own threads (spawning the next
+    /// test, printing results) cannot leak into a measurement.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: allocations during thread teardown go uncounted.
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
@@ -41,13 +47,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// The allocation counter is process-global, so the measuring test must
-/// not overlap any other test in this binary.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 #[test]
 fn steady_state_ticks_allocate_nothing_on_the_data_plane() {
-    let _guard = SERIAL.lock().unwrap();
     const WORKERS: usize = 2;
     const FANOUT: u32 = 8;
 
@@ -76,11 +77,11 @@ fn steady_state_ticks_allocate_nothing_on_the_data_plane() {
         run_tick(tick);
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.get();
     for tick in 100..1100 {
         run_tick(tick);
     }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let delta = ALLOCATIONS.get() - before;
     assert_eq!(
         delta, 0,
         "1000 steady-state ticks must not touch the allocator"
@@ -92,8 +93,6 @@ fn steady_state_ticks_allocate_nothing_on_the_data_plane() {
 
 #[test]
 fn batch_pool_balances_taken_and_returned_including_mid_flight_stop() {
-    let _guard = SERIAL.lock().unwrap();
-
     // Full round trips: every buffer taken from the pool is back at
     // rest after the consumer drains and the return lane is reclaimed.
     let (mut hubs, mut inboxes) = lane_matrix::<u64>(2, 8);

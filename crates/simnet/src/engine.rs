@@ -1,56 +1,22 @@
 //! The round-driven simulation engine.
 
 use crate::event::{InFlight, MessageQueue};
-use crate::failure::{FailureModel, FailurePlan, Fate};
-use crate::metrics::{CounterId, Counters, FxBuildHasher, Histogram, TraceLog};
-use crate::process::{ProcessId, ProcessStatus};
-use crate::rng::{derive_seed, rng_from_seed};
+use crate::exec::Ctx;
 use crate::strategy::{DueMessage, RngStrategy, Strategy};
-use crate::wire::WireSize;
 use da_core::channel::ChannelConfig;
+use da_core::exec::{ExecProtocol, McHash};
+use da_core::failure::{FailureModel, FailurePlan, Fate};
 use da_core::fault::FaultConfig;
+use da_core::metrics::{CounterId, Counters, FxBuildHasher, FxHasher, Histogram, TraceLog};
+use da_core::process::{ProcessId, ProcessStatus};
+use da_core::seed::{derive_seed, rng_from_seed};
 use da_core::store::ProcessStore;
 use da_core::topology::{NetFate, NetworkModel, PartitionSchedule, Topology};
 use da_core::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
+use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// A protocol running at every simulated process.
-///
-/// The engine drives one instance per process: [`Protocol::on_start`] once
-/// before round 0, [`Protocol::on_message`] for each delivered message, and
-/// [`Protocol::on_round`] once per round while the process is alive.
-/// Messages sent from within the hooks travel through the unreliable
-/// channel and arrive in a later round.
-pub trait Protocol {
-    /// The protocol's message type.
-    type Msg: Clone + std::fmt::Debug + WireSize;
-
-    /// Called once before round 0. Default: no-op.
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        let _ = ctx;
-    }
-
-    /// Called when a message addressed to this process survives the channel
-    /// and the process is alive.
-    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>);
-
-    /// Called once per round for alive processes, after all deliveries due
-    /// that round. Default: no-op.
-    fn on_round(&mut self, round: u64, ctx: &mut Ctx<'_, Self::Msg>) {
-        let _ = (round, ctx);
-    }
-
-    /// Called when the failure plan recovers this process (a scripted
-    /// [`crate::Fate`] or a churn draw), at the start of the recovery
-    /// round and before any delivery — the protocol's chance to re-enter
-    /// via its bootstrap path. Not invoked by the manual
-    /// [`Engine::recover`] escape hatch. Default: no-op.
-    fn on_recover(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        let _ = ctx;
-    }
-}
 
 /// Configuration of one simulation run.
 ///
@@ -141,48 +107,6 @@ impl SimConfig {
     }
 }
 
-/// Per-callback execution context handed to [`Protocol`] hooks.
-///
-/// Provides the process identity, the current round, a deterministic
-/// per-process RNG, the shared metrics registry, and the outbox.
-pub struct Ctx<'a, M> {
-    me: ProcessId,
-    round: u64,
-    rng: &'a mut SmallRng,
-    counters: &'a mut Counters,
-    outbox: &'a mut Vec<(ProcessId, M)>,
-}
-
-impl<M> Ctx<'_, M> {
-    /// The process this callback runs at.
-    #[must_use]
-    pub fn me(&self) -> ProcessId {
-        self.me
-    }
-
-    /// The current round (virtual time).
-    #[must_use]
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Queues a best-effort message to `to`. The message is subject to
-    /// channel loss, latency, and the failure model.
-    pub fn send(&mut self, to: ProcessId, msg: M) {
-        self.outbox.push((to, msg));
-    }
-
-    /// The deterministic RNG stream of this process.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
-    }
-
-    /// The shared metrics registry.
-    pub fn counters(&mut self) -> &mut Counters {
-        self.counters
-    }
-}
-
 /// Summary of one executed round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundReport {
@@ -260,16 +184,22 @@ impl SimTrace {
 
 /// The round-driven simulation engine.
 ///
-/// Owns one [`Protocol`] instance per process (`ProcessId` = index), the
-/// in-flight message queue, the failure plan, and the metrics registry.
-/// See the crate-level docs for an end-to-end example.
+/// Owns one [`ExecProtocol`] instance per process (`ProcessId` = index),
+/// the in-flight message queue, the failure plan, and the metrics
+/// registry, and drives the instances through [`Ctx`]: `on_start` once
+/// before round 0, `on_message` for each message that survives the
+/// channel and finds its target alive, and `on_round` once per round
+/// while the process is alive, after the round's deliveries. Messages
+/// sent from within the hooks travel through the unreliable channel and
+/// arrive in a later round. See the crate-level docs for an end-to-end
+/// example.
 ///
 /// `Engine` is `Clone` when the protocol is: a clone is an independent
 /// parallel universe (every RNG stream, queued message, and counter
 /// duplicated) that steps identically until driven differently. The
 /// bounded model checker forks universes this way at each choice point.
 #[derive(Clone)]
-pub struct Engine<P: Protocol> {
+pub struct Engine<P: ExecProtocol> {
     store: ProcessStore<P>,
     status: Vec<ProcessStatus>,
     queue: MessageQueue<P::Msg>,
@@ -289,7 +219,10 @@ pub struct Engine<P: Protocol> {
     track_occurrences: bool,
 }
 
-impl<P: Protocol> Engine<P> {
+impl<P: ExecProtocol> Engine<P>
+where
+    P::Msg: Clone + std::fmt::Debug + WireSize,
+{
     /// Builds an engine over `processes` (process `i` gets `ProcessId(i)`).
     ///
     /// The failure model is materialised immediately: stillborn processes
@@ -397,7 +330,9 @@ impl<P: Protocol> Engine<P> {
         self.status[pid.index()] = ProcessStatus::Crashed;
     }
 
-    /// Recovers `pid` immediately: it resumes at the next round.
+    /// Recovers `pid` immediately: it resumes at the next round. A
+    /// manual escape hatch — unlike plan-driven recoveries it does not
+    /// invoke `on_recover`.
     ///
     /// # Panics
     ///
@@ -451,9 +386,9 @@ impl<P: Protocol> Engine<P> {
     /// Schedules a crash/recover [`Fate`] for a future round through
     /// the failure plan — the exact path a replayed
     /// [`FailureModel::Schedule`] takes, including trace lifecycle
-    /// events and [`Protocol::on_recover`] hooks. The model checker
-    /// injects explored crash points here, so a counterexample's fates
-    /// replay verbatim as an ordinary scripted failure model.
+    /// events and `on_recover` hooks. The model checker injects explored
+    /// crash points here, so a counterexample's fates replay verbatim as
+    /// an ordinary scripted failure model.
     ///
     /// # Panics
     ///
@@ -477,9 +412,9 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Runs one round: applies scheduled fates and churn draws (invoking
-    /// [`Protocol::on_recover`] for plan-driven recoveries), calls
-    /// `on_start` hooks (first round only), delivers all messages due,
-    /// then runs `on_round` for every alive process in pid order.
+    /// `on_recover` for plan-driven recoveries), calls `on_start` hooks
+    /// (first round only), delivers all messages due, then runs
+    /// `on_round` for every alive process in pid order.
     pub fn step_round(&mut self) -> RoundReport {
         self.step_round_with(&mut RngStrategy)
     }
@@ -871,15 +806,14 @@ impl<P: Protocol> Engine<P> {
     }
 }
 
-impl<P: Protocol> Engine<P>
+impl<P: ExecProtocol + McHash> Engine<P>
 where
-    P: crate::mc::McHash,
-    P::Msg: crate::mc::McHash,
+    P::Msg: Clone + std::fmt::Debug + WireSize + McHash,
 {
     /// A 64-bit digest of the engine's complete behavioral state: the
-    /// round, liveness statuses, every protocol instance's
-    /// [`McHash`](crate::mc::McHash), every RNG stream's state (via
-    /// clone-and-draw probing), the in-flight queue in delivery order
+    /// round, liveness statuses, every protocol instance's [`McHash`],
+    /// every RNG stream's state (via clone-and-draw probing), the
+    /// in-flight queue in delivery order
     /// (absolute sequence numbers excluded — only relative order can
     /// affect the future), and any not-yet-applied scheduled fates.
     ///
@@ -891,8 +825,6 @@ where
     /// the model checker uses this for visited-set deduplication.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
-        use crate::mc::McHash as _;
-        use crate::metrics::FxHasher;
         use rand::Rng as _;
         use std::hash::Hasher as _;
 
@@ -947,6 +879,7 @@ where
 #[cfg(test)]
 mod tests_support {
     use super::*;
+    use da_core::Exec;
 
     /// Every process sends its id to the next process each round and
     /// counts receipts.
@@ -964,14 +897,19 @@ mod tests_support {
         }
     }
 
-    impl Protocol for Relay {
+    impl ExecProtocol for Relay {
         type Msg = Token;
 
-        fn on_message(&mut self, _from: ProcessId, _msg: Token, _ctx: &mut Ctx<'_, Token>) {
+        fn on_message<X: Exec<Msg = Token>>(
+            &mut self,
+            _from: ProcessId,
+            _msg: Token,
+            _ctx: &mut X,
+        ) {
             self.received += 1;
         }
 
-        fn on_round(&mut self, _round: u64, ctx: &mut Ctx<'_, Token>) {
+        fn on_round<X: Exec<Msg = Token>>(&mut self, _round: u64, ctx: &mut X) {
             let next = ProcessId((ctx.me().0 + 1) % self.population);
             ctx.send(next, Token);
         }
@@ -992,7 +930,7 @@ mod tests_support {
 mod tests {
     use super::tests_support::relay_engine;
     use super::*;
-    use crate::{FailureModel, Latency};
+    use da_core::{Exec, Latency};
 
     #[test]
     fn sim_config_new_equals_default() {
@@ -1139,14 +1077,14 @@ mod tests {
                 1
             }
         }
-        impl Protocol for OneShot {
+        impl ExecProtocol for OneShot {
             type Msg = M;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
+            fn on_start<X: Exec<Msg = M>>(&mut self, ctx: &mut X) {
                 if ctx.me() == ProcessId(0) {
                     ctx.send(ProcessId(1), M);
                 }
             }
-            fn on_message(&mut self, _f: ProcessId, _m: M, _c: &mut Ctx<'_, M>) {}
+            fn on_message<X: Exec<Msg = M>>(&mut self, _f: ProcessId, _m: M, _c: &mut X) {}
         }
         let mut e = Engine::new(SimConfig::default(), vec![OneShot, OneShot]);
         let rounds = e.run_until_quiescent(100);
@@ -1156,7 +1094,6 @@ mod tests {
 
     #[test]
     fn scheduled_fates_apply() {
-        use crate::Fate;
         let config = SimConfig::default().with_failures(FailureModel::Schedule(vec![
             Fate {
                 round: 2,
@@ -1332,7 +1269,7 @@ mod trace_engine_tests {
 #[cfg(test)]
 mod churn_engine_tests {
     use super::*;
-    use crate::{FailureModel, ProcessId, WireSize};
+    use da_core::Exec;
 
     struct Quiet;
     #[derive(Clone, Debug)]
@@ -1342,9 +1279,9 @@ mod churn_engine_tests {
             0
         }
     }
-    impl Protocol for Quiet {
+    impl ExecProtocol for Quiet {
         type Msg = Never;
-        fn on_message(&mut self, _f: ProcessId, _m: Never, _c: &mut Ctx<'_, Never>) {}
+        fn on_message<X: Exec<Msg = Never>>(&mut self, _f: ProcessId, _m: Never, _c: &mut X) {}
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::ProcessId;
+use da_core::ProcessId;
 use std::error::Error;
 use std::fmt;
 

@@ -1,7 +1,7 @@
 //! Internal event queue of the engine: in-flight messages keyed by their
 //! delivery round, FIFO within a round.
 
-use crate::ProcessId;
+use da_core::ProcessId;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 

@@ -8,8 +8,8 @@
 //!
 //! * virtual time measured in gossip rounds,
 //! * unreliable channels (per-send Bernoulli loss, configurable latency in
-//!   rounds — the substrate-neutral model of `da_core::channel`,
-//!   re-exported here and shared with the live runtime),
+//!   rounds — the substrate-neutral model of `da_core::channel`, shared
+//!   with the live runtime),
 //! * process crash/recovery plus the paper's two failure models —
 //!   *stillborn* (Fig. 8–10: state drawn once at simulation start) and
 //!   *per-observer* (Fig. 11: a process "can appear to be failed for a
@@ -17,11 +17,12 @@
 //! * per-process RNG streams derived from a master seed, and
 //! * a metrics registry counting messages per protocol-defined label.
 //!
-//! Protocols implement the [`Protocol`] trait and are driven by an
-//! [`Engine`]:
+//! Protocols implement `da_core`'s [`ExecProtocol`] — the one contract
+//! both substrates drive — and run here under an [`Engine`], which hands
+//! every hook a [`Ctx`] as its [`Exec`]:
 //!
 //! ```
-//! use da_simnet::{Ctx, Engine, Protocol, ProcessId, SimConfig, WireSize};
+//! use da_simnet::{Engine, Exec, ExecProtocol, ProcessId, SimConfig, WireSize};
 //!
 //! #[derive(Clone, Debug)]
 //! struct Ping(u32);
@@ -30,14 +31,14 @@
 //! }
 //!
 //! struct Node { got: u32 }
-//! impl Protocol for Node {
+//! impl ExecProtocol for Node {
 //!     type Msg = Ping;
-//!     fn on_round(&mut self, round: u64, ctx: &mut Ctx<'_, Ping>) {
+//!     fn on_round<X: Exec<Msg = Ping>>(&mut self, round: u64, ctx: &mut X) {
 //!         if round == 0 && ctx.me() == ProcessId(0) {
 //!             ctx.send(ProcessId(1), Ping(7));
 //!         }
 //!     }
-//!     fn on_message(&mut self, _from: ProcessId, msg: Ping, _ctx: &mut Ctx<'_, Ping>) {
+//!     fn on_message<X: Exec<Msg = Ping>>(&mut self, _from: ProcessId, msg: Ping, _ctx: &mut X) {
 //!         self.got = msg.0;
 //!     }
 //! }
@@ -56,31 +57,18 @@
 mod engine;
 mod error;
 mod event;
-mod failure;
+mod exec;
 pub mod mc;
-mod metrics;
-mod overlay;
-mod process;
-mod rng;
 mod strategy;
-mod wire;
 
-pub use da_core::channel::{ChannelConfig, ChannelFate, Latency};
-pub use da_core::fault::FaultConfig;
-pub use da_core::topology::{
-    DropSchedule, NetFate, NetworkModel, NodeId, Partition, PartitionSchedule, ScriptedDrop,
-    Topology,
+// The `da_core` names this crate's own public signatures and trait
+// impls mention; everything else is imported from `da_core` directly.
+pub use da_core::{
+    ChannelConfig, Counters, Exec, ExecProtocol, FailureModel, Fate, FaultConfig, McHash, NetFate,
+    NetworkModel, PartitionSchedule, ProcessId, ProcessStatus, ScriptedDrop, Topology, TraceConfig,
+    TraceEvent, TraceLog, WireSize,
 };
-pub use da_core::trace::{
-    canonicalize, first_divergence, TraceCategory, TraceConfig, TraceDivergence, TraceEvent,
-    TraceMode, TraceRecorder, TraceVerdict,
-};
-pub use engine::{Ctx, Engine, Protocol, RoundReport, SimConfig};
+pub use engine::{Engine, RoundReport, SimConfig};
 pub use error::SimError;
-pub use failure::{ChurnRates, FailureModel, FailurePlan, Fate};
-pub use metrics::{CounterId, Counters, FxBuildHasher, FxHasher, Histogram, TraceLog};
-pub use overlay::Overlay;
-pub use process::{ProcessId, ProcessStatus};
-pub use rng::{derive_seed, rng_for_process, rng_from_seed};
+pub use exec::Ctx;
 pub use strategy::{DueMessage, RngStrategy, Strategy};
-pub use wire::{encode_frame, WireSize, FRAME_OVERHEAD};

@@ -59,30 +59,19 @@
 //! the walk, and check [`ExploreStats::exhausted`] to know whether the
 //! result is a proof (within the bounds) or a search.
 
-use crate::engine::{Engine, Protocol, SimConfig};
-use crate::failure::{FailureModel, Fate};
-use crate::metrics::FxBuildHasher;
-use crate::process::ProcessId;
+use crate::engine::{Engine, SimConfig};
 use crate::strategy::{DueMessage, Strategy};
 use da_core::channel::ChannelFate;
+use da_core::exec::{ExecProtocol, McHash};
+use da_core::failure::{FailureModel, Fate};
 use da_core::fault::FaultConfig;
+use da_core::metrics::{FxBuildHasher, FxHasher};
+use da_core::process::ProcessId;
 use da_core::topology::{DropSchedule, NetFate, NetworkModel, ScriptedDrop};
 use da_core::trace::{canonicalize, TraceConfig, TraceEvent};
+use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hasher;
-
-/// Deterministic structural hashing for model-checker state digests.
-///
-/// Unlike `std::hash::Hash`, implementors must feed the hasher a
-/// *canonical* byte stream: iteration-order-sensitive containers
-/// (e.g. `HashSet`) must be folded order-independently (XOR of
-/// per-element hashes) or sorted first, so that behaviorally equal
-/// states always produce equal digests.
-pub trait McHash {
-    /// Feeds this value's canonical representation into `state`.
-    fn mc_hash(&self, state: &mut dyn Hasher);
-}
 
 /// A safety property checked in every reachable state.
 ///
@@ -90,7 +79,7 @@ pub trait McHash {
 /// additionally on quiescent leaves (nothing delivered, nothing sent,
 /// nothing in flight) — the place for convergence-style properties
 /// that only hold once the protocol has settled.
-pub trait Invariant<P: Protocol> {
+pub trait Invariant<P: ExecProtocol> {
     /// Short name, used in reports and counterexamples.
     fn name(&self) -> &str;
 
@@ -396,7 +385,7 @@ impl Strategy for ScriptStrategy {
 
 /// One node of the search: an engine state plus the branch that
 /// reached it.
-struct SearchNode<P: Protocol> {
+struct SearchNode<P: ExecProtocol> {
     engine: Engine<P>,
     drops_used: u32,
     crashes_used: u32,
@@ -409,15 +398,15 @@ struct SearchNode<P: Protocol> {
 
 /// The bounded model checker: a [`McConfig`] plus an [`Invariant`]
 /// set, run over engines produced by a caller-supplied factory.
-pub struct Explorer<P: Protocol> {
+pub struct Explorer<P: ExecProtocol> {
     config: McConfig,
     invariants: Vec<Box<dyn Invariant<P>>>,
 }
 
 impl<P> Explorer<P>
 where
-    P: Protocol + Clone + McHash,
-    P::Msg: McHash,
+    P: ExecProtocol + Clone + McHash,
+    P::Msg: Clone + std::fmt::Debug + WireSize + McHash,
 {
     /// An explorer with the given bounds and no invariants.
     #[must_use]
@@ -638,7 +627,7 @@ where
     /// reachable futures and must not be merged.
     fn budgeted_digest(&self, engine: &Engine<P>, drops_used: u32, crashes_used: u32) -> u64 {
         use std::hash::Hasher as _;
-        let mut h = crate::metrics::FxHasher::default();
+        let mut h = FxHasher::default();
         h.write_u64(engine.state_digest());
         h.write_u32(drops_used);
         h.write_u32(crashes_used);
@@ -713,8 +702,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Ctx;
-    use crate::wire::WireSize;
+    use da_core::Exec;
+    use std::hash::Hasher;
 
     /// A deterministic broadcast protocol: process 0 sends one `Token`
     /// to everyone at start; receivers re-broadcast the first time they
@@ -750,10 +739,10 @@ mod tests {
         }
     }
 
-    impl Protocol for Flood {
+    impl ExecProtocol for Flood {
         type Msg = Token;
 
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Token>) {
+        fn on_start<X: Exec<Msg = Token>>(&mut self, ctx: &mut X) {
             if ctx.me() == ProcessId(0) {
                 self.seen = true;
                 for i in 1..self.population {
@@ -762,7 +751,7 @@ mod tests {
             }
         }
 
-        fn on_message(&mut self, _from: ProcessId, _msg: Token, ctx: &mut Ctx<'_, Token>) {
+        fn on_message<X: Exec<Msg = Token>>(&mut self, _from: ProcessId, _msg: Token, ctx: &mut X) {
             self.deliveries += 1;
             if !self.seen || self.buggy {
                 self.seen = true;
@@ -986,7 +975,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "choice-free")]
     fn lossy_base_config_is_rejected() {
-        let base = SimConfig::default().with_channel(crate::ChannelConfig::paper_default());
+        let base = SimConfig::default().with_channel(da_core::ChannelConfig::paper_default());
         let _ = Explorer::new(McConfig::default())
             .with_invariant(BoundedDeliveries)
             .explore(&base, flood_engine(3, false));

@@ -19,8 +19,8 @@
 //! "all interleavings × all drop choices" becomes a tree walk over the
 //! same engine code path that production simulations run.
 
-use crate::ProcessId;
 use da_core::topology::{NetFate, NetworkModel};
+use da_core::ProcessId;
 use rand::rngs::SmallRng;
 
 /// One message due for delivery this round, as shown to

@@ -1,10 +1,8 @@
 //! Property tests on the simulation kernel: conservation laws, failure
-//! model semantics, determinism, and overlay structure over arbitrary
-//! configurations.
+//! model semantics, and determinism over arbitrary configurations.
 
-use da_simnet::{
-    ChannelConfig, Ctx, Engine, FailureModel, Overlay, ProcessId, Protocol, SimConfig, WireSize,
-};
+use da_core::{ChannelConfig, Exec, ExecProtocol, FailureModel, Latency, ProcessId, WireSize};
+use da_simnet::{Engine, SimConfig};
 use proptest::prelude::*;
 use rand::Rng as _;
 
@@ -25,14 +23,14 @@ impl WireSize for Blip {
     }
 }
 
-impl Protocol for Chatter {
+impl ExecProtocol for Chatter {
     type Msg = Blip;
 
-    fn on_message(&mut self, _from: ProcessId, _msg: Blip, _ctx: &mut Ctx<'_, Blip>) {
+    fn on_message<X: Exec<Msg = Blip>>(&mut self, _from: ProcessId, _msg: Blip, _ctx: &mut X) {
         self.received += 1;
     }
 
-    fn on_round(&mut self, _round: u64, ctx: &mut Ctx<'_, Blip>) {
+    fn on_round<X: Exec<Msg = Blip>>(&mut self, _round: u64, ctx: &mut X) {
         let target = ProcessId(ctx.rng().gen_range(0..self.population));
         if target != ctx.me() {
             ctx.send(target, Blip);
@@ -163,35 +161,6 @@ proptest! {
         }
     }
 
-    /// Overlay structure: symmetric, self-loop free, connected, minimum
-    /// degree honoured (capped by the population).
-    #[test]
-    fn overlay_structural_laws(
-        population in 1usize..80,
-        degree in 0usize..12,
-        seed in 0u64..10_000,
-    ) {
-        let o = Overlay::random(population, degree, seed).unwrap();
-        prop_assert_eq!(o.population(), population);
-        let want = degree.min(population.saturating_sub(1));
-        let mut visited = std::collections::HashSet::new();
-        let mut queue = std::collections::VecDeque::from([ProcessId(0)]);
-        visited.insert(ProcessId(0));
-        while let Some(p) = queue.pop_front() {
-            for &q in o.neighbors(p) {
-                prop_assert_ne!(q, p, "self loop");
-                prop_assert!(o.neighbors(q).contains(&p), "asymmetric edge");
-                if visited.insert(q) {
-                    queue.push_back(q);
-                }
-            }
-        }
-        prop_assert_eq!(visited.len(), population, "disconnected overlay");
-        for i in 0..population {
-            prop_assert!(o.neighbors(ProcessId::from_index(i)).len() >= want);
-        }
-    }
-
     /// Latency jitter preserves conservation and eventually delivers.
     #[test]
     fn latency_jitter_conserves(
@@ -201,7 +170,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let config = SimConfig::default().with_seed(seed).with_channel(
-            ChannelConfig::default().with_latency(da_simnet::Latency::UniformRounds {
+            ChannelConfig::default().with_latency(Latency::UniformRounds {
                 min,
                 max: min + extra,
             }),

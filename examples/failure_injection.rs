@@ -9,8 +9,9 @@
 //!
 //! Run with: `cargo run --example failure_injection`
 
+use da_core::{FailureModel, Fate, ProcessId};
 use da_harness::scenario::{run_scenario, FailureKind, ScenarioConfig};
-use da_simnet::{Engine, FailureModel, Fate, ProcessId, SimConfig};
+use da_simnet::{Engine, SimConfig};
 use damulticast::{DynamicNetwork, ParamMap, TopicParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

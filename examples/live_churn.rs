@@ -21,8 +21,8 @@
 //! delivered / `rt.dropped_channel` / `rt.dropped_crashed` /
 //! `rt.dropped_shutdown`.
 
+use da_core::{FailureModel, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{FailureModel, ProcessId};
 use damulticast::{DynamicNetwork, EventId, ParamMap, TopicParams};
 use std::time::Instant;
 

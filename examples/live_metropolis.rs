@@ -20,8 +20,8 @@
 //! Run with: `cargo run --release --example live_metropolis`
 //! (pass `--small` for the CI-sized 100k soak).
 
+use da_core::{ChannelConfig, FailureModel, Latency};
 use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{ChannelConfig, FailureModel, Latency};
 use damulticast::metro_population;
 use std::time::Instant;
 

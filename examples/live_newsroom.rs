@@ -29,8 +29,8 @@
 //! rate, because no amount of channel noise may leak a story outside
 //! its audience.
 
+use da_core::{ChannelConfig, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{ChannelConfig, ProcessId};
 use da_topics::TopicHierarchy;
 use damulticast::{GroupSpec, ParamMap, StaticNetwork, TopicParams};
 use std::sync::Arc;

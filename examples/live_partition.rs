@@ -27,8 +27,8 @@
 //! capture mode and write the JSONL event stream there (CI uploads it
 //! as a workflow artifact from the smoke run).
 
+use da_core::{NodeId, Partition, PartitionSchedule, ProcessId, Topology};
 use da_runtime::{Runtime, RuntimeConfig, TraceConfig};
-use da_simnet::{NodeId, Partition, PartitionSchedule, ProcessId, Topology};
 use damulticast::{DynamicNetwork, ParamMap, TopicParams};
 use std::path::PathBuf;
 use std::time::Instant;

@@ -17,7 +17,8 @@
 //!
 //! Run with: `cargo run --example multi_inheritance`
 
-use da_simnet::{Engine, ProcessId, SimConfig};
+use da_core::ProcessId;
+use da_simnet::{Engine, SimConfig};
 use da_topics::dag::TopicDag;
 use damulticast::{DagNetwork, TopicParams};
 

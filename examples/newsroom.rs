@@ -20,7 +20,8 @@
 //!
 //! Run with: `cargo run --example newsroom`
 
-use da_simnet::{Engine, ProcessId, SimConfig};
+use da_core::ProcessId;
+use da_simnet::{Engine, SimConfig};
 use da_topics::TopicHierarchy;
 use damulticast::{GroupSpec, ParamMap, StaticNetwork, TopicParams};
 use std::sync::Arc;

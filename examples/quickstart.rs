@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use da_simnet::{ChannelConfig, Engine, SimConfig};
+use da_core::ChannelConfig;
+use da_simnet::{Engine, SimConfig};
 use damulticast::{ParamMap, StaticNetwork};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --example stock_ticker`
 
-use da_simnet::{ChannelConfig, Engine, SimConfig};
+use da_core::ChannelConfig;
+use da_simnet::{Engine, SimConfig};
 use damulticast::{DynamicNetwork, ParamMap, TopicParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -7,6 +7,8 @@
 //! The interesting entry points are:
 //!
 //! * [`damulticast`] — the paper's contribution (the daMulticast protocol).
+//! * [`da_core`] — the contract protocols and substrates share
+//!   (`Exec`/`ExecProtocol`, wire sizes, metrics, the fault model).
 //! * [`da_topics`] — the topic-hierarchy substrate.
 //! * [`da_simnet`] — the deterministic discrete-event simulation kernel.
 //! * [`da_runtime`] — the concurrent live-execution substrate (the same
@@ -24,6 +26,7 @@
 
 pub use da_analysis;
 pub use da_baselines;
+pub use da_core;
 pub use da_harness;
 pub use da_membership;
 pub use da_runtime;
@@ -44,16 +47,16 @@ pub use damulticast;
 /// # }
 /// ```
 pub mod prelude {
-    pub use da_membership::FanoutRule;
-    pub use da_runtime::{Runtime, RuntimeConfig};
-    pub use da_simnet::{
-        ChannelConfig, Engine, FailureModel, FaultConfig, Histogram, NetworkModel, NodeId,
-        Partition, PartitionSchedule, ProcessId, SimConfig, Topology, TraceConfig, TraceEvent,
+    pub use da_core::{
+        ChannelConfig, Exec, ExecProtocol, FailureModel, FaultConfig, Histogram, NetworkModel,
+        NodeId, Partition, PartitionSchedule, ProcessId, Topology, TraceConfig, TraceEvent,
         TraceLog, TraceMode, TraceVerdict,
     };
+    pub use da_membership::FanoutRule;
+    pub use da_runtime::{Runtime, RuntimeConfig};
+    pub use da_simnet::{Engine, SimConfig};
     pub use da_topics::{TopicHierarchy, TopicId};
     pub use damulticast::{
-        DaError, DaProcess, DynamicNetwork, Event, EventId, Exec, ExecProtocol, ParamMap,
-        StaticNetwork, TopicParams,
+        DaError, DaProcess, DynamicNetwork, Event, EventId, ParamMap, StaticNetwork, TopicParams,
     };
 }

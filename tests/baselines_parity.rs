@@ -3,11 +3,14 @@
 //! says they differ (parasites, memory, message count).
 
 use da_baselines::{
-    build_broadcast_network, build_hierarchical_network, build_multicast_network, InterestMap,
+    build_broadcast_network, build_hierarchical_network, build_multicast_network, DeliveryLog,
+    InterestMap,
 };
+use da_core::{first_divergence, ExecProtocol, ProcessId, TraceConfig, WireSize};
 use da_membership::FanoutRule;
-use da_simnet::{Engine, ProcessId, SimConfig};
-use damulticast::{ParamMap, StaticNetwork, TopicParams};
+use da_runtime::{Runtime, RuntimeConfig};
+use da_simnet::{Engine, SimConfig};
+use damulticast::{EventId, ParamMap, StaticNetwork, TopicParams};
 
 const SIZES: [usize; 3] = [4, 12, 36];
 const FANOUT: FanoutRule = FanoutRule::LnPlusC { c: 5.0 };
@@ -230,5 +233,72 @@ fn memory_ordering() {
     assert!(
         da_mean < bc_mean + 3.0,
         "daMulticast {da_mean} should not exceed broadcast {bc_mean} by more than z"
+    );
+}
+
+/// One mid-level publication (wanted by levels 0 and 1 only, so the
+/// bitmap is non-trivial) on the simulator and on live pools of 1 and 2
+/// workers: the same per-process delivery bitmap and — reliable
+/// channels, so no substrate-specific fate draws — a bit-identical
+/// canonical trace.
+fn assert_live_matches_sim<P>(
+    procs: Vec<P>,
+    publish: fn(&mut P) -> EventId,
+    log: fn(&P) -> &DeliveryLog,
+) where
+    P: ExecProtocol + Clone + Send + 'static,
+    P::Msg: Clone + std::fmt::Debug + WireSize + Send + 'static,
+{
+    const SEED: u64 = 45;
+    let publisher = ProcessId::from_index(SIZES[0]);
+    let bitmap =
+        |procs: &[P], id| -> Vec<bool> { procs.iter().map(|p| log(p).has_delivered(id)).collect() };
+
+    let config = SimConfig::default()
+        .with_seed(SEED)
+        .with_trace(TraceConfig::full());
+    let mut engine = Engine::new(config, procs.clone());
+    let id = publish(engine.process_mut(publisher));
+    engine.run_until_quiescent(96);
+    let sim_trace = engine.trace_log().expect("tracing on").canonical_events();
+    let sim_bitmap = bitmap(&engine.into_processes(), id);
+    let delivered = sim_bitmap.iter().filter(|&&b| b).count();
+    assert_eq!(delivered, SIZES[0] + SIZES[1], "levels 0 and 1 deliver");
+
+    for workers in [1, 2] {
+        let config = RuntimeConfig::default()
+            .with_workers(workers)
+            .with_seed(SEED)
+            .with_trace(TraceConfig::full());
+        let mut rt = Runtime::spawn(config, procs.clone());
+        let live_id = rt.with_process_mut(publisher, publish);
+        assert_eq!(live_id, id);
+        rt.run_until_quiescent(96);
+        let out = rt.shutdown();
+        assert_eq!(bitmap(&out.processes, id), sim_bitmap, "{workers} workers");
+        let live_trace = out.trace.expect("tracing on").canonical_events();
+        assert_eq!(first_divergence(&sim_trace, &live_trace), None);
+    }
+}
+
+/// The baselines implement the one `ExecProtocol` contract, so they run
+/// on the live runtime exactly as simulated.
+#[test]
+fn baselines_run_live_as_simulated() {
+    let interests = InterestMap::linear(&SIZES);
+    assert_live_matches_sim(
+        build_broadcast_network(&interests, 3.0, FANOUT, 45).unwrap(),
+        |p| p.publish("live"),
+        |p| p.log(),
+    );
+    assert_live_matches_sim(
+        build_multicast_network(&interests, 3.0, FANOUT, 45).unwrap(),
+        |p| p.publish("live"),
+        |p| p.log(),
+    );
+    assert_live_matches_sim(
+        build_hierarchical_network(&interests, 4, 3.0, FANOUT, FANOUT, 45).unwrap(),
+        |p| p.publish("live"),
+        |p| p.log(),
     );
 }

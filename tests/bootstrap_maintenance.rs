@@ -2,7 +2,8 @@
 //! stack: scope widening past empty groups, link repair under churn, and
 //! supertable tightening.
 
-use da_simnet::{Engine, FailureModel, Fate, ProcessId, SimConfig};
+use da_core::{FailureModel, Fate, ProcessId};
+use da_simnet::{Engine, SimConfig};
 use da_topics::TopicHierarchy;
 use damulticast::{DynamicNetwork, GroupSpec, ParamMap, StaticNetwork, TopicParams};
 use std::sync::Arc;

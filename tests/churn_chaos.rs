@@ -2,8 +2,9 @@
 //! survives processes crashing and recovering every round, keeps its
 //! invariants, and still delivers.
 
+use da_core::{FailureModel, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{Engine, FailureModel, ProcessId, SimConfig};
+use da_simnet::{Engine, SimConfig};
 use damulticast::{DynamicNetwork, EventId, ParamMap, TopicParams};
 
 fn churn_engine(

@@ -2,8 +2,9 @@
 //! seeds produce bit-identical metrics; different seeds diverge.
 
 use da_baselines::{build_broadcast_network, InterestMap};
+use da_core::{ChannelConfig, FailureModel, ProcessId};
 use da_membership::FanoutRule;
-use da_simnet::{ChannelConfig, Engine, FailureModel, ProcessId, SimConfig};
+use da_simnet::{Engine, SimConfig};
 use damulticast::{DynamicNetwork, ParamMap, StaticNetwork};
 
 fn static_fingerprint(seed: u64) -> Vec<(String, u64)> {

@@ -1,7 +1,8 @@
 //! End-to-end dissemination across the full crate stack: the paper's
 //! topology, multiple publishers, both protocol modes.
 
-use da_simnet::{ChannelConfig, Engine, SimConfig};
+use da_core::ChannelConfig;
+use da_simnet::{Engine, SimConfig};
 use damulticast::{DynamicNetwork, ParamMap, StaticNetwork, TopicParams};
 
 /// The paper's topology at full scale, reliable channels: every

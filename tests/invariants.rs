@@ -1,7 +1,8 @@
 //! Property-based system invariants (DESIGN.md §7), checked over random
 //! topologies, parameters, failure draws and publish patterns.
 
-use da_simnet::{ChannelConfig, Engine, FailureModel, SimConfig};
+use da_core::{ChannelConfig, FailureModel};
+use da_simnet::{Engine, SimConfig};
 use damulticast::{EventId, ParamMap, StaticNetwork, TopicParams};
 use proptest::prelude::*;
 

@@ -1,0 +1,48 @@
+//! The crate graph is strictly layered: `da-core` holds the contract,
+//! protocol crates (`da-membership` ← `damulticast` ← `da-baselines`)
+//! and substrates (`da-simnet`, `da-runtime`) depend on it and never on
+//! each other. They meet only in the harness and the tests.
+
+/// The package names under a manifest's `[dependencies]` table (not
+/// `[dev-dependencies]`: unit and doc-tests may use a substrate).
+fn dependencies(manifest: &str) -> Vec<&str> {
+    manifest
+        .lines()
+        .skip_while(|line| line.trim() != "[dependencies]")
+        .skip(1)
+        .take_while(|line| !line.starts_with('['))
+        .filter_map(|line| line.split(['.', ' ', '=']).next())
+        .filter(|name| !name.is_empty() && !name.starts_with('#'))
+        .collect()
+}
+
+#[test]
+fn protocols_and_substrates_meet_only_in_da_core() {
+    let manifests = [
+        (include_str!("../crates/da-core/Cargo.toml"), "rand serde"),
+        (
+            include_str!("../crates/membership/Cargo.toml"),
+            "da-core rand serde",
+        ),
+        (
+            include_str!("../crates/core/Cargo.toml"),
+            "bytes da-core da-membership da-topics rand serde",
+        ),
+        (
+            include_str!("../crates/baselines/Cargo.toml"),
+            "bytes da-core da-membership da-topics damulticast rand",
+        ),
+        (
+            include_str!("../crates/simnet/Cargo.toml"),
+            "da-core rand serde",
+        ),
+        (
+            include_str!("../crates/runtime/Cargo.toml"),
+            "crossbeam da-core rand serde",
+        ),
+    ];
+    for (manifest, expected) in manifests {
+        let name = manifest.lines().find(|l| l.starts_with("name = "));
+        assert_eq!(dependencies(manifest).join(" "), expected, "{name:?}");
+    }
+}

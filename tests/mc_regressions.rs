@@ -20,13 +20,14 @@
 //! shipped protocol verifies exhaustively at bounds where the
 //! `Mutation::SkipDedup` variant is caught.
 
+use da_core::{ChannelConfig, FailureModel, Fate, FaultConfig, Latency, ProcessId};
 use da_harness::experiments::mc::{
     base_config, published_event, single_group, single_group_processes, verify_dissemination,
     FullDelivery, NoDuplicateDelivery, NoParasite,
 };
 use da_runtime::{Runtime, RuntimeConfig};
 use da_simnet::mc::{Explorer, Invariant, McConfig, OrderingMode};
-use da_simnet::{ChannelConfig, Engine, FailureModel, Fate, FaultConfig, Latency, ProcessId};
+use da_simnet::Engine;
 use damulticast::{DaProcess, EventId, Mutation};
 
 /// Horizon for every replay: past quiescence of all committed branches.

@@ -14,11 +14,11 @@
 //! around a heal is timing-dependent, and the substrates' channel-draw
 //! sequences legitimately differ.
 
-use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{
-    ChannelConfig, Engine, FaultConfig, Latency, NodeId, Partition, PartitionSchedule, ProcessId,
-    SimConfig, Topology,
+use da_core::{
+    ChannelConfig, FaultConfig, Latency, NodeId, Partition, PartitionSchedule, ProcessId, Topology,
 };
+use da_runtime::{Runtime, RuntimeConfig};
+use da_simnet::{Engine, SimConfig};
 use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork, TopicParams};
 use proptest::prelude::*;
 

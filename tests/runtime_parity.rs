@@ -12,11 +12,10 @@
 //! fanout) so full coverage is not at the mercy of one seed or one
 //! thread interleaving (miss probability ≈ e^{-12} per event).
 
+use da_core::{ChannelConfig, FailureModel, Latency, ProcessId, TraceConfig, TraceLog};
 use da_harness::experiments::trace::describe_divergence;
 use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{
-    ChannelConfig, Engine, FailureModel, Latency, ProcessId, SimConfig, TraceConfig, TraceLog,
-};
+use da_simnet::{Engine, SimConfig};
 use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork, TopicParams};
 use proptest::prelude::*;
 

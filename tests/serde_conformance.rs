@@ -14,33 +14,33 @@ fn is_serialize<T: Serialize>() {}
 #[test]
 fn simnet_types_are_serde() {
     is_serde::<da_simnet::SimConfig>();
-    is_serde::<da_simnet::ChannelConfig>();
-    is_serde::<da_simnet::FailureModel>();
-    is_serde::<da_simnet::Fate>();
-    is_serde::<da_simnet::ProcessId>();
+    is_serde::<da_core::ChannelConfig>();
+    is_serde::<da_core::FailureModel>();
+    is_serde::<da_core::Fate>();
+    is_serde::<da_core::ProcessId>();
     is_serde::<da_simnet::RoundReport>();
-    is_serde::<da_simnet::Counters>();
-    is_serde::<da_simnet::Overlay>();
+    is_serde::<da_core::Counters>();
+    is_serde::<da_membership::Overlay>();
 }
 
 #[test]
 fn fault_and_topology_types_are_serde() {
-    is_serde::<da_simnet::FaultConfig>();
-    is_serde::<da_simnet::NetworkModel>();
-    is_serde::<da_simnet::Topology>();
-    is_serde::<da_simnet::NodeId>();
-    is_serde::<da_simnet::Partition>();
-    is_serde::<da_simnet::PartitionSchedule>();
+    is_serde::<da_core::FaultConfig>();
+    is_serde::<da_core::NetworkModel>();
+    is_serde::<da_core::Topology>();
+    is_serde::<da_core::NodeId>();
+    is_serde::<da_core::Partition>();
+    is_serde::<da_core::PartitionSchedule>();
 }
 
 #[test]
 fn trace_types_are_serde() {
-    is_serde::<da_simnet::TraceConfig>();
-    is_serde::<da_simnet::TraceMode>();
-    is_serde::<da_simnet::TraceCategory>();
-    is_serde::<da_simnet::TraceEvent>();
-    is_serde::<da_simnet::TraceVerdict>();
-    is_serde::<da_simnet::Histogram>();
+    is_serde::<da_core::TraceConfig>();
+    is_serde::<da_core::TraceMode>();
+    is_serde::<da_core::TraceCategory>();
+    is_serde::<da_core::TraceEvent>();
+    is_serde::<da_core::TraceVerdict>();
+    is_serde::<da_core::Histogram>();
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! failures are the documented exception — their draws are
 //! observer-local — and are deliberately absent.)
 
+use da_core::{ChannelConfig, FailureModel, FaultConfig, Latency, TraceEvent};
 use da_harness::experiments::trace::live_probe_trace;
-use da_simnet::{ChannelConfig, FailureModel, FaultConfig, Latency, TraceEvent};
 use proptest::prelude::*;
 
 /// One canonical stream for a pool shape.
