@@ -32,7 +32,7 @@ use crate::maintenance::{MaintenanceAction, MaintenanceTask};
 use crate::message::DaMsg;
 use crate::params::TopicParams;
 use crate::tables::{SuperEntry, SuperTable};
-use da_core::{Exec, ExecProtocol, FxHasher, McHash, ProcessId};
+use da_core::{Exec, ExecProtocol, FxBuildHasher, FxHasher, McHash, ProcessId};
 use da_membership::Overlay;
 use da_membership::{FlatMembership, MembershipParams};
 use da_topics::{TopicHierarchy, TopicId};
@@ -115,7 +115,7 @@ pub struct DaProcess {
     /// Initial same-group contacts to join through (dynamic mode).
     join_contacts: Vec<ProcessId>,
     /// Event ids already received (the paper's "done only the first time").
-    seen: HashSet<EventId>,
+    seen: HashSet<EventId, FxBuildHasher>,
     /// Events delivered to the application, in delivery order.
     delivered: Vec<Event>,
     /// Events received for a topic this process is *not* interested in.
@@ -125,7 +125,7 @@ pub struct DaProcess {
     pending_publish: Vec<Event>,
     next_sequence: u64,
     /// Bootstrap requests already answered/forwarded: `(origin, req_id)`.
-    answered_requests: HashSet<(ProcessId, u64)>,
+    answered_requests: HashSet<(ProcessId, u64), FxBuildHasher>,
     labels: Labels,
     /// Deliberate protocol defect, [`Mutation::None`] in production.
     mutation: Mutation,
@@ -202,12 +202,12 @@ impl DaProcess {
             maintenance: None,
             overlay: None,
             join_contacts: Vec::new(),
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
-            answered_requests: HashSet::new(),
+            answered_requests: HashSet::default(),
             labels,
             mutation: Mutation::None,
         }
@@ -246,12 +246,12 @@ impl DaProcess {
             maintenance,
             overlay: Some(overlay),
             join_contacts,
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
-            answered_requests: HashSet::new(),
+            answered_requests: HashSet::default(),
             labels,
             mutation: Mutation::None,
         }

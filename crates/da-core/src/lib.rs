@@ -9,8 +9,9 @@
 //! per-link channel overrides, scripted partitions — see
 //! [`topology::NetworkModel`]), the process failure models (Sec. VII),
 //! the process identity vocabulary, the deterministic seed-derivation
-//! scheme every RNG stream hangs off, and the unified
-//! [`fault::FaultConfig`] builder both substrates' configs embed.
+//! scheme every RNG stream hangs off, the unified
+//! [`fault::FaultConfig`] builder both substrates' configs embed, and
+//! the [`wheel`] both substrates park in-flight envelopes in.
 //!
 //! Both execution substrates consume this crate:
 //!
@@ -43,6 +44,7 @@ pub mod seed;
 pub mod store;
 pub mod topology;
 pub mod trace;
+pub mod wheel;
 pub mod wire;
 
 pub use channel::{ChannelConfig, ChannelFate, EdgeRngs, Latency};
@@ -61,4 +63,5 @@ pub use trace::{
     canonicalize, first_divergence, TraceCategory, TraceConfig, TraceDivergence, TraceEvent,
     TraceMode, TraceRecorder, TraceVerdict,
 };
+pub use wheel::{DelayWheel, Envelope};
 pub use wire::WireSize;

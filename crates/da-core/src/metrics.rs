@@ -23,10 +23,10 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A multiply-xor hasher (the rustc-hash / FxHash construction) for the
-/// label index: counter labels are short (`da.intra..t1`), so hashing
-/// them dominates the lookup under the default SipHash. This is not
-/// DoS-resistant — fine for a registry keyed by a protocol's own static
-/// label set, never by external input.
+/// label index and the protocols' event-id `seen` sets: short keys whose
+/// hashing dominates the lookup under the default SipHash. Not
+/// DoS-resistant — fine for keys the program mints itself (static
+/// labels, its processes' event ids), never for external input.
 #[derive(Debug, Default)]
 pub struct FxHasher {
     hash: u64,

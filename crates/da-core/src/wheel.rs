@@ -1,0 +1,646 @@
+//! The delay wheel — the one timing structure of both substrates:
+//! [`Envelope`]s that survived the channel park here until the clock
+//! driving the wheel reaches their due tick.
+//!
+//! * **The simulator** owns one single-lane wheel. Each round it moves
+//!   the due bucket out whole ([`DelayWheel::take_due`]), delivers from
+//!   it and hands the emptied allocation back ([`DelayWheel::restore`]).
+//! * **A runtime worker** keys its wheel off its *local* clock — under
+//!   the bounded-lag scheduler there is no global tick counter. It
+//!   sweeps its incoming lanes at the start of its tick `t` and
+//!   schedules every envelope (all are due strictly after their send
+//!   tick, and peers' clocks may run ahead, so parking is the norm);
+//!   [`DelayWheel::take_due_into`] then releases exactly the messages
+//!   the channel contract owes that tick.
+//!
+//! **Buckets are per producer lane.** Delivery order within a tick is a
+//! structural guarantee, not an accident of timing: slot `(t, lane)`
+//! holds the envelopes scheduled on `lane` due at `t` in scheduling
+//! (= send) order, and a drain releases tick `t`'s buckets in lane
+//! order `0..lanes`. No sort, no comparison: one lane *is* `(delivery
+//! round, send sequence)` order, and the runtime's lane per producer
+//! worker makes the merged delivery sequence a pure function of
+//! `(tick, from, to, occurrence)`.
+//!
+//! Storage is a true ring buffer: `capacity × lanes` buckets, bucket
+//! `(t % capacity, lane)` holding lane `lane`'s envelopes due at tick
+//! `t` for any `t` in the live window `[next, next + capacity)`. Callers
+//! size the window from `NetworkModel::max_latency()` (plus the lag
+//! bound on the runtime) — every latency model is bounded — and buckets
+//! keep their allocation across laps, so the steady state allocates
+//! nothing. A `BTreeMap` spillover keyed by `(due, lane)` holds the rare
+//! envelope scheduled outside the window (a wheel sized under its
+//! network's true ceiling, or a past-due straggler); because the window
+//! only moves forward, every spilled envelope for a `(tick, lane)`
+//! bucket was scheduled before any ring envelope for the same bucket,
+//! so releasing spill-then-ring per bucket preserves the exact per-lane
+//! arrival order (pinned on randomized schedules against the sorted map
+//! and the `(round, seq)` heap this wheel replaced).
+
+use crate::process::ProcessId;
+use std::collections::BTreeMap;
+
+/// One in-flight message, from surviving the channel to delivery.
+#[derive(Debug, Clone)]
+pub struct Envelope<M> {
+    /// Sending process.
+    pub from: ProcessId,
+    /// Destination process.
+    pub to: ProcessId,
+    /// Tick during which the message was sent.
+    pub sent_tick: u64,
+    /// Tick at whose start the message becomes deliverable — always
+    /// strictly greater than [`Envelope::sent_tick`]: the
+    /// send-in-round-`n` / deliver-in-round-`n + k` channel contract of
+    /// both substrates (`k = 1` on a perfect channel).
+    pub due_tick: u64,
+    /// The protocol message.
+    pub msg: M,
+}
+
+/// Envelopes parked until their delivery tick, bucketed by producer
+/// lane. `Clone` is for the model checker's forked universes.
+#[derive(Debug, Clone)]
+pub struct DelayWheel<M> {
+    /// Producer lanes feeding this wheel (workers in a runtime pool; 1
+    /// in the simulator).
+    lanes: usize,
+    /// Due ticks the ring window spans.
+    capacity: usize,
+    /// Bucket `(t % capacity) * lanes + lane` holds lane `lane`'s
+    /// envelopes due at `t` for `t ∈ [next, next + capacity)`.
+    ring: Vec<Vec<Envelope<M>>>,
+    /// First tick not yet released — the start of the ring's window.
+    next: u64,
+    /// Envelopes scheduled outside the ring window, keyed by
+    /// `(due tick, lane)` — `BTreeMap` order is exactly release order.
+    spill: BTreeMap<(u64, usize), Vec<Envelope<M>>>,
+    len: usize,
+    /// Furthest due tick ever scheduled (monotone; see
+    /// [`DelayWheel::due_horizon`] for why monotone is sound).
+    max_due: u64,
+}
+
+impl<M> DelayWheel<M> {
+    /// A wheel whose ring covers `capacity` consecutive due ticks
+    /// (clamped to at least 1) for `lanes` producer lanes (clamped to at
+    /// least 1). Size the window as `max latency + 1` plus, on the
+    /// runtime, the lag bound: at local tick `t` a peer running `lag`
+    /// ahead can send envelopes due up to `t + lag + max_latency`, and
+    /// anything beyond the window degrades to the spill map, never to a
+    /// lost envelope. Buckets start unallocated.
+    #[must_use]
+    pub fn with_capacity(capacity: usize, lanes: usize) -> Self {
+        let capacity = capacity.max(1);
+        let lanes = lanes.max(1);
+        DelayWheel {
+            lanes,
+            capacity,
+            ring: (0..capacity * lanes).map(|_| Vec::new()).collect(),
+            next: 0,
+            spill: BTreeMap::new(),
+            len: 0,
+            max_due: 0,
+        }
+    }
+
+    /// Parks an envelope until its `due_tick`, in the bucket of the
+    /// producer lane it arrived on.
+    pub fn schedule(&mut self, lane: usize, envelope: Envelope<M>) {
+        debug_assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
+        let due = envelope.due_tick;
+        if due >= self.next && due - self.next < self.capacity as u64 {
+            let bucket = (due % self.capacity as u64) as usize * self.lanes + lane;
+            self.ring[bucket].push(envelope);
+        } else {
+            self.spill.entry((due, lane)).or_default().push(envelope);
+        }
+        self.len += 1;
+        self.max_due = self.max_due.max(due);
+    }
+
+    /// Appends every envelope due at or before `tick` to `out`: earliest
+    /// due tick first, producer lane order within a tick, arrival order
+    /// within a lane. The caller's buffer is reused across ticks, so the
+    /// steady-state drain allocates nothing.
+    pub fn take_due_into(&mut self, tick: u64, out: &mut Vec<Envelope<M>>) {
+        let start = out.len();
+        // Past-due stragglers (scheduled with due < next): smallest
+        // (due, lane) keys in the wheel, released first.
+        while let Some(entry) = self.spill.first_entry() {
+            let (due, _) = *entry.key();
+            if due >= self.next || due > tick {
+                break;
+            }
+            let mut spilled = entry.remove();
+            out.append(&mut spilled);
+        }
+        while self.next <= tick {
+            if out.len() - start == self.len {
+                // Wheel is empty: slide the window in one step.
+                self.next = tick + 1;
+                break;
+            }
+            let t = self.next;
+            let base = (t % self.capacity as u64) as usize * self.lanes;
+            for lane in 0..self.lanes {
+                if !self.spill.is_empty() {
+                    if let Some(mut spilled) = self.spill.remove(&(t, lane)) {
+                        out.append(&mut spilled);
+                    }
+                }
+                // Drain in place so the bucket keeps its allocation for
+                // the tick `capacity` steps from now.
+                out.append(&mut self.ring[base + lane]);
+            }
+            self.next += 1;
+        }
+        self.len -= out.len() - start;
+    }
+
+    /// [`take_due_into`](Self::take_due_into) as an owned `Vec`, for a
+    /// caller that schedules *while* it delivers and so cannot keep the
+    /// wheel borrowed. When the due set is exactly one ring bucket (a
+    /// single-lane wheel drained every tick) the bucket's `Vec` is moved
+    /// out whole: no copy, no second buffer. Hand it back with
+    /// [`restore`](Self::restore).
+    pub fn take_due(&mut self, tick: u64) -> Vec<Envelope<M>> {
+        let spill_is_later = self.spill.range(..=(tick, usize::MAX)).next().is_none();
+        if self.lanes == 1 && self.next == tick && spill_is_later {
+            let due = std::mem::take(&mut self.ring[(tick % self.capacity as u64) as usize]);
+            self.len -= due.len();
+            self.next += 1;
+            due
+        } else {
+            let mut due = Vec::new();
+            self.take_due_into(tick, &mut due);
+            due
+        }
+    }
+
+    /// Takes back the allocation [`take_due`](Self::take_due) moved out
+    /// (contents discarded), so the slot of the tick just released —
+    /// reused `capacity` ticks later — does not have to grow again. A
+    /// slot that already owns an allocation keeps its own.
+    pub fn restore(&mut self, mut spare: Vec<Envelope<M>>) {
+        spare.clear();
+        let released = self.next.saturating_sub(1);
+        let slot = &mut self.ring[(released % self.capacity as u64) as usize * self.lanes];
+        if slot.capacity() == 0 {
+            *slot = spare;
+        }
+    }
+
+    /// Every parked envelope in release order — what a state digest
+    /// hashes and where the earliest due tick is read off.
+    pub fn iter(&self) -> impl Iterator<Item = &Envelope<M>> {
+        let window_end = self.next.saturating_add(self.capacity as u64);
+        let past_due = self.spill.range(..(self.next, 0)).flat_map(|(_, b)| b);
+        let window = (self.next..window_end).flat_map(move |t| {
+            let base = (t % self.capacity as u64) as usize * self.lanes;
+            (0..self.lanes).flat_map(move |lane| {
+                let spilled = self.spill.get(&(t, lane)).into_iter().flatten();
+                spilled.chain(&self.ring[base + lane])
+            })
+        });
+        let beyond = self.spill.range((window_end, 0)..).flat_map(|(_, b)| b);
+        past_due.chain(window).chain(beyond)
+    }
+
+    /// Number of parked envelopes.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when nothing is parked.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The furthest due tick with an envelope *provably* still parked,
+    /// `None` when the wheel is empty.
+    ///
+    /// Tracking the monotone maximum of every scheduled due tick is
+    /// enough: envelopes only ever leave the wheel at their own due tick
+    /// (shutdown's [`DelayWheel::discard_all`] aside), so while the
+    /// wheel is non-empty its pending dues all lie in
+    /// `(released.., max_due]` — meaning the envelope that set `max_due`
+    /// has not been released yet and stays parked through `max_due − 1`.
+    /// The runtime's scheduler uses this as a quiescence lower bound:
+    /// every tick before `max_due` reports `pending > 0` and is
+    /// therefore loud.
+    #[must_use]
+    pub fn due_horizon(&self) -> Option<u64> {
+        (self.len > 0).then_some(self.max_due)
+    }
+
+    /// Number of parked envelopes sitting in the spillover map rather
+    /// than the ring (diagnostics: nonzero means the wheel was sized
+    /// under the network's true latency ceiling).
+    #[cfg(test)]
+    fn spilled(&self) -> usize {
+        self.spill.values().map(Vec::len).sum()
+    }
+
+    /// Empties the wheel, returning how many envelopes were discarded —
+    /// the shutdown accounting path.
+    pub fn discard_all(&mut self) -> usize {
+        for bucket in &mut self.ring {
+            bucket.clear();
+        }
+        self.spill.clear();
+        // Discarding breaks `max_due`'s "still parked" proof — reset it
+        // so a refilled wheel starts from honest horizons.
+        self.max_due = 0;
+        std::mem::take(&mut self.len)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    fn env(due_tick: u64, msg: u8) -> Envelope<u8> {
+        Envelope {
+            from: ProcessId(0),
+            to: ProcessId(1),
+            sent_tick: 0,
+            due_tick,
+            msg,
+        }
+    }
+
+    /// Owned-`Vec` drain for test ergonomics.
+    fn drain(wheel: &mut DelayWheel<u8>, tick: u64) -> Vec<Envelope<u8>> {
+        let mut due = Vec::new();
+        wheel.take_due_into(tick, &mut due);
+        due
+    }
+
+    #[test]
+    fn releases_in_due_order() {
+        let mut wheel = DelayWheel::with_capacity(8, 1);
+        wheel.schedule(0, env(5, 1));
+        wheel.schedule(0, env(3, 2));
+        wheel.schedule(0, env(3, 3));
+        wheel.schedule(0, env(9, 4));
+        assert_eq!(wheel.len(), 4);
+
+        assert!(drain(&mut wheel, 2).is_empty());
+        let due: Vec<u8> = drain(&mut wheel, 5).into_iter().map(|e| e.msg).collect();
+        assert_eq!(due, vec![2, 3, 1], "due tick order, insertion order within");
+        assert_eq!(wheel.len(), 1);
+        assert_eq!(drain(&mut wheel, 9).len(), 1);
+        assert_eq!(wheel.len(), 0);
+    }
+
+    #[test]
+    fn lanes_release_in_worker_id_order_within_a_tick() {
+        // Envelopes arrive interleaved across lanes; each tick releases
+        // lane 0's arrivals (in order), then lane 1's, then lane 2's.
+        let mut wheel = DelayWheel::with_capacity(8, 3);
+        wheel.schedule(2, env(4, 20));
+        wheel.schedule(0, env(4, 10));
+        wheel.schedule(2, env(4, 21));
+        wheel.schedule(1, env(5, 30));
+        wheel.schedule(0, env(4, 11));
+        let due: Vec<u8> = drain(&mut wheel, 4).into_iter().map(|e| e.msg).collect();
+        assert_eq!(
+            due,
+            vec![10, 11, 20, 21],
+            "lane order, arrival order within"
+        );
+        let due: Vec<u8> = drain(&mut wheel, 5).into_iter().map(|e| e.msg).collect();
+        assert_eq!(due, vec![30]);
+    }
+
+    #[test]
+    fn take_due_catches_up_past_ticks() {
+        let mut wheel = DelayWheel::with_capacity(8, 1);
+        wheel.schedule(0, env(1, 1));
+        wheel.schedule(0, env(2, 2));
+        // A driver that skipped ahead still gets everything owed.
+        assert_eq!(drain(&mut wheel, 100).len(), 2);
+    }
+
+    #[test]
+    fn due_horizon_tracks_the_furthest_parked_envelope() {
+        let mut wheel = DelayWheel::with_capacity(8, 1);
+        assert_eq!(wheel.due_horizon(), None);
+        wheel.schedule(0, env(3, 1));
+        wheel.schedule(0, env(7, 2));
+        assert_eq!(wheel.due_horizon(), Some(7));
+        drain(&mut wheel, 3);
+        // The due-7 envelope is still parked: the horizon holds.
+        assert_eq!(wheel.due_horizon(), Some(7));
+        drain(&mut wheel, 7);
+        assert_eq!(wheel.due_horizon(), None, "empty wheel proves nothing");
+        wheel.discard_all();
+        wheel.schedule(0, env(9, 3));
+        assert_eq!(wheel.due_horizon(), Some(9));
+    }
+
+    #[test]
+    fn discard_all_counts_and_empties() {
+        let mut wheel = DelayWheel::with_capacity(8, 2);
+        wheel.schedule(0, env(7, 1));
+        wheel.schedule(1, env(8, 2));
+        assert_eq!(wheel.discard_all(), 2);
+        assert_eq!(wheel.len(), 0);
+        assert!(drain(&mut wheel, 100).is_empty());
+    }
+
+    #[test]
+    fn in_window_envelopes_never_spill() {
+        let mut wheel = DelayWheel::with_capacity(4, 2);
+        for tick in 0..100u64 {
+            // Latency 1..=3 with capacity 4: always inside the window.
+            wheel.schedule(0, env(tick + 1, 0));
+            wheel.schedule(1, env(tick + 3, 1));
+            assert_eq!(wheel.spilled(), 0, "tick {tick}: ring must absorb all");
+            drain(&mut wheel, tick + 1);
+        }
+    }
+
+    #[test]
+    fn beyond_window_envelopes_spill_and_still_release() {
+        let mut wheel = DelayWheel::with_capacity(2, 1);
+        wheel.schedule(0, env(50, 7));
+        assert_eq!(wheel.spilled(), 1, "due 50 is far outside [0, 2)");
+        assert!(drain(&mut wheel, 49).is_empty());
+        let due = drain(&mut wheel, 50);
+        assert_eq!(due.len(), 1);
+        assert_eq!(due[0].msg, 7);
+        assert_eq!(wheel.len(), 0);
+    }
+
+    #[test]
+    fn window_slides_so_reused_slots_stay_distinct() {
+        // Due ticks 1 and 5 share slot index 1 at capacity 4; the window
+        // position must keep them apart.
+        let mut wheel = DelayWheel::with_capacity(4, 1);
+        wheel.schedule(0, env(1, 1));
+        let released: Vec<u8> = drain(&mut wheel, 1).into_iter().map(|e| e.msg).collect();
+        assert_eq!(released, vec![1]);
+        wheel.schedule(0, env(5, 5));
+        assert_eq!(wheel.spilled(), 0, "window is now [2, 6): due 5 fits");
+        assert!(drain(&mut wheel, 4).is_empty());
+        let released: Vec<u8> = drain(&mut wheel, 5).into_iter().map(|e| e.msg).collect();
+        assert_eq!(released, vec![5]);
+    }
+
+    #[test]
+    fn reused_drain_buffer_appends_after_existing_contents() {
+        let mut wheel = DelayWheel::with_capacity(4, 1);
+        wheel.schedule(0, env(1, 9));
+        let mut buf = vec![env(0, 1)];
+        wheel.take_due_into(1, &mut buf);
+        assert_eq!(buf.iter().map(|e| e.msg).collect::<Vec<_>>(), vec![1, 9]);
+        assert_eq!(wheel.len(), 0);
+    }
+
+    /// The old wheel *was* a `BTreeMap` keyed by due tick; keep its
+    /// per-lane generalisation as the in-test reference model the ring
+    /// must match exactly.
+    struct ReferenceWheel<M> {
+        slots: BTreeMap<(u64, usize), Vec<Envelope<M>>>,
+    }
+
+    impl<M> ReferenceWheel<M> {
+        fn new() -> Self {
+            ReferenceWheel {
+                slots: BTreeMap::new(),
+            }
+        }
+
+        fn schedule(&mut self, lane: usize, envelope: Envelope<M>) {
+            self.slots
+                .entry((envelope.due_tick, lane))
+                .or_default()
+                .push(envelope);
+        }
+
+        fn take_due(&mut self, tick: u64) -> Vec<Envelope<M>> {
+            let mut due = Vec::new();
+            while let Some(entry) = self.slots.first_entry() {
+                if entry.key().0 > tick {
+                    break;
+                }
+                due.extend(entry.remove());
+            }
+            due
+        }
+    }
+
+    /// Satellite requirement: for randomized latency schedules the ring
+    /// wheel and the BTreeMap reference release identical envelope
+    /// sequences — same envelopes, same order, at every drain point —
+    /// across lane counts and capacities both generous and deliberately
+    /// undersized (where the ring must lean on its spillover path).
+    #[test]
+    fn ring_wheel_matches_btreemap_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng as _, SeedableRng as _};
+
+        for (seed, capacity, lanes) in [
+            (1u64, 1usize, 1usize),
+            (2, 2, 2),
+            (3, 5, 3),
+            (4, 8, 1),
+            (5, 64, 4),
+        ] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut ring = DelayWheel::with_capacity(capacity, lanes);
+            let mut reference = ReferenceWheel::new();
+            let mut msg = 0u8;
+            for tick in 0..200u64 {
+                for _ in 0..rng.gen_range(0..5usize) {
+                    // Latencies up to 40 ticks: far beyond the smaller
+                    // capacities, so the spill path is exercised hard.
+                    let due = tick + rng.gen_range(1..=40u64);
+                    let lane = rng.gen_range(0..lanes);
+                    ring.schedule(lane, env(due, msg));
+                    reference.schedule(lane, env(due, msg));
+                    msg = msg.wrapping_add(1);
+                }
+                // Occasionally skip ticks so catch-up drains are covered.
+                if rng.gen_bool(0.2) {
+                    continue;
+                }
+                let got: Vec<(u64, u8)> = drain(&mut ring, tick)
+                    .into_iter()
+                    .map(|e| (e.due_tick, e.msg))
+                    .collect();
+                let want: Vec<(u64, u8)> = reference
+                    .take_due(tick)
+                    .into_iter()
+                    .map(|e| (e.due_tick, e.msg))
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "seed {seed} capacity {capacity} lanes {lanes} tick {tick}"
+                );
+            }
+            // Final catch-up far past the end releases the stragglers
+            // identically too.
+            let got: Vec<(u64, u8)> = drain(&mut ring, 500)
+                .into_iter()
+                .map(|e| (e.due_tick, e.msg))
+                .collect();
+            let want: Vec<(u64, u8)> = reference
+                .take_due(500)
+                .into_iter()
+                .map(|e| (e.due_tick, e.msg))
+                .collect();
+            assert_eq!(got, want, "seed {seed} capacity {capacity} final drain");
+            assert_eq!(ring.len(), 0);
+        }
+    }
+
+    /// `take_due` as the message bytes it released.
+    fn taken(wheel: &mut DelayWheel<u8>, tick: u64) -> Vec<u8> {
+        wheel.take_due(tick).into_iter().map(|e| e.msg).collect()
+    }
+
+    #[test]
+    fn fifo_within_round() {
+        let mut wheel = DelayWheel::with_capacity(2, 1);
+        for msg in *b"abc" {
+            wheel.schedule(0, env(1, msg));
+        }
+        assert_eq!(taken(&mut wheel, 0), b"");
+        assert_eq!(taken(&mut wheel, 1), b"abc", "scheduling order");
+    }
+
+    #[test]
+    fn rounds_ordered() {
+        let mut wheel = DelayWheel::with_capacity(4, 1);
+        wheel.schedule(0, env(3, b'l'));
+        wheel.schedule(0, env(1, b'e'));
+        assert_eq!(wheel.iter().next().map(|e| e.due_tick), Some(1));
+        assert_eq!(taken(&mut wheel, 0), b"");
+        assert_eq!(taken(&mut wheel, 1), b"e");
+        assert_eq!(
+            taken(&mut wheel, 2),
+            b"",
+            "the due-3 message is not yet due"
+        );
+        assert_eq!(wheel.iter().next().map(|e| e.due_tick), Some(3));
+        assert_eq!(taken(&mut wheel, 3), b"l");
+        assert!(wheel.is_empty() && wheel.iter().next().is_none());
+    }
+
+    #[test]
+    fn pop_due_includes_overdue() {
+        let mut wheel = DelayWheel::with_capacity(2, 1);
+        wheel.schedule(0, env(1, b'x'));
+        assert_eq!(taken(&mut wheel, 5), b"x");
+        // Scheduled behind the window: released by the next drain.
+        wheel.schedule(0, env(2, b'y'));
+        assert_eq!(taken(&mut wheel, 6), b"y");
+    }
+
+    #[test]
+    fn len_tracks_contents() {
+        let mut wheel = DelayWheel::with_capacity(2, 1);
+        assert!(wheel.is_empty());
+        wheel.schedule(0, env(1, 1));
+        wheel.schedule(0, env(2, 2));
+        assert_eq!(wheel.len(), 2);
+        assert_eq!(taken(&mut wheel, 1).len(), 1);
+        assert_eq!(wheel.len(), 1);
+    }
+
+    #[test]
+    fn restored_bucket_keeps_its_allocation_for_the_next_lap() {
+        let mut wheel = DelayWheel::with_capacity(2, 1);
+        wheel.schedule(0, env(0, 1));
+        let due = wheel.take_due(0);
+        let allocation = due.as_ptr();
+        // A non-empty hand-back is discarded, never re-released.
+        wheel.restore(due);
+        assert!(wheel.take_due(1).is_empty());
+        // Tick 2 laps onto tick 0's slot and reuses its buffer.
+        wheel.schedule(0, env(2, 2));
+        let due = wheel.take_due(2);
+        assert_eq!((due[0].msg, due.as_ptr()), (2, allocation));
+    }
+
+    /// What the simulator parked in-flight messages in before it ran on
+    /// the wheel: a min-heap on `(delivery round, send sequence)`. Kept
+    /// as the reference the wheel's release order must match exactly.
+    #[derive(Default)]
+    struct RoundSeqHeap {
+        heap: BinaryHeap<Reverse<(u64, u64, u8)>>,
+        next_seq: u64,
+    }
+
+    impl RoundSeqHeap {
+        fn push(&mut self, round: u64, msg: u8) {
+            self.heap.push(Reverse((round, self.next_seq, msg)));
+            self.next_seq += 1;
+        }
+
+        fn pop_due(&mut self, round: u64) -> Option<(u64, u8)> {
+            let Reverse((due, _, msg)) = *self.heap.peek()?;
+            (due <= round).then(|| {
+                self.heap.pop();
+                (due, msg)
+            })
+        }
+    }
+
+    /// Randomized schedules of sends with latency 1..=8 — beyond the
+    /// window of the smaller rings, so the spill path runs — interleaved
+    /// with drains at skipping ticks: the single-lane wheel hands out
+    /// the same envelopes in the same order as the `(round, seq)` heap,
+    /// through the move-out path and the copying path alike, and its
+    /// in-order walk is the heap's sorted snapshot at every step.
+    #[test]
+    fn wheel_matches_round_seq_heap_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng as _, SeedableRng as _};
+
+        for (seed, capacity) in [(1u64, 1usize), (2, 2), (3, 4), (4, 9), (5, 64)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut wheel = DelayWheel::with_capacity(capacity, 1);
+            let mut heap = RoundSeqHeap::default();
+            let mut msg = 0u8;
+            let mut send = |wheel: &mut DelayWheel<u8>, heap: &mut RoundSeqHeap, due: u64| {
+                wheel.schedule(0, env(due, msg));
+                heap.push(due, msg);
+                msg = msg.wrapping_add(1);
+            };
+            for tick in 0..300u64 {
+                if rng.gen_bool(0.15) {
+                    continue; // skipped tick: the next drain catches up
+                }
+                let mut due = wheel.take_due(tick);
+                for e in due.drain(..) {
+                    assert_eq!(heap.pop_due(tick), Some((e.due_tick, e.msg)));
+                    // Deliveries send, as protocol hooks do.
+                    if rng.gen_bool(0.5) {
+                        send(&mut wheel, &mut heap, tick + rng.gen_range(1..=8u64));
+                    }
+                }
+                assert_eq!(heap.pop_due(tick), None, "wheel released too little");
+                wheel.restore(due);
+                for _ in 0..rng.gen_range(0..4usize) {
+                    send(&mut wheel, &mut heap, tick + rng.gen_range(1..=8u64));
+                }
+                assert_eq!(wheel.len(), heap.heap.len());
+                // Ascending `Reverse` is descending `(round, seq)`.
+                let sorted = heap.heap.clone().into_sorted_vec();
+                let popping = sorted
+                    .iter()
+                    .rev()
+                    .map(|Reverse((due, _, msg))| (*due, *msg));
+                assert!(wheel.iter().map(|e| (e.due_tick, e.msg)).eq(popping));
+            }
+        }
+    }
+}

@@ -111,19 +111,18 @@ mod lifecycle;
 mod metrics;
 mod runtime;
 mod transport;
-mod wheel;
 
 pub use config::RuntimeConfig;
 // The `da_core` names this crate's own public signatures mention;
 // everything else is imported from `da_core` directly.
 pub use da_core::{
-    Counters, ExecProtocol, FaultConfig, Histogram, ProcessId, ProcessStatus, TraceConfig,
-    TraceLog, WireSize,
+    Counters, Envelope, ExecProtocol, FaultConfig, Histogram, ProcessId, ProcessStatus,
+    TraceConfig, TraceLog, WireSize,
 };
 pub use lifecycle::{LifecycleController, LifecycleTransitions};
 pub use metrics::{ShardOutOfRange, ShardedCounters, TraceSink};
 pub use runtime::{Runtime, Shutdown, TickReport};
 pub use transport::{
-    lane_matrix, Batch, BatchPool, EdgeInbox, EdgeWatermarks, Envelope, FaultyRouter, FlushReport,
-    Hub, LaneClosed, SendFate,
+    lane_matrix, Batch, BatchPool, EdgeInbox, EdgeWatermarks, FaultyRouter, FlushReport, Hub,
+    LaneClosed, SendFate,
 };

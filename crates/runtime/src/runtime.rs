@@ -38,12 +38,12 @@
 use crate::config::RuntimeConfig;
 use crate::lifecycle::LifecycleController;
 use crate::metrics::{ShardedCounters, TraceSink, WorkerTrace};
-use crate::transport::{lane_matrix, EdgeInbox, EdgeWatermarks, Envelope, FaultyRouter, SendFate};
-use crate::wheel::DelayWheel;
+use crate::transport::{lane_matrix, EdgeInbox, EdgeWatermarks, FaultyRouter, SendFate};
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use da_core::process::ProcessIndexError;
 use da_core::store::ProcessStore;
 use da_core::trace::{TraceEvent, TraceVerdict};
+use da_core::wheel::{DelayWheel, Envelope};
 use da_core::{
     CounterId, Counters, Exec, ExecProtocol, ProcessId, ProcessStatus, TraceLog, WireSize,
 };

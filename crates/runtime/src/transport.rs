@@ -53,29 +53,11 @@
 use crossbeam::queue::{self, PushError};
 use da_core::channel::{ChannelConfig, EdgeRngs};
 use da_core::topology::{NetFate, NetworkModel};
-use da_core::{FxBuildHasher, ProcessId};
+use da_core::{Envelope, FxBuildHasher, ProcessId};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One in-flight message on the live transport.
-#[derive(Debug, Clone)]
-pub struct Envelope<M> {
-    /// Sending process.
-    pub from: ProcessId,
-    /// Destination process.
-    pub to: ProcessId,
-    /// Tick during which the message was sent.
-    pub sent_tick: u64,
-    /// Tick at whose start the message becomes deliverable — always
-    /// strictly greater than [`Envelope::sent_tick`], mirroring the
-    /// simulator's send-in-round-`n` / deliver-in-round-`n + k` channel
-    /// contract (`k = 1` on a perfect channel).
-    pub due_tick: u64,
-    /// The protocol message.
-    pub msg: M,
-}
 
 /// What travels through a data lane: one envelope, or everything a
 /// peer worker sent here during one tick.

@@ -1,6 +1,5 @@
 //! The round-driven simulation engine.
 
-use crate::event::{InFlight, MessageQueue};
 use crate::exec::Ctx;
 use crate::strategy::{DueMessage, RngStrategy, Strategy};
 use da_core::channel::ChannelConfig;
@@ -13,6 +12,7 @@ use da_core::seed::{derive_seed, rng_from_seed};
 use da_core::store::ProcessStore;
 use da_core::topology::{NetFate, NetworkModel, PartitionSchedule, Topology};
 use da_core::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
+use da_core::wheel::{DelayWheel, Envelope};
 use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
@@ -167,7 +167,7 @@ struct SimTrace {
     recorder: TraceRecorder,
     /// Delivery round minus send round, per delivered message.
     delivery_latency: Histogram,
-    /// In-flight queue length sampled at the end of every round — the
+    /// In-flight messages sampled at the end of every round — the
     /// simulator's analogue of the runtime's delay-wheel occupancy.
     queue_depth: Histogram,
 }
@@ -180,12 +180,20 @@ impl SimTrace {
             queue_depth: Histogram::new(),
         })
     }
+
+    /// Records a crash or recovery of `pid`, when tracing is on.
+    fn lifecycle(trace: &mut Option<Self>, round: u64, pid: ProcessId, verdict: TraceVerdict) {
+        if let Some(t) = trace {
+            t.recorder
+                .record(TraceEvent::lifecycle(round, pid, verdict));
+        }
+    }
 }
 
 /// The round-driven simulation engine.
 ///
 /// Owns one [`ExecProtocol`] instance per process (`ProcessId` = index),
-/// the in-flight message queue, the failure plan, and the metrics
+/// the delay wheel of in-flight messages, the failure plan, and the metrics
 /// registry, and drives the instances through [`Ctx`]: `on_start` once
 /// before round 0, `on_message` for each message that survives the
 /// channel and finds its target alive, and `on_round` once per round
@@ -202,7 +210,12 @@ impl SimTrace {
 pub struct Engine<P: ExecProtocol> {
     store: ProcessStore<P>,
     status: Vec<ProcessStatus>,
-    queue: MessageQueue<P::Msg>,
+    /// In-flight messages by delivery round (one lane: send order).
+    queue: DelayWheel<P::Msg>,
+    /// Hook sends awaiting the channel / processes the round's fates
+    /// brought back: empty between rounds, kept for their allocations.
+    outbox: Vec<(ProcessId, P::Msg)>,
+    recovered: Vec<usize>,
     counters: Counters,
     hot: SimHotIds,
     network: NetworkModel,
@@ -242,10 +255,14 @@ where
         let mut counters = Counters::new();
         let hot = SimHotIds::register(&mut counters);
         let track_occurrences = !config.faults.network.drops.is_empty();
+        // Config input: bound the ring it sizes; slower sends spill.
+        let ring_rounds = config.faults.network.max_latency().min(1024) as usize + 1;
         Engine {
             store,
             status,
-            queue: MessageQueue::new(),
+            queue: DelayWheel::with_capacity(ring_rounds, 1),
+            outbox: Vec::new(),
+            recovered: Vec::new(),
             counters,
             hot,
             network: config.faults.network,
@@ -380,7 +397,7 @@ where
     /// nothing is queued — lets drivers skip provably quiet rounds.
     #[must_use]
     pub fn next_delivery_round(&self) -> Option<u64> {
-        self.queue.next_round()
+        self.queue.iter().next().map(|m| m.due_tick)
     }
 
     /// Schedules a crash/recover [`Fate`] for a future round through
@@ -433,33 +450,23 @@ where
             ..RoundReport::default()
         };
 
+        // Taken so the hooks below can borrow the rest of the engine.
+        let mut outbox = std::mem::take(&mut self.outbox);
+        let mut recovered = std::mem::take(&mut self.recovered);
+
         // Scripted fates apply at the start of the round.
-        let fates: Vec<_> = self.plan.fates_at(round).copied().collect();
-        let mut recovered: Vec<usize> = Vec::new();
-        for fate in fates {
+        for fate in self.plan.fates_at(round) {
             let i = fate.pid.index();
             let was_alive = self.status[i].is_alive();
             if fate.crash {
                 self.status[i] = ProcessStatus::Crashed;
                 if was_alive {
-                    if let Some(t) = self.trace.as_mut() {
-                        t.recorder.record(TraceEvent::lifecycle(
-                            round,
-                            fate.pid,
-                            TraceVerdict::Crashed,
-                        ));
-                    }
+                    SimTrace::lifecycle(&mut self.trace, round, fate.pid, TraceVerdict::Crashed);
                 }
             } else {
                 if !was_alive {
                     recovered.push(i);
-                    if let Some(t) = self.trace.as_mut() {
-                        t.recorder.record(TraceEvent::lifecycle(
-                            round,
-                            fate.pid,
-                            TraceVerdict::Recovered,
-                        ));
-                    }
+                    SimTrace::lifecycle(&mut self.trace, round, fate.pid, TraceVerdict::Recovered);
                 }
                 self.status[i] = ProcessStatus::Alive;
             }
@@ -469,45 +476,30 @@ where
         // shared plan — the exact fates the live runtime reproduces.
         if self.plan.churn().is_some() {
             for i in 0..self.status.len() {
+                let pid = ProcessId::from_index(i);
                 let alive = self.status[i].is_alive();
-                if self
-                    .plan
-                    .churn_flips(ProcessId::from_index(i), round, alive)
-                {
-                    if alive {
-                        self.status[i] = ProcessStatus::Crashed;
-                        self.counters.add(self.hot.churn_crashes, 1);
-                        if let Some(t) = self.trace.as_mut() {
-                            t.recorder.record(TraceEvent::lifecycle(
-                                round,
-                                ProcessId::from_index(i),
-                                TraceVerdict::Crashed,
-                            ));
-                        }
-                    } else {
-                        self.status[i] = ProcessStatus::Alive;
-                        self.counters.add(self.hot.churn_recoveries, 1);
-                        recovered.push(i);
-                        if let Some(t) = self.trace.as_mut() {
-                            t.recorder.record(TraceEvent::lifecycle(
-                                round,
-                                ProcessId::from_index(i),
-                                TraceVerdict::Recovered,
-                            ));
-                        }
-                    }
+                if !self.plan.churn_flips(pid, round, alive) {
+                    continue;
+                }
+                if alive {
+                    self.status[i] = ProcessStatus::Crashed;
+                    self.counters.add(self.hot.churn_crashes, 1);
+                    SimTrace::lifecycle(&mut self.trace, round, pid, TraceVerdict::Crashed);
+                } else {
+                    self.status[i] = ProcessStatus::Alive;
+                    self.counters.add(self.hot.churn_recoveries, 1);
+                    recovered.push(i);
+                    SimTrace::lifecycle(&mut self.trace, round, pid, TraceVerdict::Recovered);
                 }
             }
         }
-
-        let mut outbox: Vec<(ProcessId, P::Msg)> = Vec::new();
 
         // Recovery re-entry, before any delivery of the round: processes
         // the plan just brought back run their `on_recover` hook (the
         // protocol's bootstrap re-entry path), in pid order.
         recovered.sort_unstable();
         recovered.dedup();
-        for i in recovered {
+        for i in recovered.drain(..) {
             if !self.status[i].is_alive() {
                 continue; // re-crashed in the same round
             }
@@ -521,20 +513,7 @@ where
                 outbox: &mut outbox,
             };
             proc_state.on_recover(&mut ctx);
-            report.sent += Self::flush_outbox(
-                &mut outbox,
-                me,
-                round,
-                &self.network,
-                &self.hot,
-                &mut self.engine_rng,
-                &mut self.queue,
-                &mut self.counters,
-                &mut self.trace,
-                strategy,
-                &mut self.occurrences,
-                self.track_occurrences,
-            );
+            report.sent += self.flush_outbox(&mut outbox, me, round, strategy);
         }
 
         if !self.started {
@@ -553,21 +532,7 @@ where
                     outbox: &mut outbox,
                 };
                 proc_state.on_start(&mut ctx);
-                let sent = Self::flush_outbox(
-                    &mut outbox,
-                    me,
-                    round,
-                    &self.network,
-                    &self.hot,
-                    &mut self.engine_rng,
-                    &mut self.queue,
-                    &mut self.counters,
-                    &mut self.trace,
-                    strategy,
-                    &mut self.occurrences,
-                    self.track_occurrences,
-                );
-                report.sent += sent;
+                report.sent += self.flush_outbox(&mut outbox, me, round, strategy);
             }
         }
 
@@ -575,16 +540,14 @@ where
         // earlier rounds when a latency model produced them). Latency is
         // clamped ≥ 1, so nothing sent while delivering can become due
         // in the same round: the due set is closed before delivery
-        // starts, which is what lets an ordering strategy see it whole.
+        // starts, which is what lets an ordering strategy see it whole
+        // and the round's bucket leave the wheel while it delivers.
+        let mut due = self.queue.take_due(round);
         if strategy.wants_ordering() {
-            let mut due: Vec<InFlight<P::Msg>> = Vec::new();
-            while let Some(m) = self.queue.pop_due(round) {
-                due.push(m);
-            }
             let mut meta: Vec<DueMessage> = due
                 .iter()
                 .map(|m| DueMessage {
-                    sent: m.sent,
+                    sent: m.sent_tick,
                     from: m.from,
                     to: m.to,
                 })
@@ -596,12 +559,12 @@ where
                 self.deliver_one(m, round, &mut outbox, &mut report, strategy);
             }
         } else {
-            // FIFO (round, seq) pops — the historical hot path, no
-            // per-round allocation.
-            while let Some(m) = self.queue.pop_due(round) {
+            // Bucket order is FIFO (round, seq) order: the hot path.
+            for m in due.drain(..) {
                 self.deliver_one(m, round, &mut outbox, &mut report, strategy);
             }
         }
+        self.queue.restore(due);
 
         // Round hooks for alive processes, in pid order.
         for i in 0..self.store.len() {
@@ -618,26 +581,14 @@ where
                 outbox: &mut outbox,
             };
             proc_state.on_round(round, &mut ctx);
-            let sent = Self::flush_outbox(
-                &mut outbox,
-                me,
-                round,
-                &self.network,
-                &self.hot,
-                &mut self.engine_rng,
-                &mut self.queue,
-                &mut self.counters,
-                &mut self.trace,
-                strategy,
-                &mut self.occurrences,
-                self.track_occurrences,
-            );
-            report.sent += sent;
+            report.sent += self.flush_outbox(&mut outbox, me, round, strategy);
         }
 
         if let Some(t) = self.trace.as_mut() {
             t.queue_depth.record(self.queue.len() as u64);
         }
+        self.outbox = outbox;
+        self.recovered = recovered;
         self.round += 1;
         report
     }
@@ -664,52 +615,40 @@ where
     /// trace, the `on_message` hook, and the flush of whatever it sent.
     fn deliver_one<S: Strategy>(
         &mut self,
-        m: InFlight<P::Msg>,
+        m: Envelope<P::Msg>,
         round: u64,
         outbox: &mut Vec<(ProcessId, P::Msg)>,
         report: &mut RoundReport,
         strategy: &mut S,
     ) {
         let to = m.to;
-        if !self.status[to.index()].is_alive() {
+        let verdict = if !self.status[to.index()].is_alive() {
             self.counters.add(self.hot.dropped_dead, 1);
-            if let Some(t) = self.trace.as_mut() {
-                t.recorder.record(TraceEvent {
-                    tick: round,
-                    from: m.from,
-                    to,
-                    payload: m.msg.wire_size() as u64,
-                    verdict: TraceVerdict::DroppedCrashed,
-                });
-            }
-            return;
-        }
-        // Per-observer failure model: the target appears failed for
-        // this particular transmission.
-        if !self.plan.observes_alive(&mut self.observer_rng) {
+            TraceVerdict::DroppedCrashed
+        } else if !self.plan.observes_alive(&mut self.observer_rng) {
+            // Per-observer failure model: the target appears failed for
+            // this particular transmission.
             self.counters.add(self.hot.dropped_observed_failed, 1);
-            if let Some(t) = self.trace.as_mut() {
-                t.recorder.record(TraceEvent {
-                    tick: round,
-                    from: m.from,
-                    to,
-                    payload: m.msg.wire_size() as u64,
-                    verdict: TraceVerdict::DroppedObserved,
-                });
-            }
-            return;
-        }
-        report.delivered += 1;
-        self.counters.add(self.hot.delivered, 1);
+            TraceVerdict::DroppedObserved
+        } else {
+            report.delivered += 1;
+            self.counters.add(self.hot.delivered, 1);
+            TraceVerdict::Delivered
+        };
         if let Some(t) = self.trace.as_mut() {
             t.recorder.record(TraceEvent {
                 tick: round,
                 from: m.from,
                 to,
                 payload: m.msg.wire_size() as u64,
-                verdict: TraceVerdict::Delivered,
+                verdict,
             });
-            t.delivery_latency.record(round - m.sent);
+            if verdict == TraceVerdict::Delivered {
+                t.delivery_latency.record(round - m.sent_tick);
+            }
+        }
+        if verdict != TraceVerdict::Delivered {
+            return;
         }
         let (proc_state, rng) = self.store.pair_mut(to.index(), to);
         let mut ctx = Ctx {
@@ -720,20 +659,7 @@ where
             outbox,
         };
         proc_state.on_message(m.from, m.msg, &mut ctx);
-        report.sent += Self::flush_outbox(
-            outbox,
-            to,
-            round,
-            &self.network,
-            &self.hot,
-            &mut self.engine_rng,
-            &mut self.queue,
-            &mut self.counters,
-            &mut self.trace,
-            strategy,
-            &mut self.occurrences,
-            self.track_occurrences,
-        );
+        report.sent += self.flush_outbox(outbox, to, round, strategy);
     }
 
     /// Routes queued sends through the network model: counts them,
@@ -742,44 +668,50 @@ where
     /// surviving send's fate (the default draws from the shared
     /// `da_core` channel model of its link, on the engine's single RNG
     /// stream), and enqueues survivors.
-    #[allow(clippy::too_many_arguments)]
     fn flush_outbox<S: Strategy>(
+        &mut self,
         outbox: &mut Vec<(ProcessId, P::Msg)>,
         from: ProcessId,
         round: u64,
-        network: &NetworkModel,
-        hot: &SimHotIds,
-        engine_rng: &mut SmallRng,
-        queue: &mut MessageQueue<P::Msg>,
-        counters: &mut Counters,
-        trace: &mut Option<SimTrace>,
         strategy: &mut S,
-        occurrences: &mut HashMap<(ProcessId, ProcessId), u32, FxBuildHasher>,
-        track_occurrences: bool,
     ) -> u64 {
         let mut sent = 0;
         for (to, msg) in outbox.drain(..) {
             sent += 1;
             let size = msg.wire_size() as u64;
-            counters.add(hot.sent, 1);
-            counters.add(hot.bytes_sent, size);
-            let occurrence = if track_occurrences {
-                let count = occurrences.entry((from, to)).or_insert(0);
+            self.counters.add(self.hot.sent, 1);
+            self.counters.add(self.hot.bytes_sent, size);
+            let occurrence = if self.track_occurrences {
+                let count = self.occurrences.entry((from, to)).or_insert(0);
                 let this = *count;
                 *count += 1;
                 this
             } else {
                 0
             };
-            let fate = strategy.fate(network, from, to, round, occurrence, engine_rng);
+            let fate = strategy.fate(
+                &self.network,
+                from,
+                to,
+                round,
+                occurrence,
+                &mut self.engine_rng,
+            );
             match fate {
-                NetFate::Severed => counters.add(hot.dropped_partitioned, 1),
-                NetFate::Lost => counters.add(hot.dropped_channel, 1),
-                NetFate::Deliver { latency } => {
-                    queue.push(round + latency, round, from, to, msg);
-                }
+                NetFate::Severed => self.counters.add(self.hot.dropped_partitioned, 1),
+                NetFate::Lost => self.counters.add(self.hot.dropped_channel, 1),
+                NetFate::Deliver { latency } => self.queue.schedule(
+                    0,
+                    Envelope {
+                        from,
+                        to,
+                        sent_tick: round,
+                        due_tick: round + latency,
+                        msg,
+                    },
+                ),
             }
-            if let Some(t) = trace.as_mut() {
+            if let Some(t) = self.trace.as_mut() {
                 let mut event = TraceEvent {
                     tick: round,
                     from,
@@ -813,9 +745,9 @@ where
     /// A 64-bit digest of the engine's complete behavioral state: the
     /// round, liveness statuses, every protocol instance's [`McHash`],
     /// every RNG stream's state (via clone-and-draw probing), the
-    /// in-flight queue in delivery order
-    /// (absolute sequence numbers excluded — only relative order can
-    /// affect the future), and any not-yet-applied scheduled fates.
+    /// in-flight envelopes in delivery order (the wheel's in-order walk
+    /// — only relative order can affect the future), and any
+    /// not-yet-applied scheduled fates.
     ///
     /// Counters and the flight recorder are deliberately excluded:
     /// they are derived observations, and hashing them would make the
@@ -854,9 +786,9 @@ where
         }
         probe_rng(&self.engine_rng, &mut h);
         probe_rng(&self.observer_rng, &mut h);
-        for m in self.queue.snapshot_sorted() {
-            h.write_u64(m.round);
-            h.write_u64(m.sent);
+        for m in self.queue.iter() {
+            h.write_u64(m.due_tick);
+            h.write_u64(m.sent_tick);
             h.write_u32(m.from.0);
             h.write_u32(m.to.0);
             m.msg.mc_hash(&mut h);

@@ -55,8 +55,6 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod error;
-mod event;
 mod exec;
 pub mod mc;
 mod strategy;
@@ -69,6 +67,5 @@ pub use da_core::{
     TraceEvent, TraceLog, WireSize,
 };
 pub use engine::{Engine, RoundReport, SimConfig};
-pub use error::SimError;
 pub use exec::Ctx;
 pub use strategy::{DueMessage, RngStrategy, Strategy};

@@ -118,3 +118,38 @@ fn harness_sweeps_deterministic() {
         }
     }
 }
+
+/// Golden pinned across the engine's in-flight-store swap (binary heap
+/// → `da_core::wheel`): 124 daMulticast processes, p = 0.85, 1–3 round
+/// latency, 12 rounds. The hash folds the capture-order trace (which
+/// pins the within-round delivery order the canonical form sorts away),
+/// the canonical trace and the engine's `state_digest` — every RNG
+/// stream, every protocol table and the parked envelopes in delivery
+/// order. The constant was computed on the commit that still ran the
+/// `(round, seq)` heap.
+#[test]
+fn wave_trace_and_state_digest_match_the_heap_era_golden() {
+    use da_core::{FxHasher, Latency, TraceConfig};
+    use std::hash::{Hash as _, Hasher as _};
+
+    let net = StaticNetwork::linear(&[4, 20, 100], ParamMap::default(), 15).unwrap();
+    let publisher = net.groups()[2].members[7];
+    let sim = SimConfig::default()
+        .with_seed(15)
+        .with_channel(
+            ChannelConfig::paper_default().with_latency(Latency::UniformRounds { min: 1, max: 3 }),
+        )
+        .with_trace(TraceConfig::full());
+    let mut engine = Engine::new(sim, net.into_processes());
+    engine.process_mut(publisher).publish("golden");
+    engine.run_rounds(12);
+
+    let log = engine.trace_log().expect("tracing is on");
+    assert_eq!(log.dropped_events, 0, "the full trace fits the recorder");
+    assert!(engine.in_flight() > 0, "the digest covers parked envelopes");
+    let mut h = FxHasher::default();
+    log.events.hash(&mut h);
+    log.canonical_events().hash(&mut h);
+    h.write_u64(engine.state_digest());
+    assert_eq!(h.finish(), 1_761_301_161_039_168_673);
+}

@@ -46,3 +46,19 @@ fn protocols_and_substrates_meet_only_in_da_core() {
         assert_eq!(dependencies(manifest).join(" "), expected, "{name:?}");
     }
 }
+
+/// Both substrates park in-flight envelopes in `da_core::wheel` — the
+/// one timing structure. Neither grows a queue of its own again.
+#[test]
+fn substrates_define_no_timing_structure_of_their_own() {
+    for dir in ["crates/simnet/src", "crates/runtime/src"] {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+        for entry in std::fs::read_dir(&dir).expect("substrate source directory") {
+            let path = entry.expect("directory entry").path();
+            let source = std::fs::read_to_string(&path).expect("source file");
+            for own in ["BinaryHeap", "struct DelayWheel"] {
+                assert!(!source.contains(own), "{}: {own}", path.display());
+            }
+        }
+    }
+}
