@@ -8,9 +8,15 @@
 //! — the parasite messages daMulticast eliminates.
 
 use crate::common::{gossip_targets, DeliveryLog, InterestMap};
-use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, ProcessId, WireSize};
+use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, LabelId, ProcessId, WireSize};
 use da_membership::{static_init::static_topic_tables, FanoutRule};
 use damulticast::{DaError, Event, EventId};
+use std::sync::LazyLock;
+
+static SENT: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("bc.sent"));
+static DELIVERED: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("bc.delivered"));
+static PARASITE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("bc.parasite"));
+static DUPLICATE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("bc.duplicate"));
 
 /// Wire message of the broadcast baseline: just the event.
 #[derive(Debug, Clone)]
@@ -66,7 +72,7 @@ impl BroadcastProcess {
     fn relay<X: Exec<Msg = BcMsg>>(&mut self, event: &Event, ctx: &mut X) {
         let targets = gossip_targets(&self.table, self.fanout, ctx.rng());
         for t in targets {
-            ctx.bump("bc.sent");
+            ctx.bump_id(*SENT);
             ctx.send(t, BcMsg(event.clone()));
         }
     }
@@ -79,15 +85,15 @@ impl ExecProtocol for BroadcastProcess {
         let interested = self.interests.wants(self.me, msg.0.topic());
         if self.log.on_receive(&msg.0, interested) {
             if interested {
-                ctx.bump("bc.delivered");
+                ctx.bump_id(*DELIVERED);
             } else {
-                ctx.bump("bc.parasite");
+                ctx.bump_id(*PARASITE);
             }
             // Broadcast relies on *everyone* relaying, parasites included.
             let event = msg.0;
             self.relay(&event, ctx);
         } else {
-            ctx.bump("bc.duplicate");
+            ctx.bump_id(*DUPLICATE);
         }
     }
 
@@ -96,7 +102,7 @@ impl ExecProtocol for BroadcastProcess {
         for event in pending {
             let interested = self.interests.wants(self.me, event.topic());
             if self.log.on_receive(&event, interested) && interested {
-                ctx.bump("bc.delivered");
+                ctx.bump_id(*DELIVERED);
             }
             self.relay(&event, ctx);
         }

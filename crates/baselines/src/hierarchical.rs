@@ -11,10 +11,17 @@
 //! broadcast — every process receives every event: parasites galore.
 
 use crate::common::{gossip_targets, DeliveryLog, InterestMap};
-use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, ProcessId, WireSize};
+use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, LabelId, ProcessId, WireSize};
 use da_membership::hierarchical::{static_hierarchical_tables, HierarchicalLayout};
 use da_membership::FanoutRule;
 use damulticast::{DaError, Event, EventId};
+use std::sync::LazyLock;
+
+static SENT_INTRA: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("hc.sent_intra"));
+static SENT_INTER: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("hc.sent_inter"));
+static DELIVERED: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("hc.delivered"));
+static PARASITE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("hc.parasite"));
+static DUPLICATE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("hc.duplicate"));
 
 /// Wire message of the hierarchical baseline: just the event.
 #[derive(Debug, Clone)]
@@ -71,11 +78,11 @@ impl HierarchicalProcess {
 
     fn relay<X: Exec<Msg = HcMsg>>(&mut self, event: &Event, ctx: &mut X) {
         for t in gossip_targets(&self.intra, self.fanout_intra, ctx.rng()) {
-            ctx.bump("hc.sent_intra");
+            ctx.bump_id(*SENT_INTRA);
             ctx.send(t, HcMsg(event.clone()));
         }
         for t in gossip_targets(&self.inter, self.fanout_inter, ctx.rng()) {
-            ctx.bump("hc.sent_inter");
+            ctx.bump_id(*SENT_INTER);
             ctx.send(t, HcMsg(event.clone()));
         }
     }
@@ -88,14 +95,14 @@ impl ExecProtocol for HierarchicalProcess {
         let interested = self.interests.wants(self.me, msg.0.topic());
         if self.log.on_receive(&msg.0, interested) {
             if interested {
-                ctx.bump("hc.delivered");
+                ctx.bump_id(*DELIVERED);
             } else {
-                ctx.bump("hc.parasite");
+                ctx.bump_id(*PARASITE);
             }
             let event = msg.0;
             self.relay(&event, ctx);
         } else {
-            ctx.bump("hc.duplicate");
+            ctx.bump_id(*DUPLICATE);
         }
     }
 
@@ -104,7 +111,7 @@ impl ExecProtocol for HierarchicalProcess {
         for event in pending {
             let interested = self.interests.wants(self.me, event.topic());
             if self.log.on_receive(&event, interested) && interested {
-                ctx.bump("hc.delivered");
+                ctx.bump_id(*DELIVERED);
             }
             self.relay(&event, ctx);
         }

@@ -11,11 +11,17 @@
 //! daMulticast's two-table design eliminates.
 
 use crate::common::{gossip_targets, DeliveryLog, InterestMap};
-use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, ProcessId, WireSize};
+use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, LabelId, ProcessId, WireSize};
 use da_membership::{static_init::static_topic_tables, FanoutRule};
 use da_topics::TopicId;
 use damulticast::{DaError, Event, EventId};
 use std::collections::HashMap;
+use std::sync::LazyLock;
+
+static SENT: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("mc.sent"));
+static DELIVERED: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("mc.delivered"));
+static PARASITE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("mc.parasite"));
+static DUPLICATE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("mc.duplicate"));
 
 /// Wire message: the event plus the topic group it is gossiped in.
 #[derive(Debug, Clone)]
@@ -87,7 +93,7 @@ impl MulticastProcess {
         };
         let targets = gossip_targets(table, *fanout, ctx.rng());
         for t in targets {
-            ctx.bump("mc.sent");
+            ctx.bump_id(*SENT);
             ctx.send(
                 t,
                 McMsg {
@@ -107,16 +113,16 @@ impl ExecProtocol for MulticastProcess {
         let interested = self.interests.wants(self.me, msg.event.topic());
         if self.log.on_receive(&msg.event, interested) {
             if interested {
-                ctx.bump("mc.delivered");
+                ctx.bump_id(*DELIVERED);
             } else {
                 // Unreachable in a correct build; kept for the comparison
                 // harness's invariant check.
-                ctx.bump("mc.parasite");
+                ctx.bump_id(*PARASITE);
             }
             let event = msg.event;
             self.relay(&event, msg.group, ctx);
         } else {
-            ctx.bump("mc.duplicate");
+            ctx.bump_id(*DUPLICATE);
         }
     }
 
@@ -124,7 +130,7 @@ impl ExecProtocol for MulticastProcess {
         let pending = std::mem::take(&mut self.pending);
         for event in pending {
             if self.log.on_receive(&event, true) {
-                ctx.bump("mc.delivered");
+                ctx.bump_id(*DELIVERED);
             }
             // Publish in the event's own topic group only (Fig. 1,
             // pattern 1).

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use da_core::{rng_from_seed, ProcessId};
 use da_membership::{FlatMembership, MembershipParams, PartialView};
 use da_topics::TopicHierarchy;
-use damulticast::{plan_dissemination, SuperEntry, SuperTable, TopicParams};
+use damulticast::{plan_dissemination, DisseminationPlan, SuperEntry, SuperTable, TopicParams};
 use std::hint::black_box;
 
 fn topics(c: &mut Criterion) {
@@ -74,9 +74,13 @@ fn dissemination(c: &mut Criterion) {
             &mut rng,
         );
     }
+    let mut plan = DisseminationPlan::default();
     for s in [100usize, 1000, 10_000] {
         group.bench_with_input(BenchmarkId::new("plan", s), &s, |b, &s| {
-            b.iter(|| black_box(plan_dissemination(&params, s, &table, &stable, &mut rng)));
+            b.iter(|| {
+                plan_dissemination(&params, s, &table, &stable, &mut rng, &mut plan);
+                black_box(plan.message_count())
+            });
         });
     }
     group.finish();

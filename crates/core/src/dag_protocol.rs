@@ -25,12 +25,12 @@ use crate::multi_super::{plan_multi_dissemination, MultiSuperTables};
 use crate::params::TopicParams;
 use crate::tables::SuperEntry;
 use crate::DaError;
-use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, FxBuildHasher, ProcessId};
+use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, FxBuildHasher, LabelId, ProcessId};
 use da_membership::static_init::static_topic_tables;
 use da_topics::dag::TopicDag;
 use da_topics::TopicId;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// A daMulticast process over a multiple-inheritance topic DAG.
 ///
@@ -74,10 +74,13 @@ pub struct DagProcess {
     parasite_count: u64,
     pending_publish: Vec<Event>,
     next_sequence: u64,
-    label_intra: String,
-    label_inter: String,
-    label_delivered: String,
+    label_intra: LabelId,
+    label_inter: LabelId,
+    label_delivered: LabelId,
 }
+
+static PARASITE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("dag.parasite"));
+static DUPLICATE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("dag.duplicate"));
 
 impl DagProcess {
     /// Builds a static-mode DAG process with pre-drawn tables.
@@ -110,9 +113,9 @@ impl DagProcess {
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
-            label_intra: format!("dag.intra.{name}"),
-            label_inter: format!("dag.inter_out.{name}"),
-            label_delivered: format!("dag.delivered.{name}"),
+            label_intra: LabelId::intern(&format!("dag.intra.{name}")),
+            label_inter: LabelId::intern(&format!("dag.inter_out.{name}")),
+            label_delivered: LabelId::intern(&format!("dag.delivered.{name}")),
         }
     }
 
@@ -190,7 +193,7 @@ impl DagProcess {
             ctx.rng(),
         );
         for entry in &plan.super_targets {
-            ctx.bump(&self.label_inter);
+            ctx.bump_id(self.label_inter);
             ctx.send(
                 entry.pid,
                 DaMsg::Event {
@@ -200,7 +203,7 @@ impl DagProcess {
             );
         }
         for &target in &plan.gossip_targets {
-            ctx.bump(&self.label_intra);
+            ctx.bump_id(self.label_intra);
             ctx.send(
                 target,
                 DaMsg::Event {
@@ -222,14 +225,14 @@ impl ExecProtocol for DagProcess {
         };
         if !self.is_interested_in(event.topic()) {
             self.parasite_count += 1;
-            ctx.bump("dag.parasite");
+            ctx.bump_id(*PARASITE);
             return;
         }
         if !self.seen.insert(event.id()) {
-            ctx.bump("dag.duplicate");
+            ctx.bump_id(*DUPLICATE);
             return;
         }
-        ctx.bump(&self.label_delivered);
+        ctx.bump_id(self.label_delivered);
         self.delivered.push(event.clone());
         self.disseminate(&event, ctx);
     }
@@ -238,7 +241,7 @@ impl ExecProtocol for DagProcess {
         let publishes = std::mem::take(&mut self.pending_publish);
         for event in publishes {
             if self.seen.insert(event.id()) {
-                ctx.bump(&self.label_delivered);
+                ctx.bump_id(self.label_delivered);
                 self.delivered.push(event.clone());
             }
             self.disseminate(&event, ctx);

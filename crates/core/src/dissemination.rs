@@ -24,8 +24,10 @@ use crate::tables::{SuperEntry, SuperTable};
 use da_core::ProcessId;
 use rand::Rng;
 
-/// The outcome of one dissemination decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The outcome of one dissemination decision. [`plan_dissemination`]
+/// overwrites one in place, so a caller that keeps its plan around pays
+/// for the two target buffers once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DisseminationPlan {
     /// Whether the process elected itself as an inter-group link.
     pub elected: bool,
@@ -44,7 +46,8 @@ impl DisseminationPlan {
     }
 }
 
-/// Draws one dissemination plan (Fig. 7).
+/// Draws one dissemination plan (Fig. 7) into `plan`, replacing whatever
+/// it held and reusing its buffers.
 ///
 /// `group_size` is `S_Ti` — the (expected) size of the process' group,
 /// which parameterises both `p_sel` and the gossip fanout. `topic_table`
@@ -56,39 +59,31 @@ pub fn plan_dissemination<R: Rng>(
     topic_table: &[ProcessId],
     stable: &SuperTable,
     rng: &mut R,
-) -> DisseminationPlan {
+    plan: &mut DisseminationPlan,
+) {
     // (1) Inter-group forwarding: self-election, then per-entry spray.
     let p_sel = params.p_sel(group_size);
-    let elected = !stable.is_empty() && p_sel > 0.0 && rng.gen_bool(p_sel);
-    let mut super_targets = Vec::new();
-    if elected {
+    plan.elected = !stable.is_empty() && p_sel > 0.0 && rng.gen_bool(p_sel);
+    plan.super_targets.clear();
+    if plan.elected {
         let p_a = params.p_a();
         for &entry in stable.entries() {
             if p_a >= 1.0 || (p_a > 0.0 && rng.gen_bool(p_a)) {
-                super_targets.push(entry);
+                plan.super_targets.push(entry);
             }
         }
     }
 
-    // (2) Intra-group gossip: fanout(S) distinct targets from the table.
-    let fanout = params.fanout.fanout(group_size);
-    let gossip_targets = sample_distinct(topic_table, fanout, rng);
-
-    DisseminationPlan {
-        elected,
-        super_targets,
-        gossip_targets,
-    }
-}
-
-/// Uniformly samples up to `k` distinct entries of `pool` (the paper's
-/// `Table − Ω` loop: once a process is picked it leaves the candidate set).
-fn sample_distinct<R: Rng>(pool: &[ProcessId], k: usize, rng: &mut R) -> Vec<ProcessId> {
+    // (2) Intra-group gossip: fanout(S) distinct targets from the table —
+    // the paper's `Table − Ω` loop (once a process is picked it leaves
+    // the candidate set), drawn as a full shuffle of the candidates cut
+    // to the fanout.
     use rand::seq::SliceRandom;
-    let mut candidates = pool.to_vec();
-    candidates.shuffle(rng);
-    candidates.truncate(k);
-    candidates
+    plan.gossip_targets.clear();
+    plan.gossip_targets.extend_from_slice(topic_table);
+    plan.gossip_targets.shuffle(rng);
+    plan.gossip_targets
+        .truncate(params.fanout.fanout(group_size));
 }
 
 #[cfg(test)]
@@ -114,6 +109,40 @@ mod tests {
 
     fn table(n: u32) -> Vec<ProcessId> {
         (1..=n).map(ProcessId).collect()
+    }
+
+    /// A fresh plan per call — what the old by-value signature returned.
+    fn plan_dissemination<R: Rng>(
+        params: &TopicParams,
+        group_size: usize,
+        topic_table: &[ProcessId],
+        stable: &SuperTable,
+        rng: &mut R,
+    ) -> DisseminationPlan {
+        let mut plan = DisseminationPlan::default();
+        super::plan_dissemination(params, group_size, topic_table, stable, rng, &mut plan);
+        plan
+    }
+
+    #[test]
+    fn a_reused_plan_equals_a_fresh_one() {
+        let params = TopicParams::paper_default().with_a(3.0);
+        let stable = stable_with(3);
+        let mut fresh_rng = rng_from_seed(10);
+        let mut reuse_rng = rng_from_seed(10);
+        let mut reused = DisseminationPlan::default();
+        for (size, view) in [(1000, 30), (3, 2), (100, 0), (2, 12)] {
+            let fresh = plan_dissemination(&params, size, &table(view), &stable, &mut fresh_rng);
+            super::plan_dissemination(
+                &params,
+                size,
+                &table(view),
+                &stable,
+                &mut reuse_rng,
+                &mut reused,
+            );
+            assert_eq!(reused, fresh, "S = {size}, |table| = {view}");
+        }
     }
 
     #[test]

@@ -18,8 +18,14 @@
 //! live runtime — the `sim_metropolis` / `live_metropolis` bench rows
 //! drive the identical workload through both substrates.
 
-use da_core::{Exec, ExecProtocol, McHash, ProcessId, WireSize};
+use da_core::{Exec, ExecProtocol, LabelId, McHash, ProcessId, WireSize};
 use std::hash::Hasher;
+use std::sync::LazyLock;
+
+// Module-level, not fields: a `MetroProcess` stays two words.
+static DUPLICATE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("metro.duplicate"));
+static FIRST_DELIVERY: LazyLock<LabelId> =
+    LazyLock::new(|| LabelId::intern("metro.first_delivery"));
 
 /// Headline ids are bits in a [`MetroProcess`]'s 64-bit seen mask.
 pub const MAX_HEADLINES: usize = 64;
@@ -159,12 +165,12 @@ impl ExecProtocol for MetroProcess {
     ) {
         let bit = 1u64 << msg.headline;
         if self.seen_mask & bit != 0 {
-            ctx.bump("metro.duplicate");
+            ctx.bump_id(*DUPLICATE);
             return;
         }
         self.seen_mask |= bit;
         self.delivered += 1;
-        ctx.bump("metro.first_delivery");
+        ctx.bump_id(*FIRST_DELIVERY);
         self.forward(msg, ctx);
     }
 }

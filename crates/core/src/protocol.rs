@@ -26,49 +26,92 @@
 //!   tests.
 
 use crate::bootstrap::{BootstrapAction, BootstrapTask};
-use crate::dissemination::plan_dissemination;
+use crate::dissemination::{plan_dissemination, DisseminationPlan};
 use crate::event::{Event, EventId};
 use crate::maintenance::{MaintenanceAction, MaintenanceTask};
 use crate::message::DaMsg;
 use crate::params::TopicParams;
 use crate::tables::{SuperEntry, SuperTable};
-use da_core::{Exec, ExecProtocol, FxBuildHasher, FxHasher, McHash, ProcessId};
+use da_core::{Exec, ExecProtocol, FxBuildHasher, FxHasher, LabelId, McHash, ProcessId};
 use da_membership::Overlay;
 use da_membership::{FlatMembership, MembershipParams};
 use da_topics::{TopicHierarchy, TopicId};
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::hash::Hasher;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
-/// Pre-rendered counter labels for one process (the metrics hot path does
-/// string lookups; rendering `da.intra.<path>` per send would allocate).
-#[derive(Debug, Clone)]
+/// The counter labels of one process, interned at construction: the
+/// members of a group share the six names and each holds 24 bytes of ids,
+/// so a bump on the receive path hashes and compares no string.
+#[derive(Debug, Clone, Copy)]
 struct Labels {
     /// Event messages gossiped inside the own group.
-    intra: String,
+    intra: LabelId,
     /// Event messages sent to supertable entries.
-    inter_out: String,
+    inter_out: LabelId,
     /// Event messages that arrived from a strict subtopic group.
-    inter_in: String,
+    inter_in: LabelId,
     /// Events delivered to the application.
-    delivered: String,
+    delivered: LabelId,
     /// Events received more than once.
-    duplicate: String,
+    duplicate: LabelId,
     /// Control-plane messages (bootstrap, maintenance, membership).
-    control: String,
+    control: LabelId,
 }
 
+// The footprint the ids exist for: a slot cached per process (name, hash,
+// index) is as fast and costs every process more than the strings did.
+const _: () = assert!(std::mem::size_of::<Labels>() == 24);
+
 impl Labels {
+    /// The labels of the group at `topic_path`. Populations are built
+    /// group by group, so each thread remembers its last answer and a
+    /// process pays for interning — six formats, six locked look-ups —
+    /// only when it is the first of its group.
     fn new(topic_path: &str) -> Self {
+        thread_local! {
+            static LAST: RefCell<(String, Option<Labels>)> =
+                const { RefCell::new((String::new(), None)) };
+        }
+        LAST.with_borrow_mut(|(path, labels)| match labels {
+            Some(labels) if path == topic_path => *labels,
+            _ => {
+                topic_path.clone_into(path);
+                *labels.insert(Labels::intern(topic_path))
+            }
+        })
+    }
+
+    fn intern(topic_path: &str) -> Self {
+        let intern = |kind: &str| LabelId::intern(&format!("da.{kind}.{topic_path}"));
         Labels {
-            intra: format!("da.intra.{topic_path}"),
-            inter_out: format!("da.inter_out.{topic_path}"),
-            inter_in: format!("da.inter_in.{topic_path}"),
-            delivered: format!("da.delivered.{topic_path}"),
-            duplicate: format!("da.duplicate.{topic_path}"),
-            control: format!("da.control.{topic_path}"),
+            intra: intern("intra"),
+            inter_out: intern("inter_out"),
+            inter_in: intern("inter_in"),
+            delivered: intern("delivered"),
+            duplicate: intern("duplicate"),
+            control: intern("control"),
         }
     }
+}
+
+/// Events of a topic the receiver is not interested in — one name for
+/// every process, and zero in a correct run.
+static PARASITE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("da.parasite"));
+
+thread_local! {
+    /// The dissemination plan every `DaProcess` on this thread draws
+    /// into: a plan is dead once its messages are sent, so one pair of
+    /// target buffers per thread serves all of them and a first delivery
+    /// allocates no scratch.
+    static PLAN: Cell<DisseminationPlan> = const {
+        Cell::new(DisseminationPlan {
+            elected: false,
+            super_targets: Vec::new(),
+            gossip_targets: Vec::new(),
+        })
+    };
 }
 
 /// The daMulticast protocol instance at one simulated process.
@@ -350,21 +393,23 @@ impl DaProcess {
 
     /// Sends `msg` and accounts it as control-plane traffic.
     fn send_control<X: Exec<Msg = DaMsg>>(&self, ctx: &mut X, to: ProcessId, msg: DaMsg) {
-        ctx.bump(&self.labels.control);
+        ctx.bump_id(self.labels.control);
         ctx.send(to, msg);
     }
 
     /// Runs Fig. 7 for `event` and emits the resulting messages.
     fn disseminate<X: Exec<Msg = DaMsg>>(&mut self, event: &Event, ctx: &mut X) {
-        let plan = plan_dissemination(
+        let mut plan = PLAN.take();
+        plan_dissemination(
             &self.params,
             self.group_size,
             self.membership.view().as_slice(),
             &self.stable,
             ctx.rng(),
+            &mut plan,
         );
         for entry in &plan.super_targets {
-            ctx.bump(&self.labels.inter_out);
+            ctx.bump_id(self.labels.inter_out);
             ctx.send(
                 entry.pid,
                 DaMsg::Event {
@@ -374,7 +419,7 @@ impl DaProcess {
             );
         }
         for &target in &plan.gossip_targets {
-            ctx.bump(&self.labels.intra);
+            ctx.bump_id(self.labels.intra);
             ctx.send(
                 target,
                 DaMsg::Event {
@@ -383,6 +428,7 @@ impl DaProcess {
                 },
             );
         }
+        PLAN.set(plan);
     }
 
     /// First-reception handling (Fig. 5): de-dup, deliver, re-disseminate.
@@ -396,19 +442,19 @@ impl DaProcess {
         // correct run never trips this. Baselines do; daMulticast must not.
         if !self.is_interested_in(event.topic()) {
             self.parasite_count += 1;
-            ctx.bump("da.parasite");
+            ctx.bump_id(*PARASITE);
             return;
         }
         let fresh = self.seen.insert(event.id());
         if !fresh && !self.mutation.skips_dedup() {
-            ctx.bump(&self.labels.duplicate);
+            ctx.bump_id(self.labels.duplicate);
             return;
         }
         if sender_topic != self.topic {
             // The event crossed a group boundary to reach us.
-            ctx.bump(&self.labels.inter_in);
+            ctx.bump_id(self.labels.inter_in);
         }
-        ctx.bump(&self.labels.delivered);
+        ctx.bump_id(self.labels.delivered);
         self.delivered.push(event.clone());
         self.disseminate(&event, ctx);
     }
@@ -653,7 +699,7 @@ impl ExecProtocol for DaProcess {
         let publishes = std::mem::take(&mut self.pending_publish);
         for event in publishes {
             if self.seen.insert(event.id()) {
-                ctx.bump(&self.labels.delivered);
+                ctx.bump_id(self.labels.delivered);
                 self.delivered.push(event.clone());
             }
             self.disseminate(&event, ctx);

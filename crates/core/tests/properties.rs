@@ -5,8 +5,8 @@
 use da_core::{rng_from_seed, ProcessId};
 use da_topics::{TopicHierarchy, TopicId};
 use damulticast::{
-    plan_dissemination, BootstrapAction, BootstrapTask, MaintenanceAction, MaintenanceTask,
-    SuperEntry, SuperTable, TopicParams,
+    plan_dissemination, BootstrapAction, BootstrapTask, DisseminationPlan, MaintenanceAction,
+    MaintenanceTask, SuperEntry, SuperTable, TopicParams,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -42,7 +42,8 @@ proptest! {
                 &mut rng,
             );
         }
-        let plan = plan_dissemination(&params, group_size, &table, &stable, &mut rng);
+        let mut plan = DisseminationPlan::default();
+        plan_dissemination(&params, group_size, &table, &stable, &mut rng, &mut plan);
 
         let fanout = params.fanout.fanout(group_size);
         prop_assert!(plan.gossip_targets.len() <= fanout.min(table.len()));
@@ -84,8 +85,12 @@ proptest! {
             );
         }
         let trials = 4_000;
+        let mut plan = DisseminationPlan::default();
         let elected = (0..trials)
-            .filter(|_| plan_dissemination(&params, group_size, &table, &stable, &mut rng).elected)
+            .filter(|_| {
+                plan_dissemination(&params, group_size, &table, &stable, &mut rng, &mut plan);
+                plan.elected
+            })
             .count();
         let p_sel = (g / group_size as f64).min(1.0);
         let rate = elected as f64 / f64::from(trials);

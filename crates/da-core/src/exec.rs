@@ -20,6 +20,7 @@
 //! the protocol's sight, exactly as the paper's Sec. III system model
 //! prescribes (processes see only send/receive over unreliable channels).
 
+use crate::metrics::LabelId;
 use crate::process::ProcessId;
 use rand::rngs::SmallRng;
 use std::hash::Hasher;
@@ -49,6 +50,15 @@ pub trait Exec {
 
     /// Increments the metrics counter `label` by one.
     fn bump(&mut self, label: &str);
+
+    /// Increments the metrics counter of an interned label by one — what
+    /// a protocol calls from its per-message hooks, with ids it resolved
+    /// at construction. The substrates override this with an array
+    /// increment ([`crate::Counters::bump_id`]); the default serves
+    /// contexts that only know names.
+    fn bump_id(&mut self, label: LabelId) {
+        self.bump(label.name());
+    }
 
     /// Adds `delta` to the metrics counter `label`.
     fn add(&mut self, label: &str, delta: u64);

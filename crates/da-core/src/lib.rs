@@ -51,7 +51,7 @@ pub use channel::{ChannelConfig, ChannelFate, EdgeRngs, Latency};
 pub use exec::{Exec, ExecProtocol, McHash};
 pub use failure::{ChurnRates, FailureModel, FailurePlan, Fate};
 pub use fault::FaultConfig;
-pub use metrics::{CounterId, Counters, FxBuildHasher, FxHasher, Histogram, TraceLog};
+pub use metrics::{CounterId, Counters, FxBuildHasher, FxHasher, Histogram, LabelId, TraceLog};
 pub use process::{ProcessId, ProcessIndexError, ProcessStatus};
 pub use seed::{derive_seed, rng_for_process, rng_from_seed};
 pub use store::ProcessStore;

@@ -2,12 +2,15 @@
 //! [`TraceLog`] the flight recorder publishes into.
 //!
 //! Protocols label their traffic (e.g. `intra.t2`, `inter.t2->t1`) and the
-//! harness reads the counters back after a run. Counter names are interned
-//! to [`CounterId`]s so the per-message hot path is an array increment;
-//! name-keyed lookups ([`Counters::register`], [`Counters::bump`]) go
-//! through an FxHash-indexed map, so even the lazy label path costs a
-//! multiply-xor hash rather than SipHash — the interned-label API both
-//! substrates share.
+//! harness reads the counters back after a run. Two kinds of handle keep
+//! the per-message hot path an array increment: a [`CounterId`] is a slot
+//! of *one* registry (the substrates pre-register theirs), a [`LabelId`]
+//! is a name interned once per process — a protocol instance resolves its
+//! labels at construction, holds 4-byte ids, and bumps through
+//! [`Counters::bump_id`] in whichever registry the substrate hands it
+//! (one per runtime worker). Name-keyed calls ([`Counters::register`],
+//! [`Counters::bump`]) go through an FxHash-indexed map and stay for
+//! set-up code and fixtures.
 //!
 //! [`Histogram`] is the distribution-shaped companion to the counters
 //! (delivery latency in ticks, delay-wheel occupancy, watermark lag):
@@ -21,6 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// A multiply-xor hasher (the rustc-hash / FxHash construction) for the
 /// label index and the protocols' event-id `seen` sets: short keys whose
@@ -69,6 +73,93 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CounterId(u32);
 
+/// A counter name interned for the whole process: `Copy`, four bytes,
+/// valid in every [`Counters`] registry.
+///
+/// Interning takes a lock and is meant for construction time; bumping
+/// through the id ([`Counters::bump_id`], `Exec::bump_id`) and reading
+/// the name back ([`LabelId::name`]) take none. Names are leaked, one
+/// copy per distinct label, so a million processes of one group share
+/// six strings instead of owning six each.
+///
+/// ```
+/// use da_core::{Counters, LabelId};
+/// let id = LabelId::intern("da.intra.t2");
+/// assert_eq!(id, LabelId::intern("da.intra.t2"));
+/// assert_eq!(id.name(), "da.intra.t2");
+/// let mut c = Counters::new();
+/// c.bump_id(id);
+/// c.bump("da.intra.t2");
+/// assert_eq!(c.get("da.intra.t2"), 2);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LabelId(u32);
+
+/// The interner's id → name table is a list of segments, segment `s`
+/// holding `FIRST_SEGMENT << s` names: it grows without moving an entry,
+/// so a reader needs no lock.
+const FIRST_SEGMENT: u32 = 64;
+const SEGMENTS: usize = 24;
+
+type Segment = Box<[OnceLock<&'static str>]>;
+
+/// `LabelId` → name, written under [`INTERNED`]'s lock, read lock-free.
+static NAMES: [OnceLock<Segment>; SEGMENTS] = [const { OnceLock::new() }; SEGMENTS];
+/// Name → `LabelId`.
+static INTERNED: Mutex<HashMap<&'static str, LabelId, FxBuildHasher>> =
+    Mutex::new(HashMap::with_hasher(BuildHasherDefault::new()));
+
+impl LabelId {
+    /// Interns `name`, returning the id every earlier and later call with
+    /// the same name returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics after about a billion distinct labels.
+    #[must_use]
+    pub fn intern(name: &str) -> LabelId {
+        // The map is only ever extended by one complete entry, so a
+        // poisoned lock still guards a consistent table.
+        let mut map = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&id) = map.get(name) {
+            return id;
+        }
+        let id = LabelId(u32::try_from(map.len()).expect("too many counter labels"));
+        let (segment, offset) = id.locate();
+        let name: &'static str = Box::leak(name.into());
+        NAMES
+            .get(segment)
+            .expect("too many counter labels")
+            .get_or_init(|| {
+                (0..FIRST_SEGMENT << segment)
+                    .map(|_| OnceLock::new())
+                    .collect()
+            })[offset]
+            .set(name)
+            .expect("label ids are handed out once");
+        map.insert(name, id);
+        id
+    }
+
+    /// The interned name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        let (segment, offset) = self.locate();
+        NAMES[segment]
+            .get()
+            .and_then(|names| names[offset].get())
+            .expect("a LabelId only comes from LabelId::intern")
+    }
+
+    /// Segment and offset of this id in [`NAMES`].
+    fn locate(self) -> (usize, usize) {
+        let at = self.0 / FIRST_SEGMENT + 1;
+        let segment = at.ilog2();
+        let offset = self.0 - FIRST_SEGMENT * ((1 << segment) - 1);
+        (segment as usize, offset as usize)
+    }
+}
+
 /// A registry of named monotonic counters.
 ///
 /// ```
@@ -85,7 +176,16 @@ pub struct Counters {
     values: Vec<u64>,
     names: Vec<String>,
     index: HashMap<String, CounterId, FxBuildHasher>,
+    /// `slots[label]` is the index into `values` of an interned label
+    /// this registry has counted, [`NO_SLOT`] otherwise. Process-local:
+    /// it is keyed by [`LabelId`], which does not survive the process.
+    #[serde(skip)]
+    slots: Vec<u32>,
 }
+
+/// `slots` entry of a label not yet bumped here — past the end of any
+/// `values`, so the hot path needs no separate test for it.
+const NO_SLOT: u32 = u32::MAX;
 
 impl Counters {
     /// Creates an empty registry.
@@ -118,6 +218,31 @@ impl Counters {
     /// Increments a counter by name, registering it on first use.
     pub fn bump(&mut self, name: &str) {
         let id = self.register(name);
+        self.add(id, 1);
+    }
+
+    /// Increments the counter of an interned label: an array increment
+    /// once this registry has seen the label, a [`Counters::register`] of
+    /// its name the first time — so a label costs a registry nothing
+    /// until it is bumped there, and names appear in first-bump order
+    /// exactly as with [`Counters::bump`].
+    #[inline]
+    pub fn bump_id(&mut self, label: LabelId) {
+        let slot = self.slots.get(label.0 as usize).copied().unwrap_or(NO_SLOT);
+        match self.values.get_mut(slot as usize) {
+            Some(value) => *value += 1,
+            None => self.bump_unseen(label),
+        }
+    }
+
+    #[cold]
+    fn bump_unseen(&mut self, label: LabelId) {
+        let id = self.register(label.name());
+        let at = label.0 as usize;
+        if self.slots.len() <= at {
+            self.slots.resize(at + 1, NO_SLOT);
+        }
+        self.slots[at] = id.0;
         self.add(id, 1);
     }
 
@@ -514,6 +639,50 @@ mod tests {
         c.bump("lazy");
         c.bump("lazy");
         assert_eq!(c.get("lazy"), 2);
+    }
+
+    #[test]
+    fn labels_intern_once_and_keep_their_names_across_segments() {
+        // More labels than the first two segments hold together.
+        let names: Vec<String> = (0..4 * FIRST_SEGMENT)
+            .map(|i| format!("test.segment.{i}"))
+            .collect();
+        let ids: Vec<LabelId> = names.iter().map(|n| LabelId::intern(n)).collect();
+        for (name, &id) in names.iter().zip(&ids) {
+            assert_eq!(id.name(), name);
+            assert_eq!(LabelId::intern(name), id);
+        }
+        assert_eq!(LabelId(0).locate(), (0, 0));
+        assert_eq!(LabelId(FIRST_SEGMENT - 1).locate().0, 0);
+        assert_eq!(LabelId(FIRST_SEGMENT).locate(), (1, 0));
+        assert_eq!(LabelId(3 * FIRST_SEGMENT - 1).locate().0, 1);
+        assert_eq!(LabelId(3 * FIRST_SEGMENT).locate(), (2, 0));
+    }
+
+    #[test]
+    fn bump_id_counts_like_bump_by_name() {
+        let (a, b) = (LabelId::intern("test.id.a"), LabelId::intern("test.id.b"));
+        let never = LabelId::intern("test.id.never");
+        let mut by_id = Counters::new();
+        let mut by_name = Counters::new();
+        for label in [b, a, b] {
+            by_id.bump_id(label);
+            by_name.bump(label.name());
+        }
+        // One counter whichever way it is addressed, in first-bump order.
+        by_id.bump("test.id.a");
+        by_name.bump_id(a);
+        assert_eq!(
+            by_id.iter().collect::<Vec<_>>(),
+            vec![("test.id.b", 2), ("test.id.a", 2)]
+        );
+        assert_eq!(by_id.to_string(), by_name.to_string());
+        assert!(by_id.iter().all(|(name, _)| name != never.name()));
+        // A clone keeps counting into the same slots.
+        let mut copy = by_id.clone();
+        copy.bump_id(b);
+        assert_eq!(copy.get("test.id.b"), 3);
+        assert_eq!(copy.len(), 2);
     }
 
     #[test]

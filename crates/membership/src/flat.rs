@@ -12,7 +12,6 @@ use crate::{kmg_view_size, MembershipMsg, PartialView};
 use da_core::ProcessId;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Tunables of the flat membership component.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -55,6 +54,11 @@ impl MembershipParams {
 
 /// A dynamic flat partial-view membership component.
 ///
+/// Liveness evidence is kept as a stamp on the view entry it describes
+/// ([`PartialView::mark_heard`]), so the memory a process spends on it is
+/// bounded by the view capacity — `(b + 1)·ln(S)` words, allocated on
+/// first use — and not by the number of senders it has ever heard from.
+///
 /// ```
 /// use da_membership::{FlatMembership, MembershipParams};
 /// use da_core::{rng_from_seed, ProcessId};
@@ -71,7 +75,6 @@ pub struct FlatMembership {
     me: ProcessId,
     params: MembershipParams,
     view: PartialView,
-    last_heard: HashMap<ProcessId, u64>,
 }
 
 impl FlatMembership {
@@ -83,7 +86,6 @@ impl FlatMembership {
             me,
             params,
             view: PartialView::new(me, capacity),
-            last_heard: HashMap::new(),
         }
     }
 
@@ -157,8 +159,8 @@ impl FlatMembership {
         round: u64,
         rng: &mut R,
     ) -> Vec<(ProcessId, MembershipMsg)> {
-        self.mark_heard(from, round);
         self.view.insert(from, rng);
+        self.mark_heard(from, round);
         match msg {
             MembershipMsg::JoinRequest => {
                 let sample = self.make_digest(rng);
@@ -175,24 +177,23 @@ impl FlatMembership {
         }
     }
 
-    /// Records liveness evidence for `pid` at `round`.
+    /// Records liveness evidence for `pid` at `round`. Only view members
+    /// are tracked: evidence about anyone else could never evict or spare
+    /// an entry, and every path that later admits such a process
+    /// ([`FlatMembership::on_message`]) stamps it afresh on entry. With
+    /// `eviction_age == u64::MAX` no stamp can ever be too old, so none is
+    /// kept: the paper's static mode pays nothing per message here.
     pub fn mark_heard(&mut self, pid: ProcessId, round: u64) {
-        if pid != self.me {
-            self.last_heard.insert(pid, round);
+        if self.params.eviction_age != u64::MAX {
+            self.view.mark_heard(pid, round);
         }
     }
 
     /// Evicts view entries not heard from within `eviction_age` rounds.
-    /// Entries never heard from (static seeds) are exempt until first
-    /// contact — the paper's static mode must not decay.
+    /// Entries never heard from (static seeds, join contacts) are exempt
+    /// until first contact — the paper's static mode must not decay.
     pub fn evict_stale(&mut self, round: u64) {
-        let age = self.params.eviction_age;
-        let last_heard = &self.last_heard;
-        self.view.retain(|pid| {
-            last_heard
-                .get(&pid)
-                .is_none_or(|&heard| round.saturating_sub(heard) <= age)
-        });
+        self.view.evict_stale(round, self.params.eviction_age);
     }
 
     fn make_digest<R: Rng>(&self, rng: &mut R) -> Vec<ProcessId> {
@@ -320,6 +321,28 @@ mod tests {
         let mut m = m0;
         m.evict_stale(1_000_000);
         assert_eq!(m.view().len(), 2, "never-heard static seeds persist");
+    }
+
+    #[test]
+    fn without_an_eviction_age_no_stamp_is_kept() {
+        let mut rng = rng_from_seed(9);
+        let forever = MembershipParams {
+            eviction_age: u64::MAX,
+            ..params()
+        };
+        let mut m =
+            FlatMembership::with_static_view(ProcessId(0), forever, &[ProcessId(1)], &mut rng);
+        m.mark_heard(ProcessId(1), 3);
+        assert_eq!(m.view().last_heard(ProcessId(1)), None);
+        m.evict_stale(u64::MAX);
+        assert!(m.view().contains(ProcessId(1)));
+
+        let mut m =
+            FlatMembership::with_static_view(ProcessId(0), params(), &[ProcessId(1)], &mut rng);
+        m.mark_heard(ProcessId(1), 3);
+        m.mark_heard(ProcessId(2), 3);
+        assert_eq!(m.view().last_heard(ProcessId(1)), Some(3));
+        assert_eq!(m.view().last_heard(ProcessId(2)), None, "not a member");
     }
 
     #[test]

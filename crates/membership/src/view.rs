@@ -15,6 +15,11 @@ use serde::{Deserialize, Serialize};
 /// resident entry is evicted — the randomised replacement of the underlying
 /// membership algorithm which keeps views unbiased.
 ///
+/// Each entry can carry a liveness stamp — the round it was last heard
+/// from ([`PartialView::mark_heard`]) — which leaves the view with it.
+/// The stamps are allocated on the first `mark_heard` that hits a
+/// resident, so a view nobody stamps pays one empty `Vec` for them.
+///
 /// ```
 /// use da_membership::PartialView;
 /// use da_core::{rng_from_seed, ProcessId};
@@ -31,7 +36,14 @@ pub struct PartialView {
     owner: ProcessId,
     capacity: usize,
     entries: Vec<ProcessId>,
+    /// `heard[i]` is the round `entries[i]` was last heard from, or
+    /// [`NEVER_HEARD`]. Empty until the first stamp, parallel to
+    /// `entries` from then on.
+    heard: Vec<u64>,
 }
+
+/// Stamp of an entry no [`PartialView::mark_heard`] has named.
+const NEVER_HEARD: u64 = u64::MAX;
 
 impl PartialView {
     /// Creates an empty view owned by `owner` with the given capacity.
@@ -41,6 +53,7 @@ impl PartialView {
             owner,
             capacity,
             entries: Vec::with_capacity(capacity),
+            heard: Vec::new(),
         }
     }
 
@@ -100,25 +113,89 @@ impl PartialView {
         }
         if self.entries.len() >= self.capacity {
             let victim = rng.gen_range(0..self.entries.len());
-            self.entries.swap_remove(victim);
+            self.swap_remove(victim);
         }
         self.entries.push(pid);
+        if !self.heard.is_empty() {
+            self.heard.push(NEVER_HEARD);
+        }
         true
     }
 
     /// Removes `pid` if present; returns whether it was present.
     pub fn remove(&mut self, pid: ProcessId) -> bool {
-        if let Some(pos) = self.entries.iter().position(|&e| e == pid) {
-            self.entries.swap_remove(pos);
+        if let Some(pos) = self.position(pid) {
+            self.swap_remove(pos);
             true
         } else {
             false
         }
     }
 
-    /// Retains only entries satisfying the predicate.
+    fn position(&self, pid: ProcessId) -> Option<usize> {
+        self.entries.iter().position(|&e| e == pid)
+    }
+
+    fn swap_remove(&mut self, pos: usize) {
+        self.entries.swap_remove(pos);
+        if !self.heard.is_empty() {
+            self.heard.swap_remove(pos);
+        }
+    }
+
+    /// Retains only entries satisfying the predicate, in order.
     pub fn retain<F: FnMut(ProcessId) -> bool>(&mut self, mut keep: F) {
-        self.entries.retain(|&e| keep(e));
+        self.retain_stamped(|pid, _| keep(pid));
+    }
+
+    /// Retains only entries whose id and liveness stamp
+    /// ([`NEVER_HEARD`] included) satisfy the predicate, in order.
+    fn retain_stamped<F: FnMut(ProcessId, u64) -> bool>(&mut self, mut keep: F) {
+        let stamped = !self.heard.is_empty();
+        let mut kept = 0;
+        for at in 0..self.entries.len() {
+            let stamp = if stamped { self.heard[at] } else { NEVER_HEARD };
+            if keep(self.entries[at], stamp) {
+                self.entries[kept] = self.entries[at];
+                if stamped {
+                    self.heard[kept] = stamp;
+                }
+                kept += 1;
+            }
+        }
+        self.entries.truncate(kept);
+        self.heard.truncate(kept);
+    }
+
+    /// Records that `pid` was heard from at `round`; a `pid` outside the
+    /// view is not tracked (its stamp would describe nothing).
+    pub fn mark_heard(&mut self, pid: ProcessId, round: u64) {
+        let Some(pos) = self.position(pid) else {
+            return;
+        };
+        if self.heard.is_empty() {
+            self.heard.reserve_exact(self.capacity);
+            self.heard.resize(self.entries.len(), NEVER_HEARD);
+        }
+        self.heard[pos] = round;
+    }
+
+    /// The round `pid` was last heard from; `None` for an entry never
+    /// heard from since it entered the view, and for a non-member.
+    #[must_use]
+    pub fn last_heard(&self, pid: ProcessId) -> Option<u64> {
+        let stamp = *self.heard.get(self.position(pid)?)?;
+        (stamp != NEVER_HEARD).then_some(stamp)
+    }
+
+    /// Evicts entries last heard from more than `age` rounds before
+    /// `round`. Entries never heard from are exempt.
+    pub fn evict_stale(&mut self, round: u64, age: u64) {
+        if !self.heard.is_empty() {
+            self.retain_stamped(|_, heard| {
+                heard == NEVER_HEARD || round.saturating_sub(heard) <= age
+            });
+        }
     }
 
     /// Merges the entries of `incoming` into the view (random eviction

@@ -5,10 +5,11 @@
 use da_core::seed::rng_from_seed;
 use da_core::ProcessId;
 use da_membership::{
-    kmg_view_size, static_init, FanoutRule, FlatMembership, MembershipParams, Overlay, PartialView,
+    kmg_view_size, static_init, FanoutRule, FlatMembership, MembershipMsg, MembershipParams,
+    Overlay, PartialView,
 };
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Operations applied to a view in sequence.
 #[derive(Debug, Clone)]
@@ -26,7 +27,99 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Liveness traffic at one process; rounds advance by the given step.
+#[derive(Debug, Clone)]
+enum Liveness {
+    /// A membership message from a process, carrying a sample.
+    Message(u32, Vec<u32>, u64),
+    /// Any other sign of life (an event copy) from a process.
+    Heard(u32, u64),
+    /// The periodic sweep.
+    Evict(u64),
+}
+
+fn arb_liveness() -> impl Strategy<Value = Liveness> {
+    prop_oneof![
+        (0u32..40, prop::collection::vec(0u32..40, 0..5), 0u64..4)
+            .prop_map(|(from, sample, step)| Liveness::Message(from, sample, step)),
+        (0u32..40, 0u64..4).prop_map(|(pid, step)| Liveness::Heard(pid, step)),
+        (0u64..12).prop_map(Liveness::Evict),
+    ]
+}
+
 proptest! {
+    /// The stamps that live on view entries evict exactly what the map
+    /// keyed by every sender ever heard from evicted: same view, same
+    /// order, after every step, with seeds nobody has heard from exempt.
+    /// (The map also remembered processes outside the view; every path
+    /// that admits one after start-up stamps it on entry, so that memory
+    /// never decided anything.)
+    #[test]
+    fn view_resident_stamps_evict_like_the_last_heard_map(
+        group_size in 3usize..80,
+        eviction_age in 0u64..12,
+        seeds in prop::collection::vec(0u32..40, 0..6),
+        ops in prop::collection::vec(arb_liveness(), 0..80),
+        seed in 0u64..10_000,
+    ) {
+        let me = ProcessId(0);
+        let params = MembershipParams {
+            b: 0.5,
+            expected_group_size: group_size,
+            digest_fanout: 0,
+            digest_size: 0,
+            gossip_period: 0,
+            eviction_age,
+        };
+        let seeds: Vec<ProcessId> = seeds.into_iter().map(ProcessId).collect();
+        let mut rng = rng_from_seed(seed);
+        let mut membership = FlatMembership::with_static_view(me, params, &seeds, &mut rng);
+
+        // The model: a bare view plus the map, as `FlatMembership` was.
+        let mut model_rng = rng_from_seed(seed);
+        let mut view = PartialView::new(me, params.view_capacity());
+        view.merge(&seeds, &mut model_rng);
+        let mut last_heard: HashMap<ProcessId, u64> = HashMap::new();
+
+        let mut round = 0;
+        for op in ops {
+            match op {
+                Liveness::Message(from, sample, step) => {
+                    round += step;
+                    let from = ProcessId(from);
+                    let sample: Vec<ProcessId> = sample.into_iter().map(ProcessId).collect();
+                    last_heard.insert(from, round);
+                    view.insert(from, &mut model_rng);
+                    for &pid in &sample {
+                        if view.insert(pid, &mut model_rng) {
+                            last_heard.insert(pid, round);
+                        }
+                    }
+                    let msg = MembershipMsg::Digest { sample };
+                    membership.on_message(from, &msg, round, &mut rng);
+                }
+                Liveness::Heard(pid, step) => {
+                    round += step;
+                    last_heard.insert(ProcessId(pid), round);
+                    membership.mark_heard(ProcessId(pid), round);
+                }
+                Liveness::Evict(step) => {
+                    round += step;
+                    view.retain(|pid| {
+                        last_heard
+                            .get(&pid)
+                            .is_none_or(|&heard| round - heard <= eviction_age)
+                    });
+                    membership.evict_stale(round);
+                }
+            }
+            prop_assert_eq!(membership.view().as_slice(), view.as_slice());
+            for pid in view.iter() {
+                prop_assert_eq!(membership.view().last_heard(pid), last_heard.get(&pid).copied());
+            }
+        }
+    }
+
     /// View invariants hold under every operation sequence: no self, no
     /// duplicates, never over capacity.
     #[test]

@@ -45,7 +45,7 @@ use da_core::store::ProcessStore;
 use da_core::trace::{TraceEvent, TraceVerdict};
 use da_core::wheel::{DelayWheel, Envelope};
 use da_core::{
-    CounterId, Counters, Exec, ExecProtocol, ProcessId, ProcessStatus, TraceLog, WireSize,
+    CounterId, Counters, Exec, ExecProtocol, LabelId, ProcessId, ProcessStatus, TraceLog, WireSize,
 };
 use rand::rngs::SmallRng;
 use std::collections::BTreeMap;
@@ -181,13 +181,15 @@ impl<M: WireSize> Exec for LiveCtx<'_, M> {
     }
 
     fn bump(&mut self, label: &str) {
-        let id = self.counters.register(label);
-        self.counters.add(id, 1);
+        self.counters.bump(label);
+    }
+
+    fn bump_id(&mut self, label: LabelId) {
+        self.counters.bump_id(label);
     }
 
     fn add(&mut self, label: &str, delta: u64) {
-        let id = self.counters.register(label);
-        self.counters.add(id, delta);
+        self.counters.add_named(label, delta);
     }
 }
 

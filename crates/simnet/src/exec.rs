@@ -1,7 +1,7 @@
 //! The simulator's side of the `da_core::exec` contract: [`Ctx`], the
 //! [`Exec`] the engine hands to every protocol hook.
 
-use da_core::{Counters, Exec, ProcessId};
+use da_core::{Counters, Exec, LabelId, ProcessId};
 use rand::rngs::SmallRng;
 
 /// Per-callback execution context handed to `ExecProtocol` hooks.
@@ -40,6 +40,10 @@ impl<M> Exec for Ctx<'_, M> {
 
     fn bump(&mut self, label: &str) {
         self.counters.bump(label);
+    }
+
+    fn bump_id(&mut self, label: LabelId) {
+        self.counters.bump_id(label);
     }
 
     fn add(&mut self, label: &str, delta: u64) {

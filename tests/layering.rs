@@ -62,3 +62,19 @@ fn substrates_define_no_timing_structure_of_their_own() {
         }
     }
 }
+
+/// Protocol hooks count through interned ids (`Exec::bump_id`): a bump
+/// by name hashes and compares the label once per message. Names are
+/// for fixtures, which in these crates live behind `#[cfg(test)]`.
+#[test]
+fn protocol_hooks_bump_no_counter_by_name() {
+    for dir in ["crates/core/src", "crates/baselines/src"] {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+        for entry in std::fs::read_dir(&dir).expect("protocol source directory") {
+            let path = entry.expect("directory entry").path();
+            let source = std::fs::read_to_string(&path).expect("source file");
+            let shipped = source.split("#[cfg(test)]").next().unwrap_or_default();
+            assert!(!shipped.contains(".bump("), "{}", path.display());
+        }
+    }
+}

@@ -1,0 +1,285 @@
+//! The protocol receive path indexes, it does not hash or allocate: a
+//! label interned to a `LabelId` counts exactly like its name on both
+//! substrates, a warmed-up `DaProcess` discards a duplicate without
+//! touching the allocator, and a static process stays inside the heap
+//! budget the benchmark's `bytes_per_process` is held to.
+
+use da_core::{Counters, Exec, ExecProtocol, LabelId, ProcessId, WireSize};
+use da_runtime::{Runtime, RuntimeConfig};
+use da_simnet::{Engine, SimConfig};
+use damulticast::{DaMsg, DaProcess, Event, ParamMap, StaticNetwork};
+use rand::rngs::SmallRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Forwards to the system allocator, keeping the calling thread's
+/// allocation count (growth included: the default `realloc` calls
+/// `alloc`) and live bytes. Hosted here because the libraries are
+/// `forbid(unsafe_code)`.
+struct CountingAllocator;
+
+thread_local! {
+    /// Per-thread, so the harness's own threads stay out of the count.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: allocations during thread teardown go uncounted.
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + layout.size() as i64));
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE_BYTES.try_with(|live| live.set(live.get() - layout.size() as i64));
+        // SAFETY: forwarded unchanged; `ptr` came from `System.alloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+const GROUPS: usize = 3;
+const FIRST: [&str; GROUPS] = ["wave.first.g0", "wave.first.g1", "wave.first.g2"];
+const DUPLICATE: [&str; GROUPS] = [
+    "wave.duplicate.g0",
+    "wave.duplicate.g1",
+    "wave.duplicate.g2",
+];
+
+/// A flood that labels its receipts per group, by name or by interned
+/// id: the first copy of the token is forwarded to two successors,
+/// later copies are counted and dropped.
+#[derive(Clone)]
+struct Flood {
+    population: u32,
+    by_id: bool,
+    seen: bool,
+    first: LabelId,
+    duplicate: LabelId,
+}
+
+#[derive(Clone, Debug)]
+struct Token;
+
+impl WireSize for Token {
+    fn wire_size(&self) -> usize {
+        1
+    }
+}
+
+impl Flood {
+    fn population(n: u32, by_id: bool) -> Vec<Flood> {
+        (0..n as usize)
+            .map(|i| Flood {
+                population: n,
+                by_id,
+                seen: false,
+                first: LabelId::intern(FIRST[i % GROUPS]),
+                duplicate: LabelId::intern(DUPLICATE[i % GROUPS]),
+            })
+            .collect()
+    }
+
+    fn forward<X: Exec<Msg = Token>>(&self, ctx: &mut X) {
+        let me = ctx.me().0;
+        for to in [me + 1, me * 7 + 3] {
+            ctx.send(ProcessId(to % self.population), Token);
+        }
+    }
+}
+
+impl ExecProtocol for Flood {
+    type Msg = Token;
+
+    fn on_start<X: Exec<Msg = Token>>(&mut self, ctx: &mut X) {
+        if ctx.me() == ProcessId(0) {
+            self.seen = true;
+            self.forward(ctx);
+        }
+    }
+
+    fn on_message<X: Exec<Msg = Token>>(&mut self, _from: ProcessId, _msg: Token, ctx: &mut X) {
+        let label = if self.seen {
+            self.duplicate
+        } else {
+            self.first
+        };
+        if self.by_id {
+            ctx.bump_id(label);
+        } else {
+            ctx.bump(label.name());
+        }
+        if !self.seen {
+            self.seen = true;
+            self.forward(ctx);
+        }
+    }
+}
+
+/// Everything a `Counters` shows: the sorted rendering, the
+/// registration-order walk, and name look-ups.
+fn observed(counters: &Counters) -> (String, Vec<(String, u64)>, Vec<u64>) {
+    (
+        counters.to_string(),
+        counters
+            .iter()
+            .map(|(name, value)| (name.to_owned(), value))
+            .collect(),
+        FIRST
+            .iter()
+            .chain(&DUPLICATE)
+            .map(|name| counters.get(name))
+            .collect(),
+    )
+}
+
+#[test]
+fn interned_and_named_bumps_build_the_same_registry() {
+    // Interned by this process, bumped by nobody below.
+    let idle = LabelId::intern("wave.never_bumped");
+    let population = 60;
+
+    let simulated = |by_id| {
+        let mut engine = Engine::new(
+            SimConfig::default().with_seed(9),
+            Flood::population(population, by_id),
+        );
+        engine.run_until_quiescent(64);
+        observed(engine.counters())
+    };
+    let by_name = simulated(false);
+    assert_eq!(by_name.2.iter().sum::<u64>(), 2 * u64::from(population));
+    assert_eq!(simulated(true), by_name, "Engine");
+    assert!(!by_name.0.contains(idle.name()));
+
+    // Each worker numbers its registry's slots in its own first-bump
+    // order; the merge is by name.
+    for workers in [1, 2] {
+        let live = |by_id| {
+            let config = RuntimeConfig::default().with_workers(workers).with_seed(9);
+            let mut pool = Runtime::spawn(config, Flood::population(population, by_id));
+            pool.run_until_quiescent(64);
+            let counters = pool.shutdown().counters;
+            assert_eq!(counters.get(idle.name()), 0);
+            assert!(counters.iter().all(|(name, _)| name != idle.name()));
+            observed(&counters)
+        };
+        let by_name = live(false);
+        assert_eq!(by_name.2.iter().sum::<u64>(), 2 * u64::from(population));
+        assert_eq!(live(true), by_name, "Runtime, {workers} worker(s)");
+    }
+}
+
+/// A context with the substrates' counter path (`Counters::bump_id`) and
+/// an outbox that keeps its capacity.
+struct Probe {
+    me: ProcessId,
+    rng: SmallRng,
+    counters: Counters,
+    outbox: Vec<(ProcessId, DaMsg)>,
+}
+
+impl Exec for Probe {
+    type Msg = DaMsg;
+
+    fn me(&self) -> ProcessId {
+        self.me
+    }
+
+    fn round(&self) -> u64 {
+        0
+    }
+
+    fn send(&mut self, to: ProcessId, msg: DaMsg) {
+        self.outbox.push((to, msg));
+    }
+
+    fn rng(&mut self) -> &mut SmallRng {
+        &mut self.rng
+    }
+
+    fn bump(&mut self, label: &str) {
+        self.counters.bump(label);
+    }
+
+    fn bump_id(&mut self, label: LabelId) {
+        self.counters.bump_id(label);
+    }
+
+    fn add(&mut self, label: &str, delta: u64) {
+        self.counters.add_named(label, delta);
+    }
+}
+
+#[test]
+fn a_duplicate_allocates_nothing_and_a_first_delivery_only_grows_its_logs() {
+    let net = StaticNetwork::linear(&[4, 12, 40], ParamMap::default(), 3).unwrap();
+    let leaf = net.groups()[2].members.clone();
+    let (receiver, sender) = (leaf[0], leaf[1]);
+    let mut processes = net.into_processes();
+    let process: &mut DaProcess = &mut processes[receiver.index()];
+    let topic = process.topic();
+    let mut probe = Probe {
+        me: receiver,
+        rng: da_core::rng_for_process(3, receiver),
+        counters: Counters::new(),
+        outbox: Vec::with_capacity(64),
+    };
+    let copy_of = |sequence| DaMsg::Event {
+        event: Event::new(sender, sequence, topic, "x"),
+        sender_topic: topic,
+    };
+
+    // Warm-up: one first delivery sizes the plan's gossip buffer and
+    // registers the labels, one duplicate registers its label.
+    process.on_message(sender, copy_of(0), &mut probe);
+    process.on_message(sender, copy_of(0), &mut probe);
+    assert!(!probe.outbox.is_empty(), "a first delivery gossips");
+
+    let duplicates: Vec<DaMsg> = (0..100).map(|_| copy_of(0)).collect();
+    probe.outbox.clear();
+    let before = ALLOCATIONS.get();
+    for msg in duplicates {
+        process.on_message(sender, msg, &mut probe);
+    }
+    assert_eq!(ALLOCATIONS.get() - before, 0, "100 duplicates");
+    assert!(probe.outbox.is_empty(), "a duplicate is not forwarded");
+
+    // Fresh events: the delivered log and the seen set double now and
+    // then (and the first election sizes the plan's super-target buffer);
+    // a scratch buffer per delivery would cost one allocation each.
+    let fresh: Vec<DaMsg> = (1..=64).map(copy_of).collect();
+    let before = ALLOCATIONS.get();
+    for msg in fresh {
+        probe.outbox.clear();
+        process.on_message(sender, msg, &mut probe);
+        assert!(!probe.outbox.is_empty());
+    }
+    let grown = ALLOCATIONS.get() - before;
+    assert!(grown <= 16, "64 first deliveries allocated {grown} times");
+    assert_eq!(process.delivered().len(), 65);
+}
+
+#[test]
+fn a_static_process_stays_under_900_bytes_of_heap() {
+    // The benchmark's wave population. What its `bytes_per_process`
+    // divides also holds the engine; the processes are the part that
+    // scales, and where a per-process copy of the labels would show.
+    let before = LIVE_BYTES.get();
+    let mut processes = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 1)
+        .unwrap()
+        .into_processes();
+    // The builder's vector has room to spare; a substrate copies the
+    // processes into a store of exactly their size.
+    processes.shrink_to_fit();
+    let per_process = (LIVE_BYTES.get() - before) as usize / processes.len();
+    assert!(
+        per_process <= 900,
+        "{per_process} B of live heap per process"
+    );
+}
