@@ -15,8 +15,8 @@
 //!
 //! Like every protocol in this crate it is written once against
 //! [`Exec`] and runs unchanged on the simulator and the
-//! live runtime — the `sim_metropolis` / `live_metropolis` bench rows
-//! drive the identical workload through both substrates.
+//! live runtime — the `live_metropolis` example and the benchmark's
+//! `metro_flood` / `metro_churn` workloads drive it.
 
 use da_core::{Exec, ExecProtocol, LabelId, McHash, ProcessId, WireSize};
 use std::hash::Hasher;
@@ -193,8 +193,7 @@ impl McHash for MetroMsg {
 /// The standard metropolis population: `n` processes, `headlines`
 /// publishers spread evenly around the ring, each flooding with hop
 /// budget `ttl`. Shared by the `live_metropolis` example and the
-/// `sim_metropolis` / `live_metropolis` bench rows so they measure the
-/// same workload.
+/// benchmark's `metro_*` workloads so they measure the same workload.
 #[must_use]
 pub fn metro_population(n: usize, headlines: usize, ttl: u8) -> Vec<MetroProcess> {
     assert!(

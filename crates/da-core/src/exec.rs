@@ -9,11 +9,15 @@
 //! the [`Exec`] trait. Protocol state machines implement [`ExecProtocol`]
 //! against it and are thereby portable:
 //!
-//! * `da_simnet::Ctx` implements [`Exec`], and `da_simnet::Engine` drives
-//!   any [`ExecProtocol`] under the deterministic simulator;
-//! * `da_runtime`'s live context implements [`Exec`] over an in-memory
-//!   threaded transport, so the *same* tables, bootstrap, maintenance,
-//!   and dissemination code serves live traffic.
+//! * `da_simnet::Engine` drives any [`ExecProtocol`] under the
+//!   deterministic simulator;
+//! * `da_runtime::Runtime` drives it over an in-memory threaded
+//!   transport, so the *same* tables, bootstrap, maintenance, and
+//!   dissemination code serves live traffic.
+//!
+//! Both do so through [`crate::stripe`], which holds the one [`Exec`]
+//! implementation the substrates share; they differ in where it sends
+//! ([`crate::stripe::Outbound`]).
 //!
 //! The trait is deliberately minimal: anything substrate-specific
 //! (channel loss models, failure plans, thread placement) stays out of

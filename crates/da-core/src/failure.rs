@@ -13,10 +13,10 @@
 //!
 //! [`FailureModel`] is the declarative description; [`FailurePlan`] is its
 //! materialisation for one seeded run. Like `crate::channel`, the module
-//! sits below both substrates: `da_simnet::Engine` applies the plan at
-//! the start of every round, and `da_runtime`'s `LifecycleController`
-//! applies the *identical* plan per worker stripe. To that end every
-//! per-round draw is **positionally deterministic**: churn transitions
+//! sits below both substrates: a [`crate::LifecycleController`] applies
+//! the plan at the start of every round — one over the whole population
+//! under `da_simnet::Engine`, one per worker stripe under `da_runtime`.
+//! To that end every per-round draw is **positionally deterministic**: churn transitions
 //! are sampled from a stateless `(pid, round)` hash
 //! ([`FailurePlan::churn_flips`]), never from a shared sequential RNG
 //! stream, so the fate of process 7 at round 12 is the same number on a
@@ -176,8 +176,8 @@ pub struct Transition {
 }
 
 /// A materialised failure plan for one seeded run. Produced by
-/// [`FailureModel::materialize`]; consumed by `da_simnet::Engine` and by
-/// `da_runtime`'s `LifecycleController`.
+/// [`FailureModel::materialize`]; applied by a
+/// [`crate::LifecycleController`] on either substrate.
 #[derive(Debug, Clone)]
 pub struct FailurePlan {
     initially_crashed: Vec<ProcessId>,
@@ -319,10 +319,13 @@ impl FailurePlan {
     /// fates first (in schedule order), then the churn draw — and
     /// reports everything a substrate needs to act on them.
     ///
-    /// This is the single authoritative transition step: the
-    /// simulator's `step_round`, the runtime's
-    /// `LifecycleController::begin_tick`, and the [`FailurePlan::alive_at`]
-    /// replay all consume it, so the substrates cannot drift apart.
+    /// This is the single authoritative transition step: both
+    /// substrates apply it through
+    /// [`crate::LifecycleController::begin_tick`] and the
+    /// [`FailurePlan::alive_at`] replay consumes it, so they cannot
+    /// drift apart. Its result is the round's *net* transition: a
+    /// process crashed and recovered in one round never goes down, and
+    /// re-enters once.
     #[must_use]
     #[inline]
     pub fn transition(&self, pid: ProcessId, round: u64, mut alive: bool) -> Transition {

@@ -11,19 +11,24 @@
 //! the process identity vocabulary, the deterministic seed-derivation
 //! scheme every RNG stream hangs off, the unified
 //! [`fault::FaultConfig`] builder both substrates' configs embed, and
-//! the [`wheel`] both substrates park in-flight envelopes in.
+//! the [`wheel`] both substrates park in-flight envelopes in, and the
+//! [`stripe`] tick body both run.
 //!
-//! Both execution substrates consume this crate:
+//! Both execution substrates consume this crate, and run the same tick
+//! body from it — [`stripe::Stripe`]: the [`failure::FailurePlan`]'s
+//! transitions applied by a [`lifecycle::LifecycleController`], the
+//! delivery verdicts, the round hooks, the send ledger and the one
+//! [`Exec`] context. They differ in where a send goes
+//! ([`stripe::Outbound`]):
 //!
-//! * `da_simnet::Engine` samples loss and latency for every queued send
+//! * `da_simnet::Engine` samples loss and latency for every send
 //!   through [`channel::ChannelConfig::sample_fate`] on its own engine
-//!   RNG stream — single-threaded, globally ordered draws — and applies
-//!   a [`failure::FailurePlan`] at the start of every round;
+//!   RNG stream — single-threaded, globally ordered draws — straight
+//!   into its wheel, over one stripe holding the whole population;
 //! * `da_runtime`'s `FaultyRouter` samples the *same* channel model per
 //!   send, but on [`channel::EdgeRngs`] — a stateless RNG per send,
-//!   keyed by `(edge, tick, occurrence)` — and its
-//!   `LifecycleController` applies the *same* failure plan per worker
-//!   stripe. Plan fates are drawn from stateless `(pid, round)` hashes
+//!   keyed by `(edge, tick, occurrence)` — for one stripe per worker.
+//!   Plan fates are drawn from stateless `(pid, round)` hashes
 //!   ([`failure::FailurePlan::churn_flips`]), so neither draws nor
 //!   fates depend on how processes are striped across worker threads.
 //!
@@ -38,10 +43,12 @@ pub mod channel;
 pub mod exec;
 pub mod failure;
 pub mod fault;
+pub mod lifecycle;
 pub mod metrics;
 pub mod process;
 pub mod seed;
 pub mod store;
+pub mod stripe;
 pub mod topology;
 pub mod trace;
 pub mod wheel;
@@ -51,10 +58,12 @@ pub use channel::{ChannelConfig, ChannelFate, EdgeRngs, Latency};
 pub use exec::{Exec, ExecProtocol, McHash};
 pub use failure::{ChurnRates, FailureModel, FailurePlan, Fate};
 pub use fault::FaultConfig;
+pub use lifecycle::{LifecycleController, LifecycleTransitions};
 pub use metrics::{CounterId, Counters, FxBuildHasher, FxHasher, Histogram, LabelId, TraceLog};
 pub use process::{ProcessId, ProcessIndexError, ProcessStatus};
 pub use seed::{derive_seed, rng_for_process, rng_from_seed};
 pub use store::ProcessStore;
+pub use stripe::{HotIds, Ledger, Outbound, Stripe, StripeTrace, TickTally};
 pub use topology::{
     DropSchedule, NetFate, NetworkModel, NodeId, Partition, PartitionSchedule, ScriptedDrop,
     Topology,

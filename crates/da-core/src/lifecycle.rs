@@ -1,18 +1,18 @@
-//! The live counterpart of the simulator's failure handling: a
-//! [`LifecycleController`] per worker applies the shared
-//! `da_core::failure::FailurePlan` to the worker's stripe of processes.
+//! Who is alive: a [`LifecycleController`] applies the shared
+//! [`FailurePlan`] to one stripe of processes — the whole population on
+//! the simulator, `pid ≡ worker mod stride` on a live worker.
 //!
 //! The controller is deliberately dumb: all randomness lives in the
 //! plan, whose churn draws are stateless `(pid, round)` hashes
-//! ([`FailurePlan::churn_flips`]). Each worker therefore advances the
+//! ([`FailurePlan::churn_flips`]). Each stripe therefore advances the
 //! liveness of its own processes without coordination, and the resulting
-//! fates are **identical** to a single-threaded simulator run over the
-//! same seed, whatever the worker count — the lifecycle analogue of the
+//! fates are **identical** on the single-stripe simulator and on any
+//! worker striping of the live pool — the lifecycle analogue of the
 //! transport's per-edge channel streams.
 
-use da_core::failure::FailurePlan;
-use da_core::process::{ProcessId, ProcessStatus};
-use da_core::seed::{derive_seed, rng_from_seed};
+use crate::failure::{FailurePlan, Fate};
+use crate::process::{ProcessId, ProcessStatus};
+use crate::seed::{derive_seed, rng_from_seed};
 use rand::rngs::SmallRng;
 use std::sync::Arc;
 
@@ -23,33 +23,31 @@ const WORKER_OBSERVER_STREAM: u64 = 0x0B5E_0000_0000_0100;
 /// What one [`LifecycleController::begin_tick`] changed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LifecycleTransitions {
-    /// Churn-driven crashes this tick (scripted fates are not counted —
-    /// mirroring the simulator's `sim.churn_crashes`).
+    /// Churn-driven crashes this tick (scripted fates are not counted:
+    /// these feed the `churn_crashes` counters).
     pub churn_crashes: u64,
     /// Churn-driven recoveries this tick.
     pub churn_recoveries: u64,
     /// Local (stripe) indices of every process that came back this tick
     /// — scripted or churn-driven — and is still alive after all
-    /// transitions applied. The worker runs their `on_recover` hooks.
+    /// transitions applied. Their `on_recover` hooks run next.
     pub recovered: Vec<usize>,
     /// Local (stripe) indices of every process that went down this tick
-    /// — scripted or churn-driven. The worker's flight recorder stamps
-    /// them as `Crashed` lifecycle events.
+    /// — scripted or churn-driven — and stayed down: the flight
+    /// recorder's `Crashed` lifecycle events.
     pub crashed: Vec<usize>,
 }
 
-/// Applies a [`FailurePlan`] to one worker's stripe of processes.
+/// Applies a [`FailurePlan`] to one stripe of processes.
 ///
-/// Owned by the worker thread alongside its processes: stillborn fates
-/// apply at construction (a stillborn process never runs `on_start`),
-/// and [`LifecycleController::begin_tick`] advances scripted fates and
-/// churn draws at the start of every tick, before any delivery — the
-/// exact point the simulator applies them in `step_round`.
+/// Owned by whoever owns the processes: stillborn fates apply at
+/// construction (a stillborn process never runs `on_start`), and
+/// [`LifecycleController::begin_tick`] advances scripted fates and
+/// churn draws at the start of every tick, before any delivery.
 ///
 /// ```
 /// use da_core::failure::{Fate, FailureModel};
-/// use da_core::ProcessId;
-/// use da_runtime::LifecycleController;
+/// use da_core::{LifecycleController, ProcessId};
 /// use std::sync::Arc;
 ///
 /// // p1 crashes at tick 2 and recovers at tick 5.
@@ -69,25 +67,26 @@ pub struct LifecycleTransitions {
 /// lc.begin_tick(4);
 /// let t = lc.begin_tick(5);
 /// assert!(lc.is_alive(1));
-/// assert_eq!(t.recovered, vec![1], "worker must run p1's on_recover");
+/// assert_eq!(t.recovered, vec![1], "the owner must run p1's on_recover");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LifecycleController {
     plan: Arc<FailurePlan>,
     /// Liveness of each owned process, indexed by local stripe slot
     /// (`pid = worker + slot * stride`).
     status: Vec<ProcessStatus>,
-    /// Per-worker observation stream of the per-observer model; `None`
-    /// when the plan never samples observers.
-    observer_rng: Option<SmallRng>,
-    worker: usize,
-    stride: usize,
+    /// Observation stream of the per-observer model (never drawn from
+    /// under any other model).
+    observer_rng: SmallRng,
+    worker: u32,
+    stride: u32,
 }
 
 impl LifecycleController {
     /// Builds the controller for the worker owning processes
     /// `worker + i * stride` for `i < owned`, applying the plan's
-    /// stillborn fates immediately.
+    /// stillborn fates immediately. Observations draw on a stream of the
+    /// worker's own.
     #[must_use]
     pub fn new(plan: Arc<FailurePlan>, worker: usize, stride: usize, owned: usize) -> Self {
         let stride = stride.max(1);
@@ -103,19 +102,65 @@ impl LifecycleController {
                 }
             }
         }
-        let observer_rng = plan.observer_alive_probability().map(|_| {
-            rng_from_seed(derive_seed(
-                plan.observation_seed(),
-                WORKER_OBSERVER_STREAM + worker as u64,
-            ))
-        });
+        let observer_seed = derive_seed(
+            plan.observation_seed(),
+            WORKER_OBSERVER_STREAM + worker as u64,
+        );
         LifecycleController {
             plan,
             status,
-            observer_rng,
-            worker,
-            stride,
+            observer_rng: rng_from_seed(observer_seed),
+            worker: u32::try_from(worker).expect("a stripe starts inside the pid space"),
+            stride: u32::try_from(stride).expect("a stride fits the pid space"),
         }
+    }
+
+    /// Moves observation onto the plan's own stream — for the
+    /// simulator's single stripe, which draws in delivery order.
+    #[must_use]
+    pub fn on_plan_stream(mut self) -> Self {
+        self.observer_rng = rng_from_seed(self.plan.observation_seed());
+        self
+    }
+
+    /// The plan this controller applies.
+    #[must_use]
+    pub fn plan(&self) -> &FailurePlan {
+        &self.plan
+    }
+
+    /// Adds one scripted fate to the plan ([`FailurePlan::push_fate`]);
+    /// a plan shared with other controllers is copied first.
+    pub fn push_fate(&mut self, fate: Fate) {
+        Arc::make_mut(&mut self.plan).push_fate(fate);
+    }
+
+    /// The observation stream at its current position.
+    #[must_use]
+    pub fn observer_rng(&self) -> &SmallRng {
+        &self.observer_rng
+    }
+
+    /// Number of processes in the stripe.
+    #[must_use]
+    pub fn owned(&self) -> usize {
+        self.status.len()
+    }
+
+    /// The process at local stripe slot `slot`.
+    #[must_use]
+    #[inline]
+    pub fn pid_of(&self, slot: usize) -> ProcessId {
+        ProcessId::from_index(self.worker as usize + slot * self.stride as usize)
+    }
+
+    /// The local stripe slot of `pid`, which this stripe must own.
+    #[must_use]
+    #[inline]
+    pub fn slot_of(&self, pid: ProcessId) -> usize {
+        debug_assert_eq!(pid.0 % self.stride, self.worker, "misrouted {pid}");
+        // In `u32`: a 32-bit divide on every delivery, not a 64-bit one.
+        ((pid.0 - self.worker) / self.stride) as usize
     }
 
     /// Liveness of the process at local stripe slot `slot`.
@@ -124,6 +169,7 @@ impl LifecycleController {
     ///
     /// Panics when `slot` is out of range for the stripe.
     #[must_use]
+    #[inline]
     pub fn is_alive(&self, slot: usize) -> bool {
         self.status[slot].is_alive()
     }
@@ -138,6 +184,17 @@ impl LifecycleController {
         self.status[slot]
     }
 
+    /// Overrides the status of the process at `slot` outside the plan —
+    /// the simulator's manual `crash` / `recover` hatches. No
+    /// transition is reported for it and no `on_recover` runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slot` is out of range for the stripe.
+    pub fn set_status(&mut self, slot: usize, status: ProcessStatus) {
+        self.status[slot] = status;
+    }
+
     /// Number of currently alive processes in the stripe.
     #[must_use]
     pub fn alive_count(&self) -> usize {
@@ -145,7 +202,7 @@ impl LifecycleController {
     }
 
     /// True when the plan can never change anyone's liveness — the
-    /// whole controller is then a no-op the worker can skip thinking
+    /// whole controller is then a no-op its owner can skip thinking
     /// about.
     #[must_use]
     pub fn is_inert(&self) -> bool {
@@ -154,8 +211,8 @@ impl LifecycleController {
 
     /// Samples whether one particular transmission observes its target
     /// as alive — the per-observer model (paper Fig. 11), drawn on this
-    /// worker's own observation stream. Always `true` outside
-    /// `FailureModel::PerObserver`.
+    /// controller's observation stream. Always `true`, and draw-free,
+    /// outside `FailureModel::PerObserver`.
     ///
     /// Per-observer failures are *per transmission by definition*
     /// (independent Bernoulli draws, uncorrelated across observers), so
@@ -163,24 +220,21 @@ impl LifecycleController {
     /// construction meaningless — global draw order differs from the
     /// simulator's single stream.
     #[must_use]
+    #[inline]
     pub fn observes_alive(&mut self) -> bool {
-        match self.observer_rng.as_mut() {
-            None => true,
-            Some(rng) => self.plan.observes_alive(rng),
-        }
+        self.plan.observes_alive(&mut self.observer_rng)
     }
 
     /// Applies the transitions due at the start of `tick` to the owned
-    /// stripe — via the shared authoritative `FailurePlan::transition`
-    /// step, so the resulting fates are exactly the simulator's — and
-    /// reports what changed.
+    /// stripe — via the shared authoritative [`FailurePlan::transition`]
+    /// step — and reports what changed.
     pub fn begin_tick(&mut self, tick: u64) -> LifecycleTransitions {
         let mut out = LifecycleTransitions::default();
         if !self.plan.has_transitions() {
             return out;
         }
         // This loop runs once per owned process per tick — the single
-        // hottest lifecycle path in the runtime. Hoist the `Arc` deref
+        // hottest lifecycle path of either substrate. Hoist the `Arc` deref
         // out of the loop, and keep the no-schedule common case (churn
         // or nothing) to a bare draw-and-compare per process with every
         // piece of bookkeeping behind the rarely-taken flip branch.
@@ -188,7 +242,7 @@ impl LifecycleController {
         // empty schedule — `churn_fates_are_stripe_independent` below
         // and the cross-substrate parity suites pin the equivalence.
         let plan = &*self.plan;
-        let (worker, stride) = (self.worker, self.stride);
+        let (worker, stride) = (self.worker as usize, self.stride as usize);
         if plan.schedule().is_empty() {
             for (slot, status) in self.status.iter_mut().enumerate() {
                 let alive = status.is_alive();
@@ -234,7 +288,7 @@ impl LifecycleController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_core::failure::{FailureModel, Fate};
+    use crate::failure::{FailureModel, Fate};
 
     fn plan(model: FailureModel, population: usize, seed: u64) -> Arc<FailurePlan> {
         Arc::new(model.materialize(population, seed))

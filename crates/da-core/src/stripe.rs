@@ -1,0 +1,574 @@
+//! One tick body for both substrates.
+//!
+//! A tick is the same sequence wherever it runs: the failure plan's
+//! transitions (churn counters, lifecycle events, `on_recover`), the
+//! first tick's `on_start`, a verdict per due envelope (destination
+//! crashed / observed failed / delivered → `on_message`), `on_round`
+//! for everyone alive — and under every hook a send ledger (sent, bytes,
+//! lost, severed, queued). A [`Stripe`] owns what that sequence touches
+//! and runs it in three phases. The substrates differ in where a send
+//! goes — the [`Outbound`] seam, implemented once by the simulator (a
+//! `Strategy` fate on the engine RNG, into its wheel) and once by the
+//! live transport's `FaultyRouter` — and in where due envelopes come
+//! from, which stays with the caller: it owns the wheel.
+//!
+//! The phase methods and the context's `send` are `#[inline]`: they are
+//! the body of each substrate's hot loop, and PR 16 measured what one
+//! out-of-line call does to the code generated around it.
+
+use crate::exec::{Exec, ExecProtocol};
+use crate::lifecycle::LifecycleController;
+use crate::metrics::{CounterId, Counters, Histogram, LabelId};
+use crate::process::{ProcessId, ProcessStatus};
+use crate::store::ProcessStore;
+use crate::topology::NetFate;
+use crate::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
+use crate::wheel::Envelope;
+use crate::wire::WireSize;
+use rand::rngs::SmallRng;
+
+/// Where a send goes: decides the fate of one message on the network
+/// and, when it survives, takes it into flight toward its due tick.
+pub trait Outbound {
+    /// The message type it carries.
+    type Msg;
+
+    /// Routes `msg`, sent by `from` to `to` during `tick`; a
+    /// [`NetFate::Deliver`] message is in flight when this returns.
+    fn send(&mut self, from: ProcessId, to: ProcessId, tick: u64, msg: Self::Msg) -> NetFate;
+}
+
+/// The counters the tick body touches on every send, delivery and
+/// transition, registered by the substrate under its own names (`sim.*`,
+/// `rt.*`) so that each costs an array increment.
+#[derive(Debug, Clone, Copy)]
+pub struct HotIds {
+    /// Messages handed to the network.
+    pub sent: CounterId,
+    /// Their wire sizes.
+    pub bytes_sent: CounterId,
+    /// Envelopes handed to `on_message`.
+    pub delivered: CounterId,
+    /// Sends the channel lost.
+    pub dropped_channel: CounterId,
+    /// Sends a partition cut severed.
+    pub dropped_partitioned: CounterId,
+    /// Envelopes due at a crashed process.
+    pub dropped_crashed: CounterId,
+    /// Envelopes whose destination was observed as failed.
+    pub dropped_observed: CounterId,
+    /// Churn-driven crashes.
+    pub churn_crashes: CounterId,
+    /// Churn-driven recoveries.
+    pub churn_recoveries: CounterId,
+}
+
+/// What one tick sent and consumed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TickTally {
+    /// Messages handed to the network, lost ones included.
+    pub sent: u64,
+    /// Sends that survived the network and entered flight.
+    pub queued: u64,
+    /// Due envelopes handed to `on_message`.
+    pub delivered: u64,
+    /// Due envelopes consumed undelivered (destination crashed, or
+    /// observed as failed).
+    pub undeliverable: u64,
+}
+
+/// A stripe's flight-recorder state when tracing is on.
+#[derive(Debug, Clone)]
+pub struct StripeTrace {
+    /// Every send, verdict and lifecycle transition of the stripe.
+    pub recorder: TraceRecorder,
+    /// Delivery tick minus send tick, per delivered envelope.
+    pub delivery_latency: Histogram,
+}
+
+/// The envelope ledger of a stripe, kept together so that a hook's
+/// context borrows it as one.
+#[derive(Debug, Clone)]
+pub struct Ledger {
+    /// The stripe's metrics registry.
+    pub counters: Counters,
+    /// `None` when tracing is off: every trace hook is then one branch.
+    pub trace: Option<StripeTrace>,
+    ids: HotIds,
+    tally: TickTally,
+}
+
+impl Ledger {
+    /// Counts `n` envelopes lost in bulk under a counter of the
+    /// substrate's own (a closed lane, a shutdown): no per-envelope
+    /// identity is left to trace, so the recorder keeps the count alone.
+    pub fn count_dropped(&mut self, id: CounterId, verdict: TraceVerdict, n: u64) {
+        self.counters.add(id, n);
+        if let Some(trace) = self.trace.as_mut() {
+            trace.recorder.count_only(verdict, n);
+        }
+    }
+
+    #[inline]
+    fn record_send(&mut self, tick: u64, from: ProcessId, to: ProcessId, size: u64, fate: NetFate) {
+        self.tally.sent += 1;
+        self.counters.add(self.ids.sent, 1);
+        self.counters.add(self.ids.bytes_sent, size);
+        let dropped = match fate {
+            NetFate::Deliver { .. } => {
+                self.tally.queued += 1;
+                None
+            }
+            NetFate::Lost => Some((self.ids.dropped_channel, TraceVerdict::DroppedChannel)),
+            NetFate::Severed => Some((
+                self.ids.dropped_partitioned,
+                TraceVerdict::DroppedPartitioned,
+            )),
+        };
+        if let Some((id, _)) = dropped {
+            self.counters.add(id, 1);
+        }
+        if let Some(trace) = self.trace.as_mut() {
+            let mut event = TraceEvent {
+                tick,
+                from,
+                to,
+                payload: size,
+                verdict: TraceVerdict::Sent,
+            };
+            trace.recorder.record(event);
+            // Send-time drops stamp the send tick; drops decided at
+            // delivery time stamp the delivery tick instead.
+            if let Some((_, verdict)) = dropped {
+                event.verdict = verdict;
+                trace.recorder.record(event);
+            }
+        }
+    }
+}
+
+/// The execution context of every protocol hook, on either substrate.
+struct Ctx<'a, O> {
+    me: ProcessId,
+    tick: u64,
+    rng: &'a mut SmallRng,
+    ledger: &'a mut Ledger,
+    out: &'a mut O,
+}
+
+impl<O: Outbound<Msg: WireSize>> Exec for Ctx<'_, O> {
+    type Msg = O::Msg;
+
+    fn me(&self) -> ProcessId {
+        self.me
+    }
+
+    fn round(&self) -> u64 {
+        self.tick
+    }
+
+    #[inline]
+    fn send(&mut self, to: ProcessId, msg: O::Msg) {
+        let size = msg.wire_size() as u64;
+        let fate = self.out.send(self.me, to, self.tick, msg);
+        self.ledger.record_send(self.tick, self.me, to, size, fate);
+    }
+
+    fn rng(&mut self) -> &mut SmallRng {
+        self.rng
+    }
+
+    fn bump(&mut self, label: &str) {
+        self.ledger.counters.bump(label);
+    }
+
+    fn bump_id(&mut self, label: LabelId) {
+        self.ledger.counters.bump_id(label);
+    }
+
+    fn add(&mut self, label: &str, delta: u64) {
+        self.ledger.counters.add_named(label, delta);
+    }
+}
+
+/// One stripe of processes and the tick body that drives them — the
+/// whole population on the simulator, `pid ≡ worker mod stride` on a
+/// live worker.
+///
+/// A tick is [`begin_tick`](Self::begin_tick), one
+/// [`deliver`](Self::deliver) per envelope due, then
+/// [`round_hooks`](Self::round_hooks). The fields are the substrate's to
+/// read, and to adjust between ticks (inject into a process, flip a
+/// status by hand, count what only it sees); the tick body alone
+/// advances them.
+#[derive(Debug, Clone)]
+pub struct Stripe<P> {
+    /// The processes and their RNG streams: slot `i` holds
+    /// `lifecycle.pid_of(i)`.
+    pub store: ProcessStore<P>,
+    /// Their liveness under the failure plan.
+    pub lifecycle: LifecycleController,
+    /// Counters and flight recorder.
+    pub ledger: Ledger,
+    /// The tick [`Stripe::begin_tick`] last opened.
+    tick: u64,
+    started: bool,
+}
+
+impl<P> Stripe<P>
+where
+    P: ExecProtocol,
+    P::Msg: WireSize,
+{
+    /// A stripe over `store`, with one status in `lifecycle` per process.
+    /// `ids` must come from `counters`.
+    #[must_use]
+    pub fn new(
+        store: ProcessStore<P>,
+        lifecycle: LifecycleController,
+        counters: Counters,
+        ids: HotIds,
+        trace: &TraceConfig,
+    ) -> Self {
+        debug_assert_eq!(store.len(), lifecycle.owned(), "one status per process");
+        let trace = TraceRecorder::new(trace).map(|recorder| StripeTrace {
+            recorder,
+            delivery_latency: Histogram::new(),
+        });
+        Stripe {
+            store,
+            lifecycle,
+            ledger: Ledger {
+                counters,
+                trace,
+                ids,
+                tally: TickTally::default(),
+            },
+            tick: 0,
+            started: false,
+        }
+    }
+
+    /// Runs `f` on the process at `slot` under a context of its own.
+    #[inline]
+    fn hook<O: Outbound<Msg = P::Msg>>(
+        &mut self,
+        slot: usize,
+        out: &mut O,
+        f: impl FnOnce(&mut P, &mut Ctx<'_, O>),
+    ) {
+        let me = self.lifecycle.pid_of(slot);
+        let (process, rng) = self.store.pair_mut(slot, me);
+        let mut ctx = Ctx {
+            me,
+            tick: self.tick,
+            rng,
+            ledger: &mut self.ledger,
+            out,
+        };
+        f(process, &mut ctx);
+    }
+
+    /// Opens `tick`: applies the failure plan's transitions (churn
+    /// counters; lifecycle events, every `Crashed` in pid order, then
+    /// every `Recovered`), runs `on_recover` for the processes that came
+    /// back and, on the first tick ever, `on_start` for every process
+    /// alive — all before any delivery.
+    #[inline]
+    pub fn begin_tick<O: Outbound<Msg = P::Msg>>(&mut self, tick: u64, out: &mut O) {
+        self.tick = tick;
+        self.ledger.tally = TickTally::default();
+
+        let transitions = self.lifecycle.begin_tick(tick);
+        let Ledger { counters, ids, .. } = &mut self.ledger;
+        if transitions.churn_crashes > 0 {
+            counters.add(ids.churn_crashes, transitions.churn_crashes);
+        }
+        if transitions.churn_recoveries > 0 {
+            counters.add(ids.churn_recoveries, transitions.churn_recoveries);
+        }
+        if let Some(trace) = self.ledger.trace.as_mut() {
+            for (slots, verdict) in [
+                (&transitions.crashed, TraceVerdict::Crashed),
+                (&transitions.recovered, TraceVerdict::Recovered),
+            ] {
+                for &slot in slots {
+                    let pid = self.lifecycle.pid_of(slot);
+                    trace
+                        .recorder
+                        .record(TraceEvent::lifecycle(tick, pid, verdict));
+                }
+            }
+        }
+        for slot in transitions.recovered {
+            self.hook(slot, out, |process, ctx| process.on_recover(ctx));
+        }
+
+        if !self.started {
+            self.started = true;
+            for slot in 0..self.store.len() {
+                // Not the stillborn, nor anyone crashed at tick 0.
+                if self.lifecycle.is_alive(slot) {
+                    self.hook(slot, out, |process, ctx| process.on_start(ctx));
+                }
+            }
+        }
+    }
+
+    /// Consumes one envelope due this tick: dropped when its destination
+    /// is crashed, or when the per-observer model draws it as failed for
+    /// this transmission; handed to `on_message` otherwise. Each verdict
+    /// is counted, tallied, and traced with the delivery tick — the
+    /// moment the envelope's fate resolved.
+    #[inline]
+    pub fn deliver<O: Outbound<Msg = P::Msg>>(&mut self, envelope: Envelope<P::Msg>, out: &mut O) {
+        let Envelope {
+            from,
+            to,
+            sent_tick,
+            msg,
+            ..
+        } = envelope;
+        let slot = self.lifecycle.slot_of(to);
+        let ids = &self.ledger.ids;
+        let (verdict, id) = if !self.lifecycle.is_alive(slot) {
+            (TraceVerdict::DroppedCrashed, ids.dropped_crashed)
+        } else if !self.lifecycle.observes_alive() {
+            (TraceVerdict::DroppedObserved, ids.dropped_observed)
+        } else {
+            (TraceVerdict::Delivered, ids.delivered)
+        };
+        let delivered = verdict == TraceVerdict::Delivered;
+        self.ledger.counters.add(id, 1);
+        if let Some(trace) = self.ledger.trace.as_mut() {
+            trace.recorder.record(TraceEvent {
+                tick: self.tick,
+                from,
+                to,
+                payload: msg.wire_size() as u64,
+                verdict,
+            });
+            if delivered {
+                trace.delivery_latency.record(self.tick - sent_tick);
+            }
+        }
+        if delivered {
+            self.ledger.tally.delivered += 1;
+            self.hook(slot, out, |process, ctx| {
+                process.on_message(from, msg, ctx);
+            });
+        } else {
+            self.ledger.tally.undeliverable += 1;
+        }
+    }
+
+    /// Runs `on_round` for every process alive, in pid order, after the
+    /// tick's deliveries — and returns what the tick added up to.
+    #[inline]
+    pub fn round_hooks<O: Outbound<Msg = P::Msg>>(&mut self, out: &mut O) -> TickTally {
+        let tick = self.tick;
+        for slot in 0..self.store.len() {
+            if self.lifecycle.is_alive(slot) {
+                self.hook(slot, out, |process, ctx| process.on_round(tick, ctx));
+            }
+        }
+        self.ledger.tally
+    }
+
+    /// True once the first tick has run its `on_start` hooks.
+    #[must_use]
+    pub fn started(&self) -> bool {
+        self.started
+    }
+
+    /// Takes the stripe apart: every process with its pid and its final
+    /// status, in slot order.
+    pub fn into_processes(self) -> impl Iterator<Item = (ProcessId, P, ProcessStatus)> {
+        let lifecycle = self.lifecycle;
+        self.store
+            .into_processes()
+            .into_iter()
+            .enumerate()
+            .map(move |(slot, process)| (lifecycle.pid_of(slot), process, lifecycle.status(slot)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::failure::FailureModel;
+    use std::sync::Arc;
+
+    /// Sends a byte to the next pid from `on_start` and on every round,
+    /// and records which hooks ran.
+    #[derive(Debug, Default)]
+    struct Probe {
+        started: bool,
+        heard: Vec<(ProcessId, u8)>,
+        rounds: Vec<u64>,
+    }
+
+    impl ExecProtocol for Probe {
+        type Msg = u8;
+
+        fn on_start<X: Exec<Msg = u8>>(&mut self, ctx: &mut X) {
+            self.started = true;
+            ctx.send(ProcessId(ctx.me().0 + 1), 0);
+        }
+
+        fn on_message<X: Exec<Msg = u8>>(&mut self, from: ProcessId, msg: u8, ctx: &mut X) {
+            self.heard.push((from, msg));
+            ctx.bump("probe.heard");
+        }
+
+        fn on_round<X: Exec<Msg = u8>>(&mut self, round: u64, ctx: &mut X) {
+            assert_eq!(ctx.round(), round);
+            self.rounds.push(round);
+            ctx.send(ProcessId(ctx.me().0 + 1), 1);
+        }
+    }
+
+    /// Counts sends; loses the ones addressed to p1, severs the ones
+    /// addressed to p2.
+    struct Recording(u64);
+
+    impl Outbound for Recording {
+        type Msg = u8;
+
+        fn send(&mut self, _from: ProcessId, to: ProcessId, _tick: u64, _msg: u8) -> NetFate {
+            self.0 += 1;
+            match to.0 {
+                1 => NetFate::Lost,
+                2 => NetFate::Severed,
+                _ => NetFate::Deliver { latency: 1 },
+            }
+        }
+    }
+
+    fn stripe(model: FailureModel, population: usize, seed: u64) -> Stripe<Probe> {
+        let mut store = ProcessStore::new(seed);
+        for _ in 0..population {
+            store.push(Probe::default());
+        }
+        let plan = Arc::new(model.materialize(population, seed));
+        let mut counters = Counters::new();
+        let mut id = |name| counters.register(name);
+        let ids = HotIds {
+            sent: id("sent"),
+            bytes_sent: id("bytes_sent"),
+            delivered: id("delivered"),
+            dropped_channel: id("dropped_channel"),
+            dropped_partitioned: id("dropped_partitioned"),
+            dropped_crashed: id("dropped_crashed"),
+            dropped_observed: id("dropped_observed"),
+            churn_crashes: id("churn_crashes"),
+            churn_recoveries: id("churn_recoveries"),
+        };
+        let lifecycle = LifecycleController::new(plan, 0, 1, population);
+        Stripe::new(store, lifecycle, counters, ids, &TraceConfig::full())
+    }
+
+    fn envelope(from: u32, to: u32) -> Envelope<u8> {
+        Envelope {
+            from: ProcessId(from),
+            to: ProcessId(to),
+            sent_tick: 0,
+            due_tick: 1,
+            msg: 9,
+        }
+    }
+
+    fn last_event(stripe: &Stripe<Probe>) -> (u64, u32, u32, TraceVerdict) {
+        let trace = stripe.ledger.trace.as_ref().expect("tracing is on");
+        let e = trace.recorder.events().last().expect("an event");
+        (e.tick, e.from.0, e.to.0, e.verdict)
+    }
+
+    #[test]
+    fn a_tick_runs_start_deliveries_and_round_hooks_through_one_ledger() {
+        let mut s = stripe(FailureModel::None, 3, 1);
+        let mut out = Recording(0);
+        s.begin_tick(0, &mut out);
+        assert!(s.started() && s.store.iter().all(|p| p.started));
+        // Three on_start sends and three on_round sends, each either
+        // lost (→ p1), severed (→ p2) or queued (→ p3).
+        let tally = s.round_hooks(&mut out);
+        assert_eq!((out.0, tally.sent, tally.queued), (6, 6, 2));
+        let counters = &s.ledger.counters;
+        assert_eq!(counters.get("sent"), 6);
+        assert_eq!(counters.get("bytes_sent"), 6);
+        assert_eq!(counters.get("dropped_channel"), 2);
+        assert_eq!(counters.get("dropped_partitioned"), 2);
+        let trace = s.ledger.trace.as_ref().unwrap();
+        assert_eq!(trace.recorder.count(TraceVerdict::Sent), 6);
+        assert_eq!(trace.recorder.count(TraceVerdict::DroppedChannel), 2);
+        assert_eq!(last_event(&s), (0, 2, 3, TraceVerdict::Sent));
+
+        // The next tick runs no on_start again, delivers under the
+        // destination's own context, and tallies afresh.
+        s.begin_tick(1, &mut out);
+        assert_eq!(out.0, 6, "on_start runs once");
+        s.deliver(envelope(0, 2), &mut out);
+        assert_eq!(s.store.get(2).heard, vec![(ProcessId(0), 9)]);
+        assert_eq!(s.ledger.counters.get("probe.heard"), 1);
+        assert_eq!(last_event(&s), (1, 0, 2, TraceVerdict::Delivered));
+        let latency = &s.ledger.trace.as_ref().unwrap().delivery_latency;
+        assert_eq!((latency.count(), latency.max()), (1, 1));
+        assert_eq!(s.store.get(0).rounds, vec![0], "round hooks come last");
+        let tally = s.round_hooks(&mut out);
+        assert_eq!((tally.delivered, tally.sent), (1, 3));
+    }
+
+    #[test]
+    fn stillborn_processes_never_start_and_their_mail_drops() {
+        let model = FailureModel::Stillborn {
+            alive_fraction: 0.5,
+        };
+        let mut s = stripe(model, 8, 3);
+        let dead: Vec<usize> = (0..8).filter(|&i| !s.lifecycle.is_alive(i)).collect();
+        assert_eq!(dead.len(), 4);
+        let mut out = Recording(0);
+        s.begin_tick(0, &mut out);
+        s.round_hooks(&mut out);
+        assert_eq!(out.0, 8, "only the four alive ones sent, twice each");
+        for (i, p) in s.store.iter().enumerate() {
+            assert_eq!(p.started, !dead.contains(&i), "process {i} started");
+            assert_eq!(p.rounds.is_empty(), dead.contains(&i), "process {i} rounds");
+        }
+
+        s.begin_tick(1, &mut out);
+        let to = dead[0] as u32;
+        s.deliver(envelope(7, to), &mut out);
+        let tally = s.round_hooks(&mut out);
+        assert_eq!((tally.delivered, tally.undeliverable), (0, 1));
+        assert!(s.store.get(dead[0]).heard.is_empty());
+        assert_eq!(s.ledger.counters.get("dropped_crashed"), 1);
+        let crashed = s.ledger.trace.as_ref().unwrap().recorder.events().iter();
+        let crashed: Vec<_> = crashed
+            .filter(|e| e.verdict == TraceVerdict::DroppedCrashed)
+            .collect();
+        assert_eq!(crashed.len(), 1);
+        assert_eq!((crashed[0].tick, crashed[0].to.0), (1, to), "delivery tick");
+    }
+
+    #[test]
+    fn observed_failed_destinations_drop_without_crashing_anyone() {
+        let model = FailureModel::PerObserver {
+            alive_fraction: 0.5,
+        };
+        let mut s = stripe(model, 2, 11);
+        let mut out = Recording(0);
+        s.begin_tick(0, &mut out);
+        for _ in 0..400 {
+            s.deliver(envelope(0, 1), &mut out);
+        }
+        let tally = s.round_hooks(&mut out);
+        let observed = s.ledger.counters.get("dropped_observed");
+        assert!((140..260).contains(&observed), "observer drops {observed}");
+        assert_eq!(tally.undeliverable, observed);
+        assert_eq!(tally.delivered, 400 - observed);
+        assert_eq!(s.store.get(1).heard.len() as u64, tally.delivered);
+        assert_eq!(s.lifecycle.alive_count(), 2);
+        assert_eq!(s.ledger.counters.get("dropped_crashed"), 0);
+    }
+}

@@ -42,9 +42,10 @@
 //!   observes the reported tick frontier to keep `step_tick` /
 //!   `run_until_quiescent` semantics exact — including never executing
 //!   a tick past the quiescent one;
-//! * **process failures** — a per-worker [`LifecycleController`]
-//!   applies the same `da_core::failure` plan the simulator
-//!   materialises (configured via [`RuntimeConfig::with_failures`]):
+//! * **process failures** — each worker drives a `da_core::Stripe`,
+//!   the tick body the simulator runs too, whose
+//!   [`LifecycleController`] applies the same `da_core::failure` plan
+//!   (configured via [`RuntimeConfig::with_failures`]):
 //!   stillborn processes never start, scripted fates and churn draws
 //!   crash/recover processes at the start of their tick, messages owed
 //!   to a crashed process are consumed as `rt.dropped_crashed`,
@@ -60,7 +61,7 @@
 //!   simulator fills;
 //! * **flight recorder** — with [`RuntimeConfig::with_trace`] enabled,
 //!   every send, delivery, drop, and lifecycle transition is appended
-//!   (unsynchronised) to the worker's own `da_core::trace` recorder and
+//!   (unsynchronised) to the recorder of the worker's own stripe and
 //!   drained into a shared [`TraceSink`] at tick boundaries, alongside
 //!   delivery-latency / wheel-occupancy / watermark-lag histograms; the
 //!   merged `TraceLog` canonicalizes into the exact stream the simulator
@@ -107,22 +108,21 @@
 #![warn(missing_docs)]
 
 mod config;
-mod lifecycle;
 mod metrics;
 mod runtime;
 mod transport;
+mod worker;
 
 pub use config::RuntimeConfig;
 // The `da_core` names this crate's own public signatures mention;
 // everything else is imported from `da_core` directly.
 pub use da_core::{
-    Counters, Envelope, ExecProtocol, FaultConfig, Histogram, ProcessId, ProcessStatus,
-    TraceConfig, TraceLog, WireSize,
+    Counters, Envelope, ExecProtocol, FaultConfig, Histogram, LifecycleController,
+    LifecycleTransitions, ProcessId, ProcessStatus, TraceConfig, TraceLog, WireSize,
 };
-pub use lifecycle::{LifecycleController, LifecycleTransitions};
 pub use metrics::{ShardOutOfRange, ShardedCounters, TraceSink};
 pub use runtime::{Runtime, Shutdown, TickReport};
 pub use transport::{
     lane_matrix, Batch, BatchPool, EdgeInbox, EdgeWatermarks, FaultyRouter, FlushReport, Hub,
-    LaneClosed, SendFate,
+    LaneClosed,
 };

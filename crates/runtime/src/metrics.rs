@@ -31,7 +31,7 @@
 //! diagnostics matter most.
 
 use da_core::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
-use da_core::{Counters, Histogram, TraceLog};
+use da_core::{Counters, Histogram, StripeTrace, TraceLog};
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -274,17 +274,14 @@ impl TraceSink {
     }
 }
 
-/// Everything one worker owns when tracing is enabled: the recorder its
-/// hot paths append into, the trace histograms it samples per tick, and
-/// the shared sink it drains into at tick boundaries.
+/// What the pool adds to its stripe's flight recorder when tracing is
+/// enabled: the trace histograms a worker samples per tick, and the
+/// shared sink it drains the stripe's recorder into at tick boundaries.
 ///
 /// The worker stores an `Option<WorkerTrace>` — `None` when tracing is
-/// off, so every hot-path hook is one branch.
+/// off, like the stripe's own trace state.
 #[derive(Debug)]
 pub(crate) struct WorkerTrace {
-    pub recorder: TraceRecorder,
-    /// Delivery tick minus send tick, per delivered envelope.
-    pub delivery_latency: Histogram,
     /// Delay-wheel occupancy sampled once per tick after the inbox
     /// drain.
     pub wheel_occupancy: Histogram,
@@ -301,9 +298,7 @@ impl WorkerTrace {
     /// A worker-side trace state for `config`, or `None` when tracing is
     /// off.
     pub fn new(config: &TraceConfig, sink: Arc<TraceSink>) -> Option<Self> {
-        TraceRecorder::new(config).map(|recorder| WorkerTrace {
-            recorder,
-            delivery_latency: Histogram::new(),
+        config.is_enabled().then(|| WorkerTrace {
             wheel_occupancy: Histogram::new(),
             watermark_lag: Histogram::new(),
             lane_depth: Histogram::new(),
@@ -311,19 +306,20 @@ impl WorkerTrace {
         })
     }
 
-    /// Tick-boundary publish into the shared sink.
+    /// Tick-boundary publish of the stripe's recorder and every
+    /// histogram into the shared sink.
     ///
     /// # Panics
     ///
     /// Panics when `worker` is out of range — worker ids are assigned at
     /// spawn and always in range.
-    pub fn publish(&mut self, worker: usize) {
+    pub fn publish(&self, worker: usize, stripe: &mut StripeTrace) {
         self.sink
             .publish(
                 worker,
-                &mut self.recorder,
+                &mut stripe.recorder,
                 &[
-                    ("delivery_latency_ticks", &self.delivery_latency),
+                    ("delivery_latency_ticks", &stripe.delivery_latency),
                     ("wheel_occupancy", &self.wheel_occupancy),
                     ("watermark_lag", &self.watermark_lag),
                     ("lane_depth", &self.lane_depth),
@@ -523,10 +519,19 @@ mod tests {
     fn worker_trace_requires_enabled_config() {
         let sink = Arc::new(TraceSink::new(1, &TraceConfig::full()));
         assert!(WorkerTrace::new(&TraceConfig::off(), Arc::clone(&sink)).is_none());
-        let mut wt = WorkerTrace::new(&TraceConfig::full(), sink).unwrap();
-        wt.recorder.record(event(0, TraceVerdict::Sent));
-        wt.delivery_latency.record(1);
-        wt.publish(0);
-        assert!(wt.recorder.events().is_empty());
+        let mut wt = WorkerTrace::new(&TraceConfig::full(), Arc::clone(&sink)).unwrap();
+        let mut stripe = StripeTrace {
+            recorder: TraceRecorder::new(&TraceConfig::full()).unwrap(),
+            delivery_latency: Histogram::new(),
+        };
+        stripe.recorder.record(event(0, TraceVerdict::Sent));
+        stripe.delivery_latency.record(1);
+        wt.lane_depth.record(2);
+        wt.publish(0, &mut stripe);
+        assert!(stripe.recorder.events().is_empty());
+        let log = sink.merged();
+        assert_eq!(log.count(TraceVerdict::Sent), 1);
+        assert_eq!(log.histogram("delivery_latency_ticks").unwrap().count(), 1);
+        assert_eq!(log.histogram("lane_depth").unwrap().max(), 2);
     }
 }

@@ -1,5 +1,6 @@
-//! The worker pool, the bounded-lag tick scheduler, and the live
-//! execution context.
+//! The pool's coordinator: [`Runtime`] spawns the workers
+//! ([`crate::worker`]), grants them ticks under the bounded-lag
+//! scheduler, and folds their reports into [`TickReport`]s.
 //!
 //! ## Scheduling model
 //!
@@ -23,9 +24,11 @@
 //!   the pool may run, workers free-run up to it. `run_ticks` grants its
 //!   whole budget upfront; `run_until_quiescent` grants tick `n + 1` as
 //!   soon as tick `n` is *provably* not quiet (any worker reported
-//!   activity, or the delivery ledger shows messages still in flight),
-//!   which keeps the pipeline full during dissemination yet never lets a
-//!   worker execute a tick past the quiescent one.
+//!   activity, a wheel holds an envelope due later, or — when no failure
+//!   model can consume an envelope undelivered — the delivery ledger
+//!   shows messages still in flight), which keeps the pipeline full
+//!   during dissemination yet never lets a worker execute a tick past
+//!   the quiescent one.
 //!
 //! Workers report each executed tick on a shared channel (fire and
 //! forget — no round trip); the coordinator folds those into the same
@@ -36,213 +39,22 @@
 //! flight".
 
 use crate::config::RuntimeConfig;
-use crate::lifecycle::LifecycleController;
 use crate::metrics::{ShardedCounters, TraceSink, WorkerTrace};
-use crate::transport::{lane_matrix, EdgeInbox, EdgeWatermarks, FaultyRouter, SendFate};
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
+use crate::transport::{lane_matrix, EdgeWatermarks, FaultyRouter};
+use crate::worker::{Control, SchedulerState, Worker, WorkerReport};
+use crossbeam::channel::{self, Receiver, Sender};
 use da_core::process::ProcessIndexError;
 use da_core::store::ProcessStore;
-use da_core::trace::{TraceEvent, TraceVerdict};
-use da_core::wheel::{DelayWheel, Envelope};
+use da_core::wheel::DelayWheel;
 use da_core::{
-    CounterId, Counters, Exec, ExecProtocol, LabelId, ProcessId, ProcessStatus, TraceLog, WireSize,
+    Counters, ExecProtocol, HotIds, LifecycleController, ProcessId, ProcessStatus, Stripe,
+    TraceLog, WireSize,
 };
-use rand::rngs::SmallRng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Pre-registered ids for the counters the transport hot path touches on
-/// every message, so a send costs array increments instead of string
-/// hashes (the protocol's own labels stay name-keyed, as on the
-/// simulator).
-#[derive(Debug, Clone, Copy)]
-struct HotIds {
-    sent: CounterId,
-    bytes_sent: CounterId,
-    delivered: CounterId,
-    dropped_channel: CounterId,
-    dropped_partitioned: CounterId,
-    dropped_closed: CounterId,
-    dropped_shutdown: CounterId,
-    dropped_crashed: CounterId,
-    dropped_observed: CounterId,
-    churn_crashes: CounterId,
-    churn_recoveries: CounterId,
-}
-
-impl HotIds {
-    fn register(counters: &mut Counters) -> Self {
-        HotIds {
-            sent: counters.register("rt.sent"),
-            bytes_sent: counters.register("rt.bytes_sent"),
-            delivered: counters.register("rt.delivered"),
-            dropped_channel: counters.register("rt.dropped_channel"),
-            dropped_partitioned: counters.register("rt.dropped_partitioned"),
-            dropped_closed: counters.register("rt.dropped_closed"),
-            dropped_shutdown: counters.register("rt.dropped_shutdown"),
-            dropped_crashed: counters.register("rt.dropped_crashed"),
-            dropped_observed: counters.register("rt.dropped_observed_failed"),
-            churn_crashes: counters.register("rt.churn_crashes"),
-            churn_recoveries: counters.register("rt.churn_recoveries"),
-        }
-    }
-}
-
-/// The scheduler state shared by the coordinator and every worker: the
-/// grant horizon, the per-edge publish watermarks, and the parked flags
-/// of the horizon wait protocol.
-#[derive(Debug)]
-struct SchedulerState {
-    /// First tick the pool may NOT execute yet; workers run while their
-    /// local clock is below it (and their watermark gate passes).
-    horizon: AtomicU64,
-    /// Per-edge publish watermarks (see [`EdgeWatermarks`]).
-    marks: EdgeWatermarks,
-    /// `parked[w]` is set by worker `w` before it blocks on its control
-    /// channel waiting for a grant; the coordinator swaps it back and
-    /// sends a [`Control::Sync`] wake-up. Dekker-style: the worker
-    /// re-checks the horizon between setting its flag and blocking, and
-    /// the coordinator stores the horizon before reading flags, so a
-    /// wake-up can never be lost (both sides use `SeqCst`).
-    parked: Vec<AtomicBool>,
-}
-
-/// The live execution context handed to protocol hooks — the runtime's
-/// counterpart of `da_simnet::Ctx`, implementing the same
-/// [`Exec`] capability surface over the threaded transport.
-struct LiveCtx<'a, M> {
-    me: ProcessId,
-    tick: u64,
-    rng: &'a mut SmallRng,
-    counters: &'a mut Counters,
-    ids: &'a HotIds,
-    router: &'a mut FaultyRouter<M>,
-    sent: &'a mut u64,
-    queued: &'a mut u64,
-    /// The worker's flight recorder — `None` when tracing is off, so the
-    /// send path pays one branch.
-    trace: &'a mut Option<WorkerTrace>,
-}
-
-impl<M: WireSize> Exec for LiveCtx<'_, M> {
-    type Msg = M;
-
-    fn me(&self) -> ProcessId {
-        self.me
-    }
-
-    fn round(&self) -> u64 {
-        self.tick
-    }
-
-    fn send(&mut self, to: ProcessId, msg: M) {
-        *self.sent += 1;
-        let size = msg.wire_size() as u64;
-        self.counters.add(self.ids.sent, 1);
-        self.counters.add(self.ids.bytes_sent, size);
-        let fate = self.router.send(self.me, to, self.tick, msg);
-        match fate {
-            SendFate::Queued { .. } => *self.queued += 1,
-            SendFate::DroppedChannel => self.counters.add(self.ids.dropped_channel, 1),
-            SendFate::DroppedPartitioned => self.counters.add(self.ids.dropped_partitioned, 1),
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.recorder.record(TraceEvent {
-                tick: self.tick,
-                from: self.me,
-                to,
-                payload: size,
-                verdict: TraceVerdict::Sent,
-            });
-            // Send-time drops stamp the send tick — mirroring the
-            // simulator, where these fates also resolve at send time.
-            let dropped = match fate {
-                SendFate::Queued { .. } => None,
-                SendFate::DroppedChannel => Some(TraceVerdict::DroppedChannel),
-                SendFate::DroppedPartitioned => Some(TraceVerdict::DroppedPartitioned),
-            };
-            if let Some(verdict) = dropped {
-                trace.recorder.record(TraceEvent {
-                    tick: self.tick,
-                    from: self.me,
-                    to,
-                    payload: size,
-                    verdict,
-                });
-            }
-        }
-    }
-
-    fn rng(&mut self) -> &mut SmallRng {
-        self.rng
-    }
-
-    fn bump(&mut self, label: &str) {
-        self.counters.bump(label);
-    }
-
-    fn bump_id(&mut self, label: LabelId) {
-        self.counters.bump_id(label);
-    }
-
-    fn add(&mut self, label: &str, delta: u64) {
-        self.counters.add_named(label, delta);
-    }
-}
-
-/// Coordinator → worker commands.
-enum Control<P> {
-    /// Run a closure against one owned process (state injection /
-    /// inspection between ticks).
-    Apply {
-        pid: ProcessId,
-        f: Box<dyn FnOnce(&mut P) + Send>,
-    },
-    /// The horizon moved while this worker was (or was about to be)
-    /// parked — wake up and re-read it. Stray syncs are harmless.
-    Sync,
-    /// Drain down and return the owned processes.
-    Stop,
-}
-
-/// One worker's account of one executed tick, pushed to the coordinator
-/// fire-and-forget and folded into a [`TickReport`].
-#[derive(Debug, Clone, Copy)]
-struct WorkerReport {
-    tick: u64,
-    sent: u64,
-    /// Sends that survived the channel (queued toward an inbox) — the
-    /// coordinator's delivery ledger adds these and subtracts
-    /// `delivered`/`dropped_closed`/`dropped_crashed` to know, exactly,
-    /// whether anything is still in flight when a tick looks quiet.
-    queued: u64,
-    delivered: u64,
-    dropped_closed: u64,
-    /// Envelopes consumed from flight at their due tick without being
-    /// delivered: the destination was crashed (`rt.dropped_crashed`) or
-    /// the per-observer draw failed (`rt.dropped_observed_failed`).
-    undeliverable: u64,
-    pending: u64,
-    /// Furthest due tick with an envelope provably parked in this
-    /// worker's wheel (0 when empty). Every tick before it will report
-    /// `pending > 0`, so the coordinator may grant through
-    /// `due_horizon + 1` without risking a tick past the quiescent one
-    /// — the multi-tick analogue of the loud-report lookahead.
-    due_horizon: u64,
-}
-
-impl WorkerReport {
-    /// True when this worker's slice of the tick shows any sign of life.
-    /// Any loud report proves the whole tick non-quiet, which is what
-    /// lets the coordinator grant the next tick before the slowest
-    /// worker has reported.
-    fn is_loud(&self) -> bool {
-        self.sent > 0 || self.delivered > 0 || self.pending > 0 || self.queued > 0
-    }
-}
 
 /// Aggregate summary of one executed tick — the live counterpart of
 /// `da_simnet::RoundReport`.
@@ -300,500 +112,6 @@ impl PartialTick {
     }
 }
 
-/// One worker thread: owns a stripe of processes (`pid ≡ id mod stride`),
-/// their RNG streams, its [`EdgeInbox`] (the consumer column of the lane
-/// matrix), its outgoing [`FaultyRouter`] (wrapping its hub row, with
-/// the per-tick coalescing buffers), its delay wheel, and its own
-/// metrics registry; advances its local tick clock through the shared
-/// horizon and watermark gates.
-struct Worker<P: ExecProtocol> {
-    id: usize,
-    stride: usize,
-    /// The stripe's process slab plus lazily-derived RNG streams
-    /// (`da_core::store::ProcessStore`): a process that never draws
-    /// never materialises its 32-byte generator, which is most of them
-    /// at million-process scale.
-    store: ProcessStore<P>,
-    control: Receiver<Control<P>>,
-    inbox: EdgeInbox<P::Msg>,
-    faulty: FaultyRouter<P::Msg>,
-    reports: Sender<WorkerReport>,
-    shards: Arc<ShardedCounters>,
-    /// This worker's owned metrics registry — no lock on the hot path;
-    /// snapshotted into `shards` once per tick.
-    counters: Counters,
-    ids: HotIds,
-    /// Liveness of the owned stripe under the shared failure plan.
-    lifecycle: LifecycleController,
-    /// Everything the lanes delivered that is not yet due: every swept
-    /// envelope parks here (bucketed by producer lane) until the local
-    /// clock reaches its due tick.
-    wheel: DelayWheel<P::Msg>,
-    /// Reused drain buffer for [`DelayWheel::take_due_into`] — the
-    /// tick's due envelopes, emptied in place every tick.
-    due_buf: Vec<Envelope<P::Msg>>,
-    /// Batches swept off the lanes since the last tick finished; folded
-    /// into the `lane_depth` histogram each tick.
-    swept: u64,
-    /// Flight recorder plus trace histograms — `None` when tracing is
-    /// off, which keeps every hot-path trace hook a branch on a `None`.
-    trace: Option<WorkerTrace>,
-    sched: Arc<SchedulerState>,
-    /// `RuntimeConfig::effective_lag()` — how far the local clock may
-    /// run ahead of the slowest in-edge's publish watermark.
-    lag: u64,
-    /// The next tick this worker will execute (its local clock).
-    next_tick: u64,
-    started: bool,
-}
-
-impl<P> Worker<P>
-where
-    P: ExecProtocol,
-    P::Msg: WireSize,
-{
-    fn pid_of(&self, local: usize) -> ProcessId {
-        ProcessId::from_index(self.id + local * self.stride)
-    }
-
-    fn local_index(&self, pid: ProcessId) -> usize {
-        debug_assert_eq!(pid.index() % self.stride, self.id, "misrouted {pid}");
-        (pid.index() - self.id) / self.stride
-    }
-
-    fn apply(&mut self, pid: ProcessId, f: Box<dyn FnOnce(&mut P) + Send>) {
-        let local = self.local_index(pid);
-        f(self.store.get_mut(local));
-    }
-
-    /// Applies every control message already sitting in the channel
-    /// without blocking. Returns `false` once a stop command is seen.
-    /// Called at the top of each tick so fire-and-forget
-    /// [`Runtime::inject`] closures land before the next tick executes —
-    /// `park` may return on a horizon re-check *without* draining
-    /// control, so the main loop cannot rely on the park path having
-    /// seen them. A stop seen here must NOT abort ticks the worker was
-    /// already granted: the coordinator's run-ahead grant means every
-    /// worker owes the pool the same final tick, and honouring stop
-    /// early would make the executed-tick range (and so the trace tail)
-    /// depend on message-arrival timing instead of on the grant.
-    fn drain_control(&mut self) -> bool {
-        loop {
-            match self.control.try_recv() {
-                Ok(Control::Apply { pid, f }) => self.apply(pid, f),
-                Ok(Control::Sync) => {}
-                Ok(Control::Stop) | Err(TryRecvError::Disconnected) => return false,
-                Err(TryRecvError::Empty) => return true,
-            }
-        }
-    }
-
-    /// Moves every batch currently sitting on the incoming lanes onto
-    /// the delay wheel, preserving each envelope's producer lane so the
-    /// wheel can release a tick's dues in worker-id order. Cheap when
-    /// the lanes are empty (one relaxed load per lane), so the main
-    /// loop calls it both before the watermark gate and again inside
-    /// `run_tick` once the gate opens.
-    fn sweep_lanes(&mut self) {
-        let wheel = &mut self.wheel;
-        let batches = self.inbox.sweep(|lane, env| {
-            debug_assert!(env.due_tick > env.sent_tick, "latency is at least one tick");
-            wheel.schedule(lane, env);
-        });
-        self.swept += batches;
-    }
-
-    /// The worker main loop: execute every granted-and-gated tick, park
-    /// when the horizon is exhausted, stop on command — after finishing
-    /// any ticks already granted, so the stop point is deterministic.
-    fn run(mut self) -> Vec<(ProcessId, P, ProcessStatus)> {
-        let mut stopping = false;
-        'main: loop {
-            while self.next_tick < self.sched.horizon.load(Ordering::SeqCst) {
-                let tick = self.next_tick;
-                if !self.drain_control() {
-                    stopping = true;
-                }
-                // Sweep the lanes before the watermark gate: frees lane
-                // capacity for peers running ahead and parks early
-                // arrivals. Order-safe at any sweep frequency — the
-                // wheel buckets per producer lane, so the delivery
-                // sequence never depends on *when* a batch was swept.
-                self.sweep_lanes();
-                if !self.await_watermarks(tick) {
-                    break 'main;
-                }
-                let report = self.run_tick(tick);
-                self.next_tick = tick + 1;
-                self.shards
-                    .publish(self.id, &self.counters)
-                    .expect("worker id is in range");
-                self.publish_trace(tick);
-                if self.reports.send(report).is_err() {
-                    break 'main; // Coordinator is gone: shut down.
-                }
-            }
-            if stopping || !self.park() {
-                break 'main;
-            }
-        }
-        self.account_shutdown_in_flight();
-        self.shards
-            .publish(self.id, &self.counters)
-            .expect("worker id is in range");
-        if let Some(trace) = self.trace.as_mut() {
-            trace.publish(self.id);
-        }
-        let (id, stride) = (self.id, self.stride);
-        let lifecycle = self.lifecycle;
-        self.store
-            .into_processes()
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| {
-                (
-                    ProcessId::from_index(id + i * stride),
-                    p,
-                    lifecycle.status(i),
-                )
-            })
-            .collect()
-    }
-
-    /// Tick-boundary trace publish: samples how far this worker's clock
-    /// ran ahead of its slowest in-edge's published frontier (0 on a
-    /// single-worker pool) into the `watermark_lag` histogram, then
-    /// drains the recorder into the shared sink — the trace twin of the
-    /// `ShardedCounters` publish it sits next to.
-    fn publish_trace(&mut self, tick: u64) {
-        let Some(trace) = self.trace.as_mut() else {
-            return;
-        };
-        let workers = self.sched.parked.len();
-        let lag = (0..workers)
-            .filter(|&peer| peer != self.id)
-            .map(|peer| self.sched.marks.published(peer, self.id))
-            .min()
-            .map_or(0, |slowest| (tick + 1).saturating_sub(slowest));
-        trace.watermark_lag.record(lag);
-        trace.publish(self.id);
-    }
-
-    /// Spins (yielding) until every peer has published the watermarks
-    /// tick `tick` needs: all batches that could still be due at `tick`
-    /// must be in this worker's inbox before it drains. Returns `false`
-    /// when a stop command arrives mid-wait (e.g. the coordinator
-    /// panicked and is unwinding while a peer is wedged).
-    fn await_watermarks(&mut self, tick: u64) -> bool {
-        let need = (tick + 1).saturating_sub(self.lag);
-        if need == 0 {
-            return true; // The first `lag` ticks gate on nothing.
-        }
-        let mut spins = 0u32;
-        while !self.sched.marks.all_published(self.id, need) {
-            match self.control.try_recv() {
-                Ok(Control::Apply { pid, f }) => self.apply(pid, f),
-                Ok(Control::Sync) => {}
-                Ok(Control::Stop) | Err(TryRecvError::Disconnected) => return false,
-                Err(TryRecvError::Empty) => {}
-            }
-            spins = spins.saturating_add(1);
-            if spins < 32 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        true
-    }
-
-    /// Blocks on the control channel until the coordinator extends the
-    /// horizon (or stops the pool). Returns `false` on stop.
-    ///
-    /// Before blocking, the worker yields the CPU a bounded number of
-    /// times re-checking the horizon: in the steady pipelined state the
-    /// coordinator is usually about to extend it (it grants on every
-    /// absorbed report), and a grant that lands during the yield window
-    /// costs two atomic loads instead of a `Sync` round trip through
-    /// the control channel — the dominant per-tick overhead on
-    /// oversubscribed hosts. A genuinely idle pool still parks after
-    /// the budget, so waiting between driver calls burns no CPU.
-    fn park(&mut self) -> bool {
-        for _ in 0..32 {
-            if self.next_tick < self.sched.horizon.load(Ordering::SeqCst) {
-                return true;
-            }
-            std::thread::yield_now();
-        }
-        self.sched.parked[self.id].store(true, Ordering::SeqCst);
-        // Re-check after raising the flag: a grant that raced us has
-        // either seen the flag (a Sync is on its way) or happened before
-        // the store, in which case this load sees the new horizon.
-        if self.next_tick < self.sched.horizon.load(Ordering::SeqCst) {
-            self.sched.parked[self.id].store(false, Ordering::SeqCst);
-            return true;
-        }
-        loop {
-            match self.control.recv() {
-                Ok(Control::Sync) => return true,
-                Ok(Control::Apply { pid, f }) => self.apply(pid, f),
-                Ok(Control::Stop) | Err(_) => {
-                    self.sched.parked[self.id].store(false, Ordering::SeqCst);
-                    return false;
-                }
-            }
-        }
-    }
-
-    /// Messages still travelling when the pool stops (parked in the
-    /// wheel, or in the inbox with a future due tick) are accounted as
-    /// `rt.dropped_shutdown` rather than silently vanishing — the live
-    /// analogue of the simulator's in-flight queue being discarded.
-    ///
-    /// The drain is complete: Stop is only sent between driver calls,
-    /// when every worker has executed and flushed every granted tick, so
-    /// nothing can race onto the lanes after the sweep starts, and each
-    /// in-flight envelope is counted exactly once (it is either on this
-    /// worker's wheel or on one of its incoming lanes, never both).
-    fn account_shutdown_in_flight(&mut self) {
-        let mut in_flight = self.wheel.discard_all() as u64;
-        in_flight += self.inbox.drain();
-        if in_flight > 0 {
-            self.counters.add(self.ids.dropped_shutdown, in_flight);
-            if let Some(trace) = self.trace.as_mut() {
-                // No per-envelope tick to stamp (the pool is stopping),
-                // so the ledger is kept by count alone.
-                trace
-                    .recorder
-                    .count_only(TraceVerdict::DroppedShutdown, in_flight);
-            }
-        }
-    }
-
-    /// Hands one due envelope to its owner's `on_message` hook — unless
-    /// the owner is crashed (consumed as `rt.dropped_crashed`, the live
-    /// analogue of the simulator's `sim.dropped_dead`) or the
-    /// per-observer model draws the target as failed for this
-    /// transmission (`rt.dropped_observed_failed`). Returns `true` when
-    /// the message was delivered.
-    fn deliver(
-        &mut self,
-        env: Envelope<P::Msg>,
-        tick: u64,
-        sent: &mut u64,
-        queued: &mut u64,
-    ) -> bool {
-        let local = self.local_index(env.to);
-        let size = env.msg.wire_size() as u64;
-        // Delivery-point verdicts stamp the delivery tick — the moment
-        // the envelope's fate resolved, as on the simulator.
-        let verdict = |trace: &mut Option<WorkerTrace>, v: TraceVerdict| {
-            if let Some(trace) = trace.as_mut() {
-                trace.recorder.record(TraceEvent {
-                    tick,
-                    from: env.from,
-                    to: env.to,
-                    payload: size,
-                    verdict: v,
-                });
-            }
-        };
-        if !self.lifecycle.is_alive(local) {
-            self.counters.add(self.ids.dropped_crashed, 1);
-            verdict(&mut self.trace, TraceVerdict::DroppedCrashed);
-            return false;
-        }
-        if !self.lifecycle.observes_alive() {
-            self.counters.add(self.ids.dropped_observed, 1);
-            verdict(&mut self.trace, TraceVerdict::DroppedObserved);
-            return false;
-        }
-        self.counters.add(self.ids.delivered, 1);
-        verdict(&mut self.trace, TraceVerdict::Delivered);
-        if let Some(trace) = self.trace.as_mut() {
-            trace.delivery_latency.record(tick - env.sent_tick);
-        }
-        let (proc_state, rng) = self.store.pair_mut(local, env.to);
-        let mut ctx = LiveCtx {
-            me: env.to,
-            tick,
-            rng,
-            counters: &mut self.counters,
-            ids: &self.ids,
-            router: &mut self.faulty,
-            sent,
-            queued,
-            trace: &mut self.trace,
-        };
-        proc_state.on_message(env.from, env.msg, &mut ctx);
-        true
-    }
-
-    /// One tick: apply the failure plan's transitions (running
-    /// `on_recover` for processes that came back), release delay-wheel
-    /// messages due now, drain the inbox (delivering due envelopes,
-    /// parking delayed ones, dropping ones owed to crashed processes),
-    /// run the round hooks for alive processes, flush this tick's
-    /// coalesced outgoing batches, then publish the watermarks that let
-    /// receivers advance past it.
-    fn run_tick(&mut self, tick: u64) -> WorkerReport {
-        let mut sent = 0u64;
-        let mut queued = 0u64;
-        let mut delivered = 0u64;
-        let mut undeliverable = 0u64;
-
-        // Liveness transitions apply at the start of the tick, exactly
-        // where the simulator applies them in `step_round`; recovered
-        // processes re-enter through their `on_recover` hook before any
-        // delivery of the tick.
-        let transitions = self.lifecycle.begin_tick(tick);
-        if transitions.churn_crashes > 0 {
-            self.counters
-                .add(self.ids.churn_crashes, transitions.churn_crashes);
-        }
-        if transitions.churn_recoveries > 0 {
-            self.counters
-                .add(self.ids.churn_recoveries, transitions.churn_recoveries);
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            for &slot in &transitions.crashed {
-                let pid = ProcessId::from_index(self.id + slot * self.stride);
-                trace
-                    .recorder
-                    .record(TraceEvent::lifecycle(tick, pid, TraceVerdict::Crashed));
-            }
-            for &slot in &transitions.recovered {
-                let pid = ProcessId::from_index(self.id + slot * self.stride);
-                trace
-                    .recorder
-                    .record(TraceEvent::lifecycle(tick, pid, TraceVerdict::Recovered));
-            }
-        }
-        for i in transitions.recovered {
-            let me = self.pid_of(i);
-            let (proc_state, rng) = self.store.pair_mut(i, me);
-            let mut ctx = LiveCtx {
-                me,
-                tick,
-                rng,
-                counters: &mut self.counters,
-                ids: &self.ids,
-                router: &mut self.faulty,
-                sent: &mut sent,
-                queued: &mut queued,
-                trace: &mut self.trace,
-            };
-            proc_state.on_recover(&mut ctx);
-        }
-
-        if !self.started {
-            self.started = true;
-            for i in 0..self.store.len() {
-                if !self.lifecycle.is_alive(i) {
-                    continue; // stillborn (or crashed at tick 0)
-                }
-                let me = self.pid_of(i);
-                let (proc_state, rng) = self.store.pair_mut(i, me);
-                let mut ctx = LiveCtx {
-                    me,
-                    tick,
-                    rng,
-                    counters: &mut self.counters,
-                    ids: &self.ids,
-                    router: &mut self.faulty,
-                    sent: &mut sent,
-                    queued: &mut queued,
-                    trace: &mut self.trace,
-                };
-                proc_state.on_start(&mut ctx);
-            }
-        }
-
-        // Deliver this tick's dues. One final lane sweep parks every
-        // envelope the watermark gate guarantees has arrived, then the
-        // wheel releases exactly this tick's dues in (due tick,
-        // producer lane, arrival order) sequence — a pure function of
-        // (tick, from, to, occurrence), independent of sweep timing and
-        // of how batches interleaved on the lanes.
-        self.sweep_lanes();
-        if let Some(trace) = self.trace.as_mut() {
-            trace.lane_depth.record(self.swept);
-        }
-        self.swept = 0;
-        let mut due = std::mem::take(&mut self.due_buf);
-        self.wheel.take_due_into(tick, &mut due);
-        for env in due.drain(..) {
-            debug_assert!(
-                env.due_tick == tick,
-                "due tick {} missed at local tick {tick}",
-                env.due_tick
-            );
-            if self.deliver(env, tick, &mut sent, &mut queued) {
-                delivered += 1;
-            } else {
-                undeliverable += 1;
-            }
-        }
-        self.due_buf = due;
-
-        // The wheel is stable from here to the flush (round-hook sends
-        // travel via the router, never this worker's own wheel), so this
-        // is the tick's settled occupancy.
-        if let Some(trace) = self.trace.as_mut() {
-            trace.wheel_occupancy.record(self.wheel.len() as u64);
-        }
-
-        // Round hooks for alive processes, in pid order within the stripe.
-        for i in 0..self.store.len() {
-            if !self.lifecycle.is_alive(i) {
-                continue;
-            }
-            let me = self.pid_of(i);
-            let (proc_state, rng) = self.store.pair_mut(i, me);
-            let mut ctx = LiveCtx {
-                me,
-                tick,
-                rng,
-                counters: &mut self.counters,
-                ids: &self.ids,
-                router: &mut self.faulty,
-                sent: &mut sent,
-                queued: &mut queued,
-                trace: &mut self.trace,
-            };
-            proc_state.on_round(tick, &mut ctx);
-        }
-
-        // Ship this tick's output — one coalesced batch per destination
-        // worker — and only then raise the watermarks: a peer that
-        // observes them is guaranteed to find the batches in its inbox.
-        let flush = self.faulty.flush();
-        if flush.dropped_closed > 0 {
-            self.counters
-                .add(self.ids.dropped_closed, flush.dropped_closed);
-            if let Some(trace) = self.trace.as_mut() {
-                // Closed-inbox drops surface as a flush total, not per
-                // envelope — counted, not evented.
-                trace
-                    .recorder
-                    .count_only(TraceVerdict::DroppedClosed, flush.dropped_closed);
-            }
-        }
-        self.sched.marks.publish(self.id, tick + 1);
-
-        WorkerReport {
-            tick,
-            sent,
-            queued,
-            delivered,
-            dropped_closed: flush.dropped_closed,
-            undeliverable,
-            pending: self.wheel.len() as u64,
-            due_horizon: self.wheel.due_horizon().unwrap_or(0),
-        }
-    }
-}
-
 /// The live runtime: a pool of worker threads executing
 /// [`ExecProtocol`] processes as actors under a bounded-lag tick
 /// scheduler (per-edge publish watermarks instead of a global barrier),
@@ -841,6 +159,11 @@ pub struct Runtime<P: ExecProtocol> {
     /// dropped on a closed inbox) as of the finalized frontier — the
     /// exact in-flight ledger behind quiescence detection.
     in_flight: u64,
+    /// True when an envelope in flight can only end delivered: the
+    /// failure plan never crashes a process and never fails an
+    /// observation. Only then does a non-zero ledger prove the tick its
+    /// envelopes fall due in loud.
+    in_flight_means_loud: bool,
     tick_timeout: Duration,
 }
 
@@ -950,21 +273,38 @@ where
         let mut handles = Vec::with_capacity(workers);
         for (id, ((store, inbox), hub)) in stores.into_iter().zip(inbox_rxs).zip(hubs).enumerate() {
             let (control_tx, control_rx) = channel::unbounded();
+            // Registration order is part of the snapshot format: the
+            // pool's two counters sit where they always did.
             let mut local = Counters::new();
-            let ids = HotIds::register(&mut local);
+            let sent = local.register("rt.sent");
+            let bytes_sent = local.register("rt.bytes_sent");
+            let delivered = local.register("rt.delivered");
+            let dropped_channel = local.register("rt.dropped_channel");
+            let dropped_partitioned = local.register("rt.dropped_partitioned");
+            let dropped_closed = local.register("rt.dropped_closed");
+            let dropped_shutdown = local.register("rt.dropped_shutdown");
+            let ids = HotIds {
+                sent,
+                bytes_sent,
+                delivered,
+                dropped_channel,
+                dropped_partitioned,
+                dropped_crashed: local.register("rt.dropped_crashed"),
+                dropped_observed: local.register("rt.dropped_observed_failed"),
+                churn_crashes: local.register("rt.churn_crashes"),
+                churn_recoveries: local.register("rt.churn_recoveries"),
+            };
             let lifecycle = LifecycleController::new(Arc::clone(&plan), id, workers, store.len());
             let worker = Worker {
                 id,
-                stride: workers,
-                store,
+                stripe: Stripe::new(store, lifecycle, local, ids, &config.trace),
                 control: control_rx,
                 inbox,
                 faulty: FaultyRouter::new(hub, config.faults.network.clone(), config.seed),
                 reports: report_tx.clone(),
                 shards: Arc::clone(&counters),
-                counters: local,
-                ids,
-                lifecycle,
+                dropped_closed,
+                dropped_shutdown,
                 wheel: DelayWheel::with_capacity(wheel_capacity, workers),
                 due_buf: Vec::new(),
                 swept: 0,
@@ -974,7 +314,6 @@ where
                 sched: Arc::clone(&sched),
                 lag: config.effective_lag(),
                 next_tick: 0,
-                started: false,
             };
             let handle = std::thread::Builder::new()
                 .name(format!("da-runtime-{id}"))
@@ -996,6 +335,7 @@ where
             granted: 0,
             backlog: BTreeMap::new(),
             in_flight: 0,
+            in_flight_means_loud: plan.is_inert(),
             tick_timeout: config.tick_timeout(),
         })
     }
@@ -1150,19 +490,25 @@ where
     /// of ticks executed.
     ///
     /// Ticks are granted as their predecessor is *proven* non-quiet (a
-    /// loud worker report, or queued envelopes still undelivered on the
-    /// coordinator's ledger), so the pool pipelines through active
-    /// dissemination but never executes a tick past the quiescent one —
-    /// exactly the barrier scheduler's observable behaviour.
+    /// loud worker report, an envelope parked for a later tick, or —
+    /// under a failure model that cannot consume an envelope undelivered
+    /// — queued envelopes still on the coordinator's ledger), so the
+    /// pool pipelines through active dissemination but never executes a
+    /// tick past the quiescent one — exactly the barrier scheduler's
+    /// observable behaviour. On return, as after every driver call, every
+    /// granted tick has been executed and reported.
     pub fn run_until_quiescent(&mut self, max_ticks: u64) -> u64 {
         let first = self.tick;
         let cap = first + max_ticks;
         for executed in 0..max_ticks {
             let tick = first + executed;
             self.grant(tick + 1);
-            if self.in_flight > 0 {
-                // Something is still travelling, so `tick` cannot be the
-                // quiescent one: let the pool run one tick ahead.
+            if self.in_flight > 0 && self.in_flight_means_loud {
+                // Something is still travelling and will be delivered
+                // (or stay parked) at `tick`, so `tick` cannot be the
+                // quiescent one: let the pool run one tick ahead. An
+                // envelope a crashed or observed-failed destination may
+                // consume proves nothing — `tick` can then be quiet.
                 self.grant((tick + 2).min(cap));
             }
             let report = self.collect_tick(tick, Some(cap));
@@ -1260,6 +606,13 @@ where
     /// Panics when a worker thread panicked.
     #[must_use]
     pub fn shutdown(mut self) -> Shutdown<P> {
+        // Every driver call returns with its grants used up, so Stop
+        // finds each worker past the same final tick — none waiting at
+        // the watermark gate for a tick the others will never publish.
+        debug_assert_eq!(
+            self.granted, self.tick,
+            "a granted tick was never collected"
+        );
         for control in &self.controls {
             let _ = control.send(Control::Stop);
         }
@@ -1310,6 +663,7 @@ impl<P: ExecProtocol> Drop for Runtime<P> {
 mod tests {
     use super::*;
     use da_core::channel::{ChannelConfig, Latency};
+    use da_core::Exec;
 
     /// Every process sends one token to the next pid each tick and
     /// records the tick of each receipt.
@@ -1894,6 +1248,57 @@ mod tests {
         assert!(sim_crashes > 0 && sim_recoveries > 0, "the run saw churn");
     }
 
+    /// A crash and a recovery of one process scripted into the same
+    /// round are one net transition (`FailurePlan::transition`): the
+    /// process never goes down, re-enters through `on_recover` once, and
+    /// the trace holds a single `Recovered` — on both substrates.
+    #[test]
+    fn same_round_crash_and_recovery_matches_the_simulator() {
+        use da_core::failure::{FailureModel, Fate};
+        let fate = |crash| Fate {
+            round: 2,
+            pid: ProcessId(1),
+            crash,
+        };
+        let model = || FailureModel::Schedule(vec![fate(true), fate(false)]);
+        let probes = || (0..4).map(|_| LifeProbe::default()).collect::<Vec<_>>();
+
+        let sim = da_simnet::SimConfig::default()
+            .with_failures(model())
+            .with_trace(TraceConfig::full());
+        let mut engine = da_simnet::Engine::new(sim, probes());
+        engine.run_rounds(5);
+        let sim_trace = engine.trace_log().expect("tracing is on");
+
+        let live = RuntimeConfig::default()
+            .with_workers(2)
+            .with_failures(model())
+            .with_trace(TraceConfig::full());
+        let mut rt = Runtime::spawn(live, probes());
+        rt.run_ticks(5);
+        let out = rt.shutdown();
+        let live_trace = out.trace.expect("tracing is on");
+
+        let diverged = da_core::trace::first_divergence(
+            &sim_trace.canonical_events(),
+            &live_trace.canonical_events(),
+        );
+        assert_eq!(diverged, None);
+        assert_eq!(live_trace.count(TraceVerdict::Recovered), 1);
+        assert_eq!(live_trace.count(TraceVerdict::Crashed), 0);
+        for (pid, (sim, live)) in engine
+            .into_processes()
+            .iter()
+            .zip(&out.processes)
+            .enumerate()
+        {
+            assert_eq!(sim.recoveries, u64::from(pid == 1), "simulated {pid}");
+            assert_eq!(live.recoveries, u64::from(pid == 1), "live {pid}");
+            assert_eq!(sim.rounds, live.rounds, "process {pid} rounds");
+            assert_eq!(live.rounds, [0, 1, 2, 3, 4], "nobody missed a round");
+        }
+    }
+
     /// Stillborn processes are applied at spawn: they never run
     /// `on_start`, never execute a round — and the crashed set is the
     /// plan's, identical to the simulator's.
@@ -2083,7 +1488,7 @@ mod tests {
         assert_eq!(run(1), run(4));
     }
 
-    use da_core::trace::TraceConfig;
+    use da_core::trace::{TraceConfig, TraceVerdict};
 
     #[test]
     fn tracing_is_off_by_default() {
@@ -2196,6 +1601,12 @@ mod tests {
     /// latency, and churn draws all key off (edge, tick) or (pid, tick),
     /// so regrouping the pool permutes only the within-tick interleaving
     /// that canonicalization erases.
+    ///
+    /// The scenario also pins `quiescence_never_overshoots` under churn
+    /// (it was PR 15's flake): mail consumed at its due tick as
+    /// `rt.dropped_crashed` is neither delivered nor pending, so a
+    /// non-zero in-flight ledger must not grant the tick after — no tick
+    /// at or past the returned count may run even its lifecycle step.
     #[test]
     fn canonical_trace_is_worker_count_invariant() {
         use da_core::failure::FailureModel;
@@ -2214,9 +1625,13 @@ mod tests {
                 })
                 .with_trace(TraceConfig::full());
             let mut rt = Runtime::spawn(config, relay_procs(12));
-            rt.run_until_quiescent(64);
+            let executed = rt.run_until_quiescent(64);
             let out = rt.shutdown();
-            out.trace.expect("tracing was on").canonical_events()
+            assert!(out.counters.get("rt.dropped_crashed") > 0);
+            let events = out.trace.expect("tracing was on").canonical_events();
+            let late: Vec<_> = events.iter().filter(|e| e.tick >= executed).collect();
+            assert!(late.is_empty(), "{workers} workers ran on: {late:?}");
+            events
         };
         let single = run(1);
         assert!(!single.is_empty());

@@ -53,7 +53,7 @@
 use crossbeam::queue::{self, PushError};
 use da_core::channel::{ChannelConfig, EdgeRngs};
 use da_core::topology::{NetFate, NetworkModel};
-use da_core::{Envelope, FxBuildHasher, ProcessId};
+use da_core::{Envelope, FxBuildHasher, Outbound, ProcessId};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -473,23 +473,6 @@ impl<M> EdgeInbox<M> {
     }
 }
 
-/// The fate [`FaultyRouter::send`] reports for one message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendFate {
-    /// The message survived the channel and is queued for its
-    /// destination worker (delivered at `due_tick`).
-    Queued {
-        /// Tick at whose start the message becomes deliverable.
-        due_tick: u64,
-    },
-    /// The channel lost the message (Bernoulli loss draw failed).
-    DroppedChannel,
-    /// A partition cut severed the sender's node from the receiver's
-    /// node at the send tick (a pure schedule lookup — no randomness
-    /// was consumed).
-    DroppedPartitioned,
-}
-
 /// What one [`FaultyRouter::flush`] moved and lost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushReport {
@@ -527,8 +510,8 @@ pub struct FlushReport {
 ///
 /// ```
 /// use da_core::channel::ChannelConfig;
-/// use da_runtime::{lane_matrix, FaultyRouter, SendFate};
-/// use da_core::ProcessId;
+/// use da_runtime::{lane_matrix, FaultyRouter};
+/// use da_core::{NetFate, ProcessId};
 ///
 /// let (mut hubs, mut inboxes) = lane_matrix(1, 8);
 /// let mut faulty = FaultyRouter::new(hubs.remove(0), ChannelConfig::reliable(), 7);
@@ -547,7 +530,7 @@ pub struct FlushReport {
 /// let black_hole = ChannelConfig::reliable().with_success_probability(0.0);
 /// let mut faulty = FaultyRouter::new(hubs.remove(0), black_hole, 7);
 /// let fate = faulty.send(ProcessId(0), ProcessId(1), 0, "gone");
-/// assert_eq!(fate, SendFate::DroppedChannel);
+/// assert_eq!(fate, NetFate::Lost);
 /// assert_eq!(faulty.flush().envelopes, 0);
 /// ```
 #[derive(Debug)]
@@ -629,8 +612,8 @@ impl<M> FaultyRouter<M> {
     /// the surviving send's fate from a stateless RNG keyed by
     /// `(edge, tick, occurrence)` using its link's channel, and, if it
     /// survives, buffers it for the destination worker until
-    /// [`FaultyRouter::flush`].
-    pub fn send(&mut self, from: ProcessId, to: ProcessId, sent_tick: u64, msg: M) -> SendFate {
+    /// [`FaultyRouter::flush`] — due `latency` ticks after `sent_tick`.
+    pub fn send(&mut self, from: ProcessId, to: ProcessId, sent_tick: u64, msg: M) -> NetFate {
         let fate = if self.perfect {
             // Draw-free fast path: no occurrence counting, no seed
             // derivation on the hot path of a reliable runtime.
@@ -654,22 +637,17 @@ impl<M> FaultyRouter<M> {
             self.network
                 .decide_fate(from, to, sent_tick, occurrence, &mut rng)
         };
-        match fate {
-            NetFate::Severed => SendFate::DroppedPartitioned,
-            NetFate::Lost => SendFate::DroppedChannel,
-            NetFate::Deliver { latency } => {
-                let due_tick = sent_tick + latency;
-                let worker = self.hub.worker_of(to);
-                self.slots[worker].push(Envelope {
-                    from,
-                    to,
-                    sent_tick,
-                    due_tick,
-                    msg,
-                });
-                SendFate::Queued { due_tick }
-            }
+        if let NetFate::Deliver { latency } = fate {
+            let worker = self.hub.worker_of(to);
+            self.slots[worker].push(Envelope {
+                from,
+                to,
+                sent_tick,
+                due_tick: sent_tick + latency,
+                msg,
+            });
         }
+        fate
     }
 
     /// Hands every buffered envelope to its destination worker — one
@@ -708,6 +686,17 @@ impl<M> FaultyRouter<M> {
             }
         }
         report
+    }
+}
+
+/// The live half of the `da_core::stripe` seam: a worker's sends go
+/// through its router.
+impl<M> Outbound for FaultyRouter<M> {
+    type Msg = M;
+
+    #[inline]
+    fn send(&mut self, from: ProcessId, to: ProcessId, tick: u64, msg: M) -> NetFate {
+        FaultyRouter::send(self, from, to, tick, msg)
     }
 }
 
@@ -983,7 +972,7 @@ mod tests {
                 last_tick = tick;
             }
             let fate = faulty.send(ProcessId(from), ProcessId(to), tick, msg);
-            assert_eq!(fate, SendFate::Queued { due_tick: tick + 1 });
+            assert_eq!(fate, NetFate::Deliver { latency: 1 });
         }
         let report = faulty.flush();
         assert_eq!(report.dropped_closed, 0);
@@ -1013,30 +1002,30 @@ mod tests {
         let mut faulty = FaultyRouter::new(hubs.remove(0), network, 11);
 
         // Tick 5, edge 0 → 1: only the second send dies.
-        let fates: Vec<SendFate> = (0..3)
+        let fates: Vec<NetFate> = (0..3)
             .map(|i| faulty.send(ProcessId(0), ProcessId(1), 5, i))
             .collect();
         assert_eq!(
             fates,
             vec![
-                SendFate::Queued { due_tick: 6 },
-                SendFate::DroppedChannel,
-                SendFate::Queued { due_tick: 6 },
+                NetFate::Deliver { latency: 1 },
+                NetFate::Lost,
+                NetFate::Deliver { latency: 1 },
             ]
         );
         // Same tick, different edge: untouched.
         assert_eq!(
             faulty.send(ProcessId(2), ProcessId(1), 5, 9),
-            SendFate::Queued { due_tick: 6 }
+            NetFate::Deliver { latency: 1 }
         );
         // Next tick, same edge and occurrence: counters reset, the
         // script names tick 5 only, so everything goes through.
-        let fates: Vec<SendFate> = (0..3)
+        let fates: Vec<NetFate> = (0..3)
             .map(|i| faulty.send(ProcessId(0), ProcessId(1), 6, i))
             .collect();
         assert!(fates
             .iter()
-            .all(|f| matches!(f, SendFate::Queued { due_tick: 7 })));
+            .all(|f| matches!(f, NetFate::Deliver { latency: 1 })));
         faulty.flush();
         let delivered = inboxes[0].drain();
         assert_eq!(delivered, 6, "3 sends survived of 4 at tick 5, plus 3 at 6");
@@ -1073,8 +1062,7 @@ mod tests {
         for i in 0..1000u64 {
             // Spread over many edges so several streams are exercised.
             let from = ProcessId((i % 10) as u32);
-            if faulty.send(from, ProcessId(((i / 10) % 7) as u32), i, 0) == SendFate::DroppedChannel
-            {
+            if faulty.send(from, ProcessId(((i / 10) % 7) as u32), i, 0) == NetFate::Lost {
                 dropped += 1;
             }
             faulty.flush();
@@ -1100,9 +1088,9 @@ mod tests {
         for _ in 0..200 {
             let fate = faulty.send(ProcessId(0), ProcessId(0), 10, 0);
             match fate {
-                SendFate::Queued { due_tick } => assert!((12..=14).contains(&due_tick)),
-                SendFate::DroppedChannel => panic!("reliable channel lost a message"),
-                SendFate::DroppedPartitioned => panic!("no partition is scripted"),
+                NetFate::Deliver { latency } => assert!((2..=4).contains(&latency)),
+                NetFate::Lost => panic!("reliable channel lost a message"),
+                NetFate::Severed => panic!("no partition is scripted"),
             }
         }
         faulty.flush();
@@ -1121,7 +1109,7 @@ mod tests {
             let (mut hubs, _inboxes) = lane_matrix::<u8>(1, 8);
             let mut faulty = FaultyRouter::new(hubs.remove(0), ChannelConfig::paper_default(), 42);
             (0..64u64)
-                .map(|i| faulty.send(ProcessId(1), ProcessId(2), i, 0) == SendFate::DroppedChannel)
+                .map(|i| faulty.send(ProcessId(1), ProcessId(2), i, 0) == NetFate::Lost)
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(), run(), "same seed, same edge, same fates");
@@ -1139,7 +1127,7 @@ mod tests {
             42,
         );
         let fates: Vec<bool> = (0..64)
-            .map(|i| faulty.send(ProcessId(1), ProcessId(2), 7, i) == SendFate::DroppedChannel)
+            .map(|i| faulty.send(ProcessId(1), ProcessId(2), 7, i) == NetFate::Lost)
             .collect();
         let dropped = fates.iter().filter(|&&d| d).count();
         assert!(
@@ -1156,7 +1144,7 @@ mod tests {
             42,
         );
         let replay: Vec<bool> = (0..64)
-            .map(|i| again.send(ProcessId(1), ProcessId(2), 7, i) == SendFate::DroppedChannel)
+            .map(|i| again.send(ProcessId(1), ProcessId(2), 7, i) == NetFate::Lost)
             .collect();
         assert_eq!(fates, replay);
     }
@@ -1182,9 +1170,9 @@ mod tests {
             (0..30u64)
                 .map(
                     |tick| match faulty.send(ProcessId(0), ProcessId(1), tick, 0) {
-                        SendFate::DroppedPartitioned => -2i64,
-                        SendFate::DroppedChannel => -1,
-                        SendFate::Queued { due_tick } => (due_tick - tick) as i64,
+                        NetFate::Severed => -2i64,
+                        NetFate::Lost => -1,
+                        NetFate::Deliver { latency } => latency as i64,
                     },
                 )
                 .collect::<Vec<i64>>()

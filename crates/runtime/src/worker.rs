@@ -1,0 +1,396 @@
+//! One worker thread of the pool: what it shares with the coordinator
+//! ([`SchedulerState`], [`Control`], [`WorkerReport`]) and the
+//! [`Worker`] loop itself — control drain, lane sweep, watermark gate,
+//! one `da_core::Stripe` tick through its [`FaultyRouter`], flush,
+//! publish, park. The scheduling model is described in
+//! [`crate::runtime`].
+
+use crate::metrics::{ShardedCounters, WorkerTrace};
+use crate::transport::{EdgeInbox, EdgeWatermarks, FaultyRouter};
+use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use da_core::trace::TraceVerdict;
+use da_core::wheel::{DelayWheel, Envelope};
+use da_core::{CounterId, ExecProtocol, ProcessId, ProcessStatus, Stripe, WireSize};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// The scheduler state shared by the coordinator and every worker: the
+/// grant horizon, the per-edge publish watermarks, and the parked flags
+/// of the horizon wait protocol.
+#[derive(Debug)]
+pub(super) struct SchedulerState {
+    /// First tick the pool may NOT execute yet; workers run while their
+    /// local clock is below it (and their watermark gate passes).
+    pub(super) horizon: AtomicU64,
+    /// Per-edge publish watermarks (see [`EdgeWatermarks`]).
+    pub(super) marks: EdgeWatermarks,
+    /// `parked[w]` is set by worker `w` before it blocks on its control
+    /// channel waiting for a grant; the coordinator swaps it back and
+    /// sends a [`Control::Sync`] wake-up. Dekker-style: the worker
+    /// re-checks the horizon between setting its flag and blocking, and
+    /// the coordinator stores the horizon before reading flags, so a
+    /// wake-up can never be lost (both sides use `SeqCst`).
+    pub(super) parked: Vec<AtomicBool>,
+}
+
+/// Coordinator → worker commands.
+pub(super) enum Control<P> {
+    /// Run a closure against one owned process (state injection /
+    /// inspection between ticks).
+    Apply {
+        pid: ProcessId,
+        f: Box<dyn FnOnce(&mut P) + Send>,
+    },
+    /// The horizon moved while this worker was (or was about to be)
+    /// parked — wake up and re-read it. Stray syncs are harmless.
+    Sync,
+    /// Drain down and return the owned processes.
+    Stop,
+}
+
+/// One worker's account of one executed tick, pushed to the coordinator
+/// fire-and-forget and folded into a [`crate::TickReport`].
+#[derive(Debug, Clone, Copy)]
+pub(super) struct WorkerReport {
+    pub(super) tick: u64,
+    pub(super) sent: u64,
+    /// Sends that survived the channel (queued toward an inbox) — the
+    /// coordinator's delivery ledger adds these and subtracts
+    /// `delivered`/`dropped_closed`/`dropped_crashed` to know, exactly,
+    /// whether anything is still in flight when a tick looks quiet.
+    pub(super) queued: u64,
+    pub(super) delivered: u64,
+    pub(super) dropped_closed: u64,
+    /// Envelopes consumed from flight at their due tick without being
+    /// delivered: the destination was crashed (`rt.dropped_crashed`) or
+    /// the per-observer draw failed (`rt.dropped_observed_failed`).
+    pub(super) undeliverable: u64,
+    pub(super) pending: u64,
+    /// Furthest due tick with an envelope provably parked in this
+    /// worker's wheel (0 when empty). Every tick before it will report
+    /// `pending > 0`, so the coordinator may grant through
+    /// `due_horizon + 1` without risking a tick past the quiescent one
+    /// — the multi-tick analogue of the loud-report lookahead.
+    pub(super) due_horizon: u64,
+}
+
+impl WorkerReport {
+    /// True when this worker's slice of the tick shows any sign of life.
+    /// Any loud report proves the whole tick non-quiet, which is what
+    /// lets the coordinator grant the next tick before the slowest
+    /// worker has reported.
+    pub(super) fn is_loud(&self) -> bool {
+        self.sent > 0 || self.delivered > 0 || self.pending > 0 || self.queued > 0
+    }
+}
+
+/// One worker thread: owns a `da_core` [`Stripe`] (the processes
+/// `pid ≡ id mod workers` with their RNG streams, their liveness under
+/// the shared failure plan, its own metrics registry and flight recorder
+/// — and the tick body that drives them), its [`EdgeInbox`] (the
+/// consumer column of the lane matrix), its outgoing [`FaultyRouter`]
+/// (wrapping its hub row, with the per-tick coalescing buffers) and its
+/// delay wheel; advances its local tick clock through the shared horizon
+/// and watermark gates.
+pub(super) struct Worker<P: ExecProtocol> {
+    pub(super) id: usize,
+    /// No lock on the hot path: the stripe's registry is snapshotted
+    /// into `shards`, its recorder drained into the trace sink, once per
+    /// tick.
+    pub(super) stripe: Stripe<P>,
+    pub(super) control: Receiver<Control<P>>,
+    pub(super) inbox: EdgeInbox<P::Msg>,
+    pub(super) faulty: FaultyRouter<P::Msg>,
+    pub(super) reports: Sender<WorkerReport>,
+    pub(super) shards: Arc<ShardedCounters>,
+    /// The two ledger counters only a pool has.
+    pub(super) dropped_closed: CounterId,
+    pub(super) dropped_shutdown: CounterId,
+    /// Everything the lanes delivered that is not yet due: every swept
+    /// envelope parks here (bucketed by producer lane) until the local
+    /// clock reaches its due tick.
+    pub(super) wheel: DelayWheel<P::Msg>,
+    /// Reused drain buffer for [`DelayWheel::take_due_into`] — the
+    /// tick's due envelopes, emptied in place every tick.
+    pub(super) due_buf: Vec<Envelope<P::Msg>>,
+    /// Batches swept off the lanes since the last tick finished; folded
+    /// into the `lane_depth` histogram each tick.
+    pub(super) swept: u64,
+    /// The pool-side trace histograms and the sink — `None` when tracing
+    /// is off, like the stripe's recorder.
+    pub(super) trace: Option<WorkerTrace>,
+    pub(super) sched: Arc<SchedulerState>,
+    /// `RuntimeConfig::effective_lag()` — how far the local clock may
+    /// run ahead of the slowest in-edge's publish watermark.
+    pub(super) lag: u64,
+    /// The next tick this worker will execute (its local clock).
+    pub(super) next_tick: u64,
+}
+
+impl<P> Worker<P>
+where
+    P: ExecProtocol,
+    P::Msg: WireSize,
+{
+    fn apply(&mut self, pid: ProcessId, f: Box<dyn FnOnce(&mut P) + Send>) {
+        let slot = self.stripe.lifecycle.slot_of(pid);
+        f(self.stripe.store.get_mut(slot));
+    }
+
+    /// Applies every control message already sitting in the channel
+    /// without blocking. Returns `false` once a stop command is seen.
+    /// Called at the top of each tick so fire-and-forget
+    /// [`Runtime::inject`] closures land before the next tick executes —
+    /// `park` may return on a horizon re-check *without* draining
+    /// control, so the main loop cannot rely on the park path having
+    /// seen them. A stop seen here must NOT abort ticks the worker was
+    /// already granted: the coordinator's run-ahead grant means every
+    /// worker owes the pool the same final tick, and honouring stop
+    /// early would make the executed-tick range (and so the trace tail)
+    /// depend on message-arrival timing instead of on the grant.
+    fn drain_control(&mut self) -> bool {
+        loop {
+            match self.control.try_recv() {
+                Ok(Control::Apply { pid, f }) => self.apply(pid, f),
+                Ok(Control::Sync) => {}
+                Ok(Control::Stop) | Err(TryRecvError::Disconnected) => return false,
+                Err(TryRecvError::Empty) => return true,
+            }
+        }
+    }
+
+    /// Moves every batch currently sitting on the incoming lanes onto
+    /// the delay wheel, preserving each envelope's producer lane so the
+    /// wheel can release a tick's dues in worker-id order. Cheap when
+    /// the lanes are empty (one relaxed load per lane), so the main
+    /// loop calls it both before the watermark gate and again inside
+    /// `run_tick` once the gate opens.
+    fn sweep_lanes(&mut self) {
+        let wheel = &mut self.wheel;
+        let batches = self.inbox.sweep(|lane, env| {
+            debug_assert!(env.due_tick > env.sent_tick, "latency is at least one tick");
+            wheel.schedule(lane, env);
+        });
+        self.swept += batches;
+    }
+
+    /// The worker main loop: execute every granted-and-gated tick, park
+    /// when the horizon is exhausted, stop on command — after finishing
+    /// any ticks already granted, so the stop point is deterministic.
+    pub(super) fn run(mut self) -> Vec<(ProcessId, P, ProcessStatus)> {
+        let mut stopping = false;
+        'main: loop {
+            while self.next_tick < self.sched.horizon.load(Ordering::SeqCst) {
+                let tick = self.next_tick;
+                if !self.drain_control() {
+                    stopping = true;
+                }
+                // Sweep the lanes before the watermark gate: frees lane
+                // capacity for peers running ahead and parks early
+                // arrivals. Order-safe at any sweep frequency — the
+                // wheel buckets per producer lane, so the delivery
+                // sequence never depends on *when* a batch was swept.
+                self.sweep_lanes();
+                if !self.await_watermarks(tick) {
+                    break 'main;
+                }
+                let report = self.run_tick(tick);
+                self.next_tick = tick + 1;
+                self.shards
+                    .publish(self.id, &self.stripe.ledger.counters)
+                    .expect("worker id is in range");
+                self.publish_trace(tick);
+                if self.reports.send(report).is_err() {
+                    break 'main; // Coordinator is gone: shut down.
+                }
+            }
+            if stopping || !self.park() {
+                break 'main;
+            }
+        }
+        self.account_shutdown_in_flight();
+        self.shards
+            .publish(self.id, &self.stripe.ledger.counters)
+            .expect("worker id is in range");
+        if let (Some(trace), Some(stripe)) = (&self.trace, self.stripe.ledger.trace.as_mut()) {
+            trace.publish(self.id, stripe);
+        }
+        self.stripe.into_processes().collect()
+    }
+
+    /// Tick-boundary trace publish: samples how far this worker's clock
+    /// ran ahead of its slowest in-edge's published frontier (0 on a
+    /// single-worker pool) into the `watermark_lag` histogram, then
+    /// drains the recorder into the shared sink — the trace twin of the
+    /// `ShardedCounters` publish it sits next to.
+    fn publish_trace(&mut self, tick: u64) {
+        let (Some(trace), Some(stripe)) = (self.trace.as_mut(), self.stripe.ledger.trace.as_mut())
+        else {
+            return;
+        };
+        let workers = self.sched.parked.len();
+        let lag = (0..workers)
+            .filter(|&peer| peer != self.id)
+            .map(|peer| self.sched.marks.published(peer, self.id))
+            .min()
+            .map_or(0, |slowest| (tick + 1).saturating_sub(slowest));
+        trace.watermark_lag.record(lag);
+        trace.publish(self.id, stripe);
+    }
+
+    /// Spins (yielding) until every peer has published the watermarks
+    /// tick `tick` needs: all batches that could still be due at `tick`
+    /// must be in this worker's inbox before it drains. Returns `false`
+    /// when a stop command arrives mid-wait, leaving `tick` unexecuted.
+    /// A graceful shutdown never does that: it stops the pool between
+    /// driver calls, when every granted tick has been reported. Only a
+    /// coordinator dropped while unwinding from a panic inside a driver
+    /// call (a dead or wedged peer) stops a worker here, and the tick it
+    /// abandons was never going to be collected.
+    fn await_watermarks(&mut self, tick: u64) -> bool {
+        let need = (tick + 1).saturating_sub(self.lag);
+        if need == 0 {
+            return true; // The first `lag` ticks gate on nothing.
+        }
+        let mut spins = 0u32;
+        while !self.sched.marks.all_published(self.id, need) {
+            match self.control.try_recv() {
+                Ok(Control::Apply { pid, f }) => self.apply(pid, f),
+                Ok(Control::Sync) => {}
+                Ok(Control::Stop) | Err(TryRecvError::Disconnected) => return false,
+                Err(TryRecvError::Empty) => {}
+            }
+            spins = spins.saturating_add(1);
+            if spins < 32 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        true
+    }
+
+    /// Blocks on the control channel until the coordinator extends the
+    /// horizon (or stops the pool). Returns `false` on stop.
+    ///
+    /// Before blocking, the worker yields the CPU a bounded number of
+    /// times re-checking the horizon: in the steady pipelined state the
+    /// coordinator is usually about to extend it (it grants on every
+    /// absorbed report), and a grant that lands during the yield window
+    /// costs two atomic loads instead of a `Sync` round trip through
+    /// the control channel — the dominant per-tick overhead on
+    /// oversubscribed hosts. A genuinely idle pool still parks after
+    /// the budget, so waiting between driver calls burns no CPU.
+    fn park(&mut self) -> bool {
+        for _ in 0..32 {
+            if self.next_tick < self.sched.horizon.load(Ordering::SeqCst) {
+                return true;
+            }
+            std::thread::yield_now();
+        }
+        self.sched.parked[self.id].store(true, Ordering::SeqCst);
+        // Re-check after raising the flag: a grant that raced us has
+        // either seen the flag (a Sync is on its way) or happened before
+        // the store, in which case this load sees the new horizon.
+        if self.next_tick < self.sched.horizon.load(Ordering::SeqCst) {
+            self.sched.parked[self.id].store(false, Ordering::SeqCst);
+            return true;
+        }
+        loop {
+            match self.control.recv() {
+                Ok(Control::Sync) => return true,
+                Ok(Control::Apply { pid, f }) => self.apply(pid, f),
+                Ok(Control::Stop) | Err(_) => {
+                    self.sched.parked[self.id].store(false, Ordering::SeqCst);
+                    return false;
+                }
+            }
+        }
+    }
+
+    /// Messages still travelling when the pool stops (parked in the
+    /// wheel, or in the inbox with a future due tick) are accounted as
+    /// `rt.dropped_shutdown` rather than silently vanishing — the live
+    /// analogue of the simulator's in-flight queue being discarded.
+    ///
+    /// The drain is complete: Stop is only sent between driver calls,
+    /// when every worker has executed and flushed every granted tick, so
+    /// nothing can race onto the lanes after the sweep starts, and each
+    /// in-flight envelope is counted exactly once (it is either on this
+    /// worker's wheel or on one of its incoming lanes, never both).
+    fn account_shutdown_in_flight(&mut self) {
+        let mut in_flight = self.wheel.discard_all() as u64;
+        in_flight += self.inbox.drain();
+        if in_flight > 0 {
+            let verdict = TraceVerdict::DroppedShutdown;
+            self.stripe
+                .ledger
+                .count_dropped(self.dropped_shutdown, verdict, in_flight);
+        }
+    }
+
+    /// One tick: the stripe's tick body — the failure plan's transitions
+    /// (with `on_recover` for processes that came back) and the first
+    /// tick's `on_start`, a verdict for every envelope the wheel
+    /// releases as due now, the round hooks for alive processes — with
+    /// every send routed through the [`FaultyRouter`]; then flush this
+    /// tick's coalesced outgoing batches and publish the watermarks that
+    /// let receivers advance past it.
+    fn run_tick(&mut self, tick: u64) -> WorkerReport {
+        self.stripe.begin_tick(tick, &mut self.faulty);
+
+        // Deliver this tick's dues. One final lane sweep parks every
+        // envelope the watermark gate guarantees has arrived, then the
+        // wheel releases exactly this tick's dues in (due tick,
+        // producer lane, arrival order) sequence — a pure function of
+        // (tick, from, to, occurrence), independent of sweep timing and
+        // of how batches interleaved on the lanes.
+        self.sweep_lanes();
+        if let Some(trace) = self.trace.as_mut() {
+            trace.lane_depth.record(self.swept);
+        }
+        self.swept = 0;
+        self.wheel.take_due_into(tick, &mut self.due_buf);
+        for env in self.due_buf.drain(..) {
+            debug_assert!(
+                env.due_tick == tick,
+                "due tick {} missed at local tick {tick}",
+                env.due_tick
+            );
+            self.stripe.deliver(env, &mut self.faulty);
+        }
+
+        // The wheel is stable from here to the flush (round-hook sends
+        // travel via the router, never this worker's own wheel), so this
+        // is the tick's settled occupancy.
+        if let Some(trace) = self.trace.as_mut() {
+            trace.wheel_occupancy.record(self.wheel.len() as u64);
+        }
+
+        let tally = self.stripe.round_hooks(&mut self.faulty);
+
+        // Ship this tick's output — one coalesced batch per destination
+        // worker — and only then raise the watermarks: a peer that
+        // observes them is guaranteed to find the batches in its inbox.
+        let flush = self.faulty.flush();
+        if flush.dropped_closed > 0 {
+            // Closed-inbox drops surface as a flush total, not per envelope.
+            let (id, verdict) = (self.dropped_closed, TraceVerdict::DroppedClosed);
+            self.stripe
+                .ledger
+                .count_dropped(id, verdict, flush.dropped_closed);
+        }
+        self.sched.marks.publish(self.id, tick + 1);
+
+        WorkerReport {
+            tick,
+            sent: tally.sent,
+            queued: tally.queued,
+            delivered: tally.delivered,
+            dropped_closed: flush.dropped_closed,
+            undeliverable: tally.undeliverable,
+            pending: self.wheel.len() as u64,
+            due_horizon: self.wheel.due_horizon().unwrap_or(0),
+        }
+    }
+}

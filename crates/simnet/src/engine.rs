@@ -1,22 +1,24 @@
 //! The round-driven simulation engine.
 
-use crate::exec::Ctx;
 use crate::strategy::{DueMessage, RngStrategy, Strategy};
 use da_core::channel::ChannelConfig;
 use da_core::exec::{ExecProtocol, McHash};
-use da_core::failure::{FailureModel, FailurePlan, Fate};
+use da_core::failure::{FailureModel, Fate};
 use da_core::fault::FaultConfig;
-use da_core::metrics::{CounterId, Counters, FxBuildHasher, FxHasher, Histogram, TraceLog};
+use da_core::lifecycle::LifecycleController;
+use da_core::metrics::{Counters, FxBuildHasher, FxHasher, Histogram, TraceLog};
 use da_core::process::{ProcessId, ProcessStatus};
 use da_core::seed::{derive_seed, rng_from_seed};
 use da_core::store::ProcessStore;
+use da_core::stripe::{HotIds, Outbound, Stripe};
 use da_core::topology::{NetFate, NetworkModel, PartitionSchedule, Topology};
-use da_core::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
+use da_core::trace::TraceConfig;
 use da_core::wheel::{DelayWheel, Envelope};
 use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration of one simulation run.
 ///
@@ -127,80 +129,77 @@ impl RoundReport {
     }
 }
 
-/// Pre-registered ids for the counters the engine hot path touches on
-/// every send and delivery, so simulating a message costs array
-/// increments instead of string-keyed map probes — the same fast path
-/// the live runtime's transport uses.
-#[derive(Debug, Clone, Copy)]
-struct SimHotIds {
-    sent: CounterId,
-    bytes_sent: CounterId,
-    delivered: CounterId,
-    dropped_channel: CounterId,
-    dropped_partitioned: CounterId,
-    dropped_dead: CounterId,
-    dropped_observed_failed: CounterId,
-    churn_crashes: CounterId,
-    churn_recoveries: CounterId,
+/// The simulator's network: the wheel of in-flight messages and what
+/// decides a send's way into it.
+#[derive(Clone)]
+struct SimNet<M> {
+    /// In-flight messages by delivery round (one lane: send order).
+    queue: DelayWheel<M>,
+    model: NetworkModel,
+    /// The one stream every send's fate is drawn on, in send order.
+    rng: SmallRng,
+    /// Per-round `(from, to)` send counts, maintained only when the
+    /// network has scripted drops (`track_occurrences`); feeds the
+    /// occurrence argument of [`Strategy::fate`].
+    occurrences: HashMap<(ProcessId, ProcessId), u32, FxBuildHasher>,
+    track_occurrences: bool,
 }
 
-impl SimHotIds {
-    fn register(counters: &mut Counters) -> Self {
-        SimHotIds {
-            sent: counters.register("sim.sent"),
-            bytes_sent: counters.register("sim.bytes_sent"),
-            delivered: counters.register("sim.delivered"),
-            dropped_channel: counters.register("sim.dropped_channel"),
-            dropped_partitioned: counters.register("sim.dropped_partitioned"),
-            dropped_dead: counters.register("sim.dropped_dead"),
-            dropped_observed_failed: counters.register("sim.dropped_observed_failed"),
-            churn_crashes: counters.register("sim.churn_crashes"),
-            churn_recoveries: counters.register("sim.churn_recoveries"),
+/// The simulator's [`Outbound`]: asks the [`Strategy`] for each send's
+/// fate (the default checks the partition schedule and scripted drops —
+/// pure, no randomness — then draws from the shared `da_core` channel
+/// model of the link, on the engine's single RNG stream) and schedules
+/// survivors straight into the wheel.
+struct Routed<'a, M, S> {
+    net: &'a mut SimNet<M>,
+    strategy: &'a mut S,
+}
+
+impl<M, S: Strategy> Outbound for Routed<'_, M, S> {
+    type Msg = M;
+
+    #[inline]
+    fn send(&mut self, from: ProcessId, to: ProcessId, tick: u64, msg: M) -> NetFate {
+        let net = &mut *self.net;
+        let occurrence = if net.track_occurrences {
+            let count = net.occurrences.entry((from, to)).or_insert(0);
+            let this = *count;
+            *count += 1;
+            this
+        } else {
+            0
+        };
+        let fate = self
+            .strategy
+            .fate(&net.model, from, to, tick, occurrence, &mut net.rng);
+        if let NetFate::Deliver { latency } = fate {
+            net.queue.schedule(
+                0,
+                Envelope {
+                    from,
+                    to,
+                    sent_tick: tick,
+                    due_tick: tick + latency,
+                    msg,
+                },
+            );
         }
-    }
-}
-
-/// The engine's flight-recorder state when tracing is enabled: the
-/// event recorder plus the sim-side trace histograms.
-#[derive(Debug, Clone)]
-struct SimTrace {
-    recorder: TraceRecorder,
-    /// Delivery round minus send round, per delivered message.
-    delivery_latency: Histogram,
-    /// In-flight messages sampled at the end of every round — the
-    /// simulator's analogue of the runtime's delay-wheel occupancy.
-    queue_depth: Histogram,
-}
-
-impl SimTrace {
-    fn new(config: &TraceConfig) -> Option<Self> {
-        TraceRecorder::new(config).map(|recorder| SimTrace {
-            recorder,
-            delivery_latency: Histogram::new(),
-            queue_depth: Histogram::new(),
-        })
-    }
-
-    /// Records a crash or recovery of `pid`, when tracing is on.
-    fn lifecycle(trace: &mut Option<Self>, round: u64, pid: ProcessId, verdict: TraceVerdict) {
-        if let Some(t) = trace {
-            t.recorder
-                .record(TraceEvent::lifecycle(round, pid, verdict));
-        }
+        fate
     }
 }
 
 /// The round-driven simulation engine.
 ///
-/// Owns one [`ExecProtocol`] instance per process (`ProcessId` = index),
-/// the delay wheel of in-flight messages, the failure plan, and the metrics
-/// registry, and drives the instances through [`Ctx`]: `on_start` once
-/// before round 0, `on_message` for each message that survives the
-/// channel and finds its target alive, and `on_round` once per round
-/// while the process is alive, after the round's deliveries. Messages
-/// sent from within the hooks travel through the unreliable channel and
-/// arrive in a later round. See the crate-level docs for an end-to-end
-/// example.
+/// Owns one [`ExecProtocol`] instance per process (`ProcessId` = index)
+/// in a single `da_core` [`Stripe`] — with the failure plan, the metrics
+/// registry and the flight recorder — plus the delay wheel of in-flight
+/// messages, and drives the stripe's tick body once per round:
+/// `on_start` once before round 0, `on_message` for each message that
+/// survives the channel and finds its target alive, and `on_round` once
+/// per round while the process is alive, after the round's deliveries.
+/// Messages sent from within the hooks travel through the unreliable
+/// channel and arrive in a later round. See the crate-level docs for an
+/// end-to-end example.
 ///
 /// `Engine` is `Clone` when the protocol is: a clone is an independent
 /// parallel universe (every RNG stream, queued message, and counter
@@ -208,28 +207,13 @@ impl SimTrace {
 /// bounded model checker forks universes this way at each choice point.
 #[derive(Clone)]
 pub struct Engine<P: ExecProtocol> {
-    store: ProcessStore<P>,
-    status: Vec<ProcessStatus>,
-    /// In-flight messages by delivery round (one lane: send order).
-    queue: DelayWheel<P::Msg>,
-    /// Hook sends awaiting the channel / processes the round's fates
-    /// brought back: empty between rounds, kept for their allocations.
-    outbox: Vec<(ProcessId, P::Msg)>,
-    recovered: Vec<usize>,
-    counters: Counters,
-    hot: SimHotIds,
-    network: NetworkModel,
-    plan: FailurePlan,
-    engine_rng: SmallRng,
-    observer_rng: SmallRng,
-    trace: Option<SimTrace>,
+    stripe: Stripe<P>,
+    net: SimNet<P::Msg>,
+    /// In-flight messages sampled at the end of every round while
+    /// tracing is on — the simulator's analogue of the runtime's
+    /// delay-wheel occupancy.
+    queue_depth: Histogram,
     round: u64,
-    started: bool,
-    /// Per-round `(from, to)` send counts, maintained only when the
-    /// network has scripted drops (`track_occurrences`); feeds the
-    /// occurrence argument of [`Strategy::fate`].
-    occurrences: HashMap<(ProcessId, ProcessId), u32, FxBuildHasher>,
-    track_occurrences: bool,
 }
 
 impl<P: ExecProtocol> Engine<P>
@@ -244,43 +228,44 @@ where
     pub fn new(config: SimConfig, processes: Vec<P>) -> Self {
         let population = processes.len();
         let plan = config.faults.failure.materialize(population, config.seed);
-        let mut status = vec![ProcessStatus::Alive; population];
-        for pid in plan.initially_crashed() {
-            status[pid.index()] = ProcessStatus::Crashed;
-        }
         let mut store = ProcessStore::with_capacity(config.seed, population);
         for p in processes {
             store.push(p);
         }
         let mut counters = Counters::new();
-        let hot = SimHotIds::register(&mut counters);
+        let ids = HotIds {
+            sent: counters.register("sim.sent"),
+            bytes_sent: counters.register("sim.bytes_sent"),
+            delivered: counters.register("sim.delivered"),
+            dropped_channel: counters.register("sim.dropped_channel"),
+            dropped_partitioned: counters.register("sim.dropped_partitioned"),
+            dropped_crashed: counters.register("sim.dropped_dead"),
+            dropped_observed: counters.register("sim.dropped_observed_failed"),
+            churn_crashes: counters.register("sim.churn_crashes"),
+            churn_recoveries: counters.register("sim.churn_recoveries"),
+        };
+        let lifecycle = LifecycleController::new(Arc::new(plan), 0, 1, population).on_plan_stream();
         let track_occurrences = !config.faults.network.drops.is_empty();
         // Config input: bound the ring it sizes; slower sends spill.
         let ring_rounds = config.faults.network.max_latency().min(1024) as usize + 1;
         Engine {
-            store,
-            status,
-            queue: DelayWheel::with_capacity(ring_rounds, 1),
-            outbox: Vec::new(),
-            recovered: Vec::new(),
-            counters,
-            hot,
-            network: config.faults.network,
-            observer_rng: rng_from_seed(plan.observation_seed()),
-            plan,
-            engine_rng: rng_from_seed(derive_seed(config.seed, 0)),
-            trace: SimTrace::new(&config.trace),
+            stripe: Stripe::new(store, lifecycle, counters, ids, &config.trace),
+            net: SimNet {
+                queue: DelayWheel::with_capacity(ring_rounds, 1),
+                model: config.faults.network,
+                rng: rng_from_seed(derive_seed(config.seed, 0)),
+                occurrences: HashMap::default(),
+                track_occurrences,
+            },
+            queue_depth: Histogram::new(),
             round: 0,
-            started: false,
-            occurrences: HashMap::default(),
-            track_occurrences,
         }
     }
 
     /// Number of simulated processes.
     #[must_use]
     pub fn population(&self) -> usize {
-        self.store.len()
+        self.stripe.store.len()
     }
 
     /// The protocol instance at `pid`.
@@ -290,7 +275,7 @@ where
     /// Panics if `pid` is out of range.
     #[must_use]
     pub fn process(&self, pid: ProcessId) -> &P {
-        self.store.get(pid.index())
+        self.stripe.store.get(pid.index())
     }
 
     /// Mutable access to the protocol instance at `pid` (e.g. to inject a
@@ -300,12 +285,13 @@ where
     ///
     /// Panics if `pid` is out of range.
     pub fn process_mut(&mut self, pid: ProcessId) -> &mut P {
-        self.store.get_mut(pid.index())
+        self.stripe.store.get_mut(pid.index())
     }
 
     /// Iterates over `(pid, protocol)` pairs.
     pub fn processes(&self) -> impl Iterator<Item = (ProcessId, &P)> {
-        self.store
+        self.stripe
+            .store
             .iter()
             .enumerate()
             .map(|(i, p)| (ProcessId::from_index(i), p))
@@ -314,7 +300,7 @@ where
     /// Consumes the engine, returning the protocol instances.
     #[must_use]
     pub fn into_processes(self) -> Vec<P> {
-        self.store.into_processes()
+        self.stripe.store.into_processes()
     }
 
     /// Liveness of `pid`.
@@ -324,17 +310,15 @@ where
     /// Panics if `pid` is out of range.
     #[must_use]
     pub fn status(&self, pid: ProcessId) -> ProcessStatus {
-        self.status[pid.index()]
+        self.stripe.lifecycle.status(pid.index())
     }
 
     /// Ids of currently alive processes.
     #[must_use]
     pub fn alive(&self) -> Vec<ProcessId> {
-        self.status
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_alive())
-            .map(|(i, _)| ProcessId::from_index(i))
+        (0..self.population())
+            .filter(|&i| self.stripe.lifecycle.is_alive(i))
+            .map(ProcessId::from_index)
             .collect()
     }
 
@@ -344,7 +328,9 @@ where
     ///
     /// Panics if `pid` is out of range.
     pub fn crash(&mut self, pid: ProcessId) {
-        self.status[pid.index()] = ProcessStatus::Crashed;
+        self.stripe
+            .lifecycle
+            .set_status(pid.index(), ProcessStatus::Crashed);
     }
 
     /// Recovers `pid` immediately: it resumes at the next round. A
@@ -355,13 +341,15 @@ where
     ///
     /// Panics if `pid` is out of range.
     pub fn recover(&mut self, pid: ProcessId) {
-        self.status[pid.index()] = ProcessStatus::Alive;
+        self.stripe
+            .lifecycle
+            .set_status(pid.index(), ProcessStatus::Alive);
     }
 
     /// The shared metrics registry.
     #[must_use]
     pub fn counters(&self) -> &Counters {
-        &self.counters
+        &self.stripe.ledger.counters
     }
 
     /// A snapshot of the flight recorder's output so far — events in
@@ -370,13 +358,13 @@ where
     /// [`SimConfig::trace`] mode is off.
     #[must_use]
     pub fn trace_log(&self) -> Option<TraceLog> {
-        self.trace.as_ref().map(|t| {
+        self.stripe.ledger.trace.as_ref().map(|t| {
             let mut log = TraceLog::new();
             log.events = t.recorder.events().to_vec();
             log.dropped_events = t.recorder.dropped();
             log.verdict_counts = *t.recorder.counts();
             log.add_histogram("delivery_latency_ticks", &t.delivery_latency);
-            log.add_histogram("queue_depth", &t.queue_depth);
+            log.add_histogram("queue_depth", &self.queue_depth);
             log
         })
     }
@@ -390,14 +378,14 @@ where
     /// Number of messages currently in flight.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.queue.len()
+        self.net.queue.len()
     }
 
     /// Earliest delivery round among in-flight messages, or `None` when
     /// nothing is queued — lets drivers skip provably quiet rounds.
     #[must_use]
     pub fn next_delivery_round(&self) -> Option<u64> {
-        self.queue.iter().next().map(|m| m.due_tick)
+        self.net.queue.iter().next().map(|m| m.due_tick)
     }
 
     /// Schedules a crash/recover [`Fate`] for a future round through
@@ -414,10 +402,10 @@ where
     /// each round).
     pub fn schedule_fate(&mut self, fate: Fate) {
         assert!(
-            fate.pid.index() < self.store.len(),
+            fate.pid.index() < self.population(),
             "fate pid {} out of population {}",
             fate.pid,
-            self.store.len()
+            self.population()
         );
         assert!(
             fate.round >= self.round,
@@ -425,7 +413,7 @@ where
             fate.round,
             self.round
         );
-        self.plan.push_fate(fate);
+        self.stripe.lifecycle.push_fate(fate);
     }
 
     /// Runs one round: applies scheduled fates and churn draws (invoking
@@ -442,99 +430,14 @@ where
     /// script-following strategy to walk one enumerated branch instead.
     pub fn step_round_with<S: Strategy>(&mut self, strategy: &mut S) -> RoundReport {
         let round = self.round;
-        if self.track_occurrences {
-            self.occurrences.clear();
+        if self.net.track_occurrences {
+            self.net.occurrences.clear();
         }
-        let mut report = RoundReport {
-            round,
-            ..RoundReport::default()
+        let mut out = Routed {
+            net: &mut self.net,
+            strategy,
         };
-
-        // Taken so the hooks below can borrow the rest of the engine.
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut recovered = std::mem::take(&mut self.recovered);
-
-        // Scripted fates apply at the start of the round.
-        for fate in self.plan.fates_at(round) {
-            let i = fate.pid.index();
-            let was_alive = self.status[i].is_alive();
-            if fate.crash {
-                self.status[i] = ProcessStatus::Crashed;
-                if was_alive {
-                    SimTrace::lifecycle(&mut self.trace, round, fate.pid, TraceVerdict::Crashed);
-                }
-            } else {
-                if !was_alive {
-                    recovered.push(i);
-                    SimTrace::lifecycle(&mut self.trace, round, fate.pid, TraceVerdict::Recovered);
-                }
-                self.status[i] = ProcessStatus::Alive;
-            }
-        }
-
-        // Continuous churn: stateless per-(pid, round) draws from the
-        // shared plan — the exact fates the live runtime reproduces.
-        if self.plan.churn().is_some() {
-            for i in 0..self.status.len() {
-                let pid = ProcessId::from_index(i);
-                let alive = self.status[i].is_alive();
-                if !self.plan.churn_flips(pid, round, alive) {
-                    continue;
-                }
-                if alive {
-                    self.status[i] = ProcessStatus::Crashed;
-                    self.counters.add(self.hot.churn_crashes, 1);
-                    SimTrace::lifecycle(&mut self.trace, round, pid, TraceVerdict::Crashed);
-                } else {
-                    self.status[i] = ProcessStatus::Alive;
-                    self.counters.add(self.hot.churn_recoveries, 1);
-                    recovered.push(i);
-                    SimTrace::lifecycle(&mut self.trace, round, pid, TraceVerdict::Recovered);
-                }
-            }
-        }
-
-        // Recovery re-entry, before any delivery of the round: processes
-        // the plan just brought back run their `on_recover` hook (the
-        // protocol's bootstrap re-entry path), in pid order.
-        recovered.sort_unstable();
-        recovered.dedup();
-        for i in recovered.drain(..) {
-            if !self.status[i].is_alive() {
-                continue; // re-crashed in the same round
-            }
-            let me = ProcessId::from_index(i);
-            let (proc_state, rng) = self.store.pair_mut(i, me);
-            let mut ctx = Ctx {
-                me,
-                round,
-                rng,
-                counters: &mut self.counters,
-                outbox: &mut outbox,
-            };
-            proc_state.on_recover(&mut ctx);
-            report.sent += self.flush_outbox(&mut outbox, me, round, strategy);
-        }
-
-        if !self.started {
-            self.started = true;
-            for i in 0..self.store.len() {
-                if !self.status[i].is_alive() {
-                    continue;
-                }
-                let me = ProcessId::from_index(i);
-                let (proc_state, rng) = self.store.pair_mut(i, me);
-                let mut ctx = Ctx {
-                    me,
-                    round,
-                    rng,
-                    counters: &mut self.counters,
-                    outbox: &mut outbox,
-                };
-                proc_state.on_start(&mut ctx);
-                report.sent += self.flush_outbox(&mut outbox, me, round, strategy);
-            }
-        }
+        self.stripe.begin_tick(round, &mut out);
 
         // Deliver everything due this round (including stragglers from
         // earlier rounds when a latency model produced them). Latency is
@@ -542,8 +445,8 @@ where
         // in the same round: the due set is closed before delivery
         // starts, which is what lets an ordering strategy see it whole
         // and the round's bucket leave the wheel while it delivers.
-        let mut due = self.queue.take_due(round);
-        if strategy.wants_ordering() {
+        let mut due = out.net.queue.take_due(round);
+        if out.strategy.wants_ordering() {
             let mut meta: Vec<DueMessage> = due
                 .iter()
                 .map(|m| DueMessage {
@@ -553,44 +456,29 @@ where
                 })
                 .collect();
             while !due.is_empty() {
-                let idx = strategy.next_delivery(&meta).min(due.len() - 1);
+                let idx = out.strategy.next_delivery(&meta).min(due.len() - 1);
                 meta.remove(idx);
-                let m = due.remove(idx);
-                self.deliver_one(m, round, &mut outbox, &mut report, strategy);
+                self.stripe.deliver(due.remove(idx), &mut out);
             }
         } else {
             // Bucket order is FIFO (round, seq) order: the hot path.
             for m in due.drain(..) {
-                self.deliver_one(m, round, &mut outbox, &mut report, strategy);
+                self.stripe.deliver(m, &mut out);
             }
         }
-        self.queue.restore(due);
+        out.net.queue.restore(due);
 
-        // Round hooks for alive processes, in pid order.
-        for i in 0..self.store.len() {
-            if !self.status[i].is_alive() {
-                continue;
-            }
-            let me = ProcessId::from_index(i);
-            let (proc_state, rng) = self.store.pair_mut(i, me);
-            let mut ctx = Ctx {
-                me,
-                round,
-                rng,
-                counters: &mut self.counters,
-                outbox: &mut outbox,
-            };
-            proc_state.on_round(round, &mut ctx);
-            report.sent += self.flush_outbox(&mut outbox, me, round, strategy);
-        }
+        let tally = self.stripe.round_hooks(&mut out);
 
-        if let Some(t) = self.trace.as_mut() {
-            t.queue_depth.record(self.queue.len() as u64);
+        if self.stripe.ledger.trace.is_some() {
+            self.queue_depth.record(self.net.queue.len() as u64);
         }
-        self.outbox = outbox;
-        self.recovered = recovered;
         self.round += 1;
-        report
+        RoundReport {
+            round,
+            delivered: tally.delivered,
+            sent: tally.sent,
+        }
     }
 
     /// Runs exactly `rounds` rounds and returns their reports.
@@ -604,137 +492,11 @@ where
     pub fn run_until_quiescent(&mut self, max_rounds: u64) -> u64 {
         for executed in 0..max_rounds {
             let report = self.step_round();
-            if report.is_quiet() && self.queue.is_empty() {
+            if report.is_quiet() && self.net.queue.is_empty() {
                 return executed + 1;
             }
         }
         max_rounds
-    }
-
-    /// Delivers one due message: dead/observed checks, counters and
-    /// trace, the `on_message` hook, and the flush of whatever it sent.
-    fn deliver_one<S: Strategy>(
-        &mut self,
-        m: Envelope<P::Msg>,
-        round: u64,
-        outbox: &mut Vec<(ProcessId, P::Msg)>,
-        report: &mut RoundReport,
-        strategy: &mut S,
-    ) {
-        let to = m.to;
-        let verdict = if !self.status[to.index()].is_alive() {
-            self.counters.add(self.hot.dropped_dead, 1);
-            TraceVerdict::DroppedCrashed
-        } else if !self.plan.observes_alive(&mut self.observer_rng) {
-            // Per-observer failure model: the target appears failed for
-            // this particular transmission.
-            self.counters.add(self.hot.dropped_observed_failed, 1);
-            TraceVerdict::DroppedObserved
-        } else {
-            report.delivered += 1;
-            self.counters.add(self.hot.delivered, 1);
-            TraceVerdict::Delivered
-        };
-        if let Some(t) = self.trace.as_mut() {
-            t.recorder.record(TraceEvent {
-                tick: round,
-                from: m.from,
-                to,
-                payload: m.msg.wire_size() as u64,
-                verdict,
-            });
-            if verdict == TraceVerdict::Delivered {
-                t.delivery_latency.record(round - m.sent_tick);
-            }
-        }
-        if verdict != TraceVerdict::Delivered {
-            return;
-        }
-        let (proc_state, rng) = self.store.pair_mut(to.index(), to);
-        let mut ctx = Ctx {
-            me: to,
-            round,
-            rng,
-            counters: &mut self.counters,
-            outbox,
-        };
-        proc_state.on_message(m.from, m.msg, &mut ctx);
-        report.sent += self.flush_outbox(outbox, to, round, strategy);
-    }
-
-    /// Routes queued sends through the network model: counts them,
-    /// checks the partition schedule (a pure severed/not decision that
-    /// consumes no randomness), asks the [`Strategy`] for each
-    /// surviving send's fate (the default draws from the shared
-    /// `da_core` channel model of its link, on the engine's single RNG
-    /// stream), and enqueues survivors.
-    fn flush_outbox<S: Strategy>(
-        &mut self,
-        outbox: &mut Vec<(ProcessId, P::Msg)>,
-        from: ProcessId,
-        round: u64,
-        strategy: &mut S,
-    ) -> u64 {
-        let mut sent = 0;
-        for (to, msg) in outbox.drain(..) {
-            sent += 1;
-            let size = msg.wire_size() as u64;
-            self.counters.add(self.hot.sent, 1);
-            self.counters.add(self.hot.bytes_sent, size);
-            let occurrence = if self.track_occurrences {
-                let count = self.occurrences.entry((from, to)).or_insert(0);
-                let this = *count;
-                *count += 1;
-                this
-            } else {
-                0
-            };
-            let fate = strategy.fate(
-                &self.network,
-                from,
-                to,
-                round,
-                occurrence,
-                &mut self.engine_rng,
-            );
-            match fate {
-                NetFate::Severed => self.counters.add(self.hot.dropped_partitioned, 1),
-                NetFate::Lost => self.counters.add(self.hot.dropped_channel, 1),
-                NetFate::Deliver { latency } => self.queue.schedule(
-                    0,
-                    Envelope {
-                        from,
-                        to,
-                        sent_tick: round,
-                        due_tick: round + latency,
-                        msg,
-                    },
-                ),
-            }
-            if let Some(t) = self.trace.as_mut() {
-                let mut event = TraceEvent {
-                    tick: round,
-                    from,
-                    to,
-                    payload: size,
-                    verdict: TraceVerdict::Sent,
-                };
-                t.recorder.record(event);
-                // Send-time drops stamp the send tick; drops decided at
-                // delivery time (crashed / observed-failed destinations)
-                // stamp the delivery tick instead.
-                let dropped = match fate {
-                    NetFate::Severed => Some(TraceVerdict::DroppedPartitioned),
-                    NetFate::Lost => Some(TraceVerdict::DroppedChannel),
-                    NetFate::Deliver { .. } => None,
-                };
-                if let Some(verdict) = dropped {
-                    event.verdict = verdict;
-                    t.recorder.record(event);
-                }
-            }
-        }
-        sent
     }
 }
 
@@ -769,32 +531,33 @@ where
             }
         }
 
+        let (store, lifecycle) = (&self.stripe.store, &self.stripe.lifecycle);
         let mut h = FxHasher::default();
         h.write_u64(self.round);
-        h.write_u8(u8::from(self.started));
-        for status in &self.status {
-            h.write_u8(u8::from(status.is_alive()));
+        h.write_u8(u8::from(self.stripe.started()));
+        for i in 0..store.len() {
+            h.write_u8(u8::from(lifecycle.is_alive(i)));
         }
-        for process in self.store.iter() {
+        for process in store.iter() {
             process.mc_hash(&mut h);
         }
-        for i in 0..self.store.len() {
+        for i in 0..store.len() {
             // `probe_rng` derives the stream on the fly when the slot was
             // never touched, so a lazily-stored engine and an eagerly
             // materialised one digest identically.
-            probe_rng(&self.store.probe_rng(i, ProcessId::from_index(i)), &mut h);
+            probe_rng(&store.probe_rng(i, ProcessId::from_index(i)), &mut h);
         }
-        probe_rng(&self.engine_rng, &mut h);
-        probe_rng(&self.observer_rng, &mut h);
-        for m in self.queue.iter() {
+        probe_rng(&self.net.rng, &mut h);
+        probe_rng(lifecycle.observer_rng(), &mut h);
+        for m in self.net.queue.iter() {
             h.write_u64(m.due_tick);
             h.write_u64(m.sent_tick);
             h.write_u32(m.from.0);
             h.write_u32(m.to.0);
             m.msg.mc_hash(&mut h);
         }
-        for fate in self
-            .plan
+        for fate in lifecycle
+            .plan()
             .schedule()
             .iter()
             .filter(|f| f.round >= self.round)
@@ -1063,6 +826,60 @@ mod tests {
         );
     }
 
+    /// A protocol written purely against [`ExecProtocol`], checked here
+    /// under the simulator.
+    #[test]
+    fn exec_protocol_runs_under_the_simulator() {
+        struct Echo {
+            heard: Vec<(ProcessId, u8)>,
+        }
+        impl ExecProtocol for Echo {
+            type Msg = u8;
+
+            fn on_start<X: Exec<Msg = u8>>(&mut self, ctx: &mut X) {
+                if ctx.me() == ProcessId(0) {
+                    ctx.send(ProcessId(1), 7);
+                    ctx.bump("echo.pings");
+                }
+            }
+
+            fn on_message<X: Exec<Msg = u8>>(&mut self, from: ProcessId, msg: u8, ctx: &mut X) {
+                self.heard.push((from, msg));
+                if msg > 0 {
+                    ctx.send(from, msg - 1);
+                }
+                ctx.add("echo.bytes", 1);
+            }
+        }
+        let procs = vec![Echo { heard: vec![] }, Echo { heard: vec![] }];
+        let mut engine = Engine::new(SimConfig::default().with_seed(1), procs);
+        engine.run_until_quiescent(32);
+        // The byte ping-pongs 7 → 0: eight deliveries in total.
+        assert_eq!(engine.counters().get("echo.bytes"), 8);
+        assert_eq!(engine.counters().get("echo.pings"), 1);
+        assert_eq!(engine.process(ProcessId(1)).heard.len(), 4);
+        assert_eq!(engine.process(ProcessId(0)).heard.len(), 4);
+    }
+
+    #[test]
+    fn ctx_exec_exposes_identity_time_and_rng() {
+        struct Probe {
+            ok: bool,
+        }
+        impl ExecProtocol for Probe {
+            type Msg = ();
+            fn on_message<X: Exec<Msg = ()>>(&mut self, _f: ProcessId, _m: (), _c: &mut X) {}
+            fn on_round<X: Exec<Msg = ()>>(&mut self, round: u64, ctx: &mut X) {
+                use rand::Rng as _;
+                let _draw: u64 = ctx.rng().gen();
+                self.ok = ctx.round() == round && ctx.me() == ProcessId(0);
+            }
+        }
+        let mut engine = Engine::new(SimConfig::default(), vec![Probe { ok: false }]);
+        engine.run_rounds(3);
+        assert!(engine.process(ProcessId(0)).ok);
+    }
+
     #[test]
     fn partitions_sever_and_heal() {
         use da_core::topology::{NodeId, Partition, PartitionSchedule, Topology};
@@ -1098,6 +915,7 @@ mod tests {
 mod trace_engine_tests {
     use super::tests_support::relay_engine;
     use super::*;
+    use da_core::trace::TraceVerdict;
 
     #[test]
     fn trace_off_allocates_no_recorder() {

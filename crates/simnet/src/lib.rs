@@ -18,8 +18,10 @@
 //! * a metrics registry counting messages per protocol-defined label.
 //!
 //! Protocols implement `da_core`'s [`ExecProtocol`] — the one contract
-//! both substrates drive — and run here under an [`Engine`], which hands
-//! every hook a [`Ctx`] as its [`Exec`]:
+//! both substrates drive — and run here under an [`Engine`]: one
+//! `da_core::Stripe` holding the whole population, whose tick body (the
+//! same one a live worker runs) hands every hook its [`Exec`] context,
+//! and whose sends the engine routes into its delay wheel:
 //!
 //! ```
 //! use da_simnet::{Engine, Exec, ExecProtocol, ProcessId, SimConfig, WireSize};
@@ -55,7 +57,6 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod exec;
 pub mod mc;
 mod strategy;
 
@@ -67,5 +68,4 @@ pub use da_core::{
     TraceEvent, TraceLog, WireSize,
 };
 pub use engine::{Engine, RoundReport, SimConfig};
-pub use exec::Ctx;
 pub use strategy::{DueMessage, RngStrategy, Strategy};

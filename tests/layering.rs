@@ -16,6 +16,20 @@ fn dependencies(manifest: &str) -> Vec<&str> {
         .collect()
 }
 
+/// Every `.rs` file directly under `dir` (relative to the repo root),
+/// with its source.
+fn sources(dir: &str) -> Vec<(std::path::PathBuf, String)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+    std::fs::read_dir(&dir)
+        .expect("source directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .map(|path| {
+            let source = std::fs::read_to_string(&path).expect("source file");
+            (path, source)
+        })
+        .collect()
+}
+
 #[test]
 fn protocols_and_substrates_meet_only_in_da_core() {
     let manifests = [
@@ -52,14 +66,54 @@ fn protocols_and_substrates_meet_only_in_da_core() {
 #[test]
 fn substrates_define_no_timing_structure_of_their_own() {
     for dir in ["crates/simnet/src", "crates/runtime/src"] {
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
-        for entry in std::fs::read_dir(&dir).expect("substrate source directory") {
-            let path = entry.expect("directory entry").path();
-            let source = std::fs::read_to_string(&path).expect("source file");
+        for (path, source) in sources(dir) {
             for own in ["BinaryHeap", "struct DelayWheel"] {
                 assert!(!source.contains(own), "{}: {own}", path.display());
             }
         }
+    }
+}
+
+/// The tick body — plan transitions, delivery verdicts, round hooks,
+/// the send ledger and the execution context — exists once, in
+/// `da_core::stripe`. A substrate that implements `Exec` again, walks
+/// the failure plan itself or names the crashed-destination verdict has
+/// started a second copy.
+#[test]
+fn the_tick_body_lives_in_da_core_only() {
+    let mut exec_impls = Vec::new();
+    for dir in [
+        "crates/da-core/src",
+        "crates/simnet/src",
+        "crates/runtime/src",
+    ] {
+        for (path, source) in sources(dir) {
+            for line in source.lines() {
+                if line.starts_with("impl") && line.contains(" Exec for ") {
+                    exec_impls.push(path.clone());
+                }
+            }
+        }
+    }
+    assert_eq!(exec_impls.len(), 1, "{exec_impls:?}");
+    assert!(exec_impls[0].ends_with("crates/da-core/src/stripe.rs"));
+
+    for dir in ["crates/simnet/src", "crates/runtime/src"] {
+        for (path, source) in sources(dir) {
+            for copied in ["churn_flips", "fates_at(", "TraceVerdict::DroppedCrashed"] {
+                assert!(!source.contains(copied), "{}: {copied}", path.display());
+            }
+        }
+    }
+}
+
+/// One benchmark system: `benchmark/`. The Criterion benches and their
+/// shim stay deleted.
+#[test]
+fn the_workspace_has_no_second_benchmark_system() {
+    let manifest = include_str!("../Cargo.toml");
+    for gone in ["crates/bench", "criterion"] {
+        assert!(!manifest.contains(gone), "root Cargo.toml names {gone}");
     }
 }
 
@@ -69,10 +123,7 @@ fn substrates_define_no_timing_structure_of_their_own() {
 #[test]
 fn protocol_hooks_bump_no_counter_by_name() {
     for dir in ["crates/core/src", "crates/baselines/src"] {
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
-        for entry in std::fs::read_dir(&dir).expect("protocol source directory") {
-            let path = entry.expect("directory entry").path();
-            let source = std::fs::read_to_string(&path).expect("source file");
+        for (path, source) in sources(dir) {
             let shipped = source.split("#[cfg(test)]").next().unwrap_or_default();
             assert!(!shipped.contains(".bump("), "{}", path.display());
         }
