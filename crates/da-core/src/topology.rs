@@ -389,7 +389,7 @@ pub struct ScriptedDrop {
 /// matched send.
 ///
 /// Empty schedules are free: [`NetworkModel::decide_fate`] with an
-/// empty schedule is byte-for-byte [`NetworkModel::sample_fate`].
+/// empty schedule makes exactly the channel's draws.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DropSchedule {
     drops: Vec<ScriptedDrop>,
@@ -498,19 +498,19 @@ pub enum NetFate {
 /// let mut rng = rng_from_seed(1);
 /// // Before the cut, the cross-site send uses the WAN override.
 /// assert_eq!(
-///     model.sample_fate(edge, core, 0, &mut rng),
+///     model.decide_fate(edge, core, 0, 0, &mut rng),
 ///     NetFate::Deliver { latency: 2 },
 /// );
 /// // During the cut it is severed — deterministically, with no draw.
-/// assert_eq!(model.sample_fate(edge, core, 5, &mut rng), NetFate::Severed);
+/// assert_eq!(model.decide_fate(edge, core, 5, 0, &mut rng), NetFate::Severed);
 /// // Intra-site traffic never notices: default channel, still flowing.
 /// assert_eq!(
-///     model.sample_fate(ProcessId(0), ProcessId(2), 5, &mut rng),
+///     model.decide_fate(ProcessId(0), ProcessId(2), 5, 0, &mut rng),
 ///     NetFate::Deliver { latency: 1 },
 /// );
 /// // After the heal the WAN link carries traffic again.
 /// assert_eq!(
-///     model.sample_fate(edge, core, 8, &mut rng),
+///     model.decide_fate(edge, core, 8, 0, &mut rng),
 ///     NetFate::Deliver { latency: 2 },
 /// );
 /// ```
@@ -601,40 +601,17 @@ impl NetworkModel {
         }
     }
 
-    /// Draws the fate of one send at `tick` from `rng`.
+    /// Decides the fate of the `occurrence`-th send from `from` to `to`
+    /// at `tick`, drawing from `rng` only what the scripts leave open.
     ///
     /// Draw-order contract (deterministic replays depend on it): the
-    /// partition check comes first and consumes **zero** randomness;
-    /// surviving sends then follow [`ChannelConfig::sample_fate`]'s
-    /// pinned order on the effective link channel — at most one
-    /// Bernoulli draw, then at most one latency draw.
-    pub fn sample_fate<R: Rng>(
-        &self,
-        from: ProcessId,
-        to: ProcessId,
-        tick: u64,
-        rng: &mut R,
-    ) -> NetFate {
-        if self.severed(from, to, tick) {
-            return NetFate::Severed;
-        }
-        match self.channel_between(from, to).sample_fate(rng) {
-            ChannelFate::Lost => NetFate::Lost,
-            ChannelFate::Deliver { latency } => NetFate::Deliver { latency },
-        }
-    }
-
-    /// Decides the fate of the `occurrence`-th send from `from` to `to`
-    /// at `tick`, consulting the scripted [`DropSchedule`] before any
-    /// randomness.
-    ///
-    /// Precedence (part of the replay contract): partition check first
-    /// (pure), then the drop script (pure — a matched send is `Lost`
-    /// without consuming a single draw), then the usual
-    /// [`sample_fate`](Self::sample_fate) channel draws. With an empty
-    /// schedule this is byte-for-byte `sample_fate`: same draws, same
-    /// order, same fates — callers with no script may keep calling
-    /// either.
+    /// partition check comes first and the scripted [`DropSchedule`]
+    /// second; both are pure — a severed send and a send the script
+    /// matches (`Lost`) consume **zero** randomness. Surviving sends
+    /// then follow [`ChannelConfig::sample_fate`]'s pinned order on the
+    /// effective link channel — at most one Bernoulli draw, then at most
+    /// one latency draw. With no partition and an empty schedule these
+    /// are exactly the bare channel's draws.
     pub fn decide_fate<R: Rng>(
         &self,
         from: ProcessId,
@@ -656,7 +633,7 @@ impl NetworkModel {
     }
 
     /// Enumerates every fate a send from `from` to `to` at `tick` could
-    /// receive — the enumeration twin of [`sample_fate`](Self::sample_fate),
+    /// receive — the enumeration twin of [`decide_fate`](Self::decide_fate),
     /// used by the bounded model checker as the branching factor of a
     /// send.
     ///
@@ -749,7 +726,7 @@ mod tests {
         let mut b = rng_from_seed(3);
         for tick in 0..256 {
             let bare = channel.sample_fate(&mut a);
-            let net = model.sample_fate(ProcessId(0), ProcessId(1), tick, &mut b);
+            let net = model.decide_fate(ProcessId(0), ProcessId(1), tick, 0, &mut b);
             match (bare, net) {
                 (ChannelFate::Lost, NetFate::Lost) => {}
                 (ChannelFate::Deliver { latency: x }, NetFate::Deliver { latency: y }) => {
@@ -773,7 +750,7 @@ mod tests {
         let b = rng_from_seed(7);
         for tick in 0..64 {
             assert_eq!(
-                model.sample_fate(ProcessId(0), ProcessId(1), tick, &mut a),
+                model.decide_fate(ProcessId(0), ProcessId(1), tick, 0, &mut a),
                 NetFate::Severed
             );
         }
@@ -879,27 +856,6 @@ mod tests {
         );
         assert!(!cut.is_perfect(), "a scripted cut must disable fast paths");
         assert!(NetworkModel::from(ChannelConfig::reliable()).is_perfect());
-    }
-
-    #[test]
-    fn decide_fate_with_empty_script_is_sample_fate_draw_for_draw() {
-        // decide_fate must be a conservative extension: with no drops
-        // scripted, the exact same draws happen in the exact same order,
-        // so wiring it into either substrate cannot shift any stream.
-        let model = NetworkModel::uniform(
-            ChannelConfig::default()
-                .with_success_probability(0.6)
-                .with_latency(Latency::UniformRounds { min: 1, max: 4 }),
-        );
-        let mut a = rng_from_seed(21);
-        let mut b = rng_from_seed(21);
-        for tick in 0..256 {
-            let sampled = model.sample_fate(ProcessId(0), ProcessId(1), tick, &mut a);
-            let decided = model.decide_fate(ProcessId(0), ProcessId(1), tick, tick as u32, &mut b);
-            assert_eq!(sampled, decided);
-        }
-        use rand::Rng as _;
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "streams stayed in step");
     }
 
     #[test]

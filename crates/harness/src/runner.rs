@@ -2,8 +2,8 @@
 //!
 //! Every experiment repeats each configuration over several seeds and
 //! reports summary statistics. Trials are independent simulations, so
-//! they run on scoped worker threads (crossbeam) — the simulation kernel
-//! itself stays single-threaded and deterministic per seed.
+//! they run on scoped worker threads — the simulation kernel itself
+//! stays single-threaded and deterministic per seed.
 
 use crate::stats::Summary;
 use da_core::derive_seed;
@@ -27,11 +27,11 @@ where
     let threads = std::thread::available_parallelism()
         .map_or(4, std::num::NonZeroUsize::get)
         .min(trials);
-    let results: Vec<Vec<f64>> = crossbeam::thread::scope(|scope| {
+    let results: Vec<Vec<f64>> = std::thread::scope(|scope| {
         let run = &run;
         let mut handles = Vec::with_capacity(threads);
         for worker in 0..threads {
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut mine = Vec::new();
                 let mut t = worker;
                 while t < trials {
@@ -48,8 +48,7 @@ where
         // Deterministic aggregation order regardless of thread scheduling.
         all.sort_by_key(|(t, _)| *t);
         all.into_iter().map(|(_, m)| m).collect()
-    })
-    .expect("crossbeam scope failed");
+    });
 
     let width = results[0].len();
     assert!(

@@ -52,7 +52,7 @@ pub struct RuntimeConfig {
     /// How many ticks a fast worker may run ahead of the slowest peer's
     /// *published* frontier under the bounded-lag scheduler (minimum 1).
     ///
-    /// The scheduler replaces the global tick barrier with per-edge
+    /// The scheduler replaces the global tick barrier with per-sender
     /// publish watermarks: a worker may execute tick `n` once every peer
     /// has flushed the outbound batches that could still be due at `n`.
     /// With one-tick channel latency that pins workers within one tick

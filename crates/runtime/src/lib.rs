@@ -12,11 +12,11 @@
 //!   (producer worker, consumer worker) pair, so batch publication
 //!   never takes a lock and never contends with any third worker.
 //!   Sends are address-hashed to the owning worker, coalesced per
-//!   destination worker into one [`Batch`] per tick, and never copied
-//!   twice; drained `Batch::Many` buffers recycle back to the producer
+//!   destination worker into one batch (a pooled `Vec`) per tick, and
+//!   never copied twice; drained buffers recycle back to the producer
 //!   over per-pair return lanes (a [`BatchPool`]), so steady-state
-//!   ticks allocate nothing on the data plane. Control messages stay
-//!   on mpsc channels;
+//!   ticks allocate nothing on the data plane. Control messages ride
+//!   `std::sync::mpsc` channels;
 //! * **network faults** — the [`FaultyRouter`] applies the same
 //!   substrate-neutral [`NetworkModel`](da_core::NetworkModel) the
 //!   simulator uses (`da_core::topology`, configured via the unified
@@ -31,7 +31,7 @@
 //!   zero randomness, so both substrates sever the same sends;
 //! * **bounded-lag tick scheduler** — gossip rounds become *ticks*, but
 //!   there is no global barrier: each worker advances its own clock,
-//!   gated only by per-edge atomic publish watermarks
+//!   gated only by per-sender atomic publish watermarks
 //!   ([`EdgeWatermarks`]) — it may execute tick `n` once every peer has
 //!   *published* (flushed) the batches that could still be due at `n`.
 //!   A message sent in tick `n` is still delivered exactly at tick
@@ -123,6 +123,5 @@ pub use da_core::{
 pub use metrics::{ShardOutOfRange, ShardedCounters, TraceSink};
 pub use runtime::{Runtime, Shutdown, TickReport};
 pub use transport::{
-    lane_matrix, Batch, BatchPool, EdgeInbox, EdgeWatermarks, FaultyRouter, FlushReport, Hub,
-    LaneClosed,
+    lane_matrix, BatchPool, EdgeInbox, EdgeWatermarks, FaultyRouter, FlushReport, Hub, LaneClosed,
 };

@@ -13,8 +13,8 @@
 //! The bounded-lag scheduler replaces the barrier with two one-way
 //! signals:
 //!
-//! * **Per-edge publish watermarks** ([`crate::EdgeWatermarks`]): after
-//!   flushing tick `t`, a worker bumps an atomic per out-edge. A worker
+//! * **Publish watermarks** ([`crate::EdgeWatermarks`]): after flushing
+//!   tick `t` on every out-edge, a worker bumps its one atomic. A worker
 //!   may execute tick `n` once every peer has published through tick
 //!   `n − lag`, where `lag = RuntimeConfig::effective_lag()` — anything
 //!   published later is due strictly after `n` (channel latency is at
@@ -42,7 +42,6 @@ use crate::config::RuntimeConfig;
 use crate::metrics::{ShardedCounters, TraceSink, WorkerTrace};
 use crate::transport::{lane_matrix, EdgeWatermarks, FaultyRouter};
 use crate::worker::{Control, SchedulerState, Worker, WorkerReport};
-use crossbeam::channel::{self, Receiver, Sender};
 use da_core::process::ProcessIndexError;
 use da_core::store::ProcessStore;
 use da_core::wheel::DelayWheel;
@@ -51,7 +50,8 @@ use da_core::{
     TraceLog, WireSize,
 };
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SendError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -114,7 +114,7 @@ impl PartialTick {
 
 /// The live runtime: a pool of worker threads executing
 /// [`ExecProtocol`] processes as actors under a bounded-lag tick
-/// scheduler (per-edge publish watermarks instead of a global barrier),
+/// scheduler (per-sender publish watermarks instead of a global barrier),
 /// with the shared `da_core` channel fault model applied by the
 /// transport.
 ///
@@ -188,6 +188,16 @@ pub struct Shutdown<P> {
     pub trace: Option<TraceLog>,
 }
 
+/// Ring slots of each worker's delay wheel: the worst due-tick distance
+/// an envelope can arrive with — a peer running `lag` ahead sends at most
+/// `lag` ticks into the future, plus the network's latency ceiling (+1
+/// because the window includes the current tick). Config input: bound
+/// the ring it sizes, as `Engine::new` does; slower sends spill.
+fn wheel_capacity(config: &RuntimeConfig) -> usize {
+    let max_latency = config.faults.network.max_latency();
+    max_latency.saturating_add(config.effective_lag()).min(1024) as usize + 1
+}
+
 impl<P> Runtime<P>
 where
     P: ExecProtocol + Send + 'static,
@@ -241,9 +251,8 @@ where
         let sched = Arc::new(SchedulerState {
             horizon: AtomicU64::new(0),
             marks: EdgeWatermarks::new(workers),
-            parked: (0..workers).map(|_| AtomicBool::new(false)).collect(),
         });
-        let (report_tx, report_rx) = channel::unbounded();
+        let (report_tx, report_rx) = mpsc::channel();
 
         // One materialisation of the failure plan, shared by every
         // worker's LifecycleController: same seed, same fates — and the
@@ -261,18 +270,10 @@ where
             stores[i % workers].push(p);
         }
 
-        // Size each delay wheel's ring to the worst due-tick distance an
-        // envelope can arrive with: a peer running `lag` ahead sends at
-        // most `lag` ticks into the future, plus the network's latency
-        // ceiling (+1 because the window includes the current tick).
-        let wheel_capacity =
-            usize::try_from(config.faults.network.max_latency() + config.effective_lag() + 1)
-                .unwrap_or(usize::MAX);
-
         let mut controls = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for (id, ((store, inbox), hub)) in stores.into_iter().zip(inbox_rxs).zip(hubs).enumerate() {
-            let (control_tx, control_rx) = channel::unbounded();
+            let (control_tx, control_rx) = mpsc::channel();
             // Registration order is part of the snapshot format: the
             // pool's two counters sit where they always did.
             let mut local = Counters::new();
@@ -305,7 +306,7 @@ where
                 shards: Arc::clone(&counters),
                 dropped_closed,
                 dropped_shutdown,
-                wheel: DelayWheel::with_capacity(wheel_capacity, workers),
+                wheel: DelayWheel::with_capacity(wheel_capacity(&config), workers),
                 due_buf: Vec::new(),
                 swept: 0,
                 trace: trace_sink
@@ -358,18 +359,18 @@ where
         self.tick
     }
 
-    /// Extends the grant horizon and wakes any worker that parked
-    /// waiting for it. Monotonic and idempotent.
+    /// Extends the grant horizon, then unparks every worker: one
+    /// blocked in `Worker::park` re-reads the horizon, one still running
+    /// keeps the token and re-reads it instead of blocking. Monotonic
+    /// and idempotent.
     fn grant(&mut self, horizon: u64) {
         if horizon <= self.granted {
             return;
         }
         self.granted = horizon;
         self.sched.horizon.store(horizon, Ordering::SeqCst);
-        for (w, flag) in self.sched.parked.iter().enumerate() {
-            if flag.swap(false, Ordering::SeqCst) {
-                let _ = self.controls[w].send(Control::Sync);
-            }
+        for handle in &self.handles {
+            handle.thread().unpark();
         }
     }
 
@@ -539,12 +540,11 @@ where
             self.population
         );
         let worker = pid.index() % self.controls.len();
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         let wrapped: Box<dyn FnOnce(&mut P) + Send> = Box::new(move |p| {
             let _ = tx.send(f(p));
         });
-        self.controls[worker]
-            .send(Control::Apply { pid, f: wrapped })
+        self.send_control(worker, Control::Apply { pid, f: wrapped })
             .unwrap_or_else(|_| panic!("runtime worker for {pid} terminated"));
         rx.recv().expect("runtime worker dropped an apply")
     }
@@ -571,11 +571,8 @@ where
             self.population
         );
         let worker = pid.index() % self.controls.len();
-        self.controls[worker]
-            .send(Control::Apply {
-                pid,
-                f: Box::new(f),
-            })
+        let f = Box::new(f);
+        self.send_control(worker, Control::Apply { pid, f })
             .unwrap_or_else(|_| panic!("runtime worker for {pid} terminated"));
     }
 
@@ -613,9 +610,7 @@ where
             self.granted, self.tick,
             "a granted tick was never collected"
         );
-        for control in &self.controls {
-            let _ = control.send(Control::Stop);
-        }
+        self.stop_all();
         let mut tagged: Vec<(ProcessId, P, ProcessStatus)> = self
             .handles
             .drain(..)
@@ -637,14 +632,29 @@ where
     }
 }
 
+impl<P: ExecProtocol> Runtime<P> {
+    /// The only place a control message is sent: the send is followed
+    /// by an unpark, so it reaches a worker blocked in `Worker::park`.
+    fn send_control(&self, worker: usize, msg: Control<P>) -> Result<(), SendError<Control<P>>> {
+        let sent = self.controls[worker].send(msg);
+        self.handles[worker].thread().unpark();
+        sent
+    }
+
+    /// Tells every worker not yet joined to stop.
+    fn stop_all(&self) {
+        for worker in 0..self.handles.len() {
+            let _ = self.send_control(worker, Control::Stop);
+        }
+    }
+}
+
 /// Dropping the runtime without [`Runtime::shutdown`] still stops and
 /// joins every worker (discarding the processes), so tests and callers
 /// can never leak a pool.
 impl<P: ExecProtocol> Drop for Runtime<P> {
     fn drop(&mut self) {
-        for control in &self.controls {
-            let _ = control.send(Control::Stop);
-        }
+        self.stop_all();
         if std::thread::panicking() {
             // Reached while unwinding — typically from the tick watchdog
             // reporting a wedged worker. That worker can never ack Stop,
@@ -851,6 +861,113 @@ mod tests {
         let mut rt = relay_runtime(12, 4);
         rt.run_ticks(2);
         drop(rt); // must not hang or panic
+    }
+
+    /// Runs `scenario` on a thread of its own and fails when it has not
+    /// returned within `limit`: `with_process_mut`, `shutdown` and `drop`
+    /// have no watchdog, so a lost wake-up would hang them.
+    fn within(limit: Duration, scenario: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            scenario();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(limit)
+            .expect("the scenario blocked or panicked");
+    }
+
+    /// Every grant of a `step_tick` loop meets workers that are
+    /// spinning, about to block, or blocked — more of them than CPUs —
+    /// and none may sleep through it. The lowered watchdog turns a lost
+    /// wake-up into a failure within seconds.
+    #[test]
+    fn single_tick_grants_never_lose_a_wakeup() {
+        let config = RuntimeConfig::default()
+            .with_workers(4)
+            .with_seed(1)
+            .with_tick_timeout_ms(5_000);
+        let mut rt = Runtime::spawn(config, relay_procs(8));
+        for tick in 0..5_000 {
+            assert_eq!(rt.step_tick().tick, tick);
+        }
+        let out = rt.shutdown();
+        assert_eq!(out.counters.get("rt.delivered"), 40);
+    }
+
+    /// Control sends reach a worker blocked in `park`: each of them is
+    /// followed by an unpark. The sleeps outlast the yield budget so the
+    /// workers are (almost surely) blocked; the checks hold either way.
+    #[test]
+    fn control_reaches_a_blocked_worker() {
+        let idle = || std::thread::sleep(Duration::from_millis(20));
+        within(Duration::from_secs(10), move || {
+            let mut rt = relay_runtime(6, 3);
+            rt.run_ticks(1);
+            idle();
+            assert_eq!(rt.with_process_mut(ProcessId(4), |p| p.received.len()), 0);
+            idle();
+            rt.inject(ProcessId(4), |p| p.received.push(0xBEEF));
+            assert_eq!(rt.step_tick().tick, 1);
+            let seen = rt.with_process_mut(ProcessId(4), |p| p.received.clone());
+            assert_eq!(seen, [0xBEEF, 1], "injected, then tick 1's delivery");
+            idle();
+            assert_eq!(rt.shutdown().counters.get("rt.delivered"), 6);
+
+            let mut rt = relay_runtime(6, 3);
+            rt.run_ticks(1);
+            idle();
+            drop(rt); // joins an idle pool without `shutdown`
+        });
+    }
+
+    /// An unpark that finds its worker running leaves a token behind,
+    /// and the next `park` returns at once. That only sends the worker
+    /// round its loop again: it executes no tick it was not granted, so
+    /// the run ends on the same tick with the same counters as one that
+    /// saw no stray token.
+    #[test]
+    fn stray_unpark_tokens_are_harmless() {
+        let mut rt = relay_runtime(10, 4);
+        for _ in 0..64 {
+            rt.inject(ProcessId(0), |p| p.received.push(0xBEEF));
+        }
+        assert_eq!(rt.run_until_quiescent(64), 7, "quiet at tick 6");
+        let out = rt.shutdown();
+        assert_eq!(out.counters.get("rt.sent"), 50);
+        assert_eq!(out.counters.get("rt.delivered"), 50);
+        assert_eq!(out.counters.get("rt.dropped_shutdown"), 0);
+        assert_eq!(out.processes[0].received.len(), 64 + 5);
+        for p in &out.processes[1..] {
+            assert_eq!(p.received, [1, 2, 3, 4, 5]);
+        }
+    }
+
+    /// Link latency is config input and must not size an allocation
+    /// unbounded: the wheel's ring is capped, and a send slower than the
+    /// ring spills and still arrives exactly on its due tick.
+    #[test]
+    fn slow_links_spill_past_a_bounded_ring() {
+        let slow = |latency| {
+            RuntimeConfig::default()
+                .with_workers(2)
+                .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(latency)))
+        };
+        assert_eq!(wheel_capacity(&RuntimeConfig::default()), 3);
+        assert_eq!(wheel_capacity(&slow(20_000_000)), 1_025);
+        assert_eq!(wheel_capacity(&slow(u64::MAX)), 1_025, "no overflow");
+
+        let mut rt = Runtime::spawn(slow(20_000_000), relay_procs(2));
+        rt.run_ticks(3);
+        let out = rt.shutdown();
+        assert_eq!(out.counters.get("rt.sent"), 6);
+        assert_eq!(out.counters.get("rt.dropped_shutdown"), 6);
+
+        let mut rt = Runtime::spawn(slow(1_500), relay_procs(4));
+        assert_eq!(rt.run_until_quiescent(2_000), 1_506);
+        for p in rt.shutdown().processes {
+            assert_eq!(p.received, [1_500, 1_501, 1_502, 1_503, 1_504]);
+        }
     }
 
     #[test]

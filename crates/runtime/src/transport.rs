@@ -1,24 +1,25 @@
 //! The in-memory transport: envelopes, per-tick batches, the lock-free
 //! lane-matrix data plane ([`Hub`] / [`EdgeInbox`] / [`BatchPool`]), the
-//! fault-injecting [`FaultyRouter`], and the [`EdgeWatermarks`] publish
-//! grid the bounded-lag scheduler reads instead of a barrier.
+//! fault-injecting [`FaultyRouter`], and the [`EdgeWatermarks`] the
+//! bounded-lag scheduler reads instead of a barrier.
 //!
 //! ## Data plane: the lane matrix
 //!
-//! Batches move over a matrix of bounded lock-free SPSC rings
-//! (`crossbeam::queue`), one *data lane* per (producer worker, consumer
-//! worker) pair plus one *return lane* per pair flowing the other way:
+//! A batch is a `Vec<Envelope<M>>` taken from a pool. Batches move over
+//! a matrix of bounded lock-free SPSC rings (`crossbeam::queue`), one
+//! *data lane* per (producer worker, consumer worker) pair plus one
+//! *return lane* per pair flowing the other way:
 //!
 //! * [`Hub`] is worker `p`'s producer row: `send`/`send_batch` push onto
 //!   the data lane addressed to the destination's worker — one `Release`
 //!   store, no lock, no contention with any other producer. The hub also
-//!   owns a [`BatchPool`] recycling `Batch::Many` buffers that come back
-//!   over the return lanes, so steady-state ticks allocate nothing.
+//!   owns a [`BatchPool`] recycling the buffers that come back over
+//!   the return lanes, so steady-state ticks allocate nothing.
 //! * [`EdgeInbox`] is worker `c`'s consumer column:
 //!   [`sweep`](EdgeInbox::sweep) drains every incoming lane once, **in
 //!   producer worker-id order**, handing each envelope to the caller
-//!   tagged with its producer lane; drained `Batch::Many` buffers go
-//!   straight back to their owning producer's pool over the return lane.
+//!   tagged with its producer lane; drained buffers go straight back
+//!   to their owning producer's pool over the return lane.
 //! * [`FaultyRouter`] layers the substrate-neutral network fault model
 //!   (`da_core::topology::NetworkModel`: default channel, per-link
 //!   topology overrides, partition schedule, scripted drops) on top of a
@@ -32,9 +33,9 @@
 //!   coalesced per destination worker so one tick costs at most one lane
 //!   push per worker pair.
 //!
-//! Control messages (`Control::*`, worker reports) stay on the mpsc
-//! channels — they are rare, and blocking `recv` is exactly right for a
-//! parked worker. Only the per-tick batch traffic rides the lanes.
+//! Control messages (`Control::*`, worker reports) ride `std::sync::mpsc`
+//! channels — they are rare. Only the per-tick batch traffic rides the
+//! lanes.
 //!
 //! Determinism: a lane is FIFO, each worker's send order within a tick
 //! is deterministic (pid-stripe iteration), and fate draws are stateless
@@ -45,10 +46,10 @@
 //! lock-free swap safe.
 //!
 //! A batch pushed onto a lane is only *visible* to the scheduler once
-//! the sending worker bumps its watermarks: [`EdgeWatermarks::publish`]
-//! (a release store per edge) is the transport's "everything through
-//! tick `t` is in your lanes" signal, and a receiver's acquire load of
-//! its in-edges is what replaces the global tick barrier.
+//! the sending worker bumps its watermark: [`EdgeWatermarks::publish`]
+//! (one release store) is the transport's "everything through tick `t`
+//! is in your lanes" signal, and a receiver's acquire loads of its
+//! peers' watermarks are what replaces the global tick barrier.
 
 use crossbeam::queue::{self, PushError};
 use da_core::channel::{ChannelConfig, EdgeRngs};
@@ -58,81 +59,6 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// What travels through a data lane: one envelope, or everything a
-/// peer worker sent here during one tick.
-///
-/// The one-element case stays allocation-free — it is what `Hub::send`
-/// produces, and what fan-in-of-one batching degenerates to.
-#[derive(Debug)]
-pub enum Batch<M> {
-    /// A single envelope (no heap allocation for the payload).
-    One(Envelope<M>),
-    /// Every envelope one sending worker coalesced for this inbox during
-    /// one tick.
-    Many(Vec<Envelope<M>>),
-}
-
-impl<M> Batch<M> {
-    /// Number of envelopes in the batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Batch::One(_) => 1,
-            Batch::Many(v) => v.len(),
-        }
-    }
-
-    /// True when the batch holds no envelopes (only possible for an
-    /// empty [`Batch::Many`], which the data plane never sends).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<M> IntoIterator for Batch<M> {
-    type Item = Envelope<M>;
-    type IntoIter = BatchIter<M>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        match self {
-            Batch::One(env) => BatchIter::One(Some(env)),
-            Batch::Many(v) => BatchIter::Many(v.into_iter()),
-        }
-    }
-}
-
-/// Iterator over a [`Batch`]'s envelopes (the one-envelope case stays
-/// allocation-free here too).
-#[derive(Debug)]
-pub enum BatchIter<M> {
-    /// Draining a [`Batch::One`].
-    One(Option<Envelope<M>>),
-    /// Draining a [`Batch::Many`].
-    Many(std::vec::IntoIter<Envelope<M>>),
-}
-
-impl<M> Iterator for BatchIter<M> {
-    type Item = Envelope<M>;
-
-    fn next(&mut self) -> Option<Envelope<M>> {
-        match self {
-            BatchIter::One(env) => env.take(),
-            BatchIter::Many(iter) => iter.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            BatchIter::One(env) => {
-                let n = usize::from(env.is_some());
-                (n, Some(n))
-            }
-            BatchIter::Many(iter) => iter.size_hint(),
-        }
-    }
-}
 
 /// Typed error for a refused hand-off: the destination worker's lanes
 /// are closed (it already shut down), so the envelopes were dropped.
@@ -158,7 +84,7 @@ impl fmt::Display for LaneClosed {
 
 impl Error for LaneClosed {}
 
-/// Recycles `Batch::Many` buffers between a producer and its consumers.
+/// Recycles batch buffers between a producer and its consumers.
 ///
 /// Every [`Hub`] owns one. [`BatchPool::take`] hands out an empty
 /// buffer, preferring (in order) the local free list, buffers that came
@@ -253,7 +179,7 @@ impl<M> BatchPool<M> {
 pub struct Hub<M> {
     worker: usize,
     /// Data lanes, indexed by consumer worker.
-    lanes: Vec<queue::Producer<Batch<M>>>,
+    lanes: Vec<queue::Producer<Vec<Envelope<M>>>>,
     pool: BatchPool<M>,
 }
 
@@ -274,9 +200,9 @@ pub struct Hub<M> {
 #[must_use]
 pub fn lane_matrix<M>(workers: usize, capacity: usize) -> (Vec<Hub<M>>, Vec<EdgeInbox<M>>) {
     assert!(workers > 0, "a lane matrix needs at least one worker");
-    let mut hub_lanes: Vec<Vec<queue::Producer<Batch<M>>>> =
+    let mut hub_lanes: Vec<Vec<queue::Producer<Vec<Envelope<M>>>>> =
         (0..workers).map(|_| Vec::with_capacity(workers)).collect();
-    let mut inbox_lanes: Vec<Vec<queue::Consumer<Batch<M>>>> =
+    let mut inbox_lanes: Vec<Vec<queue::Consumer<Vec<Envelope<M>>>>> =
         (0..workers).map(|_| Vec::with_capacity(workers)).collect();
     let mut return_txs: Vec<Vec<queue::Producer<Vec<Envelope<M>>>>> =
         (0..workers).map(|_| Vec::with_capacity(workers)).collect();
@@ -343,25 +269,8 @@ impl<M> Hub<M> {
         &mut self.pool
     }
 
-    /// Pushes a batch onto `worker`'s lane, yielding while the lane is
-    /// full (the consumer is behind; under the runtime's lag-derived
-    /// capacity this cannot happen). `Err` hands the batch back once the
-    /// consumer is gone for good.
-    fn push(&mut self, worker: usize, mut batch: Batch<M>) -> Result<(), Batch<M>> {
-        let lane = &mut self.lanes[worker];
-        loop {
-            match lane.push(batch) {
-                Ok(()) => return Ok(()),
-                Err(PushError::Full(b)) => {
-                    batch = b;
-                    std::thread::yield_now();
-                }
-                Err(PushError::Disconnected(b)) => return Err(b),
-            }
-        }
-    }
-
-    /// Hands one envelope to the owning worker's lane, lock-free.
+    /// Hands one envelope to the owning worker's lane, lock-free, as a
+    /// batch of one in a buffer from the pool.
     ///
     /// # Errors
     /// [`LaneClosed`] when that worker has already shut down — the
@@ -369,16 +278,16 @@ impl<M> Hub<M> {
     #[must_use = "a refused send drops the envelope — account it in the ledger"]
     pub fn send(&mut self, envelope: Envelope<M>) -> Result<(), LaneClosed> {
         let worker = self.worker_of(envelope.to);
-        self.push(worker, Batch::One(envelope))
-            .map_err(|_| LaneClosed {
-                worker,
-                envelopes: 1,
-            })
+        let mut batch = self.pool.take();
+        batch.push(envelope);
+        self.send_batch(worker, batch).map(|_| ())
     }
 
     /// Hands a whole per-tick batch to `worker`'s lane in one lock-free
     /// push — the amortisation the gossip fanout lives off (many small
-    /// same-destination sends per tick). Returns the envelope count on
+    /// same-destination sends per tick) — yielding while the lane is
+    /// full (the consumer is behind; under the runtime's lag-derived
+    /// capacity this cannot happen). Returns the envelope count on
     /// success.
     ///
     /// # Errors
@@ -392,17 +301,22 @@ impl<M> Hub<M> {
     pub fn send_batch(
         &mut self,
         worker: usize,
-        batch: Vec<Envelope<M>>,
+        mut batch: Vec<Envelope<M>>,
     ) -> Result<u64, LaneClosed> {
         debug_assert!(!batch.is_empty(), "empty batches are never sent");
         let envelopes = batch.len() as u64;
-        match self.push(worker, Batch::Many(batch)) {
-            Ok(()) => Ok(envelopes),
-            Err(batch) => {
-                if let Batch::Many(buf) = batch {
-                    self.pool.put(buf);
+        let lane = &mut self.lanes[worker];
+        loop {
+            match lane.push(batch) {
+                Ok(()) => return Ok(envelopes),
+                Err(PushError::Full(b)) => {
+                    batch = b;
+                    std::thread::yield_now();
                 }
-                Err(LaneClosed { worker, envelopes })
+                Err(PushError::Disconnected(b)) => {
+                    self.pool.put(b);
+                    return Err(LaneClosed { worker, envelopes });
+                }
             }
         }
     }
@@ -415,7 +329,7 @@ impl<M> Hub<M> {
 pub struct EdgeInbox<M> {
     worker: usize,
     /// Data lanes, indexed by producer worker.
-    lanes: Vec<queue::Consumer<Batch<M>>>,
+    lanes: Vec<queue::Consumer<Vec<Envelope<M>>>>,
     /// Return lanes, indexed by producer worker.
     returns: Vec<queue::Producer<Vec<Envelope<M>>>>,
 }
@@ -437,27 +351,22 @@ impl<M> EdgeInbox<M> {
     /// handing each envelope to `visit` tagged with its producer lane.
     /// Within a lane the order is the producer's send order (SPSC FIFO)
     /// — together that makes the visit sequence deterministic. Drained
-    /// `Batch::Many` buffers go back to the owning producer's pool over
-    /// the return lane (or are simply freed if that lane is full or
-    /// closed — never leaked). Returns the number of batches swept, the
-    /// `lane_depth` observability signal.
+    /// buffers go back to the owning producer's pool over the return
+    /// lane (or are simply freed if that lane is full or closed — never
+    /// leaked). Returns the number of batches swept, the `lane_depth`
+    /// observability signal.
     pub fn sweep(&mut self, mut visit: impl FnMut(usize, Envelope<M>)) -> u64 {
         let mut batches = 0;
         for (producer, lane) in self.lanes.iter_mut().enumerate() {
-            while let Some(batch) = lane.pop() {
+            while let Some(mut buf) = lane.pop() {
                 batches += 1;
-                match batch {
-                    Batch::One(env) => visit(producer, env),
-                    Batch::Many(mut buf) => {
-                        for env in buf.drain(..) {
-                            visit(producer, env);
-                        }
-                        // A refused return (full lane, gone producer)
-                        // just frees the buffer — the pool mints a
-                        // replacement when it next runs dry.
-                        let _ = self.returns[producer].push(buf);
-                    }
+                for env in buf.drain(..) {
+                    visit(producer, env);
                 }
+                // A refused return (full lane, gone producer) just
+                // frees the buffer — the pool mints a replacement when
+                // it next runs dry.
+                let _ = self.returns[producer].push(buf);
             }
         }
         batches
@@ -652,37 +561,23 @@ impl<M> FaultyRouter<M> {
 
     /// Hands every buffered envelope to its destination worker — one
     /// lane push per non-empty slot, refilling the slot from the buffer
-    /// pool (a single-envelope slot degenerates to `Batch::One` and
-    /// keeps its buffer). Call once per tick, before publishing the
-    /// watermarks, so the batch is on the lane before any worker starts
-    /// the next tick. Closed-lane losses are totalled in
+    /// pool. Call once per tick, before publishing the watermark, so the
+    /// batch is on the lane before any worker starts the next tick.
+    /// Closed-lane losses are totalled in
     /// [`FlushReport::dropped_closed`] — the caller feeds that into the
     /// ledger.
     pub fn flush(&mut self) -> FlushReport {
         let mut report = FlushReport::default();
         for worker in 0..self.slots.len() {
-            let slot = &mut self.slots[worker];
-            match slot.len() {
-                0 => continue,
-                1 => {
-                    // Keep the buffer: a one-envelope batch rides the
-                    // lane inline, no hand-off round trip needed.
-                    let env = slot.pop().expect("len checked");
-                    report.batches += 1;
-                    match self.hub.send(env) {
-                        Ok(()) => report.envelopes += 1,
-                        Err(err) => report.dropped_closed += err.envelopes,
-                    }
-                }
-                _ => {
-                    let replacement = self.hub.pool.take();
-                    let batch = std::mem::replace(slot, replacement);
-                    report.batches += 1;
-                    match self.hub.send_batch(worker, batch) {
-                        Ok(n) => report.envelopes += n,
-                        Err(err) => report.dropped_closed += err.envelopes,
-                    }
-                }
+            if self.slots[worker].is_empty() {
+                continue;
+            }
+            let replacement = self.hub.pool.take();
+            let batch = std::mem::replace(&mut self.slots[worker], replacement);
+            report.batches += 1;
+            match self.hub.send_batch(worker, batch) {
+                Ok(n) => report.envelopes += n,
+                Err(err) => report.dropped_closed += err.envelopes,
             }
         }
         report
@@ -700,32 +595,23 @@ impl<M> Outbound for FaultyRouter<M> {
     }
 }
 
-/// One cache line of watermark cells. Rows of the grid start on line
-/// boundaries, so two *senders'* rows never share a line — the only
-/// writer of a line is its row's sender, and false sharing between
-/// writers is impossible. Within a line the 8 cells belong to 8
-/// receivers of the same sender; a receiver's acquire load may share
-/// the line with 7 sibling readers, but read-shared lines cost nothing.
-///
-/// Compared to the earlier one-padded-atomic-per-cell layout (64 bytes
-/// per cell, `workers² × 64` bytes total), this stores 8 cells per line:
-/// ~`workers² × 8` bytes for wide pools — the difference between 256 KB
-/// and 2 MB at 64 workers — with identical ordering semantics.
+/// One sender's watermark on a cache line of its own: the line's only
+/// writer is that sender, so two senders never false-share, and a line
+/// that receivers only read stays shared between them.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-struct WatermarkLine([AtomicU64; CELLS_PER_LINE]);
+struct Watermark(AtomicU64);
 
-/// Watermark cells per 64-byte cache line.
-const CELLS_PER_LINE: usize = 8;
-
-/// The per-edge publish watermarks that replace the global tick barrier.
+/// The per-sender publish watermarks that replace the global tick
+/// barrier.
 ///
-/// Entry `(sender, receiver)` counts how many ticks `sender` has fully
-/// *published* toward `receiver`: after flushing tick `t`'s coalesced
-/// batches, a sender stores `t + 1` on each of its out-edges (release),
-/// promising "every envelope I will ever hand you from ticks `0..=t` is
-/// already in your lanes". A receiver that wants to execute tick `n`
-/// acquires its in-edges and waits until each shows at least
+/// A worker coalesces a tick's output into one batch per destination
+/// and flushes all of them before it publishes, so what it has
+/// published is the same toward every receiver: one number per sender.
+/// After flushing tick `t`'s batches, a sender stores `t + 1` (release),
+/// promising "every envelope I will ever hand anyone from ticks `0..=t`
+/// is already in their lanes". A receiver that wants to execute tick `n`
+/// acquires its peers' watermarks and waits until each shows at least
 /// `n + 1 − lag` published ticks, where `lag` is the scheduler's
 /// effective drift bound (`RuntimeConfig::effective_lag`): anything a
 /// peer sends later is due strictly after `n`, so no delivery can be
@@ -744,41 +630,28 @@ const CELLS_PER_LINE: usize = 8;
 /// ```
 #[derive(Debug)]
 pub struct EdgeWatermarks {
-    workers: usize,
-    /// Cache lines per sender row (`⌈workers / CELLS_PER_LINE⌉`).
-    lines_per_row: usize,
-    /// Row-major `(sender, receiver)` grid, 8 cells per line.
-    marks: Vec<WatermarkLine>,
+    /// Indexed by sender.
+    marks: Vec<Watermark>,
 }
 
 impl EdgeWatermarks {
-    /// An all-zero grid (nothing published) over a `workers`-wide pool.
+    /// All-zero watermarks (nothing published) over a `workers`-wide
+    /// pool.
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let lines_per_row = workers.div_ceil(CELLS_PER_LINE);
         EdgeWatermarks {
-            workers,
-            lines_per_row,
-            marks: (0..workers * lines_per_row)
-                .map(|_| WatermarkLine::default())
-                .collect(),
+            marks: (0..workers.max(1)).map(|_| Watermark::default()).collect(),
         }
     }
 
-    /// Number of workers the grid spans.
+    /// Number of workers the watermarks span.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn cell(&self, sender: usize, receiver: usize) -> &AtomicU64 {
-        let line = sender * self.lines_per_row + receiver / CELLS_PER_LINE;
-        &self.marks[line].0[receiver % CELLS_PER_LINE]
+        self.marks.len()
     }
 
     /// Records that `sender` has flushed every outbound batch of ticks
-    /// `0..ticks` on every out-edge. Release stores: a receiver that
+    /// `0..ticks` on every out-edge. A release store: a receiver that
     /// acquires the new value also sees the flushed batches in its
     /// lanes.
     ///
@@ -786,36 +659,41 @@ impl EdgeWatermarks {
     ///
     /// Panics when `sender` is out of range.
     pub fn publish(&self, sender: usize, ticks: u64) {
-        assert!(sender < self.workers, "sender {sender} out of range");
-        for receiver in 0..self.workers {
-            self.cell(sender, receiver).store(ticks, Ordering::Release);
-        }
+        self.marks[sender].0.store(ticks, Ordering::Release);
     }
 
-    /// How many ticks `sender` has published toward `receiver`.
+    /// How many ticks `sender` has published toward `receiver` (the
+    /// same toward every receiver).
     ///
     /// # Panics
     ///
     /// Panics when either index is out of range.
     #[must_use]
     pub fn published(&self, sender: usize, receiver: usize) -> u64 {
-        assert!(sender < self.workers && receiver < self.workers);
-        self.cell(sender, receiver).load(Ordering::Acquire)
+        assert!(
+            receiver < self.marks.len(),
+            "receiver {receiver} out of range"
+        );
+        self.marks[sender].0.load(Ordering::Acquire)
     }
 
     /// True when every *peer* of `receiver` has published at least
-    /// `ticks` ticks toward it (a worker never waits on itself — its own
-    /// output is flushed before it could matter).
+    /// `ticks` ticks (a worker never waits on itself — its own output is
+    /// flushed before it could matter).
     ///
     /// # Panics
     ///
     /// Panics when `receiver` is out of range.
     #[must_use]
     pub fn all_published(&self, receiver: usize, ticks: u64) -> bool {
-        assert!(receiver < self.workers, "receiver {receiver} out of range");
-        (0..self.workers).all(|sender| {
-            sender == receiver || self.cell(sender, receiver).load(Ordering::Acquire) >= ticks
-        })
+        assert!(
+            receiver < self.marks.len(),
+            "receiver {receiver} out of range"
+        );
+        self.marks
+            .iter()
+            .enumerate()
+            .all(|(sender, mark)| sender == receiver || mark.0.load(Ordering::Acquire) >= ticks)
     }
 }
 
@@ -871,17 +749,6 @@ mod tests {
         let err = hubs[0].send_batch(0, vec![env(0), env(0)]).unwrap_err();
         assert_eq!(err.envelopes, 2, "the error carries the dropped count");
         assert!(err.to_string().contains("lanes are closed"));
-    }
-
-    #[test]
-    fn batch_iterates_both_shapes() {
-        let one = Batch::One(env(0));
-        assert_eq!(one.len(), 1);
-        assert!(!one.is_empty());
-        assert_eq!(one.into_iter().count(), 1);
-        let many = Batch::Many(vec![env(0), env(1)]);
-        assert_eq!(many.len(), 2);
-        assert_eq!(many.into_iter().count(), 2);
     }
 
     #[test]

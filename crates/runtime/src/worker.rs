@@ -7,33 +7,29 @@
 
 use crate::metrics::{ShardedCounters, WorkerTrace};
 use crate::transport::{EdgeInbox, EdgeWatermarks, FaultyRouter};
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use da_core::trace::TraceVerdict;
 use da_core::wheel::{DelayWheel, Envelope};
 use da_core::{CounterId, ExecProtocol, ProcessId, ProcessStatus, Stripe, WireSize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 
 /// The scheduler state shared by the coordinator and every worker: the
-/// grant horizon, the per-edge publish watermarks, and the parked flags
-/// of the horizon wait protocol.
+/// grant horizon and the publish watermarks.
 #[derive(Debug)]
 pub(super) struct SchedulerState {
     /// First tick the pool may NOT execute yet; workers run while their
-    /// local clock is below it (and their watermark gate passes).
+    /// local clock is below it (and their watermark gate passes). The
+    /// coordinator unparks every worker after each store (see
+    /// [`Worker::park`]).
     pub(super) horizon: AtomicU64,
-    /// Per-edge publish watermarks (see [`EdgeWatermarks`]).
+    /// Per-sender publish watermarks (see [`EdgeWatermarks`]).
     pub(super) marks: EdgeWatermarks,
-    /// `parked[w]` is set by worker `w` before it blocks on its control
-    /// channel waiting for a grant; the coordinator swaps it back and
-    /// sends a [`Control::Sync`] wake-up. Dekker-style: the worker
-    /// re-checks the horizon between setting its flag and blocking, and
-    /// the coordinator stores the horizon before reading flags, so a
-    /// wake-up can never be lost (both sides use `SeqCst`).
-    pub(super) parked: Vec<AtomicBool>,
 }
 
-/// Coordinator → worker commands.
+/// Coordinator → worker commands. Every send is followed by an `unpark`
+/// of the receiving worker, so a command reaches a worker blocked in
+/// [`Worker::park`].
 pub(super) enum Control<P> {
     /// Run a closure against one owned process (state injection /
     /// inspection between ticks).
@@ -41,9 +37,6 @@ pub(super) enum Control<P> {
         pid: ProcessId,
         f: Box<dyn FnOnce(&mut P) + Send>,
     },
-    /// The horizon moved while this worker was (or was about to be)
-    /// parked — wake up and re-read it. Stray syncs are harmless.
-    Sync,
     /// Drain down and return the owned processes.
     Stop,
 }
@@ -139,7 +132,8 @@ where
 
     /// Applies every control message already sitting in the channel
     /// without blocking. Returns `false` once a stop command is seen.
-    /// Called at the top of each tick so fire-and-forget
+    /// Called from both waits (the watermark gate and `park`), and at
+    /// the top of each tick so fire-and-forget
     /// [`Runtime::inject`] closures land before the next tick executes —
     /// `park` may return on a horizon re-check *without* draining
     /// control, so the main loop cannot rely on the park path having
@@ -152,7 +146,6 @@ where
         loop {
             match self.control.try_recv() {
                 Ok(Control::Apply { pid, f }) => self.apply(pid, f),
-                Ok(Control::Sync) => {}
                 Ok(Control::Stop) | Err(TryRecvError::Disconnected) => return false,
                 Err(TryRecvError::Empty) => return true,
             }
@@ -228,8 +221,7 @@ where
         else {
             return;
         };
-        let workers = self.sched.parked.len();
-        let lag = (0..workers)
+        let lag = (0..self.sched.marks.workers())
             .filter(|&peer| peer != self.id)
             .map(|peer| self.sched.marks.published(peer, self.id))
             .min()
@@ -254,11 +246,8 @@ where
         }
         let mut spins = 0u32;
         while !self.sched.marks.all_published(self.id, need) {
-            match self.control.try_recv() {
-                Ok(Control::Apply { pid, f }) => self.apply(pid, f),
-                Ok(Control::Sync) => {}
-                Ok(Control::Stop) | Err(TryRecvError::Disconnected) => return false,
-                Err(TryRecvError::Empty) => {}
+            if !self.drain_control() {
+                return false;
             }
             spins = spins.saturating_add(1);
             if spins < 32 {
@@ -270,17 +259,25 @@ where
         true
     }
 
-    /// Blocks on the control channel until the coordinator extends the
-    /// horizon (or stops the pool). Returns `false` on stop.
+    /// Blocks until the coordinator extends the horizon (`true`) or
+    /// stops the pool (`false`), applying control messages meanwhile.
+    ///
+    /// The coordinator unparks this thread after every horizon store
+    /// and every control send, and an `unpark` that finds the thread
+    /// running leaves a token that makes its next `park` return at
+    /// once. Each iteration below re-reads the horizon and drains the
+    /// channel before it blocks, so a store or a send landing anywhere
+    /// between those checks and the `park` is seen on the next
+    /// iteration; a stale token or a spurious return costs one more.
     ///
     /// Before blocking, the worker yields the CPU a bounded number of
     /// times re-checking the horizon: in the steady pipelined state the
     /// coordinator is usually about to extend it (it grants on every
     /// absorbed report), and a grant that lands during the yield window
-    /// costs two atomic loads instead of a `Sync` round trip through
-    /// the control channel — the dominant per-tick overhead on
-    /// oversubscribed hosts. A genuinely idle pool still parks after
-    /// the budget, so waiting between driver calls burns no CPU.
+    /// costs two atomic loads instead of a futex sleep and wake — the
+    /// dominant per-tick overhead on oversubscribed hosts. A genuinely
+    /// idle pool still blocks after the budget, so waiting between
+    /// driver calls burns no CPU.
     fn park(&mut self) -> bool {
         for _ in 0..32 {
             if self.next_tick < self.sched.horizon.load(Ordering::SeqCst) {
@@ -288,23 +285,14 @@ where
             }
             std::thread::yield_now();
         }
-        self.sched.parked[self.id].store(true, Ordering::SeqCst);
-        // Re-check after raising the flag: a grant that raced us has
-        // either seen the flag (a Sync is on its way) or happened before
-        // the store, in which case this load sees the new horizon.
-        if self.next_tick < self.sched.horizon.load(Ordering::SeqCst) {
-            self.sched.parked[self.id].store(false, Ordering::SeqCst);
-            return true;
-        }
         loop {
-            match self.control.recv() {
-                Ok(Control::Sync) => return true,
-                Ok(Control::Apply { pid, f }) => self.apply(pid, f),
-                Ok(Control::Stop) | Err(_) => {
-                    self.sched.parked[self.id].store(false, Ordering::SeqCst);
-                    return false;
-                }
+            if self.next_tick < self.sched.horizon.load(Ordering::SeqCst) {
+                return true;
             }
+            if !self.drain_control() {
+                return false;
+            }
+            std::thread::park();
         }
     }
 

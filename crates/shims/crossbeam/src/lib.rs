@@ -1,36 +1,10 @@
-//! Offline shim for `crossbeam` (the `thread::scope`, `channel`, and
-//! `queue` APIs).
-//!
-//! `crossbeam::thread::scope` predates `std::thread::scope`; the std
-//! version provides the same borrow-checked scoped spawning, so this shim
-//! is a thin adapter. The [`channel`] module mirrors `crossbeam::channel`
-//! over `std::sync::mpsc`; it carries the live runtime's control plane
-//! (control channels, tick acks). The [`queue`] module is a bounded
-//! lock-free SPSC ring carrying the runtime's *data* plane (the
-//! per-(producer, consumer) batch lanes).
+//! Offline shim for `crossbeam`: the [`queue`] module alone, a bounded
+//! lock-free SPSC ring carrying the live runtime's data plane (the
+//! per-(producer, consumer) batch lanes). Scoped threads and channels
+//! come from `std` (`std::thread::scope`, `std::sync::mpsc`).
 //!
 //! ## Divergences from crates.io
 //!
-//! * **Scoped threads:** a panic in an *unjoined* child propagates out
-//!   of [`thread::scope`] instead of surfacing as `Err` — irrelevant to
-//!   this workspace, which joins every handle.
-//! * **Single consumer.** Real crossbeam channels are MPMC and
-//!   [`channel::Receiver`] is `Clone`; this shim's receiver is the std
-//!   MPSC receiver — one consumer per channel. The workspace's live
-//!   runtime gives every worker its own inbox, so multi-consumer
-//!   semantics are never exercised.
-//! * **No `select!`.** Waiting on several channels is done with
-//!   [`channel::Receiver::recv_timeout`] polling loops instead.
-//! * `len`/`is_empty` are tracked with a shared atomic counter, so they
-//!   are monotonic snapshots (exact once senders and receiver quiesce),
-//!   matching how real crossbeam documents them (a relaxed estimate under
-//!   concurrency).
-//! * Only the surface this workspace uses is provided: `unbounded`,
-//!   `bounded` (capacity 0 is a rendezvous channel, like the real
-//!   crate), `Sender::send`, `Receiver::{recv, try_recv, recv_timeout,
-//!   try_iter}`, the matching error types, and `len`/`is_empty`.
-//!   `try_send`, `send_timeout`, deadlines, the blocking `iter`, and
-//!   the `after`/`tick`/`never` constructors are absent.
 //! * **`queue` is SPSC, not MPMC.** Real `crossbeam::queue` ships the
 //!   MPMC `ArrayQueue`/`SegQueue`; this shim ships a bounded Lamport
 //!   SPSC ring with split `!Clone` handles, cache-line-padded
@@ -44,98 +18,4 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod queue;
-
-/// Scoped threads (mirror of `crossbeam::thread`).
-pub mod thread {
-    use std::any::Any;
-
-    /// The error payload of a panicked thread.
-    pub type Payload = Box<dyn Any + Send + 'static>;
-
-    /// A scope for spawning borrow-checked threads.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// A handle to a scoped thread; joining yields the closure's result.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a thread inside the scope. The closure receives the
-        /// scope again so it can spawn siblings, like real crossbeam.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let reentry = Scope { inner: self.inner };
-            ScopedJoinHandle {
-                inner: self.inner.spawn(move || f(&reentry)),
-            }
-        }
-    }
-
-    impl<T> ScopedJoinHandle<'_, T> {
-        /// Waits for the thread to finish; `Err` carries its panic payload.
-        ///
-        /// # Errors
-        /// Returns the panic payload if the thread panicked.
-        pub fn join(self) -> Result<T, Payload> {
-            self.inner.join()
-        }
-    }
-
-    /// Runs `f` with a [`Scope`]; returns once every spawned thread has
-    /// finished.
-    ///
-    /// # Errors
-    /// Mirrors crossbeam's signature. This shim always returns `Ok`
-    /// (joined panics are reported through [`ScopedJoinHandle::join`];
-    /// unjoined panics propagate).
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Payload>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::thread;
-
-    #[test]
-    fn spawn_and_join_collects_results() {
-        let data = [1u64, 2, 3, 4];
-        let total: u64 = thread::scope(|s| {
-            let handles: Vec<_> = data.iter().map(|&x| s.spawn(move |_| x * 10)).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        })
-        .unwrap();
-        assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn nested_spawn_via_reentrant_scope() {
-        let n = thread::scope(|s| {
-            s.spawn(|s2| s2.spawn(|_| 21).join().unwrap() * 2)
-                .join()
-                .unwrap()
-        })
-        .unwrap();
-        assert_eq!(n, 42);
-    }
-
-    #[test]
-    fn joined_panic_is_an_err() {
-        thread::scope(|s| {
-            let h = s.spawn(|_| panic!("boom"));
-            assert!(h.join().is_err());
-        })
-        .unwrap();
-    }
-}

@@ -47,9 +47,9 @@ pub trait Strategy {
     /// `to` at `tick`.
     ///
     /// The default routes through [`NetworkModel::decide_fate`] — the
-    /// scripted-drop check followed by the pinned channel draws —
-    /// which is byte-identical to the pre-seam `sample_fate` path
-    /// whenever no drop is scripted. Overrides that never touch `rng`
+    /// scripted-drop check followed by the pinned channel draws, which
+    /// are exactly the bare channel's whenever no drop is scripted.
+    /// Overrides that never touch `rng`
     /// consume zero randomness, keeping every other stream in step.
     fn fate(
         &mut self,

@@ -129,3 +129,35 @@ fn protocol_hooks_bump_no_counter_by_name() {
         }
     }
 }
+
+/// The concurrent fabric stays small. The crossbeam shim is the SPSC
+/// ring alone (channels and scoped threads are `std`'s), the pool keeps
+/// no wake-up flag of its own beside `park`/`unpark`, a lane carries one
+/// batch shape, and every `Ordering::` site the runtime ships is a row
+/// of ARCHITECTURE.md's table — an eighth is added on purpose, there
+/// and here.
+#[test]
+fn the_concurrent_fabric_stays_small() {
+    let mut shim: Vec<String> = sources("crates/shims/crossbeam/src")
+        .iter()
+        .map(|(path, _)| path.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    shim.sort();
+    assert_eq!(shim, ["lib.rs", "queue.rs"]);
+    let modules: Vec<&str> = include_str!("../crates/shims/crossbeam/src/lib.rs")
+        .lines()
+        .filter(|line| !line.starts_with("//") && line.contains("mod "))
+        .collect();
+    assert_eq!(modules, ["pub mod queue;"]);
+    assert!(!include_str!("../crates/harness/Cargo.toml").contains("crossbeam"));
+
+    let mut orderings = 0;
+    for (path, source) in sources("crates/runtime/src") {
+        for gone in ["AtomicBool", "Control::Sync", "enum Batch"] {
+            assert!(!source.contains(gone), "{}: {gone}", path.display());
+        }
+        let shipped = source.split("#[cfg(test)]").next().unwrap_or_default();
+        orderings += shipped.matches("Ordering::").count();
+    }
+    assert!(orderings <= 7, "{orderings} `Ordering::` sites shipped");
+}
