@@ -149,10 +149,12 @@ impl DagProcess {
         &self.delivered
     }
 
-    /// True when `id` was delivered here.
+    /// True when `id` was delivered here: every id in the
+    /// de-duplication set was (a parasite is turned away before it is
+    /// recorded).
     #[must_use]
     pub fn has_delivered(&self, id: EventId) -> bool {
-        self.delivered.iter().any(|e| e.id() == id)
+        self.seen.contains(&id)
     }
 
     /// Parasite receptions (events outside this process' interest cone).
@@ -213,6 +215,14 @@ impl DagProcess {
             );
         }
     }
+
+    /// Hands a fresh `event` to the application and gossips it on, from
+    /// the borrow first so the log takes the owned handle without a clone.
+    fn deliver<X: Exec<Msg = DaMsg>>(&mut self, event: Event, ctx: &mut X) {
+        ctx.bump_id(self.label_delivered);
+        self.disseminate(&event, ctx);
+        self.delivered.push(event);
+    }
 }
 
 impl ExecProtocol for DagProcess {
@@ -232,19 +242,17 @@ impl ExecProtocol for DagProcess {
             ctx.bump_id(*DUPLICATE);
             return;
         }
-        ctx.bump_id(self.label_delivered);
-        self.delivered.push(event.clone());
-        self.disseminate(&event, ctx);
+        self.deliver(event, ctx);
     }
 
     fn on_round<X: Exec<Msg = DaMsg>>(&mut self, _round: u64, ctx: &mut X) {
         let publishes = std::mem::take(&mut self.pending_publish);
         for event in publishes {
             if self.seen.insert(event.id()) {
-                ctx.bump_id(self.label_delivered);
-                self.delivered.push(event.clone());
+                self.deliver(event, ctx);
+            } else {
+                self.disseminate(&event, ctx);
             }
-            self.disseminate(&event, ctx);
         }
     }
 }

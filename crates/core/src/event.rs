@@ -3,6 +3,7 @@ use da_core::{ProcessId, WireSize};
 use da_topics::TopicId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Globally unique identifier of a published event: publisher id plus a
 /// per-publisher sequence number.
@@ -31,6 +32,11 @@ impl WireSize for EventId {
 
 /// A published event (`e_Ti` in the paper): identity, topic, payload.
 ///
+/// An `Event` is a handle — one pointer to the one allocation
+/// [`Event::new`] made — so a gossip hop, an in-flight envelope and every
+/// `delivered` log move a name for the datum, not a copy of it: a clone is
+/// a single reference-count increment and equality is by content.
+///
 /// ```
 /// use damulticast::Event;
 /// use da_core::ProcessId;
@@ -40,12 +46,22 @@ impl WireSize for EventId {
 /// assert_eq!(e.id().publisher, ProcessId(3));
 /// assert_eq!(e.payload(), b"breaking news");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Event {
+    inner: Arc<Inner>,
+}
+
+#[derive(PartialEq, Eq)]
+struct Inner {
     id: EventId,
     topic: TopicId,
     payload: Bytes,
 }
+
+// One word per copy: at 40 bytes (id, topic and a fat payload pointer
+// inline) the in-flight envelope stream outgrew the cache the receive
+// path works in. See ARCHITECTURE.md, "Bytes in flight".
+const _: () = assert!(std::mem::size_of::<Event>() == std::mem::size_of::<usize>());
 
 impl Event {
     /// Creates an event published by `publisher` with local `sequence`
@@ -57,37 +73,50 @@ impl Event {
         payload: impl Into<Bytes>,
     ) -> Self {
         Event {
-            id: EventId {
-                publisher,
-                sequence,
-            },
-            topic,
-            payload: payload.into(),
+            inner: Arc::new(Inner {
+                id: EventId {
+                    publisher,
+                    sequence,
+                },
+                topic,
+                payload: payload.into(),
+            }),
         }
     }
 
     /// The event's unique id.
     #[must_use]
     pub fn id(&self) -> EventId {
-        self.id
+        self.inner.id
     }
 
     /// The topic the event was published on.
     #[must_use]
     pub fn topic(&self) -> TopicId {
-        self.topic
+        self.inner.topic
     }
 
     /// The opaque payload bytes.
     #[must_use]
     pub fn payload(&self) -> &[u8] {
-        &self.payload
+        &self.inner.payload
+    }
+}
+
+/// The shape the fields had inline: the handle is not part of the value.
+impl fmt::Debug for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Event")
+            .field("id", &self.inner.id)
+            .field("topic", &self.inner.topic)
+            .field("payload", &self.inner.payload)
+            .finish()
     }
 }
 
 impl WireSize for Event {
     fn wire_size(&self) -> usize {
-        self.id.wire_size() + 4 /* topic */ + 4 /* len */ + self.payload.len()
+        self.id().wire_size() + 4 /* topic */ + 4 /* len */ + self.payload().len()
     }
 }
 
@@ -107,6 +136,27 @@ mod tests {
         );
         assert_eq!(e.topic(), TopicId::ROOT);
         assert_eq!(e.payload(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn a_handle_compares_by_content_and_crosses_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Event>();
+        assert_eq!(std::mem::size_of::<Event>(), std::mem::size_of::<usize>());
+
+        let a = Event::new(ProcessId(1), 7, TopicId::ROOT, "abc");
+        assert_eq!(a.clone(), a);
+        // Built twice from equal parts: two allocations, one value.
+        let b = Event::new(ProcessId(1), 7, TopicId::ROOT, vec![b'a', b'b', b'c']);
+        assert!(!Arc::ptr_eq(&a.inner, &b.inner));
+        assert_eq!(a, b);
+        assert_ne!(a, Event::new(ProcessId(1), 7, TopicId::ROOT, "abd"));
+        assert_ne!(a, Event::new(ProcessId(1), 8, TopicId::ROOT, "abc"));
+        assert_eq!(
+            format!("{a:?}"),
+            "Event { id: EventId { publisher: ProcessId(1), sequence: 7 }, \
+             topic: TopicId(0), payload: Bytes { data: [97, 98, 99] } }"
+        );
     }
 
     #[test]

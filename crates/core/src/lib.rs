@@ -94,7 +94,7 @@ pub use dissemination::{plan_dissemination, DisseminationPlan};
 pub use error::DaError;
 pub use event::{Event, EventId};
 pub use maintenance::{MaintenanceAction, MaintenanceTask};
-pub use message::DaMsg;
+pub use message::{ControlMsg, DaMsg};
 pub use metro::{metro_population, MetroMsg, MetroProcess, MAX_HEADLINES};
 pub use multi_super::{plan_multi_dissemination, MultiSuperTables};
 pub use network::{DynamicNetwork, GroupSpec, StaticNetwork};

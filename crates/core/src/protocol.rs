@@ -29,7 +29,7 @@ use crate::bootstrap::{BootstrapAction, BootstrapTask};
 use crate::dissemination::{plan_dissemination, DisseminationPlan};
 use crate::event::{Event, EventId};
 use crate::maintenance::{MaintenanceAction, MaintenanceTask};
-use crate::message::DaMsg;
+use crate::message::{ControlMsg, DaMsg};
 use crate::params::TopicParams;
 use crate::tables::{SuperEntry, SuperTable};
 use da_core::{Exec, ExecProtocol, FxBuildHasher, FxHasher, LabelId, McHash, ProcessId};
@@ -344,10 +344,13 @@ impl DaProcess {
         &self.delivered
     }
 
-    /// True when the event has been delivered here.
+    /// True when the event has been delivered here, whether or not
+    /// [`DaProcess::take_delivered`] has drained it since: every id in the
+    /// de-duplication set was delivered (a parasite is turned away before
+    /// it is recorded).
     #[must_use]
     pub fn has_delivered(&self, id: EventId) -> bool {
-        self.delivered.iter().any(|e| e.id() == id)
+        self.seen.contains(&id)
     }
 
     /// Drains the delivered-event log, handing ownership to the caller —
@@ -391,10 +394,16 @@ impl DaProcess {
         self.hierarchy.includes_or_eq(self.topic, topic)
     }
 
-    /// Sends `msg` and accounts it as control-plane traffic.
-    fn send_control<X: Exec<Msg = DaMsg>>(&self, ctx: &mut X, to: ProcessId, msg: DaMsg) {
+    /// Sends `msg` and accounts it as control-plane traffic. A
+    /// [`ControlMsg`] is boxed here, on its way out.
+    fn send_control<X: Exec<Msg = DaMsg>>(
+        &self,
+        ctx: &mut X,
+        to: ProcessId,
+        msg: impl Into<DaMsg>,
+    ) {
         ctx.bump_id(self.labels.control);
-        ctx.send(to, msg);
+        ctx.send(to, msg.into());
     }
 
     /// Runs Fig. 7 for `event` and emits the resulting messages.
@@ -454,9 +463,17 @@ impl DaProcess {
             // The event crossed a group boundary to reach us.
             ctx.bump_id(self.labels.inter_in);
         }
+        self.deliver(event, ctx);
+    }
+
+    /// Hands a fresh `event` to the application and gossips it on. Gossip
+    /// from the borrow, then log the owned handle: a clone for the log
+    /// would be one more round trip on the reference count, a line every
+    /// holder of the event shares.
+    fn deliver<X: Exec<Msg = DaMsg>>(&mut self, event: Event, ctx: &mut X) {
         ctx.bump_id(self.labels.delivered);
-        self.delivered.push(event.clone());
         self.disseminate(&event, ctx);
+        self.delivered.push(event);
     }
 
     /// Floods a bootstrap request through the overlay neighbourhood.
@@ -474,7 +491,7 @@ impl DaProcess {
             self.send_control(
                 ctx,
                 n,
-                DaMsg::ReqContact {
+                ControlMsg::ReqContact {
                     origin: self.me,
                     req_id,
                     topics: topics.clone(),
@@ -509,7 +526,7 @@ impl DaProcess {
             self.send_control(
                 ctx,
                 origin,
-                DaMsg::AnsContact {
+                ControlMsg::AnsContact {
                     topic: self.topic,
                     contacts,
                 },
@@ -526,7 +543,7 @@ impl DaProcess {
                     self.send_control(
                         ctx,
                         n,
-                        DaMsg::ReqContact {
+                        ControlMsg::ReqContact {
                             origin,
                             req_id,
                             topics: topics.clone(),
@@ -569,6 +586,60 @@ impl DaProcess {
         }
     }
 
+    /// The control-plane messages that carry a list (Figs. 4 & 6 and the
+    /// membership gossip).
+    fn on_control<X: Exec<Msg = DaMsg>>(&mut self, from: ProcessId, msg: ControlMsg, ctx: &mut X) {
+        match msg {
+            ControlMsg::ReqContact {
+                origin,
+                req_id,
+                topics,
+                ttl,
+            } => self.handle_req_contact(origin, req_id, topics, ttl, ctx),
+            ControlMsg::AnsContact { topic, contacts } => {
+                self.handle_ans_contact(topic, &contacts, ctx);
+            }
+            ControlMsg::NewProcessAns { contacts } => {
+                // Fig. 6, lines 6–9: MERGE fresh superprocesses.
+                let hierarchy = Arc::clone(&self.hierarchy);
+                let my_topic = self.topic;
+                let valid: Vec<SuperEntry> = contacts
+                    .into_iter()
+                    .filter(|e| hierarchy.includes(e.topic, my_topic))
+                    .collect();
+                self.stable.merge(&valid, |_| true);
+                self.stable.tighten(&valid, |t| hierarchy.depth(t));
+            }
+            ControlMsg::Membership {
+                inner,
+                stable_sample,
+            } => {
+                let round = ctx.round();
+                let replies = self.membership.on_message(from, &inner, round, ctx.rng());
+                self.route_membership(replies, ctx);
+                // Piggybacked supertable entries: valid for us when their
+                // topic strictly includes ours (sender is a group-mate, so
+                // its ancestors are ours).
+                let hierarchy = Arc::clone(&self.hierarchy);
+                let my_topic = self.topic;
+                let valid: Vec<SuperEntry> = stable_sample
+                    .into_iter()
+                    .filter(|e| hierarchy.includes(e.topic, my_topic))
+                    .collect();
+                if !valid.is_empty() {
+                    self.stable.merge(&valid, |_| true);
+                    self.stable.tighten(&valid, |t| hierarchy.depth(t));
+                    if let Some(task) = self.bootstrap.as_mut() {
+                        if task.is_active() && valid.iter().any(|e| e.topic == task.direct_super())
+                        {
+                            task.stop();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Wraps and routes pending membership messages, piggybacking a sample
     /// of the supertable (Sec. V-A.2a).
     fn route_membership<X: Exec<Msg = DaMsg>>(
@@ -581,7 +652,7 @@ impl DaProcess {
             self.send_control(
                 ctx,
                 to,
-                DaMsg::Membership {
+                ControlMsg::Membership {
                     inner,
                     stable_sample,
                 },
@@ -621,15 +692,6 @@ impl ExecProtocol for DaProcess {
                 self.membership.mark_heard(from, round);
                 self.receive_event(event, sender_topic, ctx);
             }
-            DaMsg::ReqContact {
-                origin,
-                req_id,
-                topics,
-                ttl,
-            } => self.handle_req_contact(origin, req_id, topics, ttl, ctx),
-            DaMsg::AnsContact { topic, contacts } => {
-                self.handle_ans_contact(topic, &contacts, ctx);
-            }
             DaMsg::NewProcessReq => {
                 // Fig. 6, lines 2–5: answer with available superprocesses —
                 // members of *our* group, which is a supergroup of the
@@ -643,18 +705,7 @@ impl ExecProtocol for DaProcess {
                         topic: self.topic,
                     })
                     .collect();
-                self.send_control(ctx, from, DaMsg::NewProcessAns { contacts });
-            }
-            DaMsg::NewProcessAns { contacts } => {
-                // Fig. 6, lines 6–9: MERGE fresh superprocesses.
-                let hierarchy = Arc::clone(&self.hierarchy);
-                let my_topic = self.topic;
-                let valid: Vec<SuperEntry> = contacts
-                    .into_iter()
-                    .filter(|e| hierarchy.includes(e.topic, my_topic))
-                    .collect();
-                self.stable.merge(&valid, |_| true);
-                self.stable.tighten(&valid, |t| hierarchy.depth(t));
+                self.send_control(ctx, from, ControlMsg::NewProcessAns { contacts });
             }
             DaMsg::Ping { nonce } => {
                 self.send_control(ctx, from, DaMsg::Pong { nonce });
@@ -664,32 +715,7 @@ impl ExecProtocol for DaProcess {
                     m.on_pong(from, round);
                 }
             }
-            DaMsg::Membership {
-                inner,
-                stable_sample,
-            } => {
-                let replies = self.membership.on_message(from, &inner, round, ctx.rng());
-                self.route_membership(replies, ctx);
-                // Piggybacked supertable entries: valid for us when their
-                // topic strictly includes ours (sender is a group-mate, so
-                // its ancestors are ours).
-                let hierarchy = Arc::clone(&self.hierarchy);
-                let my_topic = self.topic;
-                let valid: Vec<SuperEntry> = stable_sample
-                    .into_iter()
-                    .filter(|e| hierarchy.includes(e.topic, my_topic))
-                    .collect();
-                if !valid.is_empty() {
-                    self.stable.merge(&valid, |_| true);
-                    self.stable.tighten(&valid, |t| hierarchy.depth(t));
-                    if let Some(task) = self.bootstrap.as_mut() {
-                        if task.is_active() && valid.iter().any(|e| e.topic == task.direct_super())
-                        {
-                            task.stop();
-                        }
-                    }
-                }
-            }
+            DaMsg::Control(control) => self.on_control(from, *control, ctx),
         }
     }
 
@@ -699,10 +725,10 @@ impl ExecProtocol for DaProcess {
         let publishes = std::mem::take(&mut self.pending_publish);
         for event in publishes {
             if self.seen.insert(event.id()) {
-                ctx.bump_id(self.labels.delivered);
-                self.delivered.push(event.clone());
+                self.deliver(event, ctx);
+            } else {
+                self.disseminate(&event, ctx);
             }
-            self.disseminate(&event, ctx);
         }
 
         // Static mode stops here: no control plane.
@@ -1035,8 +1061,9 @@ mod take_delivered_tests {
     use super::*;
     use da_simnet::{Engine, SimConfig};
 
-    #[test]
-    fn take_delivered_drains_without_redelivery() {
+    /// Four fully meshed group-mates after process 0's publication has
+    /// reached all of them.
+    fn delivered_everywhere() -> (Engine<DaProcess>, EventId) {
         let (h, ids) = TopicHierarchy::linear_chain(2);
         let h = Arc::new(h);
         let members: Vec<ProcessId> = (0..4).map(ProcessId).collect();
@@ -1058,6 +1085,12 @@ mod take_delivered_tests {
         let mut engine = Engine::new(SimConfig::default().with_seed(1), procs);
         let id = engine.process_mut(ProcessId(0)).publish("drain me");
         engine.run_until_quiescent(32);
+        (engine, id)
+    }
+
+    #[test]
+    fn take_delivered_drains_without_redelivery() {
+        let (mut engine, id) = delivered_everywhere();
 
         let drained = engine.process_mut(ProcessId(1)).take_delivered();
         assert_eq!(drained.len(), 1);
@@ -1067,5 +1100,23 @@ mod take_delivered_tests {
         // Re-gossip of the same event must not re-deliver after draining.
         engine.run_rounds(5);
         assert!(engine.process(ProcessId(1)).delivered().is_empty());
+    }
+
+    #[test]
+    fn has_delivered_survives_take_delivered() {
+        let (mut engine, id) = delivered_everywhere();
+        for pid in [ProcessId(0), ProcessId(1)] {
+            assert!(engine.process(pid).has_delivered(id));
+            assert_eq!(engine.process_mut(pid).take_delivered().len(), 1);
+            assert!(
+                engine.process(pid).has_delivered(id),
+                "{pid} delivered the event and will never deliver it again"
+            );
+        }
+        let never_published = EventId {
+            publisher: ProcessId(0),
+            sequence: 1,
+        };
+        assert!(!engine.process(ProcessId(1)).has_delivered(never_published));
     }
 }

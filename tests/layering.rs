@@ -161,3 +161,49 @@ fn the_concurrent_fabric_stays_small() {
     }
     assert!(orderings <= 7, "{orderings} `Ordering::` sites shipped");
 }
+
+/// An envelope is its message plus 24 bytes of routing, and a wave keeps
+/// tens of thousands in flight: the stream's footprint, not its copying,
+/// is what the receive path pays for. Every shipped `ExecProtocol::Msg`
+/// is held to its size here, where the next message type will meet the
+/// table, and `DaMsg` names no growable buffer of its own.
+#[test]
+fn messages_stay_small_and_damsg_owns_no_buffer() {
+    use da_baselines::{BroadcastProcess, HierarchicalProcess, MulticastProcess};
+    use da_core::{Envelope, ExecProtocol};
+    use damulticast::{DaMsg, DaProcess, DagProcess, MetroMsg, MetroProcess};
+    use std::mem::size_of;
+
+    fn msg<P: ExecProtocol>() -> usize {
+        size_of::<P::Msg>()
+    }
+    let table = [
+        ("DaMsg of DaProcess", msg::<DaProcess>(), 16),
+        ("DaMsg of DagProcess", msg::<DagProcess>(), 16),
+        ("BcMsg", msg::<BroadcastProcess>(), 8),
+        ("HcMsg", msg::<HierarchicalProcess>(), 8),
+        ("McMsg", msg::<MulticastProcess>(), 16),
+        ("MetroMsg", msg::<MetroProcess>(), 2),
+        ("Envelope<DaMsg>", size_of::<Envelope<DaMsg>>(), 40),
+        ("Envelope<MetroMsg>", size_of::<Envelope<MetroMsg>>(), 32),
+    ];
+    for (name, size, limit) in table {
+        assert!(
+            size <= limit,
+            "{name} is {size} B, over its {limit} B: +88 B per envelope cost `sim_wave` 28-42%; \
+             box what owns a buffer (ARCHITECTURE.md, \"Bytes in flight\")"
+        );
+    }
+
+    let source = include_str!("../crates/core/src/message.rs");
+    let body = source
+        .split_once("pub enum DaMsg {")
+        .and_then(|(_, rest)| rest.split_once("\n}\n"))
+        .expect("enum DaMsg in message.rs")
+        .0;
+    assert!(body.contains("Event {"), "not the enum's body:\n{body}");
+    assert!(
+        !body.contains("Vec<"),
+        "a `DaMsg` variant owns a `Vec`; it belongs in `ControlMsg`, behind the box"
+    );
+}

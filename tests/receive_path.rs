@@ -1,13 +1,16 @@
 //! The protocol receive path indexes, it does not hash or allocate: a
 //! label interned to a `LabelId` counts exactly like its name on both
 //! substrates, a warmed-up `DaProcess` discards a duplicate without
-//! touching the allocator, and a static process stays inside the heap
-//! budget the benchmark's `bytes_per_process` is held to.
+//! touching the allocator, a control message allocates only when it
+//! carries a list (then once more than the list), and a static process
+//! stays inside the heap budget the benchmark's `bytes_per_process` is
+//! held to.
 
 use da_core::{Counters, Exec, ExecProtocol, LabelId, ProcessId, WireSize};
+use da_membership::MembershipMsg;
 use da_runtime::{Runtime, RuntimeConfig};
 use da_simnet::{Engine, SimConfig};
-use damulticast::{DaMsg, DaProcess, Event, ParamMap, StaticNetwork};
+use damulticast::{ControlMsg, DaMsg, DaProcess, Event, ParamMap, StaticNetwork, SuperEntry};
 use rand::rngs::SmallRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -216,20 +219,26 @@ impl Exec for Probe {
     }
 }
 
-#[test]
-fn a_duplicate_allocates_nothing_and_a_first_delivery_only_grows_its_logs() {
+/// A leaf process of a static 4/12/40 chain, a group-mate to hear from,
+/// and the context to run the former's hooks in.
+fn leaf_under_probe() -> (DaProcess, ProcessId, Probe) {
     let net = StaticNetwork::linear(&[4, 12, 40], ParamMap::default(), 3).unwrap();
     let leaf = net.groups()[2].members.clone();
     let (receiver, sender) = (leaf[0], leaf[1]);
-    let mut processes = net.into_processes();
-    let process: &mut DaProcess = &mut processes[receiver.index()];
-    let topic = process.topic();
-    let mut probe = Probe {
+    let process = net.into_processes().swap_remove(receiver.index());
+    let probe = Probe {
         me: receiver,
         rng: da_core::rng_for_process(3, receiver),
         counters: Counters::new(),
         outbox: Vec::with_capacity(64),
     };
+    (process, sender, probe)
+}
+
+#[test]
+fn a_duplicate_allocates_nothing_and_a_first_delivery_only_grows_its_logs() {
+    let (mut process, sender, mut probe) = leaf_under_probe();
+    let topic = process.topic();
     let copy_of = |sequence| DaMsg::Event {
         event: Event::new(sender, sequence, topic, "x"),
         sender_topic: topic,
@@ -265,18 +274,55 @@ fn a_duplicate_allocates_nothing_and_a_first_delivery_only_grows_its_logs() {
     assert_eq!(process.delivered().len(), 65);
 }
 
+/// The control messages that own no buffer are built and sent without
+/// the allocator, as when every variant was inline; one that carries
+/// lists pays for its lists, as it did, and for the one box that keeps
+/// its size out of every envelope.
+#[test]
+fn only_a_control_message_with_a_buffer_allocates_and_only_its_box() {
+    let (mut process, sender, mut probe) = leaf_under_probe();
+    // Warm-up: the pong registers the control label.
+    process.on_message(sender, DaMsg::Ping { nonce: 0 }, &mut probe);
+
+    let before = ALLOCATIONS.get();
+    probe.send(sender, DaMsg::Ping { nonce: 1 });
+    probe.send(sender, DaMsg::NewProcessReq);
+    // The pong, through the protocol's own control send.
+    process.on_message(sender, DaMsg::Ping { nonce: 2 }, &mut probe);
+    assert_eq!(ALLOCATIONS.get() - before, 0, "ping, request, pong");
+    assert!(matches!(
+        probe.outbox.last(),
+        Some((to, DaMsg::Pong { nonce: 2 })) if *to == sender
+    ));
+
+    // The two lists are the message's content and were its whole cost.
+    let inner = MembershipMsg::Digest {
+        sample: vec![sender, probe.me],
+    };
+    let stable_sample = vec![SuperEntry {
+        pid: ProcessId(0),
+        topic: process.topic(),
+    }];
+    let before = ALLOCATIONS.get();
+    let msg = ControlMsg::Membership {
+        inner,
+        stable_sample,
+    };
+    probe.send(sender, msg.into());
+    assert_eq!(ALLOCATIONS.get() - before, 1, "the box");
+}
+
 #[test]
 fn a_static_process_stays_under_900_bytes_of_heap() {
     // The benchmark's wave population. What its `bytes_per_process`
     // divides also holds the engine; the processes are the part that
     // scales, and where a per-process copy of the labels would show.
     let before = LIVE_BYTES.get();
-    let mut processes = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 1)
+    let processes = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 1)
         .unwrap()
         .into_processes();
-    // The builder's vector has room to spare; a substrate copies the
-    // processes into a store of exactly their size.
-    processes.shrink_to_fit();
+    // The builder sizes its vector exactly, as a substrate's store does.
+    assert_eq!(processes.capacity(), processes.len());
     let per_process = (LIVE_BYTES.get() - before) as usize / processes.len();
     assert!(
         per_process <= 900,
