@@ -11,8 +11,9 @@
 //! the process identity vocabulary, the deterministic seed-derivation
 //! scheme every RNG stream hangs off, the unified
 //! [`fault::FaultConfig`] builder both substrates' configs embed, and
-//! the [`wheel`] both substrates park in-flight envelopes in, and the
-//! [`stripe`] tick body both run.
+//! the [`wheel`] both substrates park in-flight envelopes in, the
+//! [`stripe`] tick body both run, and the [`testkit`] fixture their tests
+//! share.
 //!
 //! Both execution substrates consume this crate, and run the same tick
 //! body from it — [`stripe::Stripe`]: the [`failure::FailurePlan`]'s
@@ -49,6 +50,7 @@ pub mod process;
 pub mod seed;
 pub mod store;
 pub mod stripe;
+pub mod testkit;
 pub mod topology;
 pub mod trace;
 pub mod wheel;
@@ -69,8 +71,8 @@ pub use topology::{
     Topology,
 };
 pub use trace::{
-    canonicalize, first_divergence, TraceCategory, TraceConfig, TraceDivergence, TraceEvent,
-    TraceMode, TraceRecorder, TraceVerdict,
+    canonicalize, first_divergence, TraceConfig, TraceDivergence, TraceEvent, TraceMode,
+    TraceRecorder, TraceVerdict,
 };
 pub use wheel::{DelayWheel, Envelope};
 pub use wire::WireSize;

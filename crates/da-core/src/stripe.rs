@@ -39,8 +39,8 @@ pub trait Outbound {
 }
 
 /// The counters the tick body touches on every send, delivery and
-/// transition, registered by the substrate under its own names (`sim.*`,
-/// `rt.*`) so that each costs an array increment.
+/// transition, registered by the substrate under its own prefix (`sim`,
+/// `rt`) so that each costs an array increment.
 #[derive(Debug, Clone, Copy)]
 pub struct HotIds {
     /// Messages handed to the network.
@@ -61,6 +61,26 @@ pub struct HotIds {
     pub churn_crashes: CounterId,
     /// Churn-driven recoveries.
     pub churn_recoveries: CounterId,
+}
+
+impl HotIds {
+    /// Registers the nine counters in `counters` as `{prefix}.sent`,
+    /// `{prefix}.bytes_sent`, … — the one table of their names, in the
+    /// order [`Counters::iter`] then walks them.
+    pub fn register(counters: &mut Counters, prefix: &str) -> Self {
+        let mut id = |name| counters.register(&format!("{prefix}.{name}"));
+        HotIds {
+            sent: id("sent"),
+            bytes_sent: id("bytes_sent"),
+            delivered: id("delivered"),
+            dropped_channel: id("dropped_channel"),
+            dropped_partitioned: id("dropped_partitioned"),
+            dropped_crashed: id("dropped_crashed"),
+            dropped_observed: id("dropped_observed_failed"),
+            churn_crashes: id("churn_crashes"),
+            churn_recoveries: id("churn_recoveries"),
+        }
+    }
 }
 
 /// What one tick sent and consumed.
@@ -452,18 +472,7 @@ mod tests {
         }
         let plan = Arc::new(model.materialize(population, seed));
         let mut counters = Counters::new();
-        let mut id = |name| counters.register(name);
-        let ids = HotIds {
-            sent: id("sent"),
-            bytes_sent: id("bytes_sent"),
-            delivered: id("delivered"),
-            dropped_channel: id("dropped_channel"),
-            dropped_partitioned: id("dropped_partitioned"),
-            dropped_crashed: id("dropped_crashed"),
-            dropped_observed: id("dropped_observed"),
-            churn_crashes: id("churn_crashes"),
-            churn_recoveries: id("churn_recoveries"),
-        };
+        let ids = HotIds::register(&mut counters, "t");
         let lifecycle = LifecycleController::new(plan, 0, 1, population);
         Stripe::new(store, lifecycle, counters, ids, &TraceConfig::full())
     }
@@ -495,10 +504,10 @@ mod tests {
         let tally = s.round_hooks(&mut out);
         assert_eq!((out.0, tally.sent, tally.queued), (6, 6, 2));
         let counters = &s.ledger.counters;
-        assert_eq!(counters.get("sent"), 6);
-        assert_eq!(counters.get("bytes_sent"), 6);
-        assert_eq!(counters.get("dropped_channel"), 2);
-        assert_eq!(counters.get("dropped_partitioned"), 2);
+        assert_eq!(counters.get("t.sent"), 6);
+        assert_eq!(counters.get("t.bytes_sent"), 6);
+        assert_eq!(counters.get("t.dropped_channel"), 2);
+        assert_eq!(counters.get("t.dropped_partitioned"), 2);
         let trace = s.ledger.trace.as_ref().unwrap();
         assert_eq!(trace.recorder.count(TraceVerdict::Sent), 6);
         assert_eq!(trace.recorder.count(TraceVerdict::DroppedChannel), 2);
@@ -542,7 +551,7 @@ mod tests {
         let tally = s.round_hooks(&mut out);
         assert_eq!((tally.delivered, tally.undeliverable), (0, 1));
         assert!(s.store.get(dead[0]).heard.is_empty());
-        assert_eq!(s.ledger.counters.get("dropped_crashed"), 1);
+        assert_eq!(s.ledger.counters.get("t.dropped_crashed"), 1);
         let crashed = s.ledger.trace.as_ref().unwrap().recorder.events().iter();
         let crashed: Vec<_> = crashed
             .filter(|e| e.verdict == TraceVerdict::DroppedCrashed)
@@ -563,12 +572,12 @@ mod tests {
             s.deliver(envelope(0, 1), &mut out);
         }
         let tally = s.round_hooks(&mut out);
-        let observed = s.ledger.counters.get("dropped_observed");
+        let observed = s.ledger.counters.get("t.dropped_observed_failed");
         assert!((140..260).contains(&observed), "observer drops {observed}");
         assert_eq!(tally.undeliverable, observed);
         assert_eq!(tally.delivered, 400 - observed);
         assert_eq!(s.store.get(1).heard.len() as u64, tally.delivered);
         assert_eq!(s.lifecycle.alive_count(), 2);
-        assert_eq!(s.ledger.counters.get("dropped_crashed"), 0);
+        assert_eq!(s.ledger.counters.get("t.dropped_crashed"), 0);
     }
 }

@@ -7,9 +7,9 @@
 //! message (or one lifecycle transition of one process): the tick it
 //! happened on, the edge it concerns, a payload id, and a
 //! [`TraceVerdict`] mirroring the envelope-ledger counter categories
-//! exactly (`sim.dropped_dead` and `rt.dropped_crashed` are the *same*
-//! verdict, [`TraceVerdict::DroppedCrashed`], so streams from the two
-//! substrates compare directly).
+//! exactly (`sim.dropped_crashed` and `rt.dropped_crashed` are one
+//! verdict, [`TraceVerdict::DroppedCrashed`]: the substrates differ in the
+//! prefix alone, so their streams compare directly).
 //!
 //! Recording is zero-cost when off: both engines hold an
 //! `Option<TraceRecorder>`-shaped slot that is `None` unless the
@@ -59,8 +59,7 @@ pub enum TraceVerdict {
     /// (`sim.dropped_partitioned` / `rt.dropped_partitioned`).
     DroppedPartitioned,
     /// The destination was crashed at delivery time
-    /// (`sim.dropped_dead` / `rt.dropped_crashed` — one verdict, so the
-    /// substrates' streams compare directly).
+    /// (`sim.dropped_crashed` / `rt.dropped_crashed`).
     DroppedCrashed,
     /// A per-observer failure draw made the destination treat the sender
     /// as failed (`sim.dropped_observed_failed` /
@@ -122,22 +121,6 @@ impl TraceVerdict {
             TraceVerdict::Recovered => "recovered",
         }
     }
-
-    /// The filter category this verdict belongs to.
-    #[must_use]
-    pub fn category(self) -> TraceCategory {
-        match self {
-            TraceVerdict::Sent => TraceCategory::Send,
-            TraceVerdict::Delivered => TraceCategory::Delivery,
-            TraceVerdict::DroppedChannel
-            | TraceVerdict::DroppedPartitioned
-            | TraceVerdict::DroppedCrashed
-            | TraceVerdict::DroppedObserved
-            | TraceVerdict::DroppedClosed
-            | TraceVerdict::DroppedShutdown => TraceCategory::Drop,
-            TraceVerdict::Crashed | TraceVerdict::Recovered => TraceCategory::Lifecycle,
-        }
-    }
 }
 
 impl fmt::Display for TraceVerdict {
@@ -145,51 +128,6 @@ impl fmt::Display for TraceVerdict {
         f.write_str(self.label())
     }
 }
-
-/// Coarse event families a [`TraceConfig`] can filter on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TraceCategory {
-    /// Transport-send decisions ([`TraceVerdict::Sent`]).
-    Send,
-    /// Successful deliveries ([`TraceVerdict::Delivered`]).
-    Delivery,
-    /// Every `Dropped*` verdict.
-    Drop,
-    /// Crash and recovery transitions.
-    Lifecycle,
-}
-
-impl TraceCategory {
-    /// Every category.
-    pub const ALL: [TraceCategory; 4] = [
-        TraceCategory::Send,
-        TraceCategory::Delivery,
-        TraceCategory::Drop,
-        TraceCategory::Lifecycle,
-    ];
-
-    fn bit(self) -> u8 {
-        match self {
-            TraceCategory::Send => 1,
-            TraceCategory::Delivery => 2,
-            TraceCategory::Drop => 4,
-            TraceCategory::Lifecycle => 8,
-        }
-    }
-
-    /// The snake_case name of this category.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceCategory::Send => "send",
-            TraceCategory::Delivery => "delivery",
-            TraceCategory::Drop => "drop",
-            TraceCategory::Lifecycle => "lifecycle",
-        }
-    }
-}
-
-const ALL_CATEGORIES: u8 = 1 | 2 | 4 | 8;
 
 /// How much the flight recorder captures.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -209,14 +147,12 @@ pub enum TraceMode {
 /// builders (`SimConfig::with_trace` / `RuntimeConfig::with_trace`).
 ///
 /// ```
-/// use da_core::trace::{TraceCategory, TraceConfig, TraceVerdict};
+/// use da_core::trace::TraceConfig;
 ///
-/// let cfg = TraceConfig::full()
-///     .with_capacity(1024)
-///     .with_categories(&[TraceCategory::Delivery, TraceCategory::Drop]);
+/// let cfg = TraceConfig::full().with_capacity(1024);
 /// assert!(cfg.records_events());
-/// assert!(!cfg.wants(TraceVerdict::Sent));
-/// assert!(cfg.wants(TraceVerdict::DroppedChannel));
+/// assert!(TraceConfig::counters_only().is_enabled());
+/// assert!(!TraceConfig::counters_only().records_events());
 /// assert!(!TraceConfig::off().is_enabled());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -225,7 +161,6 @@ pub struct TraceConfig {
     pub mode: TraceMode,
     /// Per-recorder event capacity; overflow is counted, not stored.
     pub capacity: usize,
-    categories: u8,
 }
 
 impl Default for TraceConfig {
@@ -241,7 +176,6 @@ impl TraceConfig {
         TraceConfig {
             mode: TraceMode::Off,
             capacity: DEFAULT_TRACE_CAPACITY,
-            categories: ALL_CATEGORIES,
         }
     }
 
@@ -270,14 +204,6 @@ impl TraceConfig {
         self
     }
 
-    /// Restricts recording to the given categories (the default records
-    /// all of them).
-    #[must_use]
-    pub fn with_categories(mut self, categories: &[TraceCategory]) -> Self {
-        self.categories = categories.iter().fold(0, |mask, c| mask | c.bit());
-        self
-    }
-
     /// True unless the mode is [`TraceMode::Off`].
     #[must_use]
     pub fn is_enabled(&self) -> bool {
@@ -289,12 +215,6 @@ impl TraceConfig {
     #[must_use]
     pub fn records_events(&self) -> bool {
         self.mode == TraceMode::Full
-    }
-
-    /// True when events with `verdict` pass the category filter.
-    #[must_use]
-    pub fn wants(&self, verdict: TraceVerdict) -> bool {
-        self.categories & verdict.category().bit() != 0
     }
 }
 
@@ -546,12 +466,8 @@ impl TraceRecorder {
 
     /// Records one event: bumps its verdict count and, in
     /// [`TraceMode::Full`], appends it to the buffer (counting overflow
-    /// beyond the capacity instead of storing it). Events whose category
-    /// is filtered out are ignored entirely.
+    /// beyond the capacity instead of storing it).
     pub fn record(&mut self, event: TraceEvent) {
-        if !self.config.wants(event.verdict) {
-            return;
-        }
         self.counts[event.verdict.index()] += 1;
         if self.config.records_events() {
             if self.events.len() < self.config.capacity {
@@ -566,9 +482,7 @@ impl TraceRecorder {
     /// accounting where per-envelope identity is gone (batched
     /// closed-worker drops, shutdown drains).
     pub fn count_only(&mut self, verdict: TraceVerdict, n: u64) {
-        if self.config.wants(verdict) {
-            self.counts[verdict.index()] += n;
-        }
+        self.counts[verdict.index()] += n;
     }
 
     /// The buffered events (empty in [`TraceMode::CountersOnly`]).
@@ -603,12 +517,6 @@ impl TraceRecorder {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// The configuration this recorder was built from.
-    #[must_use]
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]
@@ -634,20 +542,17 @@ mod tests {
         assert_eq!(TraceVerdict::ALL.len(), TraceVerdict::COUNT);
     }
 
+    /// The six verdicts a message can meet are the ledger's counters:
+    /// each label is the suffix of a name in the one counter table.
     #[test]
     fn verdicts_map_to_ledger_categories() {
-        assert_eq!(TraceVerdict::Sent.category(), TraceCategory::Send);
-        assert_eq!(TraceVerdict::Delivered.category(), TraceCategory::Delivery);
-        assert_eq!(
-            TraceVerdict::DroppedShutdown.category(),
-            TraceCategory::Drop
-        );
-        assert_eq!(TraceVerdict::Recovered.category(), TraceCategory::Lifecycle);
-        assert_eq!(
-            TraceVerdict::DroppedObserved.label(),
-            "dropped_observed_failed",
-            "labels match the counter ledger suffixes"
-        );
+        let mut counters = crate::Counters::new();
+        crate::HotIds::register(&mut counters, "x");
+        let names: Vec<String> = counters.iter().map(|(name, _)| name.to_owned()).collect();
+        for verdict in &TraceVerdict::ALL[..6] {
+            let name = format!("x.{}", verdict.label());
+            assert!(names.contains(&name), "{name} not in {names:?}");
+        }
     }
 
     #[test]
@@ -655,20 +560,15 @@ mod tests {
         let cfg = TraceConfig::default();
         assert!(!cfg.is_enabled());
         assert!(!cfg.records_events());
-        for v in TraceVerdict::ALL {
-            assert!(cfg.wants(v), "default filter records every category");
-        }
         assert_eq!(cfg.capacity, DEFAULT_TRACE_CAPACITY);
-    }
-
-    #[test]
-    fn category_filter_masks_whole_families() {
-        let cfg = TraceConfig::full().with_categories(&[TraceCategory::Drop]);
-        assert!(!cfg.wants(TraceVerdict::Sent));
-        assert!(!cfg.wants(TraceVerdict::Delivered));
-        assert!(!cfg.wants(TraceVerdict::Crashed));
-        assert!(cfg.wants(TraceVerdict::DroppedChannel));
-        assert!(cfg.wants(TraceVerdict::DroppedShutdown));
+        // Switched on, it records every verdict: there is no filter.
+        let mut rec = TraceRecorder::new(&TraceConfig::full()).unwrap();
+        for v in TraceVerdict::ALL {
+            rec.record(ev(0, 0, 1, 4, v));
+            rec.count_only(v, 2);
+            assert_eq!(rec.count(v), 3, "{v}");
+        }
+        assert_eq!(rec.events().len(), TraceVerdict::COUNT);
     }
 
     #[test]
@@ -691,16 +591,6 @@ mod tests {
         assert_eq!(rec.events().len(), 2);
         assert_eq!(rec.dropped(), 3);
         assert_eq!(rec.count(TraceVerdict::Sent), 5, "counts see every event");
-    }
-
-    #[test]
-    fn filtered_events_are_invisible() {
-        let cfg = TraceConfig::full().with_categories(&[TraceCategory::Delivery]);
-        let mut rec = TraceRecorder::new(&cfg).unwrap();
-        rec.record(ev(0, 0, 1, 4, TraceVerdict::Sent));
-        rec.count_only(TraceVerdict::Sent, 10);
-        assert_eq!(rec.count(TraceVerdict::Sent), 0);
-        assert!(rec.events().is_empty());
     }
 
     #[test]

@@ -40,6 +40,11 @@
 use crate::process::ProcessId;
 use std::collections::BTreeMap;
 
+/// The widest window, in ticks, a substrate sizes from its configuration:
+/// link latency is config input, so the ring it sizes (and the worker
+/// drift the pool derives from it) stops here and slower sends spill.
+pub const MAX_RING_TICKS: u64 = 1024;
+
 /// One in-flight message, from surviving the channel to delivery.
 #[derive(Debug, Clone)]
 pub struct Envelope<M> {

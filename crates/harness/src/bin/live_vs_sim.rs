@@ -68,26 +68,18 @@ fn main() {
     let probs = reliability_sweep_probabilities();
     let mut disagreements = 0u32;
     let mut sweeps: Vec<SeriesTable> = Vec::new();
-    // The PR 3 configuration (one-tick latency, lag 1), then a two-tick
-    // latency floor with a wide lag window so the barrier-free
-    // scheduler's worker drift is exercised by the same sweep.
-    for (latency, max_lag) in [(Latency::Fixed(1), 1u64), (Latency::Fixed(2), 4)] {
+    // One-tick latency (workers within a tick of each other), then a
+    // two-tick latency floor, under which the pool's workers drift two
+    // ticks apart during the same sweep.
+    for latency in [Latency::Fixed(1), Latency::Fixed(2)] {
         let base = FaultConfig::new().with_channel(ChannelConfig::reliable().with_latency(latency));
-        let sweep = run_reliability_sweep(
-            &sizes,
-            &params,
-            &probs,
-            &base,
-            max_lag,
-            effort.trials(),
-            0x5EED,
-        );
+        let sweep = run_reliability_sweep(&sizes, &params, &probs, &base, effort.trials(), 0x5EED);
         if !json {
-            println!("\nlatency {latency:?}, live max_lag {max_lag}:");
+            println!("\nlatency {latency:?}:");
             print!("{}", sweep.to_markdown());
         }
         check_rows(&sweep, "p", json, &mut disagreements);
-        if max_lag == 1 {
+        if latency == Latency::Fixed(1) {
             let dir = results_dir();
             sweep.write_to(&dir).expect("write sweep results");
         }
@@ -123,7 +115,6 @@ fn main() {
         &params,
         &partition_sweep_heal_ticks(),
         &partition_base,
-        1,
         effort.trials(),
         0x9A27,
     );
@@ -139,7 +130,7 @@ fn main() {
     let population = sizes.iter().sum::<usize>().min(24) as u32;
     let trace_base =
         FaultConfig::new().with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)));
-    let trace_diff: KeyedTable = run_trace_diff(population, &trace_base, 0xD1FF, 2, 1);
+    let trace_diff: KeyedTable = run_trace_diff(population, &trace_base, 0xD1FF, 2);
     if !json {
         println!("\nflight-recorder trace diff (first_divergence -1 = streams identical):");
         print!("{}", trace_diff.to_markdown());

@@ -31,16 +31,48 @@
 
 use crate::report::{KeyedTable, SeriesTable};
 use crate::stats::Summary;
+use crate::substrate::{Driver, Substrate};
 use da_core::{
     derive_seed, FailureModel, FaultConfig, NodeId, Partition, PartitionSchedule, ProcessId,
-    Topology,
+    Topology, TraceConfig,
 };
-use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{Engine, SimConfig};
-use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork};
+use da_membership::FanoutRule;
+use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork, TopicParams};
 
 /// Maximum virtual-time budget per trial (rounds or ticks).
 const MAX_TIME: u64 = 64;
+
+/// The two substrates every comparison runs, simulator first: the
+/// columns `delivery_ratio_sim` / `delivery_ratio_live` of the sweeps.
+const SUBSTRATES: [Substrate; 2] = [Substrate::Sim, Substrate::Live { workers: 2 }];
+
+/// Trade-off knobs pinned high — `g`, `a = z`, a `ln S + c` fanout — so
+/// gossip is effectively atomic (miss probability ≈ `e^-c` per event)
+/// and a cross-substrate comparison is not at the mercy of one seed or
+/// one thread interleaving.
+#[must_use]
+pub fn pinned_params(g: f64, c: f64) -> ParamMap {
+    ParamMap::uniform(
+        TopicParams::paper_default()
+            .with_g(g)
+            .with_a(3.0)
+            .with_fanout(FanoutRule::LnPlusC { c }),
+    )
+}
+
+/// Sorted delivered-event ids per process — the key delivered-set
+/// comparisons across substrates use.
+#[must_use]
+pub fn delivered_sets(procs: &[DaProcess]) -> Vec<Vec<EventId>> {
+    procs
+        .iter()
+        .map(|p| {
+            let mut ids: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
+            ids.sort();
+            ids
+        })
+        .collect()
+}
 
 /// The success probabilities the reliability sweep covers: the perfect
 /// corner, two mild-loss points around the paper's 0.85 operating
@@ -78,35 +110,18 @@ fn trial_metrics(
     params: &ParamMap,
     faults: &FaultConfig,
     seed: u64,
-    live: bool,
-    live_max_lag: u64,
+    substrate: Substrate,
 ) -> Vec<f64> {
     let net = StaticNetwork::linear(group_sizes, params.clone(), seed)
         .expect("experiment topology must be valid");
     let groups = net.groups().to_vec();
     let publisher = groups.last().expect("at least one group").members[0];
 
-    let (procs, counters) = if live {
-        let config = RuntimeConfig::default()
-            .with_seed(seed)
-            .with_workers(2)
-            .with_max_lag(live_max_lag)
-            .with_faults(faults.clone());
-        let mut rt = Runtime::spawn(config, net.into_processes());
-        rt.with_process_mut(publisher, |p| p.publish("live-vs-sim"));
-        rt.run_until_quiescent(MAX_TIME);
-        let out = rt.shutdown();
-        (out.processes, out.counters)
-    } else {
-        let config = SimConfig::default()
-            .with_seed(seed)
-            .with_faults(faults.clone());
-        let mut engine: Engine<DaProcess> = Engine::new(config, net.into_processes());
-        engine.process_mut(publisher).publish("live-vs-sim");
-        engine.run_until_quiescent(MAX_TIME);
-        let counters = engine.counters().clone();
-        (engine.into_processes(), counters)
-    };
+    let procs = net.into_processes();
+    let mut driver = Driver::spawn(substrate, seed, faults, TraceConfig::off(), procs);
+    driver.apply(publisher, |p| p.publish("live-vs-sim"));
+    driver.run_until_quiescent(MAX_TIME);
+    let out = driver.finish();
 
     let id = EventId {
         publisher,
@@ -118,13 +133,15 @@ fn trial_metrics(
             let got = g
                 .members
                 .iter()
-                .filter(|&&p| procs[p.index()].has_delivered(id))
+                .filter(|&&p| out.processes[p.index()].has_delivered(id))
                 .count();
             got as f64 / g.members.len() as f64
         })
         .collect();
-    metrics.push(counters.get("da.parasite") as f64);
-    metrics.push((counters.sum_prefix("da.intra.") + counters.sum_prefix("da.inter_out.")) as f64);
+    metrics.push(out.counters.get("da.parasite") as f64);
+    metrics.push(
+        (out.counters.sum_prefix("da.intra.") + out.counters.sum_prefix("da.inter_out.")) as f64,
+    );
     metrics
 }
 
@@ -137,10 +154,9 @@ fn delivery_ratio_trial(
     params: &ParamMap,
     faults: &FaultConfig,
     seed: u64,
-    live: bool,
-    live_max_lag: u64,
+    substrate: Substrate,
 ) -> f64 {
-    let per_level = trial_metrics(group_sizes, params, faults, seed, live, live_max_lag);
+    let per_level = trial_metrics(group_sizes, params, faults, seed, substrate);
     let population: usize = group_sizes.iter().sum();
     let delivered: f64 = group_sizes
         .iter()
@@ -173,17 +189,11 @@ pub fn run_live_vs_sim(
     );
 
     let faults = FaultConfig::default();
-    for (key, live) in [("simulator", false), ("live runtime", true)] {
+    for (key, substrate) in ["simulator", "live runtime"].into_iter().zip(SUBSTRATES) {
         let samples: Vec<Vec<f64>> = (0..trials)
             .map(|t| {
-                trial_metrics(
-                    group_sizes,
-                    params,
-                    &faults,
-                    derive_seed(base_seed, t as u64),
-                    live,
-                    1,
-                )
+                let seed = derive_seed(base_seed, t as u64);
+                trial_metrics(group_sizes, params, &faults, seed, substrate)
             })
             .collect();
         let width = samples.first().map_or(0, Vec::len);
@@ -202,11 +212,10 @@ pub fn run_live_vs_sim(
 ///
 /// `base` is the fault config every sweep point starts from; each row
 /// overrides only the success probability on its channel. The base
-/// channel's latency model and `live_max_lag` together pin the live
-/// scheduler's drift window: a one-tick latency with lag 1 reproduces
-/// the PR 3 sweep exactly, while a latency floor above one tick with a
-/// wider lag lets the barrier-free scheduler actually drift workers
-/// apart during the sweep — the delivery ratios must agree either way.
+/// channel's latency floor is the live scheduler's drift window: under
+/// one-tick latency workers stay within a tick of each other, above it
+/// they drift apart during the sweep — the delivery ratios must agree
+/// either way.
 ///
 /// Trials run serially for the same oversubscription reason as
 /// [`run_live_vs_sim`].
@@ -216,7 +225,6 @@ pub fn run_reliability_sweep(
     params: &ParamMap,
     success_probabilities: &[f64],
     base: &FaultConfig,
-    live_max_lag: u64,
     trials: usize,
     base_seed: u64,
 ) -> SeriesTable {
@@ -230,14 +238,14 @@ pub fn run_reliability_sweep(
             .clone()
             .with_channel(base.channel().with_success_probability(p));
         let mut summaries = Vec::with_capacity(2);
-        for live in [false, true] {
+        for (column, substrate) in SUBSTRATES.into_iter().enumerate() {
             let samples: Vec<f64> = (0..trials)
                 .map(|t| {
                     // A distinct seed stream per (probability, substrate,
                     // trial) point, so sweep points are independent.
-                    let stream = (row as u64) * 2 + u64::from(live);
+                    let stream = (row * 2 + column) as u64;
                     let seed = derive_seed(derive_seed(base_seed, stream), t as u64);
-                    delivery_ratio_trial(group_sizes, params, &faults, seed, live, live_max_lag)
+                    delivery_ratio_trial(group_sizes, params, &faults, seed, substrate)
                 })
                 .collect();
             summaries.push(Summary::of(&samples));
@@ -303,14 +311,14 @@ pub fn run_churn_sweep(
             recover_probability,
         });
         let mut summaries = Vec::with_capacity(2);
-        for live in [false, true] {
+        for substrate in SUBSTRATES {
             let samples: Vec<f64> = (0..trials)
                 .map(|t| {
                     // Same (rate, trial) seed on both substrates: the
                     // FailurePlan — and with it every crash/recovery
                     // fate — is identical across the pair.
                     let seed = derive_seed(derive_seed(base_seed, row as u64), t as u64);
-                    delivery_ratio_trial(group_sizes, params, &faults, seed, live, 1)
+                    delivery_ratio_trial(group_sizes, params, &faults, seed, substrate)
                 })
                 .collect();
             summaries.push(Summary::of(&samples));
@@ -327,16 +335,22 @@ const ISLAND: usize = 8;
 /// The tick every partition-sweep cut opens at.
 const CUT_AT: u64 = 0;
 
-/// Builds the two-node fault config for one partition-sweep scenario:
-/// the given island pids on node `"b"`, everyone else on node `"a"`,
-/// a cut between the nodes from [`CUT_AT`], healing at `heal` (never,
-/// if `None`), over the caller's base channel.
-fn partition_faults(base: &FaultConfig, island: &[ProcessId], heal: Option<u64>) -> FaultConfig {
+/// Builds a two-node fault config: the given island pids on node `"b"`,
+/// everyone else on node `"a"`, a cut between the nodes opening at
+/// `cut_at` and healing at `heal` (never, if `None`), over the caller's
+/// base channel.
+#[must_use]
+pub fn partition_faults(
+    base: &FaultConfig,
+    island: &[ProcessId],
+    cut_at: u64,
+    heal: Option<u64>,
+) -> FaultConfig {
     let mut topology = Topology::with_nodes(["a", "b"]);
     for &pid in island {
         topology = topology.with_placement(pid, NodeId(1));
     }
-    let mut cut = Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], CUT_AT);
+    let mut cut = Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], cut_at);
     if let Some(tick) = heal {
         cut = cut.heal_at(tick);
     }
@@ -358,8 +372,7 @@ fn partition_trial(
     base: &FaultConfig,
     heal: Option<u64>,
     seed: u64,
-    live: bool,
-    live_max_lag: u64,
+    substrate: Substrate,
 ) -> (f64, Vec<Vec<EventId>>, u64) {
     let net = StaticNetwork::linear(group_sizes, params.clone(), seed)
         .expect("experiment topology must be valid");
@@ -371,41 +384,23 @@ fn partition_trial(
     let island = leaf.members[leaf.members.len() - ISLAND..].to_vec();
     let mainland_publisher = leaf.members[0];
     let island_publisher = *leaf.members.last().expect("non-empty group");
-    let faults = partition_faults(base, &island, heal);
+    let faults = partition_faults(base, &island, CUT_AT, heal);
     // Two ticks after the heal the overlay is reachable again; a cut
     // that never heals publishes mid-cut at the latest heal's slot so
     // the scenarios stay comparable.
     let island_publish_tick = heal.map_or(26, |tick| tick + 2);
 
-    let (procs, counters) = if live {
-        let config = RuntimeConfig::default()
-            .with_seed(seed)
-            .with_workers(2)
-            .with_max_lag(live_max_lag)
-            .with_faults(faults);
-        let mut rt = Runtime::spawn(config, net.into_processes());
-        rt.with_process_mut(mainland_publisher, |p| p.publish("mainland"));
-        rt.run_ticks(island_publish_tick);
-        rt.with_process_mut(island_publisher, |p| p.publish("island"));
-        rt.run_ticks(MAX_TIME - island_publish_tick);
-        let out = rt.shutdown();
-        (out.processes, out.counters)
-    } else {
-        let config = SimConfig::default().with_seed(seed).with_faults(faults);
-        let mut engine: Engine<DaProcess> = Engine::new(config, net.into_processes());
-        engine.process_mut(mainland_publisher).publish("mainland");
-        engine.run_rounds(island_publish_tick);
-        engine.process_mut(island_publisher).publish("island");
-        engine.run_rounds(MAX_TIME - island_publish_tick);
-        let counters = engine.counters().clone();
-        (engine.into_processes(), counters)
-    };
+    let procs = net.into_processes();
+    let mut driver = Driver::spawn(substrate, seed, &faults, TraceConfig::off(), procs);
+    driver.apply(mainland_publisher, |p| p.publish("mainland"));
+    driver.run_ticks(island_publish_tick);
+    driver.apply(island_publisher, |p| p.publish("island"));
+    driver.run_ticks(MAX_TIME - island_publish_tick);
+    let out = driver.finish();
 
-    let severed = counters.get(if live {
-        "rt.dropped_partitioned"
-    } else {
-        "sim.dropped_partitioned"
-    });
+    let severed = out
+        .counters
+        .get(&format!("{}.dropped_partitioned", substrate.prefix()));
     assert!(
         severed > 0,
         "the cut-at-{CUT_AT} partition must sever cross-island gossip"
@@ -418,21 +413,17 @@ fn partition_trial(
     let population: usize = group_sizes.iter().sum();
     let delivered: usize = events
         .iter()
-        .map(|&id| procs.iter().filter(|p| p.has_delivered(id)).count())
+        .map(|&id| out.processes.iter().filter(|p| p.has_delivered(id)).count())
         .sum();
     let ratio = delivered as f64 / (events.len() * population) as f64;
 
-    let mainland_sets: Vec<Vec<EventId>> = procs
-        .iter()
+    let mainland_sets: Vec<Vec<EventId>> = delivered_sets(&out.processes)
+        .into_iter()
         .enumerate()
         .filter(|(i, _)| !island.contains(&ProcessId::from_index(*i)))
-        .map(|(_, p)| {
-            let mut ids: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
-            ids.sort();
-            ids
-        })
+        .map(|(_, ids)| ids)
         .collect();
-    (ratio, mainland_sets, counters.get("da.parasite"))
+    (ratio, mainland_sets, out.counters.get("da.parasite"))
 }
 
 /// Sweeps the heal tick of a two-island network partition and tabulates
@@ -469,7 +460,6 @@ pub fn run_partition_sweep(
     params: &ParamMap,
     heal_ticks: &[Option<u64>],
     base: &FaultConfig,
-    live_max_lag: u64,
     trials: usize,
     base_seed: u64,
 ) -> SeriesTable {
@@ -486,10 +476,10 @@ pub fn run_partition_sweep(
             // fates are pinned, so the mainland outcome must match
             // exactly, not just statistically.
             let seed = derive_seed(derive_seed(base_seed, row as u64), t as u64);
-            let (sim_ratio, sim_sets, sim_parasites) =
-                partition_trial(group_sizes, params, base, heal, seed, false, live_max_lag);
-            let (live_ratio, live_sets, live_parasites) =
-                partition_trial(group_sizes, params, base, heal, seed, true, live_max_lag);
+            let [(sim_ratio, sim_sets, sim_parasites), (live_ratio, live_sets, live_parasites)] =
+                SUBSTRATES.map(|substrate| {
+                    partition_trial(group_sizes, params, base, heal, seed, substrate)
+                });
             assert_eq!(sim_parasites, 0, "heal {heal:?} trial {t}: sim parasites");
             assert_eq!(live_parasites, 0, "heal {heal:?} trial {t}: live parasites");
             assert_eq!(
@@ -525,17 +515,11 @@ pub fn ratios_agree_within_3_sigma(sim: &Summary, live: &Summary, floor: f64) ->
 mod tests {
     use super::*;
     use da_core::{ChannelConfig, Latency};
-    use damulticast::TopicParams;
 
     /// Pinned-high knobs (as in the e2e suites) so the assertions are
     /// not at the mercy of a thread interleaving.
     fn pinned() -> ParamMap {
-        ParamMap::uniform(
-            TopicParams::paper_default()
-                .with_g(15.0)
-                .with_a(3.0)
-                .with_fanout(da_membership::FanoutRule::LnPlusC { c: 10.0 }),
-        )
+        pinned_params(15.0, 10.0)
     }
 
     /// A lossless base config whose channel carries the given latency —
@@ -562,25 +546,17 @@ mod tests {
         }
     }
 
-    /// The PR 3 acceptance criterion, re-run on the barrier-free
-    /// scheduler: live and simulated delivery ratios agree within 3σ at
-    /// every swept success probability — both in the PR 3 configuration
-    /// (one-tick latency, lag window 1) and with a two-tick latency
-    /// floor plus a wide lag window, where workers genuinely drift.
+    /// Live and simulated delivery ratios agree within 3σ at every swept
+    /// success probability — both under one-tick latency (lag window 1)
+    /// and with a two-tick latency floor, where workers genuinely drift.
     #[test]
     fn reliability_sweep_substrates_agree_within_3_sigma() {
         let probs = reliability_sweep_probabilities();
         let trials = 6;
-        for (latency, live_max_lag) in [(Latency::Fixed(1), 1), (Latency::Fixed(2), 4)] {
-            let table = run_reliability_sweep(
-                &[4, 10, 40],
-                &pinned(),
-                &probs,
-                &reliable_base(latency),
-                live_max_lag,
-                trials,
-                0x5EED,
-            );
+        for latency in [Latency::Fixed(1), Latency::Fixed(2)] {
+            let base = reliable_base(latency);
+            let table =
+                run_reliability_sweep(&[4, 10, 40], &pinned(), &probs, &base, trials, 0x5EED);
             assert_eq!(table.rows.len(), probs.len());
             for row in &table.rows {
                 let (sim, live) = (&row.values[0], &row.values[1]);
@@ -589,7 +565,7 @@ mod tests {
                 // Pinned-high knobs keep gossip near-atomic even at p = 0.8.
                 assert!(
                     sim.mean > 0.9 && live.mean > 0.9,
-                    "p = {} ({latency:?}, lag {live_max_lag}): sim {} / live {} — degraded",
+                    "p = {} ({latency:?}): sim {} / live {} — degraded",
                     row.x,
                     sim.mean,
                     live.mean
@@ -598,8 +574,7 @@ mod tests {
                 // delivers everything in every trial on both substrates).
                 assert!(
                     ratios_agree_within_3_sigma(sim, live, 0.02),
-                    "p = {} ({latency:?}, lag {live_max_lag}): sim {} ± {} vs live {} ± {} \
-                     disagree beyond 3σ",
+                    "p = {} ({latency:?}): sim {} ± {} vs live {} ± {} disagree beyond 3σ",
                     row.x,
                     sim.mean,
                     sim.std_dev,
@@ -667,26 +642,17 @@ mod tests {
     /// (asserted inside [`run_partition_sweep`], per trial) the
     /// never-partitioned cohort's delivered sets are bit-identical
     /// across substrates from one seed, with zero parasites. Run both
-    /// in the tight configuration and with a two-tick latency floor
-    /// plus a wide lag window, where workers genuinely drift.
+    /// under one-tick latency and with a two-tick latency floor, where
+    /// workers genuinely drift.
     #[test]
     fn partition_sweep_substrates_agree_and_mainland_sets_match() {
         let trials = 4;
         // The mid-wave heal tick scales with the channel latency: the
         // infect-and-die wave's senders fire every `latency` ticks.
-        for (latency, live_max_lag, early) in
-            [(Latency::Fixed(1), 1, 2u64), (Latency::Fixed(2), 4, 4u64)]
-        {
+        for (latency, early) in [(Latency::Fixed(1), 2u64), (Latency::Fixed(2), 4u64)] {
             let heals = vec![Some(early), Some(24), None];
-            let table = run_partition_sweep(
-                &[4, 10, 40],
-                &pinned(),
-                &heals,
-                &reliable_base(latency),
-                live_max_lag,
-                trials,
-                0x9A27,
-            );
+            let base = reliable_base(latency);
+            let table = run_partition_sweep(&[4, 10, 40], &pinned(), &heals, &base, trials, 0x9A27);
             assert_eq!(table.rows.len(), heals.len());
             for (row, &heal) in table.rows.iter().zip(&heals) {
                 let (sim, live) = (&row.values[0], &row.values[1]);
@@ -694,8 +660,8 @@ mod tests {
                 assert_eq!(live.count, trials);
                 assert!(
                     ratios_agree_within_3_sigma(sim, live, 0.02),
-                    "heal {heal:?} ({latency:?}, lag {live_max_lag}): sim {} ± {} vs \
-                     live {} ± {} disagree beyond 3σ",
+                    "heal {heal:?} ({latency:?}): sim {} ± {} vs live {} ± {} disagree \
+                     beyond 3σ",
                     sim.mean,
                     sim.std_dev,
                     live.mean,

@@ -186,7 +186,7 @@ impl Invariant<DaProcess> for EnvelopeLedger {
         let accounted = c.get("sim.delivered")
             + c.get("sim.dropped_channel")
             + c.get("sim.dropped_partitioned")
-            + c.get("sim.dropped_dead")
+            + c.get("sim.dropped_crashed")
             + c.get("sim.dropped_observed_failed")
             + engine.in_flight() as u64;
         if sent != accounted {

@@ -22,12 +22,11 @@
 
 use crate::report::KeyedTable;
 use crate::stats::Summary;
+use crate::substrate::{Driver, Substrate};
+use da_core::testkit::Relay;
 use da_core::{
-    first_divergence, Exec, ExecProtocol, FaultConfig, ProcessId, TraceConfig, TraceDivergence,
-    TraceEvent, TraceLog, TraceVerdict, WireSize,
+    first_divergence, FaultConfig, TraceConfig, TraceDivergence, TraceEvent, TraceLog, TraceVerdict,
 };
-use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{Engine, SimConfig};
 
 /// Rounds during which the probe keeps sending; the run's horizon leaves
 /// enough tail for every in-flight envelope to land (no
@@ -37,101 +36,22 @@ const PROBE_SEND_ROUNDS: u64 = 6;
 /// Virtual-time horizon of every trace-diff trial.
 const PROBE_TICKS: u64 = 16;
 
-/// A deterministic ring-relay probe that runs unchanged on both
-/// substrates: each alive process sends one token to the next pid in
-/// the first `PROBE_SEND_ROUNDS` (6) rounds. No RNG draws and no
-/// order-sensitive state, so its trace stream depends only on the fault
-/// config and the seed — the workload under which the substrates'
-/// canonical streams must coincide exactly.
-#[derive(Debug, Clone)]
-pub struct TraceProbe {
-    population: u32,
-    delivered: u64,
-}
-
-impl TraceProbe {
-    /// A probe for a `population`-process ring.
-    #[must_use]
-    pub fn new(population: u32) -> Self {
-        TraceProbe {
-            population,
-            delivered: 0,
-        }
-    }
-}
-
-/// The probe's fixed-size token.
-#[derive(Debug, Clone)]
-pub struct ProbeToken;
-
-impl WireSize for ProbeToken {
-    fn wire_size(&self) -> usize {
-        4
-    }
-}
-
-impl ExecProtocol for TraceProbe {
-    type Msg = ProbeToken;
-
-    fn on_message<X: Exec<Msg = ProbeToken>>(
-        &mut self,
-        _from: ProcessId,
-        _msg: ProbeToken,
-        _ctx: &mut X,
-    ) {
-        self.delivered += 1;
-    }
-
-    fn on_round<X: Exec<Msg = ProbeToken>>(&mut self, round: u64, ctx: &mut X) {
-        if round < PROBE_SEND_ROUNDS {
-            let next = ProcessId((ctx.me().0 + 1) % self.population);
-            ctx.send(next, ProbeToken);
-        }
-    }
-}
-
-/// Runs the probe on the simulator under `faults` and returns its trace.
+/// Runs the probe — a [`Relay`] ring sending in its first
+/// `PROBE_SEND_ROUNDS` (6) rounds, which draws no randomness and keeps
+/// no order-sensitive state, so its stream depends only on the fault
+/// config and the seed — on `substrate` under `faults`, and returns its
+/// trace.
 #[must_use]
-pub fn sim_probe_trace(population: u32, faults: &FaultConfig, seed: u64) -> TraceLog {
-    let config = SimConfig::default()
-        .with_seed(seed)
-        .with_faults(faults.clone())
-        .with_trace(TraceConfig::full());
-    let mut engine = Engine::new(
-        config,
-        (0..population)
-            .map(|_| TraceProbe::new(population))
-            .collect(),
-    );
-    engine.run_rounds(PROBE_TICKS);
-    engine.trace_log().expect("tracing was enabled")
-}
-
-/// Runs the probe on the live runtime under `faults` and returns its
-/// merged trace.
-#[must_use]
-pub fn live_probe_trace(
+pub fn probe_trace(
+    substrate: Substrate,
     population: u32,
     faults: &FaultConfig,
     seed: u64,
-    workers: usize,
-    max_lag: u64,
 ) -> TraceLog {
-    let config = RuntimeConfig::default()
-        .with_seed(seed)
-        .with_workers(workers)
-        .with_max_lag(max_lag)
-        .with_faults(faults.clone())
-        .with_trace(TraceConfig::full());
-    let mut rt = Runtime::spawn(
-        config,
-        (0..population)
-            .map(|_| TraceProbe::new(population))
-            .collect(),
-    );
-    rt.run_ticks(PROBE_TICKS);
-    let out = rt.shutdown();
-    out.trace.expect("tracing was enabled")
+    let probes = Relay::ring(population, PROBE_SEND_ROUNDS);
+    let mut driver = Driver::spawn(substrate, seed, faults, TraceConfig::full(), probes);
+    driver.run_ticks(PROBE_TICKS);
+    driver.finish().trace.expect("tracing was enabled")
 }
 
 /// The outcome of diffing two canonicalised trace streams.
@@ -205,7 +125,6 @@ pub fn run_trace_diff(
     faults: &FaultConfig,
     seed: u64,
     workers: usize,
-    max_lag: u64,
 ) -> KeyedTable {
     let mut table = KeyedTable::new(
         "Flight recorder trace diff, live vs simulated",
@@ -217,8 +136,8 @@ pub fn run_trace_diff(
         ],
     );
 
-    let sim = sim_probe_trace(population, faults, seed);
-    let live = live_probe_trace(population, faults, seed, workers, max_lag);
+    let sim = probe_trace(Substrate::Sim, population, faults, seed);
+    let live = probe_trace(Substrate::Live { workers }, population, faults, seed);
     let diff = diff_traces(&sim, &live);
     assert!(
         diff.streams_match(),
@@ -230,7 +149,7 @@ pub fn run_trace_diff(
     let lossy_faults = faults
         .clone()
         .with_channel(faults.channel().with_success_probability(0.7));
-    let lossy = sim_probe_trace(population, &lossy_faults, seed);
+    let lossy = probe_trace(Substrate::Sim, population, &lossy_faults, seed);
     let diff = diff_traces(&sim, &lossy);
     let divergence = diff
         .divergence
@@ -269,7 +188,7 @@ fn push_diff_row(table: &mut KeyedTable, key: &str, diff: &TraceDiff) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_core::{ChannelConfig, FailureModel, Fate, Latency};
+    use da_core::{ChannelConfig, FailureModel, Fate, Latency, ProcessId};
 
     fn deterministic_faults() -> FaultConfig {
         FaultConfig::new().with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)))
@@ -277,13 +196,13 @@ mod tests {
 
     #[test]
     fn same_seed_streams_are_bit_identical_across_substrates() {
-        for (workers, max_lag) in [(1usize, 1u64), (3, 1), (4, 4)] {
-            let sim = sim_probe_trace(12, &deterministic_faults(), 42);
-            let live = live_probe_trace(12, &deterministic_faults(), 42, workers, max_lag);
+        let sim = probe_trace(Substrate::Sim, 12, &deterministic_faults(), 42);
+        for workers in [1, 3] {
+            let live = probe_trace(Substrate::Live { workers }, 12, &deterministic_faults(), 42);
             let diff = diff_traces(&sim, &live);
             assert!(
                 diff.streams_match(),
-                "workers={workers} lag={max_lag}: {}",
+                "workers={workers}: {}",
                 describe_divergence(&sim, &live)
             );
             assert!(diff.left_events > 0, "the probe produced traffic");
@@ -305,8 +224,8 @@ mod tests {
                 crash: false,
             },
         ]));
-        let sim = sim_probe_trace(10, &faults, 7);
-        let live = live_probe_trace(10, &faults, 7, 3, 1);
+        let sim = probe_trace(Substrate::Sim, 10, &faults, 7);
+        let live = probe_trace(Substrate::Live { workers: 3 }, 10, &faults, 7);
         assert!(
             diff_traces(&sim, &live).streams_match(),
             "{}",
@@ -323,8 +242,8 @@ mod tests {
             crash_probability: 0.1,
             recover_probability: 0.4,
         });
-        let sim = sim_probe_trace(12, &faults, 99);
-        let live = live_probe_trace(12, &faults, 99, 4, 1);
+        let sim = probe_trace(Substrate::Sim, 12, &faults, 99);
+        let live = probe_trace(Substrate::Live { workers: 4 }, 12, &faults, 99);
         assert!(
             diff_traces(&sim, &live).streams_match(),
             "{}",
@@ -335,7 +254,7 @@ mod tests {
 
     #[test]
     fn trace_diff_table_reports_match_and_divergence() {
-        let table = run_trace_diff(12, &deterministic_faults(), 0xD1FF, 3, 1);
+        let table = run_trace_diff(12, &deterministic_faults(), 0xD1FF, 3);
         assert_eq!(table.rows.len(), 2);
         let (key, values) = &table.rows[0];
         assert_eq!(key, "same_seed_sim_vs_live");
@@ -347,8 +266,9 @@ mod tests {
 
     #[test]
     fn describe_divergence_names_the_event() {
-        let sim = sim_probe_trace(8, &deterministic_faults(), 5);
-        let lossy = sim_probe_trace(
+        let sim = probe_trace(Substrate::Sim, 8, &deterministic_faults(), 5);
+        let lossy = probe_trace(
+            Substrate::Sim,
             8,
             &deterministic_faults()
                 .with_channel(ChannelConfig::reliable().with_success_probability(0.5)),

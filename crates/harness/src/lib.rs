@@ -21,8 +21,9 @@
 //! CSV + Markdown into `results/` (plus an ASCII plot on stdout).
 //!
 //! The building blocks are reusable: [`scenario`] runs one parameterised
-//! paper scenario, [`runner`] fans trials out over worker threads,
-//! [`stats`]/[`report`]/[`plot`] summarise and render.
+//! paper scenario, [`substrate`] runs a population on the simulator or
+//! the worker pool behind one driver, [`runner`] fans trials out over
+//! worker threads, [`stats`]/[`report`]/[`plot`] summarise and render.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +34,7 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod stats;
+pub mod substrate;
 
 use std::path::PathBuf;
 

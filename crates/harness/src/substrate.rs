@@ -1,0 +1,194 @@
+//! One way to run a population on either substrate.
+//!
+//! The workspace's claim is one protocol on two substrates; a scenario
+//! that wants to show it is written once against a [`Driver`] and takes
+//! the [`Substrate`] as a value. The driver is an enum over
+//! `da_simnet::Engine` and `da_runtime::Runtime` with the verbs the two
+//! share — spawn under one [`FaultConfig`], reach into a process, run,
+//! read the counters, take the population back — so the substrates'
+//! matching APIs are held together by a `match`, not by convention.
+
+use da_core::{Counters, ExecProtocol, FaultConfig, ProcessId, TraceConfig, WireSize};
+use da_runtime::{Runtime, RuntimeConfig, Shutdown};
+use da_simnet::{Engine, SimConfig};
+
+/// Which substrate executes a scenario.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Substrate {
+    /// The deterministic round simulator.
+    Sim,
+    /// The worker-pool runtime (`workers: 0` sizes the pool to the host).
+    Live {
+        /// Worker threads in the pool.
+        workers: usize,
+    },
+}
+
+impl Substrate {
+    /// The prefix of the substrate's own counters: `sim.sent` on the
+    /// simulator is `rt.sent` on the pool.
+    #[must_use]
+    pub fn prefix(self) -> &'static str {
+        match self {
+            Substrate::Sim => "sim",
+            Substrate::Live { .. } => "rt",
+        }
+    }
+}
+
+/// A population running on one of the two substrates.
+// A run holds one driver, by value: the engine's size is paid once.
+#[allow(clippy::large_enum_variant)]
+pub enum Driver<P: ExecProtocol> {
+    /// On the simulator.
+    Sim(Engine<P>),
+    /// On the worker pool.
+    Live(Runtime<P>),
+}
+
+impl<P> Driver<P>
+where
+    P: ExecProtocol + Send + 'static,
+    P::Msg: Clone + std::fmt::Debug + WireSize + Send + 'static,
+{
+    /// Starts `processes` (process `i` is `ProcessId(i)`) on `substrate`
+    /// under one seed, fault surface and recorder setting.
+    #[must_use]
+    pub fn spawn(
+        substrate: Substrate,
+        seed: u64,
+        faults: &FaultConfig,
+        trace: TraceConfig,
+        processes: Vec<P>,
+    ) -> Self {
+        match substrate {
+            Substrate::Sim => {
+                let config = SimConfig::default()
+                    .with_seed(seed)
+                    .with_faults(faults.clone())
+                    .with_trace(trace);
+                Driver::Sim(Engine::new(config, processes))
+            }
+            Substrate::Live { workers } => {
+                let config = RuntimeConfig::default()
+                    .with_seed(seed)
+                    .with_workers(workers)
+                    .with_faults(faults.clone())
+                    .with_trace(trace);
+                Driver::Live(Runtime::spawn(config, processes))
+            }
+        }
+    }
+
+    /// Runs `f` on process `pid` between ticks and returns its result
+    /// (the shape of `Runtime::with_process_mut`, whose bounds it keeps).
+    pub fn apply<R, F>(&mut self, pid: ProcessId, f: F) -> R
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut P) -> R + Send + 'static,
+    {
+        match self {
+            Driver::Sim(engine) => f(engine.process_mut(pid)),
+            Driver::Live(rt) => rt.with_process_mut(pid, f),
+        }
+    }
+
+    /// Runs exactly `ticks` rounds or ticks.
+    pub fn run_ticks(&mut self, ticks: u64) {
+        match self {
+            Driver::Sim(engine) => {
+                engine.run_rounds(ticks);
+            }
+            Driver::Live(rt) => {
+                rt.run_ticks(ticks);
+            }
+        }
+    }
+
+    /// Runs until a tick is quiet or `max_ticks` have run; returns how
+    /// many ran.
+    pub fn run_until_quiescent(&mut self, max_ticks: u64) -> u64 {
+        match self {
+            Driver::Sim(engine) => engine.run_until_quiescent(max_ticks),
+            Driver::Live(rt) => rt.run_until_quiescent(max_ticks),
+        }
+    }
+
+    /// The counters so far.
+    #[must_use]
+    pub fn counters(&self) -> Counters {
+        match self {
+            Driver::Sim(engine) => engine.counters().clone(),
+            Driver::Live(rt) => rt.counters(),
+        }
+    }
+
+    /// Ends the run: the processes and their final liveness in pid order,
+    /// the counters, and the trace when the recorder was on. A pool
+    /// counts what is still in flight as `rt.dropped_shutdown`; the
+    /// simulator discards it uncounted.
+    #[must_use]
+    pub fn finish(self) -> Shutdown<P> {
+        match self {
+            Driver::Sim(engine) => Shutdown {
+                statuses: (0..engine.population())
+                    .map(|i| engine.status(ProcessId::from_index(i)))
+                    .collect(),
+                counters: engine.counters().clone(),
+                trace: engine.trace_log(),
+                processes: engine.into_processes(),
+            },
+            Driver::Live(rt) => rt.shutdown(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use da_core::testkit::Relay;
+    use da_core::{first_divergence, ChannelConfig, FailureModel, Latency};
+
+    /// Every verb gives one answer on the simulator and on a pool of any
+    /// width: the tick the relay goes quiet on, what `apply` reads back,
+    /// the counters under the substrate's prefix, and what `finish`
+    /// returns — liveness under a stillborn plan, receipt logs, trace.
+    #[test]
+    fn every_verb_agrees_across_substrates() {
+        let faults = FaultConfig::new()
+            .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)))
+            .with_failures(FailureModel::Stillborn {
+                alive_fraction: 0.75,
+            });
+        let run = |substrate: Substrate| {
+            let relays = Relay::ring(12, 6);
+            let mut driver = Driver::spawn(substrate, 42, &faults, TraceConfig::full(), relays);
+            driver.run_ticks(3);
+            let early: Vec<usize> = (0..12)
+                .map(|pid| driver.apply(ProcessId(pid), |p| p.received.len()))
+                .collect();
+            let quiet_after = driver.run_until_quiescent(32);
+            let counters = driver.counters();
+            let ledger = ["sent", "delivered", "dropped_crashed"]
+                .map(|name| counters.get(&format!("{}.{name}", substrate.prefix())));
+            let out = driver.finish();
+            assert_eq!(out.counters.to_string(), counters.to_string());
+            let receipts: Vec<Vec<u64>> = out.processes.into_iter().map(|p| p.received).collect();
+            let events = out.trace.expect("tracing is on").canonical_events();
+            (early, quiet_after, ledger, out.statuses, receipts, events)
+        };
+        let sim = run(Substrate::Sim);
+        let (early, _, [_, delivered, dropped_crashed], statuses, ..) = &sim;
+        assert!(
+            statuses.iter().any(|s| !s.is_alive()),
+            "someone is stillborn"
+        );
+        assert!(*delivered > 0 && *dropped_crashed > 0);
+        assert!(early.iter().sum::<usize>() > 0, "`apply` reads live state");
+        for workers in [1, 3] {
+            let live = run(Substrate::Live { workers });
+            assert_eq!(first_divergence(&sim.5, &live.5), None);
+            assert_eq!(live, sim, "{workers} worker(s)");
+        }
+    }
+}

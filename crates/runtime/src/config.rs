@@ -5,6 +5,7 @@ use da_core::failure::FailureModel;
 use da_core::fault::FaultConfig;
 use da_core::topology::{NetworkModel, PartitionSchedule, Topology};
 use da_core::trace::TraceConfig;
+use da_core::wheel::MAX_RING_TICKS;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -49,19 +50,6 @@ pub struct RuntimeConfig {
     /// tick before declaring the pool wedged (panicking with
     /// a diagnostic rather than hanging CI forever).
     pub tick_timeout_ms: u64,
-    /// How many ticks a fast worker may run ahead of the slowest peer's
-    /// *published* frontier under the bounded-lag scheduler (minimum 1).
-    ///
-    /// The scheduler replaces the global tick barrier with per-sender
-    /// publish watermarks: a worker may execute tick `n` once every peer
-    /// has flushed the outbound batches that could still be due at `n`.
-    /// With one-tick channel latency that pins workers within one tick
-    /// of each other, so `max_lag` has no effect beyond `1`; under
-    /// latency models whose minimum is `k > 1` ticks, workers may drift
-    /// up to `min(max_lag, k)` ticks apart without reordering any
-    /// delivery (see [`RuntimeConfig::effective_lag`]). Larger values
-    /// trade scheduling slack for more in-flight buffering.
-    pub max_lag: u64,
     /// Flight-recorder configuration (default: off — workers hold no
     /// recorder and every hot-path trace hook is one branch on a
     /// `None`). Same shape as `da_simnet::SimConfig::trace`, so one
@@ -76,7 +64,6 @@ impl Default for RuntimeConfig {
             seed: 0,
             faults: FaultConfig::default(),
             tick_timeout_ms: 60_000,
-            max_lag: 1,
             trace: TraceConfig::off(),
         }
     }
@@ -175,31 +162,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Replaces the bounded-lag window (clamped to at least 1 when the
-    /// scheduler applies it — see [`RuntimeConfig::effective_lag`]).
-    ///
-    /// ```
-    /// use da_core::channel::{ChannelConfig, Latency};
-    /// use da_runtime::RuntimeConfig;
-    ///
-    /// // Perfect channels deliver next tick, so correctness caps the
-    /// // drift at one tick however large the knob is turned.
-    /// let eager = RuntimeConfig::default().with_max_lag(8);
-    /// assert_eq!(eager.effective_lag(), 1);
-    ///
-    /// // A 3-tick-minimum latency model leaves real slack to exploit.
-    /// let slack = eager.with_channel(
-    ///     ChannelConfig::reliable().with_latency(Latency::Fixed(3)),
-    /// );
-    /// assert_eq!(slack.effective_lag(), 3);
-    /// assert_eq!(slack.with_max_lag(2).effective_lag(), 2);
-    /// ```
-    #[must_use]
-    pub fn with_max_lag(mut self, max_lag: u64) -> Self {
-        self.max_lag = max_lag;
-        self
-    }
-
     /// Replaces the flight-recorder configuration (same shape as
     /// `da_simnet::SimConfig::with_trace`).
     #[must_use]
@@ -226,20 +188,34 @@ impl RuntimeConfig {
         &self.faults.network
     }
 
-    /// The worker-drift bound the scheduler actually enforces:
-    /// `max(1, min(max_lag, network.min_latency()))`.
+    /// How many ticks a fast worker may run ahead of the slowest peer's
+    /// *published* frontier: the network's latency floor, clamped to
+    /// `[1, MAX_RING_TICKS]`.
     ///
-    /// A worker may execute tick `n` once every peer has published its
-    /// outbound batches through tick `n - effective_lag()`; anything a
-    /// peer sends later is due strictly after `n` (its latency is at
-    /// least [`da_core::topology::NetworkModel::min_latency`] — the
-    /// minimum over the default channel *and* every per-link override),
-    /// so no delivery can be missed. The `max_lag` knob can only
-    /// tighten this bound, never stretch it past what the network model
-    /// allows.
+    /// The scheduler has no tick barrier: a worker may execute tick `n`
+    /// once every peer has published its outbound batches through tick
+    /// `n - effective_lag()`. Anything a peer sends later is due strictly
+    /// after `n` — its latency is at least
+    /// [`da_core::topology::NetworkModel::min_latency`], the minimum over
+    /// the default channel *and* every per-link override — so no
+    /// delivery can be missed. One-tick links pin workers within one
+    /// tick of each other; a floor of `k` ticks lets them drift `k`
+    /// apart at the price of up to `k` batches buffered per lane, which
+    /// is why the floor, being config input, is capped where the wheel
+    /// ring is.
+    ///
+    /// ```
+    /// use da_core::channel::{ChannelConfig, Latency};
+    /// use da_runtime::RuntimeConfig;
+    ///
+    /// assert_eq!(RuntimeConfig::default().effective_lag(), 1);
+    /// let slack = RuntimeConfig::default()
+    ///     .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(3)));
+    /// assert_eq!(slack.effective_lag(), 3);
+    /// ```
     #[must_use]
     pub fn effective_lag(&self) -> u64 {
-        self.max_lag.clamp(1, self.faults.network.min_latency())
+        self.faults.network.min_latency().clamp(1, MAX_RING_TICKS)
     }
 
     /// The effective pool size for a population: the configured count, or
@@ -280,7 +256,6 @@ mod tests {
             .with_seed(9)
             .with_channel(ChannelConfig::paper_default())
             .with_tick_timeout_ms(5)
-            .with_max_lag(4)
             .with_trace(TraceConfig::full())
             .with_failures(FailureModel::Stillborn {
                 alive_fraction: 0.9,
@@ -289,7 +264,6 @@ mod tests {
         assert_eq!(c.seed, 9);
         assert_eq!(c.channel(), ChannelConfig::paper_default());
         assert_eq!(c.tick_timeout(), Duration::from_millis(5));
-        assert_eq!(c.max_lag, 4);
         assert_eq!(c.trace, TraceConfig::full());
         assert!(!RuntimeConfig::default().trace.is_enabled());
         assert_eq!(
@@ -311,24 +285,27 @@ mod tests {
             .with_partitions(cuts.clone());
         assert_eq!(c.faults.network.topology, Some(topo));
         assert_eq!(c.faults.network.partitions, cuts);
-        // The identical FaultConfig drops into the simulator's config.
-        let sim = da_simnet::SimConfig::default().with_faults(c.faults.clone());
-        assert_eq!(sim.faults, c.faults);
     }
 
     #[test]
     fn effective_lag_is_channel_capped_and_never_zero() {
         use da_core::channel::Latency;
-        let base = RuntimeConfig::default();
-        assert_eq!(base.max_lag, 1, "default stays small");
-        assert_eq!(base.effective_lag(), 1);
-        assert_eq!(base.clone().with_max_lag(0).effective_lag(), 1);
-        assert_eq!(base.clone().with_max_lag(16).effective_lag(), 1);
-        let jittery = base.with_channel(
+        let fixed = |ticks| {
+            RuntimeConfig::default()
+                .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(ticks)))
+        };
+        assert_eq!(RuntimeConfig::default().effective_lag(), 1);
+        assert_eq!(fixed(0).effective_lag(), 1, "never zero");
+        assert_eq!(fixed(4).effective_lag(), 4);
+        assert_eq!(
+            fixed(u64::MAX).effective_lag(),
+            1024,
+            "config input is capped"
+        );
+        let jittery = RuntimeConfig::default().with_channel(
             ChannelConfig::reliable().with_latency(Latency::UniformRounds { min: 2, max: 6 }),
         );
-        assert_eq!(jittery.clone().with_max_lag(16).effective_lag(), 2);
-        assert_eq!(jittery.clone().with_max_lag(1).effective_lag(), 1);
+        assert_eq!(jittery.effective_lag(), 2);
         // A faster per-link override tightens the bound below the
         // default channel's floor: the wheel must honour the quickest
         // link anywhere in the topology.
@@ -338,7 +315,7 @@ mod tests {
             NodeId(1),
             ChannelConfig::reliable().with_latency(Latency::Fixed(1)),
         ));
-        assert_eq!(fast_link.with_max_lag(16).effective_lag(), 1);
+        assert_eq!(fast_link.effective_lag(), 1);
     }
 
     #[test]

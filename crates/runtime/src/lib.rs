@@ -37,8 +37,8 @@
 //!   A message sent in tick `n` is still delivered exactly at tick
 //!   `n + k` of its sampled latency `k ≥ 1`, preserving the simulator's
 //!   virtual-time contract, while slow workers stop gating fast ones up
-//!   to the [`RuntimeConfig::effective_lag`] drift window (the `max_lag`
-//!   knob, capped by the channel's minimum latency). A coordinator
+//!   to the [`RuntimeConfig::effective_lag`] drift window (the network's
+//!   latency floor: as far as it proves safe, no further). A coordinator
 //!   observes the reported tick frontier to keep `step_tick` /
 //!   `run_until_quiescent` semantics exact — including never executing
 //!   a tick past the quiescent one;

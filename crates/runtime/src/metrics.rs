@@ -3,10 +3,9 @@
 //! The simulator owns a single `Counters` registry because it is
 //! single-threaded. Live, every worker counting into one shared registry
 //! would serialise the hot path on a lock — and even per-worker
-//! `Mutex<Counters>` shards (the PR 2 design) put an atomic
-//! acquire/release plus a shared cache line on every `bump`. Under the
-//! bounded-lag scheduler each worker instead owns a plain, unsynchronised
-//! `Counters` and [publishes](ShardedCounters::publish) a snapshot of it
+//! `Mutex<Counters>` shards would put an atomic acquire/release plus a
+//! shared cache line on every `bump`. Each worker instead owns a plain,
+//! unsynchronised `Counters` and [publishes](ShardedCounters::publish) a snapshot of it
 //! into its shard once per tick; [`ShardedCounters::merged`] folds the
 //! shards into one registry with the same names the harness already
 //! reads. The hot path is a plain array increment; the per-tick publish

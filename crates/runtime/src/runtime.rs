@@ -4,14 +4,10 @@
 //!
 //! ## Scheduling model
 //!
-//! PR 2's scheduler was a global barrier: the coordinator broadcast each
-//! tick and every worker acked it before any worker could start the
-//! next. That serialises the pool on two channel hops plus a coordinator
-//! wake-up per tick, and a single slow worker gates every fast one even
-//! when none of its output could matter yet.
-//!
-//! The bounded-lag scheduler replaces the barrier with two one-way
-//! signals:
+//! There is no tick barrier: a broadcast-and-ack per tick would serialise
+//! the pool on two channel hops plus a coordinator wake-up, and let one
+//! slow worker gate every fast one even when none of its output could
+//! matter yet. Two one-way signals take its place:
 //!
 //! * **Publish watermarks** ([`crate::EdgeWatermarks`]): after flushing
 //!   tick `t` on every out-edge, a worker bumps its one atomic. A worker
@@ -31,9 +27,9 @@
 //!   the quiescent one.
 //!
 //! Workers report each executed tick on a shared channel (fire and
-//! forget — no round trip); the coordinator folds those into the same
-//! [`TickReport`] the barrier produced, so `step_tick` /
-//! `run_until_quiescent` keep their exact external semantics: a message
+//! forget — no round trip); the coordinator folds those into one
+//! [`TickReport`] per tick, so `step_tick` / `run_until_quiescent` have
+//! a barrier's external semantics: a message
 //! sent at tick `n` is still processed at tick `n + k` for its sampled
 //! latency `k`, and quiescence is still "nothing sent, delivered, or in
 //! flight".
@@ -44,7 +40,7 @@ use crate::transport::{lane_matrix, EdgeWatermarks, FaultyRouter};
 use crate::worker::{Control, SchedulerState, Worker, WorkerReport};
 use da_core::process::ProcessIndexError;
 use da_core::store::ProcessStore;
-use da_core::wheel::DelayWheel;
+use da_core::wheel::{DelayWheel, MAX_RING_TICKS};
 use da_core::{
     Counters, ExecProtocol, HotIds, LifecycleController, ProcessId, ProcessStatus, Stripe,
     TraceLog, WireSize,
@@ -67,9 +63,10 @@ pub struct TickReport {
     pub sent: u64,
     /// Messages handed to `on_message` during this tick.
     pub delivered: u64,
-    /// Messages parked in delay wheels, due in a later tick. With
-    /// `max_lag > 1` an envelope can be in flight between a fast
-    /// sender and a lagging receiver's wheel when the receiver reports,
+    /// Messages parked in delay wheels, due in a later tick. Where the
+    /// drift window is wider than one tick an envelope can be in flight
+    /// between a fast sender and a lagging receiver's wheel when the
+    /// receiver reports,
     /// so this count may transiently miss it; quiescence detection does
     /// not rely on it (the coordinator keeps an exact ledger of
     /// queued − delivered envelopes).
@@ -118,11 +115,12 @@ impl PartialTick {
 /// with the shared `da_core` channel fault model applied by the
 /// transport.
 ///
-/// The API mirrors `da_simnet::Engine` where the concepts coincide
-/// (`step_tick`/`run_ticks`/`run_until_quiescent`, `counters`), and
-/// replaces direct process access with [`Runtime::with_process_mut`]
-/// (processes live on worker threads) plus [`Runtime::shutdown`] (the
-/// graceful path that joins the pool and returns them).
+/// The API is `da_simnet::Engine`'s where the concepts coincide
+/// (`step_tick`/`run_ticks`/`run_until_quiescent`, `counters`) — the
+/// harness's `Driver` holds the two to that by type — and replaces
+/// direct process access with [`Runtime::with_process_mut`] (processes
+/// live on worker threads) plus [`Runtime::shutdown`] (the graceful
+/// path that joins the pool and returns them).
 ///
 /// ```
 /// use da_runtime::{Runtime, RuntimeConfig};
@@ -195,7 +193,18 @@ pub struct Shutdown<P> {
 /// the ring it sizes, as `Engine::new` does; slower sends spill.
 fn wheel_capacity(config: &RuntimeConfig) -> usize {
     let max_latency = config.faults.network.max_latency();
-    max_latency.saturating_add(config.effective_lag()).min(1024) as usize + 1
+    let window = max_latency.saturating_add(config.effective_lag());
+    window.min(MAX_RING_TICKS) as usize + 1
+}
+
+/// Slots of each SPSC lane, allocated eagerly `2 × workers²` times: the
+/// watermark gate bounds any (producer, consumer) lane at `lag + 1`
+/// unswept batches (a producer at tick `p` requires the consumer to
+/// have published `p + 1 - lag`, so `p - c <= lag`; one batch per
+/// producer tick on a lane), so `lag + 2` never blocks in steady state.
+/// The lag is capped, and with it the allocation.
+fn lane_capacity(config: &RuntimeConfig) -> usize {
+    config.effective_lag() as usize + 2
 }
 
 impl<P> Runtime<P>
@@ -234,15 +243,7 @@ where
         }
         let workers = config.effective_workers(population);
 
-        // Lane capacity: the watermark gate bounds any (producer,
-        // consumer) lane at `lag + 1` unswept batches (a producer at
-        // tick `p` requires the consumer to have published `p + 1 -
-        // lag`, so `p - c <= lag`; one batch per producer tick on a
-        // lane), so `lag + 2` never blocks in steady state.
-        let lane_capacity = usize::try_from(config.effective_lag())
-            .unwrap_or(usize::MAX)
-            .saturating_add(2);
-        let (hubs, inbox_rxs) = lane_matrix::<P::Msg>(workers, lane_capacity);
+        let (hubs, inbox_rxs) = lane_matrix::<P::Msg>(workers, lane_capacity(&config));
         let counters = Arc::new(ShardedCounters::new(workers));
         let trace_sink = config
             .trace
@@ -274,27 +275,10 @@ where
         let mut handles = Vec::with_capacity(workers);
         for (id, ((store, inbox), hub)) in stores.into_iter().zip(inbox_rxs).zip(hubs).enumerate() {
             let (control_tx, control_rx) = mpsc::channel();
-            // Registration order is part of the snapshot format: the
-            // pool's two counters sit where they always did.
             let mut local = Counters::new();
-            let sent = local.register("rt.sent");
-            let bytes_sent = local.register("rt.bytes_sent");
-            let delivered = local.register("rt.delivered");
-            let dropped_channel = local.register("rt.dropped_channel");
-            let dropped_partitioned = local.register("rt.dropped_partitioned");
+            let ids = HotIds::register(&mut local, "rt");
             let dropped_closed = local.register("rt.dropped_closed");
             let dropped_shutdown = local.register("rt.dropped_shutdown");
-            let ids = HotIds {
-                sent,
-                bytes_sent,
-                delivered,
-                dropped_channel,
-                dropped_partitioned,
-                dropped_crashed: local.register("rt.dropped_crashed"),
-                dropped_observed: local.register("rt.dropped_observed_failed"),
-                churn_crashes: local.register("rt.churn_crashes"),
-                churn_recoveries: local.register("rt.churn_recoveries"),
-            };
             let lifecycle = LifecycleController::new(Arc::clone(&plan), id, workers, store.len());
             let worker = Worker {
                 id,
@@ -670,1089 +654,4 @@ impl<P: ExecProtocol> Drop for Runtime<P> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use da_core::channel::{ChannelConfig, Latency};
-    use da_core::Exec;
-
-    /// Every process sends one token to the next pid each tick and
-    /// records the tick of each receipt.
-    struct Relay {
-        population: u32,
-        received: Vec<u64>,
-    }
-
-    #[derive(Clone, Debug)]
-    struct Token {
-        sent_at: u64,
-    }
-    impl WireSize for Token {
-        fn wire_size(&self) -> usize {
-            8
-        }
-    }
-
-    impl ExecProtocol for Relay {
-        type Msg = Token;
-
-        fn on_message<X: Exec<Msg = Token>>(&mut self, _from: ProcessId, msg: Token, ctx: &mut X) {
-            assert!(
-                msg.sent_at < ctx.round(),
-                "deliveries are strictly later than their send tick"
-            );
-            self.received.push(ctx.round());
-        }
-
-        fn on_round<X: Exec<Msg = Token>>(&mut self, round: u64, ctx: &mut X) {
-            if round < 5 {
-                let next = ProcessId((ctx.me().0 + 1) % self.population);
-                ctx.send(next, Token { sent_at: round });
-            }
-        }
-    }
-
-    fn relay_procs(n: u32) -> Vec<Relay> {
-        (0..n)
-            .map(|_| Relay {
-                population: n,
-                received: Vec::new(),
-            })
-            .collect()
-    }
-
-    fn relay_runtime(n: u32, workers: usize) -> Runtime<Relay> {
-        Runtime::spawn(
-            RuntimeConfig::default().with_workers(workers).with_seed(1),
-            relay_procs(n),
-        )
-    }
-
-    #[test]
-    fn messages_delivered_exactly_next_tick() {
-        let mut rt = relay_runtime(8, 3);
-        let r0 = rt.step_tick();
-        assert_eq!(r0.sent, 8);
-        assert_eq!(r0.delivered, 0, "nothing in flight during tick 0");
-        let r1 = rt.step_tick();
-        assert_eq!(r1.delivered, 8);
-        let out = rt.shutdown();
-        // The on_message assertion above checked per-delivery latency.
-        assert_eq!(out.counters.get("rt.delivered"), 8);
-    }
-
-    #[test]
-    fn quiescence_detected_and_counts_balance() {
-        let mut rt = relay_runtime(10, 4);
-        let executed = rt.run_until_quiescent(64);
-        assert!(executed < 64, "relay goes quiet after tick 5");
-        let out = rt.shutdown();
-        // 10 processes × ticks 0..5 = 50 sends, all delivered.
-        assert_eq!(out.counters.get("rt.sent"), 50);
-        assert_eq!(out.counters.get("rt.delivered"), 50);
-        assert_eq!(out.counters.get("rt.bytes_sent"), 400);
-        assert_eq!(out.counters.get("rt.dropped_channel"), 0);
-        assert_eq!(out.counters.get("rt.dropped_shutdown"), 0);
-        let total: usize = out.processes.iter().map(|p| p.received.len()).sum();
-        assert_eq!(total, 50);
-    }
-
-    /// The quiescent tick is never overshot: no worker executes a round
-    /// hook past the tick `run_until_quiescent` reports, however far the
-    /// pipelined grants ran. A protocol that would send again *after*
-    /// the quiet tick must not get the chance on either substrate.
-    #[test]
-    fn quiescence_never_overshoots() {
-        struct Sleeper {
-            rounds_seen: u64,
-        }
-        #[derive(Clone, Debug)]
-        struct M;
-        impl WireSize for M {
-            fn wire_size(&self) -> usize {
-                1
-            }
-        }
-        impl ExecProtocol for Sleeper {
-            type Msg = M;
-            fn on_message<X: Exec<Msg = M>>(&mut self, _f: ProcessId, _m: M, _c: &mut X) {}
-            fn on_round<X: Exec<Msg = M>>(&mut self, round: u64, ctx: &mut X) {
-                self.rounds_seen = round + 1;
-                // Would wake the pool again — but quiescence at tick 0
-                // must stop the run long before.
-                if round == 30 {
-                    ctx.send(ctx.me(), M);
-                }
-            }
-        }
-        let procs = (0..6).map(|_| Sleeper { rounds_seen: 0 }).collect();
-        let mut rt = Runtime::spawn(RuntimeConfig::default().with_workers(3).with_seed(1), procs);
-        let executed = rt.run_until_quiescent(64);
-        assert_eq!(executed, 1, "tick 0 is already quiet");
-        let out = rt.shutdown();
-        for p in &out.processes {
-            assert_eq!(p.rounds_seen, 1, "no hook ran past the quiet tick");
-        }
-        assert_eq!(out.counters.get("rt.sent"), 0);
-    }
-
-    #[test]
-    fn shutdown_returns_processes_in_pid_order() {
-        struct Tag(usize);
-        #[derive(Clone, Debug)]
-        struct Never;
-        impl WireSize for Never {
-            fn wire_size(&self) -> usize {
-                0
-            }
-        }
-        impl ExecProtocol for Tag {
-            type Msg = Never;
-            fn on_message<X: Exec<Msg = Never>>(&mut self, _f: ProcessId, _m: Never, _c: &mut X) {}
-        }
-        let procs = (0..23).map(Tag).collect();
-        let mut rt = Runtime::spawn(RuntimeConfig::default().with_workers(5), procs);
-        rt.run_ticks(2);
-        let out = rt.shutdown();
-        let tags: Vec<usize> = out.processes.iter().map(|t| t.0).collect();
-        assert_eq!(tags, (0..23).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn with_process_mut_round_trips_a_result() {
-        let mut rt = relay_runtime(6, 2);
-        rt.run_ticks(3);
-        let seen = rt.with_process_mut(ProcessId(4), |p| p.received.len());
-        assert!(seen > 0);
-        assert_eq!(rt.population(), 6);
-        assert_eq!(rt.workers(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn with_process_mut_rejects_unknown_pid() {
-        let mut rt = relay_runtime(3, 2);
-        rt.with_process_mut(ProcessId(99), |_| ());
-    }
-
-    #[test]
-    fn inject_lands_before_the_next_executed_tick() {
-        let mut rt = relay_runtime(6, 3);
-        rt.run_ticks(1);
-        // Fire-and-forget: no reply, no barrier — the control drain at
-        // the top of the worker's next tick must still apply it first.
-        rt.inject(ProcessId(4), |p| p.received.push(0xBEEF));
-        rt.run_ticks(1);
-        let seen = rt.with_process_mut(ProcessId(4), |p| p.received.clone());
-        assert!(
-            seen.contains(&0xBEEF),
-            "injected mutation visible after one more tick: {seen:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn inject_rejects_unknown_pid() {
-        let mut rt = relay_runtime(3, 2);
-        rt.inject(ProcessId(99), |_| ());
-    }
-
-    #[test]
-    fn drop_without_shutdown_joins_cleanly() {
-        let mut rt = relay_runtime(12, 4);
-        rt.run_ticks(2);
-        drop(rt); // must not hang or panic
-    }
-
-    /// Runs `scenario` on a thread of its own and fails when it has not
-    /// returned within `limit`: `with_process_mut`, `shutdown` and `drop`
-    /// have no watchdog, so a lost wake-up would hang them.
-    fn within(limit: Duration, scenario: impl FnOnce() + Send + 'static) {
-        let (done_tx, done_rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            scenario();
-            let _ = done_tx.send(());
-        });
-        done_rx
-            .recv_timeout(limit)
-            .expect("the scenario blocked or panicked");
-    }
-
-    /// Every grant of a `step_tick` loop meets workers that are
-    /// spinning, about to block, or blocked — more of them than CPUs —
-    /// and none may sleep through it. The lowered watchdog turns a lost
-    /// wake-up into a failure within seconds.
-    #[test]
-    fn single_tick_grants_never_lose_a_wakeup() {
-        let config = RuntimeConfig::default()
-            .with_workers(4)
-            .with_seed(1)
-            .with_tick_timeout_ms(5_000);
-        let mut rt = Runtime::spawn(config, relay_procs(8));
-        for tick in 0..5_000 {
-            assert_eq!(rt.step_tick().tick, tick);
-        }
-        let out = rt.shutdown();
-        assert_eq!(out.counters.get("rt.delivered"), 40);
-    }
-
-    /// Control sends reach a worker blocked in `park`: each of them is
-    /// followed by an unpark. The sleeps outlast the yield budget so the
-    /// workers are (almost surely) blocked; the checks hold either way.
-    #[test]
-    fn control_reaches_a_blocked_worker() {
-        let idle = || std::thread::sleep(Duration::from_millis(20));
-        within(Duration::from_secs(10), move || {
-            let mut rt = relay_runtime(6, 3);
-            rt.run_ticks(1);
-            idle();
-            assert_eq!(rt.with_process_mut(ProcessId(4), |p| p.received.len()), 0);
-            idle();
-            rt.inject(ProcessId(4), |p| p.received.push(0xBEEF));
-            assert_eq!(rt.step_tick().tick, 1);
-            let seen = rt.with_process_mut(ProcessId(4), |p| p.received.clone());
-            assert_eq!(seen, [0xBEEF, 1], "injected, then tick 1's delivery");
-            idle();
-            assert_eq!(rt.shutdown().counters.get("rt.delivered"), 6);
-
-            let mut rt = relay_runtime(6, 3);
-            rt.run_ticks(1);
-            idle();
-            drop(rt); // joins an idle pool without `shutdown`
-        });
-    }
-
-    /// An unpark that finds its worker running leaves a token behind,
-    /// and the next `park` returns at once. That only sends the worker
-    /// round its loop again: it executes no tick it was not granted, so
-    /// the run ends on the same tick with the same counters as one that
-    /// saw no stray token.
-    #[test]
-    fn stray_unpark_tokens_are_harmless() {
-        let mut rt = relay_runtime(10, 4);
-        for _ in 0..64 {
-            rt.inject(ProcessId(0), |p| p.received.push(0xBEEF));
-        }
-        assert_eq!(rt.run_until_quiescent(64), 7, "quiet at tick 6");
-        let out = rt.shutdown();
-        assert_eq!(out.counters.get("rt.sent"), 50);
-        assert_eq!(out.counters.get("rt.delivered"), 50);
-        assert_eq!(out.counters.get("rt.dropped_shutdown"), 0);
-        assert_eq!(out.processes[0].received.len(), 64 + 5);
-        for p in &out.processes[1..] {
-            assert_eq!(p.received, [1, 2, 3, 4, 5]);
-        }
-    }
-
-    /// Link latency is config input and must not size an allocation
-    /// unbounded: the wheel's ring is capped, and a send slower than the
-    /// ring spills and still arrives exactly on its due tick.
-    #[test]
-    fn slow_links_spill_past_a_bounded_ring() {
-        let slow = |latency| {
-            RuntimeConfig::default()
-                .with_workers(2)
-                .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(latency)))
-        };
-        assert_eq!(wheel_capacity(&RuntimeConfig::default()), 3);
-        assert_eq!(wheel_capacity(&slow(20_000_000)), 1_025);
-        assert_eq!(wheel_capacity(&slow(u64::MAX)), 1_025, "no overflow");
-
-        let mut rt = Runtime::spawn(slow(20_000_000), relay_procs(2));
-        rt.run_ticks(3);
-        let out = rt.shutdown();
-        assert_eq!(out.counters.get("rt.sent"), 6);
-        assert_eq!(out.counters.get("rt.dropped_shutdown"), 6);
-
-        let mut rt = Runtime::spawn(slow(1_500), relay_procs(4));
-        assert_eq!(rt.run_until_quiescent(2_000), 1_506);
-        for p in rt.shutdown().processes {
-            assert_eq!(p.received, [1_500, 1_501, 1_502, 1_503, 1_504]);
-        }
-    }
-
-    #[test]
-    fn single_worker_pool_works() {
-        let mut rt = relay_runtime(5, 1);
-        rt.run_until_quiescent(32);
-        let out = rt.shutdown();
-        assert_eq!(out.counters.get("rt.sent"), 25);
-    }
-
-    /// Satellite requirement: the zero-latency (perfect) channel config
-    /// is byte-for-byte the fault-free data-plane behaviour — same
-    /// per-process receipt ticks, same counters — because the explicit
-    /// reliable config and the default are the same draw-free path.
-    #[test]
-    fn explicit_reliable_channel_equals_default_event_set() {
-        let run = |config: RuntimeConfig| {
-            let mut rt = Runtime::spawn(config.with_workers(3).with_seed(1), relay_procs(9));
-            rt.run_until_quiescent(32);
-            let out = rt.shutdown();
-            let receipts: Vec<Vec<u64>> = out
-                .processes
-                .into_iter()
-                .map(|p| {
-                    let mut r = p.received;
-                    r.sort_unstable();
-                    r
-                })
-                .collect();
-            (
-                receipts,
-                out.counters.get("rt.sent"),
-                out.counters.get("rt.delivered"),
-            )
-        };
-        let default = run(RuntimeConfig::default());
-        let explicit = run(RuntimeConfig::default()
-            .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1))));
-        assert_eq!(default, explicit);
-    }
-
-    #[test]
-    fn fixed_latency_delivers_exactly_k_ticks_later() {
-        /// Process 0 sends one message to process 1 in tick 0; the
-        /// receipt tick must honour the configured latency.
-        struct OneShot {
-            receipt: Option<u64>,
-        }
-        #[derive(Clone, Debug)]
-        struct M;
-        impl WireSize for M {
-            fn wire_size(&self) -> usize {
-                1
-            }
-        }
-        impl ExecProtocol for OneShot {
-            type Msg = M;
-            fn on_message<X: Exec<Msg = M>>(&mut self, _f: ProcessId, _m: M, ctx: &mut X) {
-                self.receipt = Some(ctx.round());
-            }
-            fn on_round<X: Exec<Msg = M>>(&mut self, round: u64, ctx: &mut X) {
-                if round == 0 && ctx.me() == ProcessId(0) {
-                    ctx.send(ProcessId(1), M);
-                }
-            }
-        }
-        let config = RuntimeConfig::default()
-            .with_workers(2)
-            .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(3)));
-        let procs = (0..2).map(|_| OneShot { receipt: None }).collect();
-        let mut rt = Runtime::spawn(config, procs);
-        let reports = rt.run_ticks(5);
-        // Ticks 1 and 2 hold the message pending; tick 3 delivers it.
-        assert_eq!(reports[1].pending, 1);
-        assert_eq!(reports[2].pending, 1);
-        assert_eq!(reports[3].delivered, 1);
-        let out = rt.shutdown();
-        assert_eq!(out.processes[1].receipt, Some(3));
-        assert_eq!(out.counters.get("rt.dropped_shutdown"), 0);
-    }
-
-    #[test]
-    fn pending_messages_defer_quiescence() {
-        let config = RuntimeConfig::default()
-            .with_workers(2)
-            .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(4)));
-        let mut rt = Runtime::spawn(config, relay_procs(6));
-        let executed = rt.run_until_quiescent(64);
-        assert!(executed < 64);
-        let out = rt.shutdown();
-        // Latency stretches the schedule but loses nothing.
-        assert_eq!(out.counters.get("rt.sent"), 30);
-        assert_eq!(out.counters.get("rt.delivered"), 30);
-    }
-
-    /// Satellite requirement: messages still in flight at `shutdown` are
-    /// accounted, not hung on. With latency 5, everything sent in the
-    /// two executed ticks is still parked when the pool stops.
-    #[test]
-    fn shutdown_accounts_in_flight_messages() {
-        let config = RuntimeConfig::default()
-            .with_workers(3)
-            .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(5)));
-        let mut rt = Runtime::spawn(config, relay_procs(8));
-        rt.run_ticks(2);
-        let out = rt.shutdown(); // must not hang waiting for due ticks
-        let sent = out.counters.get("rt.sent");
-        assert_eq!(sent, 16, "8 senders × 2 ticks");
-        assert_eq!(out.counters.get("rt.delivered"), 0);
-        assert_eq!(out.counters.get("rt.dropped_shutdown"), sent);
-    }
-
-    /// Satellite requirement (dropped_shutdown audit): with workers
-    /// drifting under a nonzero lag window, a mid-flight shutdown must
-    /// still account every queued envelope exactly once — whether it is
-    /// parked on a receiver's wheel, sitting in an inbox behind a
-    /// watermark, or already delivered.
-    #[test]
-    fn shutdown_accounting_is_exact_at_nonzero_lag() {
-        for (run_ticks, max_lag) in [(1, 4), (2, 4), (4, 2), (7, 3)] {
-            let config = RuntimeConfig::default()
-                .with_workers(3)
-                .with_seed(run_ticks * 31 + max_lag)
-                .with_max_lag(max_lag)
-                .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(3)));
-            assert!(config.effective_lag() > 1, "the lag window must be real");
-            let mut rt = Runtime::spawn(config, relay_procs(9));
-            rt.run_ticks(run_ticks);
-            let out = rt.shutdown();
-            let sent = out.counters.get("rt.sent");
-            let delivered = out.counters.get("rt.delivered");
-            let dropped = out.counters.get("rt.dropped_shutdown");
-            assert_eq!(sent, 9 * run_ticks.min(5), "run={run_ticks}");
-            assert_eq!(
-                delivered + dropped,
-                sent,
-                "run={run_ticks} lag={max_lag}: every envelope exactly once"
-            );
-            let received: u64 = out.processes.iter().map(|p| p.received.len() as u64).sum();
-            assert_eq!(received, delivered, "processes agree with the counters");
-        }
-    }
-
-    #[test]
-    fn lossy_channel_drops_and_still_quiesces() {
-        let config = RuntimeConfig::default()
-            .with_workers(2)
-            .with_seed(9)
-            .with_channel(ChannelConfig::reliable().with_success_probability(0.5));
-        let mut rt = Runtime::spawn(config, relay_procs(10));
-        let executed = rt.run_until_quiescent(64);
-        assert!(executed < 64);
-        let out = rt.shutdown();
-        let sent = out.counters.get("rt.sent");
-        let delivered = out.counters.get("rt.delivered");
-        let dropped = out.counters.get("rt.dropped_channel");
-        assert_eq!(sent, 50);
-        assert_eq!(delivered + dropped, sent, "every send is accounted");
-        assert!(
-            (10..40).contains(&dropped),
-            "dropped {dropped} of {sent}, expected ≈ half"
-        );
-    }
-
-    /// A latency floor above one tick opens a real drift window: the
-    /// delivered outcome must not depend on how wide it is.
-    #[test]
-    fn outcome_is_stable_across_lag_windows() {
-        let run = |max_lag: u64| {
-            let config = RuntimeConfig::default()
-                .with_workers(4)
-                .with_seed(5)
-                .with_max_lag(max_lag)
-                .with_channel(
-                    ChannelConfig::reliable()
-                        .with_success_probability(0.8)
-                        .with_latency(Latency::UniformRounds { min: 2, max: 4 }),
-                );
-            let mut rt = Runtime::spawn(config, relay_procs(12));
-            rt.run_until_quiescent(64);
-            let out = rt.shutdown();
-            let mut receipts: Vec<Vec<u64>> = out
-                .processes
-                .into_iter()
-                .map(|p| {
-                    let mut r = p.received;
-                    r.sort_unstable();
-                    r
-                })
-                .collect();
-            receipts.sort();
-            (
-                receipts,
-                out.counters.get("rt.delivered"),
-                out.counters.get("rt.dropped_channel"),
-            )
-        };
-        // Fates are per-edge and receipt ticks are due-tick-exact, so
-        // the entire observable outcome is lag-invariant.
-        assert_eq!(run(1), run(2));
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "failed to ack tick")]
-    fn watchdog_panics_instead_of_hanging() {
-        struct Wedge;
-        #[derive(Clone, Debug)]
-        struct Never;
-        impl WireSize for Never {
-            fn wire_size(&self) -> usize {
-                0
-            }
-        }
-        impl ExecProtocol for Wedge {
-            type Msg = Never;
-            fn on_message<X: Exec<Msg = Never>>(&mut self, _f: ProcessId, _m: Never, _c: &mut X) {}
-            fn on_round<X: Exec<Msg = Never>>(&mut self, round: u64, _ctx: &mut X) {
-                if round == 0 {
-                    // Simulate a wedged protocol callback, far beyond the
-                    // watchdog (the sleep also bounds how long the leaked
-                    // worker outlives the panic).
-                    std::thread::sleep(Duration::from_secs(5));
-                }
-            }
-        }
-        let mut rt = Runtime::spawn(
-            RuntimeConfig::default()
-                .with_workers(1)
-                .with_tick_timeout_ms(50),
-            vec![Wedge],
-        );
-        // Must panic promptly — and the unwinding Drop must NOT block on
-        // joining the wedged worker (that would hang this test).
-        rt.step_tick();
-    }
-
-    /// A worker that panics out of a protocol hook must be diagnosed
-    /// promptly (the join handle is the only death signal left — no
-    /// per-tick coordinator→worker send exists to fail fast), not after
-    /// sitting out the full tick watchdog.
-    #[test]
-    #[should_panic(expected = "died before acking tick")]
-    fn dead_worker_is_diagnosed_promptly() {
-        struct Bomb;
-        #[derive(Clone, Debug)]
-        struct Never;
-        impl WireSize for Never {
-            fn wire_size(&self) -> usize {
-                0
-            }
-        }
-        impl ExecProtocol for Bomb {
-            type Msg = Never;
-            fn on_message<X: Exec<Msg = Never>>(&mut self, _f: ProcessId, _m: Never, _c: &mut X) {}
-            fn on_round<X: Exec<Msg = Never>>(&mut self, round: u64, ctx: &mut X) {
-                if round == 1 && ctx.me() == ProcessId(0) {
-                    panic!("protocol bug");
-                }
-            }
-        }
-        // The watchdog is far out (5 s): only the prompt death check can
-        // produce the expected panic; a regression to timeout-only
-        // detection fails this test on the message after 5 s.
-        let mut rt = Runtime::spawn(
-            RuntimeConfig::default()
-                .with_workers(2)
-                .with_tick_timeout_ms(5_000),
-            vec![Bomb, Bomb],
-        );
-        rt.run_ticks(2);
-    }
-
-    #[test]
-    fn per_process_rng_streams_follow_the_seed() {
-        use rand::Rng as _;
-        struct Draw {
-            value: u64,
-        }
-        #[derive(Clone, Debug)]
-        struct Never;
-        impl WireSize for Never {
-            fn wire_size(&self) -> usize {
-                0
-            }
-        }
-        impl ExecProtocol for Draw {
-            type Msg = Never;
-            fn on_message<X: Exec<Msg = Never>>(&mut self, _f: ProcessId, _m: Never, _c: &mut X) {}
-            fn on_round<X: Exec<Msg = Never>>(&mut self, round: u64, ctx: &mut X) {
-                if round == 0 {
-                    self.value = ctx.rng().gen();
-                }
-            }
-        }
-        let run = |workers: usize| {
-            let procs = (0..9).map(|_| Draw { value: 0 }).collect();
-            let mut rt = Runtime::spawn(
-                RuntimeConfig::default().with_workers(workers).with_seed(42),
-                procs,
-            );
-            rt.run_ticks(1);
-            let out = rt.shutdown();
-            out.processes.iter().map(|d| d.value).collect::<Vec<u64>>()
-        };
-        // The stream belongs to the process, not the worker: regrouping
-        // the pool must not change the first draw of any process.
-        assert_eq!(run(2), run(4));
-    }
-
-    /// A protocol probe recording exactly which rounds it executed and
-    /// how often it was recovered — the full observable lifecycle
-    /// schedule of a process.
-    #[derive(Clone, Debug, Default)]
-    struct LifeProbe {
-        rounds: Vec<u64>,
-        started: bool,
-        recoveries: u64,
-    }
-
-    #[derive(Clone, Debug)]
-    struct Nix;
-    impl WireSize for Nix {
-        fn wire_size(&self) -> usize {
-            0
-        }
-    }
-
-    impl ExecProtocol for LifeProbe {
-        type Msg = Nix;
-        fn on_start<X: Exec<Msg = Nix>>(&mut self, _ctx: &mut X) {
-            self.started = true;
-        }
-        fn on_message<X: Exec<Msg = Nix>>(&mut self, _f: ProcessId, _m: Nix, _c: &mut X) {}
-        fn on_round<X: Exec<Msg = Nix>>(&mut self, round: u64, _ctx: &mut X) {
-            self.rounds.push(round);
-        }
-        fn on_recover<X: Exec<Msg = Nix>>(&mut self, _ctx: &mut X) {
-            self.recoveries += 1;
-        }
-    }
-
-    /// Tentpole acceptance: the same seed materialises the same
-    /// `FailurePlan` fates on the simulator and on the runtime,
-    /// regardless of worker count — every process executes the exact
-    /// same set of rounds, is recovered the same number of times, and
-    /// ends in the same status.
-    #[test]
-    fn failure_fates_match_the_simulator_at_any_worker_count() {
-        use da_core::failure::FailureModel;
-        const N: usize = 12;
-        const TICKS: u64 = 40;
-        let model = || FailureModel::Churn {
-            crash_probability: 0.15,
-            recover_probability: 0.3,
-        };
-
-        let mut engine = da_simnet::Engine::new(
-            da_simnet::SimConfig::default()
-                .with_seed(11)
-                .with_failures(model()),
-            (0..N).map(|_| LifeProbe::default()).collect(),
-        );
-        engine.run_rounds(TICKS);
-        let sim_statuses: Vec<bool> = (0..N)
-            .map(|i| engine.status(ProcessId::from_index(i)).is_alive())
-            .collect();
-        let sim_crashes = engine.counters().get("sim.churn_crashes");
-        let sim_recoveries = engine.counters().get("sim.churn_recoveries");
-        let sim_probes: Vec<LifeProbe> = engine.into_processes();
-
-        for workers in [1usize, 4] {
-            let config = RuntimeConfig::default()
-                .with_workers(workers)
-                .with_seed(11)
-                .with_failures(model());
-            let mut rt = Runtime::spawn(config, (0..N).map(|_| LifeProbe::default()).collect());
-            rt.run_ticks(TICKS);
-            let out = rt.shutdown();
-            for (pid, (sim, live)) in sim_probes.iter().zip(&out.processes).enumerate() {
-                assert_eq!(
-                    sim.rounds, live.rounds,
-                    "process {pid} executed different rounds at {workers} workers"
-                );
-                assert_eq!(sim.recoveries, live.recoveries, "process {pid} recoveries");
-            }
-            let live_statuses: Vec<bool> = out.statuses.iter().map(|s| s.is_alive()).collect();
-            assert_eq!(
-                sim_statuses, live_statuses,
-                "{workers} workers: final liveness"
-            );
-            assert_eq!(out.counters.get("rt.churn_crashes"), sim_crashes);
-            assert_eq!(out.counters.get("rt.churn_recoveries"), sim_recoveries);
-        }
-        assert!(sim_crashes > 0 && sim_recoveries > 0, "the run saw churn");
-    }
-
-    /// A crash and a recovery of one process scripted into the same
-    /// round are one net transition (`FailurePlan::transition`): the
-    /// process never goes down, re-enters through `on_recover` once, and
-    /// the trace holds a single `Recovered` — on both substrates.
-    #[test]
-    fn same_round_crash_and_recovery_matches_the_simulator() {
-        use da_core::failure::{FailureModel, Fate};
-        let fate = |crash| Fate {
-            round: 2,
-            pid: ProcessId(1),
-            crash,
-        };
-        let model = || FailureModel::Schedule(vec![fate(true), fate(false)]);
-        let probes = || (0..4).map(|_| LifeProbe::default()).collect::<Vec<_>>();
-
-        let sim = da_simnet::SimConfig::default()
-            .with_failures(model())
-            .with_trace(TraceConfig::full());
-        let mut engine = da_simnet::Engine::new(sim, probes());
-        engine.run_rounds(5);
-        let sim_trace = engine.trace_log().expect("tracing is on");
-
-        let live = RuntimeConfig::default()
-            .with_workers(2)
-            .with_failures(model())
-            .with_trace(TraceConfig::full());
-        let mut rt = Runtime::spawn(live, probes());
-        rt.run_ticks(5);
-        let out = rt.shutdown();
-        let live_trace = out.trace.expect("tracing is on");
-
-        let diverged = da_core::trace::first_divergence(
-            &sim_trace.canonical_events(),
-            &live_trace.canonical_events(),
-        );
-        assert_eq!(diverged, None);
-        assert_eq!(live_trace.count(TraceVerdict::Recovered), 1);
-        assert_eq!(live_trace.count(TraceVerdict::Crashed), 0);
-        for (pid, (sim, live)) in engine
-            .into_processes()
-            .iter()
-            .zip(&out.processes)
-            .enumerate()
-        {
-            assert_eq!(sim.recoveries, u64::from(pid == 1), "simulated {pid}");
-            assert_eq!(live.recoveries, u64::from(pid == 1), "live {pid}");
-            assert_eq!(sim.rounds, live.rounds, "process {pid} rounds");
-            assert_eq!(live.rounds, [0, 1, 2, 3, 4], "nobody missed a round");
-        }
-    }
-
-    /// Stillborn processes are applied at spawn: they never run
-    /// `on_start`, never execute a round — and the crashed set is the
-    /// plan's, identical to the simulator's.
-    #[test]
-    fn stillborn_processes_never_start() {
-        use da_core::failure::FailureModel;
-        let config = RuntimeConfig::default()
-            .with_workers(3)
-            .with_seed(5)
-            .with_failures(FailureModel::Stillborn {
-                alive_fraction: 0.5,
-            });
-        let plan = FailureModel::Stillborn {
-            alive_fraction: 0.5,
-        }
-        .materialize(10, 5);
-        let mut rt = Runtime::spawn(config, (0..10).map(|_| LifeProbe::default()).collect());
-        rt.run_ticks(5);
-        let out = rt.shutdown();
-        for (i, p) in out.processes.iter().enumerate() {
-            let crashed = plan.is_initially_crashed(ProcessId::from_index(i));
-            assert_eq!(p.started, !crashed, "process {i} started");
-            assert_eq!(p.rounds.is_empty(), crashed, "process {i} rounds");
-            assert_eq!(out.statuses[i].is_alive(), !crashed);
-        }
-        assert_eq!(out.counters.get("rt.dropped_crashed"), 0);
-    }
-
-    /// Mid-flight crash accounting is exact: envelopes owed to a crashed
-    /// process drain to `rt.dropped_crashed`, quiescence is still
-    /// reached, and every envelope ends in exactly one of delivered /
-    /// `rt.dropped_channel` / `rt.dropped_crashed` /
-    /// `rt.dropped_shutdown`.
-    #[test]
-    fn crashed_inbox_drains_to_dropped_crashed() {
-        use da_core::failure::{FailureModel, Fate};
-        for (workers, max_lag, latency) in [(2, 1, 1), (3, 3, 3)] {
-            let config = RuntimeConfig::default()
-                .with_workers(workers)
-                .with_seed(3)
-                .with_max_lag(max_lag)
-                .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(latency)))
-                .with_failures(FailureModel::Schedule(vec![Fate {
-                    round: 2,
-                    pid: ProcessId(1),
-                    crash: true,
-                }]));
-            let mut rt = Runtime::spawn(config, relay_procs(6));
-            let executed = rt.run_until_quiescent(64);
-            assert!(executed < 64, "crashed receivers must not wedge the run");
-            let out = rt.shutdown();
-            let sent = out.counters.get("rt.sent");
-            let delivered = out.counters.get("rt.delivered");
-            let dropped_crashed = out.counters.get("rt.dropped_crashed");
-            let dropped_shutdown = out.counters.get("rt.dropped_shutdown");
-            // p1 crashes at tick 2, so it only sends in ticks 0 and 1:
-            // 5 x 5 + 2 sends in total.
-            assert_eq!(sent, 27, "crashed processes stop sending");
-            assert!(
-                dropped_crashed > 0,
-                "p1's inbox must drain to rt.dropped_crashed"
-            );
-            assert_eq!(
-                delivered + dropped_crashed + dropped_shutdown,
-                sent,
-                "workers={workers} lag={max_lag}: every envelope exactly once"
-            );
-            assert!(!out.statuses[1].is_alive());
-            let received: u64 = out.processes.iter().map(|p| p.received.len() as u64).sum();
-            assert_eq!(received, delivered);
-        }
-    }
-
-    /// Satellite requirement: with a partition window, loss, latency,
-    /// and a mid-run crash all active at once, the envelope ledger is
-    /// exact at max_lag ∈ {1, 4} — every send ends in exactly one of
-    /// delivered / dropped_channel / dropped_partitioned /
-    /// dropped_crashed / dropped_observed_failed / dropped_shutdown /
-    /// dropped_closed. Partition drops happen at send time (they never
-    /// enter flight), so the coordinator's in-flight ledger needs no
-    /// special case.
-    #[test]
-    fn partition_accounting_is_exact_across_lag_windows() {
-        use da_core::failure::{FailureModel, Fate};
-        use da_core::topology::{NodeId, Partition, PartitionSchedule, Topology};
-        for (workers, max_lag, latency) in [(2, 1, 1), (3, 4, 4)] {
-            let config = RuntimeConfig::default()
-                .with_workers(workers)
-                .with_seed(3)
-                .with_max_lag(max_lag)
-                .with_channel(
-                    ChannelConfig::reliable()
-                        .with_success_probability(0.7)
-                        .with_latency(Latency::Fixed(latency)),
-                )
-                .with_topology(
-                    // Ring 0→1→…→5→0 with pids 3..6 on node B: the 2→3
-                    // and 5→0 hops cross the cut.
-                    Topology::with_nodes(["a", "b"]).with_placement_range(3..6, NodeId(1)),
-                )
-                .with_partitions(PartitionSchedule::none().with_partition(
-                    Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 1).heal_at(3),
-                ))
-                .with_failures(FailureModel::Schedule(vec![Fate {
-                    round: 2,
-                    pid: ProcessId(1),
-                    crash: true,
-                }]));
-            let mut rt = Runtime::spawn(config, relay_procs(6));
-            let executed = rt.run_until_quiescent(64);
-            assert!(executed < 64, "partitions must not wedge the run");
-            let out = rt.shutdown();
-            let sent = out.counters.get("rt.sent");
-            let delivered = out.counters.get("rt.delivered");
-            let dropped_partitioned = out.counters.get("rt.dropped_partitioned");
-            assert!(
-                dropped_partitioned > 0,
-                "the cross-node hops at ticks 1..3 must be severed"
-            );
-            let accounted = delivered
-                + out.counters.get("rt.dropped_channel")
-                + dropped_partitioned
-                + out.counters.get("rt.dropped_crashed")
-                + out.counters.get("rt.dropped_observed_failed")
-                + out.counters.get("rt.dropped_shutdown")
-                + out.counters.get("rt.dropped_closed");
-            assert_eq!(
-                accounted, sent,
-                "workers={workers} lag={max_lag}: every envelope exactly once"
-            );
-            let received: u64 = out.processes.iter().map(|p| p.received.len() as u64).sum();
-            assert_eq!(received, delivered);
-        }
-    }
-
-    /// The per-observer model (paper Fig. 11) live: every transmission
-    /// independently observes its target as failed with probability
-    /// `1 - alive_fraction`, nobody is globally crashed, and the
-    /// envelope accounting stays exact.
-    #[test]
-    fn per_observer_drops_fraction_live() {
-        use da_core::failure::FailureModel;
-        let config = RuntimeConfig::default()
-            .with_workers(3)
-            .with_seed(13)
-            .with_failures(FailureModel::PerObserver {
-                alive_fraction: 0.7,
-            });
-        let mut rt = Runtime::spawn(config, relay_procs(10));
-        let executed = rt.run_until_quiescent(64);
-        assert!(executed < 64);
-        let out = rt.shutdown();
-        let sent = out.counters.get("rt.sent");
-        let delivered = out.counters.get("rt.delivered");
-        let observed = out.counters.get("rt.dropped_observed_failed");
-        assert_eq!(sent, 50, "10 senders x ticks 0..5");
-        assert_eq!(delivered + observed, sent, "every envelope accounted");
-        assert!(
-            (5..25).contains(&observed),
-            "observer drops {observed}/{sent}, expected ≈ 15"
-        );
-        // Nobody is actually crashed in this model.
-        assert!(out.statuses.iter().all(|s| s.is_alive()));
-        assert_eq!(out.counters.get("rt.dropped_crashed"), 0);
-    }
-
-    /// Channel fates key off the edge, not the worker: the multiset of
-    /// per-process loss counts is identical however the pool is striped.
-    #[test]
-    fn channel_fates_are_stripe_independent() {
-        let run = |workers: usize| {
-            let config = RuntimeConfig::default()
-                .with_workers(workers)
-                .with_seed(7)
-                .with_channel(ChannelConfig::reliable().with_success_probability(0.6));
-            let mut rt = Runtime::spawn(config, relay_procs(12));
-            rt.run_until_quiescent(64);
-            let out = rt.shutdown();
-            (
-                out.counters.get("rt.dropped_channel"),
-                out.counters.get("rt.delivered"),
-            )
-        };
-        // The relay's send pattern is deterministic (next-pid ring), so
-        // per-edge draws — and with them the global loss totals — must
-        // not move when the worker count changes.
-        assert_eq!(run(1), run(4));
-    }
-
-    use da_core::trace::{TraceConfig, TraceVerdict};
-
-    #[test]
-    fn tracing_is_off_by_default() {
-        let mut rt = relay_runtime(6, 2);
-        rt.run_ticks(2);
-        assert!(rt.trace_log().is_none());
-        assert!(rt.shutdown().trace.is_none());
-    }
-
-    /// Tentpole acceptance: the flight recorder's verdict counts are the
-    /// envelope ledger — every trace count equals its counter, the
-    /// event buffer holds one event per count, and the latency histogram
-    /// saw every delivery.
-    #[test]
-    fn full_trace_mirrors_the_counters() {
-        let config = RuntimeConfig::default()
-            .with_workers(3)
-            .with_seed(9)
-            .with_channel(ChannelConfig::reliable().with_success_probability(0.6))
-            .with_trace(TraceConfig::full());
-        let mut rt = Runtime::spawn(config, relay_procs(10));
-        rt.run_until_quiescent(64);
-        let out = rt.shutdown();
-        let log = out.trace.expect("tracing was on");
-        assert_eq!(log.count(TraceVerdict::Sent), out.counters.get("rt.sent"));
-        assert_eq!(
-            log.count(TraceVerdict::Delivered),
-            out.counters.get("rt.delivered")
-        );
-        assert_eq!(
-            log.count(TraceVerdict::DroppedChannel),
-            out.counters.get("rt.dropped_channel")
-        );
-        assert!(
-            log.count(TraceVerdict::DroppedChannel) > 0,
-            "the run lost messages"
-        );
-        assert_eq!(
-            log.events.len() as u64,
-            log.verdict_counts.iter().sum::<u64>(),
-            "full mode buffers one event per counted verdict"
-        );
-        assert_eq!(log.dropped_events, 0);
-        let latency = log.histogram("delivery_latency_ticks").expect("histogram");
-        assert_eq!(latency.count(), out.counters.get("rt.delivered"));
-        assert_eq!(latency.max(), 1, "the relay runs on latency-1 channels");
-        assert!(log.histogram("wheel_occupancy").is_some());
-        assert!(log.histogram("watermark_lag").is_some());
-        let lane_depth = log.histogram("lane_depth").expect("histogram");
-        assert!(
-            lane_depth.count() > 0,
-            "every executed tick samples the lanes swept"
-        );
-    }
-
-    #[test]
-    fn counters_only_keeps_the_ledger_without_events() {
-        let config = RuntimeConfig::default()
-            .with_workers(2)
-            .with_seed(1)
-            .with_trace(TraceConfig::counters_only());
-        let mut rt = Runtime::spawn(config, relay_procs(6));
-        rt.run_until_quiescent(64);
-        let out = rt.shutdown();
-        let log = out.trace.expect("tracing was on");
-        assert!(log.events.is_empty(), "counters-only buffers nothing");
-        assert_eq!(log.count(TraceVerdict::Sent), 30);
-        assert_eq!(log.count(TraceVerdict::Delivered), 30);
-    }
-
-    /// Lifecycle events land in the stream: one `crashed` per downward
-    /// transition, one `recovered` per upward one, self-edged, matching
-    /// the churn counters.
-    #[test]
-    fn lifecycle_events_match_churn_counters() {
-        use da_core::failure::FailureModel;
-        let config = RuntimeConfig::default()
-            .with_workers(3)
-            .with_seed(11)
-            .with_failures(FailureModel::Churn {
-                crash_probability: 0.15,
-                recover_probability: 0.3,
-            })
-            .with_trace(TraceConfig::full());
-        let mut rt = Runtime::spawn(config, (0..12).map(|_| LifeProbe::default()).collect());
-        rt.run_ticks(40);
-        let out = rt.shutdown();
-        let log = out.trace.expect("tracing was on");
-        assert_eq!(
-            log.count(TraceVerdict::Crashed),
-            out.counters.get("rt.churn_crashes"),
-            "churn is the only crash source here"
-        );
-        assert_eq!(
-            log.count(TraceVerdict::Recovered),
-            out.counters.get("rt.churn_recoveries")
-        );
-        assert!(log.count(TraceVerdict::Crashed) > 0, "the run saw churn");
-        for e in log
-            .events
-            .iter()
-            .filter(|e| e.verdict == TraceVerdict::Crashed)
-        {
-            assert_eq!(e.from, e.to, "lifecycle events are self-edged");
-            assert_eq!(e.payload, 0);
-        }
-    }
-
-    /// The canonical trace stream is a worker-count invariant: loss,
-    /// latency, and churn draws all key off (edge, tick) or (pid, tick),
-    /// so regrouping the pool permutes only the within-tick interleaving
-    /// that canonicalization erases.
-    ///
-    /// The scenario also pins `quiescence_never_overshoots` under churn
-    /// (it was PR 15's flake): mail consumed at its due tick as
-    /// `rt.dropped_crashed` is neither delivered nor pending, so a
-    /// non-zero in-flight ledger must not grant the tick after — no tick
-    /// at or past the returned count may run even its lifecycle step.
-    #[test]
-    fn canonical_trace_is_worker_count_invariant() {
-        use da_core::failure::FailureModel;
-        let run = |workers: usize| {
-            let config = RuntimeConfig::default()
-                .with_workers(workers)
-                .with_seed(7)
-                .with_channel(
-                    ChannelConfig::reliable()
-                        .with_success_probability(0.7)
-                        .with_latency(Latency::UniformRounds { min: 1, max: 3 }),
-                )
-                .with_failures(FailureModel::Churn {
-                    crash_probability: 0.1,
-                    recover_probability: 0.4,
-                })
-                .with_trace(TraceConfig::full());
-            let mut rt = Runtime::spawn(config, relay_procs(12));
-            let executed = rt.run_until_quiescent(64);
-            let out = rt.shutdown();
-            assert!(out.counters.get("rt.dropped_crashed") > 0);
-            let events = out.trace.expect("tracing was on").canonical_events();
-            let late: Vec<_> = events.iter().filter(|e| e.tick >= executed).collect();
-            assert!(late.is_empty(), "{workers} workers ran on: {late:?}");
-            events
-        };
-        let single = run(1);
-        assert!(!single.is_empty());
-        assert_eq!(single, run(3));
-        assert_eq!(single, run(4));
-    }
-}
+mod tests;

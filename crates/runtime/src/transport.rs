@@ -42,8 +42,8 @@
 //! per `(edge, tick, occurrence)` — so the sequence of envelopes worker
 //! `c` observes from lane `p` is a pure function of the config, and
 //! sweeping lanes in worker-id order makes the merged delivery order one
-//! too. No RNG state rides the transport (PR 9), which is what makes the
-//! lock-free swap safe.
+//! too. No RNG state rides the transport: a lane carries envelopes and
+//! nothing a second producer could race on.
 //!
 //! A batch pushed onto a lane is only *visible* to the scheduler once
 //! the sending worker bumps its watermark: [`EdgeWatermarks::publish`]
@@ -52,7 +52,7 @@
 //! peers' watermarks are what replaces the global tick barrier.
 
 use crossbeam::queue::{self, PushError};
-use da_core::channel::{ChannelConfig, EdgeRngs};
+use da_core::channel::EdgeRngs;
 use da_core::topology::{NetFate, NetworkModel};
 use da_core::{Envelope, FxBuildHasher, Outbound, ProcessId};
 use std::collections::HashMap;
@@ -177,7 +177,6 @@ impl<M> BatchPool<M> {
 /// ```
 #[derive(Debug)]
 pub struct Hub<M> {
-    worker: usize,
     /// Data lanes, indexed by consumer worker.
     lanes: Vec<queue::Producer<Vec<Envelope<M>>>>,
     pool: BatchPool<M>,
@@ -221,9 +220,7 @@ pub fn lane_matrix<M>(workers: usize, capacity: usize) -> (Vec<Hub<M>>, Vec<Edge
     let hubs = hub_lanes
         .into_iter()
         .zip(return_rxs)
-        .enumerate()
-        .map(|(worker, (lanes, returns))| Hub {
-            worker,
+        .map(|(lanes, returns)| Hub {
             lanes,
             pool: BatchPool {
                 free: Vec::new(),
@@ -235,12 +232,7 @@ pub fn lane_matrix<M>(workers: usize, capacity: usize) -> (Vec<Hub<M>>, Vec<Edge
     let inboxes = inbox_lanes
         .into_iter()
         .zip(return_txs)
-        .enumerate()
-        .map(|(worker, (lanes, returns))| EdgeInbox {
-            worker,
-            lanes,
-            returns,
-        })
+        .map(|(lanes, returns)| EdgeInbox { lanes, returns })
         .collect();
     (hubs, inboxes)
 }
@@ -250,12 +242,6 @@ impl<M> Hub<M> {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// The producer worker this hub belongs to.
-    #[must_use]
-    pub fn worker(&self) -> usize {
-        self.worker
     }
 
     /// The worker owning `pid`.
@@ -327,7 +313,6 @@ impl<M> Hub<M> {
 /// return lanes handing drained batch buffers back to their producers.
 #[derive(Debug)]
 pub struct EdgeInbox<M> {
-    worker: usize,
     /// Data lanes, indexed by producer worker.
     lanes: Vec<queue::Consumer<Vec<Envelope<M>>>>,
     /// Return lanes, indexed by producer worker.
@@ -339,12 +324,6 @@ impl<M> EdgeInbox<M> {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// The consumer worker this inbox belongs to.
-    #[must_use]
-    pub fn worker(&self) -> usize {
-        self.worker
     }
 
     /// Drains every incoming lane once, **in producer worker-id order**,
@@ -399,8 +378,7 @@ pub struct FlushReport {
 /// overrides, partition schedule), and coalesces the survivors of each
 /// tick into one batch per destination worker, buffered in pooled
 /// buffers that recycle for the whole runtime lifetime. A bare
-/// [`ChannelConfig`] converts into the uniform model, so the common case
-/// reads exactly as before.
+/// `ChannelConfig` converts into the uniform model.
 ///
 /// Partition cuts are decided from the schedule alone — a pure function
 /// of the two placements and the send tick, consuming zero randomness —
@@ -473,7 +451,7 @@ pub struct FaultyRouter<M> {
 
 impl<M> FaultyRouter<M> {
     /// Wraps `hub` with the given network model (a bare
-    /// [`ChannelConfig`] converts into the uniform model); `master_seed`
+    /// `ChannelConfig` converts into the uniform model); `master_seed`
     /// roots the per-edge RNG streams (use the runtime's configured seed
     /// so live fault draws are reproducible).
     #[must_use]
@@ -489,19 +467,6 @@ impl<M> FaultyRouter<M> {
             occurrences: HashMap::default(),
             occ_tick: 0,
         }
-    }
-
-    /// The network model's default channel (the whole model in the
-    /// uniform case).
-    #[must_use]
-    pub fn channel(&self) -> &ChannelConfig {
-        &self.network.channel
-    }
-
-    /// The full network model this router applies.
-    #[must_use]
-    pub fn network(&self) -> &NetworkModel {
-        &self.network
     }
 
     /// Number of workers behind the wrapped hub.
@@ -626,7 +591,7 @@ struct Watermark(AtomicU64);
 /// marks.publish(2, 1);
 /// assert!(marks.all_published(1, 1), "both peers published tick 0");
 /// assert!(!marks.all_published(0, 1), "worker 2 still waits on worker 1");
-/// assert_eq!(marks.published(0, 1), 1);
+/// assert_eq!(marks.published(0), 1);
 /// ```
 #[derive(Debug)]
 pub struct EdgeWatermarks {
@@ -662,18 +627,14 @@ impl EdgeWatermarks {
         self.marks[sender].0.store(ticks, Ordering::Release);
     }
 
-    /// How many ticks `sender` has published toward `receiver` (the
-    /// same toward every receiver).
+    /// How many ticks `sender` has published (the same toward every
+    /// receiver).
     ///
     /// # Panics
     ///
-    /// Panics when either index is out of range.
+    /// Panics when `sender` is out of range.
     #[must_use]
-    pub fn published(&self, sender: usize, receiver: usize) -> u64 {
-        assert!(
-            receiver < self.marks.len(),
-            "receiver {receiver} out of range"
-        );
+    pub fn published(&self, sender: usize) -> u64 {
         self.marks[sender].0.load(Ordering::Acquire)
     }
 
@@ -700,7 +661,7 @@ impl EdgeWatermarks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_core::channel::Latency;
+    use da_core::channel::{ChannelConfig, Latency};
 
     fn env(to: u32) -> Envelope<u8> {
         Envelope {
@@ -1073,10 +1034,10 @@ mod tests {
         marks.publish(1, 3);
         assert!(marks.all_published(0, 3));
         assert!(!marks.all_published(0, 4));
-        assert_eq!(marks.published(1, 0), 3);
+        assert_eq!(marks.published(1), 3);
         // Worker 1 still waits on worker 0's publishes.
         assert!(!marks.all_published(1, 1));
-        assert_eq!(marks.published(0, 1), 0);
+        assert_eq!(marks.published(0), 0);
     }
 
     #[test]
@@ -1096,9 +1057,7 @@ mod tests {
             marks.publish(sender, sender as u64 + 1);
         }
         for sender in 0..workers {
-            for receiver in 0..workers {
-                assert_eq!(marks.published(sender, receiver), sender as u64 + 1);
-            }
+            assert_eq!(marks.published(sender), sender as u64 + 1);
         }
         assert!(marks.all_published(0, 1), "every peer published ≥ 1");
         assert!(!marks.all_published(36, 2), "sender 0 only published 1");
@@ -1131,7 +1090,7 @@ mod tests {
         });
         let mut seen = 0u64;
         while seen < 200 {
-            if marks.published(1, 0) > seen {
+            if marks.published(1) > seen {
                 let before = seen;
                 inbox0.sweep(|_, _| seen += 1);
                 assert!(seen > before, "published batch must be visible");

@@ -223,7 +223,7 @@ where
         };
         let lag = (0..self.sched.marks.workers())
             .filter(|&peer| peer != self.id)
-            .map(|peer| self.sched.marks.published(peer, self.id))
+            .map(|peer| self.sched.marks.published(peer))
             .min()
             .map_or(0, |slowest| (tick + 1).saturating_sub(slowest));
         trace.watermark_lag.record(lag);

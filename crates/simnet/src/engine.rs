@@ -13,7 +13,7 @@ use da_core::store::ProcessStore;
 use da_core::stripe::{HotIds, Outbound, Stripe};
 use da_core::topology::{NetFate, NetworkModel, PartitionSchedule, Topology};
 use da_core::trace::TraceConfig;
-use da_core::wheel::{DelayWheel, Envelope};
+use da_core::wheel::{DelayWheel, Envelope, MAX_RING_TICKS};
 use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
@@ -233,21 +233,11 @@ where
             store.push(p);
         }
         let mut counters = Counters::new();
-        let ids = HotIds {
-            sent: counters.register("sim.sent"),
-            bytes_sent: counters.register("sim.bytes_sent"),
-            delivered: counters.register("sim.delivered"),
-            dropped_channel: counters.register("sim.dropped_channel"),
-            dropped_partitioned: counters.register("sim.dropped_partitioned"),
-            dropped_crashed: counters.register("sim.dropped_dead"),
-            dropped_observed: counters.register("sim.dropped_observed_failed"),
-            churn_crashes: counters.register("sim.churn_crashes"),
-            churn_recoveries: counters.register("sim.churn_recoveries"),
-        };
+        let ids = HotIds::register(&mut counters, "sim");
         let lifecycle = LifecycleController::new(Arc::new(plan), 0, 1, population).on_plan_stream();
         let track_occurrences = !config.faults.network.drops.is_empty();
         // Config input: bound the ring it sizes; slower sends spill.
-        let ring_rounds = config.faults.network.max_latency().min(1024) as usize + 1;
+        let ring_rounds = config.faults.network.max_latency().min(MAX_RING_TICKS) as usize + 1;
         Engine {
             stripe: Stripe::new(store, lifecycle, counters, ids, &config.trace),
             net: SimNet {
@@ -379,13 +369,6 @@ where
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.net.queue.len()
-    }
-
-    /// Earliest delivery round among in-flight messages, or `None` when
-    /// nothing is queued — lets drivers skip provably quiet rounds.
-    #[must_use]
-    pub fn next_delivery_round(&self) -> Option<u64> {
-        self.net.queue.iter().next().map(|m| m.due_tick)
     }
 
     /// Schedules a crash/recover [`Fate`] for a future round through
@@ -570,60 +553,14 @@ where
     }
 }
 
-/// Test fixtures shared by the engine test modules below.
+/// The shared ring relay, sending in every round.
 #[cfg(test)]
-mod tests_support {
-    use super::*;
-    use da_core::Exec;
-
-    /// Every process sends its id to the next process each round and
-    /// counts receipts.
-    pub struct Relay {
-        pub received: u64,
-        pub population: u32,
-    }
-
-    #[derive(Clone, Debug)]
-    pub struct Token;
-
-    impl WireSize for Token {
-        fn wire_size(&self) -> usize {
-            2
-        }
-    }
-
-    impl ExecProtocol for Relay {
-        type Msg = Token;
-
-        fn on_message<X: Exec<Msg = Token>>(
-            &mut self,
-            _from: ProcessId,
-            _msg: Token,
-            _ctx: &mut X,
-        ) {
-            self.received += 1;
-        }
-
-        fn on_round<X: Exec<Msg = Token>>(&mut self, _round: u64, ctx: &mut X) {
-            let next = ProcessId((ctx.me().0 + 1) % self.population);
-            ctx.send(next, Token);
-        }
-    }
-
-    pub fn relay_engine(config: SimConfig, n: u32) -> Engine<Relay> {
-        let procs = (0..n)
-            .map(|_| Relay {
-                received: 0,
-                population: n,
-            })
-            .collect();
-        Engine::new(config, procs)
-    }
+fn relay_engine(config: SimConfig, n: u32) -> Engine<da_core::testkit::Relay> {
+    Engine::new(config, da_core::testkit::Relay::ring(n, u64::MAX))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::tests_support::relay_engine;
     use super::*;
     use da_core::{Exec, Latency};
 
@@ -679,7 +616,7 @@ mod tests {
         e.run_rounds(3);
         assert_eq!(
             e.counters().get("sim.bytes_sent"),
-            e.counters().get("sim.sent") * 2
+            e.counters().get("sim.sent") * 8
         );
     }
 
@@ -698,7 +635,10 @@ mod tests {
             .collect();
         assert_eq!(crashed.len(), 5);
         for p in crashed {
-            assert_eq!(e.process(p).received, 0, "{p} is crashed yet received");
+            assert!(
+                e.process(p).received.is_empty(),
+                "{p} is crashed yet received"
+            );
         }
     }
 
@@ -707,8 +647,8 @@ mod tests {
         let mut e = relay_engine(SimConfig::default(), 3);
         e.crash(ProcessId(1));
         e.run_rounds(4);
-        assert!(e.counters().get("sim.dropped_dead") > 0);
-        assert_eq!(e.process(ProcessId(1)).received, 0);
+        assert!(e.counters().get("sim.dropped_crashed") > 0);
+        assert!(e.process(ProcessId(1)).received.is_empty());
     }
 
     #[test]
@@ -716,10 +656,10 @@ mod tests {
         let mut e = relay_engine(SimConfig::default(), 2);
         e.crash(ProcessId(1));
         e.run_rounds(3);
-        assert_eq!(e.process(ProcessId(1)).received, 0);
+        assert!(e.process(ProcessId(1)).received.is_empty());
         e.recover(ProcessId(1));
         e.run_rounds(3);
-        assert!(e.process(ProcessId(1)).received > 0);
+        assert!(!e.process(ProcessId(1)).received.is_empty());
     }
 
     #[test]
@@ -817,7 +757,7 @@ mod tests {
         );
         let mut e = relay_engine(config, 5);
         e.run_rounds(20);
-        let total: u64 = e.processes().map(|(_, p)| p.received).sum();
+        let total: usize = e.processes().map(|(_, p)| p.received.len()).sum();
         assert!(total > 0);
         // All messages sent at least 4 rounds ago must have arrived.
         assert_eq!(
@@ -895,10 +835,10 @@ mod tests {
         assert_eq!(e.counters().get("sim.dropped_partitioned"), 0);
         e.run_rounds(3); // rounds 2..4: two cross-island sends severed per round
         assert_eq!(e.counters().get("sim.dropped_partitioned"), 6);
-        let before = e.process(ProcessId(2)).received;
+        let before = e.process(ProcessId(2)).received.len();
         e.run_rounds(3);
         assert!(
-            e.process(ProcessId(2)).received > before,
+            e.process(ProcessId(2)).received.len() > before,
             "traffic flows again after the heal"
         );
         // Every send is delivered, severed, or still in flight.
@@ -913,7 +853,6 @@ mod tests {
 
 #[cfg(test)]
 mod trace_engine_tests {
-    use super::tests_support::relay_engine;
     use super::*;
     use da_core::trace::TraceVerdict;
 

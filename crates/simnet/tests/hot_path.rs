@@ -34,8 +34,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// The engine unit tests' `Relay` fixture: every round each process
-/// sends a token to its successor.
+/// `da_core::testkit::Relay` without its receipt log, which grows (and
+/// so allocates) for as long as the ring sends: every round each
+/// process sends a token to its successor.
 struct Relay {
     population: u32,
 }

@@ -72,7 +72,7 @@ proptest! {
         let c = e.counters();
         let accounted = c.get("sim.delivered")
             + c.get("sim.dropped_channel")
-            + c.get("sim.dropped_dead")
+            + c.get("sim.dropped_crashed")
             + c.get("sim.dropped_observed_failed")
             + e.in_flight() as u64;
         prop_assert_eq!(c.get("sim.sent"), accounted);

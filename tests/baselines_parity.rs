@@ -6,9 +6,9 @@ use da_baselines::{
     build_broadcast_network, build_hierarchical_network, build_multicast_network, DeliveryLog,
     InterestMap,
 };
-use da_core::{first_divergence, ExecProtocol, ProcessId, TraceConfig, WireSize};
+use da_core::{first_divergence, ExecProtocol, FaultConfig, ProcessId, TraceConfig, WireSize};
+use da_harness::substrate::{Driver, Substrate};
 use da_membership::FanoutRule;
-use da_runtime::{Runtime, RuntimeConfig};
 use da_simnet::{Engine, SimConfig};
 use damulticast::{EventId, ParamMap, StaticNetwork, TopicParams};
 
@@ -251,32 +251,38 @@ fn assert_live_matches_sim<P>(
 {
     const SEED: u64 = 45;
     let publisher = ProcessId::from_index(SIZES[0]);
-    let bitmap =
-        |procs: &[P], id| -> Vec<bool> { procs.iter().map(|p| log(p).has_delivered(id)).collect() };
+    let run = |substrate: Substrate| {
+        let procs = procs.clone();
+        let mut driver = Driver::spawn(
+            substrate,
+            SEED,
+            &FaultConfig::new(),
+            TraceConfig::full(),
+            procs,
+        );
+        let id = driver.apply(publisher, publish);
+        driver.run_until_quiescent(96);
+        let out = driver.finish();
+        let bitmap: Vec<bool> = out
+            .processes
+            .iter()
+            .map(|p| log(p).has_delivered(id))
+            .collect();
+        (
+            id,
+            bitmap,
+            out.trace.expect("tracing on").canonical_events(),
+        )
+    };
 
-    let config = SimConfig::default()
-        .with_seed(SEED)
-        .with_trace(TraceConfig::full());
-    let mut engine = Engine::new(config, procs.clone());
-    let id = publish(engine.process_mut(publisher));
-    engine.run_until_quiescent(96);
-    let sim_trace = engine.trace_log().expect("tracing on").canonical_events();
-    let sim_bitmap = bitmap(&engine.into_processes(), id);
+    let (id, sim_bitmap, sim_trace) = run(Substrate::Sim);
     let delivered = sim_bitmap.iter().filter(|&&b| b).count();
     assert_eq!(delivered, SIZES[0] + SIZES[1], "levels 0 and 1 deliver");
 
     for workers in [1, 2] {
-        let config = RuntimeConfig::default()
-            .with_workers(workers)
-            .with_seed(SEED)
-            .with_trace(TraceConfig::full());
-        let mut rt = Runtime::spawn(config, procs.clone());
-        let live_id = rt.with_process_mut(publisher, publish);
+        let (live_id, live_bitmap, live_trace) = run(Substrate::Live { workers });
         assert_eq!(live_id, id);
-        rt.run_until_quiescent(96);
-        let out = rt.shutdown();
-        assert_eq!(bitmap(&out.processes, id), sim_bitmap, "{workers} workers");
-        let live_trace = out.trace.expect("tracing on").canonical_events();
+        assert_eq!(live_bitmap, sim_bitmap, "{workers} workers");
         assert_eq!(first_divergence(&sim_trace, &live_trace), None);
     }
 }

@@ -16,18 +16,35 @@ fn dependencies(manifest: &str) -> Vec<&str> {
         .collect()
 }
 
-/// Every `.rs` file directly under `dir` (relative to the repo root),
-/// with its source.
+/// Every file under `dir` (relative to the repo root), subdirectories
+/// included, with its source.
 fn sources(dir: &str) -> Vec<(std::path::PathBuf, String)> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
-    std::fs::read_dir(&dir)
-        .expect("source directory")
-        .map(|entry| entry.expect("directory entry").path())
-        .map(|path| {
-            let source = std::fs::read_to_string(&path).expect("source file");
-            (path, source)
-        })
-        .collect()
+    fn walk(dir: &std::path::Path, found: &mut Vec<(std::path::PathBuf, String)>) {
+        for entry in std::fs::read_dir(dir).expect("source directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                walk(&path, found);
+            } else {
+                let source = std::fs::read_to_string(&path).expect("source file");
+                found.push((path, source));
+            }
+        }
+    }
+    let mut found = Vec::new();
+    walk(
+        &std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir),
+        &mut found,
+    );
+    found
+}
+
+/// What a file ships: its source up to the first `#[cfg(test)]`, and
+/// nothing of a `tests.rs` (a test module in a file of its own).
+fn shipped<'a>(path: &std::path::Path, source: &'a str) -> &'a str {
+    if path.ends_with("tests.rs") {
+        return "";
+    }
+    source.split("#[cfg(test)]").next().unwrap_or_default()
 }
 
 #[test]
@@ -124,8 +141,11 @@ fn the_workspace_has_no_second_benchmark_system() {
 fn protocol_hooks_bump_no_counter_by_name() {
     for dir in ["crates/core/src", "crates/baselines/src"] {
         for (path, source) in sources(dir) {
-            let shipped = source.split("#[cfg(test)]").next().unwrap_or_default();
-            assert!(!shipped.contains(".bump("), "{}", path.display());
+            assert!(
+                !shipped(&path, &source).contains(".bump("),
+                "{}",
+                path.display()
+            );
         }
     }
 }
@@ -156,10 +176,44 @@ fn the_concurrent_fabric_stays_small() {
         for gone in ["AtomicBool", "Control::Sync", "enum Batch"] {
             assert!(!source.contains(gone), "{}: {gone}", path.display());
         }
-        let shipped = source.split("#[cfg(test)]").next().unwrap_or_default();
-        orderings += shipped.matches("Ordering::").count();
+        orderings += shipped(&path, &source).matches("Ordering::").count();
     }
     assert!(orderings <= 7, "{orderings} `Ordering::` sites shipped");
+}
+
+/// A scenario that runs on both substrates is written once, against the
+/// harness's `Driver`: `da-runtime` tests itself without the simulator,
+/// the pool's drift window has no knob to thread through call sites, and
+/// a file that builds both an `Engine` and a `Runtime` by hand says why.
+#[test]
+fn one_driver_runs_a_population_on_either_substrate() {
+    let runtime = include_str!("../crates/runtime/Cargo.toml");
+    assert!(!runtime.contains("da-simnet"), "da-runtime names da-simnet");
+
+    let both = |source: &str| source.contains("Engine::new") && source.contains("Runtime::spawn");
+    // Spelled in two halves so that this file passes its own check.
+    let knob = concat!("max", "_lag");
+    for (path, source) in sources("crates").into_iter().chain(sources("tests")) {
+        if path.extension().is_some_and(|ext| ext == "rs") {
+            assert!(!source.contains(knob), "{}: {knob}", path.display());
+        }
+    }
+    for (path, source) in sources("crates/harness/src") {
+        assert!(
+            !both(&source) || path.ends_with("substrate.rs"),
+            "{}: drives both substrates by hand",
+            path.display()
+        );
+    }
+    let by_hand: Vec<String> = sources("tests")
+        .into_iter()
+        .filter(|(path, source)| both(source) && !path.ends_with("layering.rs"))
+        .map(|(path, _)| path.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    // churn_chaos.rs: its simulator scenarios read `Engine::status`
+    // mid-run to pick live publishers and its one pool scenario is a
+    // ledger check with no simulated twin — no arm is written twice.
+    assert_eq!(by_hand, ["churn_chaos.rs"]);
 }
 
 /// An envelope is its message plus 24 bytes of routing, and a wave keeps

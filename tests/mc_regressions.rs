@@ -20,14 +20,13 @@
 //! shipped protocol verifies exhaustively at bounds where the
 //! `Mutation::SkipDedup` variant is caught.
 
-use da_core::{ChannelConfig, FailureModel, Fate, FaultConfig, Latency, ProcessId};
+use da_core::{ChannelConfig, FailureModel, Fate, FaultConfig, Latency, ProcessId, TraceConfig};
 use da_harness::experiments::mc::{
     base_config, published_event, single_group, single_group_processes, verify_dissemination,
     FullDelivery, NoDuplicateDelivery, NoParasite,
 };
-use da_runtime::{Runtime, RuntimeConfig};
+use da_harness::substrate::{Driver, Substrate};
 use da_simnet::mc::{Explorer, Invariant, McConfig, OrderingMode};
-use da_simnet::Engine;
 use damulticast::{DaProcess, EventId, Mutation};
 
 /// Horizon for every replay: past quiescence of all committed branches.
@@ -41,28 +40,21 @@ fn duplicate_delivery(p: &DaProcess) -> bool {
     ids.len() != total
 }
 
-/// Replays `faults` over the single-group scenario on the simulator
-/// and returns the end-state processes.
-fn replay_sim(faults: &FaultConfig, mutation: Mutation) -> Vec<DaProcess> {
-    let config = base_config().with_faults(faults.clone());
-    let mut engine: Engine<DaProcess> = single_group(3, mutation)(config);
-    engine.run_rounds(REPLAY_TICKS);
-    engine.into_processes()
-}
+/// The two substrates every counterexample replays on.
+const SUBSTRATES: [Substrate; 2] = [Substrate::Sim, Substrate::Live { workers: 2 }];
 
-/// Replays `faults` over the identical population on the live
-/// worker-pool runtime and returns the end-state processes.
-fn replay_live(faults: &FaultConfig, mutation: Mutation) -> Vec<DaProcess> {
-    let config = RuntimeConfig::default()
-        .with_seed(7)
-        .with_workers(2)
-        .with_faults(faults.clone());
-    let mut rt = Runtime::spawn(config, single_group_processes(3, mutation));
-    rt.with_process_mut(ProcessId(0), |p| {
+/// Replays `faults` over the single-group scenario (the explorer's
+/// population and seed, process 0 publishing before tick 0) on
+/// `substrate` and returns the end-state processes.
+fn replay(substrate: Substrate, faults: &FaultConfig, mutation: Mutation) -> Vec<DaProcess> {
+    let procs = single_group_processes(3, mutation);
+    let seed = base_config().seed;
+    let mut driver = Driver::spawn(substrate, seed, faults, TraceConfig::off(), procs);
+    driver.apply(ProcessId(0), |p| {
         p.publish("mc-probe");
     });
-    rt.run_ticks(REPLAY_TICKS);
-    rt.shutdown().processes
+    driver.run_ticks(REPLAY_TICKS);
+    driver.finish().processes
 }
 
 /// The committed crash counterexample: killing the publisher at round
@@ -84,17 +76,15 @@ fn committed_crash_faults() -> FaultConfig {
 fn committed_crash_counterexample_replays_on_both_substrates() {
     let faults = committed_crash_faults();
     let id = published_event();
-    for (name, procs) in [
-        ("sim", replay_sim(&faults, Mutation::None)),
-        ("live", replay_live(&faults, Mutation::None)),
-    ] {
+    for substrate in SUBSTRATES {
+        let procs = replay(substrate, &faults, Mutation::None);
         assert!(
             procs.iter().all(|p| !p.has_delivered(id)),
-            "{name}: the publisher died before disseminating; nobody may deliver"
+            "{substrate:?}: the publisher died before disseminating; nobody may deliver"
         );
         // The violated property is full delivery — safety must hold.
-        assert!(procs.iter().all(|p| p.parasite_count() == 0), "{name}");
-        assert!(procs.iter().all(|p| !duplicate_delivery(p)), "{name}");
+        let safe = |p: &DaProcess| p.parasite_count() == 0 && !duplicate_delivery(p);
+        assert!(procs.iter().all(safe), "{substrate:?}");
     }
 }
 
@@ -122,13 +112,11 @@ fn explored_crash_counterexample_replays_on_both_substrates() {
     let faults = ce.to_fault_config(&base_config().faults);
     let crashed = ce.fates[0].pid;
     let id = published_event();
-    for (name, procs) in [
-        ("sim", replay_sim(&faults, Mutation::None)),
-        ("live", replay_live(&faults, Mutation::None)),
-    ] {
+    for substrate in SUBSTRATES {
+        let procs = replay(substrate, &faults, Mutation::None);
         assert!(
             !procs[crashed.index()].has_delivered(id),
-            "{name}: the crashed process must miss the publication"
+            "{substrate:?}: the crashed process must miss the publication"
         );
     }
 }
@@ -156,21 +144,17 @@ fn explored_drop_counterexample_replays_on_both_substrates() {
 
     let faults = ce.to_fault_config(&base_config().faults);
     let id = published_event();
-    let sim = replay_sim(&faults, Mutation::None);
-    assert!(
-        sim.iter().any(|p| !p.has_delivered(id)),
-        "sim replay must reproduce the missed delivery"
-    );
-    let live = replay_live(&faults, Mutation::None);
-    assert!(
-        live.iter().any(|p| !p.has_delivered(id)),
-        "live replay must reproduce the missed delivery"
-    );
     // The same processes miss out on both substrates: scripted drops
     // are deterministic down to the per-edge occurrence index.
-    let missed =
-        |procs: &[DaProcess]| -> Vec<bool> { procs.iter().map(|p| !p.has_delivered(id)).collect() };
-    assert_eq!(missed(&sim), missed(&live));
+    let [sim, live] = SUBSTRATES.map(|substrate| -> Vec<bool> {
+        let procs = replay(substrate, &faults, Mutation::None);
+        procs.iter().map(|p| !p.has_delivered(id)).collect()
+    });
+    assert!(
+        sim.contains(&true),
+        "the replay must reproduce the missed delivery"
+    );
+    assert_eq!(sim, live);
 }
 
 /// Satellite 4, cross-substrate: the shipped protocol verifies
@@ -204,13 +188,11 @@ fn mutant_counterexample_replays_on_both_substrates() {
     assert!(!ce.trace.is_empty(), "the replay carries its trace stream");
 
     let faults = ce.to_fault_config(&base_config().faults);
-    for (name, procs) in [
-        ("sim", replay_sim(&faults, Mutation::SkipDedup)),
-        ("live", replay_live(&faults, Mutation::SkipDedup)),
-    ] {
+    for substrate in SUBSTRATES {
+        let procs = replay(substrate, &faults, Mutation::SkipDedup);
         assert!(
             procs.iter().any(duplicate_delivery),
-            "{name}: the mutant's duplicate delivery must reproduce"
+            "{substrate:?}: the mutant's duplicate delivery must reproduce"
         );
     }
 }

@@ -10,16 +10,21 @@
 //! gossip overlay throughout (the pinned-high knobs make gossip
 //! effectively atomic despite 10% loss and the severed cross-island
 //! fraction), so their delivered sets must be byte-for-byte equal.
+//! The channel's latency floor, swept 1–4 ticks, is the pool's
+//! worker-drift window.
 //! Island processes are excluded: whether the wave re-infects them
 //! around a heal is timing-dependent, and the substrates' channel-draw
 //! sequences legitimately differ.
 
 use da_core::{
-    ChannelConfig, FaultConfig, Latency, NodeId, Partition, PartitionSchedule, ProcessId, Topology,
+    ChannelConfig, FaultConfig, Latency, NodeId, Partition, PartitionSchedule, Topology,
 };
-use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{Engine, SimConfig};
-use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork, TopicParams};
+use da_core::{ProcessId, TraceConfig};
+use da_harness::experiments::live::{delivered_sets, partition_faults, pinned_params};
+use da_harness::substrate::{Driver, Substrate};
+use da_runtime::RuntimeConfig;
+use da_simnet::SimConfig;
+use damulticast::{EventId, StaticNetwork};
 use proptest::prelude::*;
 
 /// The smaller paper chain used by the parity property sweeps.
@@ -32,92 +37,64 @@ const ISLAND: usize = 8;
 /// heal land identically on both substrates.
 const TICKS: u64 = 96;
 
-fn pinned_params() -> ParamMap {
-    ParamMap::uniform(
-        TopicParams::paper_default()
-            .with_g(20.0)
-            .with_a(3.0)
-            .with_fanout(da_membership::FanoutRule::LnPlusC { c: 12.0 }),
+/// One publication per level (all three publishers are mainland — the
+/// island holds only the leaf group's last [`ISLAND`] members) over
+/// `TICKS` fixed ticks on a 10%-loss channel of the given latency, with
+/// one cut/heal cycle. Returns per-process delivered sets plus the
+/// parasite count.
+fn run_partitioned(
+    substrate: Substrate,
+    seed: u64,
+    latency: u64,
+    cut: u64,
+    heal: u64,
+) -> (Vec<Vec<EventId>>, u64) {
+    let net = StaticNetwork::linear(&PROP_SIZES, pinned_params(20.0, 12.0), seed)
+        .expect("valid topology");
+    let pubs: Vec<ProcessId> = net.groups().iter().map(|g| g.members[0]).collect();
+    let leaf = &net.groups().last().expect("leaf group").members;
+    let lossy = FaultConfig::new().with_channel(
+        ChannelConfig::reliable()
+            .with_success_probability(0.9)
+            .with_latency(Latency::Fixed(latency)),
+    );
+    let faults = partition_faults(&lossy, &leaf[leaf.len() - ISLAND..], cut, Some(heal));
+    let procs = net.into_processes();
+    let mut driver = Driver::spawn(substrate, seed, &faults, TraceConfig::off(), procs);
+    for (level, pid) in pubs.into_iter().enumerate() {
+        driver.apply(pid, move |p| p.publish(format!("event-{level}")));
+    }
+    driver.run_ticks(TICKS);
+    let out = driver.finish();
+    (
+        delivered_sets(&out.processes),
+        out.counters.get("da.parasite"),
     )
 }
 
-/// The two-node fault config: the last [`ISLAND`] leaf members on node
-/// `"island"`, a 10%-loss two-tick channel, and one cut/heal cycle.
-fn partition_faults(net: &StaticNetwork, cut: u64, heal: u64) -> FaultConfig {
-    let leaf = net.groups().last().expect("leaf group");
-    let mut topology = Topology::with_nodes(["mainland", "island"]);
-    for &pid in &leaf.members[leaf.members.len() - ISLAND..] {
-        topology = topology.with_placement(pid, NodeId(1));
-    }
-    FaultConfig::new()
-        .with_channel(
-            ChannelConfig::reliable()
-                .with_success_probability(0.9)
-                .with_latency(Latency::Fixed(2)),
-        )
-        .with_topology(topology)
-        .with_partitions(PartitionSchedule::none().with_partition(
-            Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], cut).heal_at(heal),
-        ))
-}
-
-/// Sorted delivered-event ids per process — the comparison key.
-fn delivered_sets(procs: &[DaProcess]) -> Vec<Vec<EventId>> {
-    procs
-        .iter()
-        .map(|p| {
-            let mut ids: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
-            ids.sort();
-            ids
-        })
-        .collect()
-}
-
-/// One publication per level (all three publishers are mainland — the
-/// island holds only the leaf group's tail) over `TICKS` fixed ticks
-/// with one cut/heal cycle. Returns per-process delivered sets plus the
-/// parasite count.
-fn run_partitioned(
-    seed: u64,
-    cut: u64,
-    heal: u64,
-    live: Option<RuntimeConfig>,
-) -> (Vec<Vec<EventId>>, u64) {
-    let net = StaticNetwork::linear(&PROP_SIZES, pinned_params(), seed).expect("valid topology");
-    let pubs: Vec<ProcessId> = net.groups().iter().map(|g| g.members[0]).collect();
-    let faults = partition_faults(&net, cut, heal);
-    match live {
-        Some(config) => {
-            let mut rt = Runtime::spawn(
-                config.with_seed(seed).with_faults(faults),
-                net.into_processes(),
-            );
-            for (level, pid) in pubs.into_iter().enumerate() {
-                rt.with_process_mut(pid, move |p| p.publish(format!("event-{level}")));
-            }
-            rt.run_ticks(TICKS);
-            let out = rt.shutdown();
-            (
-                delivered_sets(&out.processes),
-                out.counters.get("da.parasite"),
-            )
-        }
-        None => {
-            let config = SimConfig::default().with_seed(seed).with_faults(faults);
-            let mut engine: Engine<DaProcess> = Engine::new(config, net.into_processes());
-            for (level, pid) in pubs.into_iter().enumerate() {
-                engine.process_mut(pid).publish(format!("event-{level}"));
-            }
-            engine.run_rounds(TICKS);
-            let parasites = engine.counters().get("da.parasite");
-            (delivered_sets(&engine.into_processes()), parasites)
-        }
-    }
+/// One fault surface for both substrates: the topology and partition
+/// builders of the two configs produce the same `FaultConfig`.
+#[test]
+fn topology_and_partition_builders_have_one_shape_on_both_configs() {
+    let topo = Topology::with_nodes(["a", "b"]).with_placement_range(0..2, NodeId(1));
+    let cuts = PartitionSchedule::none()
+        .with_partition(Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 4).heal_at(9));
+    let live = RuntimeConfig::default()
+        .with_topology(topo.clone())
+        .with_partitions(cuts.clone());
+    let sim = SimConfig::default()
+        .with_topology(topo)
+        .with_partitions(cuts);
+    assert_eq!(sim.faults, live.faults);
+    assert_eq!(
+        SimConfig::default().with_faults(live.faults.clone()).faults,
+        live.faults
+    );
 }
 
 proptest! {
     // Each case is two full multi-substrate runs; 8 cases cover the
-    // workers × max_lag × cut/heal grid while keeping the suite fast.
+    // workers × latency × cut/heal grid while keeping the suite fast.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Satellite requirement: delivered-set parity across a partition
@@ -130,17 +107,14 @@ proptest! {
     fn partitioned_runtime_matches_simulator_for_mainland_cohort(
         seed in 1u64..100_000,
         workers in prop_oneof![Just(2usize), Just(4)],
-        max_lag in prop_oneof![Just(1u64), Just(4)],
+        latency in 1u64..=4,
         cut in 0u64..=2,
         heal_delta in 2u64..=24,
     ) {
         let heal = cut + heal_delta;
-        let (sim_sets, sim_parasites) = run_partitioned(seed, cut, heal, None);
-        let live_config = RuntimeConfig::default()
-            .with_workers(workers)
-            .with_max_lag(max_lag);
+        let (sim_sets, sim_parasites) = run_partitioned(Substrate::Sim, seed, latency, cut, heal);
         let (live_sets, live_parasites) =
-            run_partitioned(seed, cut, heal, Some(live_config));
+            run_partitioned(Substrate::Live { workers }, seed, latency, cut, heal);
 
         prop_assert_eq!(sim_parasites, 0, "simulator saw a parasite");
         prop_assert_eq!(live_parasites, 0, "live runtime saw a parasite");
@@ -151,8 +125,8 @@ proptest! {
             prop_assert_eq!(
                 sim, live,
                 "mainland process {} delivered different event sets \
-                 (workers={}, max_lag={}, cut={}, heal={})",
-                pid, workers, max_lag, cut, heal
+                 (workers={}, latency={}, cut={}, heal={})",
+                pid, workers, latency, cut, heal
             );
         }
     }

@@ -6,10 +6,11 @@
 //! stays inside the heap budget the benchmark's `bytes_per_process` is
 //! held to.
 
-use da_core::{Counters, Exec, ExecProtocol, LabelId, ProcessId, WireSize};
+use da_core::{
+    Counters, Exec, ExecProtocol, FaultConfig, LabelId, ProcessId, TraceConfig, WireSize,
+};
+use da_harness::substrate::{Driver, Substrate};
 use da_membership::MembershipMsg;
-use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{Engine, SimConfig};
 use damulticast::{ControlMsg, DaMsg, DaProcess, Event, ParamMap, StaticNetwork, SuperEntry};
 use rand::rngs::SmallRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -147,34 +148,26 @@ fn interned_and_named_bumps_build_the_same_registry() {
     let idle = LabelId::intern("wave.never_bumped");
     let population = 60;
 
-    let simulated = |by_id| {
-        let mut engine = Engine::new(
-            SimConfig::default().with_seed(9),
-            Flood::population(population, by_id),
-        );
-        engine.run_until_quiescent(64);
-        observed(engine.counters())
-    };
-    let by_name = simulated(false);
-    assert_eq!(by_name.2.iter().sum::<u64>(), 2 * u64::from(population));
-    assert_eq!(simulated(true), by_name, "Engine");
-    assert!(!by_name.0.contains(idle.name()));
-
     // Each worker numbers its registry's slots in its own first-bump
     // order; the merge is by name.
-    for workers in [1, 2] {
-        let live = |by_id| {
-            let config = RuntimeConfig::default().with_workers(workers).with_seed(9);
-            let mut pool = Runtime::spawn(config, Flood::population(population, by_id));
-            pool.run_until_quiescent(64);
-            let counters = pool.shutdown().counters;
+    for substrate in [
+        Substrate::Sim,
+        Substrate::Live { workers: 1 },
+        Substrate::Live { workers: 2 },
+    ] {
+        let run = |by_id| {
+            let flood = Flood::population(population, by_id);
+            let mut driver =
+                Driver::spawn(substrate, 9, &FaultConfig::new(), TraceConfig::off(), flood);
+            driver.run_until_quiescent(64);
+            let counters = driver.finish().counters;
             assert_eq!(counters.get(idle.name()), 0);
             assert!(counters.iter().all(|(name, _)| name != idle.name()));
             observed(&counters)
         };
-        let by_name = live(false);
+        let by_name = run(false);
         assert_eq!(by_name.2.iter().sum::<u64>(), 2 * u64::from(population));
-        assert_eq!(live(true), by_name, "Runtime, {workers} worker(s)");
+        assert_eq!(run(true), by_name, "{substrate:?}");
     }
 }
 

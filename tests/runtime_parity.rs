@@ -12,77 +12,58 @@
 //! fanout) so full coverage is not at the mercy of one seed or one
 //! thread interleaving (miss probability ≈ e^{-12} per event).
 
-use da_core::{ChannelConfig, FailureModel, Latency, ProcessId, TraceConfig, TraceLog};
+use da_core::testkit::LifeProbe;
+use da_core::{
+    first_divergence, ChannelConfig, FailureModel, Fate, FaultConfig, Latency, ProcessId,
+    TraceConfig, TraceLog, TraceVerdict,
+};
+use da_harness::experiments::live::{delivered_sets, pinned_params};
 use da_harness::experiments::trace::describe_divergence;
-use da_runtime::{Runtime, RuntimeConfig};
-use da_simnet::{Engine, SimConfig};
-use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork, TopicParams};
+use da_harness::substrate::{Driver, Substrate};
+use damulticast::{DaProcess, EventId, StaticNetwork};
 use proptest::prelude::*;
 
 /// The paper's Sec. VII-A topology with pinned-high trade-off knobs.
 const SIZES: [usize; 3] = [10, 100, 1000];
 
-fn pinned_params() -> ParamMap {
-    ParamMap::uniform(
-        TopicParams::paper_default()
-            .with_g(20.0)
-            .with_a(3.0)
-            .with_fanout(da_membership::FanoutRule::LnPlusC { c: 12.0 }),
-    )
-}
+const SIM: Substrate = Substrate::Sim;
 
-fn build_network(seed: u64) -> StaticNetwork {
-    StaticNetwork::linear(&SIZES, pinned_params(), seed).expect("paper topology is valid")
-}
-
-/// Sorted delivered-event ids per process — the comparison key.
-fn delivered_sets(procs: &[DaProcess]) -> Vec<Vec<EventId>> {
-    procs
-        .iter()
-        .map(|p| {
-            let mut ids: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
-            ids.sort();
-            ids
-        })
-        .collect()
-}
-
-/// Publishers: the first member of each level (leaf, mid, root events).
-fn publishers(net: &StaticNetwork) -> Vec<ProcessId> {
-    net.groups().iter().map(|g| g.members[0]).collect()
-}
-
-/// Runs the topology under the simulator, publishing one event per
-/// level. Returns per-process delivered sets plus the parasite count.
-fn run_sim(seed: u64) -> (Vec<Vec<EventId>>, u64) {
-    let net = build_network(seed);
-    let pubs = publishers(&net);
-    let mut engine = Engine::new(SimConfig::default().with_seed(seed), net.into_processes());
-    for (level, pid) in pubs.into_iter().enumerate() {
-        engine.process_mut(pid).publish(format!("event-{level}"));
+/// One event per level — published by the level's first member (leaf,
+/// mid, root events) — on a `sizes` chain over `faults`, with the
+/// recorder on so a parity failure can name the first divergent envelope
+/// instead of just "the sets differ". `advance` runs the published
+/// population: to quiescence, or for a fixed horizon. Returns
+/// per-process delivered sets, the parasite count and the trace.
+fn run(
+    substrate: Substrate,
+    sizes: &[usize],
+    seed: u64,
+    faults: &FaultConfig,
+    advance: impl FnOnce(&mut Driver<DaProcess>),
+) -> (Vec<Vec<EventId>>, u64, TraceLog) {
+    let net =
+        StaticNetwork::linear(sizes, pinned_params(20.0, 12.0), seed).expect("valid topology");
+    let publishers: Vec<ProcessId> = net.groups().iter().map(|g| g.members[0]).collect();
+    let procs = net.into_processes();
+    let mut driver = Driver::spawn(substrate, seed, faults, TraceConfig::full(), procs);
+    for (level, pid) in publishers.into_iter().enumerate() {
+        driver.apply(pid, move |p| p.publish(format!("event-{level}")));
     }
-    engine.run_until_quiescent(128);
-    let parasites = engine.counters().get("da.parasite");
-    (delivered_sets(&engine.into_processes()), parasites)
-}
-
-/// Runs the identical topology under the live runtime.
-fn run_live(seed: u64, workers: usize) -> (Vec<Vec<EventId>>, u64) {
-    let net = build_network(seed);
-    let pubs = publishers(&net);
-    let config = RuntimeConfig::default()
-        .with_seed(seed)
-        .with_workers(workers);
-    let mut rt = Runtime::spawn(config, net.into_processes());
-    for (level, pid) in pubs.into_iter().enumerate() {
-        rt.with_process_mut(pid, move |p| p.publish(format!("event-{level}")));
-    }
-    rt.run_until_quiescent(128);
-    let out = rt.shutdown();
+    advance(&mut driver);
+    let out = driver.finish();
     (
         delivered_sets(&out.processes),
         out.counters.get("da.parasite"),
+        out.trace.expect("tracing was enabled"),
     )
+}
+
+/// The paper topology over perfect channels, to quiescence.
+fn run_paper(substrate: Substrate, seed: u64) -> (Vec<Vec<EventId>>, u64) {
+    let (sets, parasites, _) = run(substrate, &SIZES, seed, &FaultConfig::new(), |driver| {
+        driver.run_until_quiescent(128);
+    });
+    (sets, parasites)
 }
 
 /// The audience of the level-`l` event: members of levels 0..=l (events
@@ -95,8 +76,8 @@ fn audience_cutoff(level: usize) -> usize {
 #[test]
 fn live_runtime_delivers_the_same_event_set_as_the_simulator() {
     let seed = 42;
-    let (sim_sets, sim_parasites) = run_sim(seed);
-    let (live_sets, live_parasites) = run_live(seed, 0);
+    let (sim_sets, sim_parasites) = run_paper(SIM, seed);
+    let (live_sets, live_parasites) = run_paper(Substrate::Live { workers: 0 }, seed);
 
     assert_eq!(sim_parasites, 0, "simulator run saw a parasite");
     assert_eq!(live_parasites, 0, "live run saw a parasite");
@@ -113,8 +94,9 @@ fn live_runtime_delivers_the_same_event_set_as_the_simulator() {
 #[test]
 fn both_substrates_blanket_the_full_audience() {
     let seed = 7;
-    for (substrate, (sets, parasites)) in [("sim", run_sim(seed)), ("live", run_live(seed, 0))] {
-        assert_eq!(parasites, 0, "{substrate}: parasite deliveries");
+    for substrate in [SIM, Substrate::Live { workers: 0 }] {
+        let (sets, parasites) = run_paper(substrate, seed);
+        assert_eq!(parasites, 0, "{substrate:?}: parasite deliveries");
         let population: usize = SIZES.iter().sum();
         assert_eq!(sets.len(), population);
         // Event of level l (publisher = first member of level l) must be
@@ -133,7 +115,7 @@ fn both_substrates_blanket_the_full_audience() {
                 assert_eq!(
                     delivered.binary_search(&id).is_ok(),
                     interested,
-                    "{substrate}: process {pid} vs level-{level} event (audience < {cutoff})"
+                    "{substrate:?}: process {pid} vs level-{level} event (audience < {cutoff})"
                 );
             }
         }
@@ -143,117 +125,80 @@ fn both_substrates_blanket_the_full_audience() {
 #[test]
 fn live_outcome_is_stable_across_pool_shapes() {
     // The guarantee must not depend on how processes map to workers.
-    let (one, p1) = run_live(3, 1);
-    let (eight, p8) = run_live(3, 8);
+    let (one, p1) = run_paper(Substrate::Live { workers: 1 }, 3);
+    let (eight, p8) = run_paper(Substrate::Live { workers: 8 }, 3);
     assert_eq!(p1, 0);
     assert_eq!(p8, 0);
     assert_eq!(one, eight, "worker count changed the delivered event sets");
 }
 
+/// The same seed materialises the same `FailurePlan` fates on the
+/// simulator and on the runtime, regardless of worker count — every
+/// process executes the exact same set of rounds, is recovered the same
+/// number of times, and ends in the same status.
+#[test]
+fn failure_fates_match_the_simulator_at_any_worker_count() {
+    let faults = FaultConfig::new().with_failures(FailureModel::Churn {
+        crash_probability: 0.15,
+        recover_probability: 0.3,
+    });
+    let run = |substrate: Substrate| {
+        let probes = vec![LifeProbe::default(); 12];
+        let mut driver = Driver::spawn(substrate, 11, &faults, TraceConfig::off(), probes);
+        driver.run_ticks(40);
+        let out = driver.finish();
+        let churn = ["churn_crashes", "churn_recoveries"]
+            .map(|name| out.counters.get(&format!("{}.{name}", substrate.prefix())));
+        let schedules: Vec<(Vec<u64>, u64)> = out
+            .processes
+            .into_iter()
+            .map(|p| (p.rounds, p.recoveries))
+            .collect();
+        (schedules, out.statuses, churn)
+    };
+    let sim = run(SIM);
+    assert!(sim.2[0] > 0 && sim.2[1] > 0, "the run saw churn");
+    for workers in [1, 4] {
+        assert_eq!(run(Substrate::Live { workers }), sim, "{workers} workers");
+    }
+}
+
+/// A crash and a recovery of one process scripted into the same round
+/// are one net transition (`FailurePlan::transition`): the process never
+/// goes down, re-enters through `on_recover` once, and the trace holds a
+/// single `Recovered` — on both substrates.
+#[test]
+fn same_round_crash_and_recovery_matches_the_simulator() {
+    let fate = |crash| Fate {
+        round: 2,
+        pid: ProcessId(1),
+        crash,
+    };
+    let faults =
+        FaultConfig::new().with_failures(FailureModel::Schedule(vec![fate(true), fate(false)]));
+    let run = |substrate: Substrate| {
+        let probes = vec![LifeProbe::default(); 4];
+        let mut driver = Driver::spawn(substrate, 0, &faults, TraceConfig::full(), probes);
+        driver.run_ticks(5);
+        let out = driver.finish();
+        let trace = out.trace.expect("tracing is on");
+        assert_eq!(trace.count(TraceVerdict::Recovered), 1, "{substrate:?}");
+        assert_eq!(trace.count(TraceVerdict::Crashed), 0, "{substrate:?}");
+        for (pid, probe) in out.processes.iter().enumerate() {
+            assert_eq!(probe.recoveries, u64::from(pid == 1), "{substrate:?} {pid}");
+            assert_eq!(probe.rounds, [0, 1, 2, 3, 4], "nobody missed a round");
+        }
+        trace.canonical_events()
+    };
+    assert_eq!(
+        first_divergence(&run(SIM), &run(Substrate::Live { workers: 2 })),
+        None
+    );
+}
+
 /// A smaller chain for the property sweep below — each case runs the
 /// full workload on both substrates, so the topology is kept modest.
 const PROP_SIZES: [usize; 3] = [4, 10, 40];
-
-/// One publication per level driven to quiescence on the given
-/// substrate over a lossy, possibly multi-tick-latency channel.
-/// Returns per-process delivered sets, the parasite count, and the
-/// flight-recorder trace (captured so a parity failure can name the
-/// first divergent envelope instead of just "the sets differ").
-fn run_lossy(
-    seed: u64,
-    channel: ChannelConfig,
-    live: Option<RuntimeConfig>,
-) -> (Vec<Vec<EventId>>, u64, TraceLog) {
-    let net = StaticNetwork::linear(&PROP_SIZES, pinned_params(), seed).expect("valid topology");
-    let pubs = publishers(&net);
-    match live {
-        Some(config) => {
-            let mut rt = Runtime::spawn(
-                config
-                    .with_seed(seed)
-                    .with_channel(channel)
-                    .with_trace(TraceConfig::full()),
-                net.into_processes(),
-            );
-            for (level, pid) in pubs.into_iter().enumerate() {
-                rt.with_process_mut(pid, move |p| p.publish(format!("event-{level}")));
-            }
-            rt.run_until_quiescent(192);
-            let out = rt.shutdown();
-            (
-                delivered_sets(&out.processes),
-                out.counters.get("da.parasite"),
-                out.trace.expect("tracing was enabled"),
-            )
-        }
-        None => {
-            let config = SimConfig::default()
-                .with_seed(seed)
-                .with_channel(channel)
-                .with_trace(TraceConfig::full());
-            let mut engine: Engine<DaProcess> = Engine::new(config, net.into_processes());
-            for (level, pid) in pubs.into_iter().enumerate() {
-                engine.process_mut(pid).publish(format!("event-{level}"));
-            }
-            engine.run_until_quiescent(192);
-            let parasites = engine.counters().get("da.parasite");
-            let trace = engine.trace_log().expect("tracing was enabled");
-            (delivered_sets(&engine.into_processes()), parasites, trace)
-        }
-    }
-}
-
-/// One publication per level over `ticks` fixed rounds/ticks (no
-/// quiescence cut-off, so the churn horizon is identical on both
-/// substrates) under a failure model. Returns per-process delivered
-/// sets plus the parasite count.
-fn run_churned(
-    seed: u64,
-    channel: ChannelConfig,
-    failure: &FailureModel,
-    ticks: u64,
-    live: Option<RuntimeConfig>,
-) -> (Vec<Vec<EventId>>, u64, TraceLog) {
-    let net = StaticNetwork::linear(&PROP_SIZES, pinned_params(), seed).expect("valid topology");
-    let pubs = publishers(&net);
-    match live {
-        Some(config) => {
-            let mut rt = Runtime::spawn(
-                config
-                    .with_seed(seed)
-                    .with_channel(channel)
-                    .with_failures(failure.clone())
-                    .with_trace(TraceConfig::full()),
-                net.into_processes(),
-            );
-            for (level, pid) in pubs.into_iter().enumerate() {
-                rt.with_process_mut(pid, move |p| p.publish(format!("event-{level}")));
-            }
-            rt.run_ticks(ticks);
-            let out = rt.shutdown();
-            (
-                delivered_sets(&out.processes),
-                out.counters.get("da.parasite"),
-                out.trace.expect("tracing was enabled"),
-            )
-        }
-        None => {
-            let config = SimConfig::default()
-                .with_seed(seed)
-                .with_channel(channel)
-                .with_failures(failure.clone())
-                .with_trace(TraceConfig::full());
-            let mut engine: Engine<DaProcess> = Engine::new(config, net.into_processes());
-            for (level, pid) in pubs.into_iter().enumerate() {
-                engine.process_mut(pid).publish(format!("event-{level}"));
-            }
-            engine.run_rounds(ticks);
-            let parasites = engine.counters().get("da.parasite");
-            let trace = engine.trace_log().expect("tracing was enabled");
-            (delivered_sets(&engine.into_processes()), parasites, trace)
-        }
-    }
-}
 
 /// Which processes stay alive for the whole horizon under the (shared)
 /// churn plan — computed by replaying the plan's stateless transitions
@@ -277,33 +222,35 @@ fn never_crashed(seed: u64, population: usize, ticks: u64, failure: &FailureMode
 
 proptest! {
     // Each case is two full multi-substrate runs; 12 cases keep the
-    // sweep well under a second while covering the workers × max_lag ×
-    // latency grid several times over.
+    // sweep well under a second while covering the workers × latency
+    // grid several times over.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Satellite requirement: delivered-event-set parity between the
     /// barrier-free runtime and the simulator across pool widths, lag
     /// windows, and lossy channels. The channel loses 10% of sends and
-    /// may hold survivors for several ticks (which is what opens a real
-    /// worker-drift window at `max_lag > 1`); the pinned-high trade-off
+    /// holds survivors for 1–4 ticks (the latency floor is the pool's
+    /// worker-drift window); the pinned-high trade-off
     /// knobs make gossip effectively atomic despite the loss, so both
     /// substrates must still deliver every event to its exact audience
     /// — byte-for-byte equal delivered sets.
     #[test]
     fn barrier_free_runtime_matches_simulator_under_loss(
         seed in 1u64..100_000,
+        latency in 1u64..=4,
         workers in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
-        max_lag in prop_oneof![Just(1u64), Just(2), Just(4)],
-        min_latency in 1u64..=3,
     ) {
-        let channel = ChannelConfig::reliable()
-            .with_success_probability(0.9)
-            .with_latency(Latency::Fixed(min_latency));
-        let (sim_sets, sim_parasites, sim_trace) = run_lossy(seed, channel, None);
-        let live_config = RuntimeConfig::default()
-            .with_workers(workers)
-            .with_max_lag(max_lag);
-        let (live_sets, live_parasites, live_trace) = run_lossy(seed, channel, Some(live_config));
+        let faults = FaultConfig::new().with_channel(
+            ChannelConfig::reliable()
+                .with_success_probability(0.9)
+                .with_latency(Latency::Fixed(latency)),
+        );
+        let [(sim_sets, sim_parasites, sim_trace), (live_sets, live_parasites, live_trace)] =
+            [SIM, Substrate::Live { workers }].map(|substrate| {
+                run(substrate, &PROP_SIZES, seed, &faults, |driver| {
+                    driver.run_until_quiescent(192);
+                })
+            });
 
         prop_assert_eq!(sim_parasites, 0, "simulator saw a parasite");
         prop_assert_eq!(live_parasites, 0, "live runtime saw a parasite");
@@ -317,8 +264,8 @@ proptest! {
         prop_assert!(
             mismatched.is_empty(),
             "processes {:?} delivered different event sets \
-             (workers={}, max_lag={}, latency={}); {}",
-            mismatched, workers, max_lag, min_latency,
+             (workers={}, latency={}); {}",
+            mismatched, workers, latency,
             describe_divergence(&sim_trace, &live_trace)
         );
     }
@@ -326,11 +273,12 @@ proptest! {
 
 proptest! {
     // Each case is again two full runs; 8 cases cover the churn ×
-    // loss × lag grid the tentpole names while keeping the suite fast.
+    // loss × latency grid while keeping the suite fast.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Satellite requirement: delivered-set parity under **combined
-    /// churn × 10% loss × `workers ∈ {1, 2, 4}` × `max_lag ∈ {1, 4}`**
+    /// churn × 10% loss × `workers ∈ {1, 2, 4, 8}` × a latency floor (=
+    /// drift window) of 1–4 ticks**
     /// — the slab `ProcessStore` stripes differently at every worker
     /// count, so this sweep pins storage layout out of the delivered
     /// sets. Both substrates
@@ -346,25 +294,29 @@ proptest! {
     fn churned_runtime_matches_simulator_for_surviving_cohort(
         seed in 1u64..100_000,
         workers in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
-        max_lag in prop_oneof![Just(1u64), Just(4)],
+        latency in 1u64..=4,
     ) {
         // 64 ticks: ample for dissemination (the quiescence budget other
         // suites use) while P(never crashed) = 0.99^64 ≈ 0.53 keeps the
         // surviving cohort large.
         const TICKS: u64 = 64;
-        let channel = ChannelConfig::reliable()
-            .with_success_probability(0.9)
-            .with_latency(Latency::Fixed(2));
         let failure = FailureModel::Churn {
             crash_probability: 0.01,
             recover_probability: 0.3,
         };
-        let (sim_sets, sim_parasites, sim_trace) = run_churned(seed, channel, &failure, TICKS, None);
-        let live_config = RuntimeConfig::default()
-            .with_workers(workers)
-            .with_max_lag(max_lag);
-        let (live_sets, live_parasites, live_trace) =
-            run_churned(seed, channel, &failure, TICKS, Some(live_config));
+        let faults = FaultConfig::new()
+            .with_channel(
+                ChannelConfig::reliable()
+                    .with_success_probability(0.9)
+                    .with_latency(Latency::Fixed(latency)),
+            )
+            .with_failures(failure.clone());
+        // A fixed horizon: the churn schedule must cover the same ticks
+        // on both substrates.
+        let [(sim_sets, sim_parasites, sim_trace), (live_sets, live_parasites, live_trace)] =
+            [SIM, Substrate::Live { workers }].map(|substrate| {
+                run(substrate, &PROP_SIZES, seed, &faults, |driver| driver.run_ticks(TICKS))
+            });
 
         prop_assert_eq!(sim_parasites, 0, "simulator saw a parasite");
         prop_assert_eq!(live_parasites, 0, "live runtime saw a parasite");
@@ -384,8 +336,8 @@ proptest! {
         prop_assert!(
             mismatched.is_empty(),
             "surviving processes {:?} delivered different event sets \
-             (workers={}, max_lag={}); {}",
-            mismatched, workers, max_lag,
+             (workers={}, latency={}); {}",
+            mismatched, workers, latency,
             describe_divergence(&sim_trace, &live_trace)
         );
     }

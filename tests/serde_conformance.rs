@@ -37,7 +37,6 @@ fn fault_and_topology_types_are_serde() {
 fn trace_types_are_serde() {
     is_serde::<da_core::TraceConfig>();
     is_serde::<da_core::TraceMode>();
-    is_serde::<da_core::TraceCategory>();
     is_serde::<da_core::TraceEvent>();
     is_serde::<da_core::TraceVerdict>();
     is_serde::<da_core::Histogram>();
