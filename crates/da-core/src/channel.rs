@@ -283,19 +283,26 @@ const EDGE_STREAM_TAG: u64 = 0xED6E_0000_0000_0001;
 /// `FailurePlan::churn_flips` uses for lifecycle draws — removes the
 /// *stream position* too. The fate of the k-th same-edge send within a
 /// tick is a pure function of the key, so resident state is a single
-/// `u64` regardless of how many distinct edges a run touches (the
-/// pre-existing design cached one 32-byte generator per directed edge,
-/// `O(edges)` forever-growing memory).
+/// `u64` regardless of how many distinct edges a run touches.
+///
+/// The key is folded in the order `from`, `to`, `tick`, `occurrence`,
+/// one [`derive_seed`] round each, so everything a sender's draws share
+/// is a prefix: [`source_seed`](Self::source_seed) is the first round,
+/// and a caller routing a run of sends from one process derives it once
+/// and finishes each send with
+/// [`draw_rng_from`](Self::draw_rng_from). [`draw_rng`](Self::draw_rng)
+/// is the two composed.
 ///
 /// **Draw-order version 2.** Counter-mode keys changed the live
 /// substrate's fate sequences relative to the original sequential
-/// per-edge streams (draw-order v1): the per-seed fates are still fully
+/// per-edge streams (draw-order v1): the per-seed fates are fully
 /// deterministic and worker-count-independent, but they are not
 /// byte-identical to v1's. Sim-vs-live parity is unaffected — the
 /// simulator draws fates on its own engine stream, and every
 /// cross-substrate comparison in the workspace is over delivered sets
-/// or 3σ reliability bands, not live fate bytes. Committed live-side
-/// figures were re-pinned when v2 shipped.
+/// or 3σ reliability bands, not live fate bytes. The prefix split is
+/// inside v2: it regroups the same four rounds and moves no bit
+/// (`draw_rng_matches_its_pinned_draws`).
 ///
 /// ```
 /// use da_core::channel::EdgeRngs;
@@ -306,6 +313,8 @@ const EDGE_STREAM_TAG: u64 = 0xED6E_0000_0000_0001;
 /// let draw_a: u64 = a.draw_rng(3, 9, 5, 0).gen();
 /// let draw_b: u64 = b.draw_rng(3, 9, 5, 0).gen();
 /// assert_eq!(draw_a, draw_b, "same master seed, same key, same draw");
+/// let split: u64 = a.draw_rng_from(a.source_seed(3), 9, 5, 0).gen();
+/// assert_eq!(draw_a, split, "the sender's prefix, derived once");
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeRngs {
@@ -321,11 +330,29 @@ impl EdgeRngs {
         }
     }
 
+    /// The seed every draw on an edge out of `from` starts from: the
+    /// part of the key a sender's sends share.
+    #[must_use]
+    pub fn source_seed(&self, from: u64) -> u64 {
+        derive_seed(self.edge_master, from)
+    }
+
     /// The seed of the `(from, to)` edge family (exposed for tests and
     /// for substrates that manage their own RNG storage).
     #[must_use]
     pub fn edge_seed(&self, from: u64, to: u64) -> u64 {
-        derive_seed(derive_seed(self.edge_master, from), to)
+        derive_seed(self.source_seed(from), to)
+    }
+
+    /// [`draw_rng`](Self::draw_rng) from a sender's
+    /// [`source_seed`](Self::source_seed): the RNG of the
+    /// `occurrence`-th message to `to` within send tick `tick`.
+    #[must_use]
+    pub fn draw_rng_from(&self, source_seed: u64, to: u64, tick: u64, occurrence: u64) -> SmallRng {
+        rng_from_seed(derive_seed(
+            derive_seed(derive_seed(source_seed, to), tick),
+            occurrence,
+        ))
     }
 
     /// The RNG for one send: the `occurrence`-th message (0-based) on
@@ -335,10 +362,7 @@ impl EdgeRngs {
     /// number of times.
     #[must_use]
     pub fn draw_rng(&self, from: u64, to: u64, tick: u64, occurrence: u64) -> SmallRng {
-        rng_from_seed(derive_seed(
-            derive_seed(self.edge_seed(from, to), tick),
-            occurrence,
-        ))
+        self.draw_rng_from(self.source_seed(from), to, tick, occurrence)
     }
 }
 
@@ -565,6 +589,53 @@ mod tests {
         let rngs = EdgeRngs::new(3);
         for pid in 0..64 {
             assert_ne!(rngs.edge_seed(0, 1), derive_seed(3, pid));
+        }
+    }
+
+    /// Draw-order v2, bit for bit: the first two draws of eight keys
+    /// (both ends of the pid range, a reversed edge, neighbouring ticks
+    /// and occurrences). A change to these re-rolls every live fate and
+    /// is a new draw-order version. The sender's prefix regroups the
+    /// rounds without moving a bit.
+    #[test]
+    fn draw_rng_matches_its_pinned_draws() {
+        use rand::Rng as _;
+        // from, to, tick, occurrence, then the two draws.
+        const PINNED: [[u64; 6]; 8] = [
+            [0, 0, 0, 0, 0x7354bb1fb70589e4, 0x19bb34c5cdefb341],
+            [3, 9, 5, 0, 0x4231ea593288e2a6, 0x0da5436bc432d80e],
+            [3, 9, 5, 1, 0xb3acc4d3eb520b56, 0xcbc104c2cf82f1e4],
+            [9, 3, 5, 0, 0x9d3e8796c53acf69, 0xb5904faf8644af1c],
+            [3, 9, 6, 0, 0x565876a0756029c8, 0x2ab31d592a7a56ad],
+            [0xffff_ffff, 0, 1, 2, 0x9365a52c38840ae4, 0x4d38caaf800c495e],
+            [
+                0,
+                0xffff_ffff,
+                u64::MAX,
+                0xffff_ffff,
+                0xb6a502a0b4435126,
+                0xa0a628184cd08c1a,
+            ],
+            [
+                4_095,
+                131_071,
+                1 << 40,
+                7,
+                0xb15ab88d6dc5eb49,
+                0xd3775867fa74be6e,
+            ],
+        ];
+        let rngs = EdgeRngs::new(42);
+        for [from, to, tick, occurrence, first, second] in PINNED {
+            let draws = (first, second);
+            let mut whole = rngs.draw_rng(from, to, tick, occurrence);
+            assert_eq!((whole.gen(), whole.gen()), draws, "{from} -> {to}");
+            let mut split = rngs.draw_rng_from(rngs.source_seed(from), to, tick, occurrence);
+            assert_eq!((split.gen(), split.gen()), draws, "{from} -> {to}, split");
+            assert_eq!(
+                rngs.edge_seed(from, to),
+                derive_seed(rngs.source_seed(from), to)
+            );
         }
     }
 }

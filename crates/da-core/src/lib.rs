@@ -67,8 +67,8 @@ pub use seed::{derive_seed, rng_for_process, rng_from_seed};
 pub use store::ProcessStore;
 pub use stripe::{HotIds, Ledger, Outbound, Stripe, StripeTrace, TickTally};
 pub use topology::{
-    DropSchedule, NetFate, NetworkModel, NodeId, Partition, PartitionSchedule, ScriptedDrop,
-    Topology,
+    DropSchedule, NetFate, NetworkModel, NodeId, Occurrences, Partition, PartitionSchedule,
+    ScriptedDrop, Topology,
 };
 pub use trace::{
     canonicalize, first_divergence, TraceConfig, TraceDivergence, TraceEvent, TraceMode,

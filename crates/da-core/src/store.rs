@@ -1,21 +1,19 @@
 //! Flat process storage with lazily-derived RNG streams, shared by both
 //! execution substrates.
 //!
-//! Both the simulator engine and each live worker stripe used to hold a
-//! `Vec<P>` of process states next to a parallel, eagerly-populated
-//! `Vec<SmallRng>` — 32 bytes of generator state per process, paid at
-//! spawn time whether or not the process ever draws. At million-process
-//! scale that is 32 MB of RNG state per substrate *and* a full pass of
-//! seed derivation before the first tick.
-//!
-//! [`ProcessStore`] keeps the dense, cache-friendly slab layout (local
-//! index → process, exactly the `Vec` it replaces) but derives RNGs
-//! lazily: [`rng_for_process`] is a pure function of `(master seed,
-//! pid)`, so the stream of a process that has never drawn does not need
-//! to exist. A slot materialises on first use and then persists, so
-//! stream *positions* are preserved exactly — the k-th draw of a
-//! process is identical whether its neighbours ever drew or not, and
-//! identical to the eager layout's.
+//! [`ProcessStore`] is a dense, cache-friendly slab (local index →
+//! process) beside a slab of RNG slots that start empty:
+//! [`rng_for_process`] is a pure function of `(master seed, pid)`, so
+//! the stream of a process that has never drawn does not need to exist.
+//! A slot materialises on the first *draw* — the tick body hands a hook
+//! the process and its empty slot and the hook's `Exec::rng` fills it —
+//! and then persists, so stream *positions* are preserved exactly: the
+//! k-th draw of a process is identical whether its neighbours ever drew
+//! or not, and identical to an eagerly seeded layout's. A population
+//! that never draws (a relay, the metropolis flood) keeps 40 bytes of
+//! `None` per process and never reads them after spawn; at
+//! million-process scale an eager layout would be 32 MB of generator
+//! state and a full pass of seed derivation before the first tick.
 
 use crate::process::ProcessId;
 use crate::seed::rng_for_process;
@@ -123,9 +121,19 @@ impl<P> ProcessStore<P> {
         self.rngs[local].get_or_insert_with(|| rng_for_process(seed, pid))
     }
 
-    /// Split borrow for the delivery/round hot path: the process at
-    /// `local` and its RNG stream, in one call, without aliasing
-    /// conflicts between the two slabs.
+    /// Split borrow for a protocol hook: the process at `local`, its RNG
+    /// slot as it is — empty until the process first draws — and the
+    /// master seed to fill it from. The tick body's context materialises
+    /// the stream when a hook asks for it, so a hook that never draws
+    /// touches nothing of the RNG slab.
+    pub(crate) fn hook_parts(&mut self, local: usize) -> (&mut P, &mut Option<SmallRng>, u64) {
+        (&mut self.procs[local], &mut self.rngs[local], self.seed)
+    }
+
+    /// The process at `local` and its RNG stream, materialised, in one
+    /// call. The tick body does not call this: its hooks materialise on
+    /// the first draw. It stays for a caller that wants both halves
+    /// eagerly; the benchmark's `store.pair_mut_ns` probe times it.
     pub fn pair_mut(&mut self, local: usize, pid: ProcessId) -> (&mut P, &mut SmallRng) {
         let seed = self.seed;
         let rng = self.rngs[local].get_or_insert_with(|| rng_for_process(seed, pid));

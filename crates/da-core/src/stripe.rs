@@ -20,6 +20,7 @@ use crate::exec::{Exec, ExecProtocol};
 use crate::lifecycle::LifecycleController;
 use crate::metrics::{CounterId, Counters, Histogram, LabelId};
 use crate::process::{ProcessId, ProcessStatus};
+use crate::seed::rng_for_process;
 use crate::store::ProcessStore;
 use crate::topology::NetFate;
 use crate::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
@@ -171,7 +172,10 @@ impl Ledger {
 struct Ctx<'a, O> {
     me: ProcessId,
     tick: u64,
-    rng: &'a mut SmallRng,
+    /// The process's stream, `None` until it first draws, and the seed
+    /// it then derives from.
+    rng: &'a mut Option<SmallRng>,
+    seed: u64,
     ledger: &'a mut Ledger,
     out: &'a mut O,
 }
@@ -195,7 +199,8 @@ impl<O: Outbound<Msg: WireSize>> Exec for Ctx<'_, O> {
     }
 
     fn rng(&mut self) -> &mut SmallRng {
-        self.rng
+        let (seed, me) = (self.seed, self.me);
+        self.rng.get_or_insert_with(|| rng_for_process(seed, me))
     }
 
     fn bump(&mut self, label: &str) {
@@ -278,11 +283,12 @@ where
         f: impl FnOnce(&mut P, &mut Ctx<'_, O>),
     ) {
         let me = self.lifecycle.pid_of(slot);
-        let (process, rng) = self.store.pair_mut(slot, me);
+        let (process, rng, seed) = self.store.hook_parts(slot);
         let mut ctx = Ctx {
             me,
             tick: self.tick,
             rng,
+            seed,
             ledger: &mut self.ledger,
             out,
         };
@@ -579,5 +585,59 @@ mod tests {
         assert_eq!(s.store.get(1).heard.len() as u64, tally.delivered);
         assert_eq!(s.lifecycle.alive_count(), 2);
         assert_eq!(s.ledger.counters.get("t.dropped_crashed"), 0);
+    }
+
+    /// A hook that never asks for its RNG leaves the slot empty, and the
+    /// first draw — whenever it comes — is the head of the process's own
+    /// stream.
+    #[test]
+    fn streams_materialise_on_the_first_draw_only() {
+        use rand::Rng as _;
+
+        let mut s = stripe(FailureModel::None, 3, 7);
+        let mut out = Recording(0);
+        for tick in 0..8 {
+            s.begin_tick(tick, &mut out);
+            s.deliver(envelope(0, 2), &mut out);
+            s.round_hooks(&mut out);
+        }
+        assert_eq!(s.store.rng_resident(), 0, "Probe never draws");
+
+        /// Draws once, in its third round.
+        #[derive(Debug, Default)]
+        struct LateDraw(Option<u64>);
+
+        impl ExecProtocol for LateDraw {
+            type Msg = u8;
+
+            fn on_message<X: Exec<Msg = u8>>(&mut self, _from: ProcessId, _msg: u8, _ctx: &mut X) {}
+
+            fn on_round<X: Exec<Msg = u8>>(&mut self, round: u64, ctx: &mut X) {
+                if round == 2 && ctx.me() == ProcessId(1) {
+                    self.0 = Some(ctx.rng().gen());
+                }
+            }
+        }
+
+        let seed = 11;
+        let mut store = ProcessStore::new(seed);
+        store.push(LateDraw::default());
+        store.push(LateDraw::default());
+        let plan = Arc::new(FailureModel::None.materialize(2, seed));
+        let mut counters = Counters::new();
+        let ids = HotIds::register(&mut counters, "t");
+        let lifecycle = LifecycleController::new(plan, 0, 1, 2);
+        let mut s = Stripe::new(store, lifecycle, counters, ids, &TraceConfig::off());
+        for tick in 0..2 {
+            s.begin_tick(tick, &mut out);
+            s.round_hooks(&mut out);
+        }
+        assert_eq!(s.store.rng_resident(), 0);
+        s.begin_tick(2, &mut out);
+        s.round_hooks(&mut out);
+        assert_eq!(s.store.rng_resident(), 1, "the one that drew");
+        let head = rng_for_process(seed, ProcessId(1)).gen::<u64>();
+        assert_eq!(s.store.get(1).0, Some(head));
+        assert_eq!(s.store.get(0).0, None);
     }
 }

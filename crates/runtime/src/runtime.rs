@@ -407,7 +407,9 @@ where
                         // once per tick.
                         let mut proof = if report.is_loud() { report.tick + 2 } else { 0 };
                         if report.due_horizon > 0 {
-                            proof = proof.max(report.due_horizon + 1);
+                            // An envelope parked at `u64::MAX` is never
+                            // due: every tick under the cap is loud.
+                            proof = proof.max(report.due_horizon.saturating_add(1));
                         }
                         if proof > 0 {
                             self.grant(proof.min(cap));

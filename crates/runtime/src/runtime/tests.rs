@@ -235,13 +235,18 @@ fn slow_links_spill_past_a_bounded_ring() {
     assert_eq!(lane_capacity(&RuntimeConfig::default()), 3);
     assert_eq!(lane_capacity(&slow(u64::MAX)), 1_026);
 
-    for latency in [20_000_000, 1 << 40] {
+    // `u64::MAX` saturates the due tick instead of wrapping it into the
+    // past: the envelope is in flight for ever.
+    for latency in [20_000_000, 1 << 40, u64::MAX] {
         let mut rt = Runtime::spawn(slow(latency), relay_procs(2));
         rt.run_ticks(3);
         let out = rt.shutdown();
         assert_eq!(out.counters.get("rt.sent"), 6);
         assert_eq!(out.counters.get("rt.dropped_shutdown"), 6);
     }
+    let mut rt = Runtime::spawn(slow(u64::MAX), relay_procs(2));
+    assert_eq!(rt.run_until_quiescent(4), 4, "never due, never quiet");
+    assert_eq!(rt.shutdown().counters.get("rt.dropped_shutdown"), 8);
 
     let mut rt = Runtime::spawn(slow(1_500), relay_procs(4));
     assert_eq!(rt.run_until_quiescent(2_000), 1_506);

@@ -31,7 +31,11 @@
 //!   sampled latency — is drawn from a stateless RNG keyed by
 //!   `(edge, tick, occurrence)` on its link's channel, and survivors are
 //!   coalesced per destination worker so one tick costs at most one lane
-//!   push per worker pair.
+//!   push per worker pair. What an imperfect send costs before its draw
+//!   is one bump of a `da_core::Occurrences` table (the edge packed into
+//!   a word, hashed with one multiply) and three of the key's four
+//!   mixing rounds: the fourth, the sender's prefix, is kept from the
+//!   previous send while the sender stays the same.
 //!
 //! Control messages (`Control::*`, worker reports) ride `std::sync::mpsc`
 //! channels — they are rare. Only the per-tick batch traffic rides the
@@ -53,9 +57,8 @@
 
 use crossbeam::queue::{self, PushError};
 use da_core::channel::EdgeRngs;
-use da_core::topology::{NetFate, NetworkModel};
-use da_core::{Envelope, FxBuildHasher, Outbound, ProcessId};
-use std::collections::HashMap;
+use da_core::topology::{NetFate, NetworkModel, Occurrences};
+use da_core::{Envelope, Outbound, ProcessId};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -387,7 +390,8 @@ pub struct FlushReport {
 /// `(edge, send tick, within-tick occurrence)`, so the fate of "the
 /// k-th message from process 3 to process 9 in tick t" depends on
 /// neither worker striping *nor* the edge's prior traffic — zero
-/// resident RNG state per edge. A perfect configuration
+/// resident RNG state per edge; the occurrence comes from one
+/// [`Occurrences`] table cleared at every tick. A perfect configuration
 /// ([`NetworkModel::is_perfect`]) takes a draw-free fast path and is
 /// byte-for-byte equivalent to sending on the plain [`Hub`].
 ///
@@ -433,20 +437,25 @@ pub struct FaultyRouter<M> {
     /// buffers cycle producer → lane → consumer → return lane → producer
     /// for the runtime's whole lifetime.
     slots: Vec<Vec<Envelope<M>>>,
-    /// Per-edge send counters for the tick in `occ_tick`, giving each
-    /// send its occurrence index — the counter half of the stateless
+    /// Per-edge send counts for the tick in `occ_tick`, giving each send
+    /// its occurrence index — the counter half of the stateless
     /// `(edge, tick, occurrence)` draw key, and the occurrence scripted
     /// drops match on. The perfect fast path never touches it; every
-    /// imperfect send needs it (the occurrence disambiguates same-edge
-    /// sends within one tick). `clear()` at tick boundaries retains the
-    /// allocation, so the map's footprint is bounded by the edges
-    /// touched in the *busiest single tick*, not the edges ever used. A
+    /// imperfect send bumps it (the occurrence disambiguates same-edge
+    /// sends within one tick), which costs one multiply to hash. A
     /// worker sends sequentially and owns its sources, so the count per
     /// edge is deterministic.
-    occurrences: HashMap<(ProcessId, ProcessId), u32, FxBuildHasher>,
-    /// Tick the occurrence counters belong to; counters reset when a
+    occurrences: Occurrences,
+    /// Tick the occurrence counts belong to; they are cleared when a
     /// send arrives for a later tick.
     occ_tick: u64,
+    /// The last sender seen and the prefix of its draw keys
+    /// ([`EdgeRngs::source_seed`]). A hook's sends arrive back to back
+    /// (two on the flood, about nine on a wave's first delivery), so
+    /// most sends skip the first of the key's four mixing rounds. The
+    /// seed is a pure function of the pid: the pair is always a valid
+    /// one, whichever sender it is for.
+    source: (ProcessId, u64),
 }
 
 impl<M> FaultyRouter<M> {
@@ -458,14 +467,16 @@ impl<M> FaultyRouter<M> {
     pub fn new(hub: Hub<M>, network: impl Into<NetworkModel>, master_seed: u64) -> Self {
         let network = network.into();
         let slots = (0..hub.workers()).map(|_| Vec::new()).collect();
+        let rngs = EdgeRngs::new(master_seed);
         FaultyRouter {
             hub,
             perfect: network.is_perfect(),
             network,
-            rngs: EdgeRngs::new(master_seed),
+            rngs,
             slots,
-            occurrences: HashMap::default(),
+            occurrences: Occurrences::default(),
             occ_tick: 0,
+            source: (ProcessId(0), rngs.source_seed(0)),
         }
     }
 
@@ -494,16 +505,15 @@ impl<M> FaultyRouter<M> {
             NetFate::Deliver { latency: 1 }
         } else {
             if sent_tick != self.occ_tick {
-                // clear() keeps the allocation, so steady-state ticks
-                // reuse the same table.
                 self.occurrences.clear();
                 self.occ_tick = sent_tick;
             }
-            let slot = self.occurrences.entry((from, to)).or_insert(0);
-            let occurrence = *slot;
-            *slot += 1;
-            let mut rng = self.rngs.draw_rng(
-                u64::from(from.0),
+            let occurrence = self.occurrences.bump(from, to);
+            if self.source.0 != from {
+                self.source = (from, self.rngs.source_seed(u64::from(from.0)));
+            }
+            let mut rng = self.rngs.draw_rng_from(
+                self.source.1,
                 u64::from(to.0),
                 sent_tick,
                 u64::from(occurrence),
@@ -517,7 +527,9 @@ impl<M> FaultyRouter<M> {
                 from,
                 to,
                 sent_tick,
-                due_tick: sent_tick + latency,
+                // A configured latency can be anything: an envelope due
+                // at `u64::MAX` is in flight until shutdown.
+                due_tick: sent_tick.saturating_add(latency),
                 msg,
             });
         }
@@ -1145,5 +1157,55 @@ mod tests {
         drop(inboxes);
         drop(hubs);
         assert_eq!(std::sync::Arc::strong_count(&token), 1);
+    }
+
+    /// Draw-order v2 through the router, bit for bit: the fate of every
+    /// send of a fixed stream and the envelopes that reach each worker,
+    /// folded through `FxHasher`. One sender's sends come in non-adjacent
+    /// runs within a tick (1, 4, 1, 6, 1 — what the cached sender prefix
+    /// has to get right) and again in later ticks, and an edge repeats
+    /// within a tick, so occurrences count. A change to the value
+    /// re-rolls every live fate and is a new draw-order version.
+    #[test]
+    fn router_fates_match_their_pinned_digest() {
+        use std::hash::Hasher as _;
+        let channel = ChannelConfig::reliable()
+            .with_success_probability(0.9)
+            .with_latency(Latency::UniformRounds { min: 1, max: 3 });
+        let (mut hubs, mut inboxes) = lane_matrix::<u8>(2, 64);
+        let mut router = FaultyRouter::new(hubs.remove(0), channel, 42);
+        let mut digest = da_core::FxHasher::default();
+        for tick in [0u64, 1, 2, 5, 9, 10] {
+            let t = tick as u32;
+            let sends = [
+                (1, 2),
+                (1, 3 + t),
+                (4, 2),
+                (1, 2),
+                (1, 5),
+                (6, 1),
+                (6, 1),
+                (1, 2),
+                (u32::MAX, 0),
+                (1, u32::MAX),
+            ];
+            for (from, to) in sends {
+                match router.send(ProcessId(from), ProcessId(to), tick, 0) {
+                    NetFate::Deliver { latency } => digest.write_u64(latency),
+                    NetFate::Lost => digest.write_u64(0),
+                    NetFate::Severed => unreachable!("no partition is scripted"),
+                }
+            }
+            router.flush();
+            for inbox in &mut inboxes {
+                inbox.sweep(|_, e| {
+                    digest.write_u32(e.from.0);
+                    digest.write_u32(e.to.0);
+                    digest.write_u64(e.sent_tick);
+                    digest.write_u64(e.due_tick);
+                });
+            }
+        }
+        assert_eq!(digest.finish(), 0x29ff_bb4a_da48_a050);
     }
 }

@@ -6,18 +6,17 @@ use da_core::exec::{ExecProtocol, McHash};
 use da_core::failure::{FailureModel, Fate};
 use da_core::fault::FaultConfig;
 use da_core::lifecycle::LifecycleController;
-use da_core::metrics::{Counters, FxBuildHasher, FxHasher, Histogram, TraceLog};
+use da_core::metrics::{Counters, FxHasher, Histogram, TraceLog};
 use da_core::process::{ProcessId, ProcessStatus};
 use da_core::seed::{derive_seed, rng_from_seed};
 use da_core::store::ProcessStore;
 use da_core::stripe::{HotIds, Outbound, Stripe};
-use da_core::topology::{NetFate, NetworkModel, PartitionSchedule, Topology};
+use da_core::topology::{NetFate, NetworkModel, Occurrences, PartitionSchedule, Topology};
 use da_core::trace::TraceConfig;
 use da_core::wheel::{DelayWheel, Envelope, MAX_RING_TICKS};
 use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Configuration of one simulation run.
@@ -141,7 +140,7 @@ struct SimNet<M> {
     /// Per-round `(from, to)` send counts, maintained only when the
     /// network has scripted drops (`track_occurrences`); feeds the
     /// occurrence argument of [`Strategy::fate`].
-    occurrences: HashMap<(ProcessId, ProcessId), u32, FxBuildHasher>,
+    occurrences: Occurrences,
     track_occurrences: bool,
 }
 
@@ -162,10 +161,7 @@ impl<M, S: Strategy> Outbound for Routed<'_, M, S> {
     fn send(&mut self, from: ProcessId, to: ProcessId, tick: u64, msg: M) -> NetFate {
         let net = &mut *self.net;
         let occurrence = if net.track_occurrences {
-            let count = net.occurrences.entry((from, to)).or_insert(0);
-            let this = *count;
-            *count += 1;
-            this
+            net.occurrences.bump(from, to)
         } else {
             0
         };
@@ -179,7 +175,9 @@ impl<M, S: Strategy> Outbound for Routed<'_, M, S> {
                     from,
                     to,
                     sent_tick: tick,
-                    due_tick: tick + latency,
+                    // A configured latency can be anything: an envelope
+                    // due at `u64::MAX` stays in flight.
+                    due_tick: tick.saturating_add(latency),
                     msg,
                 },
             );
@@ -244,7 +242,7 @@ where
                 queue: DelayWheel::with_capacity(ring_rounds, 1),
                 model: config.faults.network,
                 rng: rng_from_seed(derive_seed(config.seed, 0)),
-                occurrences: HashMap::default(),
+                occurrences: Occurrences::default(),
                 track_occurrences,
             },
             queue_depth: Histogram::new(),
@@ -764,6 +762,34 @@ mod tests {
             e.counters().get("sim.delivered") + e.in_flight() as u64,
             e.counters().get("sim.sent")
         );
+    }
+
+    /// The relay never draws, so no process stream is ever seeded: a
+    /// hook materialises its stream when it asks for it, not before.
+    #[test]
+    fn a_population_that_never_draws_keeps_no_stream() {
+        let mut e = relay_engine(SimConfig::default().with_seed(3), 6);
+        e.run_rounds(8);
+        assert_eq!(e.counters().get("sim.delivered"), 42);
+        assert_eq!(e.stripe.store.rng_resident(), 0);
+    }
+
+    /// Link latency is config input: a send slower than the ring spills,
+    /// and one whose due tick saturates at `u64::MAX` stays in flight
+    /// instead of wrapping into the past.
+    #[test]
+    fn slow_links_stay_in_flight() {
+        let slow = |latency| {
+            let channel = ChannelConfig::reliable().with_latency(Latency::Fixed(latency));
+            relay_engine(SimConfig::default().with_channel(channel), 2)
+        };
+        for latency in [20_000_000, 1 << 40, u64::MAX] {
+            let mut e = slow(latency);
+            e.run_rounds(3);
+            assert_eq!(e.counters().get("sim.sent"), 6);
+            assert_eq!(e.in_flight(), 6);
+        }
+        assert_eq!(slow(u64::MAX).run_until_quiescent(4), 4);
     }
 
     /// A protocol written purely against [`ExecProtocol`], checked here

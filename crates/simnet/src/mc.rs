@@ -65,13 +65,13 @@ use da_core::channel::ChannelFate;
 use da_core::exec::{ExecProtocol, McHash};
 use da_core::failure::{FailureModel, Fate};
 use da_core::fault::FaultConfig;
-use da_core::metrics::{FxBuildHasher, FxHasher};
+use da_core::metrics::FxHasher;
 use da_core::process::ProcessId;
-use da_core::topology::{DropSchedule, NetFate, NetworkModel, ScriptedDrop};
+use da_core::topology::{DropSchedule, NetFate, NetworkModel, Occurrences, ScriptedDrop};
 use da_core::trace::{canonicalize, TraceConfig, TraceEvent};
 use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A safety property checked in every reachable state.
 ///
@@ -260,7 +260,7 @@ struct ScriptStrategy {
     ordering: OrderingMode,
     drops_remaining: u32,
     drops_made: Vec<ScriptedDrop>,
-    occurrences: HashMap<(ProcessId, ProcessId), u32, FxBuildHasher>,
+    occurrences: Occurrences,
 }
 
 impl ScriptStrategy {
@@ -274,7 +274,7 @@ impl ScriptStrategy {
             ordering,
             drops_remaining,
             drops_made: Vec::new(),
-            occurrences: HashMap::default(),
+            occurrences: Occurrences::default(),
         }
     }
 
@@ -324,12 +324,7 @@ impl Strategy for ScriptStrategy {
         // The engine only tracks occurrences when the *network* has
         // scripted drops; the explorer needs them regardless, to
         // record replayable drops, so it keeps its own per-round count.
-        let occurrence = {
-            let count = self.occurrences.entry((from, to)).or_insert(0);
-            let this = *count;
-            *count += 1;
-            this
-        };
+        let occurrence = self.occurrences.bump(from, to);
         if network.severed(from, to, tick) {
             return NetFate::Severed;
         }

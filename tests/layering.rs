@@ -181,6 +181,46 @@ fn the_concurrent_fabric_stays_small() {
     assert!(orderings <= 7, "{orderings} `Ordering::` sites shipped");
 }
 
+/// A send's per-tick occurrence is counted by one table,
+/// `da_core::Occurrences`, which alone knows how an edge is packed and
+/// hashed: no substrate keeps a pair-keyed map of its own (or any hash
+/// map, on the send path's two files). And a hook's RNG stream is seeded
+/// by the draw that needs it: the tick body never asks the store for a
+/// materialised one.
+#[test]
+fn one_occurrence_table_and_no_eager_stream() {
+    let mut definitions = Vec::new();
+    for (path, source) in sources("crates") {
+        if path.extension().is_none_or(|ext| ext != "rs") {
+            continue;
+        }
+        let pair_keyed = "HashMap<(ProcessId, ProcessId)";
+        let shipped = shipped(&path, &source);
+        assert!(!shipped.contains(pair_keyed), "{}", path.display());
+        if shipped.contains("struct Occurrences") {
+            definitions.push(path);
+        }
+    }
+    assert_eq!(definitions.len(), 1, "{definitions:?}");
+    assert!(definitions[0].ends_with("crates/da-core/src/topology.rs"));
+
+    let ships = |file: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+        let source = std::fs::read_to_string(&path).expect("source file");
+        shipped(&path, &source).to_owned()
+    };
+    for file in [
+        "crates/runtime/src/transport.rs",
+        "crates/simnet/src/engine.rs",
+    ] {
+        assert!(!ships(file).contains("HashMap"), "{file}");
+    }
+    let stripe = ships("crates/da-core/src/stripe.rs");
+    for eager in ["pair_mut(", ".rng("] {
+        assert!(!stripe.contains(eager), "stripe.rs: {eager}");
+    }
+}
+
 /// A scenario that runs on both substrates is written once, against the
 /// harness's `Driver`: `da-runtime` tests itself without the simulator,
 /// the pool's drift window has no knob to thread through call sites, and

@@ -2,12 +2,14 @@
 //! label interned to a `LabelId` counts exactly like its name on both
 //! substrates, a warmed-up `DaProcess` discards a duplicate without
 //! touching the allocator, a control message allocates only when it
-//! carries a list (then once more than the list), and a static process
+//! carries a list (then once more than the list), a static process
 //! stays inside the heap budget the benchmark's `bytes_per_process` is
-//! held to.
+//! held to, and the send path's occurrence table counts like the
+//! pair-keyed map it is a packing of and reuses its allocation.
 
 use da_core::{
-    Counters, Exec, ExecProtocol, FaultConfig, LabelId, ProcessId, TraceConfig, WireSize,
+    Counters, Exec, ExecProtocol, FaultConfig, LabelId, Occurrences, ProcessId, TraceConfig,
+    WireSize,
 };
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::MembershipMsg;
@@ -321,4 +323,53 @@ fn a_static_process_stays_under_900_bytes_of_heap() {
         per_process <= 900,
         "{per_process} B of live heap per process"
     );
+}
+
+/// `Occurrences` is a packing and a cheaper hash, not a different count:
+/// against a map keyed by the pid pair it returns the same occurrence
+/// for every send of seeded streams in which edges repeat, across
+/// `clear()`s and table growth, with pids at both ends of the range —
+/// and a cleared table takes the same stream again without allocating.
+#[test]
+fn occurrences_count_like_a_pair_keyed_map_and_keep_their_table() {
+    use rand::Rng as _;
+    use std::collections::HashMap;
+
+    let alphabet = [0, 1, 2, 3, 5, 8, 1 << 16, u32::MAX - 1, u32::MAX].map(ProcessId);
+    let mut rng = da_core::rng_from_seed(22);
+    let mut pick = || alphabet[rng.gen_range(0..alphabet.len())];
+
+    let mut table = Occurrences::default();
+    let mut model: HashMap<(ProcessId, ProcessId), u32> = HashMap::new();
+    // Tick lengths from a handful of edges to every edge several times
+    // over: 81 distinct edges take the table through five doublings.
+    for sends in [5, 40, 0, 700, 12, 300] {
+        for _ in 0..sends {
+            let (from, to) = (pick(), pick());
+            let count = model.entry((from, to)).or_insert(0);
+            assert_eq!(table.bump(from, to), *count, "{from} -> {to}");
+            *count += 1;
+        }
+        table.clear();
+        model.clear();
+    }
+    // The two halves of the key do not alias.
+    assert_eq!(table.bump(ProcessId(0), ProcessId(u32::MAX)), 0);
+    assert_eq!(table.bump(ProcessId(u32::MAX), ProcessId(0)), 0);
+    assert_eq!(table.bump(ProcessId(0), ProcessId(u32::MAX)), 1);
+
+    let stream: Vec<(ProcessId, ProcessId)> = (0..500).map(|_| (pick(), pick())).collect();
+    let replay = |table: &mut Occurrences| -> u64 {
+        stream
+            .iter()
+            .map(|&(from, to)| u64::from(table.bump(from, to)))
+            .sum()
+    };
+    table.clear();
+    let first = replay(&mut table);
+    table.clear();
+    let before = ALLOCATIONS.get();
+    let second = replay(&mut table);
+    assert_eq!(ALLOCATIONS.get() - before, 0, "a cleared table is reused");
+    assert_eq!(first, second);
 }
