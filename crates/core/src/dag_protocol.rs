@@ -551,6 +551,19 @@ mod tests {
             1
         )
         .is_err());
+        // A NaN election weight would pass `gen_bool` a NaN probability
+        // on the first publication.
+        let dag = TopicDag::new();
+        let root = dag.root();
+        assert!(matches!(
+            DagNetwork::build(
+                dag,
+                vec![(root, vec![ProcessId(0), ProcessId(1)])],
+                TopicParams::paper_default().with_g(f64::NAN),
+                1
+            ),
+            Err(DaError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

@@ -79,7 +79,9 @@ impl TopicParams {
     }
 
     /// Validates the parameter ranges required by the paper
-    /// (`1 ≤ g`, `1 ≤ a ≤ z`, `0 ≤ τ ≤ z`, `z ≥ 1`).
+    /// (`1 ≤ g`, `1 ≤ a ≤ z`, `0 ≤ τ ≤ z`, `z ≥ 1`, `0 ≤ b`, a fanout
+    /// constant `c` that is a number). Every range is written so that NaN
+    /// fails it: a NaN `g` would otherwise silently never elect a link.
     ///
     /// # Errors
     ///
@@ -90,12 +92,12 @@ impl TopicParams {
                 reason: "z (supertable size) must be at least 1".to_owned(),
             });
         }
-        if self.g < 1.0 {
+        if !(1.0..).contains(&self.g) {
             return Err(DaError::InvalidParameter {
                 reason: format!("g must be at least 1 (got {})", self.g),
             });
         }
-        if self.a < 1.0 || self.a > self.z as f64 {
+        if !(1.0..=self.z as f64).contains(&self.a) {
             return Err(DaError::InvalidParameter {
                 reason: format!("a must satisfy 1 ≤ a ≤ z (got a={}, z={})", self.a, self.z),
             });
@@ -108,9 +110,14 @@ impl TopicParams {
                 ),
             });
         }
-        if self.b < 0.0 {
+        if !(0.0..).contains(&self.b) {
             return Err(DaError::InvalidParameter {
                 reason: format!("b must be non-negative (got {})", self.b),
+            });
+        }
+        if self.fanout.c().is_some_and(f64::is_nan) {
+            return Err(DaError::InvalidParameter {
+                reason: "the fanout constant c must be a number (got NaN)".to_owned(),
             });
         }
         Ok(())
@@ -252,17 +259,29 @@ mod tests {
     #[test]
     fn validation_catches_bad_ranges() {
         assert!(TopicParams::paper_default().with_z(0).validate().is_err());
-        assert!(TopicParams::paper_default().with_g(0.5).validate().is_err());
-        assert!(TopicParams::paper_default().with_a(0.0).validate().is_err());
-        assert!(TopicParams::paper_default()
-            .with_a(10.0)
-            .validate()
-            .is_err());
+        for g in [0.5, f64::NAN] {
+            assert!(TopicParams::paper_default().with_g(g).validate().is_err());
+        }
+        for a in [0.0, 10.0, f64::NAN] {
+            assert!(TopicParams::paper_default().with_a(a).validate().is_err());
+        }
         let mut p = TopicParams::paper_default();
         p.tau = 99;
         assert!(p.validate().is_err());
         p.tau = 3;
         assert!(p.validate().is_ok(), "τ = z is allowed");
+        for b in [-1.0, f64::NAN] {
+            let mut p = TopicParams::paper_default();
+            p.b = b;
+            assert!(p.validate().is_err(), "b = {b}");
+        }
+        for fanout in [
+            FanoutRule::LnPlusC { c: f64::NAN },
+            FanoutRule::Log10PlusC { c: f64::NAN },
+        ] {
+            let p = TopicParams::paper_default().with_fanout(fanout);
+            assert!(p.validate().is_err(), "{fanout:?}");
+        }
     }
 
     #[test]

@@ -280,7 +280,7 @@ impl Counters {
 
     /// Folds another registry into this one, adding value-by-name and
     /// registering names this registry has not seen. Used to merge the
-    /// per-worker shards of a live run into one global snapshot.
+    /// per-worker registries of a live run into one global snapshot.
     pub fn merge_from(&mut self, other: &Counters) {
         for (name, value) in other.iter() {
             self.add_named(name, value);
@@ -354,9 +354,9 @@ const HISTOGRAM_BUCKETS: usize = 65;
 ///
 /// Bucket 0 holds the value `0`; bucket `i ≥ 1` holds values in
 /// `[2^(i-1), 2^i)`. Recording is branch-free (`leading_zeros` + array
-/// increment), merging is element-wise addition — the same
-/// shard-and-merge lifecycle the counters follow, so the live runtime
-/// can keep one histogram per worker and fold them at shutdown.
+/// increment), merging is element-wise addition — like the counters,
+/// so the live runtime keeps one histogram per worker and folds them
+/// whenever it is read.
 ///
 /// ```
 /// use da_core::Histogram;
@@ -509,9 +509,10 @@ impl fmt::Display for Histogram {
 /// [`TraceLog::dropped_events`]), per-verdict totals, and named
 /// histograms, with hand-rolled JSONL / Chrome-tracing exporters.
 ///
-/// The simulator fills one directly; the live runtime merges one from
-/// its per-worker trace shards at shutdown, exactly like the counter
-/// shards.
+/// Both substrates build one per stripe with
+/// [`StripeTrace::log`](crate::StripeTrace::log); the live runtime
+/// folds its workers' logs with [`TraceLog::merge_from`], exactly as it
+/// folds their counters with [`Counters::merge_from`].
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     /// The recorded causal events, in capture order (NOT canonical —
@@ -554,6 +555,21 @@ impl TraceLog {
         match self.histograms.iter_mut().find(|(n, _)| n == name) {
             Some((_, existing)) => existing.merge_from(histogram),
             None => self.histograms.push((name.to_owned(), histogram.clone())),
+        }
+    }
+
+    /// Folds another log into this one: events appended after this
+    /// log's (canonicalize before comparing streams), dropped and
+    /// per-verdict counts summed, histograms merged by name. The pool
+    /// folds its workers' logs this way, in worker-id order.
+    pub fn merge_from(&mut self, other: &TraceLog) {
+        self.events.extend_from_slice(&other.events);
+        self.dropped_events += other.dropped_events;
+        for (mine, theirs) in self.verdict_counts.iter_mut().zip(&other.verdict_counts) {
+            *mine += theirs;
+        }
+        for (name, h) in &other.histograms {
+            self.add_histogram(name, h);
         }
     }
 
@@ -835,6 +851,42 @@ mod tests {
         let text = log.to_string();
         assert!(text.contains("delivered: 1"));
         assert!(text.contains("delivery_latency_ticks"));
+    }
+
+    #[test]
+    fn trace_log_merge_from_appends_sums_and_merges_by_name() {
+        use crate::ProcessId;
+        let log = |tick, verdict: TraceVerdict, extra: &str| {
+            let mut log = TraceLog::new();
+            log.events.push(TraceEvent {
+                tick,
+                from: ProcessId(0),
+                to: ProcessId(1),
+                payload: 4,
+                verdict,
+            });
+            log.dropped_events = 2;
+            log.verdict_counts[verdict.index()] = 3;
+            let mut h = Histogram::new();
+            h.record(tick);
+            log.add_histogram("delivery_latency_ticks", &h);
+            log.add_histogram(extra, &h);
+            log
+        };
+        let (first, second) = (
+            log(1, TraceVerdict::Sent, "a"),
+            log(2, TraceVerdict::Delivered, "b"),
+        );
+        let mut folded = TraceLog::new();
+        folded.merge_from(&first);
+        folded.merge_from(&second);
+        assert_eq!(folded.events, [first.events[0], second.events[0]]);
+        assert_eq!(folded.dropped_events, 4);
+        assert_eq!(folded.count(TraceVerdict::Sent), 3);
+        assert_eq!(folded.count(TraceVerdict::Delivered), 3);
+        let names: Vec<&str> = folded.histograms.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["delivery_latency_ticks", "a", "b"]);
+        assert_eq!(folded.histogram("delivery_latency_ticks").unwrap().sum(), 3);
     }
 
     #[test]

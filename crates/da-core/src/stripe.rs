@@ -18,7 +18,7 @@
 
 use crate::exec::{Exec, ExecProtocol};
 use crate::lifecycle::LifecycleController;
-use crate::metrics::{CounterId, Counters, Histogram, LabelId};
+use crate::metrics::{CounterId, Counters, Histogram, LabelId, TraceLog};
 use crate::process::{ProcessId, ProcessStatus};
 use crate::seed::rng_for_process;
 use crate::store::ProcessStore;
@@ -105,6 +105,26 @@ pub struct StripeTrace {
     pub recorder: TraceRecorder,
     /// Delivery tick minus send tick, per delivered envelope.
     pub delivery_latency: Histogram,
+}
+
+impl StripeTrace {
+    /// A snapshot of what the stripe recorded: its events, dropped count
+    /// and verdict counts, the `delivery_latency_ticks` histogram, then
+    /// the substrate's own histograms in the order given.
+    #[must_use]
+    pub fn log(&self, extra: &[(&str, &Histogram)]) -> TraceLog {
+        let mut log = TraceLog {
+            events: self.recorder.events().to_vec(),
+            dropped_events: self.recorder.dropped(),
+            verdict_counts: *self.recorder.counts(),
+            histograms: Vec::new(),
+        };
+        log.add_histogram("delivery_latency_ticks", &self.delivery_latency);
+        for (name, h) in extra {
+            log.add_histogram(name, h);
+        }
+        log
+    }
 }
 
 /// The envelope ledger of a stripe, kept together so that a hook's

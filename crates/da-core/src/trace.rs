@@ -15,8 +15,10 @@
 //! `Option<TraceRecorder>`-shaped slot that is `None` unless the
 //! [`TraceConfig`] enables tracing, so the hot path pays one branch.
 //! When enabled, [`TraceRecorder::record`] is an unsynchronised append
-//! into a bounded per-worker buffer (overflow is counted, never
-//! blocking), published at tick boundaries like the sharded counters.
+//! into a bounded per-stripe buffer (overflow is counted, never
+//! blocking). The recorder keeps its events: the simulator and each
+//! live worker turn theirs into a [`TraceLog`](crate::TraceLog) on
+//! request, so the capacity bound is applied once, here, on both.
 //!
 //! Diagnosis: [`canonicalize`] sorts a stream into the substrate-neutral
 //! order (tick, verdict, from, to, payload) — erasing the live runtime's
@@ -414,7 +416,7 @@ pub fn events_to_chrome_trace(events: &[TraceEvent]) -> String {
     out
 }
 
-/// The per-worker (or per-engine) recording buffer: an unsynchronised
+/// The per-stripe recording buffer: an unsynchronised
 /// append on the hot path, bounded by the configured capacity, with
 /// per-verdict counts maintained even in
 /// [`TraceMode::CountersOnly`].
@@ -438,8 +440,8 @@ pub fn events_to_chrome_trace(events: &[TraceEvent]) -> String {
 ///     verdict: TraceVerdict::Sent,
 /// });
 /// assert_eq!(rec.count(TraceVerdict::Sent), 1);
-/// assert_eq!(rec.take_events().len(), 1);
-/// assert!(rec.events().is_empty(), "take drains the buffer");
+/// assert_eq!(rec.events().len(), 1);
+/// assert_eq!(rec.dropped(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
@@ -489,13 +491,6 @@ impl TraceRecorder {
     #[must_use]
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Drains and returns the buffered events — the tick-boundary
-    /// publish used by the live workers.
-    #[must_use]
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// Count of events recorded with `verdict` (including any the

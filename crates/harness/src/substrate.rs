@@ -5,10 +5,10 @@
 //! the [`Substrate`] as a value. The driver is an enum over
 //! `da_simnet::Engine` and `da_runtime::Runtime` with the verbs the two
 //! share — spawn under one [`FaultConfig`], reach into a process, run,
-//! read the counters, take the population back — so the substrates'
+//! read the counters and the trace, take the population back — so the substrates'
 //! matching APIs are held together by a `match`, not by convention.
 
-use da_core::{Counters, ExecProtocol, FaultConfig, ProcessId, TraceConfig, WireSize};
+use da_core::{Counters, ExecProtocol, FaultConfig, ProcessId, TraceConfig, TraceLog, WireSize};
 use da_runtime::{Runtime, RuntimeConfig, Shutdown};
 use da_simnet::{Engine, SimConfig};
 
@@ -123,6 +123,15 @@ where
         }
     }
 
+    /// The flight recorder's log so far, `None` when it is off.
+    #[must_use]
+    pub fn trace_log(&self) -> Option<TraceLog> {
+        match self {
+            Driver::Sim(engine) => engine.trace_log(),
+            Driver::Live(rt) => rt.trace_log(),
+        }
+    }
+
     /// Ends the run: the processes and their final liveness in pid order,
     /// the counters, and the trace when the recorder was on. A pool
     /// counts what is still in flight as `rt.dropped_shutdown`; the
@@ -152,7 +161,8 @@ mod tests {
     /// Every verb gives one answer on the simulator and on a pool of any
     /// width: the tick the relay goes quiet on, what `apply` reads back,
     /// the counters under the substrate's prefix, and what `finish`
-    /// returns — liveness under a stillborn plan, receipt logs, trace.
+    /// returns — liveness under a stillborn plan, receipt logs, trace —
+    /// which the last reads of counters and trace equal.
     #[test]
     fn every_verb_agrees_across_substrates() {
         let faults = FaultConfig::new()
@@ -169,12 +179,14 @@ mod tests {
                 .collect();
             let quiet_after = driver.run_until_quiescent(32);
             let counters = driver.counters();
+            let read = driver.trace_log().expect("tracing is on");
             let ledger = ["sent", "delivered", "dropped_crashed"]
                 .map(|name| counters.get(&format!("{}.{name}", substrate.prefix())));
             let out = driver.finish();
             assert_eq!(out.counters.to_string(), counters.to_string());
             let receipts: Vec<Vec<u64>> = out.processes.into_iter().map(|p| p.received).collect();
             let events = out.trace.expect("tracing is on").canonical_events();
+            assert_eq!(read.canonical_events(), events);
             (early, quiet_after, ledger, out.statuses, receipts, events)
         };
         let sim = run(Substrate::Sim);
@@ -190,5 +202,32 @@ mod tests {
             assert_eq!(first_divergence(&sim.5, &live.5), None);
             assert_eq!(live, sim, "{workers} worker(s)");
         }
+    }
+
+    /// The trace capacity bounds each recorder: the simulator's one, and
+    /// each worker's. A one-worker pool therefore keeps what the
+    /// simulator keeps, event for event; three workers keep up to three
+    /// times the capacity.
+    #[test]
+    fn a_capped_trace_is_capped_per_recorder() {
+        let run = |substrate: Substrate| {
+            let trace = TraceConfig::full().with_capacity(7);
+            let faults = FaultConfig::new();
+            let mut driver = Driver::spawn(substrate, 1, &faults, trace, Relay::ring(6, 3));
+            driver.run_ticks(6);
+            driver.finish().trace.expect("tracing is on")
+        };
+        let sim = run(Substrate::Sim);
+        let live = run(Substrate::Live { workers: 1 });
+        assert_eq!((sim.events.len(), sim.dropped_events), (7, 29));
+        assert_eq!(live.events, sim.events);
+        assert_eq!(live.dropped_events, sim.dropped_events);
+        assert_eq!(live.verdict_counts, sim.verdict_counts);
+        let latency = |log: &TraceLog| log.histogram("delivery_latency_ticks").cloned();
+        assert_eq!(latency(&live), latency(&sim));
+
+        let wide = run(Substrate::Live { workers: 3 });
+        assert_eq!((wide.events.len(), wide.dropped_events), (21, 15));
+        assert_eq!(wide.verdict_counts, sim.verdict_counts);
     }
 }

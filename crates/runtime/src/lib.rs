@@ -54,19 +54,22 @@
 //!   (the protocol's bootstrap path). All liveness draws are keyed on
 //!   `(pid, tick)`, so one seed yields the identical crash/recovery
 //!   schedule on both substrates at any worker count;
-//! * **sharded metrics** — each worker counts into a registry it owns
-//!   outright (plain array increments, id-keyed on the transport hot
-//!   path) and publishes per-tick snapshots into [`ShardedCounters`];
-//!   snapshots merge on demand into the same [`Counters`] registry the
-//!   simulator fills;
+//! * **per-worker metrics** — each worker counts into the registry of
+//!   its own stripe (plain array increments, id-keyed on the transport
+//!   hot path) and shares it with no other thread:
+//!   [`Runtime::counters`] asks every worker for a copy through the
+//!   control channel [`Runtime::with_process_mut`] uses, and folds the
+//!   replies into the same [`Counters`] registry the simulator fills;
+//!   [`Runtime::shutdown`] folds the final ones handed back at join;
 //! * **flight recorder** — with [`RuntimeConfig::with_trace`] enabled,
 //!   every send, delivery, drop, and lifecycle transition is appended
-//!   (unsynchronised) to the recorder of the worker's own stripe and
-//!   drained into a shared [`TraceSink`] at tick boundaries, alongside
-//!   delivery-latency / wheel-occupancy / watermark-lag histograms; the
-//!   merged `TraceLog` canonicalizes into the exact stream the simulator
-//!   records for the same seed. Off by default: the hot-path cost of
-//!   disabled tracing is one branch on a `None`;
+//!   (unsynchronised) to the recorder of the worker's own stripe, which
+//!   keeps it under the configured capacity, alongside delivery-latency
+//!   / wheel-occupancy / watermark-lag / lane-depth histograms;
+//!   [`Runtime::trace_log`] reads and folds them like the counters, and
+//!   the merged [`TraceLog`] canonicalizes into the exact stream the
+//!   simulator records for the same seed. Off by default: the hot-path
+//!   cost of disabled tracing is one branch on a `None`;
 //! * **graceful shutdown** — [`Runtime::shutdown`] stops the pool,
 //!   joins every worker, and hands back the protocol instances (plus
 //!   their final liveness) for inspection, exactly like
@@ -120,7 +123,8 @@ pub use da_core::{
     Counters, Envelope, ExecProtocol, FaultConfig, Histogram, LifecycleController,
     LifecycleTransitions, ProcessId, ProcessStatus, TraceConfig, TraceLog, WireSize,
 };
-pub use metrics::{ShardOutOfRange, ShardedCounters, TraceSink};
+// Unused by the pool; kept for the benchmark's `metrics.*` probes.
+pub use metrics::{ShardOutOfRange, ShardedCounters};
 pub use runtime::{Runtime, Shutdown, TickReport};
 pub use transport::{
     lane_matrix, BatchPool, EdgeInbox, EdgeWatermarks, FaultyRouter, FlushReport, Hub, LaneClosed,

@@ -1,38 +1,35 @@
-//! The sharded metrics registry and the sharded flight-recorder sink.
+//! The sharded counter registry, [`ShardedCounters`], and its
+//! [`ShardOutOfRange`] error.
 //!
-//! The simulator owns a single `Counters` registry because it is
-//! single-threaded. Live, every worker counting into one shared registry
-//! would serialise the hot path on a lock — and even per-worker
-//! `Mutex<Counters>` shards would put an atomic acquire/release plus a
-//! shared cache line on every `bump`. Each worker instead owns a plain,
-//! unsynchronised `Counters` and [publishes](ShardedCounters::publish) a snapshot of it
-//! into its shard once per tick; [`ShardedCounters::merged`] folds the
-//! shards into one registry with the same names the harness already
-//! reads. The hot path is a plain array increment; the per-tick publish
-//! is a value `memcpy` whenever the counter set has not grown
-//! ([`Counters::copy_values_from`]).
+//! The pool does not use them. The simulator owns a single `Counters`
+//! registry because it is single-threaded; live, a registry shared by
+//! the workers would serialise the hot path on a lock, and even
+//! per-worker `Mutex<Counters>` shards cost a lock and a copy per worker
+//! per tick. Each worker instead counts into the plain, unsynchronised
+//! `Counters` of its own stripe and records into that stripe's flight
+//! recorder, and hands both over only when asked: a read
+//! ([`Runtime::counters`](crate::Runtime::counters),
+//! [`Runtime::trace_log`](crate::Runtime::trace_log)) travels the
+//! control channel the pool already has, and
+//! [`Runtime::shutdown`](crate::Runtime::shutdown) takes them back at
+//! join. Nothing the workers count is behind a lock.
 //!
-//! [`TraceSink`] gives the flight recorder the same lifecycle: each
-//! worker appends trace events into an unsynchronised
-//! `da_core::trace::TraceRecorder` it owns, and drains it into its sink
-//! shard at tick boundaries; [`TraceSink::merged`] folds the shards into
-//! one [`TraceLog`] at shutdown.
+//! The two types stay because the benchmark package's
+//! `metrics.shard_publish_ns` and `metrics.merged_us` probes measure
+//! them; they retire together with those probes.
 //!
 //! # Lock poisoning
 //!
-//! Shard mutexes only ever guard *snapshots* — plain `u64` counter
-//! values, copied trace events, cloned histograms — so a thread that
-//! panics while holding one cannot leave partially-updated state that
-//! later readers would misinterpret. Both sinks therefore *recover* from
-//! a poisoned shard lock (`PoisonError::into_inner`) instead of
-//! propagating the panic: the merged view stays available while the
-//! runtime tears down after a worker panic, which is exactly when the
-//! diagnostics matter most.
+//! A shard mutex only ever guards a *snapshot* — plain `u64` counter
+//! values — so a thread that panics while holding one cannot leave
+//! partially-updated state that later readers would misinterpret.
+//! [`ShardedCounters`] therefore *recovers* from a poisoned shard lock
+//! (`PoisonError::into_inner`) instead of propagating the panic: the
+//! merged view stays readable after a publisher panicked.
 
-use da_core::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
-use da_core::{Counters, Histogram, StripeTrace, TraceLog};
+use da_core::Counters;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Error returned when a publish names a worker index outside the shard
 /// range.
@@ -56,12 +53,12 @@ impl fmt::Display for ShardOutOfRange {
 
 impl std::error::Error for ShardOutOfRange {}
 
-/// Per-worker counter snapshots with on-demand merging.
+/// Per-publisher counter snapshots with on-demand merging.
 ///
-/// Workers count into registries they own outright and push snapshots
-/// here at tick boundaries, so a merged read is at most one tick stale
-/// per worker — exact again whenever the pool is idle (between driver
-/// calls, and at shutdown after the final publish).
+/// Each publisher counts into a registry it owns outright and pushes
+/// snapshots here, so a merged read is at most one publish stale per
+/// publisher. The pool does not publish here (see the module docs): the
+/// type stays for the benchmark's `metrics.*` probes.
 ///
 /// ```
 /// use da_runtime::ShardedCounters;
@@ -141,197 +138,12 @@ impl ShardedCounters {
     }
 }
 
-/// One worker's slot in the [`TraceSink`].
-#[derive(Debug, Default)]
-struct TraceShard {
-    /// Drained events, appended publish after publish up to the sink
-    /// capacity.
-    events: Vec<TraceEvent>,
-    /// Events this shard refused because the sink capacity was reached.
-    overflow: u64,
-    /// The publishing recorder's own overflow count (cumulative).
-    recorder_dropped: u64,
-    /// Cumulative per-verdict counts as of the last publish.
-    counts: [u64; TraceVerdict::COUNT],
-    /// Cloned worker histograms as of the last publish.
-    histograms: Vec<(String, Histogram)>,
-}
-
-/// Per-worker flight-recorder shards, published at tick boundaries
-/// exactly like [`ShardedCounters`] and folded into one [`TraceLog`] at
-/// shutdown.
-///
-/// Each worker drains its owned `TraceRecorder` into its shard once per
-/// tick ([`TraceSink::publish`] — an append under a per-shard lock no
-/// other worker touches), keeping the recording hot path an
-/// unsynchronised `Vec` push. The sink bounds the total events retained
-/// per shard by the configured capacity; overflow is counted, never
-/// blocking.
-///
-/// ```
-/// use da_core::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
-/// use da_core::ProcessId;
-/// use da_runtime::TraceSink;
-///
-/// let sink = TraceSink::new(2, &TraceConfig::full());
-/// let mut rec = TraceRecorder::new(&TraceConfig::full()).unwrap();
-/// rec.record(TraceEvent {
-///     tick: 0,
-///     from: ProcessId(0),
-///     to: ProcessId(1),
-///     payload: 4,
-///     verdict: TraceVerdict::Sent,
-/// });
-/// sink.publish(0, &mut rec, &[]).unwrap();
-/// let log = sink.merged();
-/// assert_eq!(log.events.len(), 1);
-/// assert_eq!(log.count(TraceVerdict::Sent), 1);
-/// ```
-#[derive(Debug)]
-pub struct TraceSink {
-    capacity: usize,
-    shards: Vec<Mutex<TraceShard>>,
-}
-
-impl TraceSink {
-    /// Creates one shard per worker (at least one), bounding retained
-    /// events per shard by `config.capacity`.
-    #[must_use]
-    pub fn new(workers: usize, config: &TraceConfig) -> Self {
-        TraceSink {
-            capacity: config.capacity,
-            shards: (0..workers.max(1))
-                .map(|_| Mutex::new(TraceShard::default()))
-                .collect(),
-        }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Drains `recorder` into shard `worker`: appends its buffered
-    /// events (counting, not storing, anything beyond the sink
-    /// capacity) and snapshots its cumulative per-verdict counts, its
-    /// overflow count, and the given named histograms. Poisoned shard
-    /// locks are recovered, not propagated (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardOutOfRange`] when `worker` is not a valid shard
-    /// index (the recorder is left undrained).
-    pub fn publish(
-        &self,
-        worker: usize,
-        recorder: &mut TraceRecorder,
-        histograms: &[(&str, &Histogram)],
-    ) -> Result<(), ShardOutOfRange> {
-        let Some(slot) = self.shards.get(worker) else {
-            return Err(ShardOutOfRange {
-                worker,
-                shards: self.shards.len(),
-            });
-        };
-        let mut shard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        for event in recorder.take_events() {
-            if shard.events.len() < self.capacity {
-                shard.events.push(event);
-            } else {
-                shard.overflow += 1;
-            }
-        }
-        shard.recorder_dropped = recorder.dropped();
-        shard.counts = *recorder.counts();
-        shard.histograms = histograms
-            .iter()
-            .map(|(name, h)| ((*name).to_owned(), (*h).clone()))
-            .collect();
-        Ok(())
-    }
-
-    /// Folds every shard into one [`TraceLog`]: events concatenated in
-    /// worker order (canonicalize before comparing streams), counts and
-    /// overflow summed, histograms merged by name. Poisoned shard locks
-    /// are recovered, not propagated.
-    #[must_use]
-    pub fn merged(&self) -> TraceLog {
-        let mut log = TraceLog::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            log.events.extend_from_slice(&shard.events);
-            log.dropped_events += shard.overflow + shard.recorder_dropped;
-            for (mine, theirs) in log.verdict_counts.iter_mut().zip(shard.counts.iter()) {
-                *mine += theirs;
-            }
-            for (name, h) in &shard.histograms {
-                log.add_histogram(name, h);
-            }
-        }
-        log
-    }
-}
-
-/// What the pool adds to its stripe's flight recorder when tracing is
-/// enabled: the trace histograms a worker samples per tick, and the
-/// shared sink it drains the stripe's recorder into at tick boundaries.
-///
-/// The worker stores an `Option<WorkerTrace>` — `None` when tracing is
-/// off, like the stripe's own trace state.
-#[derive(Debug)]
-pub(crate) struct WorkerTrace {
-    /// Delay-wheel occupancy sampled once per tick after the inbox
-    /// drain.
-    pub wheel_occupancy: Histogram,
-    /// How many ticks this worker ran ahead of its slowest peer's
-    /// published frontier, sampled once per tick.
-    pub watermark_lag: Histogram,
-    /// Batches swept off the incoming SPSC lanes per tick (across all
-    /// sweeps of that tick, pre-gate and final).
-    pub lane_depth: Histogram,
-    sink: Arc<TraceSink>,
-}
-
-impl WorkerTrace {
-    /// A worker-side trace state for `config`, or `None` when tracing is
-    /// off.
-    pub fn new(config: &TraceConfig, sink: Arc<TraceSink>) -> Option<Self> {
-        config.is_enabled().then(|| WorkerTrace {
-            wheel_occupancy: Histogram::new(),
-            watermark_lag: Histogram::new(),
-            lane_depth: Histogram::new(),
-            sink,
-        })
-    }
-
-    /// Tick-boundary publish of the stripe's recorder and every
-    /// histogram into the shared sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `worker` is out of range — worker ids are assigned at
-    /// spawn and always in range.
-    pub fn publish(&self, worker: usize, stripe: &mut StripeTrace) {
-        self.sink
-            .publish(
-                worker,
-                &mut stripe.recorder,
-                &[
-                    ("delivery_latency_ticks", &stripe.delivery_latency),
-                    ("wheel_occupancy", &self.wheel_occupancy),
-                    ("watermark_lag", &self.watermark_lag),
-                    ("lane_depth", &self.lane_depth),
-                ],
-            )
-            .expect("worker id is in range");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_core::ProcessId;
+    use crate::{Runtime, RuntimeConfig};
+    use da_core::testkit::Relay;
+    use da_core::trace::{TraceConfig, TraceVerdict};
 
     #[test]
     fn merged_folds_all_shards() {
@@ -437,100 +249,85 @@ mod tests {
         assert_eq!(s.merged().get("before"), 2);
     }
 
-    fn event(tick: u64, verdict: TraceVerdict) -> TraceEvent {
-        TraceEvent {
-            tick,
-            from: ProcessId(0),
-            to: ProcessId(1),
-            payload: 4,
-            verdict,
-        }
+    /// A traced pool over `Relay::ring(6, 3)`: 18 sends in ticks 0..3,
+    /// each delivered one tick later.
+    fn traced_relay(workers: usize, trace: TraceConfig) -> Runtime<Relay> {
+        let config = RuntimeConfig::default()
+            .with_workers(workers)
+            .with_seed(1)
+            .with_trace(trace);
+        Runtime::spawn(config, Relay::ring(6, 3))
     }
+
+    const POOL_HISTOGRAMS: [&str; 4] = [
+        "delivery_latency_ticks",
+        "wheel_occupancy",
+        "watermark_lag",
+        "lane_depth",
+    ];
 
     #[test]
     fn trace_sink_folds_worker_shards() {
-        let sink = TraceSink::new(2, &TraceConfig::full());
-        let mut rec0 = TraceRecorder::new(&TraceConfig::full()).unwrap();
-        let mut rec1 = TraceRecorder::new(&TraceConfig::full()).unwrap();
-        rec0.record(event(0, TraceVerdict::Sent));
-        rec1.record(event(1, TraceVerdict::Delivered));
-        let mut latency = Histogram::new();
-        latency.record(1);
-        sink.publish(0, &mut rec0, &[("delivery_latency_ticks", &latency)])
-            .unwrap();
-        sink.publish(1, &mut rec1, &[("delivery_latency_ticks", &latency)])
-            .unwrap();
-        let log = sink.merged();
-        assert_eq!(log.events.len(), 2);
-        assert_eq!(log.count(TraceVerdict::Sent), 1);
-        assert_eq!(log.count(TraceVerdict::Delivered), 1);
+        let mut rt = traced_relay(2, TraceConfig::full());
+        rt.run_ticks(5);
+        let log = rt.trace_log().expect("tracing is on");
+        let counters = rt.counters();
+        assert_eq!(log.count(TraceVerdict::Sent), 18);
+        assert_eq!(log.count(TraceVerdict::Delivered), 18);
+        assert_eq!(log.events.len(), 36, "both workers' events");
+        assert_eq!(log.dropped_events, 0);
+        let names: Vec<&str> = log.histograms.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, POOL_HISTOGRAMS, "histograms merge by name");
+        let latency = log.histogram("delivery_latency_ticks").unwrap();
+        assert_eq!(latency.count(), counters.get("rt.delivered"));
         assert_eq!(
-            log.histogram("delivery_latency_ticks").unwrap().count(),
-            2,
-            "histograms merge by name across shards"
+            log.histogram("lane_depth").unwrap().count(),
+            2 * 5,
+            "one sample per tick from each of the two workers"
         );
-        assert!(rec0.events().is_empty(), "publish drains the recorder");
     }
 
     #[test]
     fn trace_sink_publishes_are_cumulative_snapshots() {
-        let sink = TraceSink::new(1, &TraceConfig::full());
-        let mut rec = TraceRecorder::new(&TraceConfig::full()).unwrap();
-        rec.record(event(0, TraceVerdict::Sent));
-        sink.publish(0, &mut rec, &[]).unwrap();
-        rec.record(event(1, TraceVerdict::Sent));
-        sink.publish(0, &mut rec, &[]).unwrap();
-        let log = sink.merged();
-        assert_eq!(log.events.len(), 2, "events append across publishes");
-        assert_eq!(
-            log.count(TraceVerdict::Sent),
-            2,
-            "counts are snapshots of the cumulative recorder totals"
-        );
+        let mut rt = traced_relay(2, TraceConfig::full());
+        rt.run_ticks(2);
+        let early = rt.trace_log().expect("tracing is on");
+        rt.run_ticks(2);
+        let late = rt.trace_log().expect("tracing is on");
+        assert_eq!(early.count(TraceVerdict::Sent), 12);
+        assert_eq!(late.count(TraceVerdict::Sent), 18);
+        assert_eq!(early.histogram("lane_depth").unwrap().count(), 2 * 2);
+        assert_eq!(late.histogram("lane_depth").unwrap().count(), 2 * 4);
+        let before: Vec<_> = late
+            .canonical_events()
+            .into_iter()
+            .filter(|e| e.tick < 2)
+            .collect();
+        assert_eq!(before, early.canonical_events(), "a read drains nothing");
     }
 
     #[test]
     fn trace_sink_caps_retained_events() {
-        let config = TraceConfig::full().with_capacity(2);
-        let sink = TraceSink::new(1, &config);
-        let mut rec = TraceRecorder::new(&TraceConfig::full()).unwrap();
-        for tick in 0..5 {
-            rec.record(event(tick, TraceVerdict::Sent));
-        }
-        sink.publish(0, &mut rec, &[]).unwrap();
-        let log = sink.merged();
-        assert_eq!(log.events.len(), 2);
-        assert_eq!(log.dropped_events, 3);
-        assert_eq!(log.count(TraceVerdict::Sent), 5);
-    }
-
-    #[test]
-    fn trace_sink_rejects_out_of_range_worker() {
-        let sink = TraceSink::new(1, &TraceConfig::full());
-        let mut rec = TraceRecorder::new(&TraceConfig::full()).unwrap();
-        rec.record(event(0, TraceVerdict::Sent));
-        let err = sink.publish(3, &mut rec, &[]).unwrap_err();
-        assert_eq!(err.shards, 1);
-        assert_eq!(rec.events().len(), 1, "recorder left undrained");
+        let mut rt = traced_relay(2, TraceConfig::full().with_capacity(2));
+        rt.run_ticks(5);
+        let log = rt.shutdown().trace.expect("tracing is on");
+        assert_eq!(log.events.len(), 4, "two per worker");
+        assert_eq!(log.dropped_events, 36 - 4);
+        assert_eq!(log.count(TraceVerdict::Sent), 18, "counts see every event");
     }
 
     #[test]
     fn worker_trace_requires_enabled_config() {
-        let sink = Arc::new(TraceSink::new(1, &TraceConfig::full()));
-        assert!(WorkerTrace::new(&TraceConfig::off(), Arc::clone(&sink)).is_none());
-        let mut wt = WorkerTrace::new(&TraceConfig::full(), Arc::clone(&sink)).unwrap();
-        let mut stripe = StripeTrace {
-            recorder: TraceRecorder::new(&TraceConfig::full()).unwrap(),
-            delivery_latency: Histogram::new(),
-        };
-        stripe.recorder.record(event(0, TraceVerdict::Sent));
-        stripe.delivery_latency.record(1);
-        wt.lane_depth.record(2);
-        wt.publish(0, &mut stripe);
-        assert!(stripe.recorder.events().is_empty());
-        let log = sink.merged();
-        assert_eq!(log.count(TraceVerdict::Sent), 1);
-        assert_eq!(log.histogram("delivery_latency_ticks").unwrap().count(), 1);
-        assert_eq!(log.histogram("lane_depth").unwrap().max(), 2);
+        let mut rt = traced_relay(2, TraceConfig::off());
+        rt.run_ticks(2);
+        assert!(rt.trace_log().is_none());
+        assert!(rt.shutdown().trace.is_none());
+
+        let mut rt = traced_relay(2, TraceConfig::counters_only());
+        rt.run_ticks(2);
+        let log = rt.trace_log().expect("tracing is on");
+        assert!(log.events.is_empty(), "counters-only buffers nothing");
+        let names: Vec<&str> = log.histograms.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, POOL_HISTOGRAMS);
     }
 }

@@ -35,9 +35,10 @@
 //! flight".
 
 use crate::config::RuntimeConfig;
-use crate::metrics::{ShardedCounters, TraceSink, WorkerTrace};
 use crate::transport::{lane_matrix, EdgeWatermarks, FaultyRouter};
-use crate::worker::{Control, SchedulerState, Worker, WorkerReport};
+use crate::worker::{
+    Control, Joined, PoolHistograms, SchedulerState, Telemetry, Worker, WorkerReport,
+};
 use da_core::process::ProcessIndexError;
 use da_core::store::ProcessStore;
 use da_core::wheel::{DelayWheel, MAX_RING_TICKS};
@@ -46,11 +47,17 @@ use da_core::{
     TraceLog, WireSize,
 };
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SendError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SendError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How often a wait on a worker checks whether it died: with no
+/// per-tick coordinator→worker send left to fail fast, the join handles
+/// are the only death signal.
+const DEATH_POLL: Duration = Duration::from_millis(100);
 
 /// Aggregate summary of one executed tick — the live counterpart of
 /// `da_simnet::RoundReport`.
@@ -63,19 +70,20 @@ pub struct TickReport {
     pub sent: u64,
     /// Messages handed to `on_message` during this tick.
     pub delivered: u64,
-    /// Messages parked in delay wheels, due in a later tick. Where the
-    /// drift window is wider than one tick an envelope can be in flight
-    /// between a fast sender and a lagging receiver's wheel when the
-    /// receiver reports,
-    /// so this count may transiently miss it; quiescence detection does
-    /// not rely on it (the coordinator keeps an exact ledger of
-    /// queued − delivered envelopes).
+    /// Messages in flight at the end of this tick, due in a later one:
+    /// every envelope the channel let through, from the moment its
+    /// sender queued it until it is delivered or consumed at its due
+    /// tick — the coordinator's ledger, so it equals the simulator's
+    /// `Engine::in_flight()` after the same round whatever the workers'
+    /// relative timing. (A receiver's wheel would not do: inside the
+    /// drift window it can report a tick before a faster peer's batch
+    /// reaches it.)
     pub pending: u64,
 }
 
 impl TickReport {
-    /// True when the tick neither delivered nor produced nor holds
-    /// pending messages — the quiescence criterion.
+    /// True when the tick neither delivered nor produced messages and
+    /// none are in flight — the quiescence criterion.
     #[must_use]
     pub fn is_quiet(&self) -> bool {
         self.sent == 0 && self.delivered == 0 && self.pending == 0
@@ -92,7 +100,6 @@ struct PartialTick {
     delivered: u64,
     dropped_closed: u64,
     undeliverable: u64,
-    pending: u64,
     loud: bool,
 }
 
@@ -104,7 +111,6 @@ impl PartialTick {
         self.delivered += r.delivered;
         self.dropped_closed += r.dropped_closed;
         self.undeliverable += r.undeliverable;
-        self.pending += r.pending;
         self.loud |= r.is_loud();
     }
 }
@@ -140,10 +146,10 @@ impl PartialTick {
 pub struct Runtime<P: ExecProtocol> {
     controls: Vec<Sender<Control<P>>>,
     reports: Receiver<WorkerReport>,
-    handles: Vec<JoinHandle<Vec<(ProcessId, P, ProcessStatus)>>>,
-    counters: Arc<ShardedCounters>,
-    /// Shared flight-recorder sink — `None` when tracing is off.
-    trace: Option<Arc<TraceSink>>,
+    handles: Vec<JoinHandle<Joined<P>>>,
+    /// Whether the workers record a trace (`trace_log` reads nothing
+    /// when they do not).
+    tracing: bool,
     sched: Arc<SchedulerState>,
     population: usize,
     /// The next tick to hand the caller (every tick below it is
@@ -154,8 +160,9 @@ pub struct Runtime<P: ExecProtocol> {
     /// Reports for granted-but-not-yet-finalized ticks.
     backlog: BTreeMap<u64, PartialTick>,
     /// Envelopes queued on the transport and not yet delivered (or
-    /// dropped on a closed inbox) as of the finalized frontier — the
-    /// exact in-flight ledger behind quiescence detection.
+    /// consumed undelivered, or dropped on a closed inbox) as of the
+    /// finalized frontier — the exact in-flight ledger a
+    /// [`TickReport::pending`] reports and quiescence detection reads.
     in_flight: u64,
     /// True when an envelope in flight can only end delivered: the
     /// failure plan never crashes a process and never fails an
@@ -180,7 +187,9 @@ pub struct Shutdown<P> {
     pub counters: Counters,
     /// Merged flight-recorder log (events across all workers, verdict
     /// counts, `delivery_latency_ticks` / `wheel_occupancy` /
-    /// `watermark_lag` histograms) — `None` when tracing was off.
+    /// `watermark_lag` / `lane_depth` histograms) — `None` when tracing
+    /// was off. Each worker's recorder bounds its own events by the
+    /// configured capacity, so a pool keeps up to `workers × capacity`.
     /// Canonicalize the events before comparing against another
     /// substrate's stream.
     pub trace: Option<TraceLog>,
@@ -244,11 +253,6 @@ where
         let workers = config.effective_workers(population);
 
         let (hubs, inbox_rxs) = lane_matrix::<P::Msg>(workers, lane_capacity(&config));
-        let counters = Arc::new(ShardedCounters::new(workers));
-        let trace_sink = config
-            .trace
-            .is_enabled()
-            .then(|| Arc::new(TraceSink::new(workers, &config.trace)));
         let sched = Arc::new(SchedulerState {
             horizon: AtomicU64::new(0),
             marks: EdgeWatermarks::new(workers),
@@ -287,15 +291,12 @@ where
                 inbox,
                 faulty: FaultyRouter::new(hub, config.faults.network.clone(), config.seed),
                 reports: report_tx.clone(),
-                shards: Arc::clone(&counters),
                 dropped_closed,
                 dropped_shutdown,
                 wheel: DelayWheel::with_capacity(wheel_capacity(&config), workers),
                 due_buf: Vec::new(),
                 swept: 0,
-                trace: trace_sink
-                    .as_ref()
-                    .and_then(|sink| WorkerTrace::new(&config.trace, Arc::clone(sink))),
+                trace: config.trace.is_enabled().then(PoolHistograms::default),
                 sched: Arc::clone(&sched),
                 lag: config.effective_lag(),
                 next_tick: 0,
@@ -312,8 +313,7 @@ where
             controls,
             reports: report_rx,
             handles,
-            counters,
-            trace: trace_sink,
+            tracing: config.trace.is_enabled(),
             sched,
             population,
             tick: 0,
@@ -369,10 +369,8 @@ where
     /// ahead of report collection without ever overshooting the
     /// quiescent tick.
     ///
-    /// The wait polls in short slices so a worker that *died* (panicked
-    /// out of its thread) is diagnosed promptly instead of after the
-    /// full tick timeout — with no per-tick coordinator→worker send
-    /// left to fail fast, the join handles are the only death signal.
+    /// The wait is [`Runtime::recv_watched`]'s, so a worker that *died*
+    /// is diagnosed promptly instead of after the full tick timeout.
     ///
     /// # Panics
     ///
@@ -380,8 +378,7 @@ where
     /// tick timeout.
     fn collect_tick(&mut self, tick: u64, lookahead_cap: Option<u64>) -> TickReport {
         let workers = self.controls.len();
-        let deadline = std::time::Instant::now() + self.tick_timeout;
-        const DEATH_POLL: Duration = Duration::from_millis(100);
+        let deadline = Instant::now() + self.tick_timeout;
         loop {
             if let Some(cap) = lookahead_cap {
                 if self.backlog.get(&tick).is_some_and(|t| t.loud) {
@@ -391,44 +388,29 @@ where
             if self.backlog.get(&tick).map(|t| t.reports) == Some(workers) {
                 break;
             }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.reports.recv_timeout(remaining.min(DEATH_POLL)) {
-                Ok(report) => {
-                    if let Some(cap) = lookahead_cap {
-                        // Each report is its own non-quiescence proof,
-                        // whatever tick it is for: a loud tick `u` puts
-                        // the quiescent tick at `u + 1` or later
-                        // (horizon `u + 2` is safe), and a parked
-                        // envelope due at `d` keeps every tick before
-                        // `d` loud via `pending > 0` (horizon `d + 1`
-                        // is safe). Granting here — not just when the
-                        // collected tick finalizes — lets workers run
-                        // multi-tick-latency windows without parking
-                        // once per tick.
-                        let mut proof = if report.is_loud() { report.tick + 2 } else { 0 };
-                        if report.due_horizon > 0 {
-                            // An envelope parked at `u64::MAX` is never
-                            // due: every tick under the cap is loud.
-                            proof = proof.max(report.due_horizon.saturating_add(1));
-                        }
-                        if proof > 0 {
-                            self.grant(proof.min(cap));
-                        }
-                    }
-                    self.backlog.entry(report.tick).or_default().absorb(report);
+            let report = self
+                .recv_watched(&self.reports, deadline, format_args!("acking tick {tick}"))
+                .unwrap_or_else(|| panic!("worker failed to ack tick {tick}: timed out"));
+            if let Some(cap) = lookahead_cap {
+                // Each report is its own non-quiescence proof, whatever
+                // tick it is for: a loud tick `u` puts the quiescent tick
+                // at `u + 1` or later (horizon `u + 2` is safe), and a
+                // parked envelope due at `d` keeps every tick before `d`
+                // loud via `pending > 0` (horizon `d + 1` is safe).
+                // Granting here — not just when the collected tick
+                // finalizes — lets workers run multi-tick-latency windows
+                // without parking once per tick.
+                let mut proof = if report.is_loud() { report.tick + 2 } else { 0 };
+                if report.due_horizon > 0 {
+                    // An envelope parked at `u64::MAX` is never due:
+                    // every tick under the cap is loud.
+                    proof = proof.max(report.due_horizon.saturating_add(1));
                 }
-                Err(e) => {
-                    if let Some(w) = self.handles.iter().position(JoinHandle::is_finished) {
-                        // The thread is gone but its tick never arrived:
-                        // it panicked (a clean stop always reports first).
-                        panic!("runtime worker {w} died before acking tick {tick}");
-                    }
-                    assert!(
-                        remaining > DEATH_POLL,
-                        "worker failed to ack tick {tick}: {e}"
-                    );
+                if proof > 0 {
+                    self.grant(proof.min(cap));
                 }
             }
+            self.backlog.entry(report.tick).or_default().absorb(report);
         }
         let agg = self.backlog.remove(&tick).expect("tick was just finalized");
         self.in_flight = (self.in_flight + agg.queued)
@@ -438,7 +420,7 @@ where
             tick,
             sent: agg.sent,
             delivered: agg.delivered,
-            pending: agg.pending,
+            pending: self.in_flight,
         }
     }
 
@@ -500,7 +482,7 @@ where
             }
             let report = self.collect_tick(tick, Some(cap));
             self.tick += 1;
-            if report.is_quiet() && self.in_flight == 0 {
+            if report.is_quiet() {
                 return executed + 1;
             }
         }
@@ -562,21 +544,53 @@ where
             .unwrap_or_else(|_| panic!("runtime worker for {pid} terminated"));
     }
 
-    /// Merged metrics snapshot across all worker shards, each as of that
-    /// worker's most recently completed tick (exact whenever the pool is
-    /// idle between driver calls).
+    /// The pool's counters: every worker's registry, read through the
+    /// control channel and folded in worker-id order. Between driver
+    /// calls every granted tick has been executed, so the read is exact:
+    /// what [`Runtime::shutdown`] would return now, less the
+    /// `rt.dropped_shutdown` of whatever is still in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the worker, when a worker has died or does not
+    /// answer within the tick timeout.
     #[must_use]
     pub fn counters(&self) -> Counters {
-        self.counters.merged()
+        self.read(false).counters
     }
 
-    /// Merged flight-recorder snapshot across all worker shards, each as
-    /// of that worker's most recent tick-boundary publish (exact
-    /// whenever the pool is idle between driver calls) — `None` when
+    /// The pool's flight-recorder log, read like [`Runtime::counters`]:
+    /// every worker's events, dropped and verdict counts and histograms,
+    /// folded in worker-id order — or `None`, without a round trip, when
     /// tracing is off. The live twin of `Engine::trace_log`.
+    ///
+    /// ```
+    /// use da_core::testkit::Relay;
+    /// use da_core::trace::TraceVerdict;
+    /// use da_runtime::{Runtime, RuntimeConfig, TraceConfig};
+    ///
+    /// let config = RuntimeConfig::default()
+    ///     .with_workers(2)
+    ///     .with_trace(TraceConfig::full());
+    /// let mut rt = Runtime::spawn(config, Relay::ring(4, 1));
+    /// rt.run_ticks(2);
+    /// let log = rt.trace_log().expect("tracing is on");
+    /// assert_eq!(log.count(TraceVerdict::Sent), 4);
+    /// assert_eq!(log.count(TraceVerdict::Delivered), 4);
+    /// assert_eq!(log.events.len(), 8, "both workers' events, folded");
+    /// // A read takes nothing away: shutdown hands back the same log.
+    /// assert_eq!(rt.shutdown().trace.unwrap().events, log.events);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// As [`Runtime::counters`].
     #[must_use]
     pub fn trace_log(&self) -> Option<TraceLog> {
-        self.trace.as_ref().map(|sink| sink.merged())
+        if !self.tracing {
+            return None;
+        }
+        self.read(true).trace
     }
 
     /// Graceful shutdown: stops every worker, joins the pool, and
@@ -597,10 +611,18 @@ where
             "a granted tick was never collected"
         );
         self.stop_all();
+        let mut parts = Vec::with_capacity(self.handles.len());
+        // A `flat_map` collect, not `extend` into a vector sized up
+        // front: the latter raised `metro_churn`'s peak RSS by 5 MiB
+        // (one more copy of 131k processes resident at once).
         let mut tagged: Vec<(ProcessId, P, ProcessStatus)> = self
             .handles
             .drain(..)
-            .flat_map(|h| h.join().expect("runtime worker panicked"))
+            .flat_map(|h| {
+                let (owned, telemetry) = h.join().expect("runtime worker panicked");
+                parts.push(*telemetry);
+                owned
+            })
             .collect();
         tagged.sort_by_key(|(pid, _, _)| *pid);
         let mut processes = Vec::with_capacity(tagged.len());
@@ -609,13 +631,33 @@ where
             processes.push(p);
             statuses.push(status);
         }
+        let Telemetry { counters, trace } = fold(parts);
         Shutdown {
             processes,
             statuses,
-            counters: self.counters.merged(),
-            trace: self.trace.as_ref().map(|sink| sink.merged()),
+            counters,
+            trace,
         }
     }
+}
+
+/// Folds the workers' telemetry, in worker-id order, into the pool's:
+/// counters by [`Counters::merge_from`], traces by
+/// [`TraceLog::merge_from`].
+fn fold(parts: impl IntoIterator<Item = Telemetry>) -> Telemetry {
+    let mut pool = Telemetry {
+        counters: Counters::new(),
+        trace: None,
+    };
+    for part in parts {
+        pool.counters.merge_from(&part.counters);
+        if let Some(trace) = &part.trace {
+            pool.trace
+                .get_or_insert_with(TraceLog::new)
+                .merge_from(trace);
+        }
+    }
+    pool
 }
 
 impl<P: ExecProtocol> Runtime<P> {
@@ -625,6 +667,63 @@ impl<P: ExecProtocol> Runtime<P> {
         let sent = self.controls[worker].send(msg);
         self.handles[worker].thread().unpark();
         sent
+    }
+
+    /// Every worker's telemetry, asked for through the control channel —
+    /// all workers first, then each reply in worker-id order — and
+    /// folded. A worker answers from its control drain, which runs
+    /// wherever it waits.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the worker, when one has died or does not answer
+    /// within the tick timeout.
+    fn read(&self, trace: bool) -> Telemetry {
+        let replies: Vec<Receiver<Telemetry>> = (0..self.controls.len())
+            .map(|worker| {
+                let (reply, rx) = mpsc::sync_channel(1);
+                // A dead worker refuses the send and drops `reply`; the
+                // wait below names it.
+                let _ = self.send_control(worker, Control::Read { trace, reply });
+                rx
+            })
+            .collect();
+        let deadline = Instant::now() + self.tick_timeout;
+        fold(replies.iter().enumerate().map(|(worker, rx)| {
+            self.recv_watched(rx, deadline, format_args!("answering a read"))
+                .unwrap_or_else(|| {
+                    panic!("runtime worker {worker} failed to answer a read: timed out")
+                })
+        }))
+    }
+
+    /// Receives from `rx` before `deadline` — `None` once it passes —
+    /// checking every [`DEATH_POLL`] whether a worker died. A worker
+    /// thread that finished panicked (a clean stop answers first), and
+    /// the call then panics naming it, at once instead of after the
+    /// full timeout.
+    fn recv_watched<T>(
+        &self,
+        rx: &Receiver<T>,
+        deadline: Instant,
+        what: fmt::Arguments<'_>,
+    ) -> Option<T> {
+        loop {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match rx.recv_timeout(remaining.min(DEATH_POLL)) {
+                Ok(value) => return Some(value),
+                // Every sender is gone: let the worker that dropped them
+                // finish dying.
+                Err(RecvTimeoutError::Disconnected) => std::thread::yield_now(),
+                Err(RecvTimeoutError::Timeout) => {}
+            }
+            if let Some(w) = self.handles.iter().position(JoinHandle::is_finished) {
+                panic!("runtime worker {w} died before {what}");
+            }
+            if remaining <= DEATH_POLL {
+                return None;
+            }
+        }
     }
 
     /// Tells every worker not yet joined to stop.

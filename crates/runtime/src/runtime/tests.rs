@@ -319,9 +319,13 @@ fn fixed_latency_delivers_exactly_k_ticks_later() {
     let mut rt = Runtime::spawn(config, procs);
     let reports = rt.run_ticks(5);
     // Ticks 1 and 2 hold the message pending; tick 3 delivers it.
+    // Pending counts it from the tick its sender queued it, whenever
+    // the batch reaches the receiver's wheel.
+    assert_eq!(reports[0].pending, 1);
     assert_eq!(reports[1].pending, 1);
     assert_eq!(reports[2].pending, 1);
     assert_eq!(reports[3].delivered, 1);
+    assert_eq!(reports[3].pending, 0);
     let out = rt.shutdown();
     assert_eq!(out.processes[1].receipt, Some(3));
     assert_eq!(out.counters.get("rt.dropped_shutdown"), 0);
@@ -867,4 +871,108 @@ fn canonical_trace_is_worker_count_invariant() {
     assert!(!single.is_empty());
     assert_eq!(single, run(3));
     assert_eq!(single, run(4));
+}
+
+/// What a run leaves behind, reduced to what is deterministic per seed:
+/// the processes' receipts and liveness, the counters, and of the trace
+/// the canonical events, dropped and verdict counts and delivery
+/// latencies (the pool's own histograms sample timing).
+fn digest(out: &Shutdown<Relay>) -> impl PartialEq + std::fmt::Debug {
+    let trace = out.trace.as_ref().expect("tracing is on");
+    (
+        out.processes
+            .iter()
+            .map(|p| p.received.clone())
+            .collect::<Vec<_>>(),
+        out.statuses.clone(),
+        out.counters.to_string(),
+        trace.canonical_events(),
+        trace.dropped_events,
+        trace.verdict_counts,
+        trace.histogram("delivery_latency_ticks").cloned(),
+    )
+}
+
+/// `counters()` and `trace_log()` between driver calls read exactly what
+/// `shutdown` would hand back, add up across ticks, and change nothing:
+/// a run read mid-way ends as one that never was.
+#[test]
+fn reads_between_driver_calls_are_exact_cumulative_and_inert() {
+    for workers in [1, 3] {
+        let config = RuntimeConfig::default()
+            .with_workers(workers)
+            .with_seed(3)
+            .with_channel(
+                ChannelConfig::reliable()
+                    .with_success_probability(0.7)
+                    .with_latency(Latency::UniformRounds { min: 1, max: 3 }),
+            )
+            .with_trace(TraceConfig::full());
+        let mut read = Runtime::spawn(config.clone(), relay_procs(9));
+        read.run_ticks(2);
+        let (early, early_log) = (read.counters(), read.trace_log().unwrap());
+        read.run_ticks(2);
+        let (late, late_log) = (read.counters(), read.trace_log().unwrap());
+        for (name, value) in early.iter() {
+            assert!(late.get(name) >= value, "{workers} workers: {name}");
+        }
+        assert!(late.get("rt.sent") > early.get("rt.sent"));
+        let old: Vec<_> = late_log
+            .canonical_events()
+            .into_iter()
+            .filter(|e| e.tick < 2)
+            .collect();
+        assert_eq!(old, early_log.canonical_events(), "{workers} workers");
+        read.run_until_quiescent(64);
+        let (last, last_log) = (read.counters(), read.trace_log().unwrap());
+        let out = read.shutdown();
+        assert_eq!(out.counters.to_string(), last.to_string());
+        let trace = out.trace.as_ref().unwrap();
+        assert_eq!(trace.events, last_log.events);
+        assert_eq!(trace.dropped_events, last_log.dropped_events);
+        assert_eq!(trace.verdict_counts, last_log.verdict_counts);
+        assert_eq!(trace.histograms, last_log.histograms);
+
+        let mut unread = Runtime::spawn(config, relay_procs(9));
+        unread.run_ticks(2);
+        unread.run_ticks(2);
+        unread.run_until_quiescent(64);
+        assert_eq!(
+            digest(&unread.shutdown()),
+            digest(&out),
+            "{workers} workers"
+        );
+    }
+}
+
+/// A read from a pool whose worker died panics with the worker named —
+/// within one death poll, not after the watchdog — instead of folding a
+/// stale or partial view.
+#[test]
+#[should_panic(expected = "runtime worker 1 died before answering a read")]
+fn a_read_names_a_dead_worker() {
+    let config = RuntimeConfig::default()
+        .with_workers(3)
+        .with_tick_timeout_ms(5_000);
+    let mut rt = Runtime::spawn(config, relay_procs(6));
+    rt.run_ticks(1);
+    rt.inject(ProcessId(4), |_| panic!("killed by the test"));
+    let _ = rt.counters();
+}
+
+/// A worker that does not answer a read within the tick timeout is
+/// named, not waited on for ever.
+#[test]
+#[should_panic(expected = "runtime worker 2 failed to answer a read")]
+fn a_read_names_a_wedged_worker() {
+    let config = RuntimeConfig::default()
+        .with_workers(3)
+        .with_tick_timeout_ms(50)
+        .with_trace(TraceConfig::counters_only());
+    let mut rt = Runtime::spawn(config, relay_procs(6));
+    rt.run_ticks(1);
+    // Far beyond the watchdog; the sleep also bounds how long the
+    // leaked worker outlives the panic.
+    rt.inject(ProcessId(5), |_| std::thread::sleep(Duration::from_secs(2)));
+    let _ = rt.trace_log();
 }

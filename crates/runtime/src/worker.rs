@@ -1,17 +1,19 @@
 //! One worker thread of the pool: what it shares with the coordinator
-//! ([`SchedulerState`], [`Control`], [`WorkerReport`]) and the
-//! [`Worker`] loop itself — control drain, lane sweep, watermark gate,
-//! one `da_core::Stripe` tick through its [`FaultyRouter`], flush,
-//! publish, park. The scheduling model is described in
-//! [`crate::runtime`].
+//! ([`SchedulerState`], [`Control`], [`WorkerReport`], [`Telemetry`])
+//! and the [`Worker`] loop itself — control drain, lane sweep,
+//! watermark gate, one `da_core::Stripe` tick through its
+//! [`FaultyRouter`], flush, report, park. The scheduling model is
+//! described in [`crate::runtime`].
 
-use crate::metrics::{ShardedCounters, WorkerTrace};
 use crate::transport::{EdgeInbox, EdgeWatermarks, FaultyRouter};
 use da_core::trace::TraceVerdict;
 use da_core::wheel::{DelayWheel, Envelope};
-use da_core::{CounterId, ExecProtocol, ProcessId, ProcessStatus, Stripe, WireSize};
+use da_core::{
+    CounterId, Counters, ExecProtocol, Histogram, ProcessId, ProcessStatus, Stripe, TraceLog,
+    WireSize,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 
 /// The scheduler state shared by the coordinator and every worker: the
@@ -37,8 +39,43 @@ pub(super) enum Control<P> {
         pid: ProcessId,
         f: Box<dyn FnOnce(&mut P) + Send>,
     },
-    /// Drain down and return the owned processes.
+    /// Reply with the worker's [`Telemetry`] — its trace too when
+    /// `trace` is set.
+    Read {
+        trace: bool,
+        reply: SyncSender<Telemetry>,
+    },
+    /// Drain down and return the owned processes and final telemetry.
     Stop,
+}
+
+/// What a worker hands the coordinator on a [`Control::Read`] and when
+/// it is joined: a copy of its stripe's counters and, when asked for
+/// and recorded, its trace. The coordinator folds these in worker-id
+/// order; nothing a worker counts is shared with another thread.
+pub(super) struct Telemetry {
+    pub(super) counters: Counters,
+    pub(super) trace: Option<TraceLog>,
+}
+
+/// What a stopped worker returns from its thread: the processes it
+/// owned with their final liveness, and its final [`Telemetry`] — boxed,
+/// because the slot for a thread's result is allocated when it spawns.
+pub(super) type Joined<P> = (Vec<(ProcessId, P, ProcessStatus)>, Box<Telemetry>);
+
+/// The trace histograms only a pool samples, beside the stripe's own
+/// recorder and delivery latency.
+#[derive(Debug, Default)]
+pub(super) struct PoolHistograms {
+    /// Delay-wheel occupancy sampled once per tick after the inbox
+    /// drain.
+    pub(super) wheel_occupancy: Histogram,
+    /// How many ticks this worker ran ahead of its slowest peer's
+    /// published frontier, sampled once per tick.
+    pub(super) watermark_lag: Histogram,
+    /// Batches swept off the incoming SPSC lanes per tick (across all
+    /// sweeps of that tick, pre-gate and final).
+    pub(super) lane_depth: Histogram,
 }
 
 /// One worker's account of one executed tick, pushed to the coordinator
@@ -58,6 +95,9 @@ pub(super) struct WorkerReport {
     /// delivered: the destination was crashed (`rt.dropped_crashed`) or
     /// the per-observer draw failed (`rt.dropped_observed_failed`).
     pub(super) undeliverable: u64,
+    /// Envelopes parked in this worker's wheel after the tick — a
+    /// loudness proof only: [`crate::TickReport::pending`] is the
+    /// coordinator's ledger, which does not wait for batches to land.
     pub(super) pending: u64,
     /// Furthest due tick with an envelope provably parked in this
     /// worker's wheel (0 when empty). Every tick before it will report
@@ -87,15 +127,14 @@ impl WorkerReport {
 /// and watermark gates.
 pub(super) struct Worker<P: ExecProtocol> {
     pub(super) id: usize,
-    /// No lock on the hot path: the stripe's registry is snapshotted
-    /// into `shards`, its recorder drained into the trace sink, once per
-    /// tick.
+    /// Counts and records without a lock: the registry and the recorder
+    /// are this thread's alone, copied out only to answer a
+    /// [`Control::Read`] and handed back at join.
     pub(super) stripe: Stripe<P>,
     pub(super) control: Receiver<Control<P>>,
     pub(super) inbox: EdgeInbox<P::Msg>,
     pub(super) faulty: FaultyRouter<P::Msg>,
     pub(super) reports: Sender<WorkerReport>,
-    pub(super) shards: Arc<ShardedCounters>,
     /// The two ledger counters only a pool has.
     pub(super) dropped_closed: CounterId,
     pub(super) dropped_shutdown: CounterId,
@@ -109,9 +148,9 @@ pub(super) struct Worker<P: ExecProtocol> {
     /// Batches swept off the lanes since the last tick finished; folded
     /// into the `lane_depth` histogram each tick.
     pub(super) swept: u64,
-    /// The pool-side trace histograms and the sink — `None` when tracing
-    /// is off, like the stripe's recorder.
-    pub(super) trace: Option<WorkerTrace>,
+    /// The pool-side trace histograms — `None` when tracing is off,
+    /// like the stripe's recorder.
+    pub(super) trace: Option<PoolHistograms>,
     pub(super) sched: Arc<SchedulerState>,
     /// `RuntimeConfig::effective_lag()` — how far the local clock may
     /// run ahead of the slowest in-edge's publish watermark.
@@ -142,13 +181,39 @@ where
     /// worker owes the pool the same final tick, and honouring stop
     /// early would make the executed-tick range (and so the trace tail)
     /// depend on message-arrival timing instead of on the grant.
+    ///
+    /// A read is answered from here too, so it needs no path of its own:
+    /// it meets the worker parked between driver calls, where every
+    /// granted tick has been executed and reported.
     fn drain_control(&mut self) -> bool {
         loop {
             match self.control.try_recv() {
                 Ok(Control::Apply { pid, f }) => self.apply(pid, f),
+                Ok(Control::Read { trace, reply }) => {
+                    // A failed send means the reader gave up waiting.
+                    let _ = reply.send(self.telemetry(trace));
+                }
                 Ok(Control::Stop) | Err(TryRecvError::Disconnected) => return false,
                 Err(TryRecvError::Empty) => return true,
             }
+        }
+    }
+
+    /// A copy of this worker's counters and, when `trace` is set and
+    /// tracing is on, of what it recorded: the stripe's log with the
+    /// pool's three histograms after its own.
+    fn telemetry(&self, trace: bool) -> Telemetry {
+        let log = match (&self.stripe.ledger.trace, &self.trace) {
+            (Some(stripe), Some(pool)) if trace => Some(stripe.log(&[
+                ("wheel_occupancy", &pool.wheel_occupancy),
+                ("watermark_lag", &pool.watermark_lag),
+                ("lane_depth", &pool.lane_depth),
+            ])),
+            _ => None,
+        };
+        Telemetry {
+            counters: self.stripe.ledger.counters.clone(),
+            trace: log,
         }
     }
 
@@ -169,8 +234,9 @@ where
 
     /// The worker main loop: execute every granted-and-gated tick, park
     /// when the horizon is exhausted, stop on command — after finishing
-    /// any ticks already granted, so the stop point is deterministic.
-    pub(super) fn run(mut self) -> Vec<(ProcessId, P, ProcessStatus)> {
+    /// any ticks already granted, so the stop point is deterministic —
+    /// then hand back the processes and the final telemetry.
+    pub(super) fn run(mut self) -> Joined<P> {
         let mut stopping = false;
         'main: loop {
             while self.next_tick < self.sched.horizon.load(Ordering::SeqCst) {
@@ -189,10 +255,6 @@ where
                 }
                 let report = self.run_tick(tick);
                 self.next_tick = tick + 1;
-                self.shards
-                    .publish(self.id, &self.stripe.ledger.counters)
-                    .expect("worker id is in range");
-                self.publish_trace(tick);
                 if self.reports.send(report).is_err() {
                     break 'main; // Coordinator is gone: shut down.
                 }
@@ -202,32 +264,8 @@ where
             }
         }
         self.account_shutdown_in_flight();
-        self.shards
-            .publish(self.id, &self.stripe.ledger.counters)
-            .expect("worker id is in range");
-        if let (Some(trace), Some(stripe)) = (&self.trace, self.stripe.ledger.trace.as_mut()) {
-            trace.publish(self.id, stripe);
-        }
-        self.stripe.into_processes().collect()
-    }
-
-    /// Tick-boundary trace publish: samples how far this worker's clock
-    /// ran ahead of its slowest in-edge's published frontier (0 on a
-    /// single-worker pool) into the `watermark_lag` histogram, then
-    /// drains the recorder into the shared sink — the trace twin of the
-    /// `ShardedCounters` publish it sits next to.
-    fn publish_trace(&mut self, tick: u64) {
-        let (Some(trace), Some(stripe)) = (self.trace.as_mut(), self.stripe.ledger.trace.as_mut())
-        else {
-            return;
-        };
-        let lag = (0..self.sched.marks.workers())
-            .filter(|&peer| peer != self.id)
-            .map(|peer| self.sched.marks.published(peer))
-            .min()
-            .map_or(0, |slowest| (tick + 1).saturating_sub(slowest));
-        trace.watermark_lag.record(lag);
-        trace.publish(self.id, stripe);
+        let telemetry = Box::new(self.telemetry(true));
+        (self.stripe.into_processes().collect(), telemetry)
     }
 
     /// Spins (yielding) until every peer has published the watermarks
@@ -369,6 +407,17 @@ where
                 .count_dropped(id, verdict, flush.dropped_closed);
         }
         self.sched.marks.publish(self.id, tick + 1);
+        if let Some(trace) = self.trace.as_mut() {
+            // How far this clock now runs ahead of the slowest in-edge's
+            // published frontier (0 on a single-worker pool).
+            let marks = &self.sched.marks;
+            let lag = (0..marks.workers())
+                .filter(|&peer| peer != self.id)
+                .map(|peer| marks.published(peer))
+                .min()
+                .map_or(0, |slowest| (tick + 1).saturating_sub(slowest));
+            trace.watermark_lag.record(lag);
+        }
 
         WorkerReport {
             tick,

@@ -346,15 +346,8 @@ where
     /// [`SimConfig::trace`] mode is off.
     #[must_use]
     pub fn trace_log(&self) -> Option<TraceLog> {
-        self.stripe.ledger.trace.as_ref().map(|t| {
-            let mut log = TraceLog::new();
-            log.events = t.recorder.events().to_vec();
-            log.dropped_events = t.recorder.dropped();
-            log.verdict_counts = *t.recorder.counts();
-            log.add_histogram("delivery_latency_ticks", &t.delivery_latency);
-            log.add_histogram("queue_depth", &self.queue_depth);
-            log
-        })
+        let extra = ("queue_depth", &self.queue_depth);
+        self.stripe.ledger.trace.as_ref().map(|t| t.log(&[extra]))
     }
 
     /// The next round to execute.

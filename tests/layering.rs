@@ -155,7 +155,9 @@ fn protocol_hooks_bump_no_counter_by_name() {
 /// no wake-up flag of its own beside `park`/`unpark`, a lane carries one
 /// batch shape, and every `Ordering::` site the runtime ships is a row
 /// of ARCHITECTURE.md's table — an eighth is added on purpose, there
-/// and here.
+/// and here. A worker's counters and trace are read through its control
+/// channel, so the pool shares no lock: no `Mutex`, no shard registry,
+/// no trace sink, and no recorder drained behind the worker's back.
 #[test]
 fn the_concurrent_fabric_stays_small() {
     let mut shim: Vec<String> = sources("crates/shims/crossbeam/src")
@@ -179,6 +181,26 @@ fn the_concurrent_fabric_stays_small() {
         orderings += shipped(&path, &source).matches("Ordering::").count();
     }
     assert!(orderings <= 7, "{orderings} `Ordering::` sites shipped");
+
+    for file in ["runtime.rs", "worker.rs", "transport.rs"] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("crates/runtime/src")
+            .join(file);
+        let source = std::fs::read_to_string(&path).expect("source file");
+        for shared in ["Mutex", "ShardedCounters", "TraceSink"] {
+            assert!(
+                !shipped(&path, &source).contains(shared),
+                "{file}: {shared}"
+            );
+        }
+    }
+    for (path, source) in sources("crates") {
+        if path.extension().is_some_and(|ext| ext == "rs") {
+            for gone in ["struct TraceSink", "take_events"] {
+                assert!(!source.contains(gone), "{}: {gone}", path.display());
+            }
+        }
+    }
 }
 
 /// A send's per-tick occurrence is counted by one table,
