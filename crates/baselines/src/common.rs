@@ -1,7 +1,7 @@
 //! Machinery shared by the three baseline algorithms: interest
 //! assignment, delivery/parasite bookkeeping, and gossip target sampling.
 
-use da_core::{FxBuildHasher, ProcessId};
+use da_core::{KeyBuildHasher, ProcessId};
 use da_topics::{TopicHierarchy, TopicId};
 use damulticast::{Event, EventId};
 use rand::seq::SliceRandom;
@@ -99,7 +99,7 @@ impl InterestMap {
 /// comparison revolves around.
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryLog {
-    seen: HashSet<EventId, FxBuildHasher>,
+    seen: HashSet<EventId, KeyBuildHasher>,
     delivered: Vec<Event>,
     parasites: u64,
 }

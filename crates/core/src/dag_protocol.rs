@@ -25,7 +25,7 @@ use crate::multi_super::{plan_multi_dissemination, MultiSuperTables};
 use crate::params::TopicParams;
 use crate::tables::SuperEntry;
 use crate::DaError;
-use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, FxBuildHasher, LabelId, ProcessId};
+use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, KeyBuildHasher, LabelId, ProcessId};
 use da_membership::static_init::static_topic_tables;
 use da_topics::dag::TopicDag;
 use da_topics::TopicId;
@@ -69,7 +69,7 @@ pub struct DagProcess {
     group_size: usize,
     topic_table: Vec<ProcessId>,
     supers: MultiSuperTables,
-    seen: HashSet<EventId, FxBuildHasher>,
+    seen: HashSet<EventId, KeyBuildHasher>,
     delivered: Vec<Event>,
     parasite_count: u64,
     pending_publish: Vec<Event>,

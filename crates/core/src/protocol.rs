@@ -32,7 +32,7 @@ use crate::maintenance::{MaintenanceAction, MaintenanceTask};
 use crate::message::{ControlMsg, DaMsg};
 use crate::params::TopicParams;
 use crate::tables::{SuperEntry, SuperTable};
-use da_core::{Exec, ExecProtocol, FxBuildHasher, FxHasher, LabelId, McHash, ProcessId};
+use da_core::{Exec, ExecProtocol, FxHasher, KeyBuildHasher, LabelId, McHash, ProcessId};
 use da_membership::Overlay;
 use da_membership::{FlatMembership, MembershipParams};
 use da_topics::{TopicHierarchy, TopicId};
@@ -158,7 +158,7 @@ pub struct DaProcess {
     /// Initial same-group contacts to join through (dynamic mode).
     join_contacts: Vec<ProcessId>,
     /// Event ids already received (the paper's "done only the first time").
-    seen: HashSet<EventId, FxBuildHasher>,
+    seen: HashSet<EventId, KeyBuildHasher>,
     /// Events delivered to the application, in delivery order.
     delivered: Vec<Event>,
     /// Events received for a topic this process is *not* interested in.
@@ -168,7 +168,7 @@ pub struct DaProcess {
     pending_publish: Vec<Event>,
     next_sequence: u64,
     /// Bootstrap requests already answered/forwarded: `(origin, req_id)`.
-    answered_requests: HashSet<(ProcessId, u64), FxBuildHasher>,
+    answered_requests: HashSet<(ProcessId, u64), KeyBuildHasher>,
     labels: Labels,
     /// Deliberate protocol defect, [`Mutation::None`] in production.
     mutation: Mutation,

@@ -61,7 +61,9 @@ pub use exec::{Exec, ExecProtocol, McHash};
 pub use failure::{ChurnRates, FailureModel, FailurePlan, Fate};
 pub use fault::FaultConfig;
 pub use lifecycle::{LifecycleController, LifecycleTransitions};
-pub use metrics::{CounterId, Counters, FxBuildHasher, FxHasher, Histogram, LabelId, TraceLog};
+pub use metrics::{
+    CounterId, Counters, FxHasher, Histogram, KeyBuildHasher, KeyHasher, LabelId, TraceLog,
+};
 pub use process::{ProcessId, ProcessIndexError, ProcessStatus};
 pub use seed::{derive_seed, rng_for_process, rng_from_seed};
 pub use store::ProcessStore;

@@ -9,8 +9,8 @@
 //! labels at construction, holds 4-byte ids, and bumps through
 //! [`Counters::bump_id`] in whichever registry the substrate hands it
 //! (one per runtime worker). Name-keyed calls ([`Counters::register`],
-//! [`Counters::bump`]) go through an FxHash-indexed map and stay for
-//! set-up code and fixtures.
+//! [`Counters::bump`]) go through a [`KeyHasher`]-indexed map and stay
+//! for set-up code and fixtures.
 //!
 //! [`Histogram`] is the distribution-shaped companion to the counters
 //! (delivery latency in ticks, delay-wheel occupancy, watermark lag):
@@ -26,11 +26,12 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// A multiply-xor hasher (the rustc-hash / FxHash construction) for the
-/// label index and the protocols' event-id `seen` sets: short keys whose
-/// hashing dominates the lookup under the default SipHash. Not
-/// DoS-resistant — fine for keys the program mints itself (static
-/// labels, its processes' event ids), never for external input.
+/// The digest fold: a multiply-xor hasher (the rustc-hash / FxHash
+/// construction) that every pinned digest is computed with — the
+/// simulator's `state_digest` (the model checker's visited-set key), the
+/// protocols' unordered set folds and the seeded goldens. Those constants
+/// fix its output for every `write` bit for bit, integers included, so
+/// it is never a table's hasher: tables take [`KeyHasher`].
 #[derive(Debug, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -66,8 +67,56 @@ impl Hasher for FxHasher {
     }
 }
 
-/// The [`BuildHasherDefault`] alias for [`FxHasher`]-keyed maps.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+/// The hasher of every table whose keys the program mints itself: event
+/// ids, bootstrap `(origin, request)` pairs, packed edges, counter
+/// labels. Short keys whose hashing dominates the lookup under the
+/// default SipHash, so `write_u32` and `write_u64` are one inlined
+/// multiply-xor each, by 2⁶⁴/φ — an event id is two. Not DoS-resistant:
+/// never for keys from outside the program.
+///
+/// Tables → `KeyHasher`, digests → [`FxHasher`]: no constant pins what a
+/// table hashes to, so this one is free to be fast.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// 2⁶⁴ / φ, odd: the Fibonacci-hashing multiplier.
+    const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        // From the zero state this is `word * MULTIPLIER`.
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MULTIPLIER);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.mix(u64::from(word));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.mix(word);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The [`BuildHasherDefault`] alias for [`KeyHasher`]-keyed tables.
+pub type KeyBuildHasher = BuildHasherDefault<KeyHasher>;
 
 /// Handle to a registered counter. Obtained from [`Counters::register`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -106,7 +155,7 @@ type Segment = Box<[OnceLock<&'static str>]>;
 /// `LabelId` → name, written under [`INTERNED`]'s lock, read lock-free.
 static NAMES: [OnceLock<Segment>; SEGMENTS] = [const { OnceLock::new() }; SEGMENTS];
 /// Name → `LabelId`.
-static INTERNED: Mutex<HashMap<&'static str, LabelId, FxBuildHasher>> =
+static INTERNED: Mutex<HashMap<&'static str, LabelId, KeyBuildHasher>> =
     Mutex::new(HashMap::with_hasher(BuildHasherDefault::new()));
 
 impl LabelId {
@@ -175,7 +224,7 @@ impl LabelId {
 pub struct Counters {
     values: Vec<u64>,
     names: Vec<String>,
-    index: HashMap<String, CounterId, FxBuildHasher>,
+    index: HashMap<String, CounterId, KeyBuildHasher>,
     /// `slots[label]` is the index into `values` of an interned label
     /// this registry has counted, [`NO_SLOT`] otherwise. Process-local:
     /// it is keyed by [`LabelId`], which does not survive the process.
@@ -699,6 +748,41 @@ mod tests {
         copy.bump_id(b);
         assert_eq!(copy.get("test.id.b"), 3);
         assert_eq!(copy.len(), 2);
+    }
+
+    #[test]
+    fn key_hasher_folds_bytes_like_words() {
+        let hash = |feed: &dyn Fn(&mut KeyHasher)| {
+            let mut h = KeyHasher::default();
+            feed(&mut h);
+            h.finish()
+        };
+        let key = 0x0000_0003_ffff_fffe_u64;
+        let word = hash(&|h| h.write_u64(key));
+        assert_eq!(word, key.wrapping_mul(KeyHasher::MULTIPLIER));
+        assert_eq!(hash(&|h| h.write(&key.to_le_bytes())), word);
+        // A ragged tail is folded, not dropped.
+        let ragged = hash(&|h| h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9]));
+        assert_ne!(ragged, hash(&|h| h.write(&[1, 2, 3, 4, 5, 6, 7, 8])));
+        assert_ne!(ragged, hash(&|h| h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 10])));
+    }
+
+    #[test]
+    fn key_hasher_mixes_each_integer_once() {
+        use std::hash::Hash;
+        let mix = |state: u64, word: u64| {
+            (state.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        };
+        let mut h = KeyHasher::default();
+        h.write_u32(u32::MAX);
+        assert_eq!(h.finish(), mix(0, u64::from(u32::MAX)));
+        h.write_u64(u64::MAX - 2);
+        assert_eq!(h.finish(), mix(mix(0, u64::from(u32::MAX)), u64::MAX - 2));
+        // An event id's shape, a pid then a sequence, is two mixes and
+        // nothing else: no length, no padding.
+        let mut h = KeyHasher::default();
+        (crate::ProcessId(3), 9u64).hash(&mut h);
+        assert_eq!(h.finish(), mix(mix(0, 3), 9));
     }
 
     #[test]

@@ -27,11 +27,11 @@
 //! link fates on the simulator and the live runtime.
 
 use crate::channel::{ChannelConfig, ChannelFate};
+use crate::metrics::KeyBuildHasher;
 use crate::process::ProcessId;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of one topology node (a rack, site, or datacenter —
 /// whatever unit fails together). Dense indices into
@@ -446,41 +446,6 @@ impl DropSchedule {
     }
 }
 
-/// Hashes the packed edge key of [`Occurrences`] with one multiply.
-///
-/// The key is one `u64` the program builds itself, so a `write_u64` is
-/// the whole hash and its state is the word it multiplied. A type of its
-/// own rather than integer fast paths on `FxHasher`: that hasher also
-/// folds the goldens' digests, which fix its output bit for bit.
-#[derive(Debug, Clone, Copy, Default)]
-struct EdgeKeyHasher(u64);
-
-impl EdgeKeyHasher {
-    /// 2⁶⁴ / φ, odd: the Fibonacci-hashing multiplier.
-    const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
-}
-
-impl Hasher for EdgeKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        // From the zero state this is `word * MULTIPLIER`.
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MULTIPLIER);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// How many times each directed edge has sent so far this tick: the
 /// `occurrence` a [`ScriptedDrop`] names and the counter half of the
 /// stateless `(edge, tick, occurrence)` fate key, counted the same way
@@ -488,8 +453,10 @@ impl Hasher for EdgeKeyHasher {
 /// the model checker's script).
 ///
 /// One table keyed by the edge packed into a word (`from` in the high
-/// half, `to` in the low) and hashed with a single multiply; the count
-/// is 0 for almost every send, so what a send pays for is the hash.
+/// half, `to` in the low) and hashed by one [`KeyHasher`] multiply; the
+/// count is 0 for almost every send, so what a send pays for is the hash.
+///
+/// [`KeyHasher`]: crate::metrics::KeyHasher
 /// The owner [`clear`](Self::clear)s it when the tick changes.
 ///
 /// ```
@@ -504,7 +471,7 @@ impl Hasher for EdgeKeyHasher {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Occurrences {
-    counts: HashMap<u64, u32, BuildHasherDefault<EdgeKeyHasher>>,
+    counts: HashMap<u64, u32, KeyBuildHasher>,
 }
 
 impl Occurrences {
@@ -1022,22 +989,5 @@ mod tests {
         assert_eq!(topo.node_named("gamma"), None);
         assert_eq!(format!("{}", NodeId(3)), "n3");
         assert_eq!(NodeId(3).index(), 3);
-    }
-
-    #[test]
-    fn edge_key_hasher_folds_bytes_like_words() {
-        let hash = |feed: &dyn Fn(&mut EdgeKeyHasher)| {
-            let mut h = EdgeKeyHasher::default();
-            feed(&mut h);
-            h.finish()
-        };
-        let key = 0x0000_0003_ffff_fffe_u64;
-        let word = hash(&|h| h.write_u64(key));
-        assert_eq!(word, key.wrapping_mul(EdgeKeyHasher::MULTIPLIER));
-        assert_eq!(hash(&|h| h.write(&key.to_le_bytes())), word);
-        // A ragged tail is folded, not dropped.
-        let ragged = hash(&|h| h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9]));
-        assert_ne!(ragged, hash(&|h| h.write(&[1, 2, 3, 4, 5, 6, 7, 8])));
-        assert_ne!(ragged, hash(&|h| h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 10])));
     }
 }

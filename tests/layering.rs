@@ -243,6 +243,30 @@ fn one_occurrence_table_and_no_eager_stream() {
     }
 }
 
+/// Tables hash with `da_core::KeyHasher`, digests fold with `FxHasher`:
+/// one key hasher, defined once, and no alias that would put the digest
+/// fold behind a table again.
+#[test]
+fn tables_take_the_key_hasher_and_digests_the_fx_fold() {
+    // Spelled in two halves so that this file passes its own check.
+    let gone = concat!("FxBuild", "Hasher");
+    let definition = concat!("struct Key", "Hasher");
+    let mut definitions = Vec::new();
+    for dir in ["crates", "src", "tests"] {
+        for (path, source) in sources(dir) {
+            if path.extension().is_none_or(|ext| ext != "rs") {
+                continue;
+            }
+            assert!(!source.contains(gone), "{}: {gone}", path.display());
+            if source.contains(definition) {
+                definitions.push(path);
+            }
+        }
+    }
+    assert_eq!(definitions.len(), 1, "{definitions:?}");
+    assert!(definitions[0].ends_with("crates/da-core/src/metrics.rs"));
+}
+
 /// A scenario that runs on both substrates is written once, against the
 /// harness's `Driver`: `da-runtime` tests itself without the simulator,
 /// the pool's drift window has no knob to thread through call sites, and
