@@ -12,6 +12,13 @@
 //!    processes drawn uniformly from the topic table (lines 8–14, the
 //!    `Table − Ω` loop).
 //!
+//! Each step draws only what it decides: one `p_sel` draw, a `p_a` draw
+//! per supertable entry when elected, and one bounded draw per gossip
+//! target kept — a leaf of the paper's 1,000-process group spends 8 on
+//! its 28-entry table, not the 27 a full shuffle would. The
+//! multiple-supertopic planner shares the gossip step
+//! ([`crate::plan_multi_dissemination`]).
+//!
 //! A note on the pseudo-code: Fig. 7 line 3 reads `if RAND() ≥ p_sel`,
 //! which would elect with probability `1 − p_sel` and contradicts both the
 //! prose ("with a probability p_sel ... a process decides to take part",
@@ -74,16 +81,37 @@ pub fn plan_dissemination<R: Rng>(
         }
     }
 
-    // (2) Intra-group gossip: fanout(S) distinct targets from the table —
-    // the paper's `Table − Ω` loop (once a process is picked it leaves
-    // the candidate set), drawn as a full shuffle of the candidates cut
-    // to the fanout.
+    // (2) Intra-group gossip.
+    draw_gossip_targets(
+        params,
+        group_size,
+        topic_table,
+        rng,
+        &mut plan.gossip_targets,
+    );
+}
+
+/// Fig. 7's intra-group step: `fanout(S)` distinct members of
+/// `topic_table`, uniformly at random, into `targets` (replacing what it
+/// held). This is the paper's `Table − Ω` loop — a picked member leaves
+/// the candidate set — as a partial Fisher–Yates over a copy of the
+/// table: one draw per target kept, none for the members left behind.
+pub(crate) fn draw_gossip_targets<R: Rng>(
+    params: &TopicParams,
+    group_size: usize,
+    topic_table: &[ProcessId],
+    rng: &mut R,
+    targets: &mut Vec<ProcessId>,
+) {
     use rand::seq::SliceRandom;
-    plan.gossip_targets.clear();
-    plan.gossip_targets.extend_from_slice(topic_table);
-    plan.gossip_targets.shuffle(rng);
-    plan.gossip_targets
-        .truncate(params.fanout.fanout(group_size));
+    targets.clear();
+    targets.extend_from_slice(topic_table);
+    let kept = targets
+        .partial_shuffle(rng, params.fanout.fanout(group_size))
+        .0
+        .len();
+    // The sample is the tail; keep it and shift it to the front.
+    targets.drain(..targets.len() - kept);
 }
 
 #[cfg(test)]
@@ -156,6 +184,44 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), 8, "targets are distinct");
+    }
+
+    /// A leaf of the paper's 1,000-process group: a 28-entry table, a
+    /// fanout of 8. With `a = z` the spray needs no draw, so a plan costs
+    /// the election draw and one draw per gossip target kept — and each
+    /// member is a target at rate 8/28.
+    #[test]
+    fn a_leaf_plan_draws_once_per_kept_target_and_picks_uniformly() {
+        use rand::RngCore;
+        const TRIALS: usize = 14_000;
+        let params = TopicParams::paper_default().with_a(3.0);
+        let stable = stable_with(3);
+        let members = table(28);
+        let mut rng = rng_from_seed(12);
+        let mut chosen = [0usize; 28];
+        for _ in 0..TRIALS {
+            let mut by_hand = rng.clone();
+            let plan = plan_dissemination(&params, 1000, &members, &stable, &mut rng);
+            assert_eq!(plan.gossip_targets.len(), 8);
+            for _ in 0..1 + 8 {
+                by_hand.next_u64();
+            }
+            assert_eq!(rng.clone().next_u64(), by_hand.next_u64());
+            for target in plan.gossip_targets {
+                chosen[target.index() - 1] += 1;
+            }
+        }
+        let p = 8.0 / 28.0;
+        let expected = TRIALS as f64 * p;
+        let sigma = (TRIALS as f64 * p * (1.0 - p)).sqrt();
+        for (member, &n) in chosen.iter().enumerate() {
+            assert!(
+                (n as f64 - expected).abs() < 3.0 * sigma,
+                "member {} chosen {n} times, expected {expected:.0} ± {:.0}",
+                member + 1,
+                3.0 * sigma
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`plan_multi_dissemination`] runs the Fig. 7 election/spray logic
 //! independently per table, so an event climbs *every* inclusion edge.
 
-use crate::dissemination::DisseminationPlan;
+use crate::dissemination::{draw_gossip_targets, DisseminationPlan};
 use crate::params::TopicParams;
 use crate::tables::{SuperEntry, SuperTable};
 use da_core::ProcessId;
@@ -144,12 +144,13 @@ pub fn plan_multi_dissemination<R: Rng>(
         }
     }
     // Intra-group gossip is independent of the number of supertopics.
-    let fanout = params.fanout.fanout(group_size);
-    let mut pool = topic_table.to_vec();
-    use rand::seq::SliceRandom;
-    pool.shuffle(rng);
-    pool.truncate(fanout);
-    merged.gossip_targets = pool;
+    draw_gossip_targets(
+        params,
+        group_size,
+        topic_table,
+        rng,
+        &mut merged.gossip_targets,
+    );
     merged
 }
 

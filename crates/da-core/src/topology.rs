@@ -663,6 +663,11 @@ impl NetworkModel {
     /// effective link channel — at most one Bernoulli draw, then at most
     /// one latency draw. With no partition and an empty schedule these
     /// are exactly the bare channel's draws.
+    // Inlined into the live router's `send`, the path of every lossy
+    // send: left to the heuristics, an unrelated change elsewhere in the
+    // benchmark binary moved it out of line and cost `metro_flood` a
+    // tenth of its raw op time.
+    #[inline]
     pub fn decide_fate<R: Rng>(
         &self,
         from: ProcessId,

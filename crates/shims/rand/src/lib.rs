@@ -3,8 +3,9 @@
 //! Implements exactly what this workspace uses: [`Rng`] (`gen`,
 //! `gen_range`, `gen_bool`), [`SeedableRng::seed_from_u64`],
 //! [`rngs::SmallRng`] (xoshiro256++ seeded via SplitMix64), and
-//! [`seq::SliceRandom`] (`shuffle`, `choose`). Everything is fully
-//! deterministic per seed — the property the simulation kernel depends on.
+//! [`seq::SliceRandom`] (`shuffle`, `partial_shuffle`, `choose`).
+//! Everything is fully deterministic per seed — the property the
+//! simulation kernel depends on.
 //!
 //! ## Divergences from crates.io
 //!
@@ -19,7 +20,14 @@
 //!   (SplitMix64 here) differs accordingly.
 //! * No `thread_rng`/`OsRng` (nothing in the workspace may draw from
 //!   ambient entropy), no `distributions` module, no `Fill`, no
-//!   `gen_ratio`, and `SliceRandom` offers only `shuffle`/`choose`.
+//!   `gen_ratio`, and `SliceRandom` offers only `shuffle`,
+//!   `partial_shuffle` and `choose`.
+//! * `partial_shuffle` keeps rand 0.8's contract and loop — the sample is
+//!   the slice's tail, returned first, after exactly `min(amount, len)`
+//!   bounded draws, so below `len` its swaps are the first `amount` of
+//!   `shuffle`'s — but every pick goes through this shim's bounded-integer
+//!   reduction, so the elements it picks for a seed differ from
+//!   crates.io's.
 //! * [`SeedableRng`] exposes only `seed_from_u64` — full-width
 //!   `from_seed` arrays are absent.
 
@@ -266,13 +274,25 @@ pub mod rngs {
 pub mod seq {
     use super::{RngCore, SampleRange};
 
-    /// Random operations on slices (`shuffle`, `choose`).
+    /// Random operations on slices (`shuffle`, `partial_shuffle`,
+    /// `choose`).
     pub trait SliceRandom {
         /// The element type.
         type Item;
 
         /// Shuffles the slice in place (Fisher–Yates).
         fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R);
+
+        /// Picks `min(amount, len)` elements uniformly at random, in
+        /// random order, with exactly that many draws: a Fisher–Yates
+        /// shuffle stopped once the sample is complete. Returns
+        /// `(sample, rest)`; the sample is the slice's tail, the rest its
+        /// head in an unspecified order.
+        fn partial_shuffle<R: RngCore + ?Sized>(
+            &mut self,
+            rng: &mut R,
+            amount: usize,
+        ) -> (&mut [Self::Item], &mut [Self::Item]);
 
         /// Returns one uniformly chosen element, or `None` if empty.
         fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&Self::Item>;
@@ -286,6 +306,22 @@ pub mod seq {
                 let j = (0..=i).sample_from(rng);
                 self.swap(i, j);
             }
+        }
+
+        fn partial_shuffle<R: RngCore + ?Sized>(
+            &mut self,
+            rng: &mut R,
+            amount: usize,
+        ) -> (&mut [T], &mut [T]) {
+            let end = self.len().saturating_sub(amount);
+            // Everything past `i` is already drawn; `i` takes a uniform
+            // pick from what is left, itself included.
+            for i in (end..self.len()).rev() {
+                let j = (0..=i).sample_from(rng);
+                self.swap(i, j);
+            }
+            let (rest, sample) = self.split_at_mut(end);
+            (sample, rest)
         }
 
         fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&T> {
@@ -349,5 +385,56 @@ mod tests {
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert!(v.contains(v.choose(&mut rng).unwrap()));
         assert!(Vec::<u32>::new().choose(&mut rng).is_none());
+    }
+
+    #[test]
+    fn partial_shuffle_permutes_with_one_draw_per_pick() {
+        use super::RngCore;
+        let mut rng = SmallRng::seed_from_u64(4);
+        for (len, amount) in [(28, 8), (19, 7), (5, 5), (3, 10), (7, 0), (0, 3)] {
+            let mut v: Vec<u32> = (0..len).collect();
+            let mut by_hand = rng.clone();
+            let (sample, rest) = v.partial_shuffle(&mut rng, amount);
+            let picked = amount.min(len as usize);
+            assert_eq!((sample.len(), rest.len()), (picked, len as usize - picked));
+            // The sample is the tail, returned first.
+            let tail = sample.to_vec();
+            assert_eq!(v[len as usize - picked..], tail[..]);
+            let mut sorted = v.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..len).collect::<Vec<_>>(), "a permutation");
+            for _ in 0..picked {
+                by_hand.next_u64();
+            }
+            assert_eq!(rng.next_u64(), by_hand.next_u64(), "{picked} draws");
+        }
+    }
+
+    #[test]
+    fn partial_shuffle_fills_each_sample_position_uniformly() {
+        const LEN: usize = 6;
+        const AMOUNT: usize = 3;
+        const TRIALS: usize = 30_000;
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut counts = [[0usize; LEN]; AMOUNT];
+        for _ in 0..TRIALS {
+            let mut v: Vec<usize> = (0..LEN).collect();
+            let (sample, _) = v.partial_shuffle(&mut rng, AMOUNT);
+            for (position, &value) in sample.iter().enumerate() {
+                counts[position][value] += 1;
+            }
+        }
+        let p = 1.0 / LEN as f64;
+        let expected = TRIALS as f64 * p;
+        let sigma = (TRIALS as f64 * p * (1.0 - p)).sqrt();
+        for (position, row) in counts.iter().enumerate() {
+            for (value, &n) in row.iter().enumerate() {
+                assert!(
+                    (n as f64 - expected).abs() < 3.0 * sigma,
+                    "position {position} held {value} {n} times, expected {expected:.0} ± {:.0}",
+                    3.0 * sigma
+                );
+            }
+        }
     }
 }

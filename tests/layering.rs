@@ -267,6 +267,21 @@ fn tables_take_the_key_hasher_and_digests_the_fx_fold() {
     assert!(definitions[0].ends_with("crates/da-core/src/metrics.rs"));
 }
 
+/// Fig. 7's gossip draw exists once (`dissemination::draw_gossip_targets`)
+/// and draws only the targets it keeps: neither planner shuffles a whole
+/// table to cut it to the fanout.
+#[test]
+fn the_gossip_draw_shuffles_no_whole_table() {
+    for file in ["dissemination.rs", "multi_super.rs"] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("crates/core/src")
+            .join(file);
+        let source = std::fs::read_to_string(&path).expect("source file");
+        assert!(!source.contains(".shuffle("), "{file}");
+        assert!(source.contains("draw_gossip_targets("), "{file}");
+    }
+}
+
 /// A scenario that runs on both substrates is written once, against the
 /// harness's `Driver`: `da-runtime` tests itself without the simulator,
 /// the pool's drift window has no knob to thread through call sites, and

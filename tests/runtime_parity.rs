@@ -197,8 +197,14 @@ fn same_round_crash_and_recovery_matches_the_simulator() {
 }
 
 /// A smaller chain for the property sweep below — each case runs the
-/// full workload on both substrates, so the topology is kept modest.
-const PROP_SIZES: [usize; 3] = [4, 10, 40];
+/// full workload on both substrates, so the topology is kept modest. The
+/// top two groups have 10 members: a 10-member table is every mate
+/// (`⌈4·ln 10⌉ ≥ 9`) and the `ln S + 12` fanout reaches all of them, so
+/// a member misses an event only when all nine copies sent to it are
+/// lost. A 4-member top group capped the fanout at 3, and under 10% loss
+/// about one random stream in eight lost a root member's event on one
+/// substrate and not the other.
+const PROP_SIZES: [usize; 3] = [10, 10, 40];
 
 /// Which processes stay alive for the whole horizon under the (shared)
 /// churn plan — computed by replaying the plan's stateless transitions
@@ -230,10 +236,11 @@ proptest! {
     /// barrier-free runtime and the simulator across pool widths, lag
     /// windows, and lossy channels. The channel loses 10% of sends and
     /// holds survivors for 1–4 ticks (the latency floor is the pool's
-    /// worker-drift window); the pinned-high trade-off
-    /// knobs make gossip effectively atomic despite the loss, so both
-    /// substrates must still deliver every event to its exact audience
-    /// — byte-for-byte equal delivered sets.
+    /// worker-drift window); the pinned-high trade-off knobs and the
+    /// fully meshed top groups of [`PROP_SIZES`] make gossip effectively
+    /// atomic despite the loss, so both substrates must still deliver
+    /// every event to its exact audience — byte-for-byte equal delivered
+    /// sets.
     #[test]
     fn barrier_free_runtime_matches_simulator_under_loss(
         seed in 1u64..100_000,
@@ -285,8 +292,9 @@ proptest! {
     /// materialise the identical `FailurePlan` from the shared seed, so
     /// the crash/recovery schedule is the same tick-for-tick; processes
     /// that stay alive for the whole horizon must then deliver
-    /// byte-for-byte equal event sets (the pinned-high knobs make gossip
-    /// effectively atomic for the surviving cohort despite the loss).
+    /// byte-for-byte equal event sets (the pinned-high knobs and the
+    /// fully meshed top groups make gossip effectively atomic for the
+    /// surviving cohort despite the loss).
     /// Processes that spent time crashed are excluded from the
     /// comparison: their receipt windows legitimately differ with the
     /// substrates' differing channel-draw sequences.
