@@ -145,8 +145,17 @@ impl ChannelConfig {
     }
 
     /// Sets the success probability, clamping into `[0, 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `p` is NaN: no clamp gives it a meaning, and a NaN
+    /// channel would lose every send.
     #[must_use]
     pub fn with_success_probability(mut self, p: f64) -> Self {
+        assert!(
+            !p.is_nan(),
+            "the success probability must be a number (got {p})"
+        );
         self.success_probability = p.clamp(0.0, 1.0);
         self
     }
@@ -390,6 +399,14 @@ mod tests {
         assert!((c.success_probability - 1.0).abs() < f64::EPSILON);
         let c = ChannelConfig::default().with_success_probability(-0.2);
         assert!(c.success_probability.abs() < f64::EPSILON);
+    }
+
+    /// A NaN probability has no clamp: let through, it would lose every
+    /// send (`gen_bool(NaN.max(0.0))` is `gen_bool(0.0)`).
+    #[test]
+    #[should_panic(expected = "the success probability must be a number (got NaN)")]
+    fn builder_rejects_nan() {
+        let _ = ChannelConfig::default().with_success_probability(f64::NAN);
     }
 
     #[test]

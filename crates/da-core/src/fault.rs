@@ -1,18 +1,13 @@
-//! The one fault-configuration surface both substrates share.
+//! What can go wrong in one run.
 //!
-//! Before this module, the fault knobs leaked through three inconsistent
-//! builder entry points (`SimConfig::with_channel`/`with_failure` vs
-//! `RuntimeConfig::with_channel`/`with_failures`, plus loss-only harness
-//! sweep signatures). [`FaultConfig`] folds the whole surface — network
-//! model (channel + topology + partitions) and process-failure model —
-//! into a single struct embedded by both `SimConfig` and
-//! `RuntimeConfig`, so one value configures either substrate and a
-//! harness trial can hand the *same* faults to both sides of a
-//! live-vs-sim comparison.
+//! [`FaultConfig`] is plain data: the [`NetworkModel`] (default channel,
+//! topology, partitions, scripted drops) and the process
+//! [`FailureModel`]. A [`RunConfig`](crate::run::RunConfig) embeds one,
+//! so the same value configures either substrate, and its setters are
+//! the ones that fill it in.
 
-use crate::channel::ChannelConfig;
 use crate::failure::FailureModel;
-use crate::topology::{NetworkModel, PartitionSchedule, Topology};
+use crate::topology::NetworkModel;
 use serde::{Deserialize, Serialize};
 
 /// Everything that can go wrong in one run, in one value: the
@@ -26,17 +21,14 @@ use serde::{Deserialize, Serialize};
 /// use da_core::fault::FaultConfig;
 /// use da_core::channel::ChannelConfig;
 /// use da_core::failure::FailureModel;
-/// use da_core::topology::{NodeId, Partition, PartitionSchedule, Topology};
+/// use da_core::topology::NetworkModel;
 ///
-/// let faults = FaultConfig::new()
-///     .with_channel(ChannelConfig::paper_default())
-///     .with_failures(FailureModel::Stillborn { alive_fraction: 0.9 })
-///     .with_topology(Topology::with_nodes(["core", "edge"]))
-///     .with_partitions(PartitionSchedule::none().with_partition(
-///         Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 10).heal_at(20),
-///     ));
-/// assert!((faults.channel().success_probability - 0.85).abs() < 1e-12);
-/// assert!(!faults.network.partitions.is_empty());
+/// let faults = FaultConfig {
+///     network: NetworkModel::uniform(ChannelConfig::paper_default()),
+///     failure: FailureModel::Stillborn { alive_fraction: 0.9 },
+/// };
+/// assert!((faults.network.channel.success_probability - 0.85).abs() < 1e-12);
+/// assert!(FaultConfig::default().network.is_perfect());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
@@ -46,97 +38,14 @@ pub struct FaultConfig {
     pub failure: FailureModel,
 }
 
-impl FaultConfig {
-    /// No faults at all: perfect uniform network, no process failures.
-    #[must_use]
-    pub fn new() -> Self {
-        FaultConfig::default()
-    }
-
-    /// Replaces the network model's *default channel*, keeping any
-    /// topology and partition schedule.
-    #[must_use]
-    pub fn with_channel(mut self, channel: ChannelConfig) -> Self {
-        self.network.channel = channel;
-        self
-    }
-
-    /// Replaces the process failure model.
-    #[must_use]
-    pub fn with_failures(mut self, failure: FailureModel) -> Self {
-        self.failure = failure;
-        self
-    }
-
-    /// Installs a topology (placement + per-link overrides).
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.network.topology = Some(topology);
-        self
-    }
-
-    /// Installs a partition schedule.
-    #[must_use]
-    pub fn with_partitions(mut self, partitions: PartitionSchedule) -> Self {
-        self.network.partitions = partitions;
-        self
-    }
-
-    /// Replaces the whole network model in one step.
-    #[must_use]
-    pub fn with_network(mut self, network: impl Into<NetworkModel>) -> Self {
-        self.network = network.into();
-        self
-    }
-
-    /// The network model's default channel (convenience accessor for
-    /// the overwhelmingly common uniform case).
-    #[must_use]
-    pub fn channel(&self) -> ChannelConfig {
-        self.network.channel
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::Latency;
-    use crate::topology::NodeId;
 
     #[test]
     fn default_is_faultless() {
-        let faults = FaultConfig::new();
+        let faults = FaultConfig::default();
         assert!(faults.network.is_perfect());
         assert_eq!(faults.failure, FailureModel::None);
-        assert_eq!(faults, FaultConfig::default());
-    }
-
-    #[test]
-    fn builders_compose_without_clobbering() {
-        let topo = Topology::with_nodes(["a", "b"]);
-        let cuts = PartitionSchedule::none().with_partition(crate::topology::Partition::cut(
-            vec![vec![NodeId(0)], vec![NodeId(1)]],
-            3,
-        ));
-        let faults = FaultConfig::new()
-            .with_topology(topo.clone())
-            .with_partitions(cuts.clone())
-            .with_channel(ChannelConfig::paper_default())
-            .with_failures(FailureModel::PerObserver {
-                alive_fraction: 0.8,
-            });
-        assert_eq!(faults.network.topology, Some(topo));
-        assert_eq!(faults.network.partitions, cuts);
-        assert!((faults.channel().success_probability - 0.85).abs() < 1e-12);
-        assert!(matches!(faults.failure, FailureModel::PerObserver { .. }));
-    }
-
-    #[test]
-    fn with_network_accepts_a_bare_channel() {
-        let channel =
-            ChannelConfig::paper_default().with_latency(Latency::UniformRounds { min: 1, max: 3 });
-        let faults = FaultConfig::new().with_network(channel);
-        assert_eq!(faults.network, NetworkModel::uniform(channel));
-        assert_eq!(faults.channel(), channel);
     }
 }

@@ -9,8 +9,8 @@
 //! per-link channel overrides, scripted partitions — see
 //! [`topology::NetworkModel`]), the process failure models (Sec. VII),
 //! the process identity vocabulary, the deterministic seed-derivation
-//! scheme every RNG stream hangs off, the unified
-//! [`fault::FaultConfig`] builder both substrates' configs embed, and
+//! scheme every RNG stream hangs off, the one [`run::RunConfig`] both
+//! substrates take (seed, [`fault::FaultConfig`], trace, pool knobs), and
 //! the [`wheel`] both substrates park in-flight envelopes in, the
 //! [`stripe`] tick body both run, and the [`testkit`] fixture their tests
 //! share.
@@ -47,6 +47,7 @@ pub mod fault;
 pub mod lifecycle;
 pub mod metrics;
 pub mod process;
+pub mod run;
 pub mod seed;
 pub mod store;
 pub mod stripe;
@@ -65,6 +66,7 @@ pub use metrics::{
     CounterId, Counters, FxHasher, Histogram, KeyBuildHasher, KeyHasher, LabelId, TraceLog,
 };
 pub use process::{ProcessId, ProcessIndexError, ProcessStatus};
+pub use run::{PoolConfig, RunConfig};
 pub use seed::{derive_seed, rng_for_process, rng_from_seed};
 pub use store::ProcessStore;
 pub use stripe::{HotIds, Ledger, Outbound, Stripe, StripeTrace, TickTally};

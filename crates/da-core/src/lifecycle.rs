@@ -184,17 +184,6 @@ impl LifecycleController {
         self.status[slot]
     }
 
-    /// Overrides the status of the process at `slot` outside the plan —
-    /// the simulator's manual `crash` / `recover` hatches. No
-    /// transition is reported for it and no `on_recover` runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `slot` is out of range for the stripe.
-    pub fn set_status(&mut self, slot: usize, status: ProcessStatus) {
-        self.status[slot] = status;
-    }
-
     /// Number of currently alive processes in the stripe.
     #[must_use]
     pub fn alive_count(&self) -> usize {

@@ -535,15 +535,17 @@ pub enum NetFate {
 /// // Two sites; processes 0..3 on "edge"; the WAN link is slower, and a
 /// // partition cuts the sites apart for ticks 4..8.
 /// let wan = ChannelConfig::reliable().with_latency(da_core::channel::Latency::Fixed(2));
-/// let model = NetworkModel::uniform(ChannelConfig::reliable())
-///     .with_topology(
+/// let model = NetworkModel {
+///     topology: Some(
 ///         Topology::with_nodes(["core", "edge"])
 ///             .with_placement_range(0..3, NodeId(1))
 ///             .with_symmetric_link(NodeId(0), NodeId(1), wan),
-///     )
-///     .with_partitions(PartitionSchedule::none().with_partition(
+///     ),
+///     partitions: PartitionSchedule::none().with_partition(
 ///         Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 4).heal_at(8),
-///     ));
+///     ),
+///     ..NetworkModel::uniform(ChannelConfig::reliable())
+/// };
 ///
 /// let (edge, core) = (ProcessId(1), ProcessId(7));
 /// let mut rng = rng_from_seed(1);
@@ -591,27 +593,6 @@ impl NetworkModel {
             partitions: PartitionSchedule::none(),
             drops: DropSchedule::none(),
         }
-    }
-
-    /// Installs the topology (placement + link overrides).
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
-        self
-    }
-
-    /// Installs the partition schedule.
-    #[must_use]
-    pub fn with_partitions(mut self, partitions: PartitionSchedule) -> Self {
-        self.partitions = partitions;
-        self
-    }
-
-    /// Replaces the default channel.
-    #[must_use]
-    pub fn with_channel(mut self, channel: ChannelConfig) -> Self {
-        self.channel = channel;
-        self
     }
 
     /// Installs a scripted drop schedule (see [`DropSchedule`]).
@@ -796,12 +777,14 @@ mod tests {
 
     #[test]
     fn severed_sends_consume_no_randomness() {
-        let model = NetworkModel::uniform(ChannelConfig::paper_default())
-            .with_topology(Topology::with_nodes(["a", "b"]).with_placement(ProcessId(1), NodeId(1)))
-            .with_partitions(
-                PartitionSchedule::none()
-                    .with_partition(Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 0)),
-            );
+        let model = NetworkModel {
+            topology: Some(
+                Topology::with_nodes(["a", "b"]).with_placement(ProcessId(1), NodeId(1)),
+            ),
+            partitions: PartitionSchedule::none()
+                .with_partition(Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 0)),
+            ..NetworkModel::uniform(ChannelConfig::paper_default())
+        };
         let mut a = rng_from_seed(7);
         let b = rng_from_seed(7);
         for tick in 0..64 {
@@ -851,11 +834,14 @@ mod tests {
     #[test]
     fn link_overrides_route_by_placement() {
         let wan = ChannelConfig::reliable().with_success_probability(0.5);
-        let model = NetworkModel::uniform(ChannelConfig::reliable()).with_topology(
-            Topology::with_nodes(["core", "edge"])
-                .with_placement_range(4..8, NodeId(1))
-                .with_symmetric_link(NodeId(0), NodeId(1), wan),
-        );
+        let model = NetworkModel {
+            topology: Some(
+                Topology::with_nodes(["core", "edge"])
+                    .with_placement_range(4..8, NodeId(1))
+                    .with_symmetric_link(NodeId(0), NodeId(1), wan),
+            ),
+            ..NetworkModel::uniform(ChannelConfig::reliable())
+        };
         assert_eq!(model.channel_between(ProcessId(0), ProcessId(5)), wan);
         assert_eq!(model.channel_between(ProcessId(6), ProcessId(1)), wan);
         assert_eq!(
@@ -881,8 +867,10 @@ mod tests {
     fn min_latency_spans_default_and_overrides() {
         let slow = ChannelConfig::reliable().with_latency(Latency::Fixed(4));
         let fast = ChannelConfig::reliable().with_latency(Latency::Fixed(2));
-        let model = NetworkModel::uniform(slow)
-            .with_topology(Topology::with_nodes(["a", "b"]).with_link(NodeId(0), NodeId(1), fast));
+        let model = NetworkModel {
+            topology: Some(Topology::with_nodes(["a", "b"]).with_link(NodeId(0), NodeId(1), fast)),
+            ..NetworkModel::uniform(slow)
+        };
         assert_eq!(model.min_latency(), 2, "the fastest link bounds the lag");
         assert_eq!(NetworkModel::uniform(slow).min_latency(), 4);
     }
@@ -892,8 +880,10 @@ mod tests {
         let fast = ChannelConfig::reliable().with_latency(Latency::Fixed(2));
         let slow =
             ChannelConfig::reliable().with_latency(Latency::UniformRounds { min: 1, max: 6 });
-        let model = NetworkModel::uniform(fast)
-            .with_topology(Topology::with_nodes(["a", "b"]).with_link(NodeId(0), NodeId(1), slow));
+        let model = NetworkModel {
+            topology: Some(Topology::with_nodes(["a", "b"]).with_link(NodeId(0), NodeId(1), slow)),
+            ..NetworkModel::uniform(fast)
+        };
         assert_eq!(model.max_latency(), 6, "the slowest link sizes the wheel");
         assert_eq!(NetworkModel::uniform(fast).max_latency(), 2);
         assert_eq!(
@@ -906,10 +896,11 @@ mod tests {
     fn perfection_requires_no_partitions() {
         let perfect = NetworkModel::uniform(ChannelConfig::reliable());
         assert!(perfect.is_perfect());
-        let cut = perfect.clone().with_partitions(
-            PartitionSchedule::none()
+        let cut = NetworkModel {
+            partitions: PartitionSchedule::none()
                 .with_partition(Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 9)),
-        );
+            ..perfect.clone()
+        };
         assert!(!cut.is_perfect(), "a scripted cut must disable fast paths");
         assert!(NetworkModel::from(ChannelConfig::reliable()).is_perfect());
     }
@@ -958,16 +949,18 @@ mod tests {
     #[test]
     fn enumerate_fates_respects_partitions_and_links() {
         let lossy = ChannelConfig::default().with_success_probability(0.85);
-        let model = NetworkModel::uniform(ChannelConfig::reliable())
-            .with_topology(
+        let model = NetworkModel {
+            topology: Some(
                 Topology::with_nodes(["a", "b"])
                     .with_placement_range(0..1, NodeId(0))
                     .with_placement_range(1..2, NodeId(1))
                     .with_link(NodeId(0), NodeId(1), lossy),
-            )
-            .with_partitions(PartitionSchedule::none().with_partition(
+            ),
+            partitions: PartitionSchedule::none().with_partition(
                 Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 5).heal_at(7),
-            ));
+            ),
+            ..NetworkModel::uniform(ChannelConfig::reliable())
+        };
         // Severed window: exactly one, deterministic fate.
         assert_eq!(
             model.enumerate_fates(ProcessId(0), ProcessId(1), 5),

@@ -6,7 +6,7 @@
 //! probability, a churn sweep over the per-tick crash probability, and
 //! a partition sweep over the cut-and-heal tick, checking the
 //! substrates agree within 3σ at every point. Every sweep drives both
-//! substrates through the unified `FaultConfig`. A flight-recorder
+//! substrates through one `RunConfig`. A flight-recorder
 //! trace diff closes the run: the same-seed sim/live canonical event
 //! streams must be bit-identical, and a deliberately lossy pair must
 //! report a correct first-divergent event.
@@ -18,7 +18,7 @@
 //! stdout (for CI artifacts) instead of the Markdown renderings; the
 //! per-row 3σ verdicts move to stderr so stdout stays pure JSON.
 
-use da_core::{ChannelConfig, FailureModel, FaultConfig, Latency};
+use da_core::{ChannelConfig, FailureModel, Latency, RunConfig};
 use da_harness::experiments::live::{
     churn_sweep_crash_rates, partition_sweep_heal_ticks, ratios_agree_within_3_sigma,
     reliability_sweep_probabilities, run_churn_sweep, run_live_vs_sim, run_partition_sweep,
@@ -72,8 +72,10 @@ fn main() {
     // two-tick latency floor, under which the pool's workers drift two
     // ticks apart during the same sweep.
     for latency in [Latency::Fixed(1), Latency::Fixed(2)] {
-        let base = FaultConfig::new().with_channel(ChannelConfig::reliable().with_latency(latency));
-        let sweep = run_reliability_sweep(&sizes, &params, &probs, &base, effort.trials(), 0x5EED);
+        let base = RunConfig::default()
+            .with_seed(0x5EED)
+            .with_channel(ChannelConfig::reliable().with_latency(latency));
+        let sweep = run_reliability_sweep(&sizes, &params, &probs, &base, effort.trials());
         if !json {
             println!("\nlatency {latency:?}:");
             print!("{}", sweep.to_markdown());
@@ -88,17 +90,18 @@ fn main() {
 
     // The churn sweep: the same comparison with the process failure
     // plan (crash/recovery fates shared across substrates) as the axis.
-    let churn_base = FaultConfig::new().with_failures(FailureModel::Churn {
-        crash_probability: 0.0,
-        recover_probability: 0.3,
-    });
+    let churn_base = RunConfig::default()
+        .with_seed(0xC4A0)
+        .with_failures(FailureModel::Churn {
+            crash_probability: 0.0,
+            recover_probability: 0.3,
+        });
     let churn = run_churn_sweep(
         &sizes,
         &params,
         &churn_sweep_crash_rates(),
         &churn_base,
         effort.trials(),
-        0xC4A0,
     );
     if !json {
         println!("\nchurn sweep (recover probability 0.3):");
@@ -109,14 +112,13 @@ fn main() {
     // The partition sweep: a two-island cut healing at the swept tick
     // (x = -1 never heals), with per-trial bit-identical mainland
     // delivered sets enforced inside the experiment.
-    let partition_base = FaultConfig::new();
+    let partition_base = RunConfig::default().with_seed(0x9A27);
     let partitions = run_partition_sweep(
         &sizes,
         &params,
         &partition_sweep_heal_ticks(),
         &partition_base,
         effort.trials(),
-        0x9A27,
     );
     if !json {
         println!("\npartition sweep (heal tick; -1 = never heals):");
@@ -128,9 +130,10 @@ fn main() {
     // (and a correctly reported first divergence on a lossy pair)
     // inside the experiment.
     let population = sizes.iter().sum::<usize>().min(24) as u32;
-    let trace_base =
-        FaultConfig::new().with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)));
-    let trace_diff: KeyedTable = run_trace_diff(population, &trace_base, 0xD1FF, 2);
+    let trace_base = RunConfig::default()
+        .with_seed(0xD1FF)
+        .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)));
+    let trace_diff: KeyedTable = run_trace_diff(population, &trace_base, 2);
     if !json {
         println!("\nflight-recorder trace diff (first_divergence -1 = streams identical):");
         print!("{}", trace_diff.to_markdown());

@@ -21,9 +21,9 @@
 //!   never-partitioned cohort's delivered sets are *bit-identical*
 //!   across substrates from one seed.
 //!
-//! Every experiment drives both substrates through the unified
-//! [`FaultConfig`] (channel + failure + topology in one struct), so the
-//! swept axis is always an override on a caller-supplied base config.
+//! Every experiment drives both substrates through one [`RunConfig`]
+//! (seed, channel, failure and topology in one value), so the swept
+//! axis is always an override on a caller-supplied base config.
 //!
 //! The live substrate is concurrent (per-trial numbers fluctuate with
 //! thread interleaving), so all comparisons are statistical: matching
@@ -33,8 +33,7 @@ use crate::report::{KeyedTable, SeriesTable};
 use crate::stats::Summary;
 use crate::substrate::{Driver, Substrate};
 use da_core::{
-    derive_seed, FailureModel, FaultConfig, NodeId, Partition, PartitionSchedule, ProcessId,
-    Topology, TraceConfig,
+    derive_seed, FailureModel, NodeId, Partition, PartitionSchedule, ProcessId, RunConfig, Topology,
 };
 use da_membership::FanoutRule;
 use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork, TopicParams};
@@ -103,22 +102,21 @@ pub fn partition_sweep_heal_ticks() -> Vec<Option<u64>> {
     vec![Some(2), Some(24), None]
 }
 
-/// One seeded trial on one substrate: per-level delivered fraction, then
-/// parasites, then event messages.
+/// One trial on one substrate, seeded by `config`: per-level delivered
+/// fraction, then parasites, then event messages.
 fn trial_metrics(
     group_sizes: &[usize],
     params: &ParamMap,
-    faults: &FaultConfig,
-    seed: u64,
+    config: &RunConfig,
     substrate: Substrate,
 ) -> Vec<f64> {
-    let net = StaticNetwork::linear(group_sizes, params.clone(), seed)
+    let net = StaticNetwork::linear(group_sizes, params.clone(), config.seed)
         .expect("experiment topology must be valid");
     let groups = net.groups().to_vec();
     let publisher = groups.last().expect("at least one group").members[0];
 
     let procs = net.into_processes();
-    let mut driver = Driver::spawn(substrate, seed, faults, TraceConfig::off(), procs);
+    let mut driver = Driver::spawn(substrate, config.clone(), procs);
     driver.apply(publisher, |p| p.publish("live-vs-sim"));
     driver.run_until_quiescent(MAX_TIME);
     let out = driver.finish();
@@ -152,11 +150,10 @@ fn trial_metrics(
 fn delivery_ratio_trial(
     group_sizes: &[usize],
     params: &ParamMap,
-    faults: &FaultConfig,
-    seed: u64,
+    config: &RunConfig,
     substrate: Substrate,
 ) -> f64 {
-    let per_level = trial_metrics(group_sizes, params, faults, seed, substrate);
+    let per_level = trial_metrics(group_sizes, params, config, substrate);
     let population: usize = group_sizes.iter().sum();
     let delivered: f64 = group_sizes
         .iter()
@@ -188,12 +185,11 @@ pub fn run_live_vs_sim(
         columns,
     );
 
-    let faults = FaultConfig::default();
     for (key, substrate) in ["simulator", "live runtime"].into_iter().zip(SUBSTRATES) {
         let samples: Vec<Vec<f64>> = (0..trials)
             .map(|t| {
-                let seed = derive_seed(base_seed, t as u64);
-                trial_metrics(group_sizes, params, &faults, seed, substrate)
+                let config = RunConfig::default().with_seed(derive_seed(base_seed, t as u64));
+                trial_metrics(group_sizes, params, &config, substrate)
             })
             .collect();
         let width = samples.first().map_or(0, Vec::len);
@@ -210,12 +206,12 @@ pub fn run_live_vs_sim(
 /// paper's reliability figures, with the x-axis driven through the
 /// shared `da_core::channel` model.
 ///
-/// `base` is the fault config every sweep point starts from; each row
-/// overrides only the success probability on its channel. The base
-/// channel's latency floor is the live scheduler's drift window: under
-/// one-tick latency workers stay within a tick of each other, above it
-/// they drift apart during the sweep — the delivery ratios must agree
-/// either way.
+/// `base` is the config every sweep point starts from, and its seed the
+/// root of every trial's; each row overrides only the success
+/// probability on its channel. The base channel's latency floor is the
+/// live scheduler's drift window: under one-tick latency workers stay
+/// within a tick of each other, above it they drift apart during the
+/// sweep — the delivery ratios must agree either way.
 ///
 /// Trials run serially for the same oversubscription reason as
 /// [`run_live_vs_sim`].
@@ -224,9 +220,8 @@ pub fn run_reliability_sweep(
     group_sizes: &[usize],
     params: &ParamMap,
     success_probabilities: &[f64],
-    base: &FaultConfig,
+    base: &RunConfig,
     trials: usize,
-    base_seed: u64,
 ) -> SeriesTable {
     let mut table = SeriesTable::new(
         "Delivery ratio under lossy channels, live vs simulated",
@@ -234,9 +229,8 @@ pub fn run_reliability_sweep(
         vec!["delivery_ratio_sim".into(), "delivery_ratio_live".into()],
     );
     for (row, &p) in success_probabilities.iter().enumerate() {
-        let faults = base
-            .clone()
-            .with_channel(base.channel().with_success_probability(p));
+        let channel = base.faults.network.channel.with_success_probability(p);
+        let config = base.clone().with_channel(channel);
         let mut summaries = Vec::with_capacity(2);
         for (column, substrate) in SUBSTRATES.into_iter().enumerate() {
             let samples: Vec<f64> = (0..trials)
@@ -244,8 +238,9 @@ pub fn run_reliability_sweep(
                     // A distinct seed stream per (probability, substrate,
                     // trial) point, so sweep points are independent.
                     let stream = (row * 2 + column) as u64;
-                    let seed = derive_seed(derive_seed(base_seed, stream), t as u64);
-                    delivery_ratio_trial(group_sizes, params, &faults, seed, substrate)
+                    let seed = derive_seed(derive_seed(base.seed, stream), t as u64);
+                    let trial = config.clone().with_seed(seed);
+                    delivery_ratio_trial(group_sizes, params, &trial, substrate)
                 })
                 .collect();
             summaries.push(Summary::of(&samples));
@@ -261,10 +256,10 @@ pub fn run_reliability_sweep(
 /// through the shared `da_core::failure` model that both substrates
 /// consume.
 ///
-/// `base` is the fault config every sweep point starts from; its
-/// failure model must be [`FailureModel::Churn`], whose recover
-/// probability is shared by every row while the crash probability is
-/// overridden per row.
+/// `base` is the config every sweep point starts from, and its seed the
+/// root of every trial's; its failure model must be
+/// [`FailureModel::Churn`], whose recover probability is shared by every
+/// row while the crash probability is overridden per row.
 ///
 /// Within one trial, sim and live share the **same seed**, hence the
 /// same materialised `FailurePlan`: the crash/recovery schedule is
@@ -277,7 +272,7 @@ pub fn run_reliability_sweep(
 ///
 /// # Panics
 ///
-/// Panics when `base.failure` is not [`FailureModel::Churn`] — the
+/// Panics when `base.faults.failure` is not [`FailureModel::Churn`] — the
 /// sweep's x-axis is the churn crash probability, so there is no
 /// meaningful way to run it over another failure model.
 #[must_use]
@@ -285,19 +280,18 @@ pub fn run_churn_sweep(
     group_sizes: &[usize],
     params: &ParamMap,
     crash_rates: &[f64],
-    base: &FaultConfig,
+    base: &RunConfig,
     trials: usize,
-    base_seed: u64,
 ) -> SeriesTable {
     let FailureModel::Churn {
         recover_probability,
         ..
-    } = base.failure
+    } = base.faults.failure
     else {
         panic!(
-            "run_churn_sweep requires a base FaultConfig whose failure model is \
+            "run_churn_sweep requires a base config whose failure model is \
              FailureModel::Churn (the recover probability is read from it), got {:?}",
-            base.failure
+            base.faults.failure
         );
     };
     let mut table = SeriesTable::new(
@@ -306,7 +300,7 @@ pub fn run_churn_sweep(
         vec!["delivery_ratio_sim".into(), "delivery_ratio_live".into()],
     );
     for (row, &crash) in crash_rates.iter().enumerate() {
-        let faults = base.clone().with_failures(FailureModel::Churn {
+        let config = base.clone().with_failures(FailureModel::Churn {
             crash_probability: crash,
             recover_probability,
         });
@@ -317,8 +311,9 @@ pub fn run_churn_sweep(
                     // Same (rate, trial) seed on both substrates: the
                     // FailurePlan — and with it every crash/recovery
                     // fate — is identical across the pair.
-                    let seed = derive_seed(derive_seed(base_seed, row as u64), t as u64);
-                    delivery_ratio_trial(group_sizes, params, &faults, seed, substrate)
+                    let seed = derive_seed(derive_seed(base.seed, row as u64), t as u64);
+                    let trial = config.clone().with_seed(seed);
+                    delivery_ratio_trial(group_sizes, params, &trial, substrate)
                 })
                 .collect();
             summaries.push(Summary::of(&samples));
@@ -335,17 +330,16 @@ const ISLAND: usize = 8;
 /// The tick every partition-sweep cut opens at.
 const CUT_AT: u64 = 0;
 
-/// Builds a two-node fault config: the given island pids on node `"b"`,
-/// everyone else on node `"a"`, a cut between the nodes opening at
-/// `cut_at` and healing at `heal` (never, if `None`), over the caller's
-/// base channel.
+/// `base` on two nodes: the given island pids on node `"b"`, everyone
+/// else on node `"a"`, a cut between the nodes opening at `cut_at` and
+/// healing at `heal` (never, if `None`), over the base channel.
 #[must_use]
 pub fn partition_faults(
-    base: &FaultConfig,
+    base: &RunConfig,
     island: &[ProcessId],
     cut_at: u64,
     heal: Option<u64>,
-) -> FaultConfig {
+) -> RunConfig {
     let mut topology = Topology::with_nodes(["a", "b"]);
     for &pid in island {
         topology = topology.with_placement(pid, NodeId(1));
@@ -359,22 +353,21 @@ pub fn partition_faults(
         .with_partitions(PartitionSchedule::none().with_partition(cut))
 }
 
-/// One seeded partition trial on one substrate. Publishes one event
-/// from the mainland at tick 0 and one from the island after the heal
-/// (or mid-cut, for a cut that never heals), runs a fixed [`MAX_TIME`]
-/// horizon so both substrates see the identical schedule, and returns
-/// the overall delivery ratio across both events, the sorted delivered
-/// sets of the never-partitioned (mainland) cohort, and the parasite
-/// count.
+/// One partition trial on one substrate, seeded by `base`. Publishes
+/// one event from the mainland at tick 0 and one from the island after
+/// the heal (or mid-cut, for a cut that never heals), runs a fixed
+/// [`MAX_TIME`] horizon so both substrates see the identical schedule,
+/// and returns the overall delivery ratio across both events, the sorted
+/// delivered sets of the never-partitioned (mainland) cohort, and the
+/// parasite count.
 fn partition_trial(
     group_sizes: &[usize],
     params: &ParamMap,
-    base: &FaultConfig,
+    base: &RunConfig,
     heal: Option<u64>,
-    seed: u64,
     substrate: Substrate,
 ) -> (f64, Vec<Vec<EventId>>, u64) {
-    let net = StaticNetwork::linear(group_sizes, params.clone(), seed)
+    let net = StaticNetwork::linear(group_sizes, params.clone(), base.seed)
         .expect("experiment topology must be valid");
     let leaf = net.groups().last().expect("at least one group").clone();
     assert!(
@@ -384,14 +377,14 @@ fn partition_trial(
     let island = leaf.members[leaf.members.len() - ISLAND..].to_vec();
     let mainland_publisher = leaf.members[0];
     let island_publisher = *leaf.members.last().expect("non-empty group");
-    let faults = partition_faults(base, &island, CUT_AT, heal);
+    let config = partition_faults(base, &island, CUT_AT, heal);
     // Two ticks after the heal the overlay is reachable again; a cut
     // that never heals publishes mid-cut at the latest heal's slot so
     // the scenarios stay comparable.
     let island_publish_tick = heal.map_or(26, |tick| tick + 2);
 
     let procs = net.into_processes();
-    let mut driver = Driver::spawn(substrate, seed, &faults, TraceConfig::off(), procs);
+    let mut driver = Driver::spawn(substrate, config, procs);
     driver.apply(mainland_publisher, |p| p.publish("mainland"));
     driver.run_ticks(island_publish_tick);
     driver.apply(island_publisher, |p| p.publish("island"));
@@ -436,7 +429,7 @@ fn partition_trial(
 /// a [`Partition`] cuts `"b"` off from tick 0 and heals at the swept
 /// tick (`None` = never, tabulated as `x = -1`). `base` supplies the
 /// channel under the cut (keep it lossless to isolate the partition
-/// axis).
+/// axis) and the seed every trial's is derived from.
 ///
 /// Within one trial, sim and live share the **same seed**: the
 /// partition severs the identical sends on both substrates (the severed
@@ -459,9 +452,8 @@ pub fn run_partition_sweep(
     group_sizes: &[usize],
     params: &ParamMap,
     heal_ticks: &[Option<u64>],
-    base: &FaultConfig,
+    base: &RunConfig,
     trials: usize,
-    base_seed: u64,
 ) -> SeriesTable {
     let mut table = SeriesTable::new(
         "Delivery ratio across partition cut-and-heal scenarios, live vs simulated",
@@ -475,11 +467,11 @@ pub fn run_partition_sweep(
             // Same (scenario, trial) seed on both substrates: link
             // fates are pinned, so the mainland outcome must match
             // exactly, not just statistically.
-            let seed = derive_seed(derive_seed(base_seed, row as u64), t as u64);
+            let seed = derive_seed(derive_seed(base.seed, row as u64), t as u64);
+            let trial = base.clone().with_seed(seed);
             let [(sim_ratio, sim_sets, sim_parasites), (live_ratio, live_sets, live_parasites)] =
-                SUBSTRATES.map(|substrate| {
-                    partition_trial(group_sizes, params, base, heal, seed, substrate)
-                });
+                SUBSTRATES
+                    .map(|substrate| partition_trial(group_sizes, params, &trial, heal, substrate));
             assert_eq!(sim_parasites, 0, "heal {heal:?} trial {t}: sim parasites");
             assert_eq!(live_parasites, 0, "heal {heal:?} trial {t}: live parasites");
             assert_eq!(
@@ -524,8 +516,10 @@ mod tests {
 
     /// A lossless base config whose channel carries the given latency —
     /// the starting point the sweeps override per row.
-    fn reliable_base(latency: Latency) -> FaultConfig {
-        FaultConfig::new().with_channel(ChannelConfig::reliable().with_latency(latency))
+    fn reliable_base(seed: u64, latency: Latency) -> RunConfig {
+        RunConfig::default()
+            .with_seed(seed)
+            .with_channel(ChannelConfig::reliable().with_latency(latency))
     }
 
     #[test]
@@ -554,9 +548,8 @@ mod tests {
         let probs = reliability_sweep_probabilities();
         let trials = 6;
         for latency in [Latency::Fixed(1), Latency::Fixed(2)] {
-            let base = reliable_base(latency);
-            let table =
-                run_reliability_sweep(&[4, 10, 40], &pinned(), &probs, &base, trials, 0x5EED);
+            let base = reliable_base(0x5EED, latency);
+            let table = run_reliability_sweep(&[4, 10, 40], &pinned(), &probs, &base, trials);
             assert_eq!(table.rows.len(), probs.len());
             for row in &table.rows {
                 let (sim, live) = (&row.values[0], &row.values[1]);
@@ -593,11 +586,13 @@ mod tests {
     fn churn_sweep_substrates_agree_within_3_sigma() {
         let rates = churn_sweep_crash_rates();
         let trials = 6;
-        let base = FaultConfig::new().with_failures(FailureModel::Churn {
-            crash_probability: 0.0,
-            recover_probability: 0.3,
-        });
-        let table = run_churn_sweep(&[4, 10, 40], &pinned(), &rates, &base, trials, 0xC4A0);
+        let base = RunConfig::default()
+            .with_seed(0xC4A0)
+            .with_failures(FailureModel::Churn {
+                crash_probability: 0.0,
+                recover_probability: 0.3,
+            });
+        let table = run_churn_sweep(&[4, 10, 40], &pinned(), &rates, &base, trials);
         assert_eq!(table.rows.len(), rates.len());
         for row in &table.rows {
             let (sim, live) = (&row.values[0], &row.values[1]);
@@ -632,7 +627,13 @@ mod tests {
     #[test]
     fn churn_sweep_rejects_a_churnless_base() {
         let result = std::panic::catch_unwind(|| {
-            run_churn_sweep(&[4], &pinned(), &[0.0], &FaultConfig::new(), 1, 1)
+            run_churn_sweep(
+                &[4],
+                &pinned(),
+                &[0.0],
+                &RunConfig::default().with_seed(1),
+                1,
+            )
         });
         assert!(result.is_err(), "a non-Churn base must be rejected");
     }
@@ -651,8 +652,8 @@ mod tests {
         // infect-and-die wave's senders fire every `latency` ticks.
         for (latency, early) in [(Latency::Fixed(1), 2u64), (Latency::Fixed(2), 4u64)] {
             let heals = vec![Some(early), Some(24), None];
-            let base = reliable_base(latency);
-            let table = run_partition_sweep(&[4, 10, 40], &pinned(), &heals, &base, trials, 0x9A27);
+            let base = reliable_base(0x9A27, latency);
+            let table = run_partition_sweep(&[4, 10, 40], &pinned(), &heals, &base, trials);
             assert_eq!(table.rows.len(), heals.len());
             for (row, &heal) in table.rows.iter().zip(&heals) {
                 let (sim, live) = (&row.values[0], &row.values[1]);

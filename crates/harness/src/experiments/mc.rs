@@ -409,7 +409,7 @@ mod tests {
         let ce = mutant.violation.expect("mutant caught at the same bounds");
         assert_eq!(ce.invariant, "no-duplicate-delivery");
         assert!(ce.fifo_replayable, "gossip echo does not need reordering");
-        let faults = ce.to_fault_config(&FaultConfig::new());
+        let faults = ce.to_fault_config(&FaultConfig::default());
         assert!(matches!(faults.failure, FailureModel::Schedule(_)));
     }
 

@@ -25,7 +25,7 @@ use crate::stats::Summary;
 use crate::substrate::{Driver, Substrate};
 use da_core::testkit::Relay;
 use da_core::{
-    first_divergence, FaultConfig, TraceConfig, TraceDivergence, TraceEvent, TraceLog, TraceVerdict,
+    first_divergence, RunConfig, TraceConfig, TraceDivergence, TraceEvent, TraceLog, TraceVerdict,
 };
 
 /// Rounds during which the probe keeps sending; the run's horizon leaves
@@ -38,18 +38,14 @@ const PROBE_TICKS: u64 = 16;
 
 /// Runs the probe — a [`Relay`] ring sending in its first
 /// `PROBE_SEND_ROUNDS` (6) rounds, which draws no randomness and keeps
-/// no order-sensitive state, so its stream depends only on the fault
-/// config and the seed — on `substrate` under `faults`, and returns its
-/// trace.
+/// no order-sensitive state, so its stream depends only on the faults
+/// and the seed — on `substrate` under `config` with the recorder on,
+/// and returns its trace.
 #[must_use]
-pub fn probe_trace(
-    substrate: Substrate,
-    population: u32,
-    faults: &FaultConfig,
-    seed: u64,
-) -> TraceLog {
+pub fn probe_trace(substrate: Substrate, population: u32, config: &RunConfig) -> TraceLog {
     let probes = Relay::ring(population, PROBE_SEND_ROUNDS);
-    let mut driver = Driver::spawn(substrate, seed, faults, TraceConfig::full(), probes);
+    let config = config.clone().with_trace(TraceConfig::full());
+    let mut driver = Driver::spawn(substrate, config, probes);
     driver.run_ticks(PROBE_TICKS);
     driver.finish().trace.expect("tracing was enabled")
 }
@@ -101,10 +97,10 @@ pub fn describe_divergence(left: &TraceLog, right: &TraceLog) -> String {
 
 /// Runs the full trace-diff check and tabulates it.
 ///
-/// Row `same_seed_sim_vs_live`: the probe under `faults` (which must be
-/// deterministic — fixed-latency reliable channels; process failures
-/// are fine) on both substrates from one seed. The canonical streams
-/// must be bit-identical.
+/// Row `same_seed_sim_vs_live`: the probe under `config` (whose faults
+/// must be deterministic — fixed-latency reliable channels; process
+/// failures are fine) on both substrates from its seed. The canonical
+/// streams must be bit-identical.
 ///
 /// Row `lossless_vs_lossy_sim`: the same workload on the simulator,
 /// lossless vs 30%-loss channels. The streams must diverge, and the
@@ -120,12 +116,7 @@ pub fn describe_divergence(left: &TraceLog, right: &TraceLog) -> String {
 /// Panics when the same-seed pair diverges or the lossy pair does not —
 /// each a violation of the cross-substrate tracing contract.
 #[must_use]
-pub fn run_trace_diff(
-    population: u32,
-    faults: &FaultConfig,
-    seed: u64,
-    workers: usize,
-) -> KeyedTable {
+pub fn run_trace_diff(population: u32, config: &RunConfig, workers: usize) -> KeyedTable {
     let mut table = KeyedTable::new(
         "Flight recorder trace diff, live vs simulated",
         "pair",
@@ -136,8 +127,8 @@ pub fn run_trace_diff(
         ],
     );
 
-    let sim = probe_trace(Substrate::Sim, population, faults, seed);
-    let live = probe_trace(Substrate::Live { workers }, population, faults, seed);
+    let sim = probe_trace(Substrate::Sim, population, config);
+    let live = probe_trace(Substrate::Live { workers }, population, config);
     let diff = diff_traces(&sim, &live);
     assert!(
         diff.streams_match(),
@@ -146,10 +137,12 @@ pub fn run_trace_diff(
     );
     push_diff_row(&mut table, "same_seed_sim_vs_live", &diff);
 
-    let lossy_faults = faults
-        .clone()
-        .with_channel(faults.channel().with_success_probability(0.7));
-    let lossy = probe_trace(Substrate::Sim, population, &lossy_faults, seed);
+    let lossy_channel = config.faults.network.channel.with_success_probability(0.7);
+    let lossy = probe_trace(
+        Substrate::Sim,
+        population,
+        &config.clone().with_channel(lossy_channel),
+    );
     let diff = diff_traces(&sim, &lossy);
     let divergence = diff
         .divergence
@@ -190,15 +183,17 @@ mod tests {
     use super::*;
     use da_core::{ChannelConfig, FailureModel, Fate, Latency, ProcessId};
 
-    fn deterministic_faults() -> FaultConfig {
-        FaultConfig::new().with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)))
+    fn deterministic(seed: u64) -> RunConfig {
+        RunConfig::default()
+            .with_seed(seed)
+            .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)))
     }
 
     #[test]
     fn same_seed_streams_are_bit_identical_across_substrates() {
-        let sim = probe_trace(Substrate::Sim, 12, &deterministic_faults(), 42);
+        let sim = probe_trace(Substrate::Sim, 12, &deterministic(42));
         for workers in [1, 3] {
-            let live = probe_trace(Substrate::Live { workers }, 12, &deterministic_faults(), 42);
+            let live = probe_trace(Substrate::Live { workers }, 12, &deterministic(42));
             let diff = diff_traces(&sim, &live);
             assert!(
                 diff.streams_match(),
@@ -212,7 +207,7 @@ mod tests {
 
     #[test]
     fn scripted_crashes_stay_fate_matched_in_the_stream() {
-        let faults = deterministic_faults().with_failures(FailureModel::Schedule(vec![
+        let config = deterministic(7).with_failures(FailureModel::Schedule(vec![
             Fate {
                 round: 2,
                 pid: ProcessId(3),
@@ -224,8 +219,8 @@ mod tests {
                 crash: false,
             },
         ]));
-        let sim = probe_trace(Substrate::Sim, 10, &faults, 7);
-        let live = probe_trace(Substrate::Live { workers: 3 }, 10, &faults, 7);
+        let sim = probe_trace(Substrate::Sim, 10, &config);
+        let live = probe_trace(Substrate::Live { workers: 3 }, 10, &config);
         assert!(
             diff_traces(&sim, &live).streams_match(),
             "{}",
@@ -238,12 +233,12 @@ mod tests {
 
     #[test]
     fn churn_draws_are_shared_too() {
-        let faults = deterministic_faults().with_failures(FailureModel::Churn {
+        let config = deterministic(99).with_failures(FailureModel::Churn {
             crash_probability: 0.1,
             recover_probability: 0.4,
         });
-        let sim = probe_trace(Substrate::Sim, 12, &faults, 99);
-        let live = probe_trace(Substrate::Live { workers: 4 }, 12, &faults, 99);
+        let sim = probe_trace(Substrate::Sim, 12, &config);
+        let live = probe_trace(Substrate::Live { workers: 4 }, 12, &config);
         assert!(
             diff_traces(&sim, &live).streams_match(),
             "{}",
@@ -254,7 +249,7 @@ mod tests {
 
     #[test]
     fn trace_diff_table_reports_match_and_divergence() {
-        let table = run_trace_diff(12, &deterministic_faults(), 0xD1FF, 3);
+        let table = run_trace_diff(12, &deterministic(0xD1FF), 3);
         assert_eq!(table.rows.len(), 2);
         let (key, values) = &table.rows[0];
         assert_eq!(key, "same_seed_sim_vs_live");
@@ -266,13 +261,11 @@ mod tests {
 
     #[test]
     fn describe_divergence_names_the_event() {
-        let sim = probe_trace(Substrate::Sim, 8, &deterministic_faults(), 5);
+        let sim = probe_trace(Substrate::Sim, 8, &deterministic(5));
         let lossy = probe_trace(
             Substrate::Sim,
             8,
-            &deterministic_faults()
-                .with_channel(ChannelConfig::reliable().with_success_probability(0.5)),
-            5,
+            &deterministic(5).with_channel(ChannelConfig::reliable().with_success_probability(0.5)),
         );
         let text = describe_divergence(&sim, &lossy);
         assert!(

@@ -4,13 +4,13 @@
 //! that wants to show it is written once against a [`Driver`] and takes
 //! the [`Substrate`] as a value. The driver is an enum over
 //! `da_simnet::Engine` and `da_runtime::Runtime` with the verbs the two
-//! share — spawn under one [`FaultConfig`], reach into a process, run,
+//! share — spawn under one [`RunConfig`], reach into a process, run,
 //! read the counters and the trace, take the population back — so the substrates'
 //! matching APIs are held together by a `match`, not by convention.
 
-use da_core::{Counters, ExecProtocol, FaultConfig, ProcessId, TraceConfig, TraceLog, WireSize};
-use da_runtime::{Runtime, RuntimeConfig, Shutdown};
-use da_simnet::{Engine, SimConfig};
+use da_core::{Counters, ExecProtocol, PoolConfig, ProcessId, RunConfig, TraceLog, WireSize};
+use da_runtime::{Runtime, Shutdown};
+use da_simnet::Engine;
 
 /// Which substrate executes a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,28 +54,17 @@ where
     /// Starts `processes` (process `i` is `ProcessId(i)`) on `substrate`
     /// under one seed, fault surface and recorder setting.
     #[must_use]
-    pub fn spawn(
-        substrate: Substrate,
-        seed: u64,
-        faults: &FaultConfig,
-        trace: TraceConfig,
-        processes: Vec<P>,
-    ) -> Self {
+    pub fn spawn(substrate: Substrate, config: RunConfig, processes: Vec<P>) -> Self {
         match substrate {
-            Substrate::Sim => {
-                let config = SimConfig::default()
-                    .with_seed(seed)
-                    .with_faults(faults.clone())
-                    .with_trace(trace);
-                Driver::Sim(Engine::new(config, processes))
-            }
+            Substrate::Sim => Driver::Sim(Engine::new(config, processes)),
             Substrate::Live { workers } => {
-                let config = RuntimeConfig::default()
-                    .with_seed(seed)
-                    .with_workers(workers)
-                    .with_faults(faults.clone())
-                    .with_trace(trace);
-                Driver::Live(Runtime::spawn(config, processes))
+                let config = RunConfig {
+                    seed: config.seed,
+                    faults: config.faults,
+                    trace: config.trace,
+                    pool: PoolConfig::default(),
+                };
+                Driver::Live(Runtime::spawn(config.with_workers(workers), processes))
             }
         }
     }
@@ -156,7 +145,7 @@ where
 mod tests {
     use super::*;
     use da_core::testkit::Relay;
-    use da_core::{first_divergence, ChannelConfig, FailureModel, Latency};
+    use da_core::{first_divergence, ChannelConfig, FailureModel, Latency, TraceConfig};
 
     /// Every verb gives one answer on the simulator and on a pool of any
     /// width: the tick the relay goes quiet on, what `apply` reads back,
@@ -165,14 +154,16 @@ mod tests {
     /// which the last reads of counters and trace equal.
     #[test]
     fn every_verb_agrees_across_substrates() {
-        let faults = FaultConfig::new()
+        let config = RunConfig::default()
+            .with_seed(42)
             .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)))
             .with_failures(FailureModel::Stillborn {
                 alive_fraction: 0.75,
-            });
+            })
+            .with_trace(TraceConfig::full());
         let run = |substrate: Substrate| {
             let relays = Relay::ring(12, 6);
-            let mut driver = Driver::spawn(substrate, 42, &faults, TraceConfig::full(), relays);
+            let mut driver = Driver::spawn(substrate, config.clone(), relays);
             driver.run_ticks(3);
             let early: Vec<usize> = (0..12)
                 .map(|pid| driver.apply(ProcessId(pid), |p| p.received.len()))
@@ -211,9 +202,10 @@ mod tests {
     #[test]
     fn a_capped_trace_is_capped_per_recorder() {
         let run = |substrate: Substrate| {
-            let trace = TraceConfig::full().with_capacity(7);
-            let faults = FaultConfig::new();
-            let mut driver = Driver::spawn(substrate, 1, &faults, trace, Relay::ring(6, 3));
+            let config = RunConfig::default()
+                .with_seed(1)
+                .with_trace(TraceConfig::full().with_capacity(7));
+            let mut driver = Driver::spawn(substrate, config, Relay::ring(6, 3));
             driver.run_ticks(6);
             driver.finish().trace.expect("tracing is on")
         };

@@ -19,10 +19,10 @@
 //!   `std::sync::mpsc` channels;
 //! * **network faults** — the [`FaultyRouter`] applies the same
 //!   substrate-neutral [`NetworkModel`](da_core::NetworkModel) the
-//!   simulator uses (`da_core::topology`, configured via the unified
-//!   [`RuntimeConfig::with_channel`] / [`RuntimeConfig::with_topology`] /
-//!   [`RuntimeConfig::with_partitions`] builders on the shared
-//!   [`FaultConfig`]): Bernoulli loss and sampled latencies drawn from
+//!   simulator uses (`da_core::topology`, configured via the
+//!   [`RunConfig::with_channel`] / [`RunConfig::with_topology`] /
+//!   [`RunConfig::with_partitions`] setters both substrates' configs
+//!   share): Bernoulli loss and sampled latencies drawn from
 //!   deterministic per-edge RNG streams on each link's channel, with
 //!   delayed envelopes parked on a per-worker delay wheel until their
 //!   due tick. Sends crossing an active
@@ -37,15 +37,15 @@
 //!   A message sent in tick `n` is still delivered exactly at tick
 //!   `n + k` of its sampled latency `k ≥ 1`, preserving the simulator's
 //!   virtual-time contract, while slow workers stop gating fast ones up
-//!   to the [`RuntimeConfig::effective_lag`] drift window (the network's
-//!   latency floor: as far as it proves safe, no further). A coordinator
+//!   to a drift window of the network's latency floor (as far as it
+//!   proves safe, no further). A coordinator
 //!   observes the reported tick frontier to keep `step_tick` /
 //!   `run_until_quiescent` semantics exact — including never executing
 //!   a tick past the quiescent one;
 //! * **process failures** — each worker drives a `da_core::Stripe`,
 //!   the tick body the simulator runs too, whose
 //!   [`LifecycleController`] applies the same `da_core::failure` plan
-//!   (configured via [`RuntimeConfig::with_failures`]):
+//!   (configured via [`RunConfig::with_failures`]):
 //!   stillborn processes never start, scripted fates and churn draws
 //!   crash/recover processes at the start of their tick, messages owed
 //!   to a crashed process are consumed as `rt.dropped_crashed`,
@@ -61,7 +61,7 @@
 //!   control channel [`Runtime::with_process_mut`] uses, and folds the
 //!   replies into the same [`Counters`] registry the simulator fills;
 //!   [`Runtime::shutdown`] folds the final ones handed back at join;
-//! * **flight recorder** — with [`RuntimeConfig::with_trace`] enabled,
+//! * **flight recorder** — with [`RunConfig::with_trace`] enabled,
 //!   every send, delivery, drop, and lifecycle transition is appended
 //!   (unsynchronised) to the recorder of the worker's own stripe, which
 //!   keeps it under the configured capacity, alongside delivery-latency
@@ -110,22 +110,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod config;
 mod metrics;
 mod runtime;
 mod transport;
 mod worker;
 
-pub use config::RuntimeConfig;
 // The `da_core` names this crate's own public signatures mention;
 // everything else is imported from `da_core` directly.
 pub use da_core::{
     Counters, Envelope, ExecProtocol, FaultConfig, Histogram, LifecycleController,
-    LifecycleTransitions, ProcessId, ProcessStatus, TraceConfig, TraceLog, WireSize,
+    LifecycleTransitions, PoolConfig, ProcessId, ProcessStatus, RunConfig, TraceConfig, TraceLog,
+    WireSize,
 };
 // Unused by the pool; kept for the benchmark's `metrics.*` probes.
 pub use metrics::{ShardOutOfRange, ShardedCounters};
-pub use runtime::{Runtime, Shutdown, TickReport};
+pub use runtime::{Runtime, RuntimeConfig, Shutdown, TickReport};
 pub use transport::{
     lane_matrix, BatchPool, EdgeInbox, EdgeWatermarks, FaultyRouter, FlushReport, Hub, LaneClosed,
 };

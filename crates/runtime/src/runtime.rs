@@ -12,7 +12,7 @@
 //! * **Publish watermarks** ([`crate::EdgeWatermarks`]): after flushing
 //!   tick `t` on every out-edge, a worker bumps its one atomic. A worker
 //!   may execute tick `n` once every peer has published through tick
-//!   `n − lag`, where `lag = RuntimeConfig::effective_lag()` — anything
+//!   `n − lag`, where `lag = effective_lag(config)` — anything
 //!   published later is due strictly after `n` (channel latency is at
 //!   least `lag`), so no delivery can be missed and no rendezvous is
 //!   needed.
@@ -34,7 +34,6 @@
 //! latency `k`, and quiescence is still "nothing sent, delivered, or in
 //! flight".
 
-use crate::config::RuntimeConfig;
 use crate::transport::{lane_matrix, EdgeWatermarks, FaultyRouter};
 use crate::worker::{
     Control, Joined, PoolHistograms, SchedulerState, Telemetry, Worker, WorkerReport,
@@ -43,8 +42,8 @@ use da_core::process::ProcessIndexError;
 use da_core::store::ProcessStore;
 use da_core::wheel::{DelayWheel, MAX_RING_TICKS};
 use da_core::{
-    Counters, ExecProtocol, HotIds, LifecycleController, ProcessId, ProcessStatus, Stripe,
-    TraceLog, WireSize,
+    Counters, ExecProtocol, HotIds, LifecycleController, PoolConfig, ProcessId, ProcessStatus,
+    RunConfig, Stripe, TraceLog, WireSize,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -58,6 +57,11 @@ use std::time::{Duration, Instant};
 /// per-tick coordinator→worker send left to fail fast, the join handles
 /// are the only death signal.
 const DEATH_POLL: Duration = Duration::from_millis(100);
+
+/// Configuration of one live runtime: `da_core`'s [`RunConfig`] — seed,
+/// faults and trace, set exactly as on the simulator — plus the pool's
+/// [`PoolConfig`] (worker count, tick watchdog).
+pub type RuntimeConfig = RunConfig<PoolConfig>;
 
 /// Aggregate summary of one executed tick — the live counterpart of
 /// `da_simnet::RoundReport`.
@@ -202,8 +206,37 @@ pub struct Shutdown<P> {
 /// the ring it sizes, as `Engine::new` does; slower sends spill.
 fn wheel_capacity(config: &RuntimeConfig) -> usize {
     let max_latency = config.faults.network.max_latency();
-    let window = max_latency.saturating_add(config.effective_lag());
+    let window = max_latency.saturating_add(effective_lag(config));
     window.min(MAX_RING_TICKS) as usize + 1
+}
+
+/// How many ticks a fast worker may run ahead of the slowest peer's
+/// *published* frontier: the network's latency floor, clamped to
+/// `[1, MAX_RING_TICKS]`.
+///
+/// A worker may execute tick `n` once every peer has published its
+/// outbound batches through tick `n - lag`. Anything a peer sends later
+/// is due strictly after `n` — its latency is at least
+/// [`da_core::NetworkModel::min_latency`], the minimum over the default
+/// channel *and* every per-link override — so no delivery can be
+/// missed. One-tick links pin workers within one tick of each other; a
+/// floor of `k` ticks lets them drift `k` apart at the price of up to
+/// `k` batches buffered per lane, which is why the floor, being config
+/// input, is capped where the wheel ring is.
+fn effective_lag(config: &RuntimeConfig) -> u64 {
+    config.faults.network.min_latency().clamp(1, MAX_RING_TICKS)
+}
+
+/// The pool size for a population: the configured count, or one worker
+/// per CPU when auto-sized — never more workers than processes, never
+/// zero.
+fn effective_workers(pool: &PoolConfig, population: usize) -> usize {
+    let base = if pool.workers == 0 {
+        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+    } else {
+        pool.workers
+    };
+    base.min(population.max(1)).max(1)
 }
 
 /// Slots of each SPSC lane, allocated eagerly `2 × workers²` times: the
@@ -213,7 +246,7 @@ fn wheel_capacity(config: &RuntimeConfig) -> usize {
 /// producer tick on a lane), so `lag + 2` never blocks in steady state.
 /// The lag is capped, and with it the allocation.
 fn lane_capacity(config: &RuntimeConfig) -> usize {
-    config.effective_lag() as usize + 2
+    effective_lag(config) as usize + 2
 }
 
 impl<P> Runtime<P>
@@ -250,7 +283,7 @@ where
             // so this single check covers all of striping.
             ProcessId::try_from_index(population - 1)?;
         }
-        let workers = config.effective_workers(population);
+        let workers = effective_workers(&config.pool, population);
 
         let (hubs, inbox_rxs) = lane_matrix::<P::Msg>(workers, lane_capacity(&config));
         let sched = Arc::new(SchedulerState {
@@ -298,7 +331,7 @@ where
                 swept: 0,
                 trace: config.trace.is_enabled().then(PoolHistograms::default),
                 sched: Arc::clone(&sched),
-                lag: config.effective_lag(),
+                lag: effective_lag(&config),
                 next_tick: 0,
             };
             let handle = std::thread::Builder::new()
@@ -321,7 +354,7 @@ where
             backlog: BTreeMap::new(),
             in_flight: 0,
             in_flight_means_loud: plan.is_inert(),
-            tick_timeout: config.tick_timeout(),
+            tick_timeout: Duration::from_millis(config.pool.tick_timeout_ms),
         })
     }
 
@@ -335,12 +368,6 @@ where
     #[must_use]
     pub fn workers(&self) -> usize {
         self.controls.len()
-    }
-
-    /// The next tick to execute.
-    #[must_use]
-    pub fn current_tick(&self) -> u64 {
-        self.tick
     }
 
     /// Extends the grant horizon, then unparks every worker: one
@@ -515,33 +542,6 @@ where
         self.send_control(worker, Control::Apply { pid, f: wrapped })
             .unwrap_or_else(|_| panic!("runtime worker for {pid} terminated"));
         rx.recv().expect("runtime worker dropped an apply")
-    }
-
-    /// Fire-and-forget variant of [`Runtime::with_process_mut`]: applies
-    /// the closure to `pid` on its worker thread without a reply channel
-    /// or a blocking round-trip — one boxed closure is the only
-    /// allocation on the injection path. Workers drain their control
-    /// queue at the top of every tick, so an injection sent between
-    /// driver calls is applied before the next tick that worker
-    /// executes; use [`Runtime::with_process_mut`] when the caller needs
-    /// a result (or a completion barrier) back.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pid` is out of range or its worker has died.
-    pub fn inject<F>(&mut self, pid: ProcessId, f: F)
-    where
-        F: FnOnce(&mut P) + Send + 'static,
-    {
-        assert!(
-            pid.index() < self.population,
-            "{pid} out of range for population {}",
-            self.population
-        );
-        let worker = pid.index() % self.controls.len();
-        let f = Box::new(f);
-        self.send_control(worker, Control::Apply { pid, f })
-            .unwrap_or_else(|_| panic!("runtime worker for {pid} terminated"));
     }
 
     /// The pool's counters: every worker's registry, read through the

@@ -16,6 +16,72 @@ fn relay_runtime(n: u32, workers: usize) -> Runtime<Relay> {
     )
 }
 
+/// Applies `f` to `pid` on its worker without waiting for it: what
+/// `with_process_mut` sends, minus the reply. A worker that sleeps or
+/// dies in `f` cannot block the caller.
+fn inject<P: ExecProtocol>(
+    rt: &Runtime<P>,
+    pid: ProcessId,
+    f: impl FnOnce(&mut P) + Send + 'static,
+) {
+    let worker = pid.index() % rt.controls.len();
+    rt.send_control(
+        worker,
+        Control::Apply {
+            pid,
+            f: Box::new(f),
+        },
+    )
+    .unwrap_or_else(|_| panic!("runtime worker for {pid} terminated"));
+}
+
+#[test]
+fn effective_lag_is_channel_capped_and_never_zero() {
+    use da_core::topology::{NodeId, Topology};
+    let fixed = |ticks| {
+        RuntimeConfig::default()
+            .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(ticks)))
+    };
+    assert_eq!(effective_lag(&RuntimeConfig::default()), 1);
+    assert_eq!(effective_lag(&fixed(0)), 1, "never zero");
+    assert_eq!(effective_lag(&fixed(4)), 4);
+    assert_eq!(
+        effective_lag(&fixed(u64::MAX)),
+        1024,
+        "config input is capped"
+    );
+    let jittery = RuntimeConfig::default().with_channel(
+        ChannelConfig::reliable().with_latency(Latency::UniformRounds { min: 2, max: 6 }),
+    );
+    assert_eq!(effective_lag(&jittery), 2);
+    // A faster per-link override tightens the bound below the default
+    // channel's floor: the wheel must honour the quickest link anywhere
+    // in the topology.
+    let fast_link = jittery.with_topology(Topology::with_nodes(["a", "b"]).with_link(
+        NodeId(0),
+        NodeId(1),
+        ChannelConfig::reliable().with_latency(Latency::Fixed(1)),
+    ));
+    assert_eq!(effective_lag(&fast_link), 1);
+}
+
+#[test]
+fn effective_workers_clamps() {
+    let eight = RuntimeConfig::default().with_workers(8).pool;
+    assert_eq!(
+        effective_workers(&eight, 3),
+        3,
+        "never more workers than procs"
+    );
+    assert_eq!(effective_workers(&eight, 100), 8);
+    assert_eq!(
+        effective_workers(&eight, 0),
+        1,
+        "empty population still ticks"
+    );
+    assert!(effective_workers(&PoolConfig::default(), 1_000_000) >= 1);
+}
+
 #[test]
 fn messages_delivered_exactly_next_tick() {
     let mut rt = relay_runtime(8, 3);
@@ -115,20 +181,13 @@ fn inject_lands_before_the_next_executed_tick() {
     rt.run_ticks(1);
     // Fire-and-forget: no reply, no barrier — the control drain at
     // the top of the worker's next tick must still apply it first.
-    rt.inject(ProcessId(4), |p| p.received.push(0xBEEF));
+    inject(&rt, ProcessId(4), |p| p.received.push(0xBEEF));
     rt.run_ticks(1);
     let seen = rt.with_process_mut(ProcessId(4), |p| p.received.clone());
     assert!(
         seen.contains(&0xBEEF),
         "injected mutation visible after one more tick: {seen:?}"
     );
-}
-
-#[test]
-#[should_panic(expected = "out of range")]
-fn inject_rejects_unknown_pid() {
-    let mut rt = relay_runtime(3, 2);
-    rt.inject(ProcessId(99), |_| ());
 }
 
 #[test]
@@ -182,7 +241,7 @@ fn control_reaches_a_blocked_worker() {
         idle();
         assert_eq!(rt.with_process_mut(ProcessId(4), |p| p.received.len()), 0);
         idle();
-        rt.inject(ProcessId(4), |p| p.received.push(0xBEEF));
+        inject(&rt, ProcessId(4), |p| p.received.push(0xBEEF));
         assert_eq!(rt.step_tick().tick, 1);
         let seen = rt.with_process_mut(ProcessId(4), |p| p.received.clone());
         assert_eq!(seen, [0xBEEF, 1], "injected, then tick 1's delivery");
@@ -205,7 +264,7 @@ fn control_reaches_a_blocked_worker() {
 fn stray_unpark_tokens_are_harmless() {
     let mut rt = relay_runtime(10, 4);
     for _ in 0..64 {
-        rt.inject(ProcessId(0), |p| p.received.push(0xBEEF));
+        inject(&rt, ProcessId(0), |p| p.received.push(0xBEEF));
     }
     assert_eq!(rt.run_until_quiescent(64), 7, "quiet at tick 6");
     let out = rt.shutdown();
@@ -374,7 +433,7 @@ fn shutdown_accounting_is_exact_at_nonzero_lag() {
             .with_workers(3)
             .with_seed(run_ticks * 31 + lag)
             .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(lag)));
-        assert_eq!(config.effective_lag(), lag, "the lag window must be real");
+        assert_eq!(effective_lag(&config), lag, "the lag window must be real");
         let mut rt = Runtime::spawn(config, relay_procs(9));
         rt.run_ticks(run_ticks);
         let out = rt.shutdown();
@@ -956,7 +1015,7 @@ fn a_read_names_a_dead_worker() {
         .with_tick_timeout_ms(5_000);
     let mut rt = Runtime::spawn(config, relay_procs(6));
     rt.run_ticks(1);
-    rt.inject(ProcessId(4), |_| panic!("killed by the test"));
+    inject(&rt, ProcessId(4), |_| panic!("killed by the test"));
     let _ = rt.counters();
 }
 
@@ -973,6 +1032,8 @@ fn a_read_names_a_wedged_worker() {
     rt.run_ticks(1);
     // Far beyond the watchdog; the sleep also bounds how long the
     // leaked worker outlives the panic.
-    rt.inject(ProcessId(5), |_| std::thread::sleep(Duration::from_secs(2)));
+    inject(&rt, ProcessId(5), |_| {
+        std::thread::sleep(Duration::from_secs(2))
+    });
     let _ = rt.trace_log();
 }

@@ -590,7 +590,7 @@ struct Watermark(AtomicU64);
 /// is already in their lanes". A receiver that wants to execute tick `n`
 /// acquires its peers' watermarks and waits until each shows at least
 /// `n + 1 − lag` published ticks, where `lag` is the scheduler's
-/// effective drift bound (`RuntimeConfig::effective_lag`): anything a
+/// effective drift bound (the network's latency floor): anything a
 /// peer sends later is due strictly after `n`, so no delivery can be
 /// missed and no barrier is needed.
 ///
@@ -992,12 +992,12 @@ mod tests {
     #[test]
     fn partition_cut_severs_then_heals_without_consuming_draws() {
         use da_core::topology::{NetworkModel, NodeId, Partition, PartitionSchedule, Topology};
-        let network = |partitions| {
-            NetworkModel::uniform(ChannelConfig::paper_default())
-                .with_topology(
-                    Topology::with_nodes(["a", "b"]).with_placement(ProcessId(1), NodeId(1)),
-                )
-                .with_partitions(partitions)
+        let network = |partitions| NetworkModel {
+            topology: Some(
+                Topology::with_nodes(["a", "b"]).with_placement(ProcessId(1), NodeId(1)),
+            ),
+            partitions,
+            ..NetworkModel::uniform(ChannelConfig::paper_default())
         };
         let cut = PartitionSchedule::none()
             .with_partition(Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 10).heal_at(20));

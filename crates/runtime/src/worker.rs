@@ -152,7 +152,7 @@ pub(super) struct Worker<P: ExecProtocol> {
     /// like the stripe's recorder.
     pub(super) trace: Option<PoolHistograms>,
     pub(super) sched: Arc<SchedulerState>,
-    /// `RuntimeConfig::effective_lag()` — how far the local clock may
+    /// The latency floor `Runtime::spawn` derived — how far the local clock may
     /// run ahead of the slowest in-edge's publish watermark.
     pub(super) lag: u64,
     /// The next tick this worker will execute (its local clock).
@@ -172,8 +172,8 @@ where
     /// Applies every control message already sitting in the channel
     /// without blocking. Returns `false` once a stop command is seen.
     /// Called from both waits (the watermark gate and `park`), and at
-    /// the top of each tick so fire-and-forget
-    /// [`Runtime::inject`] closures land before the next tick executes —
+    /// the top of each tick so a control message sent between driver
+    /// calls is applied before the next tick executes —
     /// `park` may return on a horizon re-check *without* draining
     /// control, so the main loop cannot rely on the park path having
     /// seen them. A stop seen here must NOT abort ticks the worker was

@@ -1,112 +1,26 @@
 //! The round-driven simulation engine.
 
 use crate::strategy::{DueMessage, RngStrategy, Strategy};
-use da_core::channel::ChannelConfig;
 use da_core::exec::{ExecProtocol, McHash};
-use da_core::failure::{FailureModel, Fate};
-use da_core::fault::FaultConfig;
+use da_core::failure::Fate;
 use da_core::lifecycle::LifecycleController;
 use da_core::metrics::{Counters, FxHasher, Histogram, TraceLog};
 use da_core::process::{ProcessId, ProcessStatus};
+use da_core::run::RunConfig;
 use da_core::seed::{derive_seed, rng_from_seed};
 use da_core::store::ProcessStore;
 use da_core::stripe::{HotIds, Outbound, Stripe};
-use da_core::topology::{NetFate, NetworkModel, Occurrences, PartitionSchedule, Topology};
-use da_core::trace::TraceConfig;
+use da_core::topology::{NetFate, NetworkModel, Occurrences};
 use da_core::wheel::{DelayWheel, Envelope, MAX_RING_TICKS};
 use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Configuration of one simulation run.
-///
-/// The derived `Default` (seed 0, faultless [`FaultConfig`]: reliable
-/// channels, no topology, no partitions, no failures) is the single
-/// source of truth; [`SimConfig::new`] delegates to it.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SimConfig {
-    /// Master seed from which every RNG stream is derived.
-    pub seed: u64,
-    /// The unified fault surface: network model (channel + topology +
-    /// partitions) and process failure model — the same
-    /// `da_core::fault::FaultConfig` the live runtime's config embeds.
-    pub faults: FaultConfig,
-    /// Flight-recorder configuration (default: off — the engine holds no
-    /// recorder and the hot path pays one branch on a `None`).
-    pub trace: TraceConfig,
-}
-
-impl SimConfig {
-    /// Configuration with reliable channels, no failures, seed 0.
-    #[must_use]
-    pub fn new() -> Self {
-        SimConfig::default()
-    }
-
-    /// Replaces the master seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the whole fault surface in one step.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Replaces the default channel configuration.
-    #[must_use]
-    pub fn with_channel(mut self, channel: ChannelConfig) -> Self {
-        self.faults.network.channel = channel;
-        self
-    }
-
-    /// Replaces the failure model (named to match
-    /// `RuntimeConfig::with_failures`).
-    #[must_use]
-    pub fn with_failures(mut self, failure: FailureModel) -> Self {
-        self.faults.failure = failure;
-        self
-    }
-
-    /// Installs a topology (placement + per-link channel overrides).
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.faults.network.topology = Some(topology);
-        self
-    }
-
-    /// Installs a partition schedule.
-    #[must_use]
-    pub fn with_partitions(mut self, partitions: PartitionSchedule) -> Self {
-        self.faults.network.partitions = partitions;
-        self
-    }
-
-    /// Replaces the flight-recorder configuration (same shape as
-    /// `RuntimeConfig::with_trace`).
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// The network model's default channel.
-    #[must_use]
-    pub fn channel(&self) -> ChannelConfig {
-        self.faults.network.channel
-    }
-
-    /// The process failure model.
-    #[must_use]
-    pub fn failure(&self) -> &FailureModel {
-        &self.faults.failure
-    }
-}
+/// Configuration of one simulation run: the seed, the faults and the
+/// flight recorder — `da_core`'s [`RunConfig`] with no pool knobs, so
+/// its setters are the ones the worker pool's config has.
+pub type SimConfig = RunConfig;
 
 /// Summary of one executed round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -310,30 +224,6 @@ where
             .collect()
     }
 
-    /// Crashes `pid` immediately: it stops executing and receiving.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is out of range.
-    pub fn crash(&mut self, pid: ProcessId) {
-        self.stripe
-            .lifecycle
-            .set_status(pid.index(), ProcessStatus::Crashed);
-    }
-
-    /// Recovers `pid` immediately: it resumes at the next round. A
-    /// manual escape hatch — unlike plan-driven recoveries it does not
-    /// invoke `on_recover`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is out of range.
-    pub fn recover(&mut self, pid: ProcessId) {
-        self.stripe
-            .lifecycle
-            .set_status(pid.index(), ProcessStatus::Alive);
-    }
-
     /// The shared metrics registry.
     #[must_use]
     pub fn counters(&self) -> &Counters {
@@ -343,7 +233,7 @@ where
     /// A snapshot of the flight recorder's output so far — events in
     /// capture order, per-verdict totals, and the sim-side histograms
     /// (`delivery_latency_ticks`, `queue_depth`) — or `None` when the
-    /// [`SimConfig::trace`] mode is off.
+    /// [`RunConfig::trace`] mode is off.
     #[must_use]
     pub fn trace_log(&self) -> Option<TraceLog> {
         let extra = ("queue_depth", &self.queue_depth);
@@ -364,7 +254,7 @@ where
 
     /// Schedules a crash/recover [`Fate`] for a future round through
     /// the failure plan — the exact path a replayed
-    /// [`FailureModel::Schedule`] takes, including trace lifecycle
+    /// [`da_core::FailureModel::Schedule`] takes, including trace lifecycle
     /// events and `on_recover` hooks. The model checker injects explored
     /// crash points here, so a counterexample's fates replay verbatim as
     /// an ordinary scripted failure model.
@@ -553,15 +443,15 @@ fn relay_engine(config: SimConfig, n: u32) -> Engine<da_core::testkit::Relay> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_core::{Exec, Latency};
+    use da_core::{ChannelConfig, Exec, FailureModel, Latency};
 
-    #[test]
-    fn sim_config_new_equals_default() {
-        assert_eq!(SimConfig::new(), SimConfig::default());
-        assert_eq!(SimConfig::new().channel(), ChannelConfig::reliable());
-        assert_eq!(*SimConfig::new().failure(), FailureModel::None);
-        assert!(SimConfig::new().faults.network.is_perfect());
-        assert_ne!(SimConfig::new(), SimConfig::new().with_seed(1));
+    /// A scripted fate for `pid` at `round`.
+    fn fate(round: u64, pid: u32, crash: bool) -> Fate {
+        Fate {
+            round,
+            pid: ProcessId(pid),
+            crash,
+        }
     }
 
     #[test]
@@ -636,7 +526,7 @@ mod tests {
     #[test]
     fn messages_to_crashed_processes_drop() {
         let mut e = relay_engine(SimConfig::default(), 3);
-        e.crash(ProcessId(1));
+        e.schedule_fate(fate(0, 1, true));
         e.run_rounds(4);
         assert!(e.counters().get("sim.dropped_crashed") > 0);
         assert!(e.process(ProcessId(1)).received.is_empty());
@@ -645,10 +535,10 @@ mod tests {
     #[test]
     fn recovery_resumes_execution() {
         let mut e = relay_engine(SimConfig::default(), 2);
-        e.crash(ProcessId(1));
+        e.schedule_fate(fate(0, 1, true));
         e.run_rounds(3);
         assert!(e.process(ProcessId(1)).received.is_empty());
-        e.recover(ProcessId(1));
+        e.schedule_fate(fate(3, 1, false));
         e.run_rounds(3);
         assert!(!e.process(ProcessId(1)).received.is_empty());
     }
@@ -873,7 +763,8 @@ mod tests {
 #[cfg(test)]
 mod trace_engine_tests {
     use super::*;
-    use da_core::trace::TraceVerdict;
+    use da_core::trace::{TraceConfig, TraceVerdict};
+    use da_core::{ChannelConfig, FailureModel};
 
     #[test]
     fn trace_off_allocates_no_recorder() {
@@ -977,7 +868,7 @@ mod trace_engine_tests {
 #[cfg(test)]
 mod churn_engine_tests {
     use super::*;
-    use da_core::Exec;
+    use da_core::{Exec, FailureModel};
 
     struct Quiet;
     #[derive(Clone, Debug)]

@@ -889,7 +889,7 @@ mod tests {
         );
         assert!(!ce.trace.is_empty(), "replay carries its trace stream");
         // And the scripted replay is an ordinary FaultConfig.
-        let faults = ce.to_fault_config(&FaultConfig::new());
+        let faults = ce.to_fault_config(&FaultConfig::default());
         assert!(matches!(faults.failure, FailureModel::Schedule(_)));
     }
 

@@ -6,7 +6,7 @@ use da_baselines::{
     build_broadcast_network, build_hierarchical_network, build_multicast_network, DeliveryLog,
     InterestMap,
 };
-use da_core::{first_divergence, ExecProtocol, FaultConfig, ProcessId, TraceConfig, WireSize};
+use da_core::{first_divergence, ExecProtocol, ProcessId, RunConfig, TraceConfig, WireSize};
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
@@ -253,13 +253,10 @@ fn assert_live_matches_sim<P>(
     let publisher = ProcessId::from_index(SIZES[0]);
     let run = |substrate: Substrate| {
         let procs = procs.clone();
-        let mut driver = Driver::spawn(
-            substrate,
-            SEED,
-            &FaultConfig::new(),
-            TraceConfig::full(),
-            procs,
-        );
+        let config = RunConfig::default()
+            .with_seed(SEED)
+            .with_trace(TraceConfig::full());
+        let mut driver = Driver::spawn(substrate, config, procs);
         let id = driver.apply(publisher, publish);
         driver.run_until_quiescent(96);
         let out = driver.finish();

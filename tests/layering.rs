@@ -317,6 +317,121 @@ fn one_driver_runs_a_population_on_either_substrate() {
     assert_eq!(by_hand, ["churn_chaos.rs"]);
 }
 
+/// One run config: the simulator sets exactly a seed, faults and a trace,
+/// the pool those plus its worker count and watchdog, and every setter
+/// is defined once, on `da_core::RunConfig`, whichever substrate's alias
+/// it is called through.
+#[test]
+fn each_run_config_knob_has_one_setter() {
+    let da_simnet::SimConfig {
+        seed: _,
+        faults: _,
+        trace: _,
+        pool: (),
+    } = da_simnet::SimConfig::default();
+    let da_runtime::RuntimeConfig {
+        pool:
+            da_core::PoolConfig {
+                workers: _,
+                tick_timeout_ms: _,
+            },
+        ..
+    } = da_runtime::RuntimeConfig::default();
+
+    let setters = [
+        "with_seed",
+        "with_faults",
+        "with_channel",
+        "with_topology",
+        "with_partitions",
+        "with_failures",
+        "with_trace",
+        "with_workers",
+        "with_tick_timeout_ms",
+    ];
+    for setter in setters {
+        let definition = format!("fn {setter}(");
+        let found: Vec<_> = sources("crates")
+            .into_iter()
+            .filter(|(path, _)| path.extension().is_some_and(|ext| ext == "rs"))
+            .flat_map(|(path, source)| {
+                let count = shipped(&path, &source).matches(&definition).count();
+                std::iter::repeat_n(path, count)
+            })
+            .collect();
+        assert_eq!(found.len(), 1, "{setter}: {found:?}");
+        assert!(found[0].ends_with("crates/da-core/src/run.rs"), "{setter}");
+    }
+    let gone =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/runtime/src/config.rs");
+    assert!(!gone.exists(), "{}", gone.display());
+}
+
+/// The `pub fn`s of every inherent `impl` of `ty` shipped in `file`,
+/// sorted.
+fn verbs(file: &str, ty: &str) -> Vec<String> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+    let source = std::fs::read_to_string(&path).expect("source file");
+    let mut inside = false;
+    let mut verbs = Vec::new();
+    for line in shipped(&path, &source).lines() {
+        if line.starts_with("impl") {
+            inside = line.contains(&format!(" {ty}<")) && !line.contains(" for ");
+        } else if let Some(rest) = line.strip_prefix("    pub fn ").filter(|_| inside) {
+            let name = rest.split(['(', '<']).next().unwrap_or_default();
+            verbs.push(name.to_owned());
+        }
+    }
+    verbs.sort();
+    verbs
+}
+
+/// Each substrate's public verbs, pinned: a new one is added on purpose,
+/// here, and a verb no shipped code calls (a manual crash hatch, a
+/// fire-and-forget twin of `with_process_mut`) does not come back.
+#[test]
+fn each_substrate_has_a_pinned_verb_list() {
+    assert_eq!(
+        verbs("crates/simnet/src/engine.rs", "Engine"),
+        [
+            "alive",
+            "counters",
+            "current_round",
+            "in_flight",
+            "into_processes",
+            "new",
+            "population",
+            "process",
+            "process_mut",
+            "processes",
+            "run_rounds",
+            "run_until_quiescent",
+            "schedule_fate",
+            "state_digest",
+            "status",
+            "step_round",
+            "step_round_with",
+            "trace_log",
+        ]
+    );
+    assert_eq!(
+        verbs("crates/runtime/src/runtime.rs", "Runtime"),
+        [
+            "counters",
+            "population",
+            "run_ticks",
+            "run_until_quiescent",
+            "shutdown",
+            "spawn",
+            "step_tick",
+            "trace_log",
+            "try_spawn",
+            "with_process_mut",
+            "workers",
+        ]
+    );
+}
+
 /// An envelope is its message plus 24 bytes of routing, and a wave keeps
 /// tens of thousands in flight: the stream's footprint, not its copying,
 /// is what the receive path pays for. Every shipped `ExecProtocol::Msg`

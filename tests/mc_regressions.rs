@@ -20,7 +20,7 @@
 //! shipped protocol verifies exhaustively at bounds where the
 //! `Mutation::SkipDedup` variant is caught.
 
-use da_core::{ChannelConfig, FailureModel, Fate, FaultConfig, Latency, ProcessId, TraceConfig};
+use da_core::{ChannelConfig, FailureModel, Fate, FaultConfig, Latency, ProcessId};
 use da_harness::experiments::mc::{
     base_config, published_event, single_group, single_group_processes, verify_dissemination,
     FullDelivery, NoDuplicateDelivery, NoParasite,
@@ -48,8 +48,8 @@ const SUBSTRATES: [Substrate; 2] = [Substrate::Sim, Substrate::Live { workers: 2
 /// `substrate` and returns the end-state processes.
 fn replay(substrate: Substrate, faults: &FaultConfig, mutation: Mutation) -> Vec<DaProcess> {
     let procs = single_group_processes(3, mutation);
-    let seed = base_config().seed;
-    let mut driver = Driver::spawn(substrate, seed, faults, TraceConfig::off(), procs);
+    let config = base_config().with_faults(faults.clone());
+    let mut driver = Driver::spawn(substrate, config, procs);
     driver.apply(ProcessId(0), |p| {
         p.publish("mc-probe");
     });
@@ -63,13 +63,16 @@ fn replay(substrate: Substrate, faults: &FaultConfig, mutation: Mutation) -> Vec
 /// exploration against the full-delivery invariant; pinned here as a
 /// plain scripted config.
 fn committed_crash_faults() -> FaultConfig {
-    FaultConfig::new()
-        .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)))
-        .with_failures(FailureModel::Schedule(vec![Fate {
+    FaultConfig {
+        network: ChannelConfig::reliable()
+            .with_latency(Latency::Fixed(1))
+            .into(),
+        failure: FailureModel::Schedule(vec![Fate {
             round: 0,
             pid: ProcessId(0),
             crash: true,
-        }]))
+        }]),
+    }
 }
 
 #[test]

@@ -17,14 +17,9 @@
 //! around a heal is timing-dependent, and the substrates' channel-draw
 //! sequences legitimately differ.
 
-use da_core::{
-    ChannelConfig, FaultConfig, Latency, NodeId, Partition, PartitionSchedule, Topology,
-};
-use da_core::{ProcessId, TraceConfig};
+use da_core::{ChannelConfig, Latency, ProcessId, RunConfig};
 use da_harness::experiments::live::{delivered_sets, partition_faults, pinned_params};
 use da_harness::substrate::{Driver, Substrate};
-use da_runtime::RuntimeConfig;
-use da_simnet::SimConfig;
 use damulticast::{EventId, StaticNetwork};
 use proptest::prelude::*;
 
@@ -57,14 +52,14 @@ fn run_partitioned(
         .expect("valid topology");
     let pubs: Vec<ProcessId> = net.groups().iter().map(|g| g.members[0]).collect();
     let leaf = &net.groups().last().expect("leaf group").members;
-    let lossy = FaultConfig::new().with_channel(
+    let lossy = RunConfig::default().with_seed(seed).with_channel(
         ChannelConfig::reliable()
             .with_success_probability(0.9)
             .with_latency(Latency::Fixed(latency)),
     );
-    let faults = partition_faults(&lossy, &leaf[leaf.len() - ISLAND..], cut, Some(heal));
+    let config = partition_faults(&lossy, &leaf[leaf.len() - ISLAND..], cut, Some(heal));
     let procs = net.into_processes();
-    let mut driver = Driver::spawn(substrate, seed, &faults, TraceConfig::off(), procs);
+    let mut driver = Driver::spawn(substrate, config, procs);
     for (level, pid) in pubs.into_iter().enumerate() {
         driver.apply(pid, move |p| p.publish(format!("event-{level}")));
     }
@@ -74,26 +69,6 @@ fn run_partitioned(
         delivered_sets(&out.processes),
         out.counters.get("da.parasite"),
     )
-}
-
-/// One fault surface for both substrates: the topology and partition
-/// builders of the two configs produce the same `FaultConfig`.
-#[test]
-fn topology_and_partition_builders_have_one_shape_on_both_configs() {
-    let topo = Topology::with_nodes(["a", "b"]).with_placement_range(0..2, NodeId(1));
-    let cuts = PartitionSchedule::none()
-        .with_partition(Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 4).heal_at(9));
-    let live = RuntimeConfig::default()
-        .with_topology(topo.clone())
-        .with_partitions(cuts.clone());
-    let sim = SimConfig::default()
-        .with_topology(topo)
-        .with_partitions(cuts);
-    assert_eq!(sim.faults, live.faults);
-    assert_eq!(
-        SimConfig::default().with_faults(live.faults.clone()).faults,
-        live.faults
-    );
 }
 
 proptest! {

@@ -7,10 +7,7 @@
 //! held to, and the send path's occurrence table counts like the
 //! pair-keyed map it is a packing of and reuses its allocation.
 
-use da_core::{
-    Counters, Exec, ExecProtocol, FaultConfig, LabelId, Occurrences, ProcessId, TraceConfig,
-    WireSize,
-};
+use da_core::{Counters, Exec, ExecProtocol, LabelId, Occurrences, ProcessId, RunConfig, WireSize};
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::MembershipMsg;
 use damulticast::{ControlMsg, DaMsg, DaProcess, Event, ParamMap, StaticNetwork, SuperEntry};
@@ -159,8 +156,7 @@ fn interned_and_named_bumps_build_the_same_registry() {
     ] {
         let run = |by_id| {
             let flood = Flood::population(population, by_id);
-            let mut driver =
-                Driver::spawn(substrate, 9, &FaultConfig::new(), TraceConfig::off(), flood);
+            let mut driver = Driver::spawn(substrate, RunConfig::default().with_seed(9), flood);
             driver.run_until_quiescent(64);
             let counters = driver.finish().counters;
             assert_eq!(counters.get(idle.name()), 0);

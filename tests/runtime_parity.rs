@@ -14,7 +14,7 @@
 
 use da_core::testkit::LifeProbe;
 use da_core::{
-    first_divergence, ChannelConfig, FailureModel, Fate, FaultConfig, Latency, ProcessId,
+    first_divergence, ChannelConfig, FailureModel, Fate, Latency, ProcessId, RunConfig,
     TraceConfig, TraceLog, TraceVerdict,
 };
 use da_harness::experiments::live::{delivered_sets, pinned_params};
@@ -29,7 +29,7 @@ const SIZES: [usize; 3] = [10, 100, 1000];
 const SIM: Substrate = Substrate::Sim;
 
 /// One event per level — published by the level's first member (leaf,
-/// mid, root events) — on a `sizes` chain over `faults`, with the
+/// mid, root events) — on a `sizes` chain under `config`, with the
 /// recorder on so a parity failure can name the first divergent envelope
 /// instead of just "the sets differ". `advance` runs the published
 /// population: to quiescence, or for a fixed horizon. Returns
@@ -37,15 +37,15 @@ const SIM: Substrate = Substrate::Sim;
 fn run(
     substrate: Substrate,
     sizes: &[usize],
-    seed: u64,
-    faults: &FaultConfig,
+    config: &RunConfig,
     advance: impl FnOnce(&mut Driver<DaProcess>),
 ) -> (Vec<Vec<EventId>>, u64, TraceLog) {
-    let net =
-        StaticNetwork::linear(sizes, pinned_params(20.0, 12.0), seed).expect("valid topology");
+    let net = StaticNetwork::linear(sizes, pinned_params(20.0, 12.0), config.seed)
+        .expect("valid topology");
     let publishers: Vec<ProcessId> = net.groups().iter().map(|g| g.members[0]).collect();
     let procs = net.into_processes();
-    let mut driver = Driver::spawn(substrate, seed, faults, TraceConfig::full(), procs);
+    let config = config.clone().with_trace(TraceConfig::full());
+    let mut driver = Driver::spawn(substrate, config, procs);
     for (level, pid) in publishers.into_iter().enumerate() {
         driver.apply(pid, move |p| p.publish(format!("event-{level}")));
     }
@@ -60,7 +60,8 @@ fn run(
 
 /// The paper topology over perfect channels, to quiescence.
 fn run_paper(substrate: Substrate, seed: u64) -> (Vec<Vec<EventId>>, u64) {
-    let (sets, parasites, _) = run(substrate, &SIZES, seed, &FaultConfig::new(), |driver| {
+    let config = RunConfig::default().with_seed(seed);
+    let (sets, parasites, _) = run(substrate, &SIZES, &config, |driver| {
         driver.run_until_quiescent(128);
     });
     (sets, parasites)
@@ -138,13 +139,15 @@ fn live_outcome_is_stable_across_pool_shapes() {
 /// number of times, and ends in the same status.
 #[test]
 fn failure_fates_match_the_simulator_at_any_worker_count() {
-    let faults = FaultConfig::new().with_failures(FailureModel::Churn {
-        crash_probability: 0.15,
-        recover_probability: 0.3,
-    });
+    let config = RunConfig::default()
+        .with_seed(11)
+        .with_failures(FailureModel::Churn {
+            crash_probability: 0.15,
+            recover_probability: 0.3,
+        });
     let run = |substrate: Substrate| {
         let probes = vec![LifeProbe::default(); 12];
-        let mut driver = Driver::spawn(substrate, 11, &faults, TraceConfig::off(), probes);
+        let mut driver = Driver::spawn(substrate, config.clone(), probes);
         driver.run_ticks(40);
         let out = driver.finish();
         let churn = ["churn_crashes", "churn_recoveries"]
@@ -174,11 +177,12 @@ fn same_round_crash_and_recovery_matches_the_simulator() {
         pid: ProcessId(1),
         crash,
     };
-    let faults =
-        FaultConfig::new().with_failures(FailureModel::Schedule(vec![fate(true), fate(false)]));
+    let config = RunConfig::default()
+        .with_failures(FailureModel::Schedule(vec![fate(true), fate(false)]))
+        .with_trace(TraceConfig::full());
     let run = |substrate: Substrate| {
         let probes = vec![LifeProbe::default(); 4];
-        let mut driver = Driver::spawn(substrate, 0, &faults, TraceConfig::full(), probes);
+        let mut driver = Driver::spawn(substrate, config.clone(), probes);
         driver.run_ticks(5);
         let out = driver.finish();
         let trace = out.trace.expect("tracing is on");
@@ -247,14 +251,14 @@ proptest! {
         latency in 1u64..=4,
         workers in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
     ) {
-        let faults = FaultConfig::new().with_channel(
+        let config = RunConfig::default().with_seed(seed).with_channel(
             ChannelConfig::reliable()
                 .with_success_probability(0.9)
                 .with_latency(Latency::Fixed(latency)),
         );
         let [(sim_sets, sim_parasites, sim_trace), (live_sets, live_parasites, live_trace)] =
             [SIM, Substrate::Live { workers }].map(|substrate| {
-                run(substrate, &PROP_SIZES, seed, &faults, |driver| {
+                run(substrate, &PROP_SIZES, &config, |driver| {
                     driver.run_until_quiescent(192);
                 })
             });
@@ -312,7 +316,8 @@ proptest! {
             crash_probability: 0.01,
             recover_probability: 0.3,
         };
-        let faults = FaultConfig::new()
+        let config = RunConfig::default()
+            .with_seed(seed)
             .with_channel(
                 ChannelConfig::reliable()
                     .with_success_probability(0.9)
@@ -323,7 +328,7 @@ proptest! {
         // on both substrates.
         let [(sim_sets, sim_parasites, sim_trace), (live_sets, live_parasites, live_trace)] =
             [SIM, Substrate::Live { workers }].map(|substrate| {
-                run(substrate, &PROP_SIZES, seed, &faults, |driver| driver.run_ticks(TICKS))
+                run(substrate, &PROP_SIZES, &config, |driver| driver.run_ticks(TICKS))
             });
 
         prop_assert_eq!(sim_parasites, 0, "simulator saw a parasite");

@@ -24,6 +24,13 @@ fn simnet_types_are_serde() {
 }
 
 #[test]
+fn run_config_types_are_serde() {
+    is_serde::<da_core::RunConfig>();
+    is_serde::<da_core::PoolConfig>();
+    is_serde::<da_runtime::RuntimeConfig>();
+}
+
+#[test]
 fn fault_and_topology_types_are_serde() {
     is_serde::<da_core::FaultConfig>();
     is_serde::<da_core::NetworkModel>();

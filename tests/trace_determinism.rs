@@ -13,19 +13,14 @@
 //! failures are the documented exception — their draws are
 //! observer-local — and are deliberately absent.)
 
-use da_core::{ChannelConfig, FailureModel, FaultConfig, Latency, TraceEvent};
+use da_core::{ChannelConfig, FailureModel, Latency, RunConfig, TraceEvent};
 use da_harness::experiments::trace::probe_trace;
 use da_harness::substrate::Substrate;
 use proptest::prelude::*;
 
 /// One canonical stream for a pool width.
-fn canonical_stream(
-    population: u32,
-    faults: &FaultConfig,
-    seed: u64,
-    workers: usize,
-) -> Vec<TraceEvent> {
-    probe_trace(Substrate::Live { workers }, population, faults, seed).canonical_events()
+fn canonical_stream(population: u32, config: &RunConfig, workers: usize) -> Vec<TraceEvent> {
+    probe_trace(Substrate::Live { workers }, population, config).canonical_events()
 }
 
 proptest! {
@@ -44,25 +39,25 @@ proptest! {
         churned in prop_oneof![Just(false), Just(true)],
         floor in 1u64..=4,
     ) {
-        let mut faults = FaultConfig::new().with_channel(
+        let mut config = RunConfig::default().with_seed(seed).with_channel(
             ChannelConfig::reliable()
                 .with_success_probability(success)
                 .with_latency(Latency::UniformRounds { min: floor, max: floor + 2 }),
         );
         if churned {
-            faults = faults.with_failures(FailureModel::Churn {
+            config = config.with_failures(FailureModel::Churn {
                 crash_probability: 0.05,
                 recover_probability: 0.3,
             });
         }
 
-        let reference = canonical_stream(population, &faults, seed, 1);
+        let reference = canonical_stream(population, &config, 1);
         prop_assert!(
             !reference.is_empty(),
             "the probe workload always sends something"
         );
         for workers in [2usize, 4, 8] {
-            let stream = canonical_stream(population, &faults, seed, workers);
+            let stream = canonical_stream(population, &config, workers);
             prop_assert_eq!(
                 &reference,
                 &stream,
