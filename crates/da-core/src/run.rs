@@ -166,17 +166,24 @@ mod tests {
     use crate::topology::{NodeId, Partition};
 
     #[test]
-    fn default_is_faultless_and_auto_sized() {
+    fn sim_default_is_faultless() {
         let sim = RunConfig::<()>::default();
         assert_eq!(sim.seed, 0);
         assert!(sim.faults.network.is_perfect());
+        assert_eq!(sim.faults.network.channel, ChannelConfig::reliable());
         assert_eq!(sim.faults.failure, FailureModel::None);
         assert!(!sim.trace.is_enabled());
         assert_ne!(sim, sim.clone().with_seed(1));
+    }
+
+    #[test]
+    fn pool_default_is_auto_sized() {
         let pool = RunConfig::<PoolConfig>::default();
         assert_eq!(pool.pool.workers, 0);
         assert_eq!(pool.pool.tick_timeout_ms, 60_000);
-        assert_eq!(pool.faults, sim.faults);
+        assert_eq!(pool.faults, RunConfig::<()>::default().faults);
+        assert!(pool.faults.network.is_perfect());
+        assert!(!pool.trace.is_enabled());
     }
 
     #[test]
@@ -206,6 +213,22 @@ mod tests {
             RunConfig::<()>::default().with_faults(faults).faults,
             c.faults
         );
+    }
+
+    #[test]
+    fn topology_and_partition_builders_share_the_sim_shape() {
+        let topo = Topology::with_nodes(["a", "b"]).with_placement_range(0..2, NodeId(1));
+        let cuts = PartitionSchedule::none()
+            .with_partition(Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 4).heal_at(9));
+        let pool = RunConfig::<PoolConfig>::default()
+            .with_topology(topo.clone())
+            .with_partitions(cuts.clone());
+        let sim = RunConfig::<()>::default()
+            .with_topology(topo.clone())
+            .with_partitions(cuts.clone());
+        assert_eq!(pool.faults.network.topology, Some(topo));
+        assert_eq!(pool.faults.network.partitions, cuts);
+        assert_eq!(pool.faults, sim.faults);
     }
 
     #[test]

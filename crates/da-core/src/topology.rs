@@ -698,6 +698,16 @@ impl NetworkModel {
     /// The fastest delivery any link of this model can ever sample —
     /// the drift bound a bounded-lag scheduler may exploit. The minimum
     /// of the default channel's floor and every override's.
+    ///
+    /// ```
+    /// use da_core::channel::{ChannelConfig, Latency};
+    /// use da_core::run::RunConfig;
+    ///
+    /// assert_eq!(RunConfig::<()>::default().faults.network.min_latency(), 1);
+    /// let slack = RunConfig::<()>::default()
+    ///     .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(3)));
+    /// assert_eq!(slack.faults.network.min_latency(), 3);
+    /// ```
     #[must_use]
     pub fn min_latency(&self) -> u64 {
         let base = self.channel.min_latency();
