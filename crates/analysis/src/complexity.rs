@@ -7,10 +7,8 @@
 //! (`T_t`), the last index is the root (`T_0`) — callers supply a slice
 //! ordered bottom-up.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-group parameters entering the complexity formulas.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupLevel {
     /// Group size `S_Ti`.
     pub s: usize,

@@ -9,10 +9,8 @@
 //! case"), `t` is the hierarchy depth, `N` the number of groups of the
 //! hierarchical baseline, `n` the total population.
 
-use serde::{Deserialize, Serialize};
-
 /// A closed interval `[lo, hi]` of admissible `c` values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CRange {
     /// Inclusive lower end.
     pub lo: f64,

@@ -55,7 +55,7 @@ impl HierarchicalProcess {
     }
 
     /// Queues an event for publication on the process' interest topic.
-    pub fn publish(&mut self, payload: impl Into<bytes::Bytes>) -> EventId {
+    pub fn publish(&mut self, payload: impl Into<Vec<u8>>) -> EventId {
         let topic = self.interests.interest_of(self.me);
         let event = Event::new(self.me, self.next_sequence, topic, payload);
         self.next_sequence += 1;

@@ -14,7 +14,6 @@
 //!   superprocess is found.
 
 use da_topics::{TopicHierarchy, TopicId};
-use serde::{Deserialize, Serialize};
 
 /// What the embedding protocol should do for the bootstrap task this round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +30,7 @@ pub enum BootstrapAction {
 }
 
 /// State machine of `FIND_SUPER_CONTACT`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BootstrapTask {
     my_topic: TopicId,
     direct_super: TopicId,

@@ -172,7 +172,7 @@ impl DagProcess {
     }
 
     /// Queues a publication on this process' own topic.
-    pub fn publish(&mut self, payload: impl Into<bytes::Bytes>) -> EventId {
+    pub fn publish(&mut self, payload: impl Into<Vec<u8>>) -> EventId {
         let event = Event::new(self.me, self.next_sequence, self.topic, payload);
         self.next_sequence += 1;
         let id = event.id();

@@ -1,7 +1,5 @@
-use bytes::Bytes;
 use da_core::{ProcessId, WireSize};
 use da_topics::TopicId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -10,7 +8,7 @@ use std::sync::Arc;
 ///
 /// Processes de-duplicate on this id ("Done only the first time the
 /// message is received", Fig. 5 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId {
     /// The publishing process.
     pub publisher: ProcessId,
@@ -55,7 +53,7 @@ pub struct Event {
 struct Inner {
     id: EventId,
     topic: TopicId,
-    payload: Bytes,
+    payload: Box<[u8]>,
 }
 
 // One word per copy: at 40 bytes (id, topic and a fat payload pointer
@@ -70,7 +68,7 @@ impl Event {
         publisher: ProcessId,
         sequence: u64,
         topic: TopicId,
-        payload: impl Into<Bytes>,
+        payload: impl Into<Vec<u8>>,
     ) -> Self {
         Event {
             inner: Arc::new(Inner {
@@ -79,7 +77,7 @@ impl Event {
                     sequence,
                 },
                 topic,
-                payload: payload.into(),
+                payload: payload.into().into_boxed_slice(),
             }),
         }
     }
@@ -155,7 +153,7 @@ mod tests {
         assert_eq!(
             format!("{a:?}"),
             "Event { id: EventId { publisher: ProcessId(1), sequence: 7 }, \
-             topic: TopicId(0), payload: Bytes { data: [97, 98, 99] } }"
+             topic: TopicId(0), payload: [97, 98, 99] }"
         );
     }
 
@@ -170,7 +168,7 @@ mod tests {
 
     #[test]
     fn wire_size_includes_payload() {
-        let empty = Event::new(ProcessId(0), 0, TopicId::ROOT, Bytes::new());
+        let empty = Event::new(ProcessId(0), 0, TopicId::ROOT, Vec::new());
         let full = Event::new(ProcessId(0), 0, TopicId::ROOT, vec![0u8; 100]);
         assert_eq!(full.wire_size() - empty.wire_size(), 100);
     }

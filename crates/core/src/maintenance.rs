@@ -8,7 +8,6 @@
 //! (lines 12–14).
 
 use da_core::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What the embedding protocol should do for the maintenance task.
@@ -37,14 +36,14 @@ pub enum MaintenanceAction {
 }
 
 /// Internal phase of the check cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Idle,
     AwaitingPongs { nonce: u64, sent_at: u64 },
 }
 
 /// State machine of `KEEP_TABLE_UPDATED`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaintenanceTask {
     period: u64,
     ping_timeout: u64,

@@ -90,12 +90,6 @@ impl MetroProcess {
         self
     }
 
-    /// True when `headline` was delivered (or published) here.
-    #[must_use]
-    pub fn has_seen(&self, headline: u8) -> bool {
-        self.seen_mask & (1u64 << headline) != 0
-    }
-
     /// Number of distinct headlines delivered here.
     #[must_use]
     pub fn headlines_seen(&self) -> u32 {

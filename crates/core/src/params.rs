@@ -9,11 +9,10 @@
 use crate::DaError;
 use da_membership::FanoutRule;
 use da_topics::TopicId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-topic daMulticast parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopicParams {
     /// Membership view constant `b` — topic tables hold `(b+1)·ln(S)` ids.
     pub b: f64,
@@ -170,7 +169,7 @@ impl Default for TopicParams {
 /// params.set(TopicId::ROOT, custom);
 /// assert_eq!(params.for_topic(TopicId::ROOT).z, 5);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParamMap {
     default: TopicParams,
     overrides: HashMap<TopicId, TopicParams>,
@@ -195,12 +194,6 @@ impl ParamMap {
     #[must_use]
     pub fn for_topic(&self, topic: TopicId) -> TopicParams {
         self.overrides.get(&topic).copied().unwrap_or(self.default)
-    }
-
-    /// The default parameters.
-    #[must_use]
-    pub fn default_params(&self) -> TopicParams {
-        self.default
     }
 
     /// Validates every parameter set in the map.

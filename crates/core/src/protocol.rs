@@ -371,7 +371,7 @@ impl DaProcess {
     /// Queues an event for publication on this process' own topic. The
     /// event is delivered locally and disseminated at the next round hook.
     /// Returns the event's id.
-    pub fn publish(&mut self, payload: impl Into<bytes::Bytes>) -> EventId {
+    pub fn publish(&mut self, payload: impl Into<Vec<u8>>) -> EventId {
         let event = Event::new(self.me, self.next_sequence, self.topic, payload);
         self.next_sequence += 1;
         let id = event.id();

@@ -11,11 +11,10 @@ use da_core::ProcessId;
 use da_topics::TopicId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One supertable entry: a contact and the (ancestor) topic it is
 /// interested in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SuperEntry {
     /// The superprocess.
     pub pid: ProcessId,
@@ -38,7 +37,7 @@ pub struct SuperEntry {
 /// table.insert(SuperEntry { pid: ProcessId(1), topic: TopicId::ROOT }, &mut rng);
 /// assert_eq!(table.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuperTable {
     owner: ProcessId,
     capacity: usize,

@@ -15,7 +15,6 @@
 use crate::seed::{derive_seed, rng_from_seed};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Message latency, measured in virtual-time units (gossip rounds on the
 /// simulator, ticks on the live runtime).
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// `n` is available at the start of round `n + 1`, which is
 /// [`Latency::Fixed`]`(1)`. [`Latency::UniformRounds`] models jittery
 /// links where delivery may straggle by several rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Latency {
     /// Every message takes exactly this many rounds (minimum 1).
     Fixed(u64),
@@ -114,7 +113,7 @@ pub enum ChannelFate {
 /// let paper = ChannelConfig::paper_default();
 /// assert!((paper.success_probability - 0.85).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelConfig {
     /// Probability that a sent message survives the channel
     /// (`p_succ` in the paper's analysis).

@@ -33,7 +33,6 @@ use crate::process::ProcessId;
 use crate::seed::{derive_seed, rng_from_seed};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Seed stream tag of the stillborn population shuffle.
 const STILLBORN_STREAM: u64 = 0xFA11;
@@ -43,7 +42,7 @@ const OBSERVER_STREAM: u64 = 0x0B5E;
 const CHURN_STREAM: u64 = 0xC402;
 
 /// A scripted liveness transition used by [`FailureModel::Schedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fate {
     /// Round at the start of which the transition applies.
     pub round: u64,
@@ -54,7 +53,7 @@ pub struct Fate {
 }
 
 /// Declarative failure model of a run (simulated or live).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum FailureModel {

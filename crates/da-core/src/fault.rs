@@ -8,7 +8,6 @@
 
 use crate::failure::FailureModel;
 use crate::topology::NetworkModel;
-use serde::{Deserialize, Serialize};
 
 /// Everything that can go wrong in one run, in one value: the
 /// [`NetworkModel`] (default channel, optional topology, partition
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((faults.network.channel.success_probability - 0.85).abs() < 1e-12);
 /// assert!(FaultConfig::default().network.is_perfect());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultConfig {
     /// The network fault model: channel, topology, partitions.
     pub network: NetworkModel,

@@ -69,7 +69,7 @@ pub use process::{ProcessId, ProcessIndexError, ProcessStatus};
 pub use run::{PoolConfig, RunConfig};
 pub use seed::{derive_seed, rng_for_process, rng_from_seed};
 pub use store::ProcessStore;
-pub use stripe::{HotIds, Ledger, Outbound, Stripe, StripeTrace, TickTally};
+pub use stripe::{HotIds, Ledger, Outbound, Stripe, StripeTrace, TickReport, TickTally};
 pub use topology::{
     DropSchedule, NetFate, NetworkModel, NodeId, Occurrences, Partition, PartitionSchedule,
     ScriptedDrop, Topology,

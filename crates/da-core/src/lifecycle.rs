@@ -16,8 +16,8 @@ use crate::seed::{derive_seed, rng_from_seed};
 use rand::rngs::SmallRng;
 use std::sync::Arc;
 
-/// Seed stream tag separating the per-worker observer streams from the
-/// plan's own observation stream.
+/// Seed stream tag of the per-stripe observer streams, derived from the
+/// plan's observation seed.
 const WORKER_OBSERVER_STREAM: u64 = 0x0B5E_0000_0000_0100;
 
 /// What one [`LifecycleController::begin_tick`] changed.
@@ -115,14 +115,6 @@ impl LifecycleController {
         }
     }
 
-    /// Moves observation onto the plan's own stream — for the
-    /// simulator's single stripe, which draws in delivery order.
-    #[must_use]
-    pub fn on_plan_stream(mut self) -> Self {
-        self.observer_rng = rng_from_seed(self.plan.observation_seed());
-        self
-    }
-
     /// The plan this controller applies.
     #[must_use]
     pub fn plan(&self) -> &FailurePlan {
@@ -205,9 +197,9 @@ impl LifecycleController {
     ///
     /// Per-observer failures are *per transmission by definition*
     /// (independent Bernoulli draws, uncorrelated across observers), so
-    /// a per-worker stream reproduces the model exactly; only the — by
-    /// construction meaningless — global draw order differs from the
-    /// simulator's single stream.
+    /// a per-worker stream reproduces the model exactly. The simulator's
+    /// single stripe draws on worker 0's stream, so it and a one-worker
+    /// pool observe the same failures.
     #[must_use]
     #[inline]
     pub fn observes_alive(&mut self) -> bool {

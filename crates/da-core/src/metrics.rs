@@ -16,11 +16,10 @@
 //! (delivery latency in ticks, delay-wheel occupancy, watermark lag):
 //! power-of-two buckets, so recording is a `leading_zeros` plus an array
 //! increment and merging is element-wise addition. [`TraceLog`] bundles
-//! the flight recorder's output — causal events, per-verdict counts,
-//! named histograms — with JSONL and Chrome-tracing exporters.
+//! the flight recorder's output — causal events and named histograms —
+//! with JSONL and Chrome-tracing exporters.
 
-use crate::trace::{canonicalize, TraceEvent, TraceVerdict};
-use serde::{Deserialize, Serialize};
+use crate::trace::{canonicalize, TraceEvent};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -119,7 +118,7 @@ impl Hasher for KeyHasher {
 pub type KeyBuildHasher = BuildHasherDefault<KeyHasher>;
 
 /// Handle to a registered counter. Obtained from [`Counters::register`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CounterId(u32);
 
 /// A counter name interned for the whole process: `Copy`, four bytes,
@@ -220,7 +219,7 @@ impl LabelId {
 /// assert_eq!(c.get("intra.t2"), 4);
 /// assert_eq!(c.get("never-registered"), 0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Counters {
     values: Vec<u64>,
     names: Vec<String>,
@@ -228,7 +227,6 @@ pub struct Counters {
     /// `slots[label]` is the index into `values` of an interned label
     /// this registry has counted, [`NO_SLOT`] otherwise. Process-local:
     /// it is keyed by [`LabelId`], which does not survive the process.
-    #[serde(skip)]
     slots: Vec<u32>,
 }
 
@@ -418,7 +416,7 @@ const HISTOGRAM_BUCKETS: usize = 65;
 /// assert_eq!(h.max(), 8);
 /// assert!((h.mean() - 2.6).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
@@ -518,8 +516,7 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// One JSON object summarising the distribution (hand-rolled — the
-    /// offline serde shim cannot serialize).
+    /// One JSON object summarising the distribution.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut buckets = String::from("[");
@@ -555,8 +552,8 @@ impl fmt::Display for Histogram {
 
 /// Everything one substrate's flight recorder captured during a run:
 /// the causal event stream (bounded; overflow counted in
-/// [`TraceLog::dropped_events`]), per-verdict totals, and named
-/// histograms, with hand-rolled JSONL / Chrome-tracing exporters.
+/// [`TraceLog::dropped_events`]) and named histograms, with JSONL /
+/// Chrome-tracing exporters. Totals are read from [`Counters`].
 ///
 /// Both substrates build one per stripe with
 /// [`StripeTrace::log`](crate::StripeTrace::log); the live runtime
@@ -569,9 +566,6 @@ pub struct TraceLog {
     pub events: Vec<TraceEvent>,
     /// Events lost to the recorder capacity bound.
     pub dropped_events: u64,
-    /// Per-verdict totals, indexed by [`TraceVerdict::index`] — these
-    /// see every event, including filtered-in events beyond capacity.
-    pub verdict_counts: [u64; TraceVerdict::COUNT],
     /// Named distributions (e.g. `delivery_latency_ticks`,
     /// `wheel_occupancy`, `watermark_lag`).
     pub histograms: Vec<(String, Histogram)>,
@@ -582,12 +576,6 @@ impl TraceLog {
     #[must_use]
     pub fn new() -> Self {
         TraceLog::default()
-    }
-
-    /// Total for one verdict.
-    #[must_use]
-    pub fn count(&self, verdict: TraceVerdict) -> u64 {
-        self.verdict_counts[verdict.index()]
     }
 
     /// Looks up a histogram by name.
@@ -608,15 +596,12 @@ impl TraceLog {
     }
 
     /// Folds another log into this one: events appended after this
-    /// log's (canonicalize before comparing streams), dropped and
-    /// per-verdict counts summed, histograms merged by name. The pool
+    /// log's (canonicalize before comparing streams), dropped counts
+    /// summed, histograms merged by name. The pool
     /// folds its workers' logs this way, in worker-id order.
     pub fn merge_from(&mut self, other: &TraceLog) {
         self.events.extend_from_slice(&other.events);
         self.dropped_events += other.dropped_events;
-        for (mine, theirs) in self.verdict_counts.iter_mut().zip(&other.verdict_counts) {
-            *mine += theirs;
-        }
         for (name, h) in &other.histograms {
             self.add_histogram(name, h);
         }
@@ -662,12 +647,6 @@ impl fmt::Display for TraceLog {
             self.events.len(),
             self.dropped_events
         )?;
-        for verdict in TraceVerdict::ALL {
-            let n = self.count(verdict);
-            if n > 0 {
-                writeln!(f, "  {}: {}", verdict.label(), n)?;
-            }
-        }
         for (name, h) in &self.histograms {
             writeln!(f, "  {name}: {h}")?;
         }
@@ -678,6 +657,7 @@ impl fmt::Display for TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceVerdict;
 
     #[test]
     fn register_is_idempotent() {
@@ -922,18 +902,16 @@ mod tests {
             payload: 4,
             verdict: TraceVerdict::Delivered,
         });
-        log.verdict_counts[TraceVerdict::Delivered.index()] = 1;
         let mut h = Histogram::new();
         h.record(3);
         log.add_histogram("delivery_latency_ticks", &h);
         log.add_histogram("delivery_latency_ticks", &h);
-        assert_eq!(log.count(TraceVerdict::Delivered), 1);
         assert_eq!(log.histogram("delivery_latency_ticks").unwrap().count(), 2);
         assert!(log.histogram("nope").is_none());
         assert!(log.to_jsonl().contains("\"verdict\":\"delivered\""));
         assert!(log.to_chrome_trace().contains("\"ph\":\"i\""));
         let text = log.to_string();
-        assert!(text.contains("delivered: 1"));
+        assert!(text.starts_with("TraceLog (1 events, 0 dropped)"));
         assert!(text.contains("delivery_latency_ticks"));
     }
 
@@ -950,7 +928,6 @@ mod tests {
                 verdict,
             });
             log.dropped_events = 2;
-            log.verdict_counts[verdict.index()] = 3;
             let mut h = Histogram::new();
             h.record(tick);
             log.add_histogram("delivery_latency_ticks", &h);
@@ -966,8 +943,6 @@ mod tests {
         folded.merge_from(&second);
         assert_eq!(folded.events, [first.events[0], second.events[0]]);
         assert_eq!(folded.dropped_events, 4);
-        assert_eq!(folded.count(TraceVerdict::Sent), 3);
-        assert_eq!(folded.count(TraceVerdict::Delivered), 3);
         let names: Vec<&str> = folded.histograms.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["delivery_latency_ticks", "a", "b"]);
         assert_eq!(folded.histogram("delivery_latency_ticks").unwrap().sum(), 3);

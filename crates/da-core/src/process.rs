@@ -1,7 +1,6 @@
 //! Process identity and liveness — the vocabulary both substrates (and
 //! the failure model below them) share.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a process (`pl` in the paper).
@@ -14,7 +13,7 @@ use std::fmt;
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(p.to_string(), "p3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u32);
 
 impl ProcessId {
@@ -91,7 +90,7 @@ impl fmt::Display for ProcessId {
 ///
 /// The paper's model (Sec. III-A): "processes might crash and recover (a
 /// process that is not crashed is said to be alive)".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessStatus {
     /// The process executes round hooks and receives messages.
     Alive,

@@ -11,7 +11,6 @@ use crate::failure::FailureModel;
 use crate::fault::FaultConfig;
 use crate::topology::{PartitionSchedule, Topology};
 use crate::trace::TraceConfig;
-use serde::{Deserialize, Serialize};
 
 /// Everything one run is configured by: the master seed, the fault
 /// surface, the flight recorder, and — on the worker pool — the pool's
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((config.faults.network.channel.success_probability - 0.85).abs() < 1e-12);
 /// assert_eq!(config.pool.workers, 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunConfig<Pool = ()> {
     /// Master seed from which every RNG stream is derived — the same
     /// derivation on both substrates, so a process keeps its stream
@@ -49,7 +48,7 @@ pub struct RunConfig<Pool = ()> {
 }
 
 /// The worker pool's own knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolConfig {
     /// Worker threads in the pool. `0` (the default) means one per
     /// available CPU, capped by the population.

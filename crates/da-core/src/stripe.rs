@@ -98,6 +98,38 @@ pub struct TickTally {
     pub undeliverable: u64,
 }
 
+/// Aggregate summary of one executed tick, on either substrate: the
+/// simulator's `Engine::step_round` and the pool's `Runtime::step_tick`
+/// both return one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TickReport {
+    /// The tick that was executed.
+    pub tick: u64,
+    /// Messages handed to the network during this tick (including ones
+    /// the unreliable channel then lost).
+    pub sent: u64,
+    /// Messages handed to `on_message` during this tick.
+    pub delivered: u64,
+    /// Messages in flight at the end of this tick, due in a later one:
+    /// every envelope the channel let through, from the moment its
+    /// sender queued it until it is delivered or consumed at its due
+    /// tick. On the pool this is the coordinator's ledger, so it equals
+    /// the simulator's `Engine::in_flight()` after the same round
+    /// whatever the workers' relative timing. (A receiver's wheel would
+    /// not do: inside the drift window it can report a tick before a
+    /// faster peer's batch reaches it.)
+    pub pending: u64,
+}
+
+impl TickReport {
+    /// True when the tick neither delivered nor produced messages and
+    /// none are in flight — the quiescence criterion.
+    #[must_use]
+    pub fn is_quiet(&self) -> bool {
+        self.sent == 0 && self.delivered == 0 && self.pending == 0
+    }
+}
+
 /// A stripe's flight-recorder state when tracing is on.
 #[derive(Debug, Clone)]
 pub struct StripeTrace {
@@ -108,15 +140,14 @@ pub struct StripeTrace {
 }
 
 impl StripeTrace {
-    /// A snapshot of what the stripe recorded: its events, dropped count
-    /// and verdict counts, the `delivery_latency_ticks` histogram, then
-    /// the substrate's own histograms in the order given.
+    /// A snapshot of what the stripe recorded: its events and dropped
+    /// count, the `delivery_latency_ticks` histogram, then the
+    /// substrate's own histograms in the order given.
     #[must_use]
     pub fn log(&self, extra: &[(&str, &Histogram)]) -> TraceLog {
         let mut log = TraceLog {
             events: self.recorder.events().to_vec(),
             dropped_events: self.recorder.dropped(),
-            verdict_counts: *self.recorder.counts(),
             histograms: Vec::new(),
         };
         log.add_histogram("delivery_latency_ticks", &self.delivery_latency);
@@ -140,16 +171,6 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Counts `n` envelopes lost in bulk under a counter of the
-    /// substrate's own (a closed lane, a shutdown): no per-envelope
-    /// identity is left to trace, so the recorder keeps the count alone.
-    pub fn count_dropped(&mut self, id: CounterId, verdict: TraceVerdict, n: u64) {
-        self.counters.add(id, n);
-        if let Some(trace) = self.trace.as_mut() {
-            trace.recorder.count_only(verdict, n);
-        }
-    }
-
     #[inline]
     fn record_send(&mut self, tick: u64, from: ProcessId, to: ProcessId, size: u64, fate: NetFate) {
         self.tally.sent += 1;
@@ -534,9 +555,12 @@ mod tests {
         assert_eq!(counters.get("t.bytes_sent"), 6);
         assert_eq!(counters.get("t.dropped_channel"), 2);
         assert_eq!(counters.get("t.dropped_partitioned"), 2);
-        let trace = s.ledger.trace.as_ref().unwrap();
-        assert_eq!(trace.recorder.count(TraceVerdict::Sent), 6);
-        assert_eq!(trace.recorder.count(TraceVerdict::DroppedChannel), 2);
+        let verdicts = |v| {
+            let events = s.ledger.trace.as_ref().unwrap().recorder.events();
+            events.iter().filter(|e| e.verdict == v).count()
+        };
+        assert_eq!(verdicts(TraceVerdict::Sent), 6);
+        assert_eq!(verdicts(TraceVerdict::DroppedChannel), 2);
         assert_eq!(last_event(&s), (0, 2, 3, TraceVerdict::Sent));
 
         // The next tick runs no on_start again, delivers under the

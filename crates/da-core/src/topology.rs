@@ -30,13 +30,12 @@ use crate::channel::{ChannelConfig, ChannelFate};
 use crate::metrics::KeyBuildHasher;
 use crate::process::ProcessId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of one topology node (a rack, site, or datacenter —
 /// whatever unit fails together). Dense indices into
 /// [`Topology::with_nodes`]'s name list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -75,7 +74,7 @@ impl std::fmt::Display for NodeId {
 /// assert_eq!(topo.link(NodeId(1), NodeId(0)), Some(wan));
 /// assert_eq!(topo.link(NodeId(0), NodeId(0)), None, "intra-node: default");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Topology {
     /// Node names, indexed by [`NodeId`].
     names: Vec<String>,
@@ -246,7 +245,7 @@ impl Topology {
 ///
 /// Nodes not listed in any island are unaffected — they keep talking to
 /// everyone. Two nodes in the *same* island also keep talking.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// The mutually isolated node groups.
     pub islands: Vec<Vec<NodeId>>,
@@ -325,7 +324,7 @@ impl Partition {
 /// assert!(!schedule.severed(a, b, 9), "healed");
 /// assert!(!schedule.severed(a, a, 6), "same island always talks");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartitionSchedule {
     partitions: Vec<Partition>,
 }
@@ -372,7 +371,7 @@ impl PartitionSchedule {
 /// happened to lose exactly that envelope" branch as an ordinary fault
 /// config: the explorer records which send it dropped, and the replay
 /// kills the same send on either substrate with zero RNG involvement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScriptedDrop {
     /// The round/tick the doomed send happens at.
     pub tick: u64,
@@ -392,7 +391,7 @@ pub struct ScriptedDrop {
 ///
 /// Empty schedules are free: [`NetworkModel::decide_fate`] with an
 /// empty schedule makes exactly the channel's draws.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DropSchedule {
     drops: Vec<ScriptedDrop>,
 }
@@ -567,7 +566,7 @@ pub enum NetFate {
 ///     NetFate::Deliver { latency: 2 },
 /// );
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkModel {
     /// The default channel: used for every link without a topology
     /// override (and for everything in the uniform case).

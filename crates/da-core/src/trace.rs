@@ -6,10 +6,11 @@
 //! A [`TraceEvent`] records one decision the substrate made about one
 //! message (or one lifecycle transition of one process): the tick it
 //! happened on, the edge it concerns, a payload id, and a
-//! [`TraceVerdict`] mirroring the envelope-ledger counter categories
-//! exactly (`sim.dropped_crashed` and `rt.dropped_crashed` are one
+//! [`TraceVerdict`] named after the envelope-ledger counter it sits
+//! beside (`sim.dropped_crashed` and `rt.dropped_crashed` are one
 //! verdict, [`TraceVerdict::DroppedCrashed`]: the substrates differ in the
-//! prefix alone, so their streams compare directly).
+//! prefix alone, so their streams compare directly). The totals are the
+//! counters' alone; the recorder keeps no count table of its own.
 //!
 //! Recording is zero-cost when off: both engines hold an
 //! `Option<TraceRecorder>`-shaped slot that is `None` unless the
@@ -27,15 +28,15 @@
 //! streams disagree.
 
 use crate::process::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default per-recorder event capacity (events beyond this are counted
 /// in [`TraceRecorder::dropped`] rather than stored).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
-/// What happened to one message (or one process) — the trace-side twin
-/// of the envelope-ledger counters.
+/// What happened to one message (or one process). The pool's bulk
+/// losses (`rt.dropped_closed`, `rt.dropped_shutdown`) have no verdict:
+/// no per-envelope identity is left to trace.
 ///
 /// The variant order is the canonical tie-break order used by
 /// [`canonicalize`]: within a tick, sends sort before deliveries, which
@@ -46,7 +47,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 /// assert_eq!(TraceVerdict::DroppedCrashed.label(), "dropped_crashed");
 /// assert!(TraceVerdict::Sent < TraceVerdict::Delivered);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceVerdict {
     /// The protocol handed the message to the transport
     /// (`sim.sent` / `rt.sent`).
@@ -67,12 +68,6 @@ pub enum TraceVerdict {
     /// as failed (`sim.dropped_observed_failed` /
     /// `rt.dropped_observed_failed`).
     DroppedObserved,
-    /// The destination worker had already shut down
-    /// (`rt.dropped_closed`; the simulator never emits this).
-    DroppedClosed,
-    /// The message was still in flight when the runtime shut down
-    /// (`rt.dropped_shutdown`; the simulator never emits this).
-    DroppedShutdown,
     /// The process crashed this tick (`sim.churn_crashes` /
     /// `rt.churn_crashes`, plus scripted crashes).
     Crashed,
@@ -82,32 +77,7 @@ pub enum TraceVerdict {
 }
 
 impl TraceVerdict {
-    /// Number of verdict variants (the size of a per-verdict count
-    /// table).
-    pub const COUNT: usize = 10;
-
-    /// Every verdict, in canonical order.
-    pub const ALL: [TraceVerdict; TraceVerdict::COUNT] = [
-        TraceVerdict::Sent,
-        TraceVerdict::Delivered,
-        TraceVerdict::DroppedChannel,
-        TraceVerdict::DroppedPartitioned,
-        TraceVerdict::DroppedCrashed,
-        TraceVerdict::DroppedObserved,
-        TraceVerdict::DroppedClosed,
-        TraceVerdict::DroppedShutdown,
-        TraceVerdict::Crashed,
-        TraceVerdict::Recovered,
-    ];
-
-    /// Dense index of this verdict (its position in
-    /// [`TraceVerdict::ALL`]).
-    #[must_use]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// The snake_case name used in JSONL exports and count tables.
+    /// The snake_case name used in JSONL and Chrome-trace exports.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -117,8 +87,6 @@ impl TraceVerdict {
             TraceVerdict::DroppedPartitioned => "dropped_partitioned",
             TraceVerdict::DroppedCrashed => "dropped_crashed",
             TraceVerdict::DroppedObserved => "dropped_observed_failed",
-            TraceVerdict::DroppedClosed => "dropped_closed",
-            TraceVerdict::DroppedShutdown => "dropped_shutdown",
             TraceVerdict::Crashed => "crashed",
             TraceVerdict::Recovered => "recovered",
         }
@@ -132,16 +100,15 @@ impl fmt::Display for TraceVerdict {
 }
 
 /// How much the flight recorder captures.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TraceMode {
     /// No recorder is allocated; the hot path pays one branch on a
     /// `None`.
     #[default]
     Off,
-    /// Per-verdict counts (and the trace histograms) only — no event
-    /// buffer.
+    /// Histograms, no event buffer.
     CountersOnly,
-    /// Counts plus the bounded causal event stream.
+    /// Histograms plus the bounded causal event stream.
     Full,
 }
 
@@ -157,7 +124,7 @@ pub enum TraceMode {
 /// assert!(!TraceConfig::counters_only().records_events());
 /// assert!(!TraceConfig::off().is_enabled());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Recording mode (default [`TraceMode::Off`]).
     pub mode: TraceMode,
@@ -181,7 +148,7 @@ impl TraceConfig {
         }
     }
 
-    /// Per-verdict counts and histograms, no event buffer.
+    /// Histograms, no event buffer.
     #[must_use]
     pub fn counters_only() -> Self {
         TraceConfig {
@@ -241,7 +208,7 @@ impl TraceConfig {
 /// };
 /// assert_eq!(e.to_string(), "t3 p0→p7 delivered [12B]");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceEvent {
     /// Round (simulator) or tick (runtime) the decision was made on.
     /// Drop-at-delivery verdicts stamp the *delivery* tick.
@@ -273,18 +240,17 @@ impl TraceEvent {
     /// order causally; everything after erases scheduler-dependent
     /// within-tick interleaving.
     #[must_use]
-    pub fn sort_key(&self) -> (u64, usize, u32, u32, u64) {
+    pub fn sort_key(&self) -> (u64, TraceVerdict, u32, u32, u64) {
         (
             self.tick,
-            self.verdict.index(),
+            self.verdict,
             self.from.0,
             self.to.0,
             self.payload,
         )
     }
 
-    /// One JSONL line (no trailing newline): the hand-rolled export the
-    /// offline serde shim cannot provide.
+    /// One JSONL line (no trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
@@ -416,9 +382,8 @@ pub fn events_to_chrome_trace(events: &[TraceEvent]) -> String {
     out
 }
 
-/// The per-stripe recording buffer: an unsynchronised
-/// append on the hot path, bounded by the configured capacity, with
-/// per-verdict counts maintained even in
+/// The per-stripe recording buffer: an unsynchronised append on the hot
+/// path, bounded by the configured capacity, and nothing at all in
 /// [`TraceMode::CountersOnly`].
 ///
 /// Construct through [`TraceRecorder::new`], which returns `None` for a
@@ -439,7 +404,6 @@ pub fn events_to_chrome_trace(events: &[TraceEvent]) -> String {
 ///     payload: 4,
 ///     verdict: TraceVerdict::Sent,
 /// });
-/// assert_eq!(rec.count(TraceVerdict::Sent), 1);
 /// assert_eq!(rec.events().len(), 1);
 /// assert_eq!(rec.dropped(), 0);
 /// ```
@@ -448,7 +412,6 @@ pub struct TraceRecorder {
     config: TraceConfig,
     events: Vec<TraceEvent>,
     dropped: u64,
-    counts: [u64; TraceVerdict::COUNT],
 }
 
 impl TraceRecorder {
@@ -462,15 +425,13 @@ impl TraceRecorder {
             config: *config,
             events: Vec::new(),
             dropped: 0,
-            counts: [0; TraceVerdict::COUNT],
         })
     }
 
-    /// Records one event: bumps its verdict count and, in
-    /// [`TraceMode::Full`], appends it to the buffer (counting overflow
-    /// beyond the capacity instead of storing it).
+    /// Records one event: in [`TraceMode::Full`], appends it to the
+    /// buffer (counting overflow beyond the capacity instead of storing
+    /// it).
     pub fn record(&mut self, event: TraceEvent) {
-        self.counts[event.verdict.index()] += 1;
         if self.config.records_events() {
             if self.events.len() < self.config.capacity {
                 self.events.push(event);
@@ -480,31 +441,10 @@ impl TraceRecorder {
         }
     }
 
-    /// Bumps a verdict count by `n` without storing events — for bulk
-    /// accounting where per-envelope identity is gone (batched
-    /// closed-worker drops, shutdown drains).
-    pub fn count_only(&mut self, verdict: TraceVerdict, n: u64) {
-        self.counts[verdict.index()] += n;
-    }
-
     /// The buffered events (empty in [`TraceMode::CountersOnly`]).
     #[must_use]
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Count of events recorded with `verdict` (including any the
-    /// capacity bound dropped).
-    #[must_use]
-    pub fn count(&self, verdict: TraceVerdict) -> u64 {
-        self.counts[verdict.index()]
-    }
-
-    /// The full per-verdict count table, indexed by
-    /// [`TraceVerdict::index`].
-    #[must_use]
-    pub fn counts(&self) -> &[u64; TraceVerdict::COUNT] {
-        &self.counts
     }
 
     /// Events lost to the capacity bound.
@@ -528,14 +468,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn verdict_table_is_dense_and_labelled() {
-        for (i, v) in TraceVerdict::ALL.iter().enumerate() {
-            assert_eq!(v.index(), i);
-            assert!(!v.label().is_empty());
-        }
-        assert_eq!(TraceVerdict::ALL.len(), TraceVerdict::COUNT);
-    }
+    /// Every verdict, in canonical order: the six a message can meet,
+    /// then the two lifecycle transitions.
+    const VERDICTS: [TraceVerdict; 8] = [
+        TraceVerdict::Sent,
+        TraceVerdict::Delivered,
+        TraceVerdict::DroppedChannel,
+        TraceVerdict::DroppedPartitioned,
+        TraceVerdict::DroppedCrashed,
+        TraceVerdict::DroppedObserved,
+        TraceVerdict::Crashed,
+        TraceVerdict::Recovered,
+    ];
 
     /// The six verdicts a message can meet are the ledger's counters:
     /// each label is the suffix of a name in the one counter table.
@@ -544,7 +488,7 @@ mod tests {
         let mut counters = crate::Counters::new();
         crate::HotIds::register(&mut counters, "x");
         let names: Vec<String> = counters.iter().map(|(name, _)| name.to_owned()).collect();
-        for verdict in &TraceVerdict::ALL[..6] {
+        for verdict in &VERDICTS[..6] {
             let name = format!("x.{}", verdict.label());
             assert!(names.contains(&name), "{name} not in {names:?}");
         }
@@ -558,21 +502,18 @@ mod tests {
         assert_eq!(cfg.capacity, DEFAULT_TRACE_CAPACITY);
         // Switched on, it records every verdict: there is no filter.
         let mut rec = TraceRecorder::new(&TraceConfig::full()).unwrap();
-        for v in TraceVerdict::ALL {
+        for v in VERDICTS {
             rec.record(ev(0, 0, 1, 4, v));
-            rec.count_only(v, 2);
-            assert_eq!(rec.count(v), 3, "{v}");
         }
-        assert_eq!(rec.events().len(), TraceVerdict::COUNT);
+        let recorded: Vec<TraceVerdict> = rec.events().iter().map(|e| e.verdict).collect();
+        assert_eq!(recorded, VERDICTS);
     }
 
     #[test]
-    fn counters_only_counts_without_buffering() {
+    fn counters_only_buffers_nothing() {
         let mut rec = TraceRecorder::new(&TraceConfig::counters_only()).unwrap();
         rec.record(ev(0, 0, 1, 4, TraceVerdict::Sent));
         rec.record(ev(1, 0, 1, 4, TraceVerdict::Delivered));
-        assert_eq!(rec.count(TraceVerdict::Sent), 1);
-        assert_eq!(rec.count(TraceVerdict::Delivered), 1);
         assert!(rec.events().is_empty());
         assert_eq!(rec.dropped(), 0);
     }
@@ -585,7 +526,6 @@ mod tests {
         }
         assert_eq!(rec.events().len(), 2);
         assert_eq!(rec.dropped(), 3);
-        assert_eq!(rec.count(TraceVerdict::Sent), 5, "counts see every event");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   only) — once the system settles, every process has delivered the
 //!   publication.
 //!
-//! A violation comes back as a [`Counterexample`] whose scripted drops
-//! and crash fates replay as an ordinary `FaultConfig` on either
-//! substrate; `tests/mc_regressions.rs` commits found counterexamples
+//! A violation comes back as a [`da_simnet::mc::Counterexample`] whose
+//! scripted drops and crash fates replay as an ordinary `FaultConfig` on
+//! either substrate; `tests/mc_regressions.rs` commits found counterexamples
 //! as deterministic regression tests. The [`Mutation::SkipDedup`]
 //! variant exists so the checker can demonstrate it actually finds
 //! bugs: the mutant must yield a counterexample at the same bounds
@@ -34,10 +34,8 @@
 //! [`da_simnet::mc::OrderingMode::PerDestination`] and a state cap to stay in CI
 //! budgets. See the module docs of [`da_simnet::mc`] for the knobs.
 
-use crate::report::KeyedTable;
-use crate::stats::Summary;
 use da_core::ProcessId;
-use da_simnet::mc::{Counterexample, Explorer, Invariant, McConfig, McReport};
+use da_simnet::mc::{Explorer, Invariant, McConfig, McReport};
 use da_simnet::{Engine, SimConfig};
 use damulticast::{DaProcess, EventId, Mutation, ParamMap, StaticNetwork};
 
@@ -251,111 +249,11 @@ pub fn verify_dissemination(population: usize, config: McConfig, mutation: Mutat
     dissemination_explorer(config).explore(&base_config(), single_group(population, mutation))
 }
 
-/// One row of the mc table: scenario name plus the report it produced.
-fn push_report_row(table: &mut KeyedTable, key: &str, report: &McReport) {
-    table.push_row(
-        key,
-        vec![
-            Summary::exact(report.stats.states as f64),
-            Summary::exact(report.stats.transitions as f64),
-            Summary::exact(report.stats.max_round as f64),
-            Summary::exact(report.stats.dedup_hits as f64),
-            Summary::exact(if report.verified() { 1.0 } else { 0.0 }),
-            Summary::exact(if report.violation.is_some() { 1.0 } else { 0.0 }),
-        ],
-    );
-}
-
-/// Runs the standard verification suite and tabulates it:
-///
-/// * `exhaustive_3proc` — 3 processes, full ordering, one drop and one
-///   crash point: every interleaving × drop choice × crash point must
-///   verify (the ISSUE's acceptance scenario);
-/// * `bounded_5proc` — 5 processes under per-destination partial-order
-///   reduction with a state cap: a search, not a proof, but still zero
-///   violations;
-/// * `mutant_3proc` — the [`Mutation::SkipDedup`] variant at the same
-///   bounds as `exhaustive_3proc` must yield a replayable
-///   counterexample.
-///
-/// # Panics
-///
-/// Panics when the shipped protocol fails to verify or the mutant
-/// fails to produce a counterexample — both break the checker's
-/// contract.
-#[must_use]
-pub fn run_mc_suite(max_states_5proc: usize) -> KeyedTable {
-    let mut table = KeyedTable::new(
-        "Bounded model checking: dissemination safety",
-        "scenario",
-        vec![
-            "states".into(),
-            "transitions".into(),
-            "max_round".into(),
-            "dedup_hits".into(),
-            "verified".into(),
-            "violation".into(),
-        ],
-    );
-
-    let exhaustive = verify_dissemination(
-        3,
-        McConfig {
-            max_rounds: 6,
-            drop_budget: 1,
-            crash_budget: 1,
-            ..McConfig::default()
-        },
-        Mutation::None,
-    );
-    assert!(
-        exhaustive.verified(),
-        "3-process dissemination must verify exhaustively: {:?}",
-        exhaustive.violation.as_ref().map(Counterexample::summary)
-    );
-    push_report_row(&mut table, "exhaustive_3proc", &exhaustive);
-
-    let bounded = verify_dissemination(
-        5,
-        McConfig {
-            max_rounds: 5,
-            ordering: da_simnet::mc::OrderingMode::PerDestination,
-            max_states: max_states_5proc,
-            ..McConfig::default()
-        },
-        Mutation::None,
-    );
-    assert!(
-        bounded.violation.is_none(),
-        "5-process bounded search must stay clean: {:?}",
-        bounded.violation.as_ref().map(Counterexample::summary)
-    );
-    push_report_row(&mut table, "bounded_5proc", &bounded);
-
-    let mutant = verify_dissemination(
-        3,
-        McConfig {
-            max_rounds: 6,
-            drop_budget: 1,
-            crash_budget: 1,
-            ..McConfig::default()
-        },
-        Mutation::SkipDedup,
-    );
-    assert!(
-        mutant.violation.is_some(),
-        "the SkipDedup mutant must be caught within the same bounds"
-    );
-    push_report_row(&mut table, "mutant_3proc", &mutant);
-
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use da_core::{FailureModel, FaultConfig};
-    use da_simnet::mc::OrderingMode;
+    use da_simnet::mc::{Counterexample, OrderingMode};
 
     /// The ISSUE's acceptance scenario: 3-process dissemination, all
     /// interleavings × per-envelope drop choices × one crash point,

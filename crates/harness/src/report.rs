@@ -1,13 +1,12 @@
 //! Result tables and their CSV / Markdown renderings.
 
 use crate::stats::Summary;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// A table of summarised series: one row per x-value (e.g. alive
 /// fraction), one column per series (e.g. group T2 / T1 / T0).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesTable {
     /// Table title (used as the heading and the output file stem).
     pub title: String,
@@ -20,7 +19,7 @@ pub struct SeriesTable {
 }
 
 /// One row of a [`SeriesTable`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesRow {
     /// The x value.
     pub x: f64,
@@ -104,8 +103,7 @@ impl SeriesTable {
     }
 
     /// Renders the table as a single JSON object — the machine-readable
-    /// form CI artifacts consume (`live_vs_sim --json`). Hand-rolled
-    /// (the workspace serde shim is marker-only), schema:
+    /// form CI artifacts consume (`live_vs_sim --json`). Schema:
     /// `{"title", "x_label", "columns", "rows": [{"x", "values": [summary…]}]}`.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -154,7 +152,7 @@ impl SeriesTable {
 
 /// A table keyed by row label instead of a numeric x — used for the
 /// algorithm-comparison tables (Sec. VI-E), where rows are algorithms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KeyedTable {
     /// Table title (also the output file stem).
     pub title: String,

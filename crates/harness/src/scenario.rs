@@ -11,10 +11,9 @@ use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
 use da_topics::TopicId;
 use damulticast::{ParamMap, StaticNetwork, TopicParams};
-use serde::{Deserialize, Serialize};
 
 /// Failure regime of a scenario, mirroring the paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FailureKind {
     /// Everyone stays alive.
     None,
@@ -37,7 +36,7 @@ impl FailureKind {
 }
 
 /// Configuration of one paper scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Group sizes, top-down: `[S_T0, S_T1, …]` (the paper uses
     /// `[10, 100, 1000]`).
@@ -100,7 +99,7 @@ impl ScenarioConfig {
 }
 
 /// Per-group and aggregate measurements of one scenario run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
     /// Event messages gossiped inside each group, top-down per level.
     pub intra: Vec<f64>,

@@ -1,10 +1,8 @@
 //! Trial statistics: mean / standard deviation / extrema over repeated
 //! simulation runs.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of one metric across trials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

@@ -214,12 +214,10 @@ mod tests {
         assert_eq!((sim.events.len(), sim.dropped_events), (7, 29));
         assert_eq!(live.events, sim.events);
         assert_eq!(live.dropped_events, sim.dropped_events);
-        assert_eq!(live.verdict_counts, sim.verdict_counts);
         let latency = |log: &TraceLog| log.histogram("delivery_latency_ticks").cloned();
         assert_eq!(latency(&live), latency(&sim));
 
         let wide = run(Substrate::Live { workers: 3 });
         assert_eq!((wide.events.len(), wide.dropped_events), (21, 15));
-        assert_eq!(wide.verdict_counts, sim.verdict_counts);
     }
 }

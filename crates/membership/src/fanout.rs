@@ -1,7 +1,5 @@
 //! View sizing and gossip fanout rules.
 
-use serde::{Deserialize, Serialize};
-
 /// Size of a KMG partial view: `⌈(b + 1)·ln(S)⌉`, capped at `S − 1`
 /// (a process never lists itself).
 ///
@@ -29,7 +27,7 @@ pub fn kmg_view_size(b: f64, group_size: usize) -> usize {
 /// (fanout 8 for `S = 1000`, `c = 5`). Both are provided, along with a
 /// fixed fanout for ablations; the fanout is `⌊log(S) + c⌋`, capped at
 /// `S − 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FanoutRule {
     /// `⌊ln(S) + c⌋` — the analysis' natural-log rule.
     LnPlusC {

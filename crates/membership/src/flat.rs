@@ -11,10 +11,9 @@
 use crate::{kmg_view_size, MembershipMsg, PartialView};
 use da_core::ProcessId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the flat membership component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MembershipParams {
     /// The paper's `b` constant: views have size `(b + 1)·ln(S)`.
     pub b: f64,

@@ -11,11 +11,10 @@ use crate::{kmg_view_size, MembershipError};
 use da_core::ProcessId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Partition of a population into `N` interest-oblivious groups.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HierarchicalLayout {
     groups: Vec<Vec<ProcessId>>,
     group_of: HashMap<ProcessId, usize>,

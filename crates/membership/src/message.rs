@@ -1,11 +1,10 @@
 use da_core::{ProcessId, WireSize};
-use serde::{Deserialize, Serialize};
 
 /// Messages of the flat gossip membership protocol.
 ///
 /// These are embedded by higher layers (daMulticast wraps them in its own
 /// envelope so membership digests can piggyback supertopic-table entries).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MembershipMsg {
     /// A joining process announces itself to a contact.
     JoinRequest,

@@ -12,7 +12,6 @@ use da_core::seed::{derive_seed, rng_from_seed};
 use da_core::ProcessId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A static undirected overlay graph assigning each process a small random
 /// neighbourhood.
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let overlay = Overlay::random(10, 4, 42).unwrap();
 /// assert!(overlay.neighbors(ProcessId(0)).len() >= 4);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Overlay {
     neighbors: Vec<Vec<ProcessId>>,
 }

@@ -1,7 +1,6 @@
 use da_core::ProcessId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A bounded partial view of a process group.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// view.insert(ProcessId(1), &mut rng); // duplicate: ignored
 /// assert_eq!(view.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialView {
     owner: ProcessId,
     capacity: usize,

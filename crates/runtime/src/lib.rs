@@ -119,12 +119,12 @@ mod worker;
 // everything else is imported from `da_core` directly.
 pub use da_core::{
     Counters, Envelope, ExecProtocol, FaultConfig, Histogram, LifecycleController,
-    LifecycleTransitions, PoolConfig, ProcessId, ProcessStatus, RunConfig, TraceConfig, TraceLog,
-    WireSize,
+    LifecycleTransitions, PoolConfig, ProcessId, ProcessStatus, RunConfig, TickReport, TraceConfig,
+    TraceLog, WireSize,
 };
 // Unused by the pool; kept for the benchmark's `metrics.*` probes.
 pub use metrics::{ShardOutOfRange, ShardedCounters};
-pub use runtime::{Runtime, RuntimeConfig, Shutdown, TickReport};
+pub use runtime::{Runtime, RuntimeConfig, Shutdown};
 pub use transport::{
     lane_matrix, BatchPool, EdgeInbox, EdgeWatermarks, FaultyRouter, FlushReport, Hub, LaneClosed,
 };

@@ -6,7 +6,6 @@
 //! described in [`crate::runtime`].
 
 use crate::transport::{EdgeInbox, EdgeWatermarks, FaultyRouter};
-use da_core::trace::TraceVerdict;
 use da_core::wheel::{DelayWheel, Envelope};
 use da_core::{
     CounterId, Counters, ExecProtocol, Histogram, ProcessId, ProcessStatus, Stripe, TraceLog,
@@ -348,10 +347,8 @@ where
         let mut in_flight = self.wheel.discard_all() as u64;
         in_flight += self.inbox.drain();
         if in_flight > 0 {
-            let verdict = TraceVerdict::DroppedShutdown;
-            self.stripe
-                .ledger
-                .count_dropped(self.dropped_shutdown, verdict, in_flight);
+            let id = self.dropped_shutdown;
+            self.stripe.ledger.counters.add(id, in_flight);
         }
     }
 
@@ -401,10 +398,8 @@ where
         let flush = self.faulty.flush();
         if flush.dropped_closed > 0 {
             // Closed-inbox drops surface as a flush total, not per envelope.
-            let (id, verdict) = (self.dropped_closed, TraceVerdict::DroppedClosed);
-            self.stripe
-                .ledger
-                .count_dropped(id, verdict, flush.dropped_closed);
+            let id = self.dropped_closed;
+            self.stripe.ledger.counters.add(id, flush.dropped_closed);
         }
         self.sched.marks.publish(self.id, tick + 1);
         if let Some(trace) = self.trace.as_mut() {

@@ -482,7 +482,7 @@ where
                     stats.transitions += 1;
                     stats.max_round = stats.max_round.max(engine.current_round());
 
-                    let quiescent = report.is_quiet() && engine.in_flight() == 0;
+                    let quiescent = report.is_quiet();
                     if let Some(violation) = self.check_state(&engine, quiescent) {
                         let (invariant, detail) = violation;
                         let mut fates = node.fates.clone();
@@ -490,14 +490,14 @@ where
                         let mut drops = node.drops.clone();
                         drops.extend(strategy.drops_made.iter().copied());
                         let mut ordering_trails = node.ordering_trails.clone();
-                        ordering_trails.push((report.round, strategy.trail.clone()));
+                        ordering_trails.push((report.tick, strategy.trail.clone()));
                         let counterexample = self.verify_fifo_replay(
                             base,
                             &make,
                             Counterexample {
                                 invariant,
                                 detail,
-                                round: report.round,
+                                round: report.tick,
                                 fates,
                                 drops,
                                 ordering_trails,
@@ -551,7 +551,7 @@ where
                     drops.extend(strategy.drops_made.iter().copied());
                     let mut ordering_trails = node.ordering_trails.clone();
                     if !strategy.trail.is_empty() {
-                        ordering_trails.push((report.round, strategy.trail.clone()));
+                        ordering_trails.push((report.tick, strategy.trail.clone()));
                     }
                     stack.push(SearchNode {
                         engine,
@@ -648,7 +648,7 @@ where
         let mut engine = make(replay_config);
         for _ in 0..self.config.max_rounds {
             let report = engine.step_round();
-            let quiescent = report.is_quiet() && engine.in_flight() == 0;
+            let quiescent = report.is_quiet();
             if self.check_state(&engine, quiescent).is_some() {
                 counterexample.fifo_replayable = true;
                 let mut events = engine.trace_log().map(|log| log.events).unwrap_or_default();

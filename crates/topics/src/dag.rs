@@ -7,7 +7,6 @@
 //! is reachability.
 
 use crate::{TopicError, TopicId};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A rooted directed acyclic graph of topics supporting multiple direct
@@ -32,7 +31,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopicDag {
     names: Vec<String>,
     parents: Vec<Vec<TopicId>>,

@@ -1,11 +1,10 @@
 use crate::iter::{Ancestors, BreadthFirst, Descendants};
 use crate::{TopicError, TopicId, TopicPath};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Metadata about one topic in a [`TopicHierarchy`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopicInfo {
     path: TopicPath,
     parent: Option<TopicId>,
@@ -59,7 +58,7 @@ impl TopicInfo {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopicHierarchy {
     nodes: Vec<TopicInfo>,
     index: HashMap<String, TopicId>,

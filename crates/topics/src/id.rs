@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A cheap, copyable handle identifying a topic inside a
@@ -13,7 +12,7 @@ use std::fmt;
 /// let h = TopicHierarchy::new();
 /// assert_eq!(h.root(), TopicId::ROOT);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TopicId(pub(crate) u32);
 
 impl TopicId {

@@ -20,7 +20,7 @@ use da_core::{
 use da_harness::experiments::live::{delivered_sets, pinned_params};
 use da_harness::experiments::trace::describe_divergence;
 use da_harness::substrate::{Driver, Substrate};
-use damulticast::{DaProcess, EventId, StaticNetwork};
+use damulticast::{DaProcess, Event, EventId, ParamMap, StaticNetwork};
 use proptest::prelude::*;
 
 /// The paper's Sec. VII-A topology with pinned-high trade-off knobs.
@@ -166,6 +166,69 @@ fn failure_fates_match_the_simulator_at_any_worker_count() {
     }
 }
 
+/// On reliable channels a one-worker pool replays the simulator: the same
+/// counters (prefix aside), the same delivery order at every process, the
+/// same final statuses and the same quiescent tick, under each of the
+/// paper's failure models. Both deliver a tick's dues in send order, draw
+/// per-observer failures on worker 0's observer stream in that order, and
+/// churn from the shared plan. Lossy channels are out of scope: the
+/// simulator draws fates on its engine stream, the pool on keyed edge
+/// streams.
+#[test]
+fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
+    let models = [
+        FailureModel::None,
+        FailureModel::Stillborn {
+            alive_fraction: 0.8,
+        },
+        FailureModel::PerObserver {
+            alive_fraction: 0.8,
+        },
+        FailureModel::Churn {
+            crash_probability: 0.01,
+            recover_probability: 0.2,
+        },
+    ];
+    for failure in models {
+        for seed in [1, 2] {
+            let config = RunConfig::default()
+                .with_seed(seed)
+                .with_failures(failure.clone());
+            let run = |substrate: Substrate| {
+                let net = StaticNetwork::linear(&[10, 100, 400], ParamMap::default(), seed)
+                    .expect("valid topology");
+                let leaf = net.groups().last().expect("a leaf group").members[..8].to_vec();
+                let mut driver = Driver::spawn(substrate, config.clone(), net.into_processes());
+                for pid in leaf {
+                    driver.apply(pid, |p| p.publish("wave"));
+                }
+                let quiescent = driver.run_until_quiescent(256);
+                let out = driver.finish();
+                let prefix = format!("{}.", substrate.prefix());
+                let mut counters: Vec<(String, u64)> = out
+                    .counters
+                    .iter()
+                    .filter(|&(_, value)| value > 0)
+                    .map(|(name, value)| (name.strip_prefix(&prefix).unwrap_or(name).into(), value))
+                    .collect();
+                counters.sort();
+                let logs: Vec<Vec<EventId>> = out
+                    .processes
+                    .iter()
+                    .map(|p| p.delivered().iter().map(Event::id).collect())
+                    .collect();
+                (counters, quiescent, out.statuses, logs)
+            };
+            let (sim, live) = (run(SIM), run(Substrate::Live { workers: 1 }));
+            let case = format!("{failure:?}, seed {seed}");
+            assert_eq!(sim.0, live.0, "counters: {case}");
+            assert_eq!(sim.1, live.1, "quiescent tick: {case}");
+            assert!(sim.2 == live.2, "final statuses: {case}");
+            assert!(sim.3 == live.3, "ordered delivery logs: {case}");
+        }
+    }
+}
+
 /// A crash and a recovery of one process scripted into the same round
 /// are one net transition (`FailurePlan::transition`): the process never
 /// goes down, re-enters through `on_recover` once, and the trace holds a
@@ -186,8 +249,14 @@ fn same_round_crash_and_recovery_matches_the_simulator() {
         driver.run_ticks(5);
         let out = driver.finish();
         let trace = out.trace.expect("tracing is on");
-        assert_eq!(trace.count(TraceVerdict::Recovered), 1, "{substrate:?}");
-        assert_eq!(trace.count(TraceVerdict::Crashed), 0, "{substrate:?}");
+        let lifecycle: Vec<_> = trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.verdict, TraceVerdict::Crashed | TraceVerdict::Recovered))
+            .map(|e| (e.tick, e.from, e.verdict))
+            .collect();
+        let recovered = (2, ProcessId(1), TraceVerdict::Recovered);
+        assert_eq!(lifecycle, [recovered], "{substrate:?}");
         for (pid, probe) in out.processes.iter().enumerate() {
             assert_eq!(probe.recoveries, u64::from(pid == 1), "{substrate:?} {pid}");
             assert_eq!(probe.rounds, [0, 1, 2, 3, 4], "nobody missed a round");
