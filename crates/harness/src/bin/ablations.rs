@@ -1,5 +1,6 @@
-//! Runs the four **ablations** of DESIGN.md: the `g` election weight, the
-//! supertable size `z`, the fanout rule, and the maintenance cadence.
+//! Runs the four **ablations**: the `g` election weight, the supertable
+//! size `z`, the fanout rule, and the maintenance cadence (ARCHITECTURE.md,
+//! "Where the paper's figures live").
 //!
 //! Usage: `cargo run --release -p da-harness --bin ablations [--quick]`
 

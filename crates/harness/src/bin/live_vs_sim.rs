@@ -6,7 +6,7 @@
 //! probability, a churn sweep over the per-tick crash probability, and
 //! a partition sweep over the cut-and-heal tick, checking the
 //! substrates agree within 3σ at every point. Every sweep drives both
-//! substrates through one `RunConfig`. A flight-recorder
+//! substrates through one `ScenarioConfig`. A flight-recorder
 //! trace diff closes the run: the same-seed sim/live canonical event
 //! streams must be bit-identical, and a deliberately lossy pair must
 //! report a correct first-divergent event.
@@ -18,7 +18,7 @@
 //! stdout (for CI artifacts) instead of the Markdown renderings; the
 //! per-row 3σ verdicts move to stderr so stdout stays pure JSON.
 
-use da_core::{ChannelConfig, FailureModel, Latency, RunConfig};
+use da_core::{ChannelConfig, FailureModel, FaultConfig, Latency, RunConfig};
 use da_harness::experiments::live::{
     churn_sweep_crash_rates, partition_sweep_heal_ticks, ratios_agree_within_3_sigma,
     reliability_sweep_probabilities, run_churn_sweep, run_live_vs_sim, run_partition_sweep,
@@ -28,7 +28,7 @@ use da_harness::experiments::trace::run_trace_diff;
 use da_harness::experiments::Effort;
 use da_harness::report::{KeyedTable, SeriesTable};
 use da_harness::results_dir;
-use damulticast::ParamMap;
+use da_harness::scenario::ScenarioConfig;
 
 fn check_rows(table: &SeriesTable, label: &str, json: bool, disagreements: &mut u32) {
     for row in &table.rows {
@@ -58,9 +58,12 @@ fn check_rows(table: &SeriesTable, label: &str, json: bool, disagreements: &mut 
 fn main() {
     let effort = Effort::from_args();
     let json = std::env::args().any(|a| a == "--json");
-    let sizes = effort.scenario().group_sizes;
-    let params = ParamMap::uniform(effort.scenario().params);
-    let table = run_live_vs_sim(&sizes, &params, effort.trials(), 0x11FE);
+    // Perfect channels and no failures; each sweep overrides its axis.
+    let scenario = ScenarioConfig {
+        faults: FaultConfig::default(),
+        ..effort.scenario()
+    };
+    let table = run_live_vs_sim(&scenario, effort.trials(), 0x11FE);
     if !json {
         print!("{}", table.to_markdown());
     }
@@ -72,10 +75,9 @@ fn main() {
     // two-tick latency floor, under which the pool's workers drift two
     // ticks apart during the same sweep.
     for latency in [Latency::Fixed(1), Latency::Fixed(2)] {
-        let base = RunConfig::default()
-            .with_seed(0x5EED)
-            .with_channel(ChannelConfig::reliable().with_latency(latency));
-        let sweep = run_reliability_sweep(&sizes, &params, &probs, &base, effort.trials());
+        let mut base = scenario.clone();
+        base.faults.network.channel = ChannelConfig::reliable().with_latency(latency);
+        let sweep = run_reliability_sweep(&base, &probs, 0x5EED, effort.trials());
         if !json {
             println!("\nlatency {latency:?}:");
             print!("{}", sweep.to_markdown());
@@ -90,17 +92,15 @@ fn main() {
 
     // The churn sweep: the same comparison with the process failure
     // plan (crash/recovery fates shared across substrates) as the axis.
-    let churn_base = RunConfig::default()
-        .with_seed(0xC4A0)
-        .with_failures(FailureModel::Churn {
-            crash_probability: 0.0,
-            recover_probability: 0.3,
-        });
+    let mut churn_base = scenario.clone();
+    churn_base.faults.failure = FailureModel::Churn {
+        crash_probability: 0.0,
+        recover_probability: 0.3,
+    };
     let churn = run_churn_sweep(
-        &sizes,
-        &params,
-        &churn_sweep_crash_rates(),
         &churn_base,
+        &churn_sweep_crash_rates(),
+        0xC4A0,
         effort.trials(),
     );
     if !json {
@@ -112,12 +112,10 @@ fn main() {
     // The partition sweep: a two-island cut healing at the swept tick
     // (x = -1 never heals), with per-trial bit-identical mainland
     // delivered sets enforced inside the experiment.
-    let partition_base = RunConfig::default().with_seed(0x9A27);
     let partitions = run_partition_sweep(
-        &sizes,
-        &params,
+        &scenario,
         &partition_sweep_heal_ticks(),
-        &partition_base,
+        0x9A27,
         effort.trials(),
     );
     if !json {
@@ -129,7 +127,7 @@ fn main() {
     // The flight-recorder diff: asserts bit-identical same-seed streams
     // (and a correctly reported first divergence on a lossy pair)
     // inside the experiment.
-    let population = sizes.iter().sum::<usize>().min(24) as u32;
+    let population = scenario.group_sizes.iter().sum::<usize>().min(24) as u32;
     let trace_base = RunConfig::default()
         .with_seed(0xD1FF)
         .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)));

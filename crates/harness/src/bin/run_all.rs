@@ -1,7 +1,7 @@
 //! Runs **every experiment** — the four figures, the three tables, the
 //! scaling sweep, and the ablations — and writes all results under
-//! `results/`. This is the one-shot reproduction entry point behind
-//! EXPERIMENTS.md.
+//! `results/`. This is the one-shot reproduction entry point of
+//! ARCHITECTURE.md's "Where the paper's figures live".
 //!
 //! Usage: `cargo run --release -p da-harness --bin run_all [--quick]`
 

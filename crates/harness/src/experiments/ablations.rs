@@ -2,11 +2,13 @@
 //! Sec. V-B exposes ("the three parameters g, a and z let the application
 //! choose between the overall reliability of the algorithm and the total
 //! number of events sent between the groups"), plus the fanout-rule
-//! reading discussed in DESIGN.md and the maintenance cadence of Fig. 6.
+//! readings (ARCHITECTURE.md, "Where the paper's figures live") and the
+//! maintenance cadence of Fig. 6.
 
 use crate::report::{KeyedTable, SeriesTable};
 use crate::runner::{run_trials, sweep};
 use crate::scenario::{run_scenario, ScenarioConfig};
+use crate::substrate::Substrate;
 use da_core::{FailureModel, Fate, ProcessId};
 use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
@@ -21,7 +23,7 @@ pub fn ablation_ga(base: &ScenarioConfig, gs: &[f64], trials: usize, seed: u64) 
     let rows = sweep(&xs, trials, seed, |g, trial_seed| {
         let mut config = base.clone();
         config.params.g = g;
-        let out = run_scenario(&config, trial_seed);
+        let out = run_scenario(&config, Substrate::Sim, trial_seed);
         let inter_total: f64 = out.inter_in.iter().sum();
         vec![
             inter_total,
@@ -55,7 +57,7 @@ pub fn ablation_z(base: &ScenarioConfig, zs: &[usize], trials: usize, seed: u64)
         let mut config = base.clone();
         config.params.z = z as usize;
         config.params.tau = config.params.tau.min(z as usize);
-        let out = run_scenario(&config, trial_seed);
+        let out = run_scenario(&config, Substrate::Sim, trial_seed);
         let inter_total: f64 = out.inter_in.iter().sum();
         vec![
             inter_total,
@@ -98,7 +100,7 @@ pub fn ablation_fanout(base: &ScenarioConfig, trials: usize, seed: u64) -> Keyed
     for (name, rule) in rules {
         let config = base.clone().with_fanout(rule);
         let summaries = run_trials(trials, seed, |trial_seed| {
-            let out = run_scenario(&config, trial_seed);
+            let out = run_scenario(&config, Substrate::Sim, trial_seed);
             vec![
                 *out.intra.last().expect("leaf level"),
                 *out.delivered_fraction.last().expect("leaf level"),
@@ -127,7 +129,7 @@ pub fn ablation_maintenance(periods: &[u64], trials: usize, seed: u64) -> Series
         let params = TopicParams {
             maintenance_period: period as u64,
             // Boost the election/spray weights: at this scale the paper's
-            // g = 5 under-powers single-event runs (see DESIGN.md).
+            // g = 5 under-powers single-event runs.
             g: 15.0,
             a: 3.0,
             ..TopicParams::paper_default()
@@ -206,15 +208,9 @@ pub fn ablation_maintenance(periods: &[u64], trials: usize, seed: u64) -> Series
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::FailureKind;
 
     fn base() -> ScenarioConfig {
-        ScenarioConfig {
-            p_succ: 0.85,
-            failure: FailureKind::Stillborn,
-            alive_fraction: 1.0,
-            ..ScenarioConfig::small()
-        }
+        ScenarioConfig::small()
     }
 
     #[test]

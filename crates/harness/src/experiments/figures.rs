@@ -8,7 +8,9 @@
 
 use crate::report::SeriesTable;
 use crate::runner::sweep;
-use crate::scenario::{run_scenario_metrics, FailureKind, ScenarioConfig};
+use crate::scenario::{run_scenario, ScenarioConfig};
+use crate::substrate::Substrate;
+use da_core::FailureModel;
 
 /// Which of the paper's four evaluation figures to regenerate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,18 +41,18 @@ impl FigureKind {
         }
     }
 
-    /// The failure model this figure uses.
+    /// The failure model this figure uses at `alive_fraction`.
     #[must_use]
-    pub fn failure(self) -> FailureKind {
+    pub fn failure(self, alive_fraction: f64) -> FailureModel {
         match self {
-            FigureKind::Fig11ReliabilityDynamic => FailureKind::PerObserver,
-            _ => FailureKind::Stillborn,
+            FigureKind::Fig11ReliabilityDynamic => FailureModel::PerObserver { alive_fraction },
+            _ => FailureModel::Stillborn { alive_fraction },
         }
     }
 }
 
 /// Regenerates one of Figs. 8–11: sweeps `alive_fractions` with `trials`
-/// seeded runs per point over `base` (whose failure kind is overridden by
+/// seeded runs per point over `base` (whose failure model is overridden by
 /// the figure's).
 #[must_use]
 pub fn run_figure(
@@ -62,39 +64,31 @@ pub fn run_figure(
 ) -> SeriesTable {
     let levels = base.group_sizes.len();
     let rows = sweep(alive_fractions, trials, seed, |alive, trial_seed| {
-        let config = base.clone().with_failure(kind.failure(), alive);
-        run_scenario_metrics(&config, trial_seed)
+        let mut config = base.clone();
+        config.faults.failure = kind.failure(alive);
+        let out = run_scenario(&config, Substrate::Sim, trial_seed);
+        let mut top_down = match kind {
+            FigureKind::Fig08GroupMessages => out.intra,
+            FigureKind::Fig09Intergroup => out.inter_in,
+            FigureKind::Fig10ReliabilityStillborn | FigureKind::Fig11ReliabilityDynamic => {
+                out.delivered_fraction
+            }
+        };
+        // The paper plots bottom-up: T2 dominates the figure.
+        top_down.reverse();
+        top_down
     });
-
-    // Metric layout (see ScenarioOutcome::into_metrics):
-    // [0..levels)                intra per level (top-down)
-    // [levels..2·levels-1)       inter_in per boundary
-    // [2·levels-1..3·levels-1)   delivered fraction per level
-    let (columns, indices): (Vec<String>, Vec<usize>) = match kind {
-        FigureKind::Fig08GroupMessages => (
-            // The paper plots bottom-up: T2 dominates the figure.
-            (0..levels).rev().map(|l| format!("group T{l}")).collect(),
-            (0..levels).rev().collect(),
-        ),
-        FigureKind::Fig09Intergroup => (
-            (1..levels)
-                .rev()
-                .map(|l| format!("T{l} to T{}", l - 1))
-                .collect(),
-            // inter_in[i] (metric index levels + i) counts arrivals at
-            // level i from level i+1; boundary "Tl→T(l-1)" is index l-1.
-            (1..levels).rev().map(|l| levels + (l - 1)).collect(),
-        ),
-        FigureKind::Fig10ReliabilityStillborn | FigureKind::Fig11ReliabilityDynamic => (
-            (0..levels).rev().map(|l| format!("group T{l}")).collect(),
-            (0..levels).rev().map(|l| 2 * levels - 1 + l).collect(),
-        ),
+    let columns = match kind {
+        FigureKind::Fig09Intergroup => (1..levels)
+            .rev()
+            .map(|l| format!("T{l} to T{}", l - 1))
+            .collect(),
+        _ => (0..levels).rev().map(|l| format!("group T{l}")).collect(),
     };
 
     let mut table = SeriesTable::new(kind.title(), "alive fraction", columns);
     for (x, summaries) in rows {
-        let values = indices.iter().map(|&i| summaries[i]).collect();
-        table.push_row(x, values);
+        table.push_row(x, summaries);
     }
     table
 }

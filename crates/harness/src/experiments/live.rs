@@ -5,8 +5,8 @@
 //! (`da-runtime`) must not change the protocol's observable behaviour.
 //! Three experiments check that:
 //!
-//! * [`run_live_vs_sim`] publishes one event in the bottom group over
-//!   perfect channels and compares, across seeded trials, the per-level
+//! * [`run_live_vs_sim`] runs one scenario (typically over perfect
+//!   channels) and compares, across seeded trials, the per-level
 //!   delivered fraction, the parasite count, and the event-message
 //!   volume between `da_simnet::Engine` and `da_runtime::Runtime`;
 //! * [`run_reliability_sweep`] repeats the comparison under *lossy*
@@ -21,15 +21,19 @@
 //!   never-partitioned cohort's delivered sets are *bit-identical*
 //!   across substrates from one seed.
 //!
-//! Every experiment drives both substrates through one [`RunConfig`]
-//! (seed, channel, failure and topology in one value), so the swept
-//! axis is always an override on a caller-supplied base config.
+//! Every experiment takes one [`ScenarioConfig`] (topology, parameters,
+//! and the fault surface both substrates consume) and a seed, and the
+//! swept axis is always an override on the scenario's faults. A trial of
+//! the comparison table and of the reliability and churn sweeps is one
+//! [`run_scenario`] per substrate; a partition trial publishes twice.
 //!
 //! The live substrate is concurrent (per-trial numbers fluctuate with
 //! thread interleaving), so all comparisons are statistical: matching
 //! means within noise, and an identical hard zero for parasites.
 
 use crate::report::{KeyedTable, SeriesTable};
+use crate::runner::fold;
+use crate::scenario::{run_scenario, ScenarioConfig, ScenarioOutcome};
 use crate::stats::Summary;
 use crate::substrate::{Driver, Substrate};
 use da_core::{
@@ -38,7 +42,7 @@ use da_core::{
 use da_membership::FanoutRule;
 use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork, TopicParams};
 
-/// Maximum virtual-time budget per trial (rounds or ticks).
+/// The partition trial's fixed horizon, in ticks.
 const MAX_TIME: u64 = 64;
 
 /// The two substrates every comparison runs, simulator first: the
@@ -50,13 +54,11 @@ const SUBSTRATES: [Substrate; 2] = [Substrate::Sim, Substrate::Live { workers: 2
 /// and a cross-substrate comparison is not at the mercy of one seed or
 /// one thread interleaving.
 #[must_use]
-pub fn pinned_params(g: f64, c: f64) -> ParamMap {
-    ParamMap::uniform(
-        TopicParams::paper_default()
-            .with_g(g)
-            .with_a(3.0)
-            .with_fanout(FanoutRule::LnPlusC { c }),
-    )
+pub fn pinned_params(g: f64, c: f64) -> TopicParams {
+    TopicParams::paper_default()
+        .with_g(g)
+        .with_a(3.0)
+        .with_fanout(FanoutRule::LnPlusC { c })
 }
 
 /// Sorted delivered-event ids per process — the key delivered-set
@@ -102,80 +104,29 @@ pub fn partition_sweep_heal_ticks() -> Vec<Option<u64>> {
     vec![Some(2), Some(24), None]
 }
 
-/// One trial on one substrate, seeded by `config`: per-level delivered
-/// fraction, then parasites, then event messages.
-fn trial_metrics(
-    group_sizes: &[usize],
-    params: &ParamMap,
-    config: &RunConfig,
-    substrate: Substrate,
-) -> Vec<f64> {
-    let net = StaticNetwork::linear(group_sizes, params.clone(), config.seed)
-        .expect("experiment topology must be valid");
-    let groups = net.groups().to_vec();
-    let publisher = groups.last().expect("at least one group").members[0];
-
-    let procs = net.into_processes();
-    let mut driver = Driver::spawn(substrate, config.clone(), procs);
-    driver.apply(publisher, |p| p.publish("live-vs-sim"));
-    driver.run_until_quiescent(MAX_TIME);
-    let out = driver.finish();
-
-    let id = EventId {
-        publisher,
-        sequence: 0,
-    };
-    let mut metrics: Vec<f64> = groups
-        .iter()
-        .map(|g| {
-            let got = g
-                .members
-                .iter()
-                .filter(|&&p| out.processes[p.index()].has_delivered(id))
-                .count();
-            got as f64 / g.members.len() as f64
-        })
-        .collect();
-    metrics.push(out.counters.get("da.parasite") as f64);
-    metrics.push(
-        (out.counters.sum_prefix("da.intra.") + out.counters.sum_prefix("da.inter_out.")) as f64,
-    );
-    metrics
-}
-
-/// One seeded trial boiled down to the overall delivery ratio: the
-/// fraction of the full audience (every process — the topology is a
-/// linear inclusion chain, so all groups subscribe at or above the
-/// publication topic) that delivered the published event.
-fn delivery_ratio_trial(
-    group_sizes: &[usize],
-    params: &ParamMap,
-    config: &RunConfig,
-    substrate: Substrate,
-) -> f64 {
-    let per_level = trial_metrics(group_sizes, params, config, substrate);
+/// One trial boiled down to the overall delivery ratio: the fraction of
+/// the full audience (every process — the topology is a linear inclusion
+/// chain, so with a leaf publication every group subscribes at or above
+/// its topic) that delivered the published event.
+fn audience_ratio(group_sizes: &[usize], out: &ScenarioOutcome) -> f64 {
     let population: usize = group_sizes.iter().sum();
     let delivered: f64 = group_sizes
         .iter()
-        .zip(&per_level)
+        .zip(&out.delivered_fraction)
         .map(|(&size, fraction)| fraction * size as f64)
         .sum();
     delivered / population as f64
 }
 
-/// Runs `trials` seeded publications on each substrate and tabulates
-/// per-level delivered fractions, parasites, and event-message volume.
+/// Runs `trials` seeded publications of `scenario` on each substrate and
+/// tabulates per-level delivered fractions, parasites, and event-message
+/// volume.
 ///
 /// Trials run serially: the live runtime is itself a thread pool, and
 /// nesting it under the trial fan-out would oversubscribe the host.
 #[must_use]
-pub fn run_live_vs_sim(
-    group_sizes: &[usize],
-    params: &ParamMap,
-    trials: usize,
-    base_seed: u64,
-) -> KeyedTable {
-    let levels = group_sizes.len();
+pub fn run_live_vs_sim(scenario: &ScenarioConfig, trials: usize, base_seed: u64) -> KeyedTable {
+    let levels = scenario.group_sizes.len();
     let mut columns: Vec<String> = (0..levels).map(|i| format!("delivered_t{i}")).collect();
     columns.push("parasites".into());
     columns.push("event_messages".into());
@@ -188,15 +139,13 @@ pub fn run_live_vs_sim(
     for (key, substrate) in ["simulator", "live runtime"].into_iter().zip(SUBSTRATES) {
         let samples: Vec<Vec<f64>> = (0..trials)
             .map(|t| {
-                let config = RunConfig::default().with_seed(derive_seed(base_seed, t as u64));
-                trial_metrics(group_sizes, params, &config, substrate)
+                let out = run_scenario(scenario, substrate, derive_seed(base_seed, t as u64));
+                let mut metrics = out.delivered_fraction;
+                metrics.extend([out.parasites, out.total_event_messages]);
+                metrics
             })
             .collect();
-        let width = samples.first().map_or(0, Vec::len);
-        let summaries: Vec<Summary> = (0..width)
-            .map(|m| Summary::of(&samples.iter().map(|s| s[m]).collect::<Vec<f64>>()))
-            .collect();
-        table.push_row(key, summaries);
+        table.push_row(key, fold(&samples));
     }
     table
 }
@@ -206,21 +155,20 @@ pub fn run_live_vs_sim(
 /// paper's reliability figures, with the x-axis driven through the
 /// shared `da_core::channel` model.
 ///
-/// `base` is the config every sweep point starts from, and its seed the
-/// root of every trial's; each row overrides only the success
-/// probability on its channel. The base channel's latency floor is the
-/// live scheduler's drift window: under one-tick latency workers stay
-/// within a tick of each other, above it they drift apart during the
-/// sweep — the delivery ratios must agree either way.
+/// `scenario` is what every sweep point starts from, and `seed` the root
+/// of every trial's; each row overrides only the success probability on
+/// the scenario's channel. The channel's latency floor is the live
+/// scheduler's drift window: under one-tick latency workers stay within
+/// a tick of each other, above it they drift apart during the sweep —
+/// the delivery ratios must agree either way.
 ///
 /// Trials run serially for the same oversubscription reason as
 /// [`run_live_vs_sim`].
 #[must_use]
 pub fn run_reliability_sweep(
-    group_sizes: &[usize],
-    params: &ParamMap,
+    scenario: &ScenarioConfig,
     success_probabilities: &[f64],
-    base: &RunConfig,
+    seed: u64,
     trials: usize,
 ) -> SeriesTable {
     let mut table = SeriesTable::new(
@@ -229,8 +177,9 @@ pub fn run_reliability_sweep(
         vec!["delivery_ratio_sim".into(), "delivery_ratio_live".into()],
     );
     for (row, &p) in success_probabilities.iter().enumerate() {
-        let channel = base.faults.network.channel.with_success_probability(p);
-        let config = base.clone().with_channel(channel);
+        let mut config = scenario.clone();
+        let channel = &mut config.faults.network.channel;
+        *channel = channel.with_success_probability(p);
         let mut summaries = Vec::with_capacity(2);
         for (column, substrate) in SUBSTRATES.into_iter().enumerate() {
             let samples: Vec<f64> = (0..trials)
@@ -238,9 +187,9 @@ pub fn run_reliability_sweep(
                     // A distinct seed stream per (probability, substrate,
                     // trial) point, so sweep points are independent.
                     let stream = (row * 2 + column) as u64;
-                    let seed = derive_seed(derive_seed(base.seed, stream), t as u64);
-                    let trial = config.clone().with_seed(seed);
-                    delivery_ratio_trial(group_sizes, params, &trial, substrate)
+                    let trial_seed = derive_seed(derive_seed(seed, stream), t as u64);
+                    let out = run_scenario(&config, substrate, trial_seed);
+                    audience_ratio(&config.group_sizes, &out)
                 })
                 .collect();
             summaries.push(Summary::of(&samples));
@@ -256,10 +205,10 @@ pub fn run_reliability_sweep(
 /// through the shared `da_core::failure` model that both substrates
 /// consume.
 ///
-/// `base` is the config every sweep point starts from, and its seed the
-/// root of every trial's; its failure model must be
-/// [`FailureModel::Churn`], whose recover probability is shared by every
-/// row while the crash probability is overridden per row.
+/// `scenario` is what every sweep point starts from, and `seed` the root
+/// of every trial's; its failure model must be [`FailureModel::Churn`],
+/// whose recover probability is shared by every row while the crash
+/// probability is overridden per row.
 ///
 /// Within one trial, sim and live share the **same seed**, hence the
 /// same materialised `FailurePlan`: the crash/recovery schedule is
@@ -272,26 +221,25 @@ pub fn run_reliability_sweep(
 ///
 /// # Panics
 ///
-/// Panics when `base.faults.failure` is not [`FailureModel::Churn`] — the
-/// sweep's x-axis is the churn crash probability, so there is no
+/// Panics when `scenario.faults.failure` is not [`FailureModel::Churn`] —
+/// the sweep's x-axis is the churn crash probability, so there is no
 /// meaningful way to run it over another failure model.
 #[must_use]
 pub fn run_churn_sweep(
-    group_sizes: &[usize],
-    params: &ParamMap,
+    scenario: &ScenarioConfig,
     crash_rates: &[f64],
-    base: &RunConfig,
+    seed: u64,
     trials: usize,
 ) -> SeriesTable {
     let FailureModel::Churn {
         recover_probability,
         ..
-    } = base.faults.failure
+    } = scenario.faults.failure
     else {
         panic!(
-            "run_churn_sweep requires a base config whose failure model is \
+            "run_churn_sweep requires a scenario whose failure model is \
              FailureModel::Churn (the recover probability is read from it), got {:?}",
-            base.faults.failure
+            scenario.faults.failure
         );
     };
     let mut table = SeriesTable::new(
@@ -300,10 +248,11 @@ pub fn run_churn_sweep(
         vec!["delivery_ratio_sim".into(), "delivery_ratio_live".into()],
     );
     for (row, &crash) in crash_rates.iter().enumerate() {
-        let config = base.clone().with_failures(FailureModel::Churn {
+        let mut config = scenario.clone();
+        config.faults.failure = FailureModel::Churn {
             crash_probability: crash,
             recover_probability,
-        });
+        };
         let mut summaries = Vec::with_capacity(2);
         for substrate in SUBSTRATES {
             let samples: Vec<f64> = (0..trials)
@@ -311,9 +260,9 @@ pub fn run_churn_sweep(
                     // Same (rate, trial) seed on both substrates: the
                     // FailurePlan — and with it every crash/recovery
                     // fate — is identical across the pair.
-                    let seed = derive_seed(derive_seed(base.seed, row as u64), t as u64);
-                    let trial = config.clone().with_seed(seed);
-                    delivery_ratio_trial(group_sizes, params, &trial, substrate)
+                    let trial_seed = derive_seed(derive_seed(seed, row as u64), t as u64);
+                    let out = run_scenario(&config, substrate, trial_seed);
+                    audience_ratio(&config.group_sizes, &out)
                 })
                 .collect();
             summaries.push(Summary::of(&samples));
@@ -353,7 +302,8 @@ pub fn partition_faults(
         .with_partitions(PartitionSchedule::none().with_partition(cut))
 }
 
-/// One partition trial on one substrate, seeded by `base`. Publishes
+/// One partition trial of `scenario`'s topology and parameters on one
+/// substrate, under `base`'s seed and faults. Publishes
 /// one event from the mainland at tick 0 and one from the island after
 /// the heal (or mid-cut, for a cut that never heals), runs a fixed
 /// [`MAX_TIME`] horizon so both substrates see the identical schedule,
@@ -361,13 +311,13 @@ pub fn partition_faults(
 /// delivered sets of the never-partitioned (mainland) cohort, and the
 /// parasite count.
 fn partition_trial(
-    group_sizes: &[usize],
-    params: &ParamMap,
+    scenario: &ScenarioConfig,
     base: &RunConfig,
     heal: Option<u64>,
     substrate: Substrate,
 ) -> (f64, Vec<Vec<EventId>>, u64) {
-    let net = StaticNetwork::linear(group_sizes, params.clone(), base.seed)
+    let params = ParamMap::uniform(scenario.params);
+    let net = StaticNetwork::linear(&scenario.group_sizes, params, base.seed)
         .expect("experiment topology must be valid");
     let leaf = net.groups().last().expect("at least one group").clone();
     assert!(
@@ -403,7 +353,7 @@ fn partition_trial(
         publisher,
         sequence: 0,
     });
-    let population: usize = group_sizes.iter().sum();
+    let population: usize = scenario.group_sizes.iter().sum();
     let delivered: usize = events
         .iter()
         .map(|&id| out.processes.iter().filter(|p| p.has_delivered(id)).count())
@@ -427,9 +377,9 @@ fn partition_trial(
 ///
 /// The last eight members of the bottom group live on node `"b"`;
 /// a [`Partition`] cuts `"b"` off from tick 0 and heals at the swept
-/// tick (`None` = never, tabulated as `x = -1`). `base` supplies the
-/// channel under the cut (keep it lossless to isolate the partition
-/// axis) and the seed every trial's is derived from.
+/// tick (`None` = never, tabulated as `x = -1`). `scenario` supplies the
+/// topology, the parameters and the channel under the cut (keep it
+/// lossless to isolate the partition axis); `seed` roots every trial's.
 ///
 /// Within one trial, sim and live share the **same seed**: the
 /// partition severs the identical sends on both substrates (the severed
@@ -443,18 +393,28 @@ fn partition_trial(
 ///
 /// # Panics
 ///
-/// Panics when a trial sees a parasite delivery, when a cut fails to
-/// sever any send, or when the never-partitioned cohort's delivered
-/// sets diverge between the substrates — each a violation of the
-/// cross-substrate contract this experiment exists to enforce.
+/// Panics up front when a heal tick is past `MAX_TIME - 2` (62): the
+/// island publishes two ticks after the heal, inside the fixed
+/// `MAX_TIME`-tick horizon. Then panics when a trial sees a parasite
+/// delivery, when a cut fails to sever any send, or when the
+/// never-partitioned cohort's delivered sets diverge between the
+/// substrates — each a violation of the cross-substrate contract this
+/// experiment exists to enforce.
 #[must_use]
 pub fn run_partition_sweep(
-    group_sizes: &[usize],
-    params: &ParamMap,
+    scenario: &ScenarioConfig,
     heal_ticks: &[Option<u64>],
-    base: &RunConfig,
+    seed: u64,
     trials: usize,
 ) -> SeriesTable {
+    for &tick in heal_ticks.iter().flatten() {
+        assert!(
+            tick <= MAX_TIME - 2,
+            "heal tick {tick} leaves no room for the island publication two ticks later: \
+             heal ticks must be at most MAX_TIME - 2 = {}",
+            MAX_TIME - 2
+        );
+    }
     let mut table = SeriesTable::new(
         "Delivery ratio across partition cut-and-heal scenarios, live vs simulated",
         "heal_tick",
@@ -467,11 +427,11 @@ pub fn run_partition_sweep(
             // Same (scenario, trial) seed on both substrates: link
             // fates are pinned, so the mainland outcome must match
             // exactly, not just statistically.
-            let seed = derive_seed(derive_seed(base.seed, row as u64), t as u64);
-            let trial = base.clone().with_seed(seed);
+            let trial = RunConfig::default()
+                .with_seed(derive_seed(derive_seed(seed, row as u64), t as u64))
+                .with_faults(scenario.faults.clone());
             let [(sim_ratio, sim_sets, sim_parasites), (live_ratio, live_sets, live_parasites)] =
-                SUBSTRATES
-                    .map(|substrate| partition_trial(group_sizes, params, &trial, heal, substrate));
+                SUBSTRATES.map(|substrate| partition_trial(scenario, &trial, heal, substrate));
             assert_eq!(sim_parasites, 0, "heal {heal:?} trial {t}: sim parasites");
             assert_eq!(live_parasites, 0, "heal {heal:?} trial {t}: live parasites");
             assert_eq!(
@@ -506,25 +466,26 @@ pub fn ratios_agree_within_3_sigma(sim: &Summary, live: &Summary, floor: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_core::{ChannelConfig, Latency};
+    use da_core::{ChannelConfig, FaultConfig, Latency};
 
-    /// Pinned-high knobs (as in the e2e suites) so the assertions are
-    /// not at the mercy of a thread interleaving.
-    fn pinned() -> ParamMap {
-        pinned_params(15.0, 10.0)
-    }
-
-    /// A lossless base config whose channel carries the given latency —
-    /// the starting point the sweeps override per row.
-    fn reliable_base(seed: u64, latency: Latency) -> RunConfig {
-        RunConfig::default()
-            .with_seed(seed)
-            .with_channel(ChannelConfig::reliable().with_latency(latency))
+    /// The `[4, 10, 40]` chain with pinned-high knobs (as in the e2e
+    /// suites, so the assertions are not at the mercy of a thread
+    /// interleaving), over lossless channels of the given latency and
+    /// without failures — the starting point the sweeps override per row.
+    fn pinned(latency: Latency) -> ScenarioConfig {
+        let mut scenario = ScenarioConfig {
+            group_sizes: vec![4, 10, 40],
+            params: pinned_params(15.0, 10.0),
+            faults: FaultConfig::default(),
+            ..ScenarioConfig::paper_default()
+        };
+        scenario.faults.network.channel = ChannelConfig::reliable().with_latency(latency);
+        scenario
     }
 
     #[test]
     fn substrates_agree_on_reliability_and_parasites() {
-        let t = run_live_vs_sim(&[4, 10, 40], &pinned(), 3, 0xC0FE);
+        let t = run_live_vs_sim(&pinned(Latency::Fixed(1)), 3, 0xC0FE);
         assert_eq!(t.rows.len(), 2);
         for (row, (name, values)) in t.rows.iter().enumerate() {
             // delivered_t0..t2 all ≈ 1 under pinned knobs.
@@ -548,8 +509,7 @@ mod tests {
         let probs = reliability_sweep_probabilities();
         let trials = 6;
         for latency in [Latency::Fixed(1), Latency::Fixed(2)] {
-            let base = reliable_base(0x5EED, latency);
-            let table = run_reliability_sweep(&[4, 10, 40], &pinned(), &probs, &base, trials);
+            let table = run_reliability_sweep(&pinned(latency), &probs, 0x5EED, trials);
             assert_eq!(table.rows.len(), probs.len());
             for row in &table.rows {
                 let (sim, live) = (&row.values[0], &row.values[1]);
@@ -586,13 +546,12 @@ mod tests {
     fn churn_sweep_substrates_agree_within_3_sigma() {
         let rates = churn_sweep_crash_rates();
         let trials = 6;
-        let base = RunConfig::default()
-            .with_seed(0xC4A0)
-            .with_failures(FailureModel::Churn {
-                crash_probability: 0.0,
-                recover_probability: 0.3,
-            });
-        let table = run_churn_sweep(&[4, 10, 40], &pinned(), &rates, &base, trials);
+        let mut base = pinned(Latency::Fixed(1));
+        base.faults.failure = FailureModel::Churn {
+            crash_probability: 0.0,
+            recover_probability: 0.3,
+        };
+        let table = run_churn_sweep(&base, &rates, 0xC4A0, trials);
         assert_eq!(table.rows.len(), rates.len());
         for row in &table.rows {
             let (sim, live) = (&row.values[0], &row.values[1]);
@@ -626,15 +585,8 @@ mod tests {
 
     #[test]
     fn churn_sweep_rejects_a_churnless_base() {
-        let result = std::panic::catch_unwind(|| {
-            run_churn_sweep(
-                &[4],
-                &pinned(),
-                &[0.0],
-                &RunConfig::default().with_seed(1),
-                1,
-            )
-        });
+        let result =
+            std::panic::catch_unwind(|| run_churn_sweep(&pinned(Latency::Fixed(1)), &[0.0], 1, 1));
         assert!(result.is_err(), "a non-Churn base must be rejected");
     }
 
@@ -652,8 +604,7 @@ mod tests {
         // infect-and-die wave's senders fire every `latency` ticks.
         for (latency, early) in [(Latency::Fixed(1), 2u64), (Latency::Fixed(2), 4u64)] {
             let heals = vec![Some(early), Some(24), None];
-            let base = reliable_base(0x9A27, latency);
-            let table = run_partition_sweep(&[4, 10, 40], &pinned(), &heals, &base, trials);
+            let table = run_partition_sweep(&pinned(latency), &heals, 0x9A27, trials);
             assert_eq!(table.rows.len(), heals.len());
             for (row, &heal) in table.rows.iter().zip(&heals) {
                 let (sim, live) = (&row.values[0], &row.values[1]);
@@ -697,6 +648,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The island publishes two ticks after the heal, inside the fixed
+    /// horizon: a later heal is refused before any trial runs, rather
+    /// than underflowing the remaining-ticks count.
+    #[test]
+    #[should_panic(expected = "heal tick 63 leaves no room")]
+    fn partition_sweep_rejects_a_heal_past_the_horizon() {
+        let _ = run_partition_sweep(&pinned(Latency::Fixed(1)), &[Some(2), Some(63)], 1, 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! One module per figure/table of the paper's evaluation, plus the
-//! ablations DESIGN.md calls out. Every module exposes a `run` function
-//! returning renderable tables; the `bin/` targets are thin wrappers.
+//! ablations and extensions ARCHITECTURE.md lists under "Where the paper's
+//! figures live". Every module exposes a `run` function returning
+//! renderable tables; the `bin/` targets are thin wrappers.
 
 pub mod ablations;
 pub mod dynamics;

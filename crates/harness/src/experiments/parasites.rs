@@ -9,13 +9,14 @@
 
 use crate::report::KeyedTable;
 use crate::runner::run_trials;
-use crate::scenario::{run_scenario, FailureKind, ScenarioConfig};
+use crate::scenario::{publish_and_settle, run_scenario, ScenarioConfig};
+use crate::substrate::Substrate;
 use da_baselines::{
-    build_broadcast_network, build_hierarchical_network, build_multicast_network, InterestMap,
+    build_broadcast_network, build_hierarchical_network, build_multicast_network, BroadcastProcess,
+    HierarchicalProcess, InterestMap, MulticastProcess,
 };
-use da_core::ProcessId;
+use da_core::{Counters, FaultConfig, ProcessId, RunConfig};
 use da_membership::FanoutRule;
-use da_simnet::{Engine, SimConfig};
 
 /// Runs the four algorithms with one root-topic publication each and
 /// tabulates deliveries, parasites, and event traffic.
@@ -42,59 +43,52 @@ pub fn run_parasite_table(group_sizes: &[usize], trials: usize, seed: u64) -> Ke
     let da_config = ScenarioConfig {
         group_sizes: group_sizes.to_vec(),
         publish_level: 0,
-        p_succ: 1.0,
-        failure: FailureKind::None,
-        alive_fraction: 1.0,
+        faults: FaultConfig::default(),
         ..ScenarioConfig::paper_default()
     }
     .with_fanout(fanout);
     let da = run_trials(trials, seed, |s| {
-        let out = run_scenario(&da_config, s);
+        let out = run_scenario(&da_config, Substrate::Sim, s);
         let delivered_root = out.delivered_fraction[0] * group_sizes[0] as f64;
         vec![delivered_root, out.parasites, out.total_event_messages]
     });
     table.push_row("daMulticast", da);
 
+    // The baselines count under `{prefix}.*`; every `sent*` counter is an
+    // event send.
+    let measured = |counters: &Counters, prefix: &str| {
+        ["delivered", "parasite", "sent"]
+            .map(|name| counters.sum_prefix(&format!("{prefix}.{name}")) as f64)
+            .to_vec()
+    };
+
     let bc = run_trials(trials, seed, |s| {
         let procs =
             build_broadcast_network(&interests, b, fanout, s).expect("population non-empty");
-        let mut engine = Engine::new(SimConfig::default().with_seed(s), procs);
-        engine.process_mut(root_publisher).publish("root news");
-        engine.run_until_quiescent(64);
-        vec![
-            engine.counters().get("bc.delivered") as f64,
-            engine.counters().get("bc.parasite") as f64,
-            engine.counters().get("bc.sent") as f64,
-        ]
+        let config = RunConfig::default().with_seed(s);
+        let publish = |p: &mut BroadcastProcess| p.publish("root news");
+        let out = publish_and_settle(Substrate::Sim, config, procs, root_publisher, publish, 64).2;
+        measured(&out.counters, "bc")
     });
     table.push_row("gossip broadcast", bc);
 
     let mc = run_trials(trials, seed, |s| {
         let procs =
             build_multicast_network(&interests, b, fanout, s).expect("population non-empty");
-        let mut engine = Engine::new(SimConfig::default().with_seed(s), procs);
-        engine.process_mut(root_publisher).publish("root news");
-        engine.run_until_quiescent(64);
-        vec![
-            engine.counters().get("mc.delivered") as f64,
-            engine.counters().get("mc.parasite") as f64,
-            engine.counters().get("mc.sent") as f64,
-        ]
+        let config = RunConfig::default().with_seed(s);
+        let publish = |p: &mut MulticastProcess| p.publish("root news");
+        let out = publish_and_settle(Substrate::Sim, config, procs, root_publisher, publish, 64).2;
+        measured(&out.counters, "mc")
     });
     table.push_row("gossip multicast", mc);
 
     let hc = run_trials(trials, seed, |s| {
         let procs = build_hierarchical_network(&interests, n_groups, b, fanout, fanout, s)
             .expect("valid partition");
-        let mut engine = Engine::new(SimConfig::default().with_seed(s), procs);
-        engine.process_mut(root_publisher).publish("root news");
-        engine.run_until_quiescent(64);
-        vec![
-            engine.counters().get("hc.delivered") as f64,
-            engine.counters().get("hc.parasite") as f64,
-            (engine.counters().get("hc.sent_intra") + engine.counters().get("hc.sent_inter"))
-                as f64,
-        ]
+        let config = RunConfig::default().with_seed(s);
+        let publish = |p: &mut HierarchicalProcess| p.publish("root news");
+        let out = publish_and_settle(Substrate::Sim, config, procs, root_publisher, publish, 64).2;
+        measured(&out.counters, "hc")
     });
     table.push_row("hierarchical broadcast", hc);
 

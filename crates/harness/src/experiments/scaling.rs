@@ -3,7 +3,9 @@
 
 use crate::report::SeriesTable;
 use crate::runner::sweep;
-use crate::scenario::{run_scenario, FailureKind, ScenarioConfig};
+use crate::scenario::{run_scenario, ScenarioConfig};
+use crate::substrate::Substrate;
+use da_core::FaultConfig;
 use da_membership::FanoutRule;
 
 /// Sweeps the leaf-group size and records total event messages plus the
@@ -16,13 +18,11 @@ pub fn run_scaling(leaf_sizes: &[usize], trials: usize, seed: u64) -> SeriesTabl
         let s = s as usize;
         let config = ScenarioConfig {
             group_sizes: vec![10, 100, s],
-            p_succ: 1.0,
-            failure: FailureKind::None,
-            alive_fraction: 1.0,
+            faults: FaultConfig::default(),
             ..ScenarioConfig::paper_default()
         }
         .with_fanout(FanoutRule::LnPlusC { c: 5.0 });
-        let out = run_scenario(&config, trial_seed);
+        let out = run_scenario(&config, Substrate::Sim, trial_seed);
         let norm = s as f64 * (s as f64).ln();
         vec![out.total_event_messages, out.total_event_messages / norm]
     });

@@ -4,15 +4,18 @@
 
 use crate::report::{KeyedTable, SeriesTable};
 use crate::runner::run_trials;
-use crate::scenario::{run_scenario, FailureKind, ScenarioConfig};
+use crate::scenario::{first_standing, publish_and_settle, run_scenario, ScenarioConfig};
 use crate::stats::Summary;
+use crate::substrate::Substrate;
 use da_analysis::{complexity, memory, tuning};
 use da_baselines::{
-    build_broadcast_network, build_hierarchical_network, build_multicast_network, InterestMap,
+    build_broadcast_network, build_hierarchical_network, build_multicast_network, BroadcastProcess,
+    DeliveryLog, HierarchicalProcess, InterestMap, MulticastProcess,
 };
-use da_core::{FailureModel, ProcessId};
+use da_core::{Counters, FailureModel, FaultConfig, ProcessId, RunConfig};
 use da_membership::FanoutRule;
-use da_simnet::{Engine, SimConfig};
+use da_runtime::Shutdown;
+use damulticast::EventId;
 
 /// Levels of the comparison topology, bottom-up, as analysis inputs.
 fn analysis_chain(group_sizes: &[usize], c: f64) -> Vec<complexity::GroupLevel> {
@@ -62,27 +65,13 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
     // --- daMulticast -------------------------------------------------
     let da_config = ScenarioConfig {
         group_sizes: group_sizes.to_vec(),
-        p_succ: 1.0,
-        failure: FailureKind::None,
-        alive_fraction: 1.0,
+        faults: FaultConfig::default(),
         ..ScenarioConfig::paper_default()
     }
     .with_fanout(fanout);
     let da = run_trials(trials, seed, |s| {
-        let out = run_scenario(&da_config, s);
-        // Bandwidth: re-run the same scenario on a raw engine to read the
-        // byte counter (the scenario runner reports message counts only).
-        let net = damulticast::StaticNetwork::linear(
-            group_sizes,
-            damulticast::ParamMap::uniform(da_config.params),
-            s,
-        )
-        .expect("valid topology");
-        let publisher = net.groups().last().expect("levels").members[0];
-        let mut engine = Engine::new(SimConfig::default().with_seed(s), net.into_processes());
-        engine.process_mut(publisher).publish("bench");
-        engine.run_until_quiescent(64);
-        let bytes = engine.counters().get("sim.bytes_sent") as f64;
+        let out = run_scenario(&da_config, Substrate::Sim, s);
+        let bytes = out.counters.get("sim.bytes_sent") as f64;
         vec![out.total_event_messages, bytes]
     });
     // Memory: a leaf subscriber's ln(S)+c topic table plus z supertable
@@ -115,20 +104,23 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
         ],
     );
 
+    // The baselines: one leaf publication each, on reliable channels;
+    // every `{prefix}.sent*` counter is an event send.
+    let measured = |counters: &Counters, prefix: &str, mem: f64| {
+        let sent = counters.sum_prefix(&format!("{prefix}.sent")) as f64;
+        vec![sent, counters.get("sim.bytes_sent") as f64, mem]
+    };
+
     // --- gossip broadcast --------------------------------------------
     let bc = run_trials(trials, seed, |s| {
         let procs =
             build_broadcast_network(&interests, b, fanout, s).expect("population non-empty");
-        let mem: usize = procs.iter().map(|p| p.memory_entries()).sum();
+        let mem: usize = procs.iter().map(BroadcastProcess::memory_entries).sum();
         let mem = mem as f64 / procs.len() as f64;
-        let mut engine = Engine::new(SimConfig::default().with_seed(s), procs);
-        engine.process_mut(leaf_publisher).publish("bench");
-        engine.run_until_quiescent(64);
-        vec![
-            engine.counters().get("bc.sent") as f64,
-            engine.counters().get("sim.bytes_sent") as f64,
-            mem,
-        ]
+        let config = RunConfig::default().with_seed(s);
+        let publish = |p: &mut BroadcastProcess| p.publish("bench");
+        let out = publish_and_settle(Substrate::Sim, config, procs, leaf_publisher, publish, 64).2;
+        measured(&out.counters, "bc", mem)
     });
     table.push_row(
         "gossip broadcast",
@@ -145,16 +137,12 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
     let mc = run_trials(trials, seed, |s| {
         let procs =
             build_multicast_network(&interests, b, fanout, s).expect("population non-empty");
-        let mem: usize = procs.iter().map(|p| p.memory_entries()).sum();
+        let mem: usize = procs.iter().map(MulticastProcess::memory_entries).sum();
         let mem = mem as f64 / procs.len() as f64;
-        let mut engine = Engine::new(SimConfig::default().with_seed(s), procs);
-        engine.process_mut(leaf_publisher).publish("bench");
-        engine.run_until_quiescent(64);
-        vec![
-            engine.counters().get("mc.sent") as f64,
-            engine.counters().get("sim.bytes_sent") as f64,
-            mem,
-        ]
+        let config = RunConfig::default().with_seed(s);
+        let publish = |p: &mut MulticastProcess| p.publish("bench");
+        let out = publish_and_settle(Substrate::Sim, config, procs, leaf_publisher, publish, 64).2;
+        measured(&out.counters, "mc", mem)
     });
     let mc_mem_analytic = {
         // The chain-average: leaf members hold 1 table, root members t.
@@ -176,17 +164,12 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
     let hc = run_trials(trials, seed, |s| {
         let procs = build_hierarchical_network(&interests, n_groups, b, fanout, fanout, s)
             .expect("valid partition");
-        let mem: usize = procs.iter().map(|p| p.memory_entries()).sum();
+        let mem: usize = procs.iter().map(HierarchicalProcess::memory_entries).sum();
         let mem = mem as f64 / procs.len() as f64;
-        let mut engine = Engine::new(SimConfig::default().with_seed(s), procs);
-        engine.process_mut(leaf_publisher).publish("bench");
-        engine.run_until_quiescent(64);
-        vec![
-            (engine.counters().get("hc.sent_intra") + engine.counters().get("hc.sent_inter"))
-                as f64,
-            engine.counters().get("sim.bytes_sent") as f64,
-            mem,
-        ]
+        let config = RunConfig::default().with_seed(s);
+        let publish = |p: &mut HierarchicalProcess| p.publish("bench");
+        let out = publish_and_settle(Substrate::Sim, config, procs, leaf_publisher, publish, 64).2;
+        measured(&out.counters, "hc", mem)
     });
     let m = n / n_groups;
     table.push_row(
@@ -201,6 +184,26 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
     );
 
     table
+}
+
+/// The fraction of a trial's processes alive at its end that delivered
+/// its publication, by each process's delivery `log`.
+fn survivor_coverage<P>(
+    (event, _, out): (EventId, u64, Shutdown<P>),
+    log: impl Fn(&P) -> &DeliveryLog,
+) -> f64 {
+    let survivors: Vec<&P> = out
+        .processes
+        .iter()
+        .zip(&out.statuses)
+        .filter(|(_, status)| status.is_alive())
+        .map(|(p, _)| p)
+        .collect();
+    let got = survivors
+        .iter()
+        .filter(|p| log(p).has_delivered(event))
+        .count();
+    got as f64 / survivors.len().max(1) as f64
 }
 
 /// Regenerates the Sec. VI-E.3 tuning table: for a grid of inter-group
@@ -279,90 +282,52 @@ pub fn run_reliability_table(
     );
 
     for &alive in alive_fractions {
+        let failure = FailureModel::Stillborn {
+            alive_fraction: alive,
+        };
         // daMulticast through the scenario runner.
         let da_config = ScenarioConfig {
             group_sizes: group_sizes.to_vec(),
-            p_succ: 1.0,
+            faults: FaultConfig {
+                failure: failure.clone(),
+                ..FaultConfig::default()
+            },
             ..ScenarioConfig::paper_default()
         }
-        .with_fanout(fanout)
-        .with_failure(FailureKind::Stillborn, alive);
-        let da = run_trials(trials, seed, |s| {
-            let out = run_scenario(&da_config, s);
+        .with_fanout(fanout);
+        let row = run_trials(trials, seed, |s| {
+            let out = run_scenario(&da_config, Substrate::Sim, s);
             // Mean over levels of the survivors' delivery fraction.
-            let mean = out.delivered_alive_fraction.iter().sum::<f64>()
+            let da = out.delivered_alive_fraction.iter().sum::<f64>()
                 / out.delivered_alive_fraction.len() as f64;
-            vec![mean]
-        })[0];
 
-        // Baselines: publish at the first alive leaf; measure the fraction
-        // of alive interested processes that delivered.
-        let baseline = |which: &str, s: u64| -> f64 {
-            let sim = SimConfig::default()
+            // Baselines: publish at the last alive process (a leaf);
+            // measure the fraction of alive processes that delivered.
+            let last_first = (0..n).rev().map(ProcessId::from_index);
+            let Some(publisher) = first_standing(&failure, n, s, last_first) else {
+                return vec![da, 0.0, 0.0, 0.0];
+            };
+            let config = RunConfig::default()
                 .with_seed(s)
-                .with_failures(FailureModel::Stillborn {
-                    alive_fraction: alive,
-                });
-            macro_rules! run_with {
-                ($procs:expr, $delivered:expr) => {{
-                    let mut engine = Engine::new(sim, $procs);
-                    let publisher = (0..n)
-                        .rev()
-                        .map(ProcessId::from_index)
-                        .find(|&p| engine.status(p).is_alive());
-                    let Some(publisher) = publisher else {
-                        return 0.0;
-                    };
-                    let id = engine.process_mut(publisher).publish("rel");
-                    engine.run_until_quiescent(96);
-                    let audience: Vec<ProcessId> = (0..n)
-                        .map(ProcessId::from_index)
-                        .filter(|&p| engine.status(p).is_alive())
-                        .collect();
-                    let got = audience
-                        .iter()
-                        .filter(|&&p| $delivered(&engine, p, id))
-                        .count();
-                    got as f64 / audience.len().max(1) as f64
-                }};
-            }
-            match which {
-                "bc" => {
-                    let procs = build_broadcast_network(&interests, b, fanout, s).unwrap();
-                    run_with!(procs, |e: &Engine<da_baselines::BroadcastProcess>,
-                                      p: ProcessId,
-                                      id| e
-                        .process(p)
-                        .log()
-                        .has_delivered(id))
-                }
-                "mc" => {
-                    let procs = build_multicast_network(&interests, b, fanout, s).unwrap();
-                    run_with!(procs, |e: &Engine<da_baselines::MulticastProcess>,
-                                      p: ProcessId,
-                                      id| e
-                        .process(p)
-                        .log()
-                        .has_delivered(id))
-                }
-                _ => {
-                    let procs =
-                        build_hierarchical_network(&interests, n_groups, b, fanout, fanout, s)
-                            .unwrap();
-                    run_with!(procs, |e: &Engine<da_baselines::HierarchicalProcess>,
-                                      p: ProcessId,
-                                      id| e
-                        .process(p)
-                        .log()
-                        .has_delivered(id))
-                }
-            }
-        };
-        let bc = run_trials(trials, seed, |s| vec![baseline("bc", s)])[0];
-        let mc = run_trials(trials, seed, |s| vec![baseline("mc", s)])[0];
-        let hc = run_trials(trials, seed, |s| vec![baseline("hc", s)])[0];
-
-        table.push_row(alive, vec![da, bc, mc, hc]);
+                .with_failures(failure.clone());
+            let bc = build_broadcast_network(&interests, b, fanout, s).unwrap();
+            let publish = |p: &mut BroadcastProcess| p.publish("rel");
+            let bc = publish_and_settle(Substrate::Sim, config.clone(), bc, publisher, publish, 96);
+            let mc = build_multicast_network(&interests, b, fanout, s).unwrap();
+            let publish = |p: &mut MulticastProcess| p.publish("rel");
+            let mc = publish_and_settle(Substrate::Sim, config.clone(), mc, publisher, publish, 96);
+            let hc =
+                build_hierarchical_network(&interests, n_groups, b, fanout, fanout, s).unwrap();
+            let publish = |p: &mut HierarchicalProcess| p.publish("rel");
+            let hc = publish_and_settle(Substrate::Sim, config, hc, publisher, publish, 96);
+            vec![
+                da,
+                survivor_coverage(bc, BroadcastProcess::log),
+                survivor_coverage(mc, MulticastProcess::log),
+                survivor_coverage(hc, HierarchicalProcess::log),
+            ]
+        });
+        table.push_row(alive, row);
     }
     table
 }

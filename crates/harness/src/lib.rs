@@ -1,8 +1,8 @@
 //! # da-harness — the experiment harness
 //!
 //! Regenerates every figure and table of the evaluation section of
-//! *Data-Aware Multicast* (DSN 2004), plus the ablations listed in
-//! DESIGN.md:
+//! *Data-Aware Multicast* (DSN 2004), plus the ablations and extensions
+//! ARCHITECTURE.md lists under "Where the paper's figures live":
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|
@@ -20,10 +20,11 @@
 //! Every binary accepts `--quick` for a scaled-down smoke run and writes
 //! CSV + Markdown into `results/` (plus an ASCII plot on stdout).
 //!
-//! The building blocks are reusable: [`scenario`] runs one parameterised
-//! paper scenario, [`substrate`] runs a population on the simulator or
-//! the worker pool behind one driver, [`runner`] fans trials out over
-//! worker threads, [`stats`]/[`report`]/[`plot`] summarise and render.
+//! The building blocks are reusable: [`scenario`] runs one publication
+//! to quiescence and measures the paper's scenario, [`substrate`] runs a
+//! population on the simulator or the worker pool behind one driver,
+//! [`runner`] fans trials out over worker threads,
+//! [`stats`]/[`report`]/[`plot`] summarise and render.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

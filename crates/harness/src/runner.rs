@@ -49,8 +49,17 @@ where
         all.sort_by_key(|(t, _)| *t);
         all.into_iter().map(|(_, m)| m).collect()
     });
+    fold(&results)
+}
 
-    let width = results[0].len();
+/// Summarises each metric of per-trial metric vectors across the trials.
+///
+/// # Panics
+///
+/// Panics if the trials report different metric counts.
+#[must_use]
+pub(crate) fn fold(results: &[Vec<f64>]) -> Vec<Summary> {
+    let width = results.first().map_or(0, Vec::len);
     assert!(
         results.iter().all(|r| r.len() == width),
         "every trial must report the same metrics"

@@ -10,7 +10,8 @@
 //! Run with: `cargo run --example failure_injection`
 
 use da_core::{FailureModel, Fate, ProcessId};
-use da_harness::scenario::{run_scenario, FailureKind, ScenarioConfig};
+use da_harness::scenario::{run_scenario, ScenarioConfig};
+use da_harness::substrate::Substrate;
 use da_simnet::{Engine, SimConfig};
 use damulticast::{DynamicNetwork, ParamMap, TopicParams};
 
@@ -22,14 +23,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut obs = [0.0; 3];
         let trials = 10;
         for seed in 0..trials {
-            let s = run_scenario(
-                &ScenarioConfig::small().with_failure(FailureKind::Stillborn, alive),
-                seed,
-            );
-            let o = run_scenario(
-                &ScenarioConfig::small().with_failure(FailureKind::PerObserver, alive),
-                seed,
-            );
+            let mut config = ScenarioConfig::small();
+            config.faults.failure = FailureModel::Stillborn {
+                alive_fraction: alive,
+            };
+            let s = run_scenario(&config, Substrate::Sim, seed);
+            config.faults.failure = FailureModel::PerObserver {
+                alive_fraction: alive,
+            };
+            let o = run_scenario(&config, Substrate::Sim, seed);
             for i in 0..3 {
                 still[i] += s.delivered_fraction[i] / trials as f64;
                 obs[i] += o.delivered_fraction[i] / trials as f64;

@@ -12,19 +12,22 @@
 use da_analysis::complexity::GroupLevel;
 use da_analysis::reliability::{damulticast_reliability, pit_derived};
 use da_analysis::tuning;
-use da_harness::scenario::{run_scenario, FailureKind, ScenarioConfig};
+use da_core::FailureModel;
+use da_harness::scenario::{run_scenario, ScenarioConfig};
+use da_harness::substrate::Substrate;
 
 fn main() {
     println!("=== measured: sweeping the election weight g ===");
     println!("g      inter-group arrivals   root delivery");
     for g in [1.0, 2.0, 5.0, 10.0, 20.0] {
-        let mut config = ScenarioConfig::small().with_failure(FailureKind::None, 1.0);
+        let mut config = ScenarioConfig::small();
+        config.faults.failure = FailureModel::None;
         config.params.g = g;
         let trials = 12;
         let mut arrivals = 0.0;
         let mut root = 0.0;
         for seed in 0..trials {
-            let out = run_scenario(&config, seed);
+            let out = run_scenario(&config, Substrate::Sim, seed);
             arrivals += out.inter_in.iter().sum::<f64>() / trials as f64;
             root += out.delivered_fraction[0] / trials as f64;
         }

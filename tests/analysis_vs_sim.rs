@@ -8,8 +8,10 @@ use da_analysis::complexity::{self, GroupLevel};
 use da_analysis::gossip_math::atomic_infection_probability;
 use da_analysis::memory;
 use da_analysis::reliability;
+use da_core::{ChannelConfig, FaultConfig};
 use da_harness::runner::run_trials;
-use da_harness::scenario::{run_scenario, FailureKind, ScenarioConfig};
+use da_harness::scenario::{run_scenario, ScenarioConfig};
+use da_harness::substrate::Substrate;
 use da_membership::FanoutRule;
 
 const SIZES: [usize; 3] = [10, 50, 250];
@@ -17,9 +19,7 @@ const SIZES: [usize; 3] = [10, 50, 250];
 fn base_config() -> ScenarioConfig {
     ScenarioConfig {
         group_sizes: SIZES.to_vec(),
-        p_succ: 1.0,
-        failure: FailureKind::None,
-        alive_fraction: 1.0,
+        faults: FaultConfig::default(),
         ..ScenarioConfig::paper_default()
     }
     .with_fanout(FanoutRule::LnPlusC { c: 5.0 })
@@ -47,7 +47,7 @@ fn analysis_levels(p_succ: f64) -> Vec<GroupLevel> {
 fn intra_message_count_matches_analysis() {
     let config = base_config();
     let measured = run_trials(10, 1, |seed| {
-        vec![run_scenario(&config, seed).total_event_messages]
+        vec![run_scenario(&config, Substrate::Sim, seed).total_event_messages]
     })[0]
         .mean;
     let predicted = complexity::damulticast_messages(&analysis_levels(1.0));
@@ -63,10 +63,9 @@ fn intra_message_count_matches_analysis() {
 #[test]
 fn intergroup_count_matches_analysis() {
     let config = base_config();
-    // inter_in[1] = arrivals at T1 from T2 (metric index 4 of a 3-level
-    // chain: intra 0..3, inter_t1_to_t0 = 3, inter_t2_to_t1 = 4).
+    // inter_in[1] = arrivals at T1 from T2.
     let measured = run_trials(60, 2, |seed| {
-        let out = run_scenario(&config, seed);
+        let out = run_scenario(&config, Substrate::Sim, seed);
         vec![out.inter_in[1]]
     })[0]
         .mean;
@@ -111,7 +110,7 @@ fn memory_within_paper_bound() {
 fn reliability_at_least_atomic_bound() {
     let config = base_config();
     let full_coverage_fraction = run_trials(40, 4, |seed| {
-        let out = run_scenario(&config, seed);
+        let out = run_scenario(&config, Substrate::Sim, seed);
         // Fraction of trials where the *entire* leaf group delivered.
         vec![f64::from(out.delivered_fraction[2] >= 1.0 - 1e-9)]
     })[0]
@@ -128,11 +127,11 @@ fn reliability_at_least_atomic_bound() {
 #[test]
 fn lossy_reliability_tracks_eq1() {
     let mut config = base_config();
-    config.p_succ = 0.85;
+    config.faults.network.channel = ChannelConfig::paper_default();
     // 120 trials: the per-trial fraction has std ≈ 0.3, so 40 trials left
     // the mean within sampling distance of the bound on unlucky seeds.
     let measured = run_trials(120, 5, |seed| {
-        let out = run_scenario(&config, seed);
+        let out = run_scenario(&config, Substrate::Sim, seed);
         vec![out.delivered_fraction[0]]
     })[0]
         .mean;
@@ -150,14 +149,12 @@ fn single_group_degenerates_to_flat_gossip() {
     let config = ScenarioConfig {
         group_sizes: vec![200],
         publish_level: 0,
-        p_succ: 1.0,
-        failure: FailureKind::None,
-        alive_fraction: 1.0,
+        faults: FaultConfig::default(),
         ..ScenarioConfig::paper_default()
     }
     .with_fanout(FanoutRule::LnPlusC { c: 5.0 });
     let summaries = run_trials(10, 6, |seed| {
-        let out = run_scenario(&config, seed);
+        let out = run_scenario(&config, Substrate::Sim, seed);
         vec![out.total_event_messages, out.delivered_fraction[0]]
     });
     let predicted = complexity::broadcast_messages(200, 5.0);

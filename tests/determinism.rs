@@ -90,18 +90,31 @@ fn baselines_deterministic() {
 /// trials on multiple threads.
 #[test]
 fn harness_sweeps_deterministic() {
+    use da_core::FailureModel;
     use da_harness::runner::sweep;
-    use da_harness::scenario::{run_scenario_metrics, FailureKind, ScenarioConfig};
+    use da_harness::scenario::{run_scenario, ScenarioConfig};
+    use da_harness::substrate::Substrate;
 
     let run = || {
         sweep(&[0.5, 1.0], 6, 123, |alive, seed| {
-            let config = ScenarioConfig {
+            let mut config = ScenarioConfig {
                 group_sizes: vec![4, 16],
                 publish_level: 1,
                 ..ScenarioConfig::small()
-            }
-            .with_failure(FailureKind::Stillborn, alive);
-            run_scenario_metrics(&config, seed)
+            };
+            config.faults.failure = FailureModel::Stillborn {
+                alive_fraction: alive,
+            };
+            let out = run_scenario(&config, Substrate::Sim, seed);
+            let scalars = vec![out.parasites, out.rounds, out.total_event_messages];
+            [
+                out.intra,
+                out.inter_in,
+                out.delivered_fraction,
+                out.delivered_alive_fraction,
+                scalars,
+            ]
+            .concat()
         })
     };
     let a = run();

@@ -363,6 +363,42 @@ fn one_driver_runs_a_population_on_either_substrate() {
     assert_eq!(by_hand, ["churn_chaos.rs"]);
 }
 
+/// A single-publication trial is run in one place,
+/// `da_harness::scenario::publish_and_settle`, on a `Driver`: a scenario's
+/// faults are a `FaultConfig`, not a vocabulary of their own, and no
+/// table hand-copies the trial. The harness files that build an `Engine`
+/// themselves step it round by round or model-check it.
+#[test]
+fn one_publication_trial_in_the_harness() {
+    // Spelled in two halves so that this file passes its own check.
+    let gone = [concat!("Failure", "Kind"), concat!("run_", "with!")];
+    for dir in ["crates", "src", "tests", "examples"] {
+        for (path, source) in sources(dir) {
+            if path.extension().is_some_and(|ext| ext == "rs") {
+                for name in gone {
+                    assert!(!source.contains(name), "{}: {name}", path.display());
+                }
+            }
+        }
+    }
+    let harness = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/harness/src");
+    let mut by_hand: Vec<String> = sources("crates/harness/src")
+        .into_iter()
+        .filter(|(_, source)| source.contains("Engine::new"))
+        .map(|(path, _)| path.strip_prefix(&harness).unwrap().display().to_string())
+        .collect();
+    by_hand.sort();
+    assert_eq!(
+        by_hand,
+        [
+            "experiments/ablations.rs",
+            "experiments/dynamics.rs",
+            "experiments/mc.rs",
+            "substrate.rs",
+        ]
+    );
+}
+
 /// One run config: the simulator sets exactly a seed, faults and a trace,
 /// the pool those plus its worker count and watchdog, and every setter
 /// is defined once, on `da_core::RunConfig`, whichever substrate's alias

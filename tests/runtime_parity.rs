@@ -40,8 +40,8 @@ fn run(
     config: &RunConfig,
     advance: impl FnOnce(&mut Driver<DaProcess>),
 ) -> (Vec<Vec<EventId>>, u64, TraceLog) {
-    let net = StaticNetwork::linear(sizes, pinned_params(20.0, 12.0), config.seed)
-        .expect("valid topology");
+    let params = ParamMap::uniform(pinned_params(20.0, 12.0));
+    let net = StaticNetwork::linear(sizes, params, config.seed).expect("valid topology");
     let publishers: Vec<ProcessId> = net.groups().iter().map(|g| g.members[0]).collect();
     let procs = net.into_processes();
     let config = config.clone().with_trace(TraceConfig::full());
