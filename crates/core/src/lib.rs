@@ -58,7 +58,7 @@
 //! | Fig. 7 `DISSEMINATE` | [`plan_dissemination`] |
 //! | Topic/supertopic tables (Sec. V-A.1) | [`SuperTable`] + `da_membership` |
 //! | Per-topic knobs `b,c,g,a,z,τ` (Sec. V-B) | [`TopicParams`] |
-//! | Sec. VIII multiple inheritance | [`MultiSuperTables`] |
+//! | Sec. VIII multiple inheritance | [`DaProcess::super_tables`] |
 //!
 //! ## Substrates
 //!
@@ -73,14 +73,12 @@
 #![warn(missing_docs)]
 
 mod bootstrap;
-mod dag_protocol;
 mod dissemination;
 mod error;
 mod event;
 mod maintenance;
 mod message;
 mod metro;
-mod multi_super;
 mod network;
 mod params;
 mod protocol;
@@ -89,14 +87,12 @@ mod tables;
 pub use bootstrap::{BootstrapAction, BootstrapTask};
 // The contract every protocol type here implements.
 pub use da_core::{Exec, ExecProtocol};
-pub use dag_protocol::{DagNetwork, DagProcess};
 pub use dissemination::{plan_dissemination, DisseminationPlan};
 pub use error::DaError;
 pub use event::{Event, EventId};
 pub use maintenance::{MaintenanceAction, MaintenanceTask};
 pub use message::{ControlMsg, DaMsg};
 pub use metro::{metro_population, MetroMsg, MetroProcess, MAX_HEADLINES};
-pub use multi_super::{plan_multi_dissemination, MultiSuperTables};
 pub use network::{DynamicNetwork, GroupSpec, StaticNetwork};
 pub use params::{ParamMap, TopicParams};
 pub use protocol::{DaProcess, Mutation};

@@ -5,8 +5,9 @@
 //!
 //! * [`StaticNetwork`] — the paper's simulation setting (Sec. VII-A):
 //!   every table is drawn once, uniformly at random, before round 0, and
-//!   never changes. Supertables point into the *nearest non-empty ancestor
-//!   group* (Sec. V-A.1, footnote 4).
+//!   never changes. A process gets one supertable per direct supertopic
+//!   (Sec. VIII), pointing into the *nearest non-empty group* at or above
+//!   that supertopic (Sec. V-A.1, footnote 4).
 //! * [`DynamicNetwork`] — the full protocol: processes only get a handful
 //!   of same-group contacts plus a random overlay, and discover super
 //!   contacts through the bootstrap.
@@ -84,13 +85,43 @@ impl StaticNetwork {
 
     /// Builds a static network from explicit groups over an arbitrary
     /// hierarchy. Groups may be empty (their subscribers link past them to
-    /// the nearest non-empty ancestor).
+    /// the nearest non-empty ancestor). A topic with several direct
+    /// supertopics gets one supertable for each.
     ///
     /// # Errors
     ///
     /// Returns [`DaError::InvalidParameter`] on parameter-validation
     /// failure, and [`DaError::EmptyGroup`] when the total population is
     /// empty.
+    ///
+    /// ```
+    /// use damulticast::{GroupSpec, ParamMap, StaticNetwork, TopicParams};
+    /// use da_core::ProcessId;
+    /// use da_simnet::{Engine, SimConfig};
+    /// use da_topics::TopicHierarchy;
+    /// use std::sync::Arc;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// // Multiple inheritance: skiing is sport, and Swiss.
+    /// let mut h = TopicHierarchy::new();
+    /// let swiss = h.insert(".swiss")?;
+    /// let ski = h.insert(".sport.ski")?;
+    /// h.add_supertopic(ski, swiss)?;
+    /// let sport = h.parent(ski).unwrap();
+    /// let group = |topic, pids: std::ops::Range<u32>| GroupSpec {
+    ///     topic,
+    ///     members: pids.map(ProcessId).collect(),
+    /// };
+    /// let groups = vec![group(sport, 0..5), group(swiss, 5..10), group(ski, 10..20)];
+    /// let params = ParamMap::uniform(TopicParams::paper_default().with_g(30.0).with_a(3.0));
+    /// let net = StaticNetwork::from_groups(Arc::new(h), groups, params, 7)?;
+    /// let mut engine = Engine::new(SimConfig::default().with_seed(7), net.into_processes());
+    /// let id = engine.process_mut(ProcessId(12)).publish("slalom");
+    /// engine.run_until_quiescent(64);
+    /// // The event climbed both inclusion edges.
+    /// assert!(engine.processes().all(|(_, p)| p.has_delivered(id)));
+    /// # Ok(()) }
+    /// ```
     pub fn from_groups(
         hierarchy: Arc<TopicHierarchy>,
         groups: Vec<GroupSpec>,
@@ -131,34 +162,41 @@ impl StaticNetwork {
                     }
                 })?;
 
-            // The nearest strict ancestor whose group is non-empty.
-            let ancestor = hierarchy
-                .ancestors(group.topic)
-                .find(|a| by_topic.get(a).is_some_and(|g| !g.members.is_empty()));
-            let super_tables = match ancestor {
-                Some(anc) => {
-                    let supergroup = &by_topic[&anc].members;
-                    let tables = static_super_tables(&group.members, supergroup, tp.z, &mut rng)
-                        .map_err(|e| DaError::InvalidParameter {
-                            reason: e.to_string(),
-                        })?;
-                    Some((anc, tables))
-                }
-                None => None,
-            };
+            // One supertable per direct supertopic `p`, drawn from the
+            // nearest non-empty group among `p` and its ancestors.
+            let populated = |t: &TopicId| by_topic.get(t).is_some_and(|g| !g.members.is_empty());
+            let mut super_tables = Vec::new();
+            for &parent in hierarchy.parents(group.topic) {
+                let anchor = std::iter::once(parent)
+                    .chain(hierarchy.ancestors(parent))
+                    .find(populated);
+                let Some(anc) = anchor else {
+                    super_tables.push(None);
+                    continue;
+                };
+                let supergroup = &by_topic[&anc].members;
+                let tables = static_super_tables(&group.members, supergroup, tp.z, &mut rng)
+                    .map_err(|e| DaError::InvalidParameter {
+                        reason: e.to_string(),
+                    })?;
+                super_tables.push(Some((anc, tables)));
+            }
 
             for &pid in &group.members {
                 let table = topic_tables[&pid].clone();
-                let supers: Vec<SuperEntry> = match &super_tables {
-                    Some((anc, tables)) => tables[&pid]
-                        .iter()
-                        .map(|&p| SuperEntry {
-                            pid: p,
-                            topic: *anc,
-                        })
-                        .collect(),
-                    None => Vec::new(),
-                };
+                let supers = super_tables
+                    .iter()
+                    .map(|drawn| match drawn {
+                        Some((anc, tables)) => tables[&pid]
+                            .iter()
+                            .map(|&p| SuperEntry {
+                                pid: p,
+                                topic: *anc,
+                            })
+                            .collect(),
+                        None => Vec::new(),
+                    })
+                    .collect();
                 processes.push(DaProcess::static_member(
                     pid,
                     group.topic,
@@ -331,7 +369,9 @@ impl DynamicNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventId;
     use crate::params::TopicParams;
+    use crate::tables::SuperTable;
     use da_simnet::{Engine, SimConfig};
 
     #[test]
@@ -370,7 +410,7 @@ mod tests {
                     "topic table must stay within the group"
                 );
             }
-            for e in p.super_table().entries() {
+            for e in p.super_tables().iter().flat_map(SuperTable::entries) {
                 assert!(
                     groups[0].members.contains(&e.pid),
                     "supertable must point into the ancestor group"
@@ -385,7 +425,10 @@ mod tests {
         let net = StaticNetwork::linear(&[10, 20], ParamMap::default(), 3).unwrap();
         let procs = net.into_processes();
         for p in procs.iter().take(10) {
-            assert!(p.super_table().is_empty(), "root member has no supergroup");
+            assert!(p.super_tables().is_empty(), "root member has no supergroup");
+        }
+        for p in procs.iter().skip(10) {
+            assert_eq!(p.super_tables().len(), 1, "one table for T0");
         }
     }
 
@@ -412,8 +455,9 @@ mod tests {
             StaticNetwork::from_groups(Arc::clone(&h), groups, ParamMap::default(), 4).unwrap();
         let procs = net.into_processes();
         for p in procs.iter().skip(5) {
-            assert!(!p.super_table().is_empty());
-            for e in p.super_table().entries() {
+            assert_eq!(p.super_tables().len(), 1, "one table, for T1");
+            assert!(!p.super_tables()[0].is_empty());
+            for e in p.super_tables()[0].entries() {
                 assert_eq!(e.topic, ids[0], "links skip the empty T1 group");
             }
         }
@@ -474,7 +518,7 @@ mod tests {
         engine.run_rounds(40);
         // Every leaf process should have found at least one super contact.
         let linked = (5..25)
-            .filter(|&i| !engine.process(ProcessId(i)).super_table().is_empty())
+            .filter(|&i| !engine.process(ProcessId(i)).super_tables()[0].is_empty())
             .count();
         assert!(
             linked >= 18,
@@ -502,5 +546,251 @@ mod tests {
             .count();
         assert!(leaf_got >= 18, "leaf delivery {leaf_got}/20");
         assert!(root_got >= 1, "event failed to climb to the root group");
+    }
+
+    /// `.sport`, `.swiss` and `.sport.ski`, with `.swiss` a second direct
+    /// supertopic of `.sport.ski`. Groups: 4 root fans (pids 0–3), 6 sport
+    /// fans (4–9), 6 swiss fans (10–15), 12 ski fans (16–27). The small
+    /// groups pin the trade-off knobs high so single events cross every
+    /// edge deterministically enough to assert on.
+    fn diamond_network(seed: u64) -> (StaticNetwork, [TopicId; 4]) {
+        let mut h = TopicHierarchy::from_paths([".sport.ski", ".swiss"]).unwrap();
+        let [sport, swiss, ski] = [".sport", ".swiss", ".sport.ski"].map(|p| h.resolve(p).unwrap());
+        h.add_supertopic(ski, swiss).unwrap();
+        let topics = [h.root(), sport, swiss, ski];
+        let groups = topics
+            .iter()
+            .zip([0..4, 4..10, 10..16, 16..28])
+            .map(|(&topic, pids)| GroupSpec {
+                topic,
+                members: pids.map(ProcessId).collect(),
+            })
+            .collect();
+        let params = ParamMap::uniform(TopicParams::paper_default().with_g(30.0).with_a(3.0));
+        let net = StaticNetwork::from_groups(Arc::new(h), groups, params, seed).unwrap();
+        (net, topics)
+    }
+
+    /// How many of `pids` delivered `id`.
+    fn delivered(engine: &Engine<DaProcess>, pids: std::ops::Range<u32>, id: EventId) -> usize {
+        pids.filter(|&i| engine.process(ProcessId(i)).has_delivered(id))
+            .count()
+    }
+
+    #[test]
+    fn one_table_per_direct_supertopic() {
+        let (net, [root, sport, swiss, _]) = diamond_network(1);
+        let procs = net.into_processes();
+        let tagged = |p: &DaProcess| -> Vec<Vec<TopicId>> {
+            let tags = |t: &SuperTable| t.entries().iter().map(|e| e.topic).collect();
+            p.super_tables().iter().map(tags).collect()
+        };
+        assert!(procs[0].super_tables().is_empty(), "the root has none");
+        assert_eq!(tagged(&procs[5]), [vec![root; 3]]);
+        assert_eq!(tagged(&procs[11]), [vec![root; 3]]);
+        assert_eq!(tagged(&procs[20]), [vec![sport; 3], vec![swiss; 3]]);
+    }
+
+    #[test]
+    fn each_table_draws_from_its_own_supertopic() {
+        let (net, _) = diamond_network(2);
+        for p in net.into_processes().iter().skip(16) {
+            let [to_sport, to_swiss] = p.super_tables() else {
+                panic!("{} has {} tables", p.id(), p.super_tables().len());
+            };
+            assert!(to_sport
+                .entries()
+                .iter()
+                .all(|e| (4..10).contains(&e.pid.0)));
+            assert!(to_swiss
+                .entries()
+                .iter()
+                .all(|e| (10..16).contains(&e.pid.0)));
+        }
+    }
+
+    #[test]
+    fn memory_is_tables_times_z_not_hierarchy_size() {
+        // A child of ten supertopics, each with a five-member group.
+        let mut h = TopicHierarchy::new();
+        let parents: Vec<TopicId> = (0..10)
+            .map(|i| h.insert(&format!(".p{i}")).unwrap())
+            .collect();
+        let child = h.insert(".p0.child").unwrap();
+        for &p in &parents[1..] {
+            h.add_supertopic(child, p).unwrap();
+        }
+        let mut groups: Vec<GroupSpec> = (0u32..10)
+            .map(|i| GroupSpec {
+                topic: parents[i as usize],
+                members: (5 * i..5 * i + 5).map(ProcessId).collect(),
+            })
+            .collect();
+        groups.push(GroupSpec {
+            topic: child,
+            members: (50..54).map(ProcessId).collect(),
+        });
+        let net = StaticNetwork::from_groups(Arc::new(h), groups, ParamMap::default(), 3).unwrap();
+        for p in net.into_processes().iter().skip(50) {
+            // 10 tables × z = 3, though each supergroup offers 5.
+            assert_eq!(p.super_tables().len(), 10);
+            assert_eq!(p.memory_entries(), p.topic_table().len() + 30);
+        }
+    }
+
+    #[test]
+    fn ski_event_climbs_both_edges() {
+        let (net, _) = diamond_network(1);
+        let mut engine = Engine::new(SimConfig::default().with_seed(1), net.into_processes());
+        let id = engine.process_mut(ProcessId(20)).publish("slalom gold");
+        engine.run_until_quiescent(64);
+        assert_eq!(delivered(&engine, 16..28, id), 12, "all ski fans");
+        assert!(
+            delivered(&engine, 4..10, id) >= 5,
+            "sport fans via the sport edge"
+        );
+        assert!(
+            delivered(&engine, 10..16, id) >= 5,
+            "swiss fans via the swiss edge"
+        );
+        assert!(
+            delivered(&engine, 0..4, id) >= 3,
+            "root fans via either path"
+        );
+        assert_eq!(engine.counters().get("da.parasite"), 0);
+    }
+
+    #[test]
+    fn diamond_paths_deduplicate_at_root() {
+        let (net, _) = diamond_network(2);
+        let mut engine = Engine::new(SimConfig::default().with_seed(2), net.into_processes());
+        engine.process_mut(ProcessId(20)).publish("x");
+        engine.run_until_quiescent(64);
+        // Root fans sit on two converging paths; dedup must keep delivery
+        // single.
+        for i in 0..4 {
+            assert!(engine.process(ProcessId(i)).delivered().len() <= 1);
+        }
+        assert!(
+            engine.counters().get("da.duplicate..") > 0,
+            "converging paths must produce (suppressed) duplicates"
+        );
+    }
+
+    #[test]
+    fn sibling_subtrees_stay_isolated() {
+        let (net, _) = diamond_network(3);
+        let mut engine = Engine::new(SimConfig::default().with_seed(3), net.into_processes());
+        // A sport-only event: swiss fans must not receive it.
+        let id = engine.process_mut(ProcessId(5)).publish("football");
+        engine.run_until_quiescent(64);
+        assert_eq!(delivered(&engine, 10..16, id), 0, "swiss fans");
+        assert_eq!(delivered(&engine, 16..28, id), 0, "ski fans");
+        assert_eq!(engine.counters().get("da.parasite"), 0);
+    }
+
+    #[test]
+    fn memory_is_edge_count_times_z() {
+        let (net, _) = diamond_network(4);
+        let procs = net.into_processes();
+        // Ski fans have two edges → up to 2z super entries; sport/swiss
+        // fans one edge → up to z; root fans none.
+        let supers = |i: usize| procs[i].memory_entries() - procs[i].topic_table().len();
+        assert!(supers(20) <= 2 * 3);
+        assert!(supers(20) > 3);
+        assert!(supers(5) <= 3);
+        assert_eq!(supers(0), 0);
+    }
+
+    #[test]
+    fn empty_parent_group_bridged_upward() {
+        // `.a.b` also under `.c`; nobody subscribes to `.a`, so b's table
+        // for `.a` links to the root group and its table for `.c` to c's.
+        let mut h = TopicHierarchy::from_paths([".a.b", ".c"]).unwrap();
+        let [a, b, c] = [".a", ".a.b", ".c"].map(|p| h.resolve(p).unwrap());
+        h.add_supertopic(b, c).unwrap();
+        let groups = vec![
+            GroupSpec {
+                topic: h.root(),
+                members: (0..4).map(ProcessId).collect(),
+            },
+            GroupSpec {
+                topic: a,
+                members: vec![],
+            },
+            GroupSpec {
+                topic: c,
+                members: (4..8).map(ProcessId).collect(),
+            },
+            GroupSpec {
+                topic: b,
+                members: (8..16).map(ProcessId).collect(),
+            },
+        ];
+        let root = h.root();
+        let params = ParamMap::uniform(TopicParams::paper_default().with_g(30.0).with_a(3.0));
+        let net = StaticNetwork::from_groups(Arc::new(h), groups, params, 5).unwrap();
+        let procs = net.into_processes();
+        for p in procs.iter().skip(8) {
+            let [to_a, to_c] = p.super_tables() else {
+                panic!("{} has {} tables", p.id(), p.super_tables().len());
+            };
+            assert!(!to_a.is_empty(), "bridged links exist");
+            assert!(to_a.entries().iter().all(|e| e.topic == root));
+            assert!(to_c.entries().iter().all(|e| e.topic == c));
+        }
+        let mut engine = Engine::new(SimConfig::default().with_seed(5), procs);
+        let id = engine.process_mut(ProcessId(10)).publish("up");
+        engine.run_until_quiescent(64);
+        assert!(
+            delivered(&engine, 0..4, id) >= 3,
+            "bridge must carry the event to the root group"
+        );
+        assert!(delivered(&engine, 4..8, id) >= 3, "and the c edge to c's");
+    }
+
+    #[test]
+    fn build_validation() {
+        let (h, topics) = {
+            let (net, topics) = diamond_network(6);
+            (Arc::clone(net.hierarchy()), topics)
+        };
+        let groups = |pids: &[&[u32]]| -> Vec<GroupSpec> {
+            topics
+                .iter()
+                .zip(pids)
+                .map(|(&topic, pids)| GroupSpec {
+                    topic,
+                    members: pids.iter().copied().map(ProcessId).collect(),
+                })
+                .collect()
+        };
+        let build = |groups, params| StaticNetwork::from_groups(Arc::clone(&h), groups, params, 1);
+        assert!(matches!(
+            build(groups(&[&[], &[], &[], &[]]), ParamMap::default()),
+            Err(DaError::EmptyGroup { .. })
+        ));
+        // Not dense: 2 is missing.
+        assert!(build(groups(&[&[0, 1], &[3]]), ParamMap::default()).is_err());
+        // A NaN election weight would pass `gen_bool` a NaN probability
+        // on the first publication.
+        let nan = ParamMap::uniform(TopicParams::paper_default().with_g(f64::NAN));
+        assert!(matches!(
+            build(groups(&[&[0, 1]]), nan),
+            Err(DaError::InvalidParameter { .. })
+        ));
+    }
+
+    #[test]
+    fn topic_table_helper_access() {
+        let (net, [_, sport, swiss, ski]) = diamond_network(6);
+        let procs = net.into_processes();
+        assert_eq!(procs[20].topic(), ski);
+        assert_eq!(procs[20].id(), ProcessId(20));
+        assert!(procs[20].is_interested_in(ski));
+        assert!(!procs[20].is_interested_in(sport));
+        assert!(procs[11].is_interested_in(ski), "swiss fans want ski");
+        assert!(!procs[11].is_interested_in(sport));
+        assert!(procs[0].is_interested_in(swiss), "root wants everything");
     }
 }

@@ -5,8 +5,10 @@
 //! * the **topic table** — a [`FlatMembership`] partial view of the
 //!   process' own group (the underlying membership algorithm of the
 //!   paper's reference \[10\]),
-//! * the **supertopic table** — a constant-size [`SuperTable`] of contacts
-//!   in an including group,
+//! * the **supertopic tables** — one constant-size [`SuperTable`] of
+//!   contacts in an including group per direct supertopic: one in the
+//!   paper's tree, several for a topic with multiple supertopics
+//!   (Sec. VIII), none at the root,
 //! * the **bootstrap task** (`FIND_SUPER_CONTACT`, Fig. 4), flooding the
 //!   weakly-consistent neighbourhood overlay for super contacts,
 //! * the **maintenance task** (`KEEP_TABLE_UPDATED`, Fig. 6), probing
@@ -23,7 +25,8 @@
 //!   joins through contacts, gossips membership digests with piggybacked
 //!   supertable samples, searches super contacts through the overlay and
 //!   maintains them under churn. Used by the examples and the end-to-end
-//!   tests.
+//!   tests. Its tasks keep one table, so it serves topics with one direct
+//!   supertopic.
 
 use crate::bootstrap::{BootstrapAction, BootstrapTask};
 use crate::dissemination::{plan_dissemination, DisseminationPlan};
@@ -63,6 +66,10 @@ struct Labels {
 // The footprint the ids exist for: a slot cached per process (name, hash,
 // index) is as fast and costs every process more than the strings did.
 const _: () = assert!(std::mem::size_of::<Labels>() == 24);
+// A wave holds a thousand processes: the dynamic-mode state a static
+// member never uses stays behind one box. Inline, it made the process
+// 624 B; boxed, 392 B.
+const _: () = assert!(std::mem::size_of::<DaProcess>() < 624);
 
 impl Labels {
     /// The labels of the group at `topic_path`. Populations are built
@@ -134,7 +141,7 @@ thread_local! {
 ///     TopicParams::paper_default(),
 ///     100,               // S_T1
 ///     vec![ProcessId(1)],// topic table
-///     vec![],            // supertable (empty: nearest the root)
+///     vec![vec![]],      // one supertable, for T0 (empty here)
 /// );
 /// assert_eq!(p.topic(), ids[1]);
 /// ```
@@ -146,17 +153,13 @@ pub struct DaProcess {
     params: TopicParams,
     /// The topic table (partial view of the own group).
     membership: FlatMembership,
-    /// The supertopic table.
-    stable: SuperTable,
+    /// One supertopic table per direct supertopic, in
+    /// [`TopicHierarchy::parents`] order; none at the root.
+    super_tables: Vec<SuperTable>,
     /// `S_Ti` — the size estimate used for `p_sel` and the fanout.
     group_size: usize,
-    /// Dynamic-mode tasks; `None` in static mode.
-    bootstrap: Option<BootstrapTask>,
-    maintenance: Option<MaintenanceTask>,
-    /// Overlay neighbourhood used by the bootstrap flood (dynamic mode).
-    overlay: Option<Arc<Overlay>>,
-    /// Initial same-group contacts to join through (dynamic mode).
-    join_contacts: Vec<ProcessId>,
+    /// Dynamic-mode state; `None` in static mode.
+    dynamic: Option<Box<Dynamic>>,
     /// Event ids already received (the paper's "done only the first time").
     seen: HashSet<EventId, KeyBuildHasher>,
     /// Events delivered to the application, in delivery order.
@@ -167,11 +170,25 @@ pub struct DaProcess {
     /// Publications queued until the next round hook.
     pending_publish: Vec<Event>,
     next_sequence: u64,
-    /// Bootstrap requests already answered/forwarded: `(origin, req_id)`.
-    answered_requests: HashSet<(ProcessId, u64), KeyBuildHasher>,
     labels: Labels,
     /// Deliberate protocol defect, [`Mutation::None`] in production.
     mutation: Mutation,
+}
+
+/// What only a dynamic-mode process keeps: the tasks of Figs. 4 and 6 and
+/// what they run on.
+#[derive(Debug, Clone)]
+struct Dynamic {
+    /// `FIND_SUPER_CONTACT`; `None` at the root.
+    bootstrap: Option<BootstrapTask>,
+    /// `KEEP_TABLE_UPDATED`.
+    maintenance: MaintenanceTask,
+    /// Overlay neighbourhood used by the bootstrap flood.
+    overlay: Arc<Overlay>,
+    /// Initial same-group contacts to join through.
+    join_contacts: Vec<ProcessId>,
+    /// Bootstrap requests already answered/forwarded: `(origin, req_id)`.
+    answered_requests: HashSet<(ProcessId, u64), KeyBuildHasher>,
 }
 
 /// A deliberately broken protocol variant, used to prove the bounded
@@ -204,9 +221,11 @@ impl DaProcess {
     /// setting): `topic_table` and `super_entries` are fixed for the whole
     /// run and no control traffic is generated.
     ///
-    /// `super_entries` lists contacts in the nearest non-empty ancestor
-    /// group, tagged with that ancestor's topic; pass an empty vector for
-    /// root-group members.
+    /// `super_entries` holds one entry list per direct supertopic, in
+    /// [`TopicHierarchy::parents`] order, and each becomes one supertable.
+    /// A list names contacts in the nearest non-empty group among its
+    /// supertopic and that supertopic's ancestors, tagged with that group's
+    /// topic. Root-group members pass no list.
     #[must_use]
     pub fn static_member(
         me: ProcessId,
@@ -215,7 +234,7 @@ impl DaProcess {
         params: TopicParams,
         group_size: usize,
         topic_table: Vec<ProcessId>,
-        super_entries: Vec<SuperEntry>,
+        super_entries: Vec<Vec<SuperEntry>>,
     ) -> Self {
         let mparams = MembershipParams {
             b: params.b,
@@ -228,10 +247,16 @@ impl DaProcess {
         };
         let mut seed_rng = da_core::rng_for_process(0xDA, me);
         let membership = FlatMembership::with_static_view(me, mparams, &topic_table, &mut seed_rng);
-        let mut stable = SuperTable::new(me, params.z.max(super_entries.len()));
-        for entry in super_entries {
-            stable.insert(entry, &mut seed_rng);
-        }
+        let super_tables = super_entries
+            .into_iter()
+            .map(|entries| {
+                let mut table = SuperTable::new(me, params.z.max(entries.len()));
+                for entry in entries {
+                    table.insert(entry, &mut seed_rng);
+                }
+                table
+            })
+            .collect();
         let labels = Labels::new(hierarchy.path(topic).as_str());
         DaProcess {
             me,
@@ -239,18 +264,14 @@ impl DaProcess {
             hierarchy,
             params,
             membership,
-            stable,
+            super_tables,
             group_size,
-            bootstrap: None,
-            maintenance: None,
-            overlay: None,
-            join_contacts: Vec::new(),
+            dynamic: None,
             seen: HashSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
-            answered_requests: HashSet::default(),
             labels,
             mutation: Mutation::None,
         }
@@ -259,6 +280,11 @@ impl DaProcess {
     /// Builds a dynamic-mode process running the full protocol: it joins
     /// its group through `join_contacts`, finds super contacts by flooding
     /// `overlay`, and keeps both tables fresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `topic` has more than one direct supertopic: the
+    /// bootstrap and maintenance tasks keep a single supertable.
     #[must_use]
     pub fn dynamic_member(
         me: ProcessId,
@@ -269,13 +295,23 @@ impl DaProcess {
         overlay: Arc<Overlay>,
         join_contacts: Vec<ProcessId>,
     ) -> Self {
+        let supertopics = hierarchy.parents(topic).len();
+        assert!(
+            supertopics <= 1,
+            "dynamic mode keeps one supertable; {} has {supertopics} direct supertopics",
+            hierarchy.path(topic)
+        );
         let membership = FlatMembership::new(me, membership_params);
-        let stable = SuperTable::new(me, params.z);
-        let bootstrap = BootstrapTask::new(topic, &hierarchy, params.bootstrap_timeout);
-        let maintenance = Some(MaintenanceTask::new(
-            params.maintenance_period,
-            params.ping_timeout,
-        ));
+        let super_tables = (0..supertopics)
+            .map(|_| SuperTable::new(me, params.z))
+            .collect();
+        let dynamic = Dynamic {
+            bootstrap: BootstrapTask::new(topic, &hierarchy, params.bootstrap_timeout),
+            maintenance: MaintenanceTask::new(params.maintenance_period, params.ping_timeout),
+            overlay,
+            join_contacts,
+            answered_requests: HashSet::default(),
+        };
         let labels = Labels::new(hierarchy.path(topic).as_str());
         DaProcess {
             me,
@@ -283,18 +319,14 @@ impl DaProcess {
             hierarchy,
             params,
             membership,
-            stable,
+            super_tables,
             group_size: membership_params.expected_group_size,
-            bootstrap,
-            maintenance,
-            overlay: Some(overlay),
-            join_contacts,
+            dynamic: Some(Box::new(dynamic)),
             seen: HashSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
-            answered_requests: HashSet::default(),
             labels,
             mutation: Mutation::None,
         }
@@ -332,10 +364,40 @@ impl DaProcess {
         self.membership.view().as_slice()
     }
 
-    /// The current supertopic table.
+    /// The supertopic tables, one per direct supertopic in
+    /// [`TopicHierarchy::parents`] order (Sec. VIII); empty at the root.
+    ///
+    /// ```
+    /// use damulticast::{DaProcess, SuperEntry, TopicParams};
+    /// use da_core::ProcessId;
+    /// use da_topics::TopicHierarchy;
+    /// use std::sync::Arc;
+    ///
+    /// # fn main() -> Result<(), da_topics::TopicError> {
+    /// let mut h = TopicHierarchy::new();
+    /// let swiss = h.insert(".swiss")?;
+    /// let ski = h.insert(".sport.ski")?;
+    /// h.add_supertopic(ski, swiss)?;
+    /// let sport = h.parent(ski).unwrap();
+    /// let entry = |pid, topic| SuperEntry { pid: ProcessId(pid), topic };
+    /// let p = DaProcess::static_member(
+    ///     ProcessId(0),
+    ///     ski,
+    ///     Arc::new(h),
+    ///     TopicParams::paper_default(),
+    ///     10,
+    ///     vec![],
+    ///     vec![vec![entry(1, sport), entry(2, sport)], vec![entry(3, swiss)]],
+    /// );
+    /// let sizes: Vec<usize> = p.super_tables().iter().map(|t| t.len()).collect();
+    /// assert_eq!(sizes, [2, 1]);
+    /// assert_eq!(p.memory_entries(), 3);
+    /// # Ok(())
+    /// # }
+    /// ```
     #[must_use]
-    pub fn super_table(&self) -> &SuperTable {
-        &self.stable
+    pub fn super_tables(&self) -> &[SuperTable] {
+        &self.super_tables
     }
 
     /// Events delivered to the application so far, in delivery order.
@@ -381,10 +443,11 @@ impl DaProcess {
 
     /// The per-process memory complexity in table entries:
     /// `|Table| + |sTable|` — the paper's `ln(S) + c + z` bound
-    /// (Sec. VI-C).
+    /// (Sec. VI-C), with `z` per direct supertopic (Sec. VIII).
     #[must_use]
     pub fn memory_entries(&self) -> usize {
-        self.membership.view().len() + self.stable.len()
+        let supers: usize = self.super_tables.iter().map(SuperTable::len).sum();
+        self.membership.view().len() + supers
     }
 
     /// True when this process is interested in events of `topic` — i.e.
@@ -413,7 +476,7 @@ impl DaProcess {
             &self.params,
             self.group_size,
             self.membership.view().as_slice(),
-            &self.stable,
+            &self.super_tables,
             ctx.rng(),
             &mut plan,
         );
@@ -483,10 +546,11 @@ impl DaProcess {
         topics: Vec<TopicId>,
         ctx: &mut X,
     ) {
-        let Some(overlay) = self.overlay.clone() else {
+        let Some(dynamic) = self.dynamic.as_mut() else {
             return;
         };
-        self.answered_requests.insert((self.me, req_id));
+        dynamic.answered_requests.insert((self.me, req_id));
+        let overlay = Arc::clone(&dynamic.overlay);
         for &n in overlay.neighbors(self.me) {
             self.send_control(
                 ctx,
@@ -511,9 +575,13 @@ impl DaProcess {
         ctx: &mut X,
     ) {
         // "Done only the first time the message is received."
-        if !self.answered_requests.insert((origin, req_id)) {
+        let Some(dynamic) = self.dynamic.as_mut() else {
+            return;
+        };
+        if !dynamic.answered_requests.insert((origin, req_id)) {
             return;
         }
+        let overlay = Arc::clone(&dynamic.overlay);
         if origin == self.me {
             return;
         }
@@ -535,22 +603,20 @@ impl DaProcess {
         }
         // Otherwise keep flooding while the request lives.
         if ttl > 0 {
-            if let Some(overlay) = self.overlay.clone() {
-                for &n in overlay.neighbors(self.me) {
-                    if n == origin {
-                        continue;
-                    }
-                    self.send_control(
-                        ctx,
-                        n,
-                        ControlMsg::ReqContact {
-                            origin,
-                            req_id,
-                            topics: topics.clone(),
-                            ttl: ttl - 1,
-                        },
-                    );
+            for &n in overlay.neighbors(self.me) {
+                if n == origin {
+                    continue;
                 }
+                self.send_control(
+                    ctx,
+                    n,
+                    ControlMsg::ReqContact {
+                        origin,
+                        req_id,
+                        topics: topics.clone(),
+                        ttl: ttl - 1,
+                    },
+                );
             }
         }
     }
@@ -568,21 +634,23 @@ impl DaProcess {
         if !self.hierarchy.includes(topic, self.topic) {
             return;
         }
+        // Not the root, then: dynamic mode keeps exactly one table.
+        let table = &mut self.super_tables[0];
         let entries: Vec<SuperEntry> = contacts
             .iter()
             .map(|&pid| SuperEntry { pid, topic })
             .collect();
-        let hierarchy = Arc::clone(&self.hierarchy);
-        if self.stable.len() < self.stable.capacity() {
+        let hierarchy = &self.hierarchy;
+        if table.len() < table.capacity() {
             for &entry in &entries {
-                self.stable.insert(entry, ctx.rng());
+                table.insert(entry, ctx.rng());
             }
         }
-        self.stable.tighten(&entries, |t| hierarchy.depth(t));
-        if let Some(task) = self.bootstrap.as_mut() {
+        table.tighten(&entries, |t| hierarchy.depth(t));
+        if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
             // A direct-supertopic answer stops the task; answers from
             // higher ancestors narrow the search (Fig. 4, lines 31-35).
-            task.on_answer(topic, &hierarchy);
+            task.on_answer(topic, hierarchy);
         }
     }
 
@@ -601,14 +669,11 @@ impl DaProcess {
             }
             ControlMsg::NewProcessAns { contacts } => {
                 // Fig. 6, lines 6–9: MERGE fresh superprocesses.
-                let hierarchy = Arc::clone(&self.hierarchy);
-                let my_topic = self.topic;
-                let valid: Vec<SuperEntry> = contacts
-                    .into_iter()
-                    .filter(|e| hierarchy.includes(e.topic, my_topic))
-                    .collect();
-                self.stable.merge(&valid, |_| true);
-                self.stable.tighten(&valid, |t| hierarchy.depth(t));
+                let valid = self.valid_super_entries(contacts);
+                if let Some(table) = self.super_tables.first_mut() {
+                    table.merge(&valid, |_| true);
+                    table.tighten(&valid, |t| self.hierarchy.depth(t));
+                }
             }
             ControlMsg::Membership {
                 inner,
@@ -620,16 +685,12 @@ impl DaProcess {
                 // Piggybacked supertable entries: valid for us when their
                 // topic strictly includes ours (sender is a group-mate, so
                 // its ancestors are ours).
-                let hierarchy = Arc::clone(&self.hierarchy);
-                let my_topic = self.topic;
-                let valid: Vec<SuperEntry> = stable_sample
-                    .into_iter()
-                    .filter(|e| hierarchy.includes(e.topic, my_topic))
-                    .collect();
+                let valid = self.valid_super_entries(stable_sample);
                 if !valid.is_empty() {
-                    self.stable.merge(&valid, |_| true);
-                    self.stable.tighten(&valid, |t| hierarchy.depth(t));
-                    if let Some(task) = self.bootstrap.as_mut() {
+                    let table = &mut self.super_tables[0];
+                    table.merge(&valid, |_| true);
+                    table.tighten(&valid, |t| self.hierarchy.depth(t));
+                    if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
                         if task.is_active() && valid.iter().any(|e| e.topic == task.direct_super())
                         {
                             task.stop();
@@ -640,6 +701,14 @@ impl DaProcess {
         }
     }
 
+    /// The `entries` whose topic strictly includes this process' own.
+    fn valid_super_entries(&self, entries: Vec<SuperEntry>) -> Vec<SuperEntry> {
+        entries
+            .into_iter()
+            .filter(|e| self.hierarchy.includes(e.topic, self.topic))
+            .collect()
+    }
+
     /// Wraps and routes pending membership messages, piggybacking a sample
     /// of the supertable (Sec. V-A.2a).
     fn route_membership<X: Exec<Msg = DaMsg>>(
@@ -648,7 +717,10 @@ impl DaProcess {
         ctx: &mut X,
     ) {
         for (to, inner) in out {
-            let stable_sample = self.stable.sample(2, ctx.rng());
+            let stable_sample = match self.super_tables.first() {
+                Some(table) => table.sample(2, ctx.rng()),
+                None => Vec::new(),
+            };
             self.send_control(
                 ctx,
                 to,
@@ -666,13 +738,16 @@ impl ExecProtocol for DaProcess {
 
     fn on_start<X: Exec<Msg = DaMsg>>(&mut self, ctx: &mut X) {
         // Dynamic mode: join the group and start the super-contact search.
-        let contacts = std::mem::take(&mut self.join_contacts);
+        let Some(dynamic) = self.dynamic.as_mut() else {
+            return;
+        };
+        let contacts = std::mem::take(&mut dynamic.join_contacts);
         if !contacts.is_empty() {
             let joins = self.membership.join(&contacts, ctx.rng());
             self.route_membership(joins, ctx);
         }
-        if let Some(task) = self.bootstrap.as_mut() {
-            if self.stable.is_empty() {
+        if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
+            if self.super_tables.iter().all(SuperTable::is_empty) {
                 if let BootstrapAction::SendRequest { req_id, topics } = task.start(ctx.round()) {
                     self.flood_request(req_id, topics, ctx);
                 }
@@ -711,8 +786,8 @@ impl ExecProtocol for DaProcess {
                 self.send_control(ctx, from, DaMsg::Pong { nonce });
             }
             DaMsg::Pong { .. } => {
-                if let Some(m) = self.maintenance.as_mut() {
-                    m.on_pong(from, round);
+                if let Some(dynamic) = self.dynamic.as_mut() {
+                    dynamic.maintenance.on_pong(from, round);
                 }
             }
             DaMsg::Control(control) => self.on_control(from, *control, ctx),
@@ -732,7 +807,7 @@ impl ExecProtocol for DaProcess {
         }
 
         // Static mode stops here: no control plane.
-        if self.overlay.is_none() && self.maintenance.is_none() {
+        if self.dynamic.is_none() {
             return;
         }
 
@@ -741,14 +816,18 @@ impl ExecProtocol for DaProcess {
         self.route_membership(digests, ctx);
 
         // KEEP_TABLE_UPDATED (Fig. 6).
-        let action = if let Some(m) = self.maintenance.as_mut() {
-            let entries: Vec<ProcessId> = self.stable.entries().iter().map(|e| e.pid).collect();
-            let p_sel = self.params.p_sel(self.group_size);
-            let selected = p_sel >= 1.0 || (p_sel > 0.0 && ctx.rng().gen_bool(p_sel));
-            m.on_round(round, &entries, selected, self.params.tau)
-        } else {
-            MaintenanceAction::Idle
-        };
+        let entries: Vec<ProcessId> = self
+            .super_tables
+            .iter()
+            .flat_map(SuperTable::entries)
+            .map(|e| e.pid)
+            .collect();
+        let p_sel = self.params.p_sel(self.group_size);
+        let selected = p_sel >= 1.0 || (p_sel > 0.0 && ctx.rng().gen_bool(p_sel));
+        let dynamic = self.dynamic.as_mut().expect("static mode returned above");
+        let action = dynamic
+            .maintenance
+            .on_round(round, &entries, selected, self.params.tau);
         match action {
             MaintenanceAction::Ping { nonce, targets } => {
                 for t in targets {
@@ -757,14 +836,16 @@ impl ExecProtocol for DaProcess {
             }
             MaintenanceAction::Refresh { alive, dead } => {
                 for d in dead {
-                    self.stable.remove(d);
+                    for table in &mut self.super_tables {
+                        table.remove(d);
+                    }
                 }
                 for a in alive {
                     self.send_control(ctx, a, DaMsg::NewProcessReq);
                 }
             }
             MaintenanceAction::RestartBootstrap => {
-                if let Some(task) = self.bootstrap.as_mut() {
+                if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
                     if let BootstrapAction::SendRequest { req_id, topics } = task.start(round) {
                         self.flood_request(req_id, topics, ctx);
                     }
@@ -774,11 +855,10 @@ impl ExecProtocol for DaProcess {
         }
 
         // FIND_SUPER_CONTACT timeout handling (Fig. 4, lines 14–28).
-        if let Some(task) = self.bootstrap.as_mut() {
+        if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
             if task.is_active() {
-                let hierarchy = Arc::clone(&self.hierarchy);
                 if let BootstrapAction::SendRequest { req_id, topics } =
-                    task.on_round(round, &hierarchy)
+                    task.on_round(round, &self.hierarchy)
                 {
                     self.flood_request(req_id, topics, ctx);
                 }
@@ -792,7 +872,7 @@ impl ExecProtocol for DaProcess {
         // restart FIND_SUPER_CONTACT immediately rather than waiting for
         // the maintenance task to notice dead links. Static mode keeps
         // its fixed tables — a recovered static member just resumes.
-        if let Some(task) = self.bootstrap.as_mut() {
+        if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
             if let BootstrapAction::SendRequest { req_id, topics } = task.start(ctx.round()) {
                 self.flood_request(req_id, topics, ctx);
             }
@@ -836,17 +916,25 @@ impl McHash for DaProcess {
         for p in view {
             state.write_u32(p.0);
         }
-        state.write_u64(self.stable.entries().len() as u64);
-        for e in self.stable.entries() {
+        // Static tables never change, so one list of every table's entries
+        // tells states apart — and is the one table's own at one or none.
+        let supers = || self.super_tables.iter().flat_map(SuperTable::entries);
+        state.write_u64(supers().count() as u64);
+        for e in supers() {
             state.write_u32(e.pid.0);
             state.write_u64(e.topic.index() as u64);
         }
         state.write_u64(self.group_size as u64);
-        state.write_u8(u8::from(self.bootstrap.is_some()));
-        state.write_u8(u8::from(self.maintenance.is_some()));
-        state.write_u8(u8::from(self.overlay.is_some()));
-        state.write_u64(self.join_contacts.len() as u64);
-        for p in &self.join_contacts {
+        let dynamic = self.dynamic.as_deref();
+        let bootstrap = dynamic.is_some_and(|d| d.bootstrap.is_some());
+        state.write_u8(u8::from(bootstrap));
+        // The maintenance task's flag, then the overlay's: one box holds
+        // both, and the digest keeps its layout.
+        state.write_u8(u8::from(dynamic.is_some()));
+        state.write_u8(u8::from(dynamic.is_some()));
+        let join_contacts = dynamic.map_or(&[][..], |d| &d.join_contacts);
+        state.write_u64(join_contacts.len() as u64);
+        for p in join_contacts {
             state.write_u32(p.0);
         }
         state.write_u64(fold_unordered(
@@ -862,9 +950,10 @@ impl McHash for DaProcess {
             state.write_u64(event_id_word(e.id()));
         }
         state.write_u64(self.next_sequence);
-        state.write_u64(fold_unordered(self.answered_requests.iter().map(
-            |&(origin, req_id)| (u64::from(origin.0) << 32) ^ req_id.rotate_left(7),
-        )));
+        let answered = dynamic.into_iter().flat_map(|d| &d.answered_requests);
+        state.write_u64(fold_unordered(answered.map(|&(origin, req_id)| {
+            (u64::from(origin.0) << 32) ^ req_id.rotate_left(7)
+        })));
     }
 }
 
@@ -919,7 +1008,7 @@ mod tests {
                 params,
                 mid_members.len(),
                 table,
-                supers,
+                vec![supers],
             ));
         }
         (procs, ids)

@@ -43,7 +43,7 @@ proptest! {
             );
         }
         let mut plan = DisseminationPlan::default();
-        plan_dissemination(&params, group_size, &table, &stable, &mut rng, &mut plan);
+        plan_dissemination(&params, group_size, &table, std::slice::from_ref(&stable), &mut rng, &mut plan);
 
         let fanout = params.fanout.fanout(group_size);
         prop_assert!(plan.gossip_targets.len() <= fanout.min(table.len()));
@@ -88,7 +88,7 @@ proptest! {
         let mut plan = DisseminationPlan::default();
         let elected = (0..trials)
             .filter(|_| {
-                plan_dissemination(&params, group_size, &table, &stable, &mut rng, &mut plan);
+                plan_dissemination(&params, group_size, &table, std::slice::from_ref(&stable), &mut rng, &mut plan);
                 plan.elected
             })
             .count();

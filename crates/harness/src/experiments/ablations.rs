@@ -162,7 +162,7 @@ pub fn ablation_maintenance(periods: &[u64], trials: usize, seed: u64) -> Series
         let mut live_entries = 0_usize;
         let mut total_entries = 0_usize;
         for i in root_size..root_size + leaf_size {
-            let table = engine.process(ProcessId::from_index(i)).super_table();
+            let table = &engine.process(ProcessId::from_index(i)).super_tables()[0];
             total_entries += table.len();
             live_entries += table
                 .entries()

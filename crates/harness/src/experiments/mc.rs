@@ -11,8 +11,8 @@
 //!   claim, Sec. I);
 //! * [`NoDuplicateDelivery`] — the Fig. 5 de-dup check holds: no
 //!   process delivers the same event twice;
-//! * [`SuperTableWithinCapacity`] — the supertable never exceeds its
-//!   `z`-bound and never lists its owner (Sec. VI-C memory claim);
+//! * [`SuperTableWithinCapacity`] — no supertable exceeds its `z`-bound
+//!   or lists its owner (Sec. VI-C memory claim);
 //! * [`EnvelopeLedger`] — exact message accounting: every send is
 //!   delivered, dropped for a named reason, or still in flight;
 //! * [`FullDelivery`] (quiescent states of fault-free explorations
@@ -141,7 +141,7 @@ impl Invariant<DaProcess> for NoDuplicateDelivery {
     }
 }
 
-/// The supertable stays within its configured capacity and never lists
+/// Every supertable stays within its configured capacity and never lists
 /// its own process (Sec. VI-C: constant `z_Ti` entries).
 pub struct SuperTableWithinCapacity;
 
@@ -152,16 +152,17 @@ impl Invariant<DaProcess> for SuperTableWithinCapacity {
 
     fn check(&self, engine: &Engine<DaProcess>) -> Result<(), String> {
         for (pid, p) in engine.processes() {
-            let table = p.super_table();
-            if table.len() > table.capacity() {
-                return Err(format!(
-                    "{pid} supertable holds {} entries, capacity {}",
-                    table.len(),
-                    table.capacity()
-                ));
-            }
-            if table.entries().iter().any(|e| e.pid == pid) {
-                return Err(format!("{pid} lists itself in its supertable"));
+            for table in p.super_tables() {
+                if table.len() > table.capacity() {
+                    return Err(format!(
+                        "{pid} supertable holds {} entries, capacity {}",
+                        table.len(),
+                        table.capacity()
+                    ));
+                }
+                if table.entries().iter().any(|e| e.pid == pid) {
+                    return Err(format!("{pid} lists itself in its supertable"));
+                }
             }
         }
         Ok(())

@@ -371,4 +371,53 @@ mod tests {
             }
         }
     }
+
+    /// On a diamond — `.a` and `.b` below the root, `.a.c` below both
+    /// (Sec. VIII's multiple inheritance) — one publication reaches every
+    /// member of each group whose topic includes the publisher's and no
+    /// one else, on both substrates, with no parasite.
+    #[test]
+    fn a_diamond_publication_reaches_exactly_its_ancestor_cone() {
+        use damulticast::GroupSpec;
+        use std::sync::Arc;
+
+        let mut h = da_topics::TopicHierarchy::from_paths([".a.c", ".b"]).unwrap();
+        let [a, b, c] = [".a", ".b", ".a.c"].map(|p| h.resolve(p).unwrap());
+        h.add_supertopic(c, b).unwrap();
+        let h = Arc::new(h);
+        let topics = [h.root(), a, b, c];
+        let members = da_membership::static_init::assign_group_members(&[4, 6, 6, 12]);
+        let params = ParamMap::uniform(crate::experiments::live::pinned_params(20.0, 12.0));
+        for substrate in [SIM, Substrate::Live { workers: 1 }] {
+            for (&published, group) in topics.iter().zip(&members) {
+                let groups = topics
+                    .iter()
+                    .zip(&members)
+                    .map(|(&topic, members)| GroupSpec {
+                        topic,
+                        members: members.clone(),
+                    })
+                    .collect();
+                let net = StaticNetwork::from_groups(Arc::clone(&h), groups, params.clone(), 3)
+                    .expect("valid topology");
+                let (event, _, out) = publish_and_settle(
+                    substrate,
+                    RunConfig::default().with_seed(3),
+                    net.into_processes(),
+                    group[0],
+                    |p| p.publish("cone"),
+                    64,
+                );
+                let case = format!("{substrate:?}, published in {}", h.path(published));
+                assert_eq!(out.counters.get("da.parasite"), 0, "{case}");
+                for (&topic, members) in topics.iter().zip(&members) {
+                    let in_cone = h.includes_or_eq(topic, published);
+                    for pid in members {
+                        let got = out.processes[pid.index()].has_delivered(event);
+                        assert_eq!(got, in_cone, "{case}: {pid} of {}", h.path(topic));
+                    }
+                }
+            }
+        }
+    }
 }

@@ -7,9 +7,9 @@
 //!
 //! Supported: the [`proptest!`] macro, `prop_assert*` / [`prop_assume!`] /
 //! [`prop_oneof!`], [`strategy::Strategy`] with `prop_map`/`boxed`,
-//! numeric range strategies, regex-subset string strategies (see
-//! [`string`]), [`collection::vec`] / [`collection::hash_set`],
-//! [`arbitrary::any`], and [`sample::Index`].
+//! numeric range strategies, tuples of strategies,
+//! [`collection::vec`] / [`collection::hash_set`], [`arbitrary::any`], and
+//! [`sample::Index`].
 //!
 //! ## Divergences from crates.io
 //!
@@ -27,6 +27,9 @@
 //! * Strategy combinators beyond `prop_map`/`boxed` (`prop_filter`,
 //!   `prop_flat_map`, `prop_recursive`, tuples of strategies beyond
 //!   what the macros expand to) are absent.
+//! * String literals are not regex strategies: a string is a
+//!   [`collection::vec`] of character indices mapped into text with
+//!   `prop_map`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +38,6 @@ pub mod arbitrary;
 pub mod collection;
 pub mod sample;
 pub mod strategy;
-pub mod string;
 pub mod test_runner;
 
 /// The common imports, mirroring `proptest::prelude`.

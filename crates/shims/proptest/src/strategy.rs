@@ -126,14 +126,6 @@ macro_rules! range_strategy {
 
 range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
 
-/// String literals are regex-subset strategies, like in real proptest.
-impl Strategy for &str {
-    type Value = String;
-    fn generate(&self, rng: &mut TestRng) -> String {
-        crate::string::generate(self, rng)
-    }
-}
-
 macro_rules! tuple_strategy {
     ($(($($s:ident . $idx:tt),+)),* $(,)?) => {$(
         impl<$($s: Strategy),+> Strategy for ($($s,)+) {

@@ -1,48 +1,31 @@
-use crate::iter::{Ancestors, BreadthFirst, Descendants};
+use crate::iter::Descendants;
 use crate::{TopicError, TopicId, TopicPath};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-/// Metadata about one topic in a [`TopicHierarchy`].
+/// One topic of a [`TopicHierarchy`].
 #[derive(Debug, Clone)]
-pub struct TopicInfo {
+struct Node {
     path: TopicPath,
-    parent: Option<TopicId>,
+    /// The direct supertopics: the path's parent first, then those added
+    /// by [`TopicHierarchy::add_supertopic`]. Empty for the root.
+    parents: Vec<TopicId>,
+    /// The direct subtopics over every edge, in insertion order.
     children: Vec<TopicId>,
-    depth: u32,
+    /// Every strict ancestor over every edge, nearest first, each once.
+    ancestors: Vec<TopicId>,
 }
 
-impl TopicInfo {
-    /// The canonical dotted path of this topic.
-    #[must_use]
-    pub fn path(&self) -> &TopicPath {
-        &self.path
-    }
-
-    /// The direct supertopic, or `None` for the root.
-    #[must_use]
-    pub fn parent(&self) -> Option<TopicId> {
-        self.parent
-    }
-
-    /// Direct subtopics, in insertion order.
-    #[must_use]
-    pub fn children(&self) -> &[TopicId] {
-        &self.children
-    }
-
-    /// Distance from the root (root = 0).
-    #[must_use]
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-}
-
-/// A single-parent topic tree with interned ids.
+/// A rooted topic hierarchy with interned ids.
 ///
 /// This is the "hierarchical disposition of topics" the paper assumes is
-/// available in every topic-based publish/subscribe system. All navigation
-/// (parent, children, inclusion, ancestors) is O(1) or output-sensitive.
+/// available in every topic-based publish/subscribe system. Each topic is
+/// named by a dotted path, and the path's parent is its first direct
+/// supertopic. [`TopicHierarchy::add_supertopic`] gives a topic more
+/// (Sec. VIII's multiple inheritance), which makes the hierarchy a DAG:
+/// inclusion and ancestry follow every edge, while [`TopicHierarchy::path`],
+/// [`TopicHierarchy::depth`] and [`TopicHierarchy::parent`] follow the
+/// path tree.
 ///
 /// The root topic `.` always exists with id [`TopicId::ROOT`].
 ///
@@ -60,7 +43,7 @@ impl TopicInfo {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TopicHierarchy {
-    nodes: Vec<TopicInfo>,
+    nodes: Vec<Node>,
     index: HashMap<String, TopicId>,
 }
 
@@ -68,11 +51,11 @@ impl TopicHierarchy {
     /// Creates a hierarchy containing only the root topic `.`.
     #[must_use]
     pub fn new() -> Self {
-        let root = TopicInfo {
+        let root = Node {
             path: TopicPath::root(),
-            parent: None,
+            parents: Vec::new(),
             children: Vec::new(),
-            depth: 0,
+            ancestors: Vec::new(),
         };
         let mut index = HashMap::new();
         index.insert(".".to_owned(), TopicId::ROOT);
@@ -169,28 +152,84 @@ impl TopicHierarchy {
             .expect("non-root paths have parents; root is always indexed");
         let parent_id = self.insert_path(&parent_path)?;
         let id = TopicId::from_index(self.nodes.len());
-        let depth = self.nodes[parent_id.index()].depth + 1;
-        self.nodes.push(TopicInfo {
+        let mut ancestors = vec![parent_id];
+        ancestors.extend_from_slice(&self.nodes[parent_id.index()].ancestors);
+        self.nodes.push(Node {
             path: path.clone(),
-            parent: Some(parent_id),
+            parents: vec![parent_id],
             children: Vec::new(),
-            depth,
+            ancestors,
         });
         self.nodes[parent_id.index()].children.push(id);
         self.index.insert(path.as_str().to_owned(), id);
         Ok(id)
     }
 
+    /// Makes `parent` a direct supertopic of `child` beyond its path's
+    /// parent (Sec. VIII's multiple inheritance): from now on `parent` and
+    /// its ancestors include `child` and everything below it.
+    ///
+    /// # Errors
+    ///
+    /// * [`TopicError::UnknownTopic`] for a foreign id.
+    /// * [`TopicError::DuplicateEdge`] when `parent` is already a direct
+    ///   supertopic of `child`.
+    /// * [`TopicError::WouldCycle`] when `parent` is `child` or one of its
+    ///   descendants.
+    ///
+    /// ```
+    /// use da_topics::TopicHierarchy;
+    ///
+    /// # fn main() -> Result<(), da_topics::TopicError> {
+    /// let mut h = TopicHierarchy::new();
+    /// let swiss = h.insert(".swiss")?;
+    /// let ski = h.insert(".sport.ski")?;
+    /// h.add_supertopic(ski, swiss)?; // Swiss skiing is both
+    /// assert!(h.includes(swiss, ski));
+    /// assert_eq!(h.parents(ski), [h.resolve(".sport").unwrap(), swiss]);
+    /// assert_eq!(h.parent(ski), h.resolve(".sport"), "the path tree stays");
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn add_supertopic(&mut self, child: TopicId, parent: TopicId) -> Result<(), TopicError> {
+        self.check(child)?;
+        self.check(parent)?;
+        if self.parents(child).contains(&parent) {
+            return Err(TopicError::DuplicateEdge {
+                child: child.0,
+                parent: parent.0,
+            });
+        }
+        if self.includes_or_eq(child, parent) {
+            return Err(TopicError::WouldCycle { id: child.0 });
+        }
+        self.nodes[child.index()].parents.push(parent);
+        self.nodes[parent.index()].children.push(child);
+        let cone: Vec<TopicId> = self.descendants(child).collect();
+        for id in cone {
+            self.nodes[id.index()].ancestors = self.search_ancestors(id);
+        }
+        Ok(())
+    }
+
+    /// The strict ancestors of `id` found by a breadth-first search over
+    /// the parent edges: nearest first, each once.
+    fn search_ancestors(&self, id: TopicId) -> Vec<TopicId> {
+        let mut found = Vec::new();
+        let mut queue: VecDeque<TopicId> = self.parents(id).iter().copied().collect();
+        while let Some(t) = queue.pop_front() {
+            if !found.contains(&t) {
+                found.push(t);
+                queue.extend(self.parents(t));
+            }
+        }
+        found
+    }
+
     /// Looks up a topic id by dotted path string.
     #[must_use]
     pub fn resolve(&self, path: &str) -> Option<TopicId> {
         self.index.get(path).copied()
-    }
-
-    /// Returns the metadata for `id`, or `None` for foreign ids.
-    #[must_use]
-    pub fn info(&self, id: TopicId) -> Option<&TopicInfo> {
-        self.nodes.get(id.index())
     }
 
     /// The canonical path of `id`.
@@ -200,117 +239,95 @@ impl TopicHierarchy {
     /// Panics if `id` does not belong to this hierarchy.
     #[must_use]
     pub fn path(&self, id: TopicId) -> &TopicPath {
-        self.nodes[id.index()].path()
+        &self.nodes[id.index()].path
     }
 
-    /// The direct supertopic (`super(Ti)` in the paper), or `None` for root.
+    /// The path's parent (`super(Ti)` in the paper), or `None` for root.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not belong to this hierarchy.
     #[must_use]
     pub fn parent(&self, id: TopicId) -> Option<TopicId> {
-        self.nodes[id.index()].parent()
+        self.parents(id).first().copied()
     }
 
-    /// Direct subtopics of `id`.
+    /// Every direct supertopic of `id`, the path's parent first; empty for
+    /// the root.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this hierarchy.
+    #[must_use]
+    pub fn parents(&self, id: TopicId) -> &[TopicId] {
+        &self.nodes[id.index()].parents
+    }
+
+    /// Direct subtopics of `id`, over every edge.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not belong to this hierarchy.
     #[must_use]
     pub fn children(&self, id: TopicId) -> &[TopicId] {
-        self.nodes[id.index()].children()
+        &self.nodes[id.index()].children
     }
 
-    /// Distance of `id` from the root.
+    /// Distance of `id` from the root along the path tree.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not belong to this hierarchy.
     #[must_use]
     pub fn depth(&self, id: TopicId) -> usize {
-        self.nodes[id.index()].depth() as usize
+        self.path(id).depth()
     }
 
     /// True when `ancestor` strictly includes `descendant` — i.e. `ancestor`
-    /// is a (direct or transitive) supertopic of `descendant`.
+    /// is a (direct or transitive) supertopic of `descendant` over any
+    /// edge.
     ///
     /// Inclusion is the partial order the paper routes events along: an
     /// event of topic `Ti` is also an event of every topic including `Ti`.
     ///
     /// # Panics
     ///
-    /// Panics if either id does not belong to this hierarchy.
+    /// Panics if `descendant` does not belong to this hierarchy.
     #[must_use]
     pub fn includes(&self, ancestor: TopicId, descendant: TopicId) -> bool {
-        if ancestor == descendant {
-            return false;
-        }
-        let mut cursor = self.parent(descendant);
-        while let Some(t) = cursor {
-            if t == ancestor {
-                return true;
-            }
-            cursor = self.parent(t);
-        }
-        false
+        self.nodes[descendant.index()].ancestors.contains(&ancestor)
     }
 
     /// Non-strict inclusion: `includes(a, b) || a == b`.
     ///
     /// # Panics
     ///
-    /// Panics if either id does not belong to this hierarchy.
+    /// Panics if `descendant` does not belong to this hierarchy.
     #[must_use]
     pub fn includes_or_eq(&self, ancestor: TopicId, descendant: TopicId) -> bool {
         ancestor == descendant || self.includes(ancestor, descendant)
     }
 
-    /// Iterates over the strict ancestors of `id`, nearest first, ending at
-    /// the root. Empty for the root itself.
-    #[must_use]
-    pub fn ancestors(&self, id: TopicId) -> Ancestors<'_> {
-        Ancestors::new(self, id)
+    /// Iterates over the strict ancestors of `id` over every edge, nearest
+    /// first and each once, ending at the root. Empty for the root itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this hierarchy.
+    pub fn ancestors(&self, id: TopicId) -> std::iter::Copied<std::slice::Iter<'_, TopicId>> {
+        self.nodes[id.index()].ancestors.iter().copied()
     }
 
-    /// Depth-first traversal of the subtree rooted at `id` (inclusive).
+    /// Depth-first traversal of `id` and every topic it includes, each
+    /// once.
     #[must_use]
     pub fn descendants(&self, id: TopicId) -> Descendants<'_> {
         Descendants::new(self, id)
     }
 
-    /// Breadth-first traversal of the subtree rooted at `id` (inclusive).
-    #[must_use]
-    pub fn breadth_first(&self, id: TopicId) -> BreadthFirst<'_> {
-        BreadthFirst::new(self, id)
-    }
-
     /// Iterates over every topic id in insertion order (root first).
     pub fn iter(&self) -> impl Iterator<Item = TopicId> + '_ {
         (0..self.nodes.len()).map(TopicId::from_index)
-    }
-
-    /// Lowest common ancestor of `a` and `b` under non-strict inclusion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id does not belong to this hierarchy.
-    #[must_use]
-    pub fn lowest_common_ancestor(&self, a: TopicId, b: TopicId) -> TopicId {
-        let mut pa = a;
-        let mut pb = b;
-        while self.depth(pa) > self.depth(pb) {
-            pa = self.parent(pa).expect("deeper node has a parent");
-        }
-        while self.depth(pb) > self.depth(pa) {
-            pb = self.parent(pb).expect("deeper node has a parent");
-        }
-        while pa != pb {
-            pa = self.parent(pa).expect("non-root while unequal");
-            pb = self.parent(pb).expect("non-root while unequal");
-        }
-        pa
     }
 
     /// Validates that a foreign-looking id belongs to this hierarchy.
@@ -325,16 +342,6 @@ impl TopicHierarchy {
             Err(TopicError::UnknownTopic { id: id.0 })
         }
     }
-
-    /// The maximal depth over all topics — `t` in the paper's analysis.
-    #[must_use]
-    pub fn max_depth(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.depth() as usize)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 impl Default for TopicHierarchy {
@@ -347,14 +354,13 @@ impl fmt::Display for TopicHierarchy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "TopicHierarchy ({} topics)", self.len())?;
         for id in self.descendants(self.root()) {
-            let info = &self.nodes[id.index()];
             writeln!(
                 f,
                 "{:indent$}{} ({})",
                 "",
-                info.path(),
+                self.path(id),
                 id,
-                indent = info.depth() as usize * 2
+                indent = self.depth(id) * 2
             )?;
         }
         Ok(())
@@ -376,7 +382,7 @@ mod tests {
         assert_eq!(h.root(), TopicId::ROOT);
         assert!(!h.is_empty());
         assert_eq!(h.parent(h.root()), None);
-        assert_eq!(h.max_depth(), 0);
+        assert!(h.parents(h.root()).is_empty());
     }
 
     #[test]
@@ -418,7 +424,6 @@ mod tests {
         assert_eq!(h.depth(h.root()), 0);
         assert_eq!(h.depth(h.resolve(".a").unwrap()), 1);
         assert_eq!(h.depth(h.resolve(".a.b.c").unwrap()), 3);
-        assert_eq!(h.max_depth(), 3);
     }
 
     #[test]
@@ -438,26 +443,13 @@ mod tests {
     }
 
     #[test]
-    fn lca() {
-        let h = sample();
-        let abc = h.resolve(".a.b.c").unwrap();
-        let ad = h.resolve(".a.d").unwrap();
-        let a = h.resolve(".a").unwrap();
-        let e = h.resolve(".e").unwrap();
-        assert_eq!(h.lowest_common_ancestor(abc, ad), a);
-        assert_eq!(h.lowest_common_ancestor(abc, e), h.root());
-        assert_eq!(h.lowest_common_ancestor(a, abc), a);
-        assert_eq!(h.lowest_common_ancestor(a, a), a);
-    }
-
-    #[test]
     fn linear_chain_shape() {
         let (h, ids) = TopicHierarchy::linear_chain(3);
         assert_eq!(ids.len(), 3);
         assert_eq!(ids[0], h.root());
         assert_eq!(h.parent(ids[1]), Some(ids[0]));
         assert_eq!(h.parent(ids[2]), Some(ids[1]));
-        assert_eq!(h.max_depth(), 2);
+        assert_eq!(h.depth(ids[2]), 2);
         assert!(h.includes(ids[0], ids[2]));
     }
 
@@ -489,5 +481,125 @@ mod tests {
     fn iter_visits_all() {
         let h = sample();
         assert_eq!(h.iter().count(), h.len());
+    }
+
+    /// `.a`, `.b` and `.a.c`, with `.b` made a second supertopic of `.a.c`.
+    fn diamond() -> (TopicHierarchy, [TopicId; 3]) {
+        let mut h = TopicHierarchy::from_paths([".a", ".b", ".a.c"]).unwrap();
+        let [a, b, c] = [".a", ".b", ".a.c"].map(|p| h.resolve(p).unwrap());
+        h.add_supertopic(c, b).unwrap();
+        (h, [a, b, c])
+    }
+
+    #[test]
+    fn the_root_has_no_supertopic() {
+        let mut h = sample();
+        let a = h.resolve(".a").unwrap();
+        assert!(h.parents(h.root()).is_empty());
+        assert_eq!(h.ancestors(h.root()).count(), 0);
+        assert_eq!(
+            h.add_supertopic(h.root(), a),
+            Err(TopicError::WouldCycle { id: 0 })
+        );
+    }
+
+    #[test]
+    fn path_parent_is_the_first_supertopic() {
+        let (h, [a, b, c]) = diamond();
+        assert_eq!(h.parents(a), [h.root()]);
+        assert_eq!(h.parents(c), [a, b]);
+        assert_eq!(h.parent(c), Some(a), "parent follows the path");
+        assert_eq!(h.depth(c), 2, "depth follows the path");
+        assert_eq!(h.path(c).as_str(), ".a.c");
+    }
+
+    #[test]
+    fn diamond_inclusion() {
+        let (h, [a, b, c]) = diamond();
+        assert!(h.includes(a, c));
+        assert!(h.includes(b, c));
+        assert!(h.includes(h.root(), c));
+        assert!(!h.includes(c, a));
+        assert!(!h.includes(a, b));
+        assert!(h.children(b).contains(&c));
+    }
+
+    #[test]
+    fn cycle_rejected() {
+        let mut h = sample();
+        let a = h.resolve(".a").unwrap();
+        let ab = h.resolve(".a.b").unwrap();
+        assert!(matches!(
+            h.add_supertopic(a, ab),
+            Err(TopicError::WouldCycle { .. })
+        ));
+        assert!(matches!(
+            h.add_supertopic(a, a),
+            Err(TopicError::WouldCycle { .. })
+        ));
+    }
+
+    #[test]
+    fn duplicate_edge_rejected() {
+        let (mut h, [a, b, c]) = diamond();
+        for parent in [a, b] {
+            assert!(matches!(
+                h.add_supertopic(c, parent),
+                Err(TopicError::DuplicateEdge { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn a_rejected_edge_changes_nothing() {
+        let (mut h, [a, b, c]) = diamond();
+        let before = h.to_string();
+        let cone: Vec<Vec<TopicId>> = h.iter().map(|t| h.ancestors(t).collect()).collect();
+        assert!(h.add_supertopic(c, b).is_err());
+        assert!(h.add_supertopic(a, c).is_err());
+        assert_eq!(h.parents(c), [a, b]);
+        assert_eq!(h.children(b), [c]);
+        assert_eq!(h.to_string(), before);
+        let after: Vec<Vec<TopicId>> = h.iter().map(|t| h.ancestors(t).collect()).collect();
+        assert_eq!(after, cone);
+    }
+
+    #[test]
+    fn foreign_ids_rejected() {
+        let mut h = sample();
+        let foreign = TopicId::from_index(99);
+        for (child, parent) in [(foreign, h.root()), (h.resolve(".e").unwrap(), foreign)] {
+            assert_eq!(
+                h.add_supertopic(child, parent),
+                Err(TopicError::UnknownTopic { id: 99 })
+            );
+        }
+    }
+
+    #[test]
+    fn ancestors_deduplicated() {
+        let (h, [a, b, c]) = diamond();
+        // Nearest first; the root, above both, only once.
+        assert_eq!(h.ancestors(c).collect::<Vec<_>>(), [a, b, h.root()]);
+    }
+
+    #[test]
+    fn extra_supertopic_edge() {
+        let mut h = TopicHierarchy::from_paths([".a.c.d", ".b"]).unwrap();
+        let [b, c, d] = [".b", ".a.c", ".a.c.d"].map(|p| h.resolve(p).unwrap());
+        assert!(!h.includes(b, c));
+        h.add_supertopic(c, b).unwrap();
+        assert!(h.includes(b, c));
+        assert!(h.includes(b, d), "the topics below `c` gain `b` too");
+        assert_eq!(h.parents(c).len(), 2);
+        assert_eq!(h.parents(d).len(), 1);
+    }
+
+    #[test]
+    fn descendants_of_a_diamond_visit_each_topic_once() {
+        let (h, [a, b, c]) = diamond();
+        let all: Vec<TopicId> = h.descendants(h.root()).collect();
+        assert_eq!(all, [h.root(), a, c, b]);
+        assert_eq!(h.descendants(b).collect::<Vec<_>>(), [b, c]);
     }
 }

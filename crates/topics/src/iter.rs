@@ -1,41 +1,14 @@
 use crate::{TopicHierarchy, TopicId};
-use std::collections::VecDeque;
 
-/// Iterator over the strict ancestors of a topic, nearest first.
-///
-/// Produced by [`TopicHierarchy::ancestors`].
-#[derive(Debug, Clone)]
-pub struct Ancestors<'a> {
-    hierarchy: &'a TopicHierarchy,
-    cursor: Option<TopicId>,
-}
-
-impl<'a> Ancestors<'a> {
-    pub(crate) fn new(hierarchy: &'a TopicHierarchy, start: TopicId) -> Self {
-        Ancestors {
-            hierarchy,
-            cursor: hierarchy.parent(start),
-        }
-    }
-}
-
-impl Iterator for Ancestors<'_> {
-    type Item = TopicId;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let current = self.cursor?;
-        self.cursor = self.hierarchy.parent(current);
-        Some(current)
-    }
-}
-
-/// Depth-first (pre-order) iterator over a subtree, including its root.
+/// Depth-first (pre-order) iterator over a topic and every topic it
+/// includes, each once even where several edges lead to it.
 ///
 /// Produced by [`TopicHierarchy::descendants`].
 #[derive(Debug, Clone)]
 pub struct Descendants<'a> {
     hierarchy: &'a TopicHierarchy,
     stack: Vec<TopicId>,
+    visited: Vec<bool>,
 }
 
 impl<'a> Descendants<'a> {
@@ -43,6 +16,7 @@ impl<'a> Descendants<'a> {
         Descendants {
             hierarchy,
             stack: vec![start],
+            visited: vec![false; hierarchy.len()],
         }
     }
 }
@@ -51,39 +25,16 @@ impl Iterator for Descendants<'_> {
     type Item = TopicId;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let current = self.stack.pop()?;
-        // Push children in reverse so the first child is visited first.
-        for &child in self.hierarchy.children(current).iter().rev() {
-            self.stack.push(child);
+        loop {
+            let current = self.stack.pop()?;
+            if std::mem::replace(&mut self.visited[current.index()], true) {
+                continue;
+            }
+            // Push children in reverse so the first child is visited first.
+            self.stack
+                .extend(self.hierarchy.children(current).iter().rev());
+            return Some(current);
         }
-        Some(current)
-    }
-}
-
-/// Breadth-first iterator over a subtree, including its root.
-///
-/// Produced by [`TopicHierarchy::breadth_first`].
-#[derive(Debug, Clone)]
-pub struct BreadthFirst<'a> {
-    hierarchy: &'a TopicHierarchy,
-    queue: VecDeque<TopicId>,
-}
-
-impl<'a> BreadthFirst<'a> {
-    pub(crate) fn new(hierarchy: &'a TopicHierarchy, start: TopicId) -> Self {
-        let mut queue = VecDeque::new();
-        queue.push_back(start);
-        BreadthFirst { hierarchy, queue }
-    }
-}
-
-impl Iterator for BreadthFirst<'_> {
-    type Item = TopicId;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let current = self.queue.pop_front()?;
-        self.queue.extend(self.hierarchy.children(current));
-        Some(current)
     }
 }
 
@@ -128,25 +79,5 @@ mod tests {
         let a = h.resolve(".a").unwrap();
         let names: Vec<String> = h.descendants(a).map(|t| h.path(t).to_string()).collect();
         assert_eq!(names, vec![".a", ".a.b", ".a.b.c", ".a.d"]);
-    }
-
-    #[test]
-    fn breadth_first_levels() {
-        let h = sample();
-        let names: Vec<String> = h
-            .breadth_first(h.root())
-            .map(|t| h.path(t).to_string())
-            .collect();
-        assert_eq!(names, vec![".", ".a", ".e", ".a.b", ".a.d", ".a.b.c"]);
-    }
-
-    #[test]
-    fn iterators_agree_on_count() {
-        let h = sample();
-        assert_eq!(
-            h.descendants(h.root()).count(),
-            h.breadth_first(h.root()).count()
-        );
-        assert_eq!(h.descendants(h.root()).count(), h.len());
     }
 }

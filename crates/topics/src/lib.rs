@@ -11,10 +11,11 @@
 //!
 //! * [`TopicPath`] — a validated, dotted topic name (`.a.b.c`).
 //! * [`TopicId`] — a cheap interned handle into a [`TopicHierarchy`].
-//! * [`TopicHierarchy`] — a single-parent topic tree with O(1) parent
-//!   lookup and inclusion queries.
-//! * [`dag::TopicDag`] — the multiple-inheritance extension sketched in the
-//!   paper's concluding remarks (a topic may have several supertopics).
+//! * [`TopicHierarchy`] — the topic tree of dotted paths, with O(1)
+//!   parent lookup and inclusion queries. A topic may gain more direct
+//!   supertopics ([`TopicHierarchy::add_supertopic`]), the multiple
+//!   inheritance of the paper's concluding remarks (Sec. VIII); inclusion
+//!   then follows every edge.
 //!
 //! ## Example
 //!
@@ -35,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dag;
 mod error;
 mod hierarchy;
 mod id;
@@ -43,7 +43,7 @@ mod iter;
 mod path;
 
 pub use error::TopicError;
-pub use hierarchy::{TopicHierarchy, TopicInfo};
+pub use hierarchy::TopicHierarchy;
 pub use id::TopicId;
-pub use iter::{Ancestors, BreadthFirst, Descendants};
+pub use iter::Descendants;
 pub use path::TopicPath;

@@ -3,9 +3,29 @@
 use da_topics::{TopicHierarchy, TopicPath};
 use proptest::prelude::*;
 
+/// The characters a path segment may hold; the first 26 may also start
+/// one.
+const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_-";
+
+/// The word of the characters at `indices` into [`CHARS`].
+fn spell(indices: impl IntoIterator<Item = usize>) -> String {
+    indices.into_iter().map(|i| char::from(CHARS[i])).collect()
+}
+
+/// A lowercase letter followed by up to six segment characters.
+fn segment() -> impl Strategy<Value = String> {
+    (0..26usize, prop::collection::vec(0..CHARS.len(), 0..=6))
+        .prop_map(|(first, rest)| spell(std::iter::once(first).chain(rest)))
+}
+
+/// One to four lowercase letters.
+fn letters() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..26usize, 1..=4).prop_map(spell)
+}
+
 /// Strategy producing valid topic path strings up to 5 levels deep.
 fn path_strategy() -> impl Strategy<Value = String> {
-    prop::collection::vec("[a-z][a-z0-9_-]{0,6}", 0..5).prop_map(|segments| {
+    prop::collection::vec(segment(), 0..5).prop_map(|segments| {
         if segments.is_empty() {
             ".".to_owned()
         } else {
@@ -53,7 +73,7 @@ proptest! {
     }
 
     #[test]
-    fn inclusion_is_transitive(base in path_strategy(), s1 in "[a-z]{1,4}", s2 in "[a-z]{1,4}") {
+    fn inclusion_is_transitive(base in path_strategy(), s1 in letters(), s2 in letters()) {
         let a = TopicPath::parse(&base).unwrap();
         let b = a.child(&s1).unwrap();
         let c = b.child(&s2).unwrap();
@@ -110,26 +130,6 @@ proptest! {
     }
 
     #[test]
-    fn lca_is_a_common_nonstrict_ancestor(paths in prop::collection::vec(path_strategy(), 2..8)) {
-        let h = TopicHierarchy::from_paths(&paths).unwrap();
-        let ids: Vec<_> = h.iter().collect();
-        for &a in &ids {
-            for &b in &ids {
-                let l = h.lowest_common_ancestor(a, b);
-                prop_assert!(h.includes_or_eq(l, a));
-                prop_assert!(h.includes_or_eq(l, b));
-                // No deeper common ancestor exists.
-                for &cand in &ids {
-                    if h.includes_or_eq(cand, a)
-                        && h.includes_or_eq(cand, b) {
-                        prop_assert!(h.depth(cand) <= h.depth(l));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn descendants_count_matches_inclusion(paths in prop::collection::vec(path_strategy(), 1..10)) {
         let h = TopicHierarchy::from_paths(&paths).unwrap();
         for id in h.iter() {
@@ -141,52 +141,77 @@ proptest! {
 }
 
 mod dag_properties {
-    use da_topics::dag::TopicDag;
-    use da_topics::TopicId;
+    use da_topics::{TopicHierarchy, TopicId};
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
-    /// Builds a random DAG: `n` topics, each attached to 1–3 parents drawn
-    /// from the already-created topics (so edges always point upward —
-    /// acyclic by construction).
-    fn arb_dag() -> impl Strategy<Value = TopicDag> {
-        prop::collection::vec(
+    /// Builds a random topic DAG: up to 13 topics, each a path child of a
+    /// topic created before it and given up to two more supertopics from
+    /// those (acyclic by construction), then up to eight `add_supertopic`
+    /// calls between any two topics, whatever they return — a call that
+    /// would close a cycle or repeat an edge must fail and change nothing,
+    /// and one that succeeds may widen the cone of topics below it.
+    fn arb_dag() -> impl Strategy<Value = TopicHierarchy> {
+        let topics = prop::collection::vec(
             prop::collection::vec(any::<prop::sample::Index>(), 1..4),
             0..14,
-        )
-        .prop_map(|specs| {
-            let mut dag = TopicDag::new();
-            let mut ids = vec![dag.root()];
-            for (i, parents) in specs.into_iter().enumerate() {
-                let mut chosen: Vec<TopicId> = parents.iter().map(|ix| *ix.get(&ids)).collect();
-                chosen.sort();
-                chosen.dedup();
-                let id = dag
-                    .add_topic(&format!("t{i}"), &chosen)
-                    .expect("parents exist");
-                ids.push(id);
+        );
+        let edges = prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+            0..8,
+        );
+        (topics, edges).prop_map(|(topics, edges)| {
+            let mut h = TopicHierarchy::new();
+            for (i, parents) in topics.into_iter().enumerate() {
+                let ids: Vec<TopicId> = h.iter().collect();
+                let path_parent = *parents[0].get(&ids);
+                let path = h.path(path_parent).child(&format!("t{i}")).unwrap();
+                let id = h.insert_path(&path).unwrap();
+                for ix in &parents[1..] {
+                    let parent = *ix.get(&ids);
+                    if !h.parents(id).contains(&parent) {
+                        h.add_supertopic(id, parent).expect("an earlier topic");
+                    }
+                }
             }
-            dag
+            let ids: Vec<TopicId> = h.iter().collect();
+            for (child, parent) in edges {
+                let _ = h.add_supertopic(*child.get(&ids), *parent.get(&ids));
+            }
+            h
         })
+    }
+
+    /// The topics reachable from `id` over parent edges, found without the
+    /// hierarchy's own ancestor lists.
+    fn reachable(h: &TopicHierarchy, id: TopicId) -> HashSet<TopicId> {
+        let mut found = HashSet::new();
+        let mut stack = h.parents(id).to_vec();
+        while let Some(t) = stack.pop() {
+            if found.insert(t) {
+                stack.extend(h.parents(t));
+            }
+        }
+        found
     }
 
     proptest! {
         /// Inclusion is a strict partial order: irreflexive, antisymmetric,
         /// transitive; the root includes every other topic.
         #[test]
-        fn dag_inclusion_partial_order(dag in arb_dag()) {
-            let ids: Vec<TopicId> = dag.topological_order();
-            prop_assert_eq!(ids.len(), dag.len());
+        fn dag_inclusion_partial_order(h in arb_dag()) {
+            let ids: Vec<TopicId> = h.iter().collect();
             for &a in &ids {
-                prop_assert!(!dag.includes(a, a), "irreflexive");
-                if a != dag.root() {
-                    prop_assert!(dag.includes(dag.root(), a), "root includes all");
+                prop_assert!(!h.includes(a, a), "irreflexive");
+                if a != h.root() {
+                    prop_assert!(h.includes(h.root(), a), "root includes all");
                 }
                 for &b in &ids {
-                    if dag.includes(a, b) {
-                        prop_assert!(!dag.includes(b, a), "antisymmetric");
+                    if h.includes(a, b) {
+                        prop_assert!(!h.includes(b, a), "antisymmetric");
                         for &c in &ids {
-                            if dag.includes(b, c) {
-                                prop_assert!(dag.includes(a, c), "transitive");
+                            if h.includes(b, c) {
+                                prop_assert!(h.includes(a, c), "transitive");
                             }
                         }
                     }
@@ -194,62 +219,61 @@ mod dag_properties {
             }
         }
 
-        /// Topological order places every parent before its children.
+        /// `ancestors` and `includes` agree with reachability over the
+        /// parent edges, `ancestors` lists each topic once, nearest first,
+        /// and parents/children edges are mutually consistent.
         #[test]
-        fn dag_topological_order_respects_edges(dag in arb_dag()) {
-            let order = dag.topological_order();
-            let position = |id: TopicId| order.iter().position(|&x| x == id).unwrap();
-            for &id in &order {
-                for &parent in dag.parents(id) {
-                    prop_assert!(
-                        position(parent) < position(id),
-                        "parent after child in topological order"
-                    );
+        fn dag_ancestors_and_edges_consistent(h in arb_dag()) {
+            for id in h.iter() {
+                let ancestors: Vec<TopicId> = h.ancestors(id).collect();
+                let reachable = reachable(&h, id);
+                prop_assert_eq!(ancestors.len(), reachable.len(), "each ancestor once");
+                for other in h.iter() {
+                    prop_assert_eq!(ancestors.contains(&other), reachable.contains(&other));
+                    prop_assert_eq!(h.includes(other, id), reachable.contains(&other));
                 }
-            }
-        }
-
-        /// `ancestors` agrees with `includes`, and parents/children edges
-        /// are mutually consistent.
-        #[test]
-        fn dag_ancestors_and_edges_consistent(dag in arb_dag()) {
-            let ids = dag.topological_order();
-            for &id in &ids {
-                let ancestors = dag.ancestors(id);
-                for &other in &ids {
-                    prop_assert_eq!(
-                        ancestors.contains(&other),
-                        dag.includes(other, id),
-                        "ancestors/includes mismatch"
-                    );
+                prop_assert_eq!(&ancestors[..h.parents(id).len()], h.parents(id), "nearest first");
+                for &p in h.parents(id) {
+                    prop_assert!(h.children(p).contains(&id));
                 }
-                for &p in dag.parents(id) {
-                    prop_assert!(dag.children(p).contains(&id));
-                }
-                for &c in dag.children(id) {
-                    prop_assert!(dag.parents(c).contains(&id));
+                for &c in h.children(id) {
+                    prop_assert!(h.parents(c).contains(&id));
                 }
             }
         }
 
         /// Adding a cycle-creating edge is rejected: when `a` includes `b`
         /// (i.e. `b` is a descendant of `a`), making `b` a supertopic of
-        /// `a` would close a cycle and must fail; the DAG is unchanged.
+        /// `a` would close a cycle and must fail; the hierarchy is
+        /// unchanged.
         #[test]
-        fn dag_rejects_cycles(dag in arb_dag()) {
-            let ids = dag.topological_order();
-            let mut dag = dag;
+        fn dag_rejects_cycles(h in arb_dag()) {
+            let ids: Vec<TopicId> = h.iter().collect();
+            let mut h = h;
             for &a in &ids {
                 for &b in &ids {
-                    if a == b || dag.includes(a, b) {
-                        let before = dag.parents(a).len();
+                    if a == b || h.includes(a, b) {
+                        let before = h.parents(a).len();
                         prop_assert!(
-                            dag.add_supertopic(a, b).is_err(),
+                            h.add_supertopic(a, b).is_err(),
                             "cycle-creating edge accepted"
                         );
-                        prop_assert_eq!(dag.parents(a).len(), before);
+                        prop_assert_eq!(h.parents(a).len(), before);
                     }
                 }
+            }
+        }
+
+        /// `descendants` visits each topic a topic includes once, however
+        /// many edges lead to it.
+        #[test]
+        fn dag_descendants_count_matches_inclusion(h in arb_dag()) {
+            for id in h.iter() {
+                let via_iter: Vec<TopicId> = h.descendants(id).collect();
+                let distinct: HashSet<TopicId> = via_iter.iter().copied().collect();
+                prop_assert_eq!(distinct.len(), via_iter.len(), "each once");
+                let via_inclusion = h.iter().filter(|&x| h.includes_or_eq(id, x)).count();
+                prop_assert_eq!(via_iter.len(), via_inclusion);
             }
         }
     }

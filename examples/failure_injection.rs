@@ -98,9 +98,7 @@ fn count_live_links(
     (root_size..root_size + leaf_size)
         .map(ProcessId::from_index)
         .map(|p| {
-            engine
-                .process(p)
-                .super_table()
+            engine.process(p).super_tables()[0]
                 .entries()
                 .iter()
                 .filter(|e| engine.status(e.pid).is_alive())

@@ -13,42 +13,54 @@
 //!
 //! A ski-racing event must reach sport fans *and* Switzerland watchers —
 //! two different communities on two different edges — while a plain
-//! football event stays inside the sport subtree.
+//! football event stays inside the sport subtree. The protocol is the
+//! paper's own `DaProcess`: `StaticNetwork` hands each ski-racing
+//! devotee one supertable per direct supertopic.
 //!
 //! Run with: `cargo run --example multi_inheritance`
 
 use da_core::ProcessId;
 use da_simnet::{Engine, SimConfig};
-use da_topics::dag::TopicDag;
-use damulticast::{DagNetwork, TopicParams};
+use da_topics::TopicHierarchy;
+use damulticast::{GroupSpec, ParamMap, StaticNetwork, TopicParams};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut dag = TopicDag::new();
-    let root = dag.root();
-    let sport = dag.add_topic("sport", &[root])?;
-    let swiss = dag.add_topic("switzerland", &[root])?;
-    let ski = dag.add_topic("ski-racing", &[sport, swiss])?;
+    let mut hierarchy = TopicHierarchy::new();
+    let swiss = hierarchy.insert(".switzerland")?;
+    let ski = hierarchy.insert(".sport.ski-racing")?;
+    hierarchy.add_supertopic(ski, swiss)?;
+    let sport = hierarchy
+        .resolve(".sport")
+        .expect("created with its subtopic");
 
     // Communities: 5 generalists (root), 12 sport fans, 12 Switzerland
     // watchers, 20 ski-racing devotees.
-    let groups = vec![
-        (root, (0..5).map(ProcessId).collect::<Vec<_>>()),
-        (sport, (5..17).map(ProcessId).collect()),
-        (swiss, (17..29).map(ProcessId).collect()),
-        (ski, (29..49).map(ProcessId).collect()),
-    ];
-    let params = TopicParams::paper_default().with_g(30.0).with_a(3.0);
-    let net = DagNetwork::build(dag, groups, params, 11)?;
+    let groups = [
+        (hierarchy.root(), 0..5),
+        (sport, 5..17),
+        (swiss, 17..29),
+        (ski, 29..49),
+    ]
+    .into_iter()
+    .map(|(topic, pids)| GroupSpec {
+        topic,
+        members: pids.map(ProcessId).collect(),
+    })
+    .collect();
+    let params = ParamMap::uniform(TopicParams::paper_default().with_g(30.0).with_a(3.0));
+    let net = StaticNetwork::from_groups(Arc::new(hierarchy), groups, params, 11)?;
 
     // Memory check before running: a ski fan holds one topic table plus
     // TWO z-sized supertables (one per inclusion edge) — not one table per
     // topic in the DAG.
     let procs = net.into_processes();
+    let fan = &procs[30];
     println!(
         "ski fan memory: {} entries (topic table {} + 2 edges × z {})",
-        procs[30].memory_entries(),
-        procs[30].topic_table().len(),
-        procs[30].super_tables().total_entries(),
+        fan.memory_entries(),
+        fan.topic_table().len(),
+        fan.memory_entries() - fan.topic_table().len(),
     );
 
     let mut engine = Engine::new(SimConfig::default().with_seed(11), procs);
@@ -89,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(count(17..29, goal), 0, "football is not Swiss news");
     assert_eq!(count(29..49, goal), 0, "events never flow downwards");
 
-    assert_eq!(engine.counters().get("dag.parasite"), 0);
+    assert_eq!(engine.counters().get("da.parasite"), 0);
     println!("\nparasite deliveries: 0 — both edges respected, no leakage");
     Ok(())
 }

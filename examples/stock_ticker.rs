@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let linked = groups[2]
         .members
         .iter()
-        .filter(|&&p| !engine.process(p).super_table().is_empty())
+        .filter(|&&p| !engine.process(p).super_tables()[0].is_empty())
         .count();
     println!(
         "after bootstrap: {linked}/{} GPU traders hold super contacts",

@@ -24,7 +24,7 @@ fn bootstrap_links_whole_population() {
         let linked = group
             .members
             .iter()
-            .filter(|&&p| !engine.process(p).super_table().is_empty())
+            .filter(|&&p| !engine.process(p).super_tables()[0].is_empty())
             .count();
         assert!(
             linked * 10 >= group.members.len() * 9,
@@ -32,9 +32,9 @@ fn bootstrap_links_whole_population() {
             group.members.len()
         );
     }
-    // Root members keep empty supertables.
+    // Root members hold no supertable.
     for &p in &groups[0].members {
-        assert!(engine.process(p).super_table().is_empty());
+        assert!(engine.process(p).super_tables().is_empty());
     }
 }
 
@@ -52,7 +52,7 @@ fn bootstrap_finds_direct_supergroup() {
     let mut direct = 0usize;
     let mut total = 0usize;
     for &p in &groups[2].members {
-        for e in engine.process(p).super_table().entries() {
+        for e in engine.process(p).super_tables()[0].entries() {
             total += 1;
             if e.topic == direct_super {
                 direct += 1;
@@ -90,7 +90,7 @@ fn maintenance_repairs_after_crash_wave() {
     let mut live = 0usize;
     let mut total = 0usize;
     for i in 8..40 {
-        for e in engine.process(ProcessId(i)).super_table().entries() {
+        for e in engine.process(ProcessId(i)).super_tables()[0].entries() {
             total += 1;
             if engine.status(e.pid).is_alive() {
                 live += 1;
@@ -139,8 +139,8 @@ fn bootstrap_widens_past_empty_group() {
     let net = StaticNetwork::from_groups(Arc::clone(&h), groups, boosted_params(), 13).unwrap();
     let procs = net.into_processes();
     for p in procs.iter().skip(6) {
-        assert!(!p.super_table().is_empty());
-        for e in p.super_table().entries() {
+        assert!(!p.super_tables()[0].is_empty());
+        for e in p.super_tables()[0].entries() {
             assert_eq!(e.topic, ids[0], "links must bridge past the empty T1");
         }
     }
@@ -176,7 +176,7 @@ fn dead_entries_eventually_dropped() {
     engine.run_rounds(140);
     // No leaf supertable should still be dominated by dead entries.
     for i in 6..24 {
-        let table = engine.process(ProcessId(i)).super_table();
+        let table = &engine.process(ProcessId(i)).super_tables()[0];
         let dead = table
             .entries()
             .iter()

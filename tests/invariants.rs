@@ -98,8 +98,10 @@ proptest! {
             let my_group = groups.iter().find(|g| g.topic == p.topic()).unwrap();
             let cap = da_membership::kmg_view_size(params.b, my_group.members.len());
             prop_assert!(p.topic_table().len() <= cap.max(1));
-            prop_assert!(p.super_table().len() <= params.z);
-            for e in p.super_table().entries() {
+            let tables = p.super_tables();
+            prop_assert_eq!(tables.len(), usize::from(p.topic() != hierarchy.root()));
+            prop_assert!(tables.iter().all(|t| t.len() <= params.z));
+            for e in tables.iter().flat_map(|t| t.entries()) {
                 prop_assert!(
                     hierarchy.includes(e.topic, p.topic()),
                     "supertable entry topic must strictly include the owner's"

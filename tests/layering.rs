@@ -314,17 +314,39 @@ fn tables_take_the_key_hasher_and_digests_the_fx_fold() {
 }
 
 /// Fig. 7's gossip draw exists once (`dissemination::draw_gossip_targets`)
-/// and draws only the targets it keeps: neither planner shuffles a whole
+/// and draws only the targets it keeps: the planner shuffles no whole
 /// table to cut it to the fanout.
 #[test]
 fn the_gossip_draw_shuffles_no_whole_table() {
-    for file in ["dissemination.rs", "multi_super.rs"] {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("crates/core/src")
-            .join(file);
-        let source = std::fs::read_to_string(&path).expect("source file");
-        assert!(!source.contains(".shuffle("), "{file}");
-        assert!(source.contains("draw_gossip_targets("), "{file}");
+    let source = include_str!("../crates/core/src/dissemination.rs");
+    assert!(!source.contains(".shuffle("));
+    assert!(source.contains("draw_gossip_targets("));
+}
+
+/// One daMulticast process serves trees and DAGs: a topic with several
+/// direct supertopics is a `TopicHierarchy` topic, and `DaProcess` keeps
+/// one supertable per direct supertopic. The second copy of the protocol
+/// that once served DAGs does not come back.
+#[test]
+fn one_process_serves_trees_and_dags() {
+    // Spelled in two halves so that this file passes its own check.
+    let gone = [
+        concat!("Dag", "Process"),
+        concat!("Dag", "Network"),
+        concat!("MultiSuper", "Tables"),
+        concat!("plan_multi", "_dissemination"),
+        concat!("Topic", "Dag"),
+        concat!("da_topics::", "dag"),
+        concat!("dag.", "parasite"),
+    ];
+    for dir in ["crates", "src", "tests", "examples"] {
+        for (path, source) in sources(dir) {
+            if path.extension().is_some_and(|ext| ext == "rs") {
+                for name in gone {
+                    assert!(!source.contains(name), "{}: {name}", path.display());
+                }
+            }
+        }
     }
 }
 
@@ -523,7 +545,7 @@ fn each_substrate_has_a_pinned_verb_list() {
 fn messages_stay_small_and_damsg_owns_no_buffer() {
     use da_baselines::{BroadcastProcess, HierarchicalProcess, MulticastProcess};
     use da_core::{Envelope, ExecProtocol};
-    use damulticast::{DaMsg, DaProcess, DagProcess, MetroMsg, MetroProcess};
+    use damulticast::{DaMsg, DaProcess, MetroMsg, MetroProcess};
     use std::mem::size_of;
 
     fn msg<P: ExecProtocol>() -> usize {
@@ -531,7 +553,6 @@ fn messages_stay_small_and_damsg_owns_no_buffer() {
     }
     let table = [
         ("DaMsg of DaProcess", msg::<DaProcess>(), 16),
-        ("DaMsg of DagProcess", msg::<DagProcess>(), 16),
         ("BcMsg", msg::<BroadcastProcess>(), 8),
         ("HcMsg", msg::<HierarchicalProcess>(), 8),
         ("McMsg", msg::<MulticastProcess>(), 16),

@@ -20,8 +20,11 @@ use da_core::{
 use da_harness::experiments::live::{delivered_sets, pinned_params};
 use da_harness::experiments::trace::describe_divergence;
 use da_harness::substrate::{Driver, Substrate};
-use damulticast::{DaProcess, Event, EventId, ParamMap, StaticNetwork};
+use da_membership::static_init::assign_group_members;
+use da_topics::TopicHierarchy;
+use damulticast::{DaProcess, Event, EventId, GroupSpec, ParamMap, StaticNetwork};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The paper's Sec. VII-A topology with pinned-high trade-off knobs.
 const SIZES: [usize; 3] = [10, 100, 1000];
@@ -166,14 +169,35 @@ fn failure_fates_match_the_simulator_at_any_worker_count() {
     }
 }
 
+/// The replayed chain: `[10, 100, 400]` under the paper's parameters.
+fn chain(seed: u64) -> StaticNetwork {
+    StaticNetwork::linear(&[10, 100, 400], ParamMap::default(), seed).expect("valid topology")
+}
+
+/// A diamond under the paper's parameters: `.a` and `.b` below the root
+/// and `.a.c` below both (Sec. VIII's multiple inheritance), with groups
+/// of 10, 40, 40 and 200 top-down.
+fn diamond(seed: u64) -> StaticNetwork {
+    let mut h = TopicHierarchy::from_paths([".a.c", ".b"]).expect("valid paths");
+    let [a, b, c] = [".a", ".b", ".a.c"].map(|p| h.resolve(p).expect("inserted"));
+    h.add_supertopic(c, b).expect("a new edge");
+    let groups = [h.root(), a, b, c]
+        .into_iter()
+        .zip(assign_group_members(&[10, 40, 40, 200]))
+        .map(|(topic, members)| GroupSpec { topic, members })
+        .collect();
+    StaticNetwork::from_groups(Arc::new(h), groups, ParamMap::default(), seed)
+        .expect("valid topology")
+}
+
 /// On reliable channels a one-worker pool replays the simulator: the same
 /// counters (prefix aside), the same delivery order at every process, the
 /// same final statuses and the same quiescent tick, under each of the
-/// paper's failure models. Both deliver a tick's dues in send order, draw
-/// per-observer failures on worker 0's observer stream in that order, and
-/// churn from the shared plan. Lossy channels are out of scope: the
-/// simulator draws fates on its engine stream, the pool on keyed edge
-/// streams.
+/// paper's failure models, on a chain and on a diamond. Both deliver a
+/// tick's dues in send order, draw per-observer failures on worker 0's
+/// observer stream in that order, and churn from the shared plan. Lossy
+/// channels are out of scope: the simulator draws fates on its engine
+/// stream, the pool on keyed edge streams.
 #[test]
 fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
     let models = [
@@ -189,14 +213,20 @@ fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
             recover_probability: 0.2,
         },
     ];
-    for failure in models {
+    let shapes = [
+        ("chain", chain as fn(u64) -> StaticNetwork),
+        ("diamond", diamond),
+    ];
+    for ((shape, build), failure) in shapes
+        .into_iter()
+        .flat_map(|shape| models.iter().map(move |failure| (shape, failure)))
+    {
         for seed in [1, 2] {
             let config = RunConfig::default()
                 .with_seed(seed)
                 .with_failures(failure.clone());
             let run = |substrate: Substrate| {
-                let net = StaticNetwork::linear(&[10, 100, 400], ParamMap::default(), seed)
-                    .expect("valid topology");
+                let net = build(seed);
                 let leaf = net.groups().last().expect("a leaf group").members[..8].to_vec();
                 let mut driver = Driver::spawn(substrate, config.clone(), net.into_processes());
                 for pid in leaf {
@@ -220,7 +250,7 @@ fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
                 (counters, quiescent, out.statuses, logs)
             };
             let (sim, live) = (run(SIM), run(Substrate::Live { workers: 1 }));
-            let case = format!("{failure:?}, seed {seed}");
+            let case = format!("{shape}, {failure:?}, seed {seed}");
             assert_eq!(sim.0, live.0, "counters: {case}");
             assert_eq!(sim.1, live.1, "quiescent tick: {case}");
             assert!(sim.2 == live.2, "final statuses: {case}");
