@@ -5,109 +5,14 @@
 //! interests; membership tables have size `(b+1)·ln(n)` and the fanout is
 //! `ln(n) + c`. Every process participates in relaying *every* event, so
 //! processes constantly receive events of topics they never subscribed to
-//! — the parasite messages daMulticast eliminates.
+//! — the parasite messages daMulticast eliminates. Each
+//! [`GossipProcess`] holds one unscoped table.
 
-use crate::common::{gossip_targets, DeliveryLog, InterestMap};
-use da_core::{derive_seed, rng_from_seed, Exec, ExecProtocol, LabelId, ProcessId, WireSize};
+use crate::common::InterestMap;
+use crate::gossip::{GossipProcess, GossipTable, Labels};
+use da_core::{derive_seed, rng_from_seed, LabelId, ProcessId};
 use da_membership::{static_init::static_topic_tables, FanoutRule};
-use damulticast::{DaError, Event, EventId};
-use std::sync::LazyLock;
-
-static SENT: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("bc.sent"));
-static DELIVERED: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("bc.delivered"));
-static PARASITE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("bc.parasite"));
-static DUPLICATE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("bc.duplicate"));
-
-/// Wire message of the broadcast baseline: just the event.
-#[derive(Debug, Clone)]
-pub struct BcMsg(pub Event);
-
-impl WireSize for BcMsg {
-    fn wire_size(&self) -> usize {
-        self.0.wire_size()
-    }
-}
-
-/// One process of the gossip-broadcast baseline.
-#[derive(Debug, Clone)]
-pub struct BroadcastProcess {
-    me: ProcessId,
-    interests: InterestMap,
-    table: Vec<ProcessId>,
-    fanout: usize,
-    log: DeliveryLog,
-    pending: Vec<Event>,
-    next_sequence: u64,
-}
-
-impl BroadcastProcess {
-    /// The process identity.
-    #[must_use]
-    pub fn id(&self) -> ProcessId {
-        self.me
-    }
-
-    /// Queues an event for publication on the process' interest topic.
-    pub fn publish(&mut self, payload: impl Into<Vec<u8>>) -> EventId {
-        let topic = self.interests.interest_of(self.me);
-        let event = Event::new(self.me, self.next_sequence, topic, payload);
-        self.next_sequence += 1;
-        let id = event.id();
-        self.pending.push(event);
-        id
-    }
-
-    /// Delivery/parasite log of this process.
-    #[must_use]
-    pub fn log(&self) -> &DeliveryLog {
-        &self.log
-    }
-
-    /// Membership entries held (one global table).
-    #[must_use]
-    pub fn memory_entries(&self) -> usize {
-        self.table.len()
-    }
-
-    fn relay<X: Exec<Msg = BcMsg>>(&mut self, event: &Event, ctx: &mut X) {
-        let targets = gossip_targets(&self.table, self.fanout, ctx.rng());
-        for t in targets {
-            ctx.bump_id(*SENT);
-            ctx.send(t, BcMsg(event.clone()));
-        }
-    }
-}
-
-impl ExecProtocol for BroadcastProcess {
-    type Msg = BcMsg;
-
-    fn on_message<X: Exec<Msg = BcMsg>>(&mut self, _from: ProcessId, msg: BcMsg, ctx: &mut X) {
-        let interested = self.interests.wants(self.me, msg.0.topic());
-        if self.log.on_receive(&msg.0, interested) {
-            if interested {
-                ctx.bump_id(*DELIVERED);
-            } else {
-                ctx.bump_id(*PARASITE);
-            }
-            // Broadcast relies on *everyone* relaying, parasites included.
-            let event = msg.0;
-            self.relay(&event, ctx);
-        } else {
-            ctx.bump_id(*DUPLICATE);
-        }
-    }
-
-    fn on_round<X: Exec<Msg = BcMsg>>(&mut self, _round: u64, ctx: &mut X) {
-        let pending = std::mem::take(&mut self.pending);
-        for event in pending {
-            let interested = self.interests.wants(self.me, event.topic());
-            if self.log.on_receive(&event, interested) && interested {
-                ctx.bump_id(*DELIVERED);
-            }
-            self.relay(&event, ctx);
-        }
-    }
-}
+use damulticast::DaError;
 
 /// Builds the broadcast population: one global static gossip table per
 /// process, drawn with the same `(b+1)·ln(n)` rule as daMulticast's topic
@@ -122,7 +27,7 @@ pub fn build_broadcast_network(
     b: f64,
     fanout: FanoutRule,
     seed: u64,
-) -> Result<Vec<BroadcastProcess>, DaError> {
+) -> Result<Vec<GossipProcess>, DaError> {
     let n = interests.population();
     if n == 0 {
         return Err(DaError::EmptyGroup {
@@ -136,16 +41,17 @@ pub fn build_broadcast_network(
             reason: e.to_string(),
         })?;
     let fanout = fanout.fanout(n);
+    let (labels, sent) = (Labels::new("bc"), LabelId::intern("bc.sent"));
     Ok(everyone
-        .iter()
-        .map(|&me| BroadcastProcess {
-            me,
-            interests: interests.clone(),
-            table: tables[&me].clone(),
-            fanout,
-            log: DeliveryLog::new(),
-            pending: Vec::new(),
-            next_sequence: 0,
+        .into_iter()
+        .map(|me| {
+            let table = GossipTable {
+                group: None,
+                view: tables[&me].clone(),
+                fanout,
+                sent,
+            };
+            GossipProcess::new(me, interests, vec![table], labels)
         })
         .collect())
 }
@@ -154,8 +60,9 @@ pub fn build_broadcast_network(
 mod tests {
     use super::*;
     use da_simnet::{Engine, SimConfig};
+    use damulticast::EventId;
 
-    fn network() -> Vec<BroadcastProcess> {
+    fn network() -> Vec<GossipProcess> {
         // 2 root subscribers, 3 mid, 10 leaf.
         let interests = InterestMap::linear(&[2, 3, 10]);
         build_broadcast_network(&interests, 3.0, FanoutRule::LnPlusC { c: 5.0 }, 1).unwrap()
@@ -169,7 +76,7 @@ mod tests {
         // Audience of a leaf event: everyone (leaf + mid + root).
         for i in 0..15 {
             assert!(
-                engine.process(ProcessId(i)).log().has_delivered(id),
+                engine.process(ProcessId(i)).has_delivered(id),
                 "process {i} missed the broadcast"
             );
         }
@@ -182,7 +89,7 @@ mod tests {
         // other 13 processes still receive and relay it.
         engine.process_mut(ProcessId(0)).publish("root-only news");
         engine.run_until_quiescent(50);
-        let parasites: u64 = engine.processes().map(|(_, p)| p.log().parasites()).sum();
+        let parasites: u64 = engine.processes().map(|(_, p)| p.parasite_count()).sum();
         assert!(
             parasites >= 10,
             "expected widespread parasites, got {parasites}"
@@ -207,14 +114,10 @@ mod tests {
         engine.process_mut(ProcessId(14)).publish("y");
         engine.run_until_quiescent(50);
         for (pid, p) in engine.processes() {
-            let mut ids: Vec<EventId> = p.log().delivered().iter().map(|e| e.id()).collect();
+            let mut ids: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
             ids.sort();
             ids.dedup();
-            assert_eq!(
-                ids.len(),
-                p.log().delivered().len(),
-                "{pid} double-delivered"
-            );
+            assert_eq!(ids.len(), p.delivered().len(), "{pid} double-delivered");
         }
     }
 

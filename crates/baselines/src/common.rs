@@ -1,12 +1,8 @@
-//! Machinery shared by the three baseline algorithms: interest
-//! assignment, delivery/parasite bookkeeping, and gossip target sampling.
+//! Interest assignment, the input every baseline builder draws its
+//! tables from.
 
-use da_core::{KeyBuildHasher, ProcessId};
+use da_core::ProcessId;
 use da_topics::{TopicHierarchy, TopicId};
-use damulticast::{Event, EventId};
-use rand::seq::SliceRandom;
-use rand::Rng;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Which topic each process is interested in (the paper's simplifying
@@ -86,80 +82,11 @@ impl InterestMap {
             .filter(|&p| self.wants(p, topic))
             .collect()
     }
-
-    /// The interest vector as a slice.
-    #[must_use]
-    pub fn as_slice(&self) -> &[TopicId] {
-        &self.interests
-    }
-}
-
-/// Per-process delivery bookkeeping shared by all baselines: first-time
-/// de-dup, delivered log, and the parasite counter that daMulticast's
-/// comparison revolves around.
-#[derive(Debug, Clone, Default)]
-pub struct DeliveryLog {
-    seen: HashSet<EventId, KeyBuildHasher>,
-    delivered: Vec<Event>,
-    parasites: u64,
-}
-
-impl DeliveryLog {
-    /// Creates an empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        DeliveryLog::default()
-    }
-
-    /// Records the arrival of `event` at a process whose interest check
-    /// evaluated to `interested`. Returns `true` when this was the first
-    /// receipt (the caller should then re-gossip).
-    pub fn on_receive(&mut self, event: &Event, interested: bool) -> bool {
-        if !self.seen.insert(event.id()) {
-            return false;
-        }
-        if interested {
-            self.delivered.push(event.clone());
-        } else {
-            self.parasites += 1;
-        }
-        true
-    }
-
-    /// Events delivered to the application.
-    #[must_use]
-    pub fn delivered(&self) -> &[Event] {
-        &self.delivered
-    }
-
-    /// True when `id` was delivered here.
-    #[must_use]
-    pub fn has_delivered(&self, id: EventId) -> bool {
-        self.delivered.iter().any(|e| e.id() == id)
-    }
-
-    /// Number of parasite receptions (first-time receipts of uninteresting
-    /// events).
-    #[must_use]
-    pub fn parasites(&self) -> u64 {
-        self.parasites
-    }
-}
-
-/// Uniformly samples up to `k` distinct members of `pool` — the gossip
-/// target draw every baseline shares.
-#[must_use]
-pub fn gossip_targets<R: Rng>(pool: &[ProcessId], k: usize, rng: &mut R) -> Vec<ProcessId> {
-    let mut targets = pool.to_vec();
-    targets.shuffle(rng);
-    targets.truncate(k);
-    targets
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_core::rng_from_seed;
 
     #[test]
     fn linear_interest_assignment() {
@@ -200,29 +127,5 @@ mod tests {
             2,
             "only root subscribers want root events"
         );
-    }
-
-    #[test]
-    fn delivery_log_dedups_and_counts_parasites() {
-        let mut log = DeliveryLog::new();
-        let e = Event::new(ProcessId(0), 0, TopicId::ROOT, "x");
-        assert!(log.on_receive(&e, true));
-        assert!(!log.on_receive(&e, true), "duplicate");
-        assert_eq!(log.delivered().len(), 1);
-        let p = Event::new(ProcessId(0), 1, TopicId::ROOT, "y");
-        assert!(log.on_receive(&p, false));
-        assert_eq!(log.parasites(), 1);
-        assert!(!log.has_delivered(p.id()));
-    }
-
-    #[test]
-    fn gossip_targets_distinct() {
-        let pool: Vec<ProcessId> = (0..20).map(ProcessId).collect();
-        let mut rng = rng_from_seed(1);
-        let t = gossip_targets(&pool, 8, &mut rng);
-        assert_eq!(t.len(), 8);
-        let set: HashSet<_> = t.iter().collect();
-        assert_eq!(set.len(), 8);
-        assert_eq!(gossip_targets(&pool, 100, &mut rng).len(), 20);
     }
 }

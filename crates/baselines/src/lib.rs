@@ -15,15 +15,17 @@
 //!   interest-oblivious two-level layout of \[10\]; bounded memory, but
 //!   parasites return.
 //!
-//! All three implement [`da_core::ExecProtocol`] — so, like daMulticast
-//! itself, they run on the simulator and on the live runtime — reuse
-//! [`damulticast::Event`], and count their traffic under `bc.*`, `mc.*`
-//! and `hc.*` metric labels, so the harness can put the four algorithms in
-//! one table (the paper's Sec. VI-E.1–3).
+//! The three differ only in the tables their builders draw, so one
+//! [`GossipProcess`] runs them all ([`gossip`]): it gossips an event into
+//! every [`GossipTable`] scoped to the event's group. It implements
+//! [`da_core::ExecProtocol`] — so, like daMulticast itself, every baseline
+//! runs on the simulator and on the live runtime — reuses
+//! [`damulticast::Event`], and counts each algorithm's traffic under its
+//! `bc.*`, `mc.*` or `hc.*` labels, so the harness can put the four
+//! algorithms in one table (the paper's Sec. VI-E.1–3).
 //!
 //! ```
-//! use da_baselines::common::InterestMap;
-//! use da_baselines::broadcast::build_broadcast_network;
+//! use da_baselines::{build_broadcast_network, build_multicast_network, InterestMap};
 //! use da_membership::FanoutRule;
 //! use da_core::ProcessId;
 //! use da_simnet::{Engine, SimConfig};
@@ -31,10 +33,19 @@
 //! # fn main() -> Result<(), damulticast::DaError> {
 //! let interests = InterestMap::linear(&[2, 3, 10]);
 //! let procs = build_broadcast_network(&interests, 3.0, FanoutRule::default(), 7)?;
+//! assert!(procs.iter().all(|p| p.tables().len() == 1), "one flat table");
 //! let mut engine = Engine::new(SimConfig::default().with_seed(7), procs);
 //! engine.process_mut(ProcessId(0)).publish("to everyone");
 //! engine.run_until_quiescent(50);
 //! assert!(engine.counters().get("bc.parasite") > 0, "broadcast pays in parasites");
+//!
+//! // The same process, drawn one table per joined topic group.
+//! let procs = build_multicast_network(&interests, 3.0, FanoutRule::default(), 7)?;
+//! assert_eq!(procs[0].tables().len(), 3, "a root subscriber joins every group");
+//! let mut engine = Engine::new(SimConfig::default().with_seed(7), procs);
+//! engine.process_mut(ProcessId(0)).publish("to the root group");
+//! engine.run_until_quiescent(50);
+//! assert_eq!(engine.counters().get("mc.parasite"), 0);
 //! # Ok(())
 //! # }
 //! ```
@@ -44,10 +55,12 @@
 
 pub mod broadcast;
 pub mod common;
+pub mod gossip;
 pub mod hierarchical;
 pub mod multicast;
 
-pub use broadcast::{build_broadcast_network, BcMsg, BroadcastProcess};
-pub use common::{DeliveryLog, InterestMap};
-pub use hierarchical::{build_hierarchical_network, HcMsg, HierarchicalProcess};
-pub use multicast::{build_multicast_network, McMsg, MulticastProcess};
+pub use broadcast::build_broadcast_network;
+pub use common::InterestMap;
+pub use gossip::{GossipMsg, GossipProcess, GossipTable};
+pub use hierarchical::build_hierarchical_network;
+pub use multicast::build_multicast_network;

@@ -66,7 +66,7 @@ proptest! {
                 .descendants(interest)
                 .filter(|&t| !m.audience(t).is_empty())
                 .count();
-            prop_assert_eq!(p.group_count(), expected);
+            prop_assert_eq!(p.tables().len(), expected);
         }
     }
 

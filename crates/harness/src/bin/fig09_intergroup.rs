@@ -6,26 +6,14 @@
 //! Usage: `cargo run --release -p da-harness --bin fig09_intergroup
 //! [--quick]`
 
-use da_harness::experiments::figures::{run_figure, FigureKind};
-use da_harness::experiments::{alive_fractions, Effort};
-use da_harness::{plot, results_dir};
+use da_harness::experiments::figures::FigureKind;
+use da_harness::experiments::{artifacts, Effort};
+use da_harness::results_dir;
 
 fn main() {
-    let effort = Effort::from_args();
-    let table = run_figure(
+    artifacts::figure(
         FigureKind::Fig09Intergroup,
-        &effort.scenario(),
-        &alive_fractions(),
-        effort.trials(),
-        0xF1609,
-    );
-    print!("{}", table.to_markdown());
-    print!("{}", plot::ascii_plot(&table, 60, 16));
-    let dir = results_dir();
-    table.write_to(&dir).expect("write results");
-    println!(
-        "\nwritten to {}/{}.{{csv,md}}",
-        dir.display(),
-        table.file_stem()
+        Effort::from_args(),
+        &results_dir(),
     );
 }

@@ -4,31 +4,9 @@
 //!
 //! Usage: `cargo run --release -p da-harness --bin fig_dynamics [--quick]`
 
-use da_harness::experiments::dynamics::{run_churn, run_latency};
-use da_harness::experiments::Effort;
-use da_harness::{plot, results_dir};
+use da_harness::experiments::{artifacts, Effort};
+use da_harness::results_dir;
 
 fn main() {
-    let effort = Effort::from_args();
-    let dir = results_dir();
-    let sizes: &[usize] = match effort {
-        Effort::Quick => &[50, 100, 200],
-        Effort::Paper => &[100, 250, 500, 1000, 2000],
-    };
-
-    let latency = run_latency(sizes, effort.trials(), 0xD1A);
-    print!("{}", latency.to_markdown());
-    print!("{}", plot::ascii_plot(&latency, 60, 12));
-    latency.write_to(&dir).expect("write results");
-
-    let churn = run_churn(
-        &[0.001, 0.005, 0.01, 0.02, 0.05, 0.1],
-        effort.trials(),
-        0xD1B,
-    );
-    print!("{}", churn.to_markdown());
-    print!("{}", plot::ascii_plot(&churn, 60, 12));
-    churn.write_to(&dir).expect("write results");
-
-    println!("\nwritten to {}", dir.display());
+    artifacts::dynamics(Effort::from_args(), &results_dir());
 }

@@ -5,20 +5,9 @@
 //!
 //! Usage: `cargo run --release -p da-harness --bin fig_scaling [--quick]`
 
-use da_harness::experiments::scaling::run_scaling;
-use da_harness::experiments::Effort;
-use da_harness::{plot, results_dir};
+use da_harness::experiments::{artifacts, Effort};
+use da_harness::results_dir;
 
 fn main() {
-    let effort = Effort::from_args();
-    let sizes: &[usize] = match effort {
-        Effort::Quick => &[50, 100, 200, 400],
-        Effort::Paper => &[100, 250, 500, 1000, 2000, 4000],
-    };
-    let table = run_scaling(sizes, effort.trials(), 0x5CA1E);
-    print!("{}", table.to_markdown());
-    print!("{}", plot::ascii_plot(&table, 60, 16));
-    let dir = results_dir();
-    table.write_to(&dir).expect("write results");
-    println!("\nwritten to {}", dir.display());
+    artifacts::scaling(Effort::from_args(), &results_dir());
 }

@@ -6,16 +6,9 @@
 //! Usage: `cargo run --release -p da-harness --bin table_complexity
 //! [--quick]`
 
-use da_harness::experiments::tables::run_complexity_table;
-use da_harness::experiments::Effort;
+use da_harness::experiments::{artifacts, Effort};
 use da_harness::results_dir;
 
 fn main() {
-    let effort = Effort::from_args();
-    let sizes = effort.scenario().group_sizes;
-    let table = run_complexity_table(&sizes, effort.trials(), 0x7AB1E);
-    print!("{}", table.to_markdown());
-    let dir = results_dir();
-    table.write_to(&dir).expect("write results");
-    println!("\nwritten to {}", dir.display());
+    artifacts::complexity_table(Effort::from_args(), &results_dir());
 }

@@ -7,27 +7,11 @@
 //!
 //! Usage: `cargo run --release -p da-harness --bin table_tuning [--quick]`
 
-use da_harness::experiments::tables::{run_reliability_table, run_tuning_table};
-use da_harness::experiments::Effort;
+use da_harness::experiments::{artifacts, Effort};
 use da_harness::results_dir;
 
 fn main() {
-    let effort = Effort::from_args();
-    // The paper's topology: t = 3 levels, n = 1110 processes, S_T = 1000,
-    // and N = 33 groups for the hierarchical baseline (≈ √n).
-    let table = run_tuning_table(3, 1110, 1000, 33);
-    print!("{}", table.to_markdown());
-    let dir = results_dir();
-    table.write_to(&dir).expect("write results");
-
-    let sizes = effort.scenario().group_sizes;
-    let reliability = run_reliability_table(
-        &sizes,
-        &[1.0, 0.9, 0.8, 0.7, 0.6, 0.5],
-        effort.trials(),
-        0x7AB2E,
-    );
-    print!("{}", reliability.to_markdown());
-    reliability.write_to(&dir).expect("write results");
-    println!("\nwritten to {}", dir.display());
+    let (effort, dir) = (Effort::from_args(), results_dir());
+    artifacts::tuning_table(effort, &dir);
+    artifacts::reliability_table(effort, &dir);
 }

@@ -1,9 +1,11 @@
 //! One module per figure/table of the paper's evaluation, plus the
 //! ablations and extensions ARCHITECTURE.md lists under "Where the paper's
 //! figures live". Every module exposes a `run` function returning
-//! renderable tables; the `bin/` targets are thin wrappers.
+//! renderable tables; [`artifacts`] fixes each one's seed and parameters,
+//! and the `bin/` targets are thin wrappers over it.
 
 pub mod ablations;
+pub mod artifacts;
 pub mod dynamics;
 pub mod figures;
 pub mod live;

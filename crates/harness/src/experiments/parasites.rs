@@ -7,25 +7,18 @@
 //! yet broadcast and hierarchical broadcast push it through all 1110
 //! processes.
 
+use super::tables::{BASELINES, FANOUT};
 use crate::report::KeyedTable;
 use crate::runner::run_trials;
 use crate::scenario::{publish_and_settle, run_scenario, ScenarioConfig};
 use crate::substrate::Substrate;
-use da_baselines::{
-    build_broadcast_network, build_hierarchical_network, build_multicast_network, BroadcastProcess,
-    HierarchicalProcess, InterestMap, MulticastProcess,
-};
-use da_core::{Counters, FaultConfig, ProcessId, RunConfig};
-use da_membership::FanoutRule;
+use da_baselines::{GossipProcess, InterestMap};
+use da_core::{FaultConfig, ProcessId, RunConfig};
 
 /// Runs the four algorithms with one root-topic publication each and
 /// tabulates deliveries, parasites, and event traffic.
 #[must_use]
 pub fn run_parasite_table(group_sizes: &[usize], trials: usize, seed: u64) -> KeyedTable {
-    let b = 3.0;
-    let fanout = FanoutRule::LnPlusC { c: 5.0 };
-    let n: usize = group_sizes.iter().sum();
-    let n_groups = (n as f64).sqrt().ceil() as usize;
     let interests = InterestMap::linear(group_sizes);
     let root_publisher = ProcessId(0);
 
@@ -46,7 +39,7 @@ pub fn run_parasite_table(group_sizes: &[usize], trials: usize, seed: u64) -> Ke
         faults: FaultConfig::default(),
         ..ScenarioConfig::paper_default()
     }
-    .with_fanout(fanout);
+    .with_fanout(FANOUT);
     let da = run_trials(trials, seed, |s| {
         let out = run_scenario(&da_config, Substrate::Sim, s);
         let delivered_root = out.delivered_fraction[0] * group_sizes[0] as f64;
@@ -56,41 +49,19 @@ pub fn run_parasite_table(group_sizes: &[usize], trials: usize, seed: u64) -> Ke
 
     // The baselines count under `{prefix}.*`; every `sent*` counter is an
     // event send.
-    let measured = |counters: &Counters, prefix: &str| {
-        ["delivered", "parasite", "sent"]
-            .map(|name| counters.sum_prefix(&format!("{prefix}.{name}")) as f64)
-            .to_vec()
-    };
-
-    let bc = run_trials(trials, seed, |s| {
-        let procs =
-            build_broadcast_network(&interests, b, fanout, s).expect("population non-empty");
-        let config = RunConfig::default().with_seed(s);
-        let publish = |p: &mut BroadcastProcess| p.publish("root news");
-        let out = publish_and_settle(Substrate::Sim, config, procs, root_publisher, publish, 64).2;
-        measured(&out.counters, "bc")
-    });
-    table.push_row("gossip broadcast", bc);
-
-    let mc = run_trials(trials, seed, |s| {
-        let procs =
-            build_multicast_network(&interests, b, fanout, s).expect("population non-empty");
-        let config = RunConfig::default().with_seed(s);
-        let publish = |p: &mut MulticastProcess| p.publish("root news");
-        let out = publish_and_settle(Substrate::Sim, config, procs, root_publisher, publish, 64).2;
-        measured(&out.counters, "mc")
-    });
-    table.push_row("gossip multicast", mc);
-
-    let hc = run_trials(trials, seed, |s| {
-        let procs = build_hierarchical_network(&interests, n_groups, b, fanout, fanout, s)
-            .expect("valid partition");
-        let config = RunConfig::default().with_seed(s);
-        let publish = |p: &mut HierarchicalProcess| p.publish("root news");
-        let out = publish_and_settle(Substrate::Sim, config, procs, root_publisher, publish, 64).2;
-        measured(&out.counters, "hc")
-    });
-    table.push_row("hierarchical broadcast", hc);
+    for (name, prefix, build) in BASELINES {
+        let row = run_trials(trials, seed, |s| {
+            let config = RunConfig::default().with_seed(s);
+            let procs = build(&interests, s);
+            let publish = |p: &mut GossipProcess| p.publish("root news");
+            let out =
+                publish_and_settle(Substrate::Sim, config, procs, root_publisher, publish, 64).2;
+            ["delivered", "parasite", "sent"]
+                .map(|counter| out.counters.sum_prefix(&format!("{prefix}.{counter}")) as f64)
+                .to_vec()
+        });
+        table.push_row(name, row);
+    }
 
     table
 }

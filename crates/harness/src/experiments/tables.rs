@@ -9,13 +9,41 @@ use crate::stats::Summary;
 use crate::substrate::Substrate;
 use da_analysis::{complexity, memory, tuning};
 use da_baselines::{
-    build_broadcast_network, build_hierarchical_network, build_multicast_network, BroadcastProcess,
-    DeliveryLog, HierarchicalProcess, InterestMap, MulticastProcess,
+    build_broadcast_network, build_hierarchical_network, build_multicast_network, GossipProcess,
+    InterestMap,
 };
-use da_core::{Counters, FailureModel, FaultConfig, ProcessId, RunConfig};
+use da_core::{FailureModel, FaultConfig, ProcessId, RunConfig};
 use da_membership::FanoutRule;
 use da_runtime::Shutdown;
 use damulticast::EventId;
+
+/// Draws a baseline's population over an interest map, by seed.
+type Build = fn(&InterestMap, u64) -> Vec<GossipProcess>;
+
+/// The three baselines as every comparison table runs them, on one
+/// linear topology with `b = 3`, the `ln(S) + 5` fanout and `⌈√n⌉`
+/// hierarchical groups: the row name, the counter prefix and the builder.
+pub(crate) const BASELINES: [(&str, &str, Build); 3] = [
+    ("gossip broadcast", "bc", |interests, seed| {
+        build_broadcast_network(interests, 3.0, FANOUT, seed).expect("population non-empty")
+    }),
+    ("gossip multicast", "mc", |interests, seed| {
+        build_multicast_network(interests, 3.0, FANOUT, seed).expect("population non-empty")
+    }),
+    ("hierarchical broadcast", "hc", |interests, seed| {
+        let n_groups = hierarchical_groups(interests.population());
+        build_hierarchical_network(interests, n_groups, 3.0, FANOUT, FANOUT, seed)
+            .expect("valid partition")
+    }),
+];
+
+/// The fanout rule of every comparison: `ln(S) + 5`.
+pub(crate) const FANOUT: FanoutRule = FanoutRule::LnPlusC { c: 5.0 };
+
+/// The hierarchical baseline's group count for a population of `n`.
+fn hierarchical_groups(n: usize) -> usize {
+    (n as f64).sqrt().ceil() as usize
+}
 
 /// Levels of the comparison topology, bottom-up, as analysis inputs.
 fn analysis_chain(group_sizes: &[usize], c: f64) -> Vec<complexity::GroupLevel> {
@@ -42,10 +70,8 @@ fn analysis_chain(group_sizes: &[usize], c: f64) -> Vec<complexity::GroupLevel> 
 #[must_use]
 pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> KeyedTable {
     let c = 5.0;
-    let b = 3.0;
     let fanout = FanoutRule::LnPlusC { c };
     let n: usize = group_sizes.iter().sum();
-    let n_groups = (n as f64).sqrt().ceil() as usize;
     let interests = InterestMap::linear(group_sizes);
     let leaf_publisher = ProcessId::from_index(n - 1);
     let chain = analysis_chain(group_sizes, c);
@@ -106,103 +132,62 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
 
     // The baselines: one leaf publication each, on reliable channels;
     // every `{prefix}.sent*` counter is an event send.
-    let measured = |counters: &Counters, prefix: &str, mem: f64| {
-        let sent = counters.sum_prefix(&format!("{prefix}.sent")) as f64;
-        vec![sent, counters.get("sim.bytes_sent") as f64, mem]
-    };
-
-    // --- gossip broadcast --------------------------------------------
-    let bc = run_trials(trials, seed, |s| {
-        let procs =
-            build_broadcast_network(&interests, b, fanout, s).expect("population non-empty");
-        let mem: usize = procs.iter().map(BroadcastProcess::memory_entries).sum();
-        let mem = mem as f64 / procs.len() as f64;
-        let config = RunConfig::default().with_seed(s);
-        let publish = |p: &mut BroadcastProcess| p.publish("bench");
-        let out = publish_and_settle(Substrate::Sim, config, procs, leaf_publisher, publish, 64).2;
-        measured(&out.counters, "bc", mem)
-    });
-    table.push_row(
-        "gossip broadcast",
-        vec![
-            bc[0],
-            Summary::exact(complexity::broadcast_messages(n, c)),
-            bc[1],
-            bc[2],
-            Summary::exact(memory::broadcast_memory(n, c)),
-        ],
-    );
-
-    // --- gossip multicast ----------------------------------------------
-    let mc = run_trials(trials, seed, |s| {
-        let procs =
-            build_multicast_network(&interests, b, fanout, s).expect("population non-empty");
-        let mem: usize = procs.iter().map(MulticastProcess::memory_entries).sum();
-        let mem = mem as f64 / procs.len() as f64;
-        let config = RunConfig::default().with_seed(s);
-        let publish = |p: &mut MulticastProcess| p.publish("bench");
-        let out = publish_and_settle(Substrate::Sim, config, procs, leaf_publisher, publish, 64).2;
-        measured(&out.counters, "mc", mem)
-    });
-    let mc_mem_analytic = {
-        // The chain-average: leaf members hold 1 table, root members t.
-        let levels: Vec<(usize, f64)> = group_sizes.iter().map(|&s| (s, c)).collect();
-        memory::multicast_memory(&levels)
-    };
-    table.push_row(
-        "gossip multicast",
-        vec![
-            mc[0],
-            Summary::exact(complexity::multicast_messages(&chain)),
-            mc[1],
-            mc[2],
-            Summary::exact(mc_mem_analytic),
-        ],
-    );
-
-    // --- hierarchical broadcast ----------------------------------------
-    let hc = run_trials(trials, seed, |s| {
-        let procs = build_hierarchical_network(&interests, n_groups, b, fanout, fanout, s)
-            .expect("valid partition");
-        let mem: usize = procs.iter().map(HierarchicalProcess::memory_entries).sum();
-        let mem = mem as f64 / procs.len() as f64;
-        let config = RunConfig::default().with_seed(s);
-        let publish = |p: &mut HierarchicalProcess| p.publish("bench");
-        let out = publish_and_settle(Substrate::Sim, config, procs, leaf_publisher, publish, 64).2;
-        measured(&out.counters, "hc", mem)
-    });
+    let n_groups = hierarchical_groups(n);
     let m = n / n_groups;
-    table.push_row(
-        "hierarchical broadcast",
-        vec![
-            hc[0],
-            Summary::exact(complexity::hierarchical_messages(n_groups, m, c, c)),
-            hc[1],
-            hc[2],
-            Summary::exact(memory::hierarchical_memory(n_groups, m, c, c)),
-        ],
-    );
+    // The multicast chain-average: leaf members hold 1 table, root members t.
+    let levels: Vec<(usize, f64)> = group_sizes.iter().map(|&s| (s, c)).collect();
+    let analytic = [
+        (
+            complexity::broadcast_messages(n, c),
+            memory::broadcast_memory(n, c),
+        ),
+        (
+            complexity::multicast_messages(&chain),
+            memory::multicast_memory(&levels),
+        ),
+        (
+            complexity::hierarchical_messages(n_groups, m, c, c),
+            memory::hierarchical_memory(n_groups, m, c, c),
+        ),
+    ];
+    for ((name, prefix, build), (messages, entries)) in BASELINES.into_iter().zip(analytic) {
+        let measured = run_trials(trials, seed, |s| {
+            let procs = build(&interests, s);
+            let mem: usize = procs.iter().map(GossipProcess::memory_entries).sum();
+            let mem = mem as f64 / procs.len() as f64;
+            let config = RunConfig::default().with_seed(s);
+            let publish = |p: &mut GossipProcess| p.publish("bench");
+            let out =
+                publish_and_settle(Substrate::Sim, config, procs, leaf_publisher, publish, 64).2;
+            let sent = out.counters.sum_prefix(&format!("{prefix}.sent")) as f64;
+            vec![sent, out.counters.get("sim.bytes_sent") as f64, mem]
+        });
+        table.push_row(
+            name,
+            vec![
+                measured[0],
+                Summary::exact(messages),
+                measured[1],
+                measured[2],
+                Summary::exact(entries),
+            ],
+        );
+    }
 
     table
 }
 
 /// The fraction of a trial's processes alive at its end that delivered
-/// its publication, by each process's delivery `log`.
-fn survivor_coverage<P>(
-    (event, _, out): (EventId, u64, Shutdown<P>),
-    log: impl Fn(&P) -> &DeliveryLog,
-) -> f64 {
-    let survivors: Vec<&P> = out
+/// its publication.
+fn survivor_coverage((event, _, out): (EventId, u64, Shutdown<GossipProcess>)) -> f64 {
+    let survivors: Vec<&GossipProcess> = out
         .processes
         .iter()
         .zip(&out.statuses)
         .filter(|(_, status)| status.is_alive())
         .map(|(p, _)| p)
         .collect();
-    let got = survivors
-        .iter()
-        .filter(|p| log(p).has_delivered(event))
-        .count();
+    let got = survivors.iter().filter(|p| p.has_delivered(event)).count();
     got as f64 / survivors.len().max(1) as f64
 }
 
@@ -264,21 +249,14 @@ pub fn run_reliability_table(
     trials: usize,
     seed: u64,
 ) -> SeriesTable {
-    let b = 3.0;
-    let fanout = FanoutRule::LnPlusC { c: 5.0 };
     let n: usize = group_sizes.iter().sum();
-    let n_groups = (n as f64).sqrt().ceil() as usize;
     let interests = InterestMap::linear(group_sizes);
 
+    let columns = std::iter::once("daMulticast").chain(BASELINES.map(|(name, ..)| name));
     let mut table = SeriesTable::new(
         "Table reliability comparison",
         "alive fraction",
-        vec![
-            "daMulticast".into(),
-            "gossip broadcast".into(),
-            "gossip multicast".into(),
-            "hierarchical broadcast".into(),
-        ],
+        columns.map(String::from).collect(),
     );
 
     for &alive in alive_fractions {
@@ -294,7 +272,7 @@ pub fn run_reliability_table(
             },
             ..ScenarioConfig::paper_default()
         }
-        .with_fanout(fanout);
+        .with_fanout(FANOUT);
         let row = run_trials(trials, seed, |s| {
             let out = run_scenario(&da_config, Substrate::Sim, s);
             // Mean over levels of the survivors' delivery fraction.
@@ -310,22 +288,21 @@ pub fn run_reliability_table(
             let config = RunConfig::default()
                 .with_seed(s)
                 .with_failures(failure.clone());
-            let bc = build_broadcast_network(&interests, b, fanout, s).unwrap();
-            let publish = |p: &mut BroadcastProcess| p.publish("rel");
-            let bc = publish_and_settle(Substrate::Sim, config.clone(), bc, publisher, publish, 96);
-            let mc = build_multicast_network(&interests, b, fanout, s).unwrap();
-            let publish = |p: &mut MulticastProcess| p.publish("rel");
-            let mc = publish_and_settle(Substrate::Sim, config.clone(), mc, publisher, publish, 96);
-            let hc =
-                build_hierarchical_network(&interests, n_groups, b, fanout, fanout, s).unwrap();
-            let publish = |p: &mut HierarchicalProcess| p.publish("rel");
-            let hc = publish_and_settle(Substrate::Sim, config, hc, publisher, publish, 96);
-            vec![
-                da,
-                survivor_coverage(bc, BroadcastProcess::log),
-                survivor_coverage(mc, MulticastProcess::log),
-                survivor_coverage(hc, HierarchicalProcess::log),
-            ]
+            let mut row = vec![da];
+            for (_, _, build) in BASELINES {
+                let publish = |p: &mut GossipProcess| p.publish("rel");
+                let procs = build(&interests, s);
+                let out = publish_and_settle(
+                    Substrate::Sim,
+                    config.clone(),
+                    procs,
+                    publisher,
+                    publish,
+                    96,
+                );
+                row.push(survivor_coverage(out));
+            }
+            row
         });
         table.push_row(alive, row);
     }

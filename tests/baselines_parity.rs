@@ -3,17 +3,33 @@
 //! says they differ (parasites, memory, message count).
 
 use da_baselines::{
-    build_broadcast_network, build_hierarchical_network, build_multicast_network, DeliveryLog,
+    build_broadcast_network, build_hierarchical_network, build_multicast_network, GossipProcess,
     InterestMap,
 };
-use da_core::{first_divergence, ExecProtocol, ProcessId, RunConfig, TraceConfig, WireSize};
+use da_core::{first_divergence, ProcessId, RunConfig, TraceConfig};
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
-use damulticast::{EventId, ParamMap, StaticNetwork, TopicParams};
+use damulticast::{ParamMap, StaticNetwork, TopicParams};
 
 const SIZES: [usize; 3] = [4, 12, 36];
 const FANOUT: FanoutRule = FanoutRule::LnPlusC { c: 5.0 };
+
+/// Draws a baseline's population over an interest map, by seed.
+type Build = fn(&InterestMap, u64) -> Vec<GossipProcess>;
+
+/// The three baselines on one interest map: counter prefix and builder.
+const BASELINES: [(&str, Build); 3] = [
+    ("bc", |interests, seed| {
+        build_broadcast_network(interests, 3.0, FANOUT, seed).unwrap()
+    }),
+    ("mc", |interests, seed| {
+        build_multicast_network(interests, 3.0, FANOUT, seed).unwrap()
+    }),
+    ("hc", |interests, seed| {
+        build_hierarchical_network(interests, 4, 3.0, FANOUT, FANOUT, seed).unwrap()
+    }),
+];
 
 /// Deliveries per process index for a leaf publication, per algorithm.
 fn delivery_bitmaps(seed: u64) -> [Vec<bool>; 4] {
@@ -36,47 +52,15 @@ fn delivery_bitmaps(seed: u64) -> [Vec<bool>; 4] {
         .map(|i| engine.process(ProcessId::from_index(i)).has_delivered(id))
         .collect();
 
-    // Broadcast.
-    let procs = build_broadcast_network(&interests, 3.0, FANOUT, seed).unwrap();
-    let mut engine = Engine::new(SimConfig::default().with_seed(seed), procs);
-    let id = engine.process_mut(leaf_publisher).publish("parity");
-    engine.run_until_quiescent(96);
-    let bc: Vec<bool> = (0..n)
-        .map(|i| {
-            engine
-                .process(ProcessId::from_index(i))
-                .log()
-                .has_delivered(id)
-        })
-        .collect();
-
-    // Multicast.
-    let procs = build_multicast_network(&interests, 3.0, FANOUT, seed).unwrap();
-    let mut engine = Engine::new(SimConfig::default().with_seed(seed), procs);
-    let id = engine.process_mut(leaf_publisher).publish("parity");
-    engine.run_until_quiescent(96);
-    let mc: Vec<bool> = (0..n)
-        .map(|i| {
-            engine
-                .process(ProcessId::from_index(i))
-                .log()
-                .has_delivered(id)
-        })
-        .collect();
-
-    // Hierarchical.
-    let procs = build_hierarchical_network(&interests, 4, 3.0, FANOUT, FANOUT, seed).unwrap();
-    let mut engine = Engine::new(SimConfig::default().with_seed(seed), procs);
-    let id = engine.process_mut(leaf_publisher).publish("parity");
-    engine.run_until_quiescent(96);
-    let hc: Vec<bool> = (0..n)
-        .map(|i| {
-            engine
-                .process(ProcessId::from_index(i))
-                .log()
-                .has_delivered(id)
-        })
-        .collect();
+    let [bc, mc, hc] = BASELINES.map(|(_, build)| {
+        let procs = build(&interests, seed);
+        let mut engine = Engine::new(SimConfig::default().with_seed(seed), procs);
+        let id = engine.process_mut(leaf_publisher).publish("parity");
+        engine.run_until_quiescent(96);
+        (0..n)
+            .map(|i| engine.process(ProcessId::from_index(i)).has_delivered(id))
+            .collect()
+    });
 
     [da, bc, mc, hc]
 }
@@ -100,60 +84,21 @@ fn root_event_parasite_profile() {
     let interests = InterestMap::linear(&SIZES);
     let root_publisher = ProcessId(0);
 
-    let run_counts = |which: &str, seed: u64| -> (u64, u64) {
-        match which {
-            "bc" => {
-                let procs = build_broadcast_network(&interests, 3.0, FANOUT, seed).unwrap();
-                let mut e = Engine::new(SimConfig::default().with_seed(seed), procs);
-                e.process_mut(root_publisher).publish("root");
-                e.run_until_quiescent(96);
-                (
-                    e.counters().get("bc.delivered"),
-                    e.counters().get("bc.parasite"),
-                )
-            }
-            "mc" => {
-                let procs = build_multicast_network(&interests, 3.0, FANOUT, seed).unwrap();
-                let mut e = Engine::new(SimConfig::default().with_seed(seed), procs);
-                e.process_mut(root_publisher).publish("root");
-                e.run_until_quiescent(96);
-                (
-                    e.counters().get("mc.delivered"),
-                    e.counters().get("mc.parasite"),
-                )
-            }
-            "hc" => {
-                let procs =
-                    build_hierarchical_network(&interests, 4, 3.0, FANOUT, FANOUT, seed).unwrap();
-                let mut e = Engine::new(SimConfig::default().with_seed(seed), procs);
-                e.process_mut(root_publisher).publish("root");
-                e.run_until_quiescent(96);
-                (
-                    e.counters().get("hc.delivered"),
-                    e.counters().get("hc.parasite"),
-                )
-            }
-            _ => unreachable!(),
-        }
-    };
-
-    let (bc_del, bc_par) = run_counts("bc", 42);
-    let (mc_del, mc_par) = run_counts("mc", 42);
-    let (hc_del, hc_par) = run_counts("hc", 42);
-
-    assert_eq!(
-        bc_del, SIZES[0] as u64,
-        "broadcast delivers to subscribers only"
-    );
-    assert_eq!(
-        bc_par as usize,
-        n - SIZES[0],
-        "everyone else receives a parasite"
-    );
-    assert_eq!(mc_del, SIZES[0] as u64);
-    assert_eq!(mc_par, 0, "multicast is parasite-free");
-    assert_eq!(hc_del, SIZES[0] as u64);
-    assert_eq!(hc_par as usize, n - SIZES[0]);
+    // Multicast gossips in the root group alone; the interest-oblivious
+    // baselines hand everyone else a parasite.
+    let parasites = [n - SIZES[0], 0, n - SIZES[0]];
+    for ((prefix, build), parasites) in BASELINES.into_iter().zip(parasites) {
+        let mut e = Engine::new(SimConfig::default().with_seed(42), build(&interests, 42));
+        e.process_mut(root_publisher).publish("root");
+        e.run_until_quiescent(96);
+        let count = |name: &str| e.counters().get(&format!("{prefix}.{name}"));
+        assert_eq!(
+            count("delivered"),
+            SIZES[0] as u64,
+            "{prefix} delivers to subscribers only"
+        );
+        assert_eq!(count("parasite") as usize, parasites, "{prefix}");
+    }
 
     // daMulticast.
     let params = ParamMap::uniform(TopicParams::paper_default().with_fanout(FANOUT));
@@ -241,14 +186,7 @@ fn memory_ordering() {
 /// workers: the same per-process delivery bitmap and — reliable
 /// channels, so no substrate-specific fate draws — a bit-identical
 /// canonical trace.
-fn assert_live_matches_sim<P>(
-    procs: Vec<P>,
-    publish: fn(&mut P) -> EventId,
-    log: fn(&P) -> &DeliveryLog,
-) where
-    P: ExecProtocol + Clone + Send + 'static,
-    P::Msg: Clone + std::fmt::Debug + WireSize + Send + 'static,
-{
+fn assert_live_matches_sim(prefix: &str, procs: Vec<GossipProcess>) {
     const SEED: u64 = 45;
     let publisher = ProcessId::from_index(SIZES[0]);
     let run = |substrate: Substrate| {
@@ -257,14 +195,10 @@ fn assert_live_matches_sim<P>(
             .with_seed(SEED)
             .with_trace(TraceConfig::full());
         let mut driver = Driver::spawn(substrate, config, procs);
-        let id = driver.apply(publisher, publish);
+        let id = driver.apply(publisher, |p: &mut GossipProcess| p.publish("live"));
         driver.run_until_quiescent(96);
         let out = driver.finish();
-        let bitmap: Vec<bool> = out
-            .processes
-            .iter()
-            .map(|p| log(p).has_delivered(id))
-            .collect();
+        let bitmap: Vec<bool> = out.processes.iter().map(|p| p.has_delivered(id)).collect();
         (
             id,
             bitmap,
@@ -274,13 +208,17 @@ fn assert_live_matches_sim<P>(
 
     let (id, sim_bitmap, sim_trace) = run(Substrate::Sim);
     let delivered = sim_bitmap.iter().filter(|&&b| b).count();
-    assert_eq!(delivered, SIZES[0] + SIZES[1], "levels 0 and 1 deliver");
+    assert_eq!(
+        delivered,
+        SIZES[0] + SIZES[1],
+        "{prefix}: levels 0 and 1 deliver"
+    );
 
     for workers in [1, 2] {
         let (live_id, live_bitmap, live_trace) = run(Substrate::Live { workers });
         assert_eq!(live_id, id);
-        assert_eq!(live_bitmap, sim_bitmap, "{workers} workers");
-        assert_eq!(first_divergence(&sim_trace, &live_trace), None);
+        assert_eq!(live_bitmap, sim_bitmap, "{prefix}: {workers} workers");
+        assert_eq!(first_divergence(&sim_trace, &live_trace), None, "{prefix}");
     }
 }
 
@@ -289,19 +227,7 @@ fn assert_live_matches_sim<P>(
 #[test]
 fn baselines_run_live_as_simulated() {
     let interests = InterestMap::linear(&SIZES);
-    assert_live_matches_sim(
-        build_broadcast_network(&interests, 3.0, FANOUT, 45).unwrap(),
-        |p| p.publish("live"),
-        |p| p.log(),
-    );
-    assert_live_matches_sim(
-        build_multicast_network(&interests, 3.0, FANOUT, 45).unwrap(),
-        |p| p.publish("live"),
-        |p| p.log(),
-    );
-    assert_live_matches_sim(
-        build_hierarchical_network(&interests, 4, 3.0, FANOUT, FANOUT, 45).unwrap(),
-        |p| p.publish("live"),
-        |p| p.log(),
-    );
+    for (prefix, build) in BASELINES {
+        assert_live_matches_sim(prefix, build(&interests, 45));
+    }
 }
