@@ -16,18 +16,23 @@
 //! sits below both substrates: a [`crate::LifecycleController`] applies
 //! the plan at the start of every round — one over the whole population
 //! under `da_simnet::Engine`, one per worker stripe under `da_runtime`.
-//! To that end every per-round draw is **positionally deterministic**: churn transitions
-//! are sampled from a stateless `(pid, round)` hash
-//! ([`FailurePlan::churn_flips`]), never from a shared sequential RNG
-//! stream, so the fate of process 7 at round 12 is the same number on a
-//! single-threaded simulator and on any worker striping of the live
-//! pool.
+//! To that end every per-round draw is **positionally deterministic**:
+//! churn transitions are sampled from stateless hashes, never from a
+//! shared sequential RNG stream, so the fate of process 7 at round 12 is
+//! the same number on a single-threaded simulator and on any worker
+//! striping of the live pool. Crashes are drawn per 64-pid block
+//! ([`FailurePlan::crash_mask`]: one hash per `(block, round)`, with
+//! more only for the rare block that holds a crash) and recoveries per
+//! `(pid, round)`; [`FailurePlan::churn_flips`] reads either for one
+//! process. A substrate therefore pays for a churn tick in blocks and
+//! crashed processes, not in population.
 //!
 //! The draw order within [`FailureModel::materialize`] is pinned:
 //! stillborn selection shuffles the population on the dedicated
 //! `0xFA11` stream, per-observer sampling owns the `0x0B5E` stream, and
-//! churn hangs off the `0xC402` stream family — changing any of these
-//! silently re-rolls committed experiment numbers.
+//! churn hangs off the `0xC402` stream family — recoveries draw on
+//! `0xC402` itself, crash masks on `0xC402_0000_0000_B10C` — changing
+//! any of these silently re-rolls committed experiment numbers.
 
 use crate::process::ProcessId;
 use crate::seed::{derive_seed, rng_from_seed};
@@ -38,8 +43,10 @@ use rand::Rng;
 const STILLBORN_STREAM: u64 = 0xFA11;
 /// Seed stream tag of per-observer aliveness sampling.
 const OBSERVER_STREAM: u64 = 0x0B5E;
-/// Seed stream tag rooting the per-`(pid, round)` churn draws.
+/// Seed stream tag rooting the per-`(pid, round)` recovery draws.
 const CHURN_STREAM: u64 = 0xC402;
+/// Seed stream tag rooting the per-`(block, round)` crash masks.
+const CRASH_STREAM: u64 = 0xC402_0000_0000_B10C;
 
 /// A scripted liveness transition used by [`FailureModel::Schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +108,7 @@ impl FailureModel {
             observer_alive_probability: None,
             schedule: Vec::new(),
             churn: None,
+            crashes: None,
             observation_seed: seed,
             churn_seed: derive_seed(seed, CHURN_STREAM),
         };
@@ -136,13 +144,70 @@ impl FailureModel {
             FailureModel::Churn {
                 crash_probability,
                 recover_probability,
-            } => FailurePlan {
-                churn: Some(ChurnRates {
-                    crash: crash_probability.clamp(0.0, 1.0),
-                    recover: recover_probability.clamp(0.0, 1.0),
-                }),
-                ..base
-            },
+            } => {
+                let crash = crash_probability.clamp(0.0, 1.0);
+                FailurePlan {
+                    churn: Some(ChurnRates {
+                        crash,
+                        recover: recover_probability.clamp(0.0, 1.0),
+                    }),
+                    crashes: (crash > 0.0)
+                        .then(|| Box::new(CrashMasks::new(derive_seed(seed, CRASH_STREAM), crash))),
+                    ..base
+                }
+            }
+        }
+    }
+}
+
+/// The churn model's crash draws, one 64-bit mask per `(block, round)`
+/// (see [`FailurePlan::crash_mask`]).
+#[derive(Debug, Clone)]
+struct CrashMasks {
+    /// Roots every `(block, round)` key.
+    seed: u64,
+    /// `cdf[j] = ⌊(1 − (1 − p)^(j+1)) · 2^53⌋`: a uniform 53-bit draw
+    /// `u` is below `cdf[j]` exactly when a run of Bernoulli(`p`) trials
+    /// has its first success at index `j` or earlier, so
+    /// `#{j : cdf[j] ≤ u}` is that index, truncated at 64. Rounding
+    /// costs at most `2^-53` per entry.
+    cdf: [u64; 64],
+}
+
+impl CrashMasks {
+    fn new(seed: u64, p: f64) -> Self {
+        let log_miss = (-p).ln_1p();
+        let cdf = std::array::from_fn(|j| {
+            let hit = -((j + 1) as f64 * log_miss).exp_m1();
+            (hit * (1u64 << 53) as f64) as u64
+        });
+        CrashMasks { seed, cdf }
+    }
+
+    #[inline]
+    fn draw(&self, block: u64, round: u64) -> u64 {
+        let key = derive_seed(derive_seed(self.seed, block), round);
+        let mut u = key >> 11;
+        if u >= self.cdf[63] {
+            return 0;
+        }
+        let (mut mask, mut at, mut gaps) = (0u64, 0usize, 0u64);
+        loop {
+            // `at` is the first bit not yet drawn; the gap to the next
+            // crash is geometric over the `64 - at` bits left.
+            let left = 64 - at;
+            let gap = self.cdf[..left].partition_point(|&t| t <= u);
+            if gap == left {
+                return mask;
+            }
+            at += gap;
+            mask |= 1 << at;
+            at += 1;
+            if at == 64 {
+                return mask;
+            }
+            u = derive_seed(key, gaps) >> 11;
+            gaps += 1;
         }
     }
 }
@@ -183,6 +248,8 @@ pub struct FailurePlan {
     observer_alive_probability: Option<f64>,
     schedule: Vec<Fate>,
     churn: Option<ChurnRates>,
+    /// `None` when nothing ever crashes by churn.
+    crashes: Option<Box<CrashMasks>>,
     observation_seed: u64,
     churn_seed: u64,
 }
@@ -224,9 +291,13 @@ impl FailurePlan {
         self.churn
     }
 
-    /// Scripted transitions applying at the start of `round`.
-    pub fn fates_at(&self, round: u64) -> impl Iterator<Item = &Fate> {
-        self.schedule.iter().filter(move |f| f.round == round)
+    /// Scripted transitions applying at the start of `round`, sorted by
+    /// pid — a slice of the schedule, found by binary search.
+    #[must_use]
+    pub fn fates_at(&self, round: u64) -> &[Fate] {
+        let start = self.schedule.partition_point(|f| f.round < round);
+        let len = self.schedule[start..].partition_point(|f| f.round == round);
+        &self.schedule[start..start + len]
     }
 
     /// Inserts one scripted fate into an already-materialized plan,
@@ -256,13 +327,14 @@ impl FailurePlan {
     /// Whether the churn model flips the liveness of `pid` at the start
     /// of `round`, given the process is currently `alive`.
     ///
-    /// The draw is a stateless hash of `(churn seed, pid, round)`, not a
-    /// shared RNG stream, so **both substrates agree on every fate**
-    /// regardless of execution order or worker striping — the lifecycle
-    /// analogue of `crate::channel::EdgeRngs`. Given the same
-    /// [`FailurePlan`] and the same starting status, a process's entire
-    /// liveness trajectory is therefore identical on the simulator and on
-    /// any live worker pool:
+    /// An alive process reads its bit of the block's
+    /// [`crash_mask`](Self::crash_mask); a crashed one draws its own
+    /// stateless hash of `(churn seed, pid, round)`. Neither is a shared
+    /// RNG stream, so **both substrates agree on every fate** regardless
+    /// of execution order or worker striping — the lifecycle analogue of
+    /// `crate::channel::EdgeRngs`. Given the same [`FailurePlan`] and the
+    /// same starting status, a process's entire liveness trajectory is
+    /// therefore identical on the simulator and on any live worker pool:
     ///
     /// ```
     /// use da_core::failure::FailureModel;
@@ -293,17 +365,40 @@ impl FailurePlan {
         let Some(rates) = self.churn else {
             return false;
         };
-        let p = if alive { rates.crash } else { rates.recover };
-        if p <= 0.0 {
+        if alive {
+            let mask = self.crash_mask(u64::from(pid.0 / 64), round);
+            return (mask >> (pid.0 % 64)) & 1 == 1;
+        }
+        if rates.recover <= 0.0 {
             return false;
         }
-        if p >= 1.0 {
+        if rates.recover >= 1.0 {
             return true;
         }
         unit_f64(derive_seed(
             derive_seed(self.churn_seed, u64::from(pid.0)),
             round,
-        )) < p
+        )) < rates.recover
+    }
+
+    /// The churn crash draws of pids `64·block .. 64·block + 64` at the
+    /// start of `round`: bit `i` is set when pid `64·block + i` crashes
+    /// if it is alive. Every bit is an independent Bernoulli draw at the
+    /// crash probability, and the mask is a pure function of
+    /// `(crash seed, block, round)`.
+    ///
+    /// One hash decides the first crash of the block, as a geometric
+    /// index through a table of integer thresholds built at
+    /// materialisation; at the metropolis rate of 0.02% that hash alone
+    /// answers "nobody" for 98.7% of blocks. Each later crash costs one
+    /// more hash, drawing the gap to the next the same way over the bits
+    /// left. The draw itself uses neither floats nor logarithms.
+    #[must_use]
+    #[inline]
+    pub fn crash_mask(&self, block: u64, round: u64) -> u64 {
+        self.crashes
+            .as_ref()
+            .map_or(0, |crashes| crashes.draw(block, round))
     }
 
     /// True when the plan can ever change a process's liveness after
@@ -328,28 +423,14 @@ impl FailurePlan {
     #[must_use]
     #[inline]
     pub fn transition(&self, pid: ProcessId, round: u64, mut alive: bool) -> Transition {
-        // Hot path: no scripted schedule (the common churn-only and
-        // inert plans) — the transition is exactly the churn draw. This
-        // runs once per process per tick on the live workers, so the
-        // scripted-fate scan below must not be paid when there is
-        // nothing to scan.
-        if self.schedule.is_empty() {
-            let flips = self.churn_flips(pid, round, alive);
-            return Transition {
-                alive: alive != flips,
-                recovered: flips && !alive,
-                churn_crashed: flips && alive,
-                churn_recovered: flips && !alive,
-            };
-        }
+        let fates = self.fates_at(round);
         let mut came_back = false;
-        for fate in self.fates_at(round) {
-            if fate.pid == pid {
-                if !fate.crash && !alive {
-                    came_back = true;
-                }
-                alive = !fate.crash;
+        let mine = &fates[fates.partition_point(|f| f.pid < pid)..];
+        for fate in mine.iter().take_while(|f| f.pid == pid) {
+            if !fate.crash && !alive {
+                came_back = true;
             }
+            alive = !fate.crash;
         }
         let mut churn_crashed = false;
         let mut churn_recovered = false;
@@ -511,9 +592,9 @@ mod tests {
             },
         ])
         .materialize(10, 0);
-        assert_eq!(plan.fates_at(2).count(), 1);
-        assert_eq!(plan.fates_at(5).count(), 2);
-        assert_eq!(plan.fates_at(9).count(), 0);
+        assert_eq!(plan.fates_at(2).len(), 1);
+        assert_eq!(plan.fates_at(5).len(), 2);
+        assert_eq!(plan.fates_at(9).len(), 0);
     }
 
     #[test]
@@ -597,7 +678,8 @@ mod churn_tests {
         let rates = plan.churn().unwrap();
         assert_eq!(rates.crash, 1.0);
         assert_eq!(rates.recover, 0.0);
-        // Saturated rates skip the hash entirely.
+        // A crash rate of 1 fills every mask; a recovery rate of 0 skips
+        // the hash entirely.
         assert!(plan.churn_flips(ProcessId(0), 0, true), "crash p = 1");
         assert!(!plan.churn_flips(ProcessId(0), 0, false), "recover p = 0");
     }
@@ -642,6 +724,71 @@ mod churn_tests {
     }
 
     #[test]
+    fn crash_masks_are_exact_bernoulli() {
+        // 2,097,152 (block, round) pairs per rate: every bit position
+        // (an off-by-one at either end of the geometric skip shows at
+        // bit 0 or bit 63), adjacent pairs (independence) and the
+        // popcount's variance (no clumping across the block).
+        let (blocks, rounds) = (2_048u64, 1_024u64);
+        let n = (blocks * rounds) as f64;
+        for p in [0.002, 0.05, 0.3] {
+            let plan = FailureModel::Churn {
+                crash_probability: p,
+                recover_probability: 0.5,
+            }
+            .materialize(64 * blocks as usize, 3);
+            let mut at = [0u64; 64];
+            let (mut pairs, mut sum, mut sum_sq) = (0u64, 0u64, 0u64);
+            for block in 0..blocks {
+                for round in 0..rounds {
+                    let mask = plan.crash_mask(block, round);
+                    let mut bits = mask;
+                    while bits != 0 {
+                        at[bits.trailing_zeros() as usize] += 1;
+                        bits &= bits - 1;
+                    }
+                    pairs += u64::from((mask & (mask >> 1)).count_ones());
+                    let k = u64::from(mask.count_ones());
+                    sum += k;
+                    sum_sq += k * k;
+                }
+            }
+            let q = 1.0 - p;
+            for (bit, &hits) in at.iter().enumerate() {
+                let z = (hits as f64 - n * p) / (n * p * q).sqrt();
+                assert!(z.abs() <= 4.0, "p = {p}: bit {bit} at z = {z:.2}");
+            }
+            // 63 pair indicators per mask; neighbours share a bit.
+            let pair_var = 63.0 * p * p * (1.0 - p * p) + 124.0 * (p.powi(3) - p.powi(4));
+            let z = (pairs as f64 - n * 63.0 * p * p) / (n * pair_var).sqrt();
+            assert!(z.abs() <= 4.0, "p = {p}: adjacent pairs at z = {z:.2}");
+            let var = 64.0 * p * q;
+            let fourth = var * (1.0 + 3.0 * 62.0 * p * q);
+            let mean = sum as f64 / n;
+            let sample_var = sum_sq as f64 / n - mean * mean;
+            let z = (sample_var - var) / ((fourth - var * var) / n).sqrt();
+            assert!(
+                z.abs() <= 3.0,
+                "p = {p}: popcount variance {sample_var:.4} vs {var:.4}"
+            );
+            // `churn_flips` on an alive pid reads its bit of the mask.
+            for pid in 0..256u32 {
+                let mask = plan.crash_mask(u64::from(pid / 64), 9);
+                let bit = (mask >> (pid % 64)) & 1 == 1;
+                assert_eq!(plan.churn_flips(ProcessId(pid), 9, true), bit, "p{pid}");
+            }
+        }
+        for (p, full) in [(0.0, 0), (1.0, u64::MAX)] {
+            let plan = FailureModel::Churn {
+                crash_probability: p,
+                recover_probability: 0.5,
+            }
+            .materialize(64, 3);
+            assert!((0..64).all(|round| plan.crash_mask(round % 3, round) == full));
+        }
+    }
+
+    #[test]
     fn out_of_range_fates_are_dropped_at_materialisation() {
         let plan = FailureModel::Schedule(vec![
             Fate {
@@ -656,7 +803,7 @@ mod churn_tests {
             },
         ])
         .materialize(10, 0);
-        assert_eq!(plan.fates_at(1).count(), 1, "only the valid fate kept");
+        assert_eq!(plan.fates_at(1).len(), 1, "only the valid fate kept");
         assert!(!plan.step_alive(ProcessId(9), 1, true));
     }
 

@@ -29,7 +29,8 @@
 //! * `da_runtime`'s `FaultyRouter` samples the *same* channel model per
 //!   send, but on [`channel::EdgeRngs`] — a stateless RNG per send,
 //!   keyed by `(edge, tick, occurrence)` — for one stripe per worker.
-//!   Plan fates are drawn from stateless `(pid, round)` hashes
+//!   Plan fates are drawn from stateless `(block, round)` and
+//!   `(pid, round)` hashes
 //!   ([`failure::FailurePlan::churn_flips`]), so neither draws nor
 //!   fates depend on how processes are striped across worker threads.
 //!

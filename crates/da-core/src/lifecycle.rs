@@ -3,12 +3,19 @@
 //! the simulator, `pid ≡ worker mod stride` on a live worker.
 //!
 //! The controller is deliberately dumb: all randomness lives in the
-//! plan, whose churn draws are stateless `(pid, round)` hashes
-//! ([`FailurePlan::churn_flips`]). Each stripe therefore advances the
-//! liveness of its own processes without coordination, and the resulting
-//! fates are **identical** on the single-stripe simulator and on any
-//! worker striping of the live pool — the lifecycle analogue of the
-//! transport's per-edge channel streams.
+//! plan, whose churn draws are stateless hashes — per `(block, round)`
+//! for crashes ([`FailurePlan::crash_mask`]), per `(pid, round)` for
+//! recoveries ([`FailurePlan::churn_flips`]). Each stripe therefore
+//! advances the liveness of its own processes without coordination, and
+//! the resulting fates are **identical** on the single-stripe simulator
+//! and on any worker striping of the live pool — the lifecycle analogue
+//! of the transport's per-edge channel streams.
+//!
+//! A tick costs what it changes, not what exists: the controller keeps
+//! its crashed slots in a sorted list, and only those, the tick's
+//! scripted fates and the set bits of the crash masks can change state.
+//! [`LifecycleController::begin_tick`] visits that union and nothing
+//! else — one hash per 64 pids plus one per crashed process.
 
 use crate::failure::{FailurePlan, Fate};
 use crate::process::{ProcessId, ProcessStatus};
@@ -75,6 +82,8 @@ pub struct LifecycleController {
     /// Liveness of each owned process, indexed by local stripe slot
     /// (`pid = worker + slot * stride`).
     status: Vec<ProcessStatus>,
+    /// The slots whose status is `Crashed`, ascending.
+    crashed: Vec<u32>,
     /// Observation stream of the per-observer model (never drawn from
     /// under any other model).
     observer_rng: SmallRng,
@@ -87,32 +96,54 @@ impl LifecycleController {
     /// `worker + i * stride` for `i < owned`, applying the plan's
     /// stillborn fates immediately. Observations draw on a stream of the
     /// worker's own.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a pid of the stripe exceeds `u32::MAX`.
     #[must_use]
     pub fn new(plan: Arc<FailurePlan>, worker: usize, stride: usize, owned: usize) -> Self {
         let stride = stride.max(1);
-        // One pass over the plan's crashed list (not one scan per owned
-        // process): flip exactly the stillborn pids of this stripe.
-        let mut status = vec![ProcessStatus::Alive; owned];
-        for pid in plan.initially_crashed() {
-            let idx = pid.index();
-            if idx % stride == worker {
-                let slot = (idx - worker) / stride;
-                if slot < owned {
-                    status[slot] = ProcessStatus::Crashed;
-                }
-            }
+        // Checked once here, so that `pid_of` is plain `u32` arithmetic.
+        let last = owned
+            .saturating_sub(1)
+            .saturating_mul(stride)
+            .saturating_add(worker);
+        if let Err(overflow) = ProcessId::try_from_index(last) {
+            panic!("stripe {worker} of {stride}: {overflow}");
         }
         let observer_seed = derive_seed(
             plan.observation_seed(),
             WORKER_OBSERVER_STREAM + worker as u64,
         );
-        LifecycleController {
+        let mut lc = LifecycleController {
             plan,
-            status,
+            status: vec![ProcessStatus::Alive; owned],
+            crashed: Vec::new(),
             observer_rng: rng_from_seed(observer_seed),
-            worker: u32::try_from(worker).expect("a stripe starts inside the pid space"),
-            stride: u32::try_from(stride).expect("a stride fits the pid space"),
+            worker: worker as u32,
+            stride: stride as u32,
+        };
+        // One pass over the plan's crashed list (not one scan per owned
+        // process): flip exactly the stillborn pids of this stripe.
+        let mut stillborn: Vec<u32> = lc
+            .plan
+            .initially_crashed()
+            .iter()
+            .filter_map(|pid| lc.own(pid.index()))
+            .collect();
+        stillborn.sort_unstable();
+        for &slot in &stillborn {
+            lc.status[slot as usize] = ProcessStatus::Crashed;
         }
+        lc.crashed = stillborn;
+        lc
+    }
+
+    /// The slot of pid `index` when this stripe owns it.
+    fn own(&self, index: usize) -> Option<u32> {
+        let offset = index.checked_sub(self.worker as usize)?;
+        let slot = offset / self.stride as usize;
+        (offset % self.stride as usize == 0 && slot < self.status.len()).then_some(slot as u32)
     }
 
     /// The plan this controller applies.
@@ -143,7 +174,8 @@ impl LifecycleController {
     #[must_use]
     #[inline]
     pub fn pid_of(&self, slot: usize) -> ProcessId {
-        ProcessId::from_index(self.worker as usize + slot * self.stride as usize)
+        debug_assert!(slot < self.status.len(), "slot {slot} out of the stripe");
+        ProcessId(self.worker + slot as u32 * self.stride)
     }
 
     /// The local stripe slot of `pid`, which this stripe must own.
@@ -176,10 +208,15 @@ impl LifecycleController {
         self.status[slot]
     }
 
+    /// Every status of the stripe, in slot order.
+    pub(crate) fn statuses(&self) -> &[ProcessStatus] {
+        &self.status
+    }
+
     /// Number of currently alive processes in the stripe.
     #[must_use]
     pub fn alive_count(&self) -> usize {
-        self.status.iter().filter(|s| s.is_alive()).count()
+        self.status.len() - self.crashed.len()
     }
 
     /// True when the plan can never change anyone's liveness — the
@@ -209,59 +246,65 @@ impl LifecycleController {
     /// Applies the transitions due at the start of `tick` to the owned
     /// stripe — via the shared authoritative [`FailurePlan::transition`]
     /// step — and reports what changed.
+    ///
+    /// A slot can change only if it is crashed, named by one of the
+    /// tick's scripted fates, or drawn by its block's crash mask. The
+    /// walk visits exactly those, once each and in slot order: a tick
+    /// hashes each 64-pid block the stripe spans once and each crashed
+    /// process once, and skips everyone else.
     pub fn begin_tick(&mut self, tick: u64) -> LifecycleTransitions {
         let mut out = LifecycleTransitions::default();
-        if !self.plan.has_transitions() {
+        if !self.plan.has_transitions() || self.status.is_empty() {
             return out;
         }
-        // This loop runs once per owned process per tick — the single
-        // hottest lifecycle path of either substrate. Hoist the `Arc` deref
-        // out of the loop, and keep the no-schedule common case (churn
-        // or nothing) to a bare draw-and-compare per process with every
-        // piece of bookkeeping behind the rarely-taken flip branch.
-        // Semantically this is exactly `FailurePlan::transition` with an
-        // empty schedule — `churn_fates_are_stripe_independent` below
-        // and the cross-substrate parity suites pin the equivalence.
         let plan = &*self.plan;
-        let (worker, stride) = (self.worker as usize, self.stride as usize);
-        if plan.schedule().is_empty() {
-            for (slot, status) in self.status.iter_mut().enumerate() {
-                let alive = status.is_alive();
-                let pid = ProcessId::from_index(worker + slot * stride);
-                if plan.churn_flips(pid, tick, alive) {
-                    if alive {
-                        *status = ProcessStatus::Crashed;
-                        out.churn_crashes += 1;
-                        out.crashed.push(slot);
-                    } else {
-                        *status = ProcessStatus::Alive;
-                        out.churn_recoveries += 1;
-                        out.recovered.push(slot);
-                    }
+        // The candidates join the sorted crashed slots at the back.
+        let before = self.crashed.len();
+        for fate in plan.fates_at(tick) {
+            if let Some(slot) = self.own(fate.pid.index()) {
+                self.crashed.push(slot);
+            }
+        }
+        let last = self.pid_of(self.status.len() - 1).0;
+        for block in self.worker / 64..=last / 64 {
+            let mut mask = plan.crash_mask(u64::from(block), tick);
+            while mask != 0 {
+                let pid = block * 64 + mask.trailing_zeros();
+                mask &= mask - 1;
+                if let Some(slot) = self.own(pid as usize) {
+                    self.crashed.push(slot);
                 }
             }
-            return out;
         }
-        for (slot, status) in self.status.iter_mut().enumerate() {
-            let was_alive = status.is_alive();
-            let pid = ProcessId::from_index(worker + slot * stride);
-            let t = plan.transition(pid, tick, was_alive);
-            if t.alive != was_alive {
-                *status = if t.alive {
-                    ProcessStatus::Alive
-                } else {
-                    ProcessStatus::Crashed
-                };
-            }
+        if self.crashed.len() > before {
+            // Three ascending runs at most: the stable sort merges them
+            // in linear time.
+            self.crashed.sort();
+            self.crashed.dedup();
+        }
+        // Walk them, keeping the ones still down in place.
+        let mut kept = 0;
+        for i in 0..self.crashed.len() {
+            let slot = self.crashed[i] as usize;
+            let was_alive = self.status[slot].is_alive();
+            let t = plan.transition(self.pid_of(slot), tick, was_alive);
             out.churn_crashes += u64::from(t.churn_crashed);
             out.churn_recoveries += u64::from(t.churn_recovered);
             if t.recovered {
                 out.recovered.push(slot);
             }
-            if was_alive && !t.alive {
-                out.crashed.push(slot);
+            if t.alive {
+                self.status[slot] = ProcessStatus::Alive;
+            } else {
+                if was_alive {
+                    out.crashed.push(slot);
+                }
+                self.status[slot] = ProcessStatus::Crashed;
+                self.crashed[kept] = slot as u32;
+                kept += 1;
             }
         }
+        self.crashed.truncate(kept);
         out
     }
 }
@@ -325,37 +368,118 @@ mod tests {
     fn churn_fates_are_stripe_independent() {
         // The full liveness trajectory over any striping equals the
         // single-stripe (simulator-shaped) trajectory.
-        let model = FailureModel::Churn {
-            crash_probability: 0.3,
-            recover_probability: 0.3,
+        // single-stripe (simulator-shaped) trajectory, and both equal the
+        // per-pid `FailurePlan::transition` walk: the sparse walk skips
+        // only slots that cannot change.
+        const TICKS: u64 = 40;
+        // Per tick: liveness by pid, the crashed and the recovered pids,
+        // and the churn crash and recovery counts.
+        type Tick = (Vec<bool>, Vec<u32>, Vec<u32>, u64, u64);
+        let churn = |crash, recover| FailureModel::Churn {
+            crash_probability: crash,
+            recover_probability: recover,
         };
-        let p = plan(model, 12, 99);
-        let trajectory = |workers: usize| -> Vec<Vec<bool>> {
-            let mut controllers: Vec<LifecycleController> = (0..workers)
-                .map(|w| {
-                    let owned = (12 - w).div_ceil(workers);
-                    LifecycleController::new(Arc::clone(&p), w, workers, owned)
+        let mut seen = (0, 0, 0, 0);
+        for population in [1usize, 63, 64, 65, 200] {
+            let n = population as u64;
+            // Same-tick duplicates and flickers included.
+            let script: Vec<Fate> = (0..3 * n)
+                .map(|i| {
+                    let h = derive_seed(n, i);
+                    Fate {
+                        round: h % TICKS,
+                        pid: ProcessId(((h >> 8) % n) as u32),
+                        crash: (h >> 40) & 1 == 0,
+                    }
                 })
                 .collect();
-            (0..20u64)
-                .map(|tick| {
-                    for lc in &mut controllers {
-                        lc.begin_tick(tick);
-                    }
-                    (0..12)
-                        .map(|pid| {
-                            let w = pid % workers;
-                            controllers[w].is_alive((pid - w) / workers)
+            let mut churn_and_fates = churn(0.05, 0.2).materialize(population, 5);
+            let mut stillborn_and_fates = FailureModel::Stillborn {
+                alive_fraction: 0.7,
+            }
+            .materialize(population, 4);
+            for (i, &fate) in script.iter().enumerate() {
+                match i % 3 {
+                    0 => churn_and_fates.push_fate(fate),
+                    1 => stillborn_and_fates.push_fate(fate),
+                    _ => {}
+                }
+            }
+            let plans = [
+                churn(0.02, 0.3).materialize(population, 99),
+                churn(0.3, 0.3).materialize(population, 98),
+                FailureModel::Schedule(script).materialize(population, 0),
+                churn_and_fates,
+                stillborn_and_fates,
+            ];
+            for p in plans.map(Arc::new) {
+                let mut alive: Vec<bool> = (0..population)
+                    .map(|i| !p.is_initially_crashed(ProcessId::from_index(i)))
+                    .collect();
+                let reference: Vec<Tick> = (0..TICKS)
+                    .map(|tick| {
+                        let mut row = Tick::default();
+                        for (i, up) in alive.iter_mut().enumerate() {
+                            let pid = ProcessId::from_index(i);
+                            let t = p.transition(pid, tick, *up);
+                            if *up && !t.alive {
+                                row.1.push(pid.0);
+                            }
+                            if t.recovered {
+                                row.2.push(pid.0);
+                            }
+                            row.3 += u64::from(t.churn_crashed);
+                            row.4 += u64::from(t.churn_recovered);
+                            *up = t.alive;
+                            assert_eq!(p.alive_at(pid, tick), t.alive, "{pid} at {tick}");
+                        }
+                        row.0 = alive.clone();
+                        seen.0 += row.1.len();
+                        seen.1 += row.2.len();
+                        seen.2 += row.3;
+                        seen.3 += row.4;
+                        row
+                    })
+                    .collect();
+                for workers in 1..=5 {
+                    let mut controllers: Vec<LifecycleController> = (0..workers)
+                        .map(|w| {
+                            let owned = population.saturating_sub(w).div_ceil(workers);
+                            LifecycleController::new(Arc::clone(&p), w, workers, owned)
                         })
-                        .collect()
-                })
-                .collect()
-        };
-        let single = trajectory(1);
-        assert_eq!(single, trajectory(3));
-        assert_eq!(single, trajectory(5));
-        // The run actually saw transitions.
-        assert!(single.iter().any(|row| row.iter().any(|a| !a)));
+                        .collect();
+                    for (tick, expected) in (0..TICKS).zip(&reference) {
+                        let mut row: Tick = (vec![false; population], vec![], vec![], 0, 0);
+                        for lc in &mut controllers {
+                            let t = lc.begin_tick(tick);
+                            for slots in [&t.crashed, &t.recovered] {
+                                assert!(slots.windows(2).all(|w| w[0] < w[1]), "slot order");
+                            }
+                            row.1.extend(t.crashed.iter().map(|&s| lc.pid_of(s).0));
+                            row.2.extend(t.recovered.iter().map(|&s| lc.pid_of(s).0));
+                            row.3 += t.churn_crashes;
+                            row.4 += t.churn_recoveries;
+                            for slot in 0..lc.owned() {
+                                row.0[lc.pid_of(slot).index()] = lc.is_alive(slot);
+                            }
+                            let up = (0..lc.owned()).filter(|&s| lc.is_alive(s)).count();
+                            assert_eq!(lc.alive_count(), up);
+                        }
+                        row.1.sort_unstable();
+                        row.2.sort_unstable();
+                        assert_eq!(
+                            &row, expected,
+                            "n = {population}, {workers} workers, tick {tick}"
+                        );
+                    }
+                }
+            }
+        }
+        // The runs saw every kind of transition.
+        assert!(
+            seen.0 > 0 && seen.1 > 0 && seen.2 > 0 && seen.3 > 0,
+            "{seen:?}"
+        );
     }
 
     #[test]

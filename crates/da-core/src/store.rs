@@ -130,6 +130,12 @@ impl<P> ProcessStore<P> {
         (&mut self.procs[local], &mut self.rngs[local], self.seed)
     }
 
+    /// [`hook_parts`](Self::hook_parts) for every process at once: the
+    /// process slab and the RNG slots beside it, to walk in lockstep.
+    pub(crate) fn hook_slices(&mut self) -> (&mut [P], &mut [Option<SmallRng>], u64) {
+        (&mut self.procs, &mut self.rngs, self.seed)
+    }
+
     /// The process at `local` and its RNG stream, materialised, in one
     /// call. The tick body does not call this: its hooks materialise on
     /// the first draw. It stays for a caller that wants both halves

@@ -336,6 +336,33 @@ where
         f(process, &mut ctx);
     }
 
+    /// Runs `f` on every alive process, in slot order, each under a
+    /// context of its own. Processes, RNG slots and statuses are walked
+    /// in lockstep, with no index to check, so a hook that does nothing
+    /// compiles to no loop at all.
+    #[inline]
+    fn alive_hooks<O: Outbound<Msg = P::Msg>>(
+        &mut self,
+        out: &mut O,
+        mut f: impl FnMut(&mut P, &mut Ctx<'_, O>),
+    ) {
+        let (procs, rngs, seed) = self.store.hook_slices();
+        let slots = procs.iter_mut().zip(rngs).zip(self.lifecycle.statuses());
+        for (slot, ((process, rng), status)) in slots.enumerate() {
+            if status.is_alive() {
+                let mut ctx = Ctx {
+                    me: self.lifecycle.pid_of(slot),
+                    tick: self.tick,
+                    rng,
+                    seed,
+                    ledger: &mut self.ledger,
+                    out: &mut *out,
+                };
+                f(process, &mut ctx);
+            }
+        }
+    }
+
     /// Opens `tick`: applies the failure plan's transitions (churn
     /// counters; lifecycle events, every `Crashed` in pid order, then
     /// every `Recovered`), runs `on_recover` for the processes that came
@@ -373,12 +400,8 @@ where
 
         if !self.started {
             self.started = true;
-            for slot in 0..self.store.len() {
-                // Not the stillborn, nor anyone crashed at tick 0.
-                if self.lifecycle.is_alive(slot) {
-                    self.hook(slot, out, |process, ctx| process.on_start(ctx));
-                }
-            }
+            // Not the stillborn, nor anyone crashed at tick 0.
+            self.alive_hooks(out, |process, ctx| process.on_start(ctx));
         }
     }
 
@@ -434,11 +457,7 @@ where
     #[inline]
     pub fn round_hooks<O: Outbound<Msg = P::Msg>>(&mut self, out: &mut O) -> TickTally {
         let tick = self.tick;
-        for slot in 0..self.store.len() {
-            if self.lifecycle.is_alive(slot) {
-                self.hook(slot, out, |process, ctx| process.on_round(tick, ctx));
-            }
-        }
+        self.alive_hooks(out, |process, ctx| process.on_round(tick, ctx));
         self.ledger.tally
     }
 
