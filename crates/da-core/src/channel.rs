@@ -10,10 +10,11 @@
 //! `da_simnet::Engine` uses its single engine stream, `da_runtime`'s
 //! `FaultyRouter` derives one stateless RNG per send, keyed by the
 //! directed edge, the send tick, and the within-tick occurrence
-//! ([`EdgeRngs`]).
+//! ([`EdgeRngs`]). That keyed RNG is a counter-mode SplitMix64 stream,
+//! so a send whose sender prefix is cached costs one key round and one
+//! mix per draw.
 
-use crate::seed::{derive_seed, rng_from_seed};
-use rand::rngs::SmallRng;
+use crate::seed::{derive_seed, SplitMix64};
 use rand::Rng;
 
 /// Message latency, measured in virtual-time units (gossip rounds on the
@@ -280,8 +281,8 @@ impl Default for ChannelConfig {
 const EDGE_STREAM_TAG: u64 = 0xED6E_0000_0000_0001;
 
 /// Stateless deterministic per-send RNGs for the live runtime's edge
-/// draws: every send's fate comes from a fresh [`SmallRng`] keyed by
-/// `(master seed, from, to, send tick, within-tick occurrence)`.
+/// draws: every send's fate comes from a fresh [`SplitMix64`] stream
+/// keyed by `(master seed, from, send tick, to, within-tick occurrence)`.
 ///
 /// The live runtime samples channel fates on the sending side, where
 /// thread interleaving would make a single shared stream
@@ -293,24 +294,26 @@ const EDGE_STREAM_TAG: u64 = 0xED6E_0000_0000_0001;
 /// tick is a pure function of the key, so resident state is a single
 /// `u64` regardless of how many distinct edges a run touches.
 ///
-/// The key is folded in the order `from`, `to`, `tick`, `occurrence`,
-/// one [`derive_seed`] round each, so everything a sender's draws share
-/// is a prefix: [`source_seed`](Self::source_seed) is the first round,
-/// and a caller routing a run of sends from one process derives it once
-/// and finishes each send with
-/// [`draw_rng_from`](Self::draw_rng_from). [`draw_rng`](Self::draw_rng)
-/// is the two composed.
+/// The key is three [`derive_seed`] rounds: `from`, then `tick`, then
+/// `to` and `occurrence` packed into one word (`to << 32 | occurrence`;
+/// both are `u32`s, so the packing is injective). Everything a sender's
+/// draws within one tick share is a prefix:
+/// [`sender_seed`](Self::sender_seed) is the first two rounds, and a
+/// caller routing a run of sends from one process derives it once and
+/// finishes each send with [`draw_rng_from`](Self::draw_rng_from) — one
+/// round for the key, then one SplitMix64 mix per draw.
+/// [`draw_rng`](Self::draw_rng) is the two composed.
 ///
-/// **Draw-order version 2.** Counter-mode keys changed the live
-/// substrate's fate sequences relative to the original sequential
-/// per-edge streams (draw-order v1): the per-seed fates are fully
-/// deterministic and worker-count-independent, but they are not
-/// byte-identical to v1's. Sim-vs-live parity is unaffected — the
-/// simulator draws fates on its own engine stream, and every
-/// cross-substrate comparison in the workspace is over delivered sets
-/// or 3σ reliability bands, not live fate bytes. The prefix split is
-/// inside v2: it regroups the same four rounds and moves no bit
-/// (`draw_rng_matches_its_pinned_draws`).
+/// **Draw-order version 3.** Version 1 drew from sequential per-edge
+/// streams; version 2 keyed a fresh xoshiro256++ per send through four
+/// rounds `(from, to, tick, occurrence)`; version 3 reorders the key so
+/// the tick joins the sender's prefix and draws the key's SplitMix64
+/// words directly. Each version re-rolled every live fate once: the
+/// per-seed fates are fully deterministic and worker-count-independent,
+/// but not byte-identical to the previous version's. Sim-vs-live parity
+/// is unaffected — the simulator draws fates on its own engine stream,
+/// and every cross-substrate comparison in the workspace is over
+/// delivered sets or 3σ reliability bands, not live fate bytes.
 ///
 /// ```
 /// use da_core::channel::EdgeRngs;
@@ -321,7 +324,8 @@ const EDGE_STREAM_TAG: u64 = 0xED6E_0000_0000_0001;
 /// let draw_a: u64 = a.draw_rng(3, 9, 5, 0).gen();
 /// let draw_b: u64 = b.draw_rng(3, 9, 5, 0).gen();
 /// assert_eq!(draw_a, draw_b, "same master seed, same key, same draw");
-/// let split: u64 = a.draw_rng_from(a.source_seed(3), 9, 5, 0).gen();
+/// assert_eq!(draw_a, 0xf432_09c5_ec44_6bbf, "draw-order v3");
+/// let split: u64 = a.draw_rng_from(a.sender_seed(3, 5), 9, 0).gen();
 /// assert_eq!(draw_a, split, "the sender's prefix, derived once");
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -338,29 +342,25 @@ impl EdgeRngs {
         }
     }
 
-    /// The seed every draw on an edge out of `from` starts from: the
-    /// part of the key a sender's sends share.
+    /// The seed every draw on an edge out of `from` in send tick `tick`
+    /// starts from: the part of the key a sender's sends within one tick
+    /// share.
     #[must_use]
-    pub fn source_seed(&self, from: u64) -> u64 {
-        derive_seed(self.edge_master, from)
+    pub fn sender_seed(&self, from: u64, tick: u64) -> u64 {
+        derive_seed(derive_seed(self.edge_master, from), tick)
     }
 
-    /// The seed of the `(from, to)` edge family (exposed for tests and
-    /// for substrates that manage their own RNG storage).
+    /// [`draw_rng`](Self::draw_rng) from a
+    /// [`sender_seed`](Self::sender_seed): the RNG of the sender's
+    /// `occurrence`-th message to `to` within that tick. `to` and
+    /// `occurrence` must fit in a `u32` each.
     #[must_use]
-    pub fn edge_seed(&self, from: u64, to: u64) -> u64 {
-        derive_seed(self.source_seed(from), to)
-    }
-
-    /// [`draw_rng`](Self::draw_rng) from a sender's
-    /// [`source_seed`](Self::source_seed): the RNG of the
-    /// `occurrence`-th message to `to` within send tick `tick`.
-    #[must_use]
-    pub fn draw_rng_from(&self, source_seed: u64, to: u64, tick: u64, occurrence: u64) -> SmallRng {
-        rng_from_seed(derive_seed(
-            derive_seed(derive_seed(source_seed, to), tick),
-            occurrence,
-        ))
+    pub fn draw_rng_from(&self, sender_seed: u64, to: u64, occurrence: u64) -> SplitMix64 {
+        debug_assert!(
+            to <= u64::from(u32::MAX) && occurrence <= u64::from(u32::MAX),
+            "the key packs `to` and `occurrence` as u32s (got {to}, {occurrence})"
+        );
+        SplitMix64::new(derive_seed(sender_seed, to << 32 | occurrence))
     }
 
     /// The RNG for one send: the `occurrence`-th message (0-based) on
@@ -369,14 +369,15 @@ impl EdgeRngs {
     /// yields the same draws on any worker striping, in any order, any
     /// number of times.
     #[must_use]
-    pub fn draw_rng(&self, from: u64, to: u64, tick: u64, occurrence: u64) -> SmallRng {
-        self.draw_rng_from(self.source_seed(from), to, tick, occurrence)
+    pub fn draw_rng(&self, from: u64, to: u64, tick: u64, occurrence: u64) -> SplitMix64 {
+        self.draw_rng_from(self.sender_seed(from, tick), to, occurrence)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seed::rng_from_seed;
 
     #[test]
     fn defaults() {
@@ -599,59 +600,149 @@ mod tests {
     }
 
     #[test]
-    fn edge_seed_differs_from_process_streams() {
-        // Edge streams must not collide with the engine stream (0) or
+    fn sender_seed_differs_from_process_streams() {
+        // Edge keys must not collide with the engine stream (0) or
         // per-process streams (pid + 1) of the same master seed.
         let rngs = EdgeRngs::new(3);
-        for pid in 0..64 {
-            assert_ne!(rngs.edge_seed(0, 1), derive_seed(3, pid));
+        for (from, tick) in [(0, 0), (0, 1), (1, 0), (63, 9)] {
+            for pid in 0..64 {
+                assert_ne!(rngs.sender_seed(from, tick), derive_seed(3, pid));
+            }
         }
     }
 
-    /// Draw-order v2, bit for bit: the first two draws of eight keys
+    /// Draw-order v3, bit for bit: the first two draws of eight keys
     /// (both ends of the pid range, a reversed edge, neighbouring ticks
-    /// and occurrences). A change to these re-rolls every live fate and
-    /// is a new draw-order version. The sender's prefix regroups the
-    /// rounds without moving a bit.
+    /// and occurrences, `to` and `occurrence` at `u32::MAX`). A change to
+    /// these re-rolls every live fate and is a new draw-order version.
     #[test]
     fn draw_rng_matches_its_pinned_draws() {
         use rand::Rng as _;
         // from, to, tick, occurrence, then the two draws.
         const PINNED: [[u64; 6]; 8] = [
-            [0, 0, 0, 0, 0x7354bb1fb70589e4, 0x19bb34c5cdefb341],
-            [3, 9, 5, 0, 0x4231ea593288e2a6, 0x0da5436bc432d80e],
-            [3, 9, 5, 1, 0xb3acc4d3eb520b56, 0xcbc104c2cf82f1e4],
-            [9, 3, 5, 0, 0x9d3e8796c53acf69, 0xb5904faf8644af1c],
-            [3, 9, 6, 0, 0x565876a0756029c8, 0x2ab31d592a7a56ad],
-            [0xffff_ffff, 0, 1, 2, 0x9365a52c38840ae4, 0x4d38caaf800c495e],
+            [0, 0, 0, 0, 0x6a63b76b41a5d0df, 0x532b1b93fb847107],
+            [3, 9, 5, 0, 0xf43209c5ec446bbf, 0x432a90857322f4bd],
+            [3, 9, 5, 1, 0xcdee5ef60efe17b5, 0xf63139fb0dabd6aa],
+            [9, 3, 5, 0, 0xcb7e57a2e839ff84, 0xe4fbc6f9a32a85cd],
+            [3, 9, 6, 0, 0x061a46bc205a6c9f, 0x7308c08d18995453],
+            [0xffff_ffff, 0, 1, 2, 0x67088822f202bf77, 0x390ed1ec11a6c736],
             [
                 0,
                 0xffff_ffff,
                 u64::MAX,
                 0xffff_ffff,
-                0xb6a502a0b4435126,
-                0xa0a628184cd08c1a,
+                0x2ebc8dbbc87fe276,
+                0x8e7c247a1a4fea6f,
             ],
             [
                 4_095,
                 131_071,
                 1 << 40,
                 7,
-                0xb15ab88d6dc5eb49,
-                0xd3775867fa74be6e,
+                0x8bfc28482e6a2314,
+                0x77e29490a647cdce,
             ],
         ];
         let rngs = EdgeRngs::new(42);
         for [from, to, tick, occurrence, first, second] in PINNED {
-            let draws = (first, second);
-            let mut whole = rngs.draw_rng(from, to, tick, occurrence);
-            assert_eq!((whole.gen(), whole.gen()), draws, "{from} -> {to}");
-            let mut split = rngs.draw_rng_from(rngs.source_seed(from), to, tick, occurrence);
-            assert_eq!((split.gen(), split.gen()), draws, "{from} -> {to}, split");
-            assert_eq!(
-                rngs.edge_seed(from, to),
-                derive_seed(rngs.source_seed(from), to)
+            let mut rng = rngs.draw_rng(from, to, tick, occurrence);
+            assert_eq!((rng.gen(), rng.gen()), (first, second), "{from} -> {to}");
+        }
+    }
+
+    /// Draw-order v3's fates are exact Bernoulli trials over 2²¹ keys
+    /// (1,024 senders × 8 ticks × 16 receivers × 16 occurrences): the loss
+    /// rate, the latency split among survivors, and the joint loss of
+    /// neighbouring keys — the occurrence and the receiver share the
+    /// key's last round — all sit within 4σ of independent draws.
+    #[test]
+    fn keyed_fates_are_exact_bernoulli() {
+        use rand::Rng as _;
+        use std::collections::HashSet;
+        const SENDERS: u64 = 1_024;
+        const TICKS: u64 = 8;
+        const RECEIVERS: u64 = 16;
+        const OCCURRENCES: u64 = 16;
+        const KEYS: usize = (SENDERS * TICKS * RECEIVERS * OCCURRENCES) as usize;
+        let rngs = EdgeRngs::new(42);
+        // Every key's fate on `channel`, laid out
+        // [from][tick][to][occurrence].
+        let fates = |channel: ChannelConfig| {
+            let mut fates = Vec::with_capacity(KEYS);
+            for from in 0..SENDERS {
+                for tick in 0..TICKS {
+                    let sender = rngs.sender_seed(from, tick);
+                    for to in 0..RECEIVERS {
+                        for occurrence in 0..OCCURRENCES {
+                            let mut rng = rngs.draw_rng_from(sender, to, occurrence);
+                            fates.push(channel.sample_fate(&mut rng));
+                        }
+                    }
+                }
+            }
+            fates
+        };
+        let within_4_sigma = |observed: usize, trials: usize, p: f64, what: &str| {
+            let mean = trials as f64 * p;
+            let band = 4.0 * (mean * (1.0 - p)).sqrt();
+            assert!(
+                (observed as f64 - mean).abs() <= band,
+                "{what}: {observed} of {trials}, expected {mean:.0} ± {band:.0}"
             );
+        };
+
+        for p in [0.05, 0.15, 0.5] {
+            let channel = ChannelConfig::reliable().with_success_probability(1.0 - p);
+            let lost: Vec<bool> = fates(channel)
+                .into_iter()
+                .map(|fate| fate == ChannelFate::Lost)
+                .collect();
+            let losses = lost.iter().filter(|&&l| l).count();
+            within_4_sigma(losses, KEYS, p, &format!("loss at p = {p}"));
+            // Disjoint neighbours: occurrences (k, k + 1) of one edge at
+            // stride 1, receivers (to, to + 1) at stride OCCURRENCES, the
+            // lower one even in both cases.
+            for (stride, pair) in [(1, "occurrences"), (OCCURRENCES as usize, "receivers")] {
+                let firsts = (0..KEYS).filter(|i| (i / stride) % 2 == 0);
+                let both = firsts.filter(|&i| lost[i] && lost[i + stride]).count();
+                within_4_sigma(both, KEYS / 2, p * p, &format!("{pair} at p = {p}"));
+            }
+        }
+
+        let jittery =
+            ChannelConfig::paper_default().with_latency(Latency::UniformRounds { min: 1, max: 3 });
+        let mut by_latency = [0usize; 3];
+        for fate in fates(jittery) {
+            if let ChannelFate::Deliver { latency } = fate {
+                by_latency[latency as usize - 1] += 1;
+            }
+        }
+        let survivors: usize = by_latency.iter().sum();
+        within_4_sigma(survivors, KEYS, 0.85, "survivors");
+        for (latency, &n) in (1..).zip(&by_latency) {
+            within_4_sigma(n, survivors, 1.0 / 3.0, &format!("latency {latency}"));
+        }
+
+        // The split draw is the composed one, up to the packing's edges,
+        // and no two keys of the grid share a stream.
+        let mut streams = HashSet::new();
+        let ends = [0, 1, u64::from(u32::MAX)];
+        for from in ends {
+            for tick in [0, 1, u64::MAX] {
+                for to in ends {
+                    for occurrence in ends {
+                        let mut whole = rngs.draw_rng(from, to, tick, occurrence);
+                        let mut split =
+                            rngs.draw_rng_from(rngs.sender_seed(from, tick), to, occurrence);
+                        let first: u64 = whole.gen();
+                        assert_eq!((first, whole.gen::<u64>()), (split.gen(), split.gen()));
+                        assert!(
+                            streams.insert(first),
+                            "{from} -> {to} @ {tick}#{occurrence}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -6,11 +6,21 @@
 //! invariant covered by the workspace integration test suite).
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+
+/// SplitMix64's increment: 2⁶⁴/φ, odd.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 finalizer, which diffuses single-bit differences
+/// across the whole word.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Mixes `master` and a `stream` discriminator into an independent seed
-/// using the splitmix64 finalizer, which diffuses single-bit differences
-/// across the whole word.
+/// using the splitmix64 finalizer.
 ///
 /// ```
 /// use da_core::seed::derive_seed;
@@ -19,10 +29,38 @@ use rand::SeedableRng;
 /// ```
 #[must_use]
 pub fn derive_seed(master: u64, stream: u64) -> u64 {
-    let mut z = master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix(master ^ stream.wrapping_mul(GAMMA))
+}
+
+/// A counter-mode SplitMix64 stream over one key: the k-th draw
+/// (0-based) is the finalizer of `key + (k + 1)·γ`, so a draw costs one
+/// add and one mix, and building the stream costs nothing. These are the
+/// words [`SmallRng`]'s `seed_from_u64(key)` expands into its state; the
+/// stream hands them out directly instead of stepping xoshiro over them.
+///
+/// Meant for short keyed streams — a send's fate, one or two draws — where
+/// the key already carries the entropy: the stream has period 2⁶⁴ and
+/// neighbouring keys overlap after a shift, so a long-lived generator
+/// belongs on [`rng_from_seed`].
+#[derive(Debug, Clone)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// The stream over `key`.
+    #[must_use]
+    pub fn new(key: u64) -> Self {
+        SplitMix64 { state: key }
+    }
+}
+
+impl RngCore for SplitMix64 {
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
+    }
 }
 
 /// A [`SmallRng`] seeded directly from a 64-bit seed.
@@ -88,6 +126,19 @@ mod tests {
         let a: Vec<u64> = (0..8).map(|_| r1.gen()).collect();
         let b: Vec<u64> = (0..8).map(|_| r2.gen()).collect();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn splitmix_draws_are_the_finalizer_of_key_plus_k_gammas() {
+        for key in [0, 1, 42, u64::MAX, 0xED6E_0000_0000_0001] {
+            let mut stream = SplitMix64::new(key);
+            for k in 1..=5u64 {
+                // Stream 0 leaves the master unmixed: derive_seed is the
+                // bare finalizer there.
+                let word = derive_seed(key.wrapping_add(k.wrapping_mul(GAMMA)), 0);
+                assert_eq!(stream.next_u64(), word, "key {key:#x}, draw {k}");
+            }
+        }
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //!   coalesced per destination worker so one tick costs at most one lane
 //!   push per worker pair. What an imperfect send costs before its draw
 //!   is one bump of a `da_core::Occurrences` table (the edge packed into
-//!   a word, hashed with one multiply) and three of the key's four
-//!   mixing rounds: the fourth, the sender's prefix, is kept from the
-//!   previous send while the sender stays the same.
+//!   a word, hashed with one multiply) and one of the key's three mixing
+//!   rounds: the other two, the sender's prefix, are kept from the
+//!   previous send while the sender and the tick stay the same. Each
+//!   draw is then one SplitMix64 mix over the key (draw-order v3).
 //!
 //! Control messages (`Control::*`, worker reports) ride `std::sync::mpsc`
 //! channels — they are rare. Only the per-tick batch traffic rides the
@@ -449,13 +450,13 @@ pub struct FaultyRouter<M> {
     /// Tick the occurrence counts belong to; they are cleared when a
     /// send arrives for a later tick.
     occ_tick: u64,
-    /// The last sender seen and the prefix of its draw keys
-    /// ([`EdgeRngs::source_seed`]). A hook's sends arrive back to back
-    /// (two on the flood, about nine on a wave's first delivery), so
-    /// most sends skip the first of the key's four mixing rounds. The
-    /// seed is a pure function of the pid: the pair is always a valid
-    /// one, whichever sender it is for.
-    source: (ProcessId, u64),
+    /// The last sender and send tick seen, and the prefix of their draw
+    /// keys ([`EdgeRngs::sender_seed`]). A hook's sends arrive back to
+    /// back in one tick (two on the flood, about nine on a wave's first
+    /// delivery), so most sends skip two of the key's three mixing
+    /// rounds. The seed is a pure function of the pid and the tick: the
+    /// triple is always a valid one, whichever sender it is for.
+    sender: (ProcessId, u64, u64),
 }
 
 impl<M> FaultyRouter<M> {
@@ -476,7 +477,7 @@ impl<M> FaultyRouter<M> {
             slots,
             occurrences: Occurrences::default(),
             occ_tick: 0,
-            source: (ProcessId(0), rngs.source_seed(0)),
+            sender: (ProcessId(0), 0, rngs.sender_seed(0, 0)),
         }
     }
 
@@ -509,15 +510,13 @@ impl<M> FaultyRouter<M> {
                 self.occ_tick = sent_tick;
             }
             let occurrence = self.occurrences.bump(from, to);
-            if self.source.0 != from {
-                self.source = (from, self.rngs.source_seed(u64::from(from.0)));
+            if (self.sender.0, self.sender.1) != (from, sent_tick) {
+                let seed = self.rngs.sender_seed(u64::from(from.0), sent_tick);
+                self.sender = (from, sent_tick, seed);
             }
-            let mut rng = self.rngs.draw_rng_from(
-                self.source.1,
-                u64::from(to.0),
-                sent_tick,
-                u64::from(occurrence),
-            );
+            let mut rng =
+                self.rngs
+                    .draw_rng_from(self.sender.2, u64::from(to.0), u64::from(occurrence));
             self.network
                 .decide_fate(from, to, sent_tick, occurrence, &mut rng)
         };
@@ -1159,13 +1158,14 @@ mod tests {
         assert_eq!(std::sync::Arc::strong_count(&token), 1);
     }
 
-    /// Draw-order v2 through the router, bit for bit: the fate of every
+    /// Draw-order v3 through the router, bit for bit: the fate of every
     /// send of a fixed stream and the envelopes that reach each worker,
     /// folded through `FxHasher`. One sender's sends come in non-adjacent
     /// runs within a tick (1, 4, 1, 6, 1 — what the cached sender prefix
-    /// has to get right) and again in later ticks, and an edge repeats
-    /// within a tick, so occurrences count. A change to the value
-    /// re-rolls every live fate and is a new draw-order version.
+    /// has to get right), a tick's last sender is the next tick's first
+    /// (the prefix is per tick too), and an edge repeats within a tick,
+    /// so occurrences count. A change to the value re-rolls every live
+    /// fate and is a new draw-order version.
     #[test]
     fn router_fates_match_their_pinned_digest() {
         use std::hash::Hasher as _;
@@ -1206,6 +1206,6 @@ mod tests {
                 });
             }
         }
-        assert_eq!(digest.finish(), 0x29ff_bb4a_da48_a050);
+        assert_eq!(digest.finish(), 0x8a95_a3b9_2349_e274);
     }
 }

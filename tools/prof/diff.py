@@ -18,6 +18,9 @@ the benchmark's calibration slice is `calib::|hash_one|HashMap<K,V,S,A>::insert`
 on a workload whose protocol keeps no hash set (metro_flood, metro_churn).
 --min RATE lists rows at or above RATE samples per 1,000 ops on either
 side (default 0.5).
+--frames joins the executable's samples by sym.py's second table instead,
+the innermost inlined frame in the repository's source, so code inlined
+into its caller (`derive_seed`, `seed_from_u64`) is a row of its own.
 """
 import argparse
 import collections
@@ -28,16 +31,23 @@ import signal
 import sym
 
 
-def rates(path, ops, drop):
+def rates(path, ops, drop, frames):
     """Samples per 1,000 ops by symbol, and the sample counts (all, dropped)."""
     bases, spans, samples = sym.read(path)
     exe = next(iter(bases))
     tables, counts, dropped = {}, collections.Counter(), 0
-    for owner, ip in sym.owners(spans, samples):
+    located = list(sym.owners(spans, samples))
+    if frames:
+        inside = [ip - bases[exe] for owner, ip in located if owner == exe]
+        labels = iter(sym.own_frames(exe, inside))
+    for owner, ip in located:
         if owner not in tables:
             flags = ("-C",) if owner == exe else ("-C", "-D", "--defined-only")
             tables[owner] = sym.nm(owner, *flags) if os.path.isfile(owner) else ([], [])
-        name = sym.symbol_at(tables[owner], ip - bases.get(owner, 0))
+        if frames and owner == exe:
+            name = next(labels)
+        else:
+            name = sym.symbol_at(tables[owner], ip - bases.get(owner, 0))
         if owner != exe:
             name = f"{os.path.basename(owner)}: {name}"
         if drop and drop.search(name):
@@ -55,10 +65,11 @@ def main():
     parser.add_argument("ops_b", type=float)
     parser.add_argument("--drop", type=re.compile)
     parser.add_argument("--min", type=float, default=0.5, dest="floor")
+    parser.add_argument("--frames", action="store_true")
     args = parser.parse_args()
 
-    a, total_a, dropped_a = rates(args.a_out, args.ops_a, args.drop)
-    b, total_b, dropped_b = rates(args.b_out, args.ops_b, args.drop)
+    a, total_a, dropped_a = rates(args.a_out, args.ops_a, args.drop, args.frames)
+    b, total_b, dropped_b = rates(args.b_out, args.ops_b, args.drop, args.frames)
     sum_a, sum_b = sum(a.values()), sum(b.values())
     print(f"A: {total_a} samples, {dropped_a} dropped, {sum_a:.1f} kept per 1,000 ops ({args.ops_a:g} ops)")
     print(f"B: {total_b} samples, {dropped_b} dropped, {sum_b:.1f} kept per 1,000 ops ({args.ops_b:g} ops)")
