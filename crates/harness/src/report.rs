@@ -479,6 +479,66 @@ mod tests {
     }
 
     #[test]
+    fn series_renderings_are_pinned() {
+        let mut t = SeriesTable::new("Pinned series", "x", vec!["up".into(), "down".into()]);
+        t.push_row(0.25, vec![Summary::of(&[1.0, 3.0]), Summary::exact(0.0)]);
+        t.push_row(
+            1.0,
+            vec![Summary::exact(2.5), Summary::exact(f64::INFINITY)],
+        );
+        assert_eq!(
+            t.to_csv(),
+            "x,up_mean,up_std,down_mean,down_std\n\
+             0.25,2,1.4142,0,0\n\
+             1,2.5000,0,inf,0\n"
+        );
+        assert_eq!(
+            t.to_markdown(),
+            "### Pinned series\n\n\
+             | x | up | down |\n\
+             |---|---|---|\n\
+             | 0.2500 | 2 ± 1.4142 | 0 |\n\
+             | 1 | 2.5000 | inf |\n"
+        );
+        assert_eq!(
+            t.to_json(),
+            r#"{"title":"Pinned series","x_label":"x","columns":["up","down"],"rows":[{"x":0.25,"values":[{"count":2,"mean":2,"std_dev":1.4142135623730951,"min":1,"max":3},{"count":1,"mean":0,"std_dev":0,"min":0,"max":0}]},{"x":1,"values":[{"count":1,"mean":2.5,"std_dev":0,"min":2.5,"max":2.5},{"count":1,"mean":null,"std_dev":0,"min":null,"max":null}]}]}"#
+        );
+    }
+
+    #[test]
+    fn keyed_renderings_are_pinned() {
+        let mut t = KeyedTable::new(
+            "Pinned keyed",
+            "algorithm",
+            vec!["measured".into(), "analytic".into()],
+        );
+        t.push_row("plain", vec![Summary::of(&[1.0, 3.0]), Summary::exact(0.0)]);
+        t.push_row(
+            "a,\"b\"",
+            vec![Summary::exact(f64::NAN), Summary::exact(0.5)],
+        );
+        assert_eq!(
+            t.to_csv(),
+            "algorithm,measured_mean,measured_std,analytic_mean,analytic_std\n\
+             plain,2,1.4142,0,0\n\
+             \"a,\"\"b\"\"\",NaN,0,0.5000,0\n"
+        );
+        assert_eq!(
+            t.to_markdown(),
+            "### Pinned keyed\n\n\
+             | algorithm | measured | analytic |\n\
+             |---|---|---|\n\
+             | plain | 2 ± 1.4142 | 0 |\n\
+             | a,\"b\" | NaN | 0.5000 |\n"
+        );
+        assert_eq!(
+            t.to_json(),
+            r#"{"title":"Pinned keyed","key_label":"algorithm","columns":["measured","analytic"],"rows":[{"key":"plain","values":[{"count":2,"mean":2,"std_dev":1.4142135623730951,"min":1,"max":3},{"count":1,"mean":0,"std_dev":0,"min":0,"max":0}]},{"key":"a,\"b\"","values":[{"count":1,"mean":null,"std_dev":0,"min":null,"max":null},{"count":1,"mean":0.5,"std_dev":0,"min":0.5,"max":0.5}]}]}"#
+        );
+    }
+
+    #[test]
     fn json_numbers_degrade_nonfinite_to_null() {
         assert_eq!(json_num(2.25), "2.25");
         assert_eq!(json_num(f64::NAN), "null");
