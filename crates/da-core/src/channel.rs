@@ -223,51 +223,6 @@ impl ChannelConfig {
         };
         ChannelFate::Deliver { latency }
     }
-
-    /// Enumerates every fate [`sample_fate`](Self::sample_fate) could
-    /// possibly return, in a canonical order: `Lost` first (present iff
-    /// `success_probability < 1`), then `Deliver` for each reachable
-    /// latency in ascending order.
-    ///
-    /// This is the enumeration twin of the sampling API: a bounded
-    /// model checker substitutes one of these fates for the RNG draw at
-    /// each choice point, so the set returned here *is* the branching
-    /// factor of a send. The sampling path is untouched — draws remain
-    /// byte-identical to before this method existed.
-    ///
-    /// ```
-    /// use da_core::channel::{ChannelConfig, ChannelFate, Latency};
-    ///
-    /// let lossy = ChannelConfig::reliable().with_success_probability(0.5);
-    /// assert_eq!(
-    ///     lossy.enumerate_fates(),
-    ///     vec![ChannelFate::Lost, ChannelFate::Deliver { latency: 1 }],
-    /// );
-    ///
-    /// let jittery = ChannelConfig::reliable()
-    ///     .with_latency(Latency::UniformRounds { min: 1, max: 3 });
-    /// assert_eq!(jittery.enumerate_fates().len(), 3);
-    /// ```
-    #[must_use]
-    pub fn enumerate_fates(&self) -> Vec<ChannelFate> {
-        let mut fates = Vec::new();
-        if self.success_probability < 1.0 {
-            fates.push(ChannelFate::Lost);
-        }
-        if self.success_probability > 0.0 {
-            match self.latency {
-                Latency::Fixed(l) => fates.push(ChannelFate::Deliver { latency: l.max(1) }),
-                Latency::UniformRounds { min, max } => {
-                    let lo = min.max(1);
-                    let hi = max.max(lo);
-                    for latency in lo..=hi {
-                        fates.push(ChannelFate::Deliver { latency });
-                    }
-                }
-            }
-        }
-        fates
-    }
 }
 
 impl Default for ChannelConfig {
@@ -539,63 +494,6 @@ mod tests {
                 .with_latency(Latency::UniformRounds { min: 0, max: 9 })
                 .min_latency(),
             1
-        );
-    }
-
-    #[test]
-    fn enumerate_fates_covers_every_sampled_fate() {
-        // Every fate sample_fate can draw must appear in the
-        // enumeration, and the enumeration must not list unreachable
-        // fates: drops only when lossy, latencies clamped identically.
-        let configs = [
-            ChannelConfig::reliable(),
-            ChannelConfig::paper_default(),
-            ChannelConfig::default().with_latency(Latency::Fixed(0)),
-            ChannelConfig::default()
-                .with_success_probability(0.5)
-                .with_latency(Latency::UniformRounds { min: 0, max: 3 }),
-            ChannelConfig::default().with_latency(Latency::UniformRounds { min: 4, max: 2 }),
-        ];
-        let mut rng = rng_from_seed(11);
-        for config in configs {
-            let enumerated = config.enumerate_fates();
-            assert!(!enumerated.is_empty());
-            for _ in 0..500 {
-                let sampled = config.sample_fate(&mut rng);
-                assert!(
-                    enumerated.contains(&sampled),
-                    "{sampled:?} sampled but not enumerated for {config:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn enumerate_fates_orders_lost_then_ascending_latency() {
-        let fates = ChannelConfig::default()
-            .with_success_probability(0.9)
-            .with_latency(Latency::UniformRounds { min: 1, max: 3 })
-            .enumerate_fates();
-        assert_eq!(
-            fates,
-            vec![
-                ChannelFate::Lost,
-                ChannelFate::Deliver { latency: 1 },
-                ChannelFate::Deliver { latency: 2 },
-                ChannelFate::Deliver { latency: 3 },
-            ]
-        );
-        // A perfect channel has exactly one fate: no branching at all.
-        assert_eq!(
-            ChannelConfig::reliable().enumerate_fates(),
-            vec![ChannelFate::Deliver { latency: 1 }]
-        );
-        // A fully dead channel only ever loses.
-        assert_eq!(
-            ChannelConfig::default()
-                .with_success_probability(0.0)
-                .enumerate_fates(),
-            vec![ChannelFate::Lost]
         );
     }
 

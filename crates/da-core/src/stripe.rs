@@ -98,6 +98,17 @@ pub struct TickTally {
     pub undeliverable: u64,
 }
 
+impl std::ops::AddAssign for TickTally {
+    /// Sums two slices of one tick — how the pool's coordinator adds up
+    /// its workers' tallies.
+    fn add_assign(&mut self, other: TickTally) {
+        self.sent += other.sent;
+        self.queued += other.queued;
+        self.delivered += other.delivered;
+        self.undeliverable += other.undeliverable;
+    }
+}
+
 /// Aggregate summary of one executed tick, on either substrate: the
 /// simulator's `Engine::step_round` and the pool's `Runtime::step_tick`
 /// both return one.

@@ -454,9 +454,9 @@ impl DropSchedule {
 /// One table keyed by the edge packed into a word (`from` in the high
 /// half, `to` in the low) and hashed by one [`KeyHasher`] multiply; the
 /// count is 0 for almost every send, so what a send pays for is the hash.
+/// The owner [`clear`](Self::clear)s it when the tick changes.
 ///
 /// [`KeyHasher`]: crate::metrics::KeyHasher
-/// The owner [`clear`](Self::clear)s it when the tick changes.
 ///
 /// ```
 /// use da_core::{Occurrences, ProcessId};
@@ -666,32 +666,6 @@ impl NetworkModel {
             ChannelFate::Lost => NetFate::Lost,
             ChannelFate::Deliver { latency } => NetFate::Deliver { latency },
         }
-    }
-
-    /// Enumerates every fate a send from `from` to `to` at `tick` could
-    /// receive — the enumeration twin of [`decide_fate`](Self::decide_fate),
-    /// used by the bounded model checker as the branching factor of a
-    /// send.
-    ///
-    /// A severed pair has the single fate `Severed` (partitions are
-    /// scripted, not chosen). Otherwise the effective link channel's
-    /// [`ChannelConfig::enumerate_fates`] is lifted: `Lost` first iff
-    /// the link is lossy, then `Deliver` per reachable latency,
-    /// ascending. The scripted drop schedule is *not* consulted — it
-    /// exists to replay one specific branch, not to widen the set.
-    #[must_use]
-    pub fn enumerate_fates(&self, from: ProcessId, to: ProcessId, tick: u64) -> Vec<NetFate> {
-        if self.severed(from, to, tick) {
-            return vec![NetFate::Severed];
-        }
-        self.channel_between(from, to)
-            .enumerate_fates()
-            .into_iter()
-            .map(|fate| match fate {
-                ChannelFate::Lost => NetFate::Lost,
-                ChannelFate::Deliver { latency } => NetFate::Deliver { latency },
-            })
-            .collect()
     }
 
     /// The fastest delivery any link of this model can ever sample —
@@ -953,38 +927,6 @@ mod tests {
         use rand::Rng as _;
         let mut fresh = rng_from_seed(4);
         assert_eq!(rng.gen::<u64>(), fresh.gen::<u64>());
-    }
-
-    #[test]
-    fn enumerate_fates_respects_partitions_and_links() {
-        let lossy = ChannelConfig::default().with_success_probability(0.85);
-        let model = NetworkModel {
-            topology: Some(
-                Topology::with_nodes(["a", "b"])
-                    .with_placement_range(0..1, NodeId(0))
-                    .with_placement_range(1..2, NodeId(1))
-                    .with_link(NodeId(0), NodeId(1), lossy),
-            ),
-            partitions: PartitionSchedule::none().with_partition(
-                Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 5).heal_at(7),
-            ),
-            ..NetworkModel::uniform(ChannelConfig::reliable())
-        };
-        // Severed window: exactly one, deterministic fate.
-        assert_eq!(
-            model.enumerate_fates(ProcessId(0), ProcessId(1), 5),
-            vec![NetFate::Severed],
-        );
-        // Outside the window, the lossy override branches two ways.
-        assert_eq!(
-            model.enumerate_fates(ProcessId(0), ProcessId(1), 0),
-            vec![NetFate::Lost, NetFate::Deliver { latency: 1 }],
-        );
-        // Intra-node traffic rides the perfect default: no branching.
-        assert_eq!(
-            model.enumerate_fates(ProcessId(0), ProcessId(0), 5),
-            vec![NetFate::Deliver { latency: 1 }],
-        );
     }
 
     #[test]

@@ -26,18 +26,18 @@ use da_harness::experiments::live::{
 };
 use da_harness::experiments::trace::run_trace_diff;
 use da_harness::experiments::Effort;
-use da_harness::report::{KeyedTable, SeriesTable};
+use da_harness::report::Table;
 use da_harness::results_dir;
 use da_harness::scenario::ScenarioConfig;
 
-fn check_rows(table: &SeriesTable, label: &str, json: bool, disagreements: &mut u32) {
+fn check_rows(table: &Table<f64>, label: &str, json: bool, disagreements: &mut u32) {
     for row in &table.rows {
         let (sim, live) = (&row.values[0], &row.values[1]);
         let agree = ratios_agree_within_3_sigma(sim, live, 0.02);
         *disagreements += u32::from(!agree);
         let line = format!(
             "{label} = {:.2}: sim {:.4} vs live {:.4} — {}",
-            row.x,
+            row.key,
             sim.mean,
             live.mean,
             if agree {
@@ -70,7 +70,7 @@ fn main() {
 
     let probs = reliability_sweep_probabilities();
     let mut disagreements = 0u32;
-    let mut sweeps: Vec<SeriesTable> = Vec::new();
+    let mut sweeps: Vec<Table<f64>> = Vec::new();
     // One-tick latency (workers within a tick of each other), then a
     // two-tick latency floor, under which the pool's workers drift two
     // ticks apart during the same sweep.
@@ -131,7 +131,7 @@ fn main() {
     let trace_base = RunConfig::default()
         .with_seed(0xD1FF)
         .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(1)));
-    let trace_diff: KeyedTable = run_trace_diff(population, &trace_base, 2);
+    let trace_diff: Table<String> = run_trace_diff(population, &trace_base, 2);
     if !json {
         println!("\nflight-recorder trace diff (first_divergence -1 = streams identical):");
         print!("{}", trace_diff.to_markdown());
@@ -145,7 +145,7 @@ fn main() {
 
     if json {
         let mut tables: Vec<String> = vec![table.to_json()];
-        tables.extend(sweeps.iter().map(SeriesTable::to_json));
+        tables.extend(sweeps.iter().map(Table::<f64>::to_json));
         tables.push(churn.to_json());
         tables.push(partitions.to_json());
         tables.push(trace_diff.to_json());

@@ -5,7 +5,7 @@
 //! readings (ARCHITECTURE.md, "Where the paper's figures live") and the
 //! maintenance cadence of Fig. 6.
 
-use crate::report::{KeyedTable, SeriesTable};
+use crate::report::Table;
 use crate::runner::{run_trials, sweep};
 use crate::scenario::{run_scenario, ScenarioConfig};
 use crate::substrate::Substrate;
@@ -18,7 +18,7 @@ use damulticast::{DynamicNetwork, ParamMap, TopicParams};
 /// while root-delivery reliability saturates — the message/reliability
 /// trade-off.
 #[must_use]
-pub fn ablation_ga(base: &ScenarioConfig, gs: &[f64], trials: usize, seed: u64) -> SeriesTable {
+pub fn ablation_ga(base: &ScenarioConfig, gs: &[f64], trials: usize, seed: u64) -> Table<f64> {
     let xs: Vec<f64> = gs.to_vec();
     let rows = sweep(&xs, trials, seed, |g, trial_seed| {
         let mut config = base.clone();
@@ -31,7 +31,7 @@ pub fn ablation_ga(base: &ScenarioConfig, gs: &[f64], trials: usize, seed: u64) 
             out.total_event_messages,
         ]
     });
-    let mut table = SeriesTable::new(
+    let mut table = Table::new(
         "Ablation g election weight",
         "g",
         vec![
@@ -51,7 +51,7 @@ pub fn ablation_ga(base: &ScenarioConfig, gs: &[f64], trials: usize, seed: u64) 
 /// tables spread the same expected load over more distinct links,
 /// improving tolerance to individual dead contacts.
 #[must_use]
-pub fn ablation_z(base: &ScenarioConfig, zs: &[usize], trials: usize, seed: u64) -> SeriesTable {
+pub fn ablation_z(base: &ScenarioConfig, zs: &[usize], trials: usize, seed: u64) -> Table<f64> {
     let xs: Vec<f64> = zs.iter().map(|&z| z as f64).collect();
     let rows = sweep(&xs, trials, seed, |z, trial_seed| {
         let mut config = base.clone();
@@ -64,7 +64,7 @@ pub fn ablation_z(base: &ScenarioConfig, zs: &[usize], trials: usize, seed: u64)
             *out.delivered_fraction.first().expect("root level"),
         ]
     });
-    let mut table = SeriesTable::new(
+    let mut table = Table::new(
         "Ablation z supertable size",
         "z",
         vec![
@@ -82,13 +82,13 @@ pub fn ablation_z(base: &ScenarioConfig, zs: &[usize], trials: usize, seed: u64)
 /// `log10(S)+c` matching the paper's plotted magnitudes, and a fixed
 /// fanout): intra-group message cost vs leaf/root delivery.
 #[must_use]
-pub fn ablation_fanout(base: &ScenarioConfig, trials: usize, seed: u64) -> KeyedTable {
+pub fn ablation_fanout(base: &ScenarioConfig, trials: usize, seed: u64) -> Table<String> {
     let rules: [(&str, FanoutRule); 3] = [
         ("ln(S)+c", FanoutRule::LnPlusC { c: 5.0 }),
         ("log10(S)+c", FanoutRule::Log10PlusC { c: 5.0 }),
         ("fixed 8", FanoutRule::Fixed(8)),
     ];
-    let mut table = KeyedTable::new(
+    let mut table = Table::new(
         "Ablation fanout rule",
         "fanout rule",
         vec![
@@ -118,7 +118,7 @@ pub fn ablation_fanout(base: &ScenarioConfig, trials: usize, seed: u64) -> Keyed
 /// it still climbs to the surviving roots, plus how many supertable
 /// entries still point at dead processes.
 #[must_use]
-pub fn ablation_maintenance(periods: &[u64], trials: usize, seed: u64) -> SeriesTable {
+pub fn ablation_maintenance(periods: &[u64], trials: usize, seed: u64) -> Table<f64> {
     let root_size = 6_usize;
     let leaf_size = 30_usize;
     let crash_round = 20_u64;
@@ -191,7 +191,7 @@ pub fn ablation_maintenance(periods: &[u64], trials: usize, seed: u64) -> Series
         vec![health, root_delivery]
     });
 
-    let mut table = SeriesTable::new(
+    let mut table = Table::new(
         "Ablation maintenance period",
         "maintenance period (rounds)",
         vec![
@@ -235,8 +235,8 @@ mod tests {
     #[test]
     fn fanout_rules_ranked_by_cost() {
         let t = ablation_fanout(&base(), 3, 13);
-        let ln_cost = t.rows[0].1[0].mean;
-        let log10_cost = t.rows[1].1[0].mean;
+        let ln_cost = t.rows[0].values[0].mean;
+        let log10_cost = t.rows[1].values[0].mean;
         // ln(100)+5 = 9 vs log10(100)+5 = 7 targets per infection.
         assert!(
             ln_cost > log10_cost,

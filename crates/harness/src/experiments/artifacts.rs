@@ -12,16 +12,16 @@ use super::scaling::run_scaling;
 use super::tables::{run_complexity_table, run_reliability_table, run_tuning_table};
 use super::{alive_fractions, Effort};
 use crate::plot;
-use crate::report::{KeyedTable, SeriesTable};
+use crate::report::Table;
 use std::path::Path;
 
-fn emit_series(table: &SeriesTable, dir: &Path) {
+fn emit_series(table: &Table<f64>, dir: &Path) {
     print!("{}", table.to_markdown());
     print!("{}", plot::ascii_plot(table, 60, 14));
     table.write_to(dir).expect("write results");
 }
 
-fn emit_keyed(table: &KeyedTable, dir: &Path) {
+fn emit_keyed(table: &Table<String>, dir: &Path) {
     print!("{}", table.to_markdown());
     table.write_to(dir).expect("write results");
 }

@@ -9,7 +9,7 @@
 //!   the full dynamic stack runs under continuous churn and we measure how
 //!   delivery degrades with the churn rate.
 
-use crate::report::SeriesTable;
+use crate::report::Table;
 use crate::runner::sweep;
 use da_core::{ChannelConfig, FailureModel, ProcessId};
 use da_simnet::{Engine, SimConfig};
@@ -18,7 +18,7 @@ use damulticast::{DynamicNetwork, ParamMap, StaticNetwork, TopicParams};
 /// Rounds until 50% / 95% / 100% of the leaf group has delivered one leaf
 /// publication, vs the leaf-group size.
 #[must_use]
-pub fn run_latency(leaf_sizes: &[usize], trials: usize, seed: u64) -> SeriesTable {
+pub fn run_latency(leaf_sizes: &[usize], trials: usize, seed: u64) -> Table<f64> {
     let xs: Vec<f64> = leaf_sizes.iter().map(|&s| s as f64).collect();
     let rows = sweep(&xs, trials, seed, |s, trial_seed| {
         let s = s as usize;
@@ -72,7 +72,7 @@ pub fn run_latency(leaf_sizes: &[usize], trials: usize, seed: u64) -> SeriesTabl
             },
         ]
     });
-    let mut table = SeriesTable::new(
+    let mut table = Table::new(
         "Dynamics propagation latency",
         "leaf group size S",
         vec![
@@ -92,7 +92,7 @@ pub fn run_latency(leaf_sizes: &[usize], trials: usize, seed: u64) -> SeriesTabl
 /// *churn intensity* (how fast processes cycle). Faster churn stresses
 /// the maintenance task harder.
 #[must_use]
-pub fn run_churn(crash_rates: &[f64], trials: usize, seed: u64) -> SeriesTable {
+pub fn run_churn(crash_rates: &[f64], trials: usize, seed: u64) -> Table<f64> {
     let xs: Vec<f64> = crash_rates.to_vec();
     let rows = sweep(&xs, trials, seed, |crash, trial_seed| {
         // recover = 3·crash → stationary aliveness 0.75 at any intensity.
@@ -166,7 +166,7 @@ pub fn run_churn(crash_rates: &[f64], trials: usize, seed: u64) -> SeriesTable {
         }
         vec![leaf_frac, root_frac]
     });
-    let mut table = SeriesTable::new(
+    let mut table = Table::new(
         "Dynamics sustained churn",
         "per-round crash probability",
         vec![

@@ -6,7 +6,7 @@
 //! failure model (stillborn vs per-observer) and in which metrics are
 //! extracted. [`FigureKind`] selects the figure.
 
-use crate::report::SeriesTable;
+use crate::report::Table;
 use crate::runner::sweep;
 use crate::scenario::{run_scenario, ScenarioConfig};
 use crate::substrate::Substrate;
@@ -61,7 +61,7 @@ pub fn run_figure(
     alive_fractions: &[f64],
     trials: usize,
     seed: u64,
-) -> SeriesTable {
+) -> Table<f64> {
     let levels = base.group_sizes.len();
     let rows = sweep(alive_fractions, trials, seed, |alive, trial_seed| {
         let mut config = base.clone();
@@ -86,7 +86,7 @@ pub fn run_figure(
         _ => (0..levels).rev().map(|l| format!("group T{l}")).collect(),
     };
 
-    let mut table = SeriesTable::new(kind.title(), "alive fraction", columns);
+    let mut table = Table::new(kind.title(), "alive fraction", columns);
     for (x, summaries) in rows {
         table.push_row(x, summaries);
     }
@@ -97,7 +97,7 @@ pub fn run_figure(
 mod tests {
     use super::*;
 
-    fn quick(kind: FigureKind) -> SeriesTable {
+    fn quick(kind: FigureKind) -> Table<f64> {
         run_figure(kind, &ScenarioConfig::small(), &[0.4, 1.0], 3, 7)
     }
 

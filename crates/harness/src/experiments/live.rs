@@ -31,7 +31,7 @@
 //! thread interleaving), so all comparisons are statistical: matching
 //! means within noise, and an identical hard zero for parasites.
 
-use crate::report::{KeyedTable, SeriesTable};
+use crate::report::Table;
 use crate::runner::fold;
 use crate::scenario::{run_scenario, ScenarioConfig, ScenarioOutcome};
 use crate::stats::Summary;
@@ -125,12 +125,12 @@ fn audience_ratio(group_sizes: &[usize], out: &ScenarioOutcome) -> f64 {
 /// Trials run serially: the live runtime is itself a thread pool, and
 /// nesting it under the trial fan-out would oversubscribe the host.
 #[must_use]
-pub fn run_live_vs_sim(scenario: &ScenarioConfig, trials: usize, base_seed: u64) -> KeyedTable {
+pub fn run_live_vs_sim(scenario: &ScenarioConfig, trials: usize, base_seed: u64) -> Table<String> {
     let levels = scenario.group_sizes.len();
     let mut columns: Vec<String> = (0..levels).map(|i| format!("delivered_t{i}")).collect();
     columns.push("parasites".into());
     columns.push("event_messages".into());
-    let mut table = KeyedTable::new(
+    let mut table = Table::new(
         "Live runtime vs simulator reliability",
         "substrate",
         columns,
@@ -170,8 +170,8 @@ pub fn run_reliability_sweep(
     success_probabilities: &[f64],
     seed: u64,
     trials: usize,
-) -> SeriesTable {
-    let mut table = SeriesTable::new(
+) -> Table<f64> {
+    let mut table = Table::new(
         "Delivery ratio under lossy channels, live vs simulated",
         "success_probability",
         vec!["delivery_ratio_sim".into(), "delivery_ratio_live".into()],
@@ -230,7 +230,7 @@ pub fn run_churn_sweep(
     crash_rates: &[f64],
     seed: u64,
     trials: usize,
-) -> SeriesTable {
+) -> Table<f64> {
     let FailureModel::Churn {
         recover_probability,
         ..
@@ -242,7 +242,7 @@ pub fn run_churn_sweep(
             scenario.faults.failure
         );
     };
-    let mut table = SeriesTable::new(
+    let mut table = Table::new(
         "Delivery ratio under continuous churn, live vs simulated",
         "crash_probability",
         vec!["delivery_ratio_sim".into(), "delivery_ratio_live".into()],
@@ -406,7 +406,7 @@ pub fn run_partition_sweep(
     heal_ticks: &[Option<u64>],
     seed: u64,
     trials: usize,
-) -> SeriesTable {
+) -> Table<f64> {
     for &tick in heal_ticks.iter().flatten() {
         assert!(
             tick <= MAX_TIME - 2,
@@ -415,7 +415,7 @@ pub fn run_partition_sweep(
             MAX_TIME - 2
         );
     }
-    let mut table = SeriesTable::new(
+    let mut table = Table::new(
         "Delivery ratio across partition cut-and-heal scenarios, live vs simulated",
         "heal_tick",
         vec!["delivery_ratio_sim".into(), "delivery_ratio_live".into()],
@@ -466,6 +466,7 @@ pub fn ratios_agree_within_3_sigma(sim: &Summary, live: &Summary, floor: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Row;
     use da_core::{ChannelConfig, FaultConfig, Latency};
 
     /// The `[4, 10, 40]` chain with pinned-high knobs (as in the e2e
@@ -487,7 +488,7 @@ mod tests {
     fn substrates_agree_on_reliability_and_parasites() {
         let t = run_live_vs_sim(&pinned(Latency::Fixed(1)), 3, 0xC0FE);
         assert_eq!(t.rows.len(), 2);
-        for (row, (name, values)) in t.rows.iter().enumerate() {
+        for (row, Row { key: name, values }) in t.rows.iter().enumerate() {
             // delivered_t0..t2 all ≈ 1 under pinned knobs.
             for (level, value) in values.iter().enumerate().take(3) {
                 assert!(
@@ -519,7 +520,7 @@ mod tests {
                 assert!(
                     sim.mean > 0.9 && live.mean > 0.9,
                     "p = {} ({latency:?}): sim {} / live {} — degraded",
-                    row.x,
+                    row.key,
                     sim.mean,
                     live.mean
                 );
@@ -528,7 +529,7 @@ mod tests {
                 assert!(
                     ratios_agree_within_3_sigma(sim, live, 0.02),
                     "p = {} ({latency:?}): sim {} ± {} vs live {} ± {} disagree beyond 3σ",
-                    row.x,
+                    row.key,
                     sim.mean,
                     sim.std_dev,
                     live.mean,
@@ -563,18 +564,18 @@ mod tests {
             assert!(
                 sim.mean > 0.6 && live.mean > 0.6,
                 "crash = {}: sim {} / live {} — degraded",
-                row.x,
+                row.key,
                 sim.mean,
                 live.mean
             );
-            if row.x == 0.0 {
+            if row.key == 0.0 {
                 assert!(sim.mean > 0.999 && live.mean > 0.999, "no churn, no loss");
             }
             // The 0.02 floor covers the zero-variance no-churn corner.
             assert!(
                 ratios_agree_within_3_sigma(sim, live, 0.02),
                 "crash = {}: sim {} ± {} vs live {} ± {} disagree beyond 3σ",
-                row.x,
+                row.key,
                 sim.mean,
                 sim.std_dev,
                 live.mean,

@@ -8,7 +8,7 @@
 //! processes.
 
 use super::tables::{BASELINES, FANOUT};
-use crate::report::KeyedTable;
+use crate::report::Table;
 use crate::runner::run_trials;
 use crate::scenario::{publish_and_settle, run_scenario, ScenarioConfig};
 use crate::substrate::Substrate;
@@ -18,11 +18,11 @@ use da_core::{FaultConfig, ProcessId, RunConfig};
 /// Runs the four algorithms with one root-topic publication each and
 /// tabulates deliveries, parasites, and event traffic.
 #[must_use]
-pub fn run_parasite_table(group_sizes: &[usize], trials: usize, seed: u64) -> KeyedTable {
+pub fn run_parasite_table(group_sizes: &[usize], trials: usize, seed: u64) -> Table<String> {
     let interests = InterestMap::linear(group_sizes);
     let root_publisher = ProcessId(0);
 
-    let mut table = KeyedTable::new(
+    let mut table = Table::new(
         "Table parasite messages",
         "algorithm",
         vec![
@@ -73,7 +73,7 @@ mod tests {
     #[test]
     fn parasite_freedom_separates_the_algorithms() {
         let t = run_parasite_table(&[4, 10, 40], 3, 9);
-        let parasites = |i: usize| t.rows[i].1[1].mean;
+        let parasites = |i: usize| t.rows[i].values[1].mean;
         assert_eq!(parasites(0), 0.0, "daMulticast");
         assert!(parasites(1) > 10.0, "broadcast breeds parasites");
         assert_eq!(parasites(2), 0.0, "multicast groups match interests");
@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn interest_scoped_algorithms_send_less() {
         let t = run_parasite_table(&[4, 10, 40], 3, 10);
-        let sent = |i: usize| t.rows[i].1[2].mean;
+        let sent = |i: usize| t.rows[i].values[2].mean;
         assert!(
             sent(0) < sent(1),
             "daMulticast {} vs broadcast {}",

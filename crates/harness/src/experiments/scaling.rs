@@ -1,7 +1,7 @@
 //! The `O(S·ln S)` scalability claim (Sec. VI-B): total event messages per
 //! publication grow as `S·ln(S)` in the size of the biggest group.
 
-use crate::report::SeriesTable;
+use crate::report::Table;
 use crate::runner::sweep;
 use crate::scenario::{run_scenario, ScenarioConfig};
 use crate::substrate::Substrate;
@@ -12,7 +12,7 @@ use da_membership::FanoutRule;
 /// normalised ratio `messages / (S·ln S)` — flat-or-falling confirms the
 /// complexity class.
 #[must_use]
-pub fn run_scaling(leaf_sizes: &[usize], trials: usize, seed: u64) -> SeriesTable {
+pub fn run_scaling(leaf_sizes: &[usize], trials: usize, seed: u64) -> Table<f64> {
     let xs: Vec<f64> = leaf_sizes.iter().map(|&s| s as f64).collect();
     let rows = sweep(&xs, trials, seed, |s, trial_seed| {
         let s = s as usize;
@@ -26,7 +26,7 @@ pub fn run_scaling(leaf_sizes: &[usize], trials: usize, seed: u64) -> SeriesTabl
         let norm = s as f64 * (s as f64).ln();
         vec![out.total_event_messages, out.total_event_messages / norm]
     });
-    let mut table = SeriesTable::new(
+    let mut table = Table::new(
         "Fig scaling message complexity",
         "leaf group size S",
         vec!["total event messages".into(), "messages / (S ln S)".into()],

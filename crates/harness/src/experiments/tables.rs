@@ -2,7 +2,7 @@
 //! complexity, and the reliability-tuning equivalences, for daMulticast
 //! and the three baselines — measured against the analytical model.
 
-use crate::report::{KeyedTable, SeriesTable};
+use crate::report::Table;
 use crate::runner::run_trials;
 use crate::scenario::{first_standing, publish_and_settle, run_scenario, ScenarioConfig};
 use crate::stats::Summary;
@@ -68,7 +68,7 @@ fn analysis_chain(group_sizes: &[usize], c: f64) -> Vec<complexity::GroupLevel> 
 /// Channels are reliable and the `ln(S) + c` fanout of the analysis is
 /// used, so measured counts are directly comparable to the closed forms.
 #[must_use]
-pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> KeyedTable {
+pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> Table<String> {
     let c = 5.0;
     let fanout = FanoutRule::LnPlusC { c };
     let n: usize = group_sizes.iter().sum();
@@ -76,7 +76,7 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
     let leaf_publisher = ProcessId::from_index(n - 1);
     let chain = analysis_chain(group_sizes, c);
 
-    let mut table = KeyedTable::new(
+    let mut table = Table::new(
         "Table complexity comparison",
         "algorithm",
         vec![
@@ -196,9 +196,9 @@ fn survivor_coverage((event, _, out): (EventId, u64, Shutdown<GossipProcess>)) -
 /// baseline, the matching `c1` at a reference `c`, and the supertable-size
 /// bounds (Appendix eqs. 19, 25, 30).
 #[must_use]
-pub fn run_tuning_table(t: usize, n: usize, s_t: usize, n_groups: usize) -> SeriesTable {
+pub fn run_tuning_table(t: usize, n: usize, s_t: usize, n_groups: usize) -> Table<f64> {
     let c_ref = 1.0;
-    let mut table = SeriesTable::new(
+    let mut table = Table::new(
         "Table tuning equivalences",
         "pit",
         vec![
@@ -248,12 +248,12 @@ pub fn run_reliability_table(
     alive_fractions: &[f64],
     trials: usize,
     seed: u64,
-) -> SeriesTable {
+) -> Table<f64> {
     let n: usize = group_sizes.iter().sum();
     let interests = InterestMap::linear(group_sizes);
 
     let columns = std::iter::once("daMulticast").chain(BASELINES.map(|(name, ..)| name));
-    let mut table = SeriesTable::new(
+    let mut table = Table::new(
         "Table reliability comparison",
         "alive fraction",
         columns.map(String::from).collect(),
@@ -312,13 +312,14 @@ pub fn run_reliability_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Row;
 
     #[test]
     fn complexity_table_small_scale() {
         let t = run_complexity_table(&[3, 10, 40], 3, 5);
         assert_eq!(t.rows.len(), 4);
-        let da_measured = t.rows[0].1[0].mean;
-        let bc_measured = t.rows[1].1[0].mean;
+        let da_measured = t.rows[0].values[0].mean;
+        let bc_measured = t.rows[1].values[0].mean;
         assert!(
             bc_measured > da_measured,
             "broadcast ({bc_measured}) must out-message daMulticast ({da_measured})"
@@ -326,7 +327,7 @@ mod tests {
         // Measured counts land within 3× of the closed forms (the
         // analysis counts one send per infected process; gossip's
         // duplicate receipts add a constant factor).
-        for (name, values) in &t.rows {
+        for Row { key: name, values } in &t.rows {
             let measured = values[0].mean;
             let analytic = values[1].mean;
             assert!(
@@ -339,7 +340,7 @@ mod tests {
     #[test]
     fn memory_ordering_matches_paper() {
         let t = run_complexity_table(&[3, 10, 40], 2, 8);
-        let mem = |i: usize| t.rows[i].1[3].mean;
+        let mem = |i: usize| t.rows[i].values[3].mean;
         // daMulticast's measured memory stays below gossip multicast's.
         assert!(
             mem(0) < mem(2),
@@ -355,7 +356,7 @@ mod tests {
         assert_eq!(t.rows.len(), 5);
         for row in &t.rows {
             // z bound vs multicast must admit the paper's z = 3 at high pit.
-            if row.x >= 0.99 {
+            if row.key >= 0.99 {
                 assert!(row.values[2].mean > 3.0);
             }
         }

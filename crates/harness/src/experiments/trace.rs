@@ -20,7 +20,7 @@
 //! that must diverge at its first dropped envelope, proving the
 //! diagnosis reports real divergences rather than vacuously passing.
 
-use crate::report::KeyedTable;
+use crate::report::Table;
 use crate::stats::Summary;
 use crate::substrate::{Driver, Substrate};
 use da_core::testkit::Relay;
@@ -116,8 +116,8 @@ pub fn describe_divergence(left: &TraceLog, right: &TraceLog) -> String {
 /// Panics when the same-seed pair diverges or the lossy pair does not —
 /// each a violation of the cross-substrate tracing contract.
 #[must_use]
-pub fn run_trace_diff(population: u32, config: &RunConfig, workers: usize) -> KeyedTable {
-    let mut table = KeyedTable::new(
+pub fn run_trace_diff(population: u32, config: &RunConfig, workers: usize) -> Table<String> {
+    let mut table = Table::new(
         "Flight recorder trace diff, live vs simulated",
         "pair",
         vec![
@@ -167,7 +167,7 @@ pub fn run_trace_diff(population: u32, config: &RunConfig, workers: usize) -> Ke
     table
 }
 
-fn push_diff_row(table: &mut KeyedTable, key: &str, diff: &TraceDiff) {
+fn push_diff_row(table: &mut Table<String>, key: &str, diff: &TraceDiff) {
     table.push_row(
         key,
         vec![
@@ -181,6 +181,7 @@ fn push_diff_row(table: &mut KeyedTable, key: &str, diff: &TraceDiff) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Row;
     use da_core::{ChannelConfig, FailureModel, Fate, Latency, ProcessId};
 
     fn deterministic(seed: u64) -> RunConfig {
@@ -259,10 +260,10 @@ mod tests {
     fn trace_diff_table_reports_match_and_divergence() {
         let table = run_trace_diff(12, &deterministic(0xD1FF), 3);
         assert_eq!(table.rows.len(), 2);
-        let (key, values) = &table.rows[0];
+        let Row { key, values } = &table.rows[0];
         assert_eq!(key, "same_seed_sim_vs_live");
         assert_eq!(values[2].mean, -1.0, "no divergence on the matched pair");
-        let (key, values) = &table.rows[1];
+        let Row { key, values } = &table.rows[1];
         assert_eq!(key, "lossless_vs_lossy_sim");
         assert!(values[2].mean >= 0.0, "the lossy pair must diverge");
     }

@@ -1,7 +1,7 @@
-//! Terminal ASCII plots of [`SeriesTable`]s — a rough visual check that a
+//! Terminal ASCII plots of [`Table<f64>`]s — a rough visual check that a
 //! regenerated figure has the paper's shape without leaving the shell.
 
-use crate::report::SeriesTable;
+use crate::report::Table;
 use std::fmt::Write as _;
 
 /// Characters assigned to the first few series.
@@ -11,7 +11,7 @@ const MARKS: &[char] = &['o', '+', 'x', '*', '#', '@'];
 /// only), `width × height` characters of plotting area, with the y-range
 /// spanning `[0, max]` and the x-range `[min_x, max_x]`.
 #[must_use]
-pub fn ascii_plot(table: &SeriesTable, width: usize, height: usize) -> String {
+pub fn ascii_plot(table: &Table<f64>, width: usize, height: usize) -> String {
     let width = width.max(10);
     let height = height.max(4);
     let mut out = String::new();
@@ -20,11 +20,15 @@ pub fn ascii_plot(table: &SeriesTable, width: usize, height: usize) -> String {
         out.push_str("(no data)\n");
         return out;
     }
-    let x_min = table.rows.iter().map(|r| r.x).fold(f64::INFINITY, f64::min);
+    let x_min = table
+        .rows
+        .iter()
+        .map(|r| r.key)
+        .fold(f64::INFINITY, f64::min);
     let x_max = table
         .rows
         .iter()
-        .map(|r| r.x)
+        .map(|r| r.key)
         .fold(f64::NEG_INFINITY, f64::max);
     let y_max = table
         .rows
@@ -39,7 +43,7 @@ pub fn ascii_plot(table: &SeriesTable, width: usize, height: usize) -> String {
         for row in &table.rows {
             let Some(v) = row.values.get(s) else { continue };
             let xf = if x_max > x_min {
-                (row.x - x_min) / (x_max - x_min)
+                (row.key - x_min) / (x_max - x_min)
             } else {
                 0.5
             };
@@ -77,8 +81,8 @@ mod tests {
     use super::*;
     use crate::stats::Summary;
 
-    fn table() -> SeriesTable {
-        let mut t = SeriesTable::new("shape", "x", vec!["up".into(), "down".into()]);
+    fn table() -> Table<f64> {
+        let mut t = Table::new("shape", "x", vec!["up".into(), "down".into()]);
         for i in 0..=10 {
             let x = f64::from(i) / 10.0;
             t.push_row(
@@ -100,7 +104,7 @@ mod tests {
 
     #[test]
     fn empty_table_safe() {
-        let t = SeriesTable::new("empty", "x", vec!["a".into()]);
+        let t = Table::new("empty", "x", vec!["a".into()]);
         let p = ascii_plot(&t, 40, 10);
         assert!(p.contains("(no data)"));
     }
@@ -117,7 +121,7 @@ mod tests {
 
     #[test]
     fn degenerate_single_point() {
-        let mut t = SeriesTable::new("one", "x", vec!["a".into()]);
+        let mut t = Table::new("one", "x", vec!["a".into()]);
         t.push_row(5.0, vec![Summary::exact(42.0)]);
         let p = ascii_plot(&t, 30, 6);
         assert!(p.contains('o'));

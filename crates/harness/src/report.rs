@@ -1,39 +1,89 @@
-//! Result tables and their CSV / Markdown renderings.
+//! Result tables and their CSV / Markdown / JSON renderings.
 
 use crate::stats::Summary;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// A table of summarised series: one row per x-value (e.g. alive
-/// fraction), one column per series (e.g. group T2 / T1 / T0).
+/// A result table: one row per key, one column of summaries per series.
+///
+/// The key is an x value (`Table<f64>`, e.g. the alive fraction of a
+/// figure, with one series per group) or a row label (`Table<String>`,
+/// e.g. the algorithms of the Sec. VI-E comparison tables). The two
+/// render alike except for the key cell and its JSON field name.
 #[derive(Debug, Clone)]
-pub struct SeriesTable {
+pub struct Table<K> {
     /// Table title (used as the heading and the output file stem).
     pub title: String,
-    /// Label of the x column.
-    pub x_label: String,
+    /// Label of the key column.
+    pub key_label: String,
     /// Labels of the value columns.
     pub columns: Vec<String>,
-    /// Rows in ascending x order.
-    pub rows: Vec<SeriesRow>,
+    /// Rows in insertion order (ascending x for an f64 key).
+    pub rows: Vec<Row<K>>,
 }
 
-/// One row of a [`SeriesTable`].
+/// One row of a [`Table`].
 #[derive(Debug, Clone)]
-pub struct SeriesRow {
-    /// The x value.
-    pub x: f64,
+pub struct Row<K> {
+    /// The x value or row label.
+    pub key: K,
     /// One summary per column.
     pub values: Vec<Summary>,
 }
 
-impl SeriesTable {
+/// The key trait is public inside a private module rather than private
+/// itself: `Table`'s public methods may then name it as a bound (a
+/// private trait trips `private_bounds`), yet nothing outside this file
+/// can name or implement it.
+mod key {
+    /// How a key renders in each output format.
+    pub trait Key {
+        /// JSON field names of the key column's label and of a row's key.
+        const JSON_FIELDS: (&'static str, &'static str);
+        fn csv_cell(&self) -> String;
+        fn markdown_cell(&self) -> String;
+        fn json_value(&self) -> String;
+    }
+}
+use key::Key;
+
+impl Key for f64 {
+    const JSON_FIELDS: (&'static str, &'static str) = ("x_label", "x");
+    fn csv_cell(&self) -> String {
+        format!("{self}")
+    }
+    fn markdown_cell(&self) -> String {
+        fmt_num(*self)
+    }
+    fn json_value(&self) -> String {
+        json_num(*self)
+    }
+}
+
+impl Key for String {
+    const JSON_FIELDS: (&'static str, &'static str) = ("key_label", "key");
+    fn csv_cell(&self) -> String {
+        csv_escape(self)
+    }
+    fn markdown_cell(&self) -> String {
+        self.clone()
+    }
+    fn json_value(&self) -> String {
+        json_string(self)
+    }
+}
+
+impl<K: Key> Table<K> {
     /// Creates an empty table.
     #[must_use]
-    pub fn new(title: impl Into<String>, x_label: impl Into<String>, columns: Vec<String>) -> Self {
-        SeriesTable {
+    pub fn new(
+        title: impl Into<String>,
+        key_label: impl Into<String>,
+        columns: Vec<String>,
+    ) -> Self {
+        Table {
             title: title.into(),
-            x_label: x_label.into(),
+            key_label: key_label.into(),
             columns,
             rows: Vec::new(),
         }
@@ -45,26 +95,29 @@ impl SeriesTable {
     ///
     /// Panics when `values` has a different length than `columns` — a
     /// programming error in the experiment.
-    pub fn push_row(&mut self, x: f64, values: Vec<Summary>) {
+    pub fn push_row(&mut self, key: impl Into<K>, values: Vec<Summary>) {
         assert_eq!(
             values.len(),
             self.columns.len(),
             "row width must match the column count"
         );
-        self.rows.push(SeriesRow { x, values });
+        self.rows.push(Row {
+            key: key.into(),
+            values,
+        });
     }
 
     /// Renders the table as CSV with `mean` and `std` columns per series.
     #[must_use]
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let _ = write!(out, "{}", csv_escape(&self.x_label));
+        let _ = write!(out, "{}", csv_escape(&self.key_label));
         for c in &self.columns {
             let _ = write!(out, ",{}_mean,{}_std", csv_escape(c), csv_escape(c));
         }
         out.push('\n');
         for row in &self.rows {
-            let _ = write!(out, "{}", row.x);
+            out.push_str(&row.key.csv_cell());
             for v in &row.values {
                 let _ = write!(out, ",{},{}", fmt_num(v.mean), fmt_num(v.std_dev));
             }
@@ -78,7 +131,7 @@ impl SeriesTable {
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "### {}\n", self.title);
-        let _ = write!(out, "| {} |", self.x_label);
+        let _ = write!(out, "| {} |", self.key_label);
         for c in &self.columns {
             let _ = write!(out, " {c} |");
         }
@@ -89,7 +142,7 @@ impl SeriesTable {
         }
         out.push('\n');
         for row in &self.rows {
-            let _ = write!(out, "| {} |", fmt_num(row.x));
+            let _ = write!(out, "| {} |", row.key.markdown_cell());
             for v in &row.values {
                 if v.std_dev > 0.0 {
                     let _ = write!(out, " {} ± {} |", fmt_num(v.mean), fmt_num(v.std_dev));
@@ -104,15 +157,18 @@ impl SeriesTable {
 
     /// Renders the table as a single JSON object — the machine-readable
     /// form CI artifacts consume (`live_vs_sim --json`). Schema:
-    /// `{"title", "x_label", "columns", "rows": [{"x", "values": [summary…]}]}`.
+    /// `{"title", "x_label", "columns", "rows": [{"x", "values": [summary…]}]}`
+    /// for an f64 key, with `"key_label"` and a string `"key"` for a
+    /// string key.
     #[must_use]
     pub fn to_json(&self) -> String {
+        let (label_field, key_field) = K::JSON_FIELDS;
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"title\":{},\"x_label\":{},\"columns\":[",
+            "{{\"title\":{},\"{label_field}\":{},\"columns\":[",
             json_string(&self.title),
-            json_string(&self.x_label)
+            json_string(&self.key_label)
         );
         let _ = write!(out, "{}", json_string_list(&self.columns));
         out.push_str("],\"rows\":[");
@@ -120,7 +176,11 @@ impl SeriesTable {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"x\":{},\"values\":[", json_num(row.x));
+            let _ = write!(
+                out,
+                "{{\"{key_field}\":{},\"values\":[",
+                row.key.json_value()
+            );
             push_summaries(&mut out, &row.values);
             out.push_str("]}");
         }
@@ -147,137 +207,6 @@ impl SeriesTable {
     #[must_use]
     pub fn file_stem(&self) -> String {
         file_stem_of(&self.title)
-    }
-}
-
-/// A table keyed by row label instead of a numeric x — used for the
-/// algorithm-comparison tables (Sec. VI-E), where rows are algorithms.
-#[derive(Debug, Clone)]
-pub struct KeyedTable {
-    /// Table title (also the output file stem).
-    pub title: String,
-    /// Label of the key column.
-    pub key_label: String,
-    /// Labels of the value columns.
-    pub columns: Vec<String>,
-    /// `(key, values)` rows.
-    pub rows: Vec<(String, Vec<Summary>)>,
-}
-
-impl KeyedTable {
-    /// Creates an empty keyed table.
-    #[must_use]
-    pub fn new(
-        title: impl Into<String>,
-        key_label: impl Into<String>,
-        columns: Vec<String>,
-    ) -> Self {
-        KeyedTable {
-            title: title.into(),
-            key_label: key_label.into(),
-            columns,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `values` has a different length than `columns`.
-    pub fn push_row(&mut self, key: impl Into<String>, values: Vec<Summary>) {
-        assert_eq!(
-            values.len(),
-            self.columns.len(),
-            "row width must match the column count"
-        );
-        self.rows.push((key.into(), values));
-    }
-
-    /// Renders as CSV (mean and std per column).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{}", csv_escape(&self.key_label));
-        for c in &self.columns {
-            let _ = write!(out, ",{}_mean,{}_std", csv_escape(c), csv_escape(c));
-        }
-        out.push('\n');
-        for (key, values) in &self.rows {
-            let _ = write!(out, "{}", csv_escape(key));
-            for v in values {
-                let _ = write!(out, ",{},{}", fmt_num(v.mean), fmt_num(v.std_dev));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders as GitHub-flavoured Markdown.
-    #[must_use]
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "### {}\n", self.title);
-        let _ = write!(out, "| {} |", self.key_label);
-        for c in &self.columns {
-            let _ = write!(out, " {c} |");
-        }
-        out.push('\n');
-        let _ = write!(out, "|---|");
-        for _ in &self.columns {
-            let _ = write!(out, "---|");
-        }
-        out.push('\n');
-        for (key, values) in &self.rows {
-            let _ = write!(out, "| {key} |");
-            for v in values {
-                if v.std_dev > 0.0 {
-                    let _ = write!(out, " {} ± {} |", fmt_num(v.mean), fmt_num(v.std_dev));
-                } else {
-                    let _ = write!(out, " {} |", fmt_num(v.mean));
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the table as a single JSON object (same shape as
-    /// [`SeriesTable::to_json`], with `"key"` in place of `"x"`).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"title\":{},\"key_label\":{},\"columns\":[",
-            json_string(&self.title),
-            json_string(&self.key_label)
-        );
-        let _ = write!(out, "{}", json_string_list(&self.columns));
-        out.push_str("],\"rows\":[");
-        for (i, (key, values)) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"key\":{},\"values\":[", json_string(key));
-            push_summaries(&mut out, values);
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Writes `<stem>.csv` and `<stem>.md` under `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_to(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let stem = file_stem_of(&self.title);
-        std::fs::write(dir.join(format!("{stem}.csv")), self.to_csv())?;
-        std::fs::write(dir.join(format!("{stem}.md")), self.to_markdown())?;
-        Ok(())
     }
 }
 
@@ -375,8 +304,8 @@ fn csv_escape(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn sample_table() -> SeriesTable {
-        let mut t = SeriesTable::new(
+    fn sample_table() -> Table<f64> {
+        let mut t = Table::new(
             "Fig 8: events per group",
             "alive_fraction",
             vec!["T2".into(), "T1".into()],
@@ -413,7 +342,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width")]
     fn row_width_checked() {
-        let mut t = SeriesTable::new("t", "x", vec!["a".into()]);
+        let mut t = Table::<f64>::new("t", "x", vec!["a".into()]);
         t.push_row(0.0, vec![]);
     }
 
@@ -429,7 +358,7 @@ mod tests {
 
     #[test]
     fn csv_escaping() {
-        let mut t = SeriesTable::new("t", "x,with comma", vec!["a\"b".into()]);
+        let mut t = Table::<f64>::new("t", "x,with comma", vec!["a\"b".into()]);
         t.push_row(1.0, vec![Summary::exact(1.0)]);
         let csv = t.to_csv();
         assert!(csv.starts_with("\"x,with comma\",\"a\"\"b\"_mean"));
@@ -437,7 +366,7 @@ mod tests {
 
     #[test]
     fn keyed_table_renders() {
-        let mut t = KeyedTable::new(
+        let mut t = Table::<String>::new(
             "Message complexity",
             "algorithm",
             vec!["measured".into(), "analytic".into()],
@@ -471,7 +400,7 @@ mod tests {
 
     #[test]
     fn keyed_json_escapes_strings() {
-        let mut t = KeyedTable::new("a \"quoted\"\ntitle", "k", vec!["v".into()]);
+        let mut t = Table::<String>::new("a \"quoted\"\ntitle", "k", vec!["v".into()]);
         t.push_row("row\\one", vec![Summary::exact(1.5)]);
         let json = t.to_json();
         assert!(json.contains("\"title\":\"a \\\"quoted\\\"\\ntitle\""));
@@ -480,7 +409,7 @@ mod tests {
 
     #[test]
     fn series_renderings_are_pinned() {
-        let mut t = SeriesTable::new("Pinned series", "x", vec!["up".into(), "down".into()]);
+        let mut t = Table::<f64>::new("Pinned series", "x", vec!["up".into(), "down".into()]);
         t.push_row(0.25, vec![Summary::of(&[1.0, 3.0]), Summary::exact(0.0)]);
         t.push_row(
             1.0,
@@ -508,7 +437,7 @@ mod tests {
 
     #[test]
     fn keyed_renderings_are_pinned() {
-        let mut t = KeyedTable::new(
+        let mut t = Table::<String>::new(
             "Pinned keyed",
             "algorithm",
             vec!["measured".into(), "analytic".into()],
@@ -549,7 +478,7 @@ mod tests {
     fn keyed_table_writes_files() {
         let dir = std::env::temp_dir().join("da_harness_keyed_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let mut t = KeyedTable::new("Tiny Keyed", "k", vec!["v".into()]);
+        let mut t = Table::<String>::new("Tiny Keyed", "k", vec!["v".into()]);
         t.push_row("row", vec![Summary::exact(1.0)]);
         t.write_to(&dir).unwrap();
         assert!(dir.join("tiny_keyed.csv").exists());

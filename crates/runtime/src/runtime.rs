@@ -43,7 +43,7 @@ use da_core::store::ProcessStore;
 use da_core::wheel::{DelayWheel, MAX_RING_TICKS};
 use da_core::{
     Counters, ExecProtocol, HotIds, LifecycleController, PoolConfig, ProcessId, ProcessStatus,
-    RunConfig, Stripe, TickReport, TraceLog, WireSize,
+    RunConfig, Stripe, TickReport, TickTally, TraceLog, WireSize,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -68,22 +68,16 @@ pub type RuntimeConfig = RunConfig<PoolConfig>;
 #[derive(Debug, Default, Clone, Copy)]
 struct PartialTick {
     reports: usize,
-    sent: u64,
-    queued: u64,
-    delivered: u64,
+    tally: TickTally,
     dropped_closed: u64,
-    undeliverable: u64,
     loud: bool,
 }
 
 impl PartialTick {
     fn absorb(&mut self, r: WorkerReport) {
         self.reports += 1;
-        self.sent += r.sent;
-        self.queued += r.queued;
-        self.delivered += r.delivered;
+        self.tally += r.tally;
         self.dropped_closed += r.dropped_closed;
-        self.undeliverable += r.undeliverable;
         self.loud |= r.is_loud();
     }
 }
@@ -408,14 +402,18 @@ where
             }
             self.backlog.entry(report.tick).or_default().absorb(report);
         }
-        let agg = self.backlog.remove(&tick).expect("tick was just finalized");
-        self.in_flight = (self.in_flight + agg.queued)
-            .checked_sub(agg.delivered + agg.dropped_closed + agg.undeliverable)
+        let PartialTick {
+            tally,
+            dropped_closed,
+            ..
+        } = self.backlog.remove(&tick).expect("tick was just finalized");
+        self.in_flight = (self.in_flight + tally.queued)
+            .checked_sub(tally.delivered + dropped_closed + tally.undeliverable)
             .expect("delivery ledger went negative");
         TickReport {
             tick,
-            sent: agg.sent,
-            delivered: agg.delivered,
+            sent: tally.sent,
+            delivered: tally.delivered,
             pending: self.in_flight,
         }
     }

@@ -8,8 +8,8 @@
 use crate::transport::{EdgeInbox, EdgeWatermarks, FaultyRouter};
 use da_core::wheel::{DelayWheel, Envelope};
 use da_core::{
-    CounterId, Counters, ExecProtocol, Histogram, ProcessId, ProcessStatus, Stripe, TraceLog,
-    WireSize,
+    CounterId, Counters, ExecProtocol, Histogram, ProcessId, ProcessStatus, Stripe, TickTally,
+    TraceLog, WireSize,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
@@ -82,18 +82,15 @@ pub(super) struct PoolHistograms {
 #[derive(Debug, Clone, Copy)]
 pub(super) struct WorkerReport {
     pub(super) tick: u64,
-    pub(super) sent: u64,
-    /// Sends that survived the channel (queued toward an inbox) — the
-    /// coordinator's delivery ledger adds these and subtracts
-    /// `delivered`/`dropped_closed`/`dropped_crashed` to know, exactly,
-    /// whether anything is still in flight when a tick looks quiet.
-    pub(super) queued: u64,
-    pub(super) delivered: u64,
+    /// What the stripe sent and consumed. The coordinator's delivery
+    /// ledger adds its `queued` (sends that survived the channel) and
+    /// subtracts its `delivered` and `undeliverable` (consumed at the
+    /// due tick: destination crashed, `rt.dropped_crashed`, or observed
+    /// as failed, `rt.dropped_observed_failed`) and `dropped_closed` to
+    /// know, exactly, whether anything is still in flight when a tick
+    /// looks quiet.
+    pub(super) tally: TickTally,
     pub(super) dropped_closed: u64,
-    /// Envelopes consumed from flight at their due tick without being
-    /// delivered: the destination was crashed (`rt.dropped_crashed`) or
-    /// the per-observer draw failed (`rt.dropped_observed_failed`).
-    pub(super) undeliverable: u64,
     /// Envelopes parked in this worker's wheel after the tick — a
     /// loudness proof only: [`crate::TickReport::pending`] is the
     /// coordinator's ledger, which does not wait for batches to land.
@@ -112,7 +109,8 @@ impl WorkerReport {
     /// lets the coordinator grant the next tick before the slowest
     /// worker has reported.
     pub(super) fn is_loud(&self) -> bool {
-        self.sent > 0 || self.delivered > 0 || self.pending > 0 || self.queued > 0
+        let t = &self.tally;
+        t.sent > 0 || t.delivered > 0 || self.pending > 0 || t.queued > 0
     }
 }
 
@@ -416,11 +414,8 @@ where
 
         WorkerReport {
             tick,
-            sent: tally.sent,
-            queued: tally.queued,
-            delivered: tally.delivered,
+            tally,
             dropped_closed: flush.dropped_closed,
-            undeliverable: tally.undeliverable,
             pending: self.wheel.len() as u64,
             due_horizon: self.wheel.due_horizon().unwrap_or(0),
         }

@@ -29,12 +29,14 @@
 //!
 //! # Soundness notes
 //!
-//! * The base [`SimConfig`] must be *choice-free*: reliable fixed-
-//!   latency channels (every link), no RNG-driven failure model, no
-//!   pre-scripted drops. [`Explorer::explore`] validates this and
-//!   panics otherwise — randomness left in the base model would make
-//!   "all interleavings" a lie. Scripted partitions are fine (they are
-//!   pure functions of the tick).
+//! * The base [`SimConfig`] must be *choice-free*: every channel (the
+//!   default and each link) gives every send one certain fate — it
+//!   always delivers after one fixed latency, or it never delivers —
+//!   no RNG-driven failure model, no pre-scripted drops.
+//!   [`Explorer::explore`] validates this and panics otherwise —
+//!   randomness left in the base model would make "all interleavings"
+//!   a lie. Scripted partitions are fine (they are pure functions of
+//!   the tick).
 //! * Per-destination partial-order reduction
 //!   ([`OrderingMode::PerDestination`]) fixes the delivery order
 //!   *between* destinations (ascending pid) and enumerates orders
@@ -61,7 +63,7 @@
 
 use crate::engine::{Engine, SimConfig};
 use crate::strategy::{DueMessage, Strategy};
-use da_core::channel::ChannelFate;
+use da_core::channel::{ChannelConfig, ChannelFate};
 use da_core::exec::{ExecProtocol, McHash};
 use da_core::failure::{FailureModel, Fate};
 use da_core::fault::FaultConfig;
@@ -311,6 +313,22 @@ impl ScriptStrategy {
     }
 }
 
+/// The one fate `channel` gives every send, known without a draw:
+/// `Lost` when it never delivers, whatever its latency, and `Deliver`
+/// when it always delivers after a fixed delay. `None` for a lossy or
+/// jittery channel — a choice the explorer does not own.
+fn certain_fate(channel: ChannelConfig) -> Option<ChannelFate> {
+    if channel.success_probability <= 0.0 {
+        Some(ChannelFate::Lost)
+    } else if channel.success_probability >= 1.0 && channel.min_latency() == channel.max_latency() {
+        Some(ChannelFate::Deliver {
+            latency: channel.min_latency(),
+        })
+    } else {
+        None
+    }
+}
+
 impl Strategy for ScriptStrategy {
     fn fate(
         &mut self,
@@ -330,10 +348,10 @@ impl Strategy for ScriptStrategy {
         }
         // The base model is validated choice-free: exactly one channel
         // fate, decided without randomness.
-        let deliver = match network.channel_between(from, to).enumerate_fates()[..] {
-            [ChannelFate::Deliver { latency }] => NetFate::Deliver { latency },
-            [ChannelFate::Lost] => return NetFate::Lost,
-            _ => unreachable!("explore() validated the base model as choice-free"),
+        let deliver = match certain_fate(network.channel_between(from, to)) {
+            Some(ChannelFate::Deliver { latency }) => NetFate::Deliver { latency },
+            Some(ChannelFate::Lost) => return NetFate::Lost,
+            None => unreachable!("explore() validated the base model as choice-free"),
         };
         if self.drops_remaining == 0 {
             return deliver;
@@ -668,15 +686,15 @@ where
     fn validate_base(base: &SimConfig) {
         let network = &base.faults.network;
         assert!(
-            network.channel.enumerate_fates().len() == 1,
+            certain_fate(network.channel).is_some(),
             "model checking needs a choice-free default channel \
-             (reliable, fixed latency); got {:?}",
+             (reliable with one fixed latency, or never delivering); got {:?}",
             network.channel
         );
         if let Some(topology) = &network.topology {
             for (a, b, channel) in topology.links() {
                 assert!(
-                    channel.enumerate_fates().len() == 1,
+                    certain_fate(channel).is_some(),
                     "model checking needs choice-free link overrides; \
                      link {a}->{b} is {channel:?}"
                 );
@@ -970,7 +988,57 @@ mod tests {
     #[test]
     #[should_panic(expected = "choice-free")]
     fn lossy_base_config_is_rejected() {
-        let base = SimConfig::default().with_channel(da_core::ChannelConfig::paper_default());
+        use da_core::seed::rng_from_seed;
+        use da_core::topology::{NodeId, Topology};
+        use da_core::Latency;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // Caught, so that a wrongly rejected channel cannot pass for the
+        // rejection this test expects at its end.
+        let validate = |base: &SimConfig| {
+            catch_unwind(AssertUnwindSafe(|| Explorer::<Flood>::validate_base(base)))
+        };
+
+        // Accepted: one fate per send, and the very fate `sample_fate`
+        // draws from any stream, so the certain fate covers every sample.
+        let black_hole = ChannelConfig::reliable().with_success_probability(0.0);
+        for channel in [
+            ChannelConfig::reliable(),
+            ChannelConfig::reliable().with_latency(Latency::Fixed(0)),
+            ChannelConfig::reliable().with_latency(Latency::Fixed(3)),
+            ChannelConfig::reliable().with_latency(Latency::UniformRounds { min: 2, max: 2 }),
+            black_hole,
+            black_hole.with_latency(Latency::UniformRounds { min: 1, max: 3 }),
+        ] {
+            let accepted = validate(&SimConfig::default().with_channel(channel));
+            assert!(accepted.is_ok(), "{channel:?} has one fate");
+            let fate = certain_fate(channel).expect("an accepted channel has one fate");
+            for seed in 0..64 {
+                assert_eq!(
+                    channel.sample_fate(&mut rng_from_seed(seed)),
+                    fate,
+                    "{channel:?}"
+                );
+            }
+        }
+
+        // Rejected: a jittery default channel and a lossy link override.
+        let jittery =
+            ChannelConfig::reliable().with_latency(Latency::UniformRounds { min: 1, max: 3 });
+        let lossy_link = Topology::with_nodes(["a", "b"])
+            .with_placement_range(0..1, NodeId(0))
+            .with_placement_range(1..2, NodeId(1))
+            .with_link(NodeId(0), NodeId(1), ChannelConfig::paper_default());
+        for base in [
+            SimConfig::default().with_channel(jittery),
+            SimConfig::default().with_topology(lossy_link),
+        ] {
+            let panic = validate(&base).expect_err("a channel with a choice is rejected");
+            let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains("choice-free"), "{message}");
+        }
+
+        // A lossy default channel, through `explore` itself.
+        let base = SimConfig::default().with_channel(ChannelConfig::paper_default());
         let _ = Explorer::new(McConfig::default())
             .with_invariant(BoundedDeliveries)
             .explore(&base, flood_engine(3, false));

@@ -1,5 +1,7 @@
-//! Determinism across the whole stack (DESIGN.md invariant 5): identical
-//! seeds produce bit-identical metrics; different seeds diverge.
+//! Determinism across the whole stack (ARCHITECTURE.md, "Virtual time:
+//! rounds vs ticks"; the wave golden is described under "One timing
+//! structure"): identical seeds produce bit-identical metrics; different
+//! seeds diverge.
 
 use da_baselines::{build_broadcast_network, InterestMap};
 use da_core::{ChannelConfig, FailureModel, ProcessId};

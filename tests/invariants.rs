@@ -1,5 +1,7 @@
-//! Property-based system invariants (DESIGN.md §7), checked over random
-//! topologies, parameters, failure draws and publish patterns.
+//! Property-based system invariants, checked over random topologies,
+//! parameters, failure draws and publish patterns: the paper's claims
+//! that the model checker also asserts (ARCHITECTURE.md, "Model
+//! checking: from sampled to exhaustive").
 
 use da_core::{ChannelConfig, FailureModel};
 use da_simnet::{Engine, SimConfig};

@@ -447,6 +447,40 @@ fn one_publication_trial_in_the_harness() {
     );
 }
 
+/// Every result the harness reports is one `report::Table`, keyed by an
+/// x value or a row label, and the model checker reads a channel's one
+/// certain fate instead of listing fates beside the draw. Neither twin
+/// comes back, in the code or in the architecture notes.
+#[test]
+fn one_result_table_and_no_enumeration_twin() {
+    // Spelled in two halves so that this file passes its own check.
+    let gone = [
+        concat!("Series", "Table"),
+        concat!("Series", "Row"),
+        concat!("Keyed", "Table"),
+        concat!("enumerate", "_fates"),
+    ];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<_> = ["crates", "src", "tests", "examples"]
+        .into_iter()
+        .flat_map(sources)
+        .filter(|(path, _)| {
+            path.extension()
+                .is_some_and(|ext| ext == "rs" || ext == "md")
+        })
+        .collect();
+    for name in ["ARCHITECTURE.md", "README.md"] {
+        let path = root.join(name);
+        let source = std::fs::read_to_string(&path).expect("architecture notes");
+        files.push((path, source));
+    }
+    for (path, source) in files {
+        for name in gone {
+            assert!(!source.contains(name), "{}: {name}", path.display());
+        }
+    }
+}
+
 /// One run config: the simulator sets exactly a seed, faults and a trace,
 /// the pool those plus its worker count and watchdog, and every setter
 /// is defined once, on `da_core::RunConfig`, whichever substrate's alias
