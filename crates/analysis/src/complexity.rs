@@ -62,8 +62,7 @@ impl GroupLevel {
 /// Expected intra-group messages in one group: `S · (ln S + c)`
 /// (Sec. VI-B: "the overall number of events sent in the group Ti is thus
 /// upper bounded by `S_Ti · (ln(S_Ti) + c_Ti)`").
-#[must_use]
-pub fn intra_group_messages(s: usize, c: f64) -> f64 {
+fn intra_group_messages(s: usize, c: f64) -> f64 {
     if s == 0 {
         return 0.0;
     }

@@ -17,15 +17,13 @@ pub use crate::gossip_math::atomic_infection_probability as intra_group_reliabil
 /// `nbSuscProc = S · p_sel · π` — the expected number of processes of a
 /// group that both received the event (`π`) and elected themselves to
 /// forward it (Sec. VI-D).
-#[must_use]
-pub fn susceptible_processes(level: &GroupLevel, pi: f64) -> f64 {
+fn susceptible_processes(level: &GroupLevel, pi: f64) -> f64 {
     level.s as f64 * level.p_sel() * pi.clamp(0.0, 1.0)
 }
 
 /// `pbNoIntGrpMsg = (1 − p_succ)^(nbSuscProc · p_a · z)` — the probability
 /// that *no* event crosses from a group to its supergroup (Sec. VI-D).
-#[must_use]
-pub fn pb_no_intergroup_msg(level: &GroupLevel, pi: f64) -> f64 {
+fn pb_no_intergroup_msg(level: &GroupLevel, pi: f64) -> f64 {
     let exponent = susceptible_processes(level, pi) * level.p_a() * level.z as f64;
     (1.0 - level.p_succ).clamp(0.0, 1.0).powf(exponent)
 }

@@ -162,6 +162,9 @@ fn safe_upper(hi: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::gossip_math::atomic_infection_probability;
+    use crate::reliability::{
+        broadcast_reliability, hierarchical_reliability, multicast_reliability,
+    };
 
     const PIT: f64 = 0.99;
 
@@ -170,9 +173,16 @@ mod tests {
         atomic_infection_probability(c1) * pit
     }
 
+    /// daMulticast reliability over `t` levels that all use `c1` and `pit`.
+    fn da_chain(c1: f64, t: usize, pit: f64) -> f64 {
+        da_level(c1, pit).powi(t as i32)
+    }
+
     #[test]
     fn multicast_equivalence_is_exact_per_level() {
-        // e^{-e^{-c1}}·pit must equal e^{-e^{-c}} inside the range.
+        // e^{-e^{-c1}}·pit must equal e^{-e^{-c}} inside the range, so
+        // over t levels daMulticast matches gossip multicast (eq. 16).
+        let t = 3;
         for c in [0.0, 0.5, 1.0, 2.0, 4.0] {
             if let Some(c1) = c1_vs_multicast(c, PIT) {
                 let lhs = da_level(c1, PIT);
@@ -181,6 +191,8 @@ mod tests {
                     (lhs - rhs).abs() < 1e-12,
                     "c={c}: da {lhs} != multicast {rhs}"
                 );
+                let (da, baseline) = (da_chain(c1, t, PIT), multicast_reliability(&vec![c; t]));
+                assert!((da - baseline).abs() < 1e-9, "c={c}: {da} vs {baseline}");
                 assert!(c1 >= 0.0, "c1 must be non-negative, got {c1}");
                 assert!(c1 >= c, "compensating pit < 1 needs a larger constant");
             }
@@ -222,6 +234,9 @@ mod tests {
                     (lhs - rhs).abs() < 1e-12,
                     "c={c}: identity violated ({lhs} vs {rhs})"
                 );
+                // Eq. 23: so daMulticast over t levels matches broadcast.
+                let (da, baseline) = (da_chain(c1, t, PIT), broadcast_reliability(c));
+                assert!((da - baseline).abs() < 1e-9, "c={c}: {da} vs {baseline}");
                 assert!(c1 >= 0.0);
             }
         }
@@ -245,6 +260,13 @@ mod tests {
         let lhs = t as f64 * ((-c_t).exp() - PIT.ln());
         let rhs = (n_groups as f64 + 1.0) * (-c).exp();
         assert!((lhs - rhs).abs() < 1e-9, "{lhs} vs {rhs}");
+        // Eq. 28: so daMulticast over t levels matches the hierarchical
+        // baseline run with c1 = c2 = c.
+        let (da, baseline) = (
+            da_chain(c_t, t, PIT),
+            hierarchical_reliability(n_groups, c, c),
+        );
+        assert!((da - baseline).abs() < 1e-9, "{da} vs {baseline}");
         assert!(c_t >= 0.0);
     }
 

@@ -406,21 +406,12 @@ impl DaProcess {
         &self.delivered
     }
 
-    /// True when the event has been delivered here, whether or not
-    /// [`DaProcess::take_delivered`] has drained it since: every id in the
+    /// True when the event has been delivered here: every id in the
     /// de-duplication set was delivered (a parasite is turned away before
     /// it is recorded).
     #[must_use]
     pub fn has_delivered(&self, id: EventId) -> bool {
         self.seen.contains(&id)
-    }
-
-    /// Drains the delivered-event log, handing ownership to the caller —
-    /// the pull-style application interface (`deliver e_Ti to the
-    /// application`, Fig. 5). De-duplication state is unaffected: drained
-    /// events are never delivered twice.
-    pub fn take_delivered(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.delivered)
     }
 
     /// Number of parasite receptions — events of topics this process is
@@ -1146,7 +1137,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod take_delivered_tests {
+mod delivered_tests {
     use super::*;
     use da_simnet::{Engine, SimConfig};
 
@@ -1172,35 +1163,25 @@ mod take_delivered_tests {
             })
             .collect();
         let mut engine = Engine::new(SimConfig::default().with_seed(1), procs);
-        let id = engine.process_mut(ProcessId(0)).publish("drain me");
+        let id = engine.process_mut(ProcessId(0)).publish("once");
         engine.run_until_quiescent(32);
         (engine, id)
     }
 
     #[test]
-    fn take_delivered_drains_without_redelivery() {
+    fn has_delivered_matches_the_delivered_log() {
         let (mut engine, id) = delivered_everywhere();
-
-        let drained = engine.process_mut(ProcessId(1)).take_delivered();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].id(), id);
-        assert!(engine.process(ProcessId(1)).delivered().is_empty());
-
-        // Re-gossip of the same event must not re-deliver after draining.
+        // Re-gossip of the same event must not deliver it twice.
         engine.run_rounds(5);
-        assert!(engine.process(ProcessId(1)).delivered().is_empty());
-    }
-
-    #[test]
-    fn has_delivered_survives_take_delivered() {
-        let (mut engine, id) = delivered_everywhere();
         for pid in [ProcessId(0), ProcessId(1)] {
             assert!(engine.process(pid).has_delivered(id));
-            assert_eq!(engine.process_mut(pid).take_delivered().len(), 1);
-            assert!(
-                engine.process(pid).has_delivered(id),
-                "{pid} delivered the event and will never deliver it again"
-            );
+            let delivered: Vec<EventId> = engine
+                .process(pid)
+                .delivered()
+                .iter()
+                .map(Event::id)
+                .collect();
+            assert_eq!(delivered, [id], "{pid}");
         }
         let never_published = EventId {
             publisher: ProcessId(0),

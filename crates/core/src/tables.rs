@@ -180,19 +180,6 @@ impl SuperTable {
         pool.truncate(k);
         pool
     }
-
-    /// The deepest topic level among entries, if any — the closest group
-    /// the owner is currently linked to.
-    #[must_use]
-    pub fn closest_topic<D>(&self, depth_of: D) -> Option<TopicId>
-    where
-        D: Fn(TopicId) -> usize,
-    {
-        self.entries
-            .iter()
-            .max_by_key(|e| depth_of(e.topic))
-            .map(|e| e.topic)
-    }
 }
 
 #[cfg(test)]
@@ -269,17 +256,6 @@ mod tests {
         // A shallower candidate does not displace a deeper resident.
         t.tighten(&[entry(4, 0)], |topic| topic.index());
         assert!(!t.contains(ProcessId(4)));
-    }
-
-    #[test]
-    fn closest_topic_is_deepest() {
-        let mut rng = rng_from_seed(6);
-        let mut t = SuperTable::new(ProcessId(0), 3);
-        assert_eq!(t.closest_topic(|t| t.index()), None);
-        t.insert(entry(1, 0), &mut rng);
-        t.insert(entry(2, 2), &mut rng);
-        t.insert(entry(3, 1), &mut rng);
-        assert_eq!(t.closest_topic(|t| t.index()), Some(TopicId::from_index(2)));
     }
 
     #[test]

@@ -46,15 +46,7 @@ impl Latency {
     /// every send up to virtual time `t` is guaranteed to already hold
     /// every message due at or before `t + min_rounds()`, so it may run
     /// that far ahead of its slowest peer without reordering deliveries.
-    ///
-    /// ```
-    /// use da_core::channel::Latency;
-    /// assert_eq!(Latency::Fixed(3).min_rounds(), 3);
-    /// assert_eq!(Latency::Fixed(0).min_rounds(), 1, "clamped like sampling");
-    /// assert_eq!(Latency::UniformRounds { min: 2, max: 5 }.min_rounds(), 2);
-    /// ```
-    #[must_use]
-    pub fn min_rounds(&self) -> u64 {
+    fn min_rounds(&self) -> u64 {
         match self {
             Latency::Fixed(l) => (*l).max(1),
             Latency::UniformRounds { min, .. } => (*min).max(1),
@@ -62,12 +54,12 @@ impl Latency {
     }
 
     /// The slowest delivery this model can ever sample, in rounds/ticks
-    /// (≥ [`min_rounds`](Self::min_rounds), with the same degenerate-bound
-    /// clamping [`ChannelConfig::sample_fate`] applies).
+    /// (≥ its fastest, with the same degenerate-bound clamping
+    /// [`ChannelConfig::sample_fate`] applies).
     ///
-    /// Where `min_rounds` bounds how far a scheduler may run *ahead*,
-    /// `max_rounds` bounds how far into the future a surviving send can
-    /// land — the sizing bound for a fixed-capacity delay wheel.
+    /// Where the fastest delivery bounds how far a scheduler may run
+    /// *ahead*, `max_rounds` bounds how far into the future a surviving
+    /// send can land — the sizing bound for a fixed-capacity delay wheel.
     ///
     /// ```
     /// use da_core::channel::Latency;
@@ -176,9 +168,17 @@ impl ChannelConfig {
         self.success_probability >= 1.0 && self.latency == Latency::Fixed(1)
     }
 
-    /// The fastest delivery this channel can ever sample
-    /// ([`Latency::min_rounds`] of its latency model) — the slack a
-    /// bounded-lag scheduler may exploit between workers.
+    /// The fastest delivery this channel can ever sample (its latency
+    /// model's floor, ≥ 1) — the slack a bounded-lag scheduler may
+    /// exploit between workers.
+    ///
+    /// ```
+    /// use da_core::channel::{ChannelConfig, Latency};
+    /// let floor = |latency| ChannelConfig::reliable().with_latency(latency).min_latency();
+    /// assert_eq!(floor(Latency::Fixed(3)), 3);
+    /// assert_eq!(floor(Latency::Fixed(0)), 1, "clamped like sampling");
+    /// assert_eq!(floor(Latency::UniformRounds { min: 2, max: 5 }), 2);
+    /// ```
     #[must_use]
     pub fn min_latency(&self) -> u64 {
         self.latency.min_rounds()

@@ -278,13 +278,6 @@ impl FailurePlan {
             && self.churn.is_none()
     }
 
-    /// Per-observation aliveness probability, if the model is
-    /// [`FailureModel::PerObserver`].
-    #[must_use]
-    pub fn observer_alive_probability(&self) -> Option<f64> {
-        self.observer_alive_probability
-    }
-
     /// The churn rates, when the model is [`FailureModel::Churn`].
     #[must_use]
     pub fn churn(&self) -> Option<ChurnRates> {
@@ -507,7 +500,7 @@ mod tests {
     fn none_crashes_nobody() {
         let plan = FailureModel::None.materialize(100, 1);
         assert!(plan.initially_crashed().is_empty());
-        assert_eq!(plan.observer_alive_probability(), None);
+        assert_eq!(plan.observer_alive_probability, None);
         assert!(plan.is_inert());
     }
 
@@ -638,7 +631,7 @@ mod tests {
             alive_fraction: -1.0,
         }
         .materialize(10, 0);
-        assert_eq!(plan.observer_alive_probability(), Some(0.0));
+        assert_eq!(plan.observer_alive_probability, Some(0.0));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! power-of-two buckets, so recording is a `leading_zeros` plus an array
 //! increment and merging is element-wise addition. [`TraceLog`] bundles
 //! the flight recorder's output — causal events and named histograms —
-//! with JSONL and Chrome-tracing exporters.
+//! with a JSONL exporter.
 
 use crate::trace::{canonicalize, TraceEvent};
 use std::collections::HashMap;
@@ -452,7 +452,7 @@ impl Histogram {
     }
 
     /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -552,8 +552,8 @@ impl fmt::Display for Histogram {
 
 /// Everything one substrate's flight recorder captured during a run:
 /// the causal event stream (bounded; overflow counted in
-/// [`TraceLog::dropped_events`]) and named histograms, with JSONL /
-/// Chrome-tracing exporters. Totals are read from [`Counters`].
+/// [`TraceLog::dropped_events`]) and named histograms, with a JSONL
+/// exporter. Totals are read from [`Counters`].
 ///
 /// Both substrates build one per stripe with
 /// [`StripeTrace::log`](crate::StripeTrace::log); the live runtime
@@ -617,16 +617,8 @@ impl TraceLog {
     }
 
     /// JSONL export of the capture-order event stream.
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
+    fn to_jsonl(&self) -> String {
         crate::trace::events_to_jsonl(&self.events)
-    }
-
-    /// Chrome-tracing (`chrome://tracing` / Perfetto) export of the
-    /// capture-order event stream.
-    #[must_use]
-    pub fn to_chrome_trace(&self) -> String {
-        crate::trace::events_to_chrome_trace(&self.events)
     }
 
     /// Writes the JSONL export to `path`.
@@ -909,7 +901,6 @@ mod tests {
         assert_eq!(log.histogram("delivery_latency_ticks").unwrap().count(), 2);
         assert!(log.histogram("nope").is_none());
         assert!(log.to_jsonl().contains("\"verdict\":\"delivered\""));
-        assert!(log.to_chrome_trace().contains("\"ph\":\"i\""));
         let text = log.to_string();
         assert!(text.starts_with("TraceLog (1 events, 0 dropped)"));
         assert!(text.contains("delivery_latency_ticks"));

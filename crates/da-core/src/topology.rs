@@ -56,22 +56,20 @@ impl std::fmt::Display for NodeId {
 /// channel overrides (single-hop static routing).
 ///
 /// Processes not explicitly placed live on node 0, so a topology is
-/// always total. Links are *directed*; [`Topology::with_symmetric_link`]
-/// installs both directions at once.
+/// always total. Links are *directed*: a symmetric link is two
+/// [`Topology::with_link`] calls.
 ///
 /// ```
 /// use da_core::channel::ChannelConfig;
 /// use da_core::topology::{NodeId, Topology};
-/// use da_core::ProcessId;
 ///
 /// let wan = ChannelConfig::reliable().with_success_probability(0.9);
 /// let topo = Topology::with_nodes(["dc-a", "dc-b"])
 ///     .with_placement_range(0..4, NodeId(1))
-///     .with_symmetric_link(NodeId(0), NodeId(1), wan);
+///     .with_link(NodeId(1), NodeId(0), wan);
 ///
-/// assert_eq!(topo.node_of(ProcessId(2)), NodeId(1));
-/// assert_eq!(topo.node_of(ProcessId(9)), NodeId(0), "unplaced → node 0");
 /// assert_eq!(topo.link(NodeId(1), NodeId(0)), Some(wan));
+/// assert_eq!(topo.link(NodeId(0), NodeId(1)), None, "directed");
 /// assert_eq!(topo.link(NodeId(0), NodeId(0)), None, "intra-node: default");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -119,15 +117,6 @@ impl Topology {
     #[must_use]
     pub fn name(&self, node: NodeId) -> &str {
         &self.names[node.index()]
-    }
-
-    /// The node named `name`, if any.
-    #[must_use]
-    pub fn node_named(&self, name: &str) -> Option<NodeId> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| NodeId(i as u32))
     }
 
     /// Places one process on `node`.
@@ -184,19 +173,8 @@ impl Topology {
         self
     }
 
-    /// Overrides both directions of the link between `a` and `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either node is out of range.
-    #[must_use]
-    pub fn with_symmetric_link(self, a: NodeId, b: NodeId, channel: ChannelConfig) -> Self {
-        self.with_link(a, b, channel).with_link(b, a, channel)
-    }
-
     /// The node hosting `pid` (node 0 when unplaced).
-    #[must_use]
-    pub fn node_of(&self, pid: ProcessId) -> NodeId {
+    fn node_of(&self, pid: ProcessId) -> NodeId {
         self.placement
             .get(pid.index())
             .copied()
@@ -215,27 +193,6 @@ impl Topology {
     /// Iterates over the directed link overrides.
     pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, ChannelConfig)> + '_ {
         self.links.iter().copied()
-    }
-
-    /// True when every link override is a perfect channel (the topology
-    /// then cannot make the model lossier or slower than its default).
-    #[must_use]
-    pub fn links_are_perfect(&self) -> bool {
-        self.links.iter().all(|(_, _, c)| c.is_perfect())
-    }
-
-    /// The fastest delivery any link override can sample, or `None`
-    /// when there are no overrides.
-    #[must_use]
-    pub fn min_link_latency(&self) -> Option<u64> {
-        self.links.iter().map(|(_, _, c)| c.min_latency()).min()
-    }
-
-    /// The slowest delivery any link override can sample, or `None`
-    /// when there are no overrides.
-    #[must_use]
-    pub fn max_link_latency(&self) -> Option<u64> {
-        self.links.iter().map(|(_, _, c)| c.max_latency()).max()
     }
 }
 
@@ -282,8 +239,7 @@ impl Partition {
     }
 
     /// True when the cut is in force at `tick`.
-    #[must_use]
-    pub fn active_at(&self, tick: u64) -> bool {
+    fn active_at(&self, tick: u64) -> bool {
         tick >= self.cut_at && self.heal_at.is_none_or(|h| tick < h)
     }
 
@@ -538,7 +494,8 @@ pub enum NetFate {
 ///     topology: Some(
 ///         Topology::with_nodes(["core", "edge"])
 ///             .with_placement_range(0..3, NodeId(1))
-///             .with_symmetric_link(NodeId(0), NodeId(1), wan),
+///             .with_link(NodeId(0), NodeId(1), wan)
+///             .with_link(NodeId(1), NodeId(0), wan),
 ///     ),
 ///     partitions: PartitionSchedule::none().with_partition(
 ///         Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 4).heal_at(8),
@@ -602,8 +559,7 @@ impl NetworkModel {
     }
 
     /// The node hosting `pid` (node 0 without a topology).
-    #[must_use]
-    pub fn node_of(&self, pid: ProcessId) -> NodeId {
+    fn node_of(&self, pid: ProcessId) -> NodeId {
         self.topology.as_ref().map_or(NodeId(0), |t| t.node_of(pid))
     }
 
@@ -683,11 +639,9 @@ impl NetworkModel {
     /// ```
     #[must_use]
     pub fn min_latency(&self) -> u64 {
-        let base = self.channel.min_latency();
-        match self.topology.as_ref().and_then(Topology::min_link_latency) {
-            Some(link) => base.min(link),
-            None => base,
-        }
+        self.link_channels()
+            .map(|c| c.min_latency())
+            .fold(self.channel.min_latency(), u64::min)
     }
 
     /// The slowest delivery any link of this model can ever sample —
@@ -699,11 +653,17 @@ impl NetworkModel {
     /// capacity it was sized with.)
     #[must_use]
     pub fn max_latency(&self) -> u64 {
-        let base = self.channel.max_latency();
-        match self.topology.as_ref().and_then(Topology::max_link_latency) {
-            Some(link) => base.max(link),
-            None => base,
-        }
+        self.link_channels()
+            .map(|c| c.max_latency())
+            .fold(self.channel.max_latency(), u64::max)
+    }
+
+    /// The channel of every link override.
+    fn link_channels(&self) -> impl Iterator<Item = ChannelConfig> + '_ {
+        self.topology
+            .iter()
+            .flat_map(Topology::links)
+            .map(|(_, _, c)| c)
     }
 
     /// True when the model can neither lose, delay, nor sever anything:
@@ -716,10 +676,7 @@ impl NetworkModel {
         self.channel.is_perfect()
             && self.partitions.is_empty()
             && self.drops.is_empty()
-            && self
-                .topology
-                .as_ref()
-                .is_none_or(Topology::links_are_perfect)
+            && self.link_channels().all(|c| c.is_perfect())
     }
 }
 
@@ -821,7 +778,8 @@ mod tests {
             topology: Some(
                 Topology::with_nodes(["core", "edge"])
                     .with_placement_range(4..8, NodeId(1))
-                    .with_symmetric_link(NodeId(0), NodeId(1), wan),
+                    .with_link(NodeId(0), NodeId(1), wan)
+                    .with_link(NodeId(1), NodeId(0), wan),
             ),
             ..NetworkModel::uniform(ChannelConfig::reliable())
         };
@@ -934,8 +892,6 @@ mod tests {
         let topo = Topology::with_nodes(["alpha", "beta"]);
         assert_eq!(topo.nodes(), 2);
         assert_eq!(topo.name(NodeId(1)), "beta");
-        assert_eq!(topo.node_named("alpha"), Some(NodeId(0)));
-        assert_eq!(topo.node_named("gamma"), None);
         assert_eq!(format!("{}", NodeId(3)), "n3");
         assert_eq!(NodeId(3).index(), 3);
     }

@@ -77,7 +77,7 @@ pub enum TraceVerdict {
 }
 
 impl TraceVerdict {
-    /// The snake_case name used in JSONL and Chrome-trace exports.
+    /// The snake_case name used in JSONL exports.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -119,9 +119,9 @@ pub enum TraceMode {
 /// use da_core::trace::TraceConfig;
 ///
 /// let cfg = TraceConfig::full().with_capacity(1024);
-/// assert!(cfg.records_events());
+/// assert!(cfg.is_enabled());
+/// assert_eq!(cfg.capacity, 1024);
 /// assert!(TraceConfig::counters_only().is_enabled());
-/// assert!(!TraceConfig::counters_only().records_events());
 /// assert!(!TraceConfig::off().is_enabled());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,8 +181,7 @@ impl TraceConfig {
 
     /// True when the mode stores the event stream itself
     /// ([`TraceMode::Full`]).
-    #[must_use]
-    pub fn records_events(&self) -> bool {
+    fn records_events(&self) -> bool {
         self.mode == TraceMode::Full
     }
 }
@@ -355,30 +354,6 @@ pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
         out.push_str(&event.to_json());
         out.push('\n');
     }
-    out
-}
-
-/// Renders a stream in the Chrome tracing (`chrome://tracing`,
-/// Perfetto) JSON array format: one instant event per trace event, with
-/// `ts` = tick, `pid` = sender, `tid` = destination.
-#[must_use]
-pub fn events_to_chrome_trace(events: &[TraceEvent]) -> String {
-    let mut out = String::from("[");
-    for (i, event) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":{},\"tid\":{},\"s\":\"g\",\
-             \"args\":{{\"payload\":{}}}}}",
-            event.verdict.label(),
-            event.tick,
-            event.from.0,
-            event.to.0,
-            event.payload
-        ));
-    }
-    out.push_str("\n]");
     out
 }
 
@@ -639,19 +614,6 @@ mod tests {
              {\"tick\":1,\"from\":0,\"to\":1,\"payload\":4,\"verdict\":\"delivered\"}\n"
         );
         assert!(events_to_jsonl(&[]).is_empty());
-    }
-
-    #[test]
-    fn chrome_export_is_a_json_array_of_instants() {
-        let events = vec![ev(2, 1, 3, 8, TraceVerdict::Delivered)];
-        let json = events_to_chrome_trace(&events);
-        assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
-        assert!(json.contains("\"name\":\"delivered\""));
-        assert!(json.contains("\"ts\":2"));
-        assert!(json.contains("\"pid\":1"));
-        assert!(json.contains("\"tid\":3"));
-        assert_eq!(events_to_chrome_trace(&[]), "[\n]");
     }
 
     #[test]

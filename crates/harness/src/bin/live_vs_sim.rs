@@ -56,7 +56,7 @@ fn check_rows(table: &Table<f64>, label: &str, json: bool, disagreements: &mut u
 }
 
 fn main() {
-    let effort = Effort::from_args();
+    let effort = Effort::from_args(&["--json"], "usage: live_vs_sim [--quick] [--json]");
     let json = std::env::args().any(|a| a == "--json");
     // Perfect channels and no failures; each sweep overrides its axis.
     let scenario = ScenarioConfig {

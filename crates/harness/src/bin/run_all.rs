@@ -4,6 +4,9 @@
 //! ARCHITECTURE.md's "Where the paper's figures live".
 //!
 //! Usage: `cargo run --release -p da-harness --bin run_all [--quick]`
+//!
+//! Every artifact is regenerated together: one run at `--quick` takes
+//! about a second, so there is no option to pick a single one.
 
 use da_harness::experiments::figures::FigureKind;
 use da_harness::experiments::{artifacts, Effort};
@@ -14,7 +17,7 @@ use std::path::Path;
 type Artifact = fn(Effort, &Path);
 
 fn main() {
-    let effort = Effort::from_args();
+    let effort = Effort::from_args(&[], "usage: run_all [--quick]");
     let dir = results_dir();
     let start = std::time::Instant::now();
 

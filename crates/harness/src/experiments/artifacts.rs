@@ -1,8 +1,6 @@
 //! Every artifact `run_all` writes, at the one seed and parameter set it
-//! is reproduced with. `run_all` and the artifact's own binary call the
-//! same function here, so both write the same file. Each function prints
-//! its tables as Markdown (a series table with an ASCII plot) and writes
-//! them under `dir`.
+//! is reproduced with. Each function prints its tables as Markdown (a
+//! series table with an ASCII plot) and writes them under `dir`.
 
 use super::ablations::{ablation_fanout, ablation_ga, ablation_maintenance, ablation_z};
 use super::dynamics::{run_churn, run_latency};

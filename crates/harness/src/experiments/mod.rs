@@ -2,7 +2,7 @@
 //! ablations and extensions ARCHITECTURE.md lists under "Where the paper's
 //! figures live". Every module exposes a `run` function returning
 //! renderable tables; [`artifacts`] fixes each one's seed and parameters,
-//! and the `bin/` targets are thin wrappers over it.
+//! and `run_all` calls every one of them.
 
 pub mod ablations;
 pub mod artifacts;
@@ -33,15 +33,34 @@ pub enum Effort {
 }
 
 impl Effort {
-    /// Parses process arguments: `--quick` selects [`Effort::Quick`];
-    /// default is [`Effort::Paper`].
-    #[must_use]
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
+    /// Parses a binary's arguments, program name excluded: `--quick`
+    /// selects [`Effort::Quick`], its absence [`Effort::Paper`].
+    ///
+    /// # Errors
+    ///
+    /// The first argument that is neither `--quick` nor one of the
+    /// binary's own `flags`.
+    pub fn parse<'a>(args: &'a [String], flags: &[&str]) -> Result<Self, &'a str> {
+        let unknown = |arg: &&String| *arg != "--quick" && !flags.contains(&arg.as_str());
+        if let Some(arg) = args.iter().find(unknown) {
+            return Err(arg);
+        }
+        Ok(if args.iter().any(|arg| arg == "--quick") {
             Effort::Quick
         } else {
             Effort::Paper
-        }
+        })
+    }
+
+    /// [`Effort::parse`] over the process's arguments. An unknown one
+    /// prints `usage` to stderr and exits with status 2.
+    #[must_use]
+    pub fn from_args(flags: &[&str], usage: &str) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Effort::parse(&args, flags).unwrap_or_else(|unknown| {
+            eprintln!("unknown argument `{unknown}`\n{usage}");
+            std::process::exit(2)
+        })
     }
 
     /// Trials per sweep point.
@@ -80,5 +99,19 @@ mod tests {
         assert!(Effort::Paper.trials() > Effort::Quick.trials());
         assert_eq!(Effort::Quick.scenario().group_sizes, vec![5, 20, 100]);
         assert_eq!(Effort::Paper.scenario().group_sizes, vec![10, 100, 1000]);
+    }
+
+    #[test]
+    fn parse_accepts_quick_and_the_binarys_own_flags_only() {
+        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|&a| a.to_owned()).collect() };
+        assert_eq!(Effort::parse(&args(&[]), &[]), Ok(Effort::Paper));
+        assert_eq!(Effort::parse(&args(&["--quick"]), &[]), Ok(Effort::Quick));
+        let json = args(&["--json", "--quick"]);
+        assert_eq!(Effort::parse(&json, &["--json"]), Ok(Effort::Quick));
+        assert_eq!(Effort::parse(&json, &[]), Err("--json"), "not run_all's");
+        let typo = args(&["--quik"]);
+        assert_eq!(Effort::parse(&typo, &["--json"]), Err("--quik"));
+        let artifact = args(&["--quick", "fig08"]);
+        assert_eq!(Effort::parse(&artifact, &[]), Err("fig08"));
     }
 }

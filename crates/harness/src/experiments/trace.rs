@@ -64,16 +64,14 @@ pub struct TraceDiff {
 
 impl TraceDiff {
     /// True when the streams are bit-identical after canonical ordering.
-    #[must_use]
-    pub fn streams_match(&self) -> bool {
+    fn streams_match(&self) -> bool {
         self.divergence.is_none()
     }
 }
 
 /// Canonically orders both logs' event streams and reports their first
 /// divergence.
-#[must_use]
-pub fn diff_traces(left: &TraceLog, right: &TraceLog) -> TraceDiff {
+fn diff_traces(left: &TraceLog, right: &TraceLog) -> TraceDiff {
     let left_events = left.canonical_events();
     let right_events = right.canonical_events();
     TraceDiff {

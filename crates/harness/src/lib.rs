@@ -4,21 +4,22 @@
 //! *Data-Aware Multicast* (DSN 2004), plus the ablations and extensions
 //! ARCHITECTURE.md lists under "Where the paper's figures live":
 //!
-//! | Paper artifact | Module | Binary |
-//! |---|---|---|
-//! | Fig. 8 (events per group) | [`experiments::figures`] | `fig08_group_messages` |
-//! | Fig. 9 (inter-group events) | [`experiments::figures`] | `fig09_intergroup` |
-//! | Fig. 10 (reliability, stillborn) | [`experiments::figures`] | `fig10_reliability_stillborn` |
-//! | Fig. 11 (reliability, dynamic) | [`experiments::figures`] | `fig11_reliability_dynamic` |
-//! | Sec. VI-E.1/2 complexity tables | [`experiments::tables`] | `table_complexity` |
-//! | Sec. VI-E.3 tuning table | [`experiments::tables`] | `table_tuning` |
-//! | Parasite-freedom claim | [`experiments::parasites`] | `table_parasites` |
-//! | `O(S·lnS)` scaling | [`experiments::scaling`] | `fig_scaling` |
-//! | g/z/fanout/maintenance ablations | [`experiments::ablations`] | `ablations` |
-//! | Live-runtime vs simulator reliability | [`experiments::live`] | `live_vs_sim` |
+//! | Paper artifact | Module |
+//! |---|---|
+//! | Fig. 8 (events per group) | [`experiments::figures`] |
+//! | Fig. 9 (inter-group events) | [`experiments::figures`] |
+//! | Fig. 10 (reliability, stillborn) | [`experiments::figures`] |
+//! | Fig. 11 (reliability, dynamic) | [`experiments::figures`] |
+//! | Sec. VI-E.1/2 complexity tables | [`experiments::tables`] |
+//! | Sec. VI-E.3 tuning table | [`experiments::tables`] |
+//! | Parasite-freedom claim | [`experiments::parasites`] |
+//! | `O(S·lnS)` scaling | [`experiments::scaling`] |
+//! | g/z/fanout/maintenance ablations | [`experiments::ablations`] |
+//! | Live-runtime vs simulator reliability | [`experiments::live`] |
 //!
-//! Every binary accepts `--quick` for a scaled-down smoke run and writes
-//! CSV + Markdown into `results/` (plus an ASCII plot on stdout).
+//! The `run_all` binary regenerates every row but the last through
+//! [`experiments::artifacts`], writing CSV + Markdown into `results/`
+//! (plus an ASCII plot on stdout); `live_vs_sim` runs the last.
 //!
 //! The building blocks are reusable: [`scenario`] runs one publication
 //! to quiescence and measures the paper's scenario, [`substrate`] runs a

@@ -108,8 +108,7 @@ impl<K: Key> Table<K> {
     }
 
     /// Renders the table as CSV with `mean` and `std` columns per series.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = write!(out, "{}", csv_escape(&self.key_label));
         for c in &self.columns {
@@ -204,8 +203,7 @@ impl<K: Key> Table<K> {
     }
 
     /// The output file stem derived from the title.
-    #[must_use]
-    pub fn file_stem(&self) -> String {
+    fn file_stem(&self) -> String {
         file_stem_of(&self.title)
     }
 }

@@ -59,8 +59,7 @@ impl HierarchicalLayout {
     }
 
     /// Number of groups (`N` in the paper).
-    #[must_use]
-    pub fn group_count(&self) -> usize {
+    fn group_count(&self) -> usize {
         self.groups.len()
     }
 
@@ -75,8 +74,7 @@ impl HierarchicalLayout {
     }
 
     /// The group index of `pid`, or `None` for foreign processes.
-    #[must_use]
-    pub fn group_of(&self, pid: ProcessId) -> Option<usize> {
+    fn group_of(&self, pid: ProcessId) -> Option<usize> {
         self.group_of.get(&pid).copied()
     }
 

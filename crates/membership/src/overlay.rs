@@ -11,7 +11,6 @@ use crate::MembershipError;
 use da_core::seed::{derive_seed, rng_from_seed};
 use da_core::ProcessId;
 use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// A static undirected overlay graph assigning each process a small random
 /// neighbourhood.
@@ -113,23 +112,6 @@ impl Overlay {
         &self.neighbors[pid.index()]
     }
 
-    /// Samples up to `k` distinct neighbours of `pid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is outside the overlay's population.
-    pub fn sample_neighbors<R: Rng>(
-        &self,
-        pid: ProcessId,
-        k: usize,
-        rng: &mut R,
-    ) -> Vec<ProcessId> {
-        let mut pool: Vec<ProcessId> = self.neighbors[pid.index()].to_vec();
-        pool.shuffle(rng);
-        pool.truncate(k);
-        pool
-    }
-
     /// Number of processes covered by the overlay.
     #[must_use]
     pub fn population(&self) -> usize {
@@ -214,17 +196,5 @@ mod tests {
         for i in 0..5 {
             assert_eq!(o.neighbors(ProcessId(i)).len(), 4);
         }
-    }
-
-    #[test]
-    fn sampling_bounds() {
-        let o = Overlay::complete(10).unwrap();
-        let mut rng = rng_from_seed(1);
-        let s = o.sample_neighbors(ProcessId(0), 3, &mut rng);
-        assert_eq!(s.len(), 3);
-        let all = o.sample_neighbors(ProcessId(0), 100, &mut rng);
-        assert_eq!(all.len(), 9);
-        let unique: HashSet<_> = all.iter().collect();
-        assert_eq!(unique.len(), 9, "samples are distinct");
     }
 }

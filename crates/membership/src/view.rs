@@ -80,12 +80,6 @@ impl PartialView {
         self.entries.is_empty()
     }
 
-    /// True when the view is at capacity.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
     /// True when `pid` is in the view.
     #[must_use]
     pub fn contains(&self, pid: ProcessId) -> bool {
@@ -254,7 +248,6 @@ mod tests {
         let mut v = PartialView::new(ProcessId(0), 0);
         assert!(!v.insert(ProcessId(1), &mut rng));
         assert!(v.is_empty());
-        assert!(v.is_full());
     }
 
     #[test]

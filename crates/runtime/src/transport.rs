@@ -165,7 +165,6 @@ impl<M> BatchPool<M> {
 /// use da_core::ProcessId;
 ///
 /// let (mut hubs, mut inboxes) = lane_matrix(2, 8);
-/// assert_eq!(hubs[0].worker_of(ProcessId(5)), 1, "pid mod workers");
 /// hubs[0]
 ///     .send(Envelope {
 ///         from: ProcessId(0),
@@ -175,6 +174,7 @@ impl<M> BatchPool<M> {
 ///         msg: "hi",
 ///     })
 ///     .unwrap();
+/// // 5 mod 2 workers: worker 1 owns the destination.
 /// let mut got = Vec::new();
 /// inboxes[1].sweep(|lane, env| got.push((lane, env.to)));
 /// assert_eq!(got, vec![(0, ProcessId(5))]);
@@ -249,8 +249,7 @@ impl<M> Hub<M> {
     }
 
     /// The worker owning `pid`.
-    #[must_use]
-    pub fn worker_of(&self, pid: ProcessId) -> usize {
+    fn worker_of(&self, pid: ProcessId) -> usize {
         pid.index() % self.lanes.len()
     }
 

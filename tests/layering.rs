@@ -638,3 +638,59 @@ fn messages_stay_small_and_damsg_owns_no_buffer() {
         "a `DaMsg` variant owns a `Vec`; it belongs in `ControlMsg`, behind the box"
     );
 }
+
+/// Every plain `pub fn` shipped under `crates/*/src` is named, as a whole
+/// word, in some other `.rs` file of the workspace or of the benchmark
+/// (whose probes count as callers): a function only its own file calls is
+/// private, and one nothing calls is gone. The shims are out of scope —
+/// they mirror crates.io APIs — as are trait-impl methods and
+/// `pub(crate)` items.
+#[test]
+fn every_pub_fn_has_a_caller() {
+    // One entry per function that stays public without a caller, each
+    // with a `// why`. Empty: every public function has one.
+    const ALLOWED: &[&str] = &[];
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    // `benchmark/src`, not `benchmark`: its build output lives beside it.
+    let files: Vec<_> = ["crates", "src", "tests", "examples", "benchmark/src"]
+        .into_iter()
+        .flat_map(sources)
+        .filter(|(path, _)| path.extension().is_some_and(|ext| ext == "rs"))
+        .collect();
+    let names = |source: &str, name: &str| {
+        let ident = |c: char| c.is_alphanumeric() || c == '_';
+        source.match_indices(name).any(|(at, _)| {
+            !source[..at].chars().next_back().is_some_and(ident)
+                && !source[at + name.len()..].chars().next().is_some_and(ident)
+        })
+    };
+
+    let mut uncalled = Vec::new();
+    for (path, source) in &files {
+        let file = path.strip_prefix(root).unwrap();
+        let mut parts = file.iter().filter_map(|part| part.to_str());
+        if parts.next() != Some("crates") || parts.nth(1) != Some("src") {
+            continue;
+        }
+        if file.starts_with("crates/shims") {
+            continue;
+        }
+        for line in shipped(path, source).lines() {
+            let Some(rest) = line.trim_start().strip_prefix("pub fn ") else {
+                continue;
+            };
+            let name = rest.split(['(', '<']).next().unwrap_or_default();
+            let called = files
+                .iter()
+                .any(|(other, text)| other != path && names(text, name));
+            if !called && !ALLOWED.contains(&name) {
+                uncalled.push(format!("{}: {name}", file.display()));
+            }
+        }
+    }
+    assert!(
+        uncalled.is_empty(),
+        "no other file names these; make each private or delete it: {uncalled:#?}"
+    );
+}
