@@ -69,7 +69,7 @@ impl InterestMap {
     ///
     /// Panics if `pid` is outside the population.
     #[must_use]
-    pub fn wants(&self, pid: ProcessId, topic: TopicId) -> bool {
+    fn wants(&self, pid: ProcessId, topic: TopicId) -> bool {
         self.hierarchy.includes_or_eq(self.interest_of(pid), topic)
     }
 

@@ -15,6 +15,11 @@
 
 use da_topics::{TopicHierarchy, TopicId};
 
+/// Rounds before an unanswered bootstrap request widens its scope.
+pub(crate) const BOOTSTRAP_TIMEOUT: u64 = 6;
+/// Hop budget of a bootstrap search request through the overlay.
+pub(crate) const REQUEST_TTL: u8 = 8;
+
 /// What the embedding protocol should do for the bootstrap task this round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BootstrapAction {
@@ -38,8 +43,6 @@ pub struct BootstrapTask {
     wanted: Vec<TopicId>,
     /// Round at which the current attempt was issued.
     attempt_round: u64,
-    /// Rounds before the scope widens.
-    timeout: u64,
     /// Monotonic attempt counter, also used to mint request ids.
     attempts: u64,
     active: bool,
@@ -49,14 +52,13 @@ impl BootstrapTask {
     /// Creates the task for a process interested in `topic`. Returns
     /// `None` for the root topic (no supergroup exists).
     #[must_use]
-    pub fn new(topic: TopicId, hierarchy: &TopicHierarchy, timeout: u64) -> Option<Self> {
+    pub fn new(topic: TopicId, hierarchy: &TopicHierarchy) -> Option<Self> {
         let direct_super = hierarchy.parent(topic)?;
         Some(BootstrapTask {
             my_topic: topic,
             direct_super,
             wanted: vec![direct_super],
             attempt_round: 0,
-            timeout: timeout.max(1),
             attempts: 0,
             active: false,
         })
@@ -100,9 +102,9 @@ impl BootstrapTask {
     }
 
     /// Round hook: widens the scope and re-floods when the current attempt
-    /// timed out (paper lines 19–27).
+    /// has gone unanswered for six rounds (paper lines 19–27).
     pub fn on_round(&mut self, round: u64, hierarchy: &TopicHierarchy) -> BootstrapAction {
-        if !self.active || round.saturating_sub(self.attempt_round) < self.timeout {
+        if !self.active || round.saturating_sub(self.attempt_round) < BOOTSTRAP_TIMEOUT {
             return BootstrapAction::Idle;
         }
         // Widen: append the supertopic of the last requested topic, unless
@@ -161,14 +163,14 @@ mod tests {
     #[test]
     fn root_topic_has_no_task() {
         let (h, ids) = chain();
-        assert!(BootstrapTask::new(ids[0], &h, 5).is_none());
-        assert!(BootstrapTask::new(ids[1], &h, 5).is_some());
+        assert!(BootstrapTask::new(ids[0], &h).is_none());
+        assert!(BootstrapTask::new(ids[1], &h).is_some());
     }
 
     #[test]
     fn start_requests_direct_super() {
         let (h, ids) = chain();
-        let mut task = BootstrapTask::new(ids[3], &h, 5).unwrap();
+        let mut task = BootstrapTask::new(ids[3], &h).unwrap();
         assert_eq!(task.topic(), ids[3]);
         assert_eq!(task.direct_super(), ids[2]);
         match task.start(0) {
@@ -183,23 +185,24 @@ mod tests {
     #[test]
     fn timeout_widens_scope_up_to_root() {
         let (h, ids) = chain();
-        let mut task = BootstrapTask::new(ids[3], &h, 2).unwrap();
+        let mut task = BootstrapTask::new(ids[3], &h).unwrap();
         task.start(0);
-        assert_eq!(task.on_round(1, &h), BootstrapAction::Idle, "not yet");
-        match task.on_round(2, &h) {
+        let t = BOOTSTRAP_TIMEOUT;
+        assert_eq!(task.on_round(t - 1, &h), BootstrapAction::Idle, "not yet");
+        match task.on_round(t, &h) {
             BootstrapAction::SendRequest { topics, .. } => {
                 assert_eq!(topics, vec![ids[2], ids[1]]);
             }
             BootstrapAction::Idle => panic!("timeout must widen"),
         }
-        match task.on_round(4, &h) {
+        match task.on_round(2 * t, &h) {
             BootstrapAction::SendRequest { topics, .. } => {
                 assert_eq!(topics, vec![ids[2], ids[1], ids[0]]);
             }
             BootstrapAction::Idle => panic!("second widening expected"),
         }
         // Already at root: scope stays, but the request re-floods.
-        match task.on_round(6, &h) {
+        match task.on_round(3 * t, &h) {
             BootstrapAction::SendRequest { topics, .. } => {
                 assert_eq!(topics.len(), 3);
             }
@@ -210,7 +213,7 @@ mod tests {
     #[test]
     fn direct_answer_finishes() {
         let (h, ids) = chain();
-        let mut task = BootstrapTask::new(ids[3], &h, 2).unwrap();
+        let mut task = BootstrapTask::new(ids[3], &h).unwrap();
         task.start(0);
         assert!(task.on_answer(ids[2], &h));
         assert!(!task.is_active());
@@ -219,11 +222,11 @@ mod tests {
     #[test]
     fn ancestor_answer_narrows_but_continues() {
         let (h, ids) = chain();
-        let mut task = BootstrapTask::new(ids[3], &h, 1).unwrap();
+        let mut task = BootstrapTask::new(ids[3], &h).unwrap();
         task.start(0);
         // Widen twice: wanted = [T2, T1, T0].
-        task.on_round(1, &h);
-        task.on_round(2, &h);
+        task.on_round(BOOTSTRAP_TIMEOUT, &h);
+        task.on_round(2 * BOOTSTRAP_TIMEOUT, &h);
         assert_eq!(task.wanted().len(), 3);
         // An answer from T1 narrows: T0 includes T1 → dropped; T1 itself →
         // dropped (we already have that level); T2 stays.
@@ -235,12 +238,12 @@ mod tests {
     #[test]
     fn request_ids_are_unique_per_attempt() {
         let (h, ids) = chain();
-        let mut task = BootstrapTask::new(ids[2], &h, 1).unwrap();
+        let mut task = BootstrapTask::new(ids[2], &h).unwrap();
         let a = match task.start(0) {
             BootstrapAction::SendRequest { req_id, .. } => req_id,
             BootstrapAction::Idle => unreachable!(),
         };
-        let b = match task.on_round(1, &h) {
+        let b = match task.on_round(BOOTSTRAP_TIMEOUT, &h) {
             BootstrapAction::SendRequest { req_id, .. } => req_id,
             BootstrapAction::Idle => unreachable!(),
         };
@@ -250,7 +253,7 @@ mod tests {
     #[test]
     fn stop_halts_round_activity() {
         let (h, ids) = chain();
-        let mut task = BootstrapTask::new(ids[2], &h, 1).unwrap();
+        let mut task = BootstrapTask::new(ids[2], &h).unwrap();
         task.start(0);
         task.stop();
         assert_eq!(task.on_round(10, &h), BootstrapAction::Idle);

@@ -81,7 +81,7 @@ impl MetroProcess {
     /// Marks this process as the publisher of `headline` (`<
     /// MAX_HEADLINES`), announced once at start.
     #[must_use]
-    pub fn publishing(mut self, headline: u8) -> Self {
+    fn publishing(mut self, headline: u8) -> Self {
         assert!(
             (headline as usize) < MAX_HEADLINES,
             "headline id {headline} out of range"
@@ -100,12 +100,6 @@ impl MetroProcess {
     #[must_use]
     pub fn delivered(&self) -> u32 {
         self.delivered
-    }
-
-    /// Messages this process forwarded onward.
-    #[must_use]
-    pub fn forwarded(&self) -> u32 {
-        self.forwarded
     }
 
     /// The two overlay neighbors of `me`: ring successor and √n skip.

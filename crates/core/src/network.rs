@@ -18,7 +18,6 @@ use crate::protocol::DaProcess;
 use crate::tables::SuperEntry;
 use da_core::{derive_seed, rng_from_seed, ProcessId};
 use da_membership::static_init::{static_super_tables, static_topic_tables};
-use da_membership::MembershipParams;
 use da_membership::Overlay;
 use da_topics::{TopicHierarchy, TopicId};
 use rand::seq::SliceRandom;
@@ -251,6 +250,11 @@ impl StaticNetwork {
     }
 }
 
+/// Same-group contacts a dynamic process joins through.
+const JOIN_CONTACTS: usize = 3;
+/// Least neighbourhood size of the bootstrap overlay.
+const OVERLAY_DEGREE: usize = 4;
+
 /// A dynamic population: processes bootstrap their own tables through an
 /// overlay and keep them fresh at runtime.
 #[derive(Debug)]
@@ -263,20 +267,14 @@ pub struct DynamicNetwork {
 
 impl DynamicNetwork {
     /// Builds a dynamic network over a linear chain, handing each process
-    /// `contacts_per_process` random same-group contacts and a shared
-    /// random overlay of the given `overlay_degree`.
+    /// three random same-group contacts and a shared random overlay of
+    /// degree four.
     ///
     /// # Errors
     ///
     /// Returns [`DaError::InvalidParameter`] for empty/zero topologies or
     /// invalid parameters.
-    pub fn linear(
-        group_sizes: &[usize],
-        params: ParamMap,
-        contacts_per_process: usize,
-        overlay_degree: usize,
-        seed: u64,
-    ) -> Result<Self, DaError> {
+    pub fn linear(group_sizes: &[usize], params: ParamMap, seed: u64) -> Result<Self, DaError> {
         if group_sizes.is_empty() || group_sizes.contains(&0) {
             return Err(DaError::InvalidParameter {
                 reason: "group sizes must be non-empty and positive".to_owned(),
@@ -288,7 +286,7 @@ impl DynamicNetwork {
         let members = da_membership::static_init::assign_group_members(group_sizes);
         let population: usize = group_sizes.iter().sum();
         let overlay = Arc::new(
-            Overlay::random(population, overlay_degree.max(2), derive_seed(seed, 0x07E8)).map_err(
+            Overlay::random(population, OVERLAY_DEGREE, derive_seed(seed, 0x07E8)).map_err(
                 |e| DaError::InvalidParameter {
                     reason: e.to_string(),
                 },
@@ -306,11 +304,6 @@ impl DynamicNetwork {
             .collect();
         for group in &groups {
             let tp = params.for_topic(group.topic);
-            let mparams = MembershipParams {
-                b: tp.b,
-                expected_group_size: group.members.len(),
-                ..MembershipParams::paper_default(group.members.len())
-            };
             for &pid in &group.members {
                 let mut pool: Vec<ProcessId> = group
                     .members
@@ -319,13 +312,13 @@ impl DynamicNetwork {
                     .filter(|&p| p != pid)
                     .collect();
                 pool.shuffle(&mut rng);
-                pool.truncate(contacts_per_process);
+                pool.truncate(JOIN_CONTACTS);
                 processes.push(DaProcess::dynamic_member(
                     pid,
                     group.topic,
                     Arc::clone(&hierarchy),
                     tp,
-                    mparams,
+                    group.members.len(),
                     Arc::clone(&overlay),
                     pool,
                 ));
@@ -511,7 +504,7 @@ mod tests {
 
     #[test]
     fn dynamic_network_builds_and_floods_bootstrap() {
-        let net = DynamicNetwork::linear(&[5, 20], ParamMap::default(), 3, 4, 7).unwrap();
+        let net = DynamicNetwork::linear(&[5, 20], ParamMap::default(), 7).unwrap();
         let procs = net.into_processes();
         assert_eq!(procs.len(), 25);
         let mut engine = Engine::new(SimConfig::default().with_seed(7), procs);
@@ -532,7 +525,7 @@ mod tests {
         // elects itself for inter-group forwarding; raise g so the test is
         // statistically sound (the trade-off knob the paper describes).
         let params = ParamMap::uniform(TopicParams::paper_default().with_g(15.0).with_a(3.0));
-        let net = DynamicNetwork::linear(&[5, 20], params, 3, 4, 9).unwrap();
+        let net = DynamicNetwork::linear(&[5, 20], params, 9).unwrap();
         let procs = net.into_processes();
         let mut engine = Engine::new(SimConfig::default().with_seed(9), procs);
         engine.run_rounds(30); // let membership + bootstrap settle

@@ -33,10 +33,6 @@ pub struct TopicParams {
     pub maintenance_period: u64,
     /// Rounds a liveness ping may take before the peer counts as failed.
     pub ping_timeout: u64,
-    /// Rounds before an unanswered bootstrap request widens its scope.
-    pub bootstrap_timeout: u64,
-    /// Hop budget of bootstrap search requests through the overlay.
-    pub request_ttl: u8,
 }
 
 impl TopicParams {
@@ -54,8 +50,6 @@ impl TopicParams {
             tau: 1,
             maintenance_period: 10,
             ping_timeout: 4,
-            bootstrap_timeout: 6,
-            request_ttl: 8,
         }
     }
 

@@ -2,9 +2,9 @@
 //!
 //! A [`DaProcess`] implements [`ExecProtocol`] and combines
 //!
-//! * the **topic table** — a [`FlatMembership`] partial view of the
-//!   process' own group (the underlying membership algorithm of the
-//!   paper's reference \[10\]),
+//! * the **topic table** — a [`PartialView`] of the process' own group,
+//!   kept fresh in dynamic mode by the [`flat`] gossip (the underlying
+//!   membership algorithm of the paper's reference \[10\]),
 //! * the **supertopic tables** — one constant-size [`SuperTable`] of
 //!   contacts in an including group per direct supertopic: one in the
 //!   paper's tree, several for a topic with multiple supertopics
@@ -19,8 +19,8 @@
 //!
 //! * **static** ([`DaProcess::static_member`]) — the paper's simulation
 //!   mode (Sec. VII-A): tables are fixed at construction, no membership,
-//!   bootstrap or maintenance traffic is generated. Used to regenerate the
-//!   paper's figures.
+//!   bootstrap or maintenance traffic is generated, and the view keeps no
+//!   liveness stamps. Used to regenerate the paper's figures.
 //! * **dynamic** ([`DaProcess::dynamic_member`]) — the full protocol:
 //!   joins through contacts, gossips membership digests with piggybacked
 //!   supertable samples, searches super contacts through the overlay and
@@ -28,7 +28,7 @@
 //!   tests. Its tasks keep one table, so it serves topics with one direct
 //!   supertopic.
 
-use crate::bootstrap::{BootstrapAction, BootstrapTask};
+use crate::bootstrap::{BootstrapAction, BootstrapTask, REQUEST_TTL};
 use crate::dissemination::{plan_dissemination, DisseminationPlan};
 use crate::event::{Event, EventId};
 use crate::maintenance::{MaintenanceAction, MaintenanceTask};
@@ -36,8 +36,7 @@ use crate::message::{ControlMsg, DaMsg};
 use crate::params::TopicParams;
 use crate::tables::{SuperEntry, SuperTable};
 use da_core::{Exec, ExecProtocol, FxHasher, KeyBuildHasher, LabelId, McHash, ProcessId};
-use da_membership::Overlay;
-use da_membership::{FlatMembership, MembershipParams};
+use da_membership::{flat, kmg_view_size, Overlay, PartialView};
 use da_topics::{TopicHierarchy, TopicId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
@@ -67,9 +66,9 @@ struct Labels {
 // index) is as fast and costs every process more than the strings did.
 const _: () = assert!(std::mem::size_of::<Labels>() == 24);
 // A wave holds a thousand processes: the dynamic-mode state a static
-// member never uses stays behind one box. Inline, it made the process
-// 624 B; boxed, 392 B.
-const _: () = assert!(std::mem::size_of::<DaProcess>() < 624);
+// member never uses stays behind one box (inline, it made the process
+// 624 B), and the topic table is a bare view.
+const _: () = assert!(std::mem::size_of::<DaProcess>() <= 320);
 
 impl Labels {
     /// The labels of the group at `topic_path`. Populations are built
@@ -123,11 +122,12 @@ thread_local! {
 
 /// The daMulticast protocol instance at one simulated process.
 ///
-/// See the crate-level documentation for a full example; in short:
+/// Its topic table is a [`PartialView`] of its own group: fixed in static
+/// mode, kept fresh by the [`flat`] gossip in dynamic mode. See the
+/// crate-level documentation for a full example; in short:
 ///
 /// ```
 /// use damulticast::{DaProcess, TopicParams};
-/// use da_membership::MembershipParams;
 /// use da_core::ProcessId;
 /// use da_topics::TopicHierarchy;
 /// use std::sync::Arc;
@@ -144,6 +144,7 @@ thread_local! {
 ///     vec![vec![]],      // one supertable, for T0 (empty here)
 /// );
 /// assert_eq!(p.topic(), ids[1]);
+/// assert_eq!(p.topic_table(), [ProcessId(1)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DaProcess {
@@ -151,8 +152,9 @@ pub struct DaProcess {
     topic: TopicId,
     hierarchy: Arc<TopicHierarchy>,
     params: TopicParams,
-    /// The topic table (partial view of the own group).
-    membership: FlatMembership,
+    /// The topic table (partial view of the own group). Dynamic mode
+    /// runs the [`flat`] gossip on it; static mode never changes it.
+    view: PartialView,
     /// One supertopic table per direct supertopic, in
     /// [`TopicHierarchy::parents`] order; none at the root.
     super_tables: Vec<SuperTable>,
@@ -236,17 +238,9 @@ impl DaProcess {
         topic_table: Vec<ProcessId>,
         super_entries: Vec<Vec<SuperEntry>>,
     ) -> Self {
-        let mparams = MembershipParams {
-            b: params.b,
-            expected_group_size: group_size,
-            // Static mode: the membership component is a passive container.
-            digest_fanout: 0,
-            digest_size: 0,
-            gossip_period: 0,
-            eviction_age: u64::MAX,
-        };
         let mut seed_rng = da_core::rng_for_process(0xDA, me);
-        let membership = FlatMembership::with_static_view(me, mparams, &topic_table, &mut seed_rng);
+        let mut view = PartialView::new(me, kmg_view_size(params.b, group_size));
+        view.merge(&topic_table, &mut seed_rng);
         let super_tables = super_entries
             .into_iter()
             .map(|entries| {
@@ -263,7 +257,7 @@ impl DaProcess {
             topic,
             hierarchy,
             params,
-            membership,
+            view,
             super_tables,
             group_size,
             dynamic: None,
@@ -279,7 +273,8 @@ impl DaProcess {
 
     /// Builds a dynamic-mode process running the full protocol: it joins
     /// its group through `join_contacts`, finds super contacts by flooding
-    /// `overlay`, and keeps both tables fresh.
+    /// `overlay`, and keeps both tables fresh. `group_size` is the
+    /// estimate `S_Ti` that dimensions the view and sets `p_sel`.
     ///
     /// # Panics
     ///
@@ -291,7 +286,7 @@ impl DaProcess {
         topic: TopicId,
         hierarchy: Arc<TopicHierarchy>,
         params: TopicParams,
-        membership_params: MembershipParams,
+        group_size: usize,
         overlay: Arc<Overlay>,
         join_contacts: Vec<ProcessId>,
     ) -> Self {
@@ -301,12 +296,12 @@ impl DaProcess {
             "dynamic mode keeps one supertable; {} has {supertopics} direct supertopics",
             hierarchy.path(topic)
         );
-        let membership = FlatMembership::new(me, membership_params);
+        let view = PartialView::new(me, kmg_view_size(params.b, group_size));
         let super_tables = (0..supertopics)
             .map(|_| SuperTable::new(me, params.z))
             .collect();
         let dynamic = Dynamic {
-            bootstrap: BootstrapTask::new(topic, &hierarchy, params.bootstrap_timeout),
+            bootstrap: BootstrapTask::new(topic, &hierarchy),
             maintenance: MaintenanceTask::new(params.maintenance_period, params.ping_timeout),
             overlay,
             join_contacts,
@@ -318,9 +313,9 @@ impl DaProcess {
             topic,
             hierarchy,
             params,
-            membership,
+            view,
             super_tables,
-            group_size: membership_params.expected_group_size,
+            group_size,
             dynamic: Some(Box::new(dynamic)),
             seen: HashSet::default(),
             delivered: Vec::new(),
@@ -361,7 +356,7 @@ impl DaProcess {
     /// The current topic table (partial view of the own group).
     #[must_use]
     pub fn topic_table(&self) -> &[ProcessId] {
-        self.membership.view().as_slice()
+        self.view.as_slice()
     }
 
     /// The supertopic tables, one per direct supertopic in
@@ -438,7 +433,7 @@ impl DaProcess {
     #[must_use]
     pub fn memory_entries(&self) -> usize {
         let supers: usize = self.super_tables.iter().map(SuperTable::len).sum();
-        self.membership.view().len() + supers
+        self.view.len() + supers
     }
 
     /// True when this process is interested in events of `topic` — i.e.
@@ -466,7 +461,7 @@ impl DaProcess {
         plan_dissemination(
             &self.params,
             self.group_size,
-            self.membership.view().as_slice(),
+            self.view.as_slice(),
             &self.super_tables,
             ctx.rng(),
             &mut plan,
@@ -550,7 +545,7 @@ impl DaProcess {
                     origin: self.me,
                     req_id,
                     topics: topics.clone(),
-                    ttl: self.params.request_ttl,
+                    ttl: REQUEST_TTL,
                 },
             );
         }
@@ -579,7 +574,7 @@ impl DaProcess {
         // If we are interested in one of the requested topics, answer with
         // ourselves plus a sample of our group view (Ψ).
         if topics.contains(&self.topic) {
-            let mut contacts = self.membership.view().sample(self.params.z, ctx.rng());
+            let mut contacts = self.view.sample(self.params.z, ctx.rng());
             contacts.push(self.me);
             contacts.retain(|&p| p != origin);
             self.send_control(
@@ -671,7 +666,7 @@ impl DaProcess {
                 stable_sample,
             } => {
                 let round = ctx.round();
-                let replies = self.membership.on_message(from, &inner, round, ctx.rng());
+                let replies = flat::on_message(&mut self.view, from, &inner, round, ctx.rng());
                 self.route_membership(replies, ctx);
                 // Piggybacked supertable entries: valid for us when their
                 // topic strictly includes ours (sender is a group-mate, so
@@ -734,7 +729,7 @@ impl ExecProtocol for DaProcess {
         };
         let contacts = std::mem::take(&mut dynamic.join_contacts);
         if !contacts.is_empty() {
-            let joins = self.membership.join(&contacts, ctx.rng());
+            let joins = flat::join(&mut self.view, &contacts, ctx.rng());
             self.route_membership(joins, ctx);
         }
         if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
@@ -755,14 +750,18 @@ impl ExecProtocol for DaProcess {
                 event,
                 sender_topic,
             } => {
-                self.membership.mark_heard(from, round);
+                // Liveness evidence for the gossip's eviction, which only
+                // dynamic mode runs.
+                if self.dynamic.is_some() {
+                    self.view.mark_heard(from, round);
+                }
                 self.receive_event(event, sender_topic, ctx);
             }
             DaMsg::NewProcessReq => {
                 // Fig. 6, lines 2–5: answer with available superprocesses —
                 // members of *our* group, which is a supergroup of the
                 // requester's.
-                let mut sample = self.membership.view().sample(self.params.z, ctx.rng());
+                let mut sample = self.view.sample(self.params.z, ctx.rng());
                 sample.push(self.me);
                 let contacts = sample
                     .into_iter()
@@ -803,7 +802,7 @@ impl ExecProtocol for DaProcess {
         }
 
         // Underlying membership gossip.
-        let digests = self.membership.on_round(round, ctx.rng());
+        let digests = flat::on_round(&mut self.view, round, ctx.rng());
         self.route_membership(digests, ctx);
 
         // KEEP_TABLE_UPDATED (Fig. 6).
@@ -902,7 +901,7 @@ impl McHash for DaProcess {
     fn mc_hash(&self, state: &mut dyn Hasher) {
         state.write_u32(self.me.0);
         state.write_u64(self.topic.index() as u64);
-        let view = self.membership.view().as_slice();
+        let view = self.view.as_slice();
         state.write_u64(view.len() as u64);
         for p in view {
             state.write_u32(p.0);
@@ -1120,6 +1119,28 @@ mod tests {
             let view_cap = da_membership::kmg_view_size(p.params().b, 6);
             assert!(p.memory_entries() <= view_cap.max(5) + p.params().z);
         }
+    }
+
+    /// Liveness stamps feed the gossip's eviction, which only dynamic mode
+    /// runs: a static member's view stays unstamped however many events
+    /// arrive, while dynamic members stamp the group-mates they hear from.
+    #[test]
+    fn a_static_member_that_received_events_keeps_no_stamps() {
+        let stamped = |p: &DaProcess| p.view.iter().any(|q| p.view.last_heard(q).is_some());
+        let (procs, _) = tiny_static_network();
+        let mut engine = Engine::new(SimConfig::default().with_seed(19), procs);
+        engine.process_mut(ProcessId(4)).publish("a");
+        engine.process_mut(ProcessId(0)).publish("b");
+        engine.run_until_quiescent(50);
+        for (pid, p) in engine.processes() {
+            assert!(!p.delivered().is_empty(), "{pid} received no event");
+            assert!(!stamped(p), "{pid} stamped its static view");
+        }
+
+        let net = crate::DynamicNetwork::linear(&[5, 20], crate::ParamMap::default(), 7).unwrap();
+        let mut engine = Engine::new(SimConfig::default().with_seed(7), net.into_processes());
+        engine.run_rounds(20);
+        assert!(engine.processes().any(|(_, p)| stamped(p)));
     }
 
     #[test]

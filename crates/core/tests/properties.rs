@@ -143,12 +143,11 @@ proptest! {
     #[test]
     fn bootstrap_widening_monotone(
         levels in 2usize..8,
-        timeout in 1u64..4,
-        rounds in 1u64..40,
+        rounds in 1u64..60,
     ) {
         let (h, ids) = TopicHierarchy::linear_chain(levels);
         let leaf = ids[levels - 1];
-        let mut task = BootstrapTask::new(leaf, &h, timeout).unwrap();
+        let mut task = BootstrapTask::new(leaf, &h).unwrap();
         task.start(0);
         let mut prev_len = task.wanted().len();
         for round in 1..=rounds {
@@ -178,10 +177,14 @@ proptest! {
         let (h, ids) = TopicHierarchy::linear_chain(levels);
         let leaf = ids[levels - 1];
         let answer_level = answer_level.min(levels - 2);
-        let mut task = BootstrapTask::new(leaf, &h, 1).unwrap();
+        let mut task = BootstrapTask::new(leaf, &h).unwrap();
         task.start(0);
-        for round in 1..=widenings {
-            let _ = task.on_round(round, &h);
+        let (mut round, mut widened) = (0, 0);
+        while widened < widenings {
+            round += 1;
+            if let BootstrapAction::SendRequest { .. } = task.on_round(round, &h) {
+                widened += 1;
+            }
         }
         let answered = ids[answer_level];
         let finished = task.on_answer(answered, &h);

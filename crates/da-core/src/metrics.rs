@@ -498,7 +498,7 @@ impl Histogram {
 
     /// Iterates over non-empty buckets as `(lower_bound, count)` pairs
     /// in ascending value order.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()

@@ -68,9 +68,8 @@ impl std::fmt::Display for NodeId {
 ///     .with_placement_range(0..4, NodeId(1))
 ///     .with_link(NodeId(1), NodeId(0), wan);
 ///
-/// assert_eq!(topo.link(NodeId(1), NodeId(0)), Some(wan));
-/// assert_eq!(topo.link(NodeId(0), NodeId(1)), None, "directed");
-/// assert_eq!(topo.link(NodeId(0), NodeId(0)), None, "intra-node: default");
+/// let links: Vec<_> = topo.links().collect();
+/// assert_eq!(links, [(NodeId(1), NodeId(0), wan)], "directed");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Topology {
@@ -183,7 +182,7 @@ impl Topology {
 
     /// The channel override of the directed link `from → to`, if any.
     #[must_use]
-    pub fn link(&self, from: NodeId, to: NodeId) -> Option<ChannelConfig> {
+    fn link(&self, from: NodeId, to: NodeId) -> Option<ChannelConfig> {
         self.links
             .iter()
             .find(|(f, t, _)| (*f, *t) == (from, to))
@@ -251,7 +250,7 @@ impl Partition {
     /// True when this partition severs `a` from `b` at `tick`: the cut
     /// is active and the nodes sit in different islands.
     #[must_use]
-    pub fn severs(&self, a: NodeId, b: NodeId, tick: u64) -> bool {
+    fn severs(&self, a: NodeId, b: NodeId, tick: u64) -> bool {
         if !self.active_at(tick) {
             return false;
         }
@@ -394,7 +393,7 @@ impl DropSchedule {
     /// True when this schedule kills the `occurrence`-th send from
     /// `from` to `to` at `tick`. Pure — consumes zero randomness.
     #[must_use]
-    pub fn kills(&self, from: ProcessId, to: ProcessId, tick: u64, occurrence: u32) -> bool {
+    fn kills(&self, from: ProcessId, to: ProcessId, tick: u64, occurrence: u32) -> bool {
         self.drops
             .iter()
             .any(|d| d.tick == tick && d.from == from && d.to == to && d.occurrence == occurrence)

@@ -44,7 +44,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 ///
 /// ```
 /// use da_core::trace::TraceVerdict;
-/// assert_eq!(TraceVerdict::DroppedCrashed.label(), "dropped_crashed");
+/// assert_eq!(TraceVerdict::DroppedCrashed.to_string(), "dropped_crashed");
 /// assert!(TraceVerdict::Sent < TraceVerdict::Delivered);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -79,7 +79,7 @@ pub enum TraceVerdict {
 impl TraceVerdict {
     /// The snake_case name used in JSONL exports.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             TraceVerdict::Sent => "sent",
             TraceVerdict::Delivered => "delivered",

@@ -8,7 +8,6 @@
 //! Every artifact is regenerated together: one run at `--quick` takes
 //! about a second, so there is no option to pick a single one.
 
-use da_harness::experiments::figures::FigureKind;
 use da_harness::experiments::{artifacts, Effort};
 use da_harness::results_dir;
 use std::path::Path;
@@ -21,16 +20,8 @@ fn main() {
     let dir = results_dir();
     let start = std::time::Instant::now();
 
-    for kind in [
-        FigureKind::Fig08GroupMessages,
-        FigureKind::Fig09Intergroup,
-        FigureKind::Fig10ReliabilityStillborn,
-        FigureKind::Fig11ReliabilityDynamic,
-    ] {
-        artifacts::figure(kind, effort, &dir);
-        println!("[{:>8.1?}] {} done", start.elapsed(), kind.title());
-    }
-    let rest: [(&str, Artifact); 7] = [
+    let artifacts: [(&str, Artifact); 8] = [
+        ("figures 8-11", artifacts::figures),
         ("complexity table", artifacts::complexity_table),
         ("tuning table", artifacts::tuning_table),
         ("parasite table", artifacts::parasite_table),
@@ -39,7 +30,7 @@ fn main() {
         ("dynamics", artifacts::dynamics),
         ("ablations", artifacts::ablations),
     ];
-    for (name, artifact) in rest {
+    for (name, artifact) in artifacts {
         artifact(effort, &dir);
         println!("[{:>8.1?}] {name} done", start.elapsed());
     }

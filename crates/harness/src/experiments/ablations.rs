@@ -137,8 +137,6 @@ pub fn ablation_maintenance(periods: &[u64], trials: usize, seed: u64) -> Table<
         let net = DynamicNetwork::linear(
             &[root_size, leaf_size],
             ParamMap::uniform(params),
-            3,
-            4,
             trial_seed,
         )
         .expect("valid dynamic topology");

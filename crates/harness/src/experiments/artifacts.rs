@@ -4,7 +4,7 @@
 
 use super::ablations::{ablation_fanout, ablation_ga, ablation_maintenance, ablation_z};
 use super::dynamics::{run_churn, run_latency};
-use super::figures::{run_figure, FigureKind};
+use super::figures::{per_observer_figure, stillborn_figures};
 use super::parasites::run_parasite_table;
 use super::scaling::run_scaling;
 use super::tables::{run_complexity_table, run_reliability_table, run_tuning_table};
@@ -32,11 +32,14 @@ fn leaf_sizes(effort: Effort) -> &'static [usize] {
     }
 }
 
-/// Figs. 8–11: one figure over the alive-fraction axis.
-pub fn figure(kind: FigureKind, effort: Effort, dir: &Path) {
-    let base = effort.scenario();
-    let table = run_figure(kind, &base, &alive_fractions(), effort.trials(), 0xA11);
-    emit_series(&table, dir);
+/// Figs. 8–11 over the alive-fraction axis: one stillborn sweep for
+/// Figs. 8–10, one per-observer sweep for Fig. 11.
+pub fn figures(effort: Effort, dir: &Path) {
+    let (base, alive, trials) = (effort.scenario(), alive_fractions(), effort.trials());
+    for table in stillborn_figures(&base, &alive, trials, 0xA11) {
+        emit_series(&table, dir);
+    }
+    emit_series(&per_observer_figure(&base, &alive, trials, 0xA11), dir);
 }
 
 /// Sec. VI-E.1/VI-E.2: message and memory complexity of the four

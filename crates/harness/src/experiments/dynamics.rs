@@ -104,7 +104,7 @@ pub fn run_churn(crash_rates: &[f64], trials: usize, seed: u64) -> Table<f64> {
             a: 3.0,
             ..TopicParams::paper_default()
         };
-        let net = DynamicNetwork::linear(&[8, 40], ParamMap::uniform(params), 3, 4, trial_seed)
+        let net = DynamicNetwork::linear(&[8, 40], ParamMap::uniform(params), trial_seed)
             .expect("valid dynamic topology");
         let groups = net.groups().to_vec();
         let sim = SimConfig::default()

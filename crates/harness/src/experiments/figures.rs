@@ -2,9 +2,10 @@
 //! message counts, and delivery reliability, swept over the fraction of
 //! alive processes.
 //!
-//! The four figures share one underlying sweep; they differ only in the
-//! failure model (stillborn vs per-observer) and in which metrics are
-//! extracted. [`FigureKind`] selects the figure.
+//! Figs. 8, 9 and 10 read three families of columns off the same
+//! scenarios under stillborn failures, so [`stillborn_figures`] runs that
+//! sweep once; Fig. 11 is [`per_observer_figure`], the reliability
+//! columns under per-observer ("weakly consistent") failures.
 
 use crate::report::Table;
 use crate::runner::sweep;
@@ -12,81 +13,85 @@ use crate::scenario::{run_scenario, ScenarioConfig};
 use crate::substrate::Substrate;
 use da_core::FailureModel;
 
-/// Which of the paper's four evaluation figures to regenerate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FigureKind {
-    /// Fig. 8 — events sent within each group vs alive fraction
-    /// (stillborn failures).
-    Fig08GroupMessages,
-    /// Fig. 9 — events crossing group boundaries vs alive fraction
-    /// (stillborn failures).
-    Fig09Intergroup,
-    /// Fig. 10 — fraction of processes receiving the event, per group
-    /// (stillborn failures).
-    Fig10ReliabilityStillborn,
-    /// Fig. 11 — same as Fig. 10 under per-observer ("weakly consistent")
-    /// failures.
-    Fig11ReliabilityDynamic,
+/// Label of the figures' key column.
+const ALIVE: &str = "alive fraction";
+
+/// A per-level metric in the order the paper plots it: bottom-up, so
+/// `T2` leads.
+fn bottom_up(mut top_down: Vec<f64>) -> Vec<f64> {
+    top_down.reverse();
+    top_down
 }
 
-impl FigureKind {
-    /// The figure's title, as used in report files.
-    #[must_use]
-    pub fn title(self) -> &'static str {
-        match self {
-            FigureKind::Fig08GroupMessages => "Fig 08 events sent in each group",
-            FigureKind::Fig09Intergroup => "Fig 09 intergroup events",
-            FigureKind::Fig10ReliabilityStillborn => "Fig 10 reliability stillborn",
-            FigureKind::Fig11ReliabilityDynamic => "Fig 11 reliability dynamic",
-        }
-    }
-
-    /// The failure model this figure uses at `alive_fraction`.
-    #[must_use]
-    pub fn failure(self, alive_fraction: f64) -> FailureModel {
-        match self {
-            FigureKind::Fig11ReliabilityDynamic => FailureModel::PerObserver { alive_fraction },
-            _ => FailureModel::Stillborn { alive_fraction },
-        }
-    }
+/// One column per group, bottom-up.
+fn group_columns(levels: usize) -> Vec<String> {
+    (0..levels).rev().map(|l| format!("group T{l}")).collect()
 }
 
-/// Regenerates one of Figs. 8–11: sweeps `alive_fractions` with `trials`
-/// seeded runs per point over `base` (whose failure model is overridden by
-/// the figure's).
+/// Figs. 8, 9 and 10, in that order, from one sweep of `alive_fractions`
+/// with `trials` seeded runs per point over `base`, whose failure model
+/// is replaced by stillborn failures: events sent within each group,
+/// events crossing each group boundary, and the fraction of each group
+/// that received the event.
 #[must_use]
-pub fn run_figure(
-    kind: FigureKind,
+pub fn stillborn_figures(
+    base: &ScenarioConfig,
+    alive_fractions: &[f64],
+    trials: usize,
+    seed: u64,
+) -> [Table<f64>; 3] {
+    let levels = base.group_sizes.len();
+    let rows = sweep(alive_fractions, trials, seed, |alive, trial_seed| {
+        let mut config = base.clone();
+        config.faults.failure = FailureModel::Stillborn {
+            alive_fraction: alive,
+        };
+        let out = run_scenario(&config, Substrate::Sim, trial_seed);
+        let mut metrics = bottom_up(out.intra);
+        metrics.extend(bottom_up(out.inter_in));
+        metrics.extend(bottom_up(out.delivered_fraction));
+        metrics
+    });
+    let boundaries = (1..levels)
+        .rev()
+        .map(|l| format!("T{l} to T{}", l - 1))
+        .collect();
+    let mut tables = [
+        Table::new(
+            "Fig 08 events sent in each group",
+            ALIVE,
+            group_columns(levels),
+        ),
+        Table::new("Fig 09 intergroup events", ALIVE, boundaries),
+        Table::new("Fig 10 reliability stillborn", ALIVE, group_columns(levels)),
+    ];
+    for (x, mut summaries) in rows {
+        for table in &mut tables {
+            let values = summaries.drain(..table.columns.len()).collect();
+            table.push_row(x, values);
+        }
+    }
+    tables
+}
+
+/// Fig. 11: the fraction of each group that received the event, swept
+/// like [`stillborn_figures`] but under per-observer failures.
+#[must_use]
+pub fn per_observer_figure(
     base: &ScenarioConfig,
     alive_fractions: &[f64],
     trials: usize,
     seed: u64,
 ) -> Table<f64> {
-    let levels = base.group_sizes.len();
     let rows = sweep(alive_fractions, trials, seed, |alive, trial_seed| {
         let mut config = base.clone();
-        config.faults.failure = kind.failure(alive);
-        let out = run_scenario(&config, Substrate::Sim, trial_seed);
-        let mut top_down = match kind {
-            FigureKind::Fig08GroupMessages => out.intra,
-            FigureKind::Fig09Intergroup => out.inter_in,
-            FigureKind::Fig10ReliabilityStillborn | FigureKind::Fig11ReliabilityDynamic => {
-                out.delivered_fraction
-            }
+        config.faults.failure = FailureModel::PerObserver {
+            alive_fraction: alive,
         };
-        // The paper plots bottom-up: T2 dominates the figure.
-        top_down.reverse();
-        top_down
+        bottom_up(run_scenario(&config, Substrate::Sim, trial_seed).delivered_fraction)
     });
-    let columns = match kind {
-        FigureKind::Fig09Intergroup => (1..levels)
-            .rev()
-            .map(|l| format!("T{l} to T{}", l - 1))
-            .collect(),
-        _ => (0..levels).rev().map(|l| format!("group T{l}")).collect(),
-    };
-
-    let mut table = Table::new(kind.title(), "alive fraction", columns);
+    let columns = group_columns(base.group_sizes.len());
+    let mut table = Table::new("Fig 11 reliability dynamic", ALIVE, columns);
     for (x, summaries) in rows {
         table.push_row(x, summaries);
     }
@@ -97,13 +102,13 @@ pub fn run_figure(
 mod tests {
     use super::*;
 
-    fn quick(kind: FigureKind) -> Table<f64> {
-        run_figure(kind, &ScenarioConfig::small(), &[0.4, 1.0], 3, 7)
+    fn quick() -> [Table<f64>; 3] {
+        stillborn_figures(&ScenarioConfig::small(), &[0.4, 1.0], 3, 7)
     }
 
     #[test]
     fn fig08_shape() {
-        let t = quick(FigureKind::Fig08GroupMessages);
+        let [t, ..] = quick();
         assert_eq!(t.columns, vec!["group T2", "group T1", "group T0"]);
         assert_eq!(t.rows.len(), 2);
         // At full aliveness the leaf group (100 members) sends far more
@@ -116,7 +121,7 @@ mod tests {
 
     #[test]
     fn fig09_boundaries() {
-        let t = quick(FigureKind::Fig09Intergroup);
+        let [_, t, _] = quick();
         assert_eq!(t.columns, vec!["T2 to T1", "T1 to T0"]);
         // At full aliveness at least one event crosses each boundary on
         // average (the paper's claim).
@@ -130,7 +135,7 @@ mod tests {
 
     #[test]
     fn fig10_reliability_bounds() {
-        let t = quick(FigureKind::Fig10ReliabilityStillborn);
+        let [.., t] = quick();
         for row in &t.rows {
             for v in &row.values {
                 assert!((0.0..=1.0).contains(&v.mean));
@@ -142,8 +147,8 @@ mod tests {
 
     #[test]
     fn fig11_beats_fig10_under_failures() {
-        let f10 = quick(FigureKind::Fig10ReliabilityStillborn);
-        let f11 = quick(FigureKind::Fig11ReliabilityDynamic);
+        let [.., f10] = quick();
+        let f11 = per_observer_figure(&ScenarioConfig::small(), &[0.4, 1.0], 3, 7);
         // At 40% aliveness the per-observer model keeps reliability
         // markedly higher (the paper's headline Fig. 11 observation);
         // compare the leaf group column.

@@ -31,9 +31,10 @@ pub struct ScenarioConfig {
     /// Index of the group the event is published in (the paper publishes
     /// in the bottom-most group).
     pub publish_level: usize,
-    /// Safety cap on simulated rounds.
-    pub max_rounds: u64,
 }
+
+/// Safety cap on the rounds of one scenario.
+const MAX_ROUNDS: u64 = 64;
 
 impl ScenarioConfig {
     /// The paper's Sec. VII-A setting: `t = 3`, sizes 10/100/1000,
@@ -52,7 +53,6 @@ impl ScenarioConfig {
                 },
             },
             publish_level: 2,
-            max_rounds: 64,
         }
     }
 
@@ -193,7 +193,7 @@ pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) ->
         processes,
         publisher,
         |p| p.publish("bench"),
-        config.max_rounds,
+        MAX_ROUNDS,
     );
 
     let mut delivered_fraction = Vec::with_capacity(levels);

@@ -6,18 +6,18 @@
 //! of the paper). Each process keeps a **partial view** of its group of
 //! size `(b + 1)·ln(S)` and gossips membership digests to keep it fresh.
 //!
-//! This crate implements that substrate three ways, plus the
-//! interest-oblivious [`Overlay`] — the paper's weakly-consistent
-//! `neighborhood(p)` the bootstrap floods through:
+//! This crate holds the view, the two ways of filling it, the layout of
+//! one baseline, and the interest-oblivious [`Overlay`] — the paper's
+//! weakly-consistent `neighborhood(p)` the bootstrap floods through:
 //!
 //! * [`PartialView`] — the bounded, self-excluding, duplicate-free view
-//!   data structure everything else shares.
+//!   every process owns as its topic table.
 //! * [`static_init`] — the paper's simulation mode (Sec. VII-A: "the
 //!   membership tables of a process are determined statically ... and do
-//!   not change during the entire simulation").
-//! * [`FlatMembership`] — a dynamic flat membership component with joins,
-//!   periodic digest gossip, and staleness eviction, used by the full
-//!   protocol stack in examples and integration tests.
+//!   not change during the entire simulation"): views drawn once.
+//! * [`flat`] — the dynamic mode's gossip on a view: joins, periodic
+//!   digests and staleness eviction, used by the full protocol stack in
+//!   examples and integration tests.
 //! * [`hierarchical`] — the interest-oblivious two-level process layout
 //!   used by the paper's baseline (c), "hierarchical gossip-based
 //!   broadcast".
@@ -37,7 +37,7 @@
 
 mod error;
 mod fanout;
-mod flat;
+pub mod flat;
 pub mod hierarchical;
 mod message;
 mod overlay;
@@ -46,7 +46,6 @@ mod view;
 
 pub use error::MembershipError;
 pub use fanout::{kmg_view_size, FanoutRule};
-pub use flat::{FlatMembership, MembershipParams};
 pub use message::MembershipMsg;
 pub use overlay::Overlay;
 pub use view::PartialView;

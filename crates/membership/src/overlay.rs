@@ -81,27 +81,6 @@ impl Overlay {
         Ok(Overlay { neighbors })
     }
 
-    /// Builds a fully-connected overlay (every process neighbours every
-    /// other). Useful in tests and small scenarios.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MembershipError::EmptyGroup`] when `population == 0`.
-    pub fn complete(population: usize) -> Result<Self, MembershipError> {
-        if population == 0 {
-            return Err(MembershipError::EmptyGroup { context: "overlay" });
-        }
-        let neighbors = (0..population)
-            .map(|i| {
-                (0..population)
-                    .filter(|&j| j != i)
-                    .map(ProcessId::from_index)
-                    .collect()
-            })
-            .collect();
-        Ok(Overlay { neighbors })
-    }
-
     /// The neighbourhood of `pid` — `neighborhood(pl)` in the paper.
     ///
     /// # Panics
@@ -128,7 +107,6 @@ mod tests {
     fn zero_population_rejected() {
         let empty = MembershipError::EmptyGroup { context: "overlay" };
         assert_eq!(Overlay::random(0, 3, 1).unwrap_err(), empty);
-        assert_eq!(Overlay::complete(0).unwrap_err(), empty);
     }
 
     #[test]
@@ -187,14 +165,6 @@ mod tests {
         let b = Overlay::random(20, 4, 5).unwrap();
         for i in 0..20 {
             assert_eq!(a.neighbors(ProcessId(i)), b.neighbors(ProcessId(i)));
-        }
-    }
-
-    #[test]
-    fn complete_overlay() {
-        let o = Overlay::complete(5).unwrap();
-        for i in 0..5 {
-            assert_eq!(o.neighbors(ProcessId(i)).len(), 4);
         }
     }
 }

@@ -5,8 +5,7 @@
 use da_core::seed::rng_from_seed;
 use da_core::ProcessId;
 use da_membership::{
-    kmg_view_size, static_init, FanoutRule, FlatMembership, MembershipMsg, MembershipParams,
-    Overlay, PartialView,
+    flat, kmg_view_size, static_init, FanoutRule, MembershipMsg, Overlay, PartialView,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -27,7 +26,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Liveness traffic at one process; rounds advance by the given step.
+/// Liveness traffic at one process; rounds advance by the given step,
+/// wide enough beside [`flat::EVICTION_AGE`] that entries do go stale.
 #[derive(Debug, Clone)]
 enum Liveness {
     /// A membership message from a process, carrying a sample.
@@ -40,10 +40,10 @@ enum Liveness {
 
 fn arb_liveness() -> impl Strategy<Value = Liveness> {
     prop_oneof![
-        (0u32..40, prop::collection::vec(0u32..40, 0..5), 0u64..4)
+        (0u32..40, prop::collection::vec(0u32..40, 0..5), 0u64..20)
             .prop_map(|(from, sample, step)| Liveness::Message(from, sample, step)),
-        (0u32..40, 0u64..4).prop_map(|(pid, step)| Liveness::Heard(pid, step)),
-        (0u64..12).prop_map(Liveness::Evict),
+        (0u32..40, 0u64..20).prop_map(|(pid, step)| Liveness::Heard(pid, step)),
+        (0u64..60).prop_map(Liveness::Evict),
     ]
 }
 
@@ -57,27 +57,20 @@ proptest! {
     #[test]
     fn view_resident_stamps_evict_like_the_last_heard_map(
         group_size in 3usize..80,
-        eviction_age in 0u64..12,
         seeds in prop::collection::vec(0u32..40, 0..6),
         ops in prop::collection::vec(arb_liveness(), 0..80),
         seed in 0u64..10_000,
     ) {
         let me = ProcessId(0);
-        let params = MembershipParams {
-            b: 0.5,
-            expected_group_size: group_size,
-            digest_fanout: 0,
-            digest_size: 0,
-            gossip_period: 0,
-            eviction_age,
-        };
+        let capacity = kmg_view_size(0.5, group_size);
         let seeds: Vec<ProcessId> = seeds.into_iter().map(ProcessId).collect();
         let mut rng = rng_from_seed(seed);
-        let mut membership = FlatMembership::with_static_view(me, params, &seeds, &mut rng);
+        let mut membership = PartialView::new(me, capacity);
+        membership.merge(&seeds, &mut rng);
 
-        // The model: a bare view plus the map, as `FlatMembership` was.
+        // The model: a bare view plus the map that once kept the stamps.
         let mut model_rng = rng_from_seed(seed);
-        let mut view = PartialView::new(me, params.view_capacity());
+        let mut view = PartialView::new(me, capacity);
         view.merge(&seeds, &mut model_rng);
         let mut last_heard: HashMap<ProcessId, u64> = HashMap::new();
 
@@ -96,7 +89,7 @@ proptest! {
                         }
                     }
                     let msg = MembershipMsg::Digest { sample };
-                    membership.on_message(from, &msg, round, &mut rng);
+                    flat::on_message(&mut membership, from, &msg, round, &mut rng);
                 }
                 Liveness::Heard(pid, step) => {
                     round += step;
@@ -108,14 +101,14 @@ proptest! {
                     view.retain(|pid| {
                         last_heard
                             .get(&pid)
-                            .is_none_or(|&heard| round - heard <= eviction_age)
+                            .is_none_or(|&heard| round - heard <= flat::EVICTION_AGE)
                     });
-                    membership.evict_stale(round);
+                    membership.evict_stale(round, flat::EVICTION_AGE);
                 }
             }
-            prop_assert_eq!(membership.view().as_slice(), view.as_slice());
+            prop_assert_eq!(membership.as_slice(), view.as_slice());
             for pid in view.iter() {
-                prop_assert_eq!(membership.view().last_heard(pid), last_heard.get(&pid).copied());
+                prop_assert_eq!(membership.last_heard(pid), last_heard.get(&pid).copied());
             }
         }
     }
@@ -222,25 +215,25 @@ proptest! {
         }
     }
 
-    /// Gossip convergence: two membership components that exchange one
-    /// digest in each direction end up knowing each other.
+    /// Gossip convergence: two views whose owners exchange one digest in
+    /// each direction end up knowing each other.
     #[test]
     fn digest_exchange_connects(seed in 0u64..10_000) {
-        let params = MembershipParams::paper_default(10);
+        let capacity = kmg_view_size(3.0, 10);
         let mut rng = rng_from_seed(seed);
-        let mut a = FlatMembership::new(ProcessId(0), params);
-        let mut b = FlatMembership::new(ProcessId(1), params);
+        let mut a = PartialView::new(ProcessId(0), capacity);
+        let mut b = PartialView::new(ProcessId(1), capacity);
         // a joins through b.
-        let joins = a.join(&[ProcessId(1)], &mut rng);
+        let joins = flat::join(&mut a, &[ProcessId(1)], &mut rng);
         for (to, msg) in joins {
             prop_assert_eq!(to, ProcessId(1));
-            let replies = b.on_message(ProcessId(0), &msg, 0, &mut rng);
+            let replies = flat::on_message(&mut b, ProcessId(0), &msg, 0, &mut rng);
             for (_, reply) in replies {
-                a.on_message(ProcessId(1), &reply, 0, &mut rng);
+                flat::on_message(&mut a, ProcessId(1), &reply, 0, &mut rng);
             }
         }
-        prop_assert!(a.view().contains(ProcessId(1)));
-        prop_assert!(b.view().contains(ProcessId(0)));
+        prop_assert!(a.contains(ProcessId(1)));
+        prop_assert!(b.contains(ProcessId(0)));
     }
 
     /// Group assignment is a disjoint dense cover.

@@ -89,12 +89,6 @@ impl ShardedCounters {
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Replaces shard `worker`'s snapshot with the current state of that
     /// worker's owned registry. Values are copied in place when the
     /// counter set has not grown since the last publish (the common
@@ -154,13 +148,14 @@ mod tests {
             s.publish(i, &local).unwrap();
         }
         assert_eq!(s.merged().get("x"), 6);
-        assert_eq!(s.shards(), 3);
+        assert!(s.publish(3, &Counters::new()).is_err(), "three shards");
     }
 
     #[test]
     fn zero_shards_clamps_to_one() {
         let s = ShardedCounters::new(0);
-        assert_eq!(s.shards(), 1);
+        assert!(s.publish(0, &Counters::new()).is_ok());
+        assert!(s.publish(1, &Counters::new()).is_err(), "one shard");
         assert!(s.merged().is_empty());
     }
 

@@ -224,14 +224,13 @@ where
     /// # Panics
     ///
     /// Panics when the OS refuses to spawn a worker thread, or when the
-    /// population exceeds the `u32` process-id space (use
-    /// [`Runtime::try_spawn`] to get the latter as a typed error).
+    /// population exceeds the `u32` process-id space.
     #[must_use]
     pub fn spawn(config: RuntimeConfig, processes: Vec<P>) -> Self {
         Self::try_spawn(config, processes).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`Runtime::spawn`]: validates the population
+    /// Fallible core of [`Runtime::spawn`]: validates the population
     /// against the `u32` process-id space once, here at the spawn
     /// boundary, so an oversized configuration comes back as a typed
     /// [`ProcessIndexError`] instead of a panic deep in striping.
@@ -239,7 +238,7 @@ where
     /// # Panics
     ///
     /// Panics when the OS refuses to spawn a worker thread.
-    pub fn try_spawn(config: RuntimeConfig, processes: Vec<P>) -> Result<Self, ProcessIndexError> {
+    fn try_spawn(config: RuntimeConfig, processes: Vec<P>) -> Result<Self, ProcessIndexError> {
         let population = processes.len();
         if population > 0 {
             // Every pid the pool will ever mint is below the population,

@@ -130,7 +130,7 @@ impl<M> BatchPool<M> {
     }
 
     /// Returns a buffer to the local free list (cleared, capacity kept).
-    pub fn put(&mut self, mut buf: Vec<Envelope<M>>) {
+    fn put(&mut self, mut buf: Vec<Envelope<M>>) {
         buf.clear();
         self.free.push(buf);
     }

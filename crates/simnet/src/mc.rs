@@ -9,9 +9,8 @@
 //!   reduction, or the full interleaving set),
 //! * **per-envelope drops** — each send may be killed, up to a drop
 //!   budget, and
-//! * **crash/recover points** — at each round boundary any alive
-//!   process may crash (and, optionally, any explorer-crashed process
-//!   may recover), up to a crash budget,
+//! * **crash points** — at each round boundary any alive process may
+//!   crash, up to a crash budget,
 //!
 //! asserting a pluggable [`Invariant`] set in **every reachable
 //! state**. The walk is a depth-first search over cloned engines with
@@ -120,9 +119,6 @@ pub struct McConfig {
     pub drop_budget: u32,
     /// How many crash injections along one branch.
     pub crash_budget: u32,
-    /// Whether explorer-crashed processes may also recover (each
-    /// recovery is a choice point; recoveries are free of budget).
-    pub allow_recover: bool,
     /// Delivery-order enumeration mode.
     pub ordering: OrderingMode,
     /// Hard cap on distinct states; hitting it sets
@@ -139,7 +135,6 @@ impl Default for McConfig {
             max_rounds: 6,
             drop_budget: 0,
             crash_budget: 0,
-            allow_recover: false,
             ordering: OrderingMode::Full,
             max_states: 1_000_000,
             dedup: true,
@@ -178,7 +173,7 @@ pub struct Counterexample {
     pub detail: String,
     /// Round after which the violation was observed.
     pub round: u64,
-    /// Crash/recover fates injected along the branch.
+    /// Crash fates injected along the branch.
     pub fates: Vec<Fate>,
     /// Sends the explorer killed along the branch.
     pub drops: Vec<ScriptedDrop>,
@@ -402,8 +397,6 @@ struct SearchNode<P: ExecProtocol> {
     engine: Engine<P>,
     drops_used: u32,
     crashes_used: u32,
-    /// Processes the explorer crashed (recovery candidates).
-    crashed_by_us: Vec<ProcessId>,
     fates: Vec<Fate>,
     drops: Vec<ScriptedDrop>,
     ordering_trails: Vec<(u64, Vec<usize>)>,
@@ -471,7 +464,6 @@ where
             engine: root,
             drops_used: 0,
             crashes_used: 0,
-            crashed_by_us: Vec::new(),
             fates: Vec::new(),
             drops: Vec::new(),
             ordering_trails: Vec::new(),
@@ -536,8 +528,7 @@ where
                     }
 
                     let drops_used = node.drops_used + strategy.drops_made.len() as u32;
-                    let crashes_used =
-                        node.crashes_used + u32::from(liveness.is_some_and(|f| f.crash));
+                    let crashes_used = node.crashes_used + u32::from(liveness.is_some());
                     if self.config.dedup {
                         let digest = self.budgeted_digest(&engine, drops_used, crashes_used);
                         if !visited.insert(digest) {
@@ -555,14 +546,6 @@ where
                         };
                     }
 
-                    let mut crashed_by_us = node.crashed_by_us.clone();
-                    if let Some(fate) = liveness {
-                        if fate.crash {
-                            crashed_by_us.push(fate.pid);
-                        } else {
-                            crashed_by_us.retain(|&p| p != fate.pid);
-                        }
-                    }
                     let mut fates = node.fates.clone();
                     fates.extend(liveness);
                     let mut drops = node.drops.clone();
@@ -575,7 +558,6 @@ where
                         engine,
                         drops_used,
                         crashes_used,
-                        crashed_by_us,
                         fates,
                         drops,
                         ordering_trails,
@@ -590,9 +572,8 @@ where
         }
     }
 
-    /// The liveness choices at a round boundary: do nothing, crash any
-    /// alive process (budget permitting), or recover any process the
-    /// explorer previously crashed (when enabled).
+    /// The liveness choices at a round boundary: do nothing, or crash any
+    /// alive process (budget permitting).
     fn liveness_options(&self, node: &SearchNode<P>) -> Vec<Option<Fate>> {
         let round = node.engine.current_round();
         let mut options: Vec<Option<Fate>> = vec![None];
@@ -603,17 +584,6 @@ where
                     pid,
                     crash: true,
                 }));
-            }
-        }
-        if self.config.allow_recover {
-            for &pid in &node.crashed_by_us {
-                if !node.engine.status(pid).is_alive() {
-                    options.push(Some(Fate {
-                        round,
-                        pid,
-                        crash: false,
-                    }));
-                }
             }
         }
         options

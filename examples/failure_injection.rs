@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n=== scripted crash wave on the dynamic stack ===");
     let sizes = [6usize, 24];
     let params = ParamMap::uniform(TopicParams::paper_default().with_g(12.0).with_a(3.0));
-    let net = DynamicNetwork::linear(&sizes, params, 3, 4, 99)?;
+    let net = DynamicNetwork::linear(&sizes, params, 99)?;
     // Crash half the root group at round 30.
     let fates: Vec<Fate> = (0..3)
         .map(|i| Fate {

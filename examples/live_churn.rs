@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         a: 3.0,
         ..TopicParams::paper_default()
     });
-    let net = DynamicNetwork::linear(sizes, params, 3, 4, seed)?;
+    let net = DynamicNetwork::linear(sizes, params, seed)?;
     let leaves = net.groups().last().expect("three levels").members.clone();
 
     let failure = FailureModel::Churn {

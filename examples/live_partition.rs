@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         a: 3.0,
         ..TopicParams::paper_default()
     });
-    let net = DynamicNetwork::linear(sizes, params, 3, 4, seed)?;
+    let net = DynamicNetwork::linear(sizes, params, seed)?;
     let leaves = net.groups().last().expect("three levels").members.clone();
     let island: Vec<ProcessId> = leaves[leaves.len() - leaves.len() / 4..].to_vec();
     let mainland_leaves: Vec<ProcessId> = leaves[..leaves.len() - island.len()].to_vec();

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_g(12.0) // small groups: strengthen the inter-group links
             .with_a(3.0),
     );
-    let net = DynamicNetwork::linear(&sizes, params, 3, 4, 2024)?;
+    let net = DynamicNetwork::linear(&sizes, params, 2024)?;
     let groups = net.groups().to_vec();
     let sim = SimConfig::default()
         .with_seed(2024)

@@ -16,7 +16,7 @@ fn boosted_params() -> ParamMap {
 /// contacts within a bounded number of rounds.
 #[test]
 fn bootstrap_links_whole_population() {
-    let net = DynamicNetwork::linear(&[5, 15, 45], boosted_params(), 3, 4, 10).unwrap();
+    let net = DynamicNetwork::linear(&[5, 15, 45], boosted_params(), 10).unwrap();
     let groups = net.groups().to_vec();
     let mut engine = Engine::new(SimConfig::default().with_seed(10), net.into_processes());
     engine.run_rounds(50);
@@ -42,7 +42,7 @@ fn bootstrap_links_whole_population() {
 /// search has finished (the "narrowing" of Fig. 4).
 #[test]
 fn bootstrap_finds_direct_supergroup() {
-    let net = DynamicNetwork::linear(&[5, 15, 45], boosted_params(), 3, 4, 11).unwrap();
+    let net = DynamicNetwork::linear(&[5, 15, 45], boosted_params(), 11).unwrap();
     let groups = net.groups().to_vec();
     let hierarchy = Arc::clone(net.hierarchy());
     let mut engine = Engine::new(SimConfig::default().with_seed(11), net.into_processes());
@@ -72,7 +72,7 @@ fn bootstrap_finds_direct_supergroup() {
 #[test]
 fn maintenance_repairs_after_crash_wave() {
     let sizes = [8usize, 32];
-    let net = DynamicNetwork::linear(&sizes, boosted_params(), 3, 4, 12).unwrap();
+    let net = DynamicNetwork::linear(&sizes, boosted_params(), 12).unwrap();
     let fates: Vec<Fate> = (0..4)
         .map(|i| Fate {
             round: 30,
@@ -161,7 +161,7 @@ fn dead_entries_eventually_dropped() {
     let mut params = TopicParams::paper_default().with_g(15.0).with_a(3.0);
     params.maintenance_period = 4;
     params.ping_timeout = 2;
-    let net = DynamicNetwork::linear(&sizes, ParamMap::uniform(params), 3, 4, 14).unwrap();
+    let net = DynamicNetwork::linear(&sizes, ParamMap::uniform(params), 14).unwrap();
     let fates: Vec<Fate> = (0..3)
         .map(|i| Fate {
             round: 25,

@@ -45,7 +45,7 @@ fn static_stack_seed_sensitive() {
 }
 
 fn dynamic_fingerprint(seed: u64) -> Vec<(String, u64)> {
-    let net = DynamicNetwork::linear(&[5, 25], ParamMap::default(), 3, 4, seed).unwrap();
+    let net = DynamicNetwork::linear(&[5, 25], ParamMap::default(), seed).unwrap();
     let mut engine = Engine::new(SimConfig::default().with_seed(seed), net.into_processes());
     engine.run_rounds(40);
     engine.process_mut(ProcessId(15)).publish("det");

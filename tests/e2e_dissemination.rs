@@ -130,7 +130,7 @@ fn deep_chain_climbs_to_root() {
 #[test]
 fn dynamic_stack_end_to_end() {
     let params = ParamMap::uniform(TopicParams::paper_default().with_g(15.0).with_a(3.0));
-    let net = DynamicNetwork::linear(&[6, 20, 60], params, 3, 4, 5).unwrap();
+    let net = DynamicNetwork::linear(&[6, 20, 60], params, 5).unwrap();
     let groups = net.groups().to_vec();
     let mut engine = Engine::new(SimConfig::default().with_seed(5), net.into_processes());
     engine.run_rounds(50); // joins + bootstrap + membership settle

@@ -589,7 +589,6 @@ fn each_substrate_has_a_pinned_verb_list() {
             "spawn",
             "step_tick",
             "trace_log",
-            "try_spawn",
             "with_process_mut",
             "workers",
         ]
@@ -639,12 +638,14 @@ fn messages_stay_small_and_damsg_owns_no_buffer() {
     );
 }
 
-/// Every plain `pub fn` shipped under `crates/*/src` is named, as a whole
-/// word, in some other `.rs` file of the workspace or of the benchmark
-/// (whose probes count as callers): a function only its own file calls is
-/// private, and one nothing calls is gone. The shims are out of scope —
-/// they mirror crates.io APIs — as are trait-impl methods and
-/// `pub(crate)` items.
+/// Every plain `pub fn` shipped under `crates/*/src` is called from some
+/// other `.rs` file of the workspace or of the benchmark (whose probes
+/// count as callers): a function only its own file calls is private, and
+/// one nothing calls is gone. A call is a use outside a `//` comment that
+/// reads like one — `name(`, `name::<`, `.name` or `::name` — so a field,
+/// a local or a sentence that shares the name does not count. The shims
+/// are out of scope — they mirror crates.io APIs — as are trait-impl
+/// methods and `pub(crate)` items.
 #[test]
 fn every_pub_fn_has_a_caller() {
     // One entry per function that stays public without a caller, each
@@ -658,11 +659,21 @@ fn every_pub_fn_has_a_caller() {
         .flat_map(sources)
         .filter(|(path, _)| path.extension().is_some_and(|ext| ext == "rs"))
         .collect();
-    let names = |source: &str, name: &str| {
+    let calls = |source: &str, name: &str| {
         let ident = |c: char| c.is_alphanumeric() || c == '_';
-        source.match_indices(name).any(|(at, _)| {
-            !source[..at].chars().next_back().is_some_and(ident)
-                && !source[at + name.len()..].chars().next().is_some_and(ident)
+        let mut code = source
+            .lines()
+            .map(|line| line.split("//").next().unwrap_or_default());
+        code.any(|line| {
+            line.match_indices(name).any(|(at, _)| {
+                let (before, after) = (&line[..at], &line[at + name.len()..]);
+                let word = !before.chars().next_back().is_some_and(ident)
+                    && !after.chars().next().is_some_and(ident);
+                word && (after.starts_with('(')
+                    || after.starts_with("::<")
+                    || before.ends_with('.')
+                    || before.ends_with("::"))
+            })
         })
     };
 
@@ -683,7 +694,7 @@ fn every_pub_fn_has_a_caller() {
             let name = rest.split(['(', '<']).next().unwrap_or_default();
             let called = files
                 .iter()
-                .any(|(other, text)| other != path && names(text, name));
+                .any(|(other, text)| other != path && calls(text, name));
             if !called && !ALLOWED.contains(&name) {
                 uncalled.push(format!("{}: {name}", file.display()));
             }
@@ -691,6 +702,6 @@ fn every_pub_fn_has_a_caller() {
     }
     assert!(
         uncalled.is_empty(),
-        "no other file names these; make each private or delete it: {uncalled:#?}"
+        "no other file calls these; make each private or delete it: {uncalled:#?}"
     );
 }
