@@ -44,10 +44,11 @@ pub fn build_broadcast_network(
     let (labels, sent) = (Labels::new("bc"), LabelId::intern("bc.sent"));
     Ok(everyone
         .into_iter()
-        .map(|me| {
+        .zip(tables)
+        .map(|(me, view)| {
             let table = GossipTable {
                 group: None,
-                view: tables[&me].clone(),
+                view,
                 fanout,
                 sent,
             };

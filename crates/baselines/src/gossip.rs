@@ -8,7 +8,6 @@
 use da_core::{Exec, ExecProtocol, KeyBuildHasher, LabelId, ProcessId, WireSize};
 use da_topics::{TopicHierarchy, TopicId};
 use damulticast::{Event, EventId};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -203,11 +202,11 @@ impl ExecProtocol for GossipProcess {
     }
 }
 
-/// Uniformly samples up to `k` distinct members of `pool`.
+/// Uniformly samples up to `k` distinct members of `pool`, one draw per
+/// target kept.
 fn gossip_targets<R: Rng>(pool: &[ProcessId], k: usize, rng: &mut R) -> Vec<ProcessId> {
     let mut targets = pool.to_vec();
-    targets.shuffle(rng);
-    targets.truncate(k);
+    da_core::keep_random(&mut targets, k, rng);
     targets
 }
 

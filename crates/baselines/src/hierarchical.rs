@@ -56,16 +56,17 @@ pub fn build_hierarchical_network(
     );
     Ok((0..n)
         .map(ProcessId::from_index)
-        .map(|me| {
+        .zip(tables.intra.into_iter().zip(tables.inter))
+        .map(|(me, (intra, inter))| {
             let intra = GossipTable {
                 group: None,
-                view: tables.intra[&me].clone(),
+                view: intra,
                 fanout: f_intra,
                 sent: sent_intra,
             };
             let inter = GossipTable {
                 group: None,
-                view: tables.inter[&me].clone(),
+                view: inter,
                 fanout: f_inter,
                 sent: sent_inter,
             };

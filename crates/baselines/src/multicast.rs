@@ -50,10 +50,10 @@ pub fn build_multicast_network(
                 reason: e.to_string(),
             })?;
         let fanout = fanout.fanout(group.len());
-        for &member in &group {
+        for (member, view) in group.into_iter().zip(tables) {
             per_process[member.index()].push(GossipTable {
                 group: Some(topic),
-                view: tables[&member].clone(),
+                view,
                 fanout,
                 sent,
             });

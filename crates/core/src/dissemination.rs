@@ -109,15 +109,9 @@ fn draw_gossip_targets<R: Rng>(
     rng: &mut R,
     targets: &mut Vec<ProcessId>,
 ) {
-    use rand::seq::SliceRandom;
     targets.clear();
     targets.extend_from_slice(topic_table);
-    let kept = targets
-        .partial_shuffle(rng, params.fanout.fanout(group_size))
-        .0
-        .len();
-    // The sample is the tail; keep it and shift it to the front.
-    targets.drain(..targets.len() - kept);
+    da_core::keep_random(targets, params.fanout.fanout(group_size), rng);
 }
 
 #[cfg(test)]

@@ -17,10 +17,9 @@ use crate::params::ParamMap;
 use crate::protocol::DaProcess;
 use crate::tables::SuperEntry;
 use da_core::{derive_seed, rng_from_seed, ProcessId};
-use da_membership::static_init::{static_super_tables, static_topic_tables};
+use da_membership::static_init::{sample_others, static_super_tables, static_topic_tables};
 use da_membership::Overlay;
 use da_topics::{TopicHierarchy, TopicId};
-use rand::seq::SliceRandom;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -117,8 +116,12 @@ impl StaticNetwork {
     /// let mut engine = Engine::new(SimConfig::default().with_seed(7), net.into_processes());
     /// let id = engine.process_mut(ProcessId(12)).publish("slalom");
     /// engine.run_until_quiescent(64);
-    /// // The event climbed both inclusion edges.
-    /// assert!(engine.processes().all(|(_, p)| p.has_delivered(id)));
+    /// // The event climbed both inclusion edges: members of `.sport` and of
+    /// // `.swiss` delivered it.
+    /// let reached = |pids: std::ops::Range<u32>| {
+    ///     pids.map(ProcessId).any(|pid| engine.process(pid).has_delivered(id))
+    /// };
+    /// assert!(reached(0..5) && reached(5..10));
     /// # Ok(()) }
     /// ```
     pub fn from_groups(
@@ -181,12 +184,11 @@ impl StaticNetwork {
                 super_tables.push(Some((anc, tables)));
             }
 
-            for &pid in &group.members {
-                let table = topic_tables[&pid].clone();
+            for (at, (&pid, table)) in group.members.iter().zip(topic_tables).enumerate() {
                 let supers = super_tables
                     .iter()
                     .map(|drawn| match drawn {
-                        Some((anc, tables)) => tables[&pid]
+                        Some((anc, tables)) => tables[at]
                             .iter()
                             .map(|&p| SuperEntry {
                                 pid: p,
@@ -302,17 +304,12 @@ impl DynamicNetwork {
                 members: members.clone(),
             })
             .collect();
+        let mut pool = Vec::new();
         for group in &groups {
             let tp = params.for_topic(group.topic);
-            for &pid in &group.members {
-                let mut pool: Vec<ProcessId> = group
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|&p| p != pid)
-                    .collect();
-                pool.shuffle(&mut rng);
-                pool.truncate(JOIN_CONTACTS);
+            for (at, &pid) in group.members.iter().enumerate() {
+                let contacts =
+                    sample_others(&group.members, Some(at), JOIN_CONTACTS, &mut pool, &mut rng);
                 processes.push(DaProcess::dynamic_member(
                     pid,
                     group.topic,
@@ -320,7 +317,7 @@ impl DynamicNetwork {
                     tp,
                     group.members.len(),
                     Arc::clone(&overlay),
-                    pool,
+                    contacts,
                 ));
             }
         }

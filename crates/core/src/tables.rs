@@ -9,7 +9,6 @@
 
 use da_core::ProcessId;
 use da_topics::TopicId;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// One supertable entry: a contact and the (ancestor) topic it is
@@ -173,11 +172,10 @@ impl SuperTable {
         }
     }
 
-    /// Samples up to `k` distinct entries.
+    /// Samples up to `k` distinct entries, one draw per entry kept.
     pub fn sample<R: Rng>(&self, k: usize, rng: &mut R) -> Vec<SuperEntry> {
         let mut pool = self.entries.clone();
-        pool.shuffle(rng);
-        pool.truncate(k);
+        da_core::keep_random(&mut pool, k, rng);
         pool
     }
 }

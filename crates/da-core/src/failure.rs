@@ -28,18 +28,17 @@
 //! crashed processes, not in population.
 //!
 //! The draw order within [`FailureModel::materialize`] is pinned:
-//! stillborn selection shuffles the population on the dedicated
-//! `0xFA11` stream, per-observer sampling owns the `0x0B5E` stream, and
+//! stillborn selection draws the crashed set (one draw per crashed
+//! process) on the dedicated `0xFA11` stream, per-observer sampling owns the `0x0B5E` stream, and
 //! churn hangs off the `0xC402` stream family — recoveries draw on
 //! `0xC402` itself, crash masks on `0xC402_0000_0000_B10C` — changing
 //! any of these silently re-rolls committed experiment numbers.
 
 use crate::process::ProcessId;
-use crate::seed::{derive_seed, rng_from_seed};
-use rand::seq::SliceRandom;
+use crate::seed::{derive_seed, keep_random, rng_from_seed};
 use rand::Rng;
 
-/// Seed stream tag of the stillborn population shuffle.
+/// Seed stream tag of the stillborn crashed-set draw.
 const STILLBORN_STREAM: u64 = 0xFA11;
 /// Seed stream tag of per-observer aliveness sampling.
 const OBSERVER_STREAM: u64 = 0x0B5E;
@@ -118,11 +117,10 @@ impl FailureModel {
                 let alive_fraction = alive_fraction.clamp(0.0, 1.0);
                 let mut rng = rng_from_seed(derive_seed(seed, STILLBORN_STREAM));
                 let mut ids: Vec<ProcessId> = (0..population).map(ProcessId::from_index).collect();
-                ids.shuffle(&mut rng);
                 // Round half-up so alive_fraction=1.0 keeps everyone alive
                 // and 0.0 crashes everyone.
                 let crashed = population - (alive_fraction * population as f64).round() as usize;
-                ids.truncate(crashed);
+                keep_random(&mut ids, crashed, &mut rng);
                 FailurePlan {
                     initially_crashed: ids,
                     ..base

@@ -68,7 +68,7 @@ pub use metrics::{
 };
 pub use process::{ProcessId, ProcessIndexError, ProcessStatus};
 pub use run::{PoolConfig, RunConfig};
-pub use seed::{derive_seed, rng_for_process, rng_from_seed};
+pub use seed::{derive_seed, keep_random, rng_for_process, rng_from_seed};
 pub use store::ProcessStore;
 pub use stripe::{HotIds, Ledger, Outbound, Stripe, StripeTrace, TickReport, TickTally};
 pub use topology::{

@@ -6,6 +6,7 @@
 //! invariant covered by the workspace integration test suite).
 
 use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 
 /// SplitMix64's increment: 2⁶⁴/φ, odd.
@@ -79,6 +80,15 @@ pub fn rng_from_seed(seed: u64) -> SmallRng {
 #[must_use]
 pub fn rng_for_process(master: u64, pid: crate::process::ProcessId) -> SmallRng {
     rng_from_seed(derive_seed(master, u64::from(pid.0) + 1))
+}
+
+/// Cuts `pool` to `min(k, len)` of its elements, drawn uniformly and in
+/// random order: a partial Fisher–Yates with one draw per element kept and
+/// none for those cut.
+pub fn keep_random<T, R: RngCore + ?Sized>(pool: &mut Vec<T>, k: usize, rng: &mut R) {
+    let kept = pool.partial_shuffle(rng, k).0.len();
+    // The sample is the tail; shift it to the front.
+    pool.drain(..pool.len() - kept);
 }
 
 #[cfg(test)]

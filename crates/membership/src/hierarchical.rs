@@ -7,17 +7,16 @@
 //! group with fanout `ln(m) + c1` and across groups with fanout
 //! `ln(N) + c2`.
 
+use crate::static_init::sample_others;
 use crate::{kmg_view_size, MembershipError};
 use da_core::ProcessId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Partition of a population into `N` interest-oblivious groups.
 #[derive(Debug, Clone)]
 pub struct HierarchicalLayout {
     groups: Vec<Vec<ProcessId>>,
-    group_of: HashMap<ProcessId, usize>,
 }
 
 impl HierarchicalLayout {
@@ -49,13 +48,7 @@ impl HierarchicalLayout {
         for (i, pid) in ids.into_iter().enumerate() {
             groups[i % group_count].push(pid);
         }
-        let mut group_of = HashMap::with_capacity(population);
-        for (g, members) in groups.iter().enumerate() {
-            for &m in members {
-                group_of.insert(m, g);
-            }
-        }
-        Ok(HierarchicalLayout { groups, group_of })
+        Ok(HierarchicalLayout { groups })
     }
 
     /// Number of groups (`N` in the paper).
@@ -73,11 +66,6 @@ impl HierarchicalLayout {
         &self.groups[g]
     }
 
-    /// The group index of `pid`, or `None` for foreign processes.
-    fn group_of(&self, pid: ProcessId) -> Option<usize> {
-        self.group_of.get(&pid).copied()
-    }
-
     /// Typical group size (`m` in the paper): the size of group 0.
     #[must_use]
     pub fn group_size(&self) -> usize {
@@ -85,19 +73,20 @@ impl HierarchicalLayout {
     }
 }
 
-/// Static intra- and inter-group views for every process of a layout.
-///
-/// The intra view samples `(b+1)·ln(m)` members of the own group; the
-/// inter view samples `(b+1)·ln(N)` processes *outside* it.
+/// Static intra- and inter-group views for every process of a layout,
+/// indexed by process id: the layout's population is `0..n`.
 #[derive(Debug, Clone)]
 pub struct HierarchicalTables {
     /// Per-process view over the own group.
-    pub intra: HashMap<ProcessId, Vec<ProcessId>>,
+    pub intra: Vec<Vec<ProcessId>>,
     /// Per-process view over foreign groups.
-    pub inter: HashMap<ProcessId, Vec<ProcessId>>,
+    pub inter: Vec<Vec<ProcessId>>,
 }
 
-/// Draws static two-level views for every process.
+/// Draws static two-level views for every process. The intra view samples
+/// `(b+1)·ln(m)` members of the own group; the inter view samples
+/// `(b+1)·ln(N)` processes *outside* it. Each view of `k` entries costs
+/// `k` draws.
 ///
 /// # Errors
 ///
@@ -107,38 +96,31 @@ pub fn static_hierarchical_tables<R: Rng>(
     b: f64,
     rng: &mut R,
 ) -> Result<HierarchicalTables, MembershipError> {
-    let population: usize = (0..layout.group_count())
-        .map(|g| layout.group(g).len())
-        .sum();
-    if population == 0 {
+    // The groups lie back to back, so a group's foreigners are the
+    // population before it and after it.
+    let everyone = layout.groups.concat();
+    if everyone.is_empty() {
         return Err(MembershipError::EmptyGroup {
             context: "static_hierarchical_tables",
         });
     }
     let inter_size = kmg_view_size(b, layout.group_count());
-    let mut intra = HashMap::with_capacity(population);
-    let mut inter = HashMap::with_capacity(population);
-    let everyone: Vec<ProcessId> = (0..layout.group_count())
-        .flat_map(|g| layout.group(g).iter().copied())
-        .collect();
-    for g in 0..layout.group_count() {
-        let members = layout.group(g);
+    let mut intra = vec![Vec::new(); everyone.len()];
+    let mut inter = vec![Vec::new(); everyone.len()];
+    let (mut own, mut foreign) = (Vec::new(), Vec::new());
+    let mut start = 0;
+    for members in &layout.groups {
+        let end = start + members.len();
+        foreign.clear();
+        foreign.extend_from_slice(&everyone[..start]);
+        foreign.extend_from_slice(&everyone[end..]);
         let intra_size = kmg_view_size(b, members.len());
-        for &me in members {
-            let mut own: Vec<ProcessId> = members.iter().copied().filter(|&p| p != me).collect();
-            own.shuffle(rng);
-            own.truncate(intra_size);
-            intra.insert(me, own);
-
-            let mut foreign: Vec<ProcessId> = everyone
-                .iter()
-                .copied()
-                .filter(|&p| layout.group_of(p) != Some(g))
-                .collect();
-            foreign.shuffle(rng);
-            foreign.truncate(inter_size);
-            inter.insert(me, foreign);
+        for (at, &me) in members.iter().enumerate() {
+            intra[me.index()] = sample_others(members, Some(at), intra_size, &mut own, rng);
+            // A draw only permutes the pool: it still holds the foreigners.
+            inter[me.index()] = foreign.partial_shuffle(rng, inter_size).0.to_vec();
         }
+        start = end;
     }
     Ok(HierarchicalTables { intra, inter })
 }
@@ -177,16 +159,22 @@ mod tests {
         assert!(HierarchicalLayout::partition(5, 10, &mut rng).is_err());
     }
 
+    /// Each group's members as a set, in group order.
+    fn group_sets(layout: &HierarchicalLayout) -> Vec<HashSet<ProcessId>> {
+        (0..layout.group_count())
+            .map(|g| layout.group(g).iter().copied().collect())
+            .collect()
+    }
+
     #[test]
-    fn group_of_is_consistent() {
+    fn each_process_lies_in_exactly_one_group() {
         let mut rng = rng_from_seed(4);
         let layout = HierarchicalLayout::partition(30, 5, &mut rng).unwrap();
-        for g in 0..5 {
-            for &m in layout.group(g) {
-                assert_eq!(layout.group_of(m), Some(g));
-            }
+        let sets = group_sets(&layout);
+        for pid in (0..30).map(ProcessId) {
+            assert_eq!(sets.iter().filter(|set| set.contains(&pid)).count(), 1);
         }
-        assert_eq!(layout.group_of(ProcessId(999)), None);
+        assert!(sets.iter().all(|set| !set.contains(&ProcessId(999))));
     }
 
     #[test]
@@ -194,14 +182,14 @@ mod tests {
         let mut rng = rng_from_seed(5);
         let layout = HierarchicalLayout::partition(60, 6, &mut rng).unwrap();
         let tables = static_hierarchical_tables(&layout, 3.0, &mut rng).unwrap();
-        for (pid, own) in &tables.intra {
-            let g = layout.group_of(*pid).unwrap();
-            assert!(own.iter().all(|p| layout.group_of(*p) == Some(g)));
-            assert!(!own.contains(pid));
-        }
-        for (pid, foreign) in &tables.inter {
-            let g = layout.group_of(*pid).unwrap();
-            assert!(foreign.iter().all(|p| layout.group_of(*p) != Some(g)));
+        for (g, set) in group_sets(&layout).iter().enumerate() {
+            for &pid in layout.group(g) {
+                let own = &tables.intra[pid.index()];
+                assert!(own.iter().all(|p| set.contains(p)));
+                assert!(!own.contains(&pid));
+                let foreign = &tables.inter[pid.index()];
+                assert!(foreign.iter().all(|p| !set.contains(p)));
+            }
         }
     }
 
@@ -211,10 +199,10 @@ mod tests {
         let layout = HierarchicalLayout::partition(100, 10, &mut rng).unwrap();
         let tables = static_hierarchical_tables(&layout, 3.0, &mut rng).unwrap();
         // m = 10 → (3+1)·ln(10) = 9.2 → capped at 9; N = 10 → same.
-        for own in tables.intra.values() {
+        for own in &tables.intra {
             assert_eq!(own.len(), 9);
         }
-        for foreign in tables.inter.values() {
+        for foreign in &tables.inter {
             assert_eq!(foreign.len(), kmg_view_size(3.0, 10));
         }
     }

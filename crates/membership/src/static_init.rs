@@ -6,16 +6,38 @@
 //!
 //! Given the member lists of every group, these functions draw, for each
 //! member, a uniform random topic table of size `(b + 1)·ln(S)` and a
-//! supertopic table of size `z` pointing into the supergroup.
+//! supertopic table of size `z` pointing into the supergroup. A table of
+//! `k` entries costs `k` draws: the candidates are copied into one scratch
+//! pool per group and a partial Fisher–Yates picks the table from it.
 
 use crate::{kmg_view_size, MembershipError};
 use da_core::ProcessId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashMap;
+
+/// Draws `k` of `group` less its entry at `skip`, uniformly and with one
+/// draw per pick. `pool` is scratch space, refilled from `group` first.
+pub fn sample_others<R: Rng>(
+    group: &[ProcessId],
+    skip: Option<usize>,
+    k: usize,
+    pool: &mut Vec<ProcessId>,
+    rng: &mut R,
+) -> Vec<ProcessId> {
+    pool.clear();
+    match skip {
+        Some(at) => {
+            pool.extend_from_slice(&group[..at]);
+            pool.extend_from_slice(&group[at + 1..]);
+        }
+        None => pool.extend_from_slice(group),
+    }
+    pool.partial_shuffle(rng, k).0.to_vec()
+}
 
 /// Draws a static topic table for every member of a group: a uniform
-/// sample of `min(S−1, ⌈(b+1)·ln(S)⌉)` *other* members.
+/// sample of `min(S−1, ⌈(b+1)·ln(S)⌉)` *other* members. Table `i` is
+/// `members[i]`'s.
 ///
 /// # Errors
 ///
@@ -24,26 +46,23 @@ pub fn static_topic_tables<R: Rng>(
     members: &[ProcessId],
     b: f64,
     rng: &mut R,
-) -> Result<HashMap<ProcessId, Vec<ProcessId>>, MembershipError> {
+) -> Result<Vec<Vec<ProcessId>>, MembershipError> {
     if members.is_empty() {
         return Err(MembershipError::EmptyGroup {
             context: "static_topic_tables",
         });
     }
     let view_size = kmg_view_size(b, members.len());
-    let mut tables = HashMap::with_capacity(members.len());
-    for &me in members {
-        let mut pool: Vec<ProcessId> = members.iter().copied().filter(|&p| p != me).collect();
-        pool.shuffle(rng);
-        pool.truncate(view_size);
-        tables.insert(me, pool);
-    }
-    Ok(tables)
+    let mut pool = Vec::with_capacity(members.len());
+    Ok((0..members.len())
+        .map(|at| sample_others(members, Some(at), view_size, &mut pool, rng))
+        .collect())
 }
 
 /// Draws a static supertopic table (`sTable`, size `z`) for every member of
-/// a group, sampling uniformly from the supergroup. Entries are distinct;
-/// when the supergroup is smaller than `z` every superprocess is listed.
+/// a group, sampling uniformly from the supergroup; table `i` is
+/// `members[i]`'s. Entries are distinct and never the member itself; when
+/// the supergroup is smaller than `z` every superprocess is listed.
 ///
 /// # Errors
 ///
@@ -54,7 +73,7 @@ pub fn static_super_tables<R: Rng>(
     supergroup: &[ProcessId],
     z: usize,
     rng: &mut R,
-) -> Result<HashMap<ProcessId, Vec<ProcessId>>, MembershipError> {
+) -> Result<Vec<Vec<ProcessId>>, MembershipError> {
     if members.is_empty() {
         return Err(MembershipError::EmptyGroup {
             context: "static_super_tables (members)",
@@ -70,14 +89,14 @@ pub fn static_super_tables<R: Rng>(
             reason: "supertopic table size z must be positive".to_owned(),
         });
     }
-    let mut tables = HashMap::with_capacity(members.len());
-    for &me in members {
-        let mut pool: Vec<ProcessId> = supergroup.iter().copied().filter(|&p| p != me).collect();
-        pool.shuffle(rng);
-        pool.truncate(z);
-        tables.insert(me, pool);
-    }
-    Ok(tables)
+    let mut pool = Vec::with_capacity(supergroup.len());
+    Ok(members
+        .iter()
+        .map(|me| {
+            let skip = supergroup.iter().position(|p| p == me);
+            sample_others(supergroup, skip, z, &mut pool, rng)
+        })
+        .collect())
 }
 
 /// Assigns dense process ids to the groups of a linear topic chain.
@@ -116,7 +135,7 @@ mod tests {
         let group = members(100);
         let tables = static_topic_tables(&group, 3.0, &mut rng).unwrap();
         assert_eq!(tables.len(), 100);
-        for (me, table) in &tables {
+        for (me, table) in group.iter().zip(&tables) {
             assert_eq!(table.len(), 19); // (3+1)·ln(100) → 19
             assert!(!table.contains(me), "no self-reference");
             let unique: HashSet<_> = table.iter().collect();
@@ -129,8 +148,7 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let group = members(2);
         let tables = static_topic_tables(&group, 3.0, &mut rng).unwrap();
-        assert_eq!(tables[&ProcessId(0)], vec![ProcessId(1)]);
-        assert_eq!(tables[&ProcessId(1)], vec![ProcessId(0)]);
+        assert_eq!(tables, [vec![ProcessId(1)], vec![ProcessId(0)]]);
     }
 
     #[test]
@@ -138,7 +156,7 @@ mod tests {
         let mut rng = rng_from_seed(3);
         let group = members(1);
         let tables = static_topic_tables(&group, 3.0, &mut rng).unwrap();
-        assert!(tables[&ProcessId(0)].is_empty());
+        assert_eq!(tables, [Vec::<ProcessId>::new()]);
     }
 
     #[test]
@@ -153,7 +171,7 @@ mod tests {
         let group = members(10);
         let supergroup: Vec<ProcessId> = (100..150).map(ProcessId).collect();
         let tables = static_super_tables(&group, &supergroup, 3, &mut rng).unwrap();
-        for table in tables.values() {
+        for table in &tables {
             assert_eq!(table.len(), 3);
             assert!(table.iter().all(|p| supergroup.contains(p)));
             let unique: HashSet<_> = table.iter().collect();
@@ -167,9 +185,38 @@ mod tests {
         let group = members(5);
         let supergroup = vec![ProcessId(100), ProcessId(101)];
         let tables = static_super_tables(&group, &supergroup, 5, &mut rng).unwrap();
-        for table in tables.values() {
+        for table in &tables {
             assert_eq!(table.len(), 2);
         }
+    }
+
+    #[test]
+    fn super_tables_never_list_the_member_itself() {
+        let mut rng = rng_from_seed(8);
+        let group = members(4);
+        let supergroup = members(6);
+        let tables = static_super_tables(&group, &supergroup, 5, &mut rng).unwrap();
+        for (me, table) in group.iter().zip(&tables) {
+            assert_eq!(table.len(), 5);
+            assert!(!table.contains(me));
+        }
+    }
+
+    /// A table of `k` entries costs `k` draws, so a group's tables cost
+    /// `S·k`: no member shuffles the whole group to keep `k` of it.
+    #[test]
+    fn a_group_of_tables_costs_one_draw_per_entry() {
+        use rand::RngCore;
+        let group = members(100);
+        let supergroup: Vec<ProcessId> = (100..150).map(ProcessId).collect();
+        let mut rng = rng_from_seed(10);
+        let mut by_hand = rng.clone();
+        static_topic_tables(&group, 3.0, &mut rng).unwrap();
+        static_super_tables(&group, &supergroup, 3, &mut rng).unwrap();
+        for _ in 0..100 * (19 + 3) {
+            by_hand.next_u64();
+        }
+        assert_eq!(rng.next_u64(), by_hand.next_u64());
     }
 
     #[test]

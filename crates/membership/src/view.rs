@@ -200,11 +200,11 @@ impl PartialView {
             .count()
     }
 
-    /// Samples up to `k` distinct entries uniformly at random.
+    /// Samples up to `k` distinct entries uniformly at random, one draw
+    /// per entry kept.
     pub fn sample<R: Rng>(&self, k: usize, rng: &mut R) -> Vec<ProcessId> {
         let mut pool = self.entries.clone();
-        pool.shuffle(rng);
-        pool.truncate(k);
+        da_core::keep_random(&mut pool, k, rng);
         pool
     }
 

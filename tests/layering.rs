@@ -323,6 +323,44 @@ fn the_gossip_draw_shuffles_no_whole_table() {
     assert!(source.contains("draw_gossip_targets("));
 }
 
+/// A k-of-n draw costs k draws: shipped code cuts a sample with
+/// `partial_shuffle` (or `da_core::keep_random`) and shuffles a whole
+/// slice only where it keeps the whole permutation, the overlay's
+/// adjacency lists and `HierarchicalLayout::partition`. No table is drawn
+/// by shuffling its group and truncating it.
+#[test]
+fn only_whole_permutations_are_shuffled() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sites = Vec::new();
+    for dir in ["crates", "src"] {
+        for (path, source) in sources(dir) {
+            if path.extension().is_none_or(|ext| ext != "rs") {
+                continue;
+            }
+            let mut function = "";
+            for line in shipped(&path, &source).lines() {
+                let code = line.trim_start();
+                let code = code.strip_prefix("pub ").unwrap_or(code);
+                if let Some(rest) = code.strip_prefix("fn ") {
+                    function = rest.split(['(', '<']).next().unwrap_or_default();
+                }
+                if line.contains(".shuffle(") {
+                    let file = path.strip_prefix(root).unwrap().display();
+                    sites.push(format!("{file}: {function}"));
+                }
+            }
+        }
+    }
+    sites.sort();
+    assert_eq!(
+        sites,
+        [
+            "crates/membership/src/hierarchical.rs: partition",
+            "crates/membership/src/overlay.rs: random",
+        ]
+    );
+}
+
 /// One daMulticast process serves trees and DAGs: a topic with several
 /// direct supertopics is a `TopicHierarchy` topic, and `DaProcess` keeps
 /// one supertable per direct supertopic. The second copy of the protocol
