@@ -126,9 +126,9 @@ pub struct TickReport {
     /// sender queued it until it is delivered or consumed at its due
     /// tick. On the pool this is the coordinator's ledger, so it equals
     /// the simulator's `Engine::in_flight()` after the same round
-    /// whatever the workers' relative timing. (A receiver's wheel would
-    /// not do: inside the drift window it can report a tick before a
-    /// faster peer's batch reaches it.)
+    /// whatever the workers' relative timing. (What the workers hold
+    /// would not do: inside the drift window a receiver can report a
+    /// tick before a faster peer's batch reaches it.)
     pub pending: u64,
 }
 

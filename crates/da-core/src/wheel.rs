@@ -1,41 +1,44 @@
 //! The delay wheel — the one timing structure of both substrates:
-//! [`Envelope`]s that survived the channel park here until the clock
-//! driving the wheel reaches their due tick.
+//! [`Envelope`]s that survived the channel wait here, bucketed by due
+//! tick and lane, until their owner releases them.
 //!
 //! * **The simulator** owns one single-lane wheel. Each round it moves
 //!   the due bucket out whole ([`DelayWheel::take_due`]), delivers from
 //!   it and hands the emptied allocation back ([`DelayWheel::restore`]).
-//! * **A runtime worker** keys its wheel off its *local* clock — under
-//!   the bounded-lag scheduler there is no global tick counter. It
-//!   sweeps its incoming lanes at the start of its tick `t` and
-//!   schedules every envelope (all are due strictly after their send
-//!   tick, and peers' clocks may run ahead, so parking is the norm);
-//!   [`DelayWheel::take_due_into`] then releases exactly the messages
-//!   the channel contract owes that tick.
+//! * **A runtime worker's router** owns one wheel whose lanes are the
+//!   destination workers. Every surviving send is scheduled once, at
+//!   send time. At the end of its tick `t` the worker ships the buckets
+//!   due at `t + lag` ([`DelayWheel::release_through`]): each moves out
+//!   whole, becomes one lane batch, and is delivered from that same
+//!   buffer at its due tick. By then every send that can fall due at
+//!   `t + lag` has been made (each is at least `lag` ticks long), so a
+//!   lane carries one batch per due tick.
 //!
-//! **Buckets are per producer lane.** Delivery order within a tick is a
-//! structural guarantee, not an accident of timing: slot `(t, lane)`
-//! holds the envelopes scheduled on `lane` due at `t` in scheduling
-//! (= send) order, and a drain releases tick `t`'s buckets in lane
-//! order `0..lanes`. No sort, no comparison: one lane *is* `(delivery
-//! round, send sequence)` order, and the runtime's lane per producer
-//! worker makes the merged delivery sequence a pure function of
+//! **A bucket is one `(due tick, lane)` run in scheduling order.** In
+//! the simulator that is `(delivery round, send sequence)` order. In the
+//! runtime it is one producer's sends to one consumer, in send order,
+//! and the consumer delivers its producers' batches in worker-id order.
+//! No sort, no comparison: the delivery sequence is a pure function of
 //! `(tick, from, to, occurrence)`.
 //!
 //! Storage is a true ring buffer: `capacity × lanes` buckets, bucket
-//! `(t % capacity, lane)` holding lane `lane`'s envelopes due at tick
-//! `t` for any `t` in the live window `[next, next + capacity)`. Callers
-//! size the window from `NetworkModel::max_latency()` (plus the lag
-//! bound on the runtime) — every latency model is bounded — and buckets
-//! keep their allocation across laps, so the steady state allocates
-//! nothing. A `BTreeMap` spillover keyed by `(due, lane)` holds the rare
-//! envelope scheduled outside the window (a wheel sized under its
-//! network's true ceiling, or a past-due straggler); because the window
-//! only moves forward, every spilled envelope for a `(tick, lane)`
-//! bucket was scheduled before any ring envelope for the same bucket,
-//! so releasing spill-then-ring per bucket preserves the exact per-lane
-//! arrival order (pinned on randomized schedules against the sorted map
-//! and the `(round, seq)` heap this wheel replaced).
+//! `(lane, t & (capacity − 1))` holding lane `lane`'s envelopes due at
+//! tick `t` for any `t` in the live window `[next, next + capacity)`.
+//! The capacity is rounded up to a power of two, so a bucket index is a
+//! mask, not a division. Callers size the window from
+//! `NetworkModel::max_latency()` — every latency model is bounded — and
+//! buckets keep their allocation across laps, so the steady state
+//! allocates nothing. A `BTreeMap` spillover keyed by `(due, lane)`
+//! holds the rare envelope scheduled outside the window (a wheel sized
+//! under its network's true ceiling, or a past-due straggler); because
+//! the window only moves forward while anything is scheduled, every
+//! spilled envelope for a `(tick, lane)` bucket was scheduled before any
+//! ring envelope for the same bucket, so releasing spill-then-ring per
+//! bucket preserves the exact per-lane scheduling order (pinned on
+//! randomized schedules against the sorted map and the `(round, seq)`
+//! heap this wheel replaced). An empty wheel holds no window: an
+//! envelope scheduled outside it re-anchors it at the tick after the
+//! envelope's send.
 
 use crate::process::ProcessId;
 use std::collections::BTreeMap;
@@ -63,16 +66,17 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// Envelopes parked until their delivery tick, bucketed by producer
-/// lane. `Clone` is for the model checker's forked universes.
+/// Envelopes waiting for their due tick, bucketed by lane. `Clone` is
+/// for the model checker's forked universes.
 #[derive(Debug, Clone)]
 pub struct DelayWheel<M> {
-    /// Producer lanes feeding this wheel (workers in a runtime pool; 1
-    /// in the simulator).
+    /// Lanes the buckets are split by (destination workers in a runtime
+    /// router; 1 in the simulator).
     lanes: usize,
-    /// Due ticks the ring window spans.
-    capacity: usize,
-    /// Bucket `(t % capacity) * lanes + lane` holds lane `lane`'s
+    /// `capacity − 1` for the power-of-two number of due ticks the ring
+    /// window spans.
+    mask: u64,
+    /// Bucket `lane * (mask + 1) + (t & mask)` holds lane `lane`'s
     /// envelopes due at `t` for `t ∈ [next, next + capacity)`.
     ring: Vec<Vec<Envelope<M>>>,
     /// First tick not yet released — the start of the ring's window.
@@ -81,54 +85,85 @@ pub struct DelayWheel<M> {
     /// `(due tick, lane)` — `BTreeMap` order is exactly release order.
     spill: BTreeMap<(u64, usize), Vec<Envelope<M>>>,
     len: usize,
-    /// Furthest due tick ever scheduled (monotone; see
-    /// [`DelayWheel::due_horizon`] for why monotone is sound).
-    max_due: u64,
 }
 
 impl<M> DelayWheel<M> {
-    /// A wheel whose ring covers `capacity` consecutive due ticks
-    /// (clamped to at least 1) for `lanes` producer lanes (clamped to at
-    /// least 1). Size the window as `max latency + 1` plus, on the
-    /// runtime, the lag bound: at local tick `t` a peer running `lag`
-    /// ahead can send envelopes due up to `t + lag + max_latency`, and
-    /// anything beyond the window degrades to the spill map, never to a
-    /// lost envelope. Buckets start unallocated.
+    /// A wheel whose ring covers at least `capacity` consecutive due
+    /// ticks (clamped to at least 1, rounded up to a power of two) for
+    /// `lanes` lanes (clamped to at least 1). Size the window as
+    /// `max latency + 1`: anything beyond it degrades to the spill map,
+    /// never to a lost envelope. Buckets start unallocated.
     #[must_use]
     pub fn with_capacity(capacity: usize, lanes: usize) -> Self {
-        let capacity = capacity.max(1);
+        let capacity = capacity.max(1).next_power_of_two();
         let lanes = lanes.max(1);
         DelayWheel {
             lanes,
-            capacity,
+            mask: capacity as u64 - 1,
             ring: (0..capacity * lanes).map(|_| Vec::new()).collect(),
             next: 0,
             spill: BTreeMap::new(),
             len: 0,
-            max_due: 0,
         }
     }
 
-    /// Parks an envelope until its `due_tick`, in the bucket of the
-    /// producer lane it arrived on.
+    /// The ring bucket of due tick `due` on `lane`.
+    fn bucket(&self, due: u64, lane: usize) -> usize {
+        lane * (self.mask as usize + 1) + (due & self.mask) as usize
+    }
+
+    /// True when `due` lies in the ring window `[next, next + capacity)`
+    /// — one comparison, because the window never wraps (a release or a
+    /// re-anchor keeps `next` at most `u64::MAX − mask`).
+    fn in_window(&self, due: u64) -> bool {
+        due.wrapping_sub(self.next) <= self.mask
+    }
+
+    /// Parks an envelope until its `due_tick`, in the bucket of `lane`.
+    #[inline]
     pub fn schedule(&mut self, lane: usize, envelope: Envelope<M>) {
         debug_assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
         let due = envelope.due_tick;
-        if due >= self.next && due - self.next < self.capacity as u64 {
-            let bucket = (due % self.capacity as u64) as usize * self.lanes + lane;
-            self.ring[bucket].push(envelope);
-        } else {
-            self.spill.entry((due, lane)).or_default().push(envelope);
-        }
+        // One unconditional push into the bucket chosen first: the
+        // envelope is written straight into it, never staged.
+        self.bucket_of(lane, due, envelope.sent_tick).push(envelope);
         self.len += 1;
-        self.max_due = self.max_due.max(due);
+    }
+
+    /// The buffer an envelope sent at `sent` and due at `due` joins.
+    #[inline]
+    fn bucket_of(&mut self, lane: usize, due: u64, sent: u64) -> &mut Vec<Envelope<M>> {
+        if self.in_window(due) {
+            let bucket = self.bucket(due, lane);
+            &mut self.ring[bucket]
+        } else {
+            self.bucket_outside(lane, due, sent)
+        }
+    }
+
+    /// [`bucket_of`](Self::bucket_of)'s slow path, for a due tick outside
+    /// the window: an empty wheel re-anchors its window at the tick after
+    /// the send (every later send falls due no earlier); otherwise, or
+    /// when the due tick is still beyond the window, the envelope spills.
+    #[cold]
+    #[inline(never)]
+    fn bucket_outside(&mut self, lane: usize, due: u64, sent: u64) -> &mut Vec<Envelope<M>> {
+        if self.len == 0 {
+            self.next = sent.saturating_add(1).min(due).min(u64::MAX - self.mask);
+        }
+        if self.in_window(due) {
+            let bucket = self.bucket(due, lane);
+            &mut self.ring[bucket]
+        } else {
+            self.spill.entry((due, lane)).or_default()
+        }
     }
 
     /// Appends every envelope due at or before `tick` to `out`: earliest
-    /// due tick first, producer lane order within a tick, arrival order
-    /// within a lane. The caller's buffer is reused across ticks, so the
+    /// due tick first, lane order within a tick, scheduling order within
+    /// a lane. The caller's buffer is reused across ticks, so the
     /// steady-state drain allocates nothing.
-    pub fn take_due_into(&mut self, tick: u64, out: &mut Vec<Envelope<M>>) {
+    fn take_due_into(&mut self, tick: u64, out: &mut Vec<Envelope<M>>) {
         let start = out.len();
         // Past-due stragglers (scheduled with due < next): smallest
         // (due, lane) keys in the wheel, released first.
@@ -146,33 +181,99 @@ impl<M> DelayWheel<M> {
                 self.next = tick + 1;
                 break;
             }
-            let t = self.next;
-            let base = (t % self.capacity as u64) as usize * self.lanes;
             for lane in 0..self.lanes {
                 if !self.spill.is_empty() {
-                    if let Some(mut spilled) = self.spill.remove(&(t, lane)) {
+                    if let Some(mut spilled) = self.spill.remove(&(self.next, lane)) {
                         out.append(&mut spilled);
                     }
                 }
                 // Drain in place so the bucket keeps its allocation for
                 // the tick `capacity` steps from now.
-                out.append(&mut self.ring[base + lane]);
+                let bucket = self.bucket(self.next, lane);
+                out.append(&mut self.ring[bucket]);
             }
             self.next += 1;
         }
         self.len -= out.len() - start;
     }
 
-    /// [`take_due_into`](Self::take_due_into) as an owned `Vec`, for a
-    /// caller that schedules *while* it delivers and so cannot keep the
-    /// wheel borrowed. When the due set is exactly one ring bucket (a
-    /// single-lane wheel drained every tick) the bucket's `Vec` is moved
-    /// out whole: no copy, no second buffer. Hand it back with
-    /// [`restore`](Self::restore).
+    /// Moves out, whole, every bucket due at or before `through`, lane
+    /// by lane, each lane's in due order. `ship(lane, bucket)` receives
+    /// each non-empty bucket — scheduling order, one due tick — and
+    /// returns an empty buffer for the bucket to keep in its place, so
+    /// no envelope is copied. A `(due, lane)` bucket's spilled envelopes
+    /// ship in the same run, ahead of the ring's; spilled envelopes due
+    /// before the window ship first and those due beyond it last. The
+    /// window then starts at `through + 1`: a wheel released through
+    /// `u64::MAX` holds nothing and no window, and the next envelope
+    /// scheduled re-anchors it.
+    pub fn release_through(
+        &mut self,
+        through: u64,
+        mut ship: impl FnMut(usize, Vec<Envelope<M>>) -> Vec<Envelope<M>>,
+    ) {
+        if let Some(before) = self.next.checked_sub(1) {
+            self.release_spilled(through.min(before), &mut ship);
+        }
+        if through < self.next {
+            return;
+        }
+        let last = through.min(self.next.saturating_add(self.mask));
+        for lane in 0..self.lanes {
+            for due in self.next..=last {
+                if self.len == 0 {
+                    break;
+                }
+                let slot = self.bucket(due, lane);
+                let spilled = match self.spill.is_empty() {
+                    true => None,
+                    false => self.spill.remove(&(due, lane)),
+                };
+                if let Some(mut spilled) = spilled {
+                    spilled.append(&mut self.ring[slot]);
+                    self.len -= spilled.len();
+                    drop(ship(lane, spilled));
+                } else if !self.ring[slot].is_empty() {
+                    self.len -= self.ring[slot].len();
+                    let bucket = std::mem::take(&mut self.ring[slot]);
+                    self.ring[slot] = ship(lane, bucket);
+                }
+            }
+        }
+        self.release_spilled(through, &mut ship);
+        self.next = through.saturating_add(1).min(u64::MAX - self.mask);
+    }
+
+    /// Ships, in `(due, lane)` order, every spilled bucket due at or
+    /// before `last` — the spill map's front.
+    fn release_spilled(
+        &mut self,
+        last: u64,
+        ship: &mut impl FnMut(usize, Vec<Envelope<M>>) -> Vec<Envelope<M>>,
+    ) {
+        while let Some(entry) = self.spill.first_entry() {
+            let (due, lane) = *entry.key();
+            if due > last {
+                break;
+            }
+            let spilled = entry.remove();
+            self.len -= spilled.len();
+            drop(ship(lane, spilled));
+        }
+    }
+
+    /// Every envelope due at or before `tick` as an owned `Vec` (earliest
+    /// due tick first, lane order within a tick, scheduling order within
+    /// a lane), for a caller that schedules *while* it delivers and so
+    /// cannot keep the wheel borrowed. When the due set is exactly one
+    /// ring bucket (a single-lane wheel drained every tick) the bucket's
+    /// `Vec` is moved out whole: no copy, no second buffer. Hand it back
+    /// with [`restore`](Self::restore).
     pub fn take_due(&mut self, tick: u64) -> Vec<Envelope<M>> {
         let spill_is_later = self.spill.range(..=(tick, usize::MAX)).next().is_none();
         if self.lanes == 1 && self.next == tick && spill_is_later {
-            let due = std::mem::take(&mut self.ring[(tick % self.capacity as u64) as usize]);
+            let bucket = self.bucket(tick, 0);
+            let due = std::mem::take(&mut self.ring[bucket]);
             self.len -= due.len();
             self.next += 1;
             due
@@ -190,7 +291,8 @@ impl<M> DelayWheel<M> {
     pub fn restore(&mut self, mut spare: Vec<Envelope<M>>) {
         spare.clear();
         let released = self.next.saturating_sub(1);
-        let slot = &mut self.ring[(released % self.capacity as u64) as usize * self.lanes];
+        let bucket = self.bucket(released, 0);
+        let slot = &mut self.ring[bucket];
         if slot.capacity() == 0 {
             *slot = spare;
         }
@@ -199,13 +301,12 @@ impl<M> DelayWheel<M> {
     /// Every parked envelope in release order — what a state digest
     /// hashes and where the earliest due tick is read off.
     pub fn iter(&self) -> impl Iterator<Item = &Envelope<M>> {
-        let window_end = self.next.saturating_add(self.capacity as u64);
+        let window_end = self.next.saturating_add(self.mask + 1);
         let past_due = self.spill.range(..(self.next, 0)).flat_map(|(_, b)| b);
         let window = (self.next..window_end).flat_map(move |t| {
-            let base = (t % self.capacity as u64) as usize * self.lanes;
             (0..self.lanes).flat_map(move |lane| {
                 let spilled = self.spill.get(&(t, lane)).into_iter().flatten();
-                spilled.chain(&self.ring[base + lane])
+                spilled.chain(&self.ring[self.bucket(t, lane)])
             })
         });
         let beyond = self.spill.range((window_end, 0)..).flat_map(|(_, b)| b);
@@ -224,21 +325,22 @@ impl<M> DelayWheel<M> {
         self.len == 0
     }
 
-    /// The furthest due tick with an envelope *provably* still parked,
-    /// `None` when the wheel is empty.
-    ///
-    /// Tracking the monotone maximum of every scheduled due tick is
-    /// enough: envelopes only ever leave the wheel at their own due tick
-    /// (shutdown's [`DelayWheel::discard_all`] aside), so while the
-    /// wheel is non-empty its pending dues all lie in
-    /// `(released.., max_due]` — meaning the envelope that set `max_due`
-    /// has not been released yet and stays parked through `max_due − 1`.
+    /// The furthest due tick of a parked envelope, `None` when the wheel
+    /// is empty — read off the buckets, so a send pays nothing for it.
     /// The runtime's scheduler uses this as a quiescence lower bound:
-    /// every tick before `max_due` reports `pending > 0` and is
-    /// therefore loud.
+    /// that envelope is in flight through the tick before, so every tick
+    /// until then reports `pending > 0` and is therefore loud.
     #[must_use]
     pub fn due_horizon(&self) -> Option<u64> {
-        (self.len > 0).then_some(self.max_due)
+        if self.len == 0 {
+            return None;
+        }
+        let beyond = self.spill.last_key_value().map(|(&(due, _), _)| due);
+        let last = self.next.saturating_add(self.mask);
+        let window = (self.next..=last)
+            .rev()
+            .find(|&due| (0..self.lanes).any(|lane| !self.ring[self.bucket(due, lane)].is_empty()));
+        beyond.max(window)
     }
 
     /// Number of parked envelopes sitting in the spillover map rather
@@ -256,9 +358,6 @@ impl<M> DelayWheel<M> {
             bucket.clear();
         }
         self.spill.clear();
-        // Discarding breaks `max_due`'s "still parked" proof — reset it
-        // so a refilled wheel starts from honest horizons.
-        self.max_due = 0;
         std::mem::take(&mut self.len)
     }
 }
@@ -503,6 +602,152 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "seed {seed} capacity {capacity} final drain");
             assert_eq!(ring.len(), 0);
+        }
+    }
+
+    /// Releases through `through`, collecting each shipped bucket as
+    /// `(lane, [(due, msg)])` and handing back a fresh spare.
+    fn release(wheel: &mut DelayWheel<u8>, through: u64) -> Vec<(usize, Vec<(u64, u8)>)> {
+        let mut shipped = Vec::new();
+        wheel.release_through(through, |lane, bucket| {
+            assert!(!bucket.is_empty(), "only non-empty buckets ship");
+            shipped.push((lane, bucket.iter().map(|e| (e.due_tick, e.msg)).collect()));
+            Vec::new()
+        });
+        shipped
+    }
+
+    #[test]
+    fn release_through_ships_whole_buckets_lane_by_lane_in_due_order() {
+        let mut wheel = DelayWheel::with_capacity(8, 2);
+        wheel.schedule(1, env(3, 1));
+        wheel.schedule(0, env(4, 2));
+        wheel.schedule(1, env(3, 3));
+        wheel.schedule(0, env(3, 4));
+        wheel.schedule(0, env(6, 5));
+        assert_eq!(
+            release(&mut wheel, 4),
+            vec![
+                (0, vec![(3, 4)]),
+                (0, vec![(4, 2)]),
+                (1, vec![(3, 1), (3, 3)]),
+            ]
+        );
+        assert_eq!((wheel.len(), wheel.due_horizon()), (1, Some(6)));
+        assert!(release(&mut wheel, 5).is_empty(), "due 6 stays held");
+        assert_eq!(release(&mut wheel, 6), vec![(0, vec![(6, 5)])]);
+        assert!(wheel.is_empty());
+    }
+
+    #[test]
+    fn a_released_bucket_keeps_its_allocation_and_takes_the_spare() {
+        let mut wheel = DelayWheel::with_capacity(2, 1);
+        wheel.schedule(0, env(1, 1));
+        let spare: Vec<Envelope<u8>> = Vec::with_capacity(16);
+        let spare_at = spare.as_ptr();
+        let mut spare = Some(spare);
+        let mut shipped = None;
+        wheel.release_through(1, |_, bucket| {
+            shipped = Some(bucket);
+            spare.take().unwrap()
+        });
+        assert_eq!(shipped.unwrap()[0].msg, 1, "moved out whole");
+        // Due 3 laps onto due 1's slot, which now owns the spare.
+        wheel.schedule(0, env(3, 3));
+        wheel.release_through(3, |_, bucket| {
+            assert_eq!(bucket.as_ptr(), spare_at);
+            Vec::new()
+        });
+    }
+
+    #[test]
+    fn a_full_release_reanchors_at_the_next_send() {
+        let mut wheel = DelayWheel::with_capacity(4, 1);
+        for tick in 10..20u64 {
+            // Latency 1..=3 sent at `tick`, released in full every tick:
+            // the window restarts at each tick's first send, so nothing
+            // spills and nothing is lost.
+            let sent = |due, msg| Envelope {
+                sent_tick: tick,
+                ..env(due, msg)
+            };
+            wheel.schedule(0, sent(tick + 3, 1));
+            wheel.schedule(0, sent(tick + 1, 2));
+            wheel.schedule(0, sent(tick + 2, 3));
+            assert_eq!(wheel.spilled(), 0, "tick {tick}");
+            let shipped = release(&mut wheel, u64::MAX);
+            let msgs: Vec<u8> = shipped.iter().flat_map(|(_, b)| b).map(|e| e.1).collect();
+            assert_eq!(msgs, vec![2, 3, 1], "due order");
+            assert!(wheel.is_empty());
+        }
+    }
+
+    /// Randomized schedules across lanes and capacities, generous and
+    /// undersized, released a fixed lag ahead of the clock as a runtime
+    /// router does (with past-due stragglers and skipped ticks): each
+    /// lane's shipments, concatenated, are the reference's release
+    /// sequence for that lane, and every shipment is one `(due, lane)`
+    /// run.
+    #[test]
+    fn release_through_matches_btreemap_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng as _, SeedableRng as _};
+
+        // The lane rides in `from`, so the reference's releases say
+        // which lane they came from.
+        let on = |lane: usize, due, msg| Envelope {
+            from: ProcessId(lane as u32),
+            ..env(due, msg)
+        };
+        let per_lane = |released: &[(usize, u64, u8)], lane| {
+            let mine = released.iter().filter(move |e| e.0 == lane);
+            mine.map(|e| (e.1, e.2)).collect::<Vec<_>>()
+        };
+        for (seed, capacity, lanes, lag) in [
+            (1u64, 1usize, 1usize, 1u64),
+            (2, 2, 2, 1),
+            (3, 5, 3, 2),
+            (4, 8, 2, 3),
+            (5, 64, 4, 1),
+        ] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut wheel = DelayWheel::with_capacity(capacity, lanes);
+            let mut reference = ReferenceWheel::new();
+            let mut msg = 0u8;
+            for tick in 0..200u64 {
+                for _ in 0..rng.gen_range(0..5usize) {
+                    let due = tick + rng.gen_range(lag..=40u64);
+                    let lane = rng.gen_range(0..lanes);
+                    wheel.schedule(lane, on(lane, due, msg));
+                    reference.schedule(lane, on(lane, due, msg));
+                    msg = msg.wrapping_add(1);
+                }
+                if rng.gen_bool(0.2) {
+                    continue;
+                }
+                let mut got = Vec::new();
+                for (lane, bucket) in release(&mut wheel, tick + lag) {
+                    assert!(bucket.iter().all(|&(due, _)| due == bucket[0].0));
+                    got.extend(bucket.into_iter().map(|(due, msg)| (lane, due, msg)));
+                }
+                let want: Vec<(usize, u64, u8)> = reference
+                    .take_due(tick + lag)
+                    .into_iter()
+                    .map(|e| (e.from.index(), e.due_tick, e.msg))
+                    .collect();
+                assert_eq!(got.len(), want.len(), "seed {seed} tick {tick}");
+                for lane in 0..lanes {
+                    assert_eq!(
+                        per_lane(&got, lane),
+                        per_lane(&want, lane),
+                        "seed {seed} tick {tick} lane {lane}"
+                    );
+                }
+            }
+            let rest = release(&mut wheel, u64::MAX);
+            let rest: usize = rest.iter().map(|(_, b)| b.len()).sum();
+            assert_eq!(rest, reference.take_due(u64::MAX).len());
+            assert!(wheel.is_empty());
         }
     }
 

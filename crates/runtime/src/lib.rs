@@ -24,8 +24,8 @@
 //!   [`RunConfig::with_partitions`] setters both substrates' configs
 //!   share): Bernoulli loss and sampled latencies drawn from
 //!   deterministic per-edge RNG streams on each link's channel, with
-//!   delayed envelopes parked on a per-worker delay wheel until their
-//!   due tick. Sends crossing an active
+//!   delayed envelopes held on the sending router's delay wheel until
+//!   the flush before their due tick. Sends crossing an active
 //!   [`PartitionSchedule`](da_core::PartitionSchedule) cut are dropped
 //!   at send time (`rt.dropped_partitioned`) — a pure decision consuming
 //!   zero randomness, so both substrates sever the same sends;
@@ -75,11 +75,11 @@
 //!   their final liveness) for inspection, exactly like
 //!   `Engine::into_processes`.
 //!
-//! Delivery order *within* a tick is deterministic: each worker sweeps
-//! its incoming lanes onto a per-producer-bucketed delay wheel and
-//! releases a tick's dues in (due tick, producer worker id, arrival
-//! order) sequence — a pure function of `(tick, from, to, occurrence)`,
-//! independent of thread interleaving and worker count. The protocol's
+//! Delivery order *within* a tick is deterministic: a router ships each
+//! (due tick, destination worker) bucket whole, in send order, and each
+//! worker delivers a tick's batches in producer worker-id order — a
+//! pure function of `(tick, from, to, occurrence)`, independent of
+//! thread interleaving and worker count. The protocol's
 //! guarantees (full audience coverage, zero parasite deliveries) hold
 //! on both substrates; `tests/runtime_parity.rs` in the workspace root
 //! asserts it against the simulator on the paper's topology.

@@ -9,18 +9,18 @@
 //! slow worker gate every fast one even when none of its output could
 //! matter yet. Two one-way signals take its place:
 //!
-//! * **Publish watermarks** ([`crate::EdgeWatermarks`]): after flushing
-//!   tick `t` on every out-edge, a worker bumps its one atomic. A worker
-//!   may execute tick `n` once every peer has published through tick
-//!   `n − lag`, where `lag = effective_lag(config)` — anything
-//!   published later is due strictly after `n` (channel latency is at
-//!   least `lag`), so no delivery can be missed and no rendezvous is
-//!   needed.
+//! * **Publish watermarks** ([`crate::EdgeWatermarks`]): after tick `t`'s
+//!   flush, which ships every envelope due by `t + lag` on every
+//!   out-edge, a worker bumps its one atomic. A worker may execute tick
+//!   `n` once every peer has published through tick `n − lag`, where
+//!   `lag = effective_lag(config)` — anything shipped later is due
+//!   strictly after `n` (channel latency is at least `lag`), so no
+//!   delivery can be missed and no rendezvous is needed.
 //! * **A grant horizon** (one atomic): the coordinator publishes how far
 //!   the pool may run, workers free-run up to it. `run_ticks` grants its
 //!   whole budget upfront; `run_until_quiescent` grants tick `n + 1` as
 //!   soon as tick `n` is *provably* not quiet (any worker reported
-//!   activity, a wheel holds an envelope due later, or — when no failure
+//!   activity, a worker holds an envelope due later, or — when no failure
 //!   model can consume an envelope undelivered — the delivery ledger
 //!   shows messages still in flight), which keeps the pipeline full
 //!   during dissemination yet never lets a worker execute a tick past
@@ -40,7 +40,7 @@ use crate::worker::{
 };
 use da_core::process::ProcessIndexError;
 use da_core::store::ProcessStore;
-use da_core::wheel::{DelayWheel, MAX_RING_TICKS};
+use da_core::wheel::MAX_RING_TICKS;
 use da_core::{
     Counters, ExecProtocol, HotIds, LifecycleController, PoolConfig, ProcessId, ProcessStatus,
     RunConfig, Stripe, TickReport, TickTally, TraceLog, WireSize,
@@ -162,17 +162,6 @@ pub struct Shutdown<P> {
     pub trace: Option<TraceLog>,
 }
 
-/// Ring slots of each worker's delay wheel: the worst due-tick distance
-/// an envelope can arrive with — a peer running `lag` ahead sends at most
-/// `lag` ticks into the future, plus the network's latency ceiling (+1
-/// because the window includes the current tick). Config input: bound
-/// the ring it sizes, as `Engine::new` does; slower sends spill.
-fn wheel_capacity(config: &RuntimeConfig) -> usize {
-    let max_latency = config.faults.network.max_latency();
-    let window = max_latency.saturating_add(effective_lag(config));
-    window.min(MAX_RING_TICKS) as usize + 1
-}
-
 /// How many ticks a fast worker may run ahead of the slowest peer's
 /// *published* frontier: the network's latency floor, clamped to
 /// `[1, MAX_RING_TICKS]`.
@@ -185,7 +174,7 @@ fn wheel_capacity(config: &RuntimeConfig) -> usize {
 /// missed. One-tick links pin workers within one tick of each other; a
 /// floor of `k` ticks lets them drift `k` apart at the price of up to
 /// `k` batches buffered per lane, which is why the floor, being config
-/// input, is capped where the wheel ring is.
+/// input, is capped where a router's wheel ring is.
 fn effective_lag(config: &RuntimeConfig) -> u64 {
     config.faults.network.min_latency().clamp(1, MAX_RING_TICKS)
 }
@@ -288,8 +277,7 @@ where
                 reports: report_tx.clone(),
                 dropped_closed,
                 dropped_shutdown,
-                wheel: DelayWheel::with_capacity(wheel_capacity(&config), workers),
-                due_buf: Vec::new(),
+                arrived: (0..workers).map(|_| Default::default()).collect(),
                 swept: 0,
                 trace: config.trace.is_enabled().then(PoolHistograms::default),
                 sched: Arc::clone(&sched),
@@ -352,7 +340,7 @@ where
     /// it out of the backlog, settles the in-flight ledger, and returns
     /// the aggregate. `lookahead_cap`, when set, lets the collector
     /// turn every absorbed report into a grant (capped): a loud tick
-    /// `u` proves horizon `u + 2` safe, and a wheel holding an envelope
+    /// `u` proves horizon `u + 2` safe, and a worker holding an envelope
     /// due at `d` proves horizon `d + 1` safe — which is how
     /// `run_until_quiescent` keeps workers up to a full latency window
     /// ahead of report collection without ever overshooting the
@@ -384,7 +372,7 @@ where
                 // Each report is its own non-quiescence proof, whatever
                 // tick it is for: a loud tick `u` puts the quiescent tick
                 // at `u + 1` or later (horizon `u + 2` is safe), and a
-                // parked envelope due at `d` keeps every tick before `d`
+                // held envelope due at `d` keeps every tick before `d`
                 // loud via `pending > 0` (horizon `d + 1` is safe).
                 // Granting here — not just when the collected tick
                 // finalizes — lets workers run multi-tick-latency windows
@@ -452,7 +440,7 @@ where
     /// of ticks executed.
     ///
     /// Ticks are granted as their predecessor is *proven* non-quiet (a
-    /// loud worker report, an envelope parked for a later tick, or —
+    /// loud worker report, an envelope held for a later tick, or —
     /// under a failure model that cannot consume an envelope undelivered
     /// — queued envelopes still on the coordinator's ledger), so the
     /// pool pipelines through active dissemination but never executes a
@@ -561,8 +549,9 @@ where
 
     /// Graceful shutdown: stops every worker, joins the pool, and
     /// returns the protocol instances (pid order) with the final metrics.
-    /// In-flight messages (delay wheels, undrained inboxes) are counted
-    /// as `rt.dropped_shutdown` — never silently lost, never waited for.
+    /// In-flight messages (held by routers, swept or still on the lanes)
+    /// are counted as `rt.dropped_shutdown` — never silently lost, never
+    /// waited for.
     ///
     /// # Panics
     ///

@@ -19,7 +19,9 @@
 //!   [`sweep`](EdgeInbox::sweep) drains every incoming lane once, **in
 //!   producer worker-id order**, handing each envelope to the caller
 //!   tagged with its producer lane; drained buffers go straight back
-//!   to their owning producer's pool over the return lane.
+//!   to their owning producer's pool over the return lane. A worker
+//!   takes whole batches instead (`take_batches`), keeps them until
+//!   they fall due, and hands each back (`recycle`) once delivered.
 //! * [`FaultyRouter`] layers the substrate-neutral network fault model
 //!   (`da_core::topology::NetworkModel`: default channel, per-link
 //!   topology overrides, partition schedule, scripted drops) on top of a
@@ -30,8 +32,12 @@
 //!   runtime), every other send's fate — lost, or delivered after a
 //!   sampled latency — is drawn from a stateless RNG keyed by
 //!   `(edge, tick, occurrence)` on its link's channel, and survivors are
-//!   coalesced per destination worker so one tick costs at most one lane
-//!   push per worker pair. What an imperfect send costs before its draw
+//!   scheduled once, on the router's `da_core::wheel::DelayWheel`, whose
+//!   lanes are the destination workers. A flush ships what falls due:
+//!   the worker's flush of tick `t` hands over the buckets due at
+//!   `t + lag`, each whole, so one tick costs at most one lane push per
+//!   worker pair and the receiver delivers from the buffer the sender
+//!   filled. What an imperfect send costs before its draw
 //!   is one bump of a `da_core::Occurrences` table (the edge packed into
 //!   a word, hashed with one multiply) and one of the key's three mixing
 //!   rounds: the other two, the sender's prefix, are kept from the
@@ -52,13 +58,14 @@
 //!
 //! A batch pushed onto a lane is only *visible* to the scheduler once
 //! the sending worker bumps its watermark: [`EdgeWatermarks::publish`]
-//! (one release store) is the transport's "everything through tick `t`
-//! is in your lanes" signal, and a receiver's acquire loads of its
-//! peers' watermarks are what replaces the global tick barrier.
+//! (one release store) is the transport's "everything due through tick
+//! `t + lag` is in your lanes" signal, and a receiver's acquire loads of
+//! its peers' watermarks are what replaces the global tick barrier.
 
 use crossbeam::queue::{self, PushError};
 use da_core::channel::EdgeRngs;
 use da_core::topology::{NetFate, NetworkModel, Occurrences};
+use da_core::wheel::{DelayWheel, MAX_RING_TICKS};
 use da_core::{Envelope, Outbound, ProcessId};
 use std::error::Error;
 use std::fmt;
@@ -354,6 +361,30 @@ impl<M> EdgeInbox<M> {
         batches
     }
 
+    /// Pops every batch currently on the incoming lanes, **in producer
+    /// worker-id order** and FIFO within a lane, handing each whole to
+    /// `keep` with its producer lane. The caller owns the buffer until it
+    /// hands it back with [`recycle`](Self::recycle). Returns the number
+    /// of batches taken.
+    pub(crate) fn take_batches(&mut self, mut keep: impl FnMut(usize, Vec<Envelope<M>>)) -> u64 {
+        let mut batches = 0;
+        for (producer, lane) in self.lanes.iter_mut().enumerate() {
+            while let Some(buf) = lane.pop() {
+                batches += 1;
+                keep(producer, buf);
+            }
+        }
+        batches
+    }
+
+    /// Hands a buffer taken by [`take_batches`](Self::take_batches) back
+    /// to its producer's pool, emptied (or frees it if that return lane
+    /// is full or closed).
+    pub(crate) fn recycle(&mut self, producer: usize, mut buf: Vec<Envelope<M>>) {
+        buf.clear();
+        let _ = self.returns[producer].push(buf);
+    }
+
     /// Drains everything still in flight on the incoming lanes,
     /// returning the envelope count — the shutdown accounting path
     /// (`rt.dropped_shutdown`).
@@ -378,10 +409,12 @@ pub struct FlushReport {
 
 /// A [`Hub`] behind an unreliable network: drops and delays envelopes
 /// according to a [`NetworkModel`] (default channel, per-link topology
-/// overrides, partition schedule), and coalesces the survivors of each
-/// tick into one batch per destination worker, buffered in pooled
-/// buffers that recycle for the whole runtime lifetime. A bare
-/// `ChannelConfig` converts into the uniform model.
+/// overrides, partition schedule), and holds the survivors on a
+/// [`DelayWheel`] whose lanes are the destination workers — one bucket
+/// per (due tick, destination worker), in send order, filled in pooled
+/// buffers that recycle for the whole runtime lifetime. A flush ships
+/// buckets whole. A bare `ChannelConfig` converts into the uniform
+/// model.
 ///
 /// Partition cuts are decided from the schedule alone — a pure function
 /// of the two placements and the send tick, consuming zero randomness —
@@ -407,7 +440,7 @@ pub struct FlushReport {
 /// let (mut hubs, mut inboxes) = lane_matrix(1, 8);
 /// let mut faulty = FaultyRouter::new(hubs.remove(0), ChannelConfig::reliable(), 7);
 ///
-/// // Two sends in tick 0 coalesce into one lane push.
+/// // Two sends in tick 0, due at tick 1, coalesce into one lane push.
 /// faulty.send(ProcessId(0), ProcessId(1), 0, "a");
 /// faulty.send(ProcessId(0), ProcessId(1), 0, "b");
 /// let report = faulty.flush();
@@ -432,11 +465,13 @@ pub struct FaultyRouter<M> {
     /// hot path costs one branch instead of a model walk per send.
     perfect: bool,
     rngs: EdgeRngs,
-    /// Per-destination-worker coalescing buffers, flushed once per tick.
-    /// Refilled from the hub's [`BatchPool`] at flush, so the same
-    /// buffers cycle producer → lane → consumer → return lane → producer
-    /// for the runtime's whole lifetime.
-    slots: Vec<Vec<Envelope<M>>>,
+    /// Every survivor not yet shipped, bucketed by (due tick,
+    /// destination worker). A shipped bucket is refilled from the hub's
+    /// [`BatchPool`], so the same buffers cycle producer → lane →
+    /// consumer → return lane → producer for the runtime's whole
+    /// lifetime. Its worker reads what it holds off it, and discards it
+    /// at shutdown.
+    pub(crate) wheel: DelayWheel<M>,
     /// Per-edge send counts for the tick in `occ_tick`, giving each send
     /// its occurrence index — the counter half of the stateless
     /// `(edge, tick, occurrence)` draw key, and the occurrence scripted
@@ -466,14 +501,16 @@ impl<M> FaultyRouter<M> {
     #[must_use]
     pub fn new(hub: Hub<M>, network: impl Into<NetworkModel>, master_seed: u64) -> Self {
         let network = network.into();
-        let slots = (0..hub.workers()).map(|_| Vec::new()).collect();
+        // Config input: bound the ring it sizes; slower sends spill.
+        let window = network.max_latency().min(MAX_RING_TICKS) as usize + 1;
+        let wheel = DelayWheel::with_capacity(window, hub.workers());
         let rngs = EdgeRngs::new(master_seed);
         FaultyRouter {
             hub,
             perfect: network.is_perfect(),
             network,
             rngs,
-            slots,
+            wheel,
             occurrences: Occurrences::default(),
             occ_tick: 0,
             sender: (ProcessId(0), 0, rngs.sender_seed(0, 0)),
@@ -496,8 +533,8 @@ impl<M> FaultyRouter<M> {
     /// this send's per-tick occurrence on the edge (pure), then samples
     /// the surviving send's fate from a stateless RNG keyed by
     /// `(edge, tick, occurrence)` using its link's channel, and, if it
-    /// survives, buffers it for the destination worker until
-    /// [`FaultyRouter::flush`] — due `latency` ticks after `sent_tick`.
+    /// survives, holds it for the destination worker, due `latency`
+    /// ticks after `sent_tick`, until a flush ships its due tick.
     pub fn send(&mut self, from: ProcessId, to: ProcessId, sent_tick: u64, msg: M) -> NetFate {
         let fate = if self.perfect {
             // Draw-free fast path: no occurrence counting, no seed
@@ -521,39 +558,67 @@ impl<M> FaultyRouter<M> {
         };
         if let NetFate::Deliver { latency } = fate {
             let worker = self.hub.worker_of(to);
-            self.slots[worker].push(Envelope {
-                from,
-                to,
-                sent_tick,
-                // A configured latency can be anything: an envelope due
-                // at `u64::MAX` is in flight until shutdown.
-                due_tick: sent_tick.saturating_add(latency),
-                msg,
-            });
+            self.wheel.schedule(
+                worker,
+                Envelope {
+                    from,
+                    to,
+                    sent_tick,
+                    // A configured latency can be anything: an envelope
+                    // due at `u64::MAX` is in flight until shutdown.
+                    due_tick: sent_tick.saturating_add(latency),
+                    msg,
+                },
+            );
         }
         fate
     }
 
-    /// Hands every buffered envelope to its destination worker — one
-    /// lane push per non-empty slot, refilling the slot from the buffer
-    /// pool. Call once per tick, before publishing the watermark, so the
-    /// batch is on the lane before any worker starts the next tick.
-    /// Closed-lane losses are totalled in
-    /// [`FlushReport::dropped_closed`] — the caller feeds that into the
-    /// ledger.
+    /// Hands every held envelope to its destination worker, whatever
+    /// its due tick — one lane push per destination with anything held,
+    /// the envelopes in (due tick, send) order. Closed-lane losses are
+    /// totalled in [`FlushReport::dropped_closed`] — the caller feeds
+    /// that into the ledger.
     pub fn flush(&mut self) -> FlushReport {
+        self.flush_through(u64::MAX)
+    }
+
+    /// Hands every held envelope due at or before `due` to its
+    /// destination worker: one lane push per destination, refilling the
+    /// emptied buckets from the buffer pool. A worker calls it once per
+    /// tick `t` with `due = t + lag`, before publishing its watermark:
+    /// every send that can fall due by then has been made, so each
+    /// destination gets that due tick's bucket whole, as one batch.
+    pub(crate) fn flush_through(&mut self, due: u64) -> FlushReport {
+        let hub = &mut self.hub;
         let mut report = FlushReport::default();
-        for worker in 0..self.slots.len() {
-            if self.slots[worker].is_empty() {
-                continue;
-            }
-            let replacement = self.hub.pool.take();
-            let batch = std::mem::replace(&mut self.slots[worker], replacement);
+        // The wheel releases a destination's buckets back to back, in due
+        // order, so they join one batch, pushed once the next
+        // destination's first bucket arrives.
+        let mut batch = (0, Vec::new());
+        let mut push = |hub: &mut Hub<M>, worker, batch| {
             report.batches += 1;
-            match self.hub.send_batch(worker, batch) {
+            match hub.send_batch(worker, batch) {
                 Ok(n) => report.envelopes += n,
                 Err(err) => report.dropped_closed += err.envelopes,
             }
+        };
+        self.wheel.release_through(due, |worker, mut bucket| {
+            if batch.0 != worker && !batch.1.is_empty() {
+                push(hub, batch.0, std::mem::take(&mut batch.1));
+            }
+            if batch.1.is_empty() {
+                batch = (worker, bucket);
+                hub.pool.take()
+            } else {
+                // A later due tick for the same destination (a full
+                // flush): one batch all the same.
+                batch.1.append(&mut bucket);
+                bucket
+            }
+        });
+        if !batch.1.is_empty() {
+            push(hub, batch.0, batch.1);
         }
         report
     }
@@ -580,17 +645,17 @@ struct Watermark(AtomicU64);
 /// The per-sender publish watermarks that replace the global tick
 /// barrier.
 ///
-/// A worker coalesces a tick's output into one batch per destination
-/// and flushes all of them before it publishes, so what it has
-/// published is the same toward every receiver: one number per sender.
-/// After flushing tick `t`'s batches, a sender stores `t + 1` (release),
-/// promising "every envelope I will ever hand anyone from ticks `0..=t`
-/// is already in their lanes". A receiver that wants to execute tick `n`
+/// At the end of its tick `t` a worker ships every envelope due by
+/// `t + lag`, one batch per destination, before it publishes, so what
+/// it has published is the same toward every receiver: one number per
+/// sender. After that flush, a sender stores `t + 1` (release),
+/// promising "every envelope I will ever hand anyone due by `t + lag`
+/// is already in their lanes" — `lag` being the scheduler's effective
+/// drift bound, the network's latency floor, so nothing it sends later
+/// falls due that early. A receiver that wants to execute tick `n`
 /// acquires its peers' watermarks and waits until each shows at least
-/// `n + 1 − lag` published ticks, where `lag` is the scheduler's
-/// effective drift bound (the network's latency floor): anything a
-/// peer sends later is due strictly after `n`, so no delivery can be
-/// missed and no barrier is needed.
+/// `n + 1 − lag` published ticks: every envelope due by `n` is then in
+/// its lanes, so no delivery can be missed and no barrier is needed.
 ///
 /// ```
 /// use da_runtime::EdgeWatermarks;
@@ -759,8 +824,8 @@ mod tests {
             minted <= 2,
             "steady-state flushing must cycle a tiny working set, minted {minted}"
         );
-        // Every minted buffer is at rest again: in the pool or parked as
-        // a coalescing slot (slots hold pool buffers once they've cycled).
+        // Every minted buffer is at rest again: in the pool or held as a
+        // wheel bucket (buckets hold pool buffers once they've cycled).
         assert!(pool.pooled() as u64 <= minted);
     }
 
@@ -885,6 +950,50 @@ mod tests {
         assert_eq!(w1.len(), 3);
         // Nothing buffered afterwards: a second flush is a no-op.
         assert_eq!(faulty.flush(), FlushReport::default());
+    }
+
+    /// A worker's per-tick flush ships only the due tick it names: one
+    /// batch per destination worker, holding that (due tick,
+    /// destination) bucket in send order. Later dues wait on the
+    /// router's wheel.
+    #[test]
+    fn flush_through_ships_one_due_tick_as_whole_batches() {
+        let (mut hubs, mut inboxes) = lane_matrix::<u8>(2, 8);
+        let mut faulty = FaultyRouter::new(
+            hubs.remove(0),
+            ChannelConfig::reliable().with_latency(Latency::UniformRounds { min: 2, max: 4 }),
+            3,
+        );
+        let mut dues = Vec::new();
+        for i in 0..40u8 {
+            match faulty.send(ProcessId(9), ProcessId(u32::from(i % 4)), 10, i) {
+                NetFate::Deliver { latency } => dues.push((i, 10 + latency)),
+                fate => panic!("reliable channel: {fate:?}"),
+            }
+        }
+        assert_eq!(
+            (faulty.wheel.len(), faulty.wheel.due_horizon()),
+            (40, Some(14))
+        );
+        for due in 12..=14 {
+            let report = faulty.flush_through(due);
+            assert_eq!(report.batches, 2, "one batch per destination worker");
+            for (worker, inbox) in inboxes.iter_mut().enumerate() {
+                let mut batches = Vec::new();
+                inbox.take_batches(|lane, batch| batches.push((lane, batch)));
+                let [(0, batch)] = &batches[..] else {
+                    panic!("due {due}: {batches:?}")
+                };
+                let want: Vec<u8> = dues
+                    .iter()
+                    .filter(|&&(i, d)| d == due && usize::from(i % 2) == worker)
+                    .map(|&(i, _)| i)
+                    .collect();
+                assert_eq!(batch.iter().map(|e| e.msg).collect::<Vec<_>>(), want);
+                assert!(batch.iter().all(|e| e.due_tick == due));
+            }
+        }
+        assert!(faulty.wheel.is_empty());
     }
 
     #[test]
@@ -1157,23 +1266,23 @@ mod tests {
         assert_eq!(std::sync::Arc::strong_count(&token), 1);
     }
 
-    /// Draw-order v3 through the router, bit for bit: the fate of every
-    /// send of a fixed stream and the envelopes that reach each worker,
-    /// folded through `FxHasher`. One sender's sends come in non-adjacent
-    /// runs within a tick (1, 4, 1, 6, 1 — what the cached sender prefix
-    /// has to get right), a tick's last sender is the next tick's first
-    /// (the prefix is per tick too), and an edge repeats within a tick,
-    /// so occurrences count. A change to the value re-rolls every live
-    /// fate and is a new draw-order version.
-    #[test]
-    fn router_fates_match_their_pinned_digest() {
+    /// A fixed stream of sends through a lossy, jittered router, flushed
+    /// after every tick: each send's fate folded through one `FxHasher`,
+    /// and the envelopes each worker's inbox receives through another.
+    /// One sender's sends come in non-adjacent runs within a tick (1, 4,
+    /// 1, 6, 1 — what the cached sender prefix has to get right), a
+    /// tick's last sender is the next tick's first (the prefix is per
+    /// tick too), and an edge repeats within a tick, so occurrences
+    /// count.
+    fn router_digests() -> (u64, u64) {
         use std::hash::Hasher as _;
         let channel = ChannelConfig::reliable()
             .with_success_probability(0.9)
             .with_latency(Latency::UniformRounds { min: 1, max: 3 });
         let (mut hubs, mut inboxes) = lane_matrix::<u8>(2, 64);
         let mut router = FaultyRouter::new(hubs.remove(0), channel, 42);
-        let mut digest = da_core::FxHasher::default();
+        let mut fates = da_core::FxHasher::default();
+        let mut shipped = da_core::FxHasher::default();
         for tick in [0u64, 1, 2, 5, 9, 10] {
             let t = tick as u32;
             let sends = [
@@ -1190,21 +1299,40 @@ mod tests {
             ];
             for (from, to) in sends {
                 match router.send(ProcessId(from), ProcessId(to), tick, 0) {
-                    NetFate::Deliver { latency } => digest.write_u64(latency),
-                    NetFate::Lost => digest.write_u64(0),
+                    NetFate::Deliver { latency } => fates.write_u64(latency),
+                    NetFate::Lost => fates.write_u64(0),
                     NetFate::Severed => unreachable!("no partition is scripted"),
                 }
             }
             router.flush();
             for inbox in &mut inboxes {
                 inbox.sweep(|_, e| {
-                    digest.write_u32(e.from.0);
-                    digest.write_u32(e.to.0);
-                    digest.write_u64(e.sent_tick);
-                    digest.write_u64(e.due_tick);
+                    shipped.write_u32(e.from.0);
+                    shipped.write_u32(e.to.0);
+                    shipped.write_u64(e.sent_tick);
+                    shipped.write_u64(e.due_tick);
                 });
             }
         }
-        assert_eq!(digest.finish(), 0x8a95_a3b9_2349_e274);
+        (fates.finish(), shipped.finish())
+    }
+
+    /// Draw-order v3 through the router, bit for bit: the fate of every
+    /// send of [`router_digests`]' stream. A change to the value re-rolls
+    /// every live fate and is a new draw-order version.
+    #[test]
+    fn router_fates_match_their_pinned_digest() {
+        assert_eq!(router_digests().0, 0x9dfb_8418_58c8_2704);
+    }
+
+    /// What a full [`FaultyRouter::flush`] hands each worker, and in
+    /// which order, for [`router_digests`]' stream: every survivor,
+    /// whatever its due tick. Since the router holds survivors on a
+    /// wheel, a flush ships them in (due tick, send) order; it shipped
+    /// them in send order before (`0x7afd_bdf0_6ffe_ff26`), the same
+    /// envelopes per flush.
+    #[test]
+    fn router_shipping_matches_its_pinned_digest() {
+        assert_eq!(router_digests().1, 0x021a_decb_2e8f_8f93);
     }
 }

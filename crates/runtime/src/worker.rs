@@ -4,13 +4,22 @@
 //! watermark gate, one `da_core::Stripe` tick through its
 //! [`FaultyRouter`], flush, report, park. The scheduling model is
 //! described in [`crate::runtime`].
+//!
+//! A worker keeps no wheel. Its router holds what its processes sent
+//! until the tick before it can fall due, then ships each (due tick,
+//! destination) bucket whole as one lane batch. The receiving worker
+//! keeps the batches it sweeps in one FIFO per producer — a producer
+//! ships in due order, so a FIFO's front is its earliest — and at the
+//! due tick delivers the front batches, producer by producer, straight
+//! out of the buffer the sender filled.
 
 use crate::transport::{EdgeInbox, EdgeWatermarks, FaultyRouter};
-use da_core::wheel::{DelayWheel, Envelope};
+use da_core::wheel::Envelope;
 use da_core::{
     CounterId, Counters, ExecProtocol, Histogram, ProcessId, ProcessStatus, Stripe, TickTally,
     TraceLog, WireSize,
 };
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
@@ -66,8 +75,10 @@ pub(super) type Joined<P> = (Vec<(ProcessId, P, ProcessStatus)>, Box<Telemetry>)
 /// recorder and delivery latency.
 #[derive(Debug, Default)]
 pub(super) struct PoolHistograms {
-    /// Delay-wheel occupancy sampled once per tick after the inbox
-    /// drain.
+    /// Envelopes the worker holds for later ticks — its router's, not
+    /// yet shipped, and the swept batches not yet due — sampled once per
+    /// tick after its flush. The name is the delay wheel's, which held
+    /// the receiving half before batches were delivered in place.
     pub(super) wheel_occupancy: Histogram,
     /// How many ticks this worker ran ahead of its slowest peer's
     /// published frontier, sampled once per tick.
@@ -91,15 +102,17 @@ pub(super) struct WorkerReport {
     /// looks quiet.
     pub(super) tally: TickTally,
     pub(super) dropped_closed: u64,
-    /// Envelopes parked in this worker's wheel after the tick — a
-    /// loudness proof only: [`crate::TickReport::pending`] is the
-    /// coordinator's ledger, which does not wait for batches to land.
+    /// Envelopes this worker holds after the tick, in its router or
+    /// swept and not yet due — a loudness proof only:
+    /// [`crate::TickReport::pending`] is the coordinator's ledger, which
+    /// does not wait for batches to land.
     pub(super) pending: u64,
-    /// Furthest due tick with an envelope provably parked in this
-    /// worker's wheel (0 when empty). Every tick before it will report
-    /// `pending > 0`, so the coordinator may grant through
-    /// `due_horizon + 1` without risking a tick past the quiescent one
-    /// — the multi-tick analogue of the loud-report lookahead.
+    /// Furthest due tick with an envelope provably held by this worker
+    /// (0 when none). That envelope is in flight through the tick before
+    /// it, so every such tick will report `pending > 0`, and the
+    /// coordinator may grant through `due_horizon + 1` without risking a
+    /// tick past the quiescent one — the multi-tick analogue of the
+    /// loud-report lookahead.
     pub(super) due_horizon: u64,
 }
 
@@ -118,10 +131,10 @@ impl WorkerReport {
 /// `pid ≡ id mod workers` with their RNG streams, their liveness under
 /// the shared failure plan, its own metrics registry and flight recorder
 /// — and the tick body that drives them), its [`EdgeInbox`] (the
-/// consumer column of the lane matrix), its outgoing [`FaultyRouter`]
-/// (wrapping its hub row, with the per-tick coalescing buffers) and its
-/// delay wheel; advances its local tick clock through the shared horizon
-/// and watermark gates.
+/// consumer column of the lane matrix) with the batches swept off it,
+/// and its outgoing [`FaultyRouter`] (wrapping its hub row, holding its
+/// sends until they fall due); advances its local tick clock through the
+/// shared horizon and watermark gates.
 pub(super) struct Worker<P: ExecProtocol> {
     pub(super) id: usize,
     /// Counts and records without a lock: the registry and the recorder
@@ -135,13 +148,13 @@ pub(super) struct Worker<P: ExecProtocol> {
     /// The two ledger counters only a pool has.
     pub(super) dropped_closed: CounterId,
     pub(super) dropped_shutdown: CounterId,
-    /// Everything the lanes delivered that is not yet due: every swept
-    /// envelope parks here (bucketed by producer lane) until the local
-    /// clock reaches its due tick.
-    pub(super) wheel: DelayWheel<P::Msg>,
-    /// Reused drain buffer for [`DelayWheel::take_due_into`] — the
-    /// tick's due envelopes, emptied in place every tick.
-    pub(super) due_buf: Vec<Envelope<P::Msg>>,
+    /// Batches swept off the lanes and not yet delivered, one FIFO per
+    /// producer lane. Each batch is one due tick's bucket of its
+    /// producer's router, and a producer ships in due order, earliest
+    /// first. A producer runs less than `lag` ticks ahead and ships `lag`
+    /// ticks before the due tick, so a FIFO holds at most `2 × lag`
+    /// batches.
+    pub(super) arrived: Vec<VecDeque<Vec<Envelope<P::Msg>>>>,
     /// Batches swept off the lanes since the last tick finished; folded
     /// into the `lane_depth` histogram each tick.
     pub(super) swept: u64,
@@ -214,19 +227,37 @@ where
         }
     }
 
-    /// Moves every batch currently sitting on the incoming lanes onto
-    /// the delay wheel, preserving each envelope's producer lane so the
-    /// wheel can release a tick's dues in worker-id order. Cheap when
-    /// the lanes are empty (one relaxed load per lane), so the main
-    /// loop calls it both before the watermark gate and again inside
-    /// `run_tick` once the gate opens.
+    /// Moves every batch currently sitting on the incoming lanes, whole,
+    /// onto its producer's FIFO. Cheap when the lanes are empty (one
+    /// relaxed load per lane), so the main loop calls it both before the
+    /// watermark gate and again inside `run_tick` once the gate opens.
     fn sweep_lanes(&mut self) {
-        let wheel = &mut self.wheel;
-        let batches = self.inbox.sweep(|lane, env| {
-            debug_assert!(env.due_tick > env.sent_tick, "latency is at least one tick");
-            wheel.schedule(lane, env);
+        let arrived = &mut self.arrived;
+        let batches = self.inbox.take_batches(|lane, batch| {
+            debug_assert!(
+                arrived[lane]
+                    .back()
+                    .is_none_or(|last| last[0].due_tick < batch[0].due_tick),
+                "a producer ships one batch per due tick, in due order"
+            );
+            arrived[lane].push_back(batch);
         });
         self.swept += batches;
+    }
+
+    /// Envelopes this worker holds: its router's, for a later flush, and
+    /// the swept batches not yet delivered.
+    fn holding(&self) -> u64 {
+        let arrived: usize = self.arrived.iter().flatten().map(Vec::len).sum();
+        (self.faulty.wheel.len() + arrived) as u64
+    }
+
+    /// The furthest due tick of an envelope this worker holds, 0 when it
+    /// holds none: its router's horizon, or a FIFO's last batch.
+    fn due_horizon(&self) -> u64 {
+        let arrived = self.arrived.iter().filter_map(VecDeque::back);
+        let arrived = arrived.map(|batch| batch[0].due_tick).max();
+        self.faulty.wheel.due_horizon().max(arrived).unwrap_or(0)
     }
 
     /// The worker main loop: execute every granted-and-gated tick, park
@@ -242,10 +273,10 @@ where
                     stopping = true;
                 }
                 // Sweep the lanes before the watermark gate: frees lane
-                // capacity for peers running ahead and parks early
-                // arrivals. Order-safe at any sweep frequency — the
-                // wheel buckets per producer lane, so the delivery
-                // sequence never depends on *when* a batch was swept.
+                // capacity for peers running ahead. Order-safe at any
+                // sweep frequency — batches wait per producer lane, so
+                // the delivery sequence never depends on *when* a batch
+                // was swept.
                 self.sweep_lanes();
                 if !self.await_watermarks(tick) {
                     break 'main;
@@ -331,19 +362,21 @@ where
         }
     }
 
-    /// Messages still travelling when the pool stops (parked in the
-    /// wheel, or in the inbox with a future due tick) are accounted as
-    /// `rt.dropped_shutdown` rather than silently vanishing — the live
-    /// analogue of the simulator's in-flight queue being discarded.
+    /// Messages still travelling when the pool stops (held by this
+    /// worker's router for a later due tick, swept and not yet due, or
+    /// still on an incoming lane) are accounted as `rt.dropped_shutdown`
+    /// rather than silently vanishing — the live analogue of the
+    /// simulator's in-flight queue being discarded.
     ///
     /// The drain is complete: Stop is only sent between driver calls,
     /// when every worker has executed and flushed every granted tick, so
     /// nothing can race onto the lanes after the sweep starts, and each
-    /// in-flight envelope is counted exactly once (it is either on this
-    /// worker's wheel or on one of its incoming lanes, never both).
+    /// in-flight envelope is counted exactly once, by one worker (it is
+    /// in its sender's router, or in its receiver's FIFO or lanes).
     fn account_shutdown_in_flight(&mut self) {
-        let mut in_flight = self.wheel.discard_all() as u64;
-        in_flight += self.inbox.drain();
+        let in_flight = self.holding() + self.inbox.drain();
+        self.faulty.wheel.discard_all();
+        self.arrived.clear();
         if in_flight > 0 {
             let id = self.dropped_shutdown;
             self.stripe.ledger.counters.add(id, in_flight);
@@ -352,55 +385,61 @@ where
 
     /// One tick: the stripe's tick body — the failure plan's transitions
     /// (with `on_recover` for processes that came back) and the first
-    /// tick's `on_start`, a verdict for every envelope the wheel
-    /// releases as due now, the round hooks for alive processes — with
-    /// every send routed through the [`FaultyRouter`]; then flush this
-    /// tick's coalesced outgoing batches and publish the watermarks that
-    /// let receivers advance past it.
+    /// tick's `on_start`, a verdict for every envelope of the batches
+    /// due now, the round hooks for alive processes — with every send
+    /// routed through the [`FaultyRouter`]; then ship the buckets that
+    /// fall due `lag` ticks on and publish the watermark that lets
+    /// receivers advance past this tick.
     fn run_tick(&mut self, tick: u64) -> WorkerReport {
         self.stripe.begin_tick(tick, &mut self.faulty);
 
-        // Deliver this tick's dues. One final lane sweep parks every
-        // envelope the watermark gate guarantees has arrived, then the
-        // wheel releases exactly this tick's dues in (due tick,
-        // producer lane, arrival order) sequence — a pure function of
-        // (tick, from, to, occurrence), independent of sweep timing and
-        // of how batches interleaved on the lanes.
+        // Deliver this tick's dues. One final lane sweep takes every
+        // batch the watermark gate guarantees has arrived; then each
+        // producer's batches due now are delivered in producer-lane
+        // order, each in its send order — a pure function of (tick,
+        // from, to, occurrence), independent of sweep timing and of how
+        // batches interleaved on the lanes.
         self.sweep_lanes();
         if let Some(trace) = self.trace.as_mut() {
             trace.lane_depth.record(self.swept);
         }
         self.swept = 0;
-        self.wheel.take_due_into(tick, &mut self.due_buf);
-        for env in self.due_buf.drain(..) {
-            debug_assert!(
-                env.due_tick == tick,
-                "due tick {} missed at local tick {tick}",
-                env.due_tick
-            );
-            self.stripe.deliver(env, &mut self.faulty);
-        }
-
-        // The wheel is stable from here to the flush (round-hook sends
-        // travel via the router, never this worker's own wheel), so this
-        // is the tick's settled occupancy.
-        if let Some(trace) = self.trace.as_mut() {
-            trace.wheel_occupancy.record(self.wheel.len() as u64);
+        for lane in 0..self.arrived.len() {
+            while let Some(mut batch) = self.arrived[lane].pop_front() {
+                if batch[0].due_tick > tick {
+                    self.arrived[lane].push_front(batch);
+                    break;
+                }
+                debug_assert!(
+                    batch[0].due_tick == tick,
+                    "due tick {} missed at local tick {tick}",
+                    batch[0].due_tick
+                );
+                for env in batch.drain(..) {
+                    self.stripe.deliver(env, &mut self.faulty);
+                }
+                self.inbox.recycle(lane, batch);
+            }
         }
 
         let tally = self.stripe.round_hooks(&mut self.faulty);
 
-        // Ship this tick's output — one coalesced batch per destination
-        // worker — and only then raise the watermarks: a peer that
-        // observes them is guaranteed to find the batches in its inbox.
-        let flush = self.faulty.flush();
+        // Ship what falls due `lag` ticks on — no later send can join
+        // those buckets — as one batch per destination worker, and only
+        // then raise the watermark: a peer that observes it is
+        // guaranteed to find the batches in its inbox.
+        let flush = self.faulty.flush_through(tick + self.lag);
         if flush.dropped_closed > 0 {
             // Closed-inbox drops surface as a flush total, not per envelope.
             let id = self.dropped_closed;
             self.stripe.ledger.counters.add(id, flush.dropped_closed);
         }
         self.sched.marks.publish(self.id, tick + 1);
+        // What the worker holds for later ticks: its router's later
+        // dues and the swept batches not yet due.
+        let pending = self.holding();
         if let Some(trace) = self.trace.as_mut() {
+            trace.wheel_occupancy.record(pending);
             // How far this clock now runs ahead of the slowest in-edge's
             // published frontier (0 on a single-worker pool).
             let marks = &self.sched.marks;
@@ -416,8 +455,8 @@ where
             tick,
             tally,
             dropped_closed: flush.dropped_closed,
-            pending: self.wheel.len() as u64,
-            due_horizon: self.wheel.due_horizon().unwrap_or(0),
+            pending,
+            due_horizon: self.due_horizon(),
         }
     }
 }
