@@ -143,6 +143,60 @@ fn quiescence_never_overshoots() {
     assert_eq!(out.counters.get("rt.sent"), 0);
 }
 
+/// The quiet tick is not overshot when the last envelope is consumed
+/// undelivered either: p0's one send, due at `d`, meets p1 crashed, so
+/// tick `d` is quiet and only the proofs of the ticks before it may
+/// have granted anything — a held envelope proves `d + 1`, not `d + 2`.
+#[test]
+fn quiescence_never_overshoots_an_undelivered_last_envelope() {
+    use da_core::failure::{FailureModel, Fate};
+    struct Once {
+        rounds_seen: u64,
+    }
+    impl ExecProtocol for Once {
+        type Msg = ();
+        fn on_message<X: Exec<Msg = ()>>(&mut self, _f: ProcessId, _m: (), _c: &mut X) {}
+        fn on_round<X: Exec<Msg = ()>>(&mut self, round: u64, ctx: &mut X) {
+            self.rounds_seen = round + 1;
+            // Round 30 would wake the pool again, long after the quiet tick.
+            if (round == 0 && ctx.me() == ProcessId(0)) || round == 30 {
+                ctx.send(ProcessId(1), ());
+            }
+        }
+    }
+    // Seed 4 draws the jittery send's latency at 4, over the floor of 2:
+    // p0's router holds it through two flushes before it ships.
+    for (latency, quiet) in [
+        (Latency::Fixed(3), 3),
+        (Latency::UniformRounds { min: 2, max: 4 }, 4),
+    ] {
+        for workers in 1..=3 {
+            let config = RuntimeConfig::default()
+                .with_workers(workers)
+                .with_seed(4)
+                .with_channel(ChannelConfig::reliable().with_latency(latency))
+                .with_failures(FailureModel::Schedule(vec![Fate {
+                    round: 1,
+                    pid: ProcessId(1),
+                    crash: true,
+                }]));
+            let procs = (0..6).map(|_| Once { rounds_seen: 0 }).collect();
+            let mut rt = Runtime::spawn(config, procs);
+            let executed = rt.run_until_quiescent(64);
+            let out = rt.shutdown();
+            let at = format!("{latency:?} at {workers} workers");
+            assert_eq!(out.counters.get("rt.dropped_crashed"), 1, "{at}");
+            assert_eq!(executed, quiet + 1, "{at}: quiet at the due tick");
+            for p in &out.processes {
+                assert!(
+                    p.rounds_seen <= executed,
+                    "{at}: a hook ran past the quiet tick"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn shutdown_returns_processes_in_pid_order() {
     struct Tag(usize);
