@@ -54,8 +54,8 @@ pub struct PoolConfig {
     /// available CPU, capped by the population.
     pub workers: usize,
     /// Watchdog: how long the coordinator waits for a worker to ack a
-    /// tick or answer a read before it panics naming the worker, rather
-    /// than hanging.
+    /// tick or answer a read or an apply before it panics, rather than
+    /// hanging.
     pub tick_timeout_ms: u64,
 }
 

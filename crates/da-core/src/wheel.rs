@@ -2,9 +2,10 @@
 //! [`Envelope`]s that survived the channel wait here, bucketed by due
 //! tick and lane, until their owner releases them.
 //!
-//! * **The simulator** owns one single-lane wheel. Each round it moves
-//!   the due bucket out whole ([`DelayWheel::take_due`]), delivers from
-//!   it and hands the emptied allocation back ([`DelayWheel::restore`]).
+//! * **The simulator** owns one single-lane wheel. Each round it
+//!   releases through the round ([`DelayWheel::release_through`]), keeps
+//!   the due bucket it is shipped whole, delivers from it and hands the
+//!   emptied allocation back ([`DelayWheel::restore`]).
 //! * **A runtime worker's router** owns one wheel whose lanes are the
 //!   destination workers. Every surviving send is scheduled once, at
 //!   send time. At the end of its tick `t` the worker ships the buckets
@@ -159,44 +160,6 @@ impl<M> DelayWheel<M> {
         }
     }
 
-    /// Appends every envelope due at or before `tick` to `out`: earliest
-    /// due tick first, lane order within a tick, scheduling order within
-    /// a lane. The caller's buffer is reused across ticks, so the
-    /// steady-state drain allocates nothing.
-    fn take_due_into(&mut self, tick: u64, out: &mut Vec<Envelope<M>>) {
-        let start = out.len();
-        // Past-due stragglers (scheduled with due < next): smallest
-        // (due, lane) keys in the wheel, released first.
-        while let Some(entry) = self.spill.first_entry() {
-            let (due, _) = *entry.key();
-            if due >= self.next || due > tick {
-                break;
-            }
-            let mut spilled = entry.remove();
-            out.append(&mut spilled);
-        }
-        while self.next <= tick {
-            if out.len() - start == self.len {
-                // Wheel is empty: slide the window in one step.
-                self.next = tick + 1;
-                break;
-            }
-            for lane in 0..self.lanes {
-                if !self.spill.is_empty() {
-                    if let Some(mut spilled) = self.spill.remove(&(self.next, lane)) {
-                        out.append(&mut spilled);
-                    }
-                }
-                // Drain in place so the bucket keeps its allocation for
-                // the tick `capacity` steps from now.
-                let bucket = self.bucket(self.next, lane);
-                out.append(&mut self.ring[bucket]);
-            }
-            self.next += 1;
-        }
-        self.len -= out.len() - start;
-    }
-
     /// Moves out, whole, every bucket due at or before `through`, lane
     /// by lane, each lane's in due order. `ship(lane, bucket)` receives
     /// each non-empty bucket — scheduling order, one due tick — and
@@ -262,32 +225,13 @@ impl<M> DelayWheel<M> {
         }
     }
 
-    /// Every envelope due at or before `tick` as an owned `Vec` (earliest
-    /// due tick first, lane order within a tick, scheduling order within
-    /// a lane), for a caller that schedules *while* it delivers and so
-    /// cannot keep the wheel borrowed. When the due set is exactly one
-    /// ring bucket (a single-lane wheel drained every tick) the bucket's
-    /// `Vec` is moved out whole: no copy, no second buffer. Hand it back
-    /// with [`restore`](Self::restore).
-    pub fn take_due(&mut self, tick: u64) -> Vec<Envelope<M>> {
-        let spill_is_later = self.spill.range(..=(tick, usize::MAX)).next().is_none();
-        if self.lanes == 1 && self.next == tick && spill_is_later {
-            let bucket = self.bucket(tick, 0);
-            let due = std::mem::take(&mut self.ring[bucket]);
-            self.len -= due.len();
-            self.next += 1;
-            due
-        } else {
-            let mut due = Vec::new();
-            self.take_due_into(tick, &mut due);
-            due
-        }
-    }
-
-    /// Takes back the allocation [`take_due`](Self::take_due) moved out
-    /// (contents discarded), so the slot of the tick just released —
-    /// reused `capacity` ticks later — does not have to grow again. A
-    /// slot that already owns an allocation keeps its own.
+    /// Takes back a bucket [`release_through`](Self::release_through)
+    /// shipped and its caller kept (contents discarded), so the slot of
+    /// the tick just released — reused `capacity` ticks later — does not
+    /// have to grow again. A slot that already owns an allocation keeps
+    /// its own. The simulator, which schedules *while* it delivers and so
+    /// cannot hand a spare back from inside the release, does this once a
+    /// round.
     pub fn restore(&mut self, mut spare: Vec<Envelope<M>>) {
         spare.clear();
         let released = self.next.saturating_sub(1);
@@ -327,9 +271,9 @@ impl<M> DelayWheel<M> {
 
     /// The furthest due tick of a parked envelope, `None` when the wheel
     /// is empty — read off the buckets, so a send pays nothing for it.
-    /// The runtime's scheduler uses this as a quiescence lower bound:
-    /// that envelope is in flight through the tick before, so every tick
-    /// until then reports `pending > 0` and is therefore loud.
+    /// The runtime's scheduler uses this as a quiescence lower bound, and
+    /// it is the only proof a held envelope gives: that envelope is in
+    /// flight through the tick before, so no tick until then is quiet.
     #[must_use]
     pub fn due_horizon(&self) -> Option<u64> {
         if self.len == 0 {
@@ -378,10 +322,19 @@ mod tests {
         }
     }
 
-    /// Owned-`Vec` drain for test ergonomics.
+    /// Everything due through `tick`, the way the simulator drains a
+    /// round: the first bucket shipped is moved out whole, any later one
+    /// appended to it.
     fn drain(wheel: &mut DelayWheel<u8>, tick: u64) -> Vec<Envelope<u8>> {
         let mut due = Vec::new();
-        wheel.take_due_into(tick, &mut due);
+        wheel.release_through(tick, |_, mut bucket| {
+            if due.is_empty() {
+                std::mem::swap(&mut due, &mut bucket);
+            } else {
+                due.append(&mut bucket);
+            }
+            bucket
+        });
         due
     }
 
@@ -497,16 +450,6 @@ mod tests {
         assert_eq!(released, vec![5]);
     }
 
-    #[test]
-    fn reused_drain_buffer_appends_after_existing_contents() {
-        let mut wheel = DelayWheel::with_capacity(4, 1);
-        wheel.schedule(0, env(1, 9));
-        let mut buf = vec![env(0, 1)];
-        wheel.take_due_into(1, &mut buf);
-        assert_eq!(buf.iter().map(|e| e.msg).collect::<Vec<_>>(), vec![1, 9]);
-        assert_eq!(wheel.len(), 0);
-    }
-
     /// The old wheel *was* a `BTreeMap` keyed by due tick; keep its
     /// per-lane generalisation as the in-test reference model the ring
     /// must match exactly.
@@ -528,7 +471,7 @@ mod tests {
                 .push(envelope);
         }
 
-        fn take_due(&mut self, tick: u64) -> Vec<Envelope<M>> {
+        fn drain_through(&mut self, tick: u64) -> Vec<Envelope<M>> {
             let mut due = Vec::new();
             while let Some(entry) = self.slots.first_entry() {
                 if entry.key().0 > tick {
@@ -540,16 +483,13 @@ mod tests {
         }
     }
 
-    /// Satellite requirement: for randomized latency schedules the ring
-    /// wheel and the BTreeMap reference release identical envelope
-    /// sequences — same envelopes, same order, at every drain point —
+    /// For randomized latency schedules the ring wheel and the BTreeMap
+    /// reference release identical envelope sequences per lane — on one
+    /// lane, the simulator's, the whole sequence — at every drain point,
     /// across lane counts and capacities both generous and deliberately
     /// undersized (where the ring must lean on its spillover path).
     #[test]
     fn ring_wheel_matches_btreemap_reference() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng as _, SeedableRng as _};
-
         for (seed, capacity, lanes) in [
             (1u64, 1usize, 1usize),
             (2, 2, 2),
@@ -557,51 +497,9 @@ mod tests {
             (4, 8, 1),
             (5, 64, 4),
         ] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut ring = DelayWheel::with_capacity(capacity, lanes);
-            let mut reference = ReferenceWheel::new();
-            let mut msg = 0u8;
-            for tick in 0..200u64 {
-                for _ in 0..rng.gen_range(0..5usize) {
-                    // Latencies up to 40 ticks: far beyond the smaller
-                    // capacities, so the spill path is exercised hard.
-                    let due = tick + rng.gen_range(1..=40u64);
-                    let lane = rng.gen_range(0..lanes);
-                    ring.schedule(lane, env(due, msg));
-                    reference.schedule(lane, env(due, msg));
-                    msg = msg.wrapping_add(1);
-                }
-                // Occasionally skip ticks so catch-up drains are covered.
-                if rng.gen_bool(0.2) {
-                    continue;
-                }
-                let got: Vec<(u64, u8)> = drain(&mut ring, tick)
-                    .into_iter()
-                    .map(|e| (e.due_tick, e.msg))
-                    .collect();
-                let want: Vec<(u64, u8)> = reference
-                    .take_due(tick)
-                    .into_iter()
-                    .map(|e| (e.due_tick, e.msg))
-                    .collect();
-                assert_eq!(
-                    got, want,
-                    "seed {seed} capacity {capacity} lanes {lanes} tick {tick}"
-                );
-            }
-            // Final catch-up far past the end releases the stragglers
-            // identically too.
-            let got: Vec<(u64, u8)> = drain(&mut ring, 500)
-                .into_iter()
-                .map(|e| (e.due_tick, e.msg))
-                .collect();
-            let want: Vec<(u64, u8)> = reference
-                .take_due(500)
-                .into_iter()
-                .map(|e| (e.due_tick, e.msg))
-                .collect();
-            assert_eq!(got, want, "seed {seed} capacity {capacity} final drain");
-            assert_eq!(ring.len(), 0);
+            // Drained every tick up to the clock (with skipped ticks,
+            // so catch-up drains are covered).
+            matches_reference(seed, capacity, lanes, 1, 0);
         }
     }
 
@@ -682,14 +580,29 @@ mod tests {
         }
     }
 
-    /// Randomized schedules across lanes and capacities, generous and
-    /// undersized, released a fixed lag ahead of the clock as a runtime
-    /// router does (with past-due stragglers and skipped ticks): each
-    /// lane's shipments, concatenated, are the reference's release
-    /// sequence for that lane, and every shipment is one `(due, lane)`
-    /// run.
+    /// Randomized schedules released a fixed lag ahead of the clock, as
+    /// a runtime router does (with past-due stragglers and skipped
+    /// ticks), match the reference per lane too.
     #[test]
     fn release_through_matches_btreemap_reference() {
+        for (seed, capacity, lanes, lag) in [
+            (1u64, 1usize, 1usize, 1u64),
+            (2, 2, 2, 1),
+            (3, 5, 3, 2),
+            (4, 8, 2, 3),
+            (5, 64, 4, 1),
+        ] {
+            matches_reference(seed, capacity, lanes, lag, lag);
+        }
+    }
+
+    /// Schedules latencies `min_latency..=40` — far beyond the smaller
+    /// capacities, so the spill path is exercised hard — and releases
+    /// through `ahead` ticks past the clock on four ticks in five: each
+    /// lane's shipments, concatenated, are the reference's release
+    /// sequence for that lane at every release and in the final
+    /// catch-up, and every shipment is one `(due, lane)` run.
+    fn matches_reference(seed: u64, capacity: usize, lanes: usize, min_latency: u64, ahead: u64) {
         use rand::rngs::SmallRng;
         use rand::{Rng as _, SeedableRng as _};
 
@@ -699,61 +612,44 @@ mod tests {
             from: ProcessId(lane as u32),
             ..env(due, msg)
         };
-        let per_lane = |released: &[(usize, u64, u8)], lane| {
-            let mine = released.iter().filter(move |e| e.0 == lane);
-            mine.map(|e| (e.1, e.2)).collect::<Vec<_>>()
-        };
-        for (seed, capacity, lanes, lag) in [
-            (1u64, 1usize, 1usize, 1u64),
-            (2, 2, 2, 1),
-            (3, 5, 3, 2),
-            (4, 8, 2, 3),
-            (5, 64, 4, 1),
-        ] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut wheel = DelayWheel::with_capacity(capacity, lanes);
-            let mut reference = ReferenceWheel::new();
-            let mut msg = 0u8;
-            for tick in 0..200u64 {
-                for _ in 0..rng.gen_range(0..5usize) {
-                    let due = tick + rng.gen_range(lag..=40u64);
-                    let lane = rng.gen_range(0..lanes);
-                    wheel.schedule(lane, on(lane, due, msg));
-                    reference.schedule(lane, on(lane, due, msg));
-                    msg = msg.wrapping_add(1);
-                }
-                if rng.gen_bool(0.2) {
-                    continue;
-                }
-                let mut got = Vec::new();
-                for (lane, bucket) in release(&mut wheel, tick + lag) {
-                    assert!(bucket.iter().all(|&(due, _)| due == bucket[0].0));
-                    got.extend(bucket.into_iter().map(|(due, msg)| (lane, due, msg)));
-                }
-                let want: Vec<(usize, u64, u8)> = reference
-                    .take_due(tick + lag)
-                    .into_iter()
-                    .map(|e| (e.from.index(), e.due_tick, e.msg))
-                    .collect();
-                assert_eq!(got.len(), want.len(), "seed {seed} tick {tick}");
-                for lane in 0..lanes {
-                    assert_eq!(
-                        per_lane(&got, lane),
-                        per_lane(&want, lane),
-                        "seed {seed} tick {tick} lane {lane}"
-                    );
-                }
+        let check = |wheel: &mut DelayWheel<u8>, reference: &mut ReferenceWheel<u8>, through| {
+            let got = release(wheel, through);
+            assert!(got.iter().all(|(_, b)| b.iter().all(|e| e.0 == b[0].0)));
+            let want = reference.drain_through(through);
+            for lane in 0..lanes {
+                let got = got.iter().filter(|(l, _)| *l == lane);
+                let got: Vec<(u64, u8)> = got.flat_map(|(_, b)| b.iter().copied()).collect();
+                let want = want.iter().filter(|e| e.from.index() == lane);
+                let want: Vec<(u64, u8)> = want.map(|e| (e.due_tick, e.msg)).collect();
+                assert_eq!(
+                    got, want,
+                    "seed {seed} capacity {capacity} through {through}"
+                );
             }
-            let rest = release(&mut wheel, u64::MAX);
-            let rest: usize = rest.iter().map(|(_, b)| b.len()).sum();
-            assert_eq!(rest, reference.take_due(u64::MAX).len());
-            assert!(wheel.is_empty());
+        };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut wheel = DelayWheel::with_capacity(capacity, lanes);
+        let mut reference = ReferenceWheel::new();
+        let mut msg = 0u8;
+        for tick in 0..200u64 {
+            for _ in 0..rng.gen_range(0..5usize) {
+                let due = tick + rng.gen_range(min_latency..=40u64);
+                let lane = rng.gen_range(0..lanes);
+                wheel.schedule(lane, on(lane, due, msg));
+                reference.schedule(lane, on(lane, due, msg));
+                msg = msg.wrapping_add(1);
+            }
+            if !rng.gen_bool(0.2) {
+                check(&mut wheel, &mut reference, tick + ahead);
+            }
         }
+        check(&mut wheel, &mut reference, u64::MAX);
+        assert!(wheel.is_empty());
     }
 
-    /// `take_due` as the message bytes it released.
+    /// [`drain`] as the message bytes it released.
     fn taken(wheel: &mut DelayWheel<u8>, tick: u64) -> Vec<u8> {
-        wheel.take_due(tick).into_iter().map(|e| e.msg).collect()
+        drain(wheel, tick).into_iter().map(|e| e.msg).collect()
     }
 
     #[test]
@@ -809,14 +705,14 @@ mod tests {
     fn restored_bucket_keeps_its_allocation_for_the_next_lap() {
         let mut wheel = DelayWheel::with_capacity(2, 1);
         wheel.schedule(0, env(0, 1));
-        let due = wheel.take_due(0);
+        let due = drain(&mut wheel, 0);
         let allocation = due.as_ptr();
         // A non-empty hand-back is discarded, never re-released.
         wheel.restore(due);
-        assert!(wheel.take_due(1).is_empty());
+        assert!(drain(&mut wheel, 1).is_empty());
         // Tick 2 laps onto tick 0's slot and reuses its buffer.
         wheel.schedule(0, env(2, 2));
-        let due = wheel.take_due(2);
+        let due = drain(&mut wheel, 2);
         assert_eq!((due[0].msg, due.as_ptr()), (2, allocation));
     }
 
@@ -848,8 +744,8 @@ mod tests {
     /// window of the smaller rings, so the spill path runs — interleaved
     /// with drains at skipping ticks: the single-lane wheel hands out
     /// the same envelopes in the same order as the `(round, seq)` heap,
-    /// through the move-out path and the copying path alike, and its
-    /// in-order walk is the heap's sorted snapshot at every step.
+    /// drained and restored as the simulator does, and its in-order walk
+    /// is the heap's sorted snapshot at every step.
     #[test]
     fn wheel_matches_round_seq_heap_reference() {
         use rand::rngs::SmallRng;
@@ -869,7 +765,7 @@ mod tests {
                 if rng.gen_bool(0.15) {
                     continue; // skipped tick: the next drain catches up
                 }
-                let mut due = wheel.take_due(tick);
+                let mut due = drain(&mut wheel, tick);
                 for e in due.drain(..) {
                     assert_eq!(heap.pop_due(tick), Some((e.due_tick, e.msg)));
                     // Deliveries send, as protocol hooks do.

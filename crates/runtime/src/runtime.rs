@@ -70,7 +70,6 @@ struct PartialTick {
     reports: usize,
     tally: TickTally,
     dropped_closed: u64,
-    loud: bool,
 }
 
 impl PartialTick {
@@ -78,7 +77,6 @@ impl PartialTick {
         self.reports += 1;
         self.tally += r.tally;
         self.dropped_closed += r.dropped_closed;
-        self.loud |= r.is_loud();
     }
 }
 
@@ -357,11 +355,6 @@ where
         let workers = self.controls.len();
         let deadline = Instant::now() + self.tick_timeout;
         loop {
-            if let Some(cap) = lookahead_cap {
-                if self.backlog.get(&tick).is_some_and(|t| t.loud) {
-                    self.grant((tick + 2).min(cap));
-                }
-            }
             if self.backlog.get(&tick).map(|t| t.reports) == Some(workers) {
                 break;
             }
@@ -370,13 +363,13 @@ where
                 .unwrap_or_else(|| panic!("worker failed to ack tick {tick}: timed out"));
             if let Some(cap) = lookahead_cap {
                 // Each report is its own non-quiescence proof, whatever
-                // tick it is for: a loud tick `u` puts the quiescent tick
-                // at `u + 1` or later (horizon `u + 2` is safe), and a
-                // held envelope due at `d` keeps every tick before `d`
-                // loud via `pending > 0` (horizon `d + 1` is safe).
-                // Granting here — not just when the collected tick
-                // finalizes — lets workers run multi-tick-latency windows
-                // without parking once per tick.
+                // tick it is for, granted once, here: a loud tick `u`
+                // puts the quiescent tick at `u + 1` or later (horizon
+                // `u + 2` is safe), and a held envelope due at `d` is in
+                // flight through every tick before `d` (horizon `d + 1`
+                // is safe). Granting on arrival, not when the collected
+                // tick finalizes, lets workers run multi-tick-latency
+                // windows without parking once per tick.
                 let mut proof = if report.is_loud() { report.tick + 2 } else { 0 };
                 if report.due_horizon > 0 {
                     // An envelope parked at `u64::MAX` is never due:
@@ -477,7 +470,8 @@ where
     ///
     /// # Panics
     ///
-    /// Panics when `pid` is out of range or its worker has died.
+    /// Panics when `pid` is out of range, or, naming the worker, when
+    /// its worker has died or does not answer within the tick timeout.
     pub fn with_process_mut<R, F>(&mut self, pid: ProcessId, f: F) -> R
     where
         R: Send + 'static,
@@ -495,7 +489,11 @@ where
         });
         self.send_control(worker, Control::Apply { pid, f: wrapped })
             .unwrap_or_else(|_| panic!("runtime worker for {pid} terminated"));
-        rx.recv().expect("runtime worker dropped an apply")
+        let deadline = Instant::now() + self.tick_timeout;
+        self.recv_watched(&rx, deadline, format_args!("answering an apply"))
+            .unwrap_or_else(|| {
+                panic!("runtime worker {worker} failed to answer an apply: timed out")
+            })
     }
 
     /// The pool's counters: every worker's registry, read through the

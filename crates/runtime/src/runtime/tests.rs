@@ -18,7 +18,7 @@ fn relay_runtime(n: u32, workers: usize) -> Runtime<Relay> {
 
 /// Applies `f` to `pid` on its worker without waiting for it: what
 /// `with_process_mut` sends, minus the reply. A worker that sleeps or
-/// dies in `f` cannot block the caller.
+/// dies in `f` holds up the caller's next wait on it, not this call.
 fn inject<P: ExecProtocol>(
     rt: &Runtime<P>,
     pid: ProcessId,
@@ -1101,6 +1101,24 @@ fn a_read_names_a_wedged_worker() {
         std::thread::sleep(Duration::from_secs(2))
     });
     let _ = rt.trace_log();
+}
+
+/// An apply whose worker is wedged names the worker after the tick
+/// timeout instead of waiting for it for ever.
+#[test]
+#[should_panic(expected = "runtime worker 2 failed to answer an apply")]
+fn an_apply_names_a_wedged_worker() {
+    let config = RuntimeConfig::default()
+        .with_workers(3)
+        .with_tick_timeout_ms(50);
+    let mut rt = Runtime::spawn(config, relay_procs(6));
+    rt.run_ticks(1);
+    // Far beyond the watchdog; the sleep also bounds how long the
+    // leaked worker outlives the panic.
+    inject(&rt, ProcessId(5), |_| {
+        std::thread::sleep(Duration::from_secs(2))
+    });
+    rt.with_process_mut(ProcessId(2), |p| p.received.len());
 }
 
 /// A relay whose every hook sends on one edge twice: `on_round` sends

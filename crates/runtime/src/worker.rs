@@ -102,28 +102,23 @@ pub(super) struct WorkerReport {
     /// looks quiet.
     pub(super) tally: TickTally,
     pub(super) dropped_closed: u64,
-    /// Envelopes this worker holds after the tick, in its router or
-    /// swept and not yet due — a loudness proof only:
-    /// [`crate::TickReport::pending`] is the coordinator's ledger, which
-    /// does not wait for batches to land.
-    pub(super) pending: u64,
-    /// Furthest due tick with an envelope provably held by this worker
-    /// (0 when none). That envelope is in flight through the tick before
-    /// it, so every such tick will report `pending > 0`, and the
+    /// Furthest due tick of an envelope this worker holds after the tick,
+    /// in its router or swept and not yet due (0 when none) — the only
+    /// proof a held envelope gives. That envelope is in flight through
+    /// the tick before it, so no tick until then is quiet, and the
     /// coordinator may grant through `due_horizon + 1` without risking a
-    /// tick past the quiescent one — the multi-tick analogue of the
-    /// loud-report lookahead.
+    /// tick past the quiescent one. Held envelopes are due after `tick`,
+    /// so that is never short of the `tick + 2` a loud tick proves.
     pub(super) due_horizon: u64,
 }
 
 impl WorkerReport {
-    /// True when this worker's slice of the tick shows any sign of life.
-    /// Any loud report proves the whole tick non-quiet, which is what
-    /// lets the coordinator grant the next tick before the slowest
-    /// worker has reported.
+    /// True when this worker's slice of the tick sent or delivered
+    /// anything (a queued send is a send). Any loud report proves the
+    /// whole tick non-quiet, which is what lets the coordinator grant
+    /// the next tick before the slowest worker has reported.
     pub(super) fn is_loud(&self) -> bool {
-        let t = &self.tally;
-        t.sent > 0 || t.delivered > 0 || self.pending > 0 || t.queued > 0
+        self.tally.sent > 0 || self.tally.delivered > 0
     }
 }
 
@@ -435,11 +430,11 @@ where
             self.stripe.ledger.counters.add(id, flush.dropped_closed);
         }
         self.sched.marks.publish(self.id, tick + 1);
-        // What the worker holds for later ticks: its router's later
-        // dues and the swept batches not yet due.
-        let pending = self.holding();
-        if let Some(trace) = self.trace.as_mut() {
-            trace.wheel_occupancy.record(pending);
+        // What the worker holds for later ticks: its router's later dues
+        // and the swept batches not yet due — counted for the trace only.
+        let holding = self.trace.is_some().then(|| self.holding());
+        if let (Some(trace), Some(holding)) = (self.trace.as_mut(), holding) {
+            trace.wheel_occupancy.record(holding);
             // How far this clock now runs ahead of the slowest in-edge's
             // published frontier (0 on a single-worker pool).
             let marks = &self.sched.marks;
@@ -455,7 +450,6 @@ where
             tick,
             tally,
             dropped_closed: flush.dropped_closed,
-            pending,
             due_horizon: self.due_horizon(),
         }
     }

@@ -288,7 +288,16 @@ where
         // in the same round: the due set is closed before delivery
         // starts, which is what lets an ordering strategy see it whole
         // and the round's bucket leave the wheel while it delivers.
-        let mut due = out.net.queue.take_due(round);
+        let mut due = Vec::new();
+        out.net.queue.release_through(round, |_, mut bucket| {
+            // One bucket ships per round; a second would append.
+            if due.is_empty() {
+                std::mem::swap(&mut due, &mut bucket);
+            } else {
+                due.append(&mut bucket);
+            }
+            bucket
+        });
         if out.strategy.wants_ordering() {
             let mut meta: Vec<DueMessage> = due
                 .iter()
