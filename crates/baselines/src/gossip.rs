@@ -79,7 +79,7 @@ pub struct GossipProcess {
     parasite_count: u64,
     /// Publications queued until the next round hook.
     pending_publish: Vec<GossipMsg>,
-    next_sequence: u64,
+    next_sequence: u32,
     labels: Labels,
 }
 
@@ -145,9 +145,13 @@ impl GossipProcess {
     /// Queues an event for publication on the process' own topic. It is
     /// gossiped in that topic's group when a table spans it, and through
     /// the unscoped tables otherwise.
+    ///
+    /// # Panics
+    /// On the publish after sequence `u32::MAX - 1`: ids never wrap.
     pub fn publish(&mut self, payload: impl Into<Vec<u8>>) -> EventId {
-        let event = Event::new(self.me, self.next_sequence, self.topic, payload);
-        self.next_sequence += 1;
+        let sequence = self.next_sequence;
+        self.next_sequence = sequence.checked_add(1).expect("sequence past u32::MAX");
+        let event = Event::new(self.me, sequence, self.topic, payload);
         let id = event.id();
         let own = Some(self.topic);
         let group = own.filter(|_| self.tables.iter().any(|t| t.group == own));
@@ -237,6 +241,17 @@ mod tests {
         // Each event came back to its publisher once.
         assert_eq!(engine.counters().get("bc.duplicate"), 2);
         assert_eq!(engine.counters().get("bc.parasite"), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence past u32::MAX")]
+    fn a_publisher_out_of_ids_panics_rather_than_wrap() {
+        let interests = InterestMap::linear(&[1]);
+        let mut procs = build_broadcast_network(&interests, 3.0, FanoutRule::default(), 1).unwrap();
+        procs[0].next_sequence = u32::MAX - 1;
+        assert_eq!(procs[0].publish("last").sequence, u32::MAX - 1);
+        assert_eq!(procs[0].next_sequence, u32::MAX);
+        procs[0].publish("one too many");
     }
 
     #[test]

@@ -7,14 +7,20 @@ use std::sync::Arc;
 /// per-publisher sequence number.
 ///
 /// Processes de-duplicate on this id ("Done only the first time the
-/// message is received", Fig. 5 of the paper).
+/// message is received", Fig. 5 of the paper). One word in memory, so a
+/// publisher has ids `0..u32::MAX` and panics rather than wrap; the
+/// modelled wire still counts 12 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId {
     /// The publishing process.
     pub publisher: ProcessId,
     /// Sequence number local to the publisher.
-    pub sequence: u64,
+    pub sequence: u32,
 }
+
+// Every de-dup table is keyed by this; a `u64` sequence doubled them.
+// See ARCHITECTURE.md, "The receive path".
+const _: () = assert!(std::mem::size_of::<EventId>() == 8);
 
 impl fmt::Display for EventId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -22,6 +28,7 @@ impl fmt::Display for EventId {
     }
 }
 
+/// The modelled wire: a 4-byte publisher and an 8-byte sequence.
 impl WireSize for EventId {
     fn wire_size(&self) -> usize {
         4 + 8
@@ -63,10 +70,11 @@ const _: () = assert!(std::mem::size_of::<Event>() == std::mem::size_of::<usize>
 
 impl Event {
     /// Creates an event published by `publisher` with local `sequence`
-    /// number, of `topic`, carrying `payload`.
+    /// number, of `topic`, carrying `payload`. The sequence is a `u32` in
+    /// memory; the id's modelled wire size is 12 bytes all the same.
     pub fn new(
         publisher: ProcessId,
-        sequence: u64,
+        sequence: u32,
         topic: TopicId,
         payload: impl Into<Vec<u8>>,
     ) -> Self {
@@ -171,6 +179,16 @@ mod tests {
         let empty = Event::new(ProcessId(0), 0, TopicId::ROOT, Vec::new());
         let full = Event::new(ProcessId(0), 0, TopicId::ROOT, vec![0u8; 100]);
         assert_eq!(full.wire_size() - empty.wire_size(), 100);
+    }
+
+    #[test]
+    fn an_id_is_one_word_and_twelve_wire_bytes() {
+        assert_eq!(std::mem::size_of::<EventId>(), 8);
+        let last = EventId {
+            publisher: ProcessId(u32::MAX),
+            sequence: u32::MAX,
+        };
+        assert_eq!(last.wire_size(), 12);
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl McHash for DaMsg {
             } => {
                 state.write_u8(0);
                 state.write_u32(event.id().publisher.0);
-                state.write_u64(event.id().sequence);
+                state.write_u64(u64::from(event.id().sequence));
                 state.write_u64(event.topic().index() as u64);
                 state.write(event.payload());
                 state.write_u64(sender_topic.index() as u64);

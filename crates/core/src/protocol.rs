@@ -68,7 +68,7 @@ const _: () = assert!(std::mem::size_of::<Labels>() == 24);
 // A wave holds a thousand processes: the dynamic-mode state a static
 // member never uses stays behind one box (inline, it made the process
 // 624 B), and the topic table is a bare view.
-const _: () = assert!(std::mem::size_of::<DaProcess>() <= 320);
+const _: () = assert!(std::mem::size_of::<DaProcess>() <= 312);
 
 impl Labels {
     /// The labels of the group at `topic_path`. Populations are built
@@ -171,7 +171,7 @@ pub struct DaProcess {
     parasite_count: u64,
     /// Publications queued until the next round hook.
     pending_publish: Vec<Event>,
-    next_sequence: u64,
+    next_sequence: u32,
     labels: Labels,
     /// Deliberate protocol defect, [`Mutation::None`] in production.
     mutation: Mutation,
@@ -419,9 +419,13 @@ impl DaProcess {
     /// Queues an event for publication on this process' own topic. The
     /// event is delivered locally and disseminated at the next round hook.
     /// Returns the event's id.
+    ///
+    /// # Panics
+    /// On the publish after sequence `u32::MAX - 1`: ids never wrap.
     pub fn publish(&mut self, payload: impl Into<Vec<u8>>) -> EventId {
-        let event = Event::new(self.me, self.next_sequence, self.topic, payload);
-        self.next_sequence += 1;
+        let sequence = self.next_sequence;
+        self.next_sequence = sequence.checked_add(1).expect("sequence past u32::MAX");
+        let event = Event::new(self.me, sequence, self.topic, payload);
         let id = event.id();
         self.pending_publish.push(event);
         id
@@ -883,7 +887,7 @@ fn fold_unordered<I: IntoIterator<Item = u64>>(items: I) -> u64 {
 }
 
 fn event_id_word(id: EventId) -> u64 {
-    (u64::from(id.publisher.0) << 32) ^ id.sequence.rotate_left(17)
+    (u64::from(id.publisher.0) << 32) ^ u64::from(id.sequence).rotate_left(17)
 }
 
 /// Canonical protocol-state digest for the bounded model checker.
@@ -939,7 +943,7 @@ impl McHash for DaProcess {
         for e in &self.pending_publish {
             state.write_u64(event_id_word(e.id()));
         }
-        state.write_u64(self.next_sequence);
+        state.write_u64(u64::from(self.next_sequence));
         let answered = dynamic.into_iter().flat_map(|d| &d.answered_requests);
         state.write_u64(fold_unordered(answered.map(|&(origin, req_id)| {
             (u64::from(origin.0) << 32) ^ req_id.rotate_left(7)
@@ -1109,6 +1113,16 @@ mod tests {
         let b = procs[4].publish("b");
         assert_eq!(a.sequence + 1, b.sequence);
         assert_eq!(a.publisher, b.publisher);
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence past u32::MAX")]
+    fn a_publisher_out_of_ids_panics_rather_than_wrap() {
+        let (mut procs, _) = tiny_static_network();
+        procs[4].next_sequence = u32::MAX - 1;
+        assert_eq!(procs[4].publish("last").sequence, u32::MAX - 1);
+        assert_eq!(procs[4].next_sequence, u32::MAX);
+        procs[4].publish("one too many");
     }
 
     #[test]

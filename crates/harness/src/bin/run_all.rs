@@ -35,7 +35,7 @@ fn main() {
         println!("[{:>8.1?}] {name} done", start.elapsed());
     }
 
-    write_index(&dir).expect("write results index");
+    std::fs::write(dir.join("README.md"), INDEX).expect("write results index");
     println!(
         "\nall experiments written to {} in {:?}",
         dir.display(),
@@ -43,10 +43,9 @@ fn main() {
     );
 }
 
-/// Writes `results/README.md`: an index mapping every artifact back to
-/// the paper figure/table (or extension) it regenerates.
-fn write_index(dir: &Path) -> std::io::Result<()> {
-    let index = "\
+/// `results/README.md`: an index mapping every artifact back to the paper
+/// figure/table (or extension) it regenerates.
+const INDEX: &str = "\
 # Results index
 
 Regenerated by `cargo run --release -p da-harness --bin run_all`.
@@ -65,10 +64,26 @@ Each entry exists as `.csv` (mean/std per column) and `.md`.
 | `fig_scaling_message_complexity` | `O(S·lnS)` claim (Sec. VI-B) |
 | `ablation_g_election_weight` | Sec. V-B trade-off, g sweep |
 | `ablation_z_supertable_size` | Sec. V-B trade-off, z sweep |
-| `ablation_fanout_rule` | ln vs log10 vs fixed fanout (DESIGN.md) |
+| `ablation_fanout_rule` | ln vs log10 vs fixed fanout (ARCHITECTURE.md, \"Where the paper's figures live\") |
 | `ablation_maintenance_period` | Fig. 6 cadence under churn |
 | `dynamics_propagation_latency` | rounds-to-coverage (extension) |
 | `dynamics_sustained_churn` | continuous churn delivery (extension) |
 ";
-    std::fs::write(dir.join("README.md"), index)
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_document_the_index_cites_exists() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let cited: Vec<&str> = INDEX
+            .split(|c: char| !(c.is_ascii_alphanumeric() || "_-.".contains(c)))
+            .filter(|word| word.len() > ".md".len() && word.ends_with(".md"))
+            .collect();
+        assert!(cited.contains(&"ARCHITECTURE.md"), "{cited:?}");
+        for name in cited {
+            assert!(root.join(name).is_file(), "the index cites {name}");
+        }
+    }
 }

@@ -167,7 +167,7 @@ proptest! {
         }
         engine.run_until_quiescent(96);
         for (_, p) in engine.processes() {
-            let seqs: Vec<u64> = p
+            let seqs: Vec<u32> = p
                 .delivered()
                 .iter()
                 .filter(|e| e.id().publisher == publisher)

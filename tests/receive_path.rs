@@ -265,6 +265,36 @@ fn a_duplicate_allocates_nothing_and_a_first_delivery_only_grows_its_logs() {
     assert_eq!(process.delivered().len(), 65);
 }
 
+/// What a first delivery keeps: its id in `seen` and its handle in the
+/// `delivered` log, amortised over their doublings: 27 B per event with
+/// a one-word id, 44 B when the id was 16 bytes.
+#[test]
+fn a_first_delivery_grows_the_receive_state_by_under_36_bytes() {
+    for n in [240, 480] {
+        let (mut process, sender, mut probe) = leaf_under_probe();
+        let topic = process.topic();
+        let copy_of = |sequence| DaMsg::Event {
+            event: Event::new(sender, sequence, topic, "x"),
+            sender_topic: topic,
+        };
+        // Warm-up as above: sizes the gossip buffer, registers the labels.
+        process.on_message(sender, copy_of(0), &mut probe);
+
+        // Built before measuring and held until after: only the
+        // receiver's state is counted, not the events themselves.
+        let fresh: Vec<DaMsg> = (1..=n).map(copy_of).collect();
+        let before = LIVE_BYTES.get();
+        for msg in &fresh {
+            probe.outbox.clear();
+            process.on_message(sender, msg.clone(), &mut probe);
+        }
+        probe.outbox.clear();
+        let per_event = (LIVE_BYTES.get() - before) / fresh.len() as i64;
+        assert!(per_event <= 36, "{n} first deliveries: {per_event} B each");
+        assert_eq!(process.delivered().len(), fresh.len() + 1);
+    }
+}
+
 /// The control messages that own no buffer are built and sent without
 /// the allocator, as when every variant was inline; one that carries
 /// lists pays for its lists, as it did, and for the one box that keeps

@@ -14,8 +14,12 @@ through its dynamic symbols (`nm -D`), so libc's `syscall` and
 function is charged to the exported symbol before it.
 
 --drop REGEX removes matching symbols before rates and shares are taken:
-the benchmark's calibration slice is `calib::|hash_one|HashMap<K,V,S,A>::insert`
-on a workload whose protocol keeps no hash set (metro_flood, metro_churn).
+the benchmark's calibration slice is `calib::|DefaultHasher` with --frames
+on a build with RUSTFLAGS='-C symbol-mangling-version=v0'. v0 names carry
+their generic arguments, so the calibration's SipHash `HashMap` rows say
+`DefaultHasher` and the protocol's `seen` insert
+(`HashMap<EventId, (), BuildHasherDefault<KeyHasher>>`) stays a row; a
+legacy-mangled build names both `HashMap<K,V,S,A>::insert`.
 --min RATE lists rows at or above RATE samples per 1,000 ops on either
 side (default 0.5).
 --frames joins the executable's samples by sym.py's second table instead,
