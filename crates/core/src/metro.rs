@@ -22,7 +22,7 @@ use da_core::{Exec, ExecProtocol, LabelId, McHash, ProcessId, WireSize};
 use std::hash::Hasher;
 use std::sync::LazyLock;
 
-// Module-level, not fields: a `MetroProcess` stays two words.
+// Module-level, not fields: a `MetroProcess` stays four words.
 static DUPLICATE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("metro.duplicate"));
 static FIRST_DELIVERY: LazyLock<LabelId> =
     LazyLock::new(|| LabelId::intern("metro.first_delivery"));

@@ -213,6 +213,12 @@ impl LifecycleController {
         &self.status
     }
 
+    /// Consumes the controller, returning every status in slot order.
+    #[must_use]
+    pub fn into_statuses(self) -> Vec<ProcessStatus> {
+        self.status
+    }
+
     /// Number of currently alive processes in the stripe.
     #[must_use]
     pub fn alive_count(&self) -> usize {

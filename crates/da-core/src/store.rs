@@ -2,22 +2,50 @@
 //! execution substrates.
 //!
 //! [`ProcessStore`] is a dense, cache-friendly slab (local index →
-//! process) beside a slab of RNG slots that start empty:
-//! [`rng_for_process`] is a pure function of `(master seed, pid)`, so
-//! the stream of a process that has never drawn does not need to exist.
-//! A slot materialises on the first *draw* — the tick body hands a hook
-//! the process and its empty slot and the hook's `Exec::rng` fills it —
-//! and then persists, so stream *positions* are preserved exactly: the
-//! k-th draw of a process is identical whether its neighbours ever drew
-//! or not, and identical to an eagerly seeded layout's. A population
-//! that never draws (a relay, the metropolis flood) keeps 40 bytes of
-//! `None` per process and never reads them after spawn; at
-//! million-process scale an eager layout would be 32 MB of generator
+//! process) beside one 4-byte stream slot per process and a dense slab
+//! of the streams that exist: [`rng_for_process`] is a pure function of
+//! `(master seed, pid)`, so the stream of a process that has never drawn
+//! does not need to exist. A stream materialises on the first *draw* —
+//! the tick body hands a hook the process and its slot, and the hook's
+//! `Exec::rng` seeds it — and then persists, so stream *positions* are
+//! preserved exactly: the k-th draw of a process is identical whether
+//! its neighbours ever drew or not, and identical to an eagerly seeded
+//! layout's. A population that never draws (a relay, the metropolis
+//! flood) keeps 4 bytes of empty slot per process and no stream at all;
+//! at million-process scale an eager layout would be 32 MB of generator
 //! state and a full pass of seed derivation before the first tick.
 
 use crate::process::ProcessId;
 use crate::seed::rng_for_process;
 use rand::rngs::SmallRng;
+use std::num::NonZeroU32;
+
+/// Where a process's stream lives: `None` until it first draws, then
+/// its index in [`Streams`] plus one.
+pub(crate) type Slot = Option<NonZeroU32>;
+const _: () = assert!(std::mem::size_of::<Slot>() == 4);
+
+/// The streams that exist, in the order they were first drawn from,
+/// and the master seed a new one derives from.
+#[derive(Debug, Clone)]
+pub(crate) struct Streams {
+    seed: u64,
+    rngs: Vec<SmallRng>,
+}
+
+impl Streams {
+    /// The stream of `pid`, whose slot is `slot`, seeded on first use —
+    /// the one place a stream is seeded.
+    #[inline]
+    pub(crate) fn get(&mut self, slot: &mut Slot, pid: ProcessId) -> &mut SmallRng {
+        let index = slot.get_or_insert_with(|| {
+            self.rngs.push(rng_for_process(self.seed, pid));
+            // One stream per pid at most, so only the 2^32nd wraps (to 0).
+            NonZeroU32::new(self.rngs.len() as u32).expect("a stream per pid")
+        });
+        &mut self.rngs[index.get() as usize - 1]
+    }
+}
 
 /// A dense slab of process states plus lazily-materialised per-process
 /// RNG streams, indexed by a substrate-local dense index.
@@ -42,9 +70,9 @@ use rand::rngs::SmallRng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProcessStore<P> {
-    seed: u64,
     procs: Vec<P>,
-    rngs: Vec<Option<SmallRng>>,
+    slots: Vec<Slot>,
+    streams: Streams,
 }
 
 impl<P> ProcessStore<P> {
@@ -52,27 +80,33 @@ impl<P> ProcessStore<P> {
     /// run's master seed — the same one [`rng_for_process`] takes).
     #[must_use]
     pub fn new(master_seed: u64) -> Self {
-        ProcessStore {
-            seed: master_seed,
-            procs: Vec::new(),
-            rngs: Vec::new(),
-        }
+        Self::from_vec(master_seed, Vec::new())
     }
 
     /// An empty store with room for `capacity` processes.
     #[must_use]
     pub fn with_capacity(master_seed: u64, capacity: usize) -> Self {
+        Self::from_vec(master_seed, Vec::with_capacity(capacity))
+    }
+
+    /// A store over `procs` (local index `i` holds `procs[i]`), adopting
+    /// the vector's allocation; every RNG slot starts empty.
+    #[must_use]
+    pub fn from_vec(master_seed: u64, procs: Vec<P>) -> Self {
         ProcessStore {
-            seed: master_seed,
-            procs: Vec::with_capacity(capacity),
-            rngs: Vec::with_capacity(capacity),
+            slots: vec![None; procs.len()],
+            procs,
+            streams: Streams {
+                seed: master_seed,
+                rngs: Vec::new(),
+            },
         }
     }
 
     /// Appends a process; its RNG slot starts empty.
     pub fn push(&mut self, process: P) {
         self.procs.push(process);
-        self.rngs.push(None);
+        self.slots.push(None);
     }
 
     /// Number of processes stored.
@@ -117,23 +151,16 @@ impl<P> ProcessStore<P> {
     /// The RNG stream of the process at `local` (which must be the
     /// local slot of `pid`), materialising it on first use.
     pub fn rng(&mut self, local: usize, pid: ProcessId) -> &mut SmallRng {
-        let seed = self.seed;
-        self.rngs[local].get_or_insert_with(|| rng_for_process(seed, pid))
+        self.streams.get(&mut self.slots[local], pid)
     }
 
-    /// Split borrow for a protocol hook: the process at `local`, its RNG
-    /// slot as it is — empty until the process first draws — and the
-    /// master seed to fill it from. The tick body's context materialises
-    /// the stream when a hook asks for it, so a hook that never draws
-    /// touches nothing of the RNG slab.
-    pub(crate) fn hook_parts(&mut self, local: usize) -> (&mut P, &mut Option<SmallRng>, u64) {
-        (&mut self.procs[local], &mut self.rngs[local], self.seed)
-    }
-
-    /// [`hook_parts`](Self::hook_parts) for every process at once: the
-    /// process slab and the RNG slots beside it, to walk in lockstep.
-    pub(crate) fn hook_slices(&mut self) -> (&mut [P], &mut [Option<SmallRng>], u64) {
-        (&mut self.procs, &mut self.rngs, self.seed)
+    /// Split borrow for the protocol hooks: the process slab, the RNG
+    /// slots beside it as they are — each empty until its process first
+    /// draws — and the streams to seed them in. The tick body's context
+    /// materialises a stream when a hook asks for it, so a hook that
+    /// never draws touches nothing of the streams.
+    pub(crate) fn hook_slices(&mut self) -> (&mut [P], &mut [Slot], &mut Streams) {
+        (&mut self.procs, &mut self.slots, &mut self.streams)
     }
 
     /// The process at `local` and its RNG stream, materialised, in one
@@ -141,29 +168,28 @@ impl<P> ProcessStore<P> {
     /// the first draw. It stays for a caller that wants both halves
     /// eagerly; the benchmark's `store.pair_mut_ns` probe times it.
     pub fn pair_mut(&mut self, local: usize, pid: ProcessId) -> (&mut P, &mut SmallRng) {
-        let seed = self.seed;
-        let rng = self.rngs[local].get_or_insert_with(|| rng_for_process(seed, pid));
+        let rng = self.streams.get(&mut self.slots[local], pid);
         (&mut self.procs[local], rng)
     }
 
     /// A clone of the process's RNG stream *at its current position*,
-    /// without materialising the slot: a stream that never drew is
+    /// without materialising it: a stream that never drew is
     /// indistinguishable from one never materialised, so state digests
-    /// probing streams through this are invariant to which slots happen
+    /// probing streams through this are invariant to which ones happen
     /// to be resident.
     #[must_use]
     pub fn probe_rng(&self, local: usize, pid: ProcessId) -> SmallRng {
-        match &self.rngs[local] {
-            Some(rng) => rng.clone(),
-            None => rng_for_process(self.seed, pid),
+        match self.slots[local] {
+            Some(index) => self.streams.rngs[index.get() as usize - 1].clone(),
+            None => rng_for_process(self.streams.seed, pid),
         }
     }
 
-    /// Number of RNG slots materialised so far — the store's resident
+    /// Number of RNG streams materialised so far — the store's resident
     /// generator state is 32 bytes times this, not times [`len`](Self::len).
     #[must_use]
     pub fn rng_resident(&self) -> usize {
-        self.rngs.iter().filter(|slot| slot.is_some()).count()
+        self.streams.rngs.len()
     }
 
     /// Consumes the store, returning the process slab.

@@ -20,8 +20,7 @@ use crate::exec::{Exec, ExecProtocol};
 use crate::lifecycle::LifecycleController;
 use crate::metrics::{CounterId, Counters, Histogram, LabelId, TraceLog};
 use crate::process::{ProcessId, ProcessStatus};
-use crate::seed::rng_for_process;
-use crate::store::ProcessStore;
+use crate::store::{ProcessStore, Slot, Streams};
 use crate::topology::NetFate;
 use crate::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
 use crate::wheel::Envelope;
@@ -224,10 +223,10 @@ impl Ledger {
 struct Ctx<'a, O> {
     me: ProcessId,
     tick: u64,
-    /// The process's stream, `None` until it first draws, and the seed
-    /// it then derives from.
-    rng: &'a mut Option<SmallRng>,
-    seed: u64,
+    /// Where the process's stream lives, empty until it first draws,
+    /// and the streams it is then seeded in.
+    slot: &'a mut Slot,
+    streams: &'a mut Streams,
     ledger: &'a mut Ledger,
     out: &'a mut O,
 }
@@ -251,8 +250,7 @@ impl<O: Outbound<Msg: WireSize>> Exec for Ctx<'_, O> {
     }
 
     fn rng(&mut self) -> &mut SmallRng {
-        let (seed, me) = (self.seed, self.me);
-        self.rng.get_or_insert_with(|| rng_for_process(seed, me))
+        self.streams.get(self.slot, self.me)
     }
 
     fn bump(&mut self, label: &str) {
@@ -334,17 +332,16 @@ where
         out: &mut O,
         f: impl FnOnce(&mut P, &mut Ctx<'_, O>),
     ) {
-        let me = self.lifecycle.pid_of(slot);
-        let (process, rng, seed) = self.store.hook_parts(slot);
+        let (procs, slots, streams) = self.store.hook_slices();
         let mut ctx = Ctx {
-            me,
+            me: self.lifecycle.pid_of(slot),
             tick: self.tick,
-            rng,
-            seed,
+            slot: &mut slots[slot],
+            streams,
             ledger: &mut self.ledger,
             out,
         };
-        f(process, &mut ctx);
+        f(&mut procs[slot], &mut ctx);
     }
 
     /// Runs `f` on every alive process, in slot order, each under a
@@ -357,15 +354,15 @@ where
         out: &mut O,
         mut f: impl FnMut(&mut P, &mut Ctx<'_, O>),
     ) {
-        let (procs, rngs, seed) = self.store.hook_slices();
-        let slots = procs.iter_mut().zip(rngs).zip(self.lifecycle.statuses());
-        for (slot, ((process, rng), status)) in slots.enumerate() {
+        let (procs, slots, streams) = self.store.hook_slices();
+        let walk = procs.iter_mut().zip(slots).zip(self.lifecycle.statuses());
+        for (local, ((process, slot), status)) in walk.enumerate() {
             if status.is_alive() {
                 let mut ctx = Ctx {
-                    me: self.lifecycle.pid_of(slot),
+                    me: self.lifecycle.pid_of(local),
                     tick: self.tick,
-                    rng,
-                    seed,
+                    slot,
+                    streams: &mut *streams,
                     ledger: &mut self.ledger,
                     out: &mut *out,
                 };
@@ -478,15 +475,10 @@ where
         self.started
     }
 
-    /// Takes the stripe apart: every process with its pid and its final
-    /// status, in slot order.
-    pub fn into_processes(self) -> impl Iterator<Item = (ProcessId, P, ProcessStatus)> {
-        let lifecycle = self.lifecycle;
-        self.store
-            .into_processes()
-            .into_iter()
-            .enumerate()
-            .map(move |(slot, process)| (lifecycle.pid_of(slot), process, lifecycle.status(slot)))
+    /// Takes the stripe apart: its processes and their final statuses,
+    /// both in slot order, in the allocations they lived in.
+    pub fn into_parts(self) -> (Vec<P>, Vec<ProcessStatus>) {
+        (self.store.into_processes(), self.lifecycle.into_statuses())
     }
 }
 
@@ -494,6 +486,7 @@ where
 mod tests {
     use super::*;
     use crate::failure::FailureModel;
+    use crate::seed::rng_for_process;
     use std::sync::Arc;
 
     /// Sends a byte to the next pid from `on_start` and on every round,

@@ -248,18 +248,26 @@ where
 
         // Stripe processes across per-worker stores: a dense slab per
         // stripe, RNG streams derived lazily on first draw (the seed is
-        // pure in `(master, pid)`, so nothing is precomputed here).
-        let stripe_capacity = population.div_ceil(workers.max(1));
-        let mut stores: Vec<ProcessStore<P>> = (0..workers)
-            .map(|_| ProcessStore::with_capacity(config.seed, stripe_capacity))
-            .collect();
-        for (i, p) in processes.into_iter().enumerate() {
-            stores[i % workers].push(p);
-        }
+        // pure in `(master, pid)`, so nothing is precomputed here). One
+        // worker adopts the caller's vector as it is.
+        let stripes = if workers == 1 {
+            vec![processes]
+        } else {
+            let mut stripes: Vec<Vec<P>> = (0..workers)
+                .map(|_| Vec::with_capacity(population.div_ceil(workers)))
+                .collect();
+            for (i, p) in processes.into_iter().enumerate() {
+                stripes[i % workers].push(p);
+            }
+            stripes
+        };
 
         let mut controls = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for (id, ((store, inbox), hub)) in stores.into_iter().zip(inbox_rxs).zip(hubs).enumerate() {
+        let stores = stripes
+            .into_iter()
+            .map(|stripe| ProcessStore::from_vec(config.seed, stripe));
+        for (id, ((store, inbox), hub)) in stores.zip(inbox_rxs).zip(hubs).enumerate() {
             let (control_tx, control_rx) = mpsc::channel();
             let mut local = Counters::new();
             let ids = HotIds::register(&mut local, "rt");
@@ -564,26 +572,29 @@ where
             "a granted tick was never collected"
         );
         self.stop_all();
-        let mut parts = Vec::with_capacity(self.handles.len());
-        // A `flat_map` collect, not `extend` into a vector sized up
-        // front: the latter raised `metro_churn`'s peak RSS by 5 MiB
-        // (one more copy of 131k processes resident at once).
-        let mut tagged: Vec<(ProcessId, P, ProcessStatus)> = self
+        let (stripes, parts): (Vec<_>, Vec<_>) = self
             .handles
             .drain(..)
-            .flat_map(|h| {
-                let (owned, telemetry) = h.join().expect("runtime worker panicked");
-                parts.push(*telemetry);
-                owned
+            .map(|h| {
+                let (stripe, telemetry) = h.join().expect("runtime worker panicked");
+                (stripe, *telemetry)
             })
-            .collect();
-        tagged.sort_by_key(|(pid, _, _)| *pid);
-        let mut processes = Vec::with_capacity(tagged.len());
-        let mut statuses = Vec::with_capacity(tagged.len());
-        for (_, p, status) in tagged {
-            processes.push(p);
-            statuses.push(status);
-        }
+            .unzip();
+        // One worker hands back the caller's vectors; more interleave
+        // theirs by `pid = worker + local × workers` in one pass.
+        let (processes, statuses) = match <[_; 1]>::try_from(stripes) {
+            Ok([stripe]) => stripe,
+            Err(stripes) => {
+                let workers = stripes.len();
+                let mut stripes: Vec<_> = stripes
+                    .into_iter()
+                    .map(|(procs, statuses)| procs.into_iter().zip(statuses))
+                    .collect();
+                (0..self.population)
+                    .map(|pid| stripes[pid % workers].next().expect("a stripe per residue"))
+                    .unzip()
+            }
+        };
         let Telemetry { counters, trace } = fold(parts);
         Shutdown {
             processes,

@@ -204,12 +204,33 @@ fn shutdown_returns_processes_in_pid_order() {
         type Msg = ();
         fn on_message<X: Exec<Msg = ()>>(&mut self, _f: ProcessId, _m: (), _c: &mut X) {}
     }
-    let procs = (0..23).map(Tag).collect();
-    let mut rt = Runtime::spawn(RuntimeConfig::default().with_workers(5), procs);
-    rt.run_ticks(2);
+    // 23 processes: two and five workers hold uneven stripes.
+    for workers in [1, 2, 5] {
+        let procs = (0..23).map(Tag).collect();
+        let mut rt = Runtime::spawn(RuntimeConfig::default().with_workers(workers), procs);
+        rt.run_ticks(2);
+        let out = rt.shutdown();
+        let tags: Vec<usize> = out.processes.iter().map(|t| t.0).collect();
+        assert_eq!(tags, (0..23).collect::<Vec<_>>(), "{workers} workers");
+        assert_eq!(out.statuses.len(), 23, "{workers} workers");
+    }
+}
+
+/// One worker owns every process in the caller's own vector: spawn
+/// adopts it and shutdown hands it back, with no copy either way.
+#[test]
+fn one_worker_runs_and_returns_the_callers_allocation() {
+    let procs = relay_procs(7);
+    let at = procs.as_ptr();
+    let mut rt = Runtime::spawn(RuntimeConfig::default().with_workers(1), procs);
+    // Held while the pool runs: had spawn freed the caller's block,
+    // this would take it, and no copy made at shutdown could.
+    let decoy: Vec<Relay> = Vec::with_capacity(7);
+    rt.run_ticks(3);
     let out = rt.shutdown();
-    let tags: Vec<usize> = out.processes.iter().map(|t| t.0).collect();
-    assert_eq!(tags, (0..23).collect::<Vec<_>>());
+    assert_eq!((out.processes.as_ptr(), out.processes.len()), (at, 7));
+    drop(decoy);
+    assert_eq!(out.statuses.len(), 7);
 }
 
 #[test]

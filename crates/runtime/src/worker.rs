@@ -67,9 +67,10 @@ pub(super) struct Telemetry {
 }
 
 /// What a stopped worker returns from its thread: the processes it
-/// owned with their final liveness, and its final [`Telemetry`] — boxed,
-/// because the slot for a thread's result is allocated when it spawns.
-pub(super) type Joined<P> = (Vec<(ProcessId, P, ProcessStatus)>, Box<Telemetry>);
+/// owned and their final liveness, both in slot order, and its final
+/// [`Telemetry`] — boxed, because the slot for a thread's result is
+/// allocated when it spawns.
+pub(super) type Joined<P> = ((Vec<P>, Vec<ProcessStatus>), Box<Telemetry>);
 
 /// The trace histograms only a pool samples, beside the stripe's own
 /// recorder and delivery latency.
@@ -288,7 +289,7 @@ where
         }
         self.account_shutdown_in_flight();
         let telemetry = Box::new(self.telemetry(true));
-        (self.stripe.into_processes().collect(), telemetry)
+        (self.stripe.into_parts(), telemetry)
     }
 
     /// Spins (yielding) until every peer has published the watermarks

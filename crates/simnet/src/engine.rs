@@ -119,10 +119,7 @@ where
     pub fn new(config: SimConfig, processes: Vec<P>) -> Self {
         let population = processes.len();
         let plan = config.faults.failure.materialize(population, config.seed);
-        let mut store = ProcessStore::with_capacity(config.seed, population);
-        for p in processes {
-            store.push(p);
-        }
+        let store = ProcessStore::from_vec(config.seed, processes);
         let mut counters = Counters::new();
         let ids = HotIds::register(&mut counters, "sim");
         let lifecycle = LifecycleController::new(Arc::new(plan), 0, 1, population);
@@ -643,6 +640,18 @@ mod tests {
         e.run_rounds(8);
         assert_eq!(e.counters().get("sim.delivered"), 42);
         assert_eq!(e.stripe.store.rng_resident(), 0);
+    }
+
+    /// The engine runs the caller's vector: neither building it nor
+    /// taking it apart copies the population.
+    #[test]
+    fn the_engine_adopts_and_returns_the_callers_allocation() {
+        let procs = da_core::testkit::Relay::ring(9, 3);
+        let at = procs.as_ptr();
+        let mut e = Engine::new(SimConfig::default(), procs);
+        e.run_rounds(4);
+        let procs = e.into_processes();
+        assert_eq!((procs.as_ptr(), procs.len()), (at, 9));
     }
 
     /// Link latency is config input: a send slower than the ring spills,

@@ -4,7 +4,8 @@
 //! touching the allocator, a control message allocates only when it
 //! carries a list (then once more than the list), a static process
 //! stays inside the heap budget the benchmark's `bytes_per_process` is
-//! held to, and the send path's occurrence table counts like the
+//! held to, a process that never draws costs the simulator at most 8 B
+//! beside its own state, and the send path's occurrence table counts like the
 //! pair-keyed map it is a packing of and reuses its allocation.
 
 use da_core::{Counters, Exec, ExecProtocol, LabelId, Occurrences, ProcessId, RunConfig, WireSize};
@@ -349,6 +350,19 @@ fn a_static_process_stays_under_900_bytes_of_heap() {
         per_process <= 900,
         "{per_process} B of live heap per process"
     );
+}
+
+/// A process that never draws pays its slab entry and at most 8 B
+/// beside it: the engine adopts the population's vector and keeps a
+/// 4-byte stream slot per process, not a generator.
+#[test]
+fn a_never_drawing_process_costs_at_most_8_bytes_above_its_slab_entry() {
+    let processes = damulticast::metro_population(4096, 64, 24);
+    let before = LIVE_BYTES.get();
+    let engine = da_simnet::Engine::new(RunConfig::default(), processes);
+    let per_process = (LIVE_BYTES.get() - before) as f64 / 4096.0;
+    assert!(per_process <= 8.0, "{per_process:.1} B per process");
+    drop(engine);
 }
 
 /// `Occurrences` is a packing and a cheaper hash, not a different count:
