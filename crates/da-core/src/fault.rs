@@ -7,7 +7,7 @@
 //! the ones that fill it in.
 
 use crate::failure::FailureModel;
-use crate::topology::NetworkModel;
+use crate::network::NetworkModel;
 
 /// Everything that can go wrong in one run, in one value: the
 /// [`NetworkModel`] (default channel, optional topology, partition
@@ -20,7 +20,7 @@ use crate::topology::NetworkModel;
 /// use da_core::fault::FaultConfig;
 /// use da_core::channel::ChannelConfig;
 /// use da_core::failure::FailureModel;
-/// use da_core::topology::NetworkModel;
+/// use da_core::network::NetworkModel;
 ///
 /// let faults = FaultConfig {
 ///     network: NetworkModel::uniform(ChannelConfig::paper_default()),

@@ -5,9 +5,9 @@
 //! process; [`ExecProtocol`] — what a process offers a substrate), the
 //! [`wire`] size accounting and [`metrics`] registry both sides report
 //! into, the unreliable-channel fault model (Sec. III-A of the
-//! paper), the [`topology`] layer that generalises it (named nodes,
+//! paper), the [`network`] layer that generalises it (named nodes,
 //! per-link channel overrides, scripted partitions — see
-//! [`topology::NetworkModel`]), the process failure models (Sec. VII),
+//! [`network::NetworkModel`]), the process failure models (Sec. VII),
 //! the process identity vocabulary, the deterministic seed-derivation
 //! scheme every RNG stream hangs off, the one [`run::RunConfig`] both
 //! substrates take (seed, [`fault::FaultConfig`], trace, pool knobs), and
@@ -47,13 +47,13 @@ pub mod failure;
 pub mod fault;
 pub mod lifecycle;
 pub mod metrics;
+pub mod network;
 pub mod process;
 pub mod run;
 pub mod seed;
 pub mod store;
 pub mod stripe;
 pub mod testkit;
-pub mod topology;
 pub mod trace;
 pub mod wheel;
 pub mod wire;
@@ -66,15 +66,15 @@ pub use lifecycle::{LifecycleController, LifecycleTransitions};
 pub use metrics::{
     CounterId, Counters, FxHasher, Histogram, KeyBuildHasher, KeyHasher, LabelId, TraceLog,
 };
+pub use network::{
+    DropSchedule, NetFate, NetworkModel, NodeId, Occurrences, Partition, PartitionSchedule,
+    ScriptedDrop, Topology,
+};
 pub use process::{ProcessId, ProcessIndexError, ProcessStatus};
 pub use run::{PoolConfig, RunConfig};
 pub use seed::{derive_seed, keep_random, rng_for_process, rng_from_seed};
 pub use store::ProcessStore;
 pub use stripe::{HotIds, Ledger, Outbound, Stripe, StripeTrace, TickReport, TickTally};
-pub use topology::{
-    DropSchedule, NetFate, NetworkModel, NodeId, Occurrences, Partition, PartitionSchedule,
-    ScriptedDrop, Topology,
-};
 pub use trace::{
     canonicalize, first_divergence, TraceConfig, TraceDivergence, TraceEvent, TraceMode,
     TraceRecorder, TraceVerdict,

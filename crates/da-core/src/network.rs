@@ -61,7 +61,7 @@ impl std::fmt::Display for NodeId {
 ///
 /// ```
 /// use da_core::channel::ChannelConfig;
-/// use da_core::topology::{NodeId, Topology};
+/// use da_core::network::{NodeId, Topology};
 ///
 /// let wan = ChannelConfig::reliable().with_success_probability(0.9);
 /// let topo = Topology::with_nodes(["dc-a", "dc-b"])
@@ -267,7 +267,7 @@ impl Partition {
 /// replay it identically from the config alone).
 ///
 /// ```
-/// use da_core::topology::{NodeId, Partition, PartitionSchedule};
+/// use da_core::network::{NodeId, Partition, PartitionSchedule};
 ///
 /// let (a, b) = (NodeId(0), NodeId(1));
 /// let schedule = PartitionSchedule::none()
@@ -478,7 +478,7 @@ pub enum NetFate {
 ///
 /// ```
 /// use da_core::channel::{ChannelConfig, ChannelFate};
-/// use da_core::topology::{NetFate, NetworkModel, NodeId, Partition, PartitionSchedule, Topology};
+/// use da_core::network::{NetFate, NetworkModel, NodeId, Partition, PartitionSchedule, Topology};
 /// use da_core::seed::rng_from_seed;
 /// use da_core::ProcessId;
 ///

@@ -9,7 +9,7 @@
 use crate::channel::ChannelConfig;
 use crate::failure::FailureModel;
 use crate::fault::FaultConfig;
-use crate::topology::{PartitionSchedule, Topology};
+use crate::network::{PartitionSchedule, Topology};
 use crate::trace::TraceConfig;
 
 /// Everything one run is configured by: the master seed, the fault
@@ -162,7 +162,7 @@ impl RunConfig<PoolConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{NodeId, Partition};
+    use crate::network::{NodeId, Partition};
 
     #[test]
     fn sim_default_is_faultless() {

@@ -19,9 +19,9 @@
 use crate::exec::{Exec, ExecProtocol};
 use crate::lifecycle::LifecycleController;
 use crate::metrics::{CounterId, Counters, Histogram, LabelId, TraceLog};
+use crate::network::NetFate;
 use crate::process::{ProcessId, ProcessStatus};
 use crate::store::{ProcessStore, Slot, Streams};
-use crate::topology::NetFate;
 use crate::trace::{TraceConfig, TraceEvent, TraceRecorder, TraceVerdict};
 use crate::wheel::Envelope;
 use crate::wire::WireSize;

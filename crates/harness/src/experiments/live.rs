@@ -373,7 +373,7 @@ fn partition_trial(
 /// the overall delivery ratio (across one mainland and one island
 /// publication) on both substrates — the topology-fault counterpart of
 /// [`run_reliability_sweep`], with the x-axis driven through the shared
-/// `da_core::topology` model.
+/// `da_core::network` model.
 ///
 /// The last eight members of the bottom group live on node `"b"`;
 /// a [`Partition`] cuts `"b"` off from tick 0 and heals at the swept

@@ -19,7 +19,7 @@
 //!   `std::sync::mpsc` channels;
 //! * **network faults** — the [`FaultyRouter`] applies the same
 //!   substrate-neutral [`NetworkModel`](da_core::NetworkModel) the
-//!   simulator uses (`da_core::topology`, configured via the
+//!   simulator uses (`da_core::network`, configured via the
 //!   [`RunConfig::with_channel`] / [`RunConfig::with_topology`] /
 //!   [`RunConfig::with_partitions`] setters both substrates' configs
 //!   share): Bernoulli loss and sampled latencies drawn from

@@ -37,7 +37,7 @@ fn inject<P: ExecProtocol>(
 
 #[test]
 fn effective_lag_is_channel_capped_and_never_zero() {
-    use da_core::topology::{NodeId, Topology};
+    use da_core::network::{NodeId, Topology};
     let fixed = |ticks| {
         RuntimeConfig::default()
             .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(ticks)))
@@ -764,7 +764,7 @@ fn crashed_inbox_drains_to_dropped_crashed() {
 #[test]
 fn partition_accounting_is_exact_across_lag_windows() {
     use da_core::failure::{FailureModel, Fate};
-    use da_core::topology::{NodeId, Partition, PartitionSchedule, Topology};
+    use da_core::network::{NodeId, Partition, PartitionSchedule, Topology};
     for (workers, latency) in [(2, 1), (3, 4)] {
         let config = RuntimeConfig::default()
             .with_workers(workers)

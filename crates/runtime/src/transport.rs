@@ -23,7 +23,7 @@
 //!   takes whole batches instead (`take_batches`), keeps them until
 //!   they fall due, and hands each back (`recycle`) once delivered.
 //! * [`FaultyRouter`] layers the substrate-neutral network fault model
-//!   (`da_core::topology::NetworkModel`: default channel, per-link
+//!   (`da_core::network::NetworkModel`: default channel, per-link
 //!   topology overrides, partition schedule, scripted drops) on top of a
 //!   hub: a send crossing an active partition cut is dropped outright (a
 //!   pure decision — no randomness), a send matching a scripted drop for
@@ -64,7 +64,7 @@
 
 use crossbeam::queue::{self, PushError};
 use da_core::channel::EdgeRngs;
-use da_core::topology::{NetFate, NetworkModel, Occurrences};
+use da_core::network::{NetFate, NetworkModel, Occurrences};
 use da_core::wheel::{DelayWheel, MAX_RING_TICKS};
 use da_core::{Envelope, Outbound, ProcessId};
 use std::error::Error;
@@ -892,7 +892,7 @@ mod tests {
     /// still goes through.
     #[test]
     fn scripted_drop_kills_exact_occurrence_on_live_router() {
-        use da_core::topology::{DropSchedule, ScriptedDrop};
+        use da_core::network::{DropSchedule, ScriptedDrop};
         let network =
             NetworkModel::uniform(ChannelConfig::reliable().with_latency(Latency::Fixed(1)))
                 .with_drops(DropSchedule::none().with_drop(ScriptedDrop {
@@ -1098,7 +1098,7 @@ mod tests {
 
     #[test]
     fn partition_cut_severs_then_heals_without_consuming_draws() {
-        use da_core::topology::{NetworkModel, NodeId, Partition, PartitionSchedule, Topology};
+        use da_core::network::{NetworkModel, NodeId, Partition, PartitionSchedule, Topology};
         let network = |partitions| NetworkModel {
             topology: Some(
                 Topology::with_nodes(["a", "b"]).with_placement(ProcessId(1), NodeId(1)),

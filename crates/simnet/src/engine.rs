@@ -5,12 +5,12 @@ use da_core::exec::{ExecProtocol, McHash};
 use da_core::failure::Fate;
 use da_core::lifecycle::LifecycleController;
 use da_core::metrics::{Counters, FxHasher, Histogram, TraceLog};
+use da_core::network::{NetFate, NetworkModel, Occurrences};
 use da_core::process::{ProcessId, ProcessStatus};
 use da_core::run::RunConfig;
 use da_core::seed::{derive_seed, rng_from_seed};
 use da_core::store::ProcessStore;
 use da_core::stripe::{HotIds, Outbound, Stripe, TickReport};
-use da_core::topology::{NetFate, NetworkModel, Occurrences};
 use da_core::wheel::{DelayWheel, Envelope, MAX_RING_TICKS};
 use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
@@ -728,7 +728,7 @@ mod tests {
 
     #[test]
     fn partitions_sever_and_heal() {
-        use da_core::topology::{NodeId, Partition, PartitionSchedule, Topology};
+        use da_core::network::{NodeId, Partition, PartitionSchedule, Topology};
         // Relay ring over 3 processes: 0 and 1 on node a, 2 on node b, so
         // exactly the 1→2 and 2→0 hops cross the cut. Split for rounds 2..5.
         let config = SimConfig::default()

@@ -67,8 +67,8 @@ use da_core::exec::{ExecProtocol, McHash};
 use da_core::failure::{FailureModel, Fate};
 use da_core::fault::FaultConfig;
 use da_core::metrics::FxHasher;
+use da_core::network::{DropSchedule, NetFate, NetworkModel, Occurrences, ScriptedDrop};
 use da_core::process::ProcessId;
-use da_core::topology::{DropSchedule, NetFate, NetworkModel, Occurrences, ScriptedDrop};
 use da_core::trace::{canonicalize, TraceConfig, TraceEvent};
 use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
@@ -958,8 +958,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "choice-free")]
     fn lossy_base_config_is_rejected() {
+        use da_core::network::{NodeId, Topology};
         use da_core::seed::rng_from_seed;
-        use da_core::topology::{NodeId, Topology};
         use da_core::Latency;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         // Caught, so that a wrongly rejected channel cannot pass for the

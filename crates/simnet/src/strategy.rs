@@ -19,7 +19,7 @@
 //! "all interleavings × all drop choices" becomes a tree walk over the
 //! same engine code path that production simulations run.
 
-use da_core::topology::{NetFate, NetworkModel};
+use da_core::network::{NetFate, NetworkModel};
 use da_core::ProcessId;
 use rand::rngs::SmallRng;
 

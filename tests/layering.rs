@@ -270,7 +270,7 @@ fn one_occurrence_table_and_no_eager_stream() {
         }
     }
     assert_eq!(definitions.len(), 1, "{definitions:?}");
-    assert!(definitions[0].ends_with("crates/da-core/src/topology.rs"));
+    assert!(definitions[0].ends_with("crates/da-core/src/network.rs"));
 
     let ships = |file: &str| {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
