@@ -263,7 +263,6 @@ const OVERLAY_DEGREE: usize = 4;
 pub struct DynamicNetwork {
     hierarchy: Arc<TopicHierarchy>,
     groups: Vec<GroupSpec>,
-    overlay: Arc<Overlay>,
     processes: Vec<DaProcess>,
 }
 
@@ -325,7 +324,6 @@ impl DynamicNetwork {
         Ok(DynamicNetwork {
             hierarchy,
             groups,
-            overlay,
             processes,
         })
     }
@@ -340,12 +338,6 @@ impl DynamicNetwork {
     #[must_use]
     pub fn groups(&self) -> &[GroupSpec] {
         &self.groups
-    }
-
-    /// The shared bootstrap overlay.
-    #[must_use]
-    pub fn overlay(&self) -> &Arc<Overlay> {
-        &self.overlay
     }
 
     /// Consumes the network, yielding the processes for

@@ -347,12 +347,6 @@ impl DaProcess {
         self.topic
     }
 
-    /// The protocol parameters in force at this process.
-    #[must_use]
-    pub fn params(&self) -> &TopicParams {
-        &self.params
-    }
-
     /// The current topic table (partial view of the own group).
     #[must_use]
     pub fn topic_table(&self) -> &[ProcessId] {
@@ -1130,8 +1124,8 @@ mod tests {
         let (procs, _) = tiny_static_network();
         for p in &procs {
             // ln(S)+c view (capped) plus z supertable entries.
-            let view_cap = da_membership::kmg_view_size(p.params().b, 6);
-            assert!(p.memory_entries() <= view_cap.max(5) + p.params().z);
+            let view_cap = da_membership::kmg_view_size(p.params.b, 6);
+            assert!(p.memory_entries() <= view_cap.max(5) + p.params.z);
         }
     }
 

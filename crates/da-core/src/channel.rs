@@ -60,16 +60,7 @@ impl Latency {
     /// Where the fastest delivery bounds how far a scheduler may run
     /// *ahead*, `max_rounds` bounds how far into the future a surviving
     /// send can land — the sizing bound for a fixed-capacity delay wheel.
-    ///
-    /// ```
-    /// use da_core::channel::Latency;
-    /// assert_eq!(Latency::Fixed(3).max_rounds(), 3);
-    /// assert_eq!(Latency::Fixed(0).max_rounds(), 1, "clamped like sampling");
-    /// assert_eq!(Latency::UniformRounds { min: 2, max: 5 }.max_rounds(), 5);
-    /// assert_eq!(Latency::UniformRounds { min: 4, max: 2 }.max_rounds(), 4);
-    /// ```
-    #[must_use]
-    pub fn max_rounds(&self) -> u64 {
+    fn max_rounds(&self) -> u64 {
         match self {
             Latency::Fixed(l) => (*l).max(1),
             Latency::UniformRounds { min, max } => (*max).max((*min).max(1)),
@@ -184,9 +175,9 @@ impl ChannelConfig {
         self.latency.min_rounds()
     }
 
-    /// The slowest delivery this channel can ever sample
-    /// ([`Latency::max_rounds`] of its latency model) — the capacity a
-    /// fixed-size delay wheel needs to hold every in-flight envelope.
+    /// The slowest delivery this channel can ever sample (its latency
+    /// model's ceiling, ≥ its floor) — the capacity a fixed-size delay
+    /// wheel needs to hold every in-flight envelope.
     #[must_use]
     pub fn max_latency(&self) -> u64 {
         self.latency.max_rounds()
@@ -333,6 +324,14 @@ impl EdgeRngs {
 mod tests {
     use super::*;
     use crate::seed::rng_from_seed;
+
+    #[test]
+    fn max_rounds_is_clamped_like_sampling() {
+        assert_eq!(Latency::Fixed(3).max_rounds(), 3);
+        assert_eq!(Latency::Fixed(0).max_rounds(), 1, "clamped like sampling");
+        assert_eq!(Latency::UniformRounds { min: 2, max: 5 }.max_rounds(), 5);
+        assert_eq!(Latency::UniformRounds { min: 4, max: 2 }.max_rounds(), 4);
+    }
 
     #[test]
     fn defaults() {

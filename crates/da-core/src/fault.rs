@@ -1,7 +1,7 @@
 //! What can go wrong in one run.
 //!
-//! [`FaultConfig`] is plain data: the [`NetworkModel`] (default channel,
-//! topology, partitions, scripted drops) and the process
+//! [`FaultConfig`] is plain data: the [`NetworkModel`] (channel,
+//! partitions, scripted drops) and the process
 //! [`FailureModel`]. A [`RunConfig`](crate::run::RunConfig) embeds one,
 //! so the same value configures either substrate, and its setters are
 //! the ones that fill it in.
@@ -10,11 +10,11 @@ use crate::failure::FailureModel;
 use crate::network::NetworkModel;
 
 /// Everything that can go wrong in one run, in one value: the
-/// [`NetworkModel`] (default channel, optional topology, partition
-/// schedule) and the process [`FailureModel`].
+/// [`NetworkModel`] (channel, partition schedule, scripted drops) and
+/// the process [`FailureModel`].
 ///
-/// The default is the absence of faults: perfect channels, no topology,
-/// no partitions, no crashes.
+/// The default is the absence of faults: a perfect channel, no
+/// partitions, no crashes.
 ///
 /// ```
 /// use da_core::fault::FaultConfig;
@@ -31,7 +31,7 @@ use crate::network::NetworkModel;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultConfig {
-    /// The network fault model: channel, topology, partitions.
+    /// The network fault model: channel, partitions, scripted drops.
     pub network: NetworkModel,
     /// The process failure model (crashes, churn, per-observer fates).
     pub failure: FailureModel,

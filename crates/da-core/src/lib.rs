@@ -5,9 +5,8 @@
 //! process; [`ExecProtocol`] — what a process offers a substrate), the
 //! [`wire`] size accounting and [`metrics`] registry both sides report
 //! into, the unreliable-channel fault model (Sec. III-A of the
-//! paper), the [`network`] layer that generalises it (named nodes,
-//! per-link channel overrides, scripted partitions — see
-//! [`network::NetworkModel`]), the process failure models (Sec. VII),
+//! paper) and the scripted partitions and drops on top of it
+//! ([`network::NetworkModel`]), the process failure models (Sec. VII),
 //! the process identity vocabulary, the deterministic seed-derivation
 //! scheme every RNG stream hangs off, the one [`run::RunConfig`] both
 //! substrates take (seed, [`fault::FaultConfig`], trace, pool knobs), and
@@ -67,8 +66,7 @@ pub use metrics::{
     CounterId, Counters, FxHasher, Histogram, KeyBuildHasher, KeyHasher, LabelId, TraceLog,
 };
 pub use network::{
-    DropSchedule, NetFate, NetworkModel, NodeId, Occurrences, Partition, PartitionSchedule,
-    ScriptedDrop, Topology,
+    DropSchedule, NetFate, NetworkModel, Occurrences, Partition, PartitionSchedule, ScriptedDrop,
 };
 pub use process::{ProcessId, ProcessIndexError, ProcessStatus};
 pub use run::{PoolConfig, RunConfig};

@@ -9,7 +9,7 @@
 use crate::channel::ChannelConfig;
 use crate::failure::FailureModel;
 use crate::fault::FaultConfig;
-use crate::network::{PartitionSchedule, Topology};
+use crate::network::PartitionSchedule;
 use crate::trace::TraceConfig;
 
 /// Everything one run is configured by: the master seed, the fault
@@ -37,8 +37,8 @@ pub struct RunConfig<Pool = ()> {
     /// derivation on both substrates, so a process keeps its stream
     /// across them. Also roots the per-edge channel fault streams.
     pub seed: u64,
-    /// The fault surface: network model (channel, topology, partitions)
-    /// and process failure model.
+    /// The fault surface: network model (channel, partitions, scripted
+    /// drops) and process failure model.
     pub faults: FaultConfig,
     /// Flight-recorder configuration (default: off — no recorder is
     /// held and every hot-path trace hook is one branch on a `None`).
@@ -83,19 +83,11 @@ impl<Pool> RunConfig<Pool> {
         self
     }
 
-    /// Replaces the network model's default channel, keeping any
-    /// topology and partition schedule.
+    /// Replaces the network model's channel, keeping its partition
+    /// schedule and scripted drops.
     #[must_use]
     pub fn with_channel(mut self, channel: ChannelConfig) -> Self {
         self.faults.network.channel = channel;
-        self
-    }
-
-    /// Installs a topology (process→node placement plus per-link
-    /// channel overrides) on the network model.
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.faults.network.topology = Some(topology);
         self
     }
 
@@ -162,7 +154,8 @@ impl RunConfig<PoolConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{NodeId, Partition};
+    use crate::network::Partition;
+    use crate::process::ProcessId;
 
     #[test]
     fn sim_default_is_faultless() {
@@ -215,34 +208,25 @@ mod tests {
     }
 
     #[test]
-    fn topology_and_partition_builders_share_the_sim_shape() {
-        let topo = Topology::with_nodes(["a", "b"]).with_placement_range(0..2, NodeId(1));
+    fn partition_builder_shares_the_sim_shape() {
         let cuts = PartitionSchedule::none()
-            .with_partition(Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 4).heal_at(9));
-        let pool = RunConfig::<PoolConfig>::default()
-            .with_topology(topo.clone())
-            .with_partitions(cuts.clone());
-        let sim = RunConfig::<()>::default()
-            .with_topology(topo.clone())
-            .with_partitions(cuts.clone());
-        assert_eq!(pool.faults.network.topology, Some(topo));
+            .with_partition(Partition::cut([ProcessId(0), ProcessId(1)], 4).heal_at(9));
+        let pool = RunConfig::<PoolConfig>::default().with_partitions(cuts.clone());
+        let sim = RunConfig::<()>::default().with_partitions(cuts.clone());
         assert_eq!(pool.faults.network.partitions, cuts);
         assert_eq!(pool.faults, sim.faults);
     }
 
     #[test]
     fn builders_compose_without_clobbering() {
-        let topo = Topology::with_nodes(["a", "b"]).with_placement_range(0..2, NodeId(1));
         let cuts = PartitionSchedule::none()
-            .with_partition(Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 4).heal_at(9));
+            .with_partition(Partition::cut([ProcessId(0), ProcessId(1)], 4).heal_at(9));
         let c = RunConfig::<()>::default()
-            .with_topology(topo.clone())
             .with_partitions(cuts.clone())
             .with_channel(ChannelConfig::paper_default())
             .with_failures(FailureModel::PerObserver {
                 alive_fraction: 0.8,
             });
-        assert_eq!(c.faults.network.topology, Some(topo));
         assert_eq!(c.faults.network.partitions, cuts);
         assert_eq!(c.faults.network.channel, ChannelConfig::paper_default());
         assert!(matches!(c.faults.failure, FailureModel::PerObserver { .. }));

@@ -36,9 +36,7 @@ use crate::runner::fold;
 use crate::scenario::{run_scenario, ScenarioConfig, ScenarioOutcome};
 use crate::stats::Summary;
 use crate::substrate::{Driver, Substrate};
-use da_core::{
-    derive_seed, FailureModel, NodeId, Partition, PartitionSchedule, ProcessId, RunConfig, Topology,
-};
+use da_core::{derive_seed, FailureModel, Partition, PartitionSchedule, ProcessId, RunConfig};
 use da_membership::FanoutRule;
 use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork, TopicParams};
 
@@ -272,16 +270,16 @@ pub fn run_churn_sweep(
     table
 }
 
-/// How many leaf-group members the partition sweep places on the minor
-/// island (node `"b"`); everyone else stays on node `"a"`.
+/// How many leaf-group members the partition sweep cuts off; everyone
+/// else stays on the mainland.
 const ISLAND: usize = 8;
 
 /// The tick every partition-sweep cut opens at.
 const CUT_AT: u64 = 0;
 
-/// `base` on two nodes: the given island pids on node `"b"`, everyone
-/// else on node `"a"`, a cut between the nodes opening at `cut_at` and
-/// healing at `heal` (never, if `None`), over the base channel.
+/// `base` with the given island pids cut off from everyone else from
+/// `cut_at`, healing at `heal` (never, if `None`), over the base
+/// channel.
 #[must_use]
 pub fn partition_faults(
     base: &RunConfig,
@@ -289,16 +287,11 @@ pub fn partition_faults(
     cut_at: u64,
     heal: Option<u64>,
 ) -> RunConfig {
-    let mut topology = Topology::with_nodes(["a", "b"]);
-    for &pid in island {
-        topology = topology.with_placement(pid, NodeId(1));
-    }
-    let mut cut = Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], cut_at);
+    let mut cut = Partition::cut(island.iter().copied(), cut_at);
     if let Some(tick) = heal {
         cut = cut.heal_at(tick);
     }
     base.clone()
-        .with_topology(topology)
         .with_partitions(PartitionSchedule::none().with_partition(cut))
 }
 
@@ -371,12 +364,12 @@ fn partition_trial(
 
 /// Sweeps the heal tick of a two-island network partition and tabulates
 /// the overall delivery ratio (across one mainland and one island
-/// publication) on both substrates — the topology-fault counterpart of
+/// publication) on both substrates — the partition counterpart of
 /// [`run_reliability_sweep`], with the x-axis driven through the shared
 /// `da_core::network` model.
 ///
-/// The last eight members of the bottom group live on node `"b"`;
-/// a [`Partition`] cuts `"b"` off from tick 0 and heals at the swept
+/// A [`Partition`] cuts the last eight members of the bottom group off
+/// from everyone else from tick 0 and heals at the swept
 /// tick (`None` = never, tabulated as `x = -1`). `scenario` supplies the
 /// topology, the parameters and the channel under the cut (keep it
 /// lossless to isolate the partition axis); `seed` roots every trial's.

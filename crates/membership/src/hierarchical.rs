@@ -56,16 +56,6 @@ impl HierarchicalLayout {
         self.groups.len()
     }
 
-    /// Members of group `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range.
-    #[must_use]
-    pub fn group(&self, g: usize) -> &[ProcessId] {
-        &self.groups[g]
-    }
-
     /// Typical group size (`m` in the paper): the size of group 0.
     #[must_use]
     pub fn group_size(&self) -> usize {
@@ -136,10 +126,10 @@ mod tests {
         let mut rng = rng_from_seed(1);
         let layout = HierarchicalLayout::partition(100, 10, &mut rng).unwrap();
         assert_eq!(layout.group_count(), 10);
-        let all: HashSet<_> = (0..10).flat_map(|g| layout.group(g).to_vec()).collect();
+        let all: HashSet<_> = (0..10).flat_map(|g| layout.groups[g].to_vec()).collect();
         assert_eq!(all.len(), 100);
         for g in 0..10 {
-            assert_eq!(layout.group(g).len(), 10);
+            assert_eq!(layout.groups[g].len(), 10);
         }
     }
 
@@ -147,7 +137,7 @@ mod tests {
     fn partition_uneven_sizes() {
         let mut rng = rng_from_seed(2);
         let layout = HierarchicalLayout::partition(10, 3, &mut rng).unwrap();
-        let sizes: Vec<usize> = (0..3).map(|g| layout.group(g).len()).collect();
+        let sizes: Vec<usize> = (0..3).map(|g| layout.groups[g].len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert!(sizes.iter().all(|&s| s == 3 || s == 4));
     }
@@ -162,7 +152,7 @@ mod tests {
     /// Each group's members as a set, in group order.
     fn group_sets(layout: &HierarchicalLayout) -> Vec<HashSet<ProcessId>> {
         (0..layout.group_count())
-            .map(|g| layout.group(g).iter().copied().collect())
+            .map(|g| layout.groups[g].iter().copied().collect())
             .collect()
     }
 
@@ -183,7 +173,7 @@ mod tests {
         let layout = HierarchicalLayout::partition(60, 6, &mut rng).unwrap();
         let tables = static_hierarchical_tables(&layout, 3.0, &mut rng).unwrap();
         for (g, set) in group_sets(&layout).iter().enumerate() {
-            for &pid in layout.group(g) {
+            for &pid in &layout.groups[g] {
                 let own = &tables.intra[pid.index()];
                 assert!(own.iter().all(|p| set.contains(p)));
                 assert!(!own.contains(&pid));

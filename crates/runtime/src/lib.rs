@@ -20,10 +20,10 @@
 //! * **network faults** — the [`FaultyRouter`] applies the same
 //!   substrate-neutral [`NetworkModel`](da_core::NetworkModel) the
 //!   simulator uses (`da_core::network`, configured via the
-//!   [`RunConfig::with_channel`] / [`RunConfig::with_topology`] /
-//!   [`RunConfig::with_partitions`] setters both substrates' configs
-//!   share): Bernoulli loss and sampled latencies drawn from
-//!   deterministic per-edge RNG streams on each link's channel, with
+//!   [`RunConfig::with_channel`] / [`RunConfig::with_partitions`]
+//!   setters both substrates' configs share): Bernoulli loss and
+//!   sampled latencies drawn from deterministic per-edge RNG streams on
+//!   the one channel, with
 //!   delayed envelopes held on the sending router's delay wheel until
 //!   the flush before their due tick. Sends crossing an active
 //!   [`PartitionSchedule`](da_core::PartitionSchedule) cut are dropped

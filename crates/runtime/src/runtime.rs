@@ -167,9 +167,8 @@ pub struct Shutdown<P> {
 /// A worker may execute tick `n` once every peer has published its
 /// outbound batches through tick `n - lag`. Anything a peer sends later
 /// is due strictly after `n` — its latency is at least
-/// [`da_core::NetworkModel::min_latency`], the minimum over the default
-/// channel *and* every per-link override — so no delivery can be
-/// missed. One-tick links pin workers within one tick of each other; a
+/// [`da_core::NetworkModel::min_latency`], the channel's floor — so no
+/// delivery can be missed. One-tick links pin workers within one tick of each other; a
 /// floor of `k` ticks lets them drift `k` apart at the price of up to
 /// `k` batches buffered per lane, which is why the floor, being config
 /// input, is capped where a router's wheel ring is.

@@ -37,7 +37,6 @@ fn inject<P: ExecProtocol>(
 
 #[test]
 fn effective_lag_is_channel_capped_and_never_zero() {
-    use da_core::network::{NodeId, Topology};
     let fixed = |ticks| {
         RuntimeConfig::default()
             .with_channel(ChannelConfig::reliable().with_latency(Latency::Fixed(ticks)))
@@ -54,15 +53,6 @@ fn effective_lag_is_channel_capped_and_never_zero() {
         ChannelConfig::reliable().with_latency(Latency::UniformRounds { min: 2, max: 6 }),
     );
     assert_eq!(effective_lag(&jittery), 2);
-    // A faster per-link override tightens the bound below the default
-    // channel's floor: the drift window must honour the quickest link
-    // anywhere in the topology.
-    let fast_link = jittery.with_topology(Topology::with_nodes(["a", "b"]).with_link(
-        NodeId(0),
-        NodeId(1),
-        ChannelConfig::reliable().with_latency(Latency::Fixed(1)),
-    ));
-    assert_eq!(effective_lag(&fast_link), 1);
 }
 
 #[test]
@@ -764,7 +754,7 @@ fn crashed_inbox_drains_to_dropped_crashed() {
 #[test]
 fn partition_accounting_is_exact_across_lag_windows() {
     use da_core::failure::{FailureModel, Fate};
-    use da_core::network::{NodeId, Partition, PartitionSchedule, Topology};
+    use da_core::network::{Partition, PartitionSchedule};
     for (workers, latency) in [(2, 1), (3, 4)] {
         let config = RuntimeConfig::default()
             .with_workers(workers)
@@ -774,14 +764,12 @@ fn partition_accounting_is_exact_across_lag_windows() {
                     .with_success_probability(0.7)
                     .with_latency(Latency::Fixed(latency)),
             )
-            .with_topology(
-                // Ring 0→1→…→5→0 with pids 3..6 on node B: the 2→3
-                // and 5→0 hops cross the cut.
-                Topology::with_nodes(["a", "b"]).with_placement_range(3..6, NodeId(1)),
+            // Ring 0→1→…→5→0 with pids 3..6 on the island: the 2→3
+            // and 5→0 hops cross the cut.
+            .with_partitions(
+                PartitionSchedule::none()
+                    .with_partition(Partition::cut((3..6).map(ProcessId), 1).heal_at(3)),
             )
-            .with_partitions(PartitionSchedule::none().with_partition(
-                Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 1).heal_at(3),
-            ))
             .with_failures(FailureModel::Schedule(vec![Fate {
                 round: 2,
                 pid: ProcessId(1),
@@ -796,7 +784,7 @@ fn partition_accounting_is_exact_across_lag_windows() {
         let dropped_partitioned = out.counters.get("rt.dropped_partitioned");
         assert!(
             dropped_partitioned > 0,
-            "the cross-node hops at ticks 1..3 must be severed"
+            "the cross-island hops at ticks 1..3 must be severed"
         );
         let accounted = delivered
             + out.counters.get("rt.dropped_channel")

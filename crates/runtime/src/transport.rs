@@ -23,15 +23,15 @@
 //!   takes whole batches instead (`take_batches`), keeps them until
 //!   they fall due, and hands each back (`recycle`) once delivered.
 //! * [`FaultyRouter`] layers the substrate-neutral network fault model
-//!   (`da_core::network::NetworkModel`: default channel, per-link
-//!   topology overrides, partition schedule, scripted drops) on top of a
+//!   (`da_core::network::NetworkModel`: one channel, partition
+//!   schedule, scripted drops) on top of a
 //!   hub: a send crossing an active partition cut is dropped outright (a
 //!   pure decision — no randomness), a send matching a scripted drop for
 //!   its per-tick occurrence on the edge is likewise dropped draw-free
 //!   (this is how model-checker counterexamples replay on the live
 //!   runtime), every other send's fate — lost, or delivered after a
 //!   sampled latency — is drawn from a stateless RNG keyed by
-//!   `(edge, tick, occurrence)` on its link's channel, and survivors are
+//!   `(edge, tick, occurrence)` on the channel, and survivors are
 //!   scheduled once, on the router's `da_core::wheel::DelayWheel`, whose
 //!   lanes are the destination workers. A flush ships what falls due:
 //!   the worker's flush of tick `t` hands over the buckets due at
@@ -408,8 +408,8 @@ pub struct FlushReport {
 }
 
 /// A [`Hub`] behind an unreliable network: drops and delays envelopes
-/// according to a [`NetworkModel`] (default channel, per-link topology
-/// overrides, partition schedule), and holds the survivors on a
+/// according to a [`NetworkModel`] (one channel, partition schedule,
+/// scripted drops), and holds the survivors on a
 /// [`DelayWheel`] whose lanes are the destination workers — one bucket
 /// per (due tick, destination worker), in send order, filled in pooled
 /// buffers that recycle for the whole runtime lifetime. A flush ships
@@ -417,7 +417,7 @@ pub struct FlushReport {
 /// model.
 ///
 /// Partition cuts are decided from the schedule alone — a pure function
-/// of the two placements and the send tick, consuming zero randomness —
+/// of the two endpoints and the send tick, consuming zero randomness —
 /// so both substrates sever the same sends. Loss and latency draws come
 /// from `da_core`'s stateless [`EdgeRngs`]: each send's RNG is keyed by
 /// `(edge, send tick, within-tick occurrence)`, so the fate of "the
@@ -532,7 +532,7 @@ impl<M> FaultyRouter<M> {
     /// partition schedule (pure, draw-free), then any scripted drop for
     /// this send's per-tick occurrence on the edge (pure), then samples
     /// the surviving send's fate from a stateless RNG keyed by
-    /// `(edge, tick, occurrence)` using its link's channel, and, if it
+    /// `(edge, tick, occurrence)` on the channel, and, if it
     /// survives, holds it for the destination worker, due `latency`
     /// ticks after `sent_tick`, until a flush ships its due tick.
     pub fn send(&mut self, from: ProcessId, to: ProcessId, sent_tick: u64, msg: M) -> NetFate {
@@ -1098,16 +1098,13 @@ mod tests {
 
     #[test]
     fn partition_cut_severs_then_heals_without_consuming_draws() {
-        use da_core::network::{NetworkModel, NodeId, Partition, PartitionSchedule, Topology};
+        use da_core::network::{NetworkModel, Partition, PartitionSchedule};
         let network = |partitions| NetworkModel {
-            topology: Some(
-                Topology::with_nodes(["a", "b"]).with_placement(ProcessId(1), NodeId(1)),
-            ),
             partitions,
             ..NetworkModel::uniform(ChannelConfig::paper_default())
         };
         let cut = PartitionSchedule::none()
-            .with_partition(Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 10).heal_at(20));
+            .with_partition(Partition::cut([ProcessId(1)], 10).heal_at(20));
 
         // Encode each fate latency-relative so runs at different ticks
         // compare: Severed → -2, Lost → -1, Deliver → its latency.

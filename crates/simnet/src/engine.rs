@@ -40,7 +40,7 @@ struct SimNet<M> {
 /// The simulator's [`Outbound`]: asks the [`Strategy`] for each send's
 /// fate (the default checks the partition schedule and scripted drops —
 /// pure, no randomness — then draws from the shared `da_core` channel
-/// model of the link, on the engine's single RNG stream) and schedules
+/// model, on the engine's single RNG stream) and schedules
 /// survivors straight into the wheel.
 struct Routed<'a, M, S> {
     net: &'a mut SimNet<M>,
@@ -728,14 +728,12 @@ mod tests {
 
     #[test]
     fn partitions_sever_and_heal() {
-        use da_core::network::{NodeId, Partition, PartitionSchedule, Topology};
-        // Relay ring over 3 processes: 0 and 1 on node a, 2 on node b, so
-        // exactly the 1→2 and 2→0 hops cross the cut. Split for rounds 2..5.
-        let config = SimConfig::default()
-            .with_topology(Topology::with_nodes(["a", "b"]).with_placement(ProcessId(2), NodeId(1)))
-            .with_partitions(PartitionSchedule::none().with_partition(
-                Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], 2).heal_at(5),
-            ));
+        use da_core::network::{Partition, PartitionSchedule};
+        // Relay ring over 3 processes with 2 on the island, so exactly
+        // the 1→2 and 2→0 hops cross the cut. Split for rounds 2..5.
+        let config = SimConfig::default().with_partitions(
+            PartitionSchedule::none().with_partition(Partition::cut([ProcessId(2)], 2).heal_at(5)),
+        );
         let mut e = relay_engine(config, 3);
         e.run_rounds(2);
         assert_eq!(e.counters().get("sim.dropped_partitioned"), 0);

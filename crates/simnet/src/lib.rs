@@ -65,7 +65,7 @@ mod strategy;
 pub use da_core::{
     ChannelConfig, Counters, Exec, ExecProtocol, FailureModel, Fate, FaultConfig, McHash, NetFate,
     NetworkModel, PartitionSchedule, ProcessId, ProcessStatus, RunConfig, ScriptedDrop, TickReport,
-    Topology, TraceConfig, TraceEvent, TraceLog, WireSize,
+    TraceConfig, TraceEvent, TraceLog, WireSize,
 };
 pub use engine::{Engine, SimConfig};
 pub use strategy::{DueMessage, RngStrategy, Strategy};

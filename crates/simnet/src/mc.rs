@@ -28,10 +28,10 @@
 //!
 //! # Soundness notes
 //!
-//! * The base [`SimConfig`] must be *choice-free*: every channel (the
-//!   default and each link) gives every send one certain fate — it
-//!   always delivers after one fixed latency, or it never delivers —
-//!   no RNG-driven failure model, no pre-scripted drops.
+//! * The base [`SimConfig`] must be *choice-free*: its channel gives
+//!   every send one certain fate — it always delivers after one fixed
+//!   latency, or it never delivers — no RNG-driven failure model, no
+//!   pre-scripted drops.
 //!   [`Explorer::explore`] validates this and panics otherwise —
 //!   randomness left in the base model would make "all interleavings"
 //!   a lie. Scripted partitions are fine (they are pure functions of
@@ -338,12 +338,12 @@ impl Strategy for ScriptStrategy {
         // scripted drops; the explorer needs them regardless, to
         // record replayable drops, so it keeps its own per-round count.
         let occurrence = self.occurrences.bump(from, to);
-        if network.severed(from, to, tick) {
+        if network.partitions.severed(from, to, tick) {
             return NetFate::Severed;
         }
         // The base model is validated choice-free: exactly one channel
         // fate, decided without randomness.
-        let deliver = match certain_fate(network.channel_between(from, to)) {
+        let deliver = match certain_fate(network.channel) {
             Some(ChannelFate::Deliver { latency }) => NetFate::Deliver { latency },
             Some(ChannelFate::Lost) => return NetFate::Lost,
             None => unreachable!("explore() validated the base model as choice-free"),
@@ -441,8 +441,8 @@ where
     /// # Panics
     ///
     /// Panics when `base` still contains nondeterminism the explorer
-    /// does not control: a lossy or jittery channel (default or link
-    /// override), an RNG-driven failure model, or pre-scripted drops.
+    /// does not control: a lossy or jittery channel, an RNG-driven
+    /// failure model, or pre-scripted drops.
     pub fn explore<F>(&self, base: &SimConfig, make: F) -> McReport
     where
         F: Fn(SimConfig) -> Engine<P>,
@@ -657,19 +657,10 @@ where
         let network = &base.faults.network;
         assert!(
             certain_fate(network.channel).is_some(),
-            "model checking needs a choice-free default channel \
+            "model checking needs a choice-free channel \
              (reliable with one fixed latency, or never delivering); got {:?}",
             network.channel
         );
-        if let Some(topology) = &network.topology {
-            for (a, b, channel) in topology.links() {
-                assert!(
-                    certain_fate(channel).is_some(),
-                    "model checking needs choice-free link overrides; \
-                     link {a}->{b} is {channel:?}"
-                );
-            }
-        }
         assert!(
             network.drops.is_empty(),
             "base model must not pre-script drops; the explorer owns them"
@@ -958,7 +949,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "choice-free")]
     fn lossy_base_config_is_rejected() {
-        use da_core::network::{NodeId, Topology};
         use da_core::seed::rng_from_seed;
         use da_core::Latency;
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -991,23 +981,15 @@ mod tests {
             }
         }
 
-        // Rejected: a jittery default channel and a lossy link override.
+        // Rejected: a jittery channel.
         let jittery =
             ChannelConfig::reliable().with_latency(Latency::UniformRounds { min: 1, max: 3 });
-        let lossy_link = Topology::with_nodes(["a", "b"])
-            .with_placement_range(0..1, NodeId(0))
-            .with_placement_range(1..2, NodeId(1))
-            .with_link(NodeId(0), NodeId(1), ChannelConfig::paper_default());
-        for base in [
-            SimConfig::default().with_channel(jittery),
-            SimConfig::default().with_topology(lossy_link),
-        ] {
-            let panic = validate(&base).expect_err("a channel with a choice is rejected");
-            let message = panic.downcast_ref::<String>().map_or("", String::as_str);
-            assert!(message.contains("choice-free"), "{message}");
-        }
+        let panic = validate(&SimConfig::default().with_channel(jittery))
+            .expect_err("a channel with a choice is rejected");
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("choice-free"), "{message}");
 
-        // A lossy default channel, through `explore` itself.
+        // A lossy channel, through `explore` itself.
         let base = SimConfig::default().with_channel(ChannelConfig::paper_default());
         let _ = Explorer::new(McConfig::default())
             .with_invariant(BoundedDeliveries)

@@ -104,12 +104,6 @@ impl TopicPath {
         body.split('.').filter(|s| !s.is_empty())
     }
 
-    /// The last segment, or `None` for the root.
-    #[must_use]
-    pub fn leaf(&self) -> Option<&str> {
-        self.segments().last()
-    }
-
     /// The direct supertopic path, or `None` for the root.
     ///
     /// `.a.b` → `.a`; `.a` → `.` (the root).
@@ -234,7 +228,6 @@ mod tests {
         assert!(p.is_root());
         assert_eq!(p.depth(), 0);
         assert_eq!(p.segments().count(), 0);
-        assert_eq!(p.leaf(), None);
         assert_eq!(p.parent(), None);
     }
 
@@ -242,7 +235,7 @@ mod tests {
     fn parses_nested() {
         let p = TopicPath::parse(".dsn04.reviewers").unwrap();
         assert_eq!(p.depth(), 2);
-        assert_eq!(p.leaf(), Some("reviewers"));
+        assert_eq!(p.segments().last(), Some("reviewers"));
         assert_eq!(p.to_string(), ".dsn04.reviewers");
     }
 

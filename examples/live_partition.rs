@@ -6,8 +6,8 @@
 //! overlay must survive.
 //!
 //! Three-level linear hierarchy, every table discovered at runtime; the
-//! tail quarter of the leaf group lives on an `"island"` node that a
-//! partition severs from tick 20 to tick 45. Four stories probe the
+//! tail quarter of the leaf group is an island that a partition severs
+//! from everyone else from tick 20 to tick 45. Four stories probe the
 //! cycle: one before the cut (blankets everyone), one per side during
 //! the split (each stays on its side — zero cross-island deliveries of
 //! the mainland's story on the island and vice versa, because the
@@ -27,7 +27,7 @@
 //! capture mode and write the JSONL event stream there (CI uploads it
 //! as a workflow artifact from the smoke run).
 
-use da_core::{NodeId, Partition, PartitionSchedule, ProcessId, Topology};
+use da_core::{Partition, PartitionSchedule, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig, TraceConfig};
 use damulticast::{DynamicNetwork, ParamMap, TopicParams};
 use std::path::PathBuf;
@@ -59,13 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let island: Vec<ProcessId> = leaves[leaves.len() - leaves.len() / 4..].to_vec();
     let mainland_leaves: Vec<ProcessId> = leaves[..leaves.len() - island.len()].to_vec();
 
-    let mut topology = Topology::with_nodes(["mainland", "island"]);
-    for &pid in &island {
-        topology = topology.with_placement(pid, NodeId(1));
-    }
-    let partitions = PartitionSchedule::none().with_partition(
-        Partition::cut(vec![vec![NodeId(0)], vec![NodeId(1)]], CUT_AT).heal_at(HEAL_AT),
-    );
+    let partitions = PartitionSchedule::none()
+        .with_partition(Partition::cut(island.iter().copied(), CUT_AT).heal_at(HEAL_AT));
 
     let workers = std::thread::available_parallelism()
         .map_or(4, usize::from)
@@ -81,7 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = RuntimeConfig::default()
         .with_seed(seed)
         .with_workers(workers)
-        .with_topology(topology)
         .with_partitions(partitions)
         .with_trace(trace);
     let start = Instant::now();

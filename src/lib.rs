@@ -49,8 +49,8 @@ pub use damulticast;
 pub mod prelude {
     pub use da_core::{
         ChannelConfig, Exec, ExecProtocol, FailureModel, FaultConfig, Histogram, NetworkModel,
-        NodeId, Partition, PartitionSchedule, ProcessId, Topology, TraceConfig, TraceEvent,
-        TraceLog, TraceMode, TraceVerdict,
+        Partition, PartitionSchedule, ProcessId, TraceConfig, TraceEvent, TraceLog, TraceMode,
+        TraceVerdict,
     };
     pub use da_membership::FanoutRule;
     pub use da_runtime::{Runtime, RuntimeConfig};

@@ -4,7 +4,7 @@
 //! live runtime — for the cohort that never left the mainland.
 //!
 //! The partition severed-check is a pure function of the endpoints'
-//! node placement and the send tick (it consumes no randomness), so one
+//! island membership and the send tick (it consumes no randomness), so one
 //! seed severs the identical sends on both substrates. Mainland
 //! processes — everyone outside the cut-off island — keep a saturated
 //! gossip overlay throughout (the pinned-high knobs and the fully meshed
@@ -29,7 +29,7 @@ use proptest::prelude::*;
 /// `runtime_parity.rs`).
 const PROP_SIZES: [usize; 3] = [10, 10, 40];
 
-/// Leaf-group members carved off onto the island node.
+/// Leaf-group members carved off onto the island.
 const ISLAND: usize = 8;
 
 /// Fixed horizon (no quiescence cut-off) so the tick-scripted cut and

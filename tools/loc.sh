@@ -5,9 +5,22 @@
 # holds `#[cfg(test)]`, and a `tests.rs` (a test module in a file of its
 # own) ships nothing: the rule `tests/layering.rs::shipped` applies.
 #
-# Usage: tools/loc.sh    (from any directory; reads the working tree)
+# Usage: tools/loc.sh [REV]    (from any directory; reads the working
+#                               tree, or REV's committed files through
+#                               `git archive`, counted by this rule)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [ $# -gt 1 ]; then
+    echo "usage: tools/loc.sh [REV]" >&2
+    exit 2
+fi
+if [ $# -eq 1 ]; then
+    tree=$(mktemp -d)
+    trap 'rm -rf "$tree"' EXIT
+    git archive "$1" -- crates | tar -x -C "$tree"
+    cd "$tree"
+fi
 
 total=0
 for src in crates/*/src crates/shims/*/src; do
