@@ -559,13 +559,20 @@ mod tests {
     }
 
     #[test]
-    fn latency_bounds_read_the_one_channel() {
+    fn min_latency_reads_the_one_channel() {
         let fixed = ChannelConfig::reliable().with_latency(Latency::Fixed(4));
         assert_eq!(NetworkModel::uniform(fixed).min_latency(), 4);
-        assert_eq!(NetworkModel::uniform(fixed).max_latency(), 4);
         let jittery =
             ChannelConfig::reliable().with_latency(Latency::UniformRounds { min: 1, max: 6 });
         assert_eq!(NetworkModel::uniform(jittery).min_latency(), 1);
+    }
+
+    #[test]
+    fn max_latency_reads_the_one_channel() {
+        let fixed = ChannelConfig::reliable().with_latency(Latency::Fixed(4));
+        assert_eq!(NetworkModel::uniform(fixed).max_latency(), 4);
+        let jittery =
+            ChannelConfig::reliable().with_latency(Latency::UniformRounds { min: 1, max: 6 });
         assert_eq!(NetworkModel::uniform(jittery).max_latency(), 6);
         assert_eq!(
             NetworkModel::uniform(ChannelConfig::reliable()).max_latency(),
