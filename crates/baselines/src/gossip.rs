@@ -45,7 +45,7 @@ pub struct GossipTable {
     pub sent: LabelId,
 }
 
-/// The receipt counters of one algorithm, interned under its prefix.
+/// The receipt counters of one algorithm, interned under its label family.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Labels {
     delivered: LabelId,
@@ -54,8 +54,8 @@ pub(crate) struct Labels {
 }
 
 impl Labels {
-    pub(crate) fn new(prefix: &str) -> Self {
-        let intern = |name: &str| LabelId::intern(&format!("{prefix}.{name}"));
+    pub(crate) fn new(family: &str) -> Self {
+        let intern = |name: &str| LabelId::intern(&format!("{family}.{name}"));
         Labels {
             delivered: intern("delivered"),
             parasite: intern("parasite"),

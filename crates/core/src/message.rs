@@ -258,7 +258,7 @@ mod tests {
 
     /// What the eight messages put on the wire and into the model
     /// checker's digests, computed when all eight were inline variants of
-    /// `DaMsg` and `Event` held its fields itself (PR 18). `sim.bytes_sent`
+    /// `DaMsg` and `Event` held its fields itself (PR 18). `bytes_sent`
     /// and every state digest are built from these; a change of layout
     /// moves neither.
     #[test]

@@ -235,7 +235,7 @@ mod tests {
         assert!(first > 0 && dup > 0, "flood must overlap ({first}, {dup})");
         // Conservation on the reliable channel: every send is a first
         // delivery or a suppressed duplicate.
-        assert_eq!(engine.counters().get("sim.sent"), first + dup);
+        assert_eq!(engine.ledger().sent, first + dup);
         // One bit per story: nobody delivers a headline twice (the
         // publisher's own story is seen but not delivered).
         for (_, p) in engine.processes() {

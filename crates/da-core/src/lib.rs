@@ -3,8 +3,8 @@
 //! Everything a protocol and a substrate have to agree on, and nothing
 //! of either: the [`exec`] contract ([`Exec`] — what a substrate offers a
 //! process; [`ExecProtocol`] — what a process offers a substrate), the
-//! [`wire`] size accounting and [`metrics`] registry both sides report
-//! into, the unreliable-channel fault model (Sec. III-A of the
+//! [`wire`] size accounting, the [`ledger`] of envelopes and the
+//! [`metrics`] registry both sides report into, the unreliable-channel fault model (Sec. III-A of the
 //! paper) and the scripted partitions and drops on top of it
 //! ([`network::NetworkModel`]), the process failure models (Sec. VII),
 //! the process identity vocabulary, the deterministic seed-derivation
@@ -17,7 +17,7 @@
 //! Both execution substrates consume this crate, and run the same tick
 //! body from it — [`stripe::Stripe`]: the [`failure::FailurePlan`]'s
 //! transitions applied by a [`lifecycle::LifecycleController`], the
-//! delivery verdicts, the round hooks, the send ledger and the one
+//! delivery verdicts, the round hooks, the envelope ledger and the one
 //! [`Exec`] context. They differ in where a send goes
 //! ([`stripe::Outbound`]):
 //!
@@ -44,6 +44,7 @@ pub mod channel;
 pub mod exec;
 pub mod failure;
 pub mod fault;
+pub mod ledger;
 pub mod lifecycle;
 pub mod metrics;
 pub mod network;
@@ -61,6 +62,7 @@ pub use channel::{ChannelConfig, ChannelFate, EdgeRngs, Latency};
 pub use exec::{Exec, ExecProtocol, McHash};
 pub use failure::{ChurnRates, FailureModel, FailurePlan, Fate};
 pub use fault::FaultConfig;
+pub use ledger::EnvelopeLedger;
 pub use lifecycle::{LifecycleController, LifecycleTransitions};
 pub use metrics::{
     CounterId, Counters, FxHasher, Histogram, KeyBuildHasher, KeyHasher, LabelId, TraceLog,
@@ -72,7 +74,7 @@ pub use process::{ProcessId, ProcessIndexError, ProcessStatus};
 pub use run::{PoolConfig, RunConfig};
 pub use seed::{derive_seed, keep_random, rng_for_process, rng_from_seed};
 pub use store::ProcessStore;
-pub use stripe::{HotIds, Ledger, Outbound, Stripe, StripeTrace, TickReport, TickTally};
+pub use stripe::{Ledger, Outbound, Stripe, StripeTrace, TickReport};
 pub use trace::{
     canonicalize, first_divergence, TraceConfig, TraceDivergence, TraceEvent, TraceMode,
     TraceRecorder, TraceVerdict,

@@ -31,7 +31,7 @@ const WORKER_OBSERVER_STREAM: u64 = 0x0B5E_0000_0000_0100;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LifecycleTransitions {
     /// Churn-driven crashes this tick (scripted fates are not counted:
-    /// these feed the `churn_crashes` counters).
+    /// these feed the ledger's `churn_crashes`).
     pub churn_crashes: u64,
     /// Churn-driven recoveries this tick.
     pub churn_recoveries: u64,

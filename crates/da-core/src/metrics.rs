@@ -4,7 +4,7 @@
 //! Protocols label their traffic (e.g. `intra.t2`, `inter.t2->t1`) and the
 //! harness reads the counters back after a run. Two kinds of handle keep
 //! the per-message hot path an array increment: a [`CounterId`] is a slot
-//! of *one* registry (the substrates pre-register theirs), a [`LabelId`]
+//! of *one* registry (the ledger's rendered names use them), a [`LabelId`]
 //! is a name interned once per process — a protocol instance resolves its
 //! labels at construction, holds 4-byte ids, and bumps through
 //! [`Counters::bump_id`] in whichever registry the substrate hands it

@@ -4,21 +4,23 @@
 //! transitions (churn counters, lifecycle events, `on_recover`), the
 //! first tick's `on_start`, a verdict per due envelope (destination
 //! crashed / observed failed / delivered → `on_message`), `on_round`
-//! for everyone alive — and under every hook a send ledger (sent, bytes,
-//! lost, severed, queued). A [`Stripe`] owns what that sequence touches
-//! and runs it in three phases. The substrates differ in where a send
-//! goes — the [`Outbound`] seam, implemented once by the simulator (a
-//! `Strategy` fate on the engine RNG, into its wheel) and once by the
-//! live transport's `FaultyRouter` — and in where due envelopes come
-//! from, which stays with the caller: it owns the wheel.
+//! for everyone alive — and under every hook the [`EnvelopeLedger`]
+//! (sent, bytes, delivered, each drop, churn). A [`Stripe`] owns what
+//! that sequence touches and runs it in three phases. The substrates
+//! differ in where a send goes — the [`Outbound`] seam, implemented
+//! once by the simulator (a `Strategy` fate on the engine RNG, into its
+//! wheel) and once by the live transport's `FaultyRouter` — and in
+//! where due envelopes come from, which stays with the caller: it owns
+//! the wheel.
 //!
 //! The phase methods and the context's `send` are `#[inline]`: they are
 //! the body of each substrate's hot loop, and PR 16 measured what one
 //! out-of-line call does to the code generated around it.
 
 use crate::exec::{Exec, ExecProtocol};
+use crate::ledger::EnvelopeLedger;
 use crate::lifecycle::LifecycleController;
-use crate::metrics::{CounterId, Counters, Histogram, LabelId, TraceLog};
+use crate::metrics::{Counters, Histogram, LabelId, TraceLog};
 use crate::network::NetFate;
 use crate::process::{ProcessId, ProcessStatus};
 use crate::store::{ProcessStore, Slot, Streams};
@@ -36,76 +38,6 @@ pub trait Outbound {
     /// Routes `msg`, sent by `from` to `to` during `tick`; a
     /// [`NetFate::Deliver`] message is in flight when this returns.
     fn send(&mut self, from: ProcessId, to: ProcessId, tick: u64, msg: Self::Msg) -> NetFate;
-}
-
-/// The counters the tick body touches on every send, delivery and
-/// transition, registered by the substrate under its own prefix (`sim`,
-/// `rt`) so that each costs an array increment.
-#[derive(Debug, Clone, Copy)]
-pub struct HotIds {
-    /// Messages handed to the network.
-    pub sent: CounterId,
-    /// Their wire sizes.
-    pub bytes_sent: CounterId,
-    /// Envelopes handed to `on_message`.
-    pub delivered: CounterId,
-    /// Sends the channel lost.
-    pub dropped_channel: CounterId,
-    /// Sends a partition cut severed.
-    pub dropped_partitioned: CounterId,
-    /// Envelopes due at a crashed process.
-    pub dropped_crashed: CounterId,
-    /// Envelopes whose destination was observed as failed.
-    pub dropped_observed: CounterId,
-    /// Churn-driven crashes.
-    pub churn_crashes: CounterId,
-    /// Churn-driven recoveries.
-    pub churn_recoveries: CounterId,
-}
-
-impl HotIds {
-    /// Registers the nine counters in `counters` as `{prefix}.sent`,
-    /// `{prefix}.bytes_sent`, … — the one table of their names, in the
-    /// order [`Counters::iter`] then walks them.
-    pub fn register(counters: &mut Counters, prefix: &str) -> Self {
-        let mut id = |name| counters.register(&format!("{prefix}.{name}"));
-        HotIds {
-            sent: id("sent"),
-            bytes_sent: id("bytes_sent"),
-            delivered: id("delivered"),
-            dropped_channel: id("dropped_channel"),
-            dropped_partitioned: id("dropped_partitioned"),
-            dropped_crashed: id("dropped_crashed"),
-            dropped_observed: id("dropped_observed_failed"),
-            churn_crashes: id("churn_crashes"),
-            churn_recoveries: id("churn_recoveries"),
-        }
-    }
-}
-
-/// What one tick sent and consumed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TickTally {
-    /// Messages handed to the network, lost ones included.
-    pub sent: u64,
-    /// Sends that survived the network and entered flight.
-    pub queued: u64,
-    /// Due envelopes handed to `on_message`.
-    pub delivered: u64,
-    /// Due envelopes consumed undelivered (destination crashed, or
-    /// observed as failed).
-    pub undeliverable: u64,
-}
-
-impl std::ops::AddAssign for TickTally {
-    /// Sums two slices of one tick — how the pool's coordinator adds up
-    /// its workers' tallies.
-    fn add_assign(&mut self, other: TickTally) {
-        self.sent += other.sent;
-        self.queued += other.queued;
-        self.delivered += other.delivered;
-        self.undeliverable += other.undeliverable;
-    }
 }
 
 /// Aggregate summary of one executed tick, on either substrate: the
@@ -168,38 +100,36 @@ impl StripeTrace {
     }
 }
 
-/// The envelope ledger of a stripe, kept together so that a hook's
+/// What a stripe counts and records, kept together so that a hook's
 /// context borrows it as one.
 #[derive(Debug, Clone)]
 pub struct Ledger {
-    /// The stripe's metrics registry.
+    /// The protocol's labels.
     pub counters: Counters,
     /// `None` when tracing is off: every trace hook is then one branch.
     pub trace: Option<StripeTrace>,
-    ids: HotIds,
-    tally: TickTally,
+    /// Every envelope the stripe's processes sent or were due, by what
+    /// became of it, and the churn transitions.
+    pub envelopes: EnvelopeLedger,
 }
 
 impl Ledger {
     #[inline]
     fn record_send(&mut self, tick: u64, from: ProcessId, to: ProcessId, size: u64, fate: NetFate) {
-        self.tally.sent += 1;
-        self.counters.add(self.ids.sent, 1);
-        self.counters.add(self.ids.bytes_sent, size);
+        let envelopes = &mut self.envelopes;
+        envelopes.sent += 1;
+        envelopes.bytes_sent += size;
         let dropped = match fate {
-            NetFate::Deliver { .. } => {
-                self.tally.queued += 1;
-                None
+            NetFate::Deliver { .. } => None,
+            NetFate::Lost => {
+                envelopes.dropped_channel += 1;
+                Some(TraceVerdict::DroppedChannel)
             }
-            NetFate::Lost => Some((self.ids.dropped_channel, TraceVerdict::DroppedChannel)),
-            NetFate::Severed => Some((
-                self.ids.dropped_partitioned,
-                TraceVerdict::DroppedPartitioned,
-            )),
+            NetFate::Severed => {
+                envelopes.dropped_partitioned += 1;
+                Some(TraceVerdict::DroppedPartitioned)
+            }
         };
-        if let Some((id, _)) = dropped {
-            self.counters.add(id, 1);
-        }
         if let Some(trace) = self.trace.as_mut() {
             let mut event = TraceEvent {
                 tick,
@@ -211,7 +141,7 @@ impl Ledger {
             trace.recorder.record(event);
             // Send-time drops stamp the send tick; drops decided at
             // delivery time stamp the delivery tick instead.
-            if let Some((_, verdict)) = dropped {
+            if let Some(verdict) = dropped {
                 event.verdict = verdict;
                 trace.recorder.record(event);
             }
@@ -283,7 +213,7 @@ pub struct Stripe<P> {
     pub store: ProcessStore<P>,
     /// Their liveness under the failure plan.
     pub lifecycle: LifecycleController,
-    /// Counters and flight recorder.
+    /// Envelope ledger, protocol counters and flight recorder.
     pub ledger: Ledger,
     /// The tick [`Stripe::begin_tick`] last opened.
     tick: u64,
@@ -296,13 +226,10 @@ where
     P::Msg: WireSize,
 {
     /// A stripe over `store`, with one status in `lifecycle` per process.
-    /// `ids` must come from `counters`.
     #[must_use]
     pub fn new(
         store: ProcessStore<P>,
         lifecycle: LifecycleController,
-        counters: Counters,
-        ids: HotIds,
         trace: &TraceConfig,
     ) -> Self {
         debug_assert_eq!(store.len(), lifecycle.owned(), "one status per process");
@@ -314,10 +241,9 @@ where
             store,
             lifecycle,
             ledger: Ledger {
-                counters,
+                counters: Counters::new(),
                 trace,
-                ids,
-                tally: TickTally::default(),
+                envelopes: EnvelopeLedger::default(),
             },
             tick: 0,
             started: false,
@@ -379,16 +305,10 @@ where
     #[inline]
     pub fn begin_tick<O: Outbound<Msg = P::Msg>>(&mut self, tick: u64, out: &mut O) {
         self.tick = tick;
-        self.ledger.tally = TickTally::default();
 
         let transitions = self.lifecycle.begin_tick(tick);
-        let Ledger { counters, ids, .. } = &mut self.ledger;
-        if transitions.churn_crashes > 0 {
-            counters.add(ids.churn_crashes, transitions.churn_crashes);
-        }
-        if transitions.churn_recoveries > 0 {
-            counters.add(ids.churn_recoveries, transitions.churn_recoveries);
-        }
+        self.ledger.envelopes.churn_crashes += transitions.churn_crashes;
+        self.ledger.envelopes.churn_recoveries += transitions.churn_recoveries;
         if let Some(trace) = self.ledger.trace.as_mut() {
             for (slots, verdict) in [
                 (&transitions.crashed, TraceVerdict::Crashed),
@@ -416,8 +336,8 @@ where
     /// Consumes one envelope due this tick: dropped when its destination
     /// is crashed, or when the per-observer model draws it as failed for
     /// this transmission; handed to `on_message` otherwise. Each verdict
-    /// is counted, tallied, and traced with the delivery tick — the
-    /// moment the envelope's fate resolved.
+    /// is counted and traced with the delivery tick — the moment the
+    /// envelope's fate resolved.
     #[inline]
     pub fn deliver<O: Outbound<Msg = P::Msg>>(&mut self, envelope: Envelope<P::Msg>, out: &mut O) {
         let Envelope {
@@ -428,16 +348,19 @@ where
             ..
         } = envelope;
         let slot = self.lifecycle.slot_of(to);
-        let ids = &self.ledger.ids;
-        let (verdict, id) = if !self.lifecycle.is_alive(slot) {
-            (TraceVerdict::DroppedCrashed, ids.dropped_crashed)
+        let envelopes = &mut self.ledger.envelopes;
+        let (verdict, count) = if !self.lifecycle.is_alive(slot) {
+            (TraceVerdict::DroppedCrashed, &mut envelopes.dropped_crashed)
         } else if !self.lifecycle.observes_alive() {
-            (TraceVerdict::DroppedObserved, ids.dropped_observed)
+            (
+                TraceVerdict::DroppedObserved,
+                &mut envelopes.dropped_observed,
+            )
         } else {
-            (TraceVerdict::Delivered, ids.delivered)
+            (TraceVerdict::Delivered, &mut envelopes.delivered)
         };
+        *count += 1;
         let delivered = verdict == TraceVerdict::Delivered;
-        self.ledger.counters.add(id, 1);
         if let Some(trace) = self.ledger.trace.as_mut() {
             trace.recorder.record(TraceEvent {
                 tick: self.tick,
@@ -451,22 +374,18 @@ where
             }
         }
         if delivered {
-            self.ledger.tally.delivered += 1;
             self.hook(slot, out, |process, ctx| {
                 process.on_message(from, msg, ctx);
             });
-        } else {
-            self.ledger.tally.undeliverable += 1;
         }
     }
 
     /// Runs `on_round` for every process alive, in pid order, after the
-    /// tick's deliveries — and returns what the tick added up to.
+    /// tick's deliveries.
     #[inline]
-    pub fn round_hooks<O: Outbound<Msg = P::Msg>>(&mut self, out: &mut O) -> TickTally {
+    pub fn round_hooks<O: Outbound<Msg = P::Msg>>(&mut self, out: &mut O) {
         let tick = self.tick;
         self.alive_hooks(out, |process, ctx| process.on_round(tick, ctx));
-        self.ledger.tally
     }
 
     /// True once the first tick has run its `on_start` hooks.
@@ -541,10 +460,8 @@ mod tests {
             store.push(Probe::default());
         }
         let plan = Arc::new(model.materialize(population, seed));
-        let mut counters = Counters::new();
-        let ids = HotIds::register(&mut counters, "t");
         let lifecycle = LifecycleController::new(plan, 0, 1, population);
-        Stripe::new(store, lifecycle, counters, ids, &TraceConfig::full())
+        Stripe::new(store, lifecycle, &TraceConfig::full())
     }
 
     fn envelope(from: u32, to: u32) -> Envelope<u8> {
@@ -571,13 +488,12 @@ mod tests {
         assert!(s.started() && s.store.iter().all(|p| p.started));
         // Three on_start sends and three on_round sends, each either
         // lost (→ p1), severed (→ p2) or queued (→ p3).
-        let tally = s.round_hooks(&mut out);
-        assert_eq!((out.0, tally.sent, tally.queued), (6, 6, 2));
-        let counters = &s.ledger.counters;
-        assert_eq!(counters.get("t.sent"), 6);
-        assert_eq!(counters.get("t.bytes_sent"), 6);
-        assert_eq!(counters.get("t.dropped_channel"), 2);
-        assert_eq!(counters.get("t.dropped_partitioned"), 2);
+        s.round_hooks(&mut out);
+        let ledger = s.ledger.envelopes;
+        assert_eq!((out.0, ledger.sent, ledger.queued()), (6, 6, 2));
+        assert_eq!(ledger.bytes_sent, 6);
+        assert_eq!(ledger.dropped_channel, 2);
+        assert_eq!(ledger.dropped_partitioned, 2);
         let verdicts = |v| {
             let events = s.ledger.trace.as_ref().unwrap().recorder.events();
             events.iter().filter(|e| e.verdict == v).count()
@@ -587,7 +503,7 @@ mod tests {
         assert_eq!(last_event(&s), (0, 2, 3, TraceVerdict::Sent));
 
         // The next tick runs no on_start again, delivers under the
-        // destination's own context, and tallies afresh.
+        // destination's own context, and counts on.
         s.begin_tick(1, &mut out);
         assert_eq!(out.0, 6, "on_start runs once");
         s.deliver(envelope(0, 2), &mut out);
@@ -597,8 +513,9 @@ mod tests {
         let latency = &s.ledger.trace.as_ref().unwrap().delivery_latency;
         assert_eq!((latency.count(), latency.max()), (1, 1));
         assert_eq!(s.store.get(0).rounds, vec![0], "round hooks come last");
-        let tally = s.round_hooks(&mut out);
-        assert_eq!((tally.delivered, tally.sent), (1, 3));
+        s.round_hooks(&mut out);
+        let ledger = s.ledger.envelopes;
+        assert_eq!((ledger.delivered, ledger.sent), (1, 9));
     }
 
     #[test]
@@ -621,10 +538,10 @@ mod tests {
         s.begin_tick(1, &mut out);
         let to = dead[0] as u32;
         s.deliver(envelope(7, to), &mut out);
-        let tally = s.round_hooks(&mut out);
-        assert_eq!((tally.delivered, tally.undeliverable), (0, 1));
+        s.round_hooks(&mut out);
+        let ledger = s.ledger.envelopes;
+        assert_eq!((ledger.delivered, ledger.dropped_crashed), (0, 1));
         assert!(s.store.get(dead[0]).heard.is_empty());
-        assert_eq!(s.ledger.counters.get("t.dropped_crashed"), 1);
         let crashed = s.ledger.trace.as_ref().unwrap().recorder.events().iter();
         let crashed: Vec<_> = crashed
             .filter(|e| e.verdict == TraceVerdict::DroppedCrashed)
@@ -644,14 +561,14 @@ mod tests {
         for _ in 0..400 {
             s.deliver(envelope(0, 1), &mut out);
         }
-        let tally = s.round_hooks(&mut out);
-        let observed = s.ledger.counters.get("t.dropped_observed_failed");
+        s.round_hooks(&mut out);
+        let ledger = s.ledger.envelopes;
+        let observed = ledger.dropped_observed;
         assert!((140..260).contains(&observed), "observer drops {observed}");
-        assert_eq!(tally.undeliverable, observed);
-        assert_eq!(tally.delivered, 400 - observed);
-        assert_eq!(s.store.get(1).heard.len() as u64, tally.delivered);
+        assert_eq!(ledger.delivered, 400 - observed);
+        assert_eq!(s.store.get(1).heard.len() as u64, ledger.delivered);
         assert_eq!(s.lifecycle.alive_count(), 2);
-        assert_eq!(s.ledger.counters.get("t.dropped_crashed"), 0);
+        assert_eq!(ledger.dropped_crashed, 0);
     }
 
     /// A hook that never asks for its RNG leaves the slot empty, and the
@@ -691,10 +608,8 @@ mod tests {
         store.push(LateDraw::default());
         store.push(LateDraw::default());
         let plan = Arc::new(FailureModel::None.materialize(2, seed));
-        let mut counters = Counters::new();
-        let ids = HotIds::register(&mut counters, "t");
         let lifecycle = LifecycleController::new(plan, 0, 1, 2);
-        let mut s = Stripe::new(store, lifecycle, counters, ids, &TraceConfig::off());
+        let mut s = Stripe::new(store, lifecycle, &TraceConfig::off());
         for tick in 0..2 {
             s.begin_tick(tick, &mut out);
             s.round_hooks(&mut out);

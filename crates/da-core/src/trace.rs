@@ -6,11 +6,11 @@
 //! A [`TraceEvent`] records one decision the substrate made about one
 //! message (or one lifecycle transition of one process): the tick it
 //! happened on, the edge it concerns, a payload id, and a
-//! [`TraceVerdict`] named after the envelope-ledger counter it sits
-//! beside (`sim.dropped_crashed` and `rt.dropped_crashed` are one
-//! verdict, [`TraceVerdict::DroppedCrashed`]: the substrates differ in the
-//! prefix alone, so their streams compare directly). The totals are the
-//! counters' alone; the recorder keeps no count table of its own.
+//! [`TraceVerdict`] naming the [`EnvelopeLedger`](crate::EnvelopeLedger)
+//! slot it sits beside ([`EnvelopeLedger::count`](crate::EnvelopeLedger::count)
+//! reads a slot by its verdict, and both substrates fill the one struct,
+//! so their streams compare directly). The totals are the ledger's
+//! alone; the recorder keeps no count table of its own.
 //!
 //! Recording is zero-cost when off: both engines hold an
 //! `Option<TraceRecorder>`-shaped slot that is `None` unless the
@@ -34,9 +34,10 @@ use std::fmt;
 /// in [`TraceRecorder::dropped`] rather than stored).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
-/// What happened to one message (or one process). The pool's bulk
-/// losses (`rt.dropped_closed`, `rt.dropped_shutdown`) have no verdict:
-/// no per-envelope identity is left to trace.
+/// What happened to one message (or one process). Each envelope verdict
+/// has its slot in the [`EnvelopeLedger`](crate::EnvelopeLedger); the
+/// pool's bulk losses (`dropped_closed`, `dropped_shutdown`) have no
+/// verdict: no per-envelope identity is left to trace.
 ///
 /// The variant order is the canonical tie-break order used by
 /// [`canonicalize`]: within a tick, sends sort before deliveries, which
@@ -49,30 +50,26 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceVerdict {
-    /// The protocol handed the message to the transport
-    /// (`sim.sent` / `rt.sent`).
+    /// The protocol handed the message to the transport (`sent`).
     Sent,
     /// The message reached its destination's protocol hook
-    /// (`sim.delivered` / `rt.delivered`).
+    /// (`delivered`).
     Delivered,
-    /// The channel's Bernoulli loss draw failed
-    /// (`sim.dropped_channel` / `rt.dropped_channel`).
+    /// The channel's Bernoulli loss draw failed (`dropped_channel`).
     DroppedChannel,
     /// A partition cut severed the edge at the send tick
-    /// (`sim.dropped_partitioned` / `rt.dropped_partitioned`).
+    /// (`dropped_partitioned`).
     DroppedPartitioned,
-    /// The destination was crashed at delivery time
-    /// (`sim.dropped_crashed` / `rt.dropped_crashed`).
+    /// The destination was crashed at delivery time (`dropped_crashed`).
     DroppedCrashed,
     /// A per-observer failure draw made the destination treat the sender
-    /// as failed (`sim.dropped_observed_failed` /
-    /// `rt.dropped_observed_failed`).
+    /// as failed (`dropped_observed`).
     DroppedObserved,
-    /// The process crashed this tick (`sim.churn_crashes` /
-    /// `rt.churn_crashes`, plus scripted crashes).
+    /// The process crashed this tick, by churn (`churn_crashes`) or by
+    /// a scripted fate (no count).
     Crashed,
-    /// The process recovered this tick (`sim.churn_recoveries` /
-    /// `rt.churn_recoveries`, plus scripted recoveries).
+    /// The process recovered this tick, by churn (`churn_recoveries`)
+    /// or by a scripted fate (no count).
     Recovered,
 }
 
@@ -456,17 +453,27 @@ mod tests {
         TraceVerdict::Recovered,
     ];
 
-    /// The six verdicts a message can meet are the ledger's counters:
-    /// each label is the suffix of a name in the one counter table.
+    /// The six verdicts a message can meet each read a slot of their own
+    /// in the envelope ledger; the lifecycle transitions read none.
     #[test]
     fn verdicts_map_to_ledger_categories() {
-        let mut counters = crate::Counters::new();
-        crate::HotIds::register(&mut counters, "x");
-        let names: Vec<String> = counters.iter().map(|(name, _)| name.to_owned()).collect();
-        for verdict in &VERDICTS[..6] {
-            let name = format!("x.{}", verdict.label());
-            assert!(names.contains(&name), "{name} not in {names:?}");
-        }
+        let ledger = crate::EnvelopeLedger {
+            sent: 1,
+            delivered: 2,
+            dropped_channel: 3,
+            dropped_partitioned: 4,
+            dropped_crashed: 5,
+            dropped_observed: 6,
+            bytes_sent: 7,
+            dropped_closed: 8,
+            dropped_shutdown: 9,
+            churn_crashes: 10,
+            churn_recoveries: 11,
+        };
+        let slots = VERDICTS.map(|verdict| ledger.count(verdict));
+        let envelope = [1, 2, 3, 4, 5, 6].map(Some);
+        assert_eq!(slots[..6], envelope);
+        assert_eq!(slots[6..], [None, None]);
     }
 
     #[test]

@@ -334,9 +334,7 @@ fn partition_trial(
     driver.run_ticks(MAX_TIME - island_publish_tick);
     let out = driver.finish();
 
-    let severed = out
-        .counters
-        .get(&format!("{}.dropped_partitioned", substrate.prefix()));
+    let severed = out.ledger.dropped_partitioned;
     assert!(
         severed > 0,
         "the cut-at-{CUT_AT} partition must sever cross-island gossip"

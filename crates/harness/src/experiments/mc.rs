@@ -180,20 +180,13 @@ impl Invariant<DaProcess> for EnvelopeLedger {
     }
 
     fn check(&self, engine: &Engine<DaProcess>) -> Result<(), String> {
-        let c = engine.counters();
-        let sent = c.get("sim.sent");
-        let accounted = c.get("sim.delivered")
-            + c.get("sim.dropped_channel")
-            + c.get("sim.dropped_partitioned")
-            + c.get("sim.dropped_crashed")
-            + c.get("sim.dropped_observed_failed")
-            + engine.in_flight() as u64;
-        if sent != accounted {
-            return Err(format!(
-                "{sent} sends but {accounted} accounted (delivered + dropped + in flight)"
-            ));
+        let (ledger, wheel) = (engine.ledger(), engine.in_flight() as u64);
+        match ledger.in_flight() {
+            Some(in_flight) if in_flight == wheel => Ok(()),
+            in_flight => Err(format!(
+                "{ledger:?} leaves {in_flight:?} in flight, but the wheel holds {wheel}"
+            )),
         }
-        Ok(())
     }
 }
 

@@ -47,9 +47,9 @@ pub fn run_parasite_table(group_sizes: &[usize], trials: usize, seed: u64) -> Ta
     });
     table.push_row("daMulticast", da);
 
-    // The baselines count under `{prefix}.*`; every `sent*` counter is an
+    // The baselines count under `{family}.*`; every `sent*` counter is an
     // event send.
-    for (name, prefix, build) in BASELINES {
+    for (name, family, build) in BASELINES {
         let row = run_trials(trials, seed, |s| {
             let config = RunConfig::default().with_seed(s);
             let procs = build(&interests, s);
@@ -57,7 +57,7 @@ pub fn run_parasite_table(group_sizes: &[usize], trials: usize, seed: u64) -> Ta
             let out =
                 publish_and_settle(Substrate::Sim, config, procs, root_publisher, publish, 64).2;
             ["delivered", "parasite", "sent"]
-                .map(|counter| out.counters.sum_prefix(&format!("{prefix}.{counter}")) as f64)
+                .map(|counter| out.counters.sum_prefix(&format!("{family}.{counter}")) as f64)
                 .to_vec()
         });
         table.push_row(name, row);

@@ -22,7 +22,7 @@ type Build = fn(&InterestMap, u64) -> Vec<GossipProcess>;
 
 /// The three baselines as every comparison table runs them, on one
 /// linear topology with `b = 3`, the `ln(S) + 5` fanout and `⌈√n⌉`
-/// hierarchical groups: the row name, the counter prefix and the builder.
+/// hierarchical groups: the row name, the counter family and the builder.
 pub(crate) const BASELINES: [(&str, &str, Build); 3] = [
     ("gossip broadcast", "bc", |interests, seed| {
         build_broadcast_network(interests, 3.0, FANOUT, seed).expect("population non-empty")
@@ -97,7 +97,7 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
     .with_fanout(fanout);
     let da = run_trials(trials, seed, |s| {
         let out = run_scenario(&da_config, Substrate::Sim, s);
-        let bytes = out.counters.get("sim.bytes_sent") as f64;
+        let bytes = out.ledger.bytes_sent as f64;
         vec![out.total_event_messages, bytes]
     });
     // Memory: a leaf subscriber's ln(S)+c topic table plus z supertable
@@ -131,7 +131,7 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
     );
 
     // The baselines: one leaf publication each, on reliable channels;
-    // every `{prefix}.sent*` counter is an event send.
+    // every `{family}.sent*` counter is an event send.
     let n_groups = hierarchical_groups(n);
     let m = n / n_groups;
     // The multicast chain-average: leaf members hold 1 table, root members t.
@@ -150,7 +150,7 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
             memory::hierarchical_memory(n_groups, m, c, c),
         ),
     ];
-    for ((name, prefix, build), (messages, entries)) in BASELINES.into_iter().zip(analytic) {
+    for ((name, family, build), (messages, entries)) in BASELINES.into_iter().zip(analytic) {
         let measured = run_trials(trials, seed, |s| {
             let procs = build(&interests, s);
             let mem: usize = procs.iter().map(GossipProcess::memory_entries).sum();
@@ -159,8 +159,8 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
             let publish = |p: &mut GossipProcess| p.publish("bench");
             let out =
                 publish_and_settle(Substrate::Sim, config, procs, leaf_publisher, publish, 64).2;
-            let sent = out.counters.sum_prefix(&format!("{prefix}.sent")) as f64;
-            vec![sent, out.counters.get("sim.bytes_sent") as f64, mem]
+            let sent = out.counters.sum_prefix(&format!("{family}.sent")) as f64;
+            vec![sent, out.ledger.bytes_sent as f64, mem]
         });
         table.push_row(
             name,

@@ -10,8 +10,8 @@
 
 use crate::substrate::{Driver, Substrate};
 use da_core::{
-    ChannelConfig, Counters, ExecProtocol, FailureModel, FaultConfig, NetworkModel, ProcessId,
-    RunConfig, WireSize,
+    ChannelConfig, Counters, EnvelopeLedger, ExecProtocol, FailureModel, FaultConfig, NetworkModel,
+    ProcessId, RunConfig, WireSize,
 };
 use da_membership::FanoutRule;
 use da_runtime::Shutdown;
@@ -96,7 +96,9 @@ pub struct ScenarioOutcome {
     pub rounds: f64,
     /// Total event messages sent (intra + inter, all groups).
     pub total_event_messages: f64,
-    /// The run's counters, the substrate's own under its prefix.
+    /// The run's envelope ledger.
+    pub ledger: EnvelopeLedger,
+    /// The protocol's counters.
     pub counters: Counters,
 }
 
@@ -181,6 +183,7 @@ pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) ->
             parasites: 0.0,
             rounds: 0.0,
             total_event_messages: 0.0,
+            ledger: EnvelopeLedger::default(),
             counters: Counters::new(),
         };
     };
@@ -226,6 +229,7 @@ pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) ->
         rounds: rounds as f64,
         total_event_messages: (out.counters.sum_prefix("da.intra.")
             + out.counters.sum_prefix("da.inter_out.")) as f64,
+        ledger: out.ledger,
         counters: out.counters,
     }
 }
@@ -248,18 +252,11 @@ mod tests {
     }
 
     /// Everything an outcome measures: its per-level columns, its scalars,
-    /// and its non-zero counters with the substrate's prefix stripped.
-    type Measured = (Vec<Vec<f64>>, [f64; 3], Vec<(String, u64)>);
+    /// its ledger and its counters.
+    type Measured = (Vec<Vec<f64>>, [f64; 3], EnvelopeLedger, String);
 
-    fn measured(out: ScenarioOutcome, substrate: Substrate) -> Measured {
-        let prefix = format!("{}.", substrate.prefix());
-        let mut counters: Vec<(String, u64)> = out
-            .counters
-            .iter()
-            .filter(|&(_, value)| value > 0)
-            .map(|(name, value)| (name.strip_prefix(&prefix).unwrap_or(name).into(), value))
-            .collect();
-        counters.sort();
+    fn measured(out: ScenarioOutcome) -> Measured {
+        let counters = out.counters.to_string();
         let columns = vec![
             out.intra,
             out.inter_in,
@@ -267,7 +264,7 @@ mod tests {
             out.delivered_alive_fraction,
         ];
         let scalars = [out.parasites, out.rounds, out.total_event_messages];
-        (columns, scalars, counters)
+        (columns, scalars, out.ledger, counters)
     }
 
     #[test]
@@ -337,14 +334,14 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let config = ScenarioConfig::small();
-        let run = || measured(run_scenario(&config, SIM, 11), SIM);
+        let run = || measured(run_scenario(&config, SIM, 11));
         assert_eq!(run(), run());
     }
 
     /// On reliable channels a one-worker pool measures what the simulator
     /// measures, digit for digit, under each of the paper's failure
-    /// models: the same per-level columns, the same quiescent tick, and
-    /// the same counters once the substrate's prefix is stripped.
+    /// models: the same per-level columns, the same quiescent tick, the
+    /// same ledger and the same counters.
     #[test]
     fn a_one_worker_pool_measures_what_the_simulator_measures() {
         let models = [
@@ -361,8 +358,8 @@ mod tests {
             let mut config = small(failure.clone());
             config.faults.network = NetworkModel::uniform(ChannelConfig::reliable());
             for seed in [1, 2] {
-                let sim_out = measured(run_scenario(&config, SIM, seed), SIM);
-                let live_out = measured(run_scenario(&config, live, seed), live);
+                let sim_out = measured(run_scenario(&config, SIM, seed));
+                let live_out = measured(run_scenario(&config, live, seed));
                 assert!(
                     sim_out.1[2] > 0.0,
                     "{failure:?}, seed {seed}: event traffic"

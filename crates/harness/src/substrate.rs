@@ -5,10 +5,12 @@
 //! the [`Substrate`] as a value. The driver is an enum over
 //! `da_simnet::Engine` and `da_runtime::Runtime` with the verbs the two
 //! share — spawn under one [`RunConfig`], reach into a process, run,
-//! read the counters and the trace, take the population back — so the substrates'
-//! matching APIs are held together by a `match`, not by convention.
+//! read the trace, take the population back with its envelope ledger and
+//! protocol counters — so the substrates' matching APIs are held together
+//! by a `match`, not by convention.
 
-use da_core::{Counters, ExecProtocol, PoolConfig, ProcessId, RunConfig, TraceLog, WireSize};
+use da_core::ledger::protocol_labels;
+use da_core::{ExecProtocol, PoolConfig, ProcessId, RunConfig, TraceLog, WireSize};
 use da_runtime::{Runtime, Shutdown};
 use da_simnet::Engine;
 
@@ -22,18 +24,6 @@ pub enum Substrate {
         /// Worker threads in the pool.
         workers: usize,
     },
-}
-
-impl Substrate {
-    /// The prefix of the substrate's own counters: `sim.sent` on the
-    /// simulator is `rt.sent` on the pool.
-    #[must_use]
-    pub fn prefix(self) -> &'static str {
-        match self {
-            Substrate::Sim => "sim",
-            Substrate::Live { .. } => "rt",
-        }
-    }
 }
 
 /// A population running on one of the two substrates.
@@ -103,15 +93,6 @@ where
         }
     }
 
-    /// The counters so far.
-    #[must_use]
-    pub fn counters(&self) -> Counters {
-        match self {
-            Driver::Sim(engine) => engine.counters().clone(),
-            Driver::Live(rt) => rt.counters(),
-        }
-    }
-
     /// The flight recorder's log so far, `None` when it is off.
     #[must_use]
     pub fn trace_log(&self) -> Option<TraceLog> {
@@ -122,9 +103,9 @@ where
     }
 
     /// Ends the run: the processes and their final liveness in pid order,
-    /// the counters, and the trace when the recorder was on. A pool
-    /// counts what is still in flight as `rt.dropped_shutdown`; the
-    /// simulator discards it uncounted.
+    /// the ledger, the protocol's counters, and the trace when the
+    /// recorder was on. A pool counts what is still in flight as
+    /// `dropped_shutdown`; the simulator discards it uncounted.
     #[must_use]
     pub fn finish(self) -> Shutdown<P> {
         match self {
@@ -132,11 +113,16 @@ where
                 statuses: (0..engine.population())
                     .map(|i| engine.status(ProcessId::from_index(i)))
                     .collect(),
-                counters: engine.counters().clone(),
+                ledger: engine.ledger(),
+                counters: protocol_labels(engine.counters()),
                 trace: engine.trace_log(),
                 processes: engine.into_processes(),
             },
-            Driver::Live(rt) => rt.shutdown(),
+            Driver::Live(rt) => {
+                let out = rt.shutdown();
+                let counters = protocol_labels(&out.counters);
+                Shutdown { counters, ..out }
+            }
         }
     }
 }
@@ -149,9 +135,9 @@ mod tests {
 
     /// Every verb gives one answer on the simulator and on a pool of any
     /// width: the tick the relay goes quiet on, what `apply` reads back,
-    /// the counters under the substrate's prefix, and what `finish`
-    /// returns — liveness under a stillborn plan, receipt logs, trace —
-    /// which the last reads of counters and trace equal.
+    /// and what `finish` returns — the ledger, liveness under a stillborn
+    /// plan, receipt logs, trace — which the last read of the trace
+    /// equals.
     #[test]
     fn every_verb_agrees_across_substrates() {
         let config = RunConfig::default()
@@ -169,29 +155,63 @@ mod tests {
                 .map(|pid| driver.apply(ProcessId(pid), |p| p.received.len()))
                 .collect();
             let quiet_after = driver.run_until_quiescent(32);
-            let counters = driver.counters();
             let read = driver.trace_log().expect("tracing is on");
-            let ledger = ["sent", "delivered", "dropped_crashed"]
-                .map(|name| counters.get(&format!("{}.{name}", substrate.prefix())));
             let out = driver.finish();
-            assert_eq!(out.counters.to_string(), counters.to_string());
             let receipts: Vec<Vec<u64>> = out.processes.into_iter().map(|p| p.received).collect();
             let events = out.trace.expect("tracing is on").canonical_events();
             assert_eq!(read.canonical_events(), events);
-            (early, quiet_after, ledger, out.statuses, receipts, events)
+            (
+                early,
+                quiet_after,
+                out.ledger,
+                out.statuses,
+                receipts,
+                events,
+            )
         };
         let sim = run(Substrate::Sim);
-        let (early, _, [_, delivered, dropped_crashed], statuses, ..) = &sim;
+        let (early, _, ledger, statuses, ..) = &sim;
         assert!(
             statuses.iter().any(|s| !s.is_alive()),
             "someone is stillborn"
         );
-        assert!(*delivered > 0 && *dropped_crashed > 0);
+        assert!(ledger.delivered > 0 && ledger.dropped_crashed > 0);
         assert!(early.iter().sum::<usize>() > 0, "`apply` reads live state");
         for workers in [1, 3] {
             let live = run(Substrate::Live { workers });
             assert_eq!(first_divergence(&sim.5, &live.5), None);
             assert_eq!(live, sim, "{workers} worker(s)");
+        }
+    }
+
+    /// A scripted crash and recovery are lifecycle events in the trace
+    /// but not churn in the ledger, which counts the churn model's draws
+    /// alone — on the simulator and on a pool alike.
+    #[test]
+    fn scripted_fates_are_traced_but_not_counted_as_churn() {
+        use da_core::trace::TraceVerdict;
+        use da_core::Fate;
+        let fate = |round, crash| Fate {
+            round,
+            pid: ProcessId(1),
+            crash,
+        };
+        let config = RunConfig::default()
+            .with_failures(FailureModel::Schedule(vec![fate(2, true), fate(4, false)]))
+            .with_trace(TraceConfig::full());
+        for substrate in [Substrate::Sim, Substrate::Live { workers: 2 }] {
+            let mut driver = Driver::spawn(substrate, config.clone(), Relay::ring(4, 6));
+            driver.run_ticks(8);
+            let out = driver.finish();
+            assert_eq!(out.ledger.churn_crashes, 0, "{substrate:?}");
+            assert_eq!(out.ledger.churn_recoveries, 0, "{substrate:?}");
+            let lifecycle: Vec<_> = (out.trace.expect("tracing is on").events.iter())
+                .filter(|e| e.verdict >= TraceVerdict::Crashed)
+                .map(|e| (e.tick, e.to, e.verdict))
+                .collect();
+            let expected = [(2, TraceVerdict::Crashed), (4, TraceVerdict::Recovered)];
+            let expected = expected.map(|(tick, verdict)| (tick, ProcessId(1), verdict));
+            assert_eq!(lifecycle, expected, "{substrate:?}");
         }
     }
 

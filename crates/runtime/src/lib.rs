@@ -27,7 +27,7 @@
 //!   delayed envelopes held on the sending router's delay wheel until
 //!   the flush before their due tick. Sends crossing an active
 //!   [`PartitionSchedule`](da_core::PartitionSchedule) cut are dropped
-//!   at send time (`rt.dropped_partitioned`) — a pure decision consuming
+//!   at send time (`dropped_partitioned`) — a pure decision consuming
 //!   zero randomness, so both substrates sever the same sends;
 //! * **bounded-lag tick scheduler** — gossip rounds become *ticks*, but
 //!   there is no global barrier: each worker advances its own clock,
@@ -48,8 +48,8 @@
 //!   (configured via [`RunConfig::with_failures`]):
 //!   stillborn processes never start, scripted fates and churn draws
 //!   crash/recover processes at the start of their tick, messages owed
-//!   to a crashed process are consumed as `rt.dropped_crashed`,
-//!   per-observer transmissions drop as `rt.dropped_observed_failed`,
+//!   to a crashed process are consumed as `dropped_crashed`,
+//!   per-observer transmissions drop as `dropped_observed`,
 //!   and a recovered process re-enters through its `on_recover` hook
 //!   (the protocol's bootstrap path). All liveness draws are keyed on
 //!   `(pid, tick)`, so one seed yields the identical crash/recovery

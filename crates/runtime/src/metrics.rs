@@ -66,11 +66,11 @@ impl std::error::Error for ShardOutOfRange {}
 ///
 /// let sharded = ShardedCounters::new(2);
 /// let mut local = Counters::new(); // worker 0's owned registry
-/// local.bump("rt.sent");
+/// local.bump("bc.sent");
 /// sharded.publish(0, &local).unwrap();
-/// local.add_named("rt.sent", 2);
+/// local.add_named("bc.sent", 2);
 /// sharded.publish(0, &local).unwrap();
-/// assert_eq!(sharded.merged().get("rt.sent"), 3, "snapshots replace, not add");
+/// assert_eq!(sharded.merged().get("bc.sent"), 3, "snapshots replace, not add");
 /// assert!(sharded.publish(7, &local).is_err(), "out of range is an error");
 /// ```
 #[derive(Debug)]
@@ -266,15 +266,14 @@ mod tests {
         let mut rt = traced_relay(2, TraceConfig::full());
         rt.run_ticks(5);
         let log = rt.trace_log().expect("tracing is on");
-        let counters = rt.counters();
-        assert_eq!(counters.get("rt.sent"), 18);
-        assert_eq!(counters.get("rt.delivered"), 18);
+        let ledger = rt.ledger();
+        assert_eq!((ledger.sent, ledger.delivered), (18, 18));
         assert_eq!(log.events.len(), 36, "both workers' events");
         assert_eq!(log.dropped_events, 0);
         let names: Vec<&str> = log.histograms.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, POOL_HISTOGRAMS, "histograms merge by name");
         let latency = log.histogram("delivery_latency_ticks").unwrap();
-        assert_eq!(latency.count(), counters.get("rt.delivered"));
+        assert_eq!(latency.count(), ledger.delivered);
         assert_eq!(
             log.histogram("lane_depth").unwrap().count(),
             2 * 5,

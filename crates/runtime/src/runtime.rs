@@ -38,12 +38,13 @@ use crate::transport::{lane_matrix, EdgeWatermarks, FaultyRouter};
 use crate::worker::{
     Control, Joined, PoolHistograms, SchedulerState, Telemetry, Worker, WorkerReport,
 };
+use da_core::ledger::{self, Registry};
 use da_core::process::ProcessIndexError;
 use da_core::store::ProcessStore;
 use da_core::wheel::MAX_RING_TICKS;
 use da_core::{
-    Counters, ExecProtocol, HotIds, LifecycleController, PoolConfig, ProcessId, ProcessStatus,
-    RunConfig, Stripe, TickReport, TickTally, TraceLog, WireSize,
+    Counters, EnvelopeLedger, ExecProtocol, LifecycleController, PoolConfig, ProcessId,
+    ProcessStatus, RunConfig, Stripe, TickReport, TraceLog, WireSize,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -63,23 +64,6 @@ const DEATH_POLL: Duration = Duration::from_millis(100);
 /// [`PoolConfig`] (worker count, tick watchdog).
 pub type RuntimeConfig = RunConfig<PoolConfig>;
 
-/// Partially aggregated reports for one tick, while the coordinator
-/// waits for the rest of the pool to reach it.
-#[derive(Debug, Default, Clone, Copy)]
-struct PartialTick {
-    reports: usize,
-    tally: TickTally,
-    dropped_closed: u64,
-}
-
-impl PartialTick {
-    fn absorb(&mut self, r: WorkerReport) {
-        self.reports += 1;
-        self.tally += r.tally;
-        self.dropped_closed += r.dropped_closed;
-    }
-}
-
 /// The live runtime: a pool of worker threads executing
 /// [`ExecProtocol`] processes as actors under a bounded-lag tick
 /// scheduler (per-sender publish watermarks instead of a global barrier),
@@ -87,11 +71,11 @@ impl PartialTick {
 /// transport.
 ///
 /// The API is `da_simnet::Engine`'s where the concepts coincide
-/// (`step_tick`/`run_ticks`/`run_until_quiescent`, `counters`) — the
-/// harness's `Driver` holds the two to that by type — and replaces
-/// direct process access with [`Runtime::with_process_mut`] (processes
-/// live on worker threads) plus [`Runtime::shutdown`] (the graceful
-/// path that joins the pool and returns them).
+/// (`step_tick`/`run_ticks`/`run_until_quiescent`, `ledger`,
+/// `counters`) — the harness's `Driver` holds the two to that by type —
+/// and replaces direct process access with [`Runtime::with_process_mut`]
+/// (processes live on worker threads) plus [`Runtime::shutdown`] (the
+/// graceful path that joins the pool and returns them).
 ///
 /// ```
 /// use da_runtime::{Runtime, RuntimeConfig};
@@ -122,13 +106,10 @@ pub struct Runtime<P: ExecProtocol> {
     tick: u64,
     /// Coordinator-side mirror of the shared horizon.
     granted: u64,
-    /// Reports for granted-but-not-yet-finalized ticks.
-    backlog: BTreeMap<u64, PartialTick>,
-    /// Envelopes queued on the transport and not yet delivered (or
-    /// consumed undelivered, or dropped on a closed inbox) as of the
-    /// finalized frontier — the exact in-flight ledger a
-    /// [`TickReport::pending`] reports and quiescence detection reads.
-    in_flight: u64,
+    /// Per granted tick not yet finalized: reports so far, their ledgers' sum.
+    backlog: BTreeMap<u64, (usize, EnvelopeLedger)>,
+    /// The pool's envelope ledger as of the finalized frontier.
+    finalized: EnvelopeLedger,
     /// True when an envelope in flight can only end delivered: the
     /// failure plan never crashes a process and never fails an
     /// observation. Only then does a non-zero ledger prove the tick its
@@ -146,9 +127,10 @@ pub struct Shutdown<P> {
     /// Final liveness of every process under the failure plan, in pid
     /// order — the live counterpart of `Engine::status`.
     pub statuses: Vec<ProcessStatus>,
-    /// Final merged metrics snapshot. Messages still in flight when the
-    /// pool stopped (possible under latency models above one tick) are
-    /// counted under `rt.dropped_shutdown`.
+    /// Final envelope ledger; what was still in flight (possible under
+    /// latency models above one tick) is counted as `dropped_shutdown`.
+    pub ledger: EnvelopeLedger,
+    /// Final merged counters, the ledger among them under `rt.*` names.
     pub counters: Counters,
     /// Merged flight-recorder log (events across all workers, verdict
     /// counts, `delivery_latency_ticks` / `wheel_occupancy` /
@@ -268,20 +250,14 @@ where
             .map(|stripe| ProcessStore::from_vec(config.seed, stripe));
         for (id, ((store, inbox), hub)) in stores.zip(inbox_rxs).zip(hubs).enumerate() {
             let (control_tx, control_rx) = mpsc::channel();
-            let mut local = Counters::new();
-            let ids = HotIds::register(&mut local, "rt");
-            let dropped_closed = local.register("rt.dropped_closed");
-            let dropped_shutdown = local.register("rt.dropped_shutdown");
             let lifecycle = LifecycleController::new(Arc::clone(&plan), id, workers, store.len());
             let worker = Worker {
                 id,
-                stripe: Stripe::new(store, lifecycle, local, ids, &config.trace),
+                stripe: Stripe::new(store, lifecycle, &config.trace),
                 control: control_rx,
                 inbox,
                 faulty: FaultyRouter::new(hub, config.faults.network.clone(), config.seed),
                 reports: report_tx.clone(),
-                dropped_closed,
-                dropped_shutdown,
                 arrived: (0..workers).map(|_| Default::default()).collect(),
                 swept: 0,
                 trace: config.trace.is_enabled().then(PoolHistograms::default),
@@ -307,7 +283,7 @@ where
             tick: 0,
             granted: 0,
             backlog: BTreeMap::new(),
-            in_flight: 0,
+            finalized: EnvelopeLedger::default(),
             in_flight_means_loud: plan.is_inert(),
             tick_timeout: Duration::from_millis(config.pool.tick_timeout_ms),
         })
@@ -362,7 +338,7 @@ where
         let workers = self.controls.len();
         let deadline = Instant::now() + self.tick_timeout;
         loop {
-            if self.backlog.get(&tick).map(|t| t.reports) == Some(workers) {
+            if self.backlog.get(&tick).map(|t| t.0) == Some(workers) {
                 break;
             }
             let report = self
@@ -377,7 +353,7 @@ where
                 // is safe). Granting on arrival, not when the collected
                 // tick finalizes, lets workers run multi-tick-latency
                 // windows without parking once per tick.
-                let mut proof = if report.is_loud() { report.tick + 2 } else { 0 };
+                let mut proof = if report.loud { report.tick + 2 } else { 0 };
                 if report.due_horizon > 0 {
                     // An envelope parked at `u64::MAX` is never due:
                     // every tick under the cap is loud.
@@ -387,21 +363,18 @@ where
                     self.grant(proof.min(cap));
                 }
             }
-            self.backlog.entry(report.tick).or_default().absorb(report);
+            let partial = self.backlog.entry(report.tick).or_default();
+            partial.0 += 1;
+            partial.1 += report.ledger;
         }
-        let PartialTick {
-            tally,
-            dropped_closed,
-            ..
-        } = self.backlog.remove(&tick).expect("tick was just finalized");
-        self.in_flight = (self.in_flight + tally.queued)
-            .checked_sub(tally.delivered + dropped_closed + tally.undeliverable)
-            .expect("delivery ledger went negative");
+        let (_, now) = self.backlog.remove(&tick).expect("tick was just finalized");
+        let before = self.finalized;
+        self.finalized = now;
         TickReport {
             tick,
-            sent: tally.sent,
-            delivered: tally.delivered,
-            pending: self.in_flight,
+            sent: now.sent - before.sent,
+            delivered: now.delivered - before.delivered,
+            pending: now.in_flight().expect("delivery ledger went negative"),
         }
     }
 
@@ -453,7 +426,8 @@ where
         for executed in 0..max_ticks {
             let tick = first + executed;
             self.grant(tick + 1);
-            if self.in_flight > 0 && self.in_flight_means_loud {
+            let in_flight = self.finalized.in_flight().unwrap_or(0);
+            if in_flight > 0 && self.in_flight_means_loud {
                 // Something is still travelling and will be delivered
                 // (or stay parked) at `tick`, so `tick` cannot be the
                 // quiescent one: let the pool run one tick ahead. An
@@ -503,16 +477,28 @@ where
             })
     }
 
-    /// The pool's counters: every worker's registry, read through the
-    /// control channel and folded in worker-id order. Between driver
-    /// calls every granted tick has been executed, so the read is exact:
-    /// what [`Runtime::shutdown`] would return now, less the
-    /// `rt.dropped_shutdown` of whatever is still in flight.
+    /// The pool's envelope ledger: every worker's, read through the
+    /// control channel and summed. Between driver calls every granted
+    /// tick has been executed, so the read is exact: what
+    /// [`Runtime::shutdown`] would return now, less the
+    /// `dropped_shutdown` of whatever is still in flight.
     ///
     /// # Panics
     ///
     /// Panics, naming the worker, when a worker has died or does not
     /// answer within the tick timeout.
+    #[must_use]
+    pub fn ledger(&self) -> EnvelopeLedger {
+        self.read(false).ledger
+    }
+
+    /// The pool's counters, read like [`Runtime::ledger`]: every
+    /// worker's registry folded in worker-id order, the ledger under
+    /// its `rt.*` names among them.
+    ///
+    /// # Panics
+    ///
+    /// As [`Runtime::ledger`].
     #[must_use]
     pub fn counters(&self) -> Counters {
         self.read(false).counters
@@ -543,7 +529,7 @@ where
     ///
     /// # Panics
     ///
-    /// As [`Runtime::counters`].
+    /// As [`Runtime::ledger`].
     #[must_use]
     pub fn trace_log(&self) -> Option<TraceLog> {
         if !self.tracing {
@@ -555,7 +541,7 @@ where
     /// Graceful shutdown: stops every worker, joins the pool, and
     /// returns the protocol instances (pid order) with the final metrics.
     /// In-flight messages (held by routers, swept or still on the lanes)
-    /// are counted as `rt.dropped_shutdown` — never silently lost, never
+    /// are counted as `dropped_shutdown` — never silently lost, never
     /// waited for.
     ///
     /// # Panics
@@ -594,10 +580,15 @@ where
                     .unzip()
             }
         };
-        let Telemetry { counters, trace } = fold(parts);
+        let Telemetry {
+            ledger,
+            counters,
+            trace,
+        } = fold(parts);
         Shutdown {
             processes,
             statuses,
+            ledger,
             counters,
             trace,
         }
@@ -605,14 +596,16 @@ where
 }
 
 /// Folds the workers' telemetry, in worker-id order, into the pool's:
-/// counters by [`Counters::merge_from`], traces by
-/// [`TraceLog::merge_from`].
+/// ledgers summed and rendered into the counters, counters by
+/// [`Counters::merge_from`], traces by [`TraceLog::merge_from`].
 fn fold(parts: impl IntoIterator<Item = Telemetry>) -> Telemetry {
     let mut pool = Telemetry {
+        ledger: EnvelopeLedger::default(),
         counters: Counters::new(),
         trace: None,
     };
     for part in parts {
+        pool.ledger += part.ledger;
         pool.counters.merge_from(&part.counters);
         if let Some(trace) = &part.trace {
             pool.trace
@@ -620,6 +613,7 @@ fn fold(parts: impl IntoIterator<Item = Telemetry>) -> Telemetry {
                 .merge_from(trace);
         }
     }
+    ledger::render(&pool.ledger, Registry::Pool, &mut pool.counters);
     pool
 }
 

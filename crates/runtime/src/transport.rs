@@ -73,7 +73,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Typed error for a refused hand-off: the destination worker's lanes
 /// are closed (it already shut down), so the envelopes were dropped.
-/// Feed [`LaneClosed::envelopes`] into the ledger (`rt.dropped_closed`)
+/// Feed [`LaneClosed::envelopes`] into the ledger (`dropped_closed`)
 /// — nothing else will account for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneClosed {
@@ -387,7 +387,7 @@ impl<M> EdgeInbox<M> {
 
     /// Drains everything still in flight on the incoming lanes,
     /// returning the envelope count — the shutdown accounting path
-    /// (`rt.dropped_shutdown`).
+    /// (`dropped_shutdown`).
     pub fn drain(&mut self) -> u64 {
         let mut envelopes = 0;
         self.sweep(|_, _| envelopes += 1);

@@ -16,8 +16,8 @@
 use crate::transport::{EdgeInbox, EdgeWatermarks, FaultyRouter};
 use da_core::wheel::Envelope;
 use da_core::{
-    CounterId, Counters, ExecProtocol, Histogram, ProcessId, ProcessStatus, Stripe, TickTally,
-    TraceLog, WireSize,
+    Counters, EnvelopeLedger, ExecProtocol, Histogram, ProcessId, ProcessStatus, Stripe, TraceLog,
+    WireSize,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,10 +58,11 @@ pub(super) enum Control<P> {
 }
 
 /// What a worker hands the coordinator on a [`Control::Read`] and when
-/// it is joined: a copy of its stripe's counters and, when asked for
+/// it is joined: its ledger, a copy of its counters and, when asked for
 /// and recorded, its trace. The coordinator folds these in worker-id
 /// order; nothing a worker counts is shared with another thread.
 pub(super) struct Telemetry {
+    pub(super) ledger: EnvelopeLedger,
     pub(super) counters: Counters,
     pub(super) trace: Option<TraceLog>,
 }
@@ -94,15 +95,15 @@ pub(super) struct PoolHistograms {
 #[derive(Debug, Clone, Copy)]
 pub(super) struct WorkerReport {
     pub(super) tick: u64,
-    /// What the stripe sent and consumed. The coordinator's delivery
-    /// ledger adds its `queued` (sends that survived the channel) and
-    /// subtracts its `delivered` and `undeliverable` (consumed at the
-    /// due tick: destination crashed, `rt.dropped_crashed`, or observed
-    /// as failed, `rt.dropped_observed_failed`) and `dropped_closed` to
-    /// know, exactly, whether anything is still in flight when a tick
-    /// looks quiet.
-    pub(super) tally: TickTally,
-    pub(super) dropped_closed: u64,
+    /// The stripe's cumulative ledger after the tick: summed over the
+    /// tick's reports, the pool's, whose exact in-flight count decides
+    /// whether a tick that looks quiet is.
+    pub(super) ledger: EnvelopeLedger,
+    /// True when this worker's slice of the tick sent or delivered
+    /// anything (a queued send is a send). Any loud report proves the
+    /// whole tick non-quiet, which is what lets the coordinator grant
+    /// the next tick before the slowest worker has reported.
+    pub(super) loud: bool,
     /// Furthest due tick of an envelope this worker holds after the tick,
     /// in its router or swept and not yet due (0 when none) — the only
     /// proof a held envelope gives. That envelope is in flight through
@@ -111,16 +112,6 @@ pub(super) struct WorkerReport {
     /// tick past the quiescent one. Held envelopes are due after `tick`,
     /// so that is never short of the `tick + 2` a loud tick proves.
     pub(super) due_horizon: u64,
-}
-
-impl WorkerReport {
-    /// True when this worker's slice of the tick sent or delivered
-    /// anything (a queued send is a send). Any loud report proves the
-    /// whole tick non-quiet, which is what lets the coordinator grant
-    /// the next tick before the slowest worker has reported.
-    pub(super) fn is_loud(&self) -> bool {
-        self.tally.sent > 0 || self.tally.delivered > 0
-    }
 }
 
 /// One worker thread: owns a `da_core` [`Stripe`] (the processes
@@ -141,9 +132,6 @@ pub(super) struct Worker<P: ExecProtocol> {
     pub(super) inbox: EdgeInbox<P::Msg>,
     pub(super) faulty: FaultyRouter<P::Msg>,
     pub(super) reports: Sender<WorkerReport>,
-    /// The two ledger counters only a pool has.
-    pub(super) dropped_closed: CounterId,
-    pub(super) dropped_shutdown: CounterId,
     /// Batches swept off the lanes and not yet delivered, one FIFO per
     /// producer lane. Each batch is one due tick's bucket of its
     /// producer's router, and a producer ships in due order, earliest
@@ -205,9 +193,9 @@ where
         }
     }
 
-    /// A copy of this worker's counters and, when `trace` is set and
-    /// tracing is on, of what it recorded: the stripe's log with the
-    /// pool's three histograms after its own.
+    /// This worker's ledger, a copy of its counters and, when `trace` is
+    /// set and tracing is on, of what it recorded: the stripe's log with
+    /// the pool's three histograms after its own.
     fn telemetry(&self, trace: bool) -> Telemetry {
         let log = match (&self.stripe.ledger.trace, &self.trace) {
             (Some(stripe), Some(pool)) if trace => Some(stripe.log(&[
@@ -218,6 +206,7 @@ where
             _ => None,
         };
         Telemetry {
+            ledger: self.stripe.ledger.envelopes,
             counters: self.stripe.ledger.counters.clone(),
             trace: log,
         }
@@ -360,7 +349,7 @@ where
 
     /// Messages still travelling when the pool stops (held by this
     /// worker's router for a later due tick, swept and not yet due, or
-    /// still on an incoming lane) are accounted as `rt.dropped_shutdown`
+    /// still on an incoming lane) are accounted as `dropped_shutdown`
     /// rather than silently vanishing — the live analogue of the
     /// simulator's in-flight queue being discarded.
     ///
@@ -373,10 +362,7 @@ where
         let in_flight = self.holding() + self.inbox.drain();
         self.faulty.wheel.discard_all();
         self.arrived.clear();
-        if in_flight > 0 {
-            let id = self.dropped_shutdown;
-            self.stripe.ledger.counters.add(id, in_flight);
-        }
+        self.stripe.ledger.envelopes.dropped_shutdown += in_flight;
     }
 
     /// One tick: the stripe's tick body — the failure plan's transitions
@@ -387,6 +373,7 @@ where
     /// fall due `lag` ticks on and publish the watermark that lets
     /// receivers advance past this tick.
     fn run_tick(&mut self, tick: u64) -> WorkerReport {
+        let before = self.stripe.ledger.envelopes;
         self.stripe.begin_tick(tick, &mut self.faulty);
 
         // Deliver this tick's dues. One final lane sweep takes every
@@ -418,18 +405,15 @@ where
             }
         }
 
-        let tally = self.stripe.round_hooks(&mut self.faulty);
+        self.stripe.round_hooks(&mut self.faulty);
 
         // Ship what falls due `lag` ticks on — no later send can join
         // those buckets — as one batch per destination worker, and only
         // then raise the watermark: a peer that observes it is
         // guaranteed to find the batches in its inbox.
         let flush = self.faulty.flush_through(tick + self.lag);
-        if flush.dropped_closed > 0 {
-            // Closed-inbox drops surface as a flush total, not per envelope.
-            let id = self.dropped_closed;
-            self.stripe.ledger.counters.add(id, flush.dropped_closed);
-        }
+        // Closed-inbox drops surface as a flush total, not per envelope.
+        self.stripe.ledger.envelopes.dropped_closed += flush.dropped_closed;
         self.sched.marks.publish(self.id, tick + 1);
         // What the worker holds for later ticks: its router's later dues
         // and the swept batches not yet due — counted for the trace only.
@@ -447,10 +431,11 @@ where
             trace.watermark_lag.record(lag);
         }
 
+        let ledger = self.stripe.ledger.envelopes;
         WorkerReport {
             tick,
-            tally,
-            dropped_closed: flush.dropped_closed,
+            ledger,
+            loud: ledger.sent > before.sent || ledger.delivered > before.delivered,
             due_horizon: self.due_horizon(),
         }
     }

@@ -3,6 +3,7 @@
 use crate::strategy::{DueMessage, RngStrategy, Strategy};
 use da_core::exec::{ExecProtocol, McHash};
 use da_core::failure::Fate;
+use da_core::ledger::{self, EnvelopeLedger, Registry};
 use da_core::lifecycle::LifecycleController;
 use da_core::metrics::{Counters, FxHasher, Histogram, TraceLog};
 use da_core::network::{NetFate, NetworkModel, Occurrences};
@@ -10,7 +11,7 @@ use da_core::process::{ProcessId, ProcessStatus};
 use da_core::run::RunConfig;
 use da_core::seed::{derive_seed, rng_from_seed};
 use da_core::store::ProcessStore;
-use da_core::stripe::{HotIds, Outbound, Stripe, TickReport};
+use da_core::stripe::{Outbound, Stripe, TickReport};
 use da_core::wheel::{DelayWheel, Envelope, MAX_RING_TICKS};
 use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
@@ -120,14 +121,12 @@ where
         let population = processes.len();
         let plan = config.faults.failure.materialize(population, config.seed);
         let store = ProcessStore::from_vec(config.seed, processes);
-        let mut counters = Counters::new();
-        let ids = HotIds::register(&mut counters, "sim");
         let lifecycle = LifecycleController::new(Arc::new(plan), 0, 1, population);
         let track_occurrences = !config.faults.network.drops.is_empty();
         // Config input: bound the ring it sizes; slower sends spill.
         let ring_rounds = config.faults.network.max_latency().min(MAX_RING_TICKS) as usize + 1;
         Engine {
-            stripe: Stripe::new(store, lifecycle, counters, ids, &config.trace),
+            stripe: Stripe::new(store, lifecycle, &config.trace),
             net: SimNet {
                 queue: DelayWheel::with_capacity(ring_rounds, 1),
                 model: config.faults.network,
@@ -200,10 +199,17 @@ where
             .collect()
     }
 
-    /// The shared metrics registry.
+    /// The shared metrics registry, the ledger among it under `sim.*`
+    /// names as of the last round.
     #[must_use]
     pub fn counters(&self) -> &Counters {
         &self.stripe.ledger.counters
+    }
+
+    /// Every envelope sent so far, by what became of it.
+    #[must_use]
+    pub fn ledger(&self) -> EnvelopeLedger {
+        self.stripe.ledger.envelopes
     }
 
     /// A snapshot of the flight recorder's output so far — events in
@@ -270,6 +276,7 @@ where
     /// script-following strategy to walk one enumerated branch instead.
     pub fn step_round_with<S: Strategy>(&mut self, strategy: &mut S) -> TickReport {
         let round = self.round;
+        let before = self.ledger();
         if self.net.track_occurrences {
             self.net.occurrences.clear();
         }
@@ -317,16 +324,18 @@ where
         }
         out.net.queue.restore(due);
 
-        let tally = self.stripe.round_hooks(&mut out);
+        self.stripe.round_hooks(&mut out);
 
         if self.stripe.ledger.trace.is_some() {
             self.queue_depth.record(self.net.queue.len() as u64);
         }
         self.round += 1;
+        let now = self.ledger();
+        ledger::render(&now, Registry::Sim, &mut self.stripe.ledger.counters);
         TickReport {
             tick: round,
-            sent: tally.sent,
-            delivered: tally.delivered,
+            sent: now.sent - before.sent,
+            delivered: now.delivered - before.delivered,
             pending: self.in_flight() as u64,
         }
     }
@@ -453,11 +462,16 @@ mod tests {
     fn reliable_channel_loses_nothing() {
         let mut e = relay_engine(SimConfig::default(), 4);
         e.run_rounds(10);
-        assert_eq!(e.counters().get("sim.dropped_channel"), 0);
+        assert_eq!(e.ledger().dropped_channel, 0);
         // 4 sends per round × 10 rounds.
-        assert_eq!(e.counters().get("sim.sent"), 40);
+        assert_eq!(e.ledger().sent, 40);
         // Everything sent before the last round was delivered.
-        assert_eq!(e.counters().get("sim.delivered"), 36);
+        assert_eq!(e.ledger().delivered, 36);
+        // The registry carries the ledger under its rendered names.
+        let mut rendered = Counters::new();
+        ledger::render(&e.ledger(), Registry::Sim, &mut rendered);
+        assert_eq!(rendered.len(), 9);
+        assert!(rendered.iter().all(|(name, n)| e.counters().get(name) == n));
     }
 
     #[test]
@@ -467,8 +481,8 @@ mod tests {
             .with_channel(ChannelConfig::default().with_success_probability(0.5));
         let mut e = relay_engine(config, 10);
         e.run_rounds(100);
-        let sent = e.counters().get("sim.sent");
-        let dropped = e.counters().get("sim.dropped_channel");
+        let sent = e.ledger().sent;
+        let dropped = e.ledger().dropped_channel;
         assert_eq!(sent, 1000);
         assert!(
             (350..650).contains(&dropped),
@@ -480,10 +494,7 @@ mod tests {
     fn bytes_accounted() {
         let mut e = relay_engine(SimConfig::default(), 2);
         e.run_rounds(3);
-        assert_eq!(
-            e.counters().get("sim.bytes_sent"),
-            e.counters().get("sim.sent") * 8
-        );
+        assert_eq!(e.ledger().bytes_sent, e.ledger().sent * 8);
     }
 
     #[test]
@@ -513,7 +524,7 @@ mod tests {
         let mut e = relay_engine(SimConfig::default(), 3);
         e.schedule_fate(fate(0, 1, true));
         e.run_rounds(4);
-        assert!(e.counters().get("sim.dropped_crashed") > 0);
+        assert!(e.ledger().dropped_crashed > 0);
         assert!(e.process(ProcessId(1)).received.is_empty());
     }
 
@@ -537,7 +548,7 @@ mod tests {
             });
         let mut e = relay_engine(config, 10);
         e.run_rounds(100);
-        let observed = e.counters().get("sim.dropped_observed_failed");
+        let observed = e.ledger().dropped_observed;
         assert!(
             (350..650).contains(&observed),
             "observer drops {observed}, expected ≈ 500"
@@ -557,11 +568,7 @@ mod tests {
                 });
             let mut e = relay_engine(config, 20);
             e.run_rounds(30);
-            (
-                e.counters().get("sim.sent"),
-                e.counters().get("sim.delivered"),
-                e.counters().get("sim.dropped_channel"),
-            )
+            e.ledger()
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
@@ -625,11 +632,8 @@ mod tests {
         e.run_rounds(20);
         let total: usize = e.processes().map(|(_, p)| p.received.len()).sum();
         assert!(total > 0);
-        // All messages sent at least 4 rounds ago must have arrived.
-        assert_eq!(
-            e.counters().get("sim.delivered") + e.in_flight() as u64,
-            e.counters().get("sim.sent")
-        );
+        // Every send is delivered or still in flight.
+        assert_eq!(e.ledger().in_flight(), Some(e.in_flight() as u64));
     }
 
     /// The relay never draws, so no process stream is ever seeded: a
@@ -638,7 +642,7 @@ mod tests {
     fn a_population_that_never_draws_keeps_no_stream() {
         let mut e = relay_engine(SimConfig::default().with_seed(3), 6);
         e.run_rounds(8);
-        assert_eq!(e.counters().get("sim.delivered"), 42);
+        assert_eq!(e.ledger().delivered, 42);
         assert_eq!(e.stripe.store.rng_resident(), 0);
     }
 
@@ -666,7 +670,7 @@ mod tests {
         for latency in [20_000_000, 1 << 40, u64::MAX] {
             let mut e = slow(latency);
             e.run_rounds(3);
-            assert_eq!(e.counters().get("sim.sent"), 6);
+            assert_eq!(e.ledger().sent, 6);
             assert_eq!(e.in_flight(), 6);
         }
         assert_eq!(slow(u64::MAX).run_until_quiescent(4), 4);
@@ -736,9 +740,9 @@ mod tests {
         );
         let mut e = relay_engine(config, 3);
         e.run_rounds(2);
-        assert_eq!(e.counters().get("sim.dropped_partitioned"), 0);
+        assert_eq!(e.ledger().dropped_partitioned, 0);
         e.run_rounds(3); // rounds 2..4: two cross-island sends severed per round
-        assert_eq!(e.counters().get("sim.dropped_partitioned"), 6);
+        assert_eq!(e.ledger().dropped_partitioned, 6);
         let before = e.process(ProcessId(2)).received.len();
         e.run_rounds(3);
         assert!(
@@ -746,12 +750,7 @@ mod tests {
             "traffic flows again after the heal"
         );
         // Every send is delivered, severed, or still in flight.
-        assert_eq!(
-            e.counters().get("sim.delivered")
-                + e.counters().get("sim.dropped_partitioned")
-                + e.in_flight() as u64,
-            e.counters().get("sim.sent")
-        );
+        assert_eq!(e.ledger().in_flight(), Some(e.in_flight() as u64));
     }
 }
 
@@ -772,34 +771,62 @@ mod trace_engine_tests {
         log.events.iter().filter(|e| e.verdict == verdict).count() as u64
     }
 
-    /// An uncapped full trace holds one event per send, delivery and
-    /// channel loss the counters saw.
+    /// An uncapped full trace holds one event per envelope verdict the
+    /// ledger counts, all six of them: a lossy channel, a partition,
+    /// churn and per-observer failures each supply one of the drops.
     #[test]
     fn full_trace_mirrors_the_counter_ledger() {
-        let config = SimConfig::default()
-            .with_seed(5)
-            .with_channel(ChannelConfig::default().with_success_probability(0.5))
-            .with_trace(TraceConfig::full());
-        let mut e = relay_engine(config, 10);
-        e.run_rounds(50);
-        let log = e.trace_log().unwrap();
-        for (verdict, counter) in [
-            (TraceVerdict::Sent, "sim.sent"),
-            (TraceVerdict::Delivered, "sim.delivered"),
-            (TraceVerdict::DroppedChannel, "sim.dropped_channel"),
-        ] {
-            assert_eq!(
-                verdicts(&log, verdict),
-                e.counters().get(counter),
-                "{verdict}"
-            );
+        use da_core::network::{Partition, PartitionSchedule};
+        use TraceVerdict::*;
+        let cut = Partition::cut([ProcessId(2)], 10).heal_at(20);
+        let churn = FailureModel::Churn {
+            crash_probability: 0.1,
+            recover_probability: 0.1,
+        };
+        let cases = [
+            (
+                SimConfig::default()
+                    .with_seed(5)
+                    .with_channel(ChannelConfig::default().with_success_probability(0.5)),
+                DroppedChannel,
+            ),
+            (
+                SimConfig::default().with_partitions(PartitionSchedule::none().with_partition(cut)),
+                DroppedPartitioned,
+            ),
+            (
+                SimConfig::default().with_seed(9).with_failures(churn),
+                DroppedCrashed,
+            ),
+            (
+                SimConfig::default()
+                    .with_seed(11)
+                    .with_failures(FailureModel::PerObserver {
+                        alive_fraction: 0.5,
+                    }),
+                DroppedObserved,
+            ),
+        ];
+        for (config, drop) in cases {
+            let mut e = relay_engine(config.with_trace(TraceConfig::full()), 10);
+            e.run_rounds(50);
+            let (log, ledger) = (e.trace_log().unwrap(), e.ledger());
+            for verdict in [Sent, Delivered, DroppedChannel].into_iter().chain([
+                DroppedPartitioned,
+                DroppedCrashed,
+                DroppedObserved,
+            ]) {
+                let traced = Some(verdicts(&log, verdict));
+                assert_eq!(traced, ledger.count(verdict), "{drop} run: {verdict}");
+            }
+            assert!(ledger.count(drop) > Some(0), "the {drop} run dropped");
+            // Every delivered message contributed one latency sample.
+            let latency = log.histogram("delivery_latency_ticks").unwrap();
+            assert_eq!(latency.count(), ledger.delivered);
+            assert!(latency.max() >= 1, "reliable latency is ≥ 1 round");
+            assert!(log.histogram("queue_depth").unwrap().count() == 50);
+            assert_eq!(log.dropped_events, 0);
         }
-        // Every delivered message contributed one latency sample.
-        let latency = log.histogram("delivery_latency_ticks").unwrap();
-        assert_eq!(latency.count(), e.counters().get("sim.delivered"));
-        assert!(latency.max() >= 1, "reliable latency is ≥ 1 round");
-        assert!(log.histogram("queue_depth").unwrap().count() == 50);
-        assert_eq!(log.dropped_events, 0);
     }
 
     #[test]
@@ -810,7 +837,7 @@ mod trace_engine_tests {
         let log = e.trace_log().unwrap();
         assert!(log.events.is_empty());
         assert_eq!(log.histogram("queue_depth").unwrap().count(), 10);
-        assert_eq!(e.counters().get("sim.sent"), 40);
+        assert_eq!(e.ledger().sent, 40);
     }
 
     #[test]
@@ -838,11 +865,11 @@ mod trace_engine_tests {
         let log = e.trace_log().unwrap();
         assert_eq!(
             verdicts(&log, TraceVerdict::Crashed),
-            e.counters().get("sim.churn_crashes")
+            e.ledger().churn_crashes
         );
         assert_eq!(
             verdicts(&log, TraceVerdict::Recovered),
-            e.counters().get("sim.churn_recoveries")
+            e.ledger().churn_recoveries
         );
         assert!(log
             .events
@@ -905,8 +932,8 @@ mod churn_engine_tests {
             (mean - 0.75).abs() < 0.08,
             "mean aliveness {mean}, expected ≈ 0.75"
         );
-        assert!(e.counters().get("sim.churn_crashes") > 0);
-        assert!(e.counters().get("sim.churn_recoveries") > 0);
+        assert!(e.ledger().churn_crashes > 0);
+        assert!(e.ledger().churn_recoveries > 0);
     }
 
     #[test]
@@ -920,11 +947,7 @@ mod churn_engine_tests {
                 });
             let mut e = Engine::new(config, (0..50).map(|_| Quiet).collect());
             e.run_rounds(60);
-            (
-                e.counters().get("sim.churn_crashes"),
-                e.counters().get("sim.churn_recoveries"),
-                e.alive().len(),
-            )
+            (e.ledger(), e.alive().len())
         };
         assert_eq!(run(), run());
     }
@@ -938,6 +961,6 @@ mod churn_engine_tests {
         let mut e = Engine::new(config, (0..20).map(|_| Quiet).collect());
         e.run_rounds(30);
         assert_eq!(e.alive().len(), 20);
-        assert_eq!(e.counters().get("sim.churn_crashes"), 0);
+        assert_eq!(e.ledger().churn_crashes, 0);
     }
 }

@@ -69,13 +69,7 @@ proptest! {
             .with_failures(FailureModel::Stillborn { alive_fraction: alive });
         let mut e = chatter_engine(config, n);
         e.run_rounds(rounds);
-        let c = e.counters();
-        let accounted = c.get("sim.delivered")
-            + c.get("sim.dropped_channel")
-            + c.get("sim.dropped_crashed")
-            + c.get("sim.dropped_observed_failed")
-            + e.in_flight() as u64;
-        prop_assert_eq!(c.get("sim.sent"), accounted);
+        prop_assert_eq!(e.ledger().in_flight(), Some(e.in_flight() as u64));
     }
 
     /// Bytes are charged exactly wire_size per send.
@@ -87,10 +81,7 @@ proptest! {
     ) {
         let mut e = chatter_engine(SimConfig::default().with_seed(seed), n);
         e.run_rounds(rounds);
-        prop_assert_eq!(
-            e.counters().get("sim.bytes_sent"),
-            e.counters().get("sim.sent") * 3
-        );
+        prop_assert_eq!(e.ledger().bytes_sent, e.ledger().sent * 3);
     }
 
     /// Stillborn materialisation crashes exactly the complement of the
@@ -133,9 +124,9 @@ proptest! {
             let mut e = chatter_engine(config, n);
             e.run_rounds(rounds);
             (
-                e.counters().get("sim.sent"),
-                e.counters().get("sim.delivered"),
-                e.counters().get("sim.dropped_channel"),
+                e.ledger().sent,
+                e.ledger().delivered,
+                e.ledger().dropped_channel,
                 e.processes().map(|(_, p)| p.received).collect::<Vec<_>>(),
             )
         };
@@ -157,7 +148,7 @@ proptest! {
         e.run_rounds(20);
         prop_assert_eq!(e.alive().len(), n as usize);
         if alive >= 1.0 {
-            prop_assert_eq!(e.counters().get("sim.dropped_observed_failed"), 0);
+            prop_assert_eq!(e.ledger().dropped_observed, 0);
         }
     }
 
@@ -186,7 +177,7 @@ proptest! {
             e.step_round();
         }
         prop_assert!(
-            e.counters().get("sim.delivered") >= e.counters().get("sim.sent")
+            e.ledger().delivered >= e.ledger().sent
                 .saturating_sub(e.in_flight() as u64 + 200),
         );
     }

@@ -18,8 +18,8 @@
 //!
 //! Asserted at every churn rate: zero parasite deliveries, and exact
 //! mid-flight crash accounting — every envelope ends in exactly one of
-//! delivered / `rt.dropped_channel` / `rt.dropped_crashed` /
-//! `rt.dropped_shutdown`.
+//! delivered / `dropped_channel` / `dropped_crashed` /
+//! `dropped_shutdown`.
 
 use da_core::{FailureModel, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig};
@@ -114,8 +114,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = rt.shutdown();
     let elapsed = start.elapsed();
 
-    let crashes = out.counters.get("rt.churn_crashes");
-    let recoveries = out.counters.get("rt.churn_recoveries");
+    let crashes = out.ledger.churn_crashes;
+    let recoveries = out.ledger.churn_recoveries;
     let alive_end = out.statuses.iter().filter(|s| s.is_alive()).count();
     println!(
         "\nchurn: {crashes} crashes, {recoveries} recoveries; \
@@ -145,16 +145,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Exact envelope accounting and the paper's invariant, asserted at
     // any churn rate.
-    let sent = out.counters.get("rt.sent");
-    let delivered = out.counters.get("rt.delivered");
-    let dropped_crashed = out.counters.get("rt.dropped_crashed");
-    let dropped_shutdown = out.counters.get("rt.dropped_shutdown");
-    let accounted = delivered
-        + out.counters.get("rt.dropped_channel")
-        + dropped_crashed
-        + dropped_shutdown
-        + out.counters.get("rt.dropped_closed");
-    assert_eq!(accounted, sent, "every envelope in exactly one bucket");
+    let ledger = out.ledger;
+    let (sent, delivered) = (ledger.sent, ledger.delivered);
+    let (dropped_crashed, dropped_shutdown) = (ledger.dropped_crashed, ledger.dropped_shutdown);
+    assert_eq!(
+        ledger.in_flight(),
+        Some(0),
+        "every envelope in exactly one bucket"
+    );
     assert_eq!(out.counters.get("da.parasite"), 0, "parasite delivery");
     assert!(
         mean > 0.5,

@@ -83,22 +83,16 @@ fn main() {
     let peak_kb = proc_status_kb("VmHWM");
 
     // ── Exact envelope ledger ────────────────────────────────────────
-    let sent = out.counters.get("rt.sent");
-    let delivered = out.counters.get("rt.delivered");
+    let sent = out.ledger.sent;
+    let delivered = out.ledger.delivered;
     let buckets = [
         ("delivered", delivered),
-        ("dropped_channel", out.counters.get("rt.dropped_channel")),
-        (
-            "dropped_partitioned",
-            out.counters.get("rt.dropped_partitioned"),
-        ),
-        ("dropped_crashed", out.counters.get("rt.dropped_crashed")),
-        (
-            "dropped_observed_failed",
-            out.counters.get("rt.dropped_observed_failed"),
-        ),
-        ("dropped_shutdown", out.counters.get("rt.dropped_shutdown")),
-        ("dropped_closed", out.counters.get("rt.dropped_closed")),
+        ("dropped_channel", out.ledger.dropped_channel),
+        ("dropped_partitioned", out.ledger.dropped_partitioned),
+        ("dropped_crashed", out.ledger.dropped_crashed),
+        ("dropped_observed_failed", out.ledger.dropped_observed),
+        ("dropped_shutdown", out.ledger.dropped_shutdown),
+        ("dropped_closed", out.ledger.dropped_closed),
     ];
     let accounted: u64 = buckets.iter().map(|(_, v)| v).sum();
     assert_eq!(
@@ -112,8 +106,8 @@ fn main() {
         .iter()
         .filter(|p| p.headlines_seen() > 0)
         .count();
-    let crashes = out.counters.get("rt.churn_crashes");
-    let recoveries = out.counters.get("rt.churn_recoveries");
+    let crashes = out.ledger.churn_crashes;
+    let recoveries = out.ledger.churn_recoveries;
 
     println!("\nledger ({ticks} ticks): {sent} sent =");
     for (name, v) in buckets {

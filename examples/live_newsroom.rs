@@ -198,9 +198,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(count(&chiefs, vote), n_chiefs);
     }
 
-    let sent = out.counters.get("rt.sent");
-    let bytes = out.counters.get("rt.bytes_sent");
-    let dropped = out.counters.get("rt.dropped_channel");
+    let sent = out.ledger.sent;
+    let bytes = out.ledger.bytes_sent;
+    let dropped = out.ledger.dropped_channel;
     println!(
         "\nquiescent after {ticks} ticks, {:.1} ms wall clock",
         elapsed.as_secs_f64() * 1e3

@@ -20,7 +20,7 @@
 //! (pass `--small` for a CI-sized population).
 //!
 //! Asserted: zero parasite deliveries through cut and heal, severed
-//! sends actually accounted (`rt.dropped_partitioned > 0`), and exact
+//! sends actually accounted (`dropped_partitioned > 0`), and exact
 //! envelope accounting — every envelope ends in exactly one bucket.
 //!
 //! Set `DA_TRACE_OUT=<path>` to run with the flight recorder in full
@@ -147,16 +147,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Exact envelope accounting with the partition bucket in the
     // ledger, and the paper's invariant through cut and heal.
-    let sent = out.counters.get("rt.sent");
-    let delivered = out.counters.get("rt.delivered");
-    let dropped_partitioned = out.counters.get("rt.dropped_partitioned");
-    let accounted = delivered
-        + out.counters.get("rt.dropped_channel")
-        + dropped_partitioned
-        + out.counters.get("rt.dropped_crashed")
-        + out.counters.get("rt.dropped_shutdown")
-        + out.counters.get("rt.dropped_closed");
-    assert_eq!(accounted, sent, "every envelope in exactly one bucket");
+    let ledger = out.ledger;
+    let (sent, delivered) = (ledger.sent, ledger.delivered);
+    let dropped_partitioned = ledger.dropped_partitioned;
+    assert_eq!(
+        ledger.in_flight(),
+        Some(0),
+        "every envelope in exactly one bucket"
+    );
     assert!(dropped_partitioned > 0, "the cut severed no send");
     assert_eq!(out.counters.get("da.parasite"), 0, "parasite delivery");
 

@@ -18,7 +18,7 @@ const FANOUT: FanoutRule = FanoutRule::LnPlusC { c: 5.0 };
 /// Draws a baseline's population over an interest map, by seed.
 type Build = fn(&InterestMap, u64) -> Vec<GossipProcess>;
 
-/// The three baselines on one interest map: counter prefix and builder.
+/// The three baselines on one interest map: counter family and builder.
 const BASELINES: [(&str, Build); 3] = [
     ("bc", |interests, seed| {
         build_broadcast_network(interests, 3.0, FANOUT, seed).unwrap()
@@ -87,17 +87,17 @@ fn root_event_parasite_profile() {
     // Multicast gossips in the root group alone; the interest-oblivious
     // baselines hand everyone else a parasite.
     let parasites = [n - SIZES[0], 0, n - SIZES[0]];
-    for ((prefix, build), parasites) in BASELINES.into_iter().zip(parasites) {
+    for ((family, build), parasites) in BASELINES.into_iter().zip(parasites) {
         let mut e = Engine::new(SimConfig::default().with_seed(42), build(&interests, 42));
         e.process_mut(root_publisher).publish("root");
         e.run_until_quiescent(96);
-        let count = |name: &str| e.counters().get(&format!("{prefix}.{name}"));
+        let count = |name: &str| e.counters().get(&format!("{family}.{name}"));
         assert_eq!(
             count("delivered"),
             SIZES[0] as u64,
-            "{prefix} delivers to subscribers only"
+            "{family} delivers to subscribers only"
         );
-        assert_eq!(count("parasite") as usize, parasites, "{prefix}");
+        assert_eq!(count("parasite") as usize, parasites, "{family}");
     }
 
     // daMulticast.
@@ -186,7 +186,7 @@ fn memory_ordering() {
 /// workers: the same per-process delivery bitmap and — reliable
 /// channels, so no substrate-specific fate draws — a bit-identical
 /// canonical trace.
-fn assert_live_matches_sim(prefix: &str, procs: Vec<GossipProcess>) {
+fn assert_live_matches_sim(family: &str, procs: Vec<GossipProcess>) {
     const SEED: u64 = 45;
     let publisher = ProcessId::from_index(SIZES[0]);
     let run = |substrate: Substrate| {
@@ -211,14 +211,14 @@ fn assert_live_matches_sim(prefix: &str, procs: Vec<GossipProcess>) {
     assert_eq!(
         delivered,
         SIZES[0] + SIZES[1],
-        "{prefix}: levels 0 and 1 deliver"
+        "{family}: levels 0 and 1 deliver"
     );
 
     for workers in [1, 2] {
         let (live_id, live_bitmap, live_trace) = run(Substrate::Live { workers });
         assert_eq!(live_id, id);
-        assert_eq!(live_bitmap, sim_bitmap, "{prefix}: {workers} workers");
-        assert_eq!(first_divergence(&sim_trace, &live_trace), None, "{prefix}");
+        assert_eq!(live_bitmap, sim_bitmap, "{family}: {workers} workers");
+        assert_eq!(first_divergence(&sim_trace, &live_trace), None, "{family}");
     }
 }
 
@@ -227,7 +227,7 @@ fn assert_live_matches_sim(prefix: &str, procs: Vec<GossipProcess>) {
 #[test]
 fn baselines_run_live_as_simulated() {
     let interests = InterestMap::linear(&SIZES);
-    for (prefix, build) in BASELINES {
-        assert_live_matches_sim(prefix, build(&interests, 45));
+    for (family, build) in BASELINES {
+        assert_live_matches_sim(family, build(&interests, 45));
     }
 }

@@ -96,8 +96,8 @@ fn invariants_survive_brutal_churn() {
         assert_eq!(ids.len(), before, "{pid} duplicate delivery");
     }
     // The simulation saw genuine churn in both directions.
-    assert!(engine.counters().get("sim.churn_crashes") > 10);
-    assert!(engine.counters().get("sim.churn_recoveries") > 10);
+    assert!(engine.ledger().churn_crashes > 10);
+    assert!(engine.ledger().churn_recoveries > 10);
 }
 
 /// Churn runs are deterministic end to end.
@@ -110,12 +110,7 @@ fn churn_chaos_deterministic() {
             engine.process_mut(p).publish("det");
         }
         engine.run_rounds(30);
-        (
-            engine.counters().get("sim.sent"),
-            engine.counters().get("sim.churn_crashes"),
-            engine.counters().get("sim.churn_recoveries"),
-            engine.alive().len(),
-        )
+        (engine.ledger(), engine.alive().len())
     };
     assert_eq!(fingerprint(3), fingerprint(3));
     assert_ne!(fingerprint(3), fingerprint(4));
@@ -127,8 +122,8 @@ fn churn_chaos_deterministic() {
 /// mid-flight. Invariants must hold exactly as under the simulator —
 /// zero parasites, no duplicate deliveries — and mid-flight crash
 /// accounting must be exact: every envelope ends in exactly one of
-/// delivered / `rt.dropped_channel` / `rt.dropped_crashed` /
-/// `rt.dropped_shutdown`.
+/// delivered / `dropped_channel` / `dropped_crashed` /
+/// `dropped_shutdown`.
 #[test]
 fn live_runtime_survives_churn_chaos() {
     let params = TopicParams {
@@ -181,19 +176,17 @@ fn live_runtime_survives_churn_chaos() {
     }
 
     // The run saw genuine churn in both directions.
-    assert!(out.counters.get("rt.churn_crashes") > 10);
-    assert!(out.counters.get("rt.churn_recoveries") > 10);
+    assert!(out.ledger.churn_crashes > 10);
+    assert!(out.ledger.churn_recoveries > 10);
 
     // Exact mid-flight crash accounting.
-    let sent = out.counters.get("rt.sent");
-    let accounted = out.counters.get("rt.delivered")
-        + out.counters.get("rt.dropped_channel")
-        + out.counters.get("rt.dropped_crashed")
-        + out.counters.get("rt.dropped_shutdown")
-        + out.counters.get("rt.dropped_closed");
-    assert_eq!(accounted, sent, "every envelope in exactly one bucket");
+    assert_eq!(
+        out.ledger.in_flight(),
+        Some(0),
+        "every envelope in exactly one bucket"
+    );
     assert!(
-        out.counters.get("rt.dropped_crashed") > 0,
+        out.ledger.dropped_crashed > 0,
         "chaos must exercise the crashed-inbox drain"
     );
 
@@ -226,7 +219,7 @@ fn recovered_processes_rejoin_the_flow() {
     let (mut engine, members) = churn_engine(0.02, 0.2, 13);
     engine.run_rounds(120); // long enough that most processes cycled
     assert!(
-        engine.counters().get("sim.churn_recoveries") > 20,
+        engine.ledger().churn_recoveries > 20,
         "the scenario must actually exercise recovery"
     );
     // Publish after the churn history; recovered processes are part of

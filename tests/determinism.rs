@@ -78,7 +78,7 @@ fn baseline_fingerprint(seed: u64) -> (u64, u64, u64, u64) {
         engine.counters().get("bc.parasite"),
         // Aggregate counts can coincide across seeds (every process relays
         // exactly once when fully covered); channel-drop counts cannot.
-        engine.counters().get("sim.dropped_channel"),
+        engine.ledger().dropped_channel,
     )
 }
 

@@ -487,10 +487,12 @@ fn one_publication_trial_in_the_harness() {
 
 /// Every result the harness reports is one `report::Table`, keyed by an
 /// x value or a row label, the model checker reads a channel's one
-/// certain fate instead of listing fates beside the draw, and a
-/// partition cuts a set of processes over the one channel, with no
-/// named nodes or per-link channels beside it. None of these twins
-/// comes back, in the code or in the architecture notes.
+/// certain fate instead of listing fates beside the draw, a partition
+/// cuts a set of processes over the one channel, with no named nodes or
+/// per-link channels beside it, and the envelope ledger is one typed
+/// struct, with no counter ids, per-tick tally or substrate prefix
+/// beside it. None of these twins comes back, in the code or in the
+/// architecture notes.
 #[test]
 fn one_result_table_and_no_enumeration_twin() {
     // Spelled in two halves so that this file passes its own check.
@@ -503,6 +505,9 @@ fn one_result_table_and_no_enumeration_twin() {
         concat!("Node", "Id"),
         concat!("with_", "topology"),
         concat!("channel_", "between"),
+        concat!("Hot", "Ids"),
+        concat!("Tick", "Tally"),
+        concat!("Substrate::", "prefix"),
     ];
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files: Vec<_> = ["crates", "src", "tests", "examples"]
@@ -523,6 +528,38 @@ fn one_result_table_and_no_enumeration_twin() {
             assert!(!source.contains(name), "{}: {name}", path.display());
         }
     }
+}
+
+/// The envelope ledger is read as `EnvelopeLedger`, never by name: a
+/// substrate's `sim.*` / `rt.*` counter name is written, spelled and
+/// tested for in `da_core::ledger` alone, the one module that still
+/// renders them for the benchmark package.
+#[test]
+fn ledger_names_live_in_one_module() {
+    // Spelled in two halves so that this file passes its own check.
+    let spellings = [
+        concat!("\"si", "m."),
+        concat!("\"r", "t."),
+        concat!("\"si", "m\""),
+        concat!("\"r", "t\""),
+        concat!("{pre", "fix}."),
+    ];
+    let shim =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/da-core/src/ledger.rs");
+    let files = ["crates", "src", "tests", "examples"]
+        .into_iter()
+        .flat_map(sources)
+        .filter(|(path, _)| path.extension().is_some_and(|ext| ext == "rs"));
+    for (path, source) in files.filter(|(path, _)| *path != shim) {
+        for spelling in spellings {
+            assert!(!source.contains(spelling), "{}: {spelling}", path.display());
+        }
+    }
+    // The spellings are the shim's own, so the rule above is not vacuous.
+    let shim = std::fs::read_to_string(shim).expect("the ledger module");
+    assert!(spellings[..2]
+        .iter()
+        .all(|spelling| shim.contains(spelling)));
 }
 
 /// One run config: the simulator sets exactly a seed, faults and a trace,
@@ -606,6 +643,7 @@ fn each_substrate_has_a_pinned_verb_list() {
             "current_round",
             "in_flight",
             "into_processes",
+            "ledger",
             "new",
             "population",
             "process",
@@ -625,6 +663,7 @@ fn each_substrate_has_a_pinned_verb_list() {
         verbs("crates/runtime/src/runtime.rs", "Runtime"),
         [
             "counters",
+            "ledger",
             "population",
             "run_ticks",
             "run_until_quiescent",

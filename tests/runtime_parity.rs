@@ -153,17 +153,18 @@ fn failure_fates_match_the_simulator_at_any_worker_count() {
         let mut driver = Driver::spawn(substrate, config.clone(), probes);
         driver.run_ticks(40);
         let out = driver.finish();
-        let churn = ["churn_crashes", "churn_recoveries"]
-            .map(|name| out.counters.get(&format!("{}.{name}", substrate.prefix())));
         let schedules: Vec<(Vec<u64>, u64)> = out
             .processes
             .into_iter()
             .map(|p| (p.rounds, p.recoveries))
             .collect();
-        (schedules, out.statuses, churn)
+        (schedules, out.statuses, out.ledger)
     };
     let sim = run(SIM);
-    assert!(sim.2[0] > 0 && sim.2[1] > 0, "the run saw churn");
+    assert!(
+        sim.2.churn_crashes > 0 && sim.2.churn_recoveries > 0,
+        "the run saw churn"
+    );
     for workers in [1, 4] {
         assert_eq!(run(Substrate::Live { workers }), sim, "{workers} workers");
     }
@@ -191,7 +192,7 @@ fn diamond(seed: u64) -> StaticNetwork {
 }
 
 /// On reliable channels a one-worker pool replays the simulator: the same
-/// counters (prefix aside), the same delivery order at every process, the
+/// ledger and counters, the same delivery order at every process, the
 /// same final statuses and the same quiescent tick, under each of the
 /// paper's failure models, on a chain and on a diamond. Both deliver a
 /// tick's dues in send order, draw per-observer failures on worker 0's
@@ -234,19 +235,12 @@ fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
                 }
                 let quiescent = driver.run_until_quiescent(256);
                 let out = driver.finish();
-                let prefix = format!("{}.", substrate.prefix());
-                let mut counters: Vec<(String, u64)> = out
-                    .counters
-                    .iter()
-                    .filter(|&(_, value)| value > 0)
-                    .map(|(name, value)| (name.strip_prefix(&prefix).unwrap_or(name).into(), value))
-                    .collect();
-                counters.sort();
                 let logs: Vec<Vec<EventId>> = out
                     .processes
                     .iter()
                     .map(|p| p.delivered().iter().map(Event::id).collect())
                     .collect();
+                let counters = (out.ledger, out.counters.to_string());
                 (counters, quiescent, out.statuses, logs)
             };
             let (sim, live) = (run(SIM), run(Substrate::Live { workers: 1 }));
