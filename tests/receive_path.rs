@@ -4,9 +4,11 @@
 //! touching the allocator, a control message allocates only when it
 //! carries a list (then once more than the list), a static process
 //! stays inside the heap budget the benchmark's `bytes_per_process` is
-//! held to, a process that never draws costs the simulator at most 8 B
-//! beside its own state, and the send path's occurrence table counts like the
-//! pair-keyed map it is a packing of and reuses its allocation.
+//! held to, a wave process's bytes add up row by row to what the
+//! benchmark's `bytes_per_process` measures, a process that never draws
+//! costs the simulator at most 8 B beside its own state, and the send
+//! path's occurrence table counts like the pair-keyed map it is a packing
+//! of and reuses its allocation.
 
 use da_core::{Counters, Exec, ExecProtocol, LabelId, Occurrences, ProcessId, RunConfig, WireSize};
 use da_harness::substrate::{Driver, Substrate};
@@ -412,4 +414,169 @@ fn occurrences_count_like_a_pair_keyed_map_and_keep_their_table() {
     let second = replay(&mut table);
     assert_eq!(ALLOCATIONS.get() - before, 0, "a cleared table is reused");
     assert_eq!(first, second);
+}
+
+/// One row of a process's byte budget: what it is, bytes per process,
+/// and the most it may cost.
+struct Row {
+    what: &'static str,
+    bytes: f64,
+    cap: f64,
+}
+
+/// Every byte the benchmark's `sim_wave` set-up leaves live, per
+/// process, on one row each: the slab entry by field group, the heap a
+/// process owns, the engine's per-process vectors and its fixed cost,
+/// and the workload's list of publishers. The rows are counted from the
+/// types and the tables, not from the allocator, so their sum meeting
+/// the measured total says nothing is left out; a row over its cap names
+/// the component that grew. `--nocapture` prints the table (CI copies
+/// it into the job summary).
+#[test]
+fn a_wave_process_costs_its_budget_row_by_row() {
+    use da_core::{ChannelConfig, KeyBuildHasher, ProcessStatus};
+    use da_membership::{kmg_view_size, PartialView};
+    use da_topics::{TopicHierarchy, TopicId};
+    use damulticast::{EventId, Mutation, SuperTable, TopicParams};
+    use std::collections::HashSet;
+    use std::mem::size_of;
+    use std::num::NonZeroU32;
+    use std::sync::Arc;
+
+    const SIZES: [usize; 3] = [10, 100, 1000];
+    let build = || StaticNetwork::linear(&SIZES, ParamMap::default(), 1).unwrap();
+    // Warm-up: names are interned once per run, not once per build.
+    drop(build());
+
+    let before = LIVE_BYTES.get();
+    let net = build();
+    // The benchmark keeps the leaf group's pids to pick publishers from.
+    let leaf = net.groups().last().unwrap().members.clone();
+    let processes = net.into_processes();
+    let built = LIVE_BYTES.get();
+    let config = RunConfig::default()
+        .with_seed(1)
+        .with_channel(ChannelConfig::paper_default());
+    let engine = da_simnet::Engine::new(config, processes);
+    let total = LIVE_BYTES.get() - before;
+    let engine_bytes = LIVE_BYTES.get() - built;
+    // The one value the whole population shares, built alone.
+    let start = LIVE_BYTES.get();
+    let hierarchy = Arc::new(TopicHierarchy::linear_chain(SIZES.len()).0);
+    let hierarchy_bytes = LIVE_BYTES.get() - start;
+
+    let n = engine.population();
+    let per = |bytes: usize| bytes as f64 / n as f64;
+    let processes = || engine.processes().map(|(_, p)| p);
+    let tables = || processes().flat_map(DaProcess::super_tables);
+    let b = TopicParams::paper_default().b;
+    let view_entries: usize = SIZES.iter().map(|&s| s * kmg_view_size(b, s)).sum();
+    let slot_and_status = size_of::<Option<NonZeroU32>>() + size_of::<ProcessStatus>();
+
+    let fields = [
+        (
+            "slab: group constants (`topic`, `hierarchy`, `params`, `group_size`, `labels`)",
+            size_of::<TopicId>()
+                + size_of::<Arc<TopicHierarchy>>()
+                + size_of::<TopicParams>()
+                + size_of::<usize>()
+                + 6 * size_of::<LabelId>(),
+            116,
+        ),
+        ("slab: topic table header (`view`)", size_of::<PartialView>(), 64),
+        (
+            "slab: supertable list header (`super_tables`)",
+            size_of::<Vec<SuperTable>>(),
+            24,
+        ),
+        ("slab: dynamic-mode box (`dynamic`)", size_of::<Option<Box<u8>>>(), 8),
+        (
+            "slab: receive state (`seen`, `delivered`, `pending_publish`, `parasite_count`, `next_sequence`)",
+            size_of::<HashSet<EventId, KeyBuildHasher>>()
+                + 2 * size_of::<Vec<Event>>()
+                + size_of::<u64>()
+                + size_of::<u32>(),
+            92,
+        ),
+        (
+            "slab: identity (`me`, `mutation`)",
+            size_of::<ProcessId>() + size_of::<Mutation>(),
+            5,
+        ),
+    ];
+    let named: usize = fields.iter().map(|&(_, bytes, _)| bytes).sum();
+    let mut rows: Vec<Row> = fields
+        .iter()
+        .map(|&(what, bytes, cap)| Row {
+            what,
+            bytes: bytes as f64,
+            cap: cap as f64,
+        })
+        .collect();
+    rows.extend([
+        Row {
+            what: "slab: padding",
+            bytes: (size_of::<DaProcess>() - named) as f64,
+            cap: 7.0,
+        },
+        Row {
+            what: "heap: topic table entries (`(b + 1)·ln S` pids)",
+            bytes: per(view_entries * size_of::<ProcessId>()),
+            cap: 108.2,
+        },
+        Row {
+            what: "heap: supertable list (one `SuperTable` per direct supertopic)",
+            bytes: per(tables().count() * size_of::<SuperTable>()),
+            cap: 39.7,
+        },
+        Row {
+            what: "heap: supertable entries (`z` per table)",
+            bytes: per(tables().map(SuperTable::capacity).sum::<usize>() * size_of::<SuperEntry>()),
+            cap: 23.8,
+        },
+        Row {
+            what: "shared: topic hierarchy (one `Arc`), measured alone",
+            bytes: per(hierarchy_bytes as usize),
+            cap: 1.0,
+        },
+        Row {
+            what: "engine: stream slot and status",
+            bytes: slot_and_status as f64,
+            cap: 5.0,
+        },
+        Row {
+            what: "engine: fixed cost (wheel, histograms), measured",
+            bytes: per(engine_bytes as usize - n * slot_and_status),
+            cap: 1.0,
+        },
+        Row {
+            what: "workload: publisher list (the leaf group's pids)",
+            bytes: per(leaf.len() * size_of::<ProcessId>()),
+            cap: 3.7,
+        },
+    ]);
+
+    let measured = per(total as usize);
+    let sum: f64 = rows.iter().map(|row| row.bytes).sum();
+    println!("| row | B / process | cap |\n|---|---|---|");
+    for row in &rows {
+        println!("| {} | {:.1} | {:.1} |", row.what, row.bytes, row.cap);
+    }
+    println!("| **sum of rows** | **{sum:.3}** | |");
+    println!("| measured live heap / process ({n} processes) | {measured:.3} | |");
+
+    for row in &rows {
+        assert!(
+            row.bytes <= row.cap,
+            "{}: {:.1} B > {:.1} B",
+            row.what,
+            row.bytes,
+            row.cap
+        );
+    }
+    assert!(
+        (sum - measured).abs() <= 0.02 * measured,
+        "rows sum to {sum:.1} B, measured {measured:.1} B"
+    );
+    drop(hierarchy);
 }
