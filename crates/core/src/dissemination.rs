@@ -26,7 +26,7 @@
 //! Sec. VI-B). We follow the prose and the analysis: elect with
 //! probability `p_sel`.
 
-use crate::params::TopicParams;
+use crate::group::Group;
 use crate::tables::{SuperEntry, SuperTable};
 use da_core::ProcessId;
 use rand::Rng;
@@ -57,22 +57,20 @@ impl DisseminationPlan {
 /// Draws one dissemination plan (Fig. 7) into `plan`, replacing whatever
 /// it held and reusing its buffers.
 ///
-/// `group_size` is `S_Ti` — the (expected) size of the process' group,
-/// which parameterises both `p_sel` and the gossip fanout. `topic_table`
-/// is the process' current view of its group; `super_tables` its
-/// supertopic tables, one per direct supertopic. The election and spray
-/// run once per table, in order, then the gossip draw once.
+/// `group` holds `p_sel`, `p_a` and the gossip fanout, computed once from
+/// its `S_Ti` and parameters. `topic_table` is the process' current view
+/// of its group; `super_tables` its supertopic tables, one per direct
+/// supertopic. The election and spray run once per table, in order, then
+/// the gossip draw once.
 pub fn plan_dissemination<R: Rng>(
-    params: &TopicParams,
-    group_size: usize,
+    group: &Group,
     topic_table: &[ProcessId],
     super_tables: &[SuperTable],
     rng: &mut R,
     plan: &mut DisseminationPlan,
 ) {
     // (1) Inter-group forwarding: self-election, then per-entry spray.
-    let p_sel = params.p_sel(group_size);
-    let p_a = params.p_a();
+    let (p_sel, p_a) = (group.p_sel(), group.p_a());
     plan.elected = false;
     plan.super_targets.clear();
     for table in super_tables {
@@ -88,37 +86,32 @@ pub fn plan_dissemination<R: Rng>(
     }
 
     // (2) Intra-group gossip.
-    draw_gossip_targets(
-        params,
-        group_size,
-        topic_table,
-        rng,
-        &mut plan.gossip_targets,
-    );
+    draw_gossip_targets(group.fanout(), topic_table, rng, &mut plan.gossip_targets);
 }
 
-/// Fig. 7's intra-group step: `fanout(S)` distinct members of
+/// Fig. 7's intra-group step: `fanout` distinct members of
 /// `topic_table`, uniformly at random, into `targets` (replacing what it
 /// held). This is the paper's `Table − Ω` loop — a picked member leaves
 /// the candidate set — as a partial Fisher–Yates over a copy of the
 /// table: one draw per target kept, none for the members left behind.
 fn draw_gossip_targets<R: Rng>(
-    params: &TopicParams,
-    group_size: usize,
+    fanout: usize,
     topic_table: &[ProcessId],
     rng: &mut R,
     targets: &mut Vec<ProcessId>,
 ) {
     targets.clear();
     targets.extend_from_slice(topic_table);
-    da_core::keep_random(targets, params.fanout.fanout(group_size), rng);
+    da_core::keep_random(targets, fanout, rng);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::TopicParams;
     use da_core::rng_from_seed;
-    use da_topics::TopicId;
+    use da_topics::{TopicHierarchy, TopicId};
+    use std::sync::Arc;
 
     fn stable_with(n: u32) -> SuperTable {
         let mut rng = rng_from_seed(99);
@@ -139,6 +132,12 @@ mod tests {
         (1..=n).map(ProcessId).collect()
     }
 
+    /// A group of `group_size` at the root, run with `params`.
+    fn group(params: &TopicParams, group_size: usize) -> Group {
+        let hierarchy = Arc::new(TopicHierarchy::new());
+        Group::new(TopicId::ROOT, hierarchy, *params, group_size)
+    }
+
     /// A fresh plan per call — what the old by-value signature returned.
     fn plan_dissemination<R: Rng>(
         params: &TopicParams,
@@ -149,8 +148,7 @@ mod tests {
     ) -> DisseminationPlan {
         let mut plan = DisseminationPlan::default();
         super::plan_dissemination(
-            params,
-            group_size,
+            &group(params, group_size),
             topic_table,
             super_tables,
             rng,
@@ -169,8 +167,7 @@ mod tests {
         for (size, view) in [(1000, 30), (3, 2), (100, 0), (2, 12)] {
             let fresh = plan_dissemination(&params, size, &table(view), &stable, &mut fresh_rng);
             super::plan_dissemination(
-                &params,
-                size,
+                &group(&params, size),
                 &table(view),
                 &stable,
                 &mut reuse_rng,

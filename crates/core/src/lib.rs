@@ -58,6 +58,7 @@
 //! | Fig. 7 `DISSEMINATE` | [`plan_dissemination`] |
 //! | Topic/supertopic tables (Sec. V-A.1) | [`SuperTable`] + `da_membership` |
 //! | Per-topic knobs `b,c,g,a,z,τ` (Sec. V-B) | [`TopicParams`] |
+//! | A group's constants, shared by its members | [`Group`] |
 //! | Sec. VIII multiple inheritance | [`DaProcess::super_tables`] |
 //!
 //! ## Substrates
@@ -76,6 +77,7 @@ mod bootstrap;
 mod dissemination;
 mod error;
 mod event;
+mod group;
 mod maintenance;
 mod message;
 mod metro;
@@ -90,6 +92,7 @@ pub use da_core::{Exec, ExecProtocol};
 pub use dissemination::{plan_dissemination, DisseminationPlan};
 pub use error::DaError;
 pub use event::{Event, EventId};
+pub use group::Group;
 pub use maintenance::{MaintenanceAction, MaintenanceTask};
 pub use message::{ControlMsg, DaMsg};
 pub use metro::{metro_population, MetroMsg, MetroProcess, MAX_HEADLINES};

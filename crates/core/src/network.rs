@@ -13,6 +13,7 @@
 //!   contacts through the bootstrap.
 
 use crate::error::DaError;
+use crate::group::Group;
 use crate::params::ParamMap;
 use crate::protocol::DaProcess;
 use crate::tables::SuperEntry;
@@ -157,6 +158,12 @@ impl StaticNetwork {
             }
             let tp = params.for_topic(group.topic);
             tp.validate()?;
+            let shared = Arc::new(Group::new(
+                group.topic,
+                Arc::clone(&hierarchy),
+                tp,
+                group.members.len(),
+            ));
             let topic_tables =
                 static_topic_tables(&group.members, tp.b, &mut rng).map_err(|e| {
                     DaError::InvalidParameter {
@@ -200,10 +207,7 @@ impl StaticNetwork {
                     .collect();
                 processes.push(DaProcess::static_member(
                     pid,
-                    group.topic,
-                    Arc::clone(&hierarchy),
-                    tp,
-                    group.members.len(),
+                    Arc::clone(&shared),
                     table,
                     supers,
                 ));
@@ -305,16 +309,18 @@ impl DynamicNetwork {
             .collect();
         let mut pool = Vec::new();
         for group in &groups {
-            let tp = params.for_topic(group.topic);
+            let shared = Arc::new(Group::new(
+                group.topic,
+                Arc::clone(&hierarchy),
+                params.for_topic(group.topic),
+                group.members.len(),
+            ));
             for (at, &pid) in group.members.iter().enumerate() {
                 let contacts =
                     sample_others(&group.members, Some(at), JOIN_CONTACTS, &mut pool, &mut rng);
                 processes.push(DaProcess::dynamic_member(
                     pid,
-                    group.topic,
-                    Arc::clone(&hierarchy),
-                    tp,
-                    group.members.len(),
+                    Arc::clone(&shared),
                     Arc::clone(&overlay),
                     contacts,
                 ));
@@ -489,6 +495,33 @@ mod tests {
             },
         ];
         assert!(StaticNetwork::from_groups(Arc::new(h), groups, ParamMap::default(), 6).is_err());
+    }
+
+    /// A group's constants are one allocation its members point at, in
+    /// both modes: one value per group, not one copy per process.
+    #[test]
+    fn every_member_of_a_group_shares_one_group_value() {
+        let shares = |groups: &[GroupSpec], procs: &[DaProcess]| {
+            for spec in groups {
+                let first = procs[spec.members[0].index()].group();
+                assert_eq!(first.topic(), spec.topic);
+                assert_eq!(first.size(), spec.members.len());
+                for pid in &spec.members {
+                    assert!(Arc::ptr_eq(procs[pid.index()].group(), first), "{pid}");
+                }
+            }
+            let firsts: Vec<&Arc<Group>> = groups
+                .iter()
+                .map(|spec| procs[spec.members[0].index()].group())
+                .collect();
+            assert!(!Arc::ptr_eq(firsts[0], firsts[1]), "one value per group");
+        };
+        let net = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 1).unwrap();
+        let groups = net.groups().to_vec();
+        shares(&groups, &net.into_processes());
+        let net = DynamicNetwork::linear(&[5, 20], ParamMap::default(), 7).unwrap();
+        let groups = net.groups().to_vec();
+        shares(&groups, &net.into_processes());
     }
 
     #[test]

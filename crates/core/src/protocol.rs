@@ -31,76 +31,24 @@
 use crate::bootstrap::{BootstrapAction, BootstrapTask, REQUEST_TTL};
 use crate::dissemination::{plan_dissemination, DisseminationPlan};
 use crate::event::{Event, EventId};
+use crate::group::Group;
 use crate::maintenance::{MaintenanceAction, MaintenanceTask};
 use crate::message::{ControlMsg, DaMsg};
-use crate::params::TopicParams;
 use crate::tables::{SuperEntry, SuperTable};
 use da_core::{Exec, ExecProtocol, FxHasher, KeyBuildHasher, LabelId, McHash, ProcessId};
 use da_membership::{flat, kmg_view_size, Overlay, PartialView};
-use da_topics::{TopicHierarchy, TopicId};
-use std::cell::{Cell, RefCell};
+use da_topics::TopicId;
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::hash::Hasher;
 use std::sync::{Arc, LazyLock};
 
-/// The counter labels of one process, interned at construction: the
-/// members of a group share the six names and each holds 24 bytes of ids,
-/// so a bump on the receive path hashes and compares no string.
-#[derive(Debug, Clone, Copy)]
-struct Labels {
-    /// Event messages gossiped inside the own group.
-    intra: LabelId,
-    /// Event messages sent to supertable entries.
-    inter_out: LabelId,
-    /// Event messages that arrived from a strict subtopic group.
-    inter_in: LabelId,
-    /// Events delivered to the application.
-    delivered: LabelId,
-    /// Events received more than once.
-    duplicate: LabelId,
-    /// Control-plane messages (bootstrap, maintenance, membership).
-    control: LabelId,
-}
-
-// The footprint the ids exist for: a slot cached per process (name, hash,
-// index) is as fast and costs every process more than the strings did.
-const _: () = assert!(std::mem::size_of::<Labels>() == 24);
 // A wave holds a thousand processes: the dynamic-mode state a static
 // member never uses stays behind one box (inline, it made the process
-// 624 B), and the topic table is a bare view.
-const _: () = assert!(std::mem::size_of::<DaProcess>() <= 312);
-
-impl Labels {
-    /// The labels of the group at `topic_path`. Populations are built
-    /// group by group, so each thread remembers its last answer and a
-    /// process pays for interning — six formats, six locked look-ups —
-    /// only when it is the first of its group.
-    fn new(topic_path: &str) -> Self {
-        thread_local! {
-            static LAST: RefCell<(String, Option<Labels>)> =
-                const { RefCell::new((String::new(), None)) };
-        }
-        LAST.with_borrow_mut(|(path, labels)| match labels {
-            Some(labels) if path == topic_path => *labels,
-            _ => {
-                topic_path.clone_into(path);
-                *labels.insert(Labels::intern(topic_path))
-            }
-        })
-    }
-
-    fn intern(topic_path: &str) -> Self {
-        let intern = |kind: &str| LabelId::intern(&format!("da.{kind}.{topic_path}"));
-        Labels {
-            intra: intern("intra"),
-            inter_out: intern("inter_out"),
-            inter_in: intern("inter_in"),
-            delivered: intern("delivered"),
-            duplicate: intern("duplicate"),
-            control: intern("control"),
-        }
-    }
-}
+// 624 B), the topic table is a bare view, and the group's constants
+// (topic parameters, size, hierarchy, labels: 116 B) are one shared
+// `Arc<Group>`. See ARCHITECTURE.md, "Memory at scale".
+const _: () = assert!(std::mem::size_of::<DaProcess>() == 208);
 
 /// Events of a topic the receiver is not interested in — one name for
 /// every process, and zero in a correct run.
@@ -127,19 +75,18 @@ thread_local! {
 /// crate-level documentation for a full example; in short:
 ///
 /// ```
-/// use damulticast::{DaProcess, TopicParams};
+/// use damulticast::{DaProcess, Group, TopicParams};
 /// use da_core::ProcessId;
 /// use da_topics::TopicHierarchy;
 /// use std::sync::Arc;
 ///
 /// let (hierarchy, ids) = TopicHierarchy::linear_chain(2);
-/// let hierarchy = Arc::new(hierarchy);
+/// let params = TopicParams::paper_default();
+/// // S_T1 = 100; every member of the group shares this one value.
+/// let group = Arc::new(Group::new(ids[1], Arc::new(hierarchy), params, 100));
 /// let p = DaProcess::static_member(
 ///     ProcessId(0),
-///     ids[1],
-///     Arc::clone(&hierarchy),
-///     TopicParams::paper_default(),
-///     100,               // S_T1
+///     Arc::clone(&group),
 ///     vec![ProcessId(1)],// topic table
 ///     vec![vec![]],      // one supertable, for T0 (empty here)
 /// );
@@ -149,17 +96,16 @@ thread_local! {
 #[derive(Debug, Clone)]
 pub struct DaProcess {
     me: ProcessId,
+    /// The group's topic, kept beside `me` where it costs no byte.
     topic: TopicId,
-    hierarchy: Arc<TopicHierarchy>,
-    params: TopicParams,
+    /// What the process shares with its group-mates.
+    group: Arc<Group>,
     /// The topic table (partial view of the own group). Dynamic mode
     /// runs the [`flat`] gossip on it; static mode never changes it.
     view: PartialView,
     /// One supertopic table per direct supertopic, in
     /// [`TopicHierarchy::parents`] order; none at the root.
     super_tables: Vec<SuperTable>,
-    /// `S_Ti` — the size estimate used for `p_sel` and the fanout.
-    group_size: usize,
     /// Dynamic-mode state; `None` in static mode.
     dynamic: Option<Box<Dynamic>>,
     /// Event ids already received (the paper's "done only the first time").
@@ -172,7 +118,6 @@ pub struct DaProcess {
     /// Publications queued until the next round hook.
     pending_publish: Vec<Event>,
     next_sequence: u32,
-    labels: Labels,
     /// Deliberate protocol defect, [`Mutation::None`] in production.
     mutation: Mutation,
 }
@@ -231,15 +176,13 @@ impl DaProcess {
     #[must_use]
     pub fn static_member(
         me: ProcessId,
-        topic: TopicId,
-        hierarchy: Arc<TopicHierarchy>,
-        params: TopicParams,
-        group_size: usize,
+        group: Arc<Group>,
         topic_table: Vec<ProcessId>,
         super_entries: Vec<Vec<SuperEntry>>,
     ) -> Self {
+        let params = group.params();
         let mut seed_rng = da_core::rng_for_process(0xDA, me);
-        let mut view = PartialView::new(me, kmg_view_size(params.b, group_size));
+        let mut view = PartialView::new(me, kmg_view_size(params.b, group.size()));
         view.merge(&topic_table, &mut seed_rng);
         let super_tables = super_entries
             .into_iter()
@@ -251,78 +194,68 @@ impl DaProcess {
                 table
             })
             .collect();
-        let labels = Labels::new(hierarchy.path(topic).as_str());
         DaProcess {
             me,
-            topic,
-            hierarchy,
-            params,
+            topic: group.topic(),
+            group,
             view,
             super_tables,
-            group_size,
             dynamic: None,
             seen: HashSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
-            labels,
             mutation: Mutation::None,
         }
     }
 
     /// Builds a dynamic-mode process running the full protocol: it joins
     /// its group through `join_contacts`, finds super contacts by flooding
-    /// `overlay`, and keeps both tables fresh. `group_size` is the
+    /// `overlay`, and keeps both tables fresh. The group's size is the
     /// estimate `S_Ti` that dimensions the view and sets `p_sel`.
     ///
     /// # Panics
     ///
-    /// Panics if `topic` has more than one direct supertopic: the
-    /// bootstrap and maintenance tasks keep a single supertable.
+    /// Panics if the group's topic has more than one direct supertopic:
+    /// the bootstrap and maintenance tasks keep a single supertable.
     #[must_use]
     pub fn dynamic_member(
         me: ProcessId,
-        topic: TopicId,
-        hierarchy: Arc<TopicHierarchy>,
-        params: TopicParams,
-        group_size: usize,
+        group: Arc<Group>,
         overlay: Arc<Overlay>,
         join_contacts: Vec<ProcessId>,
     ) -> Self {
+        let (topic, hierarchy, params) = (group.topic(), group.hierarchy(), group.params());
         let supertopics = hierarchy.parents(topic).len();
         assert!(
             supertopics <= 1,
             "dynamic mode keeps one supertable; {} has {supertopics} direct supertopics",
             hierarchy.path(topic)
         );
-        let view = PartialView::new(me, kmg_view_size(params.b, group_size));
+        let view = PartialView::new(me, kmg_view_size(params.b, group.size()));
         let super_tables = (0..supertopics)
             .map(|_| SuperTable::new(me, params.z))
             .collect();
         let dynamic = Dynamic {
-            bootstrap: BootstrapTask::new(topic, &hierarchy),
+            bootstrap: BootstrapTask::new(topic, hierarchy),
             maintenance: MaintenanceTask::new(params.maintenance_period, params.ping_timeout),
             overlay,
             join_contacts,
             answered_requests: HashSet::default(),
         };
-        let labels = Labels::new(hierarchy.path(topic).as_str());
         DaProcess {
             me,
             topic,
-            hierarchy,
-            params,
+            group,
             view,
             super_tables,
-            group_size,
             dynamic: Some(Box::new(dynamic)),
             seen: HashSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
-            labels,
             mutation: Mutation::None,
         }
     }
@@ -347,6 +280,12 @@ impl DaProcess {
         self.topic
     }
 
+    /// What the process shares with every member of its group.
+    #[must_use]
+    pub fn group(&self) -> &Arc<Group> {
+        &self.group
+    }
+
     /// The current topic table (partial view of the own group).
     #[must_use]
     pub fn topic_table(&self) -> &[ProcessId] {
@@ -357,7 +296,7 @@ impl DaProcess {
     /// [`TopicHierarchy::parents`] order (Sec. VIII); empty at the root.
     ///
     /// ```
-    /// use damulticast::{DaProcess, SuperEntry, TopicParams};
+    /// use damulticast::{DaProcess, Group, SuperEntry, TopicParams};
     /// use da_core::ProcessId;
     /// use da_topics::TopicHierarchy;
     /// use std::sync::Arc;
@@ -369,12 +308,10 @@ impl DaProcess {
     /// h.add_supertopic(ski, swiss)?;
     /// let sport = h.parent(ski).unwrap();
     /// let entry = |pid, topic| SuperEntry { pid: ProcessId(pid), topic };
+    /// let group = Group::new(ski, Arc::new(h), TopicParams::paper_default(), 10);
     /// let p = DaProcess::static_member(
     ///     ProcessId(0),
-    ///     ski,
-    ///     Arc::new(h),
-    ///     TopicParams::paper_default(),
-    ///     10,
+    ///     Arc::new(group),
     ///     vec![],
     ///     vec![vec![entry(1, sport), entry(2, sport)], vec![entry(3, swiss)]],
     /// );
@@ -438,7 +375,7 @@ impl DaProcess {
     /// `topic` is its own topic or a subtopic thereof.
     #[must_use]
     pub fn is_interested_in(&self, topic: TopicId) -> bool {
-        self.hierarchy.includes_or_eq(self.topic, topic)
+        self.group.hierarchy().includes_or_eq(self.topic, topic)
     }
 
     /// Sends `msg` and accounts it as control-plane traffic. A
@@ -449,7 +386,7 @@ impl DaProcess {
         to: ProcessId,
         msg: impl Into<DaMsg>,
     ) {
-        ctx.bump_id(self.labels.control);
+        ctx.bump_id(self.group.labels().control);
         ctx.send(to, msg.into());
     }
 
@@ -457,15 +394,14 @@ impl DaProcess {
     fn disseminate<X: Exec<Msg = DaMsg>>(&mut self, event: &Event, ctx: &mut X) {
         let mut plan = PLAN.take();
         plan_dissemination(
-            &self.params,
-            self.group_size,
+            &self.group,
             self.view.as_slice(),
             &self.super_tables,
             ctx.rng(),
             &mut plan,
         );
         for entry in &plan.super_targets {
-            ctx.bump_id(self.labels.inter_out);
+            ctx.bump_id(self.group.labels().inter_out);
             ctx.send(
                 entry.pid,
                 DaMsg::Event {
@@ -475,7 +411,7 @@ impl DaProcess {
             );
         }
         for &target in &plan.gossip_targets {
-            ctx.bump_id(self.labels.intra);
+            ctx.bump_id(self.group.labels().intra);
             ctx.send(
                 target,
                 DaMsg::Event {
@@ -503,12 +439,12 @@ impl DaProcess {
         }
         let fresh = self.seen.insert(event.id());
         if !fresh && !self.mutation.skips_dedup() {
-            ctx.bump_id(self.labels.duplicate);
+            ctx.bump_id(self.group.labels().duplicate);
             return;
         }
         if sender_topic != self.topic {
             // The event crossed a group boundary to reach us.
-            ctx.bump_id(self.labels.inter_in);
+            ctx.bump_id(self.group.labels().inter_in);
         }
         self.deliver(event, ctx);
     }
@@ -518,7 +454,7 @@ impl DaProcess {
     /// would be one more round trip on the reference count, a line every
     /// holder of the event shares.
     fn deliver<X: Exec<Msg = DaMsg>>(&mut self, event: Event, ctx: &mut X) {
-        ctx.bump_id(self.labels.delivered);
+        ctx.bump_id(self.group.labels().delivered);
         self.disseminate(&event, ctx);
         self.delivered.push(event);
     }
@@ -572,7 +508,7 @@ impl DaProcess {
         // If we are interested in one of the requested topics, answer with
         // ourselves plus a sample of our group view (Ψ).
         if topics.contains(&self.topic) {
-            let mut contacts = self.view.sample(self.params.z, ctx.rng());
+            let mut contacts = self.view.sample(self.group.params().z, ctx.rng());
             contacts.push(self.me);
             contacts.retain(|&p| p != origin);
             self.send_control(
@@ -615,7 +551,7 @@ impl DaProcess {
     ) {
         // Only contacts of strictly including topics belong in the
         // supertable.
-        if !self.hierarchy.includes(topic, self.topic) {
+        if !self.group.hierarchy().includes(topic, self.topic) {
             return;
         }
         // Not the root, then: dynamic mode keeps exactly one table.
@@ -624,7 +560,7 @@ impl DaProcess {
             .iter()
             .map(|&pid| SuperEntry { pid, topic })
             .collect();
-        let hierarchy = &self.hierarchy;
+        let hierarchy = self.group.hierarchy();
         if table.len() < table.capacity() {
             for &entry in &entries {
                 table.insert(entry, ctx.rng());
@@ -656,7 +592,7 @@ impl DaProcess {
                 let valid = self.valid_super_entries(contacts);
                 if let Some(table) = self.super_tables.first_mut() {
                     table.merge(&valid, |_| true);
-                    table.tighten(&valid, |t| self.hierarchy.depth(t));
+                    table.tighten(&valid, |t| self.group.hierarchy().depth(t));
                 }
             }
             ControlMsg::Membership {
@@ -673,7 +609,7 @@ impl DaProcess {
                 if !valid.is_empty() {
                     let table = &mut self.super_tables[0];
                     table.merge(&valid, |_| true);
-                    table.tighten(&valid, |t| self.hierarchy.depth(t));
+                    table.tighten(&valid, |t| self.group.hierarchy().depth(t));
                     if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
                         if task.is_active() && valid.iter().any(|e| e.topic == task.direct_super())
                         {
@@ -689,7 +625,7 @@ impl DaProcess {
     fn valid_super_entries(&self, entries: Vec<SuperEntry>) -> Vec<SuperEntry> {
         entries
             .into_iter()
-            .filter(|e| self.hierarchy.includes(e.topic, self.topic))
+            .filter(|e| self.group.hierarchy().includes(e.topic, self.topic))
             .collect()
     }
 
@@ -759,7 +695,7 @@ impl ExecProtocol for DaProcess {
                 // Fig. 6, lines 2–5: answer with available superprocesses —
                 // members of *our* group, which is a supergroup of the
                 // requester's.
-                let mut sample = self.view.sample(self.params.z, ctx.rng());
+                let mut sample = self.view.sample(self.group.params().z, ctx.rng());
                 sample.push(self.me);
                 let contacts = sample
                     .into_iter()
@@ -810,12 +746,13 @@ impl ExecProtocol for DaProcess {
             .flat_map(SuperTable::entries)
             .map(|e| e.pid)
             .collect();
-        let p_sel = self.params.p_sel(self.group_size);
+        let p_sel = self.group.p_sel();
         let selected = p_sel >= 1.0 || (p_sel > 0.0 && ctx.rng().gen_bool(p_sel));
         let dynamic = self.dynamic.as_mut().expect("static mode returned above");
-        let action = dynamic
-            .maintenance
-            .on_round(round, &entries, selected, self.params.tau);
+        let action =
+            dynamic
+                .maintenance
+                .on_round(round, &entries, selected, self.group.params().tau);
         match action {
             MaintenanceAction::Ping { nonce, targets } => {
                 for t in targets {
@@ -846,7 +783,7 @@ impl ExecProtocol for DaProcess {
         if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
             if task.is_active() {
                 if let BootstrapAction::SendRequest { req_id, topics } =
-                    task.on_round(round, &self.hierarchy)
+                    task.on_round(round, self.group.hierarchy())
                 {
                     self.flood_request(req_id, topics, ctx);
                 }
@@ -912,7 +849,7 @@ impl McHash for DaProcess {
             state.write_u32(e.pid.0);
             state.write_u64(e.topic.index() as u64);
         }
-        state.write_u64(self.group_size as u64);
+        state.write_u64(self.group.size() as u64);
         let dynamic = self.dynamic.as_deref();
         let bootstrap = dynamic.is_some_and(|d| d.bootstrap.is_some());
         state.write_u8(u8::from(bootstrap));
@@ -950,7 +887,9 @@ use rand::Rng as _;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TopicParams;
     use da_simnet::{Engine, SimConfig};
+    use da_topics::TopicHierarchy;
 
     fn chain_hierarchy() -> (Arc<TopicHierarchy>, Vec<TopicId>) {
         let (h, ids) = TopicHierarchy::linear_chain(3);
@@ -964,15 +903,16 @@ mod tests {
         let params = TopicParams::paper_default();
         let root_members: Vec<ProcessId> = (0..4).map(ProcessId).collect();
         let mid_members: Vec<ProcessId> = (4..10).map(ProcessId).collect();
+        let group = |topic, members: &[ProcessId]| {
+            Arc::new(Group::new(topic, Arc::clone(&h), params, members.len()))
+        };
+        let (root, mid) = (group(ids[0], &root_members), group(ids[1], &mid_members));
         let mut procs = Vec::new();
         for &m in &root_members {
             let table: Vec<ProcessId> = root_members.iter().copied().filter(|&p| p != m).collect();
             procs.push(DaProcess::static_member(
                 m,
-                ids[0],
-                Arc::clone(&h),
-                params,
-                root_members.len(),
+                Arc::clone(&root),
                 table,
                 vec![],
             ));
@@ -991,10 +931,7 @@ mod tests {
             ];
             procs.push(DaProcess::static_member(
                 m,
-                ids[1],
-                Arc::clone(&h),
-                params,
-                mid_members.len(),
+                Arc::clone(&mid),
                 table,
                 vec![supers],
             ));
@@ -1124,8 +1061,9 @@ mod tests {
         let (procs, _) = tiny_static_network();
         for p in &procs {
             // ln(S)+c view (capped) plus z supertable entries.
-            let view_cap = da_membership::kmg_view_size(p.params.b, 6);
-            assert!(p.memory_entries() <= view_cap.max(5) + p.params.z);
+            let params = p.group.params();
+            let view_cap = da_membership::kmg_view_size(params.b, 6);
+            assert!(p.memory_entries() <= view_cap.max(5) + params.z);
         }
     }
 
@@ -1173,22 +1111,15 @@ mod delivered_tests {
     /// Four fully meshed group-mates after process 0's publication has
     /// reached all of them.
     fn delivered_everywhere() -> (Engine<DaProcess>, EventId) {
-        let (h, ids) = TopicHierarchy::linear_chain(2);
-        let h = Arc::new(h);
+        let (h, ids) = da_topics::TopicHierarchy::linear_chain(2);
+        let params = crate::TopicParams::paper_default();
+        let group = Arc::new(Group::new(ids[1], Arc::new(h), params, 4));
         let members: Vec<ProcessId> = (0..4).map(ProcessId).collect();
         let procs: Vec<DaProcess> = members
             .iter()
             .map(|&m| {
                 let table = members.iter().copied().filter(|&p| p != m).collect();
-                DaProcess::static_member(
-                    m,
-                    ids[1],
-                    Arc::clone(&h),
-                    crate::TopicParams::paper_default(),
-                    4,
-                    table,
-                    vec![],
-                )
+                DaProcess::static_member(m, Arc::clone(&group), table, vec![])
             })
             .collect();
         let mut engine = Engine::new(SimConfig::default().with_seed(1), procs);

@@ -5,11 +5,22 @@
 use da_core::{rng_from_seed, ProcessId};
 use da_topics::{TopicHierarchy, TopicId};
 use damulticast::{
-    plan_dissemination, BootstrapAction, BootstrapTask, DisseminationPlan, MaintenanceAction,
-    MaintenanceTask, SuperEntry, SuperTable, TopicParams,
+    plan_dissemination, BootstrapAction, BootstrapTask, DisseminationPlan, Group,
+    MaintenanceAction, MaintenanceTask, SuperEntry, SuperTable, TopicParams,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::Arc;
+
+/// The root topic's group of `group_size`, run with `params`.
+fn root_group(params: TopicParams, group_size: usize) -> Group {
+    Group::new(
+        TopicId::ROOT,
+        Arc::new(TopicHierarchy::new()),
+        params,
+        group_size,
+    )
+}
 
 fn arb_params() -> impl Strategy<Value = TopicParams> {
     (1.0f64..30.0, 1usize..6, 0.0f64..8.0).prop_map(|(g, z, c)| TopicParams {
@@ -43,7 +54,8 @@ proptest! {
             );
         }
         let mut plan = DisseminationPlan::default();
-        plan_dissemination(&params, group_size, &table, std::slice::from_ref(&stable), &mut rng, &mut plan);
+        let group = root_group(params, group_size);
+        plan_dissemination(&group, &table, std::slice::from_ref(&stable), &mut rng, &mut plan);
 
         let fanout = params.fanout.fanout(group_size);
         prop_assert!(plan.gossip_targets.len() <= fanout.min(table.len()));
@@ -86,9 +98,10 @@ proptest! {
         }
         let trials = 4_000;
         let mut plan = DisseminationPlan::default();
+        let group = root_group(params, group_size);
         let elected = (0..trials)
             .filter(|_| {
-                plan_dissemination(&params, group_size, &table, std::slice::from_ref(&stable), &mut rng, &mut plan);
+                plan_dissemination(&group, &table, std::slice::from_ref(&stable), &mut rng, &mut plan);
                 plan.elected
             })
             .count();

@@ -437,7 +437,7 @@ fn a_wave_process_costs_its_budget_row_by_row() {
     use da_core::{ChannelConfig, KeyBuildHasher, ProcessStatus};
     use da_membership::{kmg_view_size, PartialView};
     use da_topics::{TopicHierarchy, TopicId};
-    use damulticast::{EventId, Mutation, SuperTable, TopicParams};
+    use damulticast::{EventId, Group, Mutation, SuperTable, TopicParams};
     use std::collections::HashSet;
     use std::mem::size_of;
     use std::num::NonZeroU32;
@@ -475,13 +475,9 @@ fn a_wave_process_costs_its_budget_row_by_row() {
 
     let fields = [
         (
-            "slab: group constants (`topic`, `hierarchy`, `params`, `group_size`, `labels`)",
-            size_of::<TopicId>()
-                + size_of::<Arc<TopicHierarchy>>()
-                + size_of::<TopicParams>()
-                + size_of::<usize>()
-                + 6 * size_of::<LabelId>(),
-            116,
+            "slab: group (`group`, one `Arc`, and `topic`)",
+            size_of::<Arc<Group>>() + size_of::<TopicId>(),
+            12,
         ),
         ("slab: topic table header (`view`)", size_of::<PartialView>(), 64),
         (
@@ -533,6 +529,12 @@ fn a_wave_process_costs_its_budget_row_by_row() {
             what: "heap: supertable entries (`z` per table)",
             bytes: per(tables().map(SuperTable::capacity).sum::<usize>() * size_of::<SuperEntry>()),
             cap: 23.8,
+        },
+        Row {
+            what: "shared: group values (one `Arc<Group>` per group)",
+            // An `Arc`'s allocation: its two counts, then the value.
+            bytes: per(SIZES.len() * (2 * size_of::<usize>() + size_of::<Group>())),
+            cap: 0.5,
         },
         Row {
             what: "shared: topic hierarchy (one `Arc`), measured alone",
