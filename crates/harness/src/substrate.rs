@@ -10,7 +10,7 @@
 //! by a `match`, not by convention.
 
 use da_core::ledger::protocol_labels;
-use da_core::{ExecProtocol, PoolConfig, ProcessId, RunConfig, TraceLog, WireSize};
+use da_core::{ExecProtocol, PoolConfig, ProcessId, RunConfig, WireSize};
 use da_runtime::{Runtime, Shutdown};
 use da_simnet::Engine;
 
@@ -93,15 +93,6 @@ where
         }
     }
 
-    /// The flight recorder's log so far, `None` when it is off.
-    #[must_use]
-    pub fn trace_log(&self) -> Option<TraceLog> {
-        match self {
-            Driver::Sim(engine) => engine.trace_log(),
-            Driver::Live(rt) => rt.trace_log(),
-        }
-    }
-
     /// Ends the run: the processes and their final liveness in pid order,
     /// the ledger, the protocol's counters, and the trace when the
     /// recorder was on. A pool counts what is still in flight as
@@ -131,7 +122,7 @@ where
 mod tests {
     use super::*;
     use da_core::testkit::Relay;
-    use da_core::{first_divergence, ChannelConfig, FailureModel, Latency, TraceConfig};
+    use da_core::{first_divergence, ChannelConfig, FailureModel, Latency, TraceConfig, TraceLog};
 
     /// Every verb gives one answer on the simulator and on a pool of any
     /// width: the tick the relay goes quiet on, what `apply` reads back,
@@ -155,7 +146,13 @@ mod tests {
                 .map(|pid| driver.apply(ProcessId(pid), |p| p.received.len()))
                 .collect();
             let quiet_after = driver.run_until_quiescent(32);
-            let read = driver.trace_log().expect("tracing is on");
+            // The substrates' own mid-run reads; a pool's crosses its
+            // control channel.
+            let read = match &driver {
+                Driver::Sim(engine) => engine.trace_log(),
+                Driver::Live(rt) => rt.trace_log(),
+            };
+            let read = read.expect("tracing is on");
             let out = driver.finish();
             let receipts: Vec<Vec<u64>> = out.processes.into_iter().map(|p| p.received).collect();
             let events = out.trace.expect("tracing is on").canonical_events();
