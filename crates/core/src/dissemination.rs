@@ -1,8 +1,9 @@
 //! The dissemination decision logic (Fig. 7 of the paper).
 //!
 //! Separated from the protocol state machine so the randomized decisions
-//! can be unit-tested in isolation. Given the per-topic parameters and the
-//! membership tables, [`plan_dissemination`] decides
+//! can be unit-tested in isolation. Given the group's numbers (computed
+//! once per group from its size and per-topic parameters, see
+//! [`Group`]) and the membership tables, [`plan_dissemination`] decides
 //!
 //! 1. **inter-group forwarding**: per supertopic table, with probability
 //!    `p_sel = g / S` the process elects itself as a link and then sends

@@ -96,26 +96,22 @@ impl Group {
     }
 
     /// The group's topic.
-    #[must_use]
-    pub fn topic(&self) -> TopicId {
+    pub(crate) fn topic(&self) -> TopicId {
         self.topic
     }
 
     /// The hierarchy the topic lives in.
-    #[must_use]
-    pub fn hierarchy(&self) -> &TopicHierarchy {
+    pub(crate) fn hierarchy(&self) -> &TopicHierarchy {
         &self.hierarchy
     }
 
     /// The group's parameters.
-    #[must_use]
-    pub fn params(&self) -> &TopicParams {
+    pub(crate) fn params(&self) -> &TopicParams {
         &self.params
     }
 
     /// `S_Ti`, the group size estimate.
-    #[must_use]
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 

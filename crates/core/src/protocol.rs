@@ -104,7 +104,7 @@ pub struct DaProcess {
     /// runs the [`flat`] gossip on it; static mode never changes it.
     view: PartialView,
     /// One supertopic table per direct supertopic, in
-    /// [`TopicHierarchy::parents`] order; none at the root.
+    /// `TopicHierarchy::parents` order; none at the root.
     super_tables: Vec<SuperTable>,
     /// Dynamic-mode state; `None` in static mode.
     dynamic: Option<Box<Dynamic>>,
@@ -169,10 +169,12 @@ impl DaProcess {
     /// run and no control traffic is generated.
     ///
     /// `super_entries` holds one entry list per direct supertopic, in
-    /// [`TopicHierarchy::parents`] order, and each becomes one supertable.
-    /// A list names contacts in the nearest non-empty group among its
-    /// supertopic and that supertopic's ancestors, tagged with that group's
-    /// topic. Root-group members pass no list.
+    /// [`TopicHierarchy::parents`] order, and each becomes one
+    /// supertable. A list names contacts in the nearest non-empty group
+    /// among its supertopic and that supertopic's ancestors, tagged with
+    /// that group's topic. Root-group members pass no list.
+    ///
+    /// [`TopicHierarchy::parents`]: da_topics::TopicHierarchy::parents
     #[must_use]
     pub fn static_member(
         me: ProcessId,
@@ -321,6 +323,8 @@ impl DaProcess {
     /// # Ok(())
     /// # }
     /// ```
+    ///
+    /// [`TopicHierarchy::parents`]: da_topics::TopicHierarchy::parents
     #[must_use]
     pub fn super_tables(&self) -> &[SuperTable] {
         &self.super_tables
