@@ -56,8 +56,6 @@ pub struct Event {
     inner: Arc<Inner>,
 }
 
-/// The `Arc` puts its two counts in front of this value; aligned to a
-/// cache line, the value starts on the line after them.
 #[derive(PartialEq, Eq)]
 #[repr(align(64))]
 struct Inner {
@@ -70,10 +68,11 @@ struct Inner {
 // inline) the in-flight envelope stream outgrew the cache the receive
 // path works in. See ARCHITECTURE.md, "Bytes in flight".
 const _: () = assert!(std::mem::size_of::<Event>() == std::mem::size_of::<usize>());
-// Off the count's line: every clone and drop on another worker writes
-// the count, and `id()` / `topic()` then read a line that no such write
-// invalidates (the device `EdgeWatermarks` uses). See ARCHITECTURE.md,
-// "Bytes in flight".
+// The `Arc`'s counts sit in front of `Inner`; aligned to a line, the
+// value starts on the next one. Every clone and drop on another worker
+// writes the counts, and `id()` / `topic()` then read a line that no
+// such write invalidates (the device `EdgeWatermarks` uses). See
+// ARCHITECTURE.md, "Bytes in flight".
 const _: () = assert!(std::mem::align_of::<Inner>() == 64);
 
 impl Event {

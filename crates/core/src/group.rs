@@ -29,6 +29,10 @@ pub(crate) struct Labels {
     pub(crate) control: LabelId,
 }
 
+// The footprint the ids exist for: a slot cached per label (name, hash,
+// index) is as fast and costs more than the strings did.
+const _: () = assert!(std::mem::size_of::<Labels>() == 24);
+
 impl Labels {
     fn intern(topic_path: &str) -> Self {
         let intern = |kind: &str| LabelId::intern(&format!("da.{kind}.{topic_path}"));
@@ -62,20 +66,21 @@ impl Labels {
 /// ```
 #[derive(Debug)]
 pub struct Group {
-    topic: TopicId,
-    hierarchy: Arc<TopicHierarchy>,
-    params: TopicParams,
-    size: usize,
-    labels: Labels,
+    pub(crate) topic: TopicId,
+    pub(crate) hierarchy: Arc<TopicHierarchy>,
+    pub(crate) params: TopicParams,
+    /// `S_Ti`, the size estimate that dimensions the view and sets
+    /// `p_sel` and the fanout.
+    pub(crate) size: usize,
+    pub(crate) labels: Labels,
     fanout: usize,
     p_sel: f64,
     p_a: f64,
 }
 
 impl Group {
-    /// The group of `topic` in `hierarchy`, of `size` members (the
-    /// estimate `S_Ti` that dimensions the view and sets `p_sel` and the
-    /// fanout), run with `params`.
+    /// The group of `topic` in `hierarchy`, of `size` members, run with
+    /// `params`.
     #[must_use]
     pub fn new(
         topic: TopicId,
@@ -95,26 +100,6 @@ impl Group {
         }
     }
 
-    /// The group's topic.
-    pub(crate) fn topic(&self) -> TopicId {
-        self.topic
-    }
-
-    /// The hierarchy the topic lives in.
-    pub(crate) fn hierarchy(&self) -> &TopicHierarchy {
-        &self.hierarchy
-    }
-
-    /// The group's parameters.
-    pub(crate) fn params(&self) -> &TopicParams {
-        &self.params
-    }
-
-    /// `S_Ti`, the group size estimate.
-    pub(crate) fn size(&self) -> usize {
-        self.size
-    }
-
     /// How many group-mates a first delivery gossips to: `fanout(S)`.
     #[must_use]
     pub fn fanout(&self) -> usize {
@@ -131,10 +116,6 @@ impl Group {
     #[must_use]
     pub fn p_a(&self) -> f64 {
         self.p_a
-    }
-
-    pub(crate) fn labels(&self) -> &Labels {
-        &self.labels
     }
 }
 
@@ -165,7 +146,7 @@ mod tests {
                 );
                 assert_eq!(group.p_sel().to_bits(), params.p_sel(size).to_bits());
                 assert_eq!(group.p_a().to_bits(), params.p_a().to_bits());
-                assert_eq!((group.topic(), group.size()), (topic, size));
+                assert_eq!((group.topic, group.size), (topic, size));
             }
         }
     }

@@ -504,8 +504,8 @@ mod tests {
         let shares = |groups: &[GroupSpec], procs: &[DaProcess]| {
             for spec in groups {
                 let first = procs[spec.members[0].index()].group();
-                assert_eq!(first.topic(), spec.topic);
-                assert_eq!(first.size(), spec.members.len());
+                assert_eq!(first.topic, spec.topic);
+                assert_eq!(first.size, spec.members.len());
                 for pid in &spec.members {
                     assert!(Arc::ptr_eq(procs[pid.index()].group(), first), "{pid}");
                 }

@@ -182,9 +182,9 @@ impl DaProcess {
         topic_table: Vec<ProcessId>,
         super_entries: Vec<Vec<SuperEntry>>,
     ) -> Self {
-        let params = group.params();
+        let params = &group.params;
         let mut seed_rng = da_core::rng_for_process(0xDA, me);
-        let mut view = PartialView::new(me, kmg_view_size(params.b, group.size()));
+        let mut view = PartialView::new(me, kmg_view_size(params.b, group.size));
         view.merge(&topic_table, &mut seed_rng);
         let super_tables = super_entries
             .into_iter()
@@ -198,7 +198,7 @@ impl DaProcess {
             .collect();
         DaProcess {
             me,
-            topic: group.topic(),
+            topic: group.topic,
             group,
             view,
             super_tables,
@@ -228,14 +228,14 @@ impl DaProcess {
         overlay: Arc<Overlay>,
         join_contacts: Vec<ProcessId>,
     ) -> Self {
-        let (topic, hierarchy, params) = (group.topic(), group.hierarchy(), group.params());
+        let (topic, hierarchy, params) = (group.topic, &group.hierarchy, &group.params);
         let supertopics = hierarchy.parents(topic).len();
         assert!(
             supertopics <= 1,
             "dynamic mode keeps one supertable; {} has {supertopics} direct supertopics",
             hierarchy.path(topic)
         );
-        let view = PartialView::new(me, kmg_view_size(params.b, group.size()));
+        let view = PartialView::new(me, kmg_view_size(params.b, group.size));
         let super_tables = (0..supertopics)
             .map(|_| SuperTable::new(me, params.z))
             .collect();
@@ -379,7 +379,7 @@ impl DaProcess {
     /// `topic` is its own topic or a subtopic thereof.
     #[must_use]
     pub fn is_interested_in(&self, topic: TopicId) -> bool {
-        self.group.hierarchy().includes_or_eq(self.topic, topic)
+        self.group.hierarchy.includes_or_eq(self.topic, topic)
     }
 
     /// Sends `msg` and accounts it as control-plane traffic. A
@@ -390,7 +390,7 @@ impl DaProcess {
         to: ProcessId,
         msg: impl Into<DaMsg>,
     ) {
-        ctx.bump_id(self.group.labels().control);
+        ctx.bump_id(self.group.labels.control);
         ctx.send(to, msg.into());
     }
 
@@ -405,7 +405,7 @@ impl DaProcess {
             &mut plan,
         );
         for entry in &plan.super_targets {
-            ctx.bump_id(self.group.labels().inter_out);
+            ctx.bump_id(self.group.labels.inter_out);
             ctx.send(
                 entry.pid,
                 DaMsg::Event {
@@ -415,7 +415,7 @@ impl DaProcess {
             );
         }
         for &target in &plan.gossip_targets {
-            ctx.bump_id(self.group.labels().intra);
+            ctx.bump_id(self.group.labels.intra);
             ctx.send(
                 target,
                 DaMsg::Event {
@@ -443,12 +443,12 @@ impl DaProcess {
         }
         let fresh = self.seen.insert(event.id());
         if !fresh && !self.mutation.skips_dedup() {
-            ctx.bump_id(self.group.labels().duplicate);
+            ctx.bump_id(self.group.labels.duplicate);
             return;
         }
         if sender_topic != self.topic {
             // The event crossed a group boundary to reach us.
-            ctx.bump_id(self.group.labels().inter_in);
+            ctx.bump_id(self.group.labels.inter_in);
         }
         self.deliver(event, ctx);
     }
@@ -458,7 +458,7 @@ impl DaProcess {
     /// would be one more round trip on the reference count, a line every
     /// holder of the event shares.
     fn deliver<X: Exec<Msg = DaMsg>>(&mut self, event: Event, ctx: &mut X) {
-        ctx.bump_id(self.group.labels().delivered);
+        ctx.bump_id(self.group.labels.delivered);
         self.disseminate(&event, ctx);
         self.delivered.push(event);
     }
@@ -512,7 +512,7 @@ impl DaProcess {
         // If we are interested in one of the requested topics, answer with
         // ourselves plus a sample of our group view (Ψ).
         if topics.contains(&self.topic) {
-            let mut contacts = self.view.sample(self.group.params().z, ctx.rng());
+            let mut contacts = self.view.sample(self.group.params.z, ctx.rng());
             contacts.push(self.me);
             contacts.retain(|&p| p != origin);
             self.send_control(
@@ -555,7 +555,7 @@ impl DaProcess {
     ) {
         // Only contacts of strictly including topics belong in the
         // supertable.
-        if !self.group.hierarchy().includes(topic, self.topic) {
+        if !self.group.hierarchy.includes(topic, self.topic) {
             return;
         }
         // Not the root, then: dynamic mode keeps exactly one table.
@@ -564,7 +564,7 @@ impl DaProcess {
             .iter()
             .map(|&pid| SuperEntry { pid, topic })
             .collect();
-        let hierarchy = self.group.hierarchy();
+        let hierarchy = &self.group.hierarchy;
         if table.len() < table.capacity() {
             for &entry in &entries {
                 table.insert(entry, ctx.rng());
@@ -596,7 +596,7 @@ impl DaProcess {
                 let valid = self.valid_super_entries(contacts);
                 if let Some(table) = self.super_tables.first_mut() {
                     table.merge(&valid, |_| true);
-                    table.tighten(&valid, |t| self.group.hierarchy().depth(t));
+                    table.tighten(&valid, |t| self.group.hierarchy.depth(t));
                 }
             }
             ControlMsg::Membership {
@@ -613,7 +613,7 @@ impl DaProcess {
                 if !valid.is_empty() {
                     let table = &mut self.super_tables[0];
                     table.merge(&valid, |_| true);
-                    table.tighten(&valid, |t| self.group.hierarchy().depth(t));
+                    table.tighten(&valid, |t| self.group.hierarchy.depth(t));
                     if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
                         if task.is_active() && valid.iter().any(|e| e.topic == task.direct_super())
                         {
@@ -629,7 +629,7 @@ impl DaProcess {
     fn valid_super_entries(&self, entries: Vec<SuperEntry>) -> Vec<SuperEntry> {
         entries
             .into_iter()
-            .filter(|e| self.group.hierarchy().includes(e.topic, self.topic))
+            .filter(|e| self.group.hierarchy.includes(e.topic, self.topic))
             .collect()
     }
 
@@ -699,7 +699,7 @@ impl ExecProtocol for DaProcess {
                 // Fig. 6, lines 2–5: answer with available superprocesses —
                 // members of *our* group, which is a supergroup of the
                 // requester's.
-                let mut sample = self.view.sample(self.group.params().z, ctx.rng());
+                let mut sample = self.view.sample(self.group.params.z, ctx.rng());
                 sample.push(self.me);
                 let contacts = sample
                     .into_iter()
@@ -753,10 +753,9 @@ impl ExecProtocol for DaProcess {
         let p_sel = self.group.p_sel();
         let selected = p_sel >= 1.0 || (p_sel > 0.0 && ctx.rng().gen_bool(p_sel));
         let dynamic = self.dynamic.as_mut().expect("static mode returned above");
-        let action =
-            dynamic
-                .maintenance
-                .on_round(round, &entries, selected, self.group.params().tau);
+        let action = dynamic
+            .maintenance
+            .on_round(round, &entries, selected, self.group.params.tau);
         match action {
             MaintenanceAction::Ping { nonce, targets } => {
                 for t in targets {
@@ -787,7 +786,7 @@ impl ExecProtocol for DaProcess {
         if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
             if task.is_active() {
                 if let BootstrapAction::SendRequest { req_id, topics } =
-                    task.on_round(round, self.group.hierarchy())
+                    task.on_round(round, &self.group.hierarchy)
                 {
                     self.flood_request(req_id, topics, ctx);
                 }
@@ -853,7 +852,7 @@ impl McHash for DaProcess {
             state.write_u32(e.pid.0);
             state.write_u64(e.topic.index() as u64);
         }
-        state.write_u64(self.group.size() as u64);
+        state.write_u64(self.group.size as u64);
         let dynamic = self.dynamic.as_deref();
         let bootstrap = dynamic.is_some_and(|d| d.bootstrap.is_some());
         state.write_u8(u8::from(bootstrap));
@@ -1065,7 +1064,7 @@ mod tests {
         let (procs, _) = tiny_static_network();
         for p in &procs {
             // ln(S)+c view (capped) plus z supertable entries.
-            let params = p.group.params();
+            let params = &p.group.params;
             let view_cap = da_membership::kmg_view_size(params.b, 6);
             assert!(p.memory_entries() <= view_cap.max(5) + params.z);
         }
