@@ -461,9 +461,11 @@ fn a_wave_process_costs_its_budget_row_by_row() {
     let total = LIVE_BYTES.get() - before;
     let engine_bytes = LIVE_BYTES.get() - built;
     // The one value the whole population shares, built alone.
-    let start = LIVE_BYTES.get();
-    let hierarchy = Arc::new(TopicHierarchy::linear_chain(SIZES.len()).0);
-    let hierarchy_bytes = LIVE_BYTES.get() - start;
+    let hierarchy_bytes = {
+        let start = LIVE_BYTES.get();
+        let _hierarchy = Arc::new(TopicHierarchy::linear_chain(SIZES.len()).0);
+        LIVE_BYTES.get() - start
+    };
 
     let n = engine.population();
     let per = |bytes: usize| bytes as f64 / n as f64;
@@ -580,5 +582,4 @@ fn a_wave_process_costs_its_budget_row_by_row() {
         (sum - measured).abs() <= 0.02 * measured,
         "rows sum to {sum:.1} B, measured {measured:.1} B"
     );
-    drop(hierarchy);
 }
