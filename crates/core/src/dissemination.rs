@@ -115,18 +115,11 @@ mod tests {
     use std::sync::Arc;
 
     fn stable_with(n: u32) -> SuperTable {
-        let mut rng = rng_from_seed(99);
-        let mut t = SuperTable::new(ProcessId(0), n as usize);
-        for i in 0..n {
-            t.insert(
-                SuperEntry {
-                    pid: ProcessId(1000 + i),
-                    topic: TopicId::ROOT,
-                },
-                &mut rng,
-            );
-        }
-        t
+        let entry = |i| SuperEntry {
+            pid: ProcessId(1000 + i),
+            topic: TopicId::ROOT,
+        };
+        SuperTable::from_entries((0..n).map(entry).collect())
     }
 
     fn table(n: u32) -> Vec<ProcessId> {
@@ -299,7 +292,7 @@ mod tests {
     #[test]
     fn empty_supertable_never_elects() {
         let params = TopicParams::paper_default();
-        let stable = [SuperTable::new(ProcessId(0), 3)];
+        let stable = [SuperTable::with_capacity(3)];
         let mut rng = rng_from_seed(7);
         for _ in 0..100 {
             let plan = plan_dissemination(&params, 2, &table(5), &stable, &mut rng);
@@ -329,15 +322,11 @@ mod tests {
 
     /// Two one-entry tables, for supertopics 1 and 2.
     fn two_tables() -> [SuperTable; 2] {
-        let mut rng = rng_from_seed(98);
         [(10, 1), (20, 2)].map(|(pid, topic)| {
-            let mut t = SuperTable::new(ProcessId(0), 1);
-            let entry = SuperEntry {
+            SuperTable::from_entries(vec![SuperEntry {
                 pid: ProcessId(pid),
                 topic: TopicId::from_index(topic),
-            };
-            t.insert(entry, &mut rng);
-            t
+            }])
         })
     }
 

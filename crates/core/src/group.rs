@@ -100,6 +100,12 @@ impl Group {
         }
     }
 
+    /// The group's parameters; `z` bounds every member's supertable.
+    #[must_use]
+    pub fn params(&self) -> &TopicParams {
+        &self.params
+    }
+
     /// How many group-mates a first delivery gossips to: `fanout(S)`.
     #[must_use]
     pub fn fanout(&self) -> usize {

@@ -67,9 +67,9 @@ impl StaticNetwork {
     /// Returns [`DaError::InvalidParameter`] when `group_sizes` is empty,
     /// contains a zero, or `params` fails validation.
     pub fn linear(group_sizes: &[usize], params: ParamMap, seed: u64) -> Result<Self, DaError> {
-        if group_sizes.is_empty() {
+        if group_sizes.is_empty() || group_sizes.contains(&0) {
             return Err(DaError::InvalidParameter {
-                reason: "at least one group (the root) is required".to_owned(),
+                reason: "group sizes must be non-empty and positive".to_owned(),
             });
         }
         let (hierarchy, ids) = TopicHierarchy::linear_chain(group_sizes.len());
@@ -156,8 +156,7 @@ impl StaticNetwork {
             if group.members.is_empty() {
                 continue;
             }
-            let tp = params.for_topic(group.topic);
-            tp.validate()?;
+            let tp = params.params();
             let shared = Arc::new(Group::new(
                 group.topic,
                 Arc::clone(&hierarchy),
@@ -242,12 +241,6 @@ impl StaticNetwork {
         &self.groups
     }
 
-    /// Total number of processes.
-    #[must_use]
-    pub fn population(&self) -> usize {
-        self.processes.len()
-    }
-
     /// Consumes the network, yielding the processes for
     /// `da_simnet::Engine::new`.
     #[must_use]
@@ -312,7 +305,7 @@ impl DynamicNetwork {
             let shared = Arc::new(Group::new(
                 group.topic,
                 Arc::clone(&hierarchy),
-                params.for_topic(group.topic),
+                params.params(),
                 group.members.len(),
             ));
             for (at, &pid) in group.members.iter().enumerate() {
@@ -365,15 +358,30 @@ mod tests {
     #[test]
     fn linear_builder_respects_paper_topology() {
         let net = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 1).unwrap();
-        assert_eq!(net.population(), 1110);
         assert_eq!(net.groups().len(), 3);
         assert_eq!(net.groups()[0].members.len(), 10);
         assert_eq!(net.groups()[2].members.len(), 1000);
+        assert_eq!(net.into_processes().len(), 1110);
     }
 
     #[test]
     fn empty_topology_rejected() {
         assert!(StaticNetwork::linear(&[], ParamMap::default(), 1).is_err());
+    }
+
+    /// Both chain builders turn away a zero-size group, as their docs
+    /// say; `from_groups` alone accepts empty groups.
+    #[test]
+    fn linear_builders_reject_a_zero_size_group() {
+        let sizes = [10, 0, 100];
+        assert!(matches!(
+            StaticNetwork::linear(&sizes, ParamMap::default(), 1),
+            Err(DaError::InvalidParameter { .. })
+        ));
+        assert!(matches!(
+            DynamicNetwork::linear(&sizes, ParamMap::default(), 1),
+            Err(DaError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

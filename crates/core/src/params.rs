@@ -8,8 +8,6 @@
 
 use crate::DaError;
 use da_membership::FanoutRule;
-use da_topics::TopicId;
-use std::collections::HashMap;
 
 /// Per-topic daMulticast parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,56 +149,40 @@ impl Default for TopicParams {
     }
 }
 
-/// Parameter assignment across a topic hierarchy: a default plus per-topic
-/// overrides.
+/// The parameters of every topic of a network: one [`TopicParams`] that
+/// all groups run.
 ///
 /// ```
 /// use damulticast::{ParamMap, TopicParams};
-/// use da_topics::TopicId;
 ///
-/// let mut params = ParamMap::uniform(TopicParams::paper_default());
-/// let custom = TopicParams::paper_default().with_z(5);
-/// params.set(TopicId::ROOT, custom);
-/// assert_eq!(params.for_topic(TopicId::ROOT).z, 5);
+/// let params = ParamMap::uniform(TopicParams::paper_default().with_z(5));
+/// assert_eq!(params.params().z, 5);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ParamMap {
     default: TopicParams,
-    overrides: HashMap<TopicId, TopicParams>,
 }
 
 impl ParamMap {
     /// Uses `default` for every topic.
     #[must_use]
     pub fn uniform(default: TopicParams) -> Self {
-        ParamMap {
-            default,
-            overrides: HashMap::new(),
-        }
+        ParamMap { default }
     }
 
-    /// Overrides the parameters of one topic.
-    pub fn set(&mut self, topic: TopicId, params: TopicParams) {
-        self.overrides.insert(topic, params);
-    }
-
-    /// The parameters of `topic` (override or default).
+    /// The parameters every topic runs.
     #[must_use]
-    pub fn for_topic(&self, topic: TopicId) -> TopicParams {
-        self.overrides.get(&topic).copied().unwrap_or(self.default)
+    pub fn params(&self) -> TopicParams {
+        self.default
     }
 
-    /// Validates every parameter set in the map.
+    /// Validates the parameters.
     ///
     /// # Errors
     ///
-    /// Returns the first [`DaError::InvalidParameter`] found.
+    /// Returns [`DaError::InvalidParameter`] when they fail validation.
     pub fn validate(&self) -> Result<(), DaError> {
-        self.default.validate()?;
-        for params in self.overrides.values() {
-            params.validate()?;
-        }
-        Ok(())
+        self.default.validate()
     }
 }
 
@@ -269,17 +251,5 @@ mod tests {
             let p = TopicParams::paper_default().with_fanout(fanout);
             assert!(p.validate().is_err(), "{fanout:?}");
         }
-    }
-
-    #[test]
-    fn param_map_overrides() {
-        let mut m = ParamMap::uniform(TopicParams::paper_default());
-        let t1 = TopicId::from_index(1);
-        m.set(t1, TopicParams::paper_default().with_z(7));
-        assert_eq!(m.for_topic(t1).z, 7);
-        assert_eq!(m.for_topic(TopicId::ROOT).z, 3);
-        assert!(m.validate().is_ok());
-        m.set(t1, TopicParams::paper_default().with_z(0));
-        assert!(m.validate().is_err());
     }
 }

@@ -5,10 +5,14 @@
 //! * the **topic table** — a [`PartialView`] of the process' own group,
 //!   kept fresh in dynamic mode by the [`flat`] gossip (the underlying
 //!   membership algorithm of the paper's reference \[10\]),
-//! * the **supertopic tables** — one constant-size [`SuperTable`] of
+//! * the **supertopic tables** — one [`SuperTable`] of at most `z`
 //!   contacts in an including group per direct supertopic: one in the
 //!   paper's tree, several for a topic with multiple supertopics
-//!   (Sec. VIII), none at the root,
+//!   (Sec. VIII), none at the root. `z` is the group's parameter. Dynamic
+//!   mode absorbs fresh super contacts through [`SuperTable::tighten`]:
+//!   they fill free room first, then replace a resident only with a
+//!   strictly deeper contact. A bootstrap answer that finds room is
+//!   inserted before that, evicting at random once the table is full,
 //! * the **bootstrap task** (`FIND_SUPER_CONTACT`, Fig. 4), flooding the
 //!   weakly-consistent neighbourhood overlay for super contacts,
 //! * the **maintenance task** (`KEEP_TABLE_UPDATED`, Fig. 6), probing
@@ -47,8 +51,11 @@ use std::sync::{Arc, LazyLock};
 // member never uses stays behind one box (inline, it made the process
 // 624 B), the topic table is a bare view, and the group's constants
 // (topic parameters, size, hierarchy, labels: 116 B) are one shared
-// `Arc<Group>`. See ARCHITECTURE.md, "Memory at scale".
+// `Arc<Group>`. A supertable is its list and nothing else: its owner is
+// the process and its bound `z` is the group's. See ARCHITECTURE.md,
+// "Memory at scale".
 const _: () = assert!(std::mem::size_of::<DaProcess>() == 208);
+const _: () = assert!(std::mem::size_of::<SuperTable>() == 24);
 
 /// Events of a topic the receiver is not interested in — one name for
 /// every process, and zero in a correct run.
@@ -188,13 +195,7 @@ impl DaProcess {
         view.merge(&topic_table, &mut seed_rng);
         let super_tables = super_entries
             .into_iter()
-            .map(|entries| {
-                let mut table = SuperTable::new(me, params.z.max(entries.len()));
-                for entry in entries {
-                    table.insert(entry, &mut seed_rng);
-                }
-                table
-            })
+            .map(SuperTable::from_entries)
             .collect();
         DaProcess {
             me,
@@ -237,7 +238,7 @@ impl DaProcess {
         );
         let view = PartialView::new(me, kmg_view_size(params.b, group.size));
         let super_tables = (0..supertopics)
-            .map(|_| SuperTable::new(me, params.z))
+            .map(|_| SuperTable::with_capacity(params.z))
             .collect();
         let dynamic = Dynamic {
             bootstrap: BootstrapTask::new(topic, hierarchy),
@@ -564,13 +565,13 @@ impl DaProcess {
             .iter()
             .map(|&pid| SuperEntry { pid, topic })
             .collect();
-        let hierarchy = &self.group.hierarchy;
-        if table.len() < table.capacity() {
+        let (hierarchy, z) = (&self.group.hierarchy, self.group.params.z);
+        if table.len() < z {
             for &entry in &entries {
-                table.insert(entry, ctx.rng());
+                table.insert(entry, z, ctx.rng());
             }
         }
-        table.tighten(&entries, |t| hierarchy.depth(t));
+        table.tighten(&entries, z, |t| hierarchy.depth(t));
         if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
             // A direct-supertopic answer stops the task; answers from
             // higher ancestors narrow the search (Fig. 4, lines 31-35).
@@ -595,8 +596,9 @@ impl DaProcess {
                 // Fig. 6, lines 6–9: MERGE fresh superprocesses.
                 let valid = self.valid_super_entries(contacts);
                 if let Some(table) = self.super_tables.first_mut() {
-                    table.merge(&valid, |_| true);
-                    table.tighten(&valid, |t| self.group.hierarchy.depth(t));
+                    table.tighten(&valid, self.group.params.z, |t| {
+                        self.group.hierarchy.depth(t)
+                    });
                 }
             }
             ControlMsg::Membership {
@@ -612,8 +614,9 @@ impl DaProcess {
                 let valid = self.valid_super_entries(stable_sample);
                 if !valid.is_empty() {
                     let table = &mut self.super_tables[0];
-                    table.merge(&valid, |_| true);
-                    table.tighten(&valid, |t| self.group.hierarchy.depth(t));
+                    table.tighten(&valid, self.group.params.z, |t| {
+                        self.group.hierarchy.depth(t)
+                    });
                     if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
                         if task.is_active() && valid.iter().any(|e| e.topic == task.direct_super())
                         {

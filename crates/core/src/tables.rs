@@ -21,152 +21,131 @@ pub struct SuperEntry {
     pub topic: TopicId,
 }
 
-/// The constant-size supertopic table.
+/// The constant-size supertopic table: a list of contacts in including
+/// groups, no two with the same pid.
 ///
-/// Invariants: no self-reference, no duplicate process ids, at most `z`
-/// entries.
+/// The table holds its entries and nothing else. Its bound `z` is a
+/// parameter of the owner's group, so the callers that grow a table pass
+/// it in. The owner never appears: every path that adds an entry keeps
+/// only contacts of a strictly including topic, and a process holds one
+/// topic.
 ///
 /// ```
 /// use damulticast::{SuperEntry, SuperTable};
 /// use da_core::{rng_from_seed, ProcessId};
 /// use da_topics::TopicId;
 ///
-/// let mut table = SuperTable::new(ProcessId(0), 2);
+/// let z = 2;
+/// let mut table = SuperTable::with_capacity(z);
 /// let mut rng = rng_from_seed(1);
-/// table.insert(SuperEntry { pid: ProcessId(1), topic: TopicId::ROOT }, &mut rng);
+/// table.insert(SuperEntry { pid: ProcessId(1), topic: TopicId::ROOT }, z, &mut rng);
 /// assert_eq!(table.len(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuperTable {
-    owner: ProcessId,
-    capacity: usize,
-    entries: Vec<SuperEntry>,
-}
+pub struct SuperTable(Vec<SuperEntry>);
 
 impl SuperTable {
-    /// Creates an empty supertable of capacity `z` owned by `owner`.
+    /// An empty table with room for `z` entries.
     #[must_use]
-    pub fn new(owner: ProcessId, z: usize) -> Self {
-        SuperTable {
-            owner,
-            capacity: z,
-            entries: Vec::with_capacity(z),
+    pub fn with_capacity(z: usize) -> Self {
+        SuperTable(Vec::with_capacity(z))
+    }
+
+    /// The table of `entries` as drawn, less any repeated pid (the first
+    /// stays).
+    #[must_use]
+    pub fn from_entries(mut entries: Vec<SuperEntry>) -> Self {
+        let mut kept = 0;
+        for at in 0..entries.len() {
+            let entry = entries[at];
+            if !entries[..kept].iter().any(|e| e.pid == entry.pid) {
+                entries[kept] = entry;
+                kept += 1;
+            }
         }
-    }
-
-    /// The owning process.
-    #[must_use]
-    pub fn owner(&self) -> ProcessId {
-        self.owner
-    }
-
-    /// The capacity `z`.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        entries.truncate(kept);
+        SuperTable(entries)
     }
 
     /// Current number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.0.len()
     }
 
     /// True when the table holds no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.0.is_empty()
     }
 
     /// The entries as a slice.
     #[must_use]
     pub fn entries(&self) -> &[SuperEntry] {
-        &self.entries
+        &self.0
     }
 
     /// True when `pid` is listed.
     #[must_use]
     pub fn contains(&self, pid: ProcessId) -> bool {
-        self.entries.iter().any(|e| e.pid == pid)
+        self.0.iter().any(|e| e.pid == pid)
     }
 
-    /// Inserts an entry, evicting a random resident when full. Rejects
-    /// self-references and duplicate pids. Returns true when inserted.
-    pub fn insert<R: Rng>(&mut self, entry: SuperEntry, rng: &mut R) -> bool {
-        if entry.pid == self.owner || self.contains(entry.pid) || self.capacity == 0 {
+    /// Inserts an entry, evicting a random resident when the table holds
+    /// `z` already. Rejects duplicate pids. Returns true when inserted.
+    pub fn insert<R: Rng>(&mut self, entry: SuperEntry, z: usize, rng: &mut R) -> bool {
+        if self.contains(entry.pid) || z == 0 {
             return false;
         }
-        if self.entries.len() >= self.capacity {
-            let victim = rng.gen_range(0..self.entries.len());
-            self.entries.swap_remove(victim);
+        if self.0.len() >= z {
+            let victim = rng.gen_range(0..self.0.len());
+            self.0.swap_remove(victim);
         }
-        self.entries.push(entry);
+        self.0.push(entry);
         true
     }
 
     /// Removes the entry for `pid`, if present.
     pub fn remove(&mut self, pid: ProcessId) -> bool {
-        if let Some(pos) = self.entries.iter().position(|e| e.pid == pid) {
-            self.entries.swap_remove(pos);
+        if let Some(pos) = self.0.iter().position(|e| e.pid == pid) {
+            self.0.swap_remove(pos);
             true
         } else {
             false
         }
     }
 
-    /// The paper's `MERGE` (footnote 5): keeps the "favorite" (still alive)
-    /// entries and replaces failed ones with fresh contacts. `alive`
-    /// decides which residents survive; `fresh` entries then fill the
-    /// remaining capacity.
-    ///
-    /// Returns the number of fresh entries absorbed.
-    pub fn merge<F>(&mut self, fresh: &[SuperEntry], mut alive: F) -> usize
-    where
-        F: FnMut(ProcessId) -> bool,
-    {
-        self.entries.retain(|e| alive(e.pid));
-        let mut absorbed = 0;
-        for &entry in fresh {
-            if self.entries.len() >= self.capacity {
-                break;
-            }
-            if entry.pid != self.owner && !self.contains(entry.pid) {
-                self.entries.push(entry);
-                absorbed += 1;
-            }
-        }
-        absorbed
-    }
-
-    /// Prefers entries of topics *nearer* the owner's topic: when a fresh
-    /// entry is interested in a strictly deeper (more specific) ancestor
-    /// than a resident, the resident is replaced. Used when the bootstrap
-    /// found only a distant ancestor first and a direct superprocess shows
-    /// up later.
+    /// Absorbs `fresh` contacts, the paper's `MERGE` (footnote 5) for a
+    /// table whose residents are all alive. Each new pid fills free room
+    /// up to `z`; once the table is full, it replaces the shallowest
+    /// resident if its topic is strictly deeper, that is nearer the
+    /// owner's. So a table that the bootstrap filled from a distant
+    /// ancestor tightens toward the direct supertopic when its contacts
+    /// show up. No draw.
     ///
     /// `depth_of` maps a topic to its depth in the hierarchy.
-    pub fn tighten<D>(&mut self, fresh: &[SuperEntry], depth_of: D)
+    pub fn tighten<D>(&mut self, fresh: &[SuperEntry], z: usize, depth_of: D)
     where
         D: Fn(TopicId) -> usize,
     {
         for &entry in fresh {
-            if entry.pid == self.owner || self.contains(entry.pid) {
+            if self.contains(entry.pid) {
                 continue;
             }
-            if self.entries.len() < self.capacity {
-                self.entries.push(entry);
+            if self.0.len() < z {
+                self.0.push(entry);
                 continue;
             }
             // Replace the shallowest (most distant) resident if the fresh
             // entry is strictly deeper.
             if let Some((idx, shallowest)) = self
-                .entries
+                .0
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| depth_of(e.topic))
             {
                 if depth_of(entry.topic) > depth_of(shallowest.topic) {
-                    self.entries[idx] = entry;
+                    self.0[idx] = entry;
                 }
             }
         }
@@ -174,7 +153,7 @@ impl SuperTable {
 
     /// Samples up to `k` distinct entries, one draw per entry kept.
     pub fn sample<R: Rng>(&self, k: usize, rng: &mut R) -> Vec<SuperEntry> {
-        let mut pool = self.entries.clone();
+        let mut pool = self.0.clone();
         da_core::keep_random(&mut pool, k, rng);
         pool
     }
@@ -192,76 +171,73 @@ mod tests {
         }
     }
 
+    /// No path into a table lists a pid twice: `insert` rejects it,
+    /// `tighten` skips it, and a drawn list keeps its first.
     #[test]
-    fn rejects_self_and_duplicates() {
+    fn rejects_duplicates() {
         let mut rng = rng_from_seed(1);
-        let mut t = SuperTable::new(ProcessId(0), 3);
-        assert!(!t.insert(entry(0, 0), &mut rng), "self rejected");
-        assert!(t.insert(entry(1, 0), &mut rng));
-        assert!(!t.insert(entry(1, 0), &mut rng), "duplicate rejected");
-        assert_eq!(t.len(), 1);
+        let mut t = SuperTable::with_capacity(3);
+        assert!(t.insert(entry(1, 0), 3, &mut rng));
+        assert!(!t.insert(entry(1, 0), 3, &mut rng), "duplicate rejected");
+        t.tighten(&[entry(1, 0), entry(2, 0), entry(2, 1)], 3, |t| t.index());
+        assert_eq!(t.entries(), [entry(1, 0), entry(2, 0)]);
+        let drawn = SuperTable::from_entries(vec![entry(2, 0), entry(1, 0), entry(2, 1)]);
+        assert_eq!(drawn.entries(), [entry(2, 0), entry(1, 0)], "first kept");
     }
 
     #[test]
     fn capacity_enforced_with_eviction() {
         let mut rng = rng_from_seed(2);
-        let mut t = SuperTable::new(ProcessId(0), 2);
+        let mut t = SuperTable::with_capacity(2);
         for i in 1..=5 {
-            t.insert(entry(i, 0), &mut rng);
+            t.insert(entry(i, 0), 2, &mut rng);
             assert!(t.len() <= 2);
         }
         assert!(t.contains(ProcessId(5)), "newest always resident");
     }
 
+    /// The paper's MERGE as the maintenance task runs it: the dead
+    /// resident is removed, then `tighten` fills the freed slot.
     #[test]
     fn merge_keeps_alive_and_fills_with_fresh() {
         let mut rng = rng_from_seed(3);
-        let mut t = SuperTable::new(ProcessId(0), 3);
-        t.insert(entry(1, 0), &mut rng);
-        t.insert(entry(2, 0), &mut rng);
-        t.insert(entry(3, 0), &mut rng);
+        let mut t = SuperTable::with_capacity(3);
+        t.insert(entry(1, 0), 3, &mut rng);
+        t.insert(entry(2, 0), 3, &mut rng);
+        t.insert(entry(3, 0), 3, &mut rng);
         // 2 is dead; fresh contacts 4, 5 offered.
-        let absorbed = t.merge(&[entry(4, 0), entry(5, 0)], |p| p != ProcessId(2));
-        assert_eq!(absorbed, 1, "one slot was freed");
+        assert!(t.remove(ProcessId(2)));
+        t.tighten(&[entry(4, 0), entry(5, 0)], 3, |t| t.index());
         assert!(t.contains(ProcessId(1)));
         assert!(t.contains(ProcessId(3)));
         assert!(t.contains(ProcessId(4)));
         assert!(!t.contains(ProcessId(2)));
+        assert!(!t.contains(ProcessId(5)), "one slot was freed");
         assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn merge_skips_duplicates_and_self() {
-        let mut rng = rng_from_seed(4);
-        let mut t = SuperTable::new(ProcessId(0), 4);
-        t.insert(entry(1, 0), &mut rng);
-        let absorbed = t.merge(&[entry(1, 0), entry(0, 0), entry(2, 0)], |_| true);
-        assert_eq!(absorbed, 1);
-        assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn tighten_prefers_deeper_topics() {
         let mut rng = rng_from_seed(5);
-        let mut t = SuperTable::new(ProcessId(0), 2);
+        let mut t = SuperTable::with_capacity(2);
         // Entries at the root (depth 0) — the distant fallback.
-        t.insert(entry(1, 0), &mut rng);
-        t.insert(entry(2, 0), &mut rng);
+        t.insert(entry(1, 0), 2, &mut rng);
+        t.insert(entry(2, 0), 2, &mut rng);
         // A direct superprocess at depth 1 appears.
-        t.tighten(&[entry(3, 1)], |topic| topic.index());
+        t.tighten(&[entry(3, 1)], 2, |topic| topic.index());
         assert!(t.contains(ProcessId(3)));
         assert_eq!(t.len(), 2);
         // A shallower candidate does not displace a deeper resident.
-        t.tighten(&[entry(4, 0)], |topic| topic.index());
+        t.tighten(&[entry(4, 0)], 2, |topic| topic.index());
         assert!(!t.contains(ProcessId(4)));
     }
 
     #[test]
     fn sample_distinct() {
         let mut rng = rng_from_seed(7);
-        let mut t = SuperTable::new(ProcessId(0), 5);
+        let mut t = SuperTable::with_capacity(5);
         for i in 1..=5 {
-            t.insert(entry(i, 0), &mut rng);
+            t.insert(entry(i, 0), 5, &mut rng);
         }
         let s = t.sample(3, &mut rng);
         assert_eq!(s.len(), 3);
@@ -274,8 +250,8 @@ mod tests {
     #[test]
     fn remove_entries() {
         let mut rng = rng_from_seed(8);
-        let mut t = SuperTable::new(ProcessId(0), 3);
-        t.insert(entry(1, 0), &mut rng);
+        let mut t = SuperTable::with_capacity(3);
+        t.insert(entry(1, 0), 3, &mut rng);
         assert!(t.remove(ProcessId(1)));
         assert!(!t.remove(ProcessId(1)));
         assert!(t.is_empty());

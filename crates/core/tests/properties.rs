@@ -46,13 +46,11 @@ proptest! {
     ) {
         let mut rng = rng_from_seed(seed);
         let table: Vec<ProcessId> = (1..=table_size as u32).map(ProcessId).collect();
-        let mut stable = SuperTable::new(ProcessId(0), stable_size);
-        for i in 0..stable_size as u32 {
-            stable.insert(
-                SuperEntry { pid: ProcessId(1000 + i), topic: TopicId::ROOT },
-                &mut rng,
-            );
-        }
+        let stable = SuperTable::from_entries(
+            (0..stable_size as u32)
+                .map(|i| SuperEntry { pid: ProcessId(1000 + i), topic: TopicId::ROOT })
+                .collect(),
+        );
         let mut plan = DisseminationPlan::default();
         let group = root_group(params, group_size);
         plan_dissemination(&group, &table, std::slice::from_ref(&stable), &mut rng, &mut plan);
@@ -89,13 +87,11 @@ proptest! {
         let params = TopicParams::paper_default().with_g(g);
         let mut rng = rng_from_seed(seed);
         let table: Vec<ProcessId> = (1..=10).map(ProcessId).collect();
-        let mut stable = SuperTable::new(ProcessId(0), 3);
-        for i in 0..3 {
-            stable.insert(
-                SuperEntry { pid: ProcessId(1000 + i), topic: TopicId::ROOT },
-                &mut rng,
-            );
-        }
+        let stable = SuperTable::from_entries(
+            (0..3)
+                .map(|i| SuperEntry { pid: ProcessId(1000 + i), topic: TopicId::ROOT })
+                .collect(),
+        );
         let trials = 4_000;
         let mut plan = DisseminationPlan::default();
         let group = root_group(params, group_size);
@@ -115,8 +111,11 @@ proptest! {
         );
     }
 
-    /// Supertable MERGE (footnote 5): dead residents leave, fresh fill up
-    /// to capacity, favourites (alive residents) always survive.
+    /// Supertable MERGE (footnote 5), as the maintenance task runs it:
+    /// the dead residents are removed, then `tighten` absorbs the fresh
+    /// contacts. The table never exceeds its `z`, fresh pids fill free
+    /// room first, and an alive resident leaves only for a strictly
+    /// deeper entry. A contact's depth is its pid mod 4.
     #[test]
     fn supertable_merge_laws(
         capacity in 1usize..8,
@@ -125,29 +124,39 @@ proptest! {
         fresh in prop::collection::vec(50u32..90, 0..8),
         seed in 0u64..10_000,
     ) {
+        let entry = |pid: u32| SuperEntry {
+            pid: ProcessId(pid),
+            topic: TopicId::from_index(pid as usize % 4),
+        };
+        let depth = |e: &SuperEntry| e.topic.index();
         let mut rng = rng_from_seed(seed);
-        let mut table = SuperTable::new(ProcessId(0), capacity);
+        let mut table = SuperTable::with_capacity(capacity);
         for &r in &residents {
-            table.insert(SuperEntry { pid: ProcessId(r), topic: TopicId::ROOT }, &mut rng);
+            table.insert(entry(r), capacity, &mut rng);
         }
-        let survivors: Vec<ProcessId> = table
-            .entries()
-            .iter()
-            .map(|e| e.pid)
-            .filter(|p| !dead.contains(&p.0))
-            .collect();
-        let fresh_entries: Vec<SuperEntry> = fresh
-            .iter()
-            .map(|&f| SuperEntry { pid: ProcessId(f), topic: TopicId::ROOT })
-            .collect();
-        table.merge(&fresh_entries, |p| !dead.contains(&p.0));
+        for &d in &dead {
+            table.remove(ProcessId(d));
+        }
+        let survivors = table.clone();
+        let fresh_entries: Vec<SuperEntry> = fresh.iter().map(|&f| entry(f)).collect();
+        table.tighten(&fresh_entries, capacity, TopicId::index);
 
-        prop_assert!(table.len() <= capacity);
-        for s in &survivors {
-            prop_assert!(table.contains(*s), "alive resident evicted by merge");
-        }
+        let new_pids: HashSet<u32> = fresh.iter().copied().collect();
+        let wanted = survivors.len() + new_pids.len();
+        prop_assert_eq!(table.len(), capacity.min(wanted));
         for e in table.entries() {
             prop_assert!(!dead.contains(&e.pid.0), "dead entry survived merge");
+        }
+        for s in survivors.entries().iter().filter(|s| !table.contains(s.pid)) {
+            prop_assert!(wanted > capacity, "{} evicted with room to spare", s.pid);
+            prop_assert!(
+                table.entries().iter().all(|e| depth(e) >= depth(s)),
+                "{} evicted before a shallower entry", s.pid
+            );
+            prop_assert!(
+                table.entries().iter().any(|e| e.pid.0 >= 50 && depth(e) > depth(s)),
+                "{} evicted with no strictly deeper fresh entry", s.pid
+            );
         }
     }
 

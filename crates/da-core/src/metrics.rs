@@ -496,45 +496,14 @@ impl Histogram {
         self.count == 0
     }
 
-    /// Iterates over non-empty buckets as `(lower_bound, count)` pairs
-    /// in ascending value order.
-    fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (if i == 0 { 0 } else { 1u64 << (i - 1) }, n))
-    }
-
     /// Adds every sample of `other` into this histogram.
-    pub fn merge_from(&mut self, other: &Histogram) {
+    fn merge_from(&mut self, other: &Histogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *mine += theirs;
         }
         self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
-    }
-
-    /// One JSON object summarising the distribution.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut buckets = String::from("[");
-        for (i, (lo, n)) in self.buckets().enumerate() {
-            if i > 0 {
-                buckets.push(',');
-            }
-            buckets.push_str(&format!("[{lo},{n}]"));
-        }
-        buckets.push(']');
-        format!(
-            "{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\"buckets\":{}}}",
-            self.count,
-            self.sum,
-            self.max,
-            self.mean(),
-            buckets
-        )
     }
 }
 
@@ -650,6 +619,16 @@ impl fmt::Display for TraceLog {
 mod tests {
     use super::*;
     use crate::trace::TraceVerdict;
+
+    /// A histogram's non-empty buckets as `(lower_bound, count)` pairs,
+    /// in ascending value order.
+    fn buckets(h: &Histogram) -> impl Iterator<Item = (u64, u64)> + '_ {
+        h.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(i, &n)| (if i == 0 { 0 } else { 1u64 << (i - 1) }, n))
+    }
 
     #[test]
     fn register_is_idempotent() {
@@ -841,7 +820,7 @@ mod tests {
         h.record(2);
         h.record(3);
         h.record(1024);
-        let buckets: Vec<(u64, u64)> = h.buckets().collect();
+        let buckets: Vec<(u64, u64)> = buckets(&h).collect();
         assert_eq!(buckets, vec![(0, 1), (1, 1), (2, 2), (1024, 1)]);
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 1030);
@@ -871,7 +850,7 @@ mod tests {
         assert_eq!(a.count(), 4);
         assert_eq!(a.sum(), 109);
         assert_eq!(a.max(), 100);
-        let ones = a.buckets().find(|&(lo, _)| lo == 1).unwrap();
+        let ones = buckets(&a).find(|&(lo, _)| lo == 1).unwrap();
         assert_eq!(ones.1, 2);
     }
 
@@ -880,7 +859,6 @@ mod tests {
         let h = Histogram::new();
         assert!(h.is_empty());
         assert_eq!(h.mean(), 0.0);
-        assert!(h.to_json().contains("\"count\":0"));
     }
 
     #[test]

@@ -142,12 +142,6 @@ impl<P> ProcessStore<P> {
         self.procs.iter_mut()
     }
 
-    /// The process slab as a slice.
-    #[must_use]
-    pub fn as_slice(&self) -> &[P] {
-        &self.procs
-    }
-
     /// The RNG stream of the process at `local` (which must be the
     /// local slot of `pid`), materialising it on first use.
     pub fn rng(&mut self, local: usize, pid: ProcessId) -> &mut SmallRng {

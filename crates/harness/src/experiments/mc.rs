@@ -141,7 +141,7 @@ impl Invariant<DaProcess> for NoDuplicateDelivery {
     }
 }
 
-/// Every supertable stays within its configured capacity and never lists
+/// Every supertable holds at most its group's `z` entries and never lists
 /// its own process (Sec. VI-C: constant `z_Ti` entries).
 pub struct SuperTableWithinCapacity;
 
@@ -152,12 +152,12 @@ impl Invariant<DaProcess> for SuperTableWithinCapacity {
 
     fn check(&self, engine: &Engine<DaProcess>) -> Result<(), String> {
         for (pid, p) in engine.processes() {
+            let z = p.group().params().z;
             for table in p.super_tables() {
-                if table.len() > table.capacity() {
+                if table.len() > z {
                     return Err(format!(
-                        "{pid} supertable holds {} entries, capacity {}",
-                        table.len(),
-                        table.capacity()
+                        "{pid} supertable holds {} entries, z = {z}",
+                        table.len()
                     ));
                 }
                 if table.entries().iter().any(|e| e.pid == pid) {

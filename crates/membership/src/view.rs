@@ -1,5 +1,4 @@
 use da_core::ProcessId;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// A bounded partial view of a process group.
@@ -60,12 +59,6 @@ impl PartialView {
     #[must_use]
     pub fn owner(&self) -> ProcessId {
         self.owner
-    }
-
-    /// Maximum number of entries.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of entries.
@@ -207,11 +200,6 @@ impl PartialView {
         da_core::keep_random(&mut pool, k, rng);
         pool
     }
-
-    /// One uniformly random entry, or `None` when empty.
-    pub fn choose<R: Rng>(&self, rng: &mut R) -> Option<ProcessId> {
-        self.entries.choose(rng).copied()
-    }
 }
 
 #[cfg(test)]
@@ -290,12 +278,5 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 5);
         assert_eq!(v.sample(100, &mut rng).len(), 8);
-    }
-
-    #[test]
-    fn choose_none_when_empty() {
-        let mut rng = rng_from_seed(6);
-        let v = PartialView::new(ProcessId(0), 4);
-        assert_eq!(v.choose(&mut rng), None);
     }
 }

@@ -169,19 +169,6 @@ impl TopicPath {
         other.canonical.starts_with(&self.canonical)
             && other.canonical.as_bytes().get(self.canonical.len()) == Some(&b'.')
     }
-
-    /// Iterates over all strict supertopic paths, nearest first, ending at
-    /// the root.
-    #[must_use]
-    pub fn ancestors(&self) -> Vec<TopicPath> {
-        let mut out = Vec::with_capacity(self.depth());
-        let mut cursor = self.parent();
-        while let Some(p) = cursor {
-            cursor = p.parent();
-            out.push(p);
-        }
-        out
-    }
 }
 
 impl FromStr for TopicPath {
@@ -311,13 +298,6 @@ mod tests {
         // `.a` does not include `.ab` even though it is a string prefix.
         let ab2 = TopicPath::parse(".ab").unwrap();
         assert!(!a.includes(&ab2));
-    }
-
-    #[test]
-    fn ancestors_nearest_first() {
-        let p = TopicPath::parse(".a.b.c").unwrap();
-        let anc: Vec<String> = p.ancestors().iter().map(|x| x.to_string()).collect();
-        assert_eq!(anc, vec![".a.b", ".a", "."]);
     }
 
     #[test]

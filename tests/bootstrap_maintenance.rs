@@ -3,9 +3,11 @@
 //! supertable tightening.
 
 use da_core::{FailureModel, Fate, ProcessId};
+use da_harness::substrate::{Driver, Substrate};
+use da_membership::static_init::assign_group_members;
 use da_simnet::{Engine, SimConfig};
 use da_topics::TopicHierarchy;
-use damulticast::{DynamicNetwork, GroupSpec, ParamMap, StaticNetwork, TopicParams};
+use damulticast::{DaProcess, DynamicNetwork, GroupSpec, ParamMap, StaticNetwork, TopicParams};
 use std::sync::Arc;
 
 fn boosted_params() -> ParamMap {
@@ -187,5 +189,113 @@ fn dead_entries_eventually_dropped() {
             "process {i}: {dead}/{} dead entries survived maintenance",
             table.len()
         );
+    }
+}
+
+/// A population and the hierarchy its topics live in.
+type Population = (Arc<TopicHierarchy>, Vec<DaProcess>);
+
+fn static_population(net: StaticNetwork) -> Population {
+    (Arc::clone(net.hierarchy()), net.into_processes())
+}
+
+/// A static chain whose middle group is empty: the leaves link past it.
+fn chain_with_a_gap() -> Population {
+    let (h, ids) = TopicHierarchy::linear_chain(3);
+    let groups = ids
+        .into_iter()
+        .zip(assign_group_members(&[5, 0, 20]))
+        .map(|(topic, members)| GroupSpec { topic, members })
+        .collect();
+    static_population(StaticNetwork::from_groups(Arc::new(h), groups, boosted_params(), 3).unwrap())
+}
+
+/// `.a` and `.b` below the root and `.a.c` below both (Sec. VIII).
+fn diamond() -> Population {
+    let mut h = TopicHierarchy::from_paths([".a.c", ".b"]).unwrap();
+    let [a, b, c] = [".a", ".b", ".a.c"].map(|p| h.resolve(p).unwrap());
+    h.add_supertopic(c, b).unwrap();
+    let groups = [h.root(), a, b, c]
+        .into_iter()
+        .zip(assign_group_members(&[4, 10, 10, 40]))
+        .map(|(topic, members)| GroupSpec { topic, members })
+        .collect();
+    static_population(StaticNetwork::from_groups(Arc::new(h), groups, boosted_params(), 4).unwrap())
+}
+
+/// A dynamic chain whose maintenance probes often, so that under churn
+/// tables lose links and refill them through `NewProcessAns`.
+fn dynamic_chain() -> Population {
+    let params = TopicParams {
+        maintenance_period: 5,
+        ping_timeout: 2,
+        ..TopicParams::paper_default().with_g(15.0).with_a(3.0)
+    };
+    let net = DynamicNetwork::linear(&[5, 15, 45], ParamMap::uniform(params), 6).unwrap();
+    (Arc::clone(net.hierarchy()), net.into_processes())
+}
+
+/// No supertable lists its owner, and every entry's topic strictly
+/// includes the owner's: the tables hold no owner of their own, so every
+/// path that fills them must keep this. Checked after a publication on
+/// static chains and the diamond, on a dynamic chain and under churn,
+/// on the simulator and on a two-worker pool.
+#[test]
+fn supertables_list_only_contacts_of_strictly_including_topics() {
+    let churn = FailureModel::Churn {
+        crash_probability: 0.05,
+        recover_probability: 0.2,
+    };
+    let paper_chain = || {
+        static_population(StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 1).unwrap())
+    };
+    let cases: [(&str, &dyn Fn() -> Population, FailureModel); 5] = [
+        ("static chain", &paper_chain, FailureModel::None),
+        (
+            "static chain with an empty group",
+            &chain_with_a_gap,
+            FailureModel::None,
+        ),
+        ("static diamond", &diamond, FailureModel::None),
+        ("dynamic chain", &dynamic_chain, FailureModel::None),
+        ("dynamic chain under churn", &dynamic_chain, churn),
+    ];
+    for substrate in [Substrate::Sim, Substrate::Live { workers: 2 }] {
+        for (case, build, failures) in &cases {
+            let (hierarchy, processes) = build();
+            let publisher = ProcessId::from_index(processes.len() - 1);
+            let config = SimConfig::default()
+                .with_seed(9)
+                .with_failures(failures.clone());
+            let mut driver = Driver::spawn(substrate, config, processes);
+            driver.run_ticks(100);
+            driver.apply(publisher, |p| {
+                p.publish("up");
+            });
+            driver.run_ticks(40);
+            let mut entries = 0;
+            for p in driver.finish().processes {
+                for e in p.super_tables().iter().flat_map(|t| t.entries()) {
+                    assert_ne!(
+                        e.pid,
+                        p.id(),
+                        "{case} on {substrate:?}: {} lists itself",
+                        p.id()
+                    );
+                    assert!(
+                        hierarchy.includes(e.topic, p.topic()),
+                        "{case} on {substrate:?}: {} lists {} of {}",
+                        p.id(),
+                        e.pid,
+                        hierarchy.path(e.topic)
+                    );
+                    entries += 1;
+                }
+            }
+            assert!(
+                entries > 0,
+                "{case} on {substrate:?}: no supertable entry to check"
+            );
+        }
     }
 }

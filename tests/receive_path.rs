@@ -525,11 +525,11 @@ fn a_wave_process_costs_its_budget_row_by_row() {
         Row {
             what: "heap: supertable list (one `SuperTable` per direct supertopic)",
             bytes: per(tables().count() * size_of::<SuperTable>()),
-            cap: 39.7,
+            cap: 23.8,
         },
         Row {
-            what: "heap: supertable entries (`z` per table)",
-            bytes: per(tables().map(SuperTable::capacity).sum::<usize>() * size_of::<SuperEntry>()),
+            what: "heap: supertable entries (`z` per table, each list as drawn)",
+            bytes: per(tables().map(SuperTable::len).sum::<usize>() * size_of::<SuperEntry>()),
             cap: 23.8,
         },
         Row {
