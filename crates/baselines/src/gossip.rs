@@ -5,11 +5,10 @@
 //! and multicast (one table per joined topic group) share the publish,
 //! de-dup, interest check and relay below.
 
-use da_core::{Exec, ExecProtocol, KeyBuildHasher, LabelId, ProcessId, WireSize};
+use da_core::{Exec, ExecProtocol, LabelId, ProcessId, WireSize};
 use da_topics::{TopicHierarchy, TopicId};
-use damulticast::{Event, EventId};
+use damulticast::{Event, EventId, EventSet};
 use rand::Rng;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::common::InterestMap;
@@ -71,8 +70,9 @@ pub struct GossipProcess {
     topic: TopicId,
     hierarchy: Arc<TopicHierarchy>,
     tables: Vec<GossipTable>,
-    /// Event ids already received, parasites included.
-    seen: HashSet<EventId, KeyBuildHasher>,
+    /// Event ids already received, parasites included: the de-dup set
+    /// `DaProcess` keeps.
+    seen: EventSet,
     /// Events delivered to the application, in delivery order.
     delivered: Vec<Event>,
     /// First receipts of events this process is not interested in.
@@ -96,7 +96,7 @@ impl GossipProcess {
             topic: interests.interest_of(me),
             hierarchy: Arc::clone(interests.hierarchy()),
             tables,
-            seen: HashSet::default(),
+            seen: EventSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
@@ -260,7 +260,7 @@ mod tests {
         let mut rng = rng_from_seed(1);
         let t = gossip_targets(&pool, 8, &mut rng);
         assert_eq!(t.len(), 8);
-        let set: HashSet<_> = t.iter().collect();
+        let set: std::collections::HashSet<_> = t.iter().collect();
         assert_eq!(set.len(), 8);
         assert_eq!(gossip_targets(&pool, 100, &mut rng).len(), 20);
     }

@@ -35,6 +35,136 @@ impl WireSize for EventId {
     }
 }
 
+/// An exact set of [`EventId`]s: the de-dup table of Fig. 5's "done only
+/// the first time", which every receipt probes, 85% of them for an id
+/// already there.
+///
+/// An open-addressed table of packed id words (`publisher << 32 |
+/// sequence`), probed linearly from a Fibonacci home slot, so a probe
+/// reads one cache line where a SwissTable read a control group and a
+/// bucket. The table is a power of two long and doubles past a load of
+/// 3/4; it is empty until the first insert, so a set that never receives
+/// allocates nothing. `u64::MAX` marks a free slot, and the one id that
+/// packs to it — `{u32::MAX, u32::MAX}`, never published but buildable —
+/// is kept in a flag beside the table.
+///
+/// ```
+/// use damulticast::{EventId, EventSet};
+/// use da_core::ProcessId;
+///
+/// let id = |p, s| EventId { publisher: ProcessId(p), sequence: s };
+/// let mut seen = EventSet::default();
+/// assert!(seen.insert(id(3, 0)));
+/// assert!(!seen.insert(id(3, 0)));
+/// assert!(seen.insert(id(u32::MAX, u32::MAX)));
+/// assert!(seen.contains(id(u32::MAX, u32::MAX)));
+/// assert!(!seen.contains(id(0, 3)));
+/// assert_eq!(seen.iter().count(), 2);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct EventSet {
+    /// Packed ids, [`EMPTY`] where there is none.
+    slots: Box<[u64]>,
+    /// Ids in `slots`: a table of 2³² of them would take 64 GiB.
+    len: u32,
+    /// Whether the id that packs to [`EMPTY`] is in the set.
+    holds_all_ones: bool,
+}
+
+// Every process keeps one; `DaProcess`'s size assertion counts on it.
+const _: () = assert!(std::mem::size_of::<EventSet>() == 24);
+
+/// A free slot; also the packing of `{u32::MAX, u32::MAX}`.
+const EMPTY: u64 = u64::MAX;
+
+/// The table length of the first insert.
+const FIRST_LEN: usize = 8;
+
+fn pack(id: EventId) -> u64 {
+    u64::from(id.publisher.0) << 32 | u64::from(id.sequence)
+}
+
+fn unpack(word: u64) -> EventId {
+    EventId {
+        publisher: ProcessId((word >> 32) as u32),
+        sequence: word as u32,
+    }
+}
+
+impl EventSet {
+    /// Adds `id`; true when it was not in the set yet.
+    #[inline]
+    pub fn insert(&mut self, id: EventId) -> bool {
+        let word = pack(id);
+        if word == EMPTY {
+            return !std::mem::replace(&mut self.holds_all_ones, true);
+        }
+        if !self.slots.is_empty() {
+            let (at, found) = self.probe(word);
+            if found {
+                return false;
+            }
+            if (self.len as usize + 1) * 4 <= self.slots.len() * 3 {
+                self.slots[at] = word;
+                self.len += 1;
+                return true;
+            }
+        }
+        self.grow();
+        let (at, _) = self.probe(word);
+        self.slots[at] = word;
+        self.len += 1;
+        true
+    }
+
+    /// True when `id` is in the set.
+    #[inline]
+    #[must_use]
+    pub fn contains(&self, id: EventId) -> bool {
+        let word = pack(id);
+        if word == EMPTY {
+            return self.holds_all_ones;
+        }
+        !self.slots.is_empty() && self.probe(word).1
+    }
+
+    /// Every id in the set, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = EventId> + '_ {
+        let all_ones = self.holds_all_ones.then_some(EMPTY);
+        let words = self.slots.iter().copied().filter(|&w| w != EMPTY);
+        words.chain(all_ones).map(unpack)
+    }
+
+    /// The slot holding `word`, or the free slot ending its probe run,
+    /// and which of the two it is. The table is not empty, and past 3/4
+    /// full it has doubled, so the run ends.
+    #[inline]
+    fn probe(&self, word: u64) -> (usize, bool) {
+        let mask = self.slots.len() - 1;
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut at = (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        loop {
+            match self.slots[at] {
+                slot if slot == word => return (at, true),
+                EMPTY => return (at, false),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Doubles the table (or makes the first) and re-places every id.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(FIRST_LEN);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; len].into_boxed_slice());
+        for word in old.iter().copied().filter(|&w| w != EMPTY) {
+            let (at, _) = self.probe(word);
+            self.slots[at] = word;
+        }
+    }
+}
+
 /// A published event (`e_Ti` in the paper): identity, topic, payload.
 ///
 /// An `Event` is a handle — one pointer to the one allocation
@@ -196,6 +326,71 @@ mod tests {
             sequence: u32::MAX,
         };
         assert_eq!(last.wire_size(), 12);
+    }
+
+    fn id(publisher: u32, sequence: u32) -> EventId {
+        EventId {
+            publisher: ProcessId(publisher),
+            sequence,
+        }
+    }
+
+    #[test]
+    fn an_empty_set_holds_nothing_and_owns_no_table() {
+        let set = EventSet::default();
+        for probe in [id(0, 0), id(7, 3), id(u32::MAX, u32::MAX), id(u32::MAX, 0)] {
+            assert!(!set.contains(probe), "{probe}");
+        }
+        assert_eq!(set.iter().count(), 0);
+        assert!(set.slots.is_empty());
+    }
+
+    #[test]
+    fn the_all_ones_id_is_a_member_like_any_other() {
+        let all_ones = id(u32::MAX, u32::MAX);
+        let mut set = EventSet::default();
+        assert!(set.insert(all_ones));
+        assert!(!set.insert(all_ones));
+        assert!(set.contains(all_ones));
+        // Kept beside the table: no slot is taken, and the neighbours
+        // that share a half of its word are not members.
+        assert!(set.slots.is_empty());
+        assert!(!set.contains(id(u32::MAX, u32::MAX - 1)));
+        assert!(!set.contains(id(u32::MAX - 1, u32::MAX)));
+        assert!(set.insert(id(u32::MAX, u32::MAX - 1)));
+        assert!(set.insert(id(0, 0)));
+        let mut members: Vec<EventId> = set.iter().collect();
+        members.sort();
+        assert_eq!(members, [id(0, 0), id(u32::MAX, u32::MAX - 1), all_ones]);
+    }
+
+    #[test]
+    fn growth_through_ten_thousand_inserts_loses_no_id() {
+        // Ids of a few publishers with runs of sequences, as a wave sees
+        // them, and the halves of the word swapped, which must not alias.
+        let present = |k: u32| id(k % 13, k / 13);
+        let absent = |k: u32| id(k / 13 + 1000, k % 13);
+        let mut set = EventSet::default();
+        let mut doublings = 0;
+        for k in 0..10_000 {
+            let before = set.slots.len();
+            assert!(set.insert(present(k)), "{}", present(k));
+            assert!(!set.insert(present(k)));
+            if set.slots.len() != before {
+                // Doubled on the insert that would pass a load of 3/4.
+                assert_eq!(k as usize, before * 3 / 4);
+                doublings += 1;
+                assert!((0..=k).all(|j| set.contains(present(j))), "after {k}");
+                assert!((0..=k).step_by(97).all(|j| !set.contains(absent(j))));
+                assert!(!set.contains(id(u32::MAX, u32::MAX)));
+            }
+        }
+        // 8 slots, then doubled up to the first power of two 4/3 above 10,000.
+        assert_eq!(set.slots.len(), 16_384);
+        assert_eq!(doublings, 12);
+        assert_eq!(set.len, 10_000);
+        assert_eq!(set.iter().count(), 10_000);
+        assert!((0..10_000).all(|k| set.contains(present(k))));
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub use bootstrap::{BootstrapAction, BootstrapTask};
 pub use da_core::{Exec, ExecProtocol};
 pub use dissemination::{plan_dissemination, DisseminationPlan};
 pub use error::DaError;
-pub use event::{Event, EventId};
+pub use event::{Event, EventId, EventSet};
 pub use group::Group;
 pub use maintenance::{MaintenanceAction, MaintenanceTask};
 pub use message::{ControlMsg, DaMsg};

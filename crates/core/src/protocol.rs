@@ -34,7 +34,7 @@
 
 use crate::bootstrap::{BootstrapAction, BootstrapTask, REQUEST_TTL};
 use crate::dissemination::{plan_dissemination, DisseminationPlan};
-use crate::event::{Event, EventId};
+use crate::event::{Event, EventId, EventSet};
 use crate::group::Group;
 use crate::maintenance::{MaintenanceAction, MaintenanceTask};
 use crate::message::{ControlMsg, DaMsg};
@@ -54,7 +54,7 @@ use std::sync::{Arc, LazyLock};
 // `Arc<Group>`. A supertable is its list and nothing else: its owner is
 // the process and its bound `z` is the group's. See ARCHITECTURE.md,
 // "Memory at scale".
-const _: () = assert!(std::mem::size_of::<DaProcess>() == 208);
+const _: () = assert!(std::mem::size_of::<DaProcess>() == 200);
 const _: () = assert!(std::mem::size_of::<SuperTable>() == 24);
 
 /// Events of a topic the receiver is not interested in — one name for
@@ -115,8 +115,9 @@ pub struct DaProcess {
     super_tables: Vec<SuperTable>,
     /// Dynamic-mode state; `None` in static mode.
     dynamic: Option<Box<Dynamic>>,
-    /// Event ids already received (the paper's "done only the first time").
-    seen: HashSet<EventId, KeyBuildHasher>,
+    /// Event ids already received (the paper's "done only the first
+    /// time"), parasites excepted: probed once per receipt, one line each.
+    seen: EventSet,
     /// Events delivered to the application, in delivery order.
     delivered: Vec<Event>,
     /// Events received for a topic this process is *not* interested in.
@@ -175,11 +176,20 @@ impl DaProcess {
     /// setting): `topic_table` and `super_entries` are fixed for the whole
     /// run and no control traffic is generated.
     ///
+    /// A static table is kept as given, with no draw: `topic_table` loses
+    /// only `me` and repeated pids, and must then fit the group's view
+    /// size ([`kmg_view_size`], at most `S − 1`), the size the network
+    /// builder draws.
+    ///
     /// `super_entries` holds one entry list per direct supertopic, in
     /// [`TopicHierarchy::parents`] order, and each becomes one
     /// supertable. A list names contacts in the nearest non-empty group
     /// among its supertopic and that supertopic's ancestors, tagged with
     /// that group's topic. Root-group members pass no list.
+    ///
+    /// # Panics
+    ///
+    /// When `topic_table` holds more pids than that view size.
     ///
     /// [`TopicHierarchy::parents`]: da_topics::TopicHierarchy::parents
     #[must_use]
@@ -189,10 +199,8 @@ impl DaProcess {
         topic_table: Vec<ProcessId>,
         super_entries: Vec<Vec<SuperEntry>>,
     ) -> Self {
-        let params = &group.params;
-        let mut seed_rng = da_core::rng_for_process(0xDA, me);
-        let mut view = PartialView::new(me, kmg_view_size(params.b, group.size));
-        view.merge(&topic_table, &mut seed_rng);
+        let capacity = kmg_view_size(group.params.b, group.size);
+        let view = PartialView::from_entries(me, capacity, &topic_table);
         let super_tables = super_entries
             .into_iter()
             .map(SuperTable::from_entries)
@@ -204,7 +212,7 @@ impl DaProcess {
             view,
             super_tables,
             dynamic: None,
-            seen: HashSet::default(),
+            seen: EventSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
@@ -254,7 +262,7 @@ impl DaProcess {
             view,
             super_tables,
             dynamic: Some(Box::new(dynamic)),
-            seen: HashSet::default(),
+            seen: EventSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
             pending_publish: Vec::new(),
@@ -342,7 +350,7 @@ impl DaProcess {
     /// it is recorded).
     #[must_use]
     pub fn has_delivered(&self, id: EventId) -> bool {
-        self.seen.contains(&id)
+        self.seen.contains(id)
     }
 
     /// Number of parasite receptions — events of topics this process is
@@ -811,8 +819,9 @@ impl ExecProtocol for DaProcess {
     }
 }
 
-/// XOR-fold of per-element hashes: order-independent, so iteration
-/// order of a `HashSet` cannot leak into the digest.
+/// XOR-fold of per-element hashes: order-independent, so the iteration
+/// order of a set (which follows its table's growth) cannot leak into the
+/// digest.
 fn fold_unordered<I: IntoIterator<Item = u64>>(items: I) -> u64 {
     let mut acc = 0u64;
     for word in items {
@@ -830,7 +839,7 @@ fn event_id_word(id: EventId) -> u64 {
 /// Canonical protocol-state digest for the bounded model checker.
 ///
 /// Ordered containers (views, tables, delivery logs) are hashed in
-/// order; sets are XOR-folded so `HashSet` iteration order cannot make
+/// order; sets are XOR-folded so their iteration order cannot make
 /// equal states look distinct. The bootstrap/maintenance/overlay tasks
 /// contribute presence flags only: the checker targets static-mode
 /// processes (the paper's simulation setting), where all three are
@@ -868,9 +877,7 @@ impl McHash for DaProcess {
         for p in join_contacts {
             state.write_u32(p.0);
         }
-        state.write_u64(fold_unordered(
-            self.seen.iter().map(|&id| event_id_word(id)),
-        ));
+        state.write_u64(fold_unordered(self.seen.iter().map(event_id_word)));
         state.write_u64(self.delivered.len() as u64);
         for e in &self.delivered {
             state.write_u64(event_id_word(e.id()));
@@ -943,6 +950,68 @@ mod tests {
             ));
         }
         (procs, ids)
+    }
+
+    /// A context that drops what it is handed.
+    struct Sink(rand::rngs::SmallRng);
+
+    impl Exec for Sink {
+        type Msg = DaMsg;
+
+        fn me(&self) -> ProcessId {
+            ProcessId(5)
+        }
+
+        fn round(&self) -> u64 {
+            0
+        }
+
+        fn send(&mut self, _to: ProcessId, _msg: DaMsg) {}
+
+        fn rng(&mut self) -> &mut rand::rngs::SmallRng {
+            &mut self.0
+        }
+
+        fn bump(&mut self, _label: &str) {}
+
+        fn add(&mut self, _label: &str, _delta: u64) {}
+    }
+
+    #[test]
+    fn the_digest_folds_the_seen_set_whatever_order_filled_it() {
+        let (procs, ids) = tiny_static_network();
+        let events: Vec<Event> = (0..40)
+            .map(|k| Event::new(ProcessId(4 + k % 6), k / 6, ids[1], "x"))
+            .collect();
+        let receive = |order: Vec<&Event>| {
+            let mut process = procs[5].clone();
+            let mut ctx = Sink(da_core::rng_from_seed(1));
+            for event in order {
+                let msg = DaMsg::Event {
+                    event: event.clone(),
+                    sender_topic: ids[1],
+                };
+                process.on_message(ProcessId(4), msg, &mut ctx);
+            }
+            process
+        };
+        let forward = receive(events.iter().collect());
+        let backward = receive(events.iter().rev().collect());
+        let digest = |p: &DaProcess| {
+            let mut h = FxHasher::default();
+            p.mc_hash(&mut h);
+            h.finish()
+        };
+        // Filled in opposite orders, the two tables lay the ids out
+        // differently.
+        let layout = |p: &DaProcess| p.seen.iter().collect::<Vec<_>>();
+        assert_ne!(layout(&forward), layout(&backward));
+        // The delivered log is hashed in order; with it aligned, the
+        // processes are one state.
+        assert_ne!(digest(&forward), digest(&backward));
+        let mut aligned = backward.clone();
+        aligned.delivered.clone_from(&forward.delivered);
+        assert_eq!(digest(&forward), digest(&aligned));
     }
 
     #[test]

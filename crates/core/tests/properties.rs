@@ -1,12 +1,12 @@
 //! Property tests on the protocol building blocks: dissemination-plan
-//! statistics, supertable laws, bootstrap narrowing, and maintenance
-//! phases, over arbitrary inputs.
+//! statistics, supertable laws, bootstrap narrowing, maintenance phases
+//! and the de-dup set, over arbitrary inputs.
 
 use da_core::{rng_from_seed, ProcessId};
 use da_topics::{TopicHierarchy, TopicId};
 use damulticast::{
-    plan_dissemination, BootstrapAction, BootstrapTask, DisseminationPlan, Group,
-    MaintenanceAction, MaintenanceTask, SuperEntry, SuperTable, TopicParams,
+    plan_dissemination, BootstrapAction, BootstrapTask, DisseminationPlan, EventId, EventSet,
+    Group, MaintenanceAction, MaintenanceTask, SuperEntry, SuperTable, TopicParams,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -285,5 +285,41 @@ proptest! {
             );
             prop_assert!(acceptable, "unexpected action {:?}", action);
         }
+    }
+}
+
+/// Each half of an id from a small alphabet, so streams repeat ids, with
+/// `u32::MAX` in it: the all-ones id is drawn too.
+fn arb_event_id() -> impl Strategy<Value = EventId> {
+    let half = || prop_oneof![0u32..5, Just(u32::MAX - 1), Just(u32::MAX)];
+    (half(), half()).prop_map(|(publisher, sequence)| EventId {
+        publisher: ProcessId(publisher),
+        sequence,
+    })
+}
+
+proptest! {
+    /// `EventSet` answers as a `HashSet<EventId>` does: the same
+    /// `insert` results on a stream with repeats, the same members after
+    /// it, and no member it does not hold.
+    #[test]
+    fn an_event_set_agrees_with_a_hash_set(
+        stream in prop::collection::vec(arb_event_id(), 0..200),
+        probes in prop::collection::vec(arb_event_id(), 0..20),
+    ) {
+        let mut set = EventSet::default();
+        let mut model = HashSet::new();
+        for &id in &stream {
+            prop_assert_eq!(set.insert(id), model.insert(id), "insert {}", id);
+            prop_assert!(set.contains(id));
+        }
+        for id in stream.iter().chain(&probes) {
+            prop_assert_eq!(set.contains(*id), model.contains(id), "contains {}", id);
+        }
+        let mut members: Vec<EventId> = set.iter().collect();
+        members.sort();
+        let mut expected: Vec<EventId> = model.into_iter().collect();
+        expected.sort();
+        prop_assert_eq!(members, expected);
     }
 }

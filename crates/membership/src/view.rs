@@ -55,6 +55,39 @@ impl PartialView {
         }
     }
 
+    /// A view of `capacity` holding `entries` in their order, less the
+    /// owner and repeated pids: a table drawn elsewhere, kept as given
+    /// with no draw.
+    ///
+    /// # Panics
+    ///
+    /// When more than `capacity` entries remain: keeping some of them
+    /// would take a draw.
+    ///
+    /// ```
+    /// use da_membership::PartialView;
+    /// use da_core::ProcessId;
+    ///
+    /// let drawn = [3, 0, 5, 3, 1].map(ProcessId);
+    /// let view = PartialView::from_entries(ProcessId(0), 4, &drawn);
+    /// assert_eq!(view.as_slice(), [3, 5, 1].map(ProcessId));
+    /// ```
+    #[must_use]
+    pub fn from_entries(owner: ProcessId, capacity: usize, entries: &[ProcessId]) -> Self {
+        let mut view = PartialView::new(owner, capacity);
+        for &pid in entries {
+            if pid != owner && !view.contains(pid) {
+                view.entries.push(pid);
+            }
+        }
+        assert!(
+            view.len() <= capacity,
+            "{} entries for a view of {capacity}",
+            view.len()
+        );
+        view
+    }
+
     /// The process owning this view.
     #[must_use]
     pub fn owner(&self) -> ProcessId {

@@ -16,10 +16,11 @@ function is charged to the exported symbol before it.
 --drop REGEX removes matching symbols before rates and shares are taken:
 the benchmark's calibration slice is `calib::|DefaultHasher` with --frames
 on a build with RUSTFLAGS='-C symbol-mangling-version=v0'. v0 names carry
-their generic arguments, so the calibration's SipHash `HashMap` rows say
-`DefaultHasher` and the protocol's `seen` insert
-(`HashMap<EventId, (), BuildHasherDefault<KeyHasher>>`) stays a row; a
-legacy-mangled build names both `HashMap<K,V,S,A>::insert`.
+their generic arguments, so the calibration's SipHash `HashSet` rows say
+`DefaultHasher`, and a table of the protocols' keyed by `KeyHasher` stays
+a row; a legacy-mangled build names every `HashMap<K,V,S,A>::insert` alike.
+The de-dup set (`damulticast::event::EventSet`) is no `HashMap`, so its
+rows stay whatever the mangling.
 --min RATE lists rows at or above RATE samples per 1,000 ops on either
 side (default 0.5).
 --frames joins the executable's samples by sym.py's second table instead,
