@@ -37,7 +37,6 @@ pub enum BootstrapAction {
 /// State machine of `FIND_SUPER_CONTACT`.
 #[derive(Debug, Clone)]
 pub struct BootstrapTask {
-    my_topic: TopicId,
     direct_super: TopicId,
     /// Topics currently searched for, nearest first (`initMsg`).
     wanted: Vec<TopicId>,
@@ -55,7 +54,6 @@ impl BootstrapTask {
     pub fn new(topic: TopicId, hierarchy: &TopicHierarchy) -> Option<Self> {
         let direct_super = hierarchy.parent(topic)?;
         Some(BootstrapTask {
-            my_topic: topic,
             direct_super,
             wanted: vec![direct_super],
             attempt_round: 0,
@@ -68,12 +66,6 @@ impl BootstrapTask {
     #[must_use]
     pub fn is_active(&self) -> bool {
         self.active
-    }
-
-    /// The topic whose process runs this task.
-    #[must_use]
-    pub fn topic(&self) -> TopicId {
-        self.my_topic
     }
 
     /// The direct supertopic this task ultimately looks for.
@@ -171,7 +163,6 @@ mod tests {
     fn start_requests_direct_super() {
         let (h, ids) = chain();
         let mut task = BootstrapTask::new(ids[3], &h).unwrap();
-        assert_eq!(task.topic(), ids[3]);
         assert_eq!(task.direct_super(), ids[2]);
         match task.start(0) {
             BootstrapAction::SendRequest { topics, .. } => {

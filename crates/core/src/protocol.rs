@@ -9,10 +9,10 @@
 //!   contacts in an including group per direct supertopic: one in the
 //!   paper's tree, several for a topic with multiple supertopics
 //!   (Sec. VIII), none at the root. `z` is the group's parameter. Dynamic
-//!   mode absorbs fresh super contacts through [`SuperTable::tighten`]:
-//!   they fill free room first, then replace a resident only with a
-//!   strictly deeper contact. A bootstrap answer that finds room is
-//!   inserted before that, evicting at random once the table is full,
+//!   mode absorbs every fresh super contact (a bootstrap answer, a
+//!   maintenance answer or a piggybacked entry) by one rule,
+//!   [`SuperTable::tighten`]: it fills free room first, then replaces a
+//!   resident only with a strictly deeper contact, and never at random,
 //! * the **bootstrap task** (`FIND_SUPER_CONTACT`, Fig. 4), flooding the
 //!   weakly-consistent neighbourhood overlay for super contacts,
 //! * the **maintenance task** (`KEEP_TABLE_UPDATED`, Fig. 6), probing
@@ -205,20 +205,7 @@ impl DaProcess {
             .into_iter()
             .map(SuperTable::from_entries)
             .collect();
-        DaProcess {
-            me,
-            topic: group.topic,
-            group,
-            view,
-            super_tables,
-            dynamic: None,
-            seen: EventSet::default(),
-            delivered: Vec::new(),
-            parasite_count: 0,
-            pending_publish: Vec::new(),
-            next_sequence: 0,
-            mutation: Mutation::None,
-        }
+        DaProcess::new(me, group, view, super_tables, None)
     }
 
     /// Builds a dynamic-mode process running the full protocol: it joins
@@ -255,13 +242,24 @@ impl DaProcess {
             join_contacts,
             answered_requests: HashSet::default(),
         };
+        DaProcess::new(me, group, view, super_tables, Some(Box::new(dynamic)))
+    }
+
+    /// A process that has received and published nothing yet.
+    fn new(
+        me: ProcessId,
+        group: Arc<Group>,
+        view: PartialView,
+        super_tables: Vec<SuperTable>,
+        dynamic: Option<Box<Dynamic>>,
+    ) -> Self {
         DaProcess {
             me,
-            topic,
+            topic: group.topic,
             group,
             view,
             super_tables,
-            dynamic: Some(Box::new(dynamic)),
+            dynamic,
             seen: EventSet::default(),
             delivered: Vec::new(),
             parasite_count: 0,
@@ -554,39 +552,6 @@ impl DaProcess {
         }
     }
 
-    /// Handles a bootstrap answer (Fig. 4, lines 30–37): merge the contacts
-    /// and narrow or stop the search.
-    fn handle_ans_contact<X: Exec<Msg = DaMsg>>(
-        &mut self,
-        topic: TopicId,
-        contacts: &[ProcessId],
-        ctx: &mut X,
-    ) {
-        // Only contacts of strictly including topics belong in the
-        // supertable.
-        if !self.group.hierarchy.includes(topic, self.topic) {
-            return;
-        }
-        // Not the root, then: dynamic mode keeps exactly one table.
-        let table = &mut self.super_tables[0];
-        let entries: Vec<SuperEntry> = contacts
-            .iter()
-            .map(|&pid| SuperEntry { pid, topic })
-            .collect();
-        let (hierarchy, z) = (&self.group.hierarchy, self.group.params.z);
-        if table.len() < z {
-            for &entry in &entries {
-                table.insert(entry, z, ctx.rng());
-            }
-        }
-        table.tighten(&entries, z, |t| hierarchy.depth(t));
-        if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
-            // A direct-supertopic answer stops the task; answers from
-            // higher ancestors narrow the search (Fig. 4, lines 31-35).
-            task.on_answer(topic, hierarchy);
-        }
-    }
-
     /// The control-plane messages that carry a list (Figs. 4 & 6 and the
     /// membership gossip).
     fn on_control<X: Exec<Msg = DaMsg>>(&mut self, from: ProcessId, msg: ControlMsg, ctx: &mut X) {
@@ -598,16 +563,20 @@ impl DaProcess {
                 ttl,
             } => self.handle_req_contact(origin, req_id, topics, ttl, ctx),
             ControlMsg::AnsContact { topic, contacts } => {
-                self.handle_ans_contact(topic, &contacts, ctx);
+                // Fig. 4, lines 30–37: merge the contacts; a direct-supertopic
+                // answer stops the search, one from a higher ancestor
+                // narrows it. An answer lists its responder, so nothing is
+                // absorbed only when its topic does not include ours.
+                let fresh = contacts.into_iter().map(|pid| SuperEntry { pid, topic });
+                if !self.absorb(fresh).is_empty() {
+                    if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
+                        task.on_answer(topic, &self.group.hierarchy);
+                    }
+                }
             }
             ControlMsg::NewProcessAns { contacts } => {
                 // Fig. 6, lines 6–9: MERGE fresh superprocesses.
-                let valid = self.valid_super_entries(contacts);
-                if let Some(table) = self.super_tables.first_mut() {
-                    table.tighten(&valid, self.group.params.z, |t| {
-                        self.group.hierarchy.depth(t)
-                    });
-                }
+                self.absorb(contacts);
             }
             ControlMsg::Membership {
                 inner,
@@ -616,32 +585,45 @@ impl DaProcess {
                 let round = ctx.round();
                 let replies = flat::on_message(&mut self.view, from, &inner, round, ctx.rng());
                 self.route_membership(replies, ctx);
-                // Piggybacked supertable entries: valid for us when their
-                // topic strictly includes ours (sender is a group-mate, so
-                // its ancestors are ours).
-                let valid = self.valid_super_entries(stable_sample);
-                if !valid.is_empty() {
-                    let table = &mut self.super_tables[0];
-                    table.tighten(&valid, self.group.params.z, |t| {
-                        self.group.hierarchy.depth(t)
-                    });
-                    if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
-                        if task.is_active() && valid.iter().any(|e| e.topic == task.direct_super())
-                        {
-                            task.stop();
-                        }
+                // Piggybacked supertable entries (the sender is a
+                // group-mate, so its ancestors are ours): one of the direct
+                // supertopic ends the search.
+                let absorbed = self.absorb(stable_sample);
+                if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
+                    if task.is_active() && absorbed.iter().any(|e| e.topic == task.direct_super()) {
+                        task.stop();
                     }
                 }
             }
         }
     }
 
-    /// The `entries` whose topic strictly includes this process' own.
-    fn valid_super_entries(&self, entries: Vec<SuperEntry>) -> Vec<SuperEntry> {
-        entries
+    /// Absorbs fresh super contacts, the one way a dynamic-mode contact
+    /// enters a supertable: those whose topic strictly includes this
+    /// process' own tighten the table, the rest are dropped. Returns the
+    /// contacts kept. A topic with several direct supertopics would route
+    /// each contact to its supertopic's table here.
+    fn absorb(&mut self, fresh: impl IntoIterator<Item = SuperEntry>) -> Vec<SuperEntry> {
+        let hierarchy = &self.group.hierarchy;
+        let valid: Vec<SuperEntry> = fresh
             .into_iter()
-            .filter(|e| self.group.hierarchy.includes(e.topic, self.topic))
-            .collect()
+            .filter(|e| hierarchy.includes(e.topic, self.topic))
+            .collect();
+        if let Some(table) = self.super_tables.first_mut() {
+            table.tighten(&valid, self.group.params.z, |t| hierarchy.depth(t));
+        }
+        valid
+    }
+
+    /// Starts `FIND_SUPER_CONTACT` afresh and floods its first request:
+    /// on start, when maintenance finds every contact dead, and on
+    /// recovery.
+    fn restart_bootstrap<X: Exec<Msg = DaMsg>>(&mut self, ctx: &mut X) {
+        if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
+            if let BootstrapAction::SendRequest { req_id, topics } = task.start(ctx.round()) {
+                self.flood_request(req_id, topics, ctx);
+            }
+        }
     }
 
     /// Wraps and routes pending membership messages, piggybacking a sample
@@ -681,14 +663,9 @@ impl ExecProtocol for DaProcess {
             let joins = flat::join(&mut self.view, &contacts, ctx.rng());
             self.route_membership(joins, ctx);
         }
-        if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
-            if self.super_tables.iter().all(SuperTable::is_empty) {
-                if let BootstrapAction::SendRequest { req_id, topics } = task.start(ctx.round()) {
-                    self.flood_request(req_id, topics, ctx);
-                }
-            } else {
-                task.stop();
-            }
+        // A table filled before the start needs no search.
+        if self.super_tables.iter().all(SuperTable::is_empty) {
+            self.restart_bootstrap(ctx);
         }
     }
 
@@ -783,13 +760,7 @@ impl ExecProtocol for DaProcess {
                     self.send_control(ctx, a, DaMsg::NewProcessReq);
                 }
             }
-            MaintenanceAction::RestartBootstrap => {
-                if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
-                    if let BootstrapAction::SendRequest { req_id, topics } = task.start(round) {
-                        self.flood_request(req_id, topics, ctx);
-                    }
-                }
-            }
+            MaintenanceAction::RestartBootstrap => self.restart_bootstrap(ctx),
             MaintenanceAction::Idle => {}
         }
 
@@ -811,11 +782,7 @@ impl ExecProtocol for DaProcess {
         // restart FIND_SUPER_CONTACT immediately rather than waiting for
         // the maintenance task to notice dead links. Static mode keeps
         // its fixed tables — a recovered static member just resumes.
-        if let Some(task) = self.dynamic.as_mut().and_then(|d| d.bootstrap.as_mut()) {
-            if let BootstrapAction::SendRequest { req_id, topics } = task.start(ctx.round()) {
-                self.flood_request(req_id, topics, ctx);
-            }
-        }
+        self.restart_bootstrap(ctx);
     }
 }
 
@@ -975,6 +942,50 @@ mod tests {
         fn bump(&mut self, _label: &str) {}
 
         fn add(&mut self, _label: &str, _delta: u64) {}
+    }
+
+    /// A bootstrap answer from a distant ancestor never pushes a
+    /// direct-supertopic contact out of a full table, whatever the
+    /// process's stream: a contact enters by `tighten` alone, and a root
+    /// contact is not deeper than any resident.
+    #[test]
+    fn an_ancestor_answer_keeps_the_direct_contacts() {
+        let (h, ids) = chain_hierarchy();
+        let z = 3;
+        let params = TopicParams {
+            z,
+            ..TopicParams::paper_default()
+        };
+        let group = Arc::new(Group::new(ids[2], h, params, 10));
+        let overlay = Arc::new(Overlay::random(40, 3, 1).unwrap());
+        let direct = |pid| SuperEntry {
+            pid: ProcessId(pid),
+            topic: ids[1],
+        };
+        for seed in 0..32 {
+            let mut p = DaProcess::dynamic_member(
+                ProcessId(0),
+                Arc::clone(&group),
+                Arc::clone(&overlay),
+                vec![],
+            );
+            let mut ctx = Sink(da_core::rng_from_seed(seed));
+            let contacts = vec![direct(10), direct(11)];
+            let msg = ControlMsg::NewProcessAns { contacts };
+            p.on_message(ProcessId(10), msg.into(), &mut ctx);
+            // `z + 1` contacts, the size a root member answers with.
+            let contacts = (20..21 + z as u32).map(ProcessId).collect();
+            let msg = ControlMsg::AnsContact {
+                topic: ids[0],
+                contacts,
+            };
+            p.on_message(ProcessId(20), msg.into(), &mut ctx);
+            let table = &p.super_tables()[0];
+            assert!(table.len() <= z, "seed {seed}: {table:?}");
+            for pid in [ProcessId(10), ProcessId(11)] {
+                assert!(table.contains(pid), "seed {seed} lost {pid}: {table:?}");
+            }
+        }
     }
 
     #[test]

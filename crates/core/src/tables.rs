@@ -26,20 +26,23 @@ pub struct SuperEntry {
 ///
 /// The table holds its entries and nothing else. Its bound `z` is a
 /// parameter of the owner's group, so the callers that grow a table pass
-/// it in. The owner never appears: every path that adds an entry keeps
-/// only contacts of a strictly including topic, and a process holds one
-/// topic.
+/// it in. A table is built in one of two ways: static mode keeps the list
+/// the network builder drew ([`SuperTable::from_entries`]), and dynamic
+/// mode absorbs every fresh contact through [`SuperTable::tighten`]. The
+/// owner never appears: every path that adds an entry keeps only
+/// contacts of a strictly including topic, and a process holds one
+/// topic. Only [`SuperTable::sample`] draws.
 ///
 /// ```
 /// use damulticast::{SuperEntry, SuperTable};
-/// use da_core::{rng_from_seed, ProcessId};
+/// use da_core::ProcessId;
 /// use da_topics::TopicId;
 ///
 /// let z = 2;
 /// let mut table = SuperTable::with_capacity(z);
-/// let mut rng = rng_from_seed(1);
-/// table.insert(SuperEntry { pid: ProcessId(1), topic: TopicId::ROOT }, z, &mut rng);
-/// assert_eq!(table.len(), 1);
+/// let root = |pid| SuperEntry { pid: ProcessId(pid), topic: TopicId::ROOT };
+/// table.tighten(&[root(1), root(2), root(3)], z, TopicId::index);
+/// assert_eq!(table.entries(), [root(1), root(2)], "full: an equal depth stays out");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuperTable(Vec<SuperEntry>);
@@ -89,20 +92,6 @@ impl SuperTable {
     #[must_use]
     pub fn contains(&self, pid: ProcessId) -> bool {
         self.0.iter().any(|e| e.pid == pid)
-    }
-
-    /// Inserts an entry, evicting a random resident when the table holds
-    /// `z` already. Rejects duplicate pids. Returns true when inserted.
-    pub fn insert<R: Rng>(&mut self, entry: SuperEntry, z: usize, rng: &mut R) -> bool {
-        if self.contains(entry.pid) || z == 0 {
-            return false;
-        }
-        if self.0.len() >= z {
-            let victim = rng.gen_range(0..self.0.len());
-            self.0.swap_remove(victim);
-        }
-        self.0.push(entry);
-        true
     }
 
     /// Removes the entry for `pid`, if present.
@@ -171,40 +160,42 @@ mod tests {
         }
     }
 
-    /// No path into a table lists a pid twice: `insert` rejects it,
-    /// `tighten` skips it, and a drawn list keeps its first.
+    /// No path into a table lists a pid twice: `tighten` skips a listed
+    /// pid, and a drawn list keeps its first.
     #[test]
     fn rejects_duplicates() {
-        let mut rng = rng_from_seed(1);
         let mut t = SuperTable::with_capacity(3);
-        assert!(t.insert(entry(1, 0), 3, &mut rng));
-        assert!(!t.insert(entry(1, 0), 3, &mut rng), "duplicate rejected");
-        t.tighten(&[entry(1, 0), entry(2, 0), entry(2, 1)], 3, |t| t.index());
+        t.tighten(&[entry(1, 0), entry(1, 0), entry(2, 0)], 3, |t| t.index());
+        t.tighten(&[entry(1, 0), entry(2, 1)], 3, |t| t.index());
         assert_eq!(t.entries(), [entry(1, 0), entry(2, 0)]);
         let drawn = SuperTable::from_entries(vec![entry(2, 0), entry(1, 0), entry(2, 1)]);
         assert_eq!(drawn.entries(), [entry(2, 0), entry(1, 0)], "first kept");
     }
 
+    /// A table never holds more than `z`: once full, it refuses a contact
+    /// of a resident's depth, and a strictly deeper one evicts the
+    /// shallowest resident.
     #[test]
     fn capacity_enforced_with_eviction() {
-        let mut rng = rng_from_seed(2);
         let mut t = SuperTable::with_capacity(2);
         for i in 1..=5 {
-            t.insert(entry(i, 0), 2, &mut rng);
+            t.tighten(&[entry(i, 1)], 2, |t| t.index());
             assert!(t.len() <= 2);
         }
-        assert!(t.contains(ProcessId(5)), "newest always resident");
+        assert_eq!(
+            t.entries(),
+            [entry(1, 1), entry(2, 1)],
+            "equal depth refused"
+        );
+        t.tighten(&[entry(6, 0), entry(7, 2)], 2, |t| t.index());
+        assert_eq!(t.entries(), [entry(7, 2), entry(2, 1)], "deeper evicts");
     }
 
     /// The paper's MERGE as the maintenance task runs it: the dead
     /// resident is removed, then `tighten` fills the freed slot.
     #[test]
     fn merge_keeps_alive_and_fills_with_fresh() {
-        let mut rng = rng_from_seed(3);
-        let mut t = SuperTable::with_capacity(3);
-        t.insert(entry(1, 0), 3, &mut rng);
-        t.insert(entry(2, 0), 3, &mut rng);
-        t.insert(entry(3, 0), 3, &mut rng);
+        let mut t = SuperTable::from_entries(vec![entry(1, 0), entry(2, 0), entry(3, 0)]);
         // 2 is dead; fresh contacts 4, 5 offered.
         assert!(t.remove(ProcessId(2)));
         t.tighten(&[entry(4, 0), entry(5, 0)], 3, |t| t.index());
@@ -218,11 +209,8 @@ mod tests {
 
     #[test]
     fn tighten_prefers_deeper_topics() {
-        let mut rng = rng_from_seed(5);
-        let mut t = SuperTable::with_capacity(2);
         // Entries at the root (depth 0) — the distant fallback.
-        t.insert(entry(1, 0), 2, &mut rng);
-        t.insert(entry(2, 0), 2, &mut rng);
+        let mut t = SuperTable::from_entries(vec![entry(1, 0), entry(2, 0)]);
         // A direct superprocess at depth 1 appears.
         t.tighten(&[entry(3, 1)], 2, |topic| topic.index());
         assert!(t.contains(ProcessId(3)));
@@ -235,10 +223,7 @@ mod tests {
     #[test]
     fn sample_distinct() {
         let mut rng = rng_from_seed(7);
-        let mut t = SuperTable::with_capacity(5);
-        for i in 1..=5 {
-            t.insert(entry(i, 0), 5, &mut rng);
-        }
+        let t = SuperTable::from_entries((1..=5).map(|i| entry(i, 0)).collect());
         let s = t.sample(3, &mut rng);
         assert_eq!(s.len(), 3);
         let mut pids: Vec<_> = s.iter().map(|e| e.pid).collect();
@@ -249,9 +234,7 @@ mod tests {
 
     #[test]
     fn remove_entries() {
-        let mut rng = rng_from_seed(8);
-        let mut t = SuperTable::with_capacity(3);
-        t.insert(entry(1, 0), 3, &mut rng);
+        let mut t = SuperTable::from_entries(vec![entry(1, 0)]);
         assert!(t.remove(ProcessId(1)));
         assert!(!t.remove(ProcessId(1)));
         assert!(t.is_empty());

@@ -112,8 +112,8 @@ proptest! {
     }
 
     /// Supertable MERGE (footnote 5), as the maintenance task runs it:
-    /// the dead residents are removed, then `tighten` absorbs the fresh
-    /// contacts. The table never exceeds its `z`, fresh pids fill free
+    /// residents that `tighten` took in, the dead among them removed,
+    /// then `tighten` absorbs the fresh contacts. The table never exceeds its `z`, fresh pids fill free
     /// room first, and an alive resident leaves only for a strictly
     /// deeper entry. A contact's depth is its pid mod 4.
     #[test]
@@ -122,18 +122,16 @@ proptest! {
         residents in prop::collection::vec(1u32..50, 0..8),
         dead in prop::collection::hash_set(1u32..50, 0..8),
         fresh in prop::collection::vec(50u32..90, 0..8),
-        seed in 0u64..10_000,
+        _seed in 0u64..10_000,
     ) {
         let entry = |pid: u32| SuperEntry {
             pid: ProcessId(pid),
             topic: TopicId::from_index(pid as usize % 4),
         };
         let depth = |e: &SuperEntry| e.topic.index();
-        let mut rng = rng_from_seed(seed);
         let mut table = SuperTable::with_capacity(capacity);
-        for &r in &residents {
-            table.insert(entry(r), capacity, &mut rng);
-        }
+        let resident_entries: Vec<SuperEntry> = residents.iter().map(|&r| entry(r)).collect();
+        table.tighten(&resident_entries, capacity, TopicId::index);
         for &d in &dead {
             table.remove(ProcessId(d));
         }
