@@ -61,7 +61,6 @@ pub fn build_broadcast_network(
 mod tests {
     use super::*;
     use da_simnet::{Engine, SimConfig};
-    use damulticast::EventId;
 
     fn network() -> Vec<GossipProcess> {
         // 2 root subscribers, 3 mid, 10 leaf.
@@ -115,7 +114,7 @@ mod tests {
         engine.process_mut(ProcessId(14)).publish("y");
         engine.run_until_quiescent(50);
         for (pid, p) in engine.processes() {
-            let mut ids: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
+            let mut ids = p.delivered().to_vec();
             ids.sort();
             ids.dedup();
             assert_eq!(ids.len(), p.delivered().len(), "{pid} double-delivered");

@@ -15,7 +15,7 @@ use crate::common::InterestMap;
 
 /// Wire message of every baseline: the event and the group it is gossiped
 /// in, `None` for the unscoped tables.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct GossipMsg {
     /// The event in flight.
     pub event: Event,
@@ -73,8 +73,8 @@ pub struct GossipProcess {
     /// Event ids already received, parasites included: the de-dup set
     /// `DaProcess` keeps.
     seen: EventSet,
-    /// Events delivered to the application, in delivery order.
-    delivered: Vec<Event>,
+    /// Ids of the events delivered to the application, in delivery order.
+    delivered: Vec<EventId>,
     /// First receipts of events this process is not interested in.
     parasite_count: u64,
     /// Publications queued until the next round hook.
@@ -123,16 +123,17 @@ impl GossipProcess {
         self.tables.iter().map(|t| t.view.len()).sum()
     }
 
-    /// Events delivered to the application so far, in delivery order.
+    /// Ids of the events delivered to the application so far, in
+    /// delivery order.
     #[must_use]
-    pub fn delivered(&self) -> &[Event] {
+    pub fn delivered(&self) -> &[EventId] {
         &self.delivered
     }
 
     /// True when `id` was delivered here; a parasite never is.
     #[must_use]
     pub fn has_delivered(&self, id: EventId) -> bool {
-        self.delivered.iter().any(|e| e.id() == id)
+        self.delivered.contains(&id)
     }
 
     /// Number of parasite receptions: first receipts of events of topics
@@ -148,26 +149,25 @@ impl GossipProcess {
     ///
     /// # Panics
     /// On the publish after sequence `u32::MAX - 1`: ids never wrap.
-    pub fn publish(&mut self, payload: impl Into<Vec<u8>>) -> EventId {
+    pub fn publish(&mut self, payload: impl AsRef<[u8]>) -> EventId {
         let sequence = self.next_sequence;
         self.next_sequence = sequence.checked_add(1).expect("sequence past u32::MAX");
         let event = Event::new(self.me, sequence, self.topic, payload);
-        let id = event.id();
         let own = Some(self.topic);
         let group = own.filter(|_| self.tables.iter().any(|t| t.group == own));
         self.pending_publish.push(GossipMsg { event, group });
-        id
+        event.id
     }
 
     /// First receipt: deliver or count the parasite, then relay through
     /// every table of the message's group — parasites relay too, which is
     /// what interest-oblivious gossip relies on.
     fn receive<X: Exec<Msg = GossipMsg>>(&mut self, msg: GossipMsg, ctx: &mut X) {
-        if !self.seen.insert(msg.event.id()) {
+        if !self.seen.insert(msg.event.id) {
             ctx.bump_id(self.labels.duplicate);
             return;
         }
-        let interested = self.hierarchy.includes_or_eq(self.topic, msg.event.topic());
+        let interested = self.hierarchy.includes_or_eq(self.topic, msg.event.topic);
         if interested {
             ctx.bump_id(self.labels.delivered);
         } else {
@@ -177,12 +177,11 @@ impl GossipProcess {
         for table in self.tables.iter().filter(|t| t.group == msg.group) {
             for target in gossip_targets(&table.view, table.fanout, ctx.rng()) {
                 ctx.bump_id(table.sent);
-                let event = msg.event.clone();
-                ctx.send(target, GossipMsg { event, ..msg });
+                ctx.send(target, msg);
             }
         }
         if interested {
-            self.delivered.push(msg.event);
+            self.delivered.push(msg.event.id);
         }
     }
 }
@@ -200,9 +199,12 @@ impl ExecProtocol for GossipProcess {
     }
 
     fn on_round<X: Exec<Msg = GossipMsg>>(&mut self, _round: u64, ctx: &mut X) {
-        for msg in std::mem::take(&mut self.pending_publish) {
+        let mut publishes = std::mem::take(&mut self.pending_publish);
+        for msg in publishes.drain(..) {
             self.receive(msg, ctx);
         }
+        // Kept for the next publication, which would otherwise allocate.
+        self.pending_publish = publishes;
     }
 }
 

@@ -1,7 +1,6 @@
 use da_core::{ProcessId, WireSize};
 use da_topics::TopicId;
 use std::fmt;
-use std::sync::Arc;
 
 /// Globally unique identifier of a published event: publisher id plus a
 /// per-publisher sequence number.
@@ -165,12 +164,13 @@ impl EventSet {
     }
 }
 
-/// A published event (`e_Ti` in the paper): identity, topic, payload.
+/// A published event (`e_Ti` in the paper): identity, topic and the
+/// payload's length.
 ///
-/// An `Event` is a handle — one pointer to the one allocation
-/// [`Event::new`] made — so a gossip hop, an in-flight envelope and every
-/// `delivered` log move a name for the datum, not a copy of it: a clone is
-/// a single reference-count increment and equality is by content.
+/// The system models a payload by its size: the paper prices it only in
+/// the message count, and nothing in the protocol, the baselines or the
+/// harness reads its bytes. So an event is a 16-byte value that every
+/// envelope copies, and equal ids mean equal events.
 ///
 /// ```
 /// use damulticast::Event;
@@ -178,88 +178,51 @@ impl EventSet {
 /// use da_topics::TopicId;
 ///
 /// let e = Event::new(ProcessId(3), 0, TopicId::ROOT, "breaking news");
-/// assert_eq!(e.id().publisher, ProcessId(3));
-/// assert_eq!(e.payload(), b"breaking news");
+/// assert_eq!(e.id.publisher, ProcessId(3));
+/// assert_eq!(e.len, 13);
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    inner: Arc<Inner>,
+    /// The event's unique id.
+    pub id: EventId,
+    /// The topic the event was published on.
+    pub topic: TopicId,
+    /// The payload's length in bytes.
+    pub len: u32,
 }
 
-#[derive(PartialEq, Eq)]
-#[repr(align(64))]
-struct Inner {
-    id: EventId,
-    topic: TopicId,
-    payload: Box<[u8]>,
-}
-
-// One word per copy: at 40 bytes (id, topic and a fat payload pointer
-// inline) the in-flight envelope stream outgrew the cache the receive
-// path works in. See ARCHITECTURE.md, "Bytes in flight".
-const _: () = assert!(std::mem::size_of::<Event>() == std::mem::size_of::<usize>());
-// The `Arc`'s counts sit in front of `Inner`; aligned to a line, the
-// value starts on the next one. Every clone and drop on another worker
-// writes the counts, and `id()` / `topic()` then read a line that no
-// such write invalidates (the device `EdgeWatermarks` uses). See
+// The in-flight envelope stream is a wave's working set: a payload
+// pointer inline (40 B) outgrew the cache the receive path works in. See
 // ARCHITECTURE.md, "Bytes in flight".
-const _: () = assert!(std::mem::align_of::<Inner>() == 64);
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 impl Event {
-    /// Creates an event published by `publisher` with local `sequence`
-    /// number, of `topic`, carrying `payload`. The sequence is a `u32` in
-    /// memory; the id's modelled wire size is 12 bytes all the same.
+    /// The event `publisher` publishes with local `sequence` number on
+    /// `topic`; of `payload` it keeps the length. The sequence is a `u32`
+    /// in memory; the id's modelled wire size is 12 bytes all the same.
+    ///
+    /// # Panics
+    /// On a payload of 4 GiB or more.
     pub fn new(
         publisher: ProcessId,
         sequence: u32,
         topic: TopicId,
-        payload: impl Into<Vec<u8>>,
+        payload: impl AsRef<[u8]>,
     ) -> Self {
         Event {
-            inner: Arc::new(Inner {
-                id: EventId {
-                    publisher,
-                    sequence,
-                },
-                topic,
-                payload: payload.into().into_boxed_slice(),
-            }),
+            id: EventId {
+                publisher,
+                sequence,
+            },
+            topic,
+            len: u32::try_from(payload.as_ref().len()).expect("payload past u32::MAX bytes"),
         }
-    }
-
-    /// The event's unique id.
-    #[must_use]
-    pub fn id(&self) -> EventId {
-        self.inner.id
-    }
-
-    /// The topic the event was published on.
-    #[must_use]
-    pub fn topic(&self) -> TopicId {
-        self.inner.topic
-    }
-
-    /// The opaque payload bytes.
-    #[must_use]
-    pub fn payload(&self) -> &[u8] {
-        &self.inner.payload
-    }
-}
-
-/// The shape the fields had inline: the handle is not part of the value.
-impl fmt::Debug for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Event")
-            .field("id", &self.inner.id)
-            .field("topic", &self.inner.topic)
-            .field("payload", &self.inner.payload)
-            .finish()
     }
 }
 
 impl WireSize for Event {
     fn wire_size(&self) -> usize {
-        self.id().wire_size() + 4 /* topic */ + 4 /* len */ + self.payload().len()
+        self.id.wire_size() + 4 /* topic */ + 4 /* len */ + self.len as usize
     }
 }
 
@@ -268,37 +231,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn event_accessors() {
+    fn an_event_keeps_its_id_topic_and_payload_length() {
         let e = Event::new(ProcessId(1), 7, TopicId::ROOT, vec![1u8, 2, 3]);
         assert_eq!(
-            e.id(),
+            e.id,
             EventId {
                 publisher: ProcessId(1),
                 sequence: 7
             }
         );
-        assert_eq!(e.topic(), TopicId::ROOT);
-        assert_eq!(e.payload(), &[1, 2, 3]);
+        assert_eq!(e.topic, TopicId::ROOT);
+        assert_eq!(e.len, 3);
     }
 
     #[test]
-    fn a_handle_compares_by_content_and_crosses_threads() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Event>();
-        assert_eq!(std::mem::size_of::<Event>(), std::mem::size_of::<usize>());
+    fn an_event_is_a_sixteen_byte_value_that_crosses_threads() {
+        fn assert_copy_send_sync<T: Copy + Send + Sync>() {}
+        assert_copy_send_sync::<Event>();
+        assert_eq!(std::mem::size_of::<Event>(), 16);
 
         let a = Event::new(ProcessId(1), 7, TopicId::ROOT, "abc");
-        assert_eq!(a.clone(), a);
-        // Built twice from equal parts: two allocations, one value.
-        let b = Event::new(ProcessId(1), 7, TopicId::ROOT, vec![b'a', b'b', b'c']);
-        assert!(!Arc::ptr_eq(&a.inner, &b.inner));
-        assert_eq!(a, b);
-        assert_ne!(a, Event::new(ProcessId(1), 7, TopicId::ROOT, "abd"));
+        assert_eq!(a, Event::new(ProcessId(1), 7, TopicId::ROOT, vec![b'x'; 3]));
+        assert_ne!(a, Event::new(ProcessId(1), 7, TopicId::ROOT, "abcd"));
         assert_ne!(a, Event::new(ProcessId(1), 8, TopicId::ROOT, "abc"));
         assert_eq!(
             format!("{a:?}"),
             "Event { id: EventId { publisher: ProcessId(1), sequence: 7 }, \
-             topic: TopicId(0), payload: [97, 98, 99] }"
+             topic: TopicId(0), len: 3 }"
         );
     }
 

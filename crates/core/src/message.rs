@@ -24,7 +24,7 @@ use std::hash::Hasher;
 /// * [`ControlMsg::Membership`] — underlying membership traffic,
 ///   piggybacking a supertable sample (Sec. V-A.2a).
 ///
-/// Two words. The variants declared here own no heap buffer and are built
+/// Three words. The variants declared here own no heap buffer and are built
 /// without allocating; the four that carry a list live in [`ControlMsg`]
 /// behind the one `Box` of [`DaMsg::Control`], so the message the data
 /// plane moves 7.9 times per delivery is not sized by the fattest message
@@ -97,8 +97,8 @@ pub enum ControlMsg {
 // 31.5k of them in flight: padding `DaMsg` by 88 bytes cost `sim_wave`
 // 28-42%. A variant that owns a buffer goes into `ControlMsg`. See
 // ARCHITECTURE.md, "Bytes in flight".
-const _: () = assert!(std::mem::size_of::<DaMsg>() <= 16);
-const _: () = assert!(std::mem::size_of::<Envelope<DaMsg>>() <= 40);
+const _: () = assert!(std::mem::size_of::<DaMsg>() == 24);
+const _: () = assert!(std::mem::size_of::<Envelope<DaMsg>>() == 48);
 
 impl From<ControlMsg> for DaMsg {
     fn from(control: ControlMsg) -> Self {
@@ -128,9 +128,7 @@ impl WireSize for DaMsg {
 }
 
 /// Canonical content hash for the model checker's state digests: the
-/// wire tag followed by every field, in declaration order. Payload
-/// bytes are included — two events with the same id but different
-/// payloads are different states.
+/// wire tag followed by every field, in declaration order.
 impl McHash for DaMsg {
     fn mc_hash(&self, state: &mut dyn Hasher) {
         match self {
@@ -139,10 +137,10 @@ impl McHash for DaMsg {
                 sender_topic,
             } => {
                 state.write_u8(0);
-                state.write_u32(event.id().publisher.0);
-                state.write_u64(u64::from(event.id().sequence));
-                state.write_u64(event.topic().index() as u64);
-                state.write(event.payload());
+                state.write_u32(event.id.publisher.0);
+                state.write_u64(u64::from(event.id.sequence));
+                state.write_u64(event.topic.index() as u64);
+                state.write_u32(event.len);
                 state.write_u64(sender_topic.index() as u64);
             }
             DaMsg::NewProcessReq => state.write_u8(3),
@@ -260,7 +258,8 @@ mod tests {
     /// checker's digests, computed when all eight were inline variants of
     /// `DaMsg` and `Event` held its fields itself (PR 18). `bytes_sent`
     /// and every state digest are built from these; a change of layout
-    /// moves neither.
+    /// moves neither. The event's digest hashes its payload's length, since
+    /// an event keeps no payload bytes; its wire size is the one it had.
     #[test]
     fn wire_size_and_mc_hash_are_those_of_the_inline_layout() {
         let t = TopicId::from_index;
@@ -276,7 +275,7 @@ mod tests {
                     sender_topic: t(1),
                 },
                 30,
-                0x437e_0db2_081c_f947,
+                0xe9f3_266a_1ea1_434b,
             ),
             (
                 ControlMsg::ReqContact {

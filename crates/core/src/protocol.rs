@@ -118,8 +118,8 @@ pub struct DaProcess {
     /// Event ids already received (the paper's "done only the first
     /// time"), parasites excepted: probed once per receipt, one line each.
     seen: EventSet,
-    /// Events delivered to the application, in delivery order.
-    delivered: Vec<Event>,
+    /// Ids of the events delivered to the application, in delivery order.
+    delivered: Vec<EventId>,
     /// Events received for a topic this process is *not* interested in.
     /// The paper's central claim is that this stays zero.
     parasite_count: u64,
@@ -337,9 +337,10 @@ impl DaProcess {
         &self.super_tables
     }
 
-    /// Events delivered to the application so far, in delivery order.
+    /// Ids of the events delivered to the application so far, in
+    /// delivery order.
     #[must_use]
-    pub fn delivered(&self) -> &[Event] {
+    pub fn delivered(&self) -> &[EventId] {
         &self.delivered
     }
 
@@ -364,13 +365,12 @@ impl DaProcess {
     ///
     /// # Panics
     /// On the publish after sequence `u32::MAX - 1`: ids never wrap.
-    pub fn publish(&mut self, payload: impl Into<Vec<u8>>) -> EventId {
+    pub fn publish(&mut self, payload: impl AsRef<[u8]>) -> EventId {
         let sequence = self.next_sequence;
         self.next_sequence = sequence.checked_add(1).expect("sequence past u32::MAX");
         let event = Event::new(self.me, sequence, self.topic, payload);
-        let id = event.id();
         self.pending_publish.push(event);
-        id
+        event.id
     }
 
     /// The per-process memory complexity in table entries:
@@ -402,7 +402,7 @@ impl DaProcess {
     }
 
     /// Runs Fig. 7 for `event` and emits the resulting messages.
-    fn disseminate<X: Exec<Msg = DaMsg>>(&mut self, event: &Event, ctx: &mut X) {
+    fn disseminate<X: Exec<Msg = DaMsg>>(&mut self, event: Event, ctx: &mut X) {
         let mut plan = PLAN.take();
         plan_dissemination(
             &self.group,
@@ -416,7 +416,7 @@ impl DaProcess {
             ctx.send(
                 entry.pid,
                 DaMsg::Event {
-                    event: event.clone(),
+                    event,
                     sender_topic: self.topic,
                 },
             );
@@ -426,7 +426,7 @@ impl DaProcess {
             ctx.send(
                 target,
                 DaMsg::Event {
-                    event: event.clone(),
+                    event,
                     sender_topic: self.topic,
                 },
             );
@@ -443,12 +443,12 @@ impl DaProcess {
     ) {
         // Interest check: events only ever travel *up* the hierarchy, so a
         // correct run never trips this. Baselines do; daMulticast must not.
-        if !self.is_interested_in(event.topic()) {
+        if !self.is_interested_in(event.topic) {
             self.parasite_count += 1;
             ctx.bump_id(*PARASITE);
             return;
         }
-        let fresh = self.seen.insert(event.id());
+        let fresh = self.seen.insert(event.id);
         if !fresh && !self.mutation.skips_dedup() {
             ctx.bump_id(self.group.labels.duplicate);
             return;
@@ -460,14 +460,11 @@ impl DaProcess {
         self.deliver(event, ctx);
     }
 
-    /// Hands a fresh `event` to the application and gossips it on. Gossip
-    /// from the borrow, then log the owned handle: a clone for the log
-    /// would be one more round trip on the reference count, a line every
-    /// holder of the event shares.
+    /// Hands a fresh `event` to the application and gossips it on.
     fn deliver<X: Exec<Msg = DaMsg>>(&mut self, event: Event, ctx: &mut X) {
         ctx.bump_id(self.group.labels.delivered);
-        self.disseminate(&event, ctx);
-        self.delivered.push(event);
+        self.disseminate(event, ctx);
+        self.delivered.push(event.id);
     }
 
     /// Floods a bootstrap request through the overlay neighbourhood.
@@ -713,14 +710,16 @@ impl ExecProtocol for DaProcess {
     fn on_round<X: Exec<Msg = DaMsg>>(&mut self, round: u64, ctx: &mut X) {
         // Publications queued since the last round (Fig. 5 SUBSCRIBE +
         // Fig. 7 DISSEMINATE, run by the publisher).
-        let publishes = std::mem::take(&mut self.pending_publish);
-        for event in publishes {
-            if self.seen.insert(event.id()) {
+        let mut publishes = std::mem::take(&mut self.pending_publish);
+        for event in publishes.drain(..) {
+            if self.seen.insert(event.id) {
                 self.deliver(event, ctx);
             } else {
-                self.disseminate(&event, ctx);
+                self.disseminate(event, ctx);
             }
         }
+        // Kept for the next publication, which would otherwise allocate.
+        self.pending_publish = publishes;
 
         // Static mode stops here: no control plane.
         if self.dynamic.is_none() {
@@ -846,13 +845,13 @@ impl McHash for DaProcess {
         }
         state.write_u64(fold_unordered(self.seen.iter().map(event_id_word)));
         state.write_u64(self.delivered.len() as u64);
-        for e in &self.delivered {
-            state.write_u64(event_id_word(e.id()));
+        for &id in &self.delivered {
+            state.write_u64(event_id_word(id));
         }
         state.write_u64(self.parasite_count);
         state.write_u64(self.pending_publish.len() as u64);
         for e in &self.pending_publish {
-            state.write_u64(event_id_word(e.id()));
+            state.write_u64(event_id_word(e.id));
         }
         state.write_u64(u64::from(self.next_sequence));
         let answered = dynamic.into_iter().flat_map(|d| &d.answered_requests);
@@ -994,20 +993,20 @@ mod tests {
         let events: Vec<Event> = (0..40)
             .map(|k| Event::new(ProcessId(4 + k % 6), k / 6, ids[1], "x"))
             .collect();
-        let receive = |order: Vec<&Event>| {
+        let receive = |order: Vec<Event>| {
             let mut process = procs[5].clone();
             let mut ctx = Sink(da_core::rng_from_seed(1));
             for event in order {
                 let msg = DaMsg::Event {
-                    event: event.clone(),
+                    event,
                     sender_topic: ids[1],
                 };
                 process.on_message(ProcessId(4), msg, &mut ctx);
             }
             process
         };
-        let forward = receive(events.iter().collect());
-        let backward = receive(events.iter().rev().collect());
+        let forward = receive(events.clone());
+        let backward = receive(events.iter().rev().copied().collect());
         let digest = |p: &DaProcess| {
             let mut h = FxHasher::default();
             p.mc_hash(&mut h);
@@ -1056,7 +1055,7 @@ mod tests {
         engine.run_until_quiescent(50);
         for (pid, p) in engine.processes() {
             assert_eq!(p.parasite_count(), 0, "{pid} saw a parasite");
-            let mut ids: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
+            let mut ids = p.delivered().to_vec();
             ids.sort();
             ids.dedup();
             assert_eq!(ids.len(), p.delivered().len(), "{pid} double-delivered");
@@ -1114,11 +1113,7 @@ mod tests {
         engine.run_until_quiescent(50);
         let publisher = engine.process(ProcessId(4));
         assert_eq!(
-            publisher
-                .delivered()
-                .iter()
-                .filter(|e| e.id() == id)
-                .count(),
+            publisher.delivered().iter().filter(|&&d| d == id).count(),
             1
         );
     }
@@ -1221,13 +1216,7 @@ mod delivered_tests {
         engine.run_rounds(5);
         for pid in [ProcessId(0), ProcessId(1)] {
             assert!(engine.process(pid).has_delivered(id));
-            let delivered: Vec<EventId> = engine
-                .process(pid)
-                .delivered()
-                .iter()
-                .map(Event::id)
-                .collect();
-            assert_eq!(delivered, [id], "{pid}");
+            assert_eq!(engine.process(pid).delivered(), [id], "{pid}");
         }
         let never_published = EventId {
             publisher: ProcessId(0),

@@ -66,7 +66,7 @@ pub fn delivered_sets(procs: &[DaProcess]) -> Vec<Vec<EventId>> {
     procs
         .iter()
         .map(|p| {
-            let mut ids: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
+            let mut ids = p.delivered().to_vec();
             ids.sort();
             ids
         })

@@ -5,7 +5,7 @@
 use da_core::{FailureModel, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig};
 use da_simnet::{Engine, SimConfig};
-use damulticast::{DynamicNetwork, EventId, ParamMap, TopicParams};
+use damulticast::{DynamicNetwork, ParamMap, TopicParams};
 
 fn churn_engine(
     crash: f64,
@@ -89,7 +89,7 @@ fn invariants_survive_brutal_churn() {
     assert_eq!(engine.counters().get("da.parasite"), 0);
     for (pid, p) in engine.processes() {
         assert_eq!(p.parasite_count(), 0, "{pid} parasite");
-        let mut ids: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
+        let mut ids = p.delivered().to_vec();
         let before = ids.len();
         ids.sort();
         ids.dedup();
@@ -168,7 +168,7 @@ fn live_runtime_survives_churn_chaos() {
     assert_eq!(out.counters.get("da.parasite"), 0);
     for (pid, p) in out.processes.iter().enumerate() {
         assert_eq!(p.parasite_count(), 0, "p{pid} parasite");
-        let mut got: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
+        let mut got = p.delivered().to_vec();
         let before = got.len();
         got.sort();
         got.dedup();

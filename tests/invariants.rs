@@ -5,7 +5,7 @@
 
 use da_core::{ChannelConfig, FailureModel};
 use da_simnet::{Engine, SimConfig};
-use damulticast::{EventId, ParamMap, StaticNetwork, TopicParams};
+use damulticast::{ParamMap, StaticNetwork, TopicParams};
 use proptest::prelude::*;
 
 /// A random linear topology: 2–4 levels, each group 2–20 processes.
@@ -75,7 +75,7 @@ proptest! {
         }
         engine.run_until_quiescent(96);
         for (pid, p) in engine.processes() {
-            let mut ids: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
+            let mut ids = p.delivered().to_vec();
             let before = ids.len();
             ids.sort();
             ids.dedup();
@@ -170,8 +170,8 @@ proptest! {
             let seqs: Vec<u32> = p
                 .delivered()
                 .iter()
-                .filter(|e| e.id().publisher == publisher)
-                .map(|e| e.id().sequence)
+                .filter(|id| id.publisher == publisher)
+                .map(|id| id.sequence)
                 .collect();
             let mut sorted = seqs.clone();
             sorted.sort_unstable();

@@ -27,13 +27,13 @@ use da_harness::experiments::mc::{
 };
 use da_harness::substrate::{Driver, Substrate};
 use da_simnet::mc::{Explorer, Invariant, McConfig, OrderingMode};
-use damulticast::{DaProcess, EventId, Mutation};
+use damulticast::{DaProcess, Mutation};
 
 /// Horizon for every replay: past quiescence of all committed branches.
 const REPLAY_TICKS: u64 = 8;
 
 fn duplicate_delivery(p: &DaProcess) -> bool {
-    let mut ids: Vec<EventId> = p.delivered().iter().map(|e| e.id()).collect();
+    let mut ids = p.delivered().to_vec();
     let total = ids.len();
     ids.sort_unstable_by_key(|id| (id.publisher.0, id.sequence));
     ids.dedup();

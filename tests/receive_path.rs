@@ -1,7 +1,8 @@
 //! The protocol receive path indexes, it does not hash or allocate: a
 //! label interned to a `LabelId` counts exactly like its name on both
 //! substrates, a warmed-up `DaProcess` discards a duplicate without
-//! touching the allocator, a control message allocates only when it
+//! touching the allocator and publishes without a heap block per event,
+//! a control message allocates only when it
 //! carries a list (then once more than the list), a static process
 //! stays inside the heap budget the benchmark's `bytes_per_process` is
 //! held to, a wave process's bytes add up row by row to what the
@@ -268,7 +269,32 @@ fn a_duplicate_allocates_nothing_and_a_first_delivery_only_grows_its_logs() {
     assert_eq!(process.delivered().len(), 65);
 }
 
-/// What a first delivery keeps: its id in `seen` and its handle in the
+/// A publication is a value: it queues a 16-byte event, and the round
+/// hook logs its id and gossips copies of it. Only the process's own logs
+/// grow, doubling now and then; a payload buffer, a shared event block or
+/// a fresh publication queue would each cost one allocation per event.
+#[test]
+fn a_publication_costs_no_heap_block_of_its_own() {
+    let (mut process, _, mut probe) = leaf_under_probe();
+    // Warm-up: one publication sizes the plan's gossip buffer and the
+    // queue, and registers the labels.
+    process.publish("x");
+    process.on_round(0, &mut probe);
+    assert!(!probe.outbox.is_empty(), "a publication gossips");
+
+    let before = ALLOCATIONS.get();
+    for round in 1..=64 {
+        probe.outbox.clear();
+        process.publish("x");
+        process.on_round(round, &mut probe);
+        assert!(!probe.outbox.is_empty());
+    }
+    let grown = ALLOCATIONS.get() - before;
+    assert!(grown <= 16, "64 publications allocated {grown} times");
+    assert_eq!(process.delivered().len(), 65);
+}
+
+/// What a first delivery keeps: its id in `seen` and again in the
 /// `delivered` log, amortised over their doublings: 25.5 B per event in
 /// an `EventSet`, 27 B in the `HashSet` before it, 44 B when the id was
 /// 16 bytes.

@@ -22,7 +22,7 @@ use da_harness::experiments::trace::describe_divergence;
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::static_init::assign_group_members;
 use da_topics::TopicHierarchy;
-use damulticast::{DaProcess, Event, EventId, GroupSpec, ParamMap, StaticNetwork};
+use damulticast::{DaProcess, EventId, GroupSpec, ParamMap, StaticNetwork};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -238,7 +238,7 @@ fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
                 let logs: Vec<Vec<EventId>> = out
                     .processes
                     .iter()
-                    .map(|p| p.delivered().iter().map(Event::id).collect())
+                    .map(|p| p.delivered().to_vec())
                     .collect();
                 let counters = (out.ledger, out.counters.to_string());
                 (counters, quiescent, out.statuses, logs)
