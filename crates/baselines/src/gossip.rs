@@ -70,8 +70,8 @@ pub struct GossipProcess {
     topic: TopicId,
     hierarchy: Arc<TopicHierarchy>,
     tables: Vec<GossipTable>,
-    /// Event ids already received, parasites included: the de-dup set
-    /// `DaProcess` keeps.
+    /// Event ids already received, parasites included: unlike
+    /// `DaProcess`'s, not the delivered set.
     seen: EventSet,
     /// Ids of the events delivered to the application, in delivery order.
     delivered: Vec<EventId>,

@@ -58,7 +58,7 @@ impl WireSize for EventId {
 /// assert!(seen.insert(id(u32::MAX, u32::MAX)));
 /// assert!(seen.contains(id(u32::MAX, u32::MAX)));
 /// assert!(!seen.contains(id(0, 3)));
-/// assert_eq!(seen.iter().count(), 2);
+/// assert_eq!(seen.len(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EventSet {
@@ -125,6 +125,18 @@ impl EventSet {
             return self.holds_all_ones;
         }
         !self.slots.is_empty() && self.probe(word).1
+    }
+
+    /// Number of ids in the set.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len as usize + usize::from(self.holds_all_ones)
+    }
+
+    /// True when the set holds no id.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Every id in the set, in no particular order.
@@ -301,6 +313,7 @@ mod tests {
             assert!(!set.contains(probe), "{probe}");
         }
         assert_eq!(set.iter().count(), 0);
+        assert!(set.is_empty());
         assert!(set.slots.is_empty());
     }
 
@@ -311,6 +324,7 @@ mod tests {
         assert!(set.insert(all_ones));
         assert!(!set.insert(all_ones));
         assert!(set.contains(all_ones));
+        assert_eq!(set.len(), 1);
         // Kept beside the table: no slot is taken, and the neighbours
         // that share a half of its word are not members.
         assert!(set.slots.is_empty());
@@ -321,6 +335,7 @@ mod tests {
         let mut members: Vec<EventId> = set.iter().collect();
         members.sort();
         assert_eq!(members, [id(0, 0), id(u32::MAX, u32::MAX - 1), all_ones]);
+        assert_eq!(set.len(), 3);
     }
 
     #[test]
@@ -347,7 +362,7 @@ mod tests {
         // 8 slots, then doubled up to the first power of two 4/3 above 10,000.
         assert_eq!(set.slots.len(), 16_384);
         assert_eq!(doublings, 12);
-        assert_eq!(set.len, 10_000);
+        assert_eq!(set.len(), 10_000);
         assert_eq!(set.iter().count(), 10_000);
         assert!((0..10_000).all(|k| set.contains(present(k))));
     }

@@ -52,9 +52,9 @@ use std::sync::{Arc, LazyLock};
 // 624 B), the topic table is a bare view, and the group's constants
 // (topic parameters, size, hierarchy, labels: 116 B) are one shared
 // `Arc<Group>`. A supertable is its list and nothing else: its owner is
-// the process and its bound `z` is the group's. See ARCHITECTURE.md,
-// "Memory at scale".
-const _: () = assert!(std::mem::size_of::<DaProcess>() == 200);
+// the process and its bound `z` is the group's. The de-dup set is the
+// delivered set. See ARCHITECTURE.md, "Memory at scale".
+const _: () = assert!(std::mem::size_of::<DaProcess>() == 184);
 const _: () = assert!(std::mem::size_of::<SuperTable>() == 24);
 
 /// Events of a topic the receiver is not interested in — one name for
@@ -115,11 +115,11 @@ pub struct DaProcess {
     super_tables: Vec<SuperTable>,
     /// Dynamic-mode state; `None` in static mode.
     dynamic: Option<Box<Dynamic>>,
-    /// Event ids already received (the paper's "done only the first
-    /// time"), parasites excepted: probed once per receipt, one line each.
+    /// The ids delivered so far: Fig. 5's "done only the first time" set,
+    /// probed once per receipt, one line each (a parasite never enters).
     seen: EventSet,
-    /// Ids of the events delivered to the application, in delivery order.
-    delivered: Vec<EventId>,
+    /// Deliveries: `seen`'s size, unless a mutation re-delivers an id.
+    deliveries: u32,
     /// Events received for a topic this process is *not* interested in.
     /// The paper's central claim is that this stays zero.
     parasite_count: u64,
@@ -261,7 +261,7 @@ impl DaProcess {
             super_tables,
             dynamic,
             seen: EventSet::default(),
-            delivered: Vec::new(),
+            deliveries: 0,
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
@@ -337,16 +337,19 @@ impl DaProcess {
         &self.super_tables
     }
 
-    /// Ids of the events delivered to the application so far, in
-    /// delivery order.
+    /// Ids of the events delivered to the application so far.
     #[must_use]
-    pub fn delivered(&self) -> &[EventId] {
-        &self.delivered
+    pub fn delivered(&self) -> &EventSet {
+        &self.seen
     }
 
-    /// True when the event has been delivered here: every id in the
-    /// de-duplication set was delivered (a parasite is turned away before
-    /// it is recorded).
+    /// Deliveries so far: `delivered().len()` unless one was a duplicate.
+    #[must_use]
+    pub fn deliveries(&self) -> u32 {
+        self.deliveries
+    }
+
+    /// True when the event has been delivered here.
     #[must_use]
     pub fn has_delivered(&self, id: EventId) -> bool {
         self.seen.contains(id)
@@ -464,7 +467,7 @@ impl DaProcess {
     fn deliver<X: Exec<Msg = DaMsg>>(&mut self, event: Event, ctx: &mut X) {
         ctx.bump_id(self.group.labels.delivered);
         self.disseminate(event, ctx);
-        self.delivered.push(event.id);
+        self.deliveries += 1;
     }
 
     /// Floods a bootstrap request through the overlay neighbourhood.
@@ -804,8 +807,8 @@ fn event_id_word(id: EventId) -> u64 {
 
 /// Canonical protocol-state digest for the bounded model checker.
 ///
-/// Ordered containers (views, tables, delivery logs) are hashed in
-/// order; sets are XOR-folded so their iteration order cannot make
+/// Ordered containers (views, tables, the publication queue) are hashed
+/// in order; sets are XOR-folded so their iteration order cannot make
 /// equal states look distinct. The bootstrap/maintenance/overlay tasks
 /// contribute presence flags only: the checker targets static-mode
 /// processes (the paper's simulation setting), where all three are
@@ -844,10 +847,7 @@ impl McHash for DaProcess {
             state.write_u32(p.0);
         }
         state.write_u64(fold_unordered(self.seen.iter().map(event_id_word)));
-        state.write_u64(self.delivered.len() as u64);
-        for &id in &self.delivered {
-            state.write_u64(event_id_word(id));
-        }
+        state.write_u64(u64::from(self.deliveries));
         state.write_u64(self.parasite_count);
         state.write_u64(self.pending_publish.len() as u64);
         for e in &self.pending_publish {
@@ -1013,15 +1013,15 @@ mod tests {
             h.finish()
         };
         // Filled in opposite orders, the two tables lay the ids out
-        // differently.
+        // differently, and the processes are one state.
         let layout = |p: &DaProcess| p.seen.iter().collect::<Vec<_>>();
         assert_ne!(layout(&forward), layout(&backward));
-        // The delivered log is hashed in order; with it aligned, the
-        // processes are one state.
-        assert_ne!(digest(&forward), digest(&backward));
-        let mut aligned = backward.clone();
-        aligned.delivered.clone_from(&forward.delivered);
-        assert_eq!(digest(&forward), digest(&aligned));
+        assert_eq!(digest(&forward), digest(&backward));
+        // The delivery count is hashed beside the set: a re-delivery is
+        // another state.
+        let mut redelivered = backward.clone();
+        redelivered.deliveries += 1;
+        assert_ne!(digest(&forward), digest(&redelivered));
     }
 
     #[test]
@@ -1055,10 +1055,11 @@ mod tests {
         engine.run_until_quiescent(50);
         for (pid, p) in engine.processes() {
             assert_eq!(p.parasite_count(), 0, "{pid} saw a parasite");
-            let mut ids = p.delivered().to_vec();
-            ids.sort();
-            ids.dedup();
-            assert_eq!(ids.len(), p.delivered().len(), "{pid} double-delivered");
+            assert_eq!(
+                p.deliveries() as usize,
+                p.delivered().len(),
+                "{pid} double-delivered"
+            );
         }
     }
 
@@ -1112,10 +1113,8 @@ mod tests {
         let id = engine.process_mut(ProcessId(4)).publish("mine");
         engine.run_until_quiescent(50);
         let publisher = engine.process(ProcessId(4));
-        assert_eq!(
-            publisher.delivered().iter().filter(|&&d| d == id).count(),
-            1
-        );
+        assert!(publisher.has_delivered(id));
+        assert_eq!(publisher.deliveries(), 1);
     }
 
     #[test]
@@ -1210,13 +1209,15 @@ mod delivered_tests {
     }
 
     #[test]
-    fn has_delivered_matches_the_delivered_log() {
+    fn has_delivered_matches_the_delivered_set() {
         let (mut engine, id) = delivered_everywhere();
         // Re-gossip of the same event must not deliver it twice.
         engine.run_rounds(5);
         for pid in [ProcessId(0), ProcessId(1)] {
-            assert!(engine.process(pid).has_delivered(id));
-            assert_eq!(engine.process(pid).delivered(), [id], "{pid}");
+            let p = engine.process(pid);
+            assert!(p.has_delivered(id));
+            assert_eq!(p.delivered().iter().collect::<Vec<_>>(), [id], "{pid}");
+            assert_eq!(p.deliveries(), 1, "{pid}");
         }
         let never_published = EventId {
             publisher: ProcessId(0),

@@ -156,7 +156,10 @@ fn harness_sweeps_deterministic() {
 /// moved again, from 16_059_973_641_796_269_433, when an event came to
 /// keep its payload's length instead of its bytes: a parked envelope's
 /// digest hashes the length, and the trace half of the hash did not
-/// change.
+/// change. It moved again, from 17_615_592_400_422_301_145, when a
+/// process came to keep a count of its deliveries instead of their
+/// ordered log: `McHash` writes the count, and the trace half of the hash
+/// did not change.
 #[test]
 fn wave_trace_and_state_digest_match_the_partial_shuffle_golden() {
     use da_core::{FxHasher, Latency, TraceConfig};
@@ -181,5 +184,5 @@ fn wave_trace_and_state_digest_match_the_partial_shuffle_golden() {
     log.events.hash(&mut h);
     log.canonical_events().hash(&mut h);
     h.write_u64(engine.state_digest());
-    assert_eq!(h.finish(), 17_615_592_400_422_301_145);
+    assert_eq!(h.finish(), 1_757_496_467_523_453_870);
 }

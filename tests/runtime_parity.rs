@@ -192,8 +192,9 @@ fn diamond(seed: u64) -> StaticNetwork {
 }
 
 /// On reliable channels a one-worker pool replays the simulator: the same
-/// ledger and counters, the same delivery order at every process, the
-/// same final statuses and the same quiescent tick, under each of the
+/// ledger and counters, the same delivered sets, the same flight-recorder
+/// stream in capture order (so the same receive order at every process),
+/// the same final statuses and the same quiescent tick, under each of the
 /// paper's failure models, on a chain and on a diamond. Both deliver a
 /// tick's dues in send order, draw per-observer failures on worker 0's
 /// observer stream in that order, and churn from the shared plan. Lossy
@@ -225,7 +226,8 @@ fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
         for seed in [1, 2] {
             let config = RunConfig::default()
                 .with_seed(seed)
-                .with_failures(failure.clone());
+                .with_failures(failure.clone())
+                .with_trace(TraceConfig::full());
             let run = |substrate: Substrate| {
                 let net = build(seed);
                 let leaf = net.groups().last().expect("a leaf group").members[..8].to_vec();
@@ -235,20 +237,21 @@ fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
                 }
                 let quiescent = driver.run_until_quiescent(256);
                 let out = driver.finish();
-                let logs: Vec<Vec<EventId>> = out
-                    .processes
-                    .iter()
-                    .map(|p| p.delivered().to_vec())
-                    .collect();
+                let trace = out.trace.expect("tracing is on");
+                assert_eq!(trace.dropped_events, 0, "{substrate:?} kept every event");
                 let counters = (out.ledger, out.counters.to_string());
-                (counters, quiescent, out.statuses, logs)
+                let sets = delivered_sets(&out.processes);
+                (counters, quiescent, out.statuses, sets, trace.events)
             };
             let (sim, live) = (run(SIM), run(Substrate::Live { workers: 1 }));
             let case = format!("{shape}, {failure:?}, seed {seed}");
             assert_eq!(sim.0, live.0, "counters: {case}");
             assert_eq!(sim.1, live.1, "quiescent tick: {case}");
             assert!(sim.2 == live.2, "final statuses: {case}");
-            assert!(sim.3 == live.3, "ordered delivery logs: {case}");
+            assert!(sim.3 == live.3, "delivered sets: {case}");
+            // Every send, receipt, drop and transition in capture order:
+            // the order each process receives in, and more.
+            assert!(sim.4 == live.4, "event streams in capture order: {case}");
         }
     }
 }
