@@ -318,6 +318,8 @@ fn partition_trial(
         "the bottom group must dominate its {ISLAND}-member island"
     );
     let island = leaf.members[leaf.members.len() - ISLAND..].to_vec();
+    let mainland_publisher = leaf.members[0];
+    let island_publisher = *leaf.members.last().expect("non-empty group");
     let config = partition_faults(base, &island, CUT_AT, heal);
     // Two ticks after the heal the overlay is reachable again; a cut
     // that never heals publishes mid-cut at the latest heal's slot so
@@ -326,9 +328,9 @@ fn partition_trial(
 
     let procs = net.into_processes();
     let mut driver = Driver::spawn(substrate, config, procs);
-    driver.apply(leaf.members[0], |p| p.publish("mainland"));
+    driver.apply(mainland_publisher, |p| p.publish("mainland"));
     driver.run_ticks(island_publish_tick);
-    driver.apply(island[ISLAND - 1], |p| p.publish("island"));
+    driver.apply(island_publisher, |p| p.publish("island"));
     driver.run_ticks(MAX_TIME - island_publish_tick);
     let out = driver.finish();
 
@@ -338,9 +340,16 @@ fn partition_trial(
         "the cut-at-{CUT_AT} partition must sever cross-island gossip"
     );
 
-    // The two publications are the only events of the run.
-    let delivered: usize = out.processes.iter().map(|p| p.delivered().len()).sum();
-    let ratio = delivered as f64 / (2 * out.processes.len()) as f64;
+    let events = [mainland_publisher, island_publisher].map(|publisher| EventId {
+        publisher,
+        sequence: 0,
+    });
+    let population: usize = scenario.group_sizes.iter().sum();
+    let delivered: usize = events
+        .iter()
+        .map(|&id| out.processes.iter().filter(|p| p.has_delivered(id)).count())
+        .sum();
+    let ratio = delivered as f64 / (events.len() * population) as f64;
 
     let mainland_sets: Vec<Vec<EventId>> = delivered_sets(&out.processes)
         .into_iter()

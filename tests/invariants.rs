@@ -5,8 +5,11 @@
 
 use da_core::{ChannelConfig, FailureModel};
 use da_simnet::{Engine, SimConfig};
-use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork, TopicParams};
+use damulticast::{ParamMap, StaticNetwork, TopicParams};
 use proptest::prelude::*;
+use support::Logged;
+
+mod support;
 
 /// A random linear topology: 2–4 levels, each group 2–20 processes.
 fn arb_topology() -> impl Strategy<Value = Vec<usize>> {
@@ -145,63 +148,35 @@ proptest! {
     }
 
     /// Event ordering sanity: per-publisher sequence numbers are strictly
-    /// increasing in the delivered stream of every process. A process
-    /// keeps the set of what it delivered, not the order, so the stream
-    /// is read round by round: every sequence a process delivers in a
-    /// round is above every one it delivered in an earlier round.
+    /// increasing in the delivered stream of every process.
     #[test]
     fn per_publisher_sequences_monotone(
         sizes in arb_topology(),
         seed in 0u64..1_000,
     ) {
-        const EVENTS: u32 = 3;
         let net = StaticNetwork::linear(&sizes, ParamMap::default(), seed).unwrap();
         let groups = net.groups().to_vec();
-        let mut engine = Engine::new(SimConfig::default().with_seed(seed), net.into_processes());
+        let processes = Logged::all(net.into_processes());
+        let mut engine = Engine::new(SimConfig::default().with_seed(seed), processes);
         let leaf = groups.last().unwrap();
         let publisher = leaf.members[0];
-        // Bit `s` of a process's mask: it has delivered sequence `s`.
-        let masks = |engine: &Engine<DaProcess>| -> Vec<u32> {
-            engine
-                .processes()
-                .map(|(_, p)| {
-                    (0..EVENTS)
-                        .filter(|&sequence| p.has_delivered(EventId { publisher, sequence }))
-                        .map(|sequence| 1 << sequence)
-                        .sum()
-                })
-                .collect()
-        };
-        let mut had = masks(&engine);
-        let mut round = |engine: &mut Engine<DaProcess>| -> Result<bool, TestCaseError> {
-            let quiet = engine.step_round().is_quiet();
-            let now = masks(engine);
-            for (pid, (&before, &after)) in had.iter().zip(&now).enumerate() {
-                let fresh = after & !before;
-                // The lowest fresh sequence lies above the highest old one.
-                prop_assert!(
-                    fresh == 0 || before == 0 || fresh.trailing_zeros() > 31 - before.leading_zeros(),
-                    "p{} delivered {:03b} after {:03b}",
-                    pid,
-                    fresh,
-                    before
-                );
-            }
-            had = now;
-            Ok(quiet)
-        };
-        for i in 0..EVENTS {
-            engine.process_mut(publisher).publish(format!("s{i}"));
+        for i in 0..3 {
+            engine.process_mut(publisher).process.publish(format!("s{i}"));
             // Sequential publications: later events are published in later
             // rounds, so gossip order preserves publisher order here.
-            for _ in 0..8 {
-                round(&mut engine)?;
-            }
+            engine.run_rounds(8);
         }
-        for _ in 0..96 {
-            if round(&mut engine)? {
-                break;
-            }
+        engine.run_until_quiescent(96);
+        for (_, p) in engine.processes() {
+            let seqs: Vec<u32> = p
+                .log
+                .iter()
+                .filter(|id| id.publisher == publisher)
+                .map(|id| id.sequence)
+                .collect();
+            let mut sorted = seqs.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(seqs, sorted);
         }
     }
 }

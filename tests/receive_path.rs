@@ -253,12 +253,13 @@ fn event_from(sender: ProcessId, topic: TopicId, sequence: u32) -> DaMsg {
 /// every label a first delivery bumps. Returns the next fresh sequence.
 fn deliver_until_elected(process: &mut DaProcess, sender: ProcessId, probe: &mut Probe) -> u32 {
     let topic = process.topic();
-    let mut sequence = 0;
-    while !probe.elected() {
+    for sequence in 0..1_000 {
+        if probe.elected() {
+            return sequence;
+        }
         process.on_message(sender, event_from(sender, topic, sequence), probe);
-        sequence += 1;
     }
-    sequence
+    panic!("no election in 1,000 events");
 }
 
 /// The table length of an `EventSet` holding `ids` ids: none while
@@ -334,6 +335,7 @@ fn a_publication_costs_no_heap_block_of_its_own() {
     // labels.
     let mut round = 0;
     while !probe.elected() {
+        assert!(round < 1_000, "no election in 1,000 publications");
         process.publish("x");
         process.on_round(round, &mut probe);
         round += 1;
@@ -388,8 +390,6 @@ fn a_first_delivery_grows_the_receive_state_by_its_set_slot_alone() {
         let grown = (LIVE_BYTES.get() - before) as usize;
         let table = |ids| 8 * set_slots(ids);
         assert_eq!(grown, table(ids) - table(held), "{ids} ids");
-        let per_event = (grown + table(held)) as f64 / ids as f64;
-        assert!(per_event <= 64.0 / 3.0, "{ids} ids: {per_event:.1} B each");
     }
 }
 

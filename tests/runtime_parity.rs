@@ -25,6 +25,9 @@ use da_topics::TopicHierarchy;
 use damulticast::{DaProcess, EventId, GroupSpec, ParamMap, StaticNetwork};
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::Logged;
+
+mod support;
 
 /// The paper's Sec. VII-A topology with pinned-high trade-off knobs.
 const SIZES: [usize; 3] = [10, 100, 1000];
@@ -192,9 +195,10 @@ fn diamond(seed: u64) -> StaticNetwork {
 }
 
 /// On reliable channels a one-worker pool replays the simulator: the same
-/// ledger and counters, the same delivered sets, the same flight-recorder
-/// stream in capture order (so the same receive order at every process),
-/// the same final statuses and the same quiescent tick, under each of the
+/// ledger and counters, the same delivery order at every process, the
+/// same flight-recorder stream in capture order (every envelope's tick,
+/// edge, size and verdict; it names no event), the same final statuses
+/// and the same quiescent tick, under each of the
 /// paper's failure models, on a chain and on a diamond. Both deliver a
 /// tick's dues in send order, draw per-observer failures on worker 0's
 /// observer stream in that order, and churn from the shared plan. Lossy
@@ -231,17 +235,23 @@ fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
             let run = |substrate: Substrate| {
                 let net = build(seed);
                 let leaf = net.groups().last().expect("a leaf group").members[..8].to_vec();
-                let mut driver = Driver::spawn(substrate, config.clone(), net.into_processes());
+                let processes = Logged::all(net.into_processes());
+                let mut driver = Driver::spawn(substrate, config.clone(), processes);
                 for pid in leaf {
-                    driver.apply(pid, |p| p.publish("wave"));
+                    driver.apply(pid, |p| p.process.publish("wave"));
                 }
                 let quiescent = driver.run_until_quiescent(256);
                 let out = driver.finish();
                 let trace = out.trace.expect("tracing is on");
                 assert_eq!(trace.dropped_events, 0, "{substrate:?} kept every event");
                 let counters = (out.ledger, out.counters.to_string());
-                let sets = delivered_sets(&out.processes);
-                (counters, quiescent, out.statuses, sets, trace.events)
+                let (processes, logs): (Vec<DaProcess>, Vec<Vec<EventId>>) = out
+                    .processes
+                    .into_iter()
+                    .map(|p| (p.process, p.log))
+                    .unzip();
+                let sets = delivered_sets(&processes);
+                (counters, quiescent, out.statuses, sets, logs, trace.events)
             };
             let (sim, live) = (run(SIM), run(Substrate::Live { workers: 1 }));
             let case = format!("{shape}, {failure:?}, seed {seed}");
@@ -249,9 +259,9 @@ fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
             assert_eq!(sim.1, live.1, "quiescent tick: {case}");
             assert!(sim.2 == live.2, "final statuses: {case}");
             assert!(sim.3 == live.3, "delivered sets: {case}");
-            // Every send, receipt, drop and transition in capture order:
-            // the order each process receives in, and more.
-            assert!(sim.4 == live.4, "event streams in capture order: {case}");
+            assert!(sim.4 == live.4, "ordered delivery logs: {case}");
+            // Every send, receipt, drop and transition in capture order.
+            assert!(sim.5 == live.5, "event streams in capture order: {case}");
         }
     }
 }
