@@ -36,10 +36,7 @@ pub fn build_broadcast_network(
     }
     let everyone: Vec<ProcessId> = (0..n).map(ProcessId::from_index).collect();
     let mut rng = rng_from_seed(derive_seed(seed, 0xBC));
-    let tables =
-        static_topic_tables(&everyone, b, &mut rng).map_err(|e| DaError::InvalidParameter {
-            reason: e.to_string(),
-        })?;
+    let tables = static_topic_tables(&everyone, b, &mut rng)?;
     let fanout = fanout.fanout(n);
     let (labels, sent) = (Labels::new("bc"), LabelId::intern("bc.sent"));
     Ok(everyone

@@ -37,16 +37,8 @@ pub fn build_hierarchical_network(
 ) -> Result<Vec<GossipProcess>, DaError> {
     let n = interests.population();
     let mut rng = rng_from_seed(derive_seed(seed, 0x8C));
-    let layout = HierarchicalLayout::partition(n, n_groups, &mut rng).map_err(|e| {
-        DaError::InvalidParameter {
-            reason: e.to_string(),
-        }
-    })?;
-    let tables = static_hierarchical_tables(&layout, b, &mut rng).map_err(|e| {
-        DaError::InvalidParameter {
-            reason: e.to_string(),
-        }
-    })?;
+    let layout = HierarchicalLayout::partition(n, n_groups, &mut rng)?;
+    let tables = static_hierarchical_tables(&layout, b, &mut rng)?;
     let f_intra = fanout_intra.fanout(layout.group_size());
     let f_inter = fanout_inter.fanout(n_groups);
     let labels = Labels::new("hc");

@@ -45,10 +45,7 @@ pub fn build_multicast_network(
         if group.is_empty() {
             continue;
         }
-        let tables =
-            static_topic_tables(&group, b, &mut rng).map_err(|e| DaError::InvalidParameter {
-                reason: e.to_string(),
-            })?;
+        let tables = static_topic_tables(&group, b, &mut rng)?;
         let fanout = fanout.fanout(group.len());
         for (member, view) in group.into_iter().zip(tables) {
             per_process[member.index()].push(GossipTable {

@@ -1,3 +1,4 @@
+use da_membership::MembershipError;
 use std::error::Error;
 use std::fmt;
 
@@ -43,6 +44,15 @@ impl fmt::Display for DaError {
 
 impl Error for DaError {}
 
+/// A membership error surfaces as a parameter error, its text kept.
+impl From<MembershipError> for DaError {
+    fn from(e: MembershipError) -> Self {
+        DaError::InvalidParameter {
+            reason: e.to_string(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,6 +67,20 @@ mod tests {
         assert!(DaError::EmptyGroup { topic: ".a".into() }
             .to_string()
             .contains(".a"));
+        // A membership error converts to the parameter error built by
+        // hand before, text included.
+        let e = MembershipError::InvalidParameter {
+            reason: "degree must be positive".into(),
+        };
+        let by_hand = DaError::InvalidParameter {
+            reason: e.to_string(),
+        };
+        let converted = DaError::from(e);
+        assert_eq!(converted, by_hand);
+        assert_eq!(
+            converted.to_string(),
+            "invalid daMulticast parameter: invalid membership parameter: degree must be positive"
+        );
     }
 
     #[test]

@@ -25,12 +25,12 @@
 //! `S_T2 = 1000`), publish in the leaf group, and watch the event climb:
 //!
 //! ```
-//! use damulticast::{ParamMap, StaticNetwork};
+//! use damulticast::{Network, TopicParams};
 //! use da_core::ProcessId;
 //! use da_simnet::{Engine, SimConfig};
 //!
 //! # fn main() -> Result<(), damulticast::DaError> {
-//! let net = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 42)?;
+//! let net = Network::linear(&[10, 100, 1000], TopicParams::default(), 42)?;
 //! let leaf = net.groups()[2].members[0];
 //! let mut engine = Engine::new(SimConfig::default().with_seed(42), net.into_processes());
 //! let id = engine.process_mut(leaf).publish("goal!");
@@ -96,7 +96,15 @@ pub use group::Group;
 pub use maintenance::{MaintenanceAction, MaintenanceTask};
 pub use message::{ControlMsg, DaMsg};
 pub use metro::{metro_population, MetroMsg, MetroProcess, MAX_HEADLINES};
-pub use network::{DynamicNetwork, GroupSpec, StaticNetwork};
-pub use params::{ParamMap, TopicParams};
+pub use network::{GroupSpec, Network};
+pub use params::TopicParams;
 pub use protocol::{DaProcess, Mutation};
 pub use tables::{SuperEntry, SuperTable};
+
+/// The static builder's former name, kept only because the frozen
+/// benchmark package still spells it; new code names [`Network`].
+pub type StaticNetwork = Network;
+/// The former parameter wrapper's name, kept only because the frozen
+/// benchmark package still calls its `default()`; new code names
+/// [`TopicParams`].
+pub type ParamMap = TopicParams;

@@ -1,20 +1,22 @@
 //! Network assembly: build a whole population of [`DaProcess`]es from a
 //! topic hierarchy and group membership lists.
 //!
-//! Two builders mirror the protocol's two modes:
+//! One [`Network`] holds either of the protocol's two modes, and one
+//! parameter set serves every group:
 //!
-//! * [`StaticNetwork`] — the paper's simulation setting (Sec. VII-A):
-//!   every table is drawn once, uniformly at random, before round 0, and
-//!   never changes. A process gets one supertable per direct supertopic
-//!   (Sec. VIII), pointing into the *nearest non-empty group* at or above
-//!   that supertopic (Sec. V-A.1, footnote 4).
-//! * [`DynamicNetwork`] — the full protocol: processes only get a handful
-//!   of same-group contacts plus a random overlay, and discover super
-//!   contacts through the bootstrap.
+//! * static ([`Network::linear`], [`Network::from_groups`]) — the paper's
+//!   simulation setting (Sec. VII-A): every table is drawn once,
+//!   uniformly at random, before round 0, and never changes. A process
+//!   gets one supertable per direct supertopic (Sec. VIII), pointing into
+//!   the *nearest non-empty group* at or above that supertopic
+//!   (Sec. V-A.1, footnote 4).
+//! * dynamic ([`Network::dynamic_linear`]) — the full protocol: processes
+//!   only get a handful of same-group contacts plus a random overlay, and
+//!   discover super contacts through the bootstrap.
 
 use crate::error::DaError;
 use crate::group::Group;
-use crate::params::ParamMap;
+use crate::params::TopicParams;
 use crate::protocol::DaProcess;
 use crate::tables::SuperEntry;
 use da_core::{derive_seed, rng_from_seed, ProcessId};
@@ -33,16 +35,16 @@ pub struct GroupSpec {
     pub members: Vec<ProcessId>,
 }
 
-/// A fully-specified static population, ready to run under a
-/// `da_simnet::Engine`.
+/// A fully-specified population, ready to run under a
+/// `da_simnet::Engine` or a `da_runtime::Runtime`.
 ///
 /// ```
-/// use damulticast::{ParamMap, StaticNetwork, TopicParams};
+/// use damulticast::{Network, TopicParams};
 /// use da_core::ProcessId;
 /// use da_simnet::{Engine, SimConfig};
 ///
 /// // The paper's topology: S_T0 = 10, S_T1 = 100, S_T2 = 1000.
-/// let net = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 42)
+/// let net = Network::linear(&[10, 100, 1000], TopicParams::default(), 42)
 ///     .expect("valid topology");
 /// let first_leaf = net.groups()[2].members[0];
 /// let mut engine = Engine::new(SimConfig::default().with_seed(42), net.into_processes());
@@ -50,13 +52,36 @@ pub struct GroupSpec {
 /// engine.run_until_quiescent(64);
 /// ```
 #[derive(Debug)]
-pub struct StaticNetwork {
+pub struct Network {
     hierarchy: Arc<TopicHierarchy>,
     groups: Vec<GroupSpec>,
     processes: Vec<DaProcess>,
 }
 
-impl StaticNetwork {
+/// Same-group contacts a dynamic process joins through.
+const JOIN_CONTACTS: usize = 3;
+/// Least neighbourhood size of the bootstrap overlay.
+const OVERLAY_DEGREE: usize = 4;
+
+/// The linear chain `T0 ← T1 ← …` with `group_sizes[i] = S_Ti` processes
+/// in `Ti`'s group, ids dense and allocated top-down.
+fn linear_groups(group_sizes: &[usize]) -> Result<(TopicHierarchy, Vec<GroupSpec>), DaError> {
+    if group_sizes.is_empty() || group_sizes.contains(&0) {
+        return Err(DaError::InvalidParameter {
+            reason: "group sizes must be non-empty and positive".to_owned(),
+        });
+    }
+    let (hierarchy, ids) = TopicHierarchy::linear_chain(group_sizes.len());
+    let members = da_membership::static_init::assign_group_members(group_sizes);
+    let groups = ids
+        .into_iter()
+        .zip(members)
+        .map(|(topic, members)| GroupSpec { topic, members })
+        .collect();
+    Ok((hierarchy, groups))
+}
+
+impl Network {
     /// Builds a static network over a **linear** topic chain
     /// `T0 ← T1 ← …` where `group_sizes[i] = S_Ti` (the paper's Sec. VI-A
     /// assumption and Sec. VII-A setting). Process ids are dense,
@@ -66,20 +91,9 @@ impl StaticNetwork {
     ///
     /// Returns [`DaError::InvalidParameter`] when `group_sizes` is empty,
     /// contains a zero, or `params` fails validation.
-    pub fn linear(group_sizes: &[usize], params: ParamMap, seed: u64) -> Result<Self, DaError> {
-        if group_sizes.is_empty() || group_sizes.contains(&0) {
-            return Err(DaError::InvalidParameter {
-                reason: "group sizes must be non-empty and positive".to_owned(),
-            });
-        }
-        let (hierarchy, ids) = TopicHierarchy::linear_chain(group_sizes.len());
-        let members = da_membership::static_init::assign_group_members(group_sizes);
-        let groups = ids
-            .into_iter()
-            .zip(members)
-            .map(|(topic, members)| GroupSpec { topic, members })
-            .collect();
-        StaticNetwork::from_groups(Arc::new(hierarchy), groups, params, seed)
+    pub fn linear(group_sizes: &[usize], params: TopicParams, seed: u64) -> Result<Self, DaError> {
+        let (hierarchy, groups) = linear_groups(group_sizes)?;
+        Network::from_groups(Arc::new(hierarchy), groups, params, seed)
     }
 
     /// Builds a static network from explicit groups over an arbitrary
@@ -94,7 +108,7 @@ impl StaticNetwork {
     /// empty.
     ///
     /// ```
-    /// use damulticast::{GroupSpec, ParamMap, StaticNetwork, TopicParams};
+    /// use damulticast::{GroupSpec, Network, TopicParams};
     /// use da_core::ProcessId;
     /// use da_simnet::{Engine, SimConfig};
     /// use da_topics::TopicHierarchy;
@@ -112,8 +126,8 @@ impl StaticNetwork {
     ///     members: pids.map(ProcessId).collect(),
     /// };
     /// let groups = vec![group(sport, 0..5), group(swiss, 5..10), group(ski, 10..20)];
-    /// let params = ParamMap::uniform(TopicParams::paper_default().with_g(30.0).with_a(3.0));
-    /// let net = StaticNetwork::from_groups(Arc::new(h), groups, params, 7)?;
+    /// let params = TopicParams::paper_default().with_g(30.0).with_a(3.0);
+    /// let net = Network::from_groups(Arc::new(h), groups, params, 7)?;
     /// let mut engine = Engine::new(SimConfig::default().with_seed(7), net.into_processes());
     /// let id = engine.process_mut(ProcessId(12)).publish("slalom");
     /// engine.run_until_quiescent(64);
@@ -128,7 +142,7 @@ impl StaticNetwork {
     pub fn from_groups(
         hierarchy: Arc<TopicHierarchy>,
         groups: Vec<GroupSpec>,
-        params: ParamMap,
+        params: TopicParams,
         seed: u64,
     ) -> Result<Self, DaError> {
         params.validate()?;
@@ -156,19 +170,13 @@ impl StaticNetwork {
             if group.members.is_empty() {
                 continue;
             }
-            let tp = params.params();
             let shared = Arc::new(Group::new(
                 group.topic,
                 Arc::clone(&hierarchy),
-                tp,
+                params,
                 group.members.len(),
             ));
-            let topic_tables =
-                static_topic_tables(&group.members, tp.b, &mut rng).map_err(|e| {
-                    DaError::InvalidParameter {
-                        reason: e.to_string(),
-                    }
-                })?;
+            let topic_tables = static_topic_tables(&group.members, params.b, &mut rng)?;
 
             // One supertable per direct supertopic `p`, drawn from the
             // nearest non-empty group among `p` and its ancestors.
@@ -183,10 +191,7 @@ impl StaticNetwork {
                     continue;
                 };
                 let supergroup = &by_topic[&anc].members;
-                let tables = static_super_tables(&group.members, supergroup, tp.z, &mut rng)
-                    .map_err(|e| DaError::InvalidParameter {
-                        reason: e.to_string(),
-                    })?;
+                let tables = static_super_tables(&group.members, supergroup, params.z, &mut rng)?;
                 super_tables.push(Some((anc, tables)));
             }
 
@@ -222,7 +227,59 @@ impl StaticNetwork {
                 });
             }
         }
-        Ok(StaticNetwork {
+        Ok(Network {
+            hierarchy,
+            groups,
+            processes,
+        })
+    }
+
+    /// Builds a dynamic network over a linear chain, handing each process
+    /// three random same-group contacts and a shared random overlay of
+    /// degree four. Processes bootstrap their own supertables through the
+    /// overlay and keep them fresh at runtime.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DaError::InvalidParameter`] for empty/zero topologies or
+    /// invalid parameters.
+    pub fn dynamic_linear(
+        group_sizes: &[usize],
+        params: TopicParams,
+        seed: u64,
+    ) -> Result<Self, DaError> {
+        let (hierarchy, groups) = linear_groups(group_sizes)?;
+        params.validate()?;
+        let hierarchy = Arc::new(hierarchy);
+        let population: usize = group_sizes.iter().sum();
+        let overlay = Arc::new(Overlay::random(
+            population,
+            OVERLAY_DEGREE,
+            derive_seed(seed, 0x07E8),
+        )?);
+        let mut rng = rng_from_seed(derive_seed(seed, 0xD1A7));
+        let mut processes = Vec::with_capacity(population);
+        let mut pool = Vec::new();
+        for group in &groups {
+            let shared = Arc::new(Group::new(
+                group.topic,
+                Arc::clone(&hierarchy),
+                params,
+                group.members.len(),
+            ));
+            for (at, &pid) in group.members.iter().enumerate() {
+                let contacts =
+                    sample_others(&group.members, Some(at), JOIN_CONTACTS, &mut pool, &mut rng);
+                processes.push(DaProcess::dynamic_member(
+                    pid,
+                    Arc::clone(&shared),
+                    Arc::clone(&overlay),
+                    contacts,
+                ));
+            }
+        }
+        processes.sort_by_key(DaProcess::id);
+        Ok(Network {
             hierarchy,
             groups,
             processes,
@@ -249,115 +306,16 @@ impl StaticNetwork {
     }
 }
 
-/// Same-group contacts a dynamic process joins through.
-const JOIN_CONTACTS: usize = 3;
-/// Least neighbourhood size of the bootstrap overlay.
-const OVERLAY_DEGREE: usize = 4;
-
-/// A dynamic population: processes bootstrap their own tables through an
-/// overlay and keep them fresh at runtime.
-#[derive(Debug)]
-pub struct DynamicNetwork {
-    hierarchy: Arc<TopicHierarchy>,
-    groups: Vec<GroupSpec>,
-    processes: Vec<DaProcess>,
-}
-
-impl DynamicNetwork {
-    /// Builds a dynamic network over a linear chain, handing each process
-    /// three random same-group contacts and a shared random overlay of
-    /// degree four.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DaError::InvalidParameter`] for empty/zero topologies or
-    /// invalid parameters.
-    pub fn linear(group_sizes: &[usize], params: ParamMap, seed: u64) -> Result<Self, DaError> {
-        if group_sizes.is_empty() || group_sizes.contains(&0) {
-            return Err(DaError::InvalidParameter {
-                reason: "group sizes must be non-empty and positive".to_owned(),
-            });
-        }
-        params.validate()?;
-        let (hierarchy, ids) = TopicHierarchy::linear_chain(group_sizes.len());
-        let hierarchy = Arc::new(hierarchy);
-        let members = da_membership::static_init::assign_group_members(group_sizes);
-        let population: usize = group_sizes.iter().sum();
-        let overlay = Arc::new(
-            Overlay::random(population, OVERLAY_DEGREE, derive_seed(seed, 0x07E8)).map_err(
-                |e| DaError::InvalidParameter {
-                    reason: e.to_string(),
-                },
-            )?,
-        );
-        let mut rng = rng_from_seed(derive_seed(seed, 0xD1A7));
-        let mut processes = Vec::with_capacity(population);
-        let groups: Vec<GroupSpec> = ids
-            .iter()
-            .zip(&members)
-            .map(|(&topic, members)| GroupSpec {
-                topic,
-                members: members.clone(),
-            })
-            .collect();
-        let mut pool = Vec::new();
-        for group in &groups {
-            let shared = Arc::new(Group::new(
-                group.topic,
-                Arc::clone(&hierarchy),
-                params.params(),
-                group.members.len(),
-            ));
-            for (at, &pid) in group.members.iter().enumerate() {
-                let contacts =
-                    sample_others(&group.members, Some(at), JOIN_CONTACTS, &mut pool, &mut rng);
-                processes.push(DaProcess::dynamic_member(
-                    pid,
-                    Arc::clone(&shared),
-                    Arc::clone(&overlay),
-                    contacts,
-                ));
-            }
-        }
-        processes.sort_by_key(DaProcess::id);
-        Ok(DynamicNetwork {
-            hierarchy,
-            groups,
-            processes,
-        })
-    }
-
-    /// The topic hierarchy backing the network.
-    #[must_use]
-    pub fn hierarchy(&self) -> &Arc<TopicHierarchy> {
-        &self.hierarchy
-    }
-
-    /// The group specifications.
-    #[must_use]
-    pub fn groups(&self) -> &[GroupSpec] {
-        &self.groups
-    }
-
-    /// Consumes the network, yielding the processes for
-    /// `da_simnet::Engine::new`.
-    #[must_use]
-    pub fn into_processes(self) -> Vec<DaProcess> {
-        self.processes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventId;
-    use crate::params::TopicParams;
     use crate::tables::SuperTable;
     use da_simnet::{Engine, SimConfig};
 
     #[test]
     fn linear_builder_respects_paper_topology() {
-        let net = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 1).unwrap();
+        let net = Network::linear(&[10, 100, 1000], TopicParams::default(), 1).unwrap();
         assert_eq!(net.groups().len(), 3);
         assert_eq!(net.groups()[0].members.len(), 10);
         assert_eq!(net.groups()[2].members.len(), 1000);
@@ -366,7 +324,7 @@ mod tests {
 
     #[test]
     fn empty_topology_rejected() {
-        assert!(StaticNetwork::linear(&[], ParamMap::default(), 1).is_err());
+        assert!(Network::linear(&[], TopicParams::default(), 1).is_err());
     }
 
     /// Both chain builders turn away a zero-size group, as their docs
@@ -375,24 +333,24 @@ mod tests {
     fn linear_builders_reject_a_zero_size_group() {
         let sizes = [10, 0, 100];
         assert!(matches!(
-            StaticNetwork::linear(&sizes, ParamMap::default(), 1),
+            Network::linear(&sizes, TopicParams::default(), 1),
             Err(DaError::InvalidParameter { .. })
         ));
         assert!(matches!(
-            DynamicNetwork::linear(&sizes, ParamMap::default(), 1),
+            Network::dynamic_linear(&sizes, TopicParams::default(), 1),
             Err(DaError::InvalidParameter { .. })
         ));
     }
 
     #[test]
     fn invalid_params_rejected() {
-        let params = ParamMap::uniform(TopicParams::paper_default().with_z(0));
-        assert!(StaticNetwork::linear(&[5, 5], params, 1).is_err());
+        let params = TopicParams::paper_default().with_z(0);
+        assert!(Network::linear(&[5, 5], params, 1).is_err());
     }
 
     #[test]
     fn tables_point_to_correct_groups() {
-        let net = StaticNetwork::linear(&[10, 100], ParamMap::default(), 2).unwrap();
+        let net = Network::linear(&[10, 100], TopicParams::default(), 2).unwrap();
         let groups = net.groups().to_vec();
         let procs = net.into_processes();
         for p in &procs {
@@ -418,7 +376,7 @@ mod tests {
 
     #[test]
     fn root_group_has_empty_supertables() {
-        let net = StaticNetwork::linear(&[10, 20], ParamMap::default(), 3).unwrap();
+        let net = Network::linear(&[10, 20], TopicParams::default(), 3).unwrap();
         let procs = net.into_processes();
         for p in procs.iter().take(10) {
             assert!(p.super_tables().is_empty(), "root member has no supergroup");
@@ -447,8 +405,7 @@ mod tests {
                 members: (5..15).map(ProcessId).collect(),
             },
         ];
-        let net =
-            StaticNetwork::from_groups(Arc::clone(&h), groups, ParamMap::default(), 4).unwrap();
+        let net = Network::from_groups(Arc::clone(&h), groups, TopicParams::default(), 4).unwrap();
         let procs = net.into_processes();
         for p in procs.iter().skip(5) {
             assert_eq!(p.super_tables().len(), 1, "one table, for T1");
@@ -477,7 +434,7 @@ mod tests {
                 members: (5..15).map(ProcessId).collect(),
             },
         ];
-        let net = StaticNetwork::from_groups(h, groups, ParamMap::default(), 5).unwrap();
+        let net = Network::from_groups(h, groups, TopicParams::default(), 5).unwrap();
         let mut engine = Engine::new(SimConfig::default().with_seed(5), net.into_processes());
         let id = engine.process_mut(ProcessId(7)).publish("bridge me");
         engine.run_until_quiescent(64);
@@ -502,7 +459,7 @@ mod tests {
                 members: vec![ProcessId(5)],
             },
         ];
-        assert!(StaticNetwork::from_groups(Arc::new(h), groups, ParamMap::default(), 6).is_err());
+        assert!(Network::from_groups(Arc::new(h), groups, TopicParams::default(), 6).is_err());
     }
 
     /// A group's constants are one allocation its members point at, in
@@ -524,17 +481,17 @@ mod tests {
                 .collect();
             assert!(!Arc::ptr_eq(firsts[0], firsts[1]), "one value per group");
         };
-        let net = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 1).unwrap();
+        let net = Network::linear(&[10, 100, 1000], TopicParams::default(), 1).unwrap();
         let groups = net.groups().to_vec();
         shares(&groups, &net.into_processes());
-        let net = DynamicNetwork::linear(&[5, 20], ParamMap::default(), 7).unwrap();
+        let net = Network::dynamic_linear(&[5, 20], TopicParams::default(), 7).unwrap();
         let groups = net.groups().to_vec();
         shares(&groups, &net.into_processes());
     }
 
     #[test]
     fn dynamic_network_builds_and_floods_bootstrap() {
-        let net = DynamicNetwork::linear(&[5, 20], ParamMap::default(), 7).unwrap();
+        let net = Network::dynamic_linear(&[5, 20], TopicParams::default(), 7).unwrap();
         let procs = net.into_processes();
         assert_eq!(procs.len(), 25);
         let mut engine = Engine::new(SimConfig::default().with_seed(7), procs);
@@ -554,8 +511,8 @@ mod tests {
         // At S = 20 the paper's g = 5 leaves a ≈2% chance that no process
         // elects itself for inter-group forwarding; raise g so the test is
         // statistically sound (the trade-off knob the paper describes).
-        let params = ParamMap::uniform(TopicParams::paper_default().with_g(15.0).with_a(3.0));
-        let net = DynamicNetwork::linear(&[5, 20], params, 9).unwrap();
+        let params = TopicParams::paper_default().with_g(15.0).with_a(3.0);
+        let net = Network::dynamic_linear(&[5, 20], params, 9).unwrap();
         let procs = net.into_processes();
         let mut engine = Engine::new(SimConfig::default().with_seed(9), procs);
         engine.run_rounds(30); // let membership + bootstrap settle
@@ -576,7 +533,7 @@ mod tests {
     /// fans (4–9), 6 swiss fans (10–15), 12 ski fans (16–27). The small
     /// groups pin the trade-off knobs high so single events cross every
     /// edge deterministically enough to assert on.
-    fn diamond_network(seed: u64) -> (StaticNetwork, [TopicId; 4]) {
+    fn diamond_network(seed: u64) -> (Network, [TopicId; 4]) {
         let mut h = TopicHierarchy::from_paths([".sport.ski", ".swiss"]).unwrap();
         let [sport, swiss, ski] = [".sport", ".swiss", ".sport.ski"].map(|p| h.resolve(p).unwrap());
         h.add_supertopic(ski, swiss).unwrap();
@@ -589,8 +546,8 @@ mod tests {
                 members: pids.map(ProcessId).collect(),
             })
             .collect();
-        let params = ParamMap::uniform(TopicParams::paper_default().with_g(30.0).with_a(3.0));
-        let net = StaticNetwork::from_groups(Arc::new(h), groups, params, seed).unwrap();
+        let params = TopicParams::paper_default().with_g(30.0).with_a(3.0);
+        let net = Network::from_groups(Arc::new(h), groups, params, seed).unwrap();
         (net, topics)
     }
 
@@ -653,7 +610,7 @@ mod tests {
             topic: child,
             members: (50..54).map(ProcessId).collect(),
         });
-        let net = StaticNetwork::from_groups(Arc::new(h), groups, ParamMap::default(), 3).unwrap();
+        let net = Network::from_groups(Arc::new(h), groups, TopicParams::default(), 3).unwrap();
         for p in net.into_processes().iter().skip(50) {
             // 10 tables × z = 3, though each supergroup offers 5.
             assert_eq!(p.super_tables().len(), 10);
@@ -751,8 +708,8 @@ mod tests {
             },
         ];
         let root = h.root();
-        let params = ParamMap::uniform(TopicParams::paper_default().with_g(30.0).with_a(3.0));
-        let net = StaticNetwork::from_groups(Arc::new(h), groups, params, 5).unwrap();
+        let params = TopicParams::paper_default().with_g(30.0).with_a(3.0);
+        let net = Network::from_groups(Arc::new(h), groups, params, 5).unwrap();
         let procs = net.into_processes();
         for p in procs.iter().skip(8) {
             let [to_a, to_c] = p.super_tables() else {
@@ -788,16 +745,16 @@ mod tests {
                 })
                 .collect()
         };
-        let build = |groups, params| StaticNetwork::from_groups(Arc::clone(&h), groups, params, 1);
+        let build = |groups, params| Network::from_groups(Arc::clone(&h), groups, params, 1);
         assert!(matches!(
-            build(groups(&[&[], &[], &[], &[]]), ParamMap::default()),
+            build(groups(&[&[], &[], &[], &[]]), TopicParams::default()),
             Err(DaError::EmptyGroup { .. })
         ));
         // Not dense: 2 is missing.
-        assert!(build(groups(&[&[0, 1], &[3]]), ParamMap::default()).is_err());
+        assert!(build(groups(&[&[0, 1], &[3]]), TopicParams::default()).is_err());
         // A NaN election weight would pass `gen_bool` a NaN probability
         // on the first publication.
-        let nan = ParamMap::uniform(TopicParams::paper_default().with_g(f64::NAN));
+        let nan = TopicParams::paper_default().with_g(f64::NAN);
         assert!(matches!(
             build(groups(&[&[0, 1]]), nan),
             Err(DaError::InvalidParameter { .. })

@@ -1,15 +1,16 @@
 //! Protocol parameters.
 //!
-//! The paper exposes, per topic `Ti`, the knobs that trade reliability for
-//! message complexity (Sec. V-B): the membership constant `b`, the gossip
+//! The paper names the knobs that trade reliability for message
+//! complexity (Sec. V-B): the membership constant `b`, the gossip
 //! constant `c` (inside the fanout rule), the link-election weight `g`
 //! (`p_sel = g / S`), the supertable spray weight `a` (`p_a = a / z`), the
-//! supertable size `z`, and the maintenance threshold `τ`.
+//! supertable size `z`, and the maintenance threshold `τ`. A network runs
+//! one set of them in every group.
 
 use crate::DaError;
 use da_membership::FanoutRule;
 
-/// Per-topic daMulticast parameters.
+/// The daMulticast parameters, one set for every group of a network.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopicParams {
     /// Membership view constant `b` — topic tables hold `(b+1)·ln(S)` ids.
@@ -146,49 +147,6 @@ impl TopicParams {
 impl Default for TopicParams {
     fn default() -> Self {
         TopicParams::paper_default()
-    }
-}
-
-/// The parameters of every topic of a network: one [`TopicParams`] that
-/// all groups run.
-///
-/// ```
-/// use damulticast::{ParamMap, TopicParams};
-///
-/// let params = ParamMap::uniform(TopicParams::paper_default().with_z(5));
-/// assert_eq!(params.params().z, 5);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ParamMap {
-    default: TopicParams,
-}
-
-impl ParamMap {
-    /// Uses `default` for every topic.
-    #[must_use]
-    pub fn uniform(default: TopicParams) -> Self {
-        ParamMap { default }
-    }
-
-    /// The parameters every topic runs.
-    #[must_use]
-    pub fn params(&self) -> TopicParams {
-        self.default
-    }
-
-    /// Validates the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DaError::InvalidParameter`] when they fail validation.
-    pub fn validate(&self) -> Result<(), DaError> {
-        self.default.validate()
-    }
-}
-
-impl Default for ParamMap {
-    fn default() -> Self {
-        ParamMap::uniform(TopicParams::default())
     }
 }
 

@@ -1163,7 +1163,8 @@ mod tests {
             assert!(!stamped(p), "{pid} stamped its static view");
         }
 
-        let net = crate::DynamicNetwork::linear(&[5, 20], crate::ParamMap::default(), 7).unwrap();
+        let net =
+            crate::Network::dynamic_linear(&[5, 20], crate::TopicParams::default(), 7).unwrap();
         let mut engine = Engine::new(SimConfig::default().with_seed(7), net.into_processes());
         engine.run_rounds(20);
         assert!(engine.processes().any(|(_, p)| stamped(p)));

@@ -12,7 +12,7 @@ use crate::substrate::Substrate;
 use da_core::{FailureModel, Fate, ProcessId};
 use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
-use damulticast::{DynamicNetwork, ParamMap, TopicParams};
+use damulticast::{Network, TopicParams};
 
 /// Sweeps the link-election weight `g`: inter-group traffic rises linearly
 /// while root-delivery reliability saturates — the message/reliability
@@ -134,12 +134,8 @@ pub fn ablation_maintenance(periods: &[u64], trials: usize, seed: u64) -> Table<
             a: 3.0,
             ..TopicParams::paper_default()
         };
-        let net = DynamicNetwork::linear(
-            &[root_size, leaf_size],
-            ParamMap::uniform(params),
-            trial_seed,
-        )
-        .expect("valid dynamic topology");
+        let net = Network::dynamic_linear(&[root_size, leaf_size], params, trial_seed)
+            .expect("valid dynamic topology");
         let crashed: Vec<ProcessId> = (0..root_size / 2).map(ProcessId::from_index).collect();
         let fates = crashed
             .iter()

@@ -13,7 +13,7 @@ use crate::report::Table;
 use crate::runner::sweep;
 use da_core::{ChannelConfig, FailureModel, ProcessId};
 use da_simnet::{Engine, SimConfig};
-use damulticast::{DynamicNetwork, ParamMap, StaticNetwork, TopicParams};
+use damulticast::{Network, TopicParams};
 
 /// Rounds until 50% / 95% / 100% of the leaf group has delivered one leaf
 /// publication, vs the leaf-group size.
@@ -22,7 +22,7 @@ pub fn run_latency(leaf_sizes: &[usize], trials: usize, seed: u64) -> Table<f64>
     let xs: Vec<f64> = leaf_sizes.iter().map(|&s| s as f64).collect();
     let rows = sweep(&xs, trials, seed, |s, trial_seed| {
         let s = s as usize;
-        let net = StaticNetwork::linear(&[10, 100, s], ParamMap::default(), trial_seed)
+        let net = Network::linear(&[10, 100, s], TopicParams::default(), trial_seed)
             .expect("valid topology");
         let leaf_members = net.groups()[2].members.clone();
         let sim = SimConfig::default()
@@ -104,8 +104,8 @@ pub fn run_churn(crash_rates: &[f64], trials: usize, seed: u64) -> Table<f64> {
             a: 3.0,
             ..TopicParams::paper_default()
         };
-        let net = DynamicNetwork::linear(&[8, 40], ParamMap::uniform(params), trial_seed)
-            .expect("valid dynamic topology");
+        let net =
+            Network::dynamic_linear(&[8, 40], params, trial_seed).expect("valid dynamic topology");
         let groups = net.groups().to_vec();
         let sim = SimConfig::default()
             .with_seed(trial_seed)

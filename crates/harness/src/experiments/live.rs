@@ -38,7 +38,7 @@ use crate::stats::Summary;
 use crate::substrate::{Driver, Substrate};
 use da_core::{derive_seed, FailureModel, Partition, PartitionSchedule, ProcessId, RunConfig};
 use da_membership::FanoutRule;
-use damulticast::{DaProcess, EventId, ParamMap, StaticNetwork, TopicParams};
+use damulticast::{DaProcess, EventId, Network, TopicParams};
 
 /// The partition trial's fixed horizon, in ticks.
 const MAX_TIME: u64 = 64;
@@ -309,8 +309,7 @@ fn partition_trial(
     heal: Option<u64>,
     substrate: Substrate,
 ) -> (f64, Vec<Vec<EventId>>, u64) {
-    let params = ParamMap::uniform(scenario.params);
-    let net = StaticNetwork::linear(&scenario.group_sizes, params, base.seed)
+    let net = Network::linear(&scenario.group_sizes, scenario.params, base.seed)
         .expect("experiment topology must be valid");
     let leaf = net.groups().last().expect("at least one group").clone();
     assert!(

@@ -37,7 +37,7 @@
 use da_core::ProcessId;
 use da_simnet::mc::{Explorer, Invariant, McConfig, McReport};
 use da_simnet::{Engine, SimConfig};
-use damulticast::{DaProcess, EventId, Mutation, ParamMap, StaticNetwork};
+use damulticast::{DaProcess, EventId, Mutation, Network, TopicParams};
 
 /// Seed of the scenario builders (tables are static; the seed only
 /// shuffles initial view order).
@@ -70,7 +70,7 @@ pub fn base_config() -> SimConfig {
 /// Panics when `population` is zero (the network builder rejects it).
 #[must_use]
 pub fn single_group_processes(population: usize, mutation: Mutation) -> Vec<DaProcess> {
-    StaticNetwork::linear(&[population], ParamMap::default(), MC_SEED)
+    Network::linear(&[population], TopicParams::default(), MC_SEED)
         .expect("a single positive group size is valid")
         .into_processes()
         .into_iter()

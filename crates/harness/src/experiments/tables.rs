@@ -103,11 +103,9 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
     // Memory: a leaf subscriber's ln(S)+c topic table plus z supertable
     // entries; measured from a freshly built network.
     let da_mem = {
-        let net = damulticast::StaticNetwork::linear(
+        let net = damulticast::Network::linear(
             group_sizes,
-            damulticast::ParamMap::uniform(
-                damulticast::TopicParams::paper_default().with_fanout(fanout),
-            ),
+            damulticast::TopicParams::paper_default().with_fanout(fanout),
             seed,
         )
         .expect("valid topology");

@@ -15,7 +15,7 @@ use da_core::{
 };
 use da_membership::FanoutRule;
 use da_runtime::Shutdown;
-use damulticast::{ParamMap, StaticNetwork, TopicParams};
+use damulticast::{Network, TopicParams};
 
 /// Configuration of one paper scenario.
 #[derive(Debug, Clone)]
@@ -165,8 +165,7 @@ pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) ->
     let levels = config.group_sizes.len();
     assert!(config.publish_level < levels, "publish level out of range");
 
-    let params = ParamMap::uniform(config.params);
-    let net = StaticNetwork::linear(&config.group_sizes, params, seed)
+    let net = Network::linear(&config.group_sizes, config.params, seed)
         .expect("scenario topology must be valid");
     let hierarchy = std::sync::Arc::clone(net.hierarchy());
     let groups = net.groups().to_vec();
@@ -384,7 +383,7 @@ mod tests {
         let h = Arc::new(h);
         let topics = [h.root(), a, b, c];
         let members = da_membership::static_init::assign_group_members(&[4, 6, 6, 12]);
-        let params = ParamMap::uniform(crate::experiments::live::pinned_params(20.0, 12.0));
+        let params = crate::experiments::live::pinned_params(20.0, 12.0);
         for substrate in [SIM, Substrate::Live { workers: 1 }] {
             for (&published, group) in topics.iter().zip(&members) {
                 let groups = topics
@@ -395,7 +394,7 @@ mod tests {
                         members: members.clone(),
                     })
                     .collect();
-                let net = StaticNetwork::from_groups(Arc::clone(&h), groups, params.clone(), 3)
+                let net = Network::from_groups(Arc::clone(&h), groups, params, 3)
                     .expect("valid topology");
                 let (event, _, out) = publish_and_settle(
                     substrate,

@@ -88,10 +88,10 @@
 //!
 //! ```
 //! use da_runtime::{Runtime, RuntimeConfig};
-//! use damulticast::{ParamMap, StaticNetwork};
+//! use damulticast::{Network, TopicParams};
 //!
 //! # fn main() -> Result<(), damulticast::DaError> {
-//! let net = StaticNetwork::linear(&[4, 16], ParamMap::default(), 7)?;
+//! let net = Network::linear(&[4, 16], TopicParams::default(), 7)?;
 //! let leaf = net.groups()[1].members[0];
 //! let config = RuntimeConfig::default().with_workers(2).with_seed(7);
 //! let mut rt = Runtime::spawn(config, net.into_processes());

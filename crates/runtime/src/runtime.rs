@@ -79,9 +79,9 @@ pub type RuntimeConfig = RunConfig<PoolConfig>;
 ///
 /// ```
 /// use da_runtime::{Runtime, RuntimeConfig};
-/// use damulticast::{ParamMap, StaticNetwork};
+/// use damulticast::{Network, TopicParams};
 ///
-/// let net = StaticNetwork::linear(&[3, 9], ParamMap::default(), 1).unwrap();
+/// let net = Network::linear(&[3, 9], TopicParams::default(), 1).unwrap();
 /// let leaf = net.groups()[1].members[0];
 /// let config = RuntimeConfig::default().with_workers(2).with_seed(1);
 /// let mut rt = Runtime::spawn(config, net.into_processes());

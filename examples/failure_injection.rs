@@ -13,7 +13,7 @@ use da_core::{FailureModel, Fate, ProcessId};
 use da_harness::scenario::{run_scenario, ScenarioConfig};
 use da_harness::substrate::Substrate;
 use da_simnet::{Engine, SimConfig};
-use damulticast::{DynamicNetwork, ParamMap, TopicParams};
+use damulticast::{Network, TopicParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== stillborn vs per-observer at equal aliveness ===");
@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n=== scripted crash wave on the dynamic stack ===");
     let sizes = [6usize, 24];
-    let params = ParamMap::uniform(TopicParams::paper_default().with_g(12.0).with_a(3.0));
-    let net = DynamicNetwork::linear(&sizes, params, 99)?;
+    let params = TopicParams::paper_default().with_g(12.0).with_a(3.0);
+    let net = Network::dynamic_linear(&sizes, params, 99)?;
     // Crash half the root group at round 30.
     let fates: Vec<Fate> = (0..3)
         .map(|i| Fate {

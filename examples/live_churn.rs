@@ -23,7 +23,7 @@
 
 use da_core::{FailureModel, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig};
-use damulticast::{DynamicNetwork, EventId, ParamMap, TopicParams};
+use damulticast::{EventId, Network, TopicParams};
 use std::time::Instant;
 
 /// Parses `--flag <p>` probabilities from the argument list.
@@ -55,14 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Aggressive maintenance (period 5, 2-tick ping timeout) so stale
     // tables left behind by churn are repaired within the soak, plus
     // pinned-high dissemination knobs for redundancy under failures.
-    let params = ParamMap::uniform(TopicParams {
+    let params = TopicParams {
         maintenance_period: 5,
         ping_timeout: 2,
         g: 15.0,
         a: 3.0,
         ..TopicParams::paper_default()
-    });
-    let net = DynamicNetwork::linear(sizes, params, seed)?;
+    };
+    let net = Network::dynamic_linear(sizes, params, seed)?;
     let leaves = net.groups().last().expect("three levels").members.clone();
 
     let failure = FailureModel::Churn {

@@ -32,7 +32,7 @@
 use da_core::{ChannelConfig, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig};
 use da_topics::TopicHierarchy;
-use damulticast::{GroupSpec, ParamMap, StaticNetwork, TopicParams};
+use damulticast::{GroupSpec, Network, TopicParams};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -108,13 +108,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `ln S + 12` fanout for intra-group atomicity) so every story
     // reaches its full audience regardless of thread interleaving —
     // the live substrate is concurrent, the guarantee must not be lucky.
-    let params = ParamMap::uniform(
-        TopicParams::paper_default()
-            .with_g(20.0)
-            .with_a(3.0)
-            .with_fanout(da_membership::FanoutRule::LnPlusC { c: 12.0 }),
-    );
-    let net = StaticNetwork::from_groups(Arc::clone(&hierarchy), groups, params, 7)?;
+    let params = TopicParams::paper_default()
+        .with_g(20.0)
+        .with_a(3.0)
+        .with_fanout(da_membership::FanoutRule::LnPlusC { c: 12.0 });
+    let net = Network::from_groups(Arc::clone(&hierarchy), groups, params, 7)?;
 
     // At least 4 workers even on small machines, so the run always
     // exercises true cross-thread message passing.

@@ -29,7 +29,7 @@
 
 use da_core::{Partition, PartitionSchedule, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig, TraceConfig};
-use damulticast::{DynamicNetwork, ParamMap, TopicParams};
+use damulticast::{Network, TopicParams};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -47,14 +47,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Aggressive maintenance (period 5, 2-tick ping timeout) so the
     // island re-finds its super contacts within a few ticks of the
     // heal, plus pinned-high dissemination knobs for redundancy.
-    let params = ParamMap::uniform(TopicParams {
+    let params = TopicParams {
         maintenance_period: 5,
         ping_timeout: 2,
         g: 15.0,
         a: 3.0,
         ..TopicParams::paper_default()
-    });
-    let net = DynamicNetwork::linear(sizes, params, seed)?;
+    };
+    let net = Network::dynamic_linear(sizes, params, seed)?;
     let leaves = net.groups().last().expect("three levels").members.clone();
     let island: Vec<ProcessId> = leaves[leaves.len() - leaves.len() / 4..].to_vec();
     let mainland_leaves: Vec<ProcessId> = leaves[..leaves.len() - island.len()].to_vec();

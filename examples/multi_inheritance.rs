@@ -14,7 +14,7 @@
 //! A ski-racing event must reach sport fans *and* Switzerland watchers —
 //! two different communities on two different edges — while a plain
 //! football event stays inside the sport subtree. The protocol is the
-//! paper's own `DaProcess`: `StaticNetwork` hands each ski-racing
+//! paper's own `DaProcess`: `Network` hands each ski-racing
 //! devotee one supertable per direct supertopic.
 //!
 //! Run with: `cargo run --example multi_inheritance`
@@ -22,7 +22,7 @@
 use da_core::ProcessId;
 use da_simnet::{Engine, SimConfig};
 use da_topics::TopicHierarchy;
-use damulticast::{GroupSpec, ParamMap, StaticNetwork, TopicParams};
+use damulticast::{GroupSpec, Network, TopicParams};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         members: pids.map(ProcessId).collect(),
     })
     .collect();
-    let params = ParamMap::uniform(TopicParams::paper_default().with_g(30.0).with_a(3.0));
-    let net = StaticNetwork::from_groups(Arc::new(hierarchy), groups, params, 11)?;
+    let params = TopicParams::paper_default().with_g(30.0).with_a(3.0);
+    let net = Network::from_groups(Arc::new(hierarchy), groups, params, 11)?;
 
     // Memory check before running: a ski fan holds one topic table plus
     // TWO z-sized supertables (one per inclusion edge) — not one table per

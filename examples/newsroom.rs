@@ -23,7 +23,7 @@
 use da_core::ProcessId;
 use da_simnet::{Engine, SimConfig};
 use da_topics::TopicHierarchy;
-use damulticast::{GroupSpec, ParamMap, StaticNetwork, TopicParams};
+use damulticast::{GroupSpec, Network, TopicParams};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,8 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Small groups: boost the election weight so single events cross
     // group boundaries reliably (the paper's g knob).
-    let params = ParamMap::uniform(TopicParams::paper_default().with_g(10.0).with_a(3.0));
-    let net = StaticNetwork::from_groups(Arc::clone(&hierarchy), groups, params, 7)?;
+    let params = TopicParams::paper_default().with_g(10.0).with_a(3.0);
+    let net = Network::from_groups(Arc::clone(&hierarchy), groups, params, 7)?;
     let mut engine = Engine::new(SimConfig::default().with_seed(7), net.into_processes());
 
     // A football reporter files a story; a politics reporter files another.

@@ -6,12 +6,12 @@
 
 use da_core::ChannelConfig;
 use da_simnet::{Engine, SimConfig};
-use damulticast::{ParamMap, StaticNetwork};
+use damulticast::{Network, TopicParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's Sec. VII-A setting: S_T0 = 10, S_T1 = 100, S_T2 = 1000,
     // b = 3, c = 5, g = 5, a = 1, z = 3.
-    let net = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 42)?;
+    let net = Network::linear(&[10, 100, 1000], TopicParams::default(), 42)?;
     let hierarchy = std::sync::Arc::clone(net.hierarchy());
     let groups = net.groups().to_vec();
     println!("topology:\n{hierarchy}");

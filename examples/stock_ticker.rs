@@ -11,17 +11,15 @@
 
 use da_core::ChannelConfig;
 use da_simnet::{Engine, SimConfig};
-use damulticast::{DynamicNetwork, ParamMap, TopicParams};
+use damulticast::{Network, TopicParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5 market analysts (root), 15 sector analysts, 40 GPU traders.
     let sizes = [5usize, 15, 40];
-    let params = ParamMap::uniform(
-        TopicParams::paper_default()
-            .with_g(12.0) // small groups: strengthen the inter-group links
-            .with_a(3.0),
-    );
-    let net = DynamicNetwork::linear(&sizes, params, 2024)?;
+    let params = TopicParams::paper_default()
+        .with_g(12.0) // small groups: strengthen the inter-group links
+        .with_a(3.0);
+    let net = Network::dynamic_linear(&sizes, params, 2024)?;
     let groups = net.groups().to_vec();
     let sim = SimConfig::default()
         .with_seed(2024)

@@ -40,7 +40,7 @@ pub use damulticast;
 /// use damulticast_suite::prelude::*;
 ///
 /// # fn main() -> Result<(), DaError> {
-/// let net = StaticNetwork::linear(&[5, 25], ParamMap::default(), 1)?;
+/// let net = Network::linear(&[5, 25], TopicParams::default(), 1)?;
 /// let mut engine = Engine::new(SimConfig::default(), net.into_processes());
 /// engine.run_until_quiescent(16);
 /// # Ok(())
@@ -56,7 +56,5 @@ pub mod prelude {
     pub use da_runtime::{Runtime, RuntimeConfig};
     pub use da_simnet::{Engine, SimConfig};
     pub use da_topics::{TopicHierarchy, TopicId};
-    pub use damulticast::{
-        DaError, DaProcess, DynamicNetwork, Event, EventId, ParamMap, StaticNetwork, TopicParams,
-    };
+    pub use damulticast::{DaError, DaProcess, Event, EventId, Network, TopicParams};
 }

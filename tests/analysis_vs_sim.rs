@@ -81,8 +81,7 @@ fn intergroup_count_matches_analysis() {
 /// Sec. VI-C (in table entries: `(b+1)ln(S)` view + `z`).
 #[test]
 fn memory_within_paper_bound() {
-    let net =
-        damulticast::StaticNetwork::linear(&SIZES, damulticast::ParamMap::default(), 3).unwrap();
+    let net = damulticast::Network::linear(&SIZES, damulticast::TopicParams::default(), 3).unwrap();
     let groups = net.groups().to_vec();
     let procs = net.into_processes();
     for p in &procs {

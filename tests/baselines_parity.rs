@@ -10,7 +10,7 @@ use da_core::{first_divergence, ProcessId, RunConfig, TraceConfig};
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
-use damulticast::{ParamMap, StaticNetwork, TopicParams};
+use damulticast::{Network, TopicParams};
 
 const SIZES: [usize; 3] = [4, 12, 36];
 const FANOUT: FanoutRule = FanoutRule::LnPlusC { c: 5.0 };
@@ -38,13 +38,11 @@ fn delivery_bitmaps(seed: u64) -> [Vec<bool>; 4] {
     let leaf_publisher = ProcessId::from_index(n - 1);
 
     // daMulticast.
-    let params = ParamMap::uniform(
-        TopicParams::paper_default()
-            .with_fanout(FANOUT)
-            .with_g(12.0)
-            .with_a(3.0),
-    );
-    let net = StaticNetwork::linear(&SIZES, params, seed).unwrap();
+    let params = TopicParams::paper_default()
+        .with_fanout(FANOUT)
+        .with_g(12.0)
+        .with_a(3.0);
+    let net = Network::linear(&SIZES, params, seed).unwrap();
     let mut engine = Engine::new(SimConfig::default().with_seed(seed), net.into_processes());
     let id = engine.process_mut(leaf_publisher).publish("parity");
     engine.run_until_quiescent(96);
@@ -101,8 +99,8 @@ fn root_event_parasite_profile() {
     }
 
     // daMulticast.
-    let params = ParamMap::uniform(TopicParams::paper_default().with_fanout(FANOUT));
-    let net = StaticNetwork::linear(&SIZES, params, 42).unwrap();
+    let params = TopicParams::paper_default().with_fanout(FANOUT);
+    let net = Network::linear(&SIZES, params, 42).unwrap();
     let mut e = Engine::new(SimConfig::default().with_seed(42), net.into_processes());
     e.process_mut(root_publisher).publish("root");
     e.run_until_quiescent(96);
@@ -118,8 +116,8 @@ fn root_event_message_cost_ordering() {
     let interests = InterestMap::linear(&SIZES);
     let root_publisher = ProcessId(0);
 
-    let params = ParamMap::uniform(TopicParams::paper_default().with_fanout(FANOUT));
-    let net = StaticNetwork::linear(&SIZES, params, 43).unwrap();
+    let params = TopicParams::paper_default().with_fanout(FANOUT);
+    let net = Network::linear(&SIZES, params, 43).unwrap();
     let mut e = Engine::new(SimConfig::default().with_seed(43), net.into_processes());
     e.process_mut(root_publisher).publish("cost");
     e.run_until_quiescent(96);
@@ -145,8 +143,8 @@ fn memory_ordering() {
     let interests = InterestMap::linear(&SIZES);
     let n: usize = SIZES.iter().sum();
 
-    let params = ParamMap::uniform(TopicParams::paper_default().with_fanout(FANOUT));
-    let net = StaticNetwork::linear(&SIZES, params, 44).unwrap();
+    let params = TopicParams::paper_default().with_fanout(FANOUT);
+    let net = Network::linear(&SIZES, params, 44).unwrap();
     let da_procs = net.into_processes();
     let da_mean: f64 = da_procs
         .iter()

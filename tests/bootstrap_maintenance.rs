@@ -7,18 +7,18 @@ use da_harness::substrate::{Driver, Substrate};
 use da_membership::static_init::assign_group_members;
 use da_simnet::{Engine, SimConfig};
 use da_topics::TopicHierarchy;
-use damulticast::{DaProcess, DynamicNetwork, GroupSpec, ParamMap, StaticNetwork, TopicParams};
+use damulticast::{DaProcess, GroupSpec, Network, TopicParams};
 use std::sync::Arc;
 
-fn boosted_params() -> ParamMap {
-    ParamMap::uniform(TopicParams::paper_default().with_g(15.0).with_a(3.0))
+fn boosted_params() -> TopicParams {
+    TopicParams::paper_default().with_g(15.0).with_a(3.0)
 }
 
 /// Every non-root process of a freshly started dynamic network finds super
 /// contacts within a bounded number of rounds.
 #[test]
 fn bootstrap_links_whole_population() {
-    let net = DynamicNetwork::linear(&[5, 15, 45], boosted_params(), 10).unwrap();
+    let net = Network::dynamic_linear(&[5, 15, 45], boosted_params(), 10).unwrap();
     let groups = net.groups().to_vec();
     let mut engine = Engine::new(SimConfig::default().with_seed(10), net.into_processes());
     engine.run_rounds(50);
@@ -44,7 +44,7 @@ fn bootstrap_links_whole_population() {
 /// search has finished (the "narrowing" of Fig. 4).
 #[test]
 fn bootstrap_finds_direct_supergroup() {
-    let net = DynamicNetwork::linear(&[5, 15, 45], boosted_params(), 11).unwrap();
+    let net = Network::dynamic_linear(&[5, 15, 45], boosted_params(), 11).unwrap();
     let groups = net.groups().to_vec();
     let hierarchy = Arc::clone(net.hierarchy());
     let mut engine = Engine::new(SimConfig::default().with_seed(11), net.into_processes());
@@ -74,7 +74,7 @@ fn bootstrap_finds_direct_supergroup() {
 #[test]
 fn maintenance_repairs_after_crash_wave() {
     let sizes = [8usize, 32];
-    let net = DynamicNetwork::linear(&sizes, boosted_params(), 12).unwrap();
+    let net = Network::dynamic_linear(&sizes, boosted_params(), 12).unwrap();
     let fates: Vec<Fate> = (0..4)
         .map(|i| Fate {
             round: 30,
@@ -138,7 +138,7 @@ fn bootstrap_widens_past_empty_group() {
             members: (6..26).map(ProcessId).collect(),
         },
     ];
-    let net = StaticNetwork::from_groups(Arc::clone(&h), groups, boosted_params(), 13).unwrap();
+    let net = Network::from_groups(Arc::clone(&h), groups, boosted_params(), 13).unwrap();
     let procs = net.into_processes();
     for p in procs.iter().skip(6) {
         assert!(!p.super_tables()[0].is_empty());
@@ -163,7 +163,7 @@ fn dead_entries_eventually_dropped() {
     let mut params = TopicParams::paper_default().with_g(15.0).with_a(3.0);
     params.maintenance_period = 4;
     params.ping_timeout = 2;
-    let net = DynamicNetwork::linear(&sizes, ParamMap::uniform(params), 14).unwrap();
+    let net = Network::dynamic_linear(&sizes, params, 14).unwrap();
     let fates: Vec<Fate> = (0..3)
         .map(|i| Fate {
             round: 25,
@@ -195,7 +195,7 @@ fn dead_entries_eventually_dropped() {
 /// A population and the hierarchy its topics live in.
 type Population = (Arc<TopicHierarchy>, Vec<DaProcess>);
 
-fn static_population(net: StaticNetwork) -> Population {
+fn static_population(net: Network) -> Population {
     (Arc::clone(net.hierarchy()), net.into_processes())
 }
 
@@ -207,7 +207,7 @@ fn chain_with_a_gap() -> Population {
         .zip(assign_group_members(&[5, 0, 20]))
         .map(|(topic, members)| GroupSpec { topic, members })
         .collect();
-    static_population(StaticNetwork::from_groups(Arc::new(h), groups, boosted_params(), 3).unwrap())
+    static_population(Network::from_groups(Arc::new(h), groups, boosted_params(), 3).unwrap())
 }
 
 /// `.a` and `.b` below the root and `.a.c` below both (Sec. VIII).
@@ -220,7 +220,7 @@ fn diamond() -> Population {
         .zip(assign_group_members(&[4, 10, 10, 40]))
         .map(|(topic, members)| GroupSpec { topic, members })
         .collect();
-    static_population(StaticNetwork::from_groups(Arc::new(h), groups, boosted_params(), 4).unwrap())
+    static_population(Network::from_groups(Arc::new(h), groups, boosted_params(), 4).unwrap())
 }
 
 /// A dynamic chain whose maintenance probes often, so that under churn
@@ -231,7 +231,7 @@ fn dynamic_chain() -> Population {
         ping_timeout: 2,
         ..TopicParams::paper_default().with_g(15.0).with_a(3.0)
     };
-    let net = DynamicNetwork::linear(&[5, 15, 45], ParamMap::uniform(params), 6).unwrap();
+    let net = Network::dynamic_linear(&[5, 15, 45], params, 6).unwrap();
     (Arc::clone(net.hierarchy()), net.into_processes())
 }
 
@@ -246,9 +246,8 @@ fn supertables_list_only_contacts_of_strictly_including_topics() {
         crash_probability: 0.05,
         recover_probability: 0.2,
     };
-    let paper_chain = || {
-        static_population(StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 1).unwrap())
-    };
+    let paper_chain =
+        || static_population(Network::linear(&[10, 100, 1000], TopicParams::default(), 1).unwrap());
     let cases: [(&str, &dyn Fn() -> Population, FailureModel); 5] = [
         ("static chain", &paper_chain, FailureModel::None),
         (

@@ -5,7 +5,7 @@
 use da_core::{FailureModel, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig};
 use da_simnet::{Engine, SimConfig};
-use damulticast::{DynamicNetwork, ParamMap, TopicParams};
+use damulticast::{Network, TopicParams};
 
 fn churn_engine(
     crash: f64,
@@ -19,7 +19,7 @@ fn churn_engine(
         a: 3.0,
         ..TopicParams::paper_default()
     };
-    let net = DynamicNetwork::linear(&[8, 40], ParamMap::uniform(params), seed).unwrap();
+    let net = Network::dynamic_linear(&[8, 40], params, seed).unwrap();
     let members: Vec<Vec<ProcessId>> = net.groups().iter().map(|g| g.members.clone()).collect();
     let sim = SimConfig::default()
         .with_seed(seed)
@@ -134,7 +134,7 @@ fn live_runtime_survives_churn_chaos() {
         crash_probability: 0.02,
         recover_probability: 0.2,
     };
-    let net = DynamicNetwork::linear(&[8, 40], ParamMap::uniform(params), 7).unwrap();
+    let net = Network::dynamic_linear(&[8, 40], params, 7).unwrap();
     let members: Vec<Vec<ProcessId>> = net.groups().iter().map(|g| g.members.clone()).collect();
 
     // Replay the plan's aliveness trajectory (the stateless draws the

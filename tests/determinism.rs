@@ -7,10 +7,10 @@ use da_baselines::{build_broadcast_network, InterestMap};
 use da_core::{ChannelConfig, FailureModel, ProcessId};
 use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
-use damulticast::{DynamicNetwork, ParamMap, StaticNetwork};
+use damulticast::{Network, TopicParams};
 
 fn static_fingerprint(seed: u64) -> Vec<(String, u64)> {
-    let net = StaticNetwork::linear(&[5, 20, 60], ParamMap::default(), seed).unwrap();
+    let net = Network::linear(&[5, 20, 60], TopicParams::default(), seed).unwrap();
     let groups = net.groups().to_vec();
     let sim = SimConfig::default()
         .with_seed(seed)
@@ -45,7 +45,7 @@ fn static_stack_seed_sensitive() {
 }
 
 fn dynamic_fingerprint(seed: u64) -> Vec<(String, u64)> {
-    let net = DynamicNetwork::linear(&[5, 25], ParamMap::default(), seed).unwrap();
+    let net = Network::dynamic_linear(&[5, 25], TopicParams::default(), seed).unwrap();
     let mut engine = Engine::new(SimConfig::default().with_seed(seed), net.into_processes());
     engine.run_rounds(40);
     engine.process_mut(ProcessId(15)).publish("det");
@@ -165,7 +165,7 @@ fn wave_trace_and_state_digest_match_the_partial_shuffle_golden() {
     use da_core::{FxHasher, Latency, TraceConfig};
     use std::hash::{Hash as _, Hasher as _};
 
-    let net = StaticNetwork::linear(&[4, 20, 100], ParamMap::default(), 15).unwrap();
+    let net = Network::linear(&[4, 20, 100], TopicParams::default(), 15).unwrap();
     let publisher = net.groups()[2].members[7];
     let sim = SimConfig::default()
         .with_seed(15)
@@ -185,4 +185,39 @@ fn wave_trace_and_state_digest_match_the_partial_shuffle_golden() {
     log.canonical_events().hash(&mut h);
     h.write_u64(engine.state_digest());
     assert_eq!(h.finish(), 1_757_496_467_523_453_870);
+}
+
+/// One dynamic run pinned end to end, beside the wave golden above: a
+/// `[5, 25]` `Network::dynamic_linear` population bootstraps and keeps
+/// its tables for 40 rounds, then carries one publication for 20 more.
+/// The hash folds the same three parts as the wave golden's: the
+/// capture-order trace, the canonical trace and `state_digest`. It pins
+/// the dynamic builder's draws (the same-group contacts and the overlay)
+/// and every bootstrap and maintenance draw after them.
+///
+/// The constant was computed on the parent commit of the change that
+/// merged the static and dynamic network builders into one `Network`,
+/// with this test pasted into a copy of that tree, and that change held
+/// it.
+#[test]
+fn dynamic_trace_and_state_digest_match_their_golden() {
+    use da_core::{FxHasher, TraceConfig};
+    use std::hash::{Hash as _, Hasher as _};
+
+    let net = Network::dynamic_linear(&[5, 25], TopicParams::default(), 99).unwrap();
+    let sim = SimConfig::default()
+        .with_seed(99)
+        .with_trace(TraceConfig::full());
+    let mut engine = Engine::new(sim, net.into_processes());
+    engine.run_rounds(40);
+    engine.process_mut(ProcessId(15)).publish("golden");
+    engine.run_rounds(20);
+
+    let log = engine.trace_log().expect("tracing is on");
+    assert_eq!(log.dropped_events, 0, "the full trace fits the recorder");
+    let mut h = FxHasher::default();
+    log.events.hash(&mut h);
+    log.canonical_events().hash(&mut h);
+    h.write_u64(engine.state_digest());
+    assert_eq!(h.finish(), 12_930_307_807_050_593_194);
 }

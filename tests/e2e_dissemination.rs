@@ -3,7 +3,7 @@
 
 use da_core::ChannelConfig;
 use da_simnet::{Engine, SimConfig};
-use damulticast::{DynamicNetwork, ParamMap, StaticNetwork, TopicParams};
+use damulticast::{Network, TopicParams};
 
 /// The paper's topology at full scale, reliable channels: every
 /// interested process delivers, nobody else does. Even on reliable
@@ -12,8 +12,8 @@ use damulticast::{DynamicNetwork, ParamMap, StaticNetwork, TopicParams};
 /// hop astronomically unlikely (< e^{-20}).
 #[test]
 fn paper_topology_full_coverage() {
-    let params = ParamMap::uniform(TopicParams::paper_default().with_g(20.0).with_a(3.0));
-    let net = StaticNetwork::linear(&[10, 100, 1000], params, 1).unwrap();
+    let params = TopicParams::paper_default().with_g(20.0).with_a(3.0);
+    let net = Network::linear(&[10, 100, 1000], params, 1).unwrap();
     let groups = net.groups().to_vec();
     let mut engine = Engine::new(SimConfig::default().with_seed(1), net.into_processes());
     let id = engine.process_mut(groups[2].members[0]).publish("e2e");
@@ -41,13 +41,11 @@ fn paper_topology_full_coverage() {
 /// mercy of one seed.
 #[test]
 fn concurrent_publications_have_disjoint_audiences() {
-    let params = ParamMap::uniform(
-        TopicParams::paper_default()
-            .with_g(20.0)
-            .with_a(3.0)
-            .with_fanout(da_membership::FanoutRule::LnPlusC { c: 12.0 }),
-    );
-    let net = StaticNetwork::linear(&[5, 25, 50], params, 2).unwrap();
+    let params = TopicParams::paper_default()
+        .with_g(20.0)
+        .with_a(3.0)
+        .with_fanout(da_membership::FanoutRule::LnPlusC { c: 12.0 });
+    let net = Network::linear(&[5, 25, 50], params, 2).unwrap();
     let groups = net.groups().to_vec();
     let mut engine = Engine::new(SimConfig::default().with_seed(2), net.into_processes());
     let leaf_event = engine.process_mut(groups[2].members[0]).publish("leaf");
@@ -80,7 +78,7 @@ fn concurrent_publications_have_disjoint_audiences() {
 /// aliveness.
 #[test]
 fn lossy_channels_high_reliability() {
-    let net = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 3).unwrap();
+    let net = Network::linear(&[10, 100, 1000], TopicParams::default(), 3).unwrap();
     let groups = net.groups().to_vec();
     let sim = SimConfig::default()
         .with_seed(3)
@@ -104,7 +102,7 @@ fn lossy_channels_high_reliability() {
 /// A 5-level chain: the event climbs every hop.
 #[test]
 fn deep_chain_climbs_to_root() {
-    let net = StaticNetwork::linear(&[4, 8, 16, 32, 64], ParamMap::default(), 4).unwrap();
+    let net = Network::linear(&[4, 8, 16, 32, 64], TopicParams::default(), 4).unwrap();
     let groups = net.groups().to_vec();
     let mut engine = Engine::new(SimConfig::default().with_seed(4), net.into_processes());
     let id = engine
@@ -129,8 +127,8 @@ fn deep_chain_climbs_to_root() {
 /// delivery behaviour.
 #[test]
 fn dynamic_stack_end_to_end() {
-    let params = ParamMap::uniform(TopicParams::paper_default().with_g(15.0).with_a(3.0));
-    let net = DynamicNetwork::linear(&[6, 20, 60], params, 5).unwrap();
+    let params = TopicParams::paper_default().with_g(15.0).with_a(3.0);
+    let net = Network::dynamic_linear(&[6, 20, 60], params, 5).unwrap();
     let groups = net.groups().to_vec();
     let mut engine = Engine::new(SimConfig::default().with_seed(5), net.into_processes());
     engine.run_rounds(50); // joins + bootstrap + membership settle
@@ -159,7 +157,7 @@ fn dynamic_stack_end_to_end() {
 /// and membership state survive event after event).
 #[test]
 fn sustained_event_stream() {
-    let net = StaticNetwork::linear(&[5, 20], ParamMap::default(), 6).unwrap();
+    let net = Network::linear(&[5, 20], TopicParams::default(), 6).unwrap();
     let groups = net.groups().to_vec();
     let mut engine = Engine::new(SimConfig::default().with_seed(6), net.into_processes());
     let mut ids = Vec::new();

@@ -5,7 +5,7 @@
 
 use da_core::{ChannelConfig, FailureModel};
 use da_simnet::{Engine, SimConfig};
-use damulticast::{ParamMap, StaticNetwork, TopicParams};
+use damulticast::{Network, TopicParams};
 use proptest::prelude::*;
 use support::Logged;
 
@@ -41,7 +41,7 @@ proptest! {
         alive in 0.3f64..1.0,
         seed in 0u64..1_000,
     ) {
-        let net = StaticNetwork::linear(&sizes, ParamMap::uniform(params), seed).unwrap();
+        let net = Network::linear(&sizes, params, seed).unwrap();
         let groups = net.groups().to_vec();
         let sim = SimConfig::default()
             .with_seed(seed)
@@ -68,7 +68,7 @@ proptest! {
         seed in 0u64..1_000,
         publishes in 1usize..4,
     ) {
-        let net = StaticNetwork::linear(&sizes, ParamMap::default(), seed).unwrap();
+        let net = Network::linear(&sizes, TopicParams::default(), seed).unwrap();
         let groups = net.groups().to_vec();
         let mut engine = Engine::new(SimConfig::default().with_seed(seed), net.into_processes());
         let leaf = groups.last().unwrap();
@@ -92,7 +92,7 @@ proptest! {
         params in arb_params(),
         seed in 0u64..1_000,
     ) {
-        let net = StaticNetwork::linear(&sizes, ParamMap::uniform(params), seed).unwrap();
+        let net = Network::linear(&sizes, params, seed).unwrap();
         let groups = net.groups().to_vec();
         let hierarchy = std::sync::Arc::clone(net.hierarchy());
         let procs = net.into_processes();
@@ -121,7 +121,7 @@ proptest! {
         alive in 0.2f64..0.9,
         seed in 0u64..1_000,
     ) {
-        let net = StaticNetwork::linear(&sizes, ParamMap::default(), seed).unwrap();
+        let net = Network::linear(&sizes, TopicParams::default(), seed).unwrap();
         let groups = net.groups().to_vec();
         let sim = SimConfig::default()
             .with_seed(seed)
@@ -154,7 +154,7 @@ proptest! {
         sizes in arb_topology(),
         seed in 0u64..1_000,
     ) {
-        let net = StaticNetwork::linear(&sizes, ParamMap::default(), seed).unwrap();
+        let net = Network::linear(&sizes, TopicParams::default(), seed).unwrap();
         let groups = net.groups().to_vec();
         let processes = Logged::all(net.into_processes());
         let mut engine = Engine::new(SimConfig::default().with_seed(seed), processes);

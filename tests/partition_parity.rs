@@ -20,7 +20,7 @@
 use da_core::{ChannelConfig, Latency, ProcessId, RunConfig};
 use da_harness::experiments::live::{delivered_sets, partition_faults, pinned_params};
 use da_harness::substrate::{Driver, Substrate};
-use damulticast::{EventId, ParamMap, StaticNetwork};
+use damulticast::{EventId, Network};
 use proptest::prelude::*;
 
 /// The smaller chain used by the parity property sweeps. Its top two
@@ -48,8 +48,8 @@ fn run_partitioned(
     cut: u64,
     heal: u64,
 ) -> (Vec<Vec<EventId>>, u64) {
-    let params = ParamMap::uniform(pinned_params(20.0, 12.0));
-    let net = StaticNetwork::linear(&PROP_SIZES, params, seed).expect("valid topology");
+    let params = pinned_params(20.0, 12.0);
+    let net = Network::linear(&PROP_SIZES, params, seed).expect("valid topology");
     let pubs: Vec<ProcessId> = net.groups().iter().map(|g| g.members[0]).collect();
     let leaf = &net.groups().last().expect("leaf group").members;
     let lossy = RunConfig::default().with_seed(seed).with_channel(

@@ -15,7 +15,7 @@ use da_core::{Counters, Exec, ExecProtocol, LabelId, Occurrences, ProcessId, Run
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::MembershipMsg;
 use da_topics::TopicId;
-use damulticast::{ControlMsg, DaMsg, DaProcess, Event, ParamMap, StaticNetwork, SuperEntry};
+use damulticast::{ControlMsg, DaMsg, DaProcess, Event, Network, SuperEntry, TopicParams};
 use rand::rngs::SmallRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -227,7 +227,7 @@ impl Exec for Probe {
 /// A leaf process of a static 4/12/40 chain, a group-mate to hear from,
 /// and the context to run the former's hooks in.
 fn leaf_under_probe() -> (DaProcess, ProcessId, Probe) {
-    let net = StaticNetwork::linear(&[4, 12, 40], ParamMap::default(), 3).unwrap();
+    let net = Network::linear(&[4, 12, 40], TopicParams::default(), 3).unwrap();
     let leaf = net.groups()[2].members.clone();
     let (receiver, sender) = (leaf[0], leaf[1]);
     let process = net.into_processes().swap_remove(receiver.index());
@@ -437,7 +437,7 @@ fn a_static_process_stays_under_900_bytes_of_heap() {
     // divides also holds the engine; the processes are the part that
     // scales, and where a per-process copy of the labels would show.
     let before = LIVE_BYTES.get();
-    let processes = StaticNetwork::linear(&[10, 100, 1000], ParamMap::default(), 1)
+    let processes = Network::linear(&[10, 100, 1000], TopicParams::default(), 1)
         .unwrap()
         .into_processes();
     // The builder sizes its vector exactly, as a substrate's store does.
@@ -533,13 +533,13 @@ fn a_wave_process_costs_its_budget_row_by_row() {
     use da_core::{ChannelConfig, ProcessStatus};
     use da_membership::{kmg_view_size, PartialView};
     use da_topics::{TopicHierarchy, TopicId};
-    use damulticast::{EventSet, Group, Mutation, SuperTable, TopicParams};
+    use damulticast::{EventSet, Group, Mutation, Network, SuperTable, TopicParams};
     use std::mem::size_of;
     use std::num::NonZeroU32;
     use std::sync::Arc;
 
     const SIZES: [usize; 3] = [10, 100, 1000];
-    let build = || StaticNetwork::linear(&SIZES, ParamMap::default(), 1).unwrap();
+    let build = || Network::linear(&SIZES, TopicParams::default(), 1).unwrap();
     // Warm-up: names are interned once per run, not once per build.
     drop(build());
 

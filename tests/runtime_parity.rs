@@ -1,5 +1,5 @@
 //! Cross-substrate equivalence: the *same* protocol instances, built by
-//! the same `StaticNetwork`, must deliver the same event set whether
+//! the same `Network`, must deliver the same event set whether
 //! driven by the deterministic round simulator (`da-simnet`) or the
 //! multi-threaded live runtime (`da-runtime`).
 //!
@@ -22,7 +22,7 @@ use da_harness::experiments::trace::describe_divergence;
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::static_init::assign_group_members;
 use da_topics::TopicHierarchy;
-use damulticast::{DaProcess, EventId, GroupSpec, ParamMap, StaticNetwork};
+use damulticast::{DaProcess, EventId, GroupSpec, Network, TopicParams};
 use proptest::prelude::*;
 use std::sync::Arc;
 use support::Logged;
@@ -46,8 +46,8 @@ fn run(
     config: &RunConfig,
     advance: impl FnOnce(&mut Driver<DaProcess>),
 ) -> (Vec<Vec<EventId>>, u64, TraceLog) {
-    let params = ParamMap::uniform(pinned_params(20.0, 12.0));
-    let net = StaticNetwork::linear(sizes, params, config.seed).expect("valid topology");
+    let params = pinned_params(20.0, 12.0);
+    let net = Network::linear(sizes, params, config.seed).expect("valid topology");
     let publishers: Vec<ProcessId> = net.groups().iter().map(|g| g.members[0]).collect();
     let procs = net.into_processes();
     let config = config.clone().with_trace(TraceConfig::full());
@@ -174,14 +174,14 @@ fn failure_fates_match_the_simulator_at_any_worker_count() {
 }
 
 /// The replayed chain: `[10, 100, 400]` under the paper's parameters.
-fn chain(seed: u64) -> StaticNetwork {
-    StaticNetwork::linear(&[10, 100, 400], ParamMap::default(), seed).expect("valid topology")
+fn chain(seed: u64) -> Network {
+    Network::linear(&[10, 100, 400], TopicParams::default(), seed).expect("valid topology")
 }
 
 /// A diamond under the paper's parameters: `.a` and `.b` below the root
 /// and `.a.c` below both (Sec. VIII's multiple inheritance), with groups
 /// of 10, 40, 40 and 200 top-down.
-fn diamond(seed: u64) -> StaticNetwork {
+fn diamond(seed: u64) -> Network {
     let mut h = TopicHierarchy::from_paths([".a.c", ".b"]).expect("valid paths");
     let [a, b, c] = [".a", ".b", ".a.c"].map(|p| h.resolve(p).expect("inserted"));
     h.add_supertopic(c, b).expect("a new edge");
@@ -190,8 +190,7 @@ fn diamond(seed: u64) -> StaticNetwork {
         .zip(assign_group_members(&[10, 40, 40, 200]))
         .map(|(topic, members)| GroupSpec { topic, members })
         .collect();
-    StaticNetwork::from_groups(Arc::new(h), groups, ParamMap::default(), seed)
-        .expect("valid topology")
+    Network::from_groups(Arc::new(h), groups, TopicParams::default(), seed).expect("valid topology")
 }
 
 /// On reliable channels a one-worker pool replays the simulator: the same
@@ -219,10 +218,7 @@ fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
             recover_probability: 0.2,
         },
     ];
-    let shapes = [
-        ("chain", chain as fn(u64) -> StaticNetwork),
-        ("diamond", diamond),
-    ];
+    let shapes = [("chain", chain as fn(u64) -> Network), ("diamond", diamond)];
     for ((shape, build), failure) in shapes
         .into_iter()
         .flat_map(|shape| models.iter().map(move |failure| (shape, failure)))

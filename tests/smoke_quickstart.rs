@@ -7,20 +7,18 @@
 //! the slower suites and fix the basics first.
 
 use da_simnet::{Engine, SimConfig};
-use damulticast::{ParamMap, StaticNetwork, TopicParams};
+use damulticast::{Network, TopicParams};
 
 #[test]
 fn quickstart_small_topology_delivers_everywhere_without_parasites() {
     // Quickstart at one tenth scale, knobs pinned high like
     // `tests/e2e_dissemination.rs` so full coverage is deterministic in
     // practice (miss probability ≈ e^{-12} per group).
-    let params = ParamMap::uniform(
-        TopicParams::paper_default()
-            .with_g(20.0)
-            .with_a(3.0)
-            .with_fanout(da_membership::FanoutRule::LnPlusC { c: 12.0 }),
-    );
-    let net = StaticNetwork::linear(&[3, 10, 30], params, 7).expect("valid 3-level chain");
+    let params = TopicParams::paper_default()
+        .with_g(20.0)
+        .with_a(3.0)
+        .with_fanout(da_membership::FanoutRule::LnPlusC { c: 12.0 });
+    let net = Network::linear(&[3, 10, 30], params, 7).expect("valid 3-level chain");
     let groups = net.groups().to_vec();
     let leaf = groups[2].members[0];
 
