@@ -121,12 +121,13 @@ pub fn hierarchical_messages(n_groups: usize, m: usize, c1: f64, c2: f64) -> f64
 /// The paper's worst-case bound
 /// `t · S_Tmax · ln(S_Tmax) · (1 + c_max + z_max)` (Sec. VI-B) — every
 /// concrete count must stay below it.
+///
+/// Erratum: bounding `S · (ln S + c)` by `S · ln S · (1 + c)` needs
+/// `ln S ≥ 1`, which a largest group of one or two members breaks, so
+/// `max(ln S_Tmax, 1)` stands in for `ln S_Tmax` (the same from S = 3).
 #[must_use]
 pub fn damulticast_upper_bound(t: usize, s_max: usize, c_max: f64, z_max: usize) -> f64 {
-    if s_max <= 1 {
-        return 0.0;
-    }
-    t as f64 * s_max as f64 * (s_max as f64).ln() * (1.0 + c_max + z_max as f64)
+    t as f64 * s_max as f64 * (s_max as f64).ln().max(1.0) * (1.0 + c_max + z_max as f64)
 }
 
 /// `S_Tmax` of a chain — the size of its biggest group.

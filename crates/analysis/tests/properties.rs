@@ -9,35 +9,33 @@ use da_analysis::tuning::{
     broadcast_c_range, c1_vs_broadcast, c1_vs_hierarchical, c1_vs_multicast, hierarchical_c_range,
     multicast_c_range,
 };
-use proptest::prelude::*;
+use da_tape::{check, prop_assert, prop_assert_eq, prop_assume, replay, CaseResult, Tape};
 
-fn arb_level() -> impl Strategy<Value = GroupLevel> {
-    (
-        2usize..5_000,
-        0.0f64..8.0,
-        1.0f64..20.0,
-        1usize..6,
-        0.01f64..1.0,
-    )
-        .prop_map(|(s, c, g, z, p_succ)| GroupLevel {
-            s,
-            c,
-            g,
-            a: 1.0,
-            z,
-            p_succ,
-        })
+fn arb_level(t: &mut Tape) -> GroupLevel {
+    GroupLevel {
+        s: t.range(2usize..5_000),
+        c: t.range(0.0f64..8.0),
+        g: t.range(1.0f64..20.0),
+        a: 1.0,
+        z: t.range(1usize..6),
+        p_succ: t.range(0.01f64..1.0),
+    }
 }
 
-proptest! {
-    #[test]
-    fn atomic_probability_in_unit_interval(c in -10.0f64..20.0) {
+#[test]
+fn atomic_probability_in_unit_interval() {
+    check("atomic_probability_in_unit_interval", |t| {
+        let c = t.range(-10.0f64..20.0);
         let p = atomic_infection_probability(c);
         prop_assert!((0.0..=1.0).contains(&p));
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn epidemic_fixpoint_in_unit_interval_and_consistent(f in 0.0f64..50.0) {
+#[test]
+fn epidemic_fixpoint_in_unit_interval_and_consistent() {
+    check("epidemic_fixpoint_in_unit_interval_and_consistent", |t| {
+        let f = t.range(0.0f64..50.0);
         let pi = epidemic_fixpoint(f);
         prop_assert!((0.0..=1.0).contains(&pi));
         if f > 1.0 {
@@ -46,18 +44,25 @@ proptest! {
         } else {
             prop_assert_eq!(pi, 0.0);
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn pit_is_probability(level in arb_level(), pi_in in 0.0f64..1.0) {
+#[test]
+fn pit_is_probability() {
+    check("pit_is_probability", |t| {
+        let level = arb_level(t);
+        let pi_in = t.range(0.0f64..1.0);
         let p = pit(&level, pi_in);
         prop_assert!((0.0..=1.0).contains(&p), "pit = {}", p);
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn reliability_is_probability_and_antitone_in_depth(
-        levels in prop::collection::vec(arb_level(), 1..6),
-    ) {
+#[test]
+fn reliability_is_probability_and_antitone_in_depth() {
+    check("reliability_is_probability_and_antitone_in_depth", |t| {
+        let levels = t.vec(1..6, arb_level);
         let mut prev = 1.0f64;
         for depth in 1..=levels.len() {
             let r = damulticast_reliability(&levels[..depth]);
@@ -65,36 +70,60 @@ proptest! {
             prop_assert!(r <= prev + 1e-12, "reliability grew with depth");
             prev = r;
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn messages_positive_and_below_bound(
-        levels in prop::collection::vec(arb_level(), 1..6),
-    ) {
-        let total = damulticast_messages(&levels);
-        prop_assert!(total >= 0.0);
-        let c_max = levels.iter().map(|l| l.c).fold(0.0, f64::max);
-        let z_max = levels.iter().map(|l| l.z).max().unwrap_or(0);
-        let bound = damulticast_upper_bound(levels.len(), s_max(&levels), c_max, z_max);
-        prop_assert!(
-            total <= bound + 1e-6,
-            "total {} exceeds bound {}", total, bound
-        );
-    }
+/// A chain's expected message count is non-negative and within the
+/// Sec. VI-B bound.
+fn messages_below_bound(t: &mut Tape) -> CaseResult {
+    let levels = t.vec(1..6, arb_level);
+    let total = damulticast_messages(&levels);
+    prop_assert!(total >= 0.0);
+    let c_max = levels.iter().map(|l| l.c).fold(0.0, f64::max);
+    let z_max = levels.iter().map(|l| l.z).max().unwrap_or(0);
+    let bound = damulticast_upper_bound(levels.len(), s_max(&levels), c_max, z_max);
+    prop_assert!(
+        total <= bound + 1e-6,
+        "total {} exceeds bound {}",
+        total,
+        bound
+    );
+    Ok(())
+}
 
-    #[test]
-    fn memory_monotone_in_s(s in 2usize..100_000, c in 0.0f64..10.0, z in 0usize..10) {
+#[test]
+fn messages_positive_and_below_bound() {
+    check("messages_positive_and_below_bound", messages_below_bound);
+}
+
+/// The shrunk case `PROPTEST_SEED=18` found: one group of two members
+/// with `c ≈ 2.26` and `z = 1`, where the paper's `ln S_Tmax` (< 1)
+/// let the count exceed its bound.
+#[test]
+fn a_group_of_two_stays_below_the_bound() {
+    replay(&[0, 0, 2_543_287_398_808_085], messages_below_bound);
+}
+
+#[test]
+fn memory_monotone_in_s() {
+    check("memory_monotone_in_s", |t| {
+        let s = t.range(2usize..100_000);
+        let c = t.range(0.0f64..10.0);
+        let z = t.range(0usize..10);
         let m1 = damulticast_memory(s, c, z);
         let m2 = damulticast_memory(s * 2, c, z);
         prop_assert!(m2 > m1);
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn damulticast_memory_never_worse_than_multicast(
-        sizes in prop::collection::vec(2usize..10_000, 2..6),
-        c in 0.0f64..10.0,
-        z in 1usize..4,
-    ) {
+#[test]
+fn damulticast_memory_never_worse_than_multicast() {
+    check("damulticast_memory_never_worse_than_multicast", |t| {
+        let sizes = t.vec(2..6, |t| t.range(2usize..10_000));
+        let c = t.range(0.0f64..10.0);
+        let z = t.range(1usize..4);
         // For a chain of ≥ 2 levels the paper claims strict improvement as
         // long as z stays below the eq. 19 bound; z ≤ 3 is always below it
         // for chains of ≥ 2 non-trivial levels with c ≥ 0.
@@ -103,15 +132,25 @@ proptest! {
         let da = damulticast_memory(bottom, c, z);
         let mc = multicast_memory(&levels);
         prop_assert!(da <= mc + z as f64, "da {} vs multicast {}", da, mc);
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn broadcast_memory_grows_with_population(n in 2usize..1_000_000, c in 0.0f64..10.0) {
+#[test]
+fn broadcast_memory_grows_with_population() {
+    check("broadcast_memory_grows_with_population", |t| {
+        let n = t.range(2usize..1_000_000);
+        let c = t.range(0.0f64..10.0);
         prop_assert!(broadcast_memory(n * 2, c) > broadcast_memory(n, c));
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn multicast_equivalence_exact_inside_range(c in 0.0f64..6.0, pit_v in 0.7f64..0.999_999) {
+#[test]
+fn multicast_equivalence_exact_inside_range() {
+    check("multicast_equivalence_exact_inside_range", |t| {
+        let c = t.range(0.0f64..6.0);
+        let pit_v = t.range(0.7f64..0.999_999);
         if let Some(c1) = c1_vs_multicast(c, pit_v) {
             prop_assert!(multicast_c_range(pit_v).contains(c));
             let lhs = atomic_infection_probability(c1) * pit_v;
@@ -121,14 +160,16 @@ proptest! {
         } else {
             prop_assert!(!multicast_c_range(pit_v).contains(c) || pit_v >= 1.0);
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn broadcast_equivalence_identity(
-        c in 0.0f64..4.0,
-        t in 1usize..6,
-        pit_v in 0.9f64..0.999_999,
-    ) {
+#[test]
+fn broadcast_equivalence_identity() {
+    check("broadcast_equivalence_identity", |tape| {
+        let c = tape.range(0.0f64..4.0);
+        let t = tape.range(1usize..6);
+        let pit_v = tape.range(0.9f64..0.999_999);
         if let Some(c1) = c1_vs_broadcast(c, t, pit_v) {
             // Appendix eq. 22: e^{-c1} − ln(pit) = e^{-c} / t.
             let lhs = (-c1).exp() - pit_v.ln();
@@ -137,15 +178,17 @@ proptest! {
         } else {
             prop_assert!(!broadcast_c_range(t, pit_v).contains(c));
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn hierarchical_equivalence_identity(
-        t in 1usize..6,
-        n_groups in 1usize..50,
-        pit_v in 0.9f64..0.999_999,
-        frac in 0.01f64..0.99,
-    ) {
+#[test]
+fn hierarchical_equivalence_identity() {
+    check("hierarchical_equivalence_identity", |tape| {
+        let t = tape.range(1usize..6);
+        let n_groups = tape.range(1usize..50);
+        let pit_v = tape.range(0.9f64..0.999_999);
+        let frac = tape.range(0.01f64..0.99);
         let range = hierarchical_c_range(t, n_groups, pit_v);
         prop_assume!(range.is_valid());
         let c = range.lo + frac * (range.hi - range.lo);
@@ -156,5 +199,6 @@ proptest! {
             prop_assert!((lhs - rhs).abs() < 1e-6, "lhs {} rhs {}", lhs, rhs);
             prop_assert!(c_t >= -1e-12);
         }
-    }
+        Ok(())
+    });
 }

@@ -7,19 +7,18 @@ use da_baselines::{
 use da_core::ProcessId;
 use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
-use proptest::prelude::*;
+use da_tape::{check_cases, prop_assert, prop_assert_eq, Tape};
 
-fn arb_sizes() -> impl Strategy<Value = Vec<usize>> {
-    prop::collection::vec(1usize..15, 1..4)
+fn arb_sizes(t: &mut Tape) -> Vec<usize> {
+    t.vec(1..4, |t| t.range(1usize..15))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The audience of a topic is exactly the subscribers of the topic and
-    /// its ancestors; audiences are nested along the chain.
-    #[test]
-    fn audiences_nest_along_the_chain(sizes in arb_sizes()) {
+/// The audience of a topic is exactly the subscribers of the topic and
+/// its ancestors; audiences are nested along the chain.
+#[test]
+fn audiences_nest_along_the_chain() {
+    check_cases("audiences_nest_along_the_chain", 32, |t| {
+        let sizes = arb_sizes(t);
         let m = InterestMap::linear(&sizes);
         let h = m.hierarchy().clone();
         let mut prev: Option<Vec<ProcessId>> = None;
@@ -36,12 +35,17 @@ proptest! {
             }
             prev = Some(audience);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Broadcast: every process holds the same-size global table drawn
-    /// from the whole population.
-    #[test]
-    fn broadcast_tables_global(sizes in arb_sizes(), seed in 0u64..1_000) {
+/// Broadcast: every process holds the same-size global table drawn
+/// from the whole population.
+#[test]
+fn broadcast_tables_global() {
+    check_cases("broadcast_tables_global", 32, |t| {
+        let sizes = arb_sizes(t);
+        let seed = t.range(0u64..1_000);
         let m = InterestMap::linear(&sizes);
         let procs = build_broadcast_network(&m, 3.0, FanoutRule::default(), seed).unwrap();
         prop_assert_eq!(procs.len(), m.population());
@@ -49,14 +53,19 @@ proptest! {
         for p in &procs {
             prop_assert_eq!(p.memory_entries(), expected.min(m.population() - 1));
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Multicast: a process joins exactly the groups of its own topic and
-    /// the subtopics of it — its group count equals the number of
-    /// descendants of its interest (on a linear chain: levels below it,
-    /// inclusive).
-    #[test]
-    fn multicast_group_membership_exact(sizes in arb_sizes(), seed in 0u64..1_000) {
+/// Multicast: a process joins exactly the groups of its own topic and
+/// the subtopics of it — its group count equals the number of
+/// descendants of its interest (on a linear chain: levels below it,
+/// inclusive).
+#[test]
+fn multicast_group_membership_exact() {
+    check_cases("multicast_group_membership_exact", 32, |t| {
+        let sizes = arb_sizes(t);
+        let seed = t.range(0u64..1_000);
         let m = InterestMap::linear(&sizes);
         let procs = build_multicast_network(&m, 3.0, FanoutRule::default(), seed).unwrap();
         let h = m.hierarchy().clone();
@@ -68,38 +77,47 @@ proptest! {
                 .count();
             prop_assert_eq!(p.tables().len(), expected);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Hierarchical: the partition covers the population exactly once and
-    /// the per-process memory is two views.
-    #[test]
-    fn hierarchical_partition_lawful(
-        sizes in arb_sizes(),
-        groups_frac in 0.1f64..0.9,
-        seed in 0u64..1_000,
-    ) {
+/// Hierarchical: the partition covers the population exactly once and
+/// the per-process memory is two views.
+#[test]
+fn hierarchical_partition_lawful() {
+    check_cases("hierarchical_partition_lawful", 32, |t| {
+        let sizes = arb_sizes(t);
+        let groups_frac = t.range(0.1f64..0.9);
+        let seed = t.range(0u64..1_000);
         let m = InterestMap::linear(&sizes);
         let n = m.population();
         let n_groups = ((n as f64 * groups_frac) as usize).clamp(1, n);
         let procs = build_hierarchical_network(
-            &m, n_groups, 3.0, FanoutRule::default(), FanoutRule::default(), seed,
+            &m,
+            n_groups,
+            3.0,
+            FanoutRule::default(),
+            FanoutRule::default(),
+            seed,
         )
         .unwrap();
         prop_assert_eq!(procs.len(), n);
         for p in &procs {
             prop_assert!(p.memory_entries() < n * 2);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Cross-algorithm law: for any topology and any leaf event, the
-    /// delivered sets of multicast and broadcast agree on reliable
-    /// channels (both must blanket the audience), while their *reception*
-    /// footprints differ by exactly the parasite count.
-    #[test]
-    fn reception_footprints_differ_by_parasites(
-        sizes in prop::collection::vec(2usize..10, 2..4),
-        seed in 0u64..500,
-    ) {
+/// Cross-algorithm law: for any topology and any leaf event, the
+/// delivered sets of multicast and broadcast agree on reliable
+/// channels (both must blanket the audience), while their *reception*
+/// footprints differ by exactly the parasite count.
+#[test]
+fn reception_footprints_differ_by_parasites() {
+    check_cases("reception_footprints_differ_by_parasites", 32, |t| {
+        let sizes = t.vec(2..4, |t| t.range(2usize..10));
+        let seed = t.range(0u64..500);
         let m = InterestMap::linear(&sizes);
         let n = m.population();
         let root_publisher = ProcessId(0);
@@ -122,5 +140,6 @@ proptest! {
         e.run_until_quiescent(96);
         prop_assert_eq!(e.counters().get("mc.delivered") as usize, sizes[0]);
         prop_assert_eq!(e.counters().get("mc.parasite"), 0);
-    }
+        Ok(())
+    });
 }

@@ -3,12 +3,12 @@
 //! and the de-dup set, over arbitrary inputs.
 
 use da_core::{rng_from_seed, ProcessId};
+use da_tape::{check, prop_assert, prop_assert_eq, Tape};
 use da_topics::{TopicHierarchy, TopicId};
 use damulticast::{
     plan_dissemination, BootstrapAction, BootstrapTask, DisseminationPlan, EventId, EventSet,
     Group, MaintenanceAction, MaintenanceTask, SuperEntry, SuperTable, TopicParams,
 };
-use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -22,38 +22,51 @@ fn root_group(params: TopicParams, group_size: usize) -> Group {
     )
 }
 
-fn arb_params() -> impl Strategy<Value = TopicParams> {
-    (1.0f64..30.0, 1usize..6, 0.0f64..8.0).prop_map(|(g, z, c)| TopicParams {
+fn arb_params(t: &mut Tape) -> TopicParams {
+    let (g, z, c) = (
+        t.range(1.0f64..30.0),
+        t.range(1usize..6),
+        t.range(0.0f64..8.0),
+    );
+    TopicParams {
         g,
         z,
         a: 1.0,
         tau: 1.min(z),
         fanout: da_membership::FanoutRule::LnPlusC { c },
         ..TopicParams::paper_default()
-    })
+    }
 }
 
-proptest! {
-    /// Plans never exceed their sources: gossip targets ⊆ topic table
-    /// (distinct, ≤ fanout), super targets ⊆ supertable entries.
-    #[test]
-    fn plan_respects_sources(
-        params in arb_params(),
-        group_size in 1usize..5_000,
-        table_size in 0usize..40,
-        stable_size in 0usize..6,
-        seed in 0u64..10_000,
-    ) {
+/// Plans never exceed their sources: gossip targets ⊆ topic table
+/// (distinct, ≤ fanout), super targets ⊆ supertable entries.
+#[test]
+fn plan_respects_sources() {
+    check("plan_respects_sources", |t| {
+        let params = arb_params(t);
+        let group_size = t.range(1usize..5_000);
+        let table_size = t.range(0usize..40);
+        let stable_size = t.range(0usize..6);
+        let seed = t.range(0u64..10_000);
         let mut rng = rng_from_seed(seed);
         let table: Vec<ProcessId> = (1..=table_size as u32).map(ProcessId).collect();
         let stable = SuperTable::from_entries(
             (0..stable_size as u32)
-                .map(|i| SuperEntry { pid: ProcessId(1000 + i), topic: TopicId::ROOT })
+                .map(|i| SuperEntry {
+                    pid: ProcessId(1000 + i),
+                    topic: TopicId::ROOT,
+                })
                 .collect(),
         );
         let mut plan = DisseminationPlan::default();
         let group = root_group(params, group_size);
-        plan_dissemination(&group, &table, std::slice::from_ref(&stable), &mut rng, &mut plan);
+        plan_dissemination(
+            &group,
+            &table,
+            std::slice::from_ref(&stable),
+            &mut rng,
+            &mut plan,
+        );
 
         let fanout = params.fanout.fanout(group_size);
         prop_assert!(plan.gossip_targets.len() <= fanout.min(table.len()));
@@ -75,21 +88,26 @@ proptest! {
             plan.message_count(),
             plan.gossip_targets.len() + plan.super_targets.len()
         );
-    }
+        Ok(())
+    });
+}
 
-    /// Election frequency tracks p_sel = g/S over many draws.
-    #[test]
-    fn election_frequency_tracks_p_sel(
-        g in 1.0f64..20.0,
-        group_size in 20usize..2_000,
-        seed in 0u64..1_000,
-    ) {
+/// Election frequency tracks p_sel = g/S over many draws.
+#[test]
+fn election_frequency_tracks_p_sel() {
+    check("election_frequency_tracks_p_sel", |t| {
+        let g = t.range(1.0f64..20.0);
+        let group_size = t.range(20usize..2_000);
+        let seed = t.range(0u64..1_000);
         let params = TopicParams::paper_default().with_g(g);
         let mut rng = rng_from_seed(seed);
         let table: Vec<ProcessId> = (1..=10).map(ProcessId).collect();
         let stable = SuperTable::from_entries(
             (0..3)
-                .map(|i| SuperEntry { pid: ProcessId(1000 + i), topic: TopicId::ROOT })
+                .map(|i| SuperEntry {
+                    pid: ProcessId(1000 + i),
+                    topic: TopicId::ROOT,
+                })
                 .collect(),
         );
         let trials = 4_000;
@@ -97,7 +115,13 @@ proptest! {
         let group = root_group(params, group_size);
         let elected = (0..trials)
             .filter(|_| {
-                plan_dissemination(&group, &table, std::slice::from_ref(&stable), &mut rng, &mut plan);
+                plan_dissemination(
+                    &group,
+                    &table,
+                    std::slice::from_ref(&stable),
+                    &mut rng,
+                    &mut plan,
+                );
                 plan.elected
             })
             .count();
@@ -107,23 +131,28 @@ proptest! {
         let sigma = (p_sel * (1.0 - p_sel) / f64::from(trials)).sqrt();
         prop_assert!(
             (rate - p_sel).abs() <= 4.0 * sigma + 0.005,
-            "rate {} vs p_sel {} (sigma {})", rate, p_sel, sigma
+            "rate {} vs p_sel {} (sigma {})",
+            rate,
+            p_sel,
+            sigma
         );
-    }
+        Ok(())
+    });
+}
 
-    /// Supertable MERGE (footnote 5), as the maintenance task runs it:
-    /// residents that `tighten` took in, the dead among them removed,
-    /// then `tighten` absorbs the fresh contacts. The table never exceeds its `z`, fresh pids fill free
-    /// room first, and an alive resident leaves only for a strictly
-    /// deeper entry. A contact's depth is its pid mod 4.
-    #[test]
-    fn supertable_merge_laws(
-        capacity in 1usize..8,
-        residents in prop::collection::vec(1u32..50, 0..8),
-        dead in prop::collection::hash_set(1u32..50, 0..8),
-        fresh in prop::collection::vec(50u32..90, 0..8),
-        _seed in 0u64..10_000,
-    ) {
+/// Supertable MERGE (footnote 5), as the maintenance task runs it:
+/// residents that `tighten` took in, the dead among them removed,
+/// then `tighten` absorbs the fresh contacts. The table never exceeds its `z`, fresh pids fill free
+/// room first, and an alive resident leaves only for a strictly
+/// deeper entry. A contact's depth is its pid mod 4.
+#[test]
+fn supertable_merge_laws() {
+    check("supertable_merge_laws", |t| {
+        let capacity = t.range(1usize..8);
+        let residents = t.vec(0..8, |t| t.range(1u32..50));
+        let dead = t.set(0..8, |t| t.range(1u32..50));
+        let fresh = t.vec(0..8, |t| t.range(50u32..90));
+        let _seed = t.range(0u64..10_000);
         let entry = |pid: u32| SuperEntry {
             pid: ProcessId(pid),
             topic: TopicId::from_index(pid as usize % 4),
@@ -145,26 +174,37 @@ proptest! {
         for e in table.entries() {
             prop_assert!(!dead.contains(&e.pid.0), "dead entry survived merge");
         }
-        for s in survivors.entries().iter().filter(|s| !table.contains(s.pid)) {
+        for s in survivors
+            .entries()
+            .iter()
+            .filter(|s| !table.contains(s.pid))
+        {
             prop_assert!(wanted > capacity, "{} evicted with room to spare", s.pid);
             prop_assert!(
                 table.entries().iter().all(|e| depth(e) >= depth(s)),
-                "{} evicted before a shallower entry", s.pid
+                "{} evicted before a shallower entry",
+                s.pid
             );
             prop_assert!(
-                table.entries().iter().any(|e| e.pid.0 >= 50 && depth(e) > depth(s)),
-                "{} evicted with no strictly deeper fresh entry", s.pid
+                table
+                    .entries()
+                    .iter()
+                    .any(|e| e.pid.0 >= 50 && depth(e) > depth(s)),
+                "{} evicted with no strictly deeper fresh entry",
+                s.pid
             );
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Bootstrap scope grows monotonically up the ancestor chain on
-    /// timeouts and never contains topics below the direct supertopic.
-    #[test]
-    fn bootstrap_widening_monotone(
-        levels in 2usize..8,
-        rounds in 1u64..60,
-    ) {
+/// Bootstrap scope grows monotonically up the ancestor chain on
+/// timeouts and never contains topics below the direct supertopic.
+#[test]
+fn bootstrap_widening_monotone() {
+    check("bootstrap_widening_monotone", |t| {
+        let levels = t.range(2usize..8);
+        let rounds = t.range(1u64..60);
         let (h, ids) = TopicHierarchy::linear_chain(levels);
         let leaf = ids[levels - 1];
         let mut task = BootstrapTask::new(leaf, &h).unwrap();
@@ -184,16 +224,18 @@ proptest! {
                 BootstrapAction::Idle => {}
             }
         }
-    }
+        Ok(())
+    });
+}
 
-    /// An answer from any strict ancestor narrows the scope to topics
-    /// below it (or finishes, for the direct supertopic).
-    #[test]
-    fn bootstrap_answer_narrows(
-        levels in 3usize..8,
-        answer_level in 0usize..6,
-        widenings in 0u64..6,
-    ) {
+/// An answer from any strict ancestor narrows the scope to topics
+/// below it (or finishes, for the direct supertopic).
+#[test]
+fn bootstrap_answer_narrows() {
+    check("bootstrap_answer_narrows", |t| {
+        let levels = t.range(3usize..8);
+        let answer_level = t.range(0usize..6);
+        let widenings = t.range(0u64..6);
         let (h, ids) = TopicHierarchy::linear_chain(levels);
         let leaf = ids[levels - 1];
         let answer_level = answer_level.min(levels - 2);
@@ -222,18 +264,20 @@ proptest! {
                 );
             }
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Maintenance never pings while a check is in flight, and refresh
-    /// triggers exactly when the live count is ≤ τ.
-    #[test]
-    fn maintenance_phases(
-        period in 1u64..6,
-        ping_timeout in 1u64..5,
-        entries in prop::collection::vec(1u32..30, 1..6),
-        answering in prop::collection::hash_set(1u32..30, 0..6),
-        tau in 0usize..4,
-    ) {
+/// Maintenance never pings while a check is in flight, and refresh
+/// triggers exactly when the live count is ≤ τ.
+#[test]
+fn maintenance_phases() {
+    check("maintenance_phases", |t| {
+        let period = t.range(1u64..6);
+        let ping_timeout = t.range(1u64..5);
+        let entries = t.vec(1..6, |t| t.range(1u32..30));
+        let answering = t.set(0..6, |t| t.range(1u32..30));
+        let tau = t.range(0usize..4);
         let mut task = MaintenanceTask::new(period, ping_timeout);
         let pids: Vec<ProcessId> = entries.iter().map(|&e| ProcessId(e)).collect();
         // Find the first Ping.
@@ -283,28 +327,32 @@ proptest! {
             );
             prop_assert!(acceptable, "unexpected action {:?}", action);
         }
-    }
+        Ok(())
+    });
 }
 
 /// Each half of an id from a small alphabet, so streams repeat ids, with
 /// `u32::MAX` in it: the all-ones id is drawn too.
-fn arb_event_id() -> impl Strategy<Value = EventId> {
-    let half = || prop_oneof![0u32..5, Just(u32::MAX - 1), Just(u32::MAX)];
-    (half(), half()).prop_map(|(publisher, sequence)| EventId {
-        publisher: ProcessId(publisher),
-        sequence,
-    })
+fn arb_event_id(t: &mut Tape) -> EventId {
+    let mut half = || match t.below(3) {
+        0 => t.range(0u32..5),
+        1 => u32::MAX - 1,
+        _ => u32::MAX,
+    };
+    EventId {
+        publisher: ProcessId(half()),
+        sequence: half(),
+    }
 }
 
-proptest! {
-    /// `EventSet` answers as a `HashSet<EventId>` does: the same
-    /// `insert` results on a stream with repeats, the same members after
-    /// it, and no member it does not hold.
-    #[test]
-    fn an_event_set_agrees_with_a_hash_set(
-        stream in prop::collection::vec(arb_event_id(), 0..200),
-        probes in prop::collection::vec(arb_event_id(), 0..20),
-    ) {
+/// `EventSet` answers as a `HashSet<EventId>` does: the same
+/// `insert` results on a stream with repeats, the same members after
+/// it, and no member it does not hold.
+#[test]
+fn an_event_set_agrees_with_a_hash_set() {
+    check("an_event_set_agrees_with_a_hash_set", |t| {
+        let stream = t.vec(0..200, arb_event_id);
+        let probes = t.vec(0..20, arb_event_id);
         let mut set = EventSet::default();
         let mut model = HashSet::new();
         for &id in &stream {
@@ -319,5 +367,6 @@ proptest! {
         let mut expected: Vec<EventId> = model.into_iter().collect();
         expected.sort();
         prop_assert_eq!(members, expected);
-    }
+        Ok(())
+    });
 }

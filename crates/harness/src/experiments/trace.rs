@@ -83,8 +83,9 @@ fn diff_traces(left: &TraceLog, right: &TraceLog) -> TraceDiff {
 
 /// One line of context for a parity-test failure message: where two
 /// same-seed streams first diverge, or confirmation that they do not.
-/// Proptest shrinkers call this to turn "delivered sets differ" into
-/// "the first divergent envelope is `t3 p0→p7 dropped_channel [12B]`".
+/// The parity tests put it in their failure messages, to turn
+/// "delivered sets differ" into "the first divergent envelope is
+/// `t3 p0→p7 dropped_channel [12B]`".
 #[must_use]
 pub fn describe_divergence(left: &TraceLog, right: &TraceLog) -> String {
     match diff_traces(left, right).divergence {

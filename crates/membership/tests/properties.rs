@@ -7,7 +7,7 @@ use da_core::ProcessId;
 use da_membership::{
     flat, kmg_view_size, static_init, FanoutRule, MembershipMsg, Overlay, PartialView,
 };
-use proptest::prelude::*;
+use da_tape::{check, prop_assert, prop_assert_eq, prop_assert_ne, Tape};
 use std::collections::{HashMap, HashSet};
 
 /// Operations applied to a view in sequence.
@@ -18,12 +18,12 @@ enum Op {
     Merge(Vec<u32>),
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u32..50).prop_map(Op::Insert),
-        (0u32..50).prop_map(Op::Remove),
-        prop::collection::vec(0u32..50, 0..8).prop_map(Op::Merge),
-    ]
+fn arb_op(t: &mut Tape) -> Op {
+    match t.below(3) {
+        0 => Op::Insert(t.range(0u32..50)),
+        1 => Op::Remove(t.range(0u32..50)),
+        _ => Op::Merge(t.vec(0..8, |t| t.range(0u32..50))),
+    }
 }
 
 /// Liveness traffic at one process; rounds advance by the given step,
@@ -38,29 +38,31 @@ enum Liveness {
     Evict(u64),
 }
 
-fn arb_liveness() -> impl Strategy<Value = Liveness> {
-    prop_oneof![
-        (0u32..40, prop::collection::vec(0u32..40, 0..5), 0u64..20)
-            .prop_map(|(from, sample, step)| Liveness::Message(from, sample, step)),
-        (0u32..40, 0u64..20).prop_map(|(pid, step)| Liveness::Heard(pid, step)),
-        (0u64..60).prop_map(Liveness::Evict),
-    ]
+fn arb_liveness(t: &mut Tape) -> Liveness {
+    match t.below(3) {
+        0 => Liveness::Message(
+            t.range(0u32..40),
+            t.vec(0..5, |t| t.range(0u32..40)),
+            t.range(0u64..20),
+        ),
+        1 => Liveness::Heard(t.range(0u32..40), t.range(0u64..20)),
+        _ => Liveness::Evict(t.range(0u64..60)),
+    }
 }
 
-proptest! {
-    /// The stamps that live on view entries evict exactly what the map
-    /// keyed by every sender ever heard from evicted: same view, same
-    /// order, after every step, with seeds nobody has heard from exempt.
-    /// (The map also remembered processes outside the view; every path
-    /// that admits one after start-up stamps it on entry, so that memory
-    /// never decided anything.)
-    #[test]
-    fn view_resident_stamps_evict_like_the_last_heard_map(
-        group_size in 3usize..80,
-        seeds in prop::collection::vec(0u32..40, 0..6),
-        ops in prop::collection::vec(arb_liveness(), 0..80),
-        seed in 0u64..10_000,
-    ) {
+/// The stamps that live on view entries evict exactly what the map
+/// keyed by every sender ever heard from evicted: same view, same
+/// order, after every step, with seeds nobody has heard from exempt.
+/// (The map also remembered processes outside the view; every path
+/// that admits one after start-up stamps it on entry, so that memory
+/// never decided anything.)
+#[test]
+fn view_resident_stamps_evict_like_the_last_heard_map() {
+    check("view_resident_stamps_evict_like_the_last_heard_map", |t| {
+        let group_size = t.range(3usize..80);
+        let seeds = t.vec(0..6, |t| t.range(0u32..40));
+        let ops = t.vec(0..80, arb_liveness);
+        let seed = t.range(0u64..10_000);
         let me = ProcessId(0);
         let capacity = kmg_view_size(0.5, group_size);
         let seeds: Vec<ProcessId> = seeds.into_iter().map(ProcessId).collect();
@@ -111,16 +113,18 @@ proptest! {
                 prop_assert_eq!(membership.last_heard(pid), last_heard.get(&pid).copied());
             }
         }
-    }
+        Ok(())
+    });
+}
 
-    /// View invariants hold under every operation sequence: no self, no
-    /// duplicates, never over capacity.
-    #[test]
-    fn view_invariants_under_any_ops(
-        capacity in 0usize..12,
-        ops in prop::collection::vec(arb_op(), 0..60),
-        seed in 0u64..10_000,
-    ) {
+/// View invariants hold under every operation sequence: no self, no
+/// duplicates, never over capacity.
+#[test]
+fn view_invariants_under_any_ops() {
+    check("view_invariants_under_any_ops", |t| {
+        let capacity = t.range(0usize..12);
+        let ops = t.vec(0..60, arb_op);
+        let seed = t.range(0u64..10_000);
         let owner = ProcessId(0);
         let mut rng = rng_from_seed(seed);
         let mut view = PartialView::new(owner, capacity);
@@ -142,12 +146,17 @@ proptest! {
             let unique: HashSet<ProcessId> = view.iter().collect();
             prop_assert_eq!(unique.len(), view.len());
         }
-    }
+        Ok(())
+    });
+}
 
-    /// `kmg_view_size` laws: bounded by S−1, monotone in b, and matches
-    /// the ceil formula when not capped.
-    #[test]
-    fn view_size_laws(b in 0.0f64..8.0, s in 0usize..100_000) {
+/// `kmg_view_size` laws: bounded by S−1, monotone in b, and matches
+/// the ceil formula when not capped.
+#[test]
+fn view_size_laws() {
+    check("view_size_laws", |t| {
+        let b = t.range(0.0f64..8.0);
+        let s = t.range(0usize..100_000);
         let size = kmg_view_size(b, s);
         prop_assert!(size <= s.saturating_sub(1));
         prop_assert!(kmg_view_size(b + 1.0, s) >= size);
@@ -155,12 +164,17 @@ proptest! {
             let ideal = ((b + 1.0) * (s as f64).ln()).ceil() as usize;
             prop_assert_eq!(size, ideal.min(s - 1));
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Fanout rules: capped by S−1, zero for trivial groups, monotone in
-    /// the group size.
-    #[test]
-    fn fanout_laws(c in 0.0f64..10.0, s in 0usize..100_000) {
+/// Fanout rules: capped by S−1, zero for trivial groups, monotone in
+/// the group size.
+#[test]
+fn fanout_laws() {
+    check("fanout_laws", |t| {
+        let c = t.range(0.0f64..10.0);
+        let s = t.range(0usize..100_000);
         for rule in [
             FanoutRule::LnPlusC { c },
             FanoutRule::Log10PlusC { c },
@@ -173,12 +187,18 @@ proptest! {
             }
             prop_assert!(rule.fanout(s.saturating_mul(2)) >= f || s == 0);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Static topic tables: right size, no self, no duplicates, all
-    /// within the group — for any group size.
-    #[test]
-    fn static_tables_well_formed(n in 1usize..200, b in 0.0f64..6.0, seed in 0u64..10_000) {
+/// Static topic tables: right size, no self, no duplicates, all
+/// within the group — for any group size.
+#[test]
+fn static_tables_well_formed() {
+    check("static_tables_well_formed", |t| {
+        let n = t.range(1usize..200);
+        let b = t.range(0.0f64..6.0);
+        let seed = t.range(0u64..10_000);
         let members: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
         let mut rng = rng_from_seed(seed);
         let tables = static_init::static_topic_tables(&members, b, &mut rng).unwrap();
@@ -190,35 +210,39 @@ proptest! {
             prop_assert_eq!(unique.len(), table.len());
             prop_assert!(table.iter().all(|p| members.contains(p)));
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Static supertables: size min(z, supergroup), distinct, all in the
-    /// supergroup.
-    #[test]
-    fn static_super_tables_well_formed(
-        n in 1usize..60,
-        sup in 1usize..60,
-        z in 1usize..8,
-        seed in 0u64..10_000,
-    ) {
+/// Static supertables: size min(z, supergroup), distinct, all in the
+/// supergroup.
+#[test]
+fn static_super_tables_well_formed() {
+    check("static_super_tables_well_formed", |t| {
+        let n = t.range(1usize..60);
+        let sup = t.range(1usize..60);
+        let z = t.range(1usize..8);
+        let seed = t.range(0u64..10_000);
         let members: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-        let supergroup: Vec<ProcessId> =
-            (1000..1000 + sup as u32).map(ProcessId).collect();
+        let supergroup: Vec<ProcessId> = (1000..1000 + sup as u32).map(ProcessId).collect();
         let mut rng = rng_from_seed(seed);
-        let tables =
-            static_init::static_super_tables(&members, &supergroup, z, &mut rng).unwrap();
+        let tables = static_init::static_super_tables(&members, &supergroup, z, &mut rng).unwrap();
         for table in &tables {
             prop_assert_eq!(table.len(), z.min(sup));
             prop_assert!(table.iter().all(|p| supergroup.contains(p)));
             let unique: HashSet<&ProcessId> = table.iter().collect();
             prop_assert_eq!(unique.len(), table.len());
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Gossip convergence: two views whose owners exchange one digest in
-    /// each direction end up knowing each other.
-    #[test]
-    fn digest_exchange_connects(seed in 0u64..10_000) {
+/// Gossip convergence: two views whose owners exchange one digest in
+/// each direction end up knowing each other.
+#[test]
+fn digest_exchange_connects() {
+    check("digest_exchange_connects", |t| {
+        let seed = t.range(0u64..10_000);
         let capacity = kmg_view_size(3.0, 10);
         let mut rng = rng_from_seed(seed);
         let mut a = PartialView::new(ProcessId(0), capacity);
@@ -234,11 +258,15 @@ proptest! {
         }
         prop_assert!(a.contains(ProcessId(1)));
         prop_assert!(b.contains(ProcessId(0)));
-    }
+        Ok(())
+    });
+}
 
-    /// Group assignment is a disjoint dense cover.
-    #[test]
-    fn assign_members_partition(sizes in prop::collection::vec(0usize..50, 1..6)) {
+/// Group assignment is a disjoint dense cover.
+#[test]
+fn assign_members_partition() {
+    check("assign_members_partition", |t| {
+        let sizes = t.vec(1..6, |t| t.range(0usize..50));
         let groups = static_init::assign_group_members(&sizes);
         prop_assert_eq!(groups.len(), sizes.len());
         let mut all = Vec::new();
@@ -254,16 +282,18 @@ proptest! {
         for i in 0..total {
             prop_assert!(unique.contains(&ProcessId::from_index(i)));
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Overlay structure: symmetric, self-loop free, connected, minimum
-    /// degree honoured (capped by the population).
-    #[test]
-    fn overlay_structural_laws(
-        population in 1usize..80,
-        degree in 0usize..12,
-        seed in 0u64..10_000,
-    ) {
+/// Overlay structure: symmetric, self-loop free, connected, minimum
+/// degree honoured (capped by the population).
+#[test]
+fn overlay_structural_laws() {
+    check("overlay_structural_laws", |t| {
+        let population = t.range(1usize..80);
+        let degree = t.range(0usize..12);
+        let seed = t.range(0u64..10_000);
         let o = Overlay::random(population, degree, seed).unwrap();
         prop_assert_eq!(o.population(), population);
         let want = degree.min(population.saturating_sub(1));
@@ -283,5 +313,6 @@ proptest! {
         for i in 0..population {
             prop_assert!(o.neighbors(ProcessId::from_index(i)).len() >= want);
         }
-    }
+        Ok(())
+    });
 }

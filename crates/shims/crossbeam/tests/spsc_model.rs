@@ -5,27 +5,33 @@
 //! clean wrap-around across many revolutions of the ring.
 
 use crossbeam::queue::{spsc, PushError};
-use proptest::prelude::*;
+use da_tape::{check, prop_assert, prop_assert_eq};
 use std::collections::VecDeque;
 
-proptest! {
-    #[test]
-    fn ring_matches_a_vecdeque_reference(
-        capacity in 1usize..=8,
-        ops in prop::collection::vec((any::<bool>(), 0u16..1000), 0..400),
-    ) {
+#[test]
+fn ring_matches_a_vecdeque_reference() {
+    check("ring_matches_a_vecdeque_reference", |t| {
+        let capacity = t.range(1usize..=8);
+        let ops = t.vec(0..400, |t| (t.weighted(0.5), t.range(0u16..1000)));
         let (mut tx, mut rx) = spsc(capacity);
         let mut model: VecDeque<u16> = VecDeque::new();
         for (is_push, value) in ops {
             if is_push {
                 match tx.push(value) {
                     Ok(()) => {
-                        prop_assert!(model.len() < capacity, "ring accepted a push beyond capacity");
+                        prop_assert!(
+                            model.len() < capacity,
+                            "ring accepted a push beyond capacity"
+                        );
                         model.push_back(value);
                     }
                     Err(PushError::Full(v)) => {
                         prop_assert_eq!(v, value, "Full must hand the value back");
-                        prop_assert_eq!(model.len(), capacity, "ring refused a push below capacity");
+                        prop_assert_eq!(
+                            model.len(),
+                            capacity,
+                            "ring refused a push below capacity"
+                        );
                     }
                     Err(PushError::Disconnected(_)) => {
                         prop_assert!(false, "consumer is alive; Disconnected is impossible");
@@ -43,14 +49,16 @@ proptest! {
             prop_assert_eq!(rx.pop(), Some(expected));
         }
         prop_assert_eq!(rx.pop(), None);
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn wrap_around_preserves_fifo_at_every_fill_level(
-        capacity in 1usize..=5,
-        burst in 1usize..=5,
-        rounds in 1usize..=200,
-    ) {
+#[test]
+fn wrap_around_preserves_fifo_at_every_fill_level() {
+    check("wrap_around_preserves_fifo_at_every_fill_level", |t| {
+        let capacity = t.range(1usize..=5);
+        let burst = t.range(1usize..=5);
+        let rounds = t.range(1usize..=200);
         // Push `burst.min(capacity)` values then pop them, repeatedly —
         // the head/tail counters cross the capacity boundary at every
         // possible offset over the rounds.
@@ -68,5 +76,6 @@ proptest! {
             }
         }
         prop_assert_eq!(rx.pop(), None);
-    }
+        Ok(())
+    });
 }

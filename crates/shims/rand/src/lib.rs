@@ -18,6 +18,8 @@
 //! * `SmallRng` is always xoshiro256++; the real crate picks a
 //!   platform-dependent generator, and `seed_from_u64` expansion
 //!   (SplitMix64 here) differs accordingly.
+//! * `gen` draws the integer types and `f64`, and `gen_range` takes
+//!   integer ranges and half-open `f64` ranges: what the code draws.
 //! * No `thread_rng`/`OsRng` (nothing in the workspace may draw from
 //!   ambient entropy), no `distributions` module, no `Fill`, no
 //!   `gen_ratio`, and `SliceRandom` offers only `shuffle`,
@@ -40,17 +42,6 @@ use std::ops::{Range, RangeInclusive};
 pub trait RngCore {
     /// Returns the next 64 random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Returns the next 32 random bits.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
 }
 
 /// Types that can be sampled uniformly from an `RngCore` (stands in for
@@ -73,30 +64,11 @@ macro_rules! from_random_int {
 
 from_random_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-impl FromRandom for u128 {
-    fn from_random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64())
-    }
-}
-
-impl FromRandom for bool {
-    fn from_random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
 impl FromRandom for f64 {
     #[allow(clippy::cast_precision_loss)]
     fn from_random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 uniform mantissa bits in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl FromRandom for f32 {
-    #[allow(clippy::cast_precision_loss)]
-    fn from_random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }
 
@@ -148,23 +120,6 @@ impl SampleRange for Range<f64> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
         assert!(self.start < self.end, "gen_range: empty range");
         self.start + f64::from_random(rng) * (self.end - self.start)
-    }
-}
-
-impl SampleRange for RangeInclusive<f64> {
-    type Output = f64;
-    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
-        let (lo, hi) = self.into_inner();
-        assert!(lo <= hi, "gen_range: empty range");
-        lo + f64::from_random(rng) * (hi - lo)
-    }
-}
-
-impl SampleRange for Range<f32> {
-    type Output = f32;
-    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f32 {
-        assert!(self.start < self.end, "gen_range: empty range");
-        self.start + f32::from_random(rng) * (self.end - self.start)
     }
 }
 

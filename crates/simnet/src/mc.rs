@@ -54,8 +54,8 @@
 //!
 //! Exhaustive exploration is exponential in budgets and population.
 //! As a yardstick, a 3-process single-group dissemination with one
-//! publish, full ordering, one drop and one crash explores a few
-//! thousand states in well under a second; 5 processes with the same
+//! publish, full ordering, one drop and one crash explores 73 states
+//! over 636 transitions in milliseconds; 5 processes with the same
 //! budgets is ~10⁵–10⁶ states. Use [`McConfig::max_states`] to bound
 //! the walk, and check [`ExploreStats::exhausted`] to know whether the
 //! result is a proof (within the bounds) or a search.
@@ -124,9 +124,6 @@ pub struct McConfig {
     /// Hard cap on distinct states; hitting it sets
     /// [`ExploreStats::truncated`] and clears `exhausted`.
     pub max_states: usize,
-    /// Visited-set deduplication on [`Engine::state_digest`]. Leave on;
-    /// exists so tests can measure its effect.
-    pub dedup: bool,
 }
 
 impl Default for McConfig {
@@ -137,7 +134,6 @@ impl Default for McConfig {
             crash_budget: 0,
             ordering: OrderingMode::Full,
             max_states: 1_000_000,
-            dedup: true,
         }
     }
 }
@@ -529,12 +525,10 @@ where
 
                     let drops_used = node.drops_used + strategy.drops_made.len() as u32;
                     let crashes_used = node.crashes_used + u32::from(liveness.is_some());
-                    if self.config.dedup {
-                        let digest = self.budgeted_digest(&engine, drops_used, crashes_used);
-                        if !visited.insert(digest) {
-                            stats.dedup_hits += 1;
-                            continue;
-                        }
+                    let digest = self.budgeted_digest(&engine, drops_used, crashes_used);
+                    if !visited.insert(digest) {
+                        stats.dedup_hits += 1;
+                        continue;
                     }
                     stats.states += 1;
                     if stats.states >= self.config.max_states {
@@ -914,23 +908,22 @@ mod tests {
 
     #[test]
     fn dedup_prunes_but_preserves_verdict() {
-        let run = |dedup| {
-            Explorer::new(McConfig {
-                max_rounds: 5,
-                dedup,
-                ..McConfig::default()
-            })
-            .with_invariant(BoundedDeliveries)
-            .explore(&SimConfig::default(), flood_engine(3, false))
-        };
-        let with = run(true);
-        let without = run(false);
-        assert!(with.verified() && without.verified());
-        assert!(
-            with.stats.dedup_hits > 0,
-            "flood reconverges; dedup must hit"
+        let report = Explorer::new(McConfig {
+            max_rounds: 5,
+            ..McConfig::default()
+        })
+        .with_invariant(BoundedDeliveries)
+        .explore(&SimConfig::default(), flood_engine(3, false));
+        assert!(report.verified());
+        let s = report.stats;
+        assert!(s.dedup_hits > 0, "flood reconverges; dedup must hit");
+        // Every transition lands on a new state, on a visited one, or on
+        // a quiescent leaf; the root is the one state no transition
+        // reaches.
+        assert_eq!(
+            s.transitions,
+            s.states - 1 + s.dedup_hits + s.quiescent_leaves
         );
-        assert!(with.stats.transitions <= without.stats.transitions);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use da_core::{ChannelConfig, Exec, ExecProtocol, FailureModel, Latency, ProcessId, WireSize};
 use da_simnet::{Engine, SimConfig};
-use proptest::prelude::*;
+use da_tape::{check_cases, prop_assert, prop_assert_eq};
 use rand::Rng as _;
 
 /// A protocol that floods: every process sends one message to a random
@@ -50,55 +50,59 @@ fn chatter_engine(config: SimConfig, n: u32) -> Engine<Chatter> {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Conservation: sent = delivered + dropped (channel, dead target,
-    /// observed-failed) + still in flight.
-    #[test]
-    fn message_conservation(
-        n in 2u32..40,
-        rounds in 1u64..40,
-        p_succ in 0.0f64..=1.0,
-        alive in 0.0f64..=1.0,
-        seed in 0u64..10_000,
-    ) {
+/// Conservation: sent = delivered + dropped (channel, dead target,
+/// observed-failed) + still in flight.
+#[test]
+fn message_conservation() {
+    check_cases("message_conservation", 64, |t| {
+        let n = t.range(2u32..40);
+        let rounds = t.range(1u64..40);
+        let p_succ = t.range(0.0f64..=1.0);
+        let alive = t.range(0.0f64..=1.0);
+        let seed = t.range(0u64..10_000);
         let config = SimConfig::default()
             .with_seed(seed)
             .with_channel(ChannelConfig::default().with_success_probability(p_succ))
-            .with_failures(FailureModel::Stillborn { alive_fraction: alive });
+            .with_failures(FailureModel::Stillborn {
+                alive_fraction: alive,
+            });
         let mut e = chatter_engine(config, n);
         e.run_rounds(rounds);
         prop_assert_eq!(e.ledger().in_flight(), Some(e.in_flight() as u64));
-    }
+        Ok(())
+    });
+}
 
-    /// Bytes are charged exactly wire_size per send.
-    #[test]
-    fn bytes_proportional_to_sends(
-        n in 2u32..20,
-        rounds in 1u64..20,
-        seed in 0u64..10_000,
-    ) {
+/// Bytes are charged exactly wire_size per send.
+#[test]
+fn bytes_proportional_to_sends() {
+    check_cases("bytes_proportional_to_sends", 64, |t| {
+        let n = t.range(2u32..20);
+        let rounds = t.range(1u64..20);
+        let seed = t.range(0u64..10_000);
         let mut e = chatter_engine(SimConfig::default().with_seed(seed), n);
         e.run_rounds(rounds);
         prop_assert_eq!(e.ledger().bytes_sent, e.ledger().sent * 3);
-    }
+        Ok(())
+    });
+}
 
-    /// Stillborn materialisation crashes exactly the complement of the
-    /// alive fraction (rounded), and those processes never receive.
-    #[test]
-    fn stillborn_counts_exact(
-        n in 1u32..100,
-        alive in 0.0f64..=1.0,
-        seed in 0u64..10_000,
-    ) {
-        let config = SimConfig::default().with_seed(seed).with_failures(
-            FailureModel::Stillborn { alive_fraction: alive },
-        );
+/// Stillborn materialisation crashes exactly the complement of the
+/// alive fraction (rounded), and those processes never receive.
+#[test]
+fn stillborn_counts_exact() {
+    check_cases("stillborn_counts_exact", 64, |t| {
+        let n = t.range(1u32..100);
+        let alive = t.range(0.0f64..=1.0);
+        let seed = t.range(0u64..10_000);
+        let config = SimConfig::default()
+            .with_seed(seed)
+            .with_failures(FailureModel::Stillborn {
+                alive_fraction: alive,
+            });
         let mut e = chatter_engine(config, n);
         e.run_rounds(10);
-        let expected_crashed =
-            n as usize - (alive.clamp(0.0, 1.0) * f64::from(n)).round() as usize;
+        let expected_crashed = n as usize - (alive.clamp(0.0, 1.0) * f64::from(n)).round() as usize;
         let crashed: Vec<ProcessId> = (0..n)
             .map(ProcessId)
             .filter(|&p| !e.status(p).is_alive())
@@ -107,16 +111,18 @@ proptest! {
         for p in crashed {
             prop_assert_eq!(e.process(p).received, 0);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Bit-exact determinism across arbitrary configurations.
-    #[test]
-    fn engine_fully_deterministic(
-        n in 2u32..30,
-        rounds in 1u64..30,
-        p_succ in 0.1f64..=1.0,
-        seed in 0u64..10_000,
-    ) {
+/// Bit-exact determinism across arbitrary configurations.
+#[test]
+fn engine_fully_deterministic() {
+    check_cases("engine_fully_deterministic", 64, |t| {
+        let n = t.range(2u32..30);
+        let rounds = t.range(1u64..30);
+        let p_succ = t.range(0.1f64..=1.0);
+        let seed = t.range(0u64..10_000);
         let run = || {
             let config = SimConfig::default()
                 .with_seed(seed)
@@ -131,35 +137,42 @@ proptest! {
             )
         };
         prop_assert_eq!(run(), run());
-    }
+        Ok(())
+    });
+}
 
-    /// Per-observer mode: nobody is ever globally crashed, and the drop
-    /// rate tracks 1 − alive_fraction.
-    #[test]
-    fn per_observer_never_crashes(
-        n in 2u32..30,
-        alive in 0.0f64..=1.0,
-        seed in 0u64..10_000,
-    ) {
-        let config = SimConfig::default().with_seed(seed).with_failures(
-            FailureModel::PerObserver { alive_fraction: alive },
-        );
+/// Per-observer mode: nobody is ever globally crashed, and the drop
+/// rate tracks 1 − alive_fraction.
+#[test]
+fn per_observer_never_crashes() {
+    check_cases("per_observer_never_crashes", 64, |t| {
+        let n = t.range(2u32..30);
+        let alive = t.range(0.0f64..=1.0);
+        let seed = t.range(0u64..10_000);
+        let config =
+            SimConfig::default()
+                .with_seed(seed)
+                .with_failures(FailureModel::PerObserver {
+                    alive_fraction: alive,
+                });
         let mut e = chatter_engine(config, n);
         e.run_rounds(20);
         prop_assert_eq!(e.alive().len(), n as usize);
         if alive >= 1.0 {
             prop_assert_eq!(e.ledger().dropped_observed, 0);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Latency jitter preserves conservation and eventually delivers.
-    #[test]
-    fn latency_jitter_conserves(
-        n in 2u32..20,
-        min in 1u64..4,
-        extra in 0u64..4,
-        seed in 0u64..10_000,
-    ) {
+/// Latency jitter preserves conservation and eventually delivers.
+#[test]
+fn latency_jitter_conserves() {
+    check_cases("latency_jitter_conserves", 64, |t| {
+        let n = t.range(2u32..20);
+        let min = t.range(1u64..4);
+        let extra = t.range(0u64..4);
+        let seed = t.range(0u64..10_000);
         let config = SimConfig::default().with_seed(seed).with_channel(
             ChannelConfig::default().with_latency(Latency::UniformRounds {
                 min,
@@ -177,8 +190,8 @@ proptest! {
             e.step_round();
         }
         prop_assert!(
-            e.ledger().delivered >= e.ledger().sent
-                .saturating_sub(e.in_flight() as u64 + 200),
+            e.ledger().delivered >= e.ledger().sent.saturating_sub(e.in_flight() as u64 + 200),
         );
-    }
+        Ok(())
+    });
 }

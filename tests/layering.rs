@@ -38,6 +38,21 @@ fn sources(dir: &str) -> Vec<(std::path::PathBuf, String)> {
     found
 }
 
+/// Every crate manifest under `crates/` and `crates/shims/`, and the
+/// root's, with its text.
+fn manifests() -> Vec<(std::path::PathBuf, String)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates = ["crates", "crates/shims"].into_iter().flat_map(|dir| {
+        std::fs::read_dir(root.join(dir))
+            .expect("crates directory")
+            .map(|entry| entry.expect("directory entry").path().join("Cargo.toml"))
+    });
+    crates
+        .chain([root.join("Cargo.toml")])
+        .filter_map(|manifest| Some((manifest.clone(), std::fs::read_to_string(manifest).ok()?)))
+        .collect()
+}
+
 /// What a file ships: its source up to the first `#[cfg(test)]`, and
 /// nothing of a `tests.rs` (a test module in a file of its own).
 fn shipped<'a>(path: &std::path::Path, source: &'a str) -> &'a str {
@@ -75,12 +90,13 @@ fn protocols_and_substrates_meet_only_in_da_core() {
     }
 }
 
-/// The offline build stands in for three registry crates, the ones the
-/// code calls: `crossbeam`, `proptest` and `rand`. Nothing serializes
-/// (every export is written by hand) and an event keeps only its
-/// payload's length, so no serde marker or bytes buffer comes back.
+/// The offline build stands in for two registry crates, the ones the
+/// code calls: `crossbeam` and `rand`. Property tests draw from the
+/// workspace's own `da-tape`, not from a proptest stand-in. Nothing
+/// serializes (every export is written by hand) and an event keeps only
+/// its payload's length, so no serde marker or bytes buffer comes back.
 #[test]
-fn the_shims_are_the_three_crates_the_code_calls() {
+fn the_shims_are_the_two_crates_the_code_calls() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut shims: Vec<String> = std::fs::read_dir(root.join("crates/shims"))
         .expect("shims directory")
@@ -88,17 +104,9 @@ fn the_shims_are_the_three_crates_the_code_calls() {
         .map(|name| name.to_string_lossy().into_owned())
         .collect();
     shims.sort();
-    assert_eq!(shims, ["crossbeam", "proptest", "rand"]);
+    assert_eq!(shims, ["crossbeam", "rand"]);
 
-    let crates = ["crates", "crates/shims"].into_iter().flat_map(|dir| {
-        std::fs::read_dir(root.join(dir))
-            .expect("crates directory")
-            .map(|entry| entry.expect("directory entry").path().join("Cargo.toml"))
-    });
-    for manifest in crates.chain([root.join("Cargo.toml")]) {
-        let Ok(text) = std::fs::read_to_string(&manifest) else {
-            continue;
-        };
+    for (manifest, text) in manifests() {
         let named = |dep: &str| text.lines().any(|line| line.trim_start().starts_with(dep));
         assert!(
             !text.contains("serde") && !named("bytes"),
@@ -121,6 +129,27 @@ fn the_shims_are_the_three_crates_the_code_calls() {
                 }
             }
         }
+    }
+}
+
+/// The choice tape is a leaf crate with no `unsafe`, and only tests take
+/// it: no manifest names `da-tape` under `[dependencies]`, so nothing
+/// shipped draws from it.
+#[test]
+fn the_tape_is_a_leaf_only_tests_take() {
+    let tape = include_str!("../crates/tape/Cargo.toml");
+    assert!(
+        !tape.contains("dependencies]"),
+        "da-tape depends on nothing"
+    );
+    let lib = include_str!("../crates/tape/src/lib.rs");
+    assert!(lib.contains("#![forbid(unsafe_code)]"));
+    for (manifest, text) in manifests() {
+        assert!(
+            !dependencies(&text).contains(&"da-tape"),
+            "{} ships a dependency on the tape",
+            manifest.display()
+        );
     }
 }
 

@@ -20,8 +20,8 @@
 use da_core::{ChannelConfig, Latency, ProcessId, RunConfig};
 use da_harness::experiments::live::{delivered_sets, partition_faults, pinned_params};
 use da_harness::substrate::{Driver, Substrate};
+use da_tape::{check_cases, prop_assert_eq};
 use damulticast::{EventId, Network};
-use proptest::prelude::*;
 
 /// The smaller chain used by the parity property sweeps. Its top two
 /// groups are full meshes under the pinned fanout, so a mainland member
@@ -71,42 +71,50 @@ fn run_partitioned(
     )
 }
 
-proptest! {
+/// Satellite requirement: delivered-set parity across a partition
+/// cut-and-heal cycle. The cut lands while the publication waves
+/// are in flight and heals anywhere from mid-wave to long after;
+/// whatever the cycle, the never-partitioned mainland cohort must
+/// deliver byte-for-byte equal event sets on both substrates, with
+/// zero parasites.
+#[test]
+fn partitioned_runtime_matches_simulator_for_mainland_cohort() {
     // Each case is two full multi-substrate runs; 8 cases cover the
     // workers × latency × cut/heal grid while keeping the suite fast.
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    check_cases(
+        "partitioned_runtime_matches_simulator_for_mainland_cohort",
+        8,
+        |t| {
+            let seed = t.range(1u64..100_000);
+            let workers = t.pick(&[2usize, 4]);
+            let latency = t.range(1u64..=4);
+            let cut = t.range(0u64..=2);
+            let heal_delta = t.range(2u64..=24);
+            let heal = cut + heal_delta;
+            let (sim_sets, sim_parasites) =
+                run_partitioned(Substrate::Sim, seed, latency, cut, heal);
+            let (live_sets, live_parasites) =
+                run_partitioned(Substrate::Live { workers }, seed, latency, cut, heal);
 
-    /// Satellite requirement: delivered-set parity across a partition
-    /// cut-and-heal cycle. The cut lands while the publication waves
-    /// are in flight and heals anywhere from mid-wave to long after;
-    /// whatever the cycle, the never-partitioned mainland cohort must
-    /// deliver byte-for-byte equal event sets on both substrates, with
-    /// zero parasites.
-    #[test]
-    fn partitioned_runtime_matches_simulator_for_mainland_cohort(
-        seed in 1u64..100_000,
-        workers in prop_oneof![Just(2usize), Just(4)],
-        latency in 1u64..=4,
-        cut in 0u64..=2,
-        heal_delta in 2u64..=24,
-    ) {
-        let heal = cut + heal_delta;
-        let (sim_sets, sim_parasites) = run_partitioned(Substrate::Sim, seed, latency, cut, heal);
-        let (live_sets, live_parasites) =
-            run_partitioned(Substrate::Live { workers }, seed, latency, cut, heal);
-
-        prop_assert_eq!(sim_parasites, 0, "simulator saw a parasite");
-        prop_assert_eq!(live_parasites, 0, "live runtime saw a parasite");
-        prop_assert_eq!(sim_sets.len(), live_sets.len());
-        let population: usize = PROP_SIZES.iter().sum();
-        let mainland = population - ISLAND;
-        for (pid, (sim, live)) in sim_sets.iter().zip(&live_sets).enumerate().take(mainland) {
-            prop_assert_eq!(
-                sim, live,
-                "mainland process {} delivered different event sets \
+            prop_assert_eq!(sim_parasites, 0, "simulator saw a parasite");
+            prop_assert_eq!(live_parasites, 0, "live runtime saw a parasite");
+            prop_assert_eq!(sim_sets.len(), live_sets.len());
+            let population: usize = PROP_SIZES.iter().sum();
+            let mainland = population - ISLAND;
+            for (pid, (sim, live)) in sim_sets.iter().zip(&live_sets).enumerate().take(mainland) {
+                prop_assert_eq!(
+                    sim,
+                    live,
+                    "mainland process {} delivered different event sets \
                  (workers={}, latency={}, cut={}, heal={})",
-                pid, workers, latency, cut, heal
-            );
-        }
-    }
+                    pid,
+                    workers,
+                    latency,
+                    cut,
+                    heal
+                );
+            }
+            Ok(())
+        },
+    );
 }

@@ -21,9 +21,9 @@ use da_harness::experiments::live::{delivered_sets, pinned_params};
 use da_harness::experiments::trace::describe_divergence;
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::static_init::assign_group_members;
+use da_tape::{check_cases, prop_assert, prop_assert_eq};
 use da_topics::TopicHierarchy;
 use damulticast::{DaProcess, EventId, GroupSpec, Network, TopicParams};
-use proptest::prelude::*;
 use std::sync::Arc;
 use support::Logged;
 
@@ -332,128 +332,136 @@ fn never_crashed(seed: u64, population: usize, ticks: u64, failure: &FailureMode
         .collect()
 }
 
-proptest! {
+/// Satellite requirement: delivered-event-set parity between the
+/// barrier-free runtime and the simulator across pool widths, lag
+/// windows, and lossy channels. The channel loses 10% of sends and
+/// holds survivors for 1–4 ticks (the latency floor is the pool's
+/// worker-drift window); the pinned-high trade-off knobs and the
+/// fully meshed top groups of [`PROP_SIZES`] make gossip effectively
+/// atomic despite the loss, so both substrates must still deliver
+/// every event to its exact audience — byte-for-byte equal delivered
+/// sets.
+#[test]
+fn barrier_free_runtime_matches_simulator_under_loss() {
     // Each case is two full multi-substrate runs; 12 cases keep the
     // sweep well under a second while covering the workers × latency
     // grid several times over.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Satellite requirement: delivered-event-set parity between the
-    /// barrier-free runtime and the simulator across pool widths, lag
-    /// windows, and lossy channels. The channel loses 10% of sends and
-    /// holds survivors for 1–4 ticks (the latency floor is the pool's
-    /// worker-drift window); the pinned-high trade-off knobs and the
-    /// fully meshed top groups of [`PROP_SIZES`] make gossip effectively
-    /// atomic despite the loss, so both substrates must still deliver
-    /// every event to its exact audience — byte-for-byte equal delivered
-    /// sets.
-    #[test]
-    fn barrier_free_runtime_matches_simulator_under_loss(
-        seed in 1u64..100_000,
-        latency in 1u64..=4,
-        workers in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
-    ) {
-        let config = RunConfig::default().with_seed(seed).with_channel(
-            ChannelConfig::reliable()
-                .with_success_probability(0.9)
-                .with_latency(Latency::Fixed(latency)),
-        );
-        let [(sim_sets, sim_parasites, sim_trace), (live_sets, live_parasites, live_trace)] =
-            [SIM, Substrate::Live { workers }].map(|substrate| {
-                run(substrate, &PROP_SIZES, &config, |driver| {
-                    driver.run_until_quiescent(192);
-                })
-            });
-
-        prop_assert_eq!(sim_parasites, 0, "simulator saw a parasite");
-        prop_assert_eq!(live_parasites, 0, "live runtime saw a parasite");
-        prop_assert_eq!(sim_sets.len(), live_sets.len());
-        let mismatched: Vec<usize> = sim_sets
-            .iter()
-            .zip(&live_sets)
-            .enumerate()
-            .filter_map(|(pid, (sim, live))| (sim != live).then_some(pid))
-            .collect();
-        prop_assert!(
-            mismatched.is_empty(),
-            "processes {:?} delivered different event sets \
-             (workers={}, latency={}); {}",
-            mismatched, workers, latency,
-            describe_divergence(&sim_trace, &live_trace)
-        );
-    }
-}
-
-proptest! {
-    // Each case is again two full runs; 8 cases cover the churn ×
-    // loss × latency grid while keeping the suite fast.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Satellite requirement: delivered-set parity under **combined
-    /// churn × 10% loss × `workers ∈ {1, 2, 4, 8}` × a latency floor (=
-    /// drift window) of 1–4 ticks**
-    /// — the slab `ProcessStore` stripes differently at every worker
-    /// count, so this sweep pins storage layout out of the delivered
-    /// sets. Both substrates
-    /// materialise the identical `FailurePlan` from the shared seed, so
-    /// the crash/recovery schedule is the same tick-for-tick; processes
-    /// that stay alive for the whole horizon must then deliver
-    /// byte-for-byte equal event sets (the pinned-high knobs and the
-    /// fully meshed top groups make gossip effectively atomic for the
-    /// surviving cohort despite the loss).
-    /// Processes that spent time crashed are excluded from the
-    /// comparison: their receipt windows legitimately differ with the
-    /// substrates' differing channel-draw sequences.
-    #[test]
-    fn churned_runtime_matches_simulator_for_surviving_cohort(
-        seed in 1u64..100_000,
-        workers in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
-        latency in 1u64..=4,
-    ) {
-        // 64 ticks: ample for dissemination (the quiescence budget other
-        // suites use) while P(never crashed) = 0.99^64 ≈ 0.53 keeps the
-        // surviving cohort large.
-        const TICKS: u64 = 64;
-        let failure = FailureModel::Churn {
-            crash_probability: 0.01,
-            recover_probability: 0.3,
-        };
-        let config = RunConfig::default()
-            .with_seed(seed)
-            .with_channel(
+    check_cases(
+        "barrier_free_runtime_matches_simulator_under_loss",
+        12,
+        |t| {
+            let seed = t.range(1u64..100_000);
+            let latency = t.range(1u64..=4);
+            let workers = t.pick(&[1usize, 2, 4, 8]);
+            let config = RunConfig::default().with_seed(seed).with_channel(
                 ChannelConfig::reliable()
                     .with_success_probability(0.9)
                     .with_latency(Latency::Fixed(latency)),
-            )
-            .with_failures(failure.clone());
-        // A fixed horizon: the churn schedule must cover the same ticks
-        // on both substrates.
-        let [(sim_sets, sim_parasites, sim_trace), (live_sets, live_parasites, live_trace)] =
-            [SIM, Substrate::Live { workers }].map(|substrate| {
-                run(substrate, &PROP_SIZES, &config, |driver| driver.run_ticks(TICKS))
-            });
+            );
+            let [(sim_sets, sim_parasites, sim_trace), (live_sets, live_parasites, live_trace)] =
+                [SIM, Substrate::Live { workers }].map(|substrate| {
+                    run(substrate, &PROP_SIZES, &config, |driver| {
+                        driver.run_until_quiescent(192);
+                    })
+                });
 
-        prop_assert_eq!(sim_parasites, 0, "simulator saw a parasite");
-        prop_assert_eq!(live_parasites, 0, "live runtime saw a parasite");
-        prop_assert_eq!(sim_sets.len(), live_sets.len());
-        let population: usize = PROP_SIZES.iter().sum();
-        let survivors = never_crashed(seed, population, TICKS, &failure);
-        let surviving = survivors.iter().filter(|&&s| s).count();
-        prop_assert!(surviving * 5 > population, "churn left too few survivors");
-        let mismatched: Vec<usize> = sim_sets
-            .iter()
-            .zip(&live_sets)
-            .enumerate()
-            .filter_map(|(pid, (sim, live))| {
-                (survivors[pid] && sim != live).then_some(pid)
-            })
-            .collect();
-        prop_assert!(
-            mismatched.is_empty(),
-            "surviving processes {:?} delivered different event sets \
+            prop_assert_eq!(sim_parasites, 0, "simulator saw a parasite");
+            prop_assert_eq!(live_parasites, 0, "live runtime saw a parasite");
+            prop_assert_eq!(sim_sets.len(), live_sets.len());
+            let mismatched: Vec<usize> = sim_sets
+                .iter()
+                .zip(&live_sets)
+                .enumerate()
+                .filter_map(|(pid, (sim, live))| (sim != live).then_some(pid))
+                .collect();
+            prop_assert!(
+                mismatched.is_empty(),
+                "processes {:?} delivered different event sets \
              (workers={}, latency={}); {}",
-            mismatched, workers, latency,
-            describe_divergence(&sim_trace, &live_trace)
-        );
-    }
+                mismatched,
+                workers,
+                latency,
+                describe_divergence(&sim_trace, &live_trace)
+            );
+            Ok(())
+        },
+    );
+}
+
+/// Satellite requirement: delivered-set parity under **combined
+/// churn × 10% loss × `workers ∈ {1, 2, 4, 8}` × a latency floor (=
+/// drift window) of 1–4 ticks**
+/// — the slab `ProcessStore` stripes differently at every worker
+/// count, so this sweep pins storage layout out of the delivered
+/// sets. Both substrates
+/// materialise the identical `FailurePlan` from the shared seed, so
+/// the crash/recovery schedule is the same tick-for-tick; processes
+/// that stay alive for the whole horizon must then deliver
+/// byte-for-byte equal event sets (the pinned-high knobs and the
+/// fully meshed top groups make gossip effectively atomic for the
+/// surviving cohort despite the loss).
+/// Processes that spent time crashed are excluded from the
+/// comparison: their receipt windows legitimately differ with the
+/// substrates' differing channel-draw sequences.
+#[test]
+fn churned_runtime_matches_simulator_for_surviving_cohort() {
+    // Each case is again two full runs; 8 cases cover the churn ×
+    // loss × latency grid while keeping the suite fast.
+    check_cases(
+        "churned_runtime_matches_simulator_for_surviving_cohort",
+        8,
+        |t| {
+            let seed = t.range(1u64..100_000);
+            let workers = t.pick(&[1usize, 2, 4, 8]);
+            let latency = t.range(1u64..=4);
+            // 64 ticks: ample for dissemination (the quiescence budget other
+            // suites use) while P(never crashed) = 0.99^64 ≈ 0.53 keeps the
+            // surviving cohort large.
+            const TICKS: u64 = 64;
+            let failure = FailureModel::Churn {
+                crash_probability: 0.01,
+                recover_probability: 0.3,
+            };
+            let config = RunConfig::default()
+                .with_seed(seed)
+                .with_channel(
+                    ChannelConfig::reliable()
+                        .with_success_probability(0.9)
+                        .with_latency(Latency::Fixed(latency)),
+                )
+                .with_failures(failure.clone());
+            // A fixed horizon: the churn schedule must cover the same ticks
+            // on both substrates.
+            let [(sim_sets, sim_parasites, sim_trace), (live_sets, live_parasites, live_trace)] =
+                [SIM, Substrate::Live { workers }].map(|substrate| {
+                    run(substrate, &PROP_SIZES, &config, |driver| {
+                        driver.run_ticks(TICKS)
+                    })
+                });
+
+            prop_assert_eq!(sim_parasites, 0, "simulator saw a parasite");
+            prop_assert_eq!(live_parasites, 0, "live runtime saw a parasite");
+            prop_assert_eq!(sim_sets.len(), live_sets.len());
+            let population: usize = PROP_SIZES.iter().sum();
+            let survivors = never_crashed(seed, population, TICKS, &failure);
+            let surviving = survivors.iter().filter(|&&s| s).count();
+            prop_assert!(surviving * 5 > population, "churn left too few survivors");
+            let mismatched: Vec<usize> = sim_sets
+                .iter()
+                .zip(&live_sets)
+                .enumerate()
+                .filter_map(|(pid, (sim, live))| (survivors[pid] && sim != live).then_some(pid))
+                .collect();
+            prop_assert!(
+                mismatched.is_empty(),
+                "surviving processes {:?} delivered different event sets \
+             (workers={}, latency={}); {}",
+                mismatched,
+                workers,
+                latency,
+                describe_divergence(&sim_trace, &live_trace)
+            );
+            Ok(())
+        },
+    );
 }

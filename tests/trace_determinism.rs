@@ -16,55 +16,60 @@
 use da_core::{ChannelConfig, FailureModel, Latency, RunConfig, TraceEvent};
 use da_harness::experiments::trace::probe_trace;
 use da_harness::substrate::Substrate;
-use proptest::prelude::*;
+use da_tape::{check_cases, prop_assert, prop_assert_eq};
 
 /// One canonical stream for a pool width.
 fn canonical_stream(population: u32, config: &RunConfig, workers: usize) -> Vec<TraceEvent> {
     probe_trace(Substrate::Live { workers }, population, config).canonical_events()
 }
 
-proptest! {
+/// Satellite requirement: canonical trace streams are bit-identical
+/// across worker counts × a lag window of 1–4 ticks for the same
+/// seed, under loss, multi-tick latency, and churn all at once.
+#[test]
+fn canonical_stream_is_invariant_across_pool_shapes() {
     // Each case replays the same seeded probe run on four pool widths;
     // the probe is 16 ticks over ≤ 24 processes, so 64 cases stay fast.
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Satellite requirement: canonical trace streams are bit-identical
-    /// across worker counts × a lag window of 1–4 ticks for the same
-    /// seed, under loss, multi-tick latency, and churn all at once.
-    #[test]
-    fn canonical_stream_is_invariant_across_pool_shapes(
-        seed in 0u64..1_000_000,
-        population in 4u32..=24,
-        success in prop_oneof![Just(1.0f64), Just(0.8), Just(0.5)],
-        churned in prop_oneof![Just(false), Just(true)],
-        floor in 1u64..=4,
-    ) {
-        let mut config = RunConfig::default().with_seed(seed).with_channel(
-            ChannelConfig::reliable()
-                .with_success_probability(success)
-                .with_latency(Latency::UniformRounds { min: floor, max: floor + 2 }),
-        );
-        if churned {
-            config = config.with_failures(FailureModel::Churn {
-                crash_probability: 0.05,
-                recover_probability: 0.3,
-            });
-        }
-
-        let reference = canonical_stream(population, &config, 1);
-        prop_assert!(
-            !reference.is_empty(),
-            "the probe workload always sends something"
-        );
-        for workers in [2usize, 4, 8] {
-            let stream = canonical_stream(population, &config, workers);
-            prop_assert_eq!(
-                &reference,
-                &stream,
-                "canonical stream changed with pool width (workers={}, floor={})",
-                workers,
-                floor
+    check_cases(
+        "canonical_stream_is_invariant_across_pool_shapes",
+        64,
+        |t| {
+            let seed = t.range(0u64..1_000_000);
+            let population = t.range(4u32..=24);
+            let success = t.pick(&[1.0f64, 0.8, 0.5]);
+            let churned = t.pick(&[false, true]);
+            let floor = t.range(1u64..=4);
+            let mut config = RunConfig::default().with_seed(seed).with_channel(
+                ChannelConfig::reliable()
+                    .with_success_probability(success)
+                    .with_latency(Latency::UniformRounds {
+                        min: floor,
+                        max: floor + 2,
+                    }),
             );
-        }
-    }
+            if churned {
+                config = config.with_failures(FailureModel::Churn {
+                    crash_probability: 0.05,
+                    recover_probability: 0.3,
+                });
+            }
+
+            let reference = canonical_stream(population, &config, 1);
+            prop_assert!(
+                !reference.is_empty(),
+                "the probe workload always sends something"
+            );
+            for workers in [2usize, 4, 8] {
+                let stream = canonical_stream(population, &config, workers);
+                prop_assert_eq!(
+                    &reference,
+                    &stream,
+                    "canonical stream changed with pool width (workers={}, floor={})",
+                    workers,
+                    floor
+                );
+            }
+            Ok(())
+        },
+    );
 }
