@@ -7,7 +7,7 @@ use da_baselines::{
 use da_core::ProcessId;
 use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
-use da_tape::{check_cases, prop_assert, prop_assert_eq, Tape};
+use da_tape::{check_cases, prop_assert, prop_assert_eq, replay, CaseResult, Tape};
 
 fn arb_sizes(t: &mut Tape) -> Vec<usize> {
     t.vec(1..4, |t| t.range(1usize..15))
@@ -113,33 +113,53 @@ fn hierarchical_partition_lawful() {
 /// delivered sets of multicast and broadcast agree on reliable
 /// channels (both must blanket the audience), while their *reception*
 /// footprints differ by exactly the parasite count.
+///
+/// Blanketing is certain, not merely likely: with `b` and the fanout at
+/// the population `n`, every table is its whole group and every relay
+/// sends to all of it (`kmg_view_size` and `FanoutRule::fanout` both cap
+/// at `S − 1`). An `ln S + 5` gossip misses a process with probability
+/// about `e^-5` per case.
+fn footprints_differ_by_parasites(t: &mut Tape) -> CaseResult {
+    let sizes = t.vec(2..4, |t| t.range(2usize..10));
+    let seed = t.range(0u64..500);
+    let m = InterestMap::linear(&sizes);
+    let n = m.population();
+    let root_publisher = ProcessId(0);
+    let (b, fanout) = (n as f64, FanoutRule::Fixed(n));
+
+    let procs = build_broadcast_network(&m, b, fanout, seed).unwrap();
+    let mut e = Engine::new(SimConfig::default().with_seed(seed), procs);
+    e.process_mut(root_publisher).publish("prop");
+    e.run_until_quiescent(96);
+    let bc_delivered = e.counters().get("bc.delivered");
+    let bc_parasites = e.counters().get("bc.parasite");
+    // Everyone receives exactly once: delivered + parasites = n.
+    prop_assert_eq!(bc_delivered + bc_parasites, n as u64);
+    // Deliveries equal the audience of the root topic.
+    prop_assert_eq!(bc_delivered as usize, sizes[0]);
+
+    let procs = build_multicast_network(&m, b, fanout, seed).unwrap();
+    let mut e = Engine::new(SimConfig::default().with_seed(seed), procs);
+    e.process_mut(root_publisher).publish("prop");
+    e.run_until_quiescent(96);
+    prop_assert_eq!(e.counters().get("mc.delivered") as usize, sizes[0]);
+    prop_assert_eq!(e.counters().get("mc.parasite"), 0);
+    Ok(())
+}
+
 #[test]
 fn reception_footprints_differ_by_parasites() {
-    check_cases("reception_footprints_differ_by_parasites", 32, |t| {
-        let sizes = t.vec(2..4, |t| t.range(2usize..10));
-        let seed = t.range(0u64..500);
-        let m = InterestMap::linear(&sizes);
-        let n = m.population();
-        let root_publisher = ProcessId(0);
-        let fanout = FanoutRule::LnPlusC { c: 5.0 };
+    check_cases(
+        "reception_footprints_differ_by_parasites",
+        32,
+        footprints_differ_by_parasites,
+    );
+}
 
-        let procs = build_broadcast_network(&m, 3.0, fanout, seed).unwrap();
-        let mut e = Engine::new(SimConfig::default().with_seed(seed), procs);
-        e.process_mut(root_publisher).publish("prop");
-        e.run_until_quiescent(96);
-        let bc_delivered = e.counters().get("bc.delivered");
-        let bc_parasites = e.counters().get("bc.parasite");
-        // Everyone receives exactly once: delivered + parasites = n.
-        prop_assert_eq!(bc_delivered + bc_parasites, n as u64);
-        // Deliveries equal the audience of the root topic.
-        prop_assert_eq!(bc_delivered as usize, sizes[0]);
-
-        let procs = build_multicast_network(&m, 3.0, fanout, seed).unwrap();
-        let mut e = Engine::new(SimConfig::default().with_seed(seed), procs);
-        e.process_mut(root_publisher).publish("prop");
-        e.run_until_quiescent(96);
-        prop_assert_eq!(e.counters().get("mc.delivered") as usize, sizes[0]);
-        prop_assert_eq!(e.counters().get("mc.parasite"), 0);
-        Ok(())
-    });
+/// The shrunk case `PROPTEST_SEED=48` found under an `ln S + 5` gossip
+/// over `⌈4 ln S⌉` views: groups of 9 and 8, seed 400, where broadcast
+/// reached 16 of the 17 processes.
+#[test]
+fn a_full_gossip_reaches_all_seventeen() {
+    replay(&[0, 7, 6, 400], footprints_differ_by_parasites);
 }

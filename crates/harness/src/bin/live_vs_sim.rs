@@ -20,9 +20,9 @@
 
 use da_core::{ChannelConfig, FailureModel, FaultConfig, Latency, RunConfig};
 use da_harness::experiments::live::{
-    churn_sweep_crash_rates, partition_sweep_heal_ticks, ratios_agree_within_3_sigma,
-    reliability_sweep_probabilities, run_churn_sweep, run_live_vs_sim, run_partition_sweep,
-    run_reliability_sweep,
+    ratios_agree_within_3_sigma, run_churn_sweep, run_live_vs_sim, run_partition_sweep,
+    run_reliability_sweep, CHURN_SWEEP_CRASH_RATES, PARTITION_SWEEP_HEAL_TICKS,
+    RELIABILITY_SWEEP_PROBABILITIES,
 };
 use da_harness::experiments::trace::run_trace_diff;
 use da_harness::experiments::Effort;
@@ -30,21 +30,26 @@ use da_harness::report::Table;
 use da_harness::results_dir;
 use da_harness::scenario::ScenarioConfig;
 
-fn check_rows(table: &Table<f64>, label: &str, json: bool, disagreements: &mut u32) {
+/// Prints a sweep under `heading` (as Markdown, unless `--json`) and a
+/// 3σ verdict per row, and returns how many rows disagree.
+fn check_sweep(table: &Table<f64>, heading: &str, label: &str, json: bool) -> u32 {
+    if !json {
+        println!("\n{heading}:");
+        print!("{}", table.to_markdown());
+    }
+    let mut disagreements = 0;
     for row in &table.rows {
         let (sim, live) = (&row.values[0], &row.values[1]);
         let agree = ratios_agree_within_3_sigma(sim, live, 0.02);
-        *disagreements += u32::from(!agree);
+        disagreements += u32::from(!agree);
+        let verdict = if agree {
+            "within 3σ"
+        } else {
+            "DISAGREE beyond 3σ"
+        };
         let line = format!(
-            "{label} = {:.2}: sim {:.4} vs live {:.4} — {}",
-            row.key,
-            sim.mean,
-            live.mean,
-            if agree {
-                "within 3σ"
-            } else {
-                "DISAGREE beyond 3σ"
-            }
+            "{label} = {:.2}: sim {:.4} vs live {:.4} — {verdict}",
+            row.key, sim.mean, live.mean
         );
         // Keep stdout pure JSON in --json mode.
         if json {
@@ -53,6 +58,7 @@ fn check_rows(table: &Table<f64>, label: &str, json: bool, disagreements: &mut u
             println!("{line}");
         }
     }
+    disagreements
 }
 
 fn main() {
@@ -68,26 +74,18 @@ fn main() {
         print!("{}", table.to_markdown());
     }
 
-    let probs = reliability_sweep_probabilities();
+    let (dir, trials) = (results_dir(), effort.trials());
     let mut disagreements = 0u32;
-    let mut sweeps: Vec<Table<f64>> = Vec::new();
     // One-tick latency (workers within a tick of each other), then a
     // two-tick latency floor, under which the pool's workers drift two
     // ticks apart during the same sweep.
+    let mut lossy = Vec::new();
     for latency in [Latency::Fixed(1), Latency::Fixed(2)] {
         let mut base = scenario.clone();
         base.faults.network.channel = ChannelConfig::reliable().with_latency(latency);
-        let sweep = run_reliability_sweep(&base, &probs, 0x5EED, effort.trials());
-        if !json {
-            println!("\nlatency {latency:?}:");
-            print!("{}", sweep.to_markdown());
-        }
-        check_rows(&sweep, "p", json, &mut disagreements);
-        if latency == Latency::Fixed(1) {
-            let dir = results_dir();
-            sweep.write_to(&dir).expect("write sweep results");
-        }
-        sweeps.push(sweep);
+        let sweep = run_reliability_sweep(&base, &RELIABILITY_SWEEP_PROBABILITIES, 0x5EED, trials);
+        disagreements += check_sweep(&sweep, &format!("latency {latency:?}"), "p", json);
+        lossy.push(sweep);
     }
 
     // The churn sweep: the same comparison with the process failure
@@ -97,32 +95,16 @@ fn main() {
         crash_probability: 0.0,
         recover_probability: 0.3,
     };
-    let churn = run_churn_sweep(
-        &churn_base,
-        &churn_sweep_crash_rates(),
-        0xC4A0,
-        effort.trials(),
-    );
-    if !json {
-        println!("\nchurn sweep (recover probability 0.3):");
-        print!("{}", churn.to_markdown());
-    }
-    check_rows(&churn, "crash", json, &mut disagreements);
+    let churn = run_churn_sweep(&churn_base, &CHURN_SWEEP_CRASH_RATES, 0xC4A0, trials);
+    let heading = "churn sweep (recover probability 0.3)";
+    disagreements += check_sweep(&churn, heading, "crash", json);
 
     // The partition sweep: a two-island cut healing at the swept tick
     // (x = -1 never heals), with per-trial bit-identical mainland
     // delivered sets enforced inside the experiment.
-    let partitions = run_partition_sweep(
-        &scenario,
-        &partition_sweep_heal_ticks(),
-        0x9A27,
-        effort.trials(),
-    );
-    if !json {
-        println!("\npartition sweep (heal tick; -1 = never heals):");
-        print!("{}", partitions.to_markdown());
-    }
-    check_rows(&partitions, "heal", json, &mut disagreements);
+    let partitions = run_partition_sweep(&scenario, &PARTITION_SWEEP_HEAL_TICKS, 0x9A27, trials);
+    let heading = "partition sweep (heal tick; -1 = never heals)";
+    disagreements += check_sweep(&partitions, heading, "heal", json);
 
     // The flight-recorder diff: asserts bit-identical same-seed streams
     // (and a correctly reported first divergence on a lossy pair)
@@ -137,17 +119,17 @@ fn main() {
         print!("{}", trace_diff.to_markdown());
     }
 
-    let dir = results_dir();
-    partitions.write_to(&dir).expect("write partition sweep");
-    churn.write_to(&dir).expect("write churn sweep results");
+    // The two lossy sweeps share a title: the one-tick sweep is written.
+    for sweep in [&lossy[0], &churn, &partitions] {
+        sweep.write_to(&dir).expect("write sweep results");
+    }
     trace_diff.write_to(&dir).expect("write trace diff");
     table.write_to(&dir).expect("write results");
 
     if json {
         let mut tables: Vec<String> = vec![table.to_json()];
-        tables.extend(sweeps.iter().map(Table::<f64>::to_json));
-        tables.push(churn.to_json());
-        tables.push(partitions.to_json());
+        let sweeps = lossy.iter().chain([&churn, &partitions]);
+        tables.extend(sweeps.map(Table::<f64>::to_json));
         tables.push(trace_diff.to_json());
         println!("{{\"tables\":[{}]}}", tables.join(","));
         eprintln!("written to {}", dir.display());

@@ -19,8 +19,7 @@ use damulticast::{Network, TopicParams};
 /// trade-off.
 #[must_use]
 pub fn ablation_ga(base: &ScenarioConfig, gs: &[f64], trials: usize, seed: u64) -> Table<f64> {
-    let xs: Vec<f64> = gs.to_vec();
-    let rows = sweep(&xs, trials, seed, |g, trial_seed| {
+    let run = |g, trial_seed| {
         let mut config = base.clone();
         config.params.g = g;
         let out = run_scenario(&config, Substrate::Sim, trial_seed);
@@ -30,20 +29,14 @@ pub fn ablation_ga(base: &ScenarioConfig, gs: &[f64], trials: usize, seed: u64) 
             *out.delivered_fraction.first().expect("root level"),
             out.total_event_messages,
         ]
-    });
-    let mut table = Table::new(
-        "Ablation g election weight",
-        "g",
-        vec![
-            "inter-group arrivals".into(),
-            "root delivery fraction".into(),
-            "total event messages".into(),
-        ],
-    );
-    for (x, summaries) in rows {
-        table.push_row(x, summaries);
-    }
-    table
+    };
+    let columns = vec![
+        "inter-group arrivals".into(),
+        "root delivery fraction".into(),
+        "total event messages".into(),
+    ];
+    let title = "Ablation g election weight";
+    sweep(title, "g", columns, gs, trials, seed, run)
 }
 
 /// Sweeps the supertable size `z` (with `a = 1` fixed, so `p_a = 1/z` and
@@ -53,7 +46,7 @@ pub fn ablation_ga(base: &ScenarioConfig, gs: &[f64], trials: usize, seed: u64) 
 #[must_use]
 pub fn ablation_z(base: &ScenarioConfig, zs: &[usize], trials: usize, seed: u64) -> Table<f64> {
     let xs: Vec<f64> = zs.iter().map(|&z| z as f64).collect();
-    let rows = sweep(&xs, trials, seed, |z, trial_seed| {
+    let run = |z: f64, trial_seed| {
         let mut config = base.clone();
         config.params.z = z as usize;
         config.params.tau = config.params.tau.min(z as usize);
@@ -63,19 +56,13 @@ pub fn ablation_z(base: &ScenarioConfig, zs: &[usize], trials: usize, seed: u64)
             inter_total,
             *out.delivered_fraction.first().expect("root level"),
         ]
-    });
-    let mut table = Table::new(
-        "Ablation z supertable size",
-        "z",
-        vec![
-            "inter-group arrivals".into(),
-            "root delivery fraction".into(),
-        ],
-    );
-    for (x, summaries) in rows {
-        table.push_row(x, summaries);
-    }
-    table
+    };
+    let columns = vec![
+        "inter-group arrivals".into(),
+        "root delivery fraction".into(),
+    ];
+    let title = "Ablation z supertable size";
+    sweep(title, "z", columns, &xs, trials, seed, run)
 }
 
 /// Compares the three fanout readings (`ln(S)+c` from the analysis,
@@ -125,7 +112,7 @@ pub fn ablation_maintenance(periods: &[u64], trials: usize, seed: u64) -> Table<
     let publish_round = 90_u64;
     let xs: Vec<f64> = periods.iter().map(|&p| p as f64).collect();
 
-    let rows = sweep(&xs, trials, seed, |period, trial_seed| {
+    let run = |period: f64, trial_seed| {
         let params = TopicParams {
             maintenance_period: period as u64,
             // Boost the election/spray weights: at this scale the paper's
@@ -183,20 +170,13 @@ pub fn ablation_maintenance(periods: &[u64], trials: usize, seed: u64) -> Table<
             .count();
         let root_delivery = delivered as f64 / live_roots.len() as f64;
         vec![health, root_delivery]
-    });
-
-    let mut table = Table::new(
-        "Ablation maintenance period",
-        "maintenance period (rounds)",
-        vec![
-            "supertable live fraction".into(),
-            "root delivery after churn".into(),
-        ],
-    );
-    for (x, summaries) in rows {
-        table.push_row(x, summaries);
-    }
-    table
+    };
+    let columns = vec![
+        "supertable live fraction".into(),
+        "root delivery after churn".into(),
+    ];
+    let (title, key_label) = ("Ablation maintenance period", "maintenance period (rounds)");
+    sweep(title, key_label, columns, &xs, trials, seed, run)
 }
 
 #[cfg(test)]

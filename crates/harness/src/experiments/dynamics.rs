@@ -20,9 +20,8 @@ use damulticast::{Network, TopicParams};
 #[must_use]
 pub fn run_latency(leaf_sizes: &[usize], trials: usize, seed: u64) -> Table<f64> {
     let xs: Vec<f64> = leaf_sizes.iter().map(|&s| s as f64).collect();
-    let rows = sweep(&xs, trials, seed, |s, trial_seed| {
-        let s = s as usize;
-        let net = Network::linear(&[10, 100, s], TopicParams::default(), trial_seed)
+    let run = |s: f64, trial_seed| {
+        let net = Network::linear(&[10, 100, s as usize], TopicParams::default(), trial_seed)
             .expect("valid topology");
         let leaf_members = net.groups()[2].members.clone();
         let sim = SimConfig::default()
@@ -31,9 +30,7 @@ pub fn run_latency(leaf_sizes: &[usize], trials: usize, seed: u64) -> Table<f64>
         let mut engine = Engine::new(sim, net.into_processes());
         let id = engine.process_mut(leaf_members[0]).publish("latency probe");
 
-        let mut reached_half = f64::NAN;
-        let mut reached_95 = f64::NAN;
-        let mut reached_all = f64::NAN;
+        let mut reached: [Option<u64>; 3] = [None; 3];
         for round in 0..96u64 {
             engine.step_round();
             let got = leaf_members
@@ -41,50 +38,28 @@ pub fn run_latency(leaf_sizes: &[usize], trials: usize, seed: u64) -> Table<f64>
                 .filter(|&&p| engine.process(p).has_delivered(id))
                 .count();
             let frac = got as f64 / leaf_members.len() as f64;
-            if reached_half.is_nan() && frac >= 0.5 {
-                reached_half = round as f64;
+            for (at, threshold) in reached.iter_mut().zip([0.5, 0.95, 1.0]) {
+                if at.is_none() && frac >= threshold {
+                    *at = Some(round);
+                }
             }
-            if reached_95.is_nan() && frac >= 0.95 {
-                reached_95 = round as f64;
-            }
-            if reached_all.is_nan() && got == leaf_members.len() {
-                reached_all = round as f64;
+            if got == leaf_members.len() {
                 break;
             }
         }
         // Unreached thresholds (possible for 100% under channel loss)
         // count as the cap — they pull the mean up honestly.
-        vec![
-            if reached_half.is_nan() {
-                96.0
-            } else {
-                reached_half
-            },
-            if reached_95.is_nan() {
-                96.0
-            } else {
-                reached_95
-            },
-            if reached_all.is_nan() {
-                96.0
-            } else {
-                reached_all
-            },
-        ]
-    });
-    let mut table = Table::new(
-        "Dynamics propagation latency",
-        "leaf group size S",
-        vec![
-            "rounds to 50%".into(),
-            "rounds to 95%".into(),
-            "rounds to 100% (capped 96)".into(),
-        ],
-    );
-    for (x, summaries) in rows {
-        table.push_row(x, summaries);
-    }
-    table
+        reached
+            .map(|at| at.map_or(96.0, |round| round as f64))
+            .to_vec()
+    };
+    let columns = vec![
+        "rounds to 50%".into(),
+        "rounds to 95%".into(),
+        "rounds to 100% (capped 96)".into(),
+    ];
+    let title = "Dynamics propagation latency";
+    sweep(title, "leaf group size S", columns, &xs, trials, seed, run)
 }
 
 /// Delivery under sustained churn: the dynamic stack runs with per-round
@@ -93,8 +68,7 @@ pub fn run_latency(leaf_sizes: &[usize], trials: usize, seed: u64) -> Table<f64>
 /// the maintenance task harder.
 #[must_use]
 pub fn run_churn(crash_rates: &[f64], trials: usize, seed: u64) -> Table<f64> {
-    let xs: Vec<f64> = crash_rates.to_vec();
-    let rows = sweep(&xs, trials, seed, |crash, trial_seed| {
+    let run = |crash: f64, trial_seed| {
         // recover = 3·crash → stationary aliveness 0.75 at any intensity.
         let recover = (crash * 3.0).min(1.0);
         let params = TopicParams {
@@ -165,19 +139,13 @@ pub fn run_churn(crash_rates: &[f64], trials: usize, seed: u64) -> Table<f64> {
             }
         }
         vec![leaf_frac, root_frac]
-    });
-    let mut table = Table::new(
-        "Dynamics sustained churn",
-        "per-round crash probability",
-        vec![
-            "leaf delivery (alive members)".into(),
-            "root delivery (alive members)".into(),
-        ],
-    );
-    for (x, summaries) in rows {
-        table.push_row(x, summaries);
-    }
-    table
+    };
+    let columns = vec![
+        "leaf delivery (alive members)".into(),
+        "root delivery (alive members)".into(),
+    ];
+    let (title, key_label) = ("Dynamics sustained churn", "per-round crash probability");
+    sweep(title, key_label, columns, crash_rates, trials, seed, run)
 }
 
 #[cfg(test)]

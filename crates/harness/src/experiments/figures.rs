@@ -28,7 +28,7 @@ fn group_columns(levels: usize) -> Vec<String> {
     (0..levels).rev().map(|l| format!("group T{l}")).collect()
 }
 
-/// Figs. 8, 9 and 10, in that order, from one sweep of `alive_fractions`
+/// Figs. 8, 9 and 10, in that order, from one sweep of the `alive` fractions
 /// with `trials` seeded runs per point over `base`, whose failure model
 /// is replaced by stillborn failures: events sent within each group,
 /// events crossing each group boundary, and the fraction of each group
@@ -36,22 +36,11 @@ fn group_columns(levels: usize) -> Vec<String> {
 #[must_use]
 pub fn stillborn_figures(
     base: &ScenarioConfig,
-    alive_fractions: &[f64],
+    alive: &[f64],
     trials: usize,
     seed: u64,
 ) -> [Table<f64>; 3] {
     let levels = base.group_sizes.len();
-    let rows = sweep(alive_fractions, trials, seed, |alive, trial_seed| {
-        let mut config = base.clone();
-        config.faults.failure = FailureModel::Stillborn {
-            alive_fraction: alive,
-        };
-        let out = run_scenario(&config, Substrate::Sim, trial_seed);
-        let mut metrics = bottom_up(out.intra);
-        metrics.extend(bottom_up(out.inter_in));
-        metrics.extend(bottom_up(out.delivered_fraction));
-        metrics
-    });
     let boundaries = (1..levels)
         .rev()
         .map(|l| format!("T{l} to T{}", l - 1))
@@ -65,10 +54,22 @@ pub fn stillborn_figures(
         Table::new("Fig 09 intergroup events", ALIVE, boundaries),
         Table::new("Fig 10 reliability stillborn", ALIVE, group_columns(levels)),
     ];
-    for (x, mut summaries) in rows {
+    let run = |fraction, trial_seed| {
+        let mut config = base.clone();
+        config.faults.failure = FailureModel::Stillborn {
+            alive_fraction: fraction,
+        };
+        let out = run_scenario(&config, Substrate::Sim, trial_seed);
+        let mut metrics = bottom_up(out.intra);
+        metrics.extend(bottom_up(out.inter_in));
+        metrics.extend(bottom_up(out.delivered_fraction));
+        metrics
+    };
+    let columns = tables.iter().flat_map(|t| t.columns.clone()).collect();
+    for mut row in sweep("Figs 08-10", ALIVE, columns, alive, trials, seed, run).rows {
         for table in &mut tables {
-            let values = summaries.drain(..table.columns.len()).collect();
-            table.push_row(x, values);
+            let values = row.values.drain(..table.columns.len()).collect();
+            table.push_row(row.key, values);
         }
     }
     tables
@@ -79,23 +80,20 @@ pub fn stillborn_figures(
 #[must_use]
 pub fn per_observer_figure(
     base: &ScenarioConfig,
-    alive_fractions: &[f64],
+    alive: &[f64],
     trials: usize,
     seed: u64,
 ) -> Table<f64> {
-    let rows = sweep(alive_fractions, trials, seed, |alive, trial_seed| {
+    let run = |fraction, trial_seed| {
         let mut config = base.clone();
         config.faults.failure = FailureModel::PerObserver {
-            alive_fraction: alive,
+            alive_fraction: fraction,
         };
         bottom_up(run_scenario(&config, Substrate::Sim, trial_seed).delivered_fraction)
-    });
+    };
     let columns = group_columns(base.group_sizes.len());
-    let mut table = Table::new("Fig 11 reliability dynamic", ALIVE, columns);
-    for (x, summaries) in rows {
-        table.push_row(x, summaries);
-    }
-    table
+    let title = "Fig 11 reliability dynamic";
+    sweep(title, ALIVE, columns, alive, trials, seed, run)
 }
 
 #[cfg(test)]

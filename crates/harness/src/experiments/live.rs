@@ -3,7 +3,7 @@
 //!
 //! The paper's evaluation is simulator-only; the live runtime
 //! (`da-runtime`) must not change the protocol's observable behaviour.
-//! Three experiments check that:
+//! Four experiments check that:
 //!
 //! * [`run_live_vs_sim`] runs one scenario (typically over perfect
 //!   channels) and compares, across seeded trials, the per-level
@@ -15,6 +15,8 @@
 //!   both substrates consume. Live and simulated delivery ratios must
 //!   agree within noise ([`ratios_agree_within_3_sigma`]) at every
 //!   swept probability;
+//! * [`run_churn_sweep`] does the same over the per-tick churn crash
+//!   probability, through the shared `da_core::failure` plan;
 //! * [`run_partition_sweep`] cuts the network in two with a first-class
 //!   [`PartitionSchedule`] and sweeps the heal tick, comparing delivery
 //!   ratios across cut-and-heal scenarios and insisting the
@@ -26,6 +28,9 @@
 //! swept axis is always an override on the scenario's faults. A trial of
 //! the comparison table and of the reliability and churn sweeps is one
 //! [`run_scenario`] per substrate; a partition trial publishes twice.
+//! Every sweep pairs its trials through one loop, `paired_sweep`: trial
+//! `t` of row `r` runs both substrates from one seed,
+//! `derive_seed(derive_seed(seed, r), t)`.
 //!
 //! The live substrate is concurrent (per-trial numbers fluctuate with
 //! thread interleaving), so all comparisons are statistical: matching
@@ -33,10 +38,12 @@
 
 use crate::report::Table;
 use crate::runner::fold;
-use crate::scenario::{run_scenario, ScenarioConfig, ScenarioOutcome};
+use crate::scenario::{run_scenario, ScenarioConfig};
 use crate::stats::Summary;
 use crate::substrate::{Driver, Substrate};
-use da_core::{derive_seed, FailureModel, Partition, PartitionSchedule, ProcessId, RunConfig};
+use da_core::{
+    derive_seed, FailureModel, FaultConfig, Partition, PartitionSchedule, ProcessId, RunConfig,
+};
 use da_membership::FanoutRule;
 use damulticast::{DaProcess, EventId, Network, TopicParams};
 
@@ -76,18 +83,12 @@ pub fn delivered_sets(procs: &[DaProcess]) -> Vec<Vec<EventId>> {
 /// The success probabilities the reliability sweep covers: the perfect
 /// corner, two mild-loss points around the paper's 0.85 operating
 /// point, and a harsh 20%-loss channel.
-#[must_use]
-pub fn reliability_sweep_probabilities() -> Vec<f64> {
-    vec![1.0, 0.95, 0.9, 0.8]
-}
+pub const RELIABILITY_SWEEP_PROBABILITIES: [f64; 4] = [1.0, 0.95, 0.9, 0.8];
 
 /// The per-tick crash probabilities the churn sweep covers: the
 /// no-failure corner, gentle churn, and the harsh rate the acceptance
 /// criterion names.
-#[must_use]
-pub fn churn_sweep_crash_rates() -> Vec<f64> {
-    vec![0.0, 0.01, 0.05]
-}
+pub const CHURN_SWEEP_CRASH_RATES: [f64; 3] = [0.0, 0.01, 0.05];
 
 /// The heal ticks the partition sweep covers: a heal while the
 /// mainland event's infect-and-die wave is still in flight (each
@@ -97,23 +98,79 @@ pub fn churn_sweep_crash_rates() -> Vec<f64> {
 /// permanently short one event), and a cut that never heals within the
 /// horizon. Mid-wave is tick 2 under the default one-tick channel
 /// latency; scale it with the latency (e.g. 4 under `Latency::Fixed(2)`).
-#[must_use]
-pub fn partition_sweep_heal_ticks() -> Vec<Option<u64>> {
-    vec![Some(2), Some(24), None]
+pub const PARTITION_SWEEP_HEAL_TICKS: [Option<u64>; 3] = [Some(2), Some(24), None];
+
+/// The trial of the reliability and churn sweeps: one [`run_scenario`]
+/// of `scenario` with `set(faults, xs[row])` applied, boiled down to the
+/// fraction of the full audience that delivered the published event
+/// (every process: the topology is a linear inclusion chain, so with a
+/// leaf publication every group subscribes at or above its topic).
+fn audience_trial(
+    scenario: &ScenarioConfig,
+    xs: &[f64],
+    set: impl Fn(&mut FaultConfig, f64),
+) -> impl FnMut(usize, Substrate, u64) -> (f64, ()) {
+    let configs: Vec<ScenarioConfig> = xs
+        .iter()
+        .map(|&x| {
+            let mut config = scenario.clone();
+            set(&mut config.faults, x);
+            config
+        })
+        .collect();
+    move |row, substrate, seed| {
+        let config = &configs[row];
+        let out = run_scenario(config, substrate, seed);
+        let population: usize = config.group_sizes.iter().sum();
+        let delivered: f64 = config
+            .group_sizes
+            .iter()
+            .zip(&out.delivered_fraction)
+            .map(|(&size, fraction)| fraction * size as f64)
+            .sum();
+        (delivered / population as f64, ())
+    }
 }
 
-/// One trial boiled down to the overall delivery ratio: the fraction of
-/// the full audience (every process — the topology is a linear inclusion
-/// chain, so with a leaf publication every group subscribes at or above
-/// its topic) that delivered the published event.
-fn audience_ratio(group_sizes: &[usize], out: &ScenarioOutcome) -> f64 {
-    let population: usize = group_sizes.iter().sum();
-    let delivered: f64 = group_sizes
-        .iter()
-        .zip(&out.delivered_fraction)
-        .map(|(&size, fraction)| fraction * size as f64)
-        .sum();
-    delivered / population as f64
+/// Runs every row of a live-vs-sim sweep `trials` times and tabulates
+/// the delivery ratios under `keys`, the simulator's column first. Trial
+/// `t` of row `row` runs the simulator and then the pool from one seed,
+/// `derive_seed(derive_seed(seed, row), t)`, so whatever the seed draws
+/// (a topology, a failure plan) is the same draw on both.
+/// `trial(row, substrate, seed)` returns a run's delivery ratio and what
+/// the pair must reproduce exactly (`()` when only ratios are compared).
+/// Trials run serially for the same oversubscription reason as
+/// [`run_live_vs_sim`].
+///
+/// # Panics
+///
+/// Panics when a pair differs on what it must reproduce exactly.
+fn paired_sweep<W: PartialEq>(
+    title: &str,
+    key_label: &str,
+    keys: &[f64],
+    seed: u64,
+    trials: usize,
+    mut trial: impl FnMut(usize, Substrate, u64) -> (f64, W),
+) -> Table<f64> {
+    let columns = vec!["delivery_ratio_sim".into(), "delivery_ratio_live".into()];
+    let mut table = Table::new(title, key_label, columns);
+    for (row, &key) in keys.iter().enumerate() {
+        let samples: Vec<Vec<f64>> = (0..trials)
+            .map(|t| {
+                let trial_seed = derive_seed(derive_seed(seed, row as u64), t as u64);
+                let [(sim, sim_exact), (live, live_exact)] =
+                    SUBSTRATES.map(|substrate| trial(row, substrate, trial_seed));
+                assert!(
+                    sim_exact == live_exact,
+                    "{key_label} {key}, trial {t}: sim and live differ on what must match"
+                );
+                vec![sim, live]
+            })
+            .collect();
+        table.push_row(key, fold(&samples));
+    }
+    table
 }
 
 /// Runs `trials` seeded publications of `scenario` on each substrate and
@@ -160,8 +217,10 @@ pub fn run_live_vs_sim(scenario: &ScenarioConfig, trials: usize, base_seed: u64)
 /// a tick of each other, above it they drift apart during the sweep —
 /// the delivery ratios must agree either way.
 ///
-/// Trials run serially for the same oversubscription reason as
-/// [`run_live_vs_sim`].
+/// Like every sweep here, a trial runs both substrates from one seed
+/// (see `paired_sweep`). Only the ratios are compared: the simulator
+/// still draws link fates on its engine stream and the pool on keyed
+/// per-edge streams, so one seed loses different sends on each.
 #[must_use]
 pub fn run_reliability_sweep(
     scenario: &ScenarioConfig,
@@ -169,32 +228,12 @@ pub fn run_reliability_sweep(
     seed: u64,
     trials: usize,
 ) -> Table<f64> {
-    let mut table = Table::new(
-        "Delivery ratio under lossy channels, live vs simulated",
-        "success_probability",
-        vec!["delivery_ratio_sim".into(), "delivery_ratio_live".into()],
-    );
-    for (row, &p) in success_probabilities.iter().enumerate() {
-        let mut config = scenario.clone();
-        let channel = &mut config.faults.network.channel;
-        *channel = channel.with_success_probability(p);
-        let mut summaries = Vec::with_capacity(2);
-        for (column, substrate) in SUBSTRATES.into_iter().enumerate() {
-            let samples: Vec<f64> = (0..trials)
-                .map(|t| {
-                    // A distinct seed stream per (probability, substrate,
-                    // trial) point, so sweep points are independent.
-                    let stream = (row * 2 + column) as u64;
-                    let trial_seed = derive_seed(derive_seed(seed, stream), t as u64);
-                    let out = run_scenario(&config, substrate, trial_seed);
-                    audience_ratio(&config.group_sizes, &out)
-                })
-                .collect();
-            summaries.push(Summary::of(&samples));
-        }
-        table.push_row(p, summaries);
-    }
-    table
+    let trial = audience_trial(scenario, success_probabilities, |faults, p| {
+        faults.network.channel = faults.network.channel.with_success_probability(p);
+    });
+    let title = "Delivery ratio under lossy channels, live vs simulated";
+    let xs = success_probabilities;
+    paired_sweep(title, "success_probability", xs, seed, trials, trial)
 }
 
 /// Sweeps the per-tick churn crash probability and tabulates the
@@ -208,14 +247,11 @@ pub fn run_reliability_sweep(
 /// whose recover probability is shared by every row while the crash
 /// probability is overridden per row.
 ///
-/// Within one trial, sim and live share the **same seed**, hence the
-/// same materialised `FailurePlan`: the crash/recovery schedule is
-/// fate-matched across substrates, so the comparison isolates what the
-/// substrates may legitimately differ on (thread interleaving), not the
-/// luck of which processes churned.
-///
-/// Trials run serially for the same oversubscription reason as
-/// [`run_live_vs_sim`].
+/// Within one trial, sim and live share the **same seed** (see
+/// `paired_sweep`), hence the same materialised `FailurePlan`: the
+/// crash/recovery schedule is fate-matched across substrates, so the
+/// comparison isolates what the substrates may legitimately differ on
+/// (thread interleaving), not the luck of which processes churned.
 ///
 /// # Panics
 ///
@@ -240,34 +276,14 @@ pub fn run_churn_sweep(
             scenario.faults.failure
         );
     };
-    let mut table = Table::new(
-        "Delivery ratio under continuous churn, live vs simulated",
-        "crash_probability",
-        vec!["delivery_ratio_sim".into(), "delivery_ratio_live".into()],
-    );
-    for (row, &crash) in crash_rates.iter().enumerate() {
-        let mut config = scenario.clone();
-        config.faults.failure = FailureModel::Churn {
+    let trial = audience_trial(scenario, crash_rates, |faults, crash| {
+        faults.failure = FailureModel::Churn {
             crash_probability: crash,
             recover_probability,
         };
-        let mut summaries = Vec::with_capacity(2);
-        for substrate in SUBSTRATES {
-            let samples: Vec<f64> = (0..trials)
-                .map(|t| {
-                    // Same (rate, trial) seed on both substrates: the
-                    // FailurePlan — and with it every crash/recovery
-                    // fate — is identical across the pair.
-                    let trial_seed = derive_seed(derive_seed(seed, row as u64), t as u64);
-                    let out = run_scenario(&config, substrate, trial_seed);
-                    audience_ratio(&config.group_sizes, &out)
-                })
-                .collect();
-            summaries.push(Summary::of(&samples));
-        }
-        table.push_row(crash, summaries);
-    }
-    table
+    });
+    let title = "Delivery ratio under continuous churn, live vs simulated";
+    paired_sweep(title, "crash_probability", crash_rates, seed, trials, trial)
 }
 
 /// How many leaf-group members the partition sweep cuts off; everyone
@@ -295,21 +311,21 @@ pub fn partition_faults(
         .with_partitions(PartitionSchedule::none().with_partition(cut))
 }
 
-/// One partition trial of `scenario`'s topology and parameters on one
-/// substrate, under `base`'s seed and faults. Publishes
-/// one event from the mainland at tick 0 and one from the island after
-/// the heal (or mid-cut, for a cut that never heals), runs a fixed
-/// [`MAX_TIME`] horizon so both substrates see the identical schedule,
-/// and returns the overall delivery ratio across both events, the sorted
-/// delivered sets of the never-partitioned (mainland) cohort, and the
-/// parasite count.
+/// One partition trial of `scenario`'s topology, parameters and faults
+/// on one substrate, from `seed`. Publishes one event from the mainland
+/// at tick 0 and one from the island after the heal (or mid-cut, for a
+/// cut that never heals), runs a fixed [`MAX_TIME`] horizon so both
+/// substrates see the identical schedule, and returns the overall
+/// delivery ratio across both events and the sorted delivered sets of
+/// the never-partitioned (mainland) cohort. Asserts that the cut severed
+/// a send and that no process delivered a parasite.
 fn partition_trial(
     scenario: &ScenarioConfig,
-    base: &RunConfig,
     heal: Option<u64>,
     substrate: Substrate,
-) -> (f64, Vec<Vec<EventId>>, u64) {
-    let net = Network::linear(&scenario.group_sizes, scenario.params, base.seed)
+    seed: u64,
+) -> (f64, Vec<Vec<EventId>>) {
+    let net = Network::linear(&scenario.group_sizes, scenario.params, seed)
         .expect("experiment topology must be valid");
     let leaf = net.groups().last().expect("at least one group").clone();
     assert!(
@@ -319,7 +335,10 @@ fn partition_trial(
     let island = leaf.members[leaf.members.len() - ISLAND..].to_vec();
     let mainland_publisher = leaf.members[0];
     let island_publisher = *leaf.members.last().expect("non-empty group");
-    let config = partition_faults(base, &island, CUT_AT, heal);
+    let base = RunConfig::default()
+        .with_seed(seed)
+        .with_faults(scenario.faults.clone());
+    let config = partition_faults(&base, &island, CUT_AT, heal);
     // Two ticks after the heal the overlay is reachable again; a cut
     // that never heals publishes mid-cut at the latest heal's slot so
     // the scenarios stay comparable.
@@ -337,6 +356,11 @@ fn partition_trial(
     assert!(
         severed > 0,
         "the cut-at-{CUT_AT} partition must sever cross-island gossip"
+    );
+    let parasites = out.counters.get("da.parasite");
+    assert_eq!(
+        parasites, 0,
+        "heal {heal:?}, seed {seed:#x}: {substrate:?} parasites"
     );
 
     let events = [mainland_publisher, island_publisher].map(|publisher| EventId {
@@ -356,7 +380,7 @@ fn partition_trial(
         .filter(|(i, _)| !island.contains(&ProcessId::from_index(*i)))
         .map(|(_, ids)| ids)
         .collect();
-    (ratio, mainland_sets, out.counters.get("da.parasite"))
+    (ratio, mainland_sets)
 }
 
 /// Sweeps the heal tick of a two-island network partition and tabulates
@@ -371,15 +395,13 @@ fn partition_trial(
 /// topology, the parameters and the channel under the cut (keep it
 /// lossless to isolate the partition axis); `seed` roots every trial's.
 ///
-/// Within one trial, sim and live share the **same seed**: the
-/// partition severs the identical sends on both substrates (the severed
-/// check is a pure function consuming no randomness), so beyond the
-/// statistical 3σ ratio agreement the never-partitioned cohort must
-/// deliver **bit-identical** event sets — which this function asserts
-/// per trial, alongside a hard zero for parasites.
-///
-/// Trials run serially for the same oversubscription reason as
-/// [`run_live_vs_sim`].
+/// Within one trial, sim and live share the **same seed** (see
+/// `paired_sweep`): the partition severs the identical sends on both
+/// substrates (the severed check is a pure function consuming no
+/// randomness), so beyond the statistical 3σ ratio agreement the
+/// never-partitioned cohort must deliver **bit-identical** event sets —
+/// which this function asserts per trial, alongside a hard zero for
+/// parasites.
 ///
 /// # Panics
 ///
@@ -405,37 +427,19 @@ pub fn run_partition_sweep(
             MAX_TIME - 2
         );
     }
-    let mut table = Table::new(
-        "Delivery ratio across partition cut-and-heal scenarios, live vs simulated",
+    let xs: Vec<f64> = heal_ticks
+        .iter()
+        .map(|heal| heal.map_or(-1.0, |tick| tick as f64))
+        .collect();
+    let title = "Delivery ratio across partition cut-and-heal scenarios, live vs simulated";
+    paired_sweep(
+        title,
         "heal_tick",
-        vec!["delivery_ratio_sim".into(), "delivery_ratio_live".into()],
-    );
-    for (row, &heal) in heal_ticks.iter().enumerate() {
-        let mut sim_ratios = Vec::with_capacity(trials);
-        let mut live_ratios = Vec::with_capacity(trials);
-        for t in 0..trials {
-            // Same (scenario, trial) seed on both substrates: link
-            // fates are pinned, so the mainland outcome must match
-            // exactly, not just statistically.
-            let trial = RunConfig::default()
-                .with_seed(derive_seed(derive_seed(seed, row as u64), t as u64))
-                .with_faults(scenario.faults.clone());
-            let [(sim_ratio, sim_sets, sim_parasites), (live_ratio, live_sets, live_parasites)] =
-                SUBSTRATES.map(|substrate| partition_trial(scenario, &trial, heal, substrate));
-            assert_eq!(sim_parasites, 0, "heal {heal:?} trial {t}: sim parasites");
-            assert_eq!(live_parasites, 0, "heal {heal:?} trial {t}: live parasites");
-            assert_eq!(
-                sim_sets, live_sets,
-                "heal {heal:?} trial {t}: the never-partitioned cohort delivered \
-                 different event sets across substrates"
-            );
-            sim_ratios.push(sim_ratio);
-            live_ratios.push(live_ratio);
-        }
-        let x = heal.map_or(-1.0, |tick| tick as f64);
-        table.push_row(x, vec![Summary::of(&sim_ratios), Summary::of(&live_ratios)]);
-    }
-    table
+        &xs,
+        seed,
+        trials,
+        |row, substrate, seed| partition_trial(scenario, heal_ticks[row], substrate, seed),
+    )
 }
 
 /// True when two per-substrate delivery-ratio summaries agree within
@@ -457,7 +461,7 @@ pub fn ratios_agree_within_3_sigma(sim: &Summary, live: &Summary, floor: f64) ->
 mod tests {
     use super::*;
     use crate::report::Row;
-    use da_core::{ChannelConfig, FaultConfig, Latency};
+    use da_core::{ChannelConfig, Latency};
 
     /// The `[4, 10, 40]` chain with pinned-high knobs (as in the e2e
     /// suites, so the assertions are not at the mercy of a thread
@@ -497,7 +501,7 @@ mod tests {
     /// and with a two-tick latency floor, where workers genuinely drift.
     #[test]
     fn reliability_sweep_substrates_agree_within_3_sigma() {
-        let probs = reliability_sweep_probabilities();
+        let probs = RELIABILITY_SWEEP_PROBABILITIES;
         let trials = 6;
         for latency in [Latency::Fixed(1), Latency::Fixed(2)] {
             let table = run_reliability_sweep(&pinned(latency), &probs, 0x5EED, trials);
@@ -535,7 +539,7 @@ mod tests {
     /// (fate-matched pairs per trial).
     #[test]
     fn churn_sweep_substrates_agree_within_3_sigma() {
-        let rates = churn_sweep_crash_rates();
+        let rates = CHURN_SWEEP_CRASH_RATES;
         let trials = 6;
         let mut base = pinned(Latency::Fixed(1));
         base.faults.failure = FailureModel::Churn {
@@ -648,6 +652,58 @@ mod tests {
     #[should_panic(expected = "heal tick 63 leaves no room")]
     fn partition_sweep_rejects_a_heal_past_the_horizon() {
         let _ = run_partition_sweep(&pinned(Latency::Fixed(1)), &[Some(2), Some(63)], 1, 1);
+    }
+
+    /// Both runs of a trial see one seed,
+    /// `derive_seed(derive_seed(seed, row), t)`, the simulator's first,
+    /// and no two trials of a sweep share one.
+    #[test]
+    fn paired_sweep_gives_both_substrates_of_a_trial_one_seed() {
+        let (rows, trials, seed) = (3, 4, 0xBA5E);
+        let mut seen = Vec::new();
+        let table = paired_sweep(
+            "t",
+            "x",
+            &[0.0, 0.5, 1.0],
+            seed,
+            trials,
+            |row, substrate, s| {
+                seen.push((row, substrate, s));
+                (1.0, ())
+            },
+        );
+        assert_eq!(table.rows.len(), rows);
+        assert_eq!(seen.len(), rows * trials * 2);
+        let mut seeds = Vec::new();
+        for (i, pair) in seen.chunks(2).enumerate() {
+            let (row, t) = (i / trials, i % trials);
+            let expected = derive_seed(derive_seed(seed, row as u64), t as u64);
+            assert_eq!(
+                pair[0],
+                (row, SUBSTRATES[0], expected),
+                "row {row} trial {t}"
+            );
+            assert_eq!(
+                pair[1],
+                (row, SUBSTRATES[1], expected),
+                "row {row} trial {t}"
+            );
+            seeds.push(expected);
+        }
+        seeds.sort_unstable();
+        seeds.dedup();
+        assert_eq!(
+            seeds.len(),
+            rows * trials,
+            "rows and trials see distinct seeds"
+        );
+    }
+
+    /// A trial whose two runs differ on what they must reproduce fails.
+    #[test]
+    #[should_panic(expected = "x 0.5, trial 0: sim and live differ")]
+    fn paired_sweep_rejects_a_pair_that_differs() {
+        let _ = paired_sweep("t", "x", &[0.5], 1, 1, |_, substrate, _| (1.0, substrate));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use da_membership::FanoutRule;
 #[must_use]
 pub fn run_scaling(leaf_sizes: &[usize], trials: usize, seed: u64) -> Table<f64> {
     let xs: Vec<f64> = leaf_sizes.iter().map(|&s| s as f64).collect();
-    let rows = sweep(&xs, trials, seed, |s, trial_seed| {
+    let run = |s: f64, trial_seed| {
         let s = s as usize;
         let config = ScenarioConfig {
             group_sizes: vec![10, 100, s],
@@ -25,16 +25,10 @@ pub fn run_scaling(leaf_sizes: &[usize], trials: usize, seed: u64) -> Table<f64>
         let out = run_scenario(&config, Substrate::Sim, trial_seed);
         let norm = s as f64 * (s as f64).ln();
         vec![out.total_event_messages, out.total_event_messages / norm]
-    });
-    let mut table = Table::new(
-        "Fig scaling message complexity",
-        "leaf group size S",
-        vec!["total event messages".into(), "messages / (S ln S)".into()],
-    );
-    for (x, summaries) in rows {
-        table.push_row(x, summaries);
-    }
-    table
+    };
+    let title = "Fig scaling message complexity";
+    let columns = vec!["total event messages".into(), "messages / (S ln S)".into()];
+    sweep(title, "leaf group size S", columns, &xs, trials, seed, run)
 }
 
 #[cfg(test)]

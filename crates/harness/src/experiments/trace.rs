@@ -62,13 +62,6 @@ pub struct TraceDiff {
     pub divergence: Option<TraceDivergence>,
 }
 
-impl TraceDiff {
-    /// True when the streams are bit-identical after canonical ordering.
-    fn streams_match(&self) -> bool {
-        self.divergence.is_none()
-    }
-}
-
 /// Canonically orders both logs' event streams and reports their first
 /// divergence.
 fn diff_traces(left: &TraceLog, right: &TraceLog) -> TraceDiff {
@@ -130,7 +123,7 @@ pub fn run_trace_diff(population: u32, config: &RunConfig, workers: usize) -> Ta
     let live = probe_trace(Substrate::Live { workers }, population, config);
     let diff = diff_traces(&sim, &live);
     assert!(
-        diff.streams_match(),
+        diff.divergence.is_none(),
         "same-seed sim/live streams diverged: {}",
         describe_divergence(&sim, &live)
     );
@@ -196,7 +189,7 @@ mod tests {
             let live = probe_trace(Substrate::Live { workers }, 12, &deterministic(42));
             let diff = diff_traces(&sim, &live);
             assert!(
-                diff.streams_match(),
+                diff.divergence.is_none(),
                 "workers={workers}: {}",
                 describe_divergence(&sim, &live)
             );
@@ -227,7 +220,7 @@ mod tests {
         let sim = probe_trace(Substrate::Sim, 10, &config);
         let live = probe_trace(Substrate::Live { workers: 3 }, 10, &config);
         assert!(
-            diff_traces(&sim, &live).streams_match(),
+            diff_traces(&sim, &live).divergence.is_none(),
             "{}",
             describe_divergence(&sim, &live)
         );
@@ -245,7 +238,7 @@ mod tests {
         let sim = probe_trace(Substrate::Sim, 12, &config);
         let live = probe_trace(Substrate::Live { workers: 4 }, 12, &config);
         assert!(
-            diff_traces(&sim, &live).streams_match(),
+            diff_traces(&sim, &live).divergence.is_none(),
             "{}",
             describe_divergence(&sim, &live)
         );

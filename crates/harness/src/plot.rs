@@ -20,16 +20,9 @@ pub fn ascii_plot(table: &Table<f64>, width: usize, height: usize) -> String {
         out.push_str("(no data)\n");
         return out;
     }
-    let x_min = table
-        .rows
-        .iter()
-        .map(|r| r.key)
-        .fold(f64::INFINITY, f64::min);
-    let x_max = table
-        .rows
-        .iter()
-        .map(|r| r.key)
-        .fold(f64::NEG_INFINITY, f64::max);
+    let xs = table.rows.iter().map(|r| r.key);
+    let x_min = xs.clone().fold(f64::INFINITY, f64::min);
+    let x_max = xs.fold(f64::NEG_INFINITY, f64::max);
     let y_max = table
         .rows
         .iter()

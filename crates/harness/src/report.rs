@@ -162,29 +162,18 @@ impl<K: Key> Table<K> {
     #[must_use]
     pub fn to_json(&self) -> String {
         let (label_field, key_field) = K::JSON_FIELDS;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"title\":{},\"{label_field}\":{},\"columns\":[",
+        let rows = self.rows.iter().map(|row| {
+            let values = join(row.values.iter().map(summary_json));
+            let key = row.key.json_value();
+            format!("{{\"{key_field}\":{key},\"values\":[{values}]}}")
+        });
+        format!(
+            "{{\"title\":{},\"{label_field}\":{},\"columns\":[{}],\"rows\":[{}]}}",
             json_string(&self.title),
-            json_string(&self.key_label)
-        );
-        let _ = write!(out, "{}", json_string_list(&self.columns));
-        out.push_str("],\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"{key_field}\":{},\"values\":[",
-                row.key.json_value()
-            );
-            push_summaries(&mut out, &row.values);
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+            json_string(&self.key_label),
+            join(self.columns.iter().map(|c| json_string(c))),
+            join(rows)
+        )
     }
 
     /// Writes `<stem>.csv` and `<stem>.md` under `dir`, creating the
@@ -196,15 +185,10 @@ impl<K: Key> Table<K> {
     /// Propagates filesystem errors.
     pub fn write_to(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let stem = self.file_stem();
+        let stem = file_stem_of(&self.title);
         std::fs::write(dir.join(format!("{stem}.csv")), self.to_csv())?;
         std::fs::write(dir.join(format!("{stem}.md")), self.to_markdown())?;
         Ok(())
-    }
-
-    /// The output file stem derived from the title.
-    fn file_stem(&self) -> String {
-        file_stem_of(&self.title)
     }
 }
 
@@ -229,12 +213,9 @@ fn json_string(s: &str) -> String {
     out
 }
 
-fn json_string_list(items: &[String]) -> String {
-    items
-        .iter()
-        .map(|s| json_string(s))
-        .collect::<Vec<_>>()
-        .join(",")
+/// The items, comma-separated.
+fn join(items: impl Iterator<Item = String>) -> String {
+    items.collect::<Vec<_>>().join(",")
 }
 
 /// Finite floats print naturally; non-finite values (never produced by
@@ -247,21 +228,15 @@ fn json_num(v: f64) -> String {
     }
 }
 
-fn push_summaries(out: &mut String, values: &[Summary]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"count\":{},\"mean\":{},\"std_dev\":{},\"min\":{},\"max\":{}}}",
-            v.count,
-            json_num(v.mean),
-            json_num(v.std_dev),
-            json_num(v.min),
-            json_num(v.max)
-        );
-    }
+fn summary_json(v: &Summary) -> String {
+    format!(
+        "{{\"count\":{},\"mean\":{},\"std_dev\":{},\"min\":{},\"max\":{}}}",
+        v.count,
+        json_num(v.mean),
+        json_num(v.std_dev),
+        json_num(v.min),
+        json_num(v.max)
+    )
 }
 
 /// Lowercased title with non-alphanumerics collapsed to `_`.
@@ -334,7 +309,10 @@ mod tests {
 
     #[test]
     fn file_stem_sanitised() {
-        assert_eq!(sample_table().file_stem(), "fig_8_events_per_group");
+        assert_eq!(
+            file_stem_of(&sample_table().title),
+            "fig_8_events_per_group"
+        );
     }
 
     #[test]

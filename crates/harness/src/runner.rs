@@ -5,6 +5,7 @@
 //! they run on scoped worker threads — the simulation kernel itself
 //! stays single-threaded and deterministic per seed.
 
+use crate::report::Table;
 use crate::stats::Summary;
 use da_core::derive_seed;
 
@@ -72,21 +73,32 @@ pub(crate) fn fold(results: &[Vec<f64>]) -> Vec<Summary> {
         .collect()
 }
 
-/// Sweeps `xs`, running [`run_trials`] at every point. Returns
-/// `(x, summaries)` pairs in input order. Each sweep point gets an
-/// independent seed stream, so adding points never perturbs existing ones.
-pub fn sweep<F>(xs: &[f64], trials: usize, base_seed: u64, run: F) -> Vec<(f64, Vec<Summary>)>
+/// Sweeps `xs`, running [`run_trials`] at every point, and tabulates
+/// one row per point in input order: the summaries of `run`'s metrics
+/// under `columns`. Each sweep point gets an independent seed stream, so
+/// adding points never perturbs existing ones.
+///
+/// # Panics
+///
+/// Panics when `run` returns other than one metric per column.
+pub fn sweep<F>(
+    title: &str,
+    key_label: &str,
+    columns: Vec<String>,
+    xs: &[f64],
+    trials: usize,
+    base_seed: u64,
+    run: F,
+) -> Table<f64>
 where
     F: Fn(f64, u64) -> Vec<f64> + Sync,
 {
-    xs.iter()
-        .enumerate()
-        .map(|(i, &x)| {
-            let point_seed = derive_seed(base_seed, 0x5EED_0000 + i as u64);
-            let summaries = run_trials(trials, point_seed, |seed| run(x, seed));
-            (x, summaries)
-        })
-        .collect()
+    let mut table = Table::new(title, key_label, columns);
+    for (i, &x) in xs.iter().enumerate() {
+        let point_seed = derive_seed(base_seed, 0x5EED_0000 + i as u64);
+        table.push_row(x, run_trials(trials, point_seed, |seed| run(x, seed)));
+    }
+    table
 }
 
 #[cfg(test)]
@@ -119,13 +131,15 @@ mod tests {
 
     #[test]
     fn sweep_preserves_order_and_isolation() {
-        let rows = sweep(&[0.1, 0.2, 0.3], 4, 7, |x, seed| {
+        let columns = vec!["ten x".into()];
+        let table = sweep("t", "x", columns, &[0.1, 0.2, 0.3], 4, 7, |x, seed| {
             vec![x * 10.0 + (seed % 2) as f64 * 0.0]
         });
+        let rows = &table.rows;
         assert_eq!(rows.len(), 3);
-        assert!((rows[0].0 - 0.1).abs() < 1e-12);
-        assert!((rows[0].1[0].mean - 1.0).abs() < 1e-9);
-        assert!((rows[2].1[0].mean - 3.0).abs() < 1e-9);
+        assert!((rows[0].key - 0.1).abs() < 1e-12);
+        assert!((rows[0].values[0].mean - 1.0).abs() < 1e-9);
+        assert!((rows[2].values[0].mean - 3.0).abs() < 1e-9);
     }
 
     #[test]

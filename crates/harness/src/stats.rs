@@ -23,10 +23,7 @@ impl Summary {
         if samples.is_empty() {
             return Summary {
                 count: 0,
-                mean: 0.0,
-                std_dev: 0.0,
-                min: 0.0,
-                max: 0.0,
+                ..Summary::exact(0.0)
             };
         }
         let n = samples.len() as f64;

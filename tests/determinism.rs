@@ -97,33 +97,36 @@ fn harness_sweeps_deterministic() {
     use da_harness::scenario::{run_scenario, ScenarioConfig};
     use da_harness::substrate::Substrate;
 
-    let run = || {
-        sweep(&[0.5, 1.0], 6, 123, |alive, seed| {
-            let mut config = ScenarioConfig {
-                group_sizes: vec![4, 16],
-                publish_level: 1,
-                ..ScenarioConfig::small()
-            };
-            config.faults.failure = FailureModel::Stillborn {
-                alive_fraction: alive,
-            };
-            let out = run_scenario(&config, Substrate::Sim, seed);
-            let scalars = vec![out.parasites, out.rounds, out.total_event_messages];
-            [
-                out.intra,
-                out.inter_in,
-                out.delivered_fraction,
-                out.delivered_alive_fraction,
-                scalars,
-            ]
-            .concat()
-        })
+    let trial = |alive, seed| {
+        let mut config = ScenarioConfig {
+            group_sizes: vec![4, 16],
+            publish_level: 1,
+            ..ScenarioConfig::small()
+        };
+        config.faults.failure = FailureModel::Stillborn {
+            alive_fraction: alive,
+        };
+        let out = run_scenario(&config, Substrate::Sim, seed);
+        let scalars = vec![out.parasites, out.rounds, out.total_event_messages];
+        [
+            out.intra,
+            out.inter_in,
+            out.delivered_fraction,
+            out.delivered_alive_fraction,
+            scalars,
+        ]
+        .concat()
     };
+    // Two levels: two intra counts, one boundary, two of each delivered
+    // fraction and the three scalars.
+    let columns = || (0..10).map(|m| format!("metric {m}")).collect();
+    let xs = [0.5, 1.0];
+    let run = || sweep("determinism", "alive", columns(), &xs, 6, 123, trial);
     let a = run();
     let b = run();
-    for ((xa, sa), (xb, sb)) in a.iter().zip(b.iter()) {
-        assert_eq!(xa, xb);
-        for (ma, mb) in sa.iter().zip(sb.iter()) {
+    for (ra, rb) in a.rows.iter().zip(&b.rows) {
+        assert_eq!(ra.key, rb.key);
+        for (ma, mb) in ra.values.iter().zip(&rb.values) {
             assert_eq!(
                 ma.mean.to_bits(),
                 mb.mean.to_bits(),
