@@ -108,6 +108,7 @@ impl FailureModel {
             schedule: Vec::new(),
             churn: None,
             crashes: None,
+            recover_below: 0,
             observation_seed: seed,
             churn_seed: derive_seed(seed, CHURN_STREAM),
         };
@@ -144,13 +145,13 @@ impl FailureModel {
                 recover_probability,
             } => {
                 let crash = crash_probability.clamp(0.0, 1.0);
+                let recover = recover_probability.clamp(0.0, 1.0);
                 FailurePlan {
-                    churn: Some(ChurnRates {
-                        crash,
-                        recover: recover_probability.clamp(0.0, 1.0),
-                    }),
+                    churn: Some(ChurnRates { crash, recover }),
                     crashes: (crash > 0.0)
                         .then(|| Box::new(CrashMasks::new(derive_seed(seed, CRASH_STREAM), crash))),
+                    // Exact: `recover · 2^53` only rescales the double.
+                    recover_below: (recover * UNIT).ceil() as u64,
                     ..base
                 }
             }
@@ -177,7 +178,7 @@ impl CrashMasks {
         let log_miss = (-p).ln_1p();
         let cdf = std::array::from_fn(|j| {
             let hit = -((j + 1) as f64 * log_miss).exp_m1();
-            (hit * (1u64 << 53) as f64) as u64
+            (hit * UNIT) as u64
         });
         CrashMasks { seed, cdf }
     }
@@ -237,6 +238,44 @@ pub struct Transition {
     pub churn_recovered: bool,
 }
 
+impl Transition {
+    /// One process's round: its scripted `fates` first (in schedule
+    /// order), then the churn draw — `flips(alive)` answers whether
+    /// churn flips it, given its liveness after the fates. The step
+    /// [`FailurePlan::transition`] and
+    /// [`crate::LifecycleController::begin_tick`] both take.
+    #[inline]
+    pub(crate) fn apply(fates: &[Fate], mut alive: bool, flips: impl FnOnce(bool) -> bool) -> Self {
+        let mut came_back = false;
+        for fate in fates {
+            if !fate.crash && !alive {
+                came_back = true;
+            }
+            alive = !fate.crash;
+        }
+        let mut churn_crashed = false;
+        let mut churn_recovered = false;
+        if flips(alive) {
+            if alive {
+                churn_crashed = true;
+            } else {
+                churn_recovered = true;
+                came_back = true;
+            }
+            alive = !alive;
+        }
+        Transition {
+            alive,
+            // A process only re-enters (runs `on_recover`) when some
+            // transition brought it back AND it is still up once every
+            // transition of the round has applied.
+            recovered: came_back && alive,
+            churn_crashed,
+            churn_recovered,
+        }
+    }
+}
+
 /// A materialised failure plan for one seeded run. Produced by
 /// [`FailureModel::materialize`]; applied by a
 /// [`crate::LifecycleController`] on either substrate.
@@ -248,6 +287,11 @@ pub struct FailurePlan {
     churn: Option<ChurnRates>,
     /// `None` when nothing ever crashes by churn.
     crashes: Option<Box<CrashMasks>>,
+    /// A crashed process recovers by churn when the top 53 bits of its
+    /// draw fall below `⌈recover · 2^53⌉`: exactly when the draw as a
+    /// unit `f64` falls below `recover` (0 without churn, 2^53 at
+    /// `recover = 1`).
+    recover_below: u64,
     observation_seed: u64,
     churn_seed: u64,
 }
@@ -353,23 +397,31 @@ impl FailurePlan {
     #[must_use]
     #[inline]
     pub fn churn_flips(&self, pid: ProcessId, round: u64, alive: bool) -> bool {
-        let Some(rates) = self.churn else {
+        if self.churn.is_none() {
             return false;
-        };
+        }
         if alive {
             let mask = self.crash_mask(u64::from(pid.0 / 64), round);
             return (mask >> (pid.0 % 64)) & 1 == 1;
         }
-        if rates.recover <= 0.0 {
-            return false;
-        }
-        if rates.recover >= 1.0 {
-            return true;
-        }
-        unit_f64(derive_seed(
-            derive_seed(self.churn_seed, u64::from(pid.0)),
-            round,
-        )) < rates.recover
+        self.recovers(self.recovery_key(pid), round)
+    }
+
+    /// The per-pid half of `pid`'s recovery key: a crashed process's
+    /// recovery draw at `round` is one more round over it
+    /// ([`recovers`](Self::recovers)). A substrate that keeps it while
+    /// the process is down pays one round per crashed process and tick.
+    #[inline]
+    pub(crate) fn recovery_key(&self, pid: ProcessId) -> u64 {
+        derive_seed(self.churn_seed, u64::from(pid.0))
+    }
+
+    /// Whether the crashed process with recovery key `key`
+    /// ([`recovery_key`](Self::recovery_key)) recovers by churn at the
+    /// start of `round`.
+    #[inline]
+    pub(crate) fn recovers(&self, key: u64, round: u64) -> bool {
+        derive_seed(key, round) >> 11 < self.recover_below
     }
 
     /// The churn crash draws of pids `64·block .. 64·block + 64` at the
@@ -404,45 +456,21 @@ impl FailurePlan {
     /// fates first (in schedule order), then the churn draw — and
     /// reports everything a substrate needs to act on them.
     ///
-    /// This is the single authoritative transition step: both
-    /// substrates apply it through
-    /// [`crate::LifecycleController::begin_tick`] and the
-    /// [`FailurePlan::alive_at`] replay consumes it, so they cannot
+    /// This is the reference step, and the [`FailurePlan::alive_at`]
+    /// replay consumes it. Both substrates take the same step
+    /// through [`crate::LifecycleController::begin_tick`], which reads
+    /// the same draws from a walk over a whole stripe, so they cannot
     /// drift apart. Its result is the round's *net* transition: a
     /// process crashed and recovered in one round never goes down, and
     /// re-enters once.
     #[must_use]
     #[inline]
-    pub fn transition(&self, pid: ProcessId, round: u64, mut alive: bool) -> Transition {
-        let fates = self.fates_at(round);
-        let mut came_back = false;
-        let mine = &fates[fates.partition_point(|f| f.pid < pid)..];
-        for fate in mine.iter().take_while(|f| f.pid == pid) {
-            if !fate.crash && !alive {
-                came_back = true;
-            }
-            alive = !fate.crash;
-        }
-        let mut churn_crashed = false;
-        let mut churn_recovered = false;
-        if self.churn_flips(pid, round, alive) {
-            if alive {
-                churn_crashed = true;
-            } else {
-                churn_recovered = true;
-                came_back = true;
-            }
-            alive = !alive;
-        }
-        Transition {
-            alive,
-            // A process only re-enters (runs `on_recover`) when some
-            // transition brought it back AND it is still up once every
-            // transition of the round has applied.
-            recovered: came_back && alive,
-            churn_crashed,
-            churn_recovered,
-        }
+    pub fn transition(&self, pid: ProcessId, round: u64, alive: bool) -> Transition {
+        let from = &self.schedule[self
+            .schedule
+            .partition_point(|f| (f.round, f.pid) < (round, pid))..];
+        let mine = &from[..from.partition_point(|f| (f.round, f.pid) == (round, pid))];
+        Transition::apply(mine, alive, |alive| self.churn_flips(pid, round, alive))
     }
 
     /// Applies one round's worth of plan transitions to `pid` and
@@ -484,10 +512,16 @@ impl FailurePlan {
     }
 }
 
+/// `2^53`: a draw's top 53 bits (the full mantissa width) as a unit
+/// fraction are `(x >> 11) / UNIT`.
+const UNIT: f64 = (1u64 << 53) as f64;
+
 /// Maps a 64-bit hash to a uniform `f64` in `[0, 1)` using the top 53
-/// bits (the full mantissa width, matching the standard conversion).
+/// bits: the recovery draw in floats, which
+/// [`FailurePlan::recovers`] takes in integers.
+#[cfg(test)]
 fn unit_f64(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    (x >> 11) as f64 * (1.0 / UNIT)
 }
 
 #[cfg(test)]
@@ -639,6 +673,30 @@ mod tests {
             assert!((0.0..1.0).contains(&u), "{x} mapped to {u}");
         }
         assert!(unit_f64(u64::MAX) > 0.999);
+        // The recovery draw compares integers: the same verdict as the
+        // float rule on either side of every threshold.
+        for recover in [0.0, 1e-17, 0.05, 0.3, 0.999_999_999, 1.0] {
+            let plan = FailureModel::Churn {
+                crash_probability: 0.0,
+                recover_probability: recover,
+            }
+            .materialize(1, 0);
+            let below = plan.recover_below;
+            for top in [
+                0,
+                1,
+                below.saturating_sub(1),
+                below,
+                below + 1,
+                (1 << 53) - 1,
+            ] {
+                let top = top.min((1 << 53) - 1);
+                for x in [top << 11, top << 11 | 0x7FF] {
+                    let int = x >> 11 < below;
+                    assert_eq!(int, unit_f64(x) < recover, "{recover}: {x:#x}");
+                }
+            }
+        }
     }
 }
 

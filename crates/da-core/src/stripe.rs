@@ -306,7 +306,8 @@ where
     pub fn begin_tick<O: Outbound<Msg = P::Msg>>(&mut self, tick: u64, out: &mut O) {
         self.tick = tick;
 
-        let transitions = self.lifecycle.begin_tick(tick);
+        self.lifecycle.begin_tick(tick);
+        let transitions = self.lifecycle.transitions();
         self.ledger.envelopes.churn_crashes += transitions.churn_crashes;
         self.ledger.envelopes.churn_recoveries += transitions.churn_recoveries;
         if let Some(trace) = self.ledger.trace.as_mut() {
@@ -322,7 +323,8 @@ where
                 }
             }
         }
-        for slot in transitions.recovered {
+        for i in 0..transitions.recovered.len() {
+            let slot = self.lifecycle.transitions().recovered[i];
             self.hook(slot, out, |process, ctx| process.on_recover(ctx));
         }
 

@@ -9,9 +9,13 @@
 //! benchmark's `bytes_per_process` measures, a process that never draws
 //! costs the simulator at most 8 B beside its own state, and the send
 //! path's occurrence table counts like the pair-keyed map it is a packing
-//! of and reuses its allocation.
+//! of and reuses its allocation, and a churn tick allocates nothing.
 
-use da_core::{Counters, Exec, ExecProtocol, LabelId, Occurrences, ProcessId, RunConfig, WireSize};
+use da_core::failure::FailureModel;
+use da_core::{
+    Counters, Exec, ExecProtocol, LabelId, LifecycleController, Occurrences, ProcessId, RunConfig,
+    WireSize,
+};
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::MembershipMsg;
 use da_topics::TopicId;
@@ -19,6 +23,7 @@ use damulticast::{ControlMsg, DaMsg, DaProcess, Event, Network, SuperEntry, Topi
 use rand::rngs::SmallRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// Forwards to the system allocator, keeping the calling thread's
 /// allocation count (growth included: the default `realloc` calls
@@ -467,6 +472,35 @@ fn a_never_drawing_process_costs_at_most_8_bytes_above_its_slab_entry() {
 /// for every send of seeded streams in which edges repeat, across
 /// `clear()`s and table growth, with pids at both ends of the range —
 /// and a cleared table takes the same stream again without allocating.
+/// A churn tick allocates nothing: at the metropolis rates (0.02% of
+/// the alive crash and 5% of the crashed recover per tick) a
+/// 131,072-pid stripe merges its ~520 crashed slots and the tick's
+/// crash masks into buffers that keep their capacity. Once a warm-up
+/// has grown them, 256 ticks make no heap block.
+#[test]
+fn a_churn_tick_allocates_nothing() {
+    let plan = FailureModel::Churn {
+        crash_probability: 0.0002,
+        recover_probability: 0.05,
+    }
+    .materialize(131_072, 821);
+    let mut stripe = LifecycleController::new(Arc::new(plan), 0, 1, 131_072);
+    for tick in 0..512 {
+        stripe.begin_tick(tick);
+    }
+    let before = ALLOCATIONS.get();
+    let mut transitions = 0;
+    for tick in 512..768 {
+        let t = stripe.begin_tick(tick);
+        transitions += t.churn_crashes + t.churn_recoveries;
+    }
+    assert_eq!(ALLOCATIONS.get() - before, 0, "256 churn ticks");
+    assert!(
+        transitions > 256 * 40,
+        "{transitions} transitions in 256 ticks"
+    );
+}
+
 #[test]
 fn occurrences_count_like_a_pair_keyed_map_and_keep_their_table() {
     use rand::Rng as _;
