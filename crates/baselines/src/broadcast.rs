@@ -9,8 +9,8 @@
 //! [`GossipProcess`] holds one unscoped table.
 
 use crate::common::InterestMap;
-use crate::gossip::{GossipProcess, GossipTable, Labels};
-use da_core::{derive_seed, rng_from_seed, LabelId, ProcessId};
+use crate::gossip::{GossipProcess, GossipTable};
+use da_core::{derive_seed, rng_from_seed, Family, Kind, ProcessId};
 use da_membership::{static_init::static_topic_tables, FanoutRule};
 use damulticast::DaError;
 
@@ -38,7 +38,6 @@ pub fn build_broadcast_network(
     let mut rng = rng_from_seed(derive_seed(seed, 0xBC));
     let tables = static_topic_tables(&everyone, b, &mut rng)?;
     let fanout = fanout.fanout(n);
-    let (labels, sent) = (Labels::new("bc"), LabelId::intern("bc.sent"));
     Ok(everyone
         .into_iter()
         .zip(tables)
@@ -47,9 +46,9 @@ pub fn build_broadcast_network(
                 group: None,
                 view,
                 fanout,
-                sent,
+                sent: Kind::Sent,
             };
-            GossipProcess::new(me, interests, vec![table], labels)
+            GossipProcess::new(me, interests, vec![table], Family::Broadcast)
         })
         .collect())
 }
@@ -57,6 +56,7 @@ pub fn build_broadcast_network(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use da_core::Kind;
     use da_simnet::{Engine, SimConfig};
 
     fn network() -> Vec<GossipProcess> {
@@ -91,7 +91,10 @@ mod tests {
             parasites >= 10,
             "expected widespread parasites, got {parasites}"
         );
-        assert_eq!(engine.counters().get("bc.parasite"), parasites);
+        assert_eq!(
+            engine.tally().get(Family::Broadcast, Kind::Parasite, 0),
+            parasites
+        );
     }
 
     #[test]
@@ -100,7 +103,7 @@ mod tests {
         engine.process_mut(ProcessId(0)).publish("root-only");
         engine.run_until_quiescent(50);
         // Total sends far exceed what 2 interested processes could emit.
-        let sent = engine.counters().get("bc.sent");
+        let sent = engine.tally().get(Family::Broadcast, Kind::Sent, 0);
         assert!(sent > 40, "parasites must keep gossiping (sent {sent})");
     }
 

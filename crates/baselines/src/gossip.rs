@@ -5,7 +5,7 @@
 //! and multicast (one table per joined topic group) share the publish,
 //! de-dup, interest check and relay below.
 
-use da_core::{Exec, ExecProtocol, LabelId, ProcessId, WireSize};
+use da_core::{Exec, ExecProtocol, Family, Kind, ProcessId, WireSize};
 use da_topics::{TopicHierarchy, TopicId};
 use damulticast::{Event, EventId, EventSet};
 use rand::Rng;
@@ -40,27 +40,8 @@ pub struct GossipTable {
     pub view: Vec<ProcessId>,
     /// Targets drawn per relay.
     pub fanout: usize,
-    /// The counter bumped per send through this table.
-    pub sent: LabelId,
-}
-
-/// The receipt counters of one algorithm, interned under its label family.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Labels {
-    delivered: LabelId,
-    parasite: LabelId,
-    duplicate: LabelId,
-}
-
-impl Labels {
-    pub(crate) fn new(family: &str) -> Self {
-        let intern = |name: &str| LabelId::intern(&format!("{family}.{name}"));
-        Labels {
-            delivered: intern("delivered"),
-            parasite: intern("parasite"),
-            duplicate: intern("duplicate"),
-        }
-    }
+    /// What a send through this table counts as.
+    pub sent: Kind,
 }
 
 /// One process of a gossip baseline.
@@ -80,7 +61,8 @@ pub struct GossipProcess {
     /// Publications queued until the next round hook.
     pending_publish: Vec<GossipMsg>,
     next_sequence: u32,
-    labels: Labels,
+    /// The algorithm, whose prefix its counts carry.
+    family: Family,
 }
 
 impl GossipProcess {
@@ -89,7 +71,7 @@ impl GossipProcess {
         me: ProcessId,
         interests: &InterestMap,
         tables: Vec<GossipTable>,
-        labels: Labels,
+        family: Family,
     ) -> Self {
         GossipProcess {
             me,
@@ -101,7 +83,7 @@ impl GossipProcess {
             parasite_count: 0,
             pending_publish: Vec::new(),
             next_sequence: 0,
-            labels,
+            family,
         }
     }
 
@@ -159,24 +141,29 @@ impl GossipProcess {
         event.id
     }
 
+    /// Counts one `kind` under the process's algorithm.
+    fn count<X: Exec<Msg = GossipMsg>>(&self, ctx: &mut X, kind: Kind) {
+        ctx.count(self.family, kind, 0);
+    }
+
     /// First receipt: deliver or count the parasite, then relay through
     /// every table of the message's group — parasites relay too, which is
     /// what interest-oblivious gossip relies on.
     fn receive<X: Exec<Msg = GossipMsg>>(&mut self, msg: GossipMsg, ctx: &mut X) {
         if !self.seen.insert(msg.event.id) {
-            ctx.bump_id(self.labels.duplicate);
+            self.count(ctx, Kind::Duplicate);
             return;
         }
         let interested = self.hierarchy.includes_or_eq(self.topic, msg.event.topic);
         if interested {
-            ctx.bump_id(self.labels.delivered);
+            self.count(ctx, Kind::Delivered);
         } else {
             self.parasite_count += 1;
-            ctx.bump_id(self.labels.parasite);
+            self.count(ctx, Kind::Parasite);
         }
         for table in self.tables.iter().filter(|t| t.group == msg.group) {
             for target in gossip_targets(&table.view, table.fanout, ctx.rng()) {
-                ctx.bump_id(table.sent);
+                self.count(ctx, table.sent);
                 ctx.send(target, msg);
             }
         }
@@ -241,8 +228,8 @@ mod tests {
         assert!(!leaf.has_delivered(root_event));
         assert_eq!(leaf.delivered().len(), 1);
         // Each event came back to its publisher once.
-        assert_eq!(engine.counters().get("bc.duplicate"), 2);
-        assert_eq!(engine.counters().get("bc.parasite"), 1);
+        assert_eq!(engine.tally().get(Family::Broadcast, Kind::Duplicate, 0), 2);
+        assert_eq!(engine.tally().get(Family::Broadcast, Kind::Parasite, 0), 1);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! Each [`GossipProcess`] holds two unscoped tables, intra then inter.
 
 use crate::common::InterestMap;
-use crate::gossip::{GossipProcess, GossipTable, Labels};
-use da_core::{derive_seed, rng_from_seed, LabelId, ProcessId};
+use crate::gossip::{GossipProcess, GossipTable};
+use da_core::{derive_seed, rng_from_seed, Family, Kind, ProcessId};
 use da_membership::hierarchical::{static_hierarchical_tables, HierarchicalLayout};
 use da_membership::FanoutRule;
 use damulticast::DaError;
@@ -41,11 +41,6 @@ pub fn build_hierarchical_network(
     let tables = static_hierarchical_tables(&layout, b, &mut rng)?;
     let f_intra = fanout_intra.fanout(layout.group_size());
     let f_inter = fanout_inter.fanout(n_groups);
-    let labels = Labels::new("hc");
-    let (sent_intra, sent_inter) = (
-        LabelId::intern("hc.sent_intra"),
-        LabelId::intern("hc.sent_inter"),
-    );
     Ok((0..n)
         .map(ProcessId::from_index)
         .zip(tables.intra.into_iter().zip(tables.inter))
@@ -54,15 +49,15 @@ pub fn build_hierarchical_network(
                 group: None,
                 view: intra,
                 fanout: f_intra,
-                sent: sent_intra,
+                sent: Kind::SentIntra,
             };
             let inter = GossipTable {
                 group: None,
                 view: inter,
                 fanout: f_inter,
-                sent: sent_inter,
+                sent: Kind::SentInter,
             };
-            GossipProcess::new(me, interests, vec![intra, inter], labels)
+            GossipProcess::new(me, interests, vec![intra, inter], Family::Hierarchical)
         })
         .collect())
 }
@@ -70,6 +65,7 @@ pub fn build_hierarchical_network(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use da_core::Kind;
     use da_simnet::{Engine, SimConfig};
 
     fn network() -> Vec<GossipProcess> {
@@ -112,8 +108,8 @@ mod tests {
         let mut engine = Engine::new(SimConfig::default().with_seed(4), network());
         engine.process_mut(ProcessId(7)).publish("x");
         engine.run_until_quiescent(60);
-        assert!(engine.counters().get("hc.sent_intra") > 0);
-        assert!(engine.counters().get("hc.sent_inter") > 0);
+        assert!(engine.tally().get(Family::Hierarchical, Kind::SentIntra, 0) > 0);
+        assert!(engine.tally().get(Family::Hierarchical, Kind::SentInter, 0) > 0);
     }
 
     #[test]

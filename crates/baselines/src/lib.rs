@@ -21,13 +21,13 @@
 //! [`da_core::ExecProtocol`] — so, like daMulticast itself, every baseline
 //! runs on the simulator and on the live runtime — reuses
 //! [`damulticast::Event`], and counts each algorithm's traffic under its
-//! `bc.*`, `mc.*` or `hc.*` labels, so the harness can put the four
-//! algorithms in one table (the paper's Sec. VI-E.1–3).
+//! [`da_core::Family`], so the harness can put the four algorithms in
+//! one table (the paper's Sec. VI-E.1–3).
 //!
 //! ```
 //! use da_baselines::{build_broadcast_network, build_multicast_network, InterestMap};
 //! use da_membership::FanoutRule;
-//! use da_core::ProcessId;
+//! use da_core::{Family::{Broadcast, Multicast}, Kind::Parasite, ProcessId};
 //! use da_simnet::{Engine, SimConfig};
 //!
 //! # fn main() -> Result<(), damulticast::DaError> {
@@ -37,7 +37,7 @@
 //! let mut engine = Engine::new(SimConfig::default().with_seed(7), procs);
 //! engine.process_mut(ProcessId(0)).publish("to everyone");
 //! engine.run_until_quiescent(50);
-//! assert!(engine.counters().get("bc.parasite") > 0, "broadcast pays in parasites");
+//! assert!(engine.tally().total(Broadcast, Parasite) > 0, "broadcast pays in parasites");
 //!
 //! // The same process, drawn one table per joined topic group.
 //! let procs = build_multicast_network(&interests, 3.0, FanoutRule::default(), 7)?;
@@ -45,7 +45,7 @@
 //! let mut engine = Engine::new(SimConfig::default().with_seed(7), procs);
 //! engine.process_mut(ProcessId(0)).publish("to the root group");
 //! engine.run_until_quiescent(50);
-//! assert_eq!(engine.counters().get("mc.parasite"), 0);
+//! assert_eq!(engine.tally().total(Multicast, Parasite), 0);
 //! # Ok(())
 //! # }
 //! ```

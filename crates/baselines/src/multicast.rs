@@ -11,8 +11,8 @@
 //! creation, which is what daMulticast's two-table design eliminates.
 
 use crate::common::InterestMap;
-use crate::gossip::{GossipProcess, GossipTable, Labels};
-use da_core::{derive_seed, rng_from_seed, LabelId, ProcessId};
+use crate::gossip::{GossipProcess, GossipTable};
+use da_core::{derive_seed, rng_from_seed, Family, Kind, ProcessId};
 use da_membership::{static_init::static_topic_tables, FanoutRule};
 use damulticast::DaError;
 
@@ -37,7 +37,6 @@ pub fn build_multicast_network(
         });
     }
     let mut rng = rng_from_seed(derive_seed(seed, 0x4C));
-    let sent = LabelId::intern("mc.sent");
     let mut per_process: Vec<Vec<GossipTable>> = vec![Vec::new(); n];
 
     for topic in interests.hierarchy().iter() {
@@ -52,22 +51,23 @@ pub fn build_multicast_network(
                 group: Some(topic),
                 view,
                 fanout,
-                sent,
+                sent: Kind::Sent,
             });
         }
     }
 
-    let labels = Labels::new("mc");
     Ok(per_process
         .into_iter()
         .enumerate()
-        .map(|(i, tables)| GossipProcess::new(ProcessId::from_index(i), interests, tables, labels))
+        .map(|(i, tables)| (ProcessId::from_index(i), tables))
+        .map(|(me, tables)| GossipProcess::new(me, interests, tables, Family::Multicast))
         .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use da_core::Kind;
     use da_simnet::{Engine, SimConfig};
 
     fn network() -> Vec<GossipProcess> {
@@ -120,7 +120,7 @@ mod tests {
         engine.process_mut(ProcessId(5)).publish("b");
         engine.process_mut(ProcessId(14)).publish("c");
         engine.run_until_quiescent(60);
-        assert_eq!(engine.counters().get("mc.parasite"), 0);
+        assert_eq!(engine.tally().get(Family::Multicast, Kind::Parasite, 0), 0);
         let total: u64 = engine.processes().map(|(_, p)| p.parasite_count()).sum();
         assert_eq!(total, 0);
     }
@@ -132,8 +132,8 @@ mod tests {
         let mut engine = Engine::new(SimConfig::default().with_seed(5), network());
         engine.process_mut(ProcessId(14)).publish("x");
         engine.run_until_quiescent(50);
-        assert!(engine.counters().get("mc.sent") > 0);
-        assert_eq!(engine.counters().get("mc.parasite"), 0);
+        assert!(engine.tally().get(Family::Multicast, Kind::Sent, 0) > 0);
+        assert_eq!(engine.tally().get(Family::Multicast, Kind::Parasite, 0), 0);
     }
 
     #[test]

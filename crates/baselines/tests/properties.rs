@@ -4,7 +4,7 @@
 use da_baselines::{
     build_broadcast_network, build_hierarchical_network, build_multicast_network, InterestMap,
 };
-use da_core::ProcessId;
+use da_core::{Family, Kind, ProcessId};
 use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
 use da_tape::{check_cases, prop_assert, prop_assert_eq, replay, CaseResult, Tape};
@@ -131,8 +131,8 @@ fn footprints_differ_by_parasites(t: &mut Tape) -> CaseResult {
     let mut e = Engine::new(SimConfig::default().with_seed(seed), procs);
     e.process_mut(root_publisher).publish("prop");
     e.run_until_quiescent(96);
-    let bc_delivered = e.counters().get("bc.delivered");
-    let bc_parasites = e.counters().get("bc.parasite");
+    let bc_delivered = e.tally().get(Family::Broadcast, Kind::Delivered, 0);
+    let bc_parasites = e.tally().get(Family::Broadcast, Kind::Parasite, 0);
     // Everyone receives exactly once: delivered + parasites = n.
     prop_assert_eq!(bc_delivered + bc_parasites, n as u64);
     // Deliveries equal the audience of the root topic.
@@ -142,8 +142,11 @@ fn footprints_differ_by_parasites(t: &mut Tape) -> CaseResult {
     let mut e = Engine::new(SimConfig::default().with_seed(seed), procs);
     e.process_mut(root_publisher).publish("prop");
     e.run_until_quiescent(96);
-    prop_assert_eq!(e.counters().get("mc.delivered") as usize, sizes[0]);
-    prop_assert_eq!(e.counters().get("mc.parasite"), 0);
+    prop_assert_eq!(
+        e.tally().get(Family::Multicast, Kind::Delivered, 0) as usize,
+        sizes[0]
+    );
+    prop_assert_eq!(e.tally().get(Family::Multicast, Kind::Parasite, 0), 0);
     Ok(())
 }
 

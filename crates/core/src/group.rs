@@ -7,50 +7,13 @@
 //! it through one `Arc`.
 
 use crate::params::TopicParams;
-use da_core::LabelId;
 use da_topics::{TopicHierarchy, TopicId};
 use std::sync::Arc;
 
-/// The counter labels of one group, interned once when the group is
-/// built, so a bump on the receive path hashes and compares no string.
-#[derive(Debug)]
-pub(crate) struct Labels {
-    /// Event messages gossiped inside the own group.
-    pub(crate) intra: LabelId,
-    /// Event messages sent to supertable entries.
-    pub(crate) inter_out: LabelId,
-    /// Event messages that arrived from a strict subtopic group.
-    pub(crate) inter_in: LabelId,
-    /// Events delivered to the application.
-    pub(crate) delivered: LabelId,
-    /// Events received more than once.
-    pub(crate) duplicate: LabelId,
-    /// Control-plane messages (bootstrap, maintenance, membership).
-    pub(crate) control: LabelId,
-}
-
-// The footprint the ids exist for: a slot cached per label (name, hash,
-// index) is as fast and costs more than the strings did.
-const _: () = assert!(std::mem::size_of::<Labels>() == 24);
-
-impl Labels {
-    fn intern(topic_path: &str) -> Self {
-        let intern = |kind: &str| LabelId::intern(&format!("da.{kind}.{topic_path}"));
-        Labels {
-            intra: intern("intra"),
-            inter_out: intern("inter_out"),
-            inter_in: intern("inter_in"),
-            delivered: intern("delivered"),
-            duplicate: intern("duplicate"),
-            control: intern("control"),
-        }
-    }
-}
-
 /// One topic group's constants: its topic, the hierarchy, its
-/// [`TopicParams`], its size `S`, its counter labels, and Fig. 7's
-/// per-group numbers `fanout(S)`, `p_sel = g/S` and `p_a = a/z`, each
-/// computed once here rather than on every first delivery.
+/// [`TopicParams`], its size `S`, and Fig. 7's per-group numbers
+/// `fanout(S)`, `p_sel = g/S` and `p_a = a/z`, each computed once here
+/// rather than on every first delivery.
 ///
 /// ```
 /// use damulticast::{Group, TopicParams};
@@ -72,7 +35,6 @@ pub struct Group {
     /// `S_Ti`, the size estimate that dimensions the view and sets
     /// `p_sel` and the fanout.
     pub(crate) size: usize,
-    pub(crate) labels: Labels,
     fanout: usize,
     p_sel: f64,
     p_a: f64,
@@ -90,7 +52,6 @@ impl Group {
     ) -> Self {
         Group {
             topic,
-            labels: Labels::intern(hierarchy.path(topic).as_str()),
             hierarchy,
             params,
             size,

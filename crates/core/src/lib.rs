@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use damulticast::{Network, TopicParams};
-//! use da_core::ProcessId;
+//! use da_core::{Family, Kind};
 //! use da_simnet::{Engine, SimConfig};
 //!
 //! # fn main() -> Result<(), damulticast::DaError> {
@@ -43,7 +43,7 @@
 //!     .filter(|(_, p)| p.has_delivered(id))
 //!     .count();
 //! assert!(delivered > 1000);
-//! assert_eq!(engine.counters().get("da.parasite"), 0);
+//! assert_eq!(engine.tally().total(Family::Da, Kind::Parasite), 0);
 //! # Ok(())
 //! # }
 //! ```

@@ -18,14 +18,8 @@
 //! live runtime — the `live_metropolis` example and the benchmark's
 //! `metro_flood` / `metro_churn` workloads drive it.
 
-use da_core::{Exec, ExecProtocol, LabelId, McHash, ProcessId, WireSize};
+use da_core::{Exec, ExecProtocol, Family, Kind, McHash, ProcessId, WireSize};
 use std::hash::Hasher;
-use std::sync::LazyLock;
-
-// Module-level, not fields: a `MetroProcess` stays four words.
-static DUPLICATE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("metro.duplicate"));
-static FIRST_DELIVERY: LazyLock<LabelId> =
-    LazyLock::new(|| LabelId::intern("metro.first_delivery"));
 
 /// Headline ids are bits in a [`MetroProcess`]'s 64-bit seen mask.
 pub const MAX_HEADLINES: usize = 64;
@@ -153,12 +147,12 @@ impl ExecProtocol for MetroProcess {
     ) {
         let bit = 1u64 << msg.headline;
         if self.seen_mask & bit != 0 {
-            ctx.bump_id(*DUPLICATE);
+            ctx.count(Family::Metro, Kind::Duplicate, 0);
             return;
         }
         self.seen_mask |= bit;
         self.delivered += 1;
-        ctx.bump_id(*FIRST_DELIVERY);
+        ctx.count(Family::Metro, Kind::FirstDelivery, 0);
         self.forward(msg, ctx);
     }
 }
@@ -230,8 +224,8 @@ mod tests {
         // Hop budget 10 over {+1, +√n} reaches the publishers'
         // neighborhoods, well beyond the publishers themselves.
         assert!(reached > 100, "only {reached} processes reached");
-        let first = engine.counters().get("metro.first_delivery");
-        let dup = engine.counters().get("metro.duplicate");
+        let count = |kind| engine.tally().get(Family::Metro, kind, 0);
+        let (first, dup) = (count(Kind::FirstDelivery), count(Kind::Duplicate));
         assert!(first > 0 && dup > 0, "flood must overlap ({first}, {dup})");
         // Conservation on the reliable channel: every send is a first
         // delivery or a suppressed duplicate.

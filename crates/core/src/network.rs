@@ -311,6 +311,7 @@ mod tests {
     use super::*;
     use crate::event::EventId;
     use crate::tables::SuperTable;
+    use da_core::{Family, Kind};
     use da_simnet::{Engine, SimConfig};
 
     #[test]
@@ -637,7 +638,7 @@ mod tests {
             delivered(&engine, 0..4, id) >= 3,
             "root fans via either path"
         );
-        assert_eq!(engine.counters().get("da.parasite"), 0);
+        assert_eq!(engine.tally().total(Family::Da, Kind::Parasite), 0);
     }
 
     #[test]
@@ -652,7 +653,10 @@ mod tests {
             assert!(engine.process(ProcessId(i)).delivered().len() <= 1);
         }
         assert!(
-            engine.counters().get("da.duplicate..") > 0,
+            engine
+                .tally()
+                .get(Family::Da, Kind::Duplicate, TopicId::ROOT.index())
+                > 0,
             "converging paths must produce (suppressed) duplicates"
         );
     }
@@ -666,7 +670,7 @@ mod tests {
         engine.run_until_quiescent(64);
         assert_eq!(delivered(&engine, 10..16, id), 0, "swiss fans");
         assert_eq!(delivered(&engine, 16..28, id), 0, "ski fans");
-        assert_eq!(engine.counters().get("da.parasite"), 0);
+        assert_eq!(engine.tally().total(Family::Da, Kind::Parasite), 0);
     }
 
     #[test]

@@ -39,27 +39,23 @@ use crate::group::Group;
 use crate::maintenance::{MaintenanceAction, MaintenanceTask};
 use crate::message::{ControlMsg, DaMsg};
 use crate::tables::{SuperEntry, SuperTable};
-use da_core::{Exec, ExecProtocol, FxHasher, KeyBuildHasher, LabelId, McHash, ProcessId};
+use da_core::{Exec, ExecProtocol, Family, FxHasher, KeyBuildHasher, Kind, McHash, ProcessId};
 use da_membership::{flat, kmg_view_size, Overlay, PartialView};
 use da_topics::TopicId;
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::hash::Hasher;
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 // A wave holds a thousand processes: the dynamic-mode state a static
 // member never uses stays behind one box (inline, it made the process
 // 624 B), the topic table is a bare view, and the group's constants
-// (topic parameters, size, hierarchy, labels: 116 B) are one shared
+// (topic parameters, size, hierarchy: 92 B) are one shared
 // `Arc<Group>`. A supertable is its list and nothing else: its owner is
 // the process and its bound `z` is the group's. The de-dup set is the
 // delivered set. See ARCHITECTURE.md, "Memory at scale".
 const _: () = assert!(std::mem::size_of::<DaProcess>() == 184);
 const _: () = assert!(std::mem::size_of::<SuperTable>() == 24);
-
-/// Events of a topic the receiver is not interested in — one name for
-/// every process, and zero in a correct run.
-static PARASITE: LazyLock<LabelId> = LazyLock::new(|| LabelId::intern("da.parasite"));
 
 thread_local! {
     /// The dissemination plan every `DaProcess` on this thread draws
@@ -392,6 +388,11 @@ impl DaProcess {
         self.group.hierarchy.includes_or_eq(self.topic, topic)
     }
 
+    /// Counts one `kind` for this process's group.
+    fn count<X: Exec<Msg = DaMsg>>(&self, ctx: &mut X, kind: Kind) {
+        ctx.count(Family::Da, kind, self.topic.index());
+    }
+
     /// Sends `msg` and accounts it as control-plane traffic. A
     /// [`ControlMsg`] is boxed here, on its way out.
     fn send_control<X: Exec<Msg = DaMsg>>(
@@ -400,7 +401,7 @@ impl DaProcess {
         to: ProcessId,
         msg: impl Into<DaMsg>,
     ) {
-        ctx.bump_id(self.group.labels.control);
+        self.count(ctx, Kind::Control);
         ctx.send(to, msg.into());
     }
 
@@ -415,7 +416,7 @@ impl DaProcess {
             &mut plan,
         );
         for entry in &plan.super_targets {
-            ctx.bump_id(self.group.labels.inter_out);
+            self.count(ctx, Kind::InterOut);
             ctx.send(
                 entry.pid,
                 DaMsg::Event {
@@ -425,7 +426,7 @@ impl DaProcess {
             );
         }
         for &target in &plan.gossip_targets {
-            ctx.bump_id(self.group.labels.intra);
+            self.count(ctx, Kind::Intra);
             ctx.send(
                 target,
                 DaMsg::Event {
@@ -448,24 +449,24 @@ impl DaProcess {
         // correct run never trips this. Baselines do; daMulticast must not.
         if !self.is_interested_in(event.topic) {
             self.parasite_count += 1;
-            ctx.bump_id(*PARASITE);
+            ctx.count(Family::Da, Kind::Parasite, 0);
             return;
         }
         let fresh = self.seen.insert(event.id);
         if !fresh && !self.mutation.skips_dedup() {
-            ctx.bump_id(self.group.labels.duplicate);
+            self.count(ctx, Kind::Duplicate);
             return;
         }
         if sender_topic != self.topic {
             // The event crossed a group boundary to reach us.
-            ctx.bump_id(self.group.labels.inter_in);
+            self.count(ctx, Kind::InterIn);
         }
         self.deliver(event, ctx);
     }
 
     /// Hands a fresh `event` to the application and gossips it on.
     fn deliver<X: Exec<Msg = DaMsg>>(&mut self, event: Event, ctx: &mut X) {
-        ctx.bump_id(self.group.labels.delivered);
+        self.count(ctx, Kind::Delivered);
         self.disseminate(event, ctx);
         self.deliveries += 1;
     }
@@ -1086,24 +1087,16 @@ mod tests {
     #[test]
     fn intra_and_inter_counters_track_messages() {
         let (procs, ids) = tiny_static_network();
-        let (h, _) = chain_hierarchy();
-        let mid_path = h.path(ids[1]).as_str().to_owned();
-        let root_path = h.path(ids[0]).as_str().to_owned();
+        let (mid, root) = (ids[1].index(), ids[0].index());
         let mut engine = Engine::new(SimConfig::default().with_seed(11), procs);
         engine.process_mut(ProcessId(4)).publish("x");
         engine.run_until_quiescent(50);
-        let c = engine.counters();
-        assert!(c.get(&format!("da.intra.{mid_path}")) > 0, "mid gossip");
-        assert!(c.get(&format!("da.intra.{root_path}")) > 0, "root gossip");
-        assert!(
-            c.get(&format!("da.inter_out.{mid_path}")) > 0,
-            "mid forwarded to root"
-        );
-        assert!(
-            c.get(&format!("da.inter_in.{root_path}")) > 0,
-            "root received from mid"
-        );
-        assert_eq!(c.get("da.parasite"), 0);
+        let count = |kind, group| engine.tally().get(Family::Da, kind, group);
+        assert!(count(Kind::Intra, mid) > 0, "mid gossip");
+        assert!(count(Kind::Intra, root) > 0, "root gossip");
+        assert!(count(Kind::InterOut, mid) > 0, "mid forwarded to root");
+        assert!(count(Kind::InterIn, root) > 0, "root received from mid");
+        assert_eq!(engine.tally().total(Family::Da, Kind::Parasite), 0);
     }
 
     #[test]
@@ -1176,11 +1169,8 @@ mod tests {
         let mut engine = Engine::new(SimConfig::default().with_seed(17), procs);
         engine.process_mut(ProcessId(0)).publish("top");
         engine.run_until_quiescent(50);
-        // Root processes have empty supertables: inter_out for the root
-        // path must be zero.
-        let c = engine.counters();
-        assert_eq!(c.get("da.inter_out."), c.get("da.inter_out."));
-        assert_eq!(c.sum_prefix("da.inter_out."), 0);
+        // Root processes have empty supertables: nothing goes up a level.
+        assert_eq!(engine.tally().total(Family::Da, Kind::InterOut), 0);
     }
 }
 

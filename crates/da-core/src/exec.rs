@@ -5,7 +5,7 @@
 //! simulator; a production deployment runs it on real threads with real
 //! message passing. Both substrates offer the same five capabilities to
 //! the protocol — identity, virtual time, best-effort send, a
-//! deterministic per-process RNG, and labelled metrics — captured here as
+//! deterministic per-process RNG, and typed metrics — captured here as
 //! the [`Exec`] trait. Protocol state machines implement [`ExecProtocol`]
 //! against it and are thereby portable:
 //!
@@ -24,7 +24,7 @@
 //! the protocol's sight, exactly as the paper's Sec. III system model
 //! prescribes (processes see only send/receive over unreliable channels).
 
-use crate::metrics::LabelId;
+use crate::metrics::{Family, Kind};
 use crate::process::ProcessId;
 use rand::rngs::SmallRng;
 use std::hash::Hasher;
@@ -55,13 +55,12 @@ pub trait Exec {
     /// Increments the metrics counter `label` by one.
     fn bump(&mut self, label: &str);
 
-    /// Increments the metrics counter of an interned label by one — what
-    /// a protocol calls from its per-message hooks, with ids it resolved
-    /// at construction. The substrates override this with an array
-    /// increment ([`crate::Counters::bump_id`]); the default serves
-    /// contexts that only know names.
-    fn bump_id(&mut self, label: LabelId) {
-        self.bump(label.name());
+    /// Counts one `kind` of `family` for `group` (a `TopicId` index for
+    /// daMulticast, 0 for the rest) — what a protocol's per-message hooks
+    /// call. The substrates count into their [`crate::Tally`]; by default
+    /// the count goes nowhere, for contexts that keep no tally.
+    fn count(&mut self, family: Family, kind: Kind, group: usize) {
+        let _ = (family, kind, group);
     }
 
     /// Adds `delta` to the metrics counter `label`.

@@ -1,10 +1,11 @@
-//! The typed envelope ledger both substrates fill, and the one place its
-//! fields get the names the benchmark package still reads from the
-//! counter registries (`sim.sent` on the simulator, `rt.sent` on the
-//! pool): [`render`] writes them, [`protocol_labels`] leaves them out.
+//! The typed envelope ledger both substrates fill, and the one place it
+//! and the protocols' [`Tally`] get the names the benchmark package still
+//! reads from the counter registries (`sim.sent`, `rt.sent`,
+//! `da.delivered.2`): a [`Renderer`] writes them.
 
-use crate::metrics::Counters;
+use crate::metrics::{CounterId, Counters, Family, Kind, Tally, COLUMNS, KINDS};
 use crate::trace::TraceVerdict;
+use std::fmt::Write;
 
 /// Every envelope a substrate was handed, by what became of it, and the
 /// churn transitions; a pool's is the sum of its workers'.
@@ -107,7 +108,7 @@ impl std::ops::AddAssign for EnvelopeLedger {
     }
 }
 
-/// The registry [`render`] writes a ledger into.
+/// The registry a [`Renderer`] writes a ledger into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Registry {
     /// The simulator's nine `sim.*` names.
@@ -116,30 +117,57 @@ pub enum Registry {
     Pool,
 }
 
-/// Writes `ledger` into `counters` under the benchmark package's names,
-/// registering each once and overwriting its value after.
-pub fn render(ledger: &EnvelopeLedger, registry: Registry, counters: &mut Counters) {
-    let (column, rows) = match registry {
-        Registry::Sim => (0, 9),
-        Registry::Pool => (1, 11),
-    };
-    for (names, value) in ledger.rows().into_iter().take(rows) {
-        let id = counters.register(names[column]);
-        counters.add(id, value - counters.value(id));
+/// Writes a substrate's ledger and tally into one [`Counters`] registry.
+/// A tally cell's name is registered once, when the cell is first
+/// non-zero, so a render that meets no new cell allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Renderer {
+    /// The registry slot of each tally cell named so far.
+    cells: Vec<Option<CounterId>>,
+}
+
+impl Renderer {
+    /// Writes `ledger` and `tally` into `counters`, a `registry`,
+    /// overwriting what an earlier render wrote.
+    pub fn render(
+        &mut self,
+        registry: Registry,
+        ledger: &EnvelopeLedger,
+        tally: &Tally,
+        counters: &mut Counters,
+    ) {
+        let (column, rows) = match registry {
+            Registry::Sim => (0, 9),
+            Registry::Pool => (1, 11),
+        };
+        for (names, value) in ledger.rows().into_iter().take(rows) {
+            let id = counters.register(names[column]);
+            counters.add(id, value - counters.value(id));
+        }
+        self.cells
+            .resize(self.cells.len().max(tally.cells.len()), None);
+        for (at, value) in tally.nonzero() {
+            let id = *self.cells[at].get_or_insert_with(|| counters.register(name(at)));
+            counters.add(id, value - counters.value(id));
+        }
     }
 }
 
-/// `counters` without the names [`render`] writes into either registry.
-#[must_use]
-pub fn protocol_labels(counters: &Counters) -> Counters {
-    let rows = EnvelopeLedger::default().rows();
-    let mut labels = Counters::new();
-    for (name, value) in counters.iter() {
-        if !rows.iter().any(|(names, _)| names.contains(&name)) {
-            labels.add_named(name, value);
-        }
+/// The name of the tally cell at `at`: `da.intra.2` for daMulticast's
+/// per-group kinds, `da.parasite` or `bc.sent` for a kind counted under
+/// group 0, and any other group's key appended.
+fn name(at: usize) -> String {
+    const FAMILIES: [&str; COLUMNS / KINDS] = ["da", "bc", "mc", "hc", "metro"];
+    #[rustfmt::skip]
+    const KIND: [&str; KINDS] = ["intra", "inter_out", "inter_in", "delivered", "duplicate",
+        "control", "parasite", "sent", "sent_intra", "sent_inter", "first_delivery"];
+    let (group, family, kind) = (at / COLUMNS, at % COLUMNS / KINDS, at % KINDS);
+    let mut name = String::with_capacity(32);
+    let _ = write!(name, "{}.{}.{group}", FAMILIES[family], KIND[kind]);
+    if group == 0 && (family != Family::Da as usize || kind == Kind::Parasite as usize) {
+        name.truncate(name.len() - ".0".len());
     }
-    labels
+    name
 }
 
 #[cfg(test)]
@@ -164,40 +192,77 @@ mod tests {
     }
 
     /// Each registry gets its names once, the pool's two more than the
-    /// simulator's, and a second write overwrites instead of adding.
+    /// simulator's, and a second write overwrites instead of adding —
+    /// the ledger's names and the tally's alike, beside a fixture's.
     #[test]
     fn render_writes_each_name_once_and_overwrites() {
         let mut sim = Counters::new();
-        sim.bump("da.parasite");
-        render(&EnvelopeLedger::default(), Registry::Sim, &mut sim);
-        render(&distinct(), Registry::Sim, &mut sim);
-        assert_eq!(sim.len(), 10);
+        sim.bump("probe.heard");
+        let mut tally = Tally::default();
+        let mut renderer = Renderer::default();
+        renderer.render(Registry::Sim, &EnvelopeLedger::default(), &tally, &mut sim);
+        assert_eq!(sim.len(), 10, "no cell is non-zero yet");
+        tally.count(Family::Da, Kind::Parasite, 0);
+        renderer.render(Registry::Sim, &distinct(), &tally, &mut sim);
+        tally.count(Family::Da, Kind::Parasite, 0);
+        renderer.render(Registry::Sim, &distinct(), &tally, &mut sim);
+        assert_eq!(sim.len(), 11);
         assert_eq!(sim.get("sim.sent"), 100);
         assert_eq!(sim.get("sim.dropped_observed_failed"), 6);
         assert_eq!(sim.get("sim.churn_recoveries"), 10);
-        assert_eq!(sim.get("da.parasite"), 1);
+        assert_eq!(sim.get("da.parasite"), 2);
+        assert_eq!(sim.get("probe.heard"), 1);
         assert_eq!(sim.sum_prefix("sim.dropped_"), 3 + 4 + 5 + 6);
 
         let mut pool = Counters::new();
-        render(&distinct(), Registry::Pool, &mut pool);
+        Renderer::default().render(Registry::Pool, &distinct(), &Tally::default(), &mut pool);
         assert_eq!(pool.len(), 11);
         assert_eq!(pool.get("rt.dropped_closed"), 7);
         assert_eq!(pool.get("rt.dropped_shutdown"), 8);
         assert_eq!(pool.sum_prefix("rt.dropped_"), 3 + 4 + 5 + 6 + 7 + 8);
-        assert!(protocol_labels(&pool).is_empty());
-        for name in ["da.parasite", "sim.parasite", "metro.sent", "sent"] {
-            pool.bump(name);
-        }
-        render(&distinct(), Registry::Sim, &mut pool);
-        let labels = protocol_labels(&pool);
-        let labels: Vec<(&str, u64)> = labels.iter().collect();
-        let kept = [
-            ("da.parasite", 1),
-            ("sim.parasite", 1),
-            ("metro.sent", 1),
-            ("sent", 1),
+    }
+
+    /// Every kind's cells render under today's names: daMulticast's
+    /// per-group kinds with the group key, the rest bare under group 0.
+    #[test]
+    fn tally_cells_render_under_their_protocols_prefixes() {
+        use Family::{Broadcast, Da, Hierarchical, Metro, Multicast};
+        let counts = [
+            (Da, Kind::Intra, 2, "da.intra.2"),
+            (Da, Kind::InterOut, 1, "da.inter_out.1"),
+            (Da, Kind::InterIn, 0, "da.inter_in.0"),
+            (Da, Kind::Delivered, 0, "da.delivered.0"),
+            (Da, Kind::Duplicate, 3, "da.duplicate.3"),
+            (Da, Kind::Control, 1, "da.control.1"),
+            (Da, Kind::Parasite, 0, "da.parasite"),
+            (Broadcast, Kind::Sent, 0, "bc.sent"),
+            (Multicast, Kind::Delivered, 0, "mc.delivered"),
+            (Hierarchical, Kind::SentIntra, 0, "hc.sent_intra"),
+            (Hierarchical, Kind::SentInter, 0, "hc.sent_inter"),
+            (Hierarchical, Kind::Duplicate, 0, "hc.duplicate"),
+            (Broadcast, Kind::Parasite, 0, "bc.parasite"),
+            (Metro, Kind::FirstDelivery, 0, "metro.first_delivery"),
+            (Metro, Kind::Duplicate, 0, "metro.duplicate"),
+            (Metro, Kind::Duplicate, 4, "metro.duplicate.4"),
         ];
-        assert_eq!(labels, kept);
+        let mut tally = Tally::default();
+        for (i, &(family, kind, group, _)) in counts.iter().enumerate() {
+            for _ in 0..=i {
+                tally.count(family, kind, group);
+            }
+        }
+        let mut counters = Counters::new();
+        Renderer::default().render(
+            Registry::Sim,
+            &EnvelopeLedger::default(),
+            &tally,
+            &mut counters,
+        );
+        for (i, (family, kind, group, name)) in counts.into_iter().enumerate() {
+            assert_eq!(counters.get(name), i as u64 + 1, "{name}");
+            assert_eq!(tally.get(family, kind, group), i as u64 + 1, "{name}");
+        }
+        assert_eq!(counters.len(), 9 + counts.len());
     }
 
     /// The six verdicts a message can meet are rendered under their own
@@ -207,7 +272,7 @@ mod tests {
     fn envelope_verdicts_render_under_their_labels() {
         let ledger = distinct();
         let mut counters = Counters::new();
-        render(&ledger, Registry::Pool, &mut counters);
+        Renderer::default().render(Registry::Pool, &ledger, &Tally::default(), &mut counters);
         for verdict in [
             TraceVerdict::Sent,
             TraceVerdict::Delivered,

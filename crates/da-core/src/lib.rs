@@ -4,7 +4,7 @@
 //! of either: the [`exec`] contract ([`Exec`] — what a substrate offers a
 //! process; [`ExecProtocol`] — what a process offers a substrate), the
 //! [`wire`] size accounting, the [`ledger`] of envelopes and the
-//! [`metrics`] registry both sides report into, the unreliable-channel fault model (Sec. III-A of the
+//! [`metrics`] tally and registry both sides report into, the unreliable-channel fault model (Sec. III-A of the
 //! paper) and the scripted partitions and drops on top of it
 //! ([`network::NetworkModel`]), the process failure models (Sec. VII),
 //! the process identity vocabulary, the deterministic seed-derivation
@@ -65,7 +65,8 @@ pub use fault::FaultConfig;
 pub use ledger::EnvelopeLedger;
 pub use lifecycle::{LifecycleController, LifecycleTransitions};
 pub use metrics::{
-    CounterId, Counters, FxHasher, Histogram, KeyBuildHasher, KeyHasher, LabelId, TraceLog,
+    CounterId, Counters, Family, FxHasher, Histogram, KeyBuildHasher, KeyHasher, Kind, Tally,
+    TraceLog,
 };
 pub use network::{
     DropSchedule, NetFate, NetworkModel, Occurrences, Partition, PartitionSchedule, ScriptedDrop,

@@ -1,16 +1,12 @@
-//! Interned counter registry, log-bucketed histograms, and the
-//! [`TraceLog`] the flight recorder publishes into.
+//! The protocols' typed [`Tally`], the named counter registry,
+//! log-bucketed histograms, and the [`TraceLog`] the flight recorder
+//! publishes into.
 //!
-//! Protocols label their traffic (e.g. `intra.t2`, `inter.t2->t1`) and the
-//! harness reads the counters back after a run. Two kinds of handle keep
-//! the per-message hot path an array increment: a [`CounterId`] is a slot
-//! of *one* registry (the ledger's rendered names use them), a [`LabelId`]
-//! is a name interned once per process — a protocol instance resolves its
-//! labels at construction, holds 4-byte ids, and bumps through
-//! [`Counters::bump_id`] in whichever registry the substrate hands it
-//! (one per runtime worker). Name-keyed calls ([`Counters::register`],
-//! [`Counters::bump`]) go through a [`KeyHasher`]-indexed map and stay
-//! for set-up code and fixtures.
+//! A protocol counts its traffic through `Exec::count` into its stripe's
+//! [`Tally`], one bounds-checked array increment per count; the harness
+//! reads the tally's cells. [`Counters`] is keyed by name: fixtures bump
+//! it, and `crate::ledger` renders the ledger and the tally into it for
+//! the benchmark package.
 //!
 //! [`Histogram`] is the distribution-shaped companion to the counters
 //! (delivery latency in ticks, delay-wheel occupancy, watermark lag):
@@ -23,7 +19,6 @@ use crate::trace::{canonicalize, TraceEvent};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The digest fold: a multiply-xor hasher (the rustc-hash / FxHash
 /// construction) that every pinned digest is computed with — the
@@ -121,90 +116,134 @@ pub type KeyBuildHasher = BuildHasherDefault<KeyHasher>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CounterId(u32);
 
-/// A counter name interned for the whole process: `Copy`, four bytes,
-/// valid in every [`Counters`] registry.
-///
-/// Interning takes a lock and is meant for construction time; bumping
-/// through the id ([`Counters::bump_id`], `Exec::bump_id`) and reading
-/// the name back ([`LabelId::name`]) take none. Names are leaked, one
-/// copy per distinct label, so a million processes of one group share
-/// six strings instead of owning six each.
+/// Whose count a [`Tally`] cell holds, and the prefix of its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// daMulticast (`da.*`), the one family that counts per topic group.
+    Da,
+    /// Gossip-based broadcast (`bc.*`).
+    Broadcast,
+    /// Gossip-based multicast (`mc.*`).
+    Multicast,
+    /// Hierarchical gossip-based broadcast (`hc.*`).
+    Hierarchical,
+    /// The metropolis flood (`metro.*`); the last family.
+    Metro,
+}
+
+/// What a [`Tally`] cell counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Event messages gossiped inside the own group.
+    Intra,
+    /// Event messages sent to supertable entries.
+    InterOut,
+    /// Event messages that arrived from a strict subtopic group.
+    InterIn,
+    /// Events delivered to the application.
+    Delivered,
+    /// Events received more than once.
+    Duplicate,
+    /// Control-plane messages (bootstrap, maintenance, membership).
+    Control,
+    /// Receipts of an event the process has no interest in, under group 0.
+    Parasite,
+    /// Event messages sent through a baseline table of one group or none.
+    Sent,
+    /// Event messages sent through a hierarchical intra-group table.
+    SentIntra,
+    /// Event messages sent through a hierarchical inter-group table.
+    SentInter,
+    /// First receipts of a metropolis headline; the last kind.
+    FirstDelivery,
+}
+
+/// Cells of a [`Tally`] row: one per family and kind.
+pub(crate) const COLUMNS: usize = (Family::Metro as usize + 1) * KINDS;
+pub(crate) const KINDS: usize = Kind::FirstDelivery as usize + 1;
+
+/// Where `family`'s `kind` sits in a tally, at `group`.
+const fn cell(family: Family, kind: Kind, group: usize) -> usize {
+    group * COLUMNS + family as usize * KINDS + kind as usize
+}
+
+/// What the protocols of one stripe counted: a row per dense group key
+/// (a `TopicId` index for daMulticast, 0 for every other family) and a
+/// cell per [`Family`] and [`Kind`] in it. Two tallies are equal when
+/// their cells are, whichever grew more rows.
 ///
 /// ```
-/// use da_core::{Counters, LabelId};
-/// let id = LabelId::intern("da.intra.t2");
-/// assert_eq!(id, LabelId::intern("da.intra.t2"));
-/// assert_eq!(id.name(), "da.intra.t2");
-/// let mut c = Counters::new();
-/// c.bump_id(id);
-/// c.bump("da.intra.t2");
-/// assert_eq!(c.get("da.intra.t2"), 2);
+/// use da_core::{Family::Da, Kind::Intra, Tally};
+/// let mut tally = Tally::default();
+/// tally.count(Da, Intra, 2);
+/// tally.count(Da, Intra, 0);
+/// assert_eq!((tally.get(Da, Intra, 2), tally.get(Da, Intra, 9)), (1, 0));
+/// assert_eq!(tally.total(Da, Intra), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LabelId(u32);
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    /// Row after row, each [`COLUMNS`] cells.
+    pub(crate) cells: Vec<u64>,
+}
 
-/// The interner's id → name table is a list of segments, segment `s`
-/// holding `FIRST_SEGMENT << s` names: it grows without moving an entry,
-/// so a reader needs no lock.
-const FIRST_SEGMENT: u32 = 64;
-const SEGMENTS: usize = 24;
-
-type Segment = Box<[OnceLock<&'static str>]>;
-
-/// `LabelId` → name, written under [`INTERNED`]'s lock, read lock-free.
-static NAMES: [OnceLock<Segment>; SEGMENTS] = [const { OnceLock::new() }; SEGMENTS];
-/// Name → `LabelId`.
-static INTERNED: Mutex<HashMap<&'static str, LabelId, KeyBuildHasher>> =
-    Mutex::new(HashMap::with_hasher(BuildHasherDefault::new()));
-
-impl LabelId {
-    /// Interns `name`, returning the id every earlier and later call with
-    /// the same name returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics after about a billion distinct labels.
-    #[must_use]
-    pub fn intern(name: &str) -> LabelId {
-        // The map is only ever extended by one complete entry, so a
-        // poisoned lock still guards a consistent table.
-        let mut map = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&id) = map.get(name) {
-            return id;
+impl Tally {
+    /// Counts one `kind` of `family` for `group`: an array increment once
+    /// the group's row is there.
+    #[inline]
+    pub fn count(&mut self, family: Family, kind: Kind, group: usize) {
+        let at = cell(family, kind, group);
+        match self.cells.get_mut(at) {
+            Some(count) => *count += 1,
+            None => self.grow(at),
         }
-        let id = LabelId(u32::try_from(map.len()).expect("too many counter labels"));
-        let (segment, offset) = id.locate();
-        let name: &'static str = Box::leak(name.into());
-        NAMES
-            .get(segment)
-            .expect("too many counter labels")
-            .get_or_init(|| {
-                (0..FIRST_SEGMENT << segment)
-                    .map(|_| OnceLock::new())
-                    .collect()
-            })[offset]
-            .set(name)
-            .expect("label ids are handed out once");
-        map.insert(name, id);
-        id
     }
 
-    /// The interned name.
+    #[cold]
+    fn grow(&mut self, at: usize) {
+        self.cells.resize(at / COLUMNS * COLUMNS + COLUMNS, 0);
+        self.cells[at] += 1;
+    }
+
+    /// The count of `family`'s `kind` for `group`.
     #[must_use]
-    pub fn name(self) -> &'static str {
-        let (segment, offset) = self.locate();
-        NAMES[segment]
-            .get()
-            .and_then(|names| names[offset].get())
-            .expect("a LabelId only comes from LabelId::intern")
+    pub fn get(&self, family: Family, kind: Kind, group: usize) -> u64 {
+        let at = cell(family, kind, group);
+        self.cells.get(at).copied().unwrap_or(0)
     }
 
-    /// Segment and offset of this id in [`NAMES`].
-    fn locate(self) -> (usize, usize) {
-        let at = self.0 / FIRST_SEGMENT + 1;
-        let segment = at.ilog2();
-        let offset = self.0 - FIRST_SEGMENT * ((1 << segment) - 1);
-        (segment as usize, offset as usize)
+    /// The count of `family`'s `kind` over every group.
+    #[must_use]
+    pub fn total(&self, family: Family, kind: Kind) -> u64 {
+        let column = self.cells.iter().skip(cell(family, kind, 0));
+        column.step_by(COLUMNS).sum()
+    }
+
+    /// The non-zero cells, by where they sit.
+    pub(crate) fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.cells
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, count)| count > 0)
+    }
+}
+
+impl PartialEq for Tally {
+    fn eq(&self, other: &Tally) -> bool {
+        self.nonzero().eq(other.nonzero())
+    }
+}
+
+impl Eq for Tally {}
+
+impl std::ops::AddAssign<&Tally> for Tally {
+    /// Cell-by-cell sum: how a pool adds up its workers' tallies.
+    fn add_assign(&mut self, other: &Tally) {
+        let len = self.cells.len().max(other.cells.len());
+        self.cells.resize(len, 0);
+        for (cell, count) in self.cells.iter_mut().zip(&other.cells) {
+            *cell += count;
+        }
     }
 }
 
@@ -224,15 +263,7 @@ pub struct Counters {
     values: Vec<u64>,
     names: Vec<String>,
     index: HashMap<String, CounterId, KeyBuildHasher>,
-    /// `slots[label]` is the index into `values` of an interned label
-    /// this registry has counted, [`NO_SLOT`] otherwise. Process-local:
-    /// it is keyed by [`LabelId`], which does not survive the process.
-    slots: Vec<u32>,
 }
-
-/// `slots` entry of a label not yet bumped here — past the end of any
-/// `values`, so the hot path needs no separate test for it.
-const NO_SLOT: u32 = u32::MAX;
 
 impl Counters {
     /// Creates an empty registry.
@@ -241,15 +272,16 @@ impl Counters {
         Counters::default()
     }
 
-    /// Registers (or looks up) a counter by name, returning its id.
-    pub fn register(&mut self, name: &str) -> CounterId {
-        if let Some(&id) = self.index.get(name) {
+    /// Registers (or looks up) a counter by name, keeping an owned name.
+    pub fn register(&mut self, name: impl AsRef<str> + Into<String>) -> CounterId {
+        if let Some(&id) = self.index.get(name.as_ref()) {
             return id;
         }
         let id = CounterId(u32::try_from(self.values.len()).expect("too many counters"));
+        let name = name.into();
         self.values.push(0);
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), id);
+        self.names.push(name.clone());
+        self.index.insert(name, id);
         id
     }
 
@@ -265,31 +297,6 @@ impl Counters {
     /// Increments a counter by name, registering it on first use.
     pub fn bump(&mut self, name: &str) {
         let id = self.register(name);
-        self.add(id, 1);
-    }
-
-    /// Increments the counter of an interned label: an array increment
-    /// once this registry has seen the label, a [`Counters::register`] of
-    /// its name the first time — so a label costs a registry nothing
-    /// until it is bumped there, and names appear in first-bump order
-    /// exactly as with [`Counters::bump`].
-    #[inline]
-    pub fn bump_id(&mut self, label: LabelId) {
-        let slot = self.slots.get(label.0 as usize).copied().unwrap_or(NO_SLOT);
-        match self.values.get_mut(slot as usize) {
-            Some(value) => *value += 1,
-            None => self.bump_unseen(label),
-        }
-    }
-
-    #[cold]
-    fn bump_unseen(&mut self, label: LabelId) {
-        let id = self.register(label.name());
-        let at = label.0 as usize;
-        if self.slots.len() <= at {
-            self.slots.resize(at + 1, NO_SLOT);
-        }
-        self.slots[at] = id.0;
         self.add(id, 1);
     }
 
@@ -657,48 +664,30 @@ mod tests {
         assert_eq!(c.get("lazy"), 2);
     }
 
+    /// A tally is its non-zero cells: a row grown and left empty, or
+    /// counts made in another order, change nothing, and a sum adds
+    /// cell by cell.
     #[test]
-    fn labels_intern_once_and_keep_their_names_across_segments() {
-        // More labels than the first two segments hold together.
-        let names: Vec<String> = (0..4 * FIRST_SEGMENT)
-            .map(|i| format!("test.segment.{i}"))
-            .collect();
-        let ids: Vec<LabelId> = names.iter().map(|n| LabelId::intern(n)).collect();
-        for (name, &id) in names.iter().zip(&ids) {
-            assert_eq!(id.name(), name);
-            assert_eq!(LabelId::intern(name), id);
-        }
-        assert_eq!(LabelId(0).locate(), (0, 0));
-        assert_eq!(LabelId(FIRST_SEGMENT - 1).locate().0, 0);
-        assert_eq!(LabelId(FIRST_SEGMENT).locate(), (1, 0));
-        assert_eq!(LabelId(3 * FIRST_SEGMENT - 1).locate().0, 1);
-        assert_eq!(LabelId(3 * FIRST_SEGMENT).locate(), (2, 0));
-    }
-
-    #[test]
-    fn bump_id_counts_like_bump_by_name() {
-        let (a, b) = (LabelId::intern("test.id.a"), LabelId::intern("test.id.b"));
-        let never = LabelId::intern("test.id.never");
-        let mut by_id = Counters::new();
-        let mut by_name = Counters::new();
-        for label in [b, a, b] {
-            by_id.bump_id(label);
-            by_name.bump(label.name());
-        }
-        // One counter whichever way it is addressed, in first-bump order.
-        by_id.bump("test.id.a");
-        by_name.bump_id(a);
-        assert_eq!(
-            by_id.iter().collect::<Vec<_>>(),
-            vec![("test.id.b", 2), ("test.id.a", 2)]
-        );
-        assert_eq!(by_id.to_string(), by_name.to_string());
-        assert!(by_id.iter().all(|(name, _)| name != never.name()));
-        // A clone keeps counting into the same slots.
-        let mut copy = by_id.clone();
-        copy.bump_id(b);
-        assert_eq!(copy.get("test.id.b"), 3);
-        assert_eq!(copy.len(), 2);
+    fn tallies_compare_and_add_cell_by_cell() {
+        use Family::{Da, Multicast};
+        use Kind::{Intra, Sent};
+        let mut a = Tally::default();
+        a.count(Da, Intra, 0);
+        a.count(Multicast, Sent, 0);
+        let mut b = Tally::default();
+        b.count(Da, Intra, 3);
+        b.cells[3 * COLUMNS] = 0;
+        b.count(Multicast, Sent, 0);
+        b.count(Da, Intra, 0);
+        assert_eq!(a, b, "b grew three rows more");
+        b.count(Da, Intra, 3);
+        assert_ne!(a, b);
+        a += &b;
+        assert_eq!((a.total(Da, Intra), a.get(Da, Intra, 0)), (3, 2));
+        let cells: Vec<_> = a.nonzero().collect();
+        let sent = Multicast as usize * KINDS + Sent as usize;
+        assert_eq!(cells, [(0, 2), (sent, 2), (3 * COLUMNS, 1)]);
+        assert_eq!(a.get(Multicast, Sent, 4), 0, "past the last row");
     }
 
     #[test]

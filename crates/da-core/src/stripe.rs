@@ -20,7 +20,7 @@
 use crate::exec::{Exec, ExecProtocol};
 use crate::ledger::EnvelopeLedger;
 use crate::lifecycle::LifecycleController;
-use crate::metrics::{Counters, Histogram, LabelId, TraceLog};
+use crate::metrics::{Counters, Family, Histogram, Kind, Tally, TraceLog};
 use crate::network::NetFate;
 use crate::process::{ProcessId, ProcessStatus};
 use crate::store::{ProcessStore, Slot, Streams};
@@ -104,8 +104,10 @@ impl StripeTrace {
 /// context borrows it as one.
 #[derive(Debug, Clone)]
 pub struct Ledger {
-    /// The protocol's labels.
+    /// Counts by name: fixtures', and the simulator's rendered ones.
     pub counters: Counters,
+    /// What the protocol counted, per group.
+    pub tally: Tally,
     /// `None` when tracing is off: every trace hook is then one branch.
     pub trace: Option<StripeTrace>,
     /// Every envelope the stripe's processes sent or were due, by what
@@ -187,8 +189,8 @@ impl<O: Outbound<Msg: WireSize>> Exec for Ctx<'_, O> {
         self.ledger.counters.bump(label);
     }
 
-    fn bump_id(&mut self, label: LabelId) {
-        self.ledger.counters.bump_id(label);
+    fn count(&mut self, family: Family, kind: Kind, group: usize) {
+        self.ledger.tally.count(family, kind, group);
     }
 
     fn add(&mut self, label: &str, delta: u64) {
@@ -213,7 +215,7 @@ pub struct Stripe<P> {
     pub store: ProcessStore<P>,
     /// Their liveness under the failure plan.
     pub lifecycle: LifecycleController,
-    /// Envelope ledger, protocol counters and flight recorder.
+    /// Envelope ledger, protocol tally, counters and flight recorder.
     pub ledger: Ledger,
     /// The tick [`Stripe::begin_tick`] last opened.
     tick: u64,
@@ -242,6 +244,7 @@ where
             lifecycle,
             ledger: Ledger {
                 counters: Counters::new(),
+                tally: Tally::default(),
                 trace,
                 envelopes: EnvelopeLedger::default(),
             },

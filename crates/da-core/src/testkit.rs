@@ -6,11 +6,12 @@
 //! the same workload.
 
 use crate::exec::{Exec, ExecProtocol};
+use crate::metrics::{Family, Kind};
 use crate::process::ProcessId;
 
 /// A ring relay: in each of its first `send_rounds` rounds every process
 /// sends the round number to the next pid, and logs the tick of every
-/// receipt.
+/// receipt and counts it as a delivery, under its pid's parity.
 ///
 /// It draws no randomness and keeps no order-sensitive state, so what a
 /// run shows — receipt ticks, counters, trace — depends on the fault
@@ -49,6 +50,7 @@ impl ExecProtocol for Relay {
             "deliveries are strictly later than their send tick"
         );
         self.received.push(ctx.round());
+        ctx.count(Family::Da, Kind::Delivered, ctx.me().index() % 2);
     }
 
     fn on_round<X: Exec<Msg = u64>>(&mut self, round: u64, ctx: &mut X) {

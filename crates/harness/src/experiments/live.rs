@@ -42,7 +42,8 @@ use crate::scenario::{run_scenario, ScenarioConfig};
 use crate::stats::Summary;
 use crate::substrate::{Driver, Substrate};
 use da_core::{
-    derive_seed, FailureModel, FaultConfig, Partition, PartitionSchedule, ProcessId, RunConfig,
+    derive_seed, FailureModel, Family, FaultConfig, Kind, Partition, PartitionSchedule, ProcessId,
+    RunConfig,
 };
 use da_membership::FanoutRule;
 use damulticast::{DaProcess, EventId, Network, TopicParams};
@@ -357,7 +358,7 @@ fn partition_trial(
         severed > 0,
         "the cut-at-{CUT_AT} partition must sever cross-island gossip"
     );
-    let parasites = out.counters.get("da.parasite");
+    let parasites = out.tally.total(Family::Da, Kind::Parasite);
     assert_eq!(
         parasites, 0,
         "heal {heal:?}, seed {seed:#x}: {substrate:?} parasites"

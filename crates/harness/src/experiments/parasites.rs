@@ -7,13 +7,13 @@
 //! yet broadcast and hierarchical broadcast push it through all 1110
 //! processes.
 
-use super::tables::{BASELINES, FANOUT};
+use super::tables::{sends, BASELINES, FANOUT};
 use crate::report::Table;
 use crate::runner::run_trials;
 use crate::scenario::{publish_and_settle, run_scenario, ScenarioConfig};
 use crate::substrate::Substrate;
 use da_baselines::{GossipProcess, InterestMap};
-use da_core::{FaultConfig, ProcessId, RunConfig};
+use da_core::{FaultConfig, Kind, ProcessId, RunConfig};
 
 /// Runs the four algorithms with one root-topic publication each and
 /// tabulates deliveries, parasites, and event traffic.
@@ -47,8 +47,6 @@ pub fn run_parasite_table(group_sizes: &[usize], trials: usize, seed: u64) -> Ta
     });
     table.push_row("daMulticast", da);
 
-    // The baselines count under `{family}.*`; every `sent*` counter is an
-    // event send.
     for (name, family, build) in BASELINES {
         let row = run_trials(trials, seed, |s| {
             let config = RunConfig::default().with_seed(s);
@@ -56,8 +54,10 @@ pub fn run_parasite_table(group_sizes: &[usize], trials: usize, seed: u64) -> Ta
             let publish = |p: &mut GossipProcess| p.publish("root news");
             let out =
                 publish_and_settle(Substrate::Sim, config, procs, root_publisher, publish, 64).2;
-            ["delivered", "parasite", "sent"]
-                .map(|counter| out.counters.sum_prefix(&format!("{family}.{counter}")) as f64)
+            let total = |kind| out.tally.total(family, kind);
+            let sent = sends(&out.tally, family);
+            [total(Kind::Delivered), total(Kind::Parasite), sent]
+                .map(|count| count as f64)
                 .to_vec()
         });
         table.push_row(name, row);

@@ -12,7 +12,8 @@ use da_baselines::{
     build_broadcast_network, build_hierarchical_network, build_multicast_network, GossipProcess,
     InterestMap,
 };
-use da_core::{FailureModel, FaultConfig, ProcessId, RunConfig};
+use da_core::Family::{self, Broadcast, Hierarchical, Multicast};
+use da_core::{FailureModel, FaultConfig, Kind, ProcessId, RunConfig, Tally};
 use da_membership::FanoutRule;
 use da_runtime::Shutdown;
 use damulticast::EventId;
@@ -23,19 +24,25 @@ type Build = fn(&InterestMap, u64) -> Vec<GossipProcess>;
 /// The three baselines as every comparison table runs them, on one
 /// linear topology with `b = 3`, the `ln(S) + 5` fanout and `⌈√n⌉`
 /// hierarchical groups: the row name, the counter family and the builder.
-pub(crate) const BASELINES: [(&str, &str, Build); 3] = [
-    ("gossip broadcast", "bc", |interests, seed| {
+pub(crate) const BASELINES: [(&str, Family, Build); 3] = [
+    ("gossip broadcast", Broadcast, |interests, seed| {
         build_broadcast_network(interests, 3.0, FANOUT, seed).expect("population non-empty")
     }),
-    ("gossip multicast", "mc", |interests, seed| {
+    ("gossip multicast", Multicast, |interests, seed| {
         build_multicast_network(interests, 3.0, FANOUT, seed).expect("population non-empty")
     }),
-    ("hierarchical broadcast", "hc", |interests, seed| {
+    ("hierarchical broadcast", Hierarchical, |interests, seed| {
         let n_groups = hierarchical_groups(interests.population());
         build_hierarchical_network(interests, n_groups, 3.0, FANOUT, FANOUT, seed)
             .expect("valid partition")
     }),
 ];
+
+/// The event messages `family` sent, through tables of every kind.
+pub(crate) fn sends(tally: &Tally, family: Family) -> u64 {
+    let sends = [Kind::Sent, Kind::SentIntra, Kind::SentInter];
+    sends.map(|kind| tally.total(family, kind)).iter().sum()
+}
 
 /// The fanout rule of every comparison: `ln(S) + 5`.
 pub(crate) const FANOUT: FanoutRule = FanoutRule::LnPlusC { c: 5.0 };
@@ -128,8 +135,7 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
         ],
     );
 
-    // The baselines: one leaf publication each, on reliable channels;
-    // every `{family}.sent*` counter is an event send.
+    // The baselines: one leaf publication each, on reliable channels.
     let n_groups = hierarchical_groups(n);
     let m = n / n_groups;
     // The multicast chain-average: leaf members hold 1 table, root members t.
@@ -157,7 +163,7 @@ pub fn run_complexity_table(group_sizes: &[usize], trials: usize, seed: u64) -> 
             let publish = |p: &mut GossipProcess| p.publish("bench");
             let out =
                 publish_and_settle(Substrate::Sim, config, procs, leaf_publisher, publish, 64).2;
-            let sent = out.counters.sum_prefix(&format!("{family}.sent")) as f64;
+            let sent = sends(&out.tally, family) as f64;
             vec![sent, out.ledger.bytes_sent as f64, mem]
         });
         table.push_row(

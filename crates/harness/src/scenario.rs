@@ -10,8 +10,8 @@
 
 use crate::substrate::{Driver, Substrate};
 use da_core::{
-    ChannelConfig, Counters, EnvelopeLedger, ExecProtocol, FailureModel, FaultConfig, NetworkModel,
-    ProcessId, RunConfig, WireSize,
+    ChannelConfig, EnvelopeLedger, ExecProtocol, FailureModel, Family, FaultConfig, Kind,
+    NetworkModel, ProcessId, RunConfig, Tally, WireSize,
 };
 use da_membership::FanoutRule;
 use da_runtime::Shutdown;
@@ -98,8 +98,8 @@ pub struct ScenarioOutcome {
     pub total_event_messages: f64,
     /// The run's envelope ledger.
     pub ledger: EnvelopeLedger,
-    /// The protocol's counters.
-    pub counters: Counters,
+    /// What the protocol counted.
+    pub tally: Tally,
 }
 
 /// One publication, run to quiescence: starts `processes` on `substrate`
@@ -167,7 +167,6 @@ pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) ->
 
     let net = Network::linear(&config.group_sizes, config.params, seed)
         .expect("scenario topology must be valid");
-    let hierarchy = std::sync::Arc::clone(net.hierarchy());
     let groups = net.groups().to_vec();
     let processes = net.into_processes();
 
@@ -183,7 +182,7 @@ pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) ->
             rounds: 0.0,
             total_event_messages: 0.0,
             ledger: EnvelopeLedger::default(),
-            counters: Counters::new(),
+            tally: Tally::default(),
         };
     };
     let run = RunConfig::default()
@@ -212,24 +211,23 @@ pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) ->
         delivered_fraction.push(fraction(delivered, group.members.len()));
         delivered_alive_fraction.push(fraction(delivered_alive, alive));
     }
-    let per_group = |counter: &str, level: usize| {
-        let path = hierarchy.path(groups[level].topic);
-        out.counters.get(&format!("{counter}.{}", path.as_str())) as f64
-    };
+    let tally = out.tally;
+    let per_group =
+        |kind, level: usize| tally.get(Family::Da, kind, groups[level].topic.index()) as f64;
+    let total = |kind| tally.total(Family::Da, kind);
     ScenarioOutcome {
-        intra: (0..levels).map(|l| per_group("da.intra", l)).collect(),
-        // inter_in at the parent label counts events that crossed into it.
+        intra: (0..levels).map(|l| per_group(Kind::Intra, l)).collect(),
+        // inter_in at the parent group counts events that crossed into it.
         inter_in: (0..levels - 1)
-            .map(|l| per_group("da.inter_in", l))
+            .map(|l| per_group(Kind::InterIn, l))
             .collect(),
         delivered_fraction,
         delivered_alive_fraction,
-        parasites: out.counters.get("da.parasite") as f64,
+        parasites: total(Kind::Parasite) as f64,
         rounds: rounds as f64,
-        total_event_messages: (out.counters.sum_prefix("da.intra.")
-            + out.counters.sum_prefix("da.inter_out.")) as f64,
+        total_event_messages: (total(Kind::Intra) + total(Kind::InterOut)) as f64,
         ledger: out.ledger,
-        counters: out.counters,
+        tally,
     }
 }
 
@@ -251,11 +249,10 @@ mod tests {
     }
 
     /// Everything an outcome measures: its per-level columns, its scalars,
-    /// its ledger and its counters.
-    type Measured = (Vec<Vec<f64>>, [f64; 3], EnvelopeLedger, String);
+    /// its ledger and its tally.
+    type Measured = (Vec<Vec<f64>>, [f64; 3], EnvelopeLedger, Tally);
 
     fn measured(out: ScenarioOutcome) -> Measured {
-        let counters = out.counters.to_string();
         let columns = vec![
             out.intra,
             out.inter_in,
@@ -263,7 +260,7 @@ mod tests {
             out.delivered_alive_fraction,
         ];
         let scalars = [out.parasites, out.rounds, out.total_event_messages];
-        (columns, scalars, out.ledger, counters)
+        (columns, scalars, out.ledger, out.tally)
     }
 
     #[test]
@@ -405,7 +402,7 @@ mod tests {
                     64,
                 );
                 let case = format!("{substrate:?}, published in {}", h.path(published));
-                assert_eq!(out.counters.get("da.parasite"), 0, "{case}");
+                assert_eq!(out.tally.total(Family::Da, Kind::Parasite), 0, "{case}");
                 for (&topic, members) in topics.iter().zip(&members) {
                     let in_cone = h.includes_or_eq(topic, published);
                     for pid in members {

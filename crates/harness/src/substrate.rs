@@ -6,10 +6,9 @@
 //! `da_simnet::Engine` and `da_runtime::Runtime` with the verbs the two
 //! share — spawn under one [`RunConfig`], reach into a process, run,
 //! read the trace, take the population back with its envelope ledger and
-//! protocol counters — so the substrates' matching APIs are held together
+//! protocol tally — so the substrates' matching APIs are held together
 //! by a `match`, not by convention.
 
-use da_core::ledger::protocol_labels;
 use da_core::{ExecProtocol, PoolConfig, ProcessId, RunConfig, WireSize};
 use da_runtime::{Runtime, Shutdown};
 use da_simnet::Engine;
@@ -94,9 +93,9 @@ where
     }
 
     /// Ends the run: the processes and their final liveness in pid order,
-    /// the ledger, the protocol's counters, and the trace when the
-    /// recorder was on. A pool counts what is still in flight as
-    /// `dropped_shutdown`; the simulator discards it uncounted.
+    /// the ledger, the protocol's tally, the counters and, when the
+    /// recorder was on, the trace. A pool counts what is still in flight
+    /// as `dropped_shutdown`; the simulator discards it uncounted.
     #[must_use]
     pub fn finish(self) -> Shutdown<P> {
         match self {
@@ -105,15 +104,12 @@ where
                     .map(|i| engine.status(ProcessId::from_index(i)))
                     .collect(),
                 ledger: engine.ledger(),
-                counters: protocol_labels(engine.counters()),
+                tally: engine.tally().clone(),
+                counters: engine.counters().clone(),
                 trace: engine.trace_log(),
                 processes: engine.into_processes(),
             },
-            Driver::Live(rt) => {
-                let out = rt.shutdown();
-                let counters = protocol_labels(&out.counters);
-                Shutdown { counters, ..out }
-            }
+            Driver::Live(rt) => rt.shutdown(),
         }
     }
 }

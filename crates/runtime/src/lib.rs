@@ -54,12 +54,12 @@
 //!   (the protocol's bootstrap path). All liveness draws are keyed on
 //!   `(pid, tick)`, so one seed yields the identical crash/recovery
 //!   schedule on both substrates at any worker count;
-//! * **per-worker metrics** — each worker counts into the registry of
-//!   its own stripe (plain array increments, id-keyed on the transport
-//!   hot path) and shares it with no other thread:
-//!   [`Runtime::counters`] asks every worker for a copy through the
-//!   control channel [`Runtime::with_process_mut`] uses, and folds the
-//!   replies into the same [`Counters`] registry the simulator fills;
+//! * **per-worker metrics** — each worker counts into the tally of its
+//!   own stripe (plain array increments on the hot path) and shares it
+//!   with no other thread: [`Runtime::tally`] asks every worker for a
+//!   copy through the control channel [`Runtime::with_process_mut`]
+//!   uses, and sums the replies into the same [`Tally`] the simulator
+//!   fills ([`Runtime::counters`] renders it under names);
 //!   [`Runtime::shutdown`] folds the final ones handed back at join;
 //! * **flight recorder** — with [`RunConfig::with_trace`] enabled,
 //!   every send, delivery, drop, and lifecycle transition is appended
@@ -87,6 +87,7 @@
 //! ## Quick start
 //!
 //! ```
+//! use da_core::{Family, Kind};
 //! use da_runtime::{Runtime, RuntimeConfig};
 //! use damulticast::{Network, TopicParams};
 //!
@@ -102,7 +103,7 @@
 //! let out = rt.shutdown();
 //! let delivered = out.processes.iter().filter(|p| p.has_delivered(id)).count();
 //! assert!(delivered >= 12, "gossip blankets the leaf group");
-//! assert_eq!(out.counters.get("da.parasite"), 0);
+//! assert_eq!(out.tally.total(Family::Da, Kind::Parasite), 0);
 //! # Ok(())
 //! # }
 //! ```
@@ -119,8 +120,8 @@ mod worker;
 // everything else is imported from `da_core` directly.
 pub use da_core::{
     Counters, Envelope, ExecProtocol, FaultConfig, Histogram, LifecycleController,
-    LifecycleTransitions, PoolConfig, ProcessId, ProcessStatus, RunConfig, TickReport, TraceConfig,
-    TraceLog, WireSize,
+    LifecycleTransitions, PoolConfig, ProcessId, ProcessStatus, RunConfig, Tally, TickReport,
+    TraceConfig, TraceLog, WireSize,
 };
 // Unused by the pool; kept for the benchmark's `metrics.*` probes.
 pub use metrics::{ShardOutOfRange, ShardedCounters};

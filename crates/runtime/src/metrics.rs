@@ -1,20 +1,15 @@
 //! The sharded counter registry, [`ShardedCounters`], and its
-//! [`ShardOutOfRange`] error.
+//! [`ShardOutOfRange`] error, which the pool does not use.
 //!
-//! The pool does not use them. The simulator owns a single `Counters`
-//! registry because it is single-threaded; live, a registry shared by
-//! the workers would serialise the hot path on a lock, and even
-//! per-worker `Mutex<Counters>` shards cost a lock and a copy per worker
-//! per tick. Each worker instead counts into the plain, unsynchronised
-//! `Counters` of its own stripe and records into that stripe's flight
-//! recorder, and hands both over only when asked: a read
-//! ([`Runtime::counters`](crate::Runtime::counters),
-//! [`Runtime::trace_log`](crate::Runtime::trace_log)) travels the
-//! control channel the pool already has, and
+//! A registry the workers shared would serialise the hot path on a lock,
+//! and per-worker `Mutex<Counters>` shards cost a lock and a copy per
+//! worker per tick. Each worker instead counts into the plain tally and
+//! counters of its own stripe and hands them over only when asked: a
+//! read ([`Runtime::tally`](crate::Runtime::tally),
+//! [`Runtime::counters`](crate::Runtime::counters)) travels the control
+//! channel the pool already has, and
 //! [`Runtime::shutdown`](crate::Runtime::shutdown) takes them back at
-//! join. Nothing the workers count is behind a lock.
-//!
-//! The two types stay because the benchmark package's
+//! join. The two types stay because the benchmark package's
 //! `metrics.shard_publish_ns` and `metrics.merged_us` probes measure
 //! them; they retire together with those probes.
 //!

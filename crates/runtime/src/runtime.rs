@@ -38,13 +38,13 @@ use crate::transport::{lane_matrix, EdgeWatermarks, FaultyRouter};
 use crate::worker::{
     Control, Joined, PoolHistograms, SchedulerState, Telemetry, Worker, WorkerReport,
 };
-use da_core::ledger::{self, Registry};
+use da_core::ledger::{Registry, Renderer};
 use da_core::process::ProcessIndexError;
 use da_core::store::ProcessStore;
 use da_core::wheel::MAX_RING_TICKS;
 use da_core::{
     Counters, EnvelopeLedger, ExecProtocol, LifecycleController, PoolConfig, ProcessId,
-    ProcessStatus, RunConfig, Stripe, TickReport, TraceLog, WireSize,
+    ProcessStatus, RunConfig, Stripe, Tally, TickReport, TraceLog, WireSize,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -130,7 +130,9 @@ pub struct Shutdown<P> {
     /// Final envelope ledger; what was still in flight (possible under
     /// latency models above one tick) is counted as `dropped_shutdown`.
     pub ledger: EnvelopeLedger,
-    /// Final merged counters, the ledger among them under `rt.*` names.
+    /// What the protocol counted, every worker's tally summed.
+    pub tally: Tally,
+    /// Final merged counters, with the ledger and the tally by name.
     pub counters: Counters,
     /// Merged flight-recorder log (events across all workers, verdict
     /// counts, `delivery_latency_ticks` / `wheel_occupancy` /
@@ -492,9 +494,16 @@ where
         self.read(false).ledger
     }
 
+    /// The pool's tally, read (and panicking) like [`Runtime::ledger`]:
+    /// every worker's, summed cell by cell.
+    #[must_use]
+    pub fn tally(&self) -> Tally {
+        self.read(false).tally
+    }
+
     /// The pool's counters, read like [`Runtime::ledger`]: every
-    /// worker's registry folded in worker-id order, the ledger under
-    /// its `rt.*` names among them.
+    /// worker's registry folded in worker-id order, with the ledger and
+    /// the tally rendered among them.
     ///
     /// # Panics
     ///
@@ -582,6 +591,7 @@ where
         };
         let Telemetry {
             ledger,
+            tally,
             counters,
             trace,
         } = fold(parts);
@@ -589,6 +599,7 @@ where
             processes,
             statuses,
             ledger,
+            tally,
             counters,
             trace,
         }
@@ -596,16 +607,18 @@ where
 }
 
 /// Folds the workers' telemetry, in worker-id order, into the pool's:
-/// ledgers summed and rendered into the counters, counters by
-/// [`Counters::merge_from`], traces by [`TraceLog::merge_from`].
+/// ledgers and tallies summed and rendered into the counters, counters
+/// by [`Counters::merge_from`], traces by [`TraceLog::merge_from`].
 fn fold(parts: impl IntoIterator<Item = Telemetry>) -> Telemetry {
     let mut pool = Telemetry {
         ledger: EnvelopeLedger::default(),
+        tally: Tally::default(),
         counters: Counters::new(),
         trace: None,
     };
     for part in parts {
         pool.ledger += part.ledger;
+        pool.tally += &part.tally;
         pool.counters.merge_from(&part.counters);
         if let Some(trace) = &part.trace {
             pool.trace
@@ -613,7 +626,8 @@ fn fold(parts: impl IntoIterator<Item = Telemetry>) -> Telemetry {
                 .merge_from(trace);
         }
     }
-    ledger::render(&pool.ledger, Registry::Pool, &mut pool.counters);
+    let (ledger, tally) = (&pool.ledger, &pool.tally);
+    Renderer::default().render(Registry::Pool, ledger, tally, &mut pool.counters);
     pool
 }
 

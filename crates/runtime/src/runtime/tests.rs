@@ -2,7 +2,7 @@ use super::*;
 use da_core::channel::{ChannelConfig, Latency};
 use da_core::testkit::{LifeProbe, Relay};
 use da_core::trace::{TraceConfig, TraceVerdict};
-use da_core::Exec;
+use da_core::{Exec, Family, Kind};
 
 /// The shared ring relay, sending in ticks `0..5`.
 fn relay_procs(n: u32) -> Vec<Relay> {
@@ -1031,10 +1031,11 @@ fn digest(out: &Shutdown<Relay>) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-/// `ledger()`, `counters()` and `trace_log()` between driver calls read
-/// exactly what `shutdown` would hand back, add up across ticks, and
-/// change nothing: a run read mid-way ends as one that never was. The
-/// counters carry the ledger under the pool's rendered names.
+/// `ledger()`, `tally()`, `counters()` and `trace_log()` between driver
+/// calls read exactly what `shutdown` would hand back, add up across
+/// ticks, and change nothing: a run read mid-way ends as one that never
+/// was. The counters carry the ledger and the tally under the pool's
+/// rendered names.
 #[test]
 fn reads_between_driver_calls_are_exact_cumulative_and_inert() {
     for workers in [1, 3] {
@@ -1050,13 +1051,23 @@ fn reads_between_driver_calls_are_exact_cumulative_and_inert() {
         let mut read = Runtime::spawn(config.clone(), relay_procs(9));
         read.run_ticks(2);
         let (early, early_log) = (read.counters(), read.trace_log().unwrap());
-        let early_ledger = read.ledger();
+        let (early_ledger, early_tally) = (read.ledger(), read.tally());
         read.run_ticks(2);
         let (late, late_log) = (read.counters(), read.trace_log().unwrap());
         for (name, value) in early.iter() {
             assert!(late.get(name) >= value, "{workers} workers: {name}");
         }
         assert!(read.ledger().sent > early_ledger.sent);
+        let late_tally = read.tally();
+        for group in 0..2 {
+            let delivered = |tally: &Tally| tally.get(Family::Da, Kind::Delivered, group);
+            assert!(
+                delivered(&late_tally) > delivered(&early_tally),
+                "{workers} workers"
+            );
+        }
+        let delivered = |tally: &Tally| tally.total(Family::Da, Kind::Delivered);
+        assert!(delivered(&late_tally) > delivered(&early_tally));
         let old: Vec<_> = late_log
             .canonical_events()
             .into_iter()
@@ -1065,13 +1076,19 @@ fn reads_between_driver_calls_are_exact_cumulative_and_inert() {
         assert_eq!(old, early_log.canonical_events(), "{workers} workers");
         read.run_until_quiescent(64);
         let (last, last_log) = (read.counters(), read.trace_log().unwrap());
-        let last_ledger = read.ledger();
+        let (last_ledger, last_tally) = (read.ledger(), read.tally());
         let out = read.shutdown();
         assert_eq!(out.ledger, last_ledger);
+        assert_eq!(out.tally, last_tally);
+        assert_eq!(delivered(&last_tally), last_ledger.delivered);
         assert_eq!(out.counters.to_string(), last.to_string());
         let mut rendered = Counters::new();
-        ledger::render(&last_ledger, Registry::Pool, &mut rendered);
-        assert_eq!(rendered.len(), 11);
+        Renderer::default().render(Registry::Pool, &last_ledger, &last_tally, &mut rendered);
+        assert_eq!(
+            rendered.len(),
+            13,
+            "the ledger's 11 names, a delivery cell per parity"
+        );
         assert!(rendered.iter().all(|(name, n)| last.get(name) == n));
         let trace = out.trace.as_ref().unwrap();
         assert_eq!(trace.events, last_log.events);

@@ -16,8 +16,8 @@
 use crate::transport::{EdgeInbox, EdgeWatermarks, FaultyRouter};
 use da_core::wheel::Envelope;
 use da_core::{
-    Counters, EnvelopeLedger, ExecProtocol, Histogram, ProcessId, ProcessStatus, Stripe, TraceLog,
-    WireSize,
+    Counters, EnvelopeLedger, ExecProtocol, Histogram, ProcessId, ProcessStatus, Stripe, Tally,
+    TraceLog, WireSize,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,11 +58,12 @@ pub(super) enum Control<P> {
 }
 
 /// What a worker hands the coordinator on a [`Control::Read`] and when
-/// it is joined: its ledger, a copy of its counters and, when asked for
-/// and recorded, its trace. The coordinator folds these in worker-id
+/// it is joined: copies of its ledger, tally and counters and, when asked
+/// for and recorded, its trace. The coordinator folds these in worker-id
 /// order; nothing a worker counts is shared with another thread.
 pub(super) struct Telemetry {
     pub(super) ledger: EnvelopeLedger,
+    pub(super) tally: Tally,
     pub(super) counters: Counters,
     pub(super) trace: Option<TraceLog>,
 }
@@ -193,9 +194,9 @@ where
         }
     }
 
-    /// This worker's ledger, a copy of its counters and, when `trace` is
-    /// set and tracing is on, of what it recorded: the stripe's log with
-    /// the pool's three histograms after its own.
+    /// This worker's ledger, copies of its tally and counters and, when
+    /// `trace` is set and tracing is on, of what it recorded: the
+    /// stripe's log with the pool's three histograms after its own.
     fn telemetry(&self, trace: bool) -> Telemetry {
         let log = match (&self.stripe.ledger.trace, &self.trace) {
             (Some(stripe), Some(pool)) if trace => Some(stripe.log(&[
@@ -207,6 +208,7 @@ where
         };
         Telemetry {
             ledger: self.stripe.ledger.envelopes,
+            tally: self.stripe.ledger.tally.clone(),
             counters: self.stripe.ledger.counters.clone(),
             trace: log,
         }

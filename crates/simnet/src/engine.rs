@@ -3,9 +3,9 @@
 use crate::strategy::{DueMessage, RngStrategy, Strategy};
 use da_core::exec::{ExecProtocol, McHash};
 use da_core::failure::Fate;
-use da_core::ledger::{self, EnvelopeLedger, Registry};
+use da_core::ledger::{EnvelopeLedger, Registry, Renderer};
 use da_core::lifecycle::LifecycleController;
-use da_core::metrics::{Counters, FxHasher, Histogram, TraceLog};
+use da_core::metrics::{Counters, FxHasher, Histogram, Tally, TraceLog};
 use da_core::network::{NetFate, NetworkModel, Occurrences};
 use da_core::process::{ProcessId, ProcessStatus};
 use da_core::run::RunConfig;
@@ -105,6 +105,7 @@ pub struct Engine<P: ExecProtocol> {
     /// tracing is on — the simulator's analogue of the runtime's
     /// delay-wheel occupancy.
     queue_depth: Histogram,
+    renderer: Renderer,
     round: u64,
 }
 
@@ -135,6 +136,7 @@ where
                 track_occurrences,
             },
             queue_depth: Histogram::new(),
+            renderer: Renderer::default(),
             round: 0,
         }
     }
@@ -199,11 +201,17 @@ where
             .collect()
     }
 
-    /// The shared metrics registry, the ledger among it under `sim.*`
-    /// names as of the last round.
+    /// The shared metrics registry, with the ledger under `sim.*` names
+    /// and the tally under its protocols' names as of the last round.
     #[must_use]
     pub fn counters(&self) -> &Counters {
         &self.stripe.ledger.counters
+    }
+
+    /// What the protocol counted so far, per group.
+    #[must_use]
+    pub fn tally(&self) -> &Tally {
+        &self.stripe.ledger.tally
     }
 
     /// Every envelope sent so far, by what became of it.
@@ -331,7 +339,9 @@ where
         }
         self.round += 1;
         let now = self.ledger();
-        ledger::render(&now, Registry::Sim, &mut self.stripe.ledger.counters);
+        let ledger = &mut self.stripe.ledger;
+        self.renderer
+            .render(Registry::Sim, &now, &ledger.tally, &mut ledger.counters);
         TickReport {
             tick: round,
             sent: now.sent - before.sent,
@@ -467,10 +477,11 @@ mod tests {
         assert_eq!(e.ledger().sent, 40);
         // Everything sent before the last round was delivered.
         assert_eq!(e.ledger().delivered, 36);
-        // The registry carries the ledger under its rendered names.
+        // The registry carries the ledger and the tally under their
+        // rendered names: nine, and the relays' delivery cell per parity.
         let mut rendered = Counters::new();
-        ledger::render(&e.ledger(), Registry::Sim, &mut rendered);
-        assert_eq!(rendered.len(), 9);
+        Renderer::default().render(Registry::Sim, &e.ledger(), e.tally(), &mut rendered);
+        assert_eq!(rendered.len(), 9 + 2);
         assert!(rendered.iter().all(|(name, n)| e.counters().get(name) == n));
     }
 

@@ -64,8 +64,8 @@ mod strategy;
 // impls mention; everything else is imported from `da_core` directly.
 pub use da_core::{
     ChannelConfig, Counters, Exec, ExecProtocol, FailureModel, Fate, FaultConfig, McHash, NetFate,
-    NetworkModel, PartitionSchedule, ProcessId, ProcessStatus, RunConfig, ScriptedDrop, TickReport,
-    TraceConfig, TraceEvent, TraceLog, WireSize,
+    NetworkModel, PartitionSchedule, ProcessId, ProcessStatus, RunConfig, ScriptedDrop, Tally,
+    TickReport, TraceConfig, TraceEvent, TraceLog, WireSize,
 };
 pub use engine::{Engine, SimConfig};
 pub use strategy::{DueMessage, RngStrategy, Strategy};

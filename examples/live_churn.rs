@@ -21,7 +21,7 @@
 //! delivered / `dropped_channel` / `dropped_crashed` /
 //! `dropped_shutdown`.
 
-use da_core::{FailureModel, ProcessId};
+use da_core::{FailureModel, Family, Kind, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig};
 use damulticast::{EventId, Network, TopicParams};
 use std::time::Instant;
@@ -153,7 +153,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(0),
         "every envelope in exactly one bucket"
     );
-    assert_eq!(out.counters.get("da.parasite"), 0, "parasite delivery");
+    assert_eq!(
+        out.tally.total(Family::Da, Kind::Parasite),
+        0,
+        "parasite delivery"
+    );
     assert!(
         mean > 0.5,
         "mean delivery among survivors collapsed: {mean:.3}"

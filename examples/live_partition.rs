@@ -27,7 +27,7 @@
 //! capture mode and write the JSONL event stream there (CI uploads it
 //! as a workflow artifact from the smoke run).
 
-use da_core::{Partition, PartitionSchedule, ProcessId};
+use da_core::{Family, Kind, Partition, PartitionSchedule, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig, TraceConfig};
 use damulticast::{Network, TopicParams};
 use std::path::PathBuf;
@@ -156,7 +156,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "every envelope in exactly one bucket"
     );
     assert!(dropped_partitioned > 0, "the cut severed no send");
-    assert_eq!(out.counters.get("da.parasite"), 0, "parasite delivery");
+    assert_eq!(
+        out.tally.total(Family::Da, Kind::Parasite),
+        0,
+        "parasite delivery"
+    );
 
     println!(
         "\ntransport: {sent} sent = {delivered} delivered + {dropped_partitioned} severed \

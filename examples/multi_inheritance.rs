@@ -19,7 +19,7 @@
 //!
 //! Run with: `cargo run --example multi_inheritance`
 
-use da_core::ProcessId;
+use da_core::{Family, Kind, ProcessId};
 use da_simnet::{Engine, SimConfig};
 use da_topics::TopicHierarchy;
 use damulticast::{GroupSpec, Network, TopicParams};
@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(count(17..29, goal), 0, "football is not Swiss news");
     assert_eq!(count(29..49, goal), 0, "events never flow downwards");
 
-    assert_eq!(engine.counters().get("da.parasite"), 0);
+    assert_eq!(engine.tally().total(Family::Da, Kind::Parasite), 0);
     println!("\nparasite deliveries: 0 — both edges respected, no leakage");
     Ok(())
 }

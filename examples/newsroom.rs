@@ -20,7 +20,7 @@
 //!
 //! Run with: `cargo run --example newsroom`
 
-use da_core::ProcessId;
+use da_core::{Family, Kind, ProcessId};
 use da_simnet::{Engine, SimConfig};
 use da_topics::TopicHierarchy;
 use damulticast::{GroupSpec, Network, TopicParams};
@@ -118,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(count(&sport_editors, vote), 0);
 
     assert_eq!(
-        engine.counters().get("da.parasite"),
+        engine.tally().total(Family::Da, Kind::Parasite),
         0,
         "no desk ever receives a story it did not subscribe to"
     );

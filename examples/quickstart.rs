@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use da_core::ChannelConfig;
+use da_core::{ChannelConfig, Family, Kind};
 use da_simnet::{Engine, SimConfig};
 use damulticast::{Network, TopicParams};
 
@@ -48,21 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The paper's headline properties.
-    let counters = engine.counters();
-    println!(
-        "\nevent messages (intra-group): {}",
-        counters.sum_prefix("da.intra.")
-    );
-    println!(
-        "event messages (inter-group): {}",
-        counters.sum_prefix("da.inter_out.")
-    );
-    println!(
-        "parasite deliveries:          {}",
-        counters.get("da.parasite")
-    );
+    let total = |kind| engine.tally().total(Family::Da, kind);
+    println!("\nevent messages (intra-group): {}", total(Kind::Intra));
+    println!("event messages (inter-group): {}", total(Kind::InterOut));
+    println!("parasite deliveries:          {}", total(Kind::Parasite));
     assert_eq!(
-        counters.get("da.parasite"),
+        total(Kind::Parasite),
         0,
         "daMulticast never delivers parasites"
     );

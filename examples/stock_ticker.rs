@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example stock_ticker`
 
-use da_core::ChannelConfig;
+use da_core::{ChannelConfig, Family, Kind};
 use da_simnet::{Engine, SimConfig};
 use damulticast::{Network, TopicParams};
 
@@ -88,6 +88,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max()
         .unwrap_or(0);
     println!("max membership entries at any process: {max_mem}");
-    assert_eq!(engine.counters().get("da.parasite"), 0);
+    assert_eq!(engine.tally().total(Family::Da, Kind::Parasite), 0);
     Ok(())
 }

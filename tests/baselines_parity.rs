@@ -6,7 +6,7 @@ use da_baselines::{
     build_broadcast_network, build_hierarchical_network, build_multicast_network, GossipProcess,
     InterestMap,
 };
-use da_core::{first_divergence, ProcessId, RunConfig, TraceConfig};
+use da_core::{first_divergence, Family, Kind, ProcessId, RunConfig, TraceConfig};
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
@@ -19,14 +19,14 @@ const FANOUT: FanoutRule = FanoutRule::LnPlusC { c: 5.0 };
 type Build = fn(&InterestMap, u64) -> Vec<GossipProcess>;
 
 /// The three baselines on one interest map: counter family and builder.
-const BASELINES: [(&str, Build); 3] = [
-    ("bc", |interests, seed| {
+const BASELINES: [(Family, Build); 3] = [
+    (Family::Broadcast, |interests, seed| {
         build_broadcast_network(interests, 3.0, FANOUT, seed).unwrap()
     }),
-    ("mc", |interests, seed| {
+    (Family::Multicast, |interests, seed| {
         build_multicast_network(interests, 3.0, FANOUT, seed).unwrap()
     }),
-    ("hc", |interests, seed| {
+    (Family::Hierarchical, |interests, seed| {
         build_hierarchical_network(interests, 4, 3.0, FANOUT, FANOUT, seed).unwrap()
     }),
 ];
@@ -89,13 +89,13 @@ fn root_event_parasite_profile() {
         let mut e = Engine::new(SimConfig::default().with_seed(42), build(&interests, 42));
         e.process_mut(root_publisher).publish("root");
         e.run_until_quiescent(96);
-        let count = |name: &str| e.counters().get(&format!("{family}.{name}"));
+        let count = |kind| e.tally().total(family, kind);
         assert_eq!(
-            count("delivered"),
+            count(Kind::Delivered),
             SIZES[0] as u64,
-            "{family} delivers to subscribers only"
+            "{family:?} delivers to subscribers only"
         );
-        assert_eq!(count("parasite") as usize, parasites, "{family}");
+        assert_eq!(count(Kind::Parasite) as usize, parasites, "{family:?}");
     }
 
     // daMulticast.
@@ -104,8 +104,11 @@ fn root_event_parasite_profile() {
     let mut e = Engine::new(SimConfig::default().with_seed(42), net.into_processes());
     e.process_mut(root_publisher).publish("root");
     e.run_until_quiescent(96);
-    assert_eq!(e.counters().get("da.parasite"), 0);
-    assert_eq!(e.counters().sum_prefix("da.delivered."), SIZES[0] as u64);
+    assert_eq!(e.tally().total(Family::Da, Kind::Parasite), 0);
+    assert_eq!(
+        e.tally().total(Family::Da, Kind::Delivered),
+        SIZES[0] as u64
+    );
 }
 
 /// Message-cost ordering for a root publication: interest-scoped
@@ -121,13 +124,14 @@ fn root_event_message_cost_ordering() {
     let mut e = Engine::new(SimConfig::default().with_seed(43), net.into_processes());
     e.process_mut(root_publisher).publish("cost");
     e.run_until_quiescent(96);
-    let da_cost = e.counters().sum_prefix("da.intra.") + e.counters().sum_prefix("da.inter_out.");
+    let total = |kind| e.tally().total(Family::Da, kind);
+    let da_cost = total(Kind::Intra) + total(Kind::InterOut);
 
     let procs = build_broadcast_network(&interests, 3.0, FANOUT, 43).unwrap();
     let mut e = Engine::new(SimConfig::default().with_seed(43), procs);
     e.process_mut(root_publisher).publish("cost");
     e.run_until_quiescent(96);
-    let bc_cost = e.counters().get("bc.sent");
+    let bc_cost = e.tally().total(Family::Broadcast, Kind::Sent);
 
     assert!(
         da_cost * 4 < bc_cost,
@@ -184,7 +188,7 @@ fn memory_ordering() {
 /// workers: the same per-process delivery bitmap and — reliable
 /// channels, so no substrate-specific fate draws — a bit-identical
 /// canonical trace.
-fn assert_live_matches_sim(family: &str, procs: Vec<GossipProcess>) {
+fn assert_live_matches_sim(family: Family, procs: Vec<GossipProcess>) {
     const SEED: u64 = 45;
     let publisher = ProcessId::from_index(SIZES[0]);
     let run = |substrate: Substrate| {
@@ -209,14 +213,18 @@ fn assert_live_matches_sim(family: &str, procs: Vec<GossipProcess>) {
     assert_eq!(
         delivered,
         SIZES[0] + SIZES[1],
-        "{family}: levels 0 and 1 deliver"
+        "{family:?}: levels 0 and 1 deliver"
     );
 
     for workers in [1, 2] {
         let (live_id, live_bitmap, live_trace) = run(Substrate::Live { workers });
         assert_eq!(live_id, id);
-        assert_eq!(live_bitmap, sim_bitmap, "{family}: {workers} workers");
-        assert_eq!(first_divergence(&sim_trace, &live_trace), None, "{family}");
+        assert_eq!(live_bitmap, sim_bitmap, "{family:?}: {workers} workers");
+        assert_eq!(
+            first_divergence(&sim_trace, &live_trace),
+            None,
+            "{family:?}"
+        );
     }
 }
 

@@ -2,7 +2,7 @@
 //! survives processes crashing and recovering every round, keeps its
 //! invariants, and still delivers.
 
-use da_core::{FailureModel, ProcessId};
+use da_core::{FailureModel, Family, Kind, ProcessId};
 use da_runtime::{Runtime, RuntimeConfig};
 use da_simnet::{Engine, SimConfig};
 use damulticast::{Network, TopicParams};
@@ -86,7 +86,7 @@ fn invariants_survive_brutal_churn() {
     }
     engine.run_rounds(40);
 
-    assert_eq!(engine.counters().get("da.parasite"), 0);
+    assert_eq!(engine.tally().total(Family::Da, Kind::Parasite), 0);
     for (pid, p) in engine.processes() {
         assert_eq!(p.parasite_count(), 0, "{pid} parasite");
         let (total, distinct) = (p.deliveries() as usize, p.delivered().len());
@@ -162,7 +162,7 @@ fn live_runtime_survives_churn_chaos() {
     let out = rt.shutdown();
 
     // Invariants, live: no parasite ever, no double delivery.
-    assert_eq!(out.counters.get("da.parasite"), 0);
+    assert_eq!(out.tally.total(Family::Da, Kind::Parasite), 0);
     for (pid, p) in out.processes.iter().enumerate() {
         assert_eq!(p.parasite_count(), 0, "p{pid} parasite");
         let (total, distinct) = (p.deliveries() as usize, p.delivered().len());

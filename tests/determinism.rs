@@ -4,7 +4,7 @@
 //! seeds diverge.
 
 use da_baselines::{build_broadcast_network, InterestMap};
-use da_core::{ChannelConfig, FailureModel, ProcessId};
+use da_core::{ChannelConfig, FailureModel, Family, Kind, ProcessId};
 use da_membership::FanoutRule;
 use da_simnet::{Engine, SimConfig};
 use damulticast::{Network, TopicParams};
@@ -73,9 +73,9 @@ fn baseline_fingerprint(seed: u64) -> (u64, u64, u64, u64) {
     engine.process_mut(ProcessId(0)).publish("det");
     engine.run_until_quiescent(64);
     (
-        engine.counters().get("bc.sent"),
-        engine.counters().get("bc.delivered"),
-        engine.counters().get("bc.parasite"),
+        engine.tally().get(Family::Broadcast, Kind::Sent, 0),
+        engine.tally().get(Family::Broadcast, Kind::Delivered, 0),
+        engine.tally().get(Family::Broadcast, Kind::Parasite, 0),
         // Aggregate counts can coincide across seeds (every process relays
         // exactly once when fully covered); channel-drop counts cannot.
         engine.ledger().dropped_channel,

@@ -1,7 +1,7 @@
 //! End-to-end dissemination across the full crate stack: the paper's
 //! topology, multiple publishers, both protocol modes.
 
-use da_core::ChannelConfig;
+use da_core::{ChannelConfig, Family, Kind};
 use da_simnet::{Engine, SimConfig};
 use damulticast::{Network, TopicParams};
 
@@ -31,7 +31,7 @@ fn paper_topology_full_coverage() {
             group.members.len()
         );
     }
-    assert_eq!(engine.counters().get("da.parasite"), 0);
+    assert_eq!(engine.tally().total(Family::Da, Kind::Parasite), 0);
 }
 
 /// Events from different levels reach exactly their audiences. As in
@@ -150,7 +150,7 @@ fn dynamic_stack_end_to_end() {
         .count();
     assert!(leaf >= 55, "leaf coverage {leaf}/60");
     assert!(root >= 1, "event must climb to the root group");
-    assert_eq!(engine.counters().get("da.parasite"), 0);
+    assert_eq!(engine.tally().total(Family::Da, Kind::Parasite), 0);
 }
 
 /// Multiple sequential publications keep working (sequence numbers, dedup

@@ -3,7 +3,7 @@
 //! that the model checker also asserts (ARCHITECTURE.md, "Model
 //! checking: from sampled to exhaustive").
 
-use da_core::{ChannelConfig, FailureModel};
+use da_core::{ChannelConfig, FailureModel, Family, Kind};
 use da_simnet::{Engine, SimConfig};
 use da_tape::{check_cases, prop_assert, prop_assert_eq, Tape};
 use damulticast::{Network, TopicParams};
@@ -59,7 +59,7 @@ fn never_a_parasite() {
             }
         }
         engine.run_until_quiescent(96);
-        prop_assert_eq!(engine.counters().get("da.parasite"), 0);
+        prop_assert_eq!(engine.tally().total(Family::Da, Kind::Parasite), 0);
         for (pid, p) in engine.processes() {
             prop_assert_eq!(p.parasite_count(), 0, "parasite at {}", pid);
         }

@@ -209,9 +209,10 @@ fn the_workspace_has_no_second_benchmark_system() {
     }
 }
 
-/// Protocol hooks count through interned ids (`Exec::bump_id`): a bump
-/// by name hashes and compares the label once per message. Names are
-/// for fixtures, which in these crates live behind `#[cfg(test)]`.
+/// Protocol hooks count into the substrate's typed tally (`Exec::count`,
+/// an array increment): a bump by name would hash and compare the label
+/// once per message. Names are for fixtures, which in these crates live
+/// behind `#[cfg(test)]`.
 #[test]
 fn protocol_hooks_bump_no_counter_by_name() {
     for dir in ["crates/core/src", "crates/baselines/src"] {
@@ -223,6 +224,52 @@ fn protocol_hooks_bump_no_counter_by_name() {
             );
         }
     }
+}
+
+/// The library crates keep no process-global state: a protocol counts
+/// into its stripe's tally, so nothing is set up once per process, held
+/// behind a lock or leaked, and a first run costs what a later one does.
+/// The one thread-local, the dissemination plan's scratch buffers, is
+/// per thread, not global.
+#[test]
+fn the_crates_keep_no_process_global_state() {
+    let global = ["Mutex", "LazyLock", "OnceLock", "Box::leak"];
+    for dir in [
+        "crates/da-core/src",
+        "crates/core/src",
+        "crates/baselines/src",
+        "crates/simnet/src",
+    ] {
+        for (path, source) in sources(dir) {
+            for name in global {
+                let shipped = shipped(&path, &source);
+                assert!(!shipped.contains(name), "{}: {name}", path.display());
+            }
+        }
+    }
+}
+
+/// The process-wide label interner and its id-keyed bump path are gone
+/// from the code and the notes alike, and do not come back.
+#[test]
+fn the_label_interner_stays_gone() {
+    // Spelled in two halves so that this file passes its own check.
+    let gone = [concat!("Label", "Id"), concat!("bump", "_id")];
+    let naming = |name: &str| -> Vec<std::path::PathBuf> {
+        code_and_notes()
+            .into_iter()
+            .filter(|(_, source)| source.contains(name))
+            .map(|(path, _)| path)
+            .collect()
+    };
+    for name in gone {
+        assert_eq!(naming(name), Vec::<std::path::PathBuf>::new(), "{name}");
+    }
+    // The scan reads this file, so a name planted here is found.
+    let planted = naming(concat!("fn the_label_", "interner_stays_gone"));
+    assert!(planted
+        .iter()
+        .any(|path| path.ends_with("tests/layering.rs")));
 }
 
 /// The concurrent fabric stays small. The crossbeam shim is the SPSC
@@ -726,6 +773,7 @@ fn each_substrate_has_a_pinned_verb_list() {
             "status",
             "step_round",
             "step_round_with",
+            "tally",
             "trace_log",
         ]
     );
@@ -740,6 +788,7 @@ fn each_substrate_has_a_pinned_verb_list() {
             "shutdown",
             "spawn",
             "step_tick",
+            "tally",
             "trace_log",
             "with_process_mut",
             "workers",

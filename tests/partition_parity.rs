@@ -17,7 +17,7 @@
 //! around a heal is timing-dependent, and the substrates' channel-draw
 //! sequences legitimately differ.
 
-use da_core::{ChannelConfig, Latency, ProcessId, RunConfig};
+use da_core::{ChannelConfig, Family, Kind, Latency, ProcessId, RunConfig};
 use da_harness::experiments::live::{delivered_sets, partition_faults, pinned_params};
 use da_harness::substrate::{Driver, Substrate};
 use da_tape::{check_cases, prop_assert_eq};
@@ -67,7 +67,7 @@ fn run_partitioned(
     let out = driver.finish();
     (
         delivered_sets(&out.processes),
-        out.counters.get("da.parasite"),
+        out.tally.total(Family::Da, Kind::Parasite),
     )
 }
 

@@ -1,6 +1,6 @@
 //! The protocol receive path indexes, it does not hash or allocate: a
-//! label interned to a `LabelId` counts exactly like its name on both
-//! substrates, a warmed-up `DaProcess` discards a duplicate without
+//! tally folds to the same cells on both substrates and renders each
+//! under its name, a warmed-up `DaProcess` discards a duplicate without
 //! touching the allocator and publishes without a heap block per event,
 //! a control message allocates only when it
 //! carries a list (then once more than the list), a static process
@@ -13,8 +13,8 @@
 
 use da_core::failure::FailureModel;
 use da_core::{
-    Counters, Exec, ExecProtocol, LabelId, LifecycleController, Occurrences, ProcessId, RunConfig,
-    WireSize,
+    Exec, ExecProtocol, Family, Kind, LifecycleController, Occurrences, ProcessId, RunConfig,
+    Tally, WireSize,
 };
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::MembershipMsg;
@@ -56,24 +56,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-const GROUPS: usize = 3;
-const FIRST: [&str; GROUPS] = ["wave.first.g0", "wave.first.g1", "wave.first.g2"];
-const DUPLICATE: [&str; GROUPS] = [
-    "wave.duplicate.g0",
-    "wave.duplicate.g1",
-    "wave.duplicate.g2",
-];
-
-/// A flood that labels its receipts per group, by name or by interned
-/// id: the first copy of the token is forwarded to two successors,
-/// later copies are counted and dropped.
+/// A flood that counts its receipts per group: the first copy of the
+/// token is forwarded to two successors, later copies are counted and
+/// dropped. An even pid's group is its pid mod 3 and an odd pid's is 3
+/// more, so on two workers neither counts every group: one never grows
+/// rows 3–5, and the other grows rows 0–2 and leaves them empty.
 #[derive(Clone)]
 struct Flood {
     population: u32,
-    by_id: bool,
+    group: usize,
     seen: bool,
-    first: LabelId,
-    duplicate: LabelId,
 }
 
 #[derive(Clone, Debug)]
@@ -86,14 +78,12 @@ impl WireSize for Token {
 }
 
 impl Flood {
-    fn population(n: u32, by_id: bool) -> Vec<Flood> {
+    fn population(n: u32) -> Vec<Flood> {
         (0..n as usize)
             .map(|i| Flood {
                 population: n,
-                by_id,
+                group: 3 * (i % 2) + i % 3,
                 seen: false,
-                first: LabelId::intern(FIRST[i % GROUPS]),
-                duplicate: LabelId::intern(DUPLICATE[i % GROUPS]),
             })
             .collect()
     }
@@ -112,21 +102,20 @@ impl ExecProtocol for Flood {
     fn on_start<X: Exec<Msg = Token>>(&mut self, ctx: &mut X) {
         if ctx.me() == ProcessId(0) {
             self.seen = true;
+            ctx.count(Family::Da, Kind::Control, self.group);
+            ctx.count(Family::Da, Kind::Parasite, 0);
             self.forward(ctx);
         }
     }
 
     fn on_message<X: Exec<Msg = Token>>(&mut self, _from: ProcessId, _msg: Token, ctx: &mut X) {
-        let label = if self.seen {
-            self.duplicate
+        let (da, metro) = if self.seen {
+            (Kind::Duplicate, Kind::Duplicate)
         } else {
-            self.first
+            (Kind::Delivered, Kind::FirstDelivery)
         };
-        if self.by_id {
-            ctx.bump_id(label);
-        } else {
-            ctx.bump(label.name());
-        }
+        ctx.count(Family::Da, da, self.group);
+        ctx.count(Family::Metro, metro, 0);
         if !self.seen {
             self.seen = true;
             self.forward(ctx);
@@ -134,66 +123,103 @@ impl ExecProtocol for Flood {
     }
 }
 
-/// Everything a `Counters` shows: the sorted rendering, the
-/// registration-order walk, and name look-ups.
-fn observed(counters: &Counters) -> (String, Vec<(String, u64)>, Vec<u64>) {
-    (
-        counters.to_string(),
-        counters
-            .iter()
-            .map(|(name, value)| (name.to_owned(), value))
-            .collect(),
-        FIRST
-            .iter()
-            .chain(&DUPLICATE)
-            .map(|name| counters.get(name))
-            .collect(),
-    )
-}
-
+/// A tally folds to the same cells whichever substrate ran it and
+/// however its groups fell across workers; the counters render every
+/// cell under its name with its count, and the sums the benchmark
+/// package takes of those names are the tally's totals.
 #[test]
-fn interned_and_named_bumps_build_the_same_registry() {
-    // Interned by this process, bumped by nobody below.
-    let idle = LabelId::intern("wave.never_bumped");
+fn a_tally_folds_alike_on_every_substrate_and_renders_under_its_names() {
     let population = 60;
-
-    // Each worker numbers its registry's slots in its own first-bump
-    // order; the merge is by name.
+    let mut tallies = Vec::new();
     for substrate in [
         Substrate::Sim,
         Substrate::Live { workers: 1 },
         Substrate::Live { workers: 2 },
     ] {
-        let run = |by_id| {
-            let flood = Flood::population(population, by_id);
-            let mut driver = Driver::spawn(substrate, RunConfig::default().with_seed(9), flood);
-            driver.run_until_quiescent(64);
-            let counters = driver.finish().counters;
-            assert_eq!(counters.get(idle.name()), 0);
-            assert!(counters.iter().all(|(name, _)| name != idle.name()));
-            observed(&counters)
-        };
-        let by_name = run(false);
-        assert_eq!(by_name.2.iter().sum::<u64>(), 2 * u64::from(population));
-        assert_eq!(run(true), by_name, "{substrate:?}");
+        let flood = Flood::population(population);
+        let mut driver = Driver::spawn(substrate, RunConfig::default().with_seed(9), flood);
+        driver.run_until_quiescent(64);
+        let out = driver.finish();
+        let (tally, counters) = (out.tally, out.counters);
+
+        // Each cell the flood counts, under its name: daMulticast's kinds
+        // with the group key, the others bare; and no name beside them
+        // but the ledger's.
+        let mut cells = vec![
+            (Family::Da, Kind::Parasite, 0, "da.parasite".to_owned()),
+            (
+                Family::Metro,
+                Kind::FirstDelivery,
+                0,
+                "metro.first_delivery".to_owned(),
+            ),
+            (
+                Family::Metro,
+                Kind::Duplicate,
+                0,
+                "metro.duplicate".to_owned(),
+            ),
+        ];
+        for group in 0..6 {
+            for (kind, name) in [
+                (Kind::Delivered, "delivered"),
+                (Kind::Duplicate, "duplicate"),
+                (Kind::Control, "control"),
+            ] {
+                cells.push((Family::Da, kind, group, format!("da.{name}.{group}")));
+            }
+        }
+        let mut named = 0;
+        for (family, kind, group, name) in cells {
+            let count = tally.get(family, kind, group);
+            assert_eq!(counters.get(&name), count, "{substrate:?}: {name}");
+            named += usize::from(count > 0);
+        }
+        let ledger_names = if substrate == Substrate::Sim { 9 } else { 11 };
+        assert_eq!(counters.len(), ledger_names + named, "{substrate:?}");
+        let total = |family, kind| tally.total(family, kind);
+        let first = total(Family::Da, Kind::Delivered) + total(Family::Metro, Kind::FirstDelivery);
+        let duplicate = total(Family::Da, Kind::Duplicate) + total(Family::Metro, Kind::Duplicate);
+        let read = [
+            counters.sum_prefix("da.delivered.") + counters.get("metro.first_delivery"),
+            counters.sum_prefix("da.duplicate.") + counters.get("metro.duplicate"),
+            counters.sum_prefix("da.control."),
+            counters.get("da.parasite"),
+        ];
+        let totals = [
+            first,
+            duplicate,
+            total(Family::Da, Kind::Control),
+            total(Family::Da, Kind::Parasite),
+        ];
+        assert_eq!(read, totals, "{substrate:?}");
+        let receipts = total(Family::Da, Kind::Delivered) + total(Family::Da, Kind::Duplicate);
+        assert_eq!(
+            receipts,
+            2 * u64::from(population),
+            "each process forwards twice"
+        );
+        let counted = |group| tally.get(Family::Da, Kind::Delivered, group) > 0;
+        assert!((0..6).all(counted), "{substrate:?}: every group delivered");
+        tallies.push(tally);
     }
+    assert_eq!(tallies[1], tallies[0], "one worker");
+    assert_eq!(tallies[2], tallies[0], "two workers");
 }
 
-/// A context with the substrates' counter path (`Counters::bump_id`) and
-/// an outbox that keeps its capacity.
+/// A context with the substrates' count path (`Tally::count`) and an
+/// outbox that keeps its capacity.
 struct Probe {
     me: ProcessId,
     rng: SmallRng,
-    counters: Counters,
+    tally: Tally,
     outbox: Vec<(ProcessId, DaMsg)>,
 }
 
 impl Probe {
     /// True once the process has sent an event up a level.
     fn elected(&self) -> bool {
-        self.counters
-            .iter()
-            .any(|(name, _)| name.starts_with("da.inter_out"))
+        self.tally.total(Family::Da, Kind::InterOut) > 0
     }
 }
 
@@ -216,17 +242,13 @@ impl Exec for Probe {
         &mut self.rng
     }
 
-    fn bump(&mut self, label: &str) {
-        self.counters.bump(label);
+    fn bump(&mut self, _label: &str) {}
+
+    fn count(&mut self, family: Family, kind: Kind, group: usize) {
+        self.tally.count(family, kind, group);
     }
 
-    fn bump_id(&mut self, label: LabelId) {
-        self.counters.bump_id(label);
-    }
-
-    fn add(&mut self, label: &str, delta: u64) {
-        self.counters.add_named(label, delta);
-    }
+    fn add(&mut self, _label: &str, _delta: u64) {}
 }
 
 /// A leaf process of a static 4/12/40 chain, a group-mate to hear from,
@@ -239,7 +261,7 @@ fn leaf_under_probe() -> (DaProcess, ProcessId, Probe) {
     let probe = Probe {
         me: receiver,
         rng: da_core::rng_for_process(3, receiver),
-        counters: Counters::new(),
+        tally: Tally::default(),
         outbox: Vec::with_capacity(64),
     };
     (process, sender, probe)
@@ -254,8 +276,8 @@ fn event_from(sender: ProcessId, topic: TopicId, sequence: u32) -> DaMsg {
 }
 
 /// Warm-up: fresh events from `sender` until one is elected to go up a
-/// level, which sizes both of the plan's target buffers and registers
-/// every label a first delivery bumps. Returns the next fresh sequence.
+/// level, which sizes both of the plan's target buffers and grows the
+/// tally's row. Returns the next fresh sequence.
 fn deliver_until_elected(process: &mut DaProcess, sender: ProcessId, probe: &mut Probe) -> u32 {
     let topic = process.topic();
     for sequence in 0..1_000 {
@@ -293,8 +315,6 @@ fn a_duplicate_allocates_nothing_and_a_first_delivery_only_grows_its_set() {
     let (mut process, sender, mut probe) = leaf_under_probe();
     let topic = process.topic();
     let first = deliver_until_elected(&mut process, sender, &mut probe);
-    // One duplicate registers its label.
-    process.on_message(sender, event_from(sender, topic, 0), &mut probe);
 
     let duplicates: Vec<DaMsg> = (0..100).map(|_| event_from(sender, topic, 0)).collect();
     probe.outbox.clear();
@@ -336,8 +356,8 @@ fn a_duplicate_allocates_nothing_and_a_first_delivery_only_grows_its_set() {
 fn a_publication_costs_no_heap_block_of_its_own() {
     let (mut process, _, mut probe) = leaf_under_probe();
     // Warm-up: publications until one is elected to go up a level, which
-    // sizes the plan's target buffers and the queue, and registers the
-    // labels.
+    // sizes the plan's target buffers and the queue, and grows the
+    // tally's row.
     let mut round = 0;
     while !probe.elected() {
         assert!(round < 1_000, "no election in 1,000 publications");
@@ -405,7 +425,7 @@ fn a_first_delivery_grows_the_receive_state_by_its_set_slot_alone() {
 #[test]
 fn only_a_control_message_with_a_buffer_allocates_and_only_its_box() {
     let (mut process, sender, mut probe) = leaf_under_probe();
-    // Warm-up: the pong registers the control label.
+    // Warm-up: the pong grows the tally's row.
     process.on_message(sender, DaMsg::Ping { nonce: 0 }, &mut probe);
 
     let before = ALLOCATIONS.get();
@@ -440,7 +460,8 @@ fn only_a_control_message_with_a_buffer_allocates_and_only_its_box() {
 fn a_static_process_stays_under_900_bytes_of_heap() {
     // The benchmark's wave population. What its `bytes_per_process`
     // divides also holds the engine; the processes are the part that
-    // scales, and where a per-process copy of the labels would show.
+    // scales, and where a per-process copy of the group's constants would
+    // show.
     let before = LIVE_BYTES.get();
     let processes = Network::linear(&[10, 100, 1000], TopicParams::default(), 1)
         .unwrap()
@@ -574,11 +595,17 @@ fn a_wave_process_costs_its_budget_row_by_row() {
 
     const SIZES: [usize; 3] = [10, 100, 1000];
     let build = || Network::linear(&SIZES, TopicParams::default(), 1).unwrap();
-    // Warm-up: names are interned once per run, not once per build.
-    drop(build());
 
     let before = LIVE_BYTES.get();
     let net = build();
+    // The first build leaves live what any later one does: nothing is
+    // set up once per process and kept (an interned name, a leaked
+    // string), so a short run's bytes read as a long run's.
+    let first_build = LIVE_BYTES.get() - before;
+    let again = LIVE_BYTES.get();
+    let second = build();
+    assert_eq!(LIVE_BYTES.get() - again, first_build, "a second build");
+    drop(second);
     // The benchmark keeps the leaf group's pids to pick publishers from.
     let leaf = net.groups().last().unwrap().members.clone();
     let processes = net.into_processes();

@@ -14,8 +14,8 @@
 
 use da_core::testkit::LifeProbe;
 use da_core::{
-    first_divergence, ChannelConfig, FailureModel, Fate, Latency, ProcessId, RunConfig,
-    TraceConfig, TraceLog, TraceVerdict,
+    first_divergence, ChannelConfig, FailureModel, Family, Fate, Kind, Latency, ProcessId,
+    RunConfig, TraceConfig, TraceLog, TraceVerdict,
 };
 use da_harness::experiments::live::{delivered_sets, pinned_params};
 use da_harness::experiments::trace::describe_divergence;
@@ -59,7 +59,7 @@ fn run(
     let out = driver.finish();
     (
         delivered_sets(&out.processes),
-        out.counters.get("da.parasite"),
+        out.tally.total(Family::Da, Kind::Parasite),
         out.trace.expect("tracing was enabled"),
     )
 }
@@ -194,7 +194,7 @@ fn diamond(seed: u64) -> Network {
 }
 
 /// On reliable channels a one-worker pool replays the simulator: the same
-/// ledger and counters, the same delivery order at every process, the
+/// ledger and tally, the same delivery order at every process, the
 /// same flight-recorder stream in capture order (every envelope's tick,
 /// edge, size and verdict; it names no event), the same final statuses
 /// and the same quiescent tick, under each of the
@@ -240,18 +240,18 @@ fn a_one_worker_pool_replays_the_simulator_on_reliable_channels() {
                 let out = driver.finish();
                 let trace = out.trace.expect("tracing is on");
                 assert_eq!(trace.dropped_events, 0, "{substrate:?} kept every event");
-                let counters = (out.ledger, out.counters.to_string());
+                let tallied = (out.ledger, out.tally);
                 let (processes, logs): (Vec<DaProcess>, Vec<Vec<EventId>>) = out
                     .processes
                     .into_iter()
                     .map(|p| (p.process, p.log))
                     .unzip();
                 let sets = delivered_sets(&processes);
-                (counters, quiescent, out.statuses, sets, logs, trace.events)
+                (tallied, quiescent, out.statuses, sets, logs, trace.events)
             };
             let (sim, live) = (run(SIM), run(Substrate::Live { workers: 1 }));
             let case = format!("{shape}, {failure:?}, seed {seed}");
-            assert_eq!(sim.0, live.0, "counters: {case}");
+            assert_eq!(sim.0, live.0, "ledger and tally: {case}");
             assert_eq!(sim.1, live.1, "quiescent tick: {case}");
             assert!(sim.2 == live.2, "final statuses: {case}");
             assert!(sim.3 == live.3, "delivered sets: {case}");

@@ -6,6 +6,7 @@
 //! subscribe to (zero parasites). Fast by design — if this fails, skip
 //! the slower suites and fix the basics first.
 
+use da_core::{Family, Kind};
 use da_simnet::{Engine, SimConfig};
 use damulticast::{Network, TopicParams};
 
@@ -42,7 +43,7 @@ fn quickstart_small_topology_delivers_everywhere_without_parasites() {
     }
 
     // The paper's signature property: zero parasite deliveries.
-    assert_eq!(engine.counters().get("da.parasite"), 0);
+    assert_eq!(engine.tally().total(Family::Da, Kind::Parasite), 0);
 
     // Exactly one delivery per interested process — no duplicates hidden
     // behind the per-group counts.
