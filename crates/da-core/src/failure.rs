@@ -20,12 +20,13 @@
 //! churn transitions are sampled from stateless hashes, never from a
 //! shared sequential RNG stream, so the fate of process 7 at round 12 is
 //! the same number on a single-threaded simulator and on any worker
-//! striping of the live pool. Crashes are drawn per 64-pid block
-//! ([`FailurePlan::crash_mask`]: one hash per `(block, round)`, with
-//! more only for the rare block that holds a crash) and recoveries per
-//! `(pid, round)`; [`FailurePlan::churn_flips`] reads either for one
-//! process. A substrate therefore pays for a churn tick in blocks and
-//! crashed processes, not in population.
+//! striping of the live pool. Crashes are drawn per 64-pid block (one
+//! mask per `(block, round)`, keyed by a hash whose first round is the
+//! block's alone, with more hashes only for the rare block that holds a
+//! crash) and recoveries per `(pid, round)`; [`FailurePlan::churn_flips`]
+//! reads either for one process. A substrate therefore pays for a churn
+//! tick in blocks and crashed processes, not in population, and a stripe
+//! that keeps its blocks' first rounds pays one round per block.
 //!
 //! The draw order within [`FailureModel::materialize`] is pinned:
 //! stillborn selection draws the crashed set (one draw per crashed
@@ -37,6 +38,7 @@
 use crate::process::ProcessId;
 use crate::seed::{derive_seed, keep_random, rng_from_seed};
 use rand::Rng;
+use std::ops::RangeInclusive;
 
 /// Seed stream tag of the stillborn crashed-set draw.
 const STILLBORN_STREAM: u64 = 0xFA11;
@@ -160,7 +162,7 @@ impl FailureModel {
 }
 
 /// The churn model's crash draws, one 64-bit mask per `(block, round)`
-/// (see [`FailurePlan::crash_mask`]).
+/// (see `FailurePlan::crash_mask`).
 #[derive(Debug, Clone)]
 struct CrashMasks {
     /// Roots every `(block, round)` key.
@@ -183,13 +185,28 @@ impl CrashMasks {
         CrashMasks { seed, cdf }
     }
 
+    /// The first round of every `(block, round)` key of `block`: what a
+    /// stripe's key column holds ([`FailurePlan::crash_keys`]).
     #[inline]
-    fn draw(&self, block: u64, round: u64) -> u64 {
-        let key = derive_seed(derive_seed(self.seed, block), round);
-        let mut u = key >> 11;
-        if u >= self.cdf[63] {
+    fn block_key(&self, block: u64) -> u64 {
+        derive_seed(self.seed, block)
+    }
+
+    /// The mask of the block keyed `block_key` at `round`.
+    #[inline]
+    fn draw_keyed(&self, block_key: u64, round: u64) -> u64 {
+        let key = derive_seed(block_key, round);
+        if key >> 11 >= self.cdf[63] {
             return 0;
         }
+        self.hit_mask(key)
+    }
+
+    /// The mask of a block whose round key is `key`, once its first
+    /// word `key >> 11` is known to fall below `cdf[63]`: someone in the
+    /// block crashes.
+    fn hit_mask(&self, key: u64) -> u64 {
+        let mut u = key >> 11;
         let (mut mask, mut at, mut gaps) = (0u64, 0usize, 0u64);
         loop {
             // `at` is the first bit not yet drawn; the gap to the next
@@ -362,8 +379,8 @@ impl FailurePlan {
     /// Whether the churn model flips the liveness of `pid` at the start
     /// of `round`, given the process is currently `alive`.
     ///
-    /// An alive process reads its bit of the block's
-    /// [`crash_mask`](Self::crash_mask); a crashed one draws its own
+    /// An alive process reads its bit of its 64-pid block's crash mask
+    /// (one draw per `(block, round)`); a crashed one draws its own
     /// stateless hash of `(churn seed, pid, round)`. Neither is a shared
     /// RNG stream, so **both substrates agree on every fate** regardless
     /// of execution order or worker striping — the lifecycle analogue of
@@ -436,12 +453,59 @@ impl FailurePlan {
     /// answers "nobody" for 98.7% of blocks. Each later crash costs one
     /// more hash, drawing the gap to the next the same way over the bits
     /// left. The draw itself uses neither floats nor logarithms.
-    #[must_use]
+    ///
+    /// This is the per-block reference. A stripe pays the key's first
+    /// round once, in its column ([`crash_keys`](Self::crash_keys)), and
+    /// draws only the blocks its candidate pass
+    /// ([`crash_hits`](Self::crash_hits)) keeps: the same bits.
     #[inline]
-    pub fn crash_mask(&self, block: u64, round: u64) -> u64 {
-        self.crashes
-            .as_ref()
-            .map_or(0, |crashes| crashes.draw(block, round))
+    fn crash_mask(&self, block: u64, round: u64) -> u64 {
+        self.crashes.as_ref().map_or(0, |crashes| {
+            crashes.draw_keyed(crashes.block_key(block), round)
+        })
+    }
+
+    /// The key column of the blocks `blocks`: the first round of every
+    /// `(block, round)` crash key, which no round changes. Empty when
+    /// churn never crashes anyone.
+    pub(crate) fn crash_keys(&self, blocks: RangeInclusive<u64>) -> Vec<u64> {
+        self.crashes.as_ref().map_or_else(Vec::new, |crashes| {
+            blocks.map(|block| crashes.block_key(block)).collect()
+        })
+    }
+
+    /// The candidate pass: writes to `hits`, ascending, every block of
+    /// the column `keys` (whose first entry is block `first_block`) with
+    /// a non-empty [`crash_mask`](Self::crash_mask) at `round`, and that
+    /// mask.
+    ///
+    /// One loop pays one round per block and keeps the blocks whose
+    /// first word falls below `cdf[63]` ("someone here crashes"), which
+    /// at the metropolis rate is 1.3% of them. It holds no branch but
+    /// that rare hit, so consecutive blocks' rounds overlap. Only the
+    /// kept blocks then draw the rest of their masks, from the round key
+    /// the loop handed on.
+    pub(crate) fn crash_hits(
+        &self,
+        keys: &[u64],
+        first_block: u64,
+        round: u64,
+        hits: &mut Vec<(u64, u64)>,
+    ) {
+        hits.clear();
+        let Some(crashes) = &self.crashes else {
+            return;
+        };
+        let below = crashes.cdf[63];
+        for (block, &key) in (first_block..).zip(keys) {
+            let key = derive_seed(key, round);
+            if key >> 11 < below {
+                hits.push((block, key));
+            }
+        }
+        for (_, key) in hits.iter_mut() {
+            *key = crashes.hit_mask(*key);
+        }
     }
 
     /// True when the plan can ever change a process's liveness after
@@ -835,6 +899,48 @@ mod churn_tests {
             .materialize(64, 3);
             assert!((0..64).all(|round| plan.crash_mask(round % 3, round) == full));
         }
+    }
+
+    #[test]
+    fn the_candidate_pass_keeps_exactly_the_blocks_with_a_crash() {
+        // Spans whose first block is 0–3, of stripes 1–4 pids apart: the
+        // column plus the candidate pass must give every block's
+        // reference mask, and leave out exactly the empty ones.
+        let mut hits = Vec::new();
+        for p in [0.0002, 0.3, 1.0] {
+            let plan = FailureModel::Churn {
+                crash_probability: p,
+                recover_probability: 0.5,
+            }
+            .materialize(1 << 12, 17);
+            for offset in 0..4u64 {
+                for stride in 1..=4u64 {
+                    let worker = 65 * offset;
+                    let (first, last) = (worker / 64, (worker + 299 * stride) / 64);
+                    let keys = plan.crash_keys(first..=last);
+                    assert_eq!(keys.len() as u64, last - first + 1);
+                    for round in 0..64 {
+                        plan.crash_hits(&keys, first, round, &mut hits);
+                        let mut kept = hits.iter().peekable();
+                        for block in first..=last {
+                            let got = kept.next_if(|hit| hit.0 == block).map_or(0, |hit| hit.1);
+                            let want = plan.crash_mask(block, round);
+                            assert_eq!(got, want, "p = {p}, block {block} of {first}..={last}");
+                        }
+                        assert_eq!(kept.next(), None, "a kept block outside the span");
+                    }
+                }
+            }
+        }
+        // A plan that never crashes anyone has no column and keeps nothing.
+        let plan = FailureModel::Churn {
+            crash_probability: 0.0,
+            recover_probability: 0.5,
+        }
+        .materialize(1 << 12, 17);
+        assert!(plan.crash_keys(0..=63).is_empty());
+        plan.crash_hits(&[1, 2, 3], 0, 9, &mut hits);
+        assert!(hits.is_empty());
     }
 
     #[test]

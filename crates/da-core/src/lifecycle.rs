@@ -4,27 +4,31 @@
 //!
 //! The controller is deliberately dumb: all randomness lives in the
 //! plan, whose churn draws are stateless hashes — per `(block, round)`
-//! for crashes ([`FailurePlan::crash_mask`]), per `(pid, round)` for
-//! recoveries ([`FailurePlan::churn_flips`]). Each stripe therefore
-//! advances the liveness of its own processes without coordination, and
-//! the resulting fates are **identical** on the single-stripe simulator
-//! and on any worker striping of the live pool — the lifecycle analogue
-//! of the transport's per-edge channel streams.
+//! for crashes, per `(pid, round)` for recoveries
+//! ([`FailurePlan::churn_flips`] reads either for one process). Each
+//! stripe therefore advances the liveness of its own processes without
+//! coordination, and the resulting fates are **identical** on the
+//! single-stripe simulator and on any worker striping of the live pool —
+//! the lifecycle analogue of the transport's per-edge channel streams.
 //!
 //! What a tick costs. Only a crashed slot, a slot named by one of the
-//! tick's scripted fates or a set bit of a crash mask can change state,
-//! and all three come in slot order, so
-//! [`LifecycleController::begin_tick`] merges them in one pass. The
-//! crash masks cost two SplitMix rounds per 64 pids of the stripe's
-//! span, whether anyone changes or not. A crashed process costs one
-//! round: the controller keeps the per-pid half of its recovery key from
-//! the moment it went down. Once the buffers have grown, a tick
-//! allocates nothing. At `metro_churn`'s 131,072 pids and rates (~520
-//! crashed, ~52 transitions a tick) that is ~4,100 + ~520 rounds, and
-//! the walk takes 13.2–14.0 µs a tick (best of 5 × 20,000 ticks on a
-//! 2-vCPU Xeon guest). The walk it replaced took 19.5–23.1 µs there. It
-//! paid two rounds per crashed process, a stable sort of the crashed
-//! list and about 8 allocations a tick.
+//! tick's scripted fates or a set bit of a crash mask can change state.
+//! A crash key is two SplitMix rounds, and the first is the block's
+//! alone, so the stripe keeps it for every 64-pid block of its span in a
+//! column (8 B a block, built by the first tick). A tick then pays one
+//! round per block, in one tight pass that keeps the blocks someone
+//! crashes in, and one round per crashed process, in a second pass over
+//! the recovery keys kept since each went down. A merge takes the full
+//! step only for the slots that can change and copies the runs of
+//! crashed slots between them to the next crashed list as they are.
+//! Once the buffers have grown, a tick allocates nothing. At
+//! `metro_churn`'s 131,072 pids and rates (~520 crashed, ~52 transitions
+//! a tick) that is 2,048 + ~520 rounds and a merge over ~52 slots. The
+//! walk takes 6.8 µs a tick, where the walk it replaced took 12.7 µs
+//! (`cargo run --release --example churn_tick`: the median of 10
+//! alternating runs' best of 6 × 20,000 ticks on a 2-vCPU Xeon guest).
+//! That walk paid two rounds per block, through a peeking merge that
+//! stepped every crashed slot.
 
 use crate::failure::{FailurePlan, Fate, Transition};
 use crate::process::{ProcessId, ProcessStatus};
@@ -70,13 +74,25 @@ struct Down {
     key: u64,
 }
 
-/// What [`LifecycleController::begin_tick`] writes: the last tick's
-/// transitions and the buffer its walk merges the survivors into. Both
-/// keep their capacity from tick to tick.
+/// What [`LifecycleController::begin_tick`] keeps from tick to tick:
+/// the stripe's crash-key column, the last tick's transitions and the
+/// buffers its passes fill. The column is built once; every buffer keeps
+/// its capacity.
 #[derive(Debug, Clone, Default)]
 struct TickBuffers {
+    /// The first round of each crash key of the stripe's span,
+    /// `worker / 64 ..= last block` ([`FailurePlan::crash_keys`]); empty
+    /// when churn never crashes anyone.
+    keys: Vec<u64>,
     out: LifecycleTransitions,
+    /// The survivors' crashed list, swapped with the controller's.
     next: Vec<Down>,
+    /// The blocks someone crashes in this tick, with their masks.
+    hits: Vec<(u64, u64)>,
+    /// The stripe's slots in those masks, ascending.
+    drawn: Vec<u32>,
+    /// Which entries of the crashed list recover by churn, ascending.
+    recovering: Vec<u32>,
 }
 
 /// The slot of pid `index` in the stripe of `owned` processes
@@ -298,13 +314,15 @@ impl LifecycleController {
     /// stripe and reports what changed.
     ///
     /// A slot can change only if it is crashed, named by one of the
-    /// tick's scripted fates, or drawn by its block's crash mask. All
-    /// three come in slot order, and one merge visits their union once
-    /// each, taking the step [`FailurePlan::transition`] takes on the
-    /// same draws: a tick hashes each 64-pid block the stripe spans
-    /// once, and each crashed process with one round over the recovery
-    /// key it kept. The slots still down after the walk become the
-    /// crashed list; nothing is allocated once the buffers have grown.
+    /// tick's scripted fates, or drawn by its block's crash mask. Two
+    /// tight passes find the candidates: one round per block of the
+    /// stripe's span, over the key column, keeps the blocks someone
+    /// crashes in, and one round per crashed process draws its
+    /// recovery. A merge then takes the step [`FailurePlan::transition`]
+    /// takes on the same draws for each slot that can change, and
+    /// copies the runs of crashed slots between them, which stay down as
+    /// they are, straight to the next crashed list. Nothing is allocated
+    /// once the buffers have grown.
     pub fn begin_tick(&mut self, tick: u64) -> &LifecycleTransitions {
         if !self.plan.has_transitions() || self.status.is_empty() {
             return &NO_TRANSITIONS;
@@ -313,32 +331,48 @@ impl LifecycleController {
         let (worker, stride, owned) = (self.worker, self.stride, self.status.len());
         let own =
             |pid: u32| slot_in(pid as usize, worker, stride, owned).map_or(u64::MAX, u64::from);
-        let buffers = self.buffers.get_or_insert_with(Box::default);
-        let TickBuffers { out, next } = &mut **buffers;
+        let first_block = u64::from(worker / 64);
+        let buffers = self.buffers.get_or_insert_with(|| {
+            let last_block = u64::from((worker + (owned as u32 - 1) * stride) / 64);
+            Box::new(TickBuffers {
+                keys: plan.crash_keys(first_block..=last_block),
+                ..TickBuffers::default()
+            })
+        });
+        let TickBuffers {
+            keys,
+            out,
+            next,
+            hits,
+            drawn,
+            recovering,
+        } = &mut **buffers;
         out.churn_crashes = 0;
         out.churn_recoveries = 0;
         out.recovered.clear();
         out.crashed.clear();
         next.clear();
 
-        // The crash-mask candidates, ascending; `u64::MAX` past the last.
-        let last_block = (worker + (owned as u32 - 1) * stride) / 64;
-        let (mut block, mut mask) = (worker / 64, 0u64);
-        let mut next_drawn = || loop {
-            while mask == 0 {
-                if block > last_block {
-                    return u64::MAX;
+        // The crash-mask candidates of the stripe, ascending.
+        plan.crash_hits(keys, first_block, tick, hits);
+        drawn.clear();
+        for &(block, mut mask) in hits.iter() {
+            while mask != 0 {
+                let slot = own(block as u32 * 64 + mask.trailing_zeros());
+                mask &= mask - 1;
+                if slot != u64::MAX {
+                    drawn.push(slot as u32);
                 }
-                mask = plan.crash_mask(u64::from(block), tick);
-                block += 1;
             }
-            let pid = (block - 1) * 64 + mask.trailing_zeros();
-            mask &= mask - 1;
-            let slot = own(pid);
-            if slot != u64::MAX {
-                return slot;
+        }
+        // The crashed list's churn recoveries, as indices into it.
+        let down = &self.down[..];
+        recovering.clear();
+        for (at, d) in (0u32..).zip(down) {
+            if plan.recovers(d.key, tick) {
+                recovering.push(at);
             }
-        };
+        }
         // The tick's scripted fates of this stripe, in pid order.
         let fates = plan.fates_at(tick);
         let mut fate = 0;
@@ -353,22 +387,36 @@ impl LifecycleController {
             u64::MAX
         };
 
-        let mut downs = self.down.iter().peekable();
-        let mut drawn = next_drawn();
+        let (mut at, mut recovery, mut candidate) = (0, 0, 0);
         let mut fated = next_fated(&mut fate);
         loop {
-            let downed = downs.peek().map_or(u64::MAX, |d| u64::from(d.slot));
-            let slot = downed.min(drawn).min(fated);
+            let drawn_slot = drawn.get(candidate).map_or(u64::MAX, |&s| u64::from(s));
+            let touched = drawn_slot.min(fated);
+            // Crashed slots that do not recover and are neither drawn
+            // nor fated stay down with their keys, counting nothing:
+            // exactly the step `Transition::apply(&[], false, ..)` takes.
+            let stop = recovering.get(recovery).map_or(down.len(), |&i| i as usize);
+            let from = at;
+            while at < stop && u64::from(down[at].slot) < touched {
+                at += 1;
+            }
+            next.extend_from_slice(&down[from..at]);
+            let downed = down.get(at).map_or(u64::MAX, |d| u64::from(d.slot));
+            let slot = downed.min(touched);
             if slot == u64::MAX {
                 break;
             }
             let pid = ProcessId(worker + slot as u32 * stride);
-            let mut key = downs.next_if(|d| u64::from(d.slot) == slot).map(|d| d.key);
-            let was_down = key.is_some();
-            let in_mask = drawn == slot;
-            if in_mask {
-                drawn = next_drawn();
+            let was_down = downed == slot;
+            let (mut key, mut recovers) = (None, false);
+            if was_down {
+                key = Some(down[at].key);
+                recovers = recovering.get(recovery) == Some(&(at as u32));
+                recovery += usize::from(recovers);
+                at += 1;
             }
+            let in_mask = drawn_slot == slot;
+            candidate += usize::from(in_mask);
             let mine = if fated == slot {
                 let first = fate;
                 while fates.get(fate).is_some_and(|f| f.pid == pid) {
@@ -383,6 +431,8 @@ impl LifecycleController {
             let t = Transition::apply(mine, !was_down, |alive| {
                 if alive {
                     in_mask
+                } else if was_down {
+                    recovers
                 } else {
                     plan.recovers(*key.get_or_insert_with(|| plan.recovery_key(pid)), tick)
                 }
@@ -530,6 +580,55 @@ mod tests {
         // Outside PerObserver the sampler is a constant true.
         let mut none = LifecycleController::new(plan(FailureModel::None, 4, 9), 0, 1, 4);
         assert!((0..100).all(|_| none.observes_alive()));
+    }
+
+    /// The length of the stripe's crash-key column, 0 before the first
+    /// tick able to change anyone.
+    fn column(lc: &LifecycleController) -> usize {
+        lc.buffers.as_ref().map_or(0, |b| b.keys.len())
+    }
+
+    #[test]
+    fn only_churn_crashes_build_a_column_and_it_spans_the_stripe() {
+        let churn = |crash, recover| FailureModel::Churn {
+            crash_probability: crash,
+            recover_probability: recover,
+        };
+        let fate = Fate {
+            round: 1,
+            pid: ProcessId(5),
+            crash: true,
+        };
+        let no_crashes = [
+            FailureModel::None,
+            FailureModel::Stillborn {
+                alive_fraction: 0.5,
+            },
+            FailureModel::Schedule(vec![fate]),
+            churn(0.0, 0.3),
+        ];
+        for model in no_crashes {
+            let mut lc = LifecycleController::new(plan(model.clone(), 640, 1), 0, 1, 640);
+            for tick in 0..4 {
+                lc.begin_tick(tick);
+            }
+            assert_eq!(column(&lc), 0, "{model:?}");
+        }
+
+        // 8 B per 64-pid block of the span, built by the first tick.
+        let metro = plan(churn(0.0002, 0.05), 131_072, 821);
+        for (stride, owned) in [(1, 131_072), (2, 65_536)] {
+            let mut lc = LifecycleController::new(Arc::clone(&metro), 0, stride, owned);
+            assert_eq!(column(&lc), 0, "built before the first tick");
+            lc.begin_tick(0);
+            assert_eq!(column(&lc), 2_048, "stride {stride}");
+        }
+        // A stripe whose first pid lies past block 0 keys its own span.
+        let p = plan(churn(0.3, 0.3), 640, 2);
+        let mut lc = LifecycleController::new(Arc::clone(&p), 130, 200, 3);
+        lc.begin_tick(0);
+        let keys = &lc.buffers.as_ref().unwrap().keys;
+        assert_eq!(keys, &p.crash_keys(2..=8));
     }
 
     #[test]

@@ -112,11 +112,12 @@ fn script(t: &mut Tape, population: usize, ticks: u64) -> Vec<Fate> {
     fates
 }
 
-/// The drawn case: population 1..=300, 1..=4 stripes, a plan with or
+/// The drawn case: population 1..=300, 1..=4 stripes (or 65..=68, so
+/// that some stripes start past the first 64-pid block), a plan with or
 /// without churn or a stillborn share, and a script on top.
 fn lifecycle_matches_transition(t: &mut Tape) -> CaseResult {
     let population = t.range(1..=300usize);
-    let width = t.range(1..=4usize);
+    let width = t.range(1..=4usize) + if t.weighted(0.2) { 64 } else { 0 };
     let ticks = t.range(1..=40u64);
     let seed = t.range(0..1_000u64);
     let model = match t.below(3) {
@@ -213,4 +214,36 @@ fn the_metropolis_churn_takes_the_per_pid_walk() {
     .materialize(131_072, 821);
     let seen = stripes_take_the_per_pid_walk(plan, 131_072, 2, 64).unwrap();
     assert!(seen[2] > 1_000 && seen[3] > 100, "{seen:?}");
+}
+
+/// Dense churn on three stripes of 700 pids, 0.3 crash and 0.4 recover
+/// a tick: many blocks hold a crash, most masks hold several, ~40% of
+/// the pids are down at a time, and every tick scripts a flicker (a
+/// recover and a crash, in either order) on some of the crashed slots,
+/// so fates meet slots the walk would otherwise carry down unchanged.
+#[test]
+fn dense_churn_with_flickers_on_crashed_slots_takes_the_per_pid_walk() {
+    const POPULATION: usize = 700;
+    const TICKS: u64 = 40;
+    let mut plan = FailureModel::Churn {
+        crash_probability: 0.3,
+        recover_probability: 0.4,
+    }
+    .materialize(POPULATION, 58);
+    let mut alive = vec![true; POPULATION];
+    for round in 0..TICKS {
+        for (i, up) in alive.iter_mut().enumerate() {
+            let pid = ProcessId(i as u32);
+            let h = derive_seed(round, i as u64);
+            if !*up && h & 3 == 0 {
+                let first = (h >> 8) & 1 == 0;
+                for crash in [first, !first] {
+                    plan.push_fate(Fate { round, pid, crash });
+                }
+            }
+            *up = plan.transition(pid, round, *up).alive;
+        }
+    }
+    let seen = stripes_take_the_per_pid_walk(plan, POPULATION, 3, TICKS).unwrap();
+    assert!(seen.iter().all(|&n| n > 1_000), "{seen:?}");
 }
