@@ -208,12 +208,6 @@ impl DropSchedule {
         self.drops.is_empty()
     }
 
-    /// Number of scripted drops.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.drops.len()
-    }
-
     /// True when this schedule kills the `occurrence`-th send from
     /// `from` to `to` at `tick`. Pure — consumes zero randomness.
     #[must_use]

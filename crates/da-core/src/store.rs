@@ -137,11 +137,6 @@ impl<P> ProcessStore<P> {
         self.procs.iter()
     }
 
-    /// Iterates the process states mutably in local-index order.
-    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, P> {
-        self.procs.iter_mut()
-    }
-
     /// The RNG stream of the process at `local` (which must be the
     /// local slot of `pid`), materialising it on first use.
     pub fn rng(&mut self, local: usize, pid: ProcessId) -> &mut SmallRng {

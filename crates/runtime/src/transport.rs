@@ -330,12 +330,6 @@ pub struct EdgeInbox<M> {
 }
 
 impl<M> EdgeInbox<M> {
-    /// Number of workers feeding this inbox.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Drains every incoming lane once, **in producer worker-id order**,
     /// handing each envelope to `visit` tagged with its producer lane.
     /// Within a lane the order is the producer's send order (SPSC FIFO)
@@ -515,12 +509,6 @@ impl<M> FaultyRouter<M> {
             occ_tick: 0,
             sender: (ProcessId(0), 0, rngs.sender_seed(0, 0)),
         }
-    }
-
-    /// Number of workers behind the wrapped hub.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.hub.workers()
     }
 
     /// The wrapped hub (for pool access and direct sends in tests).

@@ -1,6 +1,6 @@
 //! The round-driven simulation engine.
 
-use crate::strategy::{DueMessage, RngStrategy, Strategy};
+use crate::strategy::{RngStrategy, Strategy};
 use da_core::exec::{ExecProtocol, McHash};
 use da_core::failure::Fate;
 use da_core::ledger::{EnvelopeLedger, Registry, Renderer};
@@ -279,7 +279,8 @@ where
     }
 
     /// [`step_round`](Self::step_round) with an explicit [`Strategy`]
-    /// deciding send fates and delivery order. `step_round` is exactly
+    /// deciding each send's fate and, once per round, the order of the
+    /// round's due set. `step_round` is exactly
     /// `step_round_with(&mut RngStrategy)`; the model checker passes a
     /// script-following strategy to walk one enumerated branch instead.
     pub fn step_round_with<S: Strategy>(&mut self, strategy: &mut S) -> TickReport {
@@ -298,7 +299,7 @@ where
         // earlier rounds when a latency model produced them). Latency is
         // clamped ≥ 1, so nothing sent while delivering can become due
         // in the same round: the due set is closed before delivery
-        // starts, which is what lets an ordering strategy see it whole
+        // starts, which is what lets the strategy order it whole, once,
         // and the round's bucket leave the wheel while it delivers.
         let mut due = Vec::new();
         out.net.queue.release_through(round, |_, mut bucket| {
@@ -310,25 +311,9 @@ where
             }
             bucket
         });
-        if out.strategy.wants_ordering() {
-            let mut meta: Vec<DueMessage> = due
-                .iter()
-                .map(|m| DueMessage {
-                    sent: m.sent_tick,
-                    from: m.from,
-                    to: m.to,
-                })
-                .collect();
-            while !due.is_empty() {
-                let idx = out.strategy.next_delivery(&meta).min(due.len() - 1);
-                meta.remove(idx);
-                self.stripe.deliver(due.remove(idx), &mut out);
-            }
-        } else {
-            // Bucket order is FIFO (round, seq) order: the hot path.
-            for m in due.drain(..) {
-                self.stripe.deliver(m, &mut out);
-            }
+        out.strategy.order(&mut due);
+        for m in due.drain(..) {
+            self.stripe.deliver(m, &mut out);
         }
         out.net.queue.restore(due);
 

@@ -63,9 +63,9 @@ mod strategy;
 // The `da_core` names this crate's own public signatures and trait
 // impls mention; everything else is imported from `da_core` directly.
 pub use da_core::{
-    ChannelConfig, Counters, Exec, ExecProtocol, FailureModel, Fate, FaultConfig, McHash, NetFate,
-    NetworkModel, PartitionSchedule, ProcessId, ProcessStatus, RunConfig, ScriptedDrop, Tally,
-    TickReport, TraceConfig, TraceEvent, TraceLog, WireSize,
+    ChannelConfig, Counters, Envelope, Exec, ExecProtocol, FailureModel, Fate, FaultConfig, McHash,
+    NetFate, NetworkModel, PartitionSchedule, ProcessId, ProcessStatus, RunConfig, ScriptedDrop,
+    Tally, TickReport, TraceConfig, TraceEvent, TraceLog, WireSize,
 };
 pub use engine::{Engine, SimConfig};
-pub use strategy::{DueMessage, RngStrategy, Strategy};
+pub use strategy::{RngStrategy, Strategy};

@@ -4,9 +4,9 @@
 //! *walks* it. For small populations (3–8 processes) the explorer
 //! drives [`Engine`] through every choice of
 //!
-//! * **message ordering** — which due message is delivered next
-//!   ([`OrderingMode`]: fixed FIFO, per-destination partial-order
-//!   reduction, or the full interleaving set),
+//! * **message ordering** — the order a round's due set is delivered
+//!   in, chosen once per round ([`OrderingMode`]: fixed FIFO,
+//!   per-destination partial-order reduction, or every permutation),
 //! * **per-envelope drops** — each send may be killed, up to a drop
 //!   budget, and
 //! * **crash points** — at each round boundary any alive process may
@@ -61,8 +61,8 @@
 //! | walk | states | transitions | time |
 //! |---|---|---|---|
 //! | 3 processes, 6 rounds, full ordering, 1 drop, 1 crash | 73 | 636 | 4 ms |
-//! | 5 processes, 6 rounds, `PerDestination`, 1 drop, 1 crash | 209 | 1,322,904 | 9.6–9.8 s |
-//! | 5 processes, 5 rounds, `PerDestination`, no faults | 4 | 31,107 | 0.21–0.27 s |
+//! | 5 processes, 6 rounds, `PerDestination`, 1 drop, 1 crash | 209 | 1,322,904 | 5.5–7.3 s |
+//! | 5 processes, 5 rounds, `PerDestination`, no faults | 4 | 31,107 | 0.11–0.12 s |
 //!
 //! [`McConfig::max_states`] bounds the walk's states, so it cannot bound
 //! a walk of few states and many transitions; check
@@ -70,7 +70,7 @@
 //! (within the bounds) or a search.
 
 use crate::engine::{Engine, SimConfig};
-use crate::strategy::{DueMessage, Strategy};
+use crate::strategy::Strategy;
 use da_core::channel::{ChannelConfig, ChannelFate};
 use da_core::exec::{ExecProtocol, McHash};
 use da_core::failure::{FailureModel, Fate};
@@ -79,6 +79,7 @@ use da_core::metrics::FxHasher;
 use da_core::network::{DropSchedule, NetFate, NetworkModel, Occurrences, ScriptedDrop};
 use da_core::process::ProcessId;
 use da_core::trace::{canonicalize, TraceConfig, TraceEvent};
+use da_core::wheel::Envelope;
 use da_core::wire::WireSize;
 use rand::rngs::SmallRng;
 use std::collections::HashSet;
@@ -182,9 +183,6 @@ pub struct Counterexample {
     pub fates: Vec<Fate>,
     /// Sends the explorer killed along the branch.
     pub drops: Vec<ScriptedDrop>,
-    /// Per-round ordering decision trails (diagnostic; orderings are
-    /// not expressible in a `FaultConfig`).
-    pub ordering_trails: Vec<(u64, Vec<usize>)>,
     /// True when replaying `to_fault_config` under plain FIFO
     /// `step_round` reproduces a violation — i.e. the counterexample
     /// does not depend on a non-FIFO interleaving.
@@ -299,6 +297,16 @@ impl ScriptStrategy {
         pick
     }
 
+    /// Builds one permutation of `due` from the front: each step moves
+    /// the chosen one of the envelopes not yet placed to the next
+    /// position, and the rest keep their relative order.
+    fn permute<M>(&mut self, due: &mut [Envelope<M>]) {
+        for placed in 0..due.len() {
+            let pick = self.choose(due.len() - placed);
+            due[placed..=placed + pick].rotate_right(1);
+        }
+    }
+
     /// Trails for the siblings of every choice point this run extended.
     fn siblings(&self) -> Vec<Vec<usize>> {
         let mut out = Vec::new();
@@ -370,29 +378,17 @@ impl Strategy for ScriptStrategy {
         }
     }
 
-    fn next_delivery(&mut self, due: &[DueMessage]) -> usize {
+    fn order<M>(&mut self, due: &mut [Envelope<M>]) {
         match self.ordering {
-            OrderingMode::Fixed => 0,
+            OrderingMode::Fixed => {}
             OrderingMode::PerDestination => {
-                let first = due
-                    .iter()
-                    .map(|m| m.to)
-                    .min()
-                    .expect("engine never passes an empty due set");
-                let candidates: Vec<usize> = due
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.to == first)
-                    .map(|(i, _)| i)
-                    .collect();
-                candidates[self.choose(candidates.len())]
+                due.sort_by_key(|m| m.to);
+                for group in due.chunk_by_mut(|a, b| a.to == b.to) {
+                    self.permute(group);
+                }
             }
-            OrderingMode::Full => self.choose(due.len()),
+            OrderingMode::Full => self.permute(due),
         }
-    }
-
-    fn wants_ordering(&self) -> bool {
-        !matches!(self.ordering, OrderingMode::Fixed)
     }
 }
 
@@ -404,7 +400,6 @@ struct SearchNode<P: ExecProtocol> {
     crashes_used: u32,
     fates: Vec<Fate>,
     drops: Vec<ScriptedDrop>,
-    ordering_trails: Vec<(u64, Vec<usize>)>,
 }
 
 /// The bounded model checker: a [`McConfig`] plus an [`Invariant`]
@@ -471,7 +466,6 @@ where
             crashes_used: 0,
             fates: Vec::new(),
             drops: Vec::new(),
-            ordering_trails: Vec::new(),
         }];
 
         while let Some(node) = stack.pop() {
@@ -504,8 +498,6 @@ where
                         fates.extend(liveness);
                         let mut drops = node.drops.clone();
                         drops.extend(strategy.drops_made.iter().copied());
-                        let mut ordering_trails = node.ordering_trails.clone();
-                        ordering_trails.push((report.tick, strategy.trail.clone()));
                         let counterexample = self.verify_fifo_replay(
                             base,
                             &make,
@@ -515,7 +507,6 @@ where
                                 round: report.tick,
                                 fates,
                                 drops,
-                                ordering_trails,
                                 fifo_replayable: false,
                                 trace: Vec::new(),
                             },
@@ -553,17 +544,12 @@ where
                     fates.extend(liveness);
                     let mut drops = node.drops.clone();
                     drops.extend(strategy.drops_made.iter().copied());
-                    let mut ordering_trails = node.ordering_trails.clone();
-                    if !strategy.trail.is_empty() {
-                        ordering_trails.push((report.tick, strategy.trail.clone()));
-                    }
                     stack.push(SearchNode {
                         engine,
                         drops_used,
                         crashes_used,
                         fates,
                         drops,
-                        ordering_trails,
                     });
                 }
             }
@@ -853,6 +839,61 @@ mod tests {
         let full = states(OrderingMode::Full);
         assert!(fixed.transitions <= por.transitions);
         assert!(por.transitions <= full.transitions);
+    }
+
+    /// Processes 0–2 each send one message to process 3 and one to
+    /// process 4 at start; a receiver records its senders in receipt
+    /// order, so every within-destination order is a distinct state.
+    #[derive(Clone, Debug, Default)]
+    struct Recorder {
+        heard: Vec<u32>,
+    }
+
+    impl McHash for Recorder {
+        fn mc_hash(&self, state: &mut dyn Hasher) {
+            for from in &self.heard {
+                state.write_u32(*from);
+            }
+            state.write_usize(self.heard.len());
+        }
+    }
+
+    impl ExecProtocol for Recorder {
+        type Msg = Token;
+
+        fn on_start<X: Exec<Msg = Token>>(&mut self, ctx: &mut X) {
+            if ctx.me().0 < 3 {
+                ctx.send(ProcessId(3), Token);
+                ctx.send(ProcessId(4), Token);
+            }
+        }
+
+        fn on_message<X: Exec<Msg = Token>>(&mut self, from: ProcessId, _msg: Token, _ctx: &mut X) {
+            self.heard.push(from.0);
+        }
+    }
+
+    #[test]
+    fn every_order_within_a_destination_is_a_branch() {
+        // Round 1 delivers three messages to each of processes 3 and 4:
+        // 3! × 3! = 36 receipt orders, each a state of its own, and each
+        // settles in round 2. `Full` reaches the same 36 by 6! = 720
+        // permutations of the whole due set.
+        let walk = |ordering| {
+            let s = Explorer::<Recorder>::new(McConfig {
+                max_rounds: 4,
+                ordering,
+                ..McConfig::default()
+            })
+            .explore(&SimConfig::default(), |config| {
+                Engine::new(config, vec![Recorder::default(); 5])
+            })
+            .stats;
+            (s.states, s.transitions, s.quiescent_leaves)
+        };
+        assert_eq!(walk(OrderingMode::Fixed), (3, 3, 1));
+        assert_eq!(walk(OrderingMode::PerDestination), (38, 73, 36));
+        assert_eq!(walk(OrderingMode::Full), (38, 757, 36));
     }
 
     #[test]

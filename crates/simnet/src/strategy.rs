@@ -2,12 +2,13 @@
 //! nondeterminism.
 //!
 //! Everything nondeterministic the engine does in a round funnels
-//! through exactly two decisions:
+//! through exactly two decisions, each made once where it arises:
 //!
-//! 1. **the fate of a send** — today a draw on the engine RNG stream
-//!    via [`NetworkModel::decide_fate`], and
-//! 2. **which due message to deliver next** — today fixed FIFO
-//!    `(delivery round, sequence)` order.
+//! 1. **the fate of each send**, as it is sent — today a draw on the
+//!    engine RNG stream via [`NetworkModel::decide_fate`], and
+//! 2. **the order of the round's due set**, once per round before the
+//!    first delivery — today fixed FIFO `(delivery round, sequence)`
+//!    order.
 //!
 //! A [`Strategy`] intercepts both. The default [`RngStrategy`] keeps
 //! the pre-existing behavior bit-for-bit: fates come from the pinned
@@ -20,21 +21,9 @@
 //! same engine code path that production simulations run.
 
 use da_core::network::{NetFate, NetworkModel};
+use da_core::wheel::Envelope;
 use da_core::ProcessId;
 use rand::rngs::SmallRng;
-
-/// One message due for delivery this round, as shown to
-/// [`Strategy::next_delivery`]. The engine keeps the payload to
-/// itself; identity and provenance are enough to pick an order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DueMessage {
-    /// Round the message was sent in.
-    pub sent: u64,
-    /// Sending process.
-    pub from: ProcessId,
-    /// Destination process.
-    pub to: ProcessId,
-}
 
 /// The engine's nondeterminism provider: decides send fates and
 /// delivery order. See the module-level docs for the contract.
@@ -63,28 +52,14 @@ pub trait Strategy {
         network.decide_fate(from, to, tick, occurrence, rng)
     }
 
-    /// Picks which of the `due` messages (never empty) is delivered
-    /// next; the engine removes that entry and presents the remainder
-    /// on the next call. Returning `0` every time — the default — is
-    /// FIFO `(delivery round, sequence)` order, exactly the historical
+    /// Permutes the round's due set in place; the engine then delivers
+    /// it front to back. Latency is at least one round, so nothing sent
+    /// while delivering joins the set: it is whole when this is called.
+    /// The default leaves it as it is, which is FIFO
+    /// `(delivery round, sequence)` order, exactly the historical
     /// delivery order.
-    ///
-    /// # Returns
-    ///
-    /// An index into `due`; the engine clamps out-of-range answers to
-    /// the last entry rather than panicking mid-round.
-    fn next_delivery(&mut self, due: &[DueMessage]) -> usize {
+    fn order<M>(&mut self, due: &mut [Envelope<M>]) {
         let _ = due;
-        0
-    }
-
-    /// True when [`next_delivery`](Self::next_delivery) may return
-    /// something other than `0`. The engine only materializes the
-    /// [`DueMessage`] view (a per-round allocation) when a strategy
-    /// asks for it; FIFO strategies keep the historical pop-as-you-go
-    /// hot path.
-    fn wants_ordering(&self) -> bool {
-        false
     }
 }
 
@@ -112,12 +87,18 @@ mod tests {
                 network.decide_fate(ProcessId(0), ProcessId(1), tick, 0, &mut b),
             );
         }
-        assert!(!strategy.wants_ordering());
-        let due = [DueMessage {
-            sent: 0,
-            from: ProcessId(0),
-            to: ProcessId(1),
-        }];
-        assert_eq!(strategy.next_delivery(&due), 0);
+        // Deliveries stay in FIFO order: the due set comes back as it went in.
+        let mut due: Vec<Envelope<u32>> = (0..6)
+            .map(|i| Envelope {
+                from: ProcessId(i % 3),
+                to: ProcessId(5 - i),
+                sent_tick: 4,
+                due_tick: 5,
+                msg: i,
+            })
+            .collect();
+        strategy.order(&mut due);
+        let msgs: Vec<u32> = due.iter().map(|m| m.msg).collect();
+        assert_eq!(msgs, [0, 1, 2, 3, 4, 5]);
     }
 }
