@@ -109,6 +109,9 @@ impl From<ControlMsg> for DaMsg {
 /// One tag byte — 0 to 7 in the order the paper's figures introduce the
 /// messages, whichever enum holds the variant — plus the body.
 impl WireSize for DaMsg {
+    // Read on every send before the fate is drawn: out of line, the
+    // message's address escapes and it is stored to memory first.
+    #[inline]
     fn wire_size(&self) -> usize {
         1 + match self {
             DaMsg::Event { event, .. } => event.wire_size() + 4,

@@ -13,9 +13,16 @@
 //! where due envelopes come from, which stays with the caller: it owns
 //! the wheel.
 //!
-//! The phase methods and the context's `send` are `#[inline]`: they are
-//! the body of each substrate's hot loop, and PR 16 measured what one
-//! out-of-line call does to the code generated around it.
+//! The phase methods are `#[inline]`: they are the body of each
+//! substrate's hot loop, and one out-of-line call there changes the code
+//! generated around it. The context's `send` is `#[inline(always)]`, as
+//! is every later hop that carries the message by value (each
+//! `Outbound::send`, the wheel's `schedule`), so a send stores the
+//! message its hook built exactly once. An out-of-line hop would read it
+//! with one wide load right after the narrow stores that wrote it, which
+//! the CPU cannot forward: a store-forwarding stall, an eighth of
+//! `live_wave`'s time (ARCHITECTURE.md, "A send stores its message
+//! once").
 
 use crate::exec::{Exec, ExecProtocol};
 use crate::ledger::EnvelopeLedger;
@@ -174,7 +181,9 @@ impl<O: Outbound<Msg: WireSize>> Exec for Ctx<'_, O> {
         self.tick
     }
 
-    #[inline]
+    // Carries the message by value: out of line, its first load of the
+    // message the hook just stored stalls on store forwarding.
+    #[inline(always)]
     fn send(&mut self, to: ProcessId, msg: O::Msg) {
         let size = msg.wire_size() as u64;
         let fate = self.out.send(self.me, to, self.tick, msg);

@@ -121,7 +121,9 @@ impl<M> DelayWheel<M> {
     }
 
     /// Parks an envelope until its `due_tick`, in the bucket of `lane`.
-    #[inline]
+    // The last hop of a send, which carries the envelope by value: out
+    // of line, its first load of the envelope stalls on store forwarding.
+    #[inline(always)]
     pub fn schedule(&mut self, lane: usize, envelope: Envelope<M>) {
         debug_assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
         let due = envelope.due_tick;

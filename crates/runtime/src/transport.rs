@@ -523,6 +523,9 @@ impl<M> FaultyRouter<M> {
     /// `(edge, tick, occurrence)` on the channel, and, if it
     /// survives, holds it for the destination worker, due `latency`
     /// ticks after `sent_tick`, until a flush ships its due tick.
+    // Carries the message by value into the wheel: one out-of-line hop
+    // re-copies it and moves the send path's store-forwarding stall here.
+    #[inline(always)]
     pub fn send(&mut self, from: ProcessId, to: ProcessId, sent_tick: u64, msg: M) -> NetFate {
         let fate = if self.perfect {
             // Draw-free fast path: no occurrence counting, no seed
@@ -617,7 +620,8 @@ impl<M> FaultyRouter<M> {
 impl<M> Outbound for FaultyRouter<M> {
     type Msg = M;
 
-    #[inline]
+    // Carries the message by value: see `FaultyRouter::send`.
+    #[inline(always)]
     fn send(&mut self, from: ProcessId, to: ProcessId, tick: u64, msg: M) -> NetFate {
         FaultyRouter::send(self, from, to, tick, msg)
     }

@@ -51,7 +51,9 @@ struct Routed<'a, M, S> {
 impl<M, S: Strategy> Outbound for Routed<'_, M, S> {
     type Msg = M;
 
-    #[inline]
+    // Carries the message by value into the wheel: one out-of-line hop
+    // re-copies it and moves the send path's store-forwarding stall here.
+    #[inline(always)]
     fn send(&mut self, from: ProcessId, to: ProcessId, tick: u64, msg: M) -> NetFate {
         let net = &mut *self.net;
         let occurrence = if net.track_occurrences {

@@ -796,6 +796,118 @@ fn each_substrate_has_a_pinned_verb_list() {
     );
 }
 
+/// The hops that carry a message by value from a hook's `ctx.send` to
+/// the wheel bucket, each as (file, its `impl` line, the `fn` line's
+/// start, the attribute it needs), and `DaMsg::wire_size`, which must
+/// not take the message's address out of line before the fate is drawn.
+const SEND_PATH: [(&str, &str, &str, &str); 6] = [
+    (
+        "crates/da-core/src/stripe.rs",
+        "impl<O: Outbound<Msg: WireSize>> Exec for Ctx<'_, O> {",
+        "fn send(",
+        "#[inline(always)]",
+    ),
+    (
+        "crates/simnet/src/engine.rs",
+        "impl<M, S: Strategy> Outbound for Routed<'_, M, S> {",
+        "fn send(",
+        "#[inline(always)]",
+    ),
+    (
+        "crates/runtime/src/transport.rs",
+        "impl<M> FaultyRouter<M> {",
+        "pub fn send(",
+        "#[inline(always)]",
+    ),
+    (
+        "crates/runtime/src/transport.rs",
+        "impl<M> Outbound for FaultyRouter<M> {",
+        "fn send(",
+        "#[inline(always)]",
+    ),
+    (
+        "crates/da-core/src/wheel.rs",
+        "impl<M> DelayWheel<M> {",
+        "pub fn schedule(",
+        "#[inline(always)]",
+    ),
+    (
+        "crates/core/src/message.rs",
+        "impl WireSize for DaMsg {",
+        "fn wire_size(",
+        "#[inline]",
+    ),
+];
+
+/// Each hop of [`SEND_PATH`] that `read` (a file's source by path)
+/// ships without its attribute, or cannot be found.
+fn send_path_hops_out_of_line(read: impl Fn(&str) -> String) -> Vec<String> {
+    let mut missing = Vec::new();
+    for (file, impl_line, fn_start, attribute) in SEND_PATH {
+        let source = read(file);
+        let body = source
+            .split_once(&format!("\n{impl_line}\n"))
+            .and_then(|(_, rest)| rest.split_once("\n}\n"))
+            .map(|(body, _)| body.lines().collect::<Vec<_>>())
+            .unwrap_or_default();
+        let Some(at) = body
+            .iter()
+            .position(|line| line.trim_start().starts_with(fn_start))
+        else {
+            missing.push(format!("{file}: no `{fn_start}` in `{impl_line}`"));
+            continue;
+        };
+        // The attributes above the `fn`, past its comments.
+        let attributes: Vec<&str> = body[..at]
+            .iter()
+            .rev()
+            .map(|line| line.trim())
+            .take_while(|line| line.starts_with("#[") || line.starts_with("//"))
+            .filter(|line| line.starts_with("#["))
+            .collect();
+        if !attributes.contains(&attribute) {
+            missing.push(format!(
+                "{file}: `{impl_line}` `{fn_start}` lacks {attribute}"
+            ));
+        }
+    }
+    missing
+}
+
+/// A send stores its message once: every hop that carries it by value
+/// is compiled into its caller, so no callee loads, with one wide read,
+/// the message its caller has just written as several narrow stores (a
+/// store-forwarding stall that cost `live_wave` an eighth of its samples;
+/// ARCHITECTURE.md, "A send stores its message once"). A new by-value
+/// hop joins [`SEND_PATH`].
+#[test]
+fn the_send_path_inlines_every_hop_that_carries_a_message() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).expect("source file");
+    assert_eq!(
+        send_path_hops_out_of_line(read),
+        Vec::<String>::new(),
+        "a by-value hop on the send path is out of line"
+    );
+    // A copy with one hop's attribute taken out fails the rule, so the
+    // rule above is not vacuous.
+    for (planted, impl_line, fn_start, attribute) in SEND_PATH {
+        let missing = send_path_hops_out_of_line(|file| {
+            let source = read(file);
+            if file != planted {
+                return source;
+            }
+            let (head, rest) = source.split_once(impl_line).expect("impl line");
+            let (above, below) = rest.split_once(fn_start).expect("fn line");
+            let line = format!("{attribute}\n");
+            let at = above.rfind(&line).expect("the attribute");
+            let above = format!("{}{}", &above[..at], &above[at + line.len()..]);
+            format!("{head}{impl_line}{above}{fn_start}{below}")
+        });
+        assert_eq!(missing.len(), 1, "{planted} {fn_start}: {missing:?}");
+    }
+}
+
 /// An envelope is its message plus 24 bytes of routing, and a wave keeps
 /// tens of thousands in flight: the stream's footprint, not its copying,
 /// is what the receive path pays for. Every shipped `ExecProtocol::Msg`

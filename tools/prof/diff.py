@@ -44,7 +44,7 @@ def rates(path, ops, drop, frames):
     located = list(sym.owners(spans, samples))
     if frames:
         inside = [ip - bases[exe] for owner, ip in located if owner == exe]
-        labels = iter(sym.own_frames(exe, inside))
+        labels = iter(label for label, _ in sym.own_frames(exe, inside))
     for owner, ip in located:
         if owner not in tables:
             flags = ("-C",) if owner == exe else ("-C", "-D", "--defined-only")

@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Flat profile from a prof.c sample file: sym.py PROF_OUT [MIN_SHARE_%]
 
-Two tables over the samples that fell in the profiled executable (the rest
+Three tables over the samples that fell in the profiled executable (the rest
 are counted per library). By out-of-line symbol, from `nm -n`, mangled on
 purpose: the hash suffix keeps two instantiations of one generic apart
 (the calibration slice's SipHash `HashSet` vs the protocol's Fx `seen`).
-And by the innermost inlined frame whose source is the repository's (not
+By the innermost inlined frame whose source is the repository's (not
 the toolchain's, under /rustc or /rust/deps), from `addr2line -i`: whose
-line the time belongs to when std code was inlined into it. An out-of-line
-std function has no such frame and is listed as itself. Build with CARGO_PROFILE_RELEASE_DEBUG=1.
+code the time belongs to when std code was inlined into it. An out-of-line
+std function has no such frame and is listed as itself. And by that
+frame's `file:line`: a cost that sits on one instruction, such as a load
+stalled on the stores just before it, reads as one row there while the
+frame's row spreads it over the whole function. Build with
+CARGO_PROFILE_RELEASE_DEBUG=1.
 Symbolise before rebuilding: a mapped file whose inode is no longer the one
 the run recorded is refused, not read.
 
@@ -68,17 +72,20 @@ def symbol_at(table, offset):
 
 
 def own_frames(exe, addresses):
-    """Each address's innermost inlined frame whose source is the repository's, as a row label."""
+    """Each address's innermost inlined frame whose source is the repository's, as two row labels:
+    the function with its file, and the frame's `file:line`."""
     resolved = subprocess.run(
         ["addr2line", "-a", "-f", "-i", "-C", "-e", exe],
         input="\n".join(hex(a) for a in addresses), capture_output=True, text=True,
     ).stdout.splitlines()
-    labels, frames, function = [], [], None  # frames: (function, file) of the current address, innermost first
+    labels, frames, function = [], [], None  # frames: (function, file:line) of the current address, innermost first
     for line in resolved + ["0x0"]:
         if line.startswith("0x") and ":" not in line:
             if frames:
                 own = next((f for f in frames if not f[1].startswith("/rust")), frames[-1])
-                labels.append(f"{own[0]}  ({'/'.join(own[1].split(':')[0].split('/')[-3:])})")
+                file, _, number = own[1].split(" ")[0].rpartition(":")  # drops "(discriminator n)"
+                file = "/".join(file.split("/")[-3:])
+                labels.append((f"{own[0]}  ({file})", f"{file}:{number}"))
             frames, function = [], None
         elif function is None:
             function = line
@@ -101,11 +108,18 @@ def main():
 
     table = nm(exe)
     by_symbol = collections.Counter(symbol_at(table, address) for address in inside)
-    by_own_frame = collections.Counter(own_frames(exe, inside))
+    frames = own_frames(exe, inside)
+    by_own_frame = collections.Counter(label for label, _ in frames)
+    by_line = collections.Counter(line for _, line in frames)
 
     total = len(samples)
     print(f"{total} samples, {len(inside)} in {os.path.basename(exe)}; elsewhere: {dict(outside)}")
-    for title, counts in (("symbol (nm, mangled)", by_symbol), ("first frame in the repository's source", by_own_frame)):
+    tables = (
+        ("symbol (nm, mangled)", by_symbol),
+        ("first frame in the repository's source", by_own_frame),
+        ("that frame's source line", by_line),
+    )
+    for title, counts in tables:
         print(f"\n  share  samples  {title}")
         for name, n in counts.most_common():
             if 100.0 * n / total >= floor:
