@@ -53,9 +53,27 @@ use std::sync::Arc;
 // (topic parameters, size, hierarchy: 92 B) are one shared
 // `Arc<Group>`. A supertable is its list and nothing else: its owner is
 // the process and its bound `z` is the group's. The de-dup set is the
-// delivered set. See ARCHITECTURE.md, "Memory at scale".
-const _: () = assert!(std::mem::size_of::<DaProcess>() == 184);
-const _: () = assert!(std::mem::size_of::<SuperTable>() == 24);
+// delivered set. A process is two cache lines: every field a duplicate
+// receipt reads ends in the first, and the tables a send reads fill the
+// second. See ARCHITECTURE.md, "Memory at scale".
+const _: () = {
+    use std::mem::{align_of, offset_of, size_of};
+    assert!(size_of::<DaProcess>() == 128);
+    assert!(align_of::<DaProcess>() == 64);
+    assert!(offset_of!(DaProcess, view) == 64);
+    assert!(offset_of!(DaProcess, seen) + size_of::<EventSet>() <= 64);
+    assert!(offset_of!(DaProcess, group) + size_of::<Arc<Group>>() <= 64);
+    assert!(offset_of!(DaProcess, dynamic) + size_of::<Option<Box<Dynamic>>>() <= 64);
+    assert!(offset_of!(DaProcess, me) + size_of::<ProcessId>() <= 64);
+    assert!(offset_of!(DaProcess, topic) + size_of::<TopicId>() <= 64);
+    assert!(offset_of!(DaProcess, deliveries) + size_of::<u32>() <= 64);
+    assert!(offset_of!(DaProcess, parasite_count) + size_of::<u32>() <= 64);
+    assert!(offset_of!(DaProcess, next_sequence) + size_of::<u32>() <= 64);
+    assert!(offset_of!(DaProcess, mutation) + size_of::<Mutation>() <= 64);
+    assert!(size_of::<PartialView>() == 32);
+    assert!(size_of::<SuperTables>() == 24);
+    assert!(size_of::<SuperTable>() == 24);
+};
 
 thread_local! {
     /// The dissemination plan every `DaProcess` on this thread draws
@@ -96,34 +114,80 @@ thread_local! {
 /// assert_eq!(p.topic(), ids[1]);
 /// assert_eq!(p.topic_table(), [ProcessId(1)]);
 /// ```
+///
+/// The process is two cache lines, in this field order. The first holds
+/// every field a duplicate receipt reads, and the receive path's
+/// counters, so a duplicate (most receipts) touches one line; the second
+/// holds the tables that only a first delivery's sends and the round
+/// hook read.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
 pub struct DaProcess {
+    /// The ids delivered so far: Fig. 5's "done only the first time" set,
+    /// probed once per receipt, one line each (a parasite never enters).
+    seen: EventSet,
+    /// What the process shares with its group-mates.
+    group: Arc<Group>,
+    /// Dynamic-mode state; `None` in static mode.
+    dynamic: Option<Box<Dynamic>>,
     me: ProcessId,
     /// The group's topic, kept beside `me` where it costs no byte.
     topic: TopicId,
-    /// What the process shares with its group-mates.
-    group: Arc<Group>,
+    /// Deliveries: `seen`'s size, unless a mutation re-delivers an id.
+    deliveries: u32,
+    /// Events received for a topic this process is *not* interested in.
+    /// The paper's central claim is that this stays zero.
+    parasite_count: u32,
+    next_sequence: u32,
+    /// Deliberate protocol defect, [`Mutation::None`] in production.
+    mutation: Mutation,
     /// The topic table (partial view of the own group). Dynamic mode
     /// runs the [`flat`] gossip on it; static mode never changes it.
     view: PartialView,
     /// One supertopic table per direct supertopic, in
     /// `TopicHierarchy::parents` order; none at the root.
-    super_tables: Vec<SuperTable>,
-    /// Dynamic-mode state; `None` in static mode.
-    dynamic: Option<Box<Dynamic>>,
-    /// The ids delivered so far: Fig. 5's "done only the first time" set,
-    /// probed once per receipt, one line each (a parasite never enters).
-    seen: EventSet,
-    /// Deliveries: `seen`'s size, unless a mutation re-delivers an id.
-    deliveries: u32,
-    /// Events received for a topic this process is *not* interested in.
-    /// The paper's central claim is that this stays zero.
-    parasite_count: u64,
-    /// Publications queued until the next round hook.
-    pending_publish: Vec<Event>,
-    next_sequence: u32,
-    /// Deliberate protocol defect, [`Mutation::None`] in production.
-    mutation: Mutation,
+    super_tables: SuperTables,
+    /// Publications queued until the next round hook; `None` until the
+    /// first, so only a publisher allocates the queue. Boxed on purpose:
+    /// 8 B inline where a `Vec` takes 24.
+    #[allow(clippy::box_collection)]
+    pending_publish: Option<Box<Vec<Event>>>,
+}
+
+/// A process's supertopic tables: none at the root, a tree member's one
+/// table inline, so it costs no allocation of its own, and a boxed slice
+/// for a member with several direct supertopics.
+#[derive(Debug, Clone)]
+enum SuperTables {
+    Root,
+    One(SuperTable),
+    Many(Box<[SuperTable]>),
+}
+
+impl SuperTables {
+    fn new(mut tables: Vec<SuperTable>) -> Self {
+        match tables.len() {
+            0 => SuperTables::Root,
+            1 => SuperTables::One(tables.remove(0)),
+            _ => SuperTables::Many(tables.into_boxed_slice()),
+        }
+    }
+
+    fn as_slice(&self) -> &[SuperTable] {
+        match self {
+            SuperTables::Root => &[],
+            SuperTables::One(table) => std::slice::from_ref(table),
+            SuperTables::Many(tables) => tables,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [SuperTable] {
+        match self {
+            SuperTables::Root => &mut [],
+            SuperTables::One(table) => std::slice::from_mut(table),
+            SuperTables::Many(tables) => tables,
+        }
+    }
 }
 
 /// What only a dynamic-mode process keeps: the tasks of Figs. 4 and 6 and
@@ -250,18 +314,18 @@ impl DaProcess {
         dynamic: Option<Box<Dynamic>>,
     ) -> Self {
         DaProcess {
-            me,
+            seen: EventSet::default(),
             topic: group.topic,
             group,
-            view,
-            super_tables,
             dynamic,
-            seen: EventSet::default(),
+            me,
             deliveries: 0,
             parasite_count: 0,
-            pending_publish: Vec::new(),
             next_sequence: 0,
             mutation: Mutation::None,
+            view,
+            super_tables: SuperTables::new(super_tables),
+            pending_publish: None,
         }
     }
 
@@ -330,7 +394,7 @@ impl DaProcess {
     /// [`TopicHierarchy::parents`]: da_topics::TopicHierarchy::parents
     #[must_use]
     pub fn super_tables(&self) -> &[SuperTable] {
-        &self.super_tables
+        self.super_tables.as_slice()
     }
 
     /// Ids of the events delivered to the application so far.
@@ -355,7 +419,7 @@ impl DaProcess {
     /// not interested in. daMulticast's invariant is that this is zero.
     #[must_use]
     pub fn parasite_count(&self) -> u64 {
-        self.parasite_count
+        u64::from(self.parasite_count)
     }
 
     /// Queues an event for publication on this process' own topic. The
@@ -368,7 +432,7 @@ impl DaProcess {
         let sequence = self.next_sequence;
         self.next_sequence = sequence.checked_add(1).expect("sequence past u32::MAX");
         let event = Event::new(self.me, sequence, self.topic, payload);
-        self.pending_publish.push(event);
+        self.pending_publish.get_or_insert_default().push(event);
         event.id
     }
 
@@ -377,7 +441,7 @@ impl DaProcess {
     /// (Sec. VI-C), with `z` per direct supertopic (Sec. VIII).
     #[must_use]
     pub fn memory_entries(&self) -> usize {
-        let supers: usize = self.super_tables.iter().map(SuperTable::len).sum();
+        let supers: usize = self.super_tables().iter().map(SuperTable::len).sum();
         self.view.len() + supers
     }
 
@@ -411,7 +475,7 @@ impl DaProcess {
         plan_dissemination(
             &self.group,
             self.view.as_slice(),
-            &self.super_tables,
+            self.super_tables.as_slice(),
             ctx.rng(),
             &mut plan,
         );
@@ -448,7 +512,10 @@ impl DaProcess {
         // Interest check: events only ever travel *up* the hierarchy, so a
         // correct run never trips this. Baselines do; daMulticast must not.
         if !self.is_interested_in(event.topic) {
-            self.parasite_count += 1;
+            self.parasite_count = self
+                .parasite_count
+                .checked_add(1)
+                .expect("parasites past u32::MAX");
             ctx.count(Family::Da, Kind::Parasite, 0);
             return;
         }
@@ -610,7 +677,7 @@ impl DaProcess {
             .into_iter()
             .filter(|e| hierarchy.includes(e.topic, self.topic))
             .collect();
-        if let Some(table) = self.super_tables.first_mut() {
+        if let Some(table) = self.super_tables.as_mut_slice().first_mut() {
             table.tighten(&valid, self.group.params.z, |t| hierarchy.depth(t));
         }
         valid
@@ -635,7 +702,7 @@ impl DaProcess {
         ctx: &mut X,
     ) {
         for (to, inner) in out {
-            let stable_sample = match self.super_tables.first() {
+            let stable_sample = match self.super_tables().first() {
                 Some(table) => table.sample(2, ctx.rng()),
                 None => Vec::new(),
             };
@@ -665,7 +732,7 @@ impl ExecProtocol for DaProcess {
             self.route_membership(joins, ctx);
         }
         // A table filled before the start needs no search.
-        if self.super_tables.iter().all(SuperTable::is_empty) {
+        if self.super_tables().iter().all(SuperTable::is_empty) {
             self.restart_bootstrap(ctx);
         }
     }
@@ -714,16 +781,17 @@ impl ExecProtocol for DaProcess {
     fn on_round<X: Exec<Msg = DaMsg>>(&mut self, round: u64, ctx: &mut X) {
         // Publications queued since the last round (Fig. 5 SUBSCRIBE +
         // Fig. 7 DISSEMINATE, run by the publisher).
-        let mut publishes = std::mem::take(&mut self.pending_publish);
-        for event in publishes.drain(..) {
-            if self.seen.insert(event.id) {
-                self.deliver(event, ctx);
-            } else {
-                self.disseminate(event, ctx);
+        if let Some(mut publishes) = self.pending_publish.take() {
+            for event in publishes.drain(..) {
+                if self.seen.insert(event.id) {
+                    self.deliver(event, ctx);
+                } else {
+                    self.disseminate(event, ctx);
+                }
             }
+            // Kept for the next publication, which would otherwise allocate.
+            self.pending_publish = Some(publishes);
         }
-        // Kept for the next publication, which would otherwise allocate.
-        self.pending_publish = publishes;
 
         // Static mode stops here: no control plane.
         if self.dynamic.is_none() {
@@ -736,7 +804,7 @@ impl ExecProtocol for DaProcess {
 
         // KEEP_TABLE_UPDATED (Fig. 6).
         let entries: Vec<ProcessId> = self
-            .super_tables
+            .super_tables()
             .iter()
             .flat_map(SuperTable::entries)
             .map(|e| e.pid)
@@ -755,7 +823,7 @@ impl ExecProtocol for DaProcess {
             }
             MaintenanceAction::Refresh { alive, dead } => {
                 for d in dead {
-                    for table in &mut self.super_tables {
+                    for table in self.super_tables.as_mut_slice() {
                         table.remove(d);
                     }
                 }
@@ -828,7 +896,7 @@ impl McHash for DaProcess {
         }
         // Static tables never change, so one list of every table's entries
         // tells states apart — and is the one table's own at one or none.
-        let supers = || self.super_tables.iter().flat_map(SuperTable::entries);
+        let supers = || self.super_tables().iter().flat_map(SuperTable::entries);
         state.write_u64(supers().count() as u64);
         for e in supers() {
             state.write_u32(e.pid.0);
@@ -849,9 +917,13 @@ impl McHash for DaProcess {
         }
         state.write_u64(fold_unordered(self.seen.iter().map(event_id_word)));
         state.write_u64(u64::from(self.deliveries));
-        state.write_u64(self.parasite_count);
-        state.write_u64(self.pending_publish.len() as u64);
-        for e in &self.pending_publish {
+        state.write_u64(u64::from(self.parasite_count));
+        let pending = self
+            .pending_publish
+            .as_deref()
+            .map_or(&[][..], Vec::as_slice);
+        state.write_u64(pending.len() as u64);
+        for e in pending {
             state.write_u64(event_id_word(e.id));
         }
         state.write_u64(u64::from(self.next_sequence));

@@ -16,7 +16,7 @@ use rand::Rng;
 /// Each entry can carry a liveness stamp — the round it was last heard
 /// from ([`PartialView::mark_heard`]) — which leaves the view with it.
 /// The stamps are allocated on the first `mark_heard` that hits a
-/// resident, so a view nobody stamps pays one empty `Vec` for them.
+/// resident, so a view nobody stamps pays one null pointer for them.
 ///
 /// ```
 /// use da_membership::PartialView;
@@ -29,29 +29,69 @@ use rand::Rng;
 /// view.insert(ProcessId(1), &mut rng); // duplicate: ignored
 /// assert_eq!(view.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct PartialView {
     owner: ProcessId,
-    capacity: usize,
-    entries: Vec<ProcessId>,
-    /// `heard[i]` is the round `entries[i]` was last heard from, or
-    /// [`NEVER_HEARD`]. Empty until the first stamp, parallel to
-    /// `entries` from then on.
-    heard: Vec<u64>,
+    /// Entries in `slots`: the first `len` are the view, in order.
+    len: u32,
+    /// Room for the view's capacity, allocated whole at construction:
+    /// the capacity is `slots.len()`.
+    slots: Box<[ProcessId]>,
+    /// `heard[i]` is the round `slots[i]` was last heard from, or
+    /// [`NEVER_HEARD`]. `None` until the first stamp; from then on the
+    /// entries are stamped while it is non-empty, parallel to them.
+    /// Boxed on purpose: 8 B inline where a `Vec` takes 24, since only
+    /// dynamic mode ever stamps.
+    #[allow(clippy::box_collection)]
+    heard: Option<Box<Vec<u64>>>,
 }
+
+// Every wave process holds one in its send-side cache line.
+const _: () = assert!(std::mem::size_of::<PartialView>() == 32);
 
 /// Stamp of an entry no [`PartialView::mark_heard`] has named.
 const NEVER_HEARD: u64 = u64::MAX;
 
+impl PartialEq for PartialView {
+    fn eq(&self, other: &Self) -> bool {
+        self.owner == other.owner
+            && self.capacity() == other.capacity()
+            && self.as_slice() == other.as_slice()
+            && self.stamps() == other.stamps()
+    }
+}
+
+impl Eq for PartialView {}
+
+impl std::fmt::Debug for PartialView {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PartialView")
+            .field("owner", &self.owner)
+            .field("capacity", &self.capacity())
+            .field("entries", &self.as_slice())
+            .field("heard", &self.stamps())
+            .finish()
+    }
+}
+
 impl PartialView {
     /// Creates an empty view owned by `owner` with the given capacity.
+    ///
+    /// # Panics
+    ///
+    /// When `capacity` exceeds `u32::MAX`: the view counts its entries
+    /// in a `u32`.
     #[must_use]
     pub fn new(owner: ProcessId, capacity: usize) -> Self {
+        assert!(
+            u32::try_from(capacity).is_ok(),
+            "a view of {capacity} entries: its count is a u32"
+        );
         PartialView {
             owner,
-            capacity,
-            entries: Vec::with_capacity(capacity),
-            heard: Vec::new(),
+            len: 0,
+            slots: vec![ProcessId(0); capacity].into_boxed_slice(),
+            heard: None,
         }
     }
 
@@ -77,14 +117,13 @@ impl PartialView {
         let mut view = PartialView::new(owner, capacity);
         for &pid in entries {
             if pid != owner && !view.contains(pid) {
-                view.entries.push(pid);
+                assert!(
+                    view.len() < capacity,
+                    "more than {capacity} entries for a view of {capacity}"
+                );
+                view.push(pid);
             }
         }
-        assert!(
-            view.len() <= capacity,
-            "{} entries for a view of {capacity}",
-            view.len()
-        );
         view
     }
 
@@ -97,47 +136,69 @@ impl PartialView {
     /// Current number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len as usize
     }
 
     /// True when the view holds no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+
+    /// The most entries the view holds.
+    fn capacity(&self) -> usize {
+        self.slots.len()
     }
 
     /// True when `pid` is in the view.
     #[must_use]
     pub fn contains(&self, pid: ProcessId) -> bool {
-        self.entries.contains(&pid)
+        self.as_slice().contains(&pid)
     }
 
     /// The entries as a slice, in insertion order.
     #[must_use]
     pub fn as_slice(&self) -> &[ProcessId] {
-        &self.entries
+        &self.slots[..self.len()]
     }
 
     /// Iterates over the entries.
     pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.entries.iter().copied()
+        self.as_slice().iter().copied()
+    }
+
+    /// The entries' stamps, parallel to them; empty while none is
+    /// stamped.
+    fn stamps(&self) -> &[u64] {
+        self.heard.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// The stamps when the entries carry them.
+    fn stamps_mut(&mut self) -> Option<&mut Vec<u64>> {
+        self.heard.as_deref_mut().filter(|heard| !heard.is_empty())
+    }
+
+    /// Appends `pid`, which must fit and be new.
+    fn push(&mut self, pid: ProcessId) {
+        self.slots[self.len()] = pid;
+        self.len += 1;
+        if let Some(heard) = self.stamps_mut() {
+            heard.push(NEVER_HEARD);
+        }
     }
 
     /// Inserts `pid`, evicting a random resident if full. Self-references
     /// and duplicates are silently ignored. Returns true if `pid` is in the
     /// view afterwards and was not before.
     pub fn insert<R: Rng>(&mut self, pid: ProcessId, rng: &mut R) -> bool {
-        if pid == self.owner || self.contains(pid) || self.capacity == 0 {
+        if pid == self.owner || self.contains(pid) || self.capacity() == 0 {
             return false;
         }
-        if self.entries.len() >= self.capacity {
-            let victim = rng.gen_range(0..self.entries.len());
+        if self.len() >= self.capacity() {
+            let victim = rng.gen_range(0..self.len());
             self.swap_remove(victim);
         }
-        self.entries.push(pid);
-        if !self.heard.is_empty() {
-            self.heard.push(NEVER_HEARD);
-        }
+        self.push(pid);
         true
     }
 
@@ -152,13 +213,14 @@ impl PartialView {
     }
 
     fn position(&self, pid: ProcessId) -> Option<usize> {
-        self.entries.iter().position(|&e| e == pid)
+        self.as_slice().iter().position(|&e| e == pid)
     }
 
     fn swap_remove(&mut self, pos: usize) {
-        self.entries.swap_remove(pos);
-        if !self.heard.is_empty() {
-            self.heard.swap_remove(pos);
+        self.len -= 1;
+        self.slots[pos] = self.slots[self.len()];
+        if let Some(heard) = self.stamps_mut() {
+            heard.swap_remove(pos);
         }
     }
 
@@ -170,20 +232,23 @@ impl PartialView {
     /// Retains only entries whose id and liveness stamp
     /// ([`NEVER_HEARD`] included) satisfy the predicate, in order.
     fn retain_stamped<F: FnMut(ProcessId, u64) -> bool>(&mut self, mut keep: F) {
-        let stamped = !self.heard.is_empty();
+        let len = self.len();
+        let mut heard = self.heard.as_deref_mut().filter(|heard| !heard.is_empty());
         let mut kept = 0;
-        for at in 0..self.entries.len() {
-            let stamp = if stamped { self.heard[at] } else { NEVER_HEARD };
-            if keep(self.entries[at], stamp) {
-                self.entries[kept] = self.entries[at];
-                if stamped {
-                    self.heard[kept] = stamp;
+        for at in 0..len {
+            let stamp = heard.as_ref().map_or(NEVER_HEARD, |heard| heard[at]);
+            if keep(self.slots[at], stamp) {
+                self.slots[kept] = self.slots[at];
+                if let Some(heard) = heard.as_mut() {
+                    heard[kept] = stamp;
                 }
                 kept += 1;
             }
         }
-        self.entries.truncate(kept);
-        self.heard.truncate(kept);
+        self.len = kept as u32;
+        if let Some(heard) = heard {
+            heard.truncate(kept);
+        }
     }
 
     /// Records that `pid` was heard from at `round`; a `pid` outside the
@@ -192,25 +257,28 @@ impl PartialView {
         let Some(pos) = self.position(pid) else {
             return;
         };
-        if self.heard.is_empty() {
-            self.heard.reserve_exact(self.capacity);
-            self.heard.resize(self.entries.len(), NEVER_HEARD);
+        let (len, capacity) = (self.len(), self.capacity());
+        let heard = self
+            .heard
+            .get_or_insert_with(|| Box::new(Vec::with_capacity(capacity)));
+        if heard.is_empty() {
+            heard.resize(len, NEVER_HEARD);
         }
-        self.heard[pos] = round;
+        heard[pos] = round;
     }
 
     /// The round `pid` was last heard from; `None` for an entry never
     /// heard from since it entered the view, and for a non-member.
     #[must_use]
     pub fn last_heard(&self, pid: ProcessId) -> Option<u64> {
-        let stamp = *self.heard.get(self.position(pid)?)?;
+        let stamp = *self.stamps().get(self.position(pid)?)?;
         (stamp != NEVER_HEARD).then_some(stamp)
     }
 
     /// Evicts entries last heard from more than `age` rounds before
     /// `round`. Entries never heard from are exempt.
     pub fn evict_stale(&mut self, round: u64, age: u64) {
-        if !self.heard.is_empty() {
+        if !self.stamps().is_empty() {
             self.retain_stamped(|_, heard| {
                 heard == NEVER_HEARD || round.saturating_sub(heard) <= age
             });
@@ -229,7 +297,7 @@ impl PartialView {
     /// Samples up to `k` distinct entries uniformly at random, one draw
     /// per entry kept.
     pub fn sample<R: Rng>(&self, k: usize, rng: &mut R) -> Vec<ProcessId> {
-        let mut pool = self.entries.clone();
+        let mut pool = self.as_slice().to_vec();
         da_core::keep_random(&mut pool, k, rng);
         pool
     }

@@ -8,6 +8,7 @@ use da_membership::{
     flat, kmg_view_size, static_init, FanoutRule, MembershipMsg, Overlay, PartialView,
 };
 use da_tape::{check, prop_assert, prop_assert_eq, prop_assert_ne, Tape};
+use rand::{Rng, RngCore};
 use std::collections::{HashMap, HashSet};
 
 /// Operations applied to a view in sequence.
@@ -148,6 +149,258 @@ fn view_invariants_under_any_ops() {
         }
         Ok(())
     });
+}
+
+/// The view's layout before it counted its entries in a `u32` over a
+/// boxed slice of its capacity: the entries in a `Vec`, and a parallel
+/// `Vec` of stamps that stays empty until the first stamp (and empties
+/// again with the entries). `PartialView` must behave exactly as this
+/// does, draw for draw.
+#[derive(Debug)]
+struct ModelView {
+    owner: ProcessId,
+    capacity: usize,
+    entries: Vec<ProcessId>,
+    heard: Vec<u64>,
+}
+
+impl ModelView {
+    fn new(owner: ProcessId, capacity: usize) -> Self {
+        let entries = Vec::with_capacity(capacity);
+        ModelView {
+            owner,
+            capacity,
+            entries,
+            heard: Vec::new(),
+        }
+    }
+
+    fn from_entries(owner: ProcessId, capacity: usize, entries: &[ProcessId]) -> Self {
+        let mut view = ModelView::new(owner, capacity);
+        for &pid in entries {
+            if pid != owner && !view.entries.contains(&pid) {
+                view.entries.push(pid);
+            }
+        }
+        view
+    }
+
+    fn position(&self, pid: ProcessId) -> Option<usize> {
+        self.entries.iter().position(|&e| e == pid)
+    }
+
+    fn swap_remove(&mut self, pos: usize) {
+        self.entries.swap_remove(pos);
+        if !self.heard.is_empty() {
+            self.heard.swap_remove(pos);
+        }
+    }
+
+    fn insert(&mut self, pid: ProcessId, rng: &mut impl Rng) -> bool {
+        if pid == self.owner || self.entries.contains(&pid) || self.capacity == 0 {
+            return false;
+        }
+        if self.entries.len() >= self.capacity {
+            let victim = rng.gen_range(0..self.entries.len());
+            self.swap_remove(victim);
+        }
+        self.entries.push(pid);
+        if !self.heard.is_empty() {
+            self.heard.push(u64::MAX);
+        }
+        true
+    }
+
+    fn remove(&mut self, pid: ProcessId) -> bool {
+        let at = self.position(pid);
+        at.inspect(|&at| self.swap_remove(at)).is_some()
+    }
+
+    fn retain_stamped(&mut self, mut keep: impl FnMut(ProcessId, u64) -> bool) {
+        let stamped = !self.heard.is_empty();
+        let mut kept = 0;
+        for at in 0..self.entries.len() {
+            let stamp = if stamped { self.heard[at] } else { u64::MAX };
+            if keep(self.entries[at], stamp) {
+                self.entries[kept] = self.entries[at];
+                if stamped {
+                    self.heard[kept] = stamp;
+                }
+                kept += 1;
+            }
+        }
+        self.entries.truncate(kept);
+        self.heard.truncate(kept);
+    }
+
+    fn mark_heard(&mut self, pid: ProcessId, round: u64) {
+        let Some(pos) = self.position(pid) else {
+            return;
+        };
+        if self.heard.is_empty() {
+            self.heard.resize(self.entries.len(), u64::MAX);
+        }
+        self.heard[pos] = round;
+    }
+
+    fn last_heard(&self, pid: ProcessId) -> Option<u64> {
+        let stamp = *self.heard.get(self.position(pid)?)?;
+        (stamp != u64::MAX).then_some(stamp)
+    }
+
+    fn evict_stale(&mut self, round: u64, age: u64) {
+        if !self.heard.is_empty() {
+            self.retain_stamped(|_, heard| heard == u64::MAX || round.saturating_sub(heard) <= age);
+        }
+    }
+
+    fn sample(&self, k: usize, rng: &mut impl Rng) -> Vec<ProcessId> {
+        let mut pool = self.entries.clone();
+        da_core::keep_random(&mut pool, k, rng);
+        pool
+    }
+}
+
+/// One call on a view, applied to `PartialView` and its model alike.
+#[derive(Debug, Clone)]
+enum ViewOp {
+    New(usize),
+    FromEntries(usize, Vec<u32>),
+    Insert(u32),
+    Remove(u32),
+    /// Keeps the pids that are not `r` modulo `m`.
+    Retain(u32, u32),
+    Merge(Vec<u32>),
+    MarkHeard(u32, u64),
+    EvictStale(u64, u64),
+    Sample(usize),
+}
+
+/// Pids below this name a view's owner (0) and more residents than the
+/// largest view holds.
+const PIDS: u32 = 48;
+
+fn arb_view_op(t: &mut Tape) -> ViewOp {
+    let pid = |t: &mut Tape| t.range(0..PIDS);
+    match t.below(16) {
+        0..=3 => ViewOp::Insert(pid(t)),
+        4 | 5 => ViewOp::Merge(t.vec(0..12, pid)),
+        6..=8 => ViewOp::MarkHeard(pid(t), t.range(0u64..40)),
+        9 | 10 => ViewOp::Remove(pid(t)),
+        11 => ViewOp::Retain(t.range(2u32..6), t.range(0u32..6)),
+        12 => ViewOp::EvictStale(t.range(0u64..60), t.range(0u64..20)),
+        13 => ViewOp::Sample(t.range(0usize..=44)),
+        14 => ViewOp::New(t.range(0usize..=40)),
+        _ => {
+            let capacity = t.range(0usize..=40);
+            ViewOp::FromEntries(capacity, t.vec(0..=capacity, pid))
+        }
+    }
+}
+
+/// Which states the ops reached, counted across every case: a view
+/// that only ever holds a few unstamped entries checks little.
+#[derive(Default)]
+struct Reached {
+    evicted_while_stamped: u32,
+    inserted_after_stamps: u32,
+    stamped_after_inserts: u32,
+}
+
+/// `PartialView` is exact against the layout it replaced: after every
+/// call its entries, every pid's stamp and the next draw of its RNG are
+/// the model's.
+#[test]
+fn the_view_matches_its_vec_model_call_for_call() {
+    let mut reached = Reached::default();
+    check("the_view_matches_its_vec_model_call_for_call", |t| {
+        let capacity = t.range(0usize..=40);
+        let ops = t.vec(0..120, arb_view_op);
+        let seed = t.range(0u64..10_000);
+        let owner = ProcessId(0);
+        let (mut rng, mut model_rng) = (rng_from_seed(seed), rng_from_seed(seed));
+        let mut view = PartialView::new(owner, capacity);
+        let mut model = ModelView::new(owner, capacity);
+        let pids = |ps: &[u32]| -> Vec<ProcessId> { ps.iter().copied().map(ProcessId).collect() };
+        for op in ops {
+            let stamped = !model.heard.is_empty();
+            match &op {
+                ViewOp::New(capacity) => {
+                    view = PartialView::new(owner, *capacity);
+                    model = ModelView::new(owner, *capacity);
+                }
+                ViewOp::FromEntries(capacity, entries) => {
+                    view = PartialView::from_entries(owner, *capacity, &pids(entries));
+                    model = ModelView::from_entries(owner, *capacity, &pids(entries));
+                }
+                &ViewOp::Insert(pid) => {
+                    let full = model.entries.len() == model.capacity;
+                    let inserted = model.insert(ProcessId(pid), &mut model_rng);
+                    reached.evicted_while_stamped += u32::from(inserted && full && stamped);
+                    reached.inserted_after_stamps += u32::from(inserted && stamped);
+                    prop_assert_eq!(view.insert(ProcessId(pid), &mut rng), inserted);
+                }
+                &ViewOp::Remove(pid) => {
+                    prop_assert_eq!(view.remove(ProcessId(pid)), model.remove(ProcessId(pid)));
+                }
+                &ViewOp::Retain(m, r) => {
+                    view.retain(|pid| pid.0 % m != r);
+                    model.retain_stamped(|pid, _| pid.0 % m != r);
+                }
+                ViewOp::Merge(ps) => {
+                    let absorbed = view.merge(&pids(ps), &mut rng);
+                    let expected = pids(ps)
+                        .into_iter()
+                        .filter(|&pid| model.insert(pid, &mut model_rng))
+                        .count();
+                    prop_assert_eq!(absorbed, expected);
+                }
+                &ViewOp::MarkHeard(pid, round) => {
+                    let first = !stamped && model.entries.contains(&ProcessId(pid));
+                    reached.stamped_after_inserts += u32::from(first && model.entries.len() > 1);
+                    view.mark_heard(ProcessId(pid), round);
+                    model.mark_heard(ProcessId(pid), round);
+                }
+                &ViewOp::EvictStale(round, age) => {
+                    view.evict_stale(round, age);
+                    model.evict_stale(round, age);
+                }
+                &ViewOp::Sample(k) => {
+                    prop_assert_eq!(view.sample(k, &mut rng), model.sample(k, &mut model_rng));
+                }
+            }
+            prop_assert_eq!(view.as_slice(), &model.entries[..], "after {:?}", op);
+            prop_assert_eq!(view.len(), model.entries.len());
+            for pid in (0..PIDS).map(ProcessId) {
+                prop_assert_eq!(
+                    view.last_heard(pid),
+                    model.last_heard(pid),
+                    "{} after {:?}",
+                    pid,
+                    op
+                );
+            }
+            prop_assert_eq!(
+                rng.clone().next_u64(),
+                model_rng.clone().next_u64(),
+                "after {:?}",
+                op
+            );
+        }
+        Ok(())
+    });
+    assert!(
+        reached.evicted_while_stamped > 0,
+        "no full view was stamped"
+    );
+    assert!(
+        reached.inserted_after_stamps > 0,
+        "no insert followed a stamp"
+    );
+    assert!(
+        reached.stamped_after_inserts > 0,
+        "no stamp followed inserts"
+    );
 }
 
 /// `kmg_view_size` laws: bounded by S−1, monotone in b, and matches

@@ -637,20 +637,19 @@ fn a_wave_process_costs_its_budget_row_by_row() {
             size_of::<Arc<Group>>() + size_of::<TopicId>(),
             12,
         ),
-        ("slab: topic table header (`view`)", size_of::<PartialView>(), 64),
+        ("slab: topic table header (`view`)", size_of::<PartialView>(), 32),
         (
-            "slab: supertable list header (`super_tables`)",
-            size_of::<Vec<SuperTable>>(),
+            // Nothing at the root, one table inline, or a boxed slice:
+            // a table's size, asserted beside `DaProcess`.
+            "slab: supertable list (`super_tables`)",
+            size_of::<SuperTable>(),
             24,
         ),
         ("slab: dynamic-mode box (`dynamic`)", size_of::<Option<Box<u8>>>(), 8),
         (
             "slab: receive state (`seen`, `deliveries`, `pending_publish`, `parasite_count`, `next_sequence`)",
-            size_of::<EventSet>()
-                + size_of::<Vec<Event>>()
-                + size_of::<u64>()
-                + 2 * size_of::<u32>(),
-            64,
+            size_of::<EventSet>() + size_of::<Option<Box<Vec<Event>>>>() + 3 * size_of::<u32>(),
+            44,
         ),
         (
             "slab: identity (`me`, `mutation`)",
@@ -680,7 +679,7 @@ fn a_wave_process_costs_its_budget_row_by_row() {
         Row {
             what: "slab: padding",
             bytes: padding as f64,
-            cap: 7.0,
+            cap: 3.0,
         },
         Row {
             what: "heap: topic table entries (`(b + 1)·ln S` pids)",
@@ -688,9 +687,13 @@ fn a_wave_process_costs_its_budget_row_by_row() {
             cap: 108.2,
         },
         Row {
-            what: "heap: supertable list (one `SuperTable` per direct supertopic)",
-            bytes: per(tables().count() * size_of::<SuperTable>()),
-            cap: 23.8,
+            what: "heap: supertable list (a boxed slice at a topic of several supertopics)",
+            bytes: per(processes()
+                .map(DaProcess::super_tables)
+                .filter(|tables| tables.len() > 1)
+                .map(std::mem::size_of_val)
+                .sum()),
+            cap: 0.0,
         },
         Row {
             what: "heap: supertable entries (`z` per table, each list as drawn)",

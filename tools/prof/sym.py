@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Flat profile from a prof.c sample file: sym.py PROF_OUT [MIN_SHARE_%]
+"""Flat profile from a prof.c sample file: sym.py PROF_OUT [MIN_SHARE_%] [--drop REGEX]
 
 Three tables over the samples that fell in the profiled executable (the rest
 are counted per library). By out-of-line symbol, from `nm -n`, mangled on
@@ -13,14 +13,22 @@ frame's `file:line`: a cost that sits on one instruction, such as a load
 stalled on the stores just before it, reads as one row there while the
 frame's row spreads it over the whole function. Build with
 CARGO_PROFILE_RELEASE_DEBUG=1.
+
+--drop REGEX removes the executable's samples whose demangled symbol
+(`nm -C`) or innermost repository frame matches, before any table is
+counted; shares are then of the kept samples, and the header says how
+many were dropped. It takes diff.py's regex: `calib::|DefaultHasher` on a
+v0-mangled build is the benchmark's calibration slice.
 Symbolise before rebuilding: a mapped file whose inode is no longer the one
 the run recorded is refused, not read.
 
 diff.py, beside this file, compares two sample files symbol by symbol.
 """
+import argparse
 import bisect
 import collections
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -96,8 +104,12 @@ def own_frames(exe, addresses):
 
 
 def main():
-    path, floor = sys.argv[1], float(sys.argv[2]) if len(sys.argv) > 2 else 1.0
-    bases, spans, samples = read(path)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("path")
+    parser.add_argument("floor", nargs="?", type=float, default=1.0)
+    parser.add_argument("--drop", type=re.compile)
+    args = parser.parse_args()
+    bases, spans, samples = read(args.path)
     exe = next(iter(bases))
     inside, outside = [], collections.Counter()
     for owner, ip in owners(spans, samples):
@@ -106,14 +118,20 @@ def main():
         else:
             outside[os.path.basename(owner)] += 1
 
-    table = nm(exe)
-    by_symbol = collections.Counter(symbol_at(table, address) for address in inside)
-    frames = own_frames(exe, inside)
-    by_own_frame = collections.Counter(label for label, _ in frames)
-    by_line = collections.Counter(line for _, line in frames)
+    table, demangled = nm(exe), nm(exe, "-C")
+    rows = [(symbol_at(table, address), *labels)
+            for address, labels in zip(inside, own_frames(exe, inside))]
+    if args.drop:
+        rows = [row for address, row in zip(inside, rows)
+                if not (args.drop.search(symbol_at(demangled, address)) or args.drop.search(row[1]))]
+    dropped = len(inside) - len(rows)
+    by_symbol = collections.Counter(symbol for symbol, _, _ in rows)
+    by_own_frame = collections.Counter(frame for _, frame, _ in rows)
+    by_line = collections.Counter(line for _, _, line in rows)
 
-    total = len(samples)
-    print(f"{total} samples, {len(inside)} in {os.path.basename(exe)}; elsewhere: {dict(outside)}")
+    total = max(len(samples) - dropped, 1)
+    print(f"{len(samples)} samples, {len(inside)} in {os.path.basename(exe)}, {dropped} dropped; "
+          f"elsewhere: {dict(outside)}")
     tables = (
         ("symbol (nm, mangled)", by_symbol),
         ("first frame in the repository's source", by_own_frame),
@@ -122,7 +140,7 @@ def main():
     for title, counts in tables:
         print(f"\n  share  samples  {title}")
         for name, n in counts.most_common():
-            if 100.0 * n / total >= floor:
+            if 100.0 * n / total >= args.floor:
                 print(f"{100.0 * n / total:6.1f}%  {n:7}  {name}")
 
 
