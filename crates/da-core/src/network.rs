@@ -24,6 +24,7 @@
 use crate::channel::{ChannelConfig, ChannelFate};
 use crate::metrics::KeyBuildHasher;
 use crate::process::ProcessId;
+use crate::wheel::MAX_RING_TICKS;
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -415,13 +416,24 @@ impl NetworkModel {
 
     /// The slowest delivery the channel can ever sample — how far into
     /// the future a surviving send can land, and therefore the horizon a
-    /// fixed-capacity delay wheel must cover. (Every latency model is
-    /// bounded, so this is always finite; a wheel still keeps a
-    /// spillover path for envelopes scheduled past the capacity it was
-    /// sized with.)
+    /// delay wheel must cover ([`ring_ticks`](Self::ring_ticks)).
     #[must_use]
     pub fn max_latency(&self) -> u64 {
         self.channel.max_latency()
+    }
+
+    /// The due ticks a delay wheel's ring must span, `max_latency() + 1`:
+    /// both substrates size their ring here, so this is where link
+    /// latency, being config input, is bounded. Panics, naming the
+    /// latency, when it exceeds [`MAX_RING_TICKS`].
+    #[must_use]
+    pub fn ring_ticks(&self) -> usize {
+        let latency = self.max_latency();
+        assert!(
+            latency <= MAX_RING_TICKS,
+            "link latency of {latency} ticks exceeds the bound of {MAX_RING_TICKS} ticks"
+        );
+        latency as usize + 1
     }
 
     /// True when the model can neither lose, delay, nor sever anything:

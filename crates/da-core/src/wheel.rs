@@ -27,26 +27,20 @@
 //! tick `t` for any `t` in the live window `[next, next + capacity)`.
 //! The capacity is rounded up to a power of two, so a bucket index is a
 //! mask, not a division. Callers size the window from
-//! `NetworkModel::max_latency()` — every latency model is bounded — and
-//! buckets keep their allocation across laps, so the steady state
-//! allocates nothing. A `BTreeMap` spillover keyed by `(due, lane)`
-//! holds the rare envelope scheduled outside the window (a wheel sized
-//! under its network's true ceiling, or a past-due straggler); because
-//! the window only moves forward while anything is scheduled, every
-//! spilled envelope for a `(tick, lane)` bucket was scheduled before any
-//! ring envelope for the same bucket, so releasing spill-then-ring per
-//! bucket preserves the exact per-lane scheduling order (pinned on
-//! randomized schedules against the sorted map and the `(round, seq)`
-//! heap this wheel replaced). An empty wheel holds no window: an
-//! envelope scheduled outside it re-anchors it at the tick after the
-//! envelope's send.
+//! `NetworkModel::ring_ticks()` (`max latency + 1`, refused past
+//! [`MAX_RING_TICKS`]), so every send lands inside it: a plain hashed
+//! timing wheel with one bounded horizon and no overflow list. Buckets
+//! keep their allocation across laps, so the steady state allocates
+//! nothing. An empty wheel holds no window: an envelope scheduled
+//! outside it re-anchors it at the tick after the envelope's send. A
+//! non-empty wheel asked to schedule outside its window panics.
 
 use crate::process::ProcessId;
-use std::collections::BTreeMap;
 
-/// The widest window, in ticks, a substrate sizes from its configuration:
-/// link latency is config input, so the ring it sizes (and the worker
-/// drift the pool derives from it) stops here and slower sends spill.
+/// The slowest link latency, in ticks, a substrate accepts: link latency
+/// is config input and sizes the ring (and the worker drift the pool
+/// derives from it), so a configuration past it is refused where the
+/// ring is sized (`NetworkModel::ring_ticks`).
 pub const MAX_RING_TICKS: u64 = 1024;
 
 /// One in-flight message, from surviving the channel to delivery.
@@ -82,9 +76,6 @@ pub struct DelayWheel<M> {
     ring: Vec<Vec<Envelope<M>>>,
     /// First tick not yet released — the start of the ring's window.
     next: u64,
-    /// Envelopes scheduled outside the ring window, keyed by
-    /// `(due tick, lane)` — `BTreeMap` order is exactly release order.
-    spill: BTreeMap<(u64, usize), Vec<Envelope<M>>>,
     len: usize,
 }
 
@@ -92,8 +83,8 @@ impl<M> DelayWheel<M> {
     /// A wheel whose ring covers at least `capacity` consecutive due
     /// ticks (clamped to at least 1, rounded up to a power of two) for
     /// `lanes` lanes (clamped to at least 1). Size the window as
-    /// `max latency + 1`: anything beyond it degrades to the spill map,
-    /// never to a lost envelope. Buckets start unallocated.
+    /// `max latency + 1`, the longest any send can fall due ahead of the
+    /// window's start. Buckets start unallocated.
     #[must_use]
     pub fn with_capacity(capacity: usize, lanes: usize) -> Self {
         let capacity = capacity.max(1).next_power_of_two();
@@ -103,7 +94,6 @@ impl<M> DelayWheel<M> {
             mask: capacity as u64 - 1,
             ring: (0..capacity * lanes).map(|_| Vec::new()).collect(),
             next: 0,
-            spill: BTreeMap::new(),
             len: 0,
         }
     }
@@ -127,59 +117,47 @@ impl<M> DelayWheel<M> {
     pub fn schedule(&mut self, lane: usize, envelope: Envelope<M>) {
         debug_assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
         let due = envelope.due_tick;
+        if !self.in_window(due) {
+            self.reanchor(due, envelope.sent_tick);
+        }
         // One unconditional push into the bucket chosen first: the
         // envelope is written straight into it, never staged.
-        self.bucket_of(lane, due, envelope.sent_tick).push(envelope);
+        let bucket = self.bucket(due, lane);
+        self.ring[bucket].push(envelope);
         self.len += 1;
     }
 
-    /// The buffer an envelope sent at `sent` and due at `due` joins.
-    #[inline]
-    fn bucket_of(&mut self, lane: usize, due: u64, sent: u64) -> &mut Vec<Envelope<M>> {
-        if self.in_window(due) {
-            let bucket = self.bucket(due, lane);
-            &mut self.ring[bucket]
-        } else {
-            self.bucket_outside(lane, due, sent)
-        }
-    }
-
-    /// [`bucket_of`](Self::bucket_of)'s slow path, for a due tick outside
+    /// [`schedule`](Self::schedule)'s slow path, for a due tick outside
     /// the window: an empty wheel re-anchors its window at the tick after
-    /// the send (every later send falls due no earlier); otherwise, or
-    /// when the due tick is still beyond the window, the envelope spills.
+    /// the send (every later send falls due no earlier). A wheel still
+    /// holding envelopes panics: it was sized under the send's latency,
+    /// or the send is due before a tick already released.
     #[cold]
     #[inline(never)]
-    fn bucket_outside(&mut self, lane: usize, due: u64, sent: u64) -> &mut Vec<Envelope<M>> {
+    fn reanchor(&mut self, due: u64, sent: u64) {
         if self.len == 0 {
             self.next = sent.saturating_add(1).min(due).min(u64::MAX - self.mask);
         }
-        if self.in_window(due) {
-            let bucket = self.bucket(due, lane);
-            &mut self.ring[bucket]
-        } else {
-            self.spill.entry((due, lane)).or_default()
-        }
+        assert!(
+            self.in_window(due),
+            "due tick {due} is outside the wheel's window of {} ticks from {}",
+            self.mask + 1,
+            self.next
+        );
     }
 
     /// Moves out, whole, every bucket due at or before `through`, lane
     /// by lane, each lane's in due order. `ship(lane, bucket)` receives
     /// each non-empty bucket — scheduling order, one due tick — and
     /// returns an empty buffer for the bucket to keep in its place, so
-    /// no envelope is copied. A `(due, lane)` bucket's spilled envelopes
-    /// ship in the same run, ahead of the ring's; spilled envelopes due
-    /// before the window ship first and those due beyond it last. The
-    /// window then starts at `through + 1`: a wheel released through
-    /// `u64::MAX` holds nothing and no window, and the next envelope
-    /// scheduled re-anchors it.
+    /// no envelope is copied. The window then starts at `through + 1`: a
+    /// wheel released through `u64::MAX` holds nothing and no window, and
+    /// the next envelope scheduled re-anchors it.
     pub fn release_through(
         &mut self,
         through: u64,
         mut ship: impl FnMut(usize, Vec<Envelope<M>>) -> Vec<Envelope<M>>,
     ) {
-        if let Some(before) = self.next.checked_sub(1) {
-            self.release_spilled(through.min(before), &mut ship);
-        }
         if through < self.next {
             return;
         }
@@ -190,41 +168,14 @@ impl<M> DelayWheel<M> {
                     break;
                 }
                 let slot = self.bucket(due, lane);
-                let spilled = match self.spill.is_empty() {
-                    true => None,
-                    false => self.spill.remove(&(due, lane)),
-                };
-                if let Some(mut spilled) = spilled {
-                    spilled.append(&mut self.ring[slot]);
-                    self.len -= spilled.len();
-                    drop(ship(lane, spilled));
-                } else if !self.ring[slot].is_empty() {
+                if !self.ring[slot].is_empty() {
                     self.len -= self.ring[slot].len();
                     let bucket = std::mem::take(&mut self.ring[slot]);
                     self.ring[slot] = ship(lane, bucket);
                 }
             }
         }
-        self.release_spilled(through, &mut ship);
         self.next = through.saturating_add(1).min(u64::MAX - self.mask);
-    }
-
-    /// Ships, in `(due, lane)` order, every spilled bucket due at or
-    /// before `last` — the spill map's front.
-    fn release_spilled(
-        &mut self,
-        last: u64,
-        ship: &mut impl FnMut(usize, Vec<Envelope<M>>) -> Vec<Envelope<M>>,
-    ) {
-        while let Some(entry) = self.spill.first_entry() {
-            let (due, lane) = *entry.key();
-            if due > last {
-                break;
-            }
-            let spilled = entry.remove();
-            self.len -= spilled.len();
-            drop(ship(lane, spilled));
-        }
     }
 
     /// Takes back a bucket [`release_through`](Self::release_through)
@@ -247,16 +198,9 @@ impl<M> DelayWheel<M> {
     /// Every parked envelope in release order — what a state digest
     /// hashes and where the earliest due tick is read off.
     pub fn iter(&self) -> impl Iterator<Item = &Envelope<M>> {
-        let window_end = self.next.saturating_add(self.mask + 1);
-        let past_due = self.spill.range(..(self.next, 0)).flat_map(|(_, b)| b);
-        let window = (self.next..window_end).flat_map(move |t| {
-            (0..self.lanes).flat_map(move |lane| {
-                let spilled = self.spill.get(&(t, lane)).into_iter().flatten();
-                spilled.chain(&self.ring[self.bucket(t, lane)])
-            })
-        });
-        let beyond = self.spill.range((window_end, 0)..).flat_map(|(_, b)| b);
-        past_due.chain(window).chain(beyond)
+        (self.next..=self.next + self.mask).flat_map(move |t| {
+            (0..self.lanes).flat_map(move |lane| &self.ring[self.bucket(t, lane)])
+        })
     }
 
     /// Number of parked envelopes.
@@ -281,20 +225,9 @@ impl<M> DelayWheel<M> {
         if self.len == 0 {
             return None;
         }
-        let beyond = self.spill.last_key_value().map(|(&(due, _), _)| due);
-        let last = self.next.saturating_add(self.mask);
-        let window = (self.next..=last)
+        (self.next..=self.next + self.mask)
             .rev()
-            .find(|&due| (0..self.lanes).any(|lane| !self.ring[self.bucket(due, lane)].is_empty()));
-        beyond.max(window)
-    }
-
-    /// Number of parked envelopes sitting in the spillover map rather
-    /// than the ring (diagnostics: nonzero means the wheel was sized
-    /// under the network's true latency ceiling).
-    #[cfg(test)]
-    fn spilled(&self) -> usize {
-        self.spill.values().map(Vec::len).sum()
+            .find(|&due| (0..self.lanes).any(|lane| !self.ring[self.bucket(due, lane)].is_empty()))
     }
 
     /// Empties the wheel, returning how many envelopes were discarded —
@@ -303,7 +236,6 @@ impl<M> DelayWheel<M> {
         for bucket in &mut self.ring {
             bucket.clear();
         }
-        self.spill.clear();
         std::mem::take(&mut self.len)
     }
 }
@@ -312,7 +244,7 @@ impl<M> DelayWheel<M> {
 mod tests {
     use super::*;
     use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use std::collections::{BTreeMap, BinaryHeap};
 
     fn env(due_tick: u64, msg: u8) -> Envelope<u8> {
         Envelope {
@@ -342,7 +274,7 @@ mod tests {
 
     #[test]
     fn releases_in_due_order() {
-        let mut wheel = DelayWheel::with_capacity(8, 1);
+        let mut wheel = DelayWheel::with_capacity(10, 1);
         wheel.schedule(0, env(5, 1));
         wheel.schedule(0, env(3, 2));
         wheel.schedule(0, env(3, 3));
@@ -405,7 +337,7 @@ mod tests {
 
     #[test]
     fn discard_all_counts_and_empties() {
-        let mut wheel = DelayWheel::with_capacity(8, 2);
+        let mut wheel = DelayWheel::with_capacity(9, 2);
         wheel.schedule(0, env(7, 1));
         wheel.schedule(1, env(8, 2));
         assert_eq!(wheel.discard_all(), 2);
@@ -414,27 +346,25 @@ mod tests {
     }
 
     #[test]
-    fn in_window_envelopes_never_spill() {
+    fn sends_as_slow_as_the_sizing_allows_stay_on_the_ring() {
+        // Capacity 4 is sized for latencies up to 3, released one tick
+        // ahead of the clock as a router at lag 1 does.
         let mut wheel = DelayWheel::with_capacity(4, 2);
         for tick in 0..100u64 {
-            // Latency 1..=3 with capacity 4: always inside the window.
             wheel.schedule(0, env(tick + 1, 0));
             wheel.schedule(1, env(tick + 3, 1));
-            assert_eq!(wheel.spilled(), 0, "tick {tick}: ring must absorb all");
-            drain(&mut wheel, tick + 1);
+            let released = taken(&mut wheel, tick + 1);
+            let want: &[u8] = if tick >= 2 { &[0, 1] } else { &[0] };
+            assert_eq!(released, want, "tick {tick}");
         }
     }
 
     #[test]
-    fn beyond_window_envelopes_spill_and_still_release() {
+    #[should_panic(expected = "outside the wheel's window")]
+    fn a_busy_wheel_refuses_a_due_tick_outside_its_window() {
         let mut wheel = DelayWheel::with_capacity(2, 1);
+        wheel.schedule(0, env(1, 1));
         wheel.schedule(0, env(50, 7));
-        assert_eq!(wheel.spilled(), 1, "due 50 is far outside [0, 2)");
-        assert!(drain(&mut wheel, 49).is_empty());
-        let due = drain(&mut wheel, 50);
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].msg, 7);
-        assert_eq!(wheel.len(), 0);
     }
 
     #[test]
@@ -446,7 +376,11 @@ mod tests {
         let released: Vec<u8> = drain(&mut wheel, 1).into_iter().map(|e| e.msg).collect();
         assert_eq!(released, vec![1]);
         wheel.schedule(0, env(5, 5));
-        assert_eq!(wheel.spilled(), 0, "window is now [2, 6): due 5 fits");
+        assert_eq!(
+            wheel.due_horizon(),
+            Some(5),
+            "window is now [2, 6): due 5 fits"
+        );
         assert!(drain(&mut wheel, 4).is_empty());
         let released: Vec<u8> = drain(&mut wheel, 5).into_iter().map(|e| e.msg).collect();
         assert_eq!(released, vec![5]);
@@ -488,20 +422,20 @@ mod tests {
     /// For randomized latency schedules the ring wheel and the BTreeMap
     /// reference release identical envelope sequences per lane — on one
     /// lane, the simulator's, the whole sequence — at every drain point,
-    /// across lane counts and capacities both generous and deliberately
-    /// undersized (where the ring must lean on its spillover path).
+    /// across lane counts and capacities.
     #[test]
     fn ring_wheel_matches_btreemap_reference() {
         for (seed, capacity, lanes) in [
-            (1u64, 1usize, 1usize),
+            (1u64, 2usize, 1usize),
             (2, 2, 2),
             (3, 5, 3),
             (4, 8, 1),
             (5, 64, 4),
         ] {
-            // Drained every tick up to the clock (with skipped ticks,
-            // so catch-up drains are covered).
-            matches_reference(seed, capacity, lanes, 1, 0);
+            // Drained through the clock before its sends, as the
+            // simulator does (with skipped ticks, so catch-up drains are
+            // covered).
+            matches_reference(seed, capacity, lanes, 0);
         }
     }
 
@@ -565,8 +499,8 @@ mod tests {
         let mut wheel = DelayWheel::with_capacity(4, 1);
         for tick in 10..20u64 {
             // Latency 1..=3 sent at `tick`, released in full every tick:
-            // the window restarts at each tick's first send, so nothing
-            // spills and nothing is lost.
+            // the window restarts at each tick's first send, so every
+            // send fits and nothing is lost.
             let sent = |due, msg| Envelope {
                 sent_tick: tick,
                 ..env(due, msg)
@@ -574,7 +508,6 @@ mod tests {
             wheel.schedule(0, sent(tick + 3, 1));
             wheel.schedule(0, sent(tick + 1, 2));
             wheel.schedule(0, sent(tick + 2, 3));
-            assert_eq!(wheel.spilled(), 0, "tick {tick}");
             let shipped = release(&mut wheel, u64::MAX);
             let msgs: Vec<u8> = shipped.iter().flat_map(|(_, b)| b).map(|e| e.1).collect();
             assert_eq!(msgs, vec![2, 3, 1], "due order");
@@ -582,29 +515,33 @@ mod tests {
         }
     }
 
-    /// Randomized schedules released a fixed lag ahead of the clock, as
-    /// a runtime router does (with past-due stragglers and skipped
-    /// ticks), match the reference per lane too.
+    /// Randomized schedules released a fixed lag ahead of the clock after
+    /// each tick's sends, as a runtime router does, match the reference
+    /// per lane too.
     #[test]
     fn release_through_matches_btreemap_reference() {
         for (seed, capacity, lanes, lag) in [
-            (1u64, 1usize, 1usize, 1u64),
+            (1u64, 2usize, 1usize, 1u64),
             (2, 2, 2, 1),
             (3, 5, 3, 2),
             (4, 8, 2, 3),
             (5, 64, 4, 1),
         ] {
-            matches_reference(seed, capacity, lanes, lag, lag);
+            matches_reference(seed, capacity, lanes, lag);
         }
     }
 
-    /// Schedules latencies `min_latency..=40` — far beyond the smaller
-    /// capacities, so the spill path is exercised hard — and releases
-    /// through `ahead` ticks past the clock on four ticks in five: each
-    /// lane's shipments, concatenated, are the reference's release
-    /// sequence for that lane at every release and in the final
-    /// catch-up, and every shipment is one `(due, lane)` run.
-    fn matches_reference(seed: u64, capacity: usize, lanes: usize, min_latency: u64, ahead: u64) {
+    /// Schedules latencies up to the bound a ring of `capacity` is sized
+    /// for (`capacity − 1`), the slowest send its owner can make, and
+    /// releases as one of the wheel's owners does. At `lag` 0 that is the
+    /// simulator: through the clock before the tick's sends, on four
+    /// ticks in five (a skipped tick sends nothing either). Otherwise it
+    /// is a router: the tick's sends, each at least `lag` long, then a
+    /// release through `lag` ticks past the clock. Each lane's shipments,
+    /// concatenated, are the reference's release sequence for that lane
+    /// at every release and in the final catch-up, and every shipment is
+    /// one `(due, lane)` run.
+    fn matches_reference(seed: u64, capacity: usize, lanes: usize, lag: u64) {
         use rand::rngs::SmallRng;
         use rand::{Rng as _, SeedableRng as _};
 
@@ -634,15 +571,21 @@ mod tests {
         let mut reference = ReferenceWheel::new();
         let mut msg = 0u8;
         for tick in 0..200u64 {
+            if lag == 0 {
+                if rng.gen_bool(0.2) {
+                    continue;
+                }
+                check(&mut wheel, &mut reference, tick);
+            }
             for _ in 0..rng.gen_range(0..5usize) {
-                let due = tick + rng.gen_range(min_latency..=40u64);
+                let due = tick + rng.gen_range(lag.max(1)..capacity as u64);
                 let lane = rng.gen_range(0..lanes);
                 wheel.schedule(lane, on(lane, due, msg));
                 reference.schedule(lane, on(lane, due, msg));
                 msg = msg.wrapping_add(1);
             }
-            if !rng.gen_bool(0.2) {
-                check(&mut wheel, &mut reference, tick + ahead);
+            if lag > 0 {
+                check(&mut wheel, &mut reference, tick + lag);
             }
         }
         check(&mut wheel, &mut reference, u64::MAX);
@@ -687,14 +630,15 @@ mod tests {
         let mut wheel = DelayWheel::with_capacity(2, 1);
         wheel.schedule(0, env(1, b'x'));
         assert_eq!(taken(&mut wheel, 5), b"x");
-        // Scheduled behind the window: released by the next drain.
+        // Sent behind the window into an empty wheel, which re-anchors:
+        // released by the next drain.
         wheel.schedule(0, env(2, b'y'));
         assert_eq!(taken(&mut wheel, 6), b"y");
     }
 
     #[test]
     fn len_tracks_contents() {
-        let mut wheel = DelayWheel::with_capacity(2, 1);
+        let mut wheel = DelayWheel::with_capacity(3, 1);
         assert!(wheel.is_empty());
         wheel.schedule(0, env(1, 1));
         wheel.schedule(0, env(2, 2));
@@ -742,9 +686,9 @@ mod tests {
         }
     }
 
-    /// Randomized schedules of sends with latency 1..=8 — beyond the
-    /// window of the smaller rings, so the spill path runs — interleaved
-    /// with drains at skipping ticks: the single-lane wheel hands out
+    /// Randomized schedules of sends with latencies up to the bound each
+    /// ring is sized for (`capacity − 1`), interleaved with drains at
+    /// skipping ticks: the single-lane wheel hands out
     /// the same envelopes in the same order as the `(round, seq)` heap,
     /// drained and restored as the simulator does, and its in-order walk
     /// is the heap's sorted snapshot at every step.
@@ -753,9 +697,9 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::{Rng as _, SeedableRng as _};
 
-        for (seed, capacity) in [(1u64, 1usize), (2, 2), (3, 4), (4, 9), (5, 64)] {
+        for (seed, capacity) in [(1u64, 2u64), (2, 3), (3, 4), (4, 9), (5, 64)] {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut wheel = DelayWheel::with_capacity(capacity, 1);
+            let mut wheel = DelayWheel::with_capacity(capacity as usize, 1);
             let mut heap = RoundSeqHeap::default();
             let mut msg = 0u8;
             let mut send = |wheel: &mut DelayWheel<u8>, heap: &mut RoundSeqHeap, due: u64| {
@@ -772,13 +716,13 @@ mod tests {
                     assert_eq!(heap.pop_due(tick), Some((e.due_tick, e.msg)));
                     // Deliveries send, as protocol hooks do.
                     if rng.gen_bool(0.5) {
-                        send(&mut wheel, &mut heap, tick + rng.gen_range(1..=8u64));
+                        send(&mut wheel, &mut heap, tick + rng.gen_range(1..capacity));
                     }
                 }
                 assert_eq!(heap.pop_due(tick), None, "wheel released too little");
                 wheel.restore(due);
                 for _ in 0..rng.gen_range(0..4usize) {
-                    send(&mut wheel, &mut heap, tick + rng.gen_range(1..=8u64));
+                    send(&mut wheel, &mut heap, tick + rng.gen_range(1..capacity));
                 }
                 assert_eq!(wheel.len(), heap.heap.len());
                 // Ascending `Reverse` is descending `(round, seq)`.

@@ -16,7 +16,9 @@
 //!   agree within noise ([`ratios_agree_within_3_sigma`]) at every
 //!   swept probability;
 //! * [`run_churn_sweep`] does the same over the per-tick churn crash
-//!   probability, through the shared `da_core::failure` plan;
+//!   probability, through the shared `da_core::failure` plan, on a
+//!   perfect channel, and insists each pair's delivered sets are
+//!   *bit-identical*;
 //! * [`run_partition_sweep`] cuts the network in two with a first-class
 //!   [`PartitionSchedule`] and sweeps the heal tick, comparing delivery
 //!   ratios across cut-and-heal scenarios and insisting the
@@ -33,12 +35,14 @@
 //! `derive_seed(derive_seed(seed, r), t)`.
 //!
 //! The live substrate is concurrent (per-trial numbers fluctuate with
-//! thread interleaving), so all comparisons are statistical: matching
-//! means within noise, and an identical hard zero for parasites.
+//! thread interleaving), so the ratio comparisons are statistical:
+//! matching means within noise, and an identical hard zero for
+//! parasites. The churn and partition pairs also match delivered sets
+//! exactly.
 
 use crate::report::Table;
 use crate::runner::fold;
-use crate::scenario::{run_scenario, ScenarioConfig};
+use crate::scenario::{run_scenario, run_scenario_keeping, ScenarioConfig};
 use crate::stats::Summary;
 use crate::substrate::{Driver, Substrate};
 use da_core::{
@@ -105,12 +109,14 @@ pub const PARTITION_SWEEP_HEAL_TICKS: [Option<u64>; 3] = [Some(2), Some(24), Non
 /// of `scenario` with `set(faults, xs[row])` applied, boiled down to the
 /// fraction of the full audience that delivered the published event
 /// (every process: the topology is a linear inclusion chain, so with a
-/// leaf publication every group subscribes at or above its topic).
-fn audience_trial(
+/// leaf publication every group subscribes at or above its topic), and
+/// what `keep` reads off the ended run's processes for the pair to match.
+fn audience_trial<W>(
     scenario: &ScenarioConfig,
     xs: &[f64],
     set: impl Fn(&mut FaultConfig, f64),
-) -> impl FnMut(usize, Substrate, u64) -> (f64, ()) {
+    keep: impl Fn(&[DaProcess]) -> W,
+) -> impl FnMut(usize, Substrate, u64) -> (f64, W) {
     let configs: Vec<ScenarioConfig> = xs
         .iter()
         .map(|&x| {
@@ -121,7 +127,7 @@ fn audience_trial(
         .collect();
     move |row, substrate, seed| {
         let config = &configs[row];
-        let out = run_scenario(config, substrate, seed);
+        let (out, kept) = run_scenario_keeping(config, substrate, seed, &keep);
         let population: usize = config.group_sizes.iter().sum();
         let delivered: f64 = config
             .group_sizes
@@ -129,7 +135,7 @@ fn audience_trial(
             .zip(&out.delivered_fraction)
             .map(|(&size, fraction)| fraction * size as f64)
             .sum();
-        (delivered / population as f64, ())
+        (delivered / population as f64, kept)
     }
 }
 
@@ -229,9 +235,10 @@ pub fn run_reliability_sweep(
     seed: u64,
     trials: usize,
 ) -> Table<f64> {
-    let trial = audience_trial(scenario, success_probabilities, |faults, p| {
+    let set = |faults: &mut FaultConfig, p| {
         faults.network.channel = faults.network.channel.with_success_probability(p);
-    });
+    };
+    let trial = audience_trial(scenario, success_probabilities, set, |_| ());
     let title = "Delivery ratio under lossy channels, live vs simulated";
     let xs = success_probabilities;
     paired_sweep(title, "success_probability", xs, seed, trials, trial)
@@ -250,15 +257,17 @@ pub fn run_reliability_sweep(
 ///
 /// Within one trial, sim and live share the **same seed** (see
 /// `paired_sweep`), hence the same materialised `FailurePlan`: the
-/// crash/recovery schedule is fate-matched across substrates, so the
-/// comparison isolates what the substrates may legitimately differ on
-/// (thread interleaving), not the luck of which processes churned.
+/// crash/recovery schedule is fate-matched across substrates. On a
+/// channel that draws nothing (the perfect one every caller sweeps
+/// over), that leaves the substrates nothing to differ on, so a pair's
+/// sorted delivered sets must match exactly, as a partition pair's do.
 ///
 /// # Panics
 ///
 /// Panics when `scenario.faults.failure` is not [`FailureModel::Churn`] —
 /// the sweep's x-axis is the churn crash probability, so there is no
-/// meaningful way to run it over another failure model.
+/// meaningful way to run it over another failure model — and when a
+/// pair's delivered sets differ.
 #[must_use]
 pub fn run_churn_sweep(
     scenario: &ScenarioConfig,
@@ -277,12 +286,13 @@ pub fn run_churn_sweep(
             scenario.faults.failure
         );
     };
-    let trial = audience_trial(scenario, crash_rates, |faults, crash| {
+    let set = |faults: &mut FaultConfig, crash| {
         faults.failure = FailureModel::Churn {
             crash_probability: crash,
             recover_probability,
         };
-    });
+    };
+    let trial = audience_trial(scenario, crash_rates, set, delivered_sets);
     let title = "Delivery ratio under continuous churn, live vs simulated";
     paired_sweep(title, "crash_probability", crash_rates, seed, trials, trial)
 }

@@ -4,7 +4,7 @@
 //! Figs. 8–11 *sample* executions; [`da_simnet::mc`] *walks* them. This
 //! module instantiates the explorer for small single-group
 //! dissemination scenarios (3–8 static-mode processes, one publication
-//! from process 0) and pins the paper's safety claims as [`Invariant`]s
+//! from process 0) and states the paper's safety claims as [`Invariant`]s
 //! checked in **every reachable state**:
 //!
 //! * [`NoParasite`] — zero parasite receptions (the paper's headline
@@ -18,6 +18,13 @@
 //! * [`FullDelivery`] (quiescent states of fault-free explorations
 //!   only) — once the system settles, every process has delivered the
 //!   publication.
+//!
+//! Every scenario here is one static root group, where two of these
+//! pin nothing: no other topic exists, so no receipt can be a parasite,
+//! and a root member's supertable is empty. [`NoParasite`] and
+//! [`SuperTableWithinCapacity`] hold vacuously, and the paper's
+//! zero-parasite and memory claims are not model-checked until the
+//! explorer walks a multi-group topology.
 //!
 //! A violation comes back as a [`da_simnet::mc::Counterexample`] whose
 //! scripted drops and crash fates replay as an ordinary `FaultConfig` on

@@ -15,7 +15,7 @@ use da_core::{
 };
 use da_membership::FanoutRule;
 use da_runtime::Shutdown;
-use damulticast::{Network, TopicParams};
+use damulticast::{DaProcess, Network, TopicParams};
 
 /// Configuration of one paper scenario.
 #[derive(Debug, Clone)]
@@ -162,6 +162,18 @@ fn fraction(part: usize, whole: usize) -> f64 {
 /// user input.
 #[must_use]
 pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) -> ScenarioOutcome {
+    run_scenario_keeping(config, substrate, seed, |_| ()).0
+}
+
+/// [`run_scenario`], also returning what `keep` reads off the run's
+/// processes once it has ended (before it started, when no publisher
+/// stands).
+pub(crate) fn run_scenario_keeping<W>(
+    config: &ScenarioConfig,
+    substrate: Substrate,
+    seed: u64,
+    keep: impl FnOnce(&[DaProcess]) -> W,
+) -> (ScenarioOutcome, W) {
     let levels = config.group_sizes.len();
     assert!(config.publish_level < levels, "publish level out of range");
 
@@ -173,7 +185,7 @@ pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) ->
     let candidates = groups[config.publish_level].members.iter().copied();
     let standing = first_standing(&config.faults.failure, processes.len(), seed, candidates);
     let Some(publisher) = standing else {
-        return ScenarioOutcome {
+        let outcome = ScenarioOutcome {
             intra: vec![0.0; levels],
             inter_in: vec![0.0; levels - 1],
             delivered_fraction: vec![0.0; levels],
@@ -184,6 +196,7 @@ pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) ->
             ledger: EnvelopeLedger::default(),
             tally: Tally::default(),
         };
+        return (outcome, keep(&processes));
     };
     let run = RunConfig::default()
         .with_seed(seed)
@@ -215,7 +228,8 @@ pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) ->
     let per_group =
         |kind, level: usize| tally.get(Family::Da, kind, groups[level].topic.index()) as f64;
     let total = |kind| tally.total(Family::Da, kind);
-    ScenarioOutcome {
+    let kept = keep(&out.processes);
+    let outcome = ScenarioOutcome {
         intra: (0..levels).map(|l| per_group(Kind::Intra, l)).collect(),
         // inter_in at the parent group counts events that crossed into it.
         inter_in: (0..levels - 1)
@@ -228,7 +242,8 @@ pub fn run_scenario(config: &ScenarioConfig, substrate: Substrate, seed: u64) ->
         total_event_messages: (total(Kind::Intra) + total(Kind::InterOut)) as f64,
         ledger: out.ledger,
         tally,
-    }
+    };
+    (outcome, kept)
 }
 
 #[cfg(test)]

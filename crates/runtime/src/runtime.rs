@@ -41,7 +41,6 @@ use crate::worker::{
 use da_core::ledger::{Registry, Renderer};
 use da_core::process::ProcessIndexError;
 use da_core::store::ProcessStore;
-use da_core::wheel::MAX_RING_TICKS;
 use da_core::{
     Counters, EnvelopeLedger, ExecProtocol, LifecycleController, PoolConfig, ProcessId,
     ProcessStatus, RunConfig, Stripe, Tally, TickReport, TraceLog, WireSize,
@@ -145,8 +144,8 @@ pub struct Shutdown<P> {
 }
 
 /// How many ticks a fast worker may run ahead of the slowest peer's
-/// *published* frontier: the network's latency floor, clamped to
-/// `[1, MAX_RING_TICKS]`.
+/// *published* frontier: the network's latency floor, in
+/// `[1, MAX_RING_TICKS]` once [`Runtime::spawn`] has checked the config.
 ///
 /// A worker may execute tick `n` once every peer has published its
 /// outbound batches through tick `n - lag`. Anything a peer sends later
@@ -154,10 +153,9 @@ pub struct Shutdown<P> {
 /// [`da_core::NetworkModel::min_latency`], the channel's floor — so no
 /// delivery can be missed. One-tick links pin workers within one tick of each other; a
 /// floor of `k` ticks lets them drift `k` apart at the price of up to
-/// `k` batches buffered per lane, which is why the floor, being config
-/// input, is capped where a router's wheel ring is.
+/// `k` batches buffered per lane.
 fn effective_lag(config: &RuntimeConfig) -> u64 {
-    config.faults.network.min_latency().clamp(1, MAX_RING_TICKS)
+    config.faults.network.min_latency()
 }
 
 /// The pool size for a population: the configured count, or one worker
@@ -177,7 +175,7 @@ fn effective_workers(pool: &PoolConfig, population: usize) -> usize {
 /// unswept batches (a producer at tick `p` requires the consumer to
 /// have published `p + 1 - lag`, so `p - c <= lag`; one batch per
 /// producer tick on a lane), so `lag + 2` never blocks in steady state.
-/// The lag is capped, and with it the allocation.
+/// `Runtime::spawn` bounds the lag, and with it the allocation.
 fn lane_capacity(config: &RuntimeConfig) -> usize {
     effective_lag(config) as usize + 2
 }
@@ -193,8 +191,10 @@ where
     ///
     /// # Panics
     ///
-    /// Panics when the OS refuses to spawn a worker thread, or when the
-    /// population exceeds the `u32` process-id space.
+    /// Panics when the OS refuses to spawn a worker thread, when the
+    /// population exceeds the `u32` process-id space, or, before
+    /// anything is allocated, when the link latency is past the ring's
+    /// bound ([`da_core::NetworkModel::ring_ticks`]).
     #[must_use]
     pub fn spawn(config: RuntimeConfig, processes: Vec<P>) -> Self {
         Self::try_spawn(config, processes).unwrap_or_else(|e| panic!("{e}"))
@@ -207,7 +207,8 @@ where
     ///
     /// # Panics
     ///
-    /// Panics when the OS refuses to spawn a worker thread.
+    /// Panics when the OS refuses to spawn a worker thread, or when the
+    /// link latency exceeds the ring's bound.
     fn try_spawn(config: RuntimeConfig, processes: Vec<P>) -> Result<Self, ProcessIndexError> {
         let population = processes.len();
         if population > 0 {
@@ -217,6 +218,8 @@ where
         }
         let workers = effective_workers(&config.pool, population);
 
+        // A latency past the ring's bound is refused before any lane is.
+        let _ = config.faults.network.ring_ticks();
         let (hubs, inbox_rxs) = lane_matrix::<P::Msg>(workers, lane_capacity(&config));
         let sched = Arc::new(SchedulerState {
             horizon: AtomicU64::new(0),
@@ -357,9 +360,7 @@ where
                 // windows without parking once per tick.
                 let mut proof = if report.loud { report.tick + 2 } else { 0 };
                 if report.due_horizon > 0 {
-                    // An envelope parked at `u64::MAX` is never due:
-                    // every tick under the cap is loud.
-                    proof = proof.max(report.due_horizon.saturating_add(1));
+                    proof = proof.max(report.due_horizon + 1);
                 }
                 if proof > 0 {
                     self.grant(proof.min(cap));

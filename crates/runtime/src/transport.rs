@@ -65,7 +65,7 @@
 use crossbeam::queue::{self, PushError};
 use da_core::channel::EdgeRngs;
 use da_core::network::{NetFate, NetworkModel, Occurrences};
-use da_core::wheel::{DelayWheel, MAX_RING_TICKS};
+use da_core::wheel::DelayWheel;
 use da_core::{Envelope, Outbound, ProcessId};
 use std::error::Error;
 use std::fmt;
@@ -410,6 +410,11 @@ pub struct FlushReport {
 /// buckets whole. A bare `ChannelConfig` converts into the uniform
 /// model.
 ///
+/// The wheel spans [`NetworkModel::ring_ticks`] due ticks past the last
+/// flush, so every send lands in it when flushes come as a worker's do
+/// (through `t + lag` each tick `t`) or in full. A router still holding
+/// envelopes panics on a send due outside that window.
+///
 /// Partition cuts are decided from the schedule alone — a pure function
 /// of the two endpoints and the send tick, consuming zero randomness —
 /// so both substrates sever the same sends. Loss and latency draws come
@@ -491,13 +496,12 @@ impl<M> FaultyRouter<M> {
     /// Wraps `hub` with the given network model (a bare
     /// `ChannelConfig` converts into the uniform model); `master_seed`
     /// roots the per-edge RNG streams (use the runtime's configured seed
-    /// so live fault draws are reproducible).
+    /// so live fault draws are reproducible). A link latency past the
+    /// ring's bound panics ([`NetworkModel::ring_ticks`]).
     #[must_use]
     pub fn new(hub: Hub<M>, network: impl Into<NetworkModel>, master_seed: u64) -> Self {
         let network = network.into();
-        // Config input: bound the ring it sizes; slower sends spill.
-        let window = network.max_latency().min(MAX_RING_TICKS) as usize + 1;
-        let wheel = DelayWheel::with_capacity(window, hub.workers());
+        let wheel = DelayWheel::with_capacity(network.ring_ticks(), hub.workers());
         let rngs = EdgeRngs::new(master_seed);
         FaultyRouter {
             hub,
@@ -555,9 +559,7 @@ impl<M> FaultyRouter<M> {
                     from,
                     to,
                     sent_tick,
-                    // A configured latency can be anything: an envelope
-                    // due at `u64::MAX` is in flight until shutdown.
-                    due_tick: sent_tick.saturating_add(latency),
+                    due_tick: sent_tick + latency,
                     msg,
                 },
             );
@@ -1045,10 +1047,16 @@ mod tests {
     #[test]
     fn fault_draws_are_reproducible_per_edge() {
         let run = || {
-            let (mut hubs, _inboxes) = lane_matrix::<u8>(1, 8);
+            let (mut hubs, mut inboxes) = lane_matrix::<u8>(1, 8);
             let mut faulty = FaultyRouter::new(hubs.remove(0), ChannelConfig::paper_default(), 42);
             (0..64u64)
-                .map(|i| faulty.send(ProcessId(1), ProcessId(2), i, 0) == NetFate::Lost)
+                .map(|i| {
+                    let lost = faulty.send(ProcessId(1), ProcessId(2), i, 0) == NetFate::Lost;
+                    // Flushed and swept each tick, as a worker does.
+                    faulty.flush();
+                    inboxes[0].drain();
+                    lost
+                })
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(), run(), "same seed, same edge, same fates");
@@ -1101,16 +1109,19 @@ mod tests {
         // Encode each fate latency-relative so runs at different ticks
         // compare: Severed → -2, Lost → -1, Deliver → its latency.
         let run = |partitions: PartitionSchedule| {
-            let (mut hubs, _inboxes) = lane_matrix::<u8>(1, 8);
+            let (mut hubs, mut inboxes) = lane_matrix::<u8>(1, 8);
             let mut faulty = FaultyRouter::new(hubs.remove(0), network(partitions), 42);
             (0..30u64)
-                .map(
-                    |tick| match faulty.send(ProcessId(0), ProcessId(1), tick, 0) {
+                .map(|tick| {
+                    let fate = match faulty.send(ProcessId(0), ProcessId(1), tick, 0) {
                         NetFate::Severed => -2i64,
                         NetFate::Lost => -1,
                         NetFate::Deliver { latency } => latency as i64,
-                    },
-                )
+                    };
+                    faulty.flush();
+                    inboxes[0].drain();
+                    fate
+                })
                 .collect::<Vec<i64>>()
         };
         let severed = run(cut);

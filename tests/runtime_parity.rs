@@ -12,18 +12,21 @@
 //! fanout) so full coverage is not at the mercy of one seed or one
 //! thread interleaving (miss probability ≈ e^{-12} per event).
 
-use da_core::testkit::LifeProbe;
+use da_core::testkit::{LifeProbe, Relay};
+use da_core::wheel::MAX_RING_TICKS;
 use da_core::{
-    first_divergence, ChannelConfig, FailureModel, Family, Fate, Kind, Latency, ProcessId,
-    RunConfig, TraceConfig, TraceLog, TraceVerdict,
+    first_divergence, ChannelConfig, EdgeRngs, FailureModel, Family, Fate, Kind, Latency, NetFate,
+    NetworkModel, ProcessId, RunConfig, TraceConfig, TraceLog, TraceVerdict,
 };
 use da_harness::experiments::live::{delivered_sets, pinned_params};
 use da_harness::experiments::trace::describe_divergence;
 use da_harness::substrate::{Driver, Substrate};
 use da_membership::static_init::assign_group_members;
+use da_simnet::{Engine, Strategy};
 use da_tape::{check_cases, prop_assert, prop_assert_eq};
 use da_topics::TopicHierarchy;
 use damulticast::{DaProcess, EventId, GroupSpec, Network, TopicParams};
+use rand::rngs::SmallRng;
 use std::sync::Arc;
 use support::Logged;
 
@@ -464,4 +467,141 @@ fn churned_runtime_matches_simulator_for_surviving_cohort() {
             Ok(())
         },
     );
+}
+
+/// The simulator drawing each send's fate the way the pool does: on the
+/// stateless per-edge RNG keyed by `(edge, tick, occurrence)` under the
+/// run's seed, so one seed gives both substrates the same latencies.
+struct EdgeKeyed(EdgeRngs);
+
+impl EdgeKeyed {
+    /// The fate of the `occurrence`-th send on `from → to` in `tick`.
+    fn draw(
+        &self,
+        network: &NetworkModel,
+        from: ProcessId,
+        to: ProcessId,
+        tick: u64,
+        occurrence: u32,
+    ) -> NetFate {
+        let key = [from.0, to.0, occurrence].map(u64::from);
+        let mut rng = self.0.draw_rng(key[0], key[1], tick, key[2]);
+        network.decide_fate(from, to, tick, occurrence, &mut rng)
+    }
+}
+
+impl Strategy for EdgeKeyed {
+    fn fate(
+        &mut self,
+        network: &NetworkModel,
+        from: ProcessId,
+        to: ProcessId,
+        tick: u64,
+        occurrence: u32,
+        _: &mut SmallRng,
+    ) -> NetFate {
+        self.draw(network, from, to, tick, occurrence)
+    }
+}
+
+/// A relay ring at the slowest latency a ring is sized for, fixed and
+/// jittered: the simulator (drawing as the pool does) and a 2-worker
+/// pool record equal canonical traces, and every envelope arrives on
+/// the tick its drawn latency makes it due.
+#[test]
+fn a_relay_at_the_ring_bound_traces_alike_on_both_substrates() {
+    const POPULATION: u32 = 8;
+    const SEND_ROUNDS: u64 = 8;
+    for latency in [
+        Latency::Fixed(MAX_RING_TICKS),
+        Latency::UniformRounds {
+            min: 1,
+            max: MAX_RING_TICKS,
+        },
+    ] {
+        let config = RunConfig::default()
+            .with_seed(5)
+            .with_channel(ChannelConfig::reliable().with_latency(latency))
+            .with_trace(TraceConfig::full());
+        let ticks = SEND_ROUNDS + MAX_RING_TICKS + 1;
+        let procs = Relay::ring(POPULATION, SEND_ROUNDS);
+
+        let mut engine = Engine::new(config.clone(), procs.clone());
+        let mut edge_keyed = EdgeKeyed(EdgeRngs::new(config.seed));
+        for _ in 0..ticks {
+            engine.step_round_with(&mut edge_keyed);
+        }
+        let sim_trace = engine.trace_log().expect("tracing is on");
+        let sim = engine.into_processes();
+
+        let mut driver = Driver::spawn(Substrate::Live { workers: 2 }, config.clone(), procs);
+        driver.run_ticks(ticks);
+        let out = driver.finish();
+        let live_trace = out.trace.expect("tracing is on");
+
+        let (sim_events, live_events) =
+            (sim_trace.canonical_events(), live_trace.canonical_events());
+        assert_eq!(
+            first_divergence(&sim_events, &live_events),
+            None,
+            "{latency:?}"
+        );
+        assert_eq!(out.ledger.dropped_shutdown, 0, "{latency:?}: all landed");
+
+        // Process `to` hears from `to − 1` once per send round, on the
+        // tick the send's latency, drawn on its edge key, makes it due.
+        for (to, (sim, live)) in sim.iter().zip(&out.processes).enumerate() {
+            let to = ProcessId(to as u32);
+            let from = ProcessId((to.0 + POPULATION - 1) % POPULATION);
+            let mut due: Vec<u64> = (0..SEND_ROUNDS)
+                .map(
+                    |tick| match edge_keyed.draw(&config.faults.network, from, to, tick, 0) {
+                        NetFate::Deliver { latency } => tick + latency,
+                        fate => panic!("reliable channel: {fate:?}"),
+                    },
+                )
+                .collect();
+            due.sort_unstable();
+            assert_eq!(sim.received, due, "{latency:?}: simulator at {to}");
+            assert_eq!(live.received, due, "{latency:?}: pool at {to}");
+        }
+    }
+}
+
+/// A latency one tick past the ring's bound is config input out of
+/// range: the simulator and the pool refuse it at construction, with
+/// the same message naming it.
+#[test]
+fn a_latency_past_the_ring_bound_is_refused_alike() {
+    let refusal = |build: &dyn Fn()| -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
+            .expect_err("the configuration must be refused");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("a formatted panic message")
+    };
+    for (latency, slowest) in [
+        (Latency::Fixed(MAX_RING_TICKS + 1), MAX_RING_TICKS + 1),
+        (
+            Latency::UniformRounds {
+                min: 1,
+                max: MAX_RING_TICKS + 1,
+            },
+            MAX_RING_TICKS + 1,
+        ),
+        (Latency::Fixed(u64::MAX), u64::MAX),
+    ] {
+        let config =
+            RunConfig::default().with_channel(ChannelConfig::reliable().with_latency(latency));
+        // Both substrates' constructors, through the harness.
+        let [sim, live] = [SIM, Substrate::Live { workers: 2 }].map(|substrate| {
+            refusal(&|| drop(Driver::spawn(substrate, config.clone(), Relay::ring(2, 1))))
+        });
+        assert_eq!(sim, live, "{latency:?}");
+        assert!(
+            sim.contains(&format!("latency of {slowest} ticks")),
+            "{sim}"
+        );
+    }
 }
