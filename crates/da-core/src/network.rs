@@ -225,12 +225,30 @@ impl DropSchedule {
 /// wherever a send is routed (the live router, the simulator's network,
 /// the model checker's script).
 ///
-/// One table keyed by the edge packed into a word (`from` in the high
-/// half, `to` in the low) and hashed by one [`KeyHasher`] multiply; the
-/// count is 0 for almost every send, so what a send pays for is the hash.
-/// The owner [`clear`](Self::clear)s it when the tick changes.
+/// Counted per sender *run*, a maximal stretch of consecutive sends by
+/// one sender (a wave's first delivery is a run of about nine, a flood
+/// delivery a run of two). A send costs a register-level check, and
+/// per-sender state is touched once per run:
 ///
-/// [`KeyHasher`]: crate::metrics::KeyHasher
+/// * **A send.** The sender now sending keeps its `(to, count)` pairs at
+///   the tail of a per-tick arena, a 64-bit filter of `hash(to)` bits,
+///   and per bit the position of the pair that last set or matched it.
+///   A send whose bit is clear is its edge's first this tick: it pushes
+///   `(to, 1)` and returns 0. A filter hit looks at that position first
+///   and scans the run only when another destination shares the bit.
+/// * **A change of sender** takes a cold, out-of-line path. The old
+///   sender's range is parked in a tick-stamped open-addressed index,
+///   sized to the senders actually seen. A sender seen earlier in the
+///   tick has its pairs copied back to the arena's tail.
+/// * **A wide sender.** A sender that holds 64 destinations and sends to
+///   a new one whose bit is set moves to an edge-keyed map for the rest
+///   of the tick, so no scan grows with fan-out.
+///
+/// The counts are exact: send for send, the same answers as one table
+/// keyed by the edge. The owner [`clear`](Self::clear)s it when the
+/// tick changes, which bumps the stamp and walks nothing. A default
+/// table allocates nothing, and its first bump allocates one small
+/// block, because the model checker builds one per transition.
 ///
 /// ```
 /// use da_core::{Occurrences, ProcessId};
@@ -239,32 +257,256 @@ impl DropSchedule {
 /// assert_eq!(seen.bump(ProcessId(3), ProcessId(9)), 0);
 /// assert_eq!(seen.bump(ProcessId(3), ProcessId(9)), 1);
 /// assert_eq!(seen.bump(ProcessId(9), ProcessId(3)), 0, "edges are directed");
+/// assert_eq!(seen.bump(ProcessId(3), ProcessId(9)), 2, "a sender's runs add up");
 /// seen.clear();
 /// assert_eq!(seen.bump(ProcessId(3), ProcessId(9)), 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Occurrences {
-    counts: HashMap<u64, u32, KeyBuildHasher>,
+    /// The sender of the current run, or [`NO_SENDER`] before a tick's
+    /// first send.
+    from: u64,
+    /// One bit per [`bucket`] of the current run's destinations; all
+    /// ones while the sender is counted in `wide`.
+    filter: u64,
+    /// For each set `filter` bit, the position in the current run of the
+    /// pair that last set or matched it: a repeated edge is found there
+    /// unless another destination shares its bucket.
+    last: [u8; 64],
+    /// Where the current sender's pairs start in `pairs` (they are
+    /// always its tail), or [`WIDE`].
+    start: u32,
+    /// The `index` slot the current sender parks in: where it was
+    /// found, or the free slot that ended its probe.
+    slot: usize,
+    /// This tick's `(to, count)` pairs, sender by sender.
+    pairs: Vec<(u32, u32)>,
+    /// Every sender parked this tick, open-addressed by a Fibonacci
+    /// hash of its pid; a slot is live only under the current `stamp`.
+    index: Vec<Parked>,
+    /// Live `index` slots, kept at most half the slots.
+    parked: usize,
+    /// The tick generation; 0 marks a slot never written.
+    stamp: u32,
+    /// Edge-keyed counts of the senders past [`WIDE_RUN`] destinations
+    /// (the key packs `from` in the high half, `to` in the low).
+    wide: HashMap<u64, u32, KeyBuildHasher>,
+}
+
+/// Where one sender's pairs sit between its runs: `len` pairs from
+/// `start` in the arena ([`WIDE`] when it is counted edge by edge),
+/// live in the tick whose `stamp` it carries.
+#[derive(Debug, Clone, Copy, Default)]
+struct Parked {
+    stamp: u32,
+    from: u32,
+    start: u32,
+    len: u32,
+}
+
+/// `Occurrences::from` before a tick's first send: no pid widens to it.
+const NO_SENDER: u64 = u64::MAX;
+/// A sender counted in the edge-keyed map (its `start`, and its parked
+/// `len`).
+const WIDE: u32 = u32::MAX;
+/// The destinations a sender's run holds before a filter hit on a new
+/// one moves its counts to the edge-keyed map for the rest of the tick.
+const WIDE_RUN: usize = 64;
+/// The first index allocation, in slots.
+const MIN_SLOTS: usize = 16;
+
+/// A destination's bit in the run filter: the top six bits of a
+/// Fibonacci multiply.
+#[inline(always)]
+fn bucket(to: u32) -> usize {
+    (to.wrapping_mul(0x9E37_79B9) >> 26) as usize
+}
+
+impl Default for Occurrences {
+    fn default() -> Self {
+        Occurrences {
+            from: NO_SENDER,
+            filter: 0,
+            last: [0; 64],
+            start: 0,
+            slot: 0,
+            pairs: Vec::new(),
+            index: Vec::new(),
+            parked: 0,
+            stamp: 1,
+            wide: HashMap::default(),
+        }
+    }
 }
 
 impl Occurrences {
     /// Counts one more send on `from → to` and returns how many came
     /// before it since the last [`clear`](Self::clear).
-    #[inline]
+    #[inline(always)]
     pub fn bump(&mut self, from: ProcessId, to: ProcessId) -> u32 {
-        let key = u64::from(from.0) << 32 | u64::from(to.0);
-        let count = self.counts.entry(key).or_insert(0);
-        let before = *count;
-        *count += 1;
-        before
+        if u64::from(from.0) != self.from {
+            self.switch(from);
+        }
+        let bucket = bucket(to.0);
+        if self.filter & 1 << bucket == 0 {
+            self.filter |= 1 << bucket;
+            self.last[bucket] = (self.pairs.len() - self.start as usize) as u8;
+            self.pairs.push((to.0, 1));
+            0
+        } else {
+            self.repeat(to.0, bucket)
+        }
     }
 
-    /// Forgets every count and keeps the table, so steady-state ticks
-    /// allocate nothing: the footprint is bounded by the edges of the
-    /// busiest single tick, not by the edges ever used.
+    /// Forgets every count and keeps the buffers, so steady-state ticks
+    /// allocate nothing: the footprint is bounded by the busiest single
+    /// tick. Bumps the stamp, so the index is not walked.
     #[inline]
     pub fn clear(&mut self) {
-        self.counts.clear();
+        self.from = NO_SENDER;
+        self.filter = 0;
+        self.pairs.clear();
+        self.wide.clear();
+        self.parked = 0;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Once in 2³² ticks: no slot may keep a stamp that recurs.
+            self.index.fill(Parked::default());
+            self.stamp = 1;
+        }
+    }
+
+    /// A change of sender: parks the current run, then finds `from`'s
+    /// slot and takes up its pairs, or starts it fresh.
+    #[cold]
+    #[inline(never)]
+    fn switch(&mut self, from: ProcessId) {
+        self.park();
+        self.from = u64::from(from.0);
+        self.slot = self.probe(from.0);
+        self.filter = 0;
+        self.start = self.pairs.len() as u32;
+        let Some(&parked) = self.index.get(self.slot) else {
+            return;
+        };
+        if parked.stamp != self.stamp {
+            return;
+        }
+        if parked.len == WIDE {
+            self.start = WIDE;
+            self.filter = !0;
+            return;
+        }
+        // One pass copies the pairs and rebuilds the filter: a run is
+        // a few pairs, and `extend_from_within` would call `memmove`.
+        let (start, len) = (parked.start as usize, parked.len as usize);
+        self.pairs.reserve(len);
+        for i in 0..len {
+            let pair = self.pairs[start + i];
+            let bucket = bucket(pair.0);
+            self.filter |= 1 << bucket;
+            self.last[bucket] = i as u8;
+            self.pairs.push(pair);
+        }
+    }
+
+    /// Writes the current sender's range into its slot, claiming the
+    /// slot (and growing the index) if it is new this tick.
+    fn park(&mut self) {
+        if self.from == NO_SENDER {
+            return;
+        }
+        let from = self.from as u32;
+        let live = self
+            .index
+            .get(self.slot)
+            .is_some_and(|p| p.stamp == self.stamp);
+        if !live {
+            if 2 * (self.parked + 1) > self.index.len() {
+                self.grow();
+                self.slot = self.probe(from);
+            }
+            self.parked += 1;
+        }
+        let len = if self.start == WIDE {
+            WIDE
+        } else {
+            self.pairs.len() as u32 - self.start
+        };
+        self.index[self.slot] = Parked {
+            stamp: self.stamp,
+            from,
+            start: self.start,
+            len,
+        };
+    }
+
+    /// The slot `from` is parked in this tick, or the free slot where it
+    /// would be; `usize::MAX` while the index has none.
+    fn probe(&self, from: u32) -> usize {
+        if self.index.is_empty() {
+            return usize::MAX;
+        }
+        let mask = self.index.len() - 1;
+        let shift = 64 - self.index.len().trailing_zeros();
+        let mut i = (u64::from(from).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        for _ in 0..self.index.len() {
+            let p = self.index[i];
+            if p.stamp != self.stamp || p.from == from {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+        unreachable!("the index is kept at most half full")
+    }
+
+    /// Doubles the index (or makes its first one), moving this tick's
+    /// slots across.
+    fn grow(&mut self) {
+        let slots = (2 * self.index.len()).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.index, vec![Parked::default(); slots]);
+        for p in old.into_iter().filter(|p| p.stamp == self.stamp) {
+            let i = self.probe(p.from);
+            self.index[i] = p;
+        }
+    }
+
+    /// A filter hit: the edge's count if the run has it (at
+    /// `last[bucket]`, or else found by a scan), else a new pair — or,
+    /// past [`WIDE_RUN`] destinations, the edge-keyed map.
+    #[inline(never)]
+    fn repeat(&mut self, to: u32, bucket: usize) -> u32 {
+        if self.start != WIDE {
+            let run = &mut self.pairs[self.start as usize..];
+            let last = usize::from(self.last[bucket]);
+            let at = if run[last].0 == to {
+                Some(last)
+            } else {
+                run.iter().position(|pair| pair.0 == to)
+            };
+            if let Some(at) = at {
+                self.last[bucket] = at as u8;
+                run[at].1 += 1;
+                return run[at].1 - 1;
+            }
+            if run.len() < WIDE_RUN {
+                self.last[bucket] = run.len() as u8;
+                self.pairs.push((to, 1));
+                return 0;
+            }
+            for &(to, count) in &self.pairs[self.start as usize..] {
+                self.wide.insert(self.from << 32 | u64::from(to), count);
+            }
+            self.pairs.truncate(self.start as usize);
+            self.start = WIDE;
+            self.filter = !0;
+        }
+        let count = self
+            .wide
+            .entry(self.from << 32 | u64::from(to))
+            .or_insert(0);
+        *count += 1;
+        *count - 1
     }
 }
 

@@ -4,11 +4,16 @@
 //! crashed and recovered slots in slot order, the same churn counts —
 //! whatever the plan and the striping, and both agree with
 //! [`FailurePlan::alive_at`].
+//!
+//! [`Occurrences`] counts exactly: send for send, the same occurrence
+//! as one map keyed by the edge, whatever the order senders take turns
+//! in within a tick.
 
 use da_core::failure::{FailureModel, FailurePlan, Fate};
 use da_core::seed::derive_seed;
-use da_core::{LifecycleController, LifecycleTransitions, ProcessId};
+use da_core::{LifecycleController, LifecycleTransitions, Occurrences, ProcessId};
 use da_tape::{check, prop_assert, prop_assert_eq, CaseError, CaseResult, Tape};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// What the per-pid walk saw over a run: processes that went down,
@@ -246,4 +251,121 @@ fn dense_churn_with_flickers_on_crashed_slots_takes_the_per_pid_walk() {
     }
     let seen = stripes_take_the_per_pid_walk(plan, POPULATION, 3, TICKS).unwrap();
     assert!(seen.iter().all(|&n| n > 1_000), "{seen:?}");
+}
+
+/// The ticks of one send stream, each a list of runs: a sender and the
+/// destinations it sends to back to back.
+type SendStream = Vec<Vec<(u32, Vec<u32>)>>;
+
+/// What a stream exercises, counted from the stream itself: a sender
+/// back after another sender's run in the same tick, a tick with more
+/// senders than an empty table's first index has slots (16), an edge
+/// repeated within one run, an edge repeated across a sender's runs, a
+/// sender sending again after a `clear()`, and a sender with more than
+/// 128 destinations in a tick (which a run cannot keep in its filter
+/// and scan).
+type Reach = [u64; 6];
+
+/// Draws a stream: 1 to 4 ticks of up to 30 runs, from 1–4 or 5–80
+/// senders, most runs 1–11 sends to a handful of destinations, a few
+/// 130–200 sends wide, with pids low or at the top of the range.
+fn send_stream(t: &mut Tape) -> SendStream {
+    let senders = if t.weighted(0.5) {
+        t.range(1..=4u32)
+    } else {
+        t.range(5..=80u32)
+    };
+    let fan = t.range(1..=12u32);
+    let top = t.weighted(0.3);
+    let pid = move |i: u32| if top { u32::MAX - i } else { i };
+    let ticks = t.range(1..=4usize);
+    (0..ticks)
+        .map(|_| {
+            t.vec(0..=30usize, |t| {
+                let from = pid(t.below(u64::from(senders)) as u32);
+                let to = if t.weighted(0.05) {
+                    t.vec(130..=200usize, |t| pid(t.range(0..5_000u32)))
+                } else {
+                    t.vec(1..=11usize, |t| pid(t.below(u64::from(fan)) as u32))
+                };
+                (from, to)
+            })
+        })
+        .collect()
+}
+
+/// What `stream` exercises (see [`Reach`]).
+fn reach_of(stream: &SendStream) -> Reach {
+    let mut reach = Reach::default();
+    let mut last_tick = HashSet::new();
+    for tick in stream {
+        // Each sender's destinations so far this tick, and its last run.
+        let mut sent: HashMap<u32, HashSet<u32>> = HashMap::new();
+        let mut previous = None;
+        for (from, to) in tick {
+            let mut run = HashSet::new();
+            let adjacent = previous == Some(*from);
+            if !adjacent && sent.contains_key(from) {
+                reach[0] += 1;
+            }
+            let before = sent.entry(*from).or_default();
+            for &to in to {
+                if !run.insert(to) {
+                    reach[2] += 1;
+                } else if !adjacent && before.contains(&to) {
+                    reach[3] += 1;
+                }
+            }
+            before.extend(run);
+            previous = Some(*from);
+        }
+        reach[1] += u64::from(sent.len() > 16);
+        reach[4] += sent.keys().filter(|from| last_tick.contains(*from)).count() as u64;
+        reach[5] += sent.values().filter(|to| to.len() > 128).count() as u64;
+        last_tick = sent.into_keys().collect();
+    }
+    reach
+}
+
+/// Replays `stream` on one `Occurrences`, cleared between ticks, and on
+/// the edge-keyed map it replaced; a panic inside the table is a
+/// failure like a wrong count.
+fn occurrences_match_an_edge_keyed_map(stream: &SendStream) -> CaseResult {
+    let replay = || -> CaseResult {
+        let mut table = Occurrences::default();
+        let mut model: HashMap<u64, u32> = HashMap::new();
+        for (tick, runs) in stream.iter().enumerate() {
+            for (from, to) in runs {
+                for &to in to {
+                    let want = model
+                        .entry(u64::from(*from) << 32 | u64::from(to))
+                        .or_insert(0);
+                    let got = table.bump(ProcessId(*from), ProcessId(to));
+                    prop_assert_eq!(got, *want, "tick {}: {} -> {}", tick, from, to);
+                    *want += 1;
+                }
+            }
+            table.clear();
+            model.clear();
+        }
+        Ok(())
+    };
+    std::panic::catch_unwind(replay)
+        .unwrap_or_else(|_| Err(CaseError::Fail("the table panicked".into())))
+}
+
+#[test]
+fn occurrences_count_like_an_edge_keyed_map() {
+    let mut reached = Reach::default();
+    check("occurrences_count_like_an_edge_keyed_map", |t| {
+        let stream = send_stream(t);
+        let reach = reach_of(&stream);
+        occurrences_match_an_edge_keyed_map(&stream)?;
+        (0..reached.len()).for_each(|k| reached[k] += reach[k]);
+        Ok(())
+    });
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "every path of the table: {reached:?}"
+    );
 }

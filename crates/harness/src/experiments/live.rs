@@ -327,15 +327,15 @@ pub fn partition_faults(
 /// at tick 0 and one from the island after the heal (or mid-cut, for a
 /// cut that never heals), runs a fixed [`MAX_TIME`] horizon so both
 /// substrates see the identical schedule, and returns the overall
-/// delivery ratio across both events and the sorted delivered sets of
-/// the never-partitioned (mainland) cohort. Asserts that the cut severed
-/// a send and that no process delivered a parasite.
+/// delivery ratio across both events, the sorted delivered sets of the
+/// never-partitioned (mainland) cohort and the sends the cut severed.
+/// Asserts that no process delivered a parasite.
 fn partition_trial(
     scenario: &ScenarioConfig,
     heal: Option<u64>,
     substrate: Substrate,
     seed: u64,
-) -> (f64, Vec<Vec<EventId>>) {
+) -> (f64, Vec<Vec<EventId>>, u64) {
     let net = Network::linear(&scenario.group_sizes, scenario.params, seed)
         .expect("experiment topology must be valid");
     let leaf = net.groups().last().expect("at least one group").clone();
@@ -363,11 +363,6 @@ fn partition_trial(
     driver.run_ticks(MAX_TIME - island_publish_tick);
     let out = driver.finish();
 
-    let severed = out.ledger.dropped_partitioned;
-    assert!(
-        severed > 0,
-        "the cut-at-{CUT_AT} partition must sever cross-island gossip"
-    );
     let parasites = out.tally.total(Family::Da, Kind::Parasite);
     assert_eq!(
         parasites, 0,
@@ -391,7 +386,7 @@ fn partition_trial(
         .filter(|(i, _)| !island.contains(&ProcessId::from_index(*i)))
         .map(|(_, ids)| ids)
         .collect();
-    (ratio, mainland_sets)
+    (ratio, mainland_sets, out.ledger.dropped_partitioned)
 }
 
 /// Sweeps the heal tick of a two-island network partition and tabulates
@@ -419,10 +414,17 @@ fn partition_trial(
 /// Panics up front when a heal tick is past `MAX_TIME - 2` (62): the
 /// island publishes two ticks after the heal, inside the fixed
 /// `MAX_TIME`-tick horizon. Then panics when a trial sees a parasite
-/// delivery, when a cut fails to sever any send, or when the
+/// delivery, when a row's trials together sever no send, or when the
 /// never-partitioned cohort's delivered sets diverge between the
 /// substrates — each a violation of the cross-substrate contract this
 /// experiment exists to enforce.
+///
+/// The severed check is per row, not per trial: a cut that heals at
+/// tick 2 is in force for ticks 0–1 only, and at paper scale the ~70
+/// sends a leaf event makes by then each reach the 8-member island of
+/// the 1,000-member leaf group with p ≈ 0.008, so one trial in about
+/// two legitimately severs nothing. A partition that silently does
+/// nothing still severs nothing in every trial of its row.
 #[must_use]
 pub fn run_partition_sweep(
     scenario: &ScenarioConfig,
@@ -443,14 +445,27 @@ pub fn run_partition_sweep(
         .map(|heal| heal.map_or(-1.0, |tick| tick as f64))
         .collect();
     let title = "Delivery ratio across partition cut-and-heal scenarios, live vs simulated";
-    paired_sweep(
+    let mut severed = vec![0; heal_ticks.len()];
+    let table = paired_sweep(
         title,
         "heal_tick",
         &xs,
         seed,
         trials,
-        |row, substrate, seed| partition_trial(scenario, heal_ticks[row], substrate, seed),
-    )
+        |row, substrate, seed| {
+            let (ratio, mainland, cut) =
+                partition_trial(scenario, heal_ticks[row], substrate, seed);
+            severed[row] += cut;
+            (ratio, mainland)
+        },
+    );
+    for (heal, severed) in heal_ticks.iter().zip(severed) {
+        assert!(
+            severed > 0,
+            "heal {heal:?}: the cut-at-{CUT_AT} partition severed no send in {trials} trial(s)"
+        );
+    }
+    table
 }
 
 /// True when two per-substrate delivery-ratio summaries agree within
@@ -663,6 +678,31 @@ mod tests {
     #[should_panic(expected = "heal tick 63 leaves no room")]
     fn partition_sweep_rejects_a_heal_past_the_horizon() {
         let _ = run_partition_sweep(&pinned(Latency::Fixed(1)), &[Some(2), Some(63)], 1, 1);
+    }
+
+    /// `live_vs_sim`'s paper-scale heal-at-2 row, on its first six
+    /// trials: the cut is in force for two ticks, so some trials sever
+    /// nothing and at least one severs a send, and the row passes
+    /// because its trials together sever sends.
+    #[test]
+    fn a_paper_scale_heal_at_2_row_passes_though_a_trial_severs_nothing() {
+        const TRIALS: usize = 6;
+        let scenario = ScenarioConfig {
+            faults: FaultConfig::default(),
+            ..crate::experiments::Effort::Paper.scenario()
+        };
+        let severed: Vec<u64> = (0..TRIALS as u64)
+            .map(|t| {
+                let seed = derive_seed(derive_seed(0x9A27, 0), t);
+                partition_trial(&scenario, Some(2), Substrate::Sim, seed).2
+            })
+            .collect();
+        assert!(
+            severed.contains(&0) && severed.iter().any(|&n| n > 0),
+            "severed per trial: {severed:?}"
+        );
+        let table = run_partition_sweep(&scenario, &[Some(2)], 0x9A27, TRIALS);
+        assert_eq!(table.rows[0].values[0].count, TRIALS);
     }
 
     /// Both runs of a trial see one seed,

@@ -38,10 +38,11 @@
 //!   `t + lag`, each whole, so one tick costs at most one lane push per
 //!   worker pair and the receiver delivers from the buffer the sender
 //!   filled. What an imperfect send costs before its draw
-//!   is one bump of a `da_core::Occurrences` table (the edge packed into
-//!   a word, hashed with one multiply) and one of the key's three mixing
-//!   rounds: the other two, the sender's prefix, are kept from the
-//!   previous send while the sender and the tick stay the same. Each
+//!   is one bump of a `da_core::Occurrences` table (a filter check and
+//!   a push onto the sender's run; the table is looked up once per run
+//!   of one sender's sends, not per send) and one of the key's three
+//!   mixing rounds: the other two, the sender's prefix, are kept from
+//!   the previous send while the sender and the tick stay the same. Each
 //!   draw is then one SplitMix64 mix over the key (draw-order v3).
 //!
 //! Control messages (`Control::*`, worker reports) ride `std::sync::mpsc`
@@ -476,9 +477,10 @@ pub struct FaultyRouter<M> {
     /// `(edge, tick, occurrence)` draw key, and the occurrence scripted
     /// drops match on. The perfect fast path never touches it; every
     /// imperfect send bumps it (the occurrence disambiguates same-edge
-    /// sends within one tick), which costs one multiply to hash. A
-    /// worker sends sequentially and owns its sources, so the count per
-    /// edge is deterministic.
+    /// sends within one tick). A bump is a filter check and a push onto
+    /// the sender's run, inlined here; only a change of sender leaves
+    /// the inlined code. A worker sends sequentially and owns its
+    /// sources, so the count per edge is deterministic.
     occurrences: Occurrences,
     /// Tick the occurrence counts belong to; they are cleared when a
     /// send arrives for a later tick.

@@ -7,9 +7,10 @@
 //! stays inside the heap budget the benchmark's `bytes_per_process` is
 //! held to, a wave process's bytes add up row by row to what the
 //! benchmark's `bytes_per_process` measures, a process that never draws
-//! costs the simulator at most 8 B beside its own state, and the send
-//! path's occurrence table counts like the pair-keyed map it is a packing
-//! of and reuses its allocation, and a churn tick allocates nothing.
+//! costs the simulator at most 8 B beside its own state, the send
+//! path's occurrence table counts like the pair-keyed map it replaced,
+//! costs no more than that map when fresh and reuses its allocations,
+//! and a churn tick allocates nothing.
 
 use da_core::failure::FailureModel;
 use da_core::{
@@ -488,11 +489,12 @@ fn a_never_drawing_process_costs_at_most_8_bytes_above_its_slab_entry() {
     drop(engine);
 }
 
-/// `Occurrences` is a packing and a cheaper hash, not a different count:
-/// against a map keyed by the pid pair it returns the same occurrence
-/// for every send of seeded streams in which edges repeat, across
-/// `clear()`s and table growth, with pids at both ends of the range —
-/// and a cleared table takes the same stream again without allocating.
+/// `Occurrences` is a cheaper count, not a different one: against a map
+/// keyed by the pid pair it returns the same occurrence for every send
+/// of seeded streams in which edges repeat and senders take turns,
+/// across `clear()`s and index growth, with pids at both ends of the
+/// range — and a cleared table takes the same stream again without
+/// allocating.
 /// A churn tick allocates nothing: at the metropolis rates (0.02% of
 /// the alive crash and 5% of the crashed recover per tick) a
 /// 131,072-pid stripe merges its ~520 crashed slots and the tick's
@@ -564,6 +566,63 @@ fn occurrences_count_like_a_pair_keyed_map_and_keep_their_table() {
     let second = replay(&mut table);
     assert_eq!(ALLOCATIONS.get() - before, 0, "a cleared table is reused");
     assert_eq!(first, second);
+}
+
+/// A fresh `Occurrences` stays cheap, because the model checker builds
+/// one for every transition it explores. A default table allocates
+/// nothing. Its first bump allocates no more blocks and no more bytes
+/// than the edge-keyed map it replaced did on its first insert. Once
+/// three ticks have warmed it, the same ticks again allocate nothing.
+/// The ticks hold a sender's non-adjacent runs, more senders than the
+/// first index has slots, and a sender with 300 destinations.
+#[test]
+fn a_fresh_occurrence_table_costs_no_more_than_the_map_it_replaced() {
+    use da_core::KeyBuildHasher;
+    use std::collections::HashMap;
+
+    let since =
+        |(blocks, bytes): (u64, i64)| (ALLOCATIONS.get() - blocks, LIVE_BYTES.get() - bytes);
+    let now = || (ALLOCATIONS.get(), LIVE_BYTES.get());
+
+    let before = now();
+    let mut table = Occurrences::default();
+    assert_eq!(since(before), (0, 0), "a default table");
+    assert_eq!(table.bump(ProcessId(3), ProcessId(9)), 0);
+    let first = since(before);
+
+    let before = now();
+    let mut map: HashMap<u64, u32, KeyBuildHasher> = HashMap::default();
+    *map.entry(3 << 32 | 9).or_insert(0) += 1;
+    let map_first = since(before);
+    assert!(
+        first.0 <= map_first.0 && first.1 <= map_first.1,
+        "a first bump: {first:?} (blocks, bytes), the map's first insert: {map_first:?}"
+    );
+
+    let tick = |table: &mut Occurrences, tick: u32| -> u64 {
+        let mut sum = 0;
+        let mut send =
+            |from: u32, to: u32| sum += u64::from(table.bump(ProcessId(from), ProcessId(to)));
+        for round in 0..3 {
+            for from in 0..40 {
+                (0..9).for_each(|k| send(from, (from + k * 7 + tick) % 50 + round));
+            }
+        }
+        (0..300).for_each(|to| send(99, to * 13));
+        table.clear();
+        sum
+    };
+    table.clear();
+    let warm: Vec<u64> = (0..3).map(|t| tick(&mut table, t)).collect();
+    let mut again = [0; 3];
+    let before = now();
+    again
+        .iter_mut()
+        .zip(0..)
+        .for_each(|(sum, t)| *sum = tick(&mut table, t));
+    assert_eq!(since(before).0, 0, "warm ticks");
+    assert_eq!(warm, again);
+    assert!(warm.iter().all(|&sum| sum > 0), "repeated edges: {warm:?}");
 }
 
 /// One row of a process's byte budget: what it is, bytes per process,
